@@ -26,8 +26,9 @@
 //!   fail over: **zero corrupt replies**, checked byte-for-byte against
 //!   a single node serving the union corpus.
 //!
-//! Writes `results/BENCH_chaos_serving.json` (quick mode included —
-//! the gates are correctness gates, not throughput ratios).
+//! Writes `results/BENCH_chaos_serving.json` (full runs only: `--quick`
+//! runs every gate but leaves `results/` alone, as `scripts/verify.sh`
+//! runs it on every verify).
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_chaos_serving [--quick]`
 
@@ -410,10 +411,14 @@ fn main() {
     single.shutdown();
     println!("  torn storm: {torn_checked} replies checked, zero corrupt\n");
 
+    if quick {
+        println!("quick mode: skipping results/BENCH_chaos_serving.json");
+        return;
+    }
     let json = format!(
         "{{\n  \"experiment\": \"chaos_serving\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \
          \"k\": {K},\n  \"shards\": {SHARDS},\n  \"replicas\": 2,\n  \
-         \"queries_per_leg\": {per_leg},\n  \"quick\": {quick},\n  \
+         \"queries_per_leg\": {per_leg},\n  \
          \"hedge\": {{\"p99_us_plain\": {p99_plain}, \"p99_us_hedged\": {p99_hedged}, \
          \"tail_cut\": {tail_cut:.2}, \"hedges_fired\": {hedges_fired}, \
          \"hedges_won\": {hedges_won}}},\n  \

@@ -28,12 +28,15 @@
 //!
 //! ## Query semantics
 //!
-//! A snapshot searches each segment's lazily built index plus the
-//! memtable's, asks each source for enough neighbours to absorb its own
-//! tombstoned rows (`k' = min(rows, k + dead_in_source)`), merges by
-//! `(distance, id)` with the exact comparator the indexes use, and
-//! truncates to `k`. Results are therefore bit-identical to a single
-//! [`crate::QueryEngine`] built over [`CorpusSnapshot::materialize`].
+//! The exact read path is batch-first: each worker thread walks the
+//! sources (every segment's lazily built index, then every memtable
+//! chunk's) once and hands its whole chunk of queries to the source's
+//! batched search, asking for enough neighbours to absorb the source's
+//! own tombstoned rows (`k' = min(rows, k + dead_in_source)`); per query
+//! it then merges by `(distance, id)` with the exact comparator the
+//! indexes use and truncates to `k`. Results are therefore bit-identical
+//! to a single [`crate::QueryEngine`] built over
+//! [`CorpusSnapshot::materialize`].
 
 use crate::database::{ImageDatabase, ImageMeta};
 use crate::engine::{
@@ -55,6 +58,7 @@ use cbir_index::{
     SearchStats,
 };
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -123,21 +127,69 @@ impl AsRef<[f32]> for SegmentRows {
     }
 }
 
+/// The searchable part of a source — a non-empty segment or a memtable
+/// chunk: its rows, and the structures built over them on first use (a
+/// failed build is cached too).
+struct SourceRows {
+    /// Names the source in build errors.
+    label: String,
+    dataset: Dataset,
+    index_cell: OnceLock<std::result::Result<Box<dyn SearchIndex>, String>>,
+    coarse_cell: OnceLock<std::result::Result<CoarseHaarIndex, String>>,
+}
+
+impl SourceRows {
+    fn new(label: String, dataset: Dataset) -> Self {
+        SourceRows {
+            label,
+            dataset,
+            index_cell: OnceLock::new(),
+            coarse_cell: OnceLock::new(),
+        }
+    }
+
+    fn build_failed(&self, what: &str, msg: &str) -> CoreError {
+        CoreError::InvalidParameter(format!("{} {what} build failed: {msg}", self.label))
+    }
+
+    /// The lazily built search index (the first query over the source
+    /// pays the build; concurrent first queries block on one build).
+    fn index(&self, kind: &IndexKind, measure: &Measure) -> Result<&dyn SearchIndex> {
+        self.index_cell
+            .get_or_init(|| {
+                build_index(kind, self.dataset.clone(), measure.clone()).map_err(|e| e.to_string())
+            })
+            .as_ref()
+            .map(|ix| ix.as_ref())
+            .map_err(|msg| self.build_failed("index", msg))
+    }
+
+    /// The lazily built coarse signature table for the approximate path
+    /// (one per source, mirroring [`SourceRows::index`]; the exact path
+    /// never pays for it).
+    fn coarse(&self) -> Result<&CoarseHaarIndex> {
+        self.coarse_cell
+            .get_or_init(|| {
+                let coefficients = CoarseHaarIndex::default_coefficients(self.dataset.dim());
+                CoarseHaarIndex::build(&self.dataset, coefficients).map_err(|e| e.to_string())
+            })
+            .as_ref()
+            .map_err(|msg| self.build_failed("coarse table", msg))
+    }
+}
+
 /// One open immutable segment: the mapped (or heap-loaded) file image,
 /// its parsed view, and lazily materialized metadata and search index.
 /// Laziness is load-bearing: opening a store must stay O(segments), not
 /// O(rows), so cold-open cost is independent of corpus size.
 struct Segment {
-    name: String,
     path: PathBuf,
     bytes: Arc<Mmap>,
     view: SegmentView,
     rows: usize,
     /// `None` iff the segment is empty.
-    dataset: Option<Dataset>,
+    data: Option<SourceRows>,
     metas_cell: OnceLock<std::result::Result<Vec<ImageMeta>, String>>,
-    index_cell: OnceLock<std::result::Result<Box<dyn SearchIndex>, String>>,
-    coarse_cell: OnceLock<std::result::Result<CoarseHaarIndex, String>>,
 }
 
 impl Segment {
@@ -153,7 +205,7 @@ impl Segment {
         };
         let view = parse_segment(&bytes).map_err(|e| attach_path(e, path))?;
         let rows = view.rows;
-        let dataset = if rows == 0 {
+        let data = if rows == 0 {
             None
         } else {
             let range = view.descriptor_range();
@@ -169,18 +221,16 @@ impl Segment {
             } else {
                 Arc::new(view.decode_descriptors_owned(&bytes))
             };
-            Some(Dataset::from_shared(view.dim, rows_arc)?)
+            let dataset = Dataset::from_shared(view.dim, rows_arc)?;
+            Some(SourceRows::new(format!("segment '{name}'"), dataset))
         };
         Ok(Arc::new(Segment {
-            name: name.to_string(),
             path: path.to_path_buf(),
             bytes,
             view,
             rows,
-            dataset,
+            data,
             metas_cell: OnceLock::new(),
-            index_cell: OnceLock::new(),
-            coarse_cell: OnceLock::new(),
         }))
     }
 
@@ -197,46 +247,6 @@ impl Segment {
             Err(msg) => Err(CoreError::Persist(PersistError::new(msg.clone()))),
         }
     }
-
-    /// The lazily built search index (first query over the segment pays
-    /// the build; concurrent first queries block on one build).
-    fn index(&self, kind: &IndexKind, measure: &Measure) -> Result<&dyn SearchIndex> {
-        let cached = self.index_cell.get_or_init(|| {
-            let ds = self
-                .dataset
-                .clone()
-                .expect("index is never requested for an empty segment");
-            build_index(kind, ds, measure.clone()).map_err(|e| e.to_string())
-        });
-        match cached {
-            Ok(ix) => Ok(ix.as_ref()),
-            Err(msg) => Err(CoreError::InvalidParameter(format!(
-                "segment '{}' index build failed: {msg}",
-                self.name
-            ))),
-        }
-    }
-
-    /// The lazily built coarse signature table for the approximate path
-    /// (one per segment, mirroring [`Segment::index`]; the exact path
-    /// never pays for it).
-    fn coarse(&self) -> Result<&CoarseHaarIndex> {
-        let cached = self.coarse_cell.get_or_init(|| {
-            let ds = self
-                .dataset
-                .as_ref()
-                .expect("coarse is never requested for an empty segment");
-            CoarseHaarIndex::build(ds, CoarseHaarIndex::default_coefficients(ds.dim()))
-                .map_err(|e| e.to_string())
-        });
-        match cached {
-            Ok(c) => Ok(c),
-            Err(msg) => Err(CoreError::InvalidParameter(format!(
-                "segment '{}' coarse table build failed: {msg}",
-                self.name
-            ))),
-        }
-    }
 }
 
 /// Rows per frozen memtable chunk. This bounds the per-publish copy:
@@ -251,61 +261,48 @@ const MEM_CHUNK_ROWS: usize = 1024;
 /// this chunking is what makes both incremental under live ingest.
 struct MemChunk {
     metas: Arc<Vec<ImageMeta>>,
-    dataset: Dataset,
-    index_cell: OnceLock<std::result::Result<Box<dyn SearchIndex>, String>>,
-    coarse_cell: OnceLock<std::result::Result<CoarseHaarIndex, String>>,
+    data: SourceRows,
 }
 
 impl MemChunk {
     fn new(dim: usize, flat: Vec<f32>, metas: Vec<ImageMeta>) -> Result<Arc<MemChunk>> {
         debug_assert!(!metas.is_empty());
         debug_assert_eq!(flat.len(), metas.len() * dim);
-        let flat = Arc::new(flat);
-        let dataset = Dataset::from_shared(dim, flat as _)?;
+        let dataset = Dataset::from_shared(dim, Arc::new(flat) as _)?;
         Ok(Arc::new(MemChunk {
             metas: Arc::new(metas),
-            dataset,
-            index_cell: OnceLock::new(),
-            coarse_cell: OnceLock::new(),
+            data: SourceRows::new("memtable chunk".into(), dataset),
         }))
     }
 
     fn rows(&self) -> usize {
         self.metas.len()
     }
+}
 
-    /// The chunk's linear index, built once on first query. The memtable
-    /// always uses a linear scan: O(1) build, and the cross-index
-    /// bit-identity contract makes mixing it with tree-indexed segments
-    /// safe.
-    fn index(&self, measure: &Measure) -> Result<&dyn SearchIndex> {
-        let cached = self.index_cell.get_or_init(|| {
-            build_index(&IndexKind::Linear, self.dataset.clone(), measure.clone())
-                .map_err(|e| e.to_string())
-        });
-        match cached {
-            Ok(ix) => Ok(ix.as_ref()),
-            Err(msg) => Err(CoreError::InvalidParameter(format!(
-                "memtable chunk index build failed: {msg}"
-            ))),
-        }
-    }
+/// One non-empty source of a snapshot (a segment or a memtable chunk) as
+/// the exact read path sees it.
+struct Source<'a> {
+    index: &'a dyn SearchIndex,
+    /// Global id of the source's first row.
+    base: u64,
+    /// Tombstoned rows inside the source.
+    dead: usize,
+}
 
-    /// The chunk's coarse signature table for the approximate path.
-    fn coarse(&self) -> Result<&CoarseHaarIndex> {
-        let cached = self.coarse_cell.get_or_init(|| {
-            CoarseHaarIndex::build(
-                &self.dataset,
-                CoarseHaarIndex::default_coefficients(self.dataset.dim()),
-            )
-            .map_err(|e| e.to_string())
-        });
-        match cached {
-            Ok(c) => Ok(c),
-            Err(msg) => Err(CoreError::InvalidParameter(format!(
-                "memtable chunk coarse table build failed: {msg}"
-            ))),
-        }
+/// The two exact searches a source can run over a query chunk.
+#[derive(Clone, Copy)]
+enum Exact {
+    Knn(usize),
+    Range(f32),
+}
+
+/// The post-filter of a by-id query: the search asks for `k + 1` hits so
+/// that query `i`'s own row, `ids[i]`, can be dropped from them.
+fn without_self(ids: &[u64], k: usize) -> impl Fn(usize, &mut Vec<(u64, f32)>) + Sync + '_ {
+    move |i, hits| {
+        hits.retain(|&(g, _)| g != ids[i]);
+        hits.truncate(k);
     }
 }
 
@@ -438,15 +435,13 @@ impl CorpusSnapshot {
     pub fn descriptor(&self, id: u64) -> Result<Vec<f32>> {
         match self.locate(id)? {
             (Some(seg), local) => {
-                let ds = self.segments[seg]
-                    .dataset
-                    .as_ref()
-                    .expect("located row implies non-empty segment");
-                Ok(ds.vector(local).to_vec())
+                let data = self.segments[seg].data.as_ref();
+                let data = data.expect("located row implies non-empty segment");
+                Ok(data.dataset.vector(local).to_vec())
             }
             (None, local) => {
                 let (chunk, off) = self.mem_chunk_at(local);
-                Ok(chunk.dataset.vector(off).to_vec())
+                Ok(chunk.data.dataset.vector(off).to_vec())
             }
         }
     }
@@ -460,64 +455,100 @@ impl CorpusSnapshot {
         })
     }
 
-    /// k-NN for one query over every source, merged tombstone-aware.
+    /// The rows of every non-empty source in global id order, with the
+    /// global id of the first and the index kind the source is searched
+    /// with. The memtable always uses a linear scan: O(1) build, and the
+    /// cross-index bit-identity contract makes mixing it with
+    /// tree-indexed segments safe.
+    fn source_rows(&self) -> impl Iterator<Item = (&SourceRows, u64, &IndexKind)> {
+        let segments = self.segments.iter().zip(&self.bases);
+        let chunks = self.mem_chunks.iter().zip(&self.mem_bases);
+        segments
+            .filter_map(|(seg, &base)| Some((seg.data.as_ref()?, base, &self.kind)))
+            .chain(
+                chunks.map(|(chunk, &cb)| {
+                    (&chunk.data, self.seg_rows_total + cb, &IndexKind::Linear)
+                }),
+            )
+    }
+
+    /// Every non-empty source, resolved once per batch: the lazily built
+    /// index, the global id of the source's first row, and how many of
+    /// its rows are tombstoned.
+    fn sources(&self) -> Result<Vec<Source<'_>>> {
+        self.source_rows()
+            .map(|(rows, base, kind)| {
+                let index = rows.index(kind, &self.measure)?;
+                let ids = base..base + index.len() as u64;
+                let dead = self.tombstones.range(ids).count();
+                Ok(Source { index, base, dead })
+            })
+            .collect()
+    }
+
+    /// Exact search of one worker's query chunk: one pass over the
+    /// sources, each handed the whole chunk through the index's batched
+    /// entry point (the cache-blocked scan for `Linear`, one reused
+    /// scratch for the trees), then a per-query merge.
     ///
-    /// Each source is asked for `min(rows, k + tombstones_in_source)`
+    /// A k-NN asks each source for `min(rows, k + dead_in_source)`
     /// neighbours — enough that discarding that source's dead rows can
     /// never cost it a live top-`k` hit — then all candidates merge by
     /// `(distance, id)` with [`f32::total_cmp`], the exact comparator the
-    /// indexes' own tie-break contract uses, and truncate to `k`.
-    fn knn_one(&self, query: &[f32], k: usize, stats: &mut SearchStats) -> Result<Vec<(u64, f32)>> {
-        let mut merged: Vec<(u64, f32)> = Vec::new();
-        for (seg, &base) in self.segments.iter().zip(&self.bases) {
-            if seg.rows == 0 {
-                continue;
-            }
-            let dead = self.tombstones.range(base..base + seg.rows as u64).count();
-            let want = (k + dead).min(seg.rows);
-            if want == 0 {
-                continue;
-            }
-            let index = seg.index(&self.kind, &self.measure)?;
-            merged.extend(
-                index
-                    .knn_search(query, want, stats)
-                    .into_iter()
-                    .map(|n| (base + n.id as u64, n.distance))
-                    .filter(|(g, _)| !self.tombstones.contains(g)),
-            );
+    /// indexes' own tie-break contract uses, and truncate to `k`. The
+    /// argument is per query and per source, so it does not care how many
+    /// queries share the pass. Each query's counters are its sum over the
+    /// sources.
+    fn exact_chunk(
+        &self,
+        sources: &[Source<'_>],
+        queries: &[Vec<f32>],
+        op: Exact,
+        stats: &mut BatchStats,
+    ) -> Vec<Vec<(u64, f32)>> {
+        let mut merged: Vec<Vec<(u64, f32)>> = vec![Vec::new(); queries.len()];
+        let mut chunk_stats = BatchStats::new();
+        for _ in queries {
+            chunk_stats.record(&SearchStats::new());
         }
-        for (chunk, &cb) in self.mem_chunks.iter().zip(&self.mem_bases) {
-            let base = self.seg_rows_total + cb;
-            let dead = self
-                .tombstones
-                .range(base..base + chunk.rows() as u64)
-                .count();
-            let want = (k + dead).min(chunk.rows());
-            if want == 0 {
-                continue;
+        for src in sources {
+            let mut source_stats = BatchStats::new();
+            let hits = match op {
+                Exact::Knn(k) => {
+                    let want = k.saturating_add(src.dead).min(src.index.len());
+                    if want == 0 {
+                        continue;
+                    }
+                    src.index.knn_batch(queries, want, &mut source_stats)
+                }
+                Exact::Range(radius) => src.index.range_batch(queries, radius, &mut source_stats),
+            };
+            chunk_stats.add_per_query(&source_stats);
+            for (all, hits) in merged.iter_mut().zip(hits) {
+                all.extend(
+                    hits.into_iter()
+                        .map(|n| (src.base + n.id as u64, n.distance))
+                        .filter(|(g, _)| src.dead == 0 || !self.tombstones.contains(g)),
+                );
             }
-            merged.extend(
-                chunk
-                    .index(&self.measure)?
-                    .knn_search(query, want, stats)
-                    .into_iter()
-                    .map(|n| (base + n.id as u64, n.distance))
-                    .filter(|(g, _)| !self.tombstones.contains(g)),
-            );
         }
-        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        merged.truncate(k);
-        Ok(merged)
+        for all in &mut merged {
+            all.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            if let Exact::Knn(k) = op {
+                all.truncate(k);
+            }
+        }
+        stats.merge(&chunk_stats);
+        merged
     }
 
     /// Two-stage approximate k-NN for one query: each source (segment or
     /// memtable chunk) surfaces a budget share of coarse candidates from
     /// its signature table, reranks them with exact distances, and the
     /// per-source exact results merge tombstone-aware by `(distance, id)`
-    /// exactly like [`CorpusSnapshot::knn_one`]. Coarse distances never
-    /// cross sources — only exact rerank distances are merged — so each
-    /// source's independent quantization scale is sound.
+    /// exactly like the exact path. Coarse distances never cross sources
+    /// — only exact rerank distances are merged — so each source's
+    /// independent quantization scale is sound.
     fn knn_one_approx(
         &self,
         query: &[f32],
@@ -527,31 +558,11 @@ impl CorpusSnapshot {
     ) -> Result<Vec<(u64, f32)>> {
         let mut merged: Vec<(u64, f32)> = Vec::new();
         let mut scratch = ApproxScratch::new();
-        for (seg, &base) in self.segments.iter().zip(&self.bases) {
-            if seg.rows == 0 {
-                continue;
-            }
-            let ds = seg
-                .dataset
-                .as_ref()
-                .expect("non-empty segment has a dataset");
+        for (rows, base, _) in self.source_rows() {
             self.approx_source(
-                seg.coarse()?,
-                ds,
+                rows.coarse()?,
+                &rows.dataset,
                 base,
-                query,
-                k,
-                budget,
-                &mut scratch,
-                stats,
-                &mut merged,
-            );
-        }
-        for (chunk, &cb) in self.mem_chunks.iter().zip(&self.mem_bases) {
-            self.approx_source(
-                chunk.coarse()?,
-                &chunk.dataset,
-                self.seg_rows_total + cb,
                 query,
                 k,
                 budget,
@@ -610,42 +621,6 @@ impl CorpusSnapshot {
         );
     }
 
-    /// Range search for one query (results sorted by `(distance, id)`).
-    fn range_one(
-        &self,
-        query: &[f32],
-        radius: f32,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<(u64, f32)>> {
-        let mut merged: Vec<(u64, f32)> = Vec::new();
-        for (seg, &base) in self.segments.iter().zip(&self.bases) {
-            if seg.rows == 0 {
-                continue;
-            }
-            let index = seg.index(&self.kind, &self.measure)?;
-            merged.extend(
-                index
-                    .range_search(query, radius, stats)
-                    .into_iter()
-                    .map(|n| (base + n.id as u64, n.distance))
-                    .filter(|(g, _)| !self.tombstones.contains(g)),
-            );
-        }
-        for (chunk, &cb) in self.mem_chunks.iter().zip(&self.mem_bases) {
-            let base = self.seg_rows_total + cb;
-            merged.extend(
-                chunk
-                    .index(&self.measure)?
-                    .range_search(query, radius, stats)
-                    .into_iter()
-                    .map(|n| (base + n.id as u64, n.distance))
-                    .filter(|(g, _)| !self.tombstones.contains(g)),
-            );
-        }
-        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        Ok(merged)
-    }
-
     fn rank(&self, hits: Vec<(u64, f32)>) -> Result<Vec<Ranked>> {
         hits.into_iter()
             .map(|(id, distance)| {
@@ -673,93 +648,141 @@ impl CorpusSnapshot {
         Ok(())
     }
 
-    /// Run `per_query` for indices `0..n` on up to `threads` scoped
-    /// worker threads, merging per-query stats in input order — the same
-    /// execution contract as the index layer's batched paths, so results
-    /// and aggregate stats are identical at every thread count.
+    /// Split queries `0..n` into contiguous chunks, one per scoped worker
+    /// thread (up to `threads`), run `per_chunk` on each, and reassemble
+    /// results and per-query stats in input order — the same execution
+    /// contract as the index layer's `knn_batch_parallel`, so results and
+    /// aggregate stats are identical at every thread count. The call is
+    /// flushed to the obs registry as one `op` over `n` queries.
     fn run_batch<F>(
         &self,
+        op: cbir_obs::QueryOp,
         n: usize,
         threads: usize,
         stats: &mut BatchStats,
-        per_query: F,
+        per_chunk: F,
     ) -> Result<Vec<Vec<Ranked>>>
     where
-        F: Fn(usize, &mut SearchStats) -> Result<Vec<Ranked>> + Sync,
+        F: Fn(Range<usize>, &mut BatchStats) -> Result<Vec<Vec<Ranked>>> + Sync,
     {
+        let start = cbir_obs::enabled().then(Instant::now);
+        let before = stats.total().clone();
         let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 {
+        let out = if threads == 1 {
+            per_chunk(0..n, stats)?
+        } else {
+            let chunk = n.div_ceil(threads);
+            type ChunkResult = std::result::Result<(Vec<Vec<Ranked>>, BatchStats), CoreError>;
+            let chunks: Vec<ChunkResult> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..n)
+                    .step_by(chunk)
+                    .map(|lo| {
+                        let per_chunk = &per_chunk;
+                        scope.spawn(move || -> ChunkResult {
+                            let mut bs = BatchStats::new();
+                            let out = per_chunk(lo..(lo + chunk).min(n), &mut bs)?;
+                            Ok((out, bs))
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("snapshot batch worker panicked"))
+                    .collect()
+            });
             let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let mut s = SearchStats::new();
-                out.push(per_query(i, &mut s)?);
-                stats.record(&s);
+            for c in chunks {
+                let (part, bs) = c?;
+                out.extend(part);
+                stats.merge(&bs);
             }
-            return Ok(out);
-        }
-        let chunk = n.div_ceil(threads);
-        type ChunkResult = std::result::Result<(Vec<Vec<Ranked>>, BatchStats), CoreError>;
-        let mut chunks: Vec<ChunkResult> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                if lo >= hi {
-                    break;
-                }
-                let per_query = &per_query;
-                handles.push(scope.spawn(move || -> ChunkResult {
-                    let mut bs = BatchStats::new();
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for i in lo..hi {
-                        let mut s = SearchStats::new();
-                        out.push(per_query(i, &mut s)?);
-                        bs.record(&s);
-                    }
-                    Ok((out, bs))
-                }));
-            }
-            for h in handles {
-                chunks.push(h.join().expect("snapshot batch worker panicked"));
-            }
-        });
-        let mut out = Vec::with_capacity(n);
-        for c in chunks {
-            let (part, bs) = c?;
-            out.extend(part);
-            stats.merge(&bs);
+            out
+        };
+        if let Some(start) = start {
+            let total = stats.total();
+            let counters = cbir_obs::QueryCounters {
+                distance_evaluations: total.distance_computations - before.distance_computations,
+                nodes_visited: total.nodes_visited - before.nodes_visited,
+                subtrees_pruned: total.subtrees_pruned - before.subtrees_pruned,
+                postfilter_candidates: total.postfilter_candidates - before.postfilter_candidates,
+                coarse_candidates: total.coarse_candidates - before.coarse_candidates,
+                rerank_evaluations: total.rerank_evaluations - before.rerank_evaluations,
+            };
+            cbir_obs::record_query(
+                self.kind.name(),
+                op,
+                n as u64,
+                start.elapsed().as_micros() as u64,
+                &counters,
+                out.iter().map(|r| r.len() as u64).sum(),
+            );
         }
         Ok(out)
     }
 
-    fn record_obs(
+    /// The batched exact path behind the three public entry points:
+    /// resolve the sources once, search each worker's chunk with
+    /// [`CorpusSnapshot::exact_chunk`], let `trim` post-filter query
+    /// `i`'s merged hits, and rank.
+    fn exact_batch<T>(
         &self,
-        op: cbir_obs::QueryOp,
-        start: Option<Instant>,
-        queries: usize,
-        before: &SearchStats,
-        stats: &BatchStats,
-        out: &[Vec<Ranked>],
-    ) {
-        let Some(start) = start else { return };
-        let total = stats.total();
-        let counters = cbir_obs::QueryCounters {
-            distance_evaluations: total.distance_computations - before.distance_computations,
-            nodes_visited: total.nodes_visited - before.nodes_visited,
-            subtrees_pruned: total.subtrees_pruned - before.subtrees_pruned,
-            postfilter_candidates: total.postfilter_candidates - before.postfilter_candidates,
-            coarse_candidates: total.coarse_candidates - before.coarse_candidates,
-            rerank_evaluations: total.rerank_evaluations - before.rerank_evaluations,
+        queries: &[Vec<f32>],
+        op: Exact,
+        threads: usize,
+        stats: &mut BatchStats,
+        trim: T,
+    ) -> Result<Vec<Vec<Ranked>>>
+    where
+        T: Fn(usize, &mut Vec<(u64, f32)>) + Sync,
+    {
+        let sources = self.sources()?;
+        let obs_op = match op {
+            Exact::Knn(_) => cbir_obs::QueryOp::Knn,
+            Exact::Range(_) => cbir_obs::QueryOp::Range,
         };
-        cbir_obs::record_query(
-            self.kind.name(),
-            op,
-            queries as u64,
-            start.elapsed().as_micros() as u64,
-            &counters,
-            out.iter().map(|r| r.len() as u64).sum(),
-        );
+        self.run_batch(obs_op, queries.len(), threads, stats, |range, bs| {
+            let merged = self.exact_chunk(&sources, &queries[range.clone()], op, bs);
+            range
+                .zip(merged)
+                .map(|(i, mut hits)| {
+                    trim(i, &mut hits);
+                    self.rank(hits)
+                })
+                .collect()
+        })
+    }
+
+    /// The approximate counterpart of [`CorpusSnapshot::exact_batch`]:
+    /// the two-stage search is per query (each query's coarse candidates
+    /// differ), so a worker loops its chunk.
+    fn approx_batch<T>(
+        &self,
+        queries: &[Vec<f32>],
+        k: usize,
+        budget: usize,
+        threads: usize,
+        stats: &mut BatchStats,
+        trim: T,
+    ) -> Result<Vec<Vec<Ranked>>>
+    where
+        T: Fn(usize, &mut Vec<(u64, f32)>) + Sync,
+    {
+        let op = cbir_obs::QueryOp::Knn;
+        self.run_batch(op, queries.len(), threads, stats, |range, bs| {
+            range
+                .map(|i| {
+                    let mut s = SearchStats::new();
+                    let mut hits = self.knn_one_approx(&queries[i], k, budget, &mut s)?;
+                    bs.record(&s);
+                    trim(i, &mut hits);
+                    self.rank(hits)
+                })
+                .collect()
+        })
+    }
+
+    fn descriptors(&self, ids: &[u64]) -> Result<Vec<Vec<f32>>> {
+        ids.iter().map(|&id| self.descriptor(id)).collect()
     }
 
     /// Batched k-NN over raw descriptors; the snapshot counterpart of
@@ -773,21 +796,7 @@ impl CorpusSnapshot {
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
         self.check_dims(queries)?;
-        let start = cbir_obs::enabled().then(Instant::now);
-        let before = stats.total().clone();
-        let out = self.run_batch(queries.len(), threads, stats, |i, s| {
-            let hits = self.knn_one(&queries[i], k, s)?;
-            self.rank(hits)
-        })?;
-        self.record_obs(
-            cbir_obs::QueryOp::Knn,
-            start,
-            queries.len(),
-            &before,
-            stats,
-            &out,
-        );
-        Ok(out)
+        self.exact_batch(queries, Exact::Knn(k), threads, stats, |_, _| {})
     }
 
     /// Batched range search over raw descriptors (results sorted by
@@ -800,21 +809,7 @@ impl CorpusSnapshot {
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
         self.check_dims(queries)?;
-        let start = cbir_obs::enabled().then(Instant::now);
-        let before = stats.total().clone();
-        let out = self.run_batch(queries.len(), threads, stats, |i, s| {
-            let hits = self.range_one(&queries[i], radius, s)?;
-            self.rank(hits)
-        })?;
-        self.record_obs(
-            cbir_obs::QueryOp::Range,
-            start,
-            queries.len(),
-            &before,
-            stats,
-            &out,
-        );
-        Ok(out)
+        self.exact_batch(queries, Exact::Range(radius), threads, stats, |_, _| {})
     }
 
     /// Batched k-NN by global id, excluding each query row from its own
@@ -826,31 +821,9 @@ impl CorpusSnapshot {
         threads: usize,
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
-        let queries: Vec<Vec<f32>> = ids
-            .iter()
-            .map(|&id| self.descriptor(id))
-            .collect::<Result<_>>()?;
-        let start = cbir_obs::enabled().then(Instant::now);
-        let before = stats.total().clone();
-        let out = self.run_batch(queries.len(), threads, stats, |i, s| {
-            // One extra hit absorbs the query row itself.
-            let hits = self.knn_one(&queries[i], k.saturating_add(1), s)?;
-            let filtered: Vec<(u64, f32)> = hits
-                .into_iter()
-                .filter(|&(g, _)| g != ids[i])
-                .take(k)
-                .collect();
-            self.rank(filtered)
-        })?;
-        self.record_obs(
-            cbir_obs::QueryOp::Knn,
-            start,
-            ids.len(),
-            &before,
-            stats,
-            &out,
-        );
-        Ok(out)
+        let queries = self.descriptors(ids)?;
+        let op = Exact::Knn(k.saturating_add(1));
+        self.exact_batch(&queries, op, threads, stats, without_self(ids, k))
     }
 
     /// Batched two-stage approximate k-NN over raw descriptors; the
@@ -872,21 +845,7 @@ impl CorpusSnapshot {
             return self.knn_batch(queries, k, threads, stats);
         };
         self.check_dims(queries)?;
-        let start = cbir_obs::enabled().then(Instant::now);
-        let before = stats.total().clone();
-        let out = self.run_batch(queries.len(), threads, stats, |i, s| {
-            let hits = self.knn_one_approx(&queries[i], k, budget, s)?;
-            self.rank(hits)
-        })?;
-        self.record_obs(
-            cbir_obs::QueryOp::Knn,
-            start,
-            queries.len(),
-            &before,
-            stats,
-            &out,
-        );
-        Ok(out)
+        self.approx_batch(queries, k, budget, threads, stats, |_, _| {})
     }
 
     /// Batched two-stage approximate k-NN by global id, excluding each
@@ -904,34 +863,12 @@ impl CorpusSnapshot {
         let Some(budget) = plan_candidate_budget(self.total_rows(), k, recall_target) else {
             return self.knn_batch_by_ids(ids, k, threads, stats);
         };
-        let queries: Vec<Vec<f32>> = ids
-            .iter()
-            .map(|&id| self.descriptor(id))
-            .collect::<Result<_>>()?;
-        let start = cbir_obs::enabled().then(Instant::now);
-        let before = stats.total().clone();
-        let out = self.run_batch(queries.len(), threads, stats, |i, s| {
-            // One extra hit absorbs the query row itself.
-            let hits = self.knn_one_approx(&queries[i], k.saturating_add(1), budget, s)?;
-            let filtered: Vec<(u64, f32)> = hits
-                .into_iter()
-                .filter(|&(g, _)| g != ids[i])
-                .take(k)
-                .collect();
-            self.rank(filtered)
-        })?;
-        self.record_obs(
-            cbir_obs::QueryOp::Knn,
-            start,
-            ids.len(),
-            &before,
-            stats,
-            &out,
-        );
-        Ok(out)
+        let queries = self.descriptors(ids)?;
+        let k1 = k.saturating_add(1);
+        self.approx_batch(&queries, k1, budget, threads, stats, without_self(ids, k))
     }
 
-    /// k-NN for one external example image.
+    /// k-NN for one external example image: a batch of one.
     pub fn query_by_example(
         &self,
         img: &RgbImage,
@@ -939,45 +876,41 @@ impl CorpusSnapshot {
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
         let desc = self.extract(img)?;
-        let hits = self.knn_one(&desc, k, stats)?;
-        self.rank(hits)
+        let mut batch = BatchStats::new();
+        let mut out = self.knn_batch(&[desc], k, 1, &mut batch)?;
+        stats.merge(batch.total());
+        Ok(out.pop().expect("one query in, one result list out"))
+    }
+
+    /// Every live row in global id order: the flat descriptor matrix and
+    /// the metadata beside it.
+    fn live_rows(&self) -> Result<(Vec<f32>, Vec<ImageMeta>)> {
+        let mut flat = Vec::with_capacity(self.len() * self.dim());
+        let mut metas = Vec::with_capacity(self.len());
+        let mut push_live = |base: u64, source_metas: &[ImageMeta], rows: &Dataset| {
+            for (local, meta) in source_metas.iter().enumerate() {
+                if !self.tombstones.contains(&(base + local as u64)) {
+                    flat.extend_from_slice(rows.vector(local));
+                    metas.push(meta.clone());
+                }
+            }
+        };
+        for (seg, &base) in self.segments.iter().zip(&self.bases) {
+            if let Some(data) = &seg.data {
+                push_live(base, seg.metas()?, &data.dataset);
+            }
+        }
+        for (chunk, &cb) in self.mem_chunks.iter().zip(&self.mem_bases) {
+            push_live(self.seg_rows_total + cb, &chunk.metas, &chunk.data.dataset);
+        }
+        Ok((flat, metas))
     }
 
     /// Materialize every live row, in global id order, as one in-memory
     /// [`ImageDatabase`] (the bridge back to the RAM-resident engine —
     /// used by migration, tests, and the bit-identity experiment).
     pub fn materialize(&self) -> Result<ImageDatabase> {
-        let dim = self.dim();
-        let mut flat = Vec::with_capacity(self.len() * dim);
-        let mut metas = Vec::with_capacity(self.len());
-        for (seg, &base) in self.segments.iter().zip(&self.bases) {
-            if seg.rows == 0 {
-                continue;
-            }
-            let seg_metas = seg.metas()?;
-            let ds = seg
-                .dataset
-                .as_ref()
-                .expect("non-empty segment has a dataset");
-            for (local, meta) in seg_metas.iter().enumerate().take(seg.rows) {
-                if self.tombstones.contains(&(base + local as u64)) {
-                    continue;
-                }
-                flat.extend_from_slice(ds.vector(local));
-                metas.push(meta.clone());
-            }
-        }
-        for (chunk, &cb) in self.mem_chunks.iter().zip(&self.mem_bases) {
-            let base = self.seg_rows_total + cb;
-            for (off, meta) in chunk.metas.iter().enumerate() {
-                if self.tombstones.contains(&(base + off as u64)) {
-                    continue;
-                }
-                flat.extend_from_slice(chunk.dataset.vector(off));
-                metas.push(meta.clone());
-            }
-        }
-        let _ = dim;
+        let (flat, metas) = self.live_rows()?;
         ImageDatabase::from_parts(self.pipeline.clone(), self.balanced, flat, metas)
     }
 }
@@ -1014,7 +947,9 @@ struct StoreState {
     mem_frozen: Vec<Arc<MemChunk>>,
     mem_tail_flat: Vec<f32>,
     mem_tail_metas: Vec<ImageMeta>,
-    tombstones: BTreeSet<u64>,
+    /// Shared with every published snapshot; cloned only when a delete
+    /// has to change it.
+    tombstones: Arc<BTreeSet<u64>>,
 }
 
 impl StoreState {
@@ -1132,7 +1067,7 @@ impl CorpusStore {
                 mem_frozen: Vec::new(),
                 mem_tail_flat: Vec::new(),
                 mem_tail_metas: Vec::new(),
-                tombstones: BTreeSet::new(),
+                tombstones: Arc::default(),
             }),
             published: Mutex::new(Arc::new(CorpusSnapshot {
                 epoch: 0,
@@ -1236,7 +1171,7 @@ impl CorpusStore {
             mem_chunks,
             mem_bases,
             mem_rows_total,
-            tombstones: Arc::new(state.tombstones.clone()),
+            tombstones: Arc::clone(&state.tombstones),
         });
         cbir_obs::set_store_state(
             snapshot.segments_len() as u64,
@@ -1268,17 +1203,13 @@ impl CorpusStore {
     /// when the memtable reaches `memtable_limit` (compaction failure is
     /// swallowed — the insert itself has already been published).
     pub fn insert(&self, meta: ImageMeta, descriptor: Vec<f32>) -> Result<u64> {
-        let id = self.insert_batch(vec![(meta, descriptor)])?[0];
-        let over_limit = {
-            let state = self.state.lock().expect("store lock poisoned");
-            state.mem_rows() >= self.options.memtable_limit
-        };
-        if over_limit {
+        let (ids, mem_rows) = self.insert_locked(vec![(meta, descriptor)])?;
+        if mem_rows >= self.options.memtable_limit {
             // Soft limit: the memtable keeps absorbing inserts even if
             // compaction cannot run (e.g. a read-only filesystem).
             let _ = self.compact();
         }
-        Ok(id)
+        Ok(ids[0])
     }
 
     /// Insert many precomputed descriptors under one epoch bump; returns
@@ -1288,6 +1219,12 @@ impl CorpusStore {
         if items.is_empty() {
             return Ok(Vec::new());
         }
+        Ok(self.insert_locked(items)?.0)
+    }
+
+    /// One critical section: validate, append, publish. Returns the new
+    /// ids and the memtable's row count as the insert left it.
+    fn insert_locked(&self, items: Vec<(ImageMeta, Vec<f32>)>) -> Result<(Vec<u64>, usize)> {
         let mut state = self.state.lock().expect("store lock poisoned");
         let dim = state.pipeline.dim();
         for (_, desc) in &items {
@@ -1304,7 +1241,7 @@ impl CorpusStore {
         state.epoch += 1;
         self.publish(&state)?;
         cbir_obs::store_inserted(ids.len() as u64);
-        Ok(ids)
+        Ok((ids, state.mem_rows()))
     }
 
     /// Extract and insert one image.
@@ -1340,7 +1277,7 @@ impl CorpusStore {
         if id >= total || state.tombstones.contains(&id) {
             return Err(CoreError::NotFound(id as usize));
         }
-        state.tombstones.insert(id);
+        Arc::make_mut(&mut state.tombstones).insert(id);
         state.epoch += 1;
         self.publish(&state)?;
         cbir_obs::store_deleted(1);
@@ -1389,41 +1326,14 @@ impl CorpusStore {
             });
         }
         let dim = state.pipeline.dim();
-        // 1. Verify sources, then gather live rows in global id order.
-        let mut flat: Vec<f32> = Vec::new();
-        let mut metas: Vec<ImageMeta> = Vec::new();
-        let mut base = 0u64;
+        // 1. Verify sources, then gather live rows in global id order:
+        // under the writer lock the published snapshot is this state.
         for seg in &state.segments {
             seg.view
                 .verify_descriptors(&seg.bytes)
                 .map_err(|e| attach_path(e, &seg.path))?;
-            let seg_metas = seg.metas()?;
-            if let Some(ds) = &seg.dataset {
-                for (local, meta) in seg_metas.iter().enumerate().take(seg.rows) {
-                    if !state.tombstones.contains(&(base + local as u64)) {
-                        flat.extend_from_slice(ds.vector(local));
-                        metas.push(meta.clone());
-                    }
-                }
-            }
-            base += seg.rows as u64;
         }
-        for chunk in &state.mem_frozen {
-            for (off, meta) in chunk.metas.iter().enumerate() {
-                if !state.tombstones.contains(&base) {
-                    flat.extend_from_slice(chunk.dataset.vector(off));
-                    metas.push(meta.clone());
-                }
-                base += 1;
-            }
-        }
-        for local in 0..state.mem_tail_metas.len() {
-            if !state.tombstones.contains(&base) {
-                flat.extend_from_slice(&state.mem_tail_flat[local * dim..(local + 1) * dim]);
-                metas.push(state.mem_tail_metas[local].clone());
-            }
-            base += 1;
-        }
+        let (flat, metas) = self.snapshot().live_rows()?;
         // 2. Write the new segments, re-reading each to catch corruption
         // (e.g. an injected bit flip) before the commit point.
         let chunk_rows = self.options.max_seg_rows.max(1);
@@ -1510,7 +1420,7 @@ impl CorpusStore {
         state.mem_frozen.clear();
         state.mem_tail_flat.clear();
         state.mem_tail_metas.clear();
-        state.tombstones.clear();
+        state.tombstones = Arc::default();
         state.epoch += 1;
         state.next_seg = next_seg;
         self.publish(&state)?;
@@ -1822,6 +1732,122 @@ mod tests {
             let want = engine.knn_batch(&queries, 5, 2, &mut s2).unwrap();
             // No tombstones: global ids equal engine ids, bit for bit.
             assert_eq!(keys(&got, true), keys(&want, true));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// The batched read path against its oracle, over the whole grid of
+    /// query surface x index kind x batch size x thread count, on a
+    /// snapshot holding every kind of source (two segments, a frozen
+    /// memtable chunk, the tail), each with a tombstone in it.
+    #[test]
+    fn batched_paths_match_engine_over_every_source_kind_batch_size_and_thread_count() {
+        let dim = pipeline().dim();
+        let k = 12;
+        for (t, kind) in [
+            IndexKind::Linear,
+            IndexKind::KdTree,
+            IndexKind::Antipole { diameter: None },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let dir = temp_dir(&format!("grid-{t}"));
+            let mut options = StoreOptions::new(kind.clone(), Measure::L1);
+            options.max_seg_rows = 40;
+            options.memtable_limit = usize::MAX;
+            let store = CorpusStore::create(&dir, pipeline(), true, options).unwrap();
+            store.insert_batch(synth_items(80, dim, 41)).unwrap();
+            store.compact().unwrap();
+            let tail_rows = 9;
+            store
+                .insert_batch(synth_items(MEM_CHUNK_ROWS + tail_rows, dim, 42))
+                .unwrap();
+            // Query 0 is row 5 itself, so row 5 is its top hit until the
+            // delete below: a tombstone that removes a current top-k hit.
+            let mut queries = synth_queries(64, dim, 43);
+            queries[0] = store.snapshot().descriptor(5).unwrap();
+            let mut s = BatchStats::new();
+            let top = store.snapshot().knn_batch(&queries[..1], 1, 1, &mut s);
+            assert_eq!(top.unwrap()[0][0].id, 5);
+            let tail_base = (80 + MEM_CHUNK_ROWS) as u64;
+            let dead = [5, 47, 80 + 300, tail_base + 2];
+            for id in dead {
+                store.delete(id).unwrap();
+            }
+            let snap = store.snapshot();
+            assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (2, 2));
+            assert_eq!(snap.mem_chunks[1].rows(), tail_rows);
+            // k exceeds what the tail can give, dead row or not.
+            assert!(k > tail_rows);
+            let sources = snap.sources().unwrap();
+            assert!(sources.iter().all(|src| src.dead == 1));
+            let engine = engine_over(&snap, kind, Measure::L1);
+            // Live global ids and the dense ids `materialize` gave them.
+            let live: Vec<u64> = (0..snap.total_rows() as u64)
+                .filter(|id| !dead.contains(id))
+                .collect();
+            let by_id: Vec<usize> = [0usize, 4, 5, 44, 45, 80 + 299, live.len() - 1]
+                .into_iter()
+                .cycle()
+                .take(64)
+                .collect();
+
+            // Query by example is a batch of one through the same path.
+            let img = RgbImage::from_fn(16, 16, |x, y| {
+                cbir_image::Rgb::new((x * 16) as u8, (y * 16) as u8, 90)
+            });
+            let (mut s1, mut s2) = (SearchStats::new(), SearchStats::new());
+            let got = snap.query_by_example(&img, k, &mut s1).unwrap();
+            let want = engine.query_by_example(&img, k, &mut s2).unwrap();
+            assert_eq!(keys(&[got], false), keys(&[want], false));
+            assert!(s1.distance_computations > 0);
+
+            for batch in [1, 5, 64] {
+                let queries = &queries[..batch];
+                let ids_engine = &by_id[..batch];
+                let ids_snap: Vec<u64> = ids_engine.iter().map(|&i| live[i]).collect();
+                let mut e = BatchStats::new();
+                let want_knn = engine.knn_batch(queries, k, 1, &mut e).unwrap();
+                let want_range = engine.range_batch(queries, 1.6, 1, &mut e).unwrap();
+                let want_ids = engine.knn_batch_by_ids(ids_engine, k, 1, &mut e).unwrap();
+                assert!(want_range.iter().any(|r| !r.is_empty()));
+                assert!(want_knn.iter().all(|r| r.len() == k));
+                let mut at_one_thread = None;
+                for threads in [1, 2, 3] {
+                    let ctx = format!("kind {t}, batch {batch}, threads {threads}");
+                    let mut stats = [BatchStats::new(), BatchStats::new(), BatchStats::new()];
+                    let knn = snap.knn_batch(queries, k, threads, &mut stats[0]).unwrap();
+                    let range = snap
+                        .range_batch(queries, 1.6, threads, &mut stats[1])
+                        .unwrap();
+                    let ids = snap
+                        .knn_batch_by_ids(&ids_snap, k, threads, &mut stats[2])
+                        .unwrap();
+                    // Ids shift under tombstones; names and bits do not.
+                    assert_eq!(keys(&knn, false), keys(&want_knn, false), "knn: {ctx}");
+                    assert_eq!(
+                        keys(&range, false),
+                        keys(&want_range, false),
+                        "range: {ctx}"
+                    );
+                    assert_eq!(keys(&ids, false), keys(&want_ids, false), "by ids: {ctx}");
+                    let dead_names: Vec<String> =
+                        dead.iter().map(|&id| snap.meta(id).unwrap().name).collect();
+                    for hit in knn.iter().chain(&range).chain(&ids).flatten() {
+                        assert!(!dead_names.contains(&hit.name), "dead row served: {ctx}");
+                    }
+                    for (row, id) in ids.iter().zip(&ids_snap) {
+                        assert!(row.iter().all(|h| h.id as u64 != *id), "self hit: {ctx}");
+                    }
+                    for s in &stats {
+                        assert_eq!(s.queries(), batch, "{ctx}");
+                    }
+                    // Per-query counters do not depend on the split.
+                    let first = at_one_thread.get_or_insert_with(|| stats.clone());
+                    assert_eq!(&stats, first, "stats: {ctx}");
+                }
+            }
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -81,6 +81,31 @@ impl BatchStats {
             .extend_from_slice(&other.per_query_visits);
     }
 
+    /// Add another batch's counters query by query. `other` must record
+    /// the same queries in the same order, searched over a further part
+    /// of the data (the next segment of a store, say): each query's
+    /// sample becomes its sum over both parts.
+    ///
+    /// # Panics
+    ///
+    /// If the two batches record different numbers of queries.
+    pub fn add_per_query(&mut self, other: &BatchStats) {
+        assert_eq!(
+            self.queries(),
+            other.queries(),
+            "per-query addition needs the same queries on both sides"
+        );
+        self.total.merge(&other.total);
+        for (mine, theirs) in [
+            (&mut self.per_query_comps, &other.per_query_comps),
+            (&mut self.per_query_visits, &other.per_query_visits),
+        ] {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+    }
+
     /// Number of queries recorded.
     pub fn queries(&self) -> usize {
         self.per_query_comps.len()
@@ -196,6 +221,14 @@ mod tests {
         b.merge(&other);
         assert_eq!(b.queries(), 101);
         assert_eq!(b.total().distance_computations, 6050);
+
+        // Per-query addition keeps the query count and sums each sample.
+        let mut twice = b.clone();
+        twice.add_per_query(&b);
+        assert_eq!(twice.queries(), 101);
+        assert_eq!(twice.total().distance_computations, 12100);
+        assert_eq!(twice.p50_comps(), 2 * b.p50_comps());
+        assert_eq!(twice.p95_visits(), 2 * b.p95_visits());
     }
 
     #[test]

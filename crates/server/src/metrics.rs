@@ -15,17 +15,33 @@ use std::sync::Mutex;
 /// Inclusive upper bounds of the batch-size histogram buckets.
 pub const BATCH_HIST_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, u64::MAX];
 
-/// Cap on retained latency samples; beyond it the reservoir stops growing
-/// (the tail summary then reflects the first `LATENCY_SAMPLE_CAP`
-/// executed requests, which a long-running server reports explicitly via
-/// the `requests` counter).
+/// Retained latency samples: a fixed-size ring, so the tail summary of a
+/// long-running server always reflects its most recent
+/// `LATENCY_SAMPLE_CAP` executed requests.
 const LATENCY_SAMPLE_CAP: usize = 1 << 20;
 
 #[derive(Default)]
 struct Sampled {
     batch_hist: [u64; BATCH_HIST_BOUNDS.len()],
+    /// Grows to [`LATENCY_SAMPLE_CAP`], then `latency_oldest` walks it.
     latency_us: Vec<u64>,
+    /// Index of the oldest sample once the ring is full: the next one
+    /// overwritten.
+    latency_oldest: usize,
     search: BatchStats,
+}
+
+impl Sampled {
+    fn push_latencies(&mut self, latencies_us: &[u64]) {
+        for &us in latencies_us {
+            if self.latency_us.len() < LATENCY_SAMPLE_CAP {
+                self.latency_us.push(us);
+            } else {
+                self.latency_us[self.latency_oldest] = us;
+                self.latency_oldest = (self.latency_oldest + 1) % LATENCY_SAMPLE_CAP;
+            }
+        }
+    }
 }
 
 /// Shared counter block; one per server.
@@ -115,9 +131,7 @@ impl Metrics {
             .expect("last bound is u64::MAX");
         let mut s = self.sampled.lock().expect("metrics lock");
         s.batch_hist[bucket] += 1;
-        let room = LATENCY_SAMPLE_CAP.saturating_sub(s.latency_us.len());
-        s.latency_us
-            .extend_from_slice(&latencies_us[..latencies_us.len().min(room)]);
+        s.push_latencies(latencies_us);
         s.search.merge(search);
     }
 
@@ -204,5 +218,37 @@ mod tests {
         assert_eq!(hist[&1], 1);
         assert_eq!(hist[&8], 1);
         assert_eq!(hist.values().sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn latency_tail_keeps_moving_past_the_sample_cap() {
+        let m = Metrics::new();
+        let empty = BatchStats::new();
+        let feed = |us: u64, samples: usize| {
+            let batch = vec![us; 4096];
+            for _ in 0..samples / batch.len() {
+                m.on_batch(batch.len(), 0, &batch, &empty);
+            }
+        };
+        feed(100, LATENCY_SAMPLE_CAP);
+        let full = m.snapshot(0);
+        assert_eq!((full.latency_p50_us, full.latency_p95_us), (100, 100));
+        // The server turns slow for good after the ring has filled: new
+        // samples overwrite the oldest, and the percentiles follow.
+        feed(900, 4096);
+        {
+            let s = m.sampled.lock().unwrap();
+            assert_eq!(s.latency_us.len(), LATENCY_SAMPLE_CAP);
+            assert_eq!(s.latency_oldest, 4096);
+            assert!(s.latency_us[..4096].iter().all(|&us| us == 900));
+            assert!(s.latency_us[4096..].iter().all(|&us| us == 100));
+        }
+        feed(900, LATENCY_SAMPLE_CAP);
+        let moved = m.snapshot(0);
+        assert_eq!((moved.latency_p50_us, moved.latency_p95_us), (900, 900));
+        assert_eq!(moved.executed as usize, 2 * LATENCY_SAMPLE_CAP + 4096);
+        let s = m.sampled.lock().unwrap();
+        assert_eq!(s.latency_us.len(), LATENCY_SAMPLE_CAP);
+        assert_eq!(s.latency_oldest, 4096);
     }
 }

@@ -8,9 +8,21 @@
 # (1-iteration) mode: their bit-identity assertions (planner vs naive
 # extraction, batched vs single-query k-NN) execute on every verify.
 # Skip it with SKIP_QUICK_BENCH=1 when iterating on unrelated changes.
+#
+# The benchmark crate (e2e/, its own workspace) calls the public API from
+# outside, so it is always built here: a signature change that breaks it
+# fails verify, not the benchmark pipeline. Its own smoke (e2e/check.sh:
+# unit tests plus a --quick run of all four workloads in both modes) rides
+# the same SKIP_QUICK_BENCH switch.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> results hygiene (no committed BENCH file from a --quick run)"
+if grep -l '"quick": *true' results/BENCH_*.json; then
+    echo "the files above were written by --quick runs; re-run them in full"
+    exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -20,6 +32,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> cargo build --release (benchmark crate, e2e/)"
+cargo build --release --offline --manifest-path e2e/Cargo.toml
 
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
@@ -38,6 +53,8 @@ if [ "${SKIP_QUICK_BENCH:-0}" != 1 ]; then
     cargo run --release -q -p cbir-bench --bin exp_router_scaling -- --quick
     cargo run --release -q -p cbir-bench --bin exp_chaos_serving -- --quick
     cargo run --release -q -p cbir-bench --bin exp_epoll_serving -- --quick
+    echo "==> benchmark smoke (e2e/check.sh)"
+    e2e/check.sh
 fi
 
 echo "==> server smoke test (generate -> index -> serve -> rpc-query -> shutdown)"
