@@ -43,6 +43,7 @@ use cbir_server::protocol::{encode_request, read_frame, write_frame, Request};
 use cbir_server::{Client, SchedulerConfig, Server, ServerHandle};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const DIM: usize = 64;
@@ -82,7 +83,7 @@ fn spawn_backend(db: ImageDatabase) -> ServerHandle {
         exec_threads: 1,
         ..SchedulerConfig::default()
     };
-    Server::spawn(engine, "127.0.0.1:0", config).expect("spawn backend")
+    Server::spawn_shared(Arc::new(engine), "127.0.0.1:0", config).expect("spawn backend")
 }
 
 /// The drill topology: 2 shards x 2 replicas, every shard's **primary**

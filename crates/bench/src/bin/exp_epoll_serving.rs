@@ -32,7 +32,7 @@ fn main() {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod imp {
     use cbir_bench::Table;
-    use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine};
+    use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine, ServedCorpus};
     use cbir_distance::Measure;
     use cbir_features::{FeatureSpec, Pipeline, Quantizer};
     use cbir_server::protocol::{
@@ -93,8 +93,8 @@ mod imp {
     }
 
     fn spawn_event(engine: &Arc<QueryEngine>) -> ServerHandle {
-        Server::spawn_event_shared(
-            Arc::clone(engine),
+        Server::spawn_event_corpus(
+            ServedCorpus::Static(Arc::clone(engine)),
             "127.0.0.1:0",
             sched(),
             EventLoopConfig::default(),

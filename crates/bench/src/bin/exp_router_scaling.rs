@@ -91,7 +91,7 @@ fn spawn_backend(db: ImageDatabase) -> ServerHandle {
         exec_threads: 1,
         ..SchedulerConfig::default()
     };
-    Server::spawn(engine, "127.0.0.1:0", config).expect("spawn backend")
+    Server::spawn_shared(Arc::new(engine), "127.0.0.1:0", config).expect("spawn backend")
 }
 
 /// Split the union into `shards` parts with `replicas` backends each and

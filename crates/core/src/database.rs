@@ -6,6 +6,7 @@ use crate::error::{CoreError, Result};
 use cbir_features::{Pipeline, Segment};
 use cbir_image::RgbImage;
 use cbir_index::Dataset;
+use std::sync::Arc;
 
 /// Metadata stored per image (the pixels themselves are *not* retained —
 /// the signature database is the index, exactly as in the original
@@ -30,12 +31,16 @@ pub struct BatchItem<'a> {
 }
 
 /// A database of image signatures extracted by one fixed [`Pipeline`].
+///
+/// Rows and metadata sit behind `Arc`s so a [`crate::QueryEngine`] built
+/// over the database searches the very same allocation (and a clone is
+/// O(1)); the insert paths copy on write if the storage is shared.
 #[derive(Clone, Debug)]
 pub struct ImageDatabase {
     pipeline: Pipeline,
     balanced: bool,
-    descriptors: Vec<f32>,
-    metas: Vec<ImageMeta>,
+    descriptors: Arc<Vec<f32>>,
+    metas: Arc<Vec<ImageMeta>>,
 }
 
 impl ImageDatabase {
@@ -47,18 +52,16 @@ impl ImageDatabase {
         ImageDatabase {
             pipeline,
             balanced: true,
-            descriptors: Vec::new(),
-            metas: Vec::new(),
+            descriptors: Arc::default(),
+            metas: Arc::default(),
         }
     }
 
     /// An empty database extracting raw (unbalanced) descriptors.
     pub fn with_raw_extraction(pipeline: Pipeline) -> Self {
         ImageDatabase {
-            pipeline,
             balanced: false,
-            descriptors: Vec::new(),
-            metas: Vec::new(),
+            ..Self::new(pipeline)
         }
     }
 
@@ -117,12 +120,19 @@ impl ImageDatabase {
         self.insert_inner(name.into(), Some(label), img)
     }
 
+    /// Append one validated row (copying shared storage first); returns
+    /// its id.
+    fn push_row(&mut self, meta: ImageMeta, descriptor: &[f32]) -> usize {
+        Arc::make_mut(&mut self.descriptors).extend_from_slice(descriptor);
+        let metas = Arc::make_mut(&mut self.metas);
+        metas.push(meta);
+        metas.len() - 1
+    }
+
     fn insert_inner(&mut self, name: String, label: Option<u32>, img: &RgbImage) -> Result<usize> {
         let desc = self.extract(img)?;
         debug_assert_eq!(desc.len(), self.dim());
-        self.descriptors.extend_from_slice(&desc);
-        self.metas.push(ImageMeta { name, label });
-        Ok(self.metas.len() - 1)
+        Ok(self.push_row(ImageMeta { name, label }, &desc))
     }
 
     /// Extract descriptors for many external images on `threads` worker
@@ -164,16 +174,17 @@ impl ImageDatabase {
         } else {
             self.pipeline.extract_batch(&images, threads)?
         };
-        let mut ids = Vec::with_capacity(items.len());
-        for (item, desc) in items.iter().zip(descriptors) {
-            self.descriptors.extend_from_slice(&desc);
-            self.metas.push(ImageMeta {
-                name: item.name.clone(),
-                label: item.label,
-            });
-            ids.push(self.metas.len() - 1);
-        }
-        Ok(ids)
+        Ok(items
+            .iter()
+            .zip(descriptors)
+            .map(|(item, desc)| {
+                let meta = ImageMeta {
+                    name: item.name.clone(),
+                    label: item.label,
+                };
+                self.push_row(meta, &desc)
+            })
+            .collect())
     }
 
     /// Rebuild a database from already-validated parts: a flat row-major
@@ -199,8 +210,8 @@ impl ImageDatabase {
         Ok(ImageDatabase {
             pipeline,
             balanced,
-            descriptors,
-            metas,
+            descriptors: Arc::new(descriptors),
+            metas: Arc::new(metas),
         })
     }
 
@@ -223,9 +234,7 @@ impl ImageDatabase {
                 "descriptor contains a non-finite component".into(),
             ));
         }
-        self.descriptors.extend_from_slice(&descriptor);
-        self.metas.push(meta);
-        Ok(self.metas.len() - 1)
+        Ok(self.push_row(meta, &descriptor))
     }
 
     /// The descriptor of image `id`.
@@ -247,9 +256,23 @@ impl ImageDatabase {
         &self.metas
     }
 
-    /// Snapshot the descriptor matrix as an index-ready [`Dataset`].
+    /// All metadata, shared rather than copied.
+    pub(crate) fn shared_metas(&self) -> Arc<Vec<ImageMeta>> {
+        Arc::clone(&self.metas)
+    }
+
+    /// The descriptor matrix as an index-ready [`Dataset`] over the
+    /// database's own storage (no copy). Fails on an empty database or a
+    /// non-finite component (`from_parts` takes its rows on trust).
     pub fn to_dataset(&self) -> Result<Dataset> {
-        Ok(Dataset::from_flat(self.dim(), self.descriptors.clone())?)
+        if self.descriptors.iter().any(|x| !x.is_finite()) {
+            return Err(cbir_index::IndexError::BadDataset(
+                "data contains a non-finite component".into(),
+            )
+            .into());
+        }
+        let rows = Arc::clone(&self.descriptors);
+        Ok(Dataset::from_shared(self.dim(), rows as _)?)
     }
 }
 

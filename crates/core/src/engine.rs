@@ -1,16 +1,21 @@
-//! The query engine: an [`ImageDatabase`] snapshot plus one index structure
+//! The query engine: an [`ImageDatabase`] plus one index structure
 //! answering ranked query-by-example, k-NN, and range queries.
+//!
+//! [`QueryEngine`] owns no search code: it is a façade over the one-source
+//! snapshot [`CorpusSnapshot::from_database`] builds, the read path a live
+//! [`crate::CorpusStore`] serves from too. What lives here is what both
+//! share: index kinds, the recall-target planner, the obs capture.
 
 use crate::database::ImageDatabase;
 use crate::error::{CoreError, Result};
+use crate::store::{batch_of_one, CorpusSnapshot, Exact};
 use cbir_distance::Measure;
 use cbir_image::RgbImage;
 use cbir_index::{
-    approx_knn_batch_parallel, knn_batch_parallel, range_batch_parallel, rerank_exact,
-    AntipoleTree, ApproxScratch, ApproxSearch, BatchStats, CoarseHaarIndex, Dataset, KdTree,
-    LinearScan, MTree, Neighbor, RStarTree, SearchIndex, SearchStats, VpTree,
+    AntipoleTree, BatchStats, Dataset, KdTree, LinearScan, MTree, RStarTree, SearchIndex,
+    SearchStats, VpTree,
 };
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Which index structure backs the engine.
@@ -48,8 +53,8 @@ impl IndexKind {
     }
 }
 
-/// Build the chosen index over a dataset — shared by the engine and the
-/// benchmark harness.
+/// Build the chosen index over a dataset — shared by every snapshot
+/// source and the benchmark harness.
 pub fn build_index(
     kind: &IndexKind,
     dataset: Dataset,
@@ -126,66 +131,74 @@ pub fn plan_candidate_budget(n: usize, k: usize, recall_target: f32) -> Option<u
     Some((((n as f32 * frac).ceil() as usize).max(4 * k.max(1))).min(n))
 }
 
-/// Per-call observability capture for one engine entry point. Created
+/// Per-call observability capture for one read-path entry point. Created
 /// before the work starts and consumed after it completes, flushing the
 /// search-counter delta and call latency to the process-wide registry —
-/// one flush per engine call, so the index hot loops stay untouched. When
-/// the call is trace-sampled it additionally records a stage timeline.
+/// one flush per call, so the index hot loops stay untouched. When the
+/// call is trace-sampled it additionally records a stage timeline.
 ///
 /// Everything here only *observes*: the query executes identically whether
 /// capture (or tracing) is on or off, and when the registry is disabled the
 /// whole capture collapses to a single relaxed load.
-struct ObsCapture {
+pub(crate) struct ObsCapture {
     start: Option<Instant>,
     trace_seq: Option<u64>,
+    /// Behind a lock because the workers of a batched call announce the
+    /// stages they reach.
+    timeline: Mutex<Timeline>,
+}
+
+/// The closed stage spans of a sampled call, and the stage that is open.
+#[derive(Default)]
+struct Timeline {
     spans: Vec<cbir_obs::TraceSpan>,
     open: Option<(&'static str, Instant)>,
 }
 
-impl ObsCapture {
-    fn begin() -> Self {
-        if !cbir_obs::enabled() {
-            return ObsCapture {
-                start: None,
-                trace_seq: None,
-                spans: Vec::new(),
-                open: None,
-            };
-        }
-        ObsCapture {
-            start: Some(Instant::now()),
-            trace_seq: cbir_obs::trace_should_sample(),
-            spans: Vec::new(),
-            open: None,
-        }
-    }
-
-    /// Open a named stage span (no-op unless this call is trace-sampled).
-    fn stage(&mut self, name: &'static str) {
-        self.close_stage();
-        if self.trace_seq.is_some() {
-            self.open = Some((name, Instant::now()));
-        }
-    }
-
-    fn close_stage(&mut self) {
-        if let (Some((name, at)), Some(start)) = (self.open.take(), self.start) {
-            let start_ns = at.duration_since(start).as_nanos() as u64;
+impl Timeline {
+    /// Close the open stage, if any, at `now`; `start` is the call's.
+    fn close(&mut self, start: Instant, now: Instant) {
+        if let Some((name, at)) = self.open.take() {
             self.spans.push(cbir_obs::TraceSpan {
                 name,
-                start_ns,
-                dur_ns: at.elapsed().as_nanos() as u64,
+                start_ns: at.duration_since(start).as_nanos() as u64,
+                dur_ns: now.duration_since(at).as_nanos() as u64,
             });
         }
     }
+}
+
+impl ObsCapture {
+    pub(crate) fn begin() -> Self {
+        let enabled = cbir_obs::enabled();
+        ObsCapture {
+            start: enabled.then(Instant::now),
+            trace_seq: enabled.then(cbir_obs::trace_should_sample).flatten(),
+            timeline: Mutex::default(),
+        }
+    }
+
+    /// Enter a named stage, closing the one before it (no-op unless this
+    /// call is trace-sampled). Every worker of a batched call announces
+    /// the stage it reaches; the stage opens when the first one does.
+    pub(crate) fn stage(&self, name: &'static str) {
+        let (Some(start), Some(_)) = (self.start, self.trace_seq) else {
+            return;
+        };
+        let mut timeline = self.timeline.lock().expect("obs timeline lock");
+        if timeline.open.is_some_and(|(open, _)| open == name) {
+            return;
+        }
+        let now = Instant::now();
+        timeline.close(start, now);
+        timeline.open = Some((name, now));
+    }
 
     /// Flush counters (and the trace, if sampled) to the registry.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        mut self,
+    pub(crate) fn finish(
+        self,
         kind: &IndexKind,
         op: cbir_obs::QueryOp,
-        trace_op: &'static str,
         queries: u64,
         before: &SearchStats,
         after: &SearchStats,
@@ -194,7 +207,8 @@ impl ObsCapture {
         let Some(start) = self.start else {
             return;
         };
-        self.close_stage();
+        let mut timeline = self.timeline.into_inner().expect("obs timeline lock");
+        timeline.close(start, Instant::now());
         let total_ns = start.elapsed().as_nanos() as u64;
         let counters = cbir_obs::QueryCounters {
             distance_evaluations: after.distance_computations - before.distance_computations,
@@ -215,11 +229,11 @@ impl ObsCapture {
         if let Some(seq) = self.trace_seq {
             cbir_obs::push_trace(cbir_obs::QueryTrace {
                 seq,
-                op: trace_op,
+                op: op.name(),
                 index: kind.name(),
                 queries,
                 total_ns,
-                spans: self.spans,
+                spans: timeline.spans,
                 distance_evaluations: counters.distance_evaluations,
                 nodes_visited: counters.nodes_visited,
                 subtrees_pruned: counters.subtrees_pruned,
@@ -245,84 +259,51 @@ pub struct Ranked {
     pub distance: f32,
 }
 
-/// A built query engine (immutable snapshot of the database).
+/// A built query engine: an immutable [`ImageDatabase`] and the
+/// one-source [`CorpusSnapshot`] over it that answers every query. The
+/// snapshot shares the database's rows and metadata, so the engine holds
+/// one copy of each; the single-query methods are batches of one.
 pub struct QueryEngine {
     db: ImageDatabase,
-    index: Box<dyn SearchIndex>,
-    measure: Measure,
-    kind: IndexKind,
-    dataset: Dataset,
-    coarse: OnceLock<CoarseHaarIndex>,
+    snapshot: Arc<CorpusSnapshot>,
+}
+
+/// Engine image ids as the snapshot's global ids.
+fn global_ids(ids: &[usize]) -> Vec<u64> {
+    ids.iter().map(|&id| id as u64).collect()
 }
 
 impl QueryEngine {
-    /// Snapshot `db` and build the chosen index over its descriptors.
+    /// Build the chosen index over `db`'s descriptors.
     pub fn build(db: ImageDatabase, kind: IndexKind, measure: Measure) -> Result<Self> {
-        if db.is_empty() {
-            return Err(CoreError::InvalidParameter(
-                "cannot build an engine over an empty database".into(),
-            ));
-        }
-        let dataset = db.to_dataset()?;
-        let index = build_index(&kind, dataset.clone(), measure.clone())?;
-        Ok(QueryEngine {
-            db,
-            index,
-            measure,
-            kind,
-            dataset,
-            coarse: OnceLock::new(),
-        })
+        let snapshot = Arc::new(CorpusSnapshot::from_database(&db, kind, measure)?);
+        Ok(QueryEngine { db, snapshot })
     }
 
-    /// The coarse signature table for the approximate path, built lazily
-    /// on first use (the exact path never pays for it). Datasets are
-    /// cheaply cloneable (`Arc`'d flat storage), so the table shares the
-    /// engine's descriptor storage.
-    fn coarse_index(&self) -> Result<&CoarseHaarIndex> {
-        if let Some(c) = self.coarse.get() {
-            return Ok(c);
-        }
-        let c = CoarseHaarIndex::default_coefficients(self.dataset.dim());
-        let built = CoarseHaarIndex::build(&self.dataset, c)?;
-        // A concurrent caller may have won the race; either table is
-        // byte-identical (the build is deterministic).
-        let _ = self.coarse.set(built);
-        Ok(self.coarse.get().expect("coarse table just set"))
-    }
-
-    /// The snapshotted database.
+    /// The database the engine was built over.
     pub fn database(&self) -> &ImageDatabase {
         &self.db
     }
 
+    /// The read view every query runs against — what a server pins when
+    /// it serves this engine.
+    pub fn snapshot(&self) -> &Arc<CorpusSnapshot> {
+        &self.snapshot
+    }
+
     /// The similarity measure in use.
     pub fn measure(&self) -> &Measure {
-        &self.measure
+        self.snapshot.measure()
     }
 
     /// Which index kind backs the engine.
     pub fn index_kind(&self) -> &IndexKind {
-        &self.kind
+        self.snapshot.index_kind()
     }
 
     /// Structure memory of the underlying index.
     pub fn index_bytes(&self) -> usize {
-        self.index.structure_bytes()
-    }
-
-    fn rank(&self, hits: Vec<Neighbor>) -> Result<Vec<Ranked>> {
-        hits.into_iter()
-            .map(|n| {
-                let meta = self.db.meta(n.id)?;
-                Ok(Ranked {
-                    id: n.id,
-                    name: meta.name.clone(),
-                    label: meta.label,
-                    distance: n.distance,
-                })
-            })
-            .collect()
+        self.snapshot.index_bytes()
     }
 
     /// The `k` most similar database images to an external example image.
@@ -332,48 +313,13 @@ impl QueryEngine {
         k: usize,
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
-        let mut obs = ObsCapture::begin();
-        let before = stats.clone();
-        obs.stage("extract");
-        let desc = self.db.extract(img)?;
-        obs.stage("search");
-        let hits = self.index.knn_search(&desc, k, stats);
-        obs.stage("rank");
-        let ranked = self.rank(hits)?;
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Knn,
-            "knn",
-            1,
-            &before,
-            stats,
-            ranked.len() as u64,
-        );
-        Ok(ranked)
+        self.snapshot.by_example(img, Exact::Knn(k), stats)
     }
 
     /// The `k` most similar images to database image `id`, excluding `id`
     /// itself (the usual retrieval convention).
     pub fn query_by_id(&self, id: usize, k: usize, stats: &mut SearchStats) -> Result<Vec<Ranked>> {
-        let mut obs = ObsCapture::begin();
-        let before = stats.clone();
-        let desc: Vec<f32> = self.db.descriptor(id)?.to_vec();
-        obs.stage("search");
-        // Ask for one extra hit to absorb the query itself.
-        let hits = self.index.knn_search(&desc, k.saturating_add(1), stats);
-        obs.stage("rank");
-        let filtered: Vec<Neighbor> = hits.into_iter().filter(|n| n.id != id).take(k).collect();
-        let ranked = self.rank(filtered)?;
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Knn,
-            "knn_by_id",
-            1,
-            &before,
-            stats,
-            ranked.len() as u64,
-        );
-        Ok(ranked)
+        batch_of_one(stats, |batch| self.knn_batch_by_ids(&[id], k, 1, batch))
     }
 
     /// All database images within `radius` of the example image.
@@ -383,37 +329,7 @@ impl QueryEngine {
         radius: f32,
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
-        let mut obs = ObsCapture::begin();
-        let before = stats.clone();
-        obs.stage("extract");
-        let desc = self.db.extract(img)?;
-        obs.stage("search");
-        let hits = self.index.range_search(&desc, radius, stats);
-        obs.stage("rank");
-        let ranked = self.rank(hits)?;
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Range,
-            "range",
-            1,
-            &before,
-            stats,
-            ranked.len() as u64,
-        );
-        Ok(ranked)
-    }
-
-    fn check_batch_dims(&self, queries: &[Vec<f32>]) -> Result<()> {
-        let dim = self.db.dim();
-        for (i, q) in queries.iter().enumerate() {
-            if q.len() != dim {
-                return Err(CoreError::InvalidParameter(format!(
-                    "query {i} has dim {} but database dim is {dim}",
-                    q.len()
-                )));
-            }
-        }
-        Ok(())
+        self.snapshot.by_example(img, Exact::Range(radius), stats)
     }
 
     /// Batched k-NN over raw descriptor vectors: one ranked result list per
@@ -428,26 +344,7 @@ impl QueryEngine {
         threads: usize,
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
-        self.check_batch_dims(queries)?;
-        let mut obs = ObsCapture::begin();
-        let before = stats.total().clone();
-        obs.stage("search");
-        let raw = knn_batch_parallel(self.index.as_ref(), queries, k, threads, stats);
-        obs.stage("rank");
-        let ranked: Result<Vec<Vec<Ranked>>> =
-            raw.into_iter().map(|hits| self.rank(hits)).collect();
-        let ranked = ranked?;
-        let results: u64 = ranked.iter().map(|r| r.len() as u64).sum();
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Knn,
-            "knn_batch",
-            queries.len() as u64,
-            &before,
-            stats.total(),
-            results,
-        );
-        Ok(ranked)
+        self.snapshot.knn_batch(queries, k, threads, stats)
     }
 
     /// Batched range search over raw descriptor vectors; the batched
@@ -460,26 +357,7 @@ impl QueryEngine {
         threads: usize,
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
-        self.check_batch_dims(queries)?;
-        let mut obs = ObsCapture::begin();
-        let before = stats.total().clone();
-        obs.stage("search");
-        let raw = range_batch_parallel(self.index.as_ref(), queries, radius, threads, stats);
-        obs.stage("rank");
-        let ranked: Result<Vec<Vec<Ranked>>> =
-            raw.into_iter().map(|hits| self.rank(hits)).collect();
-        let ranked = ranked?;
-        let results: u64 = ranked.iter().map(|r| r.len() as u64).sum();
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Range,
-            "range_batch",
-            queries.len() as u64,
-            &before,
-            stats.total(),
-            results,
-        );
-        Ok(ranked)
+        self.snapshot.range_batch(queries, radius, threads, stats)
     }
 
     /// Batched k-NN by database image id, excluding each query image from
@@ -492,43 +370,8 @@ impl QueryEngine {
         threads: usize,
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
-        let queries: Vec<Vec<f32>> = ids
-            .iter()
-            .map(|&id| Ok(self.db.descriptor(id)?.to_vec()))
-            .collect::<Result<_>>()?;
-        let mut obs = ObsCapture::begin();
-        let before = stats.total().clone();
-        obs.stage("search");
-        // Ask for one extra hit per query to absorb the query itself.
-        let raw = knn_batch_parallel(
-            self.index.as_ref(),
-            &queries,
-            k.saturating_add(1),
-            threads,
-            stats,
-        );
-        obs.stage("rank");
-        let ranked: Result<Vec<Vec<Ranked>>> = raw
-            .into_iter()
-            .zip(ids)
-            .map(|(hits, &id)| {
-                let filtered: Vec<Neighbor> =
-                    hits.into_iter().filter(|n| n.id != id).take(k).collect();
-                self.rank(filtered)
-            })
-            .collect();
-        let ranked = ranked?;
-        let results: u64 = ranked.iter().map(|r| r.len() as u64).sum();
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Knn,
-            "knn_batch_by_ids",
-            ids.len() as u64,
-            &before,
-            stats.total(),
-            results,
-        );
-        Ok(ranked)
+        self.snapshot
+            .knn_batch_by_ids(&global_ids(ids), k, threads, stats)
     }
 
     /// k-NN over a raw descriptor vector (for callers managing their own
@@ -539,29 +382,9 @@ impl QueryEngine {
         k: usize,
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
-        if descriptor.len() != self.db.dim() {
-            return Err(CoreError::InvalidParameter(format!(
-                "descriptor dim {} does not match database dim {}",
-                descriptor.len(),
-                self.db.dim()
-            )));
-        }
-        let mut obs = ObsCapture::begin();
-        let before = stats.clone();
-        obs.stage("search");
-        let hits = self.index.knn_search(descriptor, k, stats);
-        obs.stage("rank");
-        let ranked = self.rank(hits)?;
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Knn,
-            "knn",
-            1,
-            &before,
-            stats,
-            ranked.len() as u64,
-        );
-        Ok(ranked)
+        batch_of_one(stats, |batch| {
+            self.knn_batch(&[descriptor.to_vec()], k, 1, batch)
+        })
     }
 
     /// Two-stage approximate k-NN over a raw descriptor: a coarse Haar
@@ -577,48 +400,9 @@ impl QueryEngine {
         recall_target: f32,
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
-        validate_recall_target(recall_target)?;
-        let Some(budget) = plan_candidate_budget(self.dataset.len(), k, recall_target) else {
-            return self.query_by_descriptor(descriptor, k, stats);
-        };
-        if descriptor.len() != self.db.dim() {
-            return Err(CoreError::InvalidParameter(format!(
-                "descriptor dim {} does not match database dim {}",
-                descriptor.len(),
-                self.db.dim()
-            )));
-        }
-        let coarse = self.coarse_index()?;
-        let mut obs = ObsCapture::begin();
-        let before = stats.clone();
-        obs.stage("coarse");
-        let mut candidates = Vec::new();
-        coarse.coarse_candidates(descriptor, budget, stats, &mut candidates);
-        obs.stage("rerank");
-        let mut scratch = ApproxScratch::new();
-        let mut hits = Vec::new();
-        rerank_exact(
-            &self.dataset,
-            &self.measure,
-            descriptor,
-            k,
-            &candidates,
-            &mut scratch,
-            stats,
-            &mut hits,
-        );
-        obs.stage("rank");
-        let ranked = self.rank(hits)?;
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Knn,
-            "knn_approx",
-            1,
-            &before,
-            stats,
-            ranked.len() as u64,
-        );
-        Ok(ranked)
+        batch_of_one(stats, |batch| {
+            self.knn_batch_approx(&[descriptor.to_vec()], k, recall_target, 1, batch)
+        })
     }
 
     /// Approximate counterpart of [`QueryEngine::query_by_id`]: two-stage
@@ -630,15 +414,9 @@ impl QueryEngine {
         recall_target: f32,
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
-        validate_recall_target(recall_target)?;
-        if plan_candidate_budget(self.dataset.len(), k, recall_target).is_none() {
-            return self.query_by_id(id, k, stats);
-        }
-        let desc: Vec<f32> = self.db.descriptor(id)?.to_vec();
-        // Ask for one extra hit to absorb the query itself.
-        let hits =
-            self.query_by_descriptor_approx(&desc, k.saturating_add(1), recall_target, stats)?;
-        Ok(hits.into_iter().filter(|h| h.id != id).take(k).collect())
+        batch_of_one(stats, |batch| {
+            self.knn_batch_by_ids_approx(&[id], k, recall_target, 1, batch)
+        })
     }
 
     /// Batched two-stage approximate k-NN; the approximate counterpart of
@@ -652,40 +430,8 @@ impl QueryEngine {
         threads: usize,
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
-        validate_recall_target(recall_target)?;
-        let Some(budget) = plan_candidate_budget(self.dataset.len(), k, recall_target) else {
-            return self.knn_batch(queries, k, threads, stats);
-        };
-        self.check_batch_dims(queries)?;
-        let coarse = self.coarse_index()?;
-        let mut obs = ObsCapture::begin();
-        let before = stats.total().clone();
-        obs.stage("search");
-        let raw = approx_knn_batch_parallel(
-            coarse,
-            &self.dataset,
-            &self.measure,
-            queries,
-            k,
-            budget,
-            threads,
-            stats,
-        );
-        obs.stage("rank");
-        let ranked: Result<Vec<Vec<Ranked>>> =
-            raw.into_iter().map(|hits| self.rank(hits)).collect();
-        let ranked = ranked?;
-        let results: u64 = ranked.iter().map(|r| r.len() as u64).sum();
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Knn,
-            "knn_batch_approx",
-            queries.len() as u64,
-            &before,
-            stats.total(),
-            results,
-        );
-        Ok(ranked)
+        self.snapshot
+            .knn_batch_approx(queries, k, recall_target, threads, stats)
     }
 
     /// Batched two-stage approximate k-NN by database id, excluding each
@@ -700,51 +446,8 @@ impl QueryEngine {
         threads: usize,
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
-        validate_recall_target(recall_target)?;
-        let Some(budget) = plan_candidate_budget(self.dataset.len(), k, recall_target) else {
-            return self.knn_batch_by_ids(ids, k, threads, stats);
-        };
-        let queries: Vec<Vec<f32>> = ids
-            .iter()
-            .map(|&id| Ok(self.db.descriptor(id)?.to_vec()))
-            .collect::<Result<_>>()?;
-        let coarse = self.coarse_index()?;
-        let mut obs = ObsCapture::begin();
-        let before = stats.total().clone();
-        obs.stage("search");
-        // Ask for one extra hit per query to absorb the query itself.
-        let raw = approx_knn_batch_parallel(
-            coarse,
-            &self.dataset,
-            &self.measure,
-            &queries,
-            k.saturating_add(1),
-            budget,
-            threads,
-            stats,
-        );
-        obs.stage("rank");
-        let ranked: Result<Vec<Vec<Ranked>>> = raw
-            .into_iter()
-            .zip(ids)
-            .map(|(hits, &id)| {
-                let filtered: Vec<Neighbor> =
-                    hits.into_iter().filter(|n| n.id != id).take(k).collect();
-                self.rank(filtered)
-            })
-            .collect();
-        let ranked = ranked?;
-        let results: u64 = ranked.iter().map(|r| r.len() as u64).sum();
-        obs.finish(
-            &self.kind,
-            cbir_obs::QueryOp::Knn,
-            "knn_batch_by_ids_approx",
-            ids.len() as u64,
-            &before,
-            stats.total(),
-            results,
-        );
-        Ok(ranked)
+        self.snapshot
+            .knn_batch_by_ids_approx(&global_ids(ids), k, recall_target, threads, stats)
     }
 }
 
@@ -934,12 +637,11 @@ mod tests {
             .collect();
         let mut stats = BatchStats::new();
         let batched = engine.range_batch(&queries, 0.5, 2, &mut stats).unwrap();
+        assert!(batched.iter().any(|hits| hits.len() > 1));
         for (hits, q) in batched.iter().zip(&queries) {
-            let mut single = SearchStats::new();
-            let expect = engine
-                .rank(engine.index.range_search(q, 0.5, &mut single))
-                .unwrap();
-            assert_eq!(*hits, expect);
+            let mut single = BatchStats::new();
+            let expect = engine.range_batch(std::slice::from_ref(q), 0.5, 1, &mut single);
+            assert_eq!(*hits, expect.unwrap()[0]);
         }
         let mut stats = BatchStats::new();
         assert!(engine.knn_batch(&[vec![0.0; 3]], 1, 1, &mut stats).is_err());

@@ -2,11 +2,15 @@
 //!
 //! The paper's system assembled from its substrates: an [`ImageDatabase`]
 //! extracts one composite feature signature per inserted image (via a
-//! `cbir-features` pipeline); a [`QueryEngine`] snapshots the database,
-//! builds one of the `cbir-index` structures over the signatures, and
-//! answers ranked query-by-example, k-NN, and range queries; the [`eval`]
-//! module scores rankings against ground truth; and [`persist`] stores a
-//! signature database in a compact binary format.
+//! `cbir-features` pipeline); a [`QueryEngine`] builds one of the
+//! `cbir-index` structures over the signatures and answers ranked
+//! query-by-example, k-NN, and range queries; the [`eval`] module scores
+//! rankings against ground truth; and [`persist`] stores a signature
+//! database in a compact binary format.
+//!
+//! There is one read path, [`CorpusSnapshot`]: a live [`CorpusStore`]
+//! publishes one per mutation, and a [`QueryEngine`] is the static case,
+//! a snapshot with a single heap source sharing the database's rows.
 //!
 //! ```
 //! use cbir_core::{ImageDatabase, QueryEngine, IndexKind};
@@ -49,6 +53,4 @@ pub use feedback::{
     feedback_round, refine_query, refine_query_by_ids, FeedbackRound, RocchioParams,
 };
 pub use shard::{merge_shards, split_database, ShardPlan, ShardScheme};
-pub use store::{
-    CompactionStats, CorpusSnapshot, CorpusStore, PinnedView, ServedCorpus, StoreOptions,
-};
+pub use store::{CompactionStats, CorpusSnapshot, CorpusStore, ServedCorpus, StoreOptions};

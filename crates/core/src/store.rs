@@ -28,19 +28,21 @@
 //!
 //! ## Query semantics
 //!
-//! The exact read path is batch-first: each worker thread walks the
-//! sources (every segment's lazily built index, then every memtable
-//! chunk's) once and hands its whole chunk of queries to the source's
-//! batched search, asking for enough neighbours to absorb the source's
-//! own tombstoned rows (`k' = min(rows, k + dead_in_source)`); per query
-//! it then merges by `(distance, id)` with the exact comparator the
-//! indexes use and truncates to `k`. Results are therefore bit-identical
-//! to a single [`crate::QueryEngine`] built over
-//! [`CorpusSnapshot::materialize`].
+//! [`CorpusSnapshot`] is the repo's one read path. The exact side is
+//! batch-first: each worker thread walks the sources (every segment's
+//! lazily built index, then every memtable chunk's) once and hands its
+//! whole chunk of queries to the source's batched search, asking for
+//! enough neighbours to absorb the source's own tombstoned rows
+//! (`k' = min(rows, k + dead_in_source)`); per query it then merges by
+//! `(distance, id)` with the exact comparator the indexes use and
+//! truncates to `k`. A static database is the same thing with one heap
+//! source and nothing to merge ([`CorpusSnapshot::from_database`], what a
+//! [`crate::QueryEngine`] wraps), so a multi-source snapshot is
+//! bit-identical to an engine built over [`CorpusSnapshot::materialize`].
 
 use crate::database::{ImageDatabase, ImageMeta};
 use crate::engine::{
-    build_index, plan_candidate_budget, validate_recall_target, IndexKind, Ranked,
+    build_index, plan_candidate_budget, validate_recall_target, IndexKind, ObsCapture, Ranked,
 };
 use crate::error::{CoreError, PersistError, Result};
 use crate::faults::{compact_policy_from_env, FaultPolicy, NoFaults};
@@ -54,14 +56,13 @@ use cbir_distance::Measure;
 use cbir_features::Pipeline;
 use cbir_image::RgbImage;
 use cbir_index::{
-    rerank_exact, ApproxScratch, ApproxSearch, BatchStats, CoarseHaarIndex, Dataset, SearchIndex,
-    SearchStats,
+    approx_knn, run_parallel, ApproxScratch, BatchStats, CoarseHaarIndex, Dataset, Neighbor,
+    SearchIndex, SearchStats,
 };
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// Attach a file path to the persistence context of an error, if it is a
 /// persistence error and has none yet.
@@ -255,13 +256,19 @@ impl Segment {
 /// memtable (which made sustained ingest O(n²) in memtable size).
 const MEM_CHUNK_ROWS: usize = 1024;
 
-/// One immutable slice of the memtable: frozen rows shared across
-/// snapshots by `Arc`, with their linear index and coarse signature
-/// table built once per chunk and reused by every subsequent publish —
-/// this chunking is what makes both incremental under live ingest.
+/// One immutable heap-resident source. In a store it is a slice of the
+/// memtable: frozen rows shared across snapshots by `Arc`, with their
+/// linear index and coarse signature table built once per chunk and
+/// reused by every subsequent publish — this chunking is what makes both
+/// incremental under live ingest. A static database is a single chunk
+/// holding all of its rows (see [`CorpusSnapshot::from_database`]).
 struct MemChunk {
     metas: Arc<Vec<ImageMeta>>,
     data: SourceRows,
+    /// The index the chunk is searched with. A memtable chunk always uses
+    /// a linear scan: O(1) build, and the cross-index bit-identity
+    /// contract makes mixing it with tree-indexed segments safe.
+    kind: IndexKind,
 }
 
 impl MemChunk {
@@ -272,6 +279,7 @@ impl MemChunk {
         Ok(Arc::new(MemChunk {
             metas: Arc::new(metas),
             data: SourceRows::new("memtable chunk".into(), dataset),
+            kind: IndexKind::Linear,
         }))
     }
 
@@ -290,21 +298,51 @@ struct Source<'a> {
     dead: usize,
 }
 
+/// One non-empty source as the approximate read path sees it.
+struct ApproxSource<'a> {
+    coarse: &'a CoarseHaarIndex,
+    dataset: &'a Dataset,
+    /// Global id of the source's first row.
+    base: u64,
+    /// Tombstoned rows inside the source.
+    dead: usize,
+    /// Neighbours asked of the source.
+    want: usize,
+    /// Coarse candidates the source may surface.
+    budget: usize,
+}
+
 /// The two exact searches a source can run over a query chunk.
 #[derive(Clone, Copy)]
-enum Exact {
+pub(crate) enum Exact {
     Knn(usize),
     Range(f32),
 }
 
-/// The post-filter of a by-id query: the search asks for `k + 1` hits so
-/// that query `i`'s own row, `ids[i]`, can be dropped from them.
-fn without_self(ids: &[u64], k: usize) -> impl Fn(usize, &mut Vec<(u64, f32)>) + Sync + '_ {
-    move |i, hits| {
-        hits.retain(|&(g, _)| g != ids[i]);
-        hits.truncate(k);
-    }
+/// Run a batch of one and fold its counters into the caller's.
+pub(crate) fn batch_of_one(
+    stats: &mut SearchStats,
+    run: impl FnOnce(&mut BatchStats) -> Result<Vec<Vec<Ranked>>>,
+) -> Result<Vec<Ranked>> {
+    let mut batch = BatchStats::new();
+    let mut out = run(&mut batch)?;
+    stats.merge(batch.total());
+    Ok(out.pop().expect("one query in, one result list out"))
 }
+
+/// One query's hits as `(global id, distance)` pairs.
+type Hits = Vec<(u64, f32)>;
+
+/// Order hits by `(distance, id)` with [`f32::total_cmp`], the exact
+/// comparator the indexes' own tie-break contract uses.
+fn sort_hits(hits: &mut Hits) {
+    hits.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+}
+
+/// The self-exclusion of a by-id batch: query `i` is row `ids[i]`, so the
+/// search asks for one hit more than the `k` to keep and the row is
+/// dropped from its own hits.
+type SkipSelf<'a> = Option<(&'a [u64], usize)>;
 
 /// An immutable, epoch-stamped view of the whole corpus: the open
 /// segments, a frozen copy of the memtable, and the tombstone set at
@@ -343,9 +381,63 @@ impl std::fmt::Debug for CorpusSnapshot {
 }
 
 impl CorpusSnapshot {
+    /// A static database as a snapshot: no segments, no tombstones, epoch
+    /// 0 forever, and one heap source that shares `db`'s rows and
+    /// metadata and is searched with `kind`. The index is built here, not
+    /// on first use, so an unservable configuration (an empty database,
+    /// an R\*-tree without L2, a non-metric under a metric tree) fails
+    /// the build rather than the first query.
+    pub fn from_database(db: &ImageDatabase, kind: IndexKind, measure: Measure) -> Result<Self> {
+        if db.is_empty() {
+            return Err(CoreError::InvalidParameter(
+                "cannot build an engine over an empty database".into(),
+            ));
+        }
+        let chunk = MemChunk {
+            metas: db.shared_metas(),
+            data: SourceRows::new("database".into(), db.to_dataset()?),
+            kind: kind.clone(),
+        };
+        chunk.data.index(&kind, &measure)?;
+        Ok(CorpusSnapshot {
+            epoch: 0,
+            balanced: db.is_balanced(),
+            pipeline: db.pipeline().clone(),
+            kind,
+            measure,
+            segments: Vec::new(),
+            bases: Vec::new(),
+            seg_rows_total: 0,
+            mem_chunks: vec![Arc::new(chunk)],
+            mem_bases: vec![0],
+            mem_rows_total: db.len(),
+            tombstones: Arc::default(),
+        })
+    }
+
     /// The store epoch this snapshot was published at.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The similarity measure every source is searched under.
+    pub fn measure(&self) -> &Measure {
+        &self.measure
+    }
+
+    /// The index kind segments (and a static database) are searched with.
+    pub fn index_kind(&self) -> &IndexKind {
+        &self.kind
+    }
+
+    /// Structure memory of the source indexes built so far (a source no
+    /// query has needed yet has none).
+    pub fn index_bytes(&self) -> usize {
+        let built = |(rows, ..): (&SourceRows, u64, &IndexKind)| match rows.index_cell.get() {
+            Some(Ok(index)) => index.structure_bytes(),
+            _ => 0,
+        };
+        self.source_rows().map(built).sum()
     }
 
     /// Live (non-tombstoned) rows visible to queries.
@@ -457,19 +549,13 @@ impl CorpusSnapshot {
 
     /// The rows of every non-empty source in global id order, with the
     /// global id of the first and the index kind the source is searched
-    /// with. The memtable always uses a linear scan: O(1) build, and the
-    /// cross-index bit-identity contract makes mixing it with
-    /// tree-indexed segments safe.
+    /// with.
     fn source_rows(&self) -> impl Iterator<Item = (&SourceRows, u64, &IndexKind)> {
         let segments = self.segments.iter().zip(&self.bases);
         let chunks = self.mem_chunks.iter().zip(&self.mem_bases);
         segments
             .filter_map(|(seg, &base)| Some((seg.data.as_ref()?, base, &self.kind)))
-            .chain(
-                chunks.map(|(chunk, &cb)| {
-                    (&chunk.data, self.seg_rows_total + cb, &IndexKind::Linear)
-                }),
-            )
+            .chain(chunks.map(|(chunk, &cb)| (&chunk.data, self.seg_rows_total + cb, &chunk.kind)))
     }
 
     /// Every non-empty source, resolved once per batch: the lazily built
@@ -484,6 +570,16 @@ impl CorpusSnapshot {
                 Ok(Source { index, base, dead })
             })
             .collect()
+    }
+
+    /// Lift one source's hits to global ids (`base` is the source's first)
+    /// and append the live ones; `dead` is the source's tombstone count.
+    fn extend_live(&self, into: &mut Hits, base: u64, dead: usize, hits: Vec<Neighbor>) {
+        into.extend(
+            hits.into_iter()
+                .map(|n| (base + n.id as u64, n.distance))
+                .filter(|(g, _)| dead == 0 || !self.tombstones.contains(g)),
+        );
     }
 
     /// Exact search of one worker's query chunk: one pass over the
@@ -505,8 +601,8 @@ impl CorpusSnapshot {
         queries: &[Vec<f32>],
         op: Exact,
         stats: &mut BatchStats,
-    ) -> Vec<Vec<(u64, f32)>> {
-        let mut merged: Vec<Vec<(u64, f32)>> = vec![Vec::new(); queries.len()];
+    ) -> Vec<Hits> {
+        let mut merged: Vec<Hits> = vec![Vec::new(); queries.len()];
         let mut chunk_stats = BatchStats::new();
         for _ in queries {
             chunk_stats.record(&SearchStats::new());
@@ -525,15 +621,11 @@ impl CorpusSnapshot {
             };
             chunk_stats.add_per_query(&source_stats);
             for (all, hits) in merged.iter_mut().zip(hits) {
-                all.extend(
-                    hits.into_iter()
-                        .map(|n| (src.base + n.id as u64, n.distance))
-                        .filter(|(g, _)| src.dead == 0 || !self.tombstones.contains(g)),
-                );
+                self.extend_live(all, src.base, src.dead, hits);
             }
         }
         for all in &mut merged {
-            all.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            sort_hits(all);
             if let Exact::Knn(k) = op {
                 all.truncate(k);
             }
@@ -542,86 +634,70 @@ impl CorpusSnapshot {
         merged
     }
 
-    /// Two-stage approximate k-NN for one query: each source (segment or
-    /// memtable chunk) surfaces a budget share of coarse candidates from
-    /// its signature table, reranks them with exact distances, and the
-    /// per-source exact results merge tombstone-aware by `(distance, id)`
-    /// exactly like the exact path. Coarse distances never cross sources
-    /// — only exact rerank distances are merged — so each source's
-    /// independent quantization scale is sound.
+    /// Every non-empty source as the approximate path sees it, resolved
+    /// once per batch: the lazily built coarse table, how many neighbours
+    /// to ask for (`k + dead`, as on the exact path), and the source's
+    /// share of the candidate budget — proportional to its row count,
+    /// floored at `want` so every source can still surface a full live
+    /// top-`k`.
+    fn approx_sources(&self, k: usize, budget: usize) -> Result<Vec<ApproxSource<'_>>> {
+        let total = self.total_rows().max(1) as u128;
+        let mut sources = Vec::new();
+        for (data, base, _) in self.source_rows() {
+            let rows = data.dataset.len();
+            let dead = self.tombstones.range(base..base + rows as u64).count();
+            let want = k.saturating_add(dead).min(rows);
+            if want == 0 {
+                continue;
+            }
+            let share = (budget as u128 * rows as u128).div_ceil(total) as usize;
+            sources.push(ApproxSource {
+                coarse: data.coarse()?,
+                dataset: &data.dataset,
+                base,
+                dead,
+                want,
+                budget: share.max(want).min(rows),
+            });
+        }
+        Ok(sources)
+    }
+
+    /// Two-stage approximate k-NN for one query: each source surfaces its
+    /// budget share of coarse candidates from its signature table and
+    /// reranks them with exact distances, and the per-source exact
+    /// results merge tombstone-aware by `(distance, id)` exactly like the
+    /// exact path. Coarse distances never cross sources — only exact
+    /// rerank distances are merged — so each source's independent
+    /// quantization scale is sound.
     fn knn_one_approx(
         &self,
+        sources: &[ApproxSource<'_>],
         query: &[f32],
         k: usize,
-        budget: usize,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<(u64, f32)>> {
-        let mut merged: Vec<(u64, f32)> = Vec::new();
-        let mut scratch = ApproxScratch::new();
-        for (rows, base, _) in self.source_rows() {
-            self.approx_source(
-                rows.coarse()?,
-                &rows.dataset,
-                base,
-                query,
-                k,
-                budget,
-                &mut scratch,
-                stats,
-                &mut merged,
-            );
-        }
-        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        merged.truncate(k);
-        Ok(merged)
-    }
-
-    /// Coarse-then-rerank over one source. The source's budget share is
-    /// proportional to its row count, floored at `k + dead` so every
-    /// source can still surface a full live top-`k`.
-    #[allow(clippy::too_many_arguments)] // the full two-stage context, threaded explicitly
-    fn approx_source(
-        &self,
-        coarse: &CoarseHaarIndex,
-        dataset: &Dataset,
-        base: u64,
-        query: &[f32],
-        k: usize,
-        budget: usize,
         scratch: &mut ApproxScratch,
         stats: &mut SearchStats,
-        merged: &mut Vec<(u64, f32)>,
-    ) {
-        let rows = dataset.len();
-        let dead = self.tombstones.range(base..base + rows as u64).count();
-        let want = (k + dead).min(rows);
-        if want == 0 {
-            return;
+    ) -> Hits {
+        let mut merged: Hits = Vec::new();
+        for src in sources {
+            let hits = approx_knn(
+                src.coarse,
+                src.dataset,
+                &self.measure,
+                query,
+                src.want,
+                src.budget,
+                scratch,
+                stats,
+            );
+            self.extend_live(&mut merged, src.base, src.dead, hits);
         }
-        let total = self.total_rows().max(1);
-        let share = ((budget as u128 * rows as u128).div_ceil(total as u128)) as usize;
-        let source_budget = share.max(want).min(rows);
-        let mut candidates = Vec::new();
-        coarse.coarse_candidates(query, source_budget, stats, &mut candidates);
-        let mut hits = Vec::new();
-        rerank_exact(
-            dataset,
-            &self.measure,
-            query,
-            want,
-            &candidates,
-            scratch,
-            stats,
-            &mut hits,
-        );
-        merged.extend(
-            hits.into_iter()
-                .map(|n| (base + n.id as u64, n.distance))
-                .filter(|(g, _)| !self.tombstones.contains(g)),
-        );
+        sort_hits(&mut merged);
+        merged.truncate(k);
+        merged
     }
 
-    fn rank(&self, hits: Vec<(u64, f32)>) -> Result<Vec<Ranked>> {
+    fn rank(&self, hits: Hits) -> Result<Vec<Ranked>> {
         hits.into_iter()
             .map(|(id, distance)| {
                 let meta = self.meta(id)?;
@@ -648,137 +724,108 @@ impl CorpusSnapshot {
         Ok(())
     }
 
-    /// Split queries `0..n` into contiguous chunks, one per scoped worker
-    /// thread (up to `threads`), run `per_chunk` on each, and reassemble
-    /// results and per-query stats in input order — the same execution
-    /// contract as the index layer's `knn_batch_parallel`, so results and
-    /// aggregate stats are identical at every thread count. The call is
-    /// flushed to the obs registry as one `op` over `n` queries.
+    /// One batched call, start to finish: fan `search` over contiguous
+    /// chunks of queries `0..n` on up to `threads` workers with the index
+    /// layer's [`run_parallel`], so results and per-query stats come back
+    /// in input order, identical at every thread count. Each worker
+    /// applies `skip_self` to its chunk's hits and ranks them. The call is
+    /// flushed to the obs registry through `obs` as one `op` with `search`
+    /// and `rank` stages.
+    #[allow(clippy::too_many_arguments)] // one batched call, threaded explicitly
     fn run_batch<F>(
         &self,
+        obs: ObsCapture,
         op: cbir_obs::QueryOp,
         n: usize,
         threads: usize,
         stats: &mut BatchStats,
-        per_chunk: F,
+        search: F,
+        skip_self: SkipSelf<'_>,
     ) -> Result<Vec<Vec<Ranked>>>
     where
-        F: Fn(Range<usize>, &mut BatchStats) -> Result<Vec<Vec<Ranked>>> + Sync,
+        F: Fn(Range<usize>, &mut BatchStats) -> Vec<Hits> + Sync,
     {
-        let start = cbir_obs::enabled().then(Instant::now);
         let before = stats.total().clone();
-        let threads = threads.max(1).min(n.max(1));
-        let out = if threads == 1 {
-            per_chunk(0..n, stats)?
-        } else {
-            let chunk = n.div_ceil(threads);
-            type ChunkResult = std::result::Result<(Vec<Vec<Ranked>>, BatchStats), CoreError>;
-            let chunks: Vec<ChunkResult> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .step_by(chunk)
-                    .map(|lo| {
-                        let per_chunk = &per_chunk;
-                        scope.spawn(move || -> ChunkResult {
-                            let mut bs = BatchStats::new();
-                            let out = per_chunk(lo..(lo + chunk).min(n), &mut bs)?;
-                            Ok((out, bs))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("snapshot batch worker panicked"))
-                    .collect()
-            });
-            let mut out = Vec::with_capacity(n);
-            for c in chunks {
-                let (part, bs) = c?;
-                out.extend(part);
-                stats.merge(&bs);
-            }
-            out
-        };
-        if let Some(start) = start {
-            let total = stats.total();
-            let counters = cbir_obs::QueryCounters {
-                distance_evaluations: total.distance_computations - before.distance_computations,
-                nodes_visited: total.nodes_visited - before.nodes_visited,
-                subtrees_pruned: total.subtrees_pruned - before.subtrees_pruned,
-                postfilter_candidates: total.postfilter_candidates - before.postfilter_candidates,
-                coarse_candidates: total.coarse_candidates - before.coarse_candidates,
-                rerank_evaluations: total.rerank_evaluations - before.rerank_evaluations,
+        obs.stage("search");
+        let per_chunk = |chunk: Range<usize>, bs: &mut BatchStats| {
+            let hits = search(chunk.clone(), bs);
+            obs.stage("rank");
+            let rank = |(i, mut hits): (usize, Hits)| {
+                if let Some((ids, k)) = skip_self {
+                    hits.retain(|&(g, _)| g != ids[i]);
+                    hits.truncate(k);
+                }
+                self.rank(hits)
             };
-            cbir_obs::record_query(
-                self.kind.name(),
-                op,
-                n as u64,
-                start.elapsed().as_micros() as u64,
-                &counters,
-                out.iter().map(|r| r.len() as u64).sum(),
-            );
-        }
-        Ok(out)
+            chunk.zip(hits).map(rank).collect()
+        };
+        let ranked: Vec<Result<Vec<Ranked>>> = run_parallel(n, threads, stats, per_chunk);
+        let ranked: Vec<Vec<Ranked>> = ranked.into_iter().collect::<Result<_>>()?;
+        let results = ranked.iter().map(|r| r.len() as u64).sum();
+        obs.finish(&self.kind, op, n as u64, &before, stats.total(), results);
+        Ok(ranked)
     }
 
     /// The batched exact path behind the three public entry points:
     /// resolve the sources once, search each worker's chunk with
-    /// [`CorpusSnapshot::exact_chunk`], let `trim` post-filter query
-    /// `i`'s merged hits, and rank.
-    fn exact_batch<T>(
+    /// [`CorpusSnapshot::exact_chunk`], and rank.
+    fn exact_batch(
         &self,
+        obs: ObsCapture,
         queries: &[Vec<f32>],
         op: Exact,
         threads: usize,
         stats: &mut BatchStats,
-        trim: T,
-    ) -> Result<Vec<Vec<Ranked>>>
-    where
-        T: Fn(usize, &mut Vec<(u64, f32)>) + Sync,
-    {
+        skip_self: SkipSelf<'_>,
+    ) -> Result<Vec<Vec<Ranked>>> {
+        self.check_dims(queries)?;
         let sources = self.sources()?;
         let obs_op = match op {
             Exact::Knn(_) => cbir_obs::QueryOp::Knn,
             Exact::Range(_) => cbir_obs::QueryOp::Range,
         };
-        self.run_batch(obs_op, queries.len(), threads, stats, |range, bs| {
-            let merged = self.exact_chunk(&sources, &queries[range.clone()], op, bs);
-            range
-                .zip(merged)
-                .map(|(i, mut hits)| {
-                    trim(i, &mut hits);
-                    self.rank(hits)
-                })
-                .collect()
-        })
+        let search = |chunk: Range<usize>, bs: &mut BatchStats| {
+            self.exact_chunk(&sources, &queries[chunk], op, bs)
+        };
+        self.run_batch(
+            obs,
+            obs_op,
+            queries.len(),
+            threads,
+            stats,
+            search,
+            skip_self,
+        )
     }
 
     /// The approximate counterpart of [`CorpusSnapshot::exact_batch`]:
     /// the two-stage search is per query (each query's coarse candidates
-    /// differ), so a worker loops its chunk.
-    fn approx_batch<T>(
+    /// differ), so a worker loops its chunk over one reused scratch.
+    fn approx_batch(
         &self,
         queries: &[Vec<f32>],
         k: usize,
         budget: usize,
         threads: usize,
         stats: &mut BatchStats,
-        trim: T,
-    ) -> Result<Vec<Vec<Ranked>>>
-    where
-        T: Fn(usize, &mut Vec<(u64, f32)>) + Sync,
-    {
+        skip_self: SkipSelf<'_>,
+    ) -> Result<Vec<Vec<Ranked>>> {
+        self.check_dims(queries)?;
+        let sources = self.approx_sources(k, budget)?;
+        let search = |chunk: Range<usize>, bs: &mut BatchStats| {
+            let mut scratch = ApproxScratch::new();
+            let mut per_query = SearchStats::new();
+            let one = |query: &Vec<f32>| {
+                per_query.reset();
+                let hits = self.knn_one_approx(&sources, query, k, &mut scratch, &mut per_query);
+                bs.record(&per_query);
+                hits
+            };
+            queries[chunk].iter().map(one).collect()
+        };
+        let obs = ObsCapture::begin();
         let op = cbir_obs::QueryOp::Knn;
-        self.run_batch(op, queries.len(), threads, stats, |range, bs| {
-            range
-                .map(|i| {
-                    let mut s = SearchStats::new();
-                    let mut hits = self.knn_one_approx(&queries[i], k, budget, &mut s)?;
-                    bs.record(&s);
-                    trim(i, &mut hits);
-                    self.rank(hits)
-                })
-                .collect()
-        })
+        self.run_batch(obs, op, queries.len(), threads, stats, search, skip_self)
     }
 
     fn descriptors(&self, ids: &[u64]) -> Result<Vec<Vec<f32>>> {
@@ -795,8 +842,8 @@ impl CorpusSnapshot {
         threads: usize,
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
-        self.check_dims(queries)?;
-        self.exact_batch(queries, Exact::Knn(k), threads, stats, |_, _| {})
+        let obs = ObsCapture::begin();
+        self.exact_batch(obs, queries, Exact::Knn(k), threads, stats, None)
     }
 
     /// Batched range search over raw descriptors (results sorted by
@@ -808,8 +855,8 @@ impl CorpusSnapshot {
         threads: usize,
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
-        self.check_dims(queries)?;
-        self.exact_batch(queries, Exact::Range(radius), threads, stats, |_, _| {})
+        let obs = ObsCapture::begin();
+        self.exact_batch(obs, queries, Exact::Range(radius), threads, stats, None)
     }
 
     /// Batched k-NN by global id, excluding each query row from its own
@@ -822,8 +869,9 @@ impl CorpusSnapshot {
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
         let queries = self.descriptors(ids)?;
+        let obs = ObsCapture::begin();
         let op = Exact::Knn(k.saturating_add(1));
-        self.exact_batch(&queries, op, threads, stats, without_self(ids, k))
+        self.exact_batch(obs, &queries, op, threads, stats, Some((ids, k)))
     }
 
     /// Batched two-stage approximate k-NN over raw descriptors; the
@@ -844,8 +892,7 @@ impl CorpusSnapshot {
         let Some(budget) = plan_candidate_budget(self.total_rows(), k, recall_target) else {
             return self.knn_batch(queries, k, threads, stats);
         };
-        self.check_dims(queries)?;
-        self.approx_batch(queries, k, budget, threads, stats, |_, _| {})
+        self.approx_batch(queries, k, budget, threads, stats, None)
     }
 
     /// Batched two-stage approximate k-NN by global id, excluding each
@@ -865,21 +912,33 @@ impl CorpusSnapshot {
         };
         let queries = self.descriptors(ids)?;
         let k1 = k.saturating_add(1);
-        self.approx_batch(&queries, k1, budget, threads, stats, without_self(ids, k))
+        self.approx_batch(&queries, k1, budget, threads, stats, Some((ids, k)))
     }
 
-    /// k-NN for one external example image: a batch of one.
+    /// One external example image through the exact path: a batch of one
+    /// whose trace opens with the `extract` stage.
+    pub(crate) fn by_example(
+        &self,
+        img: &RgbImage,
+        op: Exact,
+        stats: &mut SearchStats,
+    ) -> Result<Vec<Ranked>> {
+        let obs = ObsCapture::begin();
+        obs.stage("extract");
+        let desc = self.extract(img)?;
+        batch_of_one(stats, |batch| {
+            self.exact_batch(obs, &[desc], op, 1, batch, None)
+        })
+    }
+
+    /// The `k` nearest rows to one external example image.
     pub fn query_by_example(
         &self,
         img: &RgbImage,
         k: usize,
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
-        let desc = self.extract(img)?;
-        let mut batch = BatchStats::new();
-        let mut out = self.knn_batch(&[desc], k, 1, &mut batch)?;
-        stats.merge(batch.total());
-        Ok(out.pop().expect("one query in, one result list out"))
+        self.by_example(img, Exact::Knn(k), stats)
     }
 
     /// Every live row in global id order: the flat descriptor matrix and
@@ -1251,15 +1310,7 @@ impl CorpusStore {
         label: Option<u32>,
         img: &RgbImage,
     ) -> Result<u64> {
-        let (balanced, pipeline) = {
-            let state = self.state.lock().expect("store lock poisoned");
-            (state.balanced, state.pipeline.clone())
-        };
-        let desc = if balanced {
-            pipeline.extract_balanced(img)?
-        } else {
-            pipeline.extract(img)?
-        };
+        let desc = self.snapshot().extract(img)?;
         self.insert(
             ImageMeta {
                 name: name.into(),
@@ -1443,7 +1494,8 @@ impl CorpusStore {
 }
 
 /// What a server is serving: a static RAM-resident engine (the classic
-/// offline-built database) or a live mutable store.
+/// offline-built database) or a live mutable store. Both are read
+/// through a [`CorpusSnapshot`]; they differ in whether it ever changes.
 #[derive(Clone)]
 pub enum ServedCorpus {
     /// Offline-built immutable engine.
@@ -1453,12 +1505,14 @@ pub enum ServedCorpus {
 }
 
 impl ServedCorpus {
-    /// Pin a consistent read view: the engine itself (already immutable)
-    /// or the store's current snapshot.
-    pub fn pin(&self) -> PinnedView {
+    /// Pin a consistent read view: the engine's one snapshot (epoch 0
+    /// forever) or the store's current one. Every query in a batch group
+    /// runs against exactly one pinned view, so a group can never
+    /// straddle an epoch boundary.
+    pub fn pin(&self) -> Arc<CorpusSnapshot> {
         match self {
-            ServedCorpus::Static(e) => PinnedView::Static(Arc::clone(e)),
-            ServedCorpus::Live(s) => PinnedView::Snapshot(s.snapshot()),
+            ServedCorpus::Static(e) => Arc::clone(e.snapshot()),
+            ServedCorpus::Live(s) => s.snapshot(),
         }
     }
 
@@ -1471,155 +1525,12 @@ impl ServedCorpus {
     }
 }
 
-/// One pinned, immutable read view over a [`ServedCorpus`] — every query
-/// in a batch group runs against exactly one of these, so a group can
-/// never straddle an epoch boundary.
-pub enum PinnedView {
-    /// A static engine (epoch 0 forever).
-    Static(Arc<crate::QueryEngine>),
-    /// A pinned store snapshot.
-    Snapshot(Arc<CorpusSnapshot>),
-}
-
-impl PinnedView {
-    /// Live rows visible to queries.
-    pub fn len(&self) -> usize {
-        match self {
-            PinnedView::Static(e) => e.database().len(),
-            PinnedView::Snapshot(s) => s.len(),
-        }
-    }
-
-    /// Whether no rows are visible.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Descriptor dimensionality.
-    pub fn dim(&self) -> usize {
-        match self {
-            PinnedView::Static(e) => e.database().dim(),
-            PinnedView::Snapshot(s) => s.dim(),
-        }
-    }
-
-    /// Epoch of the pinned view (static engines are always epoch 0).
-    pub fn epoch(&self) -> u64 {
-        match self {
-            PinnedView::Static(_) => 0,
-            PinnedView::Snapshot(s) => s.epoch(),
-        }
-    }
-
-    /// Whether `id` addresses a live row in this view.
-    pub fn contains(&self, id: u64) -> bool {
-        match self {
-            PinnedView::Static(e) => (id as usize) < e.database().len(),
-            PinnedView::Snapshot(s) => s.contains(id),
-        }
-    }
-
-    /// The descriptor of row `id`, copied out of the view (the
-    /// `get-descriptor` RPC: a router fetches a query row from the shard
-    /// that owns it before fanning a knn-by-id out to every shard).
-    pub fn descriptor(&self, id: u64) -> Result<Vec<f32>> {
-        match self {
-            PinnedView::Static(e) => e.database().descriptor(id as usize).map(<[f32]>::to_vec),
-            PinnedView::Snapshot(s) => s.descriptor(id),
-        }
-    }
-
-    /// Batched k-NN (see [`CorpusSnapshot::knn_batch`]).
-    pub fn knn_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        match self {
-            PinnedView::Static(e) => e.knn_batch(queries, k, threads, stats),
-            PinnedView::Snapshot(s) => s.knn_batch(queries, k, threads, stats),
-        }
-    }
-
-    /// Batched range search (see [`CorpusSnapshot::range_batch`]).
-    pub fn range_batch(
-        &self,
-        queries: &[Vec<f32>],
-        radius: f32,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        match self {
-            PinnedView::Static(e) => e.range_batch(queries, radius, threads, stats),
-            PinnedView::Snapshot(s) => s.range_batch(queries, radius, threads, stats),
-        }
-    }
-
-    /// Batched k-NN by id (see [`CorpusSnapshot::knn_batch_by_ids`]).
-    pub fn knn_batch_by_ids(
-        &self,
-        ids: &[u64],
-        k: usize,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        match self {
-            PinnedView::Static(e) => {
-                let ids: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-                e.knn_batch_by_ids(&ids, k, threads, stats)
-            }
-            PinnedView::Snapshot(s) => s.knn_batch_by_ids(ids, k, threads, stats),
-        }
-    }
-
-    /// Batched two-stage approximate k-NN (see
-    /// [`CorpusSnapshot::knn_batch_approx`]). `recall_target = 1.0`
-    /// routes to the exact batched path, bit-identically.
-    pub fn knn_batch_approx(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        recall_target: f32,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        match self {
-            PinnedView::Static(e) => e.knn_batch_approx(queries, k, recall_target, threads, stats),
-            PinnedView::Snapshot(s) => {
-                s.knn_batch_approx(queries, k, recall_target, threads, stats)
-            }
-        }
-    }
-
-    /// Batched two-stage approximate k-NN by id (see
-    /// [`CorpusSnapshot::knn_batch_by_ids_approx`]).
-    pub fn knn_batch_by_ids_approx(
-        &self,
-        ids: &[u64],
-        k: usize,
-        recall_target: f32,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        match self {
-            PinnedView::Static(e) => {
-                let ids: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-                e.knn_batch_by_ids_approx(&ids, k, recall_target, threads, stats)
-            }
-            PinnedView::Snapshot(s) => {
-                s.knn_batch_by_ids_approx(ids, k, recall_target, threads, stats)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::QueryEngine;
     use cbir_features::{FeatureSpec, Quantizer};
+    use cbir_index::approx_knn_batch;
 
     struct XorShift(u64);
 
@@ -1736,10 +1647,12 @@ mod tests {
         }
     }
 
-    /// The batched read path against its oracle, over the whole grid of
-    /// query surface x index kind x batch size x thread count, on a
-    /// snapshot holding every kind of source (two segments, a frozen
-    /// memtable chunk, the tail), each with a tombstone in it.
+    /// Multi-source against one-source, over the whole grid of query
+    /// surface x index kind x batch size x thread count: a snapshot
+    /// holding every kind of source (two segments, a frozen memtable
+    /// chunk, the tail), each with a tombstone in it, must answer exactly
+    /// like the single heap source an engine builds over its live rows.
+    /// (The one-source side is pinned to a naive scan below.)
     #[test]
     fn batched_paths_match_engine_over_every_source_kind_batch_size_and_thread_count() {
         let dim = pipeline().dim();
@@ -1849,6 +1762,179 @@ mod tests {
                 }
             }
             std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    fn synth_db(n: usize, seed: u64) -> ImageDatabase {
+        let mut db = ImageDatabase::new(pipeline());
+        for (meta, desc) in synth_items(n, db.dim(), seed) {
+            db.insert_descriptor(meta, desc).unwrap();
+        }
+        db
+    }
+
+    /// The oracle: every row through `Measure`, sorted by `(distance, id)`
+    /// with `total_cmp`.
+    fn naive_scan(db: &ImageDatabase, measure: &Measure, query: &[f32]) -> Vec<Ranked> {
+        let mut all: Vec<Ranked> = (0..db.len())
+            .map(|id| Ranked {
+                id,
+                name: db.meta(id).unwrap().name.clone(),
+                label: db.meta(id).unwrap().label,
+                distance: measure.distance(query, db.descriptor(id).unwrap()),
+            })
+            .collect();
+        all.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
+        all
+    }
+
+    /// The one-source path (what a static engine serves from) against a
+    /// scan written here, over query surface x index kind x batch size x
+    /// thread count.
+    #[test]
+    fn one_source_snapshot_matches_a_naive_scan_over_kind_batch_size_and_thread_count() {
+        let (k, radius, measure) = (12, 1.6, Measure::L1);
+        let db = synth_db(300, 51);
+        let queries = synth_queries(64, db.dim(), 52);
+        let by_id: Vec<u64> = [0u64, 7, 150, 299].into_iter().cycle().take(64).collect();
+        let scans: Vec<Vec<Ranked>> = queries
+            .iter()
+            .map(|q| naive_scan(&db, &measure, q))
+            .collect();
+        let want_knn: Vec<Vec<Ranked>> = scans.iter().map(|s| s[..k].to_vec()).collect();
+        let want_range: Vec<Vec<Ranked>> = scans
+            .iter()
+            .map(|s| s.iter().filter(|h| h.distance <= radius).cloned().collect())
+            .collect();
+        let want_ids: Vec<Vec<Ranked>> = by_id
+            .iter()
+            .map(|&id| {
+                let scan = naive_scan(&db, &measure, db.descriptor(id as usize).unwrap());
+                let others = scan.into_iter().filter(|h| h.id as u64 != id);
+                others.take(k).collect()
+            })
+            .collect();
+        assert!(want_range.iter().any(|r| r.len() > 1));
+        assert!(want_range.iter().any(|r| r.len() < db.len()));
+        for kind in [
+            IndexKind::Linear,
+            IndexKind::KdTree,
+            IndexKind::Antipole { diameter: None },
+        ] {
+            let snap = CorpusSnapshot::from_database(&db, kind.clone(), measure.clone()).unwrap();
+            assert_eq!(
+                (snap.epoch(), snap.len(), snap.tombstone_count()),
+                (0, 300, 0)
+            );
+            // One copy of rows and metadata: the source is the database's.
+            let source = &snap.mem_chunks[0];
+            assert!(std::ptr::eq(
+                source.data.dataset.flat(),
+                db.flat_descriptors()
+            ));
+            assert!(std::ptr::eq(source.metas.as_slice(), db.metas()));
+            for batch in [1, 5, 64] {
+                let mut at_one_thread = None;
+                for threads in [1, 2, 3] {
+                    let ctx = format!("{}, batch {batch}, threads {threads}", kind.name());
+                    let mut stats = [BatchStats::new(), BatchStats::new(), BatchStats::new()];
+                    let q = &queries[..batch];
+                    let knn = snap.knn_batch(q, k, threads, &mut stats[0]).unwrap();
+                    let range = snap.range_batch(q, radius, threads, &mut stats[1]);
+                    let ids = snap.knn_batch_by_ids(&by_id[..batch], k, threads, &mut stats[2]);
+                    assert_eq!(
+                        keys(&knn, true),
+                        keys(&want_knn[..batch], true),
+                        "knn: {ctx}"
+                    );
+                    assert_eq!(
+                        keys(&range.unwrap(), true),
+                        keys(&want_range[..batch], true),
+                        "range: {ctx}"
+                    );
+                    assert_eq!(
+                        keys(&ids.unwrap(), true),
+                        keys(&want_ids[..batch], true),
+                        "by ids: {ctx}"
+                    );
+                    assert_eq!(knn[0][0].label, want_knn[0][0].label);
+                    for s in &stats {
+                        assert_eq!(s.queries(), batch, "{ctx}");
+                    }
+                    // Per-query counters do not depend on the split.
+                    let first = at_one_thread.get_or_insert_with(|| stats.clone());
+                    assert_eq!(&stats, first, "stats: {ctx}");
+                }
+            }
+        }
+    }
+
+    /// The one-source approximate pair against the index layer's own
+    /// sequential two-stage batch over the same rows: same hits, same
+    /// coarse and rerank counters, at every thread count.
+    #[test]
+    fn one_source_approx_pair_matches_the_index_layer_two_stage_batch() {
+        let (k, measure) = (10, Measure::L2);
+        let db = synth_db(3000, 61);
+        let dataset = db.to_dataset().unwrap();
+        let coefficients = CoarseHaarIndex::default_coefficients(db.dim());
+        let coarse = CoarseHaarIndex::build(&dataset, coefficients).unwrap();
+        let snap = CorpusSnapshot::from_database(&db, IndexKind::Linear, measure.clone()).unwrap();
+        let queries = synth_queries(9, db.dim(), 62);
+        let by_id: Vec<u64> = (0..9).map(|i| i * 331).collect();
+        let id_queries = snap.descriptors(&by_id).unwrap();
+        let rank = |hits: Vec<Vec<Neighbor>>| -> Vec<Vec<Ranked>> {
+            let global = |n: &Neighbor| (n.id as u64, n.distance);
+            hits.iter()
+                .map(|h| snap.rank(h.iter().map(global).collect()).unwrap())
+                .collect()
+        };
+        for recall_target in [0.5, 0.9, 1.0] {
+            let mut want_stats = [BatchStats::new(), BatchStats::new()];
+            let (want, want_ids) = match plan_candidate_budget(db.len(), k, recall_target) {
+                // A target of 1.0 is the exact path.
+                None => (
+                    snap.knn_batch(&queries, k, 1, &mut want_stats[0]).unwrap(),
+                    snap.knn_batch_by_ids(&by_id, k, 1, &mut want_stats[1])
+                        .unwrap(),
+                ),
+                Some(budget) => {
+                    assert!(budget < db.len() / 10, "the coarse stage must prune");
+                    let [s0, s1] = &mut want_stats;
+                    let plain =
+                        approx_knn_batch(&coarse, &dataset, &measure, &queries, k, budget, s0);
+                    let mut with_self = approx_knn_batch(
+                        &coarse,
+                        &dataset,
+                        &measure,
+                        &id_queries,
+                        k + 1,
+                        budget,
+                        s1,
+                    );
+                    for (hits, &id) in with_self.iter_mut().zip(&by_id) {
+                        hits.retain(|n| n.id as u64 != id);
+                        hits.truncate(k);
+                    }
+                    (rank(plain), rank(with_self))
+                }
+            };
+            for threads in [1, 2, 3] {
+                let ctx = format!("recall {recall_target}, threads {threads}");
+                let mut stats = [BatchStats::new(), BatchStats::new()];
+                let got = snap
+                    .knn_batch_approx(&queries, k, recall_target, threads, &mut stats[0])
+                    .unwrap();
+                let got_ids = snap
+                    .knn_batch_by_ids_approx(&by_id, k, recall_target, threads, &mut stats[1])
+                    .unwrap();
+                assert_eq!(keys(&got, true), keys(&want, true), "knn: {ctx}");
+                assert_eq!(keys(&got_ids, true), keys(&want_ids, true), "by ids: {ctx}");
+                assert_eq!(stats, want_stats, "stats: {ctx}");
+                let total = stats[0].total();
+                assert_eq!(total.coarse_candidates > 0, recall_target < 1.0, "{ctx}");
+                assert_eq!(total.coarse_candidates, total.rerank_evaluations, "{ctx}");
+            }
         }
     }
 
@@ -2115,12 +2201,23 @@ mod tests {
         assert_eq!(view.epoch(), epoch);
         assert!(served.pin().epoch() > epoch);
         assert!(served.store().is_some());
-        // A static corpus pins the engine itself at epoch 0.
-        let engine = engine_over(&store.snapshot(), IndexKind::Linear, Measure::L1);
-        let served = ServedCorpus::Static(Arc::new(engine));
+        // A static corpus pins the engine's one snapshot, epoch 0 forever.
+        let engine = Arc::new(engine_over(
+            &store.snapshot(),
+            IndexKind::Linear,
+            Measure::L1,
+        ));
+        let served = ServedCorpus::Static(Arc::clone(&engine));
         let view = served.pin();
+        assert!(Arc::ptr_eq(&view, engine.snapshot()));
+        assert!(Arc::ptr_eq(&view, &served.pin()));
         assert_eq!(view.epoch(), 0);
         assert_eq!(view.len(), 15);
+        assert!(view.contains(14) && !view.contains(15));
+        assert_eq!(
+            view.descriptor(3).unwrap(),
+            engine.database().descriptor(3).unwrap()
+        );
         assert!(served.store().is_none());
         let mut s = BatchStats::new();
         let ids = [0u64, 5];

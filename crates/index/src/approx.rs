@@ -209,27 +209,6 @@ pub fn approx_knn_batch(
         .collect()
 }
 
-/// Fan an approximate k-NN batch across `threads` OS threads with the same
-/// chunk-spawn-join scaffolding as
-/// [`knn_batch_parallel`](crate::knn_batch_parallel): results and recorded
-/// per-query counters are identical to the sequential batch regardless of
-/// thread count.
-#[allow(clippy::too_many_arguments)] // the full two-stage context, threaded explicitly
-pub fn approx_knn_batch_parallel(
-    coarse: &dyn ApproxSearch,
-    dataset: &Dataset,
-    measure: &Measure,
-    queries: &[Vec<f32>],
-    k: usize,
-    budget: usize,
-    threads: usize,
-    stats: &mut BatchStats,
-) -> Vec<Vec<Neighbor>> {
-    crate::traits::run_parallel(queries, threads, stats, |chunk, chunk_stats| {
-        approx_knn_batch(coarse, dataset, measure, chunk, k, budget, chunk_stats)
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Truncated/quantized Haar signature table
 // ---------------------------------------------------------------------------

@@ -60,8 +60,8 @@ mod vptree;
 
 pub use antipole::AntipoleTree;
 pub use approx::{
-    approx_knn, approx_knn_batch, approx_knn_batch_parallel, haar_coarse_to_fine_for_tests,
-    rerank_exact, ApproxScratch, ApproxSearch, BestBinFirst, CoarseHaarIndex,
+    approx_knn, approx_knn_batch, haar_coarse_to_fine_for_tests, rerank_exact, ApproxScratch,
+    ApproxSearch, BestBinFirst, CoarseHaarIndex,
 };
 pub use dataset::Dataset;
 pub use error::{IndexError, Result};
@@ -76,6 +76,7 @@ pub use rstar::RStarTree;
 pub use scratch::QueryScratch;
 pub use stats::{percentile, sort_neighbors, BatchStats, Neighbor, SearchStats};
 pub use traits::{
-    knn_batch_parallel, knn_search_simple, range_batch_parallel, range_search_simple, SearchIndex,
+    knn_batch_parallel, knn_search_simple, range_batch_parallel, range_search_simple, run_parallel,
+    SearchIndex,
 };
 pub use vptree::VpTree;

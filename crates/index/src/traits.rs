@@ -2,6 +2,7 @@
 
 use crate::scratch::QueryScratch;
 use crate::stats::{BatchStats, Neighbor, SearchStats};
+use std::ops::Range;
 
 /// A similarity-search index over a fixed dataset of feature vectors.
 ///
@@ -175,8 +176,8 @@ pub fn knn_batch_parallel(
     threads: usize,
     stats: &mut BatchStats,
 ) -> Vec<Vec<Neighbor>> {
-    run_parallel(queries, threads, stats, |chunk, chunk_stats| {
-        index.knn_batch(chunk, k, chunk_stats)
+    run_parallel(queries.len(), threads, stats, |chunk, chunk_stats| {
+        index.knn_batch(&queries[chunk], k, chunk_stats)
     })
 }
 
@@ -190,35 +191,39 @@ pub fn range_batch_parallel(
     threads: usize,
     stats: &mut BatchStats,
 ) -> Vec<Vec<Neighbor>> {
-    run_parallel(queries, threads, stats, |chunk, chunk_stats| {
-        index.range_batch(chunk, radius, chunk_stats)
+    run_parallel(queries.len(), threads, stats, |chunk, chunk_stats| {
+        index.range_batch(&queries[chunk], radius, chunk_stats)
     })
 }
 
-/// Shared chunk-spawn-join scaffolding for the parallel batch entry points
-/// (also reused by the approximate batch path in [`crate::approx`]).
-pub(crate) fn run_parallel<F>(
-    queries: &[Vec<f32>],
+/// The chunk-spawn-join scaffolding behind every parallel batch entry
+/// point, here and in the layers above: split queries `0..n` into
+/// contiguous chunks, one per scoped worker thread (up to `threads`), run
+/// `search_chunk` on each with its own [`BatchStats`], and reassemble the
+/// per-query outputs and counters in query order.
+pub fn run_parallel<T, F>(
+    n: usize,
     threads: usize,
     stats: &mut BatchStats,
     search_chunk: F,
-) -> Vec<Vec<Neighbor>>
+) -> Vec<T>
 where
-    F: Fn(&[Vec<f32>], &mut BatchStats) -> Vec<Vec<Neighbor>> + Sync,
+    T: Send,
+    F: Fn(Range<usize>, &mut BatchStats) -> Vec<T> + Sync,
 {
-    let threads = threads.max(1).min(queries.len().max(1));
+    let threads = threads.max(1).min(n.max(1));
     if threads == 1 {
-        return search_chunk(queries, stats);
+        return search_chunk(0..n, stats);
     }
-    let chunk_len = queries.len().div_ceil(threads);
-    let parts: Vec<(Vec<Vec<Neighbor>>, BatchStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk_len)
-            .map(|chunk| {
+    let chunk_len = n.div_ceil(threads);
+    let parts: Vec<(Vec<T>, BatchStats)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk_len)
+            .map(|lo| {
                 let search_chunk = &search_chunk;
                 scope.spawn(move || {
                     let mut chunk_stats = BatchStats::new();
-                    let results = search_chunk(chunk, &mut chunk_stats);
+                    let results = search_chunk(lo..(lo + chunk_len).min(n), &mut chunk_stats);
                     (results, chunk_stats)
                 })
             })
@@ -228,7 +233,7 @@ where
             .map(|h| h.join().expect("batch search worker panicked"))
             .collect()
     });
-    let mut all = Vec::with_capacity(queries.len());
+    let mut all = Vec::with_capacity(n);
     for (results, chunk_stats) in parts {
         all.extend(results);
         stats.merge(&chunk_stats);

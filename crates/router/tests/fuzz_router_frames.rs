@@ -15,6 +15,7 @@ use cbir_router::{Router, RouterConfig};
 use cbir_server::{Client, SchedulerConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 const MAGIC: &[u8; 8] = b"CBIRRPC1";
@@ -126,7 +127,8 @@ fn malformed_frame_sweep_never_kills_the_router() {
         .into_iter()
         .map(|db| {
             let engine = QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap();
-            Server::spawn(engine, "127.0.0.1:0", SchedulerConfig::default()).unwrap()
+            let engine = Arc::new(engine);
+            Server::spawn_shared(engine, "127.0.0.1:0", SchedulerConfig::default()).unwrap()
         })
         .collect();
     let addrs: Vec<Vec<String>> = backends

@@ -13,6 +13,7 @@ use cbir_server::protocol::{encode_request, read_frame, write_frame, Hit, Reques
 use cbir_server::{ChaosProxy, Client, SchedulerConfig, Server, ServerHandle, WireMode};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A union corpus with deliberate exact-duplicate rows, so distance
@@ -37,8 +38,8 @@ fn union_db(n: usize) -> ImageDatabase {
 }
 
 fn spawn_backend(db: ImageDatabase) -> ServerHandle {
-    let engine = QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap();
-    Server::spawn(engine, "127.0.0.1:0", SchedulerConfig::default()).unwrap()
+    let engine = Arc::new(QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap());
+    Server::spawn_shared(engine, "127.0.0.1:0", SchedulerConfig::default()).unwrap()
 }
 
 /// Send one encoded request frame, return the raw reply payload bytes.

@@ -30,7 +30,8 @@
 //! let db = ImageDatabase::new(Pipeline::color_histogram_default());
 //! // ... insert images ...
 //! let engine = QueryEngine::build(db, IndexKind::VpTree, Measure::L1)?;
-//! let handle = Server::spawn(engine, "127.0.0.1:0", SchedulerConfig::default())?;
+//! let engine = std::sync::Arc::new(engine);
+//! let handle = Server::spawn_shared(engine, "127.0.0.1:0", SchedulerConfig::default())?;
 //!
 //! let mut client = Client::connect(handle.local_addr())?;
 //! let (db_len, dim) = client.ping()?;

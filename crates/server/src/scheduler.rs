@@ -636,7 +636,6 @@ mod tests {
     use cbir_core::{ImageDatabase, IndexKind, QueryEngine};
     use cbir_distance::Measure;
     use cbir_features::{FeatureSpec, Pipeline, Quantizer};
-    use cbir_index::SearchStats;
     use std::sync::mpsc::{sync_channel, Receiver};
 
     fn tiny_engine() -> Arc<QueryEngine> {
@@ -800,11 +799,7 @@ mod tests {
     #[test]
     fn approx_requests_group_by_recall_target_and_report_counters() {
         let s = sched(SchedulerConfig::default());
-        let engine = match s.corpus() {
-            ServedCorpus::Static(e) => Arc::clone(e),
-            ServedCorpus::Live(_) => unreachable!("test serves a static engine"),
-        };
-        let q = engine.database().descriptor(0).unwrap().to_vec();
+        let q = s.corpus().pin().descriptor(0).unwrap();
 
         // Same k, different recall targets: must land in different
         // groups, so each reply reports its own group's counters.
@@ -851,27 +846,40 @@ mod tests {
         assert_eq!(s.metrics.snapshot(0).batches, 1);
     }
 
+    /// The scheduler's grouping against a scan written here: every row
+    /// through the measure, sorted by `(distance, id)`.
     #[test]
-    fn batched_execution_is_bit_identical_to_direct_engine_calls() {
+    fn batched_execution_is_bit_identical_to_a_naive_scan() {
         let s = sched(SchedulerConfig {
             max_batch: 16,
             max_delay: Duration::from_micros(500),
             ..SchedulerConfig::default()
         });
-        let engine = match s.corpus() {
-            ServedCorpus::Static(e) => Arc::clone(e),
-            ServedCorpus::Live(_) => unreachable!("test serves a static engine"),
+        let view = s.corpus().pin();
+        let rows: Vec<Vec<f32>> = (0..view.len() as u64)
+            .map(|id| view.descriptor(id).unwrap())
+            .collect();
+        let scan = |query: &[f32]| -> Vec<Hit> {
+            let mut all: Vec<Hit> = (0..rows.len())
+                .map(|id| {
+                    let meta = view.meta(id as u64).unwrap();
+                    Hit {
+                        id: id as u64,
+                        name: meta.name,
+                        label: meta.label,
+                        distance: Measure::L1.distance(query, &rows[id]),
+                    }
+                })
+                .collect();
+            all.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
+            all
         };
-        let db_len = engine.database().len();
 
         // A mixed batch: knn at two different k, a range query, a by-id
         // query — grouped into four engine calls, all answered.
-        let descs: Vec<Vec<f32>> = (0..db_len)
-            .map(|i| engine.database().descriptor(i).unwrap().to_vec())
-            .collect();
         let mut pendings = Vec::new();
         let mut receivers = Vec::new();
-        for (i, d) in descs.iter().enumerate() {
+        for (i, d) in rows.iter().enumerate() {
             let work = match i % 4 {
                 0 => QueryWork::Knn {
                     descriptor: d.clone(),
@@ -904,24 +912,20 @@ mod tests {
                 Response::Hits { hits, .. } => hits,
                 other => panic!("expected hits, got {other:?}"),
             };
-            let want = match work {
+            let want: Vec<Hit> = match work {
                 QueryWork::Knn { descriptor, k, .. } => {
-                    let mut st = SearchStats::new();
-                    engine.query_by_descriptor(&descriptor, k, &mut st).unwrap()
+                    scan(&descriptor).into_iter().take(k).collect()
                 }
                 QueryWork::Range { descriptor, radius } => {
-                    let mut st = BatchStats::new();
-                    engine
-                        .range_batch(&[descriptor], radius, 1, &mut st)
-                        .unwrap()
-                        .remove(0)
+                    let all = scan(&descriptor).into_iter();
+                    all.filter(|h| h.distance <= radius).collect()
                 }
                 QueryWork::KnnById { id, k, .. } => {
-                    let mut st = SearchStats::new();
-                    engine.query_by_id(id, k, &mut st).unwrap()
+                    let others = scan(&rows[id]).into_iter().filter(|h| h.id != id as u64);
+                    others.take(k).collect()
                 }
             };
-            let want = ranked_to_hits(want);
+            assert!(!want.is_empty());
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.id, w.id);

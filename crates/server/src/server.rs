@@ -3,16 +3,18 @@
 //! Two interchangeable connection engines sit behind one
 //! [`ServerHandle`]:
 //!
-//! * **Blocking** ([`Server::spawn`]): each connection gets a reader
-//!   thread (decode frames, admit work) and a writer thread (encode
-//!   replies in request order).
-//! * **Event-driven** ([`Server::spawn_event`]): a single epoll loop
-//!   thread owns every socket and reassembles frames incrementally; see
-//!   [`crate::event_loop`]. Linux/x86-64 only.
+//! * **Blocking** ([`Server::spawn_corpus`]): each connection gets a
+//!   reader thread (decode frames, admit work) and a writer thread
+//!   (encode replies in request order).
+//! * **Event-driven** ([`Server::spawn_event_corpus`]): a single epoll
+//!   loop thread owns every socket and reassembles frames incrementally;
+//!   see [`crate::event_loop`]. Linux/x86-64 only.
 //!
 //! Both engines speak the same wire protocol, share the same scheduler,
 //! and produce bit-identical query replies — the event engine is a
-//! capacity upgrade, not a behavior change.
+//! capacity upgrade, not a behavior change. Either serves a
+//! [`ServedCorpus`]: the scheduler reads a static and a live one alike,
+//! through one pinned snapshot per batch; static refuses mutation ops.
 //!
 //! In either engine the connection layer never blocks on execution:
 //! every request — including admission rejections and control ops —
@@ -110,7 +112,8 @@ impl Controller {
     }
 }
 
-/// Tuning knobs for the event-driven engine ([`Server::spawn_event`]).
+/// Tuning knobs for the event-driven engine
+/// ([`Server::spawn_event_corpus`]).
 #[derive(Clone, Debug)]
 pub struct EventLoopConfig {
     /// Hard cap on simultaneously open connections; new sockets beyond
@@ -228,19 +231,10 @@ impl ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
-    /// `engine` until shutdown. Mutation ops are refused (the engine is
-    /// immutable); serve a live store via [`Server::spawn_corpus`].
-    pub fn spawn(
-        engine: QueryEngine,
-        addr: impl ToSocketAddrs,
-        config: SchedulerConfig,
-    ) -> std::io::Result<ServerHandle> {
-        Self::spawn_shared(Arc::new(engine), addr, config)
-    }
-
-    /// [`Server::spawn`] over an engine the caller keeps a handle to
-    /// (tests compare server responses against direct engine calls).
+    /// [`Server::spawn_corpus`] over a static engine, which the caller
+    /// may keep a handle to (tests compare server responses against
+    /// direct engine calls). Mutation ops are refused: the engine is
+    /// immutable.
     pub fn spawn_shared(
         engine: Arc<QueryEngine>,
         addr: impl ToSocketAddrs,
@@ -249,9 +243,10 @@ impl Server {
         Self::spawn_corpus(ServedCorpus::Static(engine), addr, config)
     }
 
-    /// Serve a [`ServedCorpus`]: a static engine, or a live store whose
-    /// `Insert`/`Delete`/`Compact` ops are answered inline on the
-    /// connection thread (queries keep flowing through the scheduler
+    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
+    /// a [`ServedCorpus`] until shutdown: a static engine, or a live
+    /// store whose `Insert`/`Delete`/`Compact` ops are answered inline on
+    /// the connection thread (queries keep flowing through the scheduler
     /// against pinned snapshots).
     pub fn spawn_corpus(
         corpus: ServedCorpus,
@@ -333,30 +328,9 @@ impl Server {
         })
     }
 
-    /// [`Server::spawn`], but on the event-driven epoll engine: one loop
+    /// [`Server::spawn_corpus`] on the event-driven epoll engine: one loop
     /// thread owns every socket instead of two threads per connection.
     /// Linux/x86-64 only; other targets get `ErrorKind::Unsupported`.
-    pub fn spawn_event(
-        engine: QueryEngine,
-        addr: impl ToSocketAddrs,
-        config: SchedulerConfig,
-        event_config: EventLoopConfig,
-    ) -> std::io::Result<ServerHandle> {
-        Self::spawn_event_shared(Arc::new(engine), addr, config, event_config)
-    }
-
-    /// [`Server::spawn_event`] over an engine the caller keeps a handle
-    /// to (tests compare server responses against direct engine calls).
-    pub fn spawn_event_shared(
-        engine: Arc<QueryEngine>,
-        addr: impl ToSocketAddrs,
-        config: SchedulerConfig,
-        event_config: EventLoopConfig,
-    ) -> std::io::Result<ServerHandle> {
-        Self::spawn_event_corpus(ServedCorpus::Static(engine), addr, config, event_config)
-    }
-
-    /// [`Server::spawn_corpus`] on the event-driven epoll engine.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     pub fn spawn_event_corpus(
         corpus: ServedCorpus,

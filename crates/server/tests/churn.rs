@@ -13,13 +13,14 @@
 
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
-use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine};
+use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine, ServedCorpus};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_server::protocol::{encode_request, write_frame, Request};
 use cbir_server::{Client, EventLoopConfig, SchedulerConfig, Server};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn fd_count() -> usize {
@@ -62,8 +63,8 @@ fn connection_churn_leaks_no_fds_and_strands_no_work() {
         .unwrap();
     }
     let engine = QueryEngine::build(db, IndexKind::VpTree, Measure::L1).unwrap();
-    let handle = Server::spawn_event(
-        engine,
+    let handle = Server::spawn_event_corpus(
+        ServedCorpus::Static(Arc::new(engine)),
         "127.0.0.1:0",
         SchedulerConfig {
             // Tight idle reap so aborted half-frames are collected

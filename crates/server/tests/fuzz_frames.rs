@@ -8,12 +8,13 @@
 //! fully reclaimed), and keeps serving well-formed traffic on other
 //! connections throughout.
 
-use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine};
+use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine, ServedCorpus};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_server::{Client, SchedulerConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 const MAGIC: &[u8; 8] = b"CBIRRPC1";
@@ -42,7 +43,8 @@ fn build_engine(n: usize) -> QueryEngine {
 }
 
 fn spawn_server(n: usize) -> ServerHandle {
-    Server::spawn(build_engine(n), "127.0.0.1:0", SchedulerConfig::default()).unwrap()
+    let engine = Arc::new(build_engine(n));
+    Server::spawn_shared(engine, "127.0.0.1:0", SchedulerConfig::default()).unwrap()
 }
 
 /// xorshift64* — tiny, seeded, good enough to sweep attack shapes
@@ -225,8 +227,8 @@ fn malformed_frame_sweep_never_kills_the_server() {
 #[test]
 fn malformed_frame_sweep_never_kills_the_event_loop_server() {
     use cbir_server::EventLoopConfig;
-    let handle = Server::spawn_event(
-        build_engine(32),
+    let handle = Server::spawn_event_corpus(
+        ServedCorpus::Static(Arc::new(build_engine(32))),
         "127.0.0.1:0",
         SchedulerConfig::default(),
         EventLoopConfig::default(),

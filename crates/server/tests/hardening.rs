@@ -2,7 +2,7 @@
 //! isolation, idle-connection reaping, torn-client cleanup, transparent
 //! client reconnect with backoff, and deadline-bounded retries.
 
-use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine, Ranked};
+use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine, Ranked, ServedCorpus};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_index::BatchStats;
@@ -492,8 +492,8 @@ fn chaos_faults_classify_identically_across_connection_engines() {
 
     let engine = engine(32, IndexKind::VpTree);
     let blocking = spawn(&engine, SchedulerConfig::default());
-    let event = Server::spawn_event_shared(
-        Arc::clone(&engine),
+    let event = Server::spawn_event_corpus(
+        ServedCorpus::Static(Arc::clone(&engine)),
         "127.0.0.1:0",
         SchedulerConfig::default(),
         EventLoopConfig::default(),

@@ -351,4 +351,7 @@ wait "$PART_ROUTER_PID"
 "$CBIR" rpc-ctl "$(cat "$SMOKE_DIR/addr-part-s0")" shutdown >/dev/null
 wait "$PART_PID"
 
+echo "==> non-test Rust lines per crate (scripts/loc.sh; diff against the parent commit)"
+scripts/loc.sh
+
 echo "verify: all checks passed"

@@ -700,7 +700,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
     let open_start = std::time::Instant::now();
     let serve_live = Path::new(db_path).is_dir() || args.has("mmap");
-    let (corpus, n, mode) = if serve_live {
+    let (corpus, mode) = if serve_live {
         let store = open_serving_store(Path::new(db_path), StoreOptions::new(kind, measure))?;
         let snap = store.snapshot();
         let mode = format!(
@@ -709,14 +709,15 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             snap.memtable_rows(),
             snap.epoch()
         );
-        (ServedCorpus::Live(store), snap.len(), mode)
+        (ServedCorpus::Live(store), mode)
     } else {
         let db = persist::load_file(db_path)?;
-        let n = db.len();
         let mode = format!("{} index, static", kind.name());
         let engine = QueryEngine::build(db, kind, measure)?;
-        (ServedCorpus::Static(Arc::new(engine)), n, mode)
+        (ServedCorpus::Static(Arc::new(engine)), mode)
     };
+    // Static or live, the server reads the corpus through one pinned view.
+    let n = corpus.pin().len();
     let (handle, engine_name) = if args.has("event-loop") {
         let event_defaults = EventLoopConfig::default();
         let event_config = EventLoopConfig {

@@ -67,8 +67,7 @@ pub use cbir_workload as workload;
 pub use cbir_core::{
     build_index, evaluate_engine, merge_shards, split_database, BatchItem, CompactionStats,
     CoreError, CorpusSnapshot, CorpusStore, EvalReport, ImageDatabase, ImageMeta, IndexKind,
-    PinnedView, QueryEngine, Ranked, RocchioParams, ServedCorpus, ShardPlan, ShardScheme,
-    StoreOptions,
+    QueryEngine, Ranked, RocchioParams, ServedCorpus, ShardPlan, ShardScheme, StoreOptions,
 };
 pub use cbir_distance::{DistanceKernel, Measure};
 pub use cbir_features::{FeatureSpec, Pipeline, Quantizer};
