@@ -1,9 +1,8 @@
 //! **F14 — two-stage coarse-to-fine approximate search: recall vs. speedup.**
 //!
-//! Sweeps the three coarse backends behind the `ApproxSearch` trait —
-//! the truncated/quantized Haar signature table, the bounded-leaf
-//! best-bin-first kd variant, and E2LSH (folding the old F7-extension
-//! recall evaluation into this experiment) — over recall targets at
+//! Sweeps the two coarse backends behind the `ApproxSearch` trait —
+//! the truncated/quantized Haar signature table and the bounded-leaf
+//! best-bin-first kd variant — over recall targets at
 //! dim ∈ {16, 64, 256}, against the best exact index from the lineup.
 //! Every approximate configuration runs the same two-stage pipeline the
 //! serving path uses: coarse candidates under the planner's budget for
@@ -23,7 +22,7 @@ use cbir_distance::Measure;
 use cbir_index::Dataset;
 use cbir_index::{
     approx_knn_batch, knn_search_simple, ApproxSearch, BatchStats, BestBinFirst, CoarseHaarIndex,
-    KdTree, LinearScan, LshIndex, SearchIndex, VpTree,
+    KdTree, LinearScan, SearchIndex, VpTree,
 };
 use std::time::Instant;
 
@@ -91,9 +90,8 @@ fn main() {
         let vecs =
             cbir_workload::clustered_smooth(n, dim, clusters, 10.0, 100.0, 8, 61 + dim as u64);
         let dataset = Dataset::from_vectors(&vecs).expect("valid workload");
-        // Query-by-example workload: perturbed database members, as the
-        // folded LSH experiment used (uniform random points have no
-        // meaningful neighbours for a bucketed coarse stage).
+        // Query-by-example workload: perturbed database members (uniform
+        // random points have no meaningful neighbours to recall).
         let members: Vec<Vec<f32>> = (0..dataset.len())
             .map(|i| dataset.vector(i).to_vec())
             .collect();
@@ -146,19 +144,12 @@ fn main() {
             }
         }
 
-        // The coarse backends, built once per dimension. The LSH
-        // configuration scales the bucket width with sqrt(dim) — the
-        // unnormalized Gaussian projections spread hash values by the
-        // within-group L2 diameter, which grows with sqrt(dim) — and uses
-        // a short 4-hash concatenation so the per-table collision
-        // probability for true neighbours survives the AND construction.
+        // The coarse backends, built once per dimension.
         let haar = CoarseHaarIndex::build(&dataset, CoarseHaarIndex::default_coefficients(dim))
             .expect("haar");
         let bbf = BestBinFirst::build(&dataset).expect("bbf");
-        let lsh_width = 40.0 * (dim as f32).sqrt();
-        let lsh = LshIndex::build(dataset.clone(), 16, 4, lsh_width, 7).expect("lsh");
         let methods: Vec<(&'static str, &dyn ApproxSearch)> =
-            vec![("coarse-haar", &haar), ("bbf", &bbf), ("lsh", &lsh)];
+            vec![("coarse-haar", &haar), ("bbf", &bbf)];
 
         println!(
             "dim {dim}: exact baseline {} at {:.1} us/query ({})",

@@ -4,12 +4,12 @@
 //!
 //! 1. **Cold-open is ~independent of corpus size.** Opening a segment
 //!    directory maps descriptors lazily and defers payload checksums, so
-//!    it touches O(segments) bytes of header. Deserializing the same
-//!    corpus from the classic single-file format parses and checksums
-//!    every byte. The gate: mmap open must be ≥100× faster than the full
-//!    deserialization (full mode only; quick-mode sizes make the ratio
-//!    meaningless). Open times at ¼ and full corpus size are reported
-//!    alongside to show the flat profile.
+//!    it touches O(segments) bytes of header. `load_file` of the same
+//!    corpus saved as one file (one segment, the same container)
+//!    checksums and decodes every byte. The gate: mmap open must be
+//!    ≥100× faster than the full deserialization (full mode only;
+//!    quick-mode sizes make the ratio meaningless). Open times at ¼ and
+//!    full corpus size are reported alongside to show the flat profile.
 //! 2. **Bit-identical search across {RAM, mmap, mid-compaction}.** The
 //!    same k-NN batch is answered by the RAM-resident engine, by the
 //!    mmap-backed snapshot, by a snapshot pinned before churn (queried

@@ -117,7 +117,8 @@ impl Mmap {
         })
     }
 
-    /// Wrap an owned byte buffer (used by tests and the non-mmap path).
+    /// Wrap an owned byte buffer: what [`Mmap::open`] falls back to, on
+    /// demand (tests drive the fallback through it).
     pub fn from_bytes(bytes: Vec<u8>) -> Mmap {
         Mmap {
             inner: Inner::Heap(bytes),

@@ -1,52 +1,20 @@
-//! Binary persistence for signature databases.
+//! Binary persistence for signature databases: one container.
 //!
-//! A hand-rolled length-prefixed little-endian format (no serde): the
-//! pipeline configuration is stored alongside the descriptor matrix so a
-//! loaded database extracts query descriptors exactly as the saved one
-//! did.
-//!
-//! ## Format v2 (`CBIRDB02`) — sectioned and checksummed
-//!
-//! ```text
-//! [ 8] magic "CBIRDB02"
-//! [ 4] u32 section count
-//! per section (table of contents):
-//!   [ 1] u8  section id      (1 = config, 2 = descriptors, 3 = metas)
-//!   [ 8] u64 payload length
-//!   [ 4] u32 CRC32C of payload
-//! [ 4] u32 CRC32C of every header byte above
-//! then the section payloads, concatenated in table order
-//! ```
-//!
-//! Every payload byte is covered by a per-section CRC32C and every
-//! header byte by the trailing header CRC32C, so any single-bit flip —
-//! and any burst shorter than 32 bits — anywhere in the file is
-//! detected and reported as a typed [`PersistError`] naming the file,
-//! the section, and the offset. Truncation is detected positionally
-//! (the table's lengths must tile the rest of the file exactly).
-//!
-//! Saving is **atomic**: the new image is written to a temp sibling,
-//! fsynced, renamed over the target, and the directory fsynced — an
-//! interrupted save (crash, `ENOSPC`, torn write) leaves the previous
-//! snapshot untouched. The primitive steps of that sequence are fault
-//! points consulted through [`crate::faults::FaultPolicy`], which the
-//! crash-consistency tests sweep exhaustively.
-//!
-//! Files written by the v1 format (`CBIRDB01`, unchecksummed, single
-//! stream) are still readable; [`fsck_slice`] validates either version
-//! section-by-section and reports the first corrupt offset.
-//!
-//! ## Format v3 (`CBIRDB03`) — aligned, mmap-friendly segments
-//!
-//! The out-of-core store ([`crate::store`]) persists a corpus as a
-//! *segment directory*: one `MANIFEST` file plus immutable
-//! `seg-NNNNNNNN.seg` files, all in the v3 container:
+//! A hand-rolled length-prefixed little-endian format (no serde).
+//! Everything this crate writes is a `CBIRDB03` image: a saved database
+//! ([`save_file`]) is a single segment, byte for byte what the
+//! out-of-core store ([`crate::store`]) writes as one
+//! `seg-NNNNNNNN.seg`, and the store's `MANIFEST` is the same container
+//! with a different section set. The pipeline configuration is stored
+//! alongside the descriptor matrix, so a loaded database extracts query
+//! descriptors exactly as the saved one did.
 //!
 //! ```text
 //! [ 8] magic "CBIRDB03"
 //! [ 4] u32 section count
 //! per section (table of contents, 24 bytes each):
-//!   [ 1] u8  section id
+//!   [ 1] u8  section id   (1 config, 2 descriptors, 3 metas,
+//!                          4 seghdr, 5 manifest)
 //!   [ 3] zero padding
 //!   [ 4] u32 CRC32C of payload
 //!   [ 8] u64 absolute payload offset
@@ -56,20 +24,46 @@
 //! (gaps zero-filled), in table order
 //! ```
 //!
-//! Unlike v2, payload offsets are explicit and 64-byte aligned, so the
-//! descriptor section — stored as *raw* little-endian `f32` rows with no
-//! interior framing — can be served zero-copy from a memory mapping
-//! ([`crate::mmap::Mmap`]): opening a segment validates the header, the
-//! small `seghdr`/`config` sections, and every section's *extent*, but
+//! A segment holds `config`, `seghdr` (rows, dim), `metas` and, last,
+//! `descriptors`: *raw* little-endian `f32` rows with no interior
+//! framing. Every payload byte is covered by its section's CRC32C,
+//! every header byte by the header CRC32C, and every alignment gap by
+//! the zero-fill rule, so any single-bit flip — and any burst shorter
+//! than 32 bits — anywhere in the file is detected and reported as a
+//! typed [`PersistError`] naming the file, the section, and the offset.
+//! Truncation is detected positionally (the last payload must end
+//! exactly at end of file).
+//!
+//! Payload offsets are explicit and aligned so the descriptor section
+//! can be served zero-copy from a memory mapping
+//! ([`crate::mmap::Mmap`]): [`parse_segment`] validates the header, the
+//! small `config`/`seghdr` sections, and every section's *extent*, but
 //! defers the O(data) checksum passes over descriptors and metas. Those
-//! are verified by `fsck`, at compaction commit, and (for metas) on
-//! first access, keeping cold open O(1) in the corpus size. A segment is
-//! self-describing (it embeds the pipeline config), so a single `.seg`
-//! file also loads as an ordinary database. The `MANIFEST` names the
-//! live segment set and the store's epoch; replacing it atomically (the
-//! same temp + rename + dir-fsync sequence as v2 saves) is the *only*
-//! commit point a compaction has, which is what makes
-//! crash-mid-compaction recovery "old set or new set, never partial".
+//! are verified by `fsck`, at compaction commit, by a full
+//! [`load_from_slice`], and (for metas) on first access, keeping the
+//! store's cold open O(1) in the corpus size. The `MANIFEST` names the
+//! live segment set and the store's epoch.
+//!
+//! Writing a file is **atomic**: the new image is written to a temp
+//! sibling, fsynced, renamed over the target, and the directory fsynced
+//! — an interrupted save (crash, `ENOSPC`, torn write) leaves the
+//! previous snapshot untouched. The primitive steps of that sequence
+//! are fault points consulted through [`crate::faults::FaultPolicy`],
+//! which the crash-consistency tests sweep exhaustively. Replacing the
+//! `MANIFEST` this way is the *only* commit point a compaction has,
+//! which is what makes crash-mid-compaction recovery "old set or new
+//! set, never partial".
+//!
+//! ## Import only: `CBIRDB02`
+//!
+//! `cbir index` wrote `CBIRDB02` before a saved file became a segment,
+//! so it stays readable ([`load_from_slice`], [`fsck_slice`]); nothing
+//! writes it. Same magic + count + table + header CRC32C frame, but a
+//! 13-byte table entry (id, u64 length, CRC32C), payloads packed
+//! back to back in table order `config`, `descriptors` (u64 rows, u32
+//! dim, then the rows), `metas`. Saving a loaded database upgrades it.
+//! The older unchecksummed `CBIRDB01` stream is refused with an error
+//! that says so.
 
 use crate::database::{ImageDatabase, ImageMeta};
 use crate::error::{CoreError, PersistError, Result};
@@ -78,7 +72,9 @@ use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use std::io::Write as _;
 use std::path::Path;
 
+/// Retired; recognised only to refuse it by name.
 const MAGIC_V1: &[u8; 8] = b"CBIRDB01";
+/// Import only.
 const MAGIC_V2: &[u8; 8] = b"CBIRDB02";
 const MAGIC_V3: &[u8; 8] = b"CBIRDB03";
 
@@ -88,24 +84,25 @@ const SEC_METAS: u8 = 3;
 const SEC_SEGHDR: u8 = 4;
 const SEC_MANIFEST: u8 = 5;
 
-/// The three required sections, in file order.
-const SECTION_ORDER: [u8; 3] = [SEC_CONFIG, SEC_DESCRIPTORS, SEC_METAS];
-
-/// The sections of a v3 segment, in file order. Descriptors come last so
+/// The sections of a segment, in file order. Descriptors come last so
 /// the raw `f32` matrix ends the file.
 const SEGMENT_SECTION_ORDER: [u8; 4] = [SEC_CONFIG, SEC_SEGHDR, SEC_METAS, SEC_DESCRIPTORS];
 
-/// The sections of a v3 manifest, in file order.
+/// The sections of a manifest, in file order.
 const MANIFEST_SECTION_ORDER: [u8; 2] = [SEC_CONFIG, SEC_MANIFEST];
 
-/// Bytes per table-of-contents entry: id (1) + length (8) + crc (4).
-const TOC_ENTRY_LEN: usize = 13;
+/// The sections of a `CBIRDB02` import, in file order.
+const IMPORT_SECTION_ORDER: [u8; 3] = [SEC_CONFIG, SEC_DESCRIPTORS, SEC_METAS];
 
-/// Bytes per v3 table-of-contents entry: id (1) + pad (3) + crc (4) +
+/// Bytes per table-of-contents entry: id (1) + pad (3) + crc (4) +
 /// absolute offset (8) + length (8).
-const TOC3_ENTRY_LEN: usize = 24;
+const TOC_ENTRY_LEN: usize = 24;
 
-/// Every v3 payload starts at a multiple of this, so a memory-mapped
+/// Bytes per `CBIRDB02` table-of-contents entry: id (1) + length (8) +
+/// crc (4).
+const IMPORT_TOC_ENTRY_LEN: usize = 13;
+
+/// Every payload starts at a multiple of this, so a memory-mapped
 /// descriptor section reinterprets directly as `[f32]` (and whole cache
 /// lines) regardless of what precedes it.
 const SEG_ALIGN: u64 = 64;
@@ -178,7 +175,7 @@ const fn crc32c_tables() -> [[u32; 256]; 8] {
 
 static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
 
-/// CRC32C (Castagnoli) of `bytes` — the checksum protecting every v2
+/// CRC32C (Castagnoli) of `bytes` — the checksum protecting every
 /// section and header. Public so tooling and tests can verify or forge
 /// checksums deliberately.
 ///
@@ -291,41 +288,32 @@ impl Writer {
     }
 }
 
-/// A bounds-checked field reader over one section payload (or, for v1
-/// files, the whole stream). Every error carries the section name and
-/// the absolute file offset at which decoding failed.
+/// A bounds-checked field reader over one section payload. Every error
+/// carries the section name and the absolute file offset at which
+/// decoding failed.
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
-    section: Option<&'static str>,
+    section: &'static str,
     base: u64,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader {
-            bytes,
-            at: 0,
-            section: None,
-            base: 0,
-        }
-    }
-
     fn for_section(bytes: &'a [u8], section: &'static str, base: u64) -> Self {
         Reader {
             bytes,
             at: 0,
-            section: Some(section),
+            section,
             base,
         }
     }
 
     fn err(&self, detail: impl Into<String>) -> CoreError {
-        let mut e = PersistError::new(detail).at_offset(self.base + self.at as u64);
-        if let Some(s) = self.section {
-            e = e.in_section(s);
-        }
-        CoreError::Persist(e)
+        CoreError::Persist(
+            PersistError::new(detail)
+                .in_section(self.section)
+                .at_offset(self.base + self.at as u64),
+        )
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -382,7 +370,7 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline configuration encode/decode (shared by v1 and v2).
+// Pipeline configuration encode/decode.
 // ---------------------------------------------------------------------------
 
 fn write_quantizer(w: &mut Writer, q: &Quantizer) {
@@ -518,7 +506,7 @@ fn read_spec(r: &mut Reader) -> Result<FeatureSpec> {
 }
 
 // ---------------------------------------------------------------------------
-// Section encode (v2).
+// Section payloads.
 // ---------------------------------------------------------------------------
 
 pub(crate) fn encode_config_parts(balanced: bool, pipeline: &Pipeline) -> Vec<u8> {
@@ -533,24 +521,7 @@ pub(crate) fn encode_config_parts(balanced: bool, pipeline: &Pipeline) -> Vec<u8
     w.buf
 }
 
-fn encode_config(db: &ImageDatabase) -> Vec<u8> {
-    encode_config_parts(db.is_balanced(), db.pipeline())
-}
-
-fn encode_descriptors(db: &ImageDatabase) -> Result<Vec<u8>> {
-    let mut w = Writer::new();
-    w.u64(db.len() as u64);
-    w.u32(db.dim() as u32);
-    w.buf.reserve(db.len() * db.dim() * 4);
-    for i in 0..db.len() {
-        for &v in db.descriptor(i)? {
-            w.f32(v);
-        }
-    }
-    Ok(w.buf)
-}
-
-fn encode_metas_slice(metas: &[ImageMeta]) -> Vec<u8> {
+fn encode_metas(metas: &[ImageMeta]) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(metas.len() as u64);
     for m in metas {
@@ -566,73 +537,48 @@ fn encode_metas_slice(metas: &[ImageMeta]) -> Vec<u8> {
     w.buf
 }
 
-fn encode_metas(db: &ImageDatabase) -> Vec<u8> {
-    encode_metas_slice(db.metas())
+fn decode_config(payload: &[u8], base: u64) -> Result<(bool, Pipeline)> {
+    let mut r = Reader::for_section(payload, "config", base);
+    let balanced = r.u8()? != 0;
+    let canonical = r.u32()?;
+    let n_specs = r.u32()? as usize;
+    if n_specs == 0 || n_specs > 256 {
+        return Err(r.err(format!("implausible spec count {n_specs}")));
+    }
+    let mut specs = Vec::with_capacity(n_specs);
+    for _ in 0..n_specs {
+        specs.push(read_spec(&mut r)?);
+    }
+    r.finish()?;
+    let pipeline = Pipeline::new(canonical, specs)?;
+    Ok((balanced, pipeline))
 }
 
-/// Serialize a database (pipeline + descriptors + metadata) to bytes in
-/// the current (`CBIRDB02`) sectioned, checksummed format.
-pub fn save_to_vec(db: &ImageDatabase) -> Result<Vec<u8>> {
-    let sections: [(u8, Vec<u8>); 3] = [
-        (SEC_CONFIG, encode_config(db)),
-        (SEC_DESCRIPTORS, encode_descriptors(db)?),
-        (SEC_METAS, encode_metas(db)),
-    ];
-    let payload_len: usize = sections.iter().map(|(_, p)| p.len()).sum();
-    let header_len = 8 + 4 + TOC_ENTRY_LEN * sections.len() + 4;
-    let mut out = Vec::with_capacity(header_len + payload_len);
-    out.extend_from_slice(MAGIC_V2);
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    for (id, payload) in &sections {
-        out.push(*id);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32c(payload).to_le_bytes());
+fn decode_metas(payload: &[u8], base: u64, expected: usize) -> Result<Vec<ImageMeta>> {
+    let mut r = Reader::for_section(payload, "metas", base);
+    let n = r.u64()? as usize;
+    if n != expected {
+        return Err(r.err(format!("{n} metadata entries for {expected} descriptors")));
     }
-    let header_crc = crc32c(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    for (_, payload) in &sections {
-        out.extend_from_slice(payload);
+    let mut metas = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = r.str()?;
+        let label = if r.u8()? != 0 { Some(r.u32()?) } else { None };
+        metas.push(ImageMeta { name, label });
     }
-    Ok(out)
+    r.finish()?;
+    Ok(metas)
 }
 
-/// Serialize in the legacy unchecksummed `CBIRDB01` format.
-///
-/// Kept for migration round-trip tests and for tooling that needs to
-/// produce files an old reader can load; new code should use
-/// [`save_to_vec`].
-pub fn save_to_vec_v1(db: &ImageDatabase) -> Result<Vec<u8>> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC_V1);
-    w.u8(db.is_balanced() as u8);
-    w.u32(db.pipeline().canonical_size());
-    let specs = db.pipeline().specs();
-    w.u32(specs.len() as u32);
-    for s in specs {
-        write_spec(&mut w, s);
-    }
-    w.u64(db.len() as u64);
-    w.u32(db.dim() as u32);
-    for i in 0..db.len() {
-        for &v in db.descriptor(i)? {
-            w.f32(v);
-        }
-    }
-    for m in db.metas() {
-        w.str(&m.name);
-        match m.label {
-            Some(l) => {
-                w.u8(1);
-                w.u32(l);
-            }
-            None => w.u8(0),
-        }
-    }
-    Ok(w.buf)
+/// Raw little-endian `f32`s as an owned matrix.
+fn decode_f32s(raw: &[u8]) -> Vec<f32> {
+    raw.chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
-// Decode (v2 + legacy v1).
+// The container: header, table of contents, section checksums.
 // ---------------------------------------------------------------------------
 
 /// One parsed table-of-contents entry with its resolved payload span.
@@ -651,10 +597,23 @@ fn header_err(detail: impl Into<String>, offset: u64) -> PersistError {
         .at_offset(offset)
 }
 
-/// Parse and fully validate the v2 header (magic, count, TOC, header
-/// CRC, payload tiling). On success the returned entries cover
-/// `bytes[header_end..]` exactly.
-fn parse_toc(bytes: &[u8]) -> std::result::Result<Vec<TocEntry>, PersistError> {
+/// The refusal for a file that starts with no magic this crate reads.
+fn unsupported_magic(bytes: &[u8]) -> PersistError {
+    let detail = if bytes.get(..8) == Some(MAGIC_V1.as_slice()) {
+        "CBIRDB01 is no longer readable (unchecksummed, retired); re-index the collection"
+    } else {
+        "bad magic (not a CBIRDB03 or CBIRDB02 file)"
+    };
+    header_err(detail, 0)
+}
+
+/// Validate the frame both table layouts share — enough bytes, a
+/// plausible section count, the header CRC — and return the section
+/// count and the header's length.
+fn parse_header(
+    bytes: &[u8],
+    entry_len: usize,
+) -> std::result::Result<(usize, usize), PersistError> {
     if bytes.len() < 12 {
         return Err(header_err(
             format!("file is {} bytes, too short for a header", bytes.len()),
@@ -665,7 +624,7 @@ fn parse_toc(bytes: &[u8]) -> std::result::Result<Vec<TocEntry>, PersistError> {
     if n == 0 || n > MAX_SECTIONS {
         return Err(header_err(format!("implausible section count {n}"), 8));
     }
-    let toc_end = 12 + n * TOC_ENTRY_LEN;
+    let toc_end = 12 + n * entry_len;
     let header_end = toc_end + 4;
     if bytes.len() < header_end {
         return Err(header_err(
@@ -686,253 +645,13 @@ fn parse_toc(bytes: &[u8]) -> std::result::Result<Vec<TocEntry>, PersistError> {
             0,
         ));
     }
-    let mut entries = Vec::with_capacity(n);
-    let mut offset = header_end as u64;
-    for i in 0..n {
-        let at = 12 + i * TOC_ENTRY_LEN;
-        let id = bytes[at];
-        let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().expect("8 bytes"));
-        let crc = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().expect("4 bytes"));
-        entries.push(TocEntry {
-            id,
-            len,
-            crc,
-            offset,
-        });
-        offset = offset.checked_add(len).ok_or_else(|| {
-            header_err(format!("section lengths overflow at entry {i}"), at as u64)
-        })?;
-    }
-    if offset != bytes.len() as u64 {
-        let (verb, name) = if offset > bytes.len() as u64 {
-            // Name the first section whose payload runs past EOF.
-            let short = entries
-                .iter()
-                .find(|e| e.offset + e.len > bytes.len() as u64)
-                .map(|e| section_name(e.id))
-                .unwrap_or("header");
-            ("truncated: sections need", short)
-        } else {
-            ("has trailing bytes: sections cover", "header")
-        };
-        return Err(PersistError::new(format!(
-            "file {verb} {offset} bytes but file has {}",
-            bytes.len()
-        ))
-        .in_section(name)
-        .at_offset(bytes.len().min(offset as usize) as u64));
-    }
-    Ok(entries)
+    Ok((n, header_end))
 }
 
-/// Validate one section's payload span and checksum, returning the
-/// payload slice.
-fn section_payload<'a>(
-    bytes: &'a [u8],
-    entry: &TocEntry,
-) -> std::result::Result<&'a [u8], PersistError> {
-    let name = section_name(entry.id);
-    let start = entry.offset as usize;
-    let end = start + entry.len as usize;
-    let payload = &bytes[start..end]; // spans validated by parse_toc
-    let actual = crc32c(payload);
-    if actual != entry.crc {
-        return Err(PersistError::new(format!(
-            "checksum mismatch (stored {:#010x}, computed {actual:#010x})",
-            entry.crc
-        ))
-        .in_section(name)
-        .at_offset(entry.offset));
-    }
-    Ok(payload)
-}
-
-fn decode_config(payload: &[u8], base: u64) -> Result<(bool, Pipeline)> {
-    let mut r = Reader::for_section(payload, "config", base);
-    let balanced = r.u8()? != 0;
-    let canonical = r.u32()?;
-    let n_specs = r.u32()? as usize;
-    if n_specs == 0 || n_specs > 256 {
-        return Err(r.err(format!("implausible spec count {n_specs}")));
-    }
-    let mut specs = Vec::with_capacity(n_specs);
-    for _ in 0..n_specs {
-        specs.push(read_spec(&mut r)?);
-    }
-    r.finish()?;
-    let pipeline = Pipeline::new(canonical, specs)?;
-    Ok((balanced, pipeline))
-}
-
-fn decode_descriptors(payload: &[u8], base: u64, dim: usize) -> Result<Vec<Vec<f32>>> {
-    let mut r = Reader::for_section(payload, "descriptors", base);
-    let n = r.u64()? as usize;
-    let stored_dim = r.u32()? as usize;
-    if stored_dim != dim {
-        return Err(r.err(format!(
-            "stored dim {stored_dim} disagrees with pipeline dim {dim}"
-        )));
-    }
-    // Validate the claimed count against the bytes actually present
-    // before allocating: a corrupt count must produce an error, not a
-    // capacity-overflow abort.
-    let descriptor_bytes = n
-        .checked_mul(dim)
-        .and_then(|c| c.checked_mul(4))
-        .ok_or_else(|| r.err(format!("image count {n} overflows")))?;
-    if descriptor_bytes != r.remaining() {
-        return Err(r.err(format!(
-            "claims {n} descriptors ({descriptor_bytes} bytes) but {} bytes follow",
-            r.remaining()
-        )));
-    }
-    let mut descriptors = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut d = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            d.push(r.f32()?);
-        }
-        descriptors.push(d);
-    }
-    r.finish()?;
-    Ok(descriptors)
-}
-
-fn decode_metas(payload: &[u8], base: u64, expected: usize) -> Result<Vec<ImageMeta>> {
-    let mut r = Reader::for_section(payload, "metas", base);
-    let n = r.u64()? as usize;
-    if n != expected {
-        return Err(r.err(format!("{n} metadata entries for {expected} descriptors")));
-    }
-    let mut metas = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str()?;
-        let label = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-        metas.push(ImageMeta { name, label });
-    }
-    r.finish()?;
-    Ok(metas)
-}
-
-fn load_v2(bytes: &[u8]) -> Result<ImageDatabase> {
-    let entries = parse_toc(bytes)?;
-    if entries.len() != SECTION_ORDER.len()
-        || entries
-            .iter()
-            .zip(SECTION_ORDER)
-            .any(|(e, want)| e.id != want)
-    {
-        let got: Vec<&str> = entries.iter().map(|e| section_name(e.id)).collect();
-        return Err(CoreError::Persist(
-            PersistError::new(format!(
-                "expected sections [config, descriptors, metas], found [{}]",
-                got.join(", ")
-            ))
-            .in_section("header")
-            .at_offset(12),
-        ));
-    }
-    let (balanced, pipeline) = {
-        let payload = section_payload(bytes, &entries[0])?;
-        decode_config(payload, entries[0].offset)?
-    };
-    let mut db = if balanced {
-        ImageDatabase::new(pipeline)
-    } else {
-        ImageDatabase::with_raw_extraction(pipeline)
-    };
-    let descriptors = {
-        let payload = section_payload(bytes, &entries[1])?;
-        decode_descriptors(payload, entries[1].offset, db.dim())?
-    };
-    let metas = {
-        let payload = section_payload(bytes, &entries[2])?;
-        decode_metas(payload, entries[2].offset, descriptors.len())?
-    };
-    for (meta, d) in metas.into_iter().zip(descriptors) {
-        db.insert_descriptor(meta, d)?;
-    }
-    Ok(db)
-}
-
-fn load_v1(bytes: &[u8]) -> Result<ImageDatabase> {
-    let mut r = Reader::new(bytes);
-    r.take(8)?; // magic, already checked
-    let balanced = r.u8()? != 0;
-    let canonical = r.u32()?;
-    let n_specs = r.u32()? as usize;
-    if n_specs == 0 || n_specs > 256 {
-        return Err(r.err(format!("implausible spec count {n_specs}")));
-    }
-    let mut specs = Vec::with_capacity(n_specs);
-    for _ in 0..n_specs {
-        specs.push(read_spec(&mut r)?);
-    }
-    let pipeline = Pipeline::new(canonical, specs)?;
-    let mut db = if balanced {
-        ImageDatabase::new(pipeline)
-    } else {
-        ImageDatabase::with_raw_extraction(pipeline)
-    };
-    let n = r.u64()? as usize;
-    let dim = r.u32()? as usize;
-    if dim != db.dim() {
-        return Err(r.err(format!(
-            "stored dim {dim} disagrees with pipeline dim {}",
-            db.dim()
-        )));
-    }
-    let descriptor_bytes = n
-        .checked_mul(dim)
-        .and_then(|c| c.checked_mul(4))
-        .ok_or_else(|| r.err(format!("image count {n} overflows")))?;
-    if descriptor_bytes > r.remaining() {
-        return Err(r.err(format!(
-            "header claims {n} descriptors ({descriptor_bytes} bytes) but only {} bytes remain",
-            r.remaining()
-        )));
-    }
-    let mut descriptors = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut d = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            d.push(r.f32()?);
-        }
-        descriptors.push(d);
-    }
-    for d in descriptors {
-        let name = r.str()?;
-        let label = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-        db.insert_descriptor(ImageMeta { name, label }, d)?;
-    }
-    r.finish()?;
-    Ok(db)
-}
-
-/// Deserialize a database saved with [`save_to_vec`] (v2), by the
-/// legacy v1 writer, or a single v3 segment file — the format is
-/// dispatched on the magic.
-pub fn load_from_slice(bytes: &[u8]) -> Result<ImageDatabase> {
-    match bytes.get(..8) {
-        Some(m) if m == MAGIC_V3 => load_v3(bytes),
-        Some(m) if m == MAGIC_V2 => load_v2(bytes),
-        Some(m) if m == MAGIC_V1 => load_v1(bytes),
-        _ => Err(CoreError::Persist(
-            PersistError::new("bad magic (not a CBIRDB01/CBIRDB02/CBIRDB03 file)")
-                .in_section("header")
-                .at_offset(0),
-        )),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Format v3: aligned segment container, segments, manifest.
-// ---------------------------------------------------------------------------
-
-/// Assemble a v3 container: header with explicit offsets, payloads at
+/// Assemble a container: header with explicit offsets, payloads at
 /// 64-byte-aligned offsets with zero-filled gaps.
-fn encode_v3(sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
-    let header_len = 8 + 4 + sections.len() * TOC3_ENTRY_LEN + 4;
+fn encode_container(sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
+    let header_len = 8 + 4 + sections.len() * TOC_ENTRY_LEN + 4;
     let mut offsets = Vec::with_capacity(sections.len());
     let mut at = header_len as u64;
     for (_, payload) in sections {
@@ -959,47 +678,17 @@ fn encode_v3(sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
     out
 }
 
-/// Parse and fully validate a v3 header: magic, count, header CRC, and
+/// Parse and fully validate a `CBIRDB03` header: count, header CRC, and
 /// the offset geometry (ascending, 64-byte aligned, zero-filled gaps
 /// smaller than one alignment unit, last payload ending exactly at EOF).
 /// Payload CRCs are *not* checked here — that is the deferred O(data)
 /// work [`parse_segment`] exists to avoid.
-fn parse_toc_v3(bytes: &[u8]) -> std::result::Result<Vec<TocEntry>, PersistError> {
-    if bytes.len() < 12 {
-        return Err(header_err(
-            format!("file is {} bytes, too short for a header", bytes.len()),
-            bytes.len() as u64,
-        ));
-    }
-    let n = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    if n == 0 || n > MAX_SECTIONS {
-        return Err(header_err(format!("implausible section count {n}"), 8));
-    }
-    let toc_end = 12 + n * TOC3_ENTRY_LEN;
-    let header_end = toc_end + 4;
-    if bytes.len() < header_end {
-        return Err(header_err(
-            format!(
-                "header claims {n} sections ({header_end} header bytes) but file has {}",
-                bytes.len()
-            ),
-            bytes.len() as u64,
-        ));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[toc_end..header_end].try_into().expect("4 bytes"));
-    let actual_crc = crc32c(&bytes[..toc_end]);
-    if stored_crc != actual_crc {
-        return Err(header_err(
-            format!(
-                "header checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-            ),
-            0,
-        ));
-    }
+fn parse_toc(bytes: &[u8]) -> std::result::Result<Vec<TocEntry>, PersistError> {
+    let (n, header_end) = parse_header(bytes, TOC_ENTRY_LEN)?;
     let mut entries = Vec::with_capacity(n);
     let mut prev_end = header_end as u64;
     for i in 0..n {
-        let at = 12 + i * TOC3_ENTRY_LEN;
+        let at = 12 + i * TOC_ENTRY_LEN;
         let id = bytes[at];
         if bytes[at + 1..at + 4] != [0, 0, 0] {
             return Err(header_err(
@@ -1070,19 +759,94 @@ fn parse_toc_v3(bytes: &[u8]) -> std::result::Result<Vec<TocEntry>, PersistError
     Ok(entries)
 }
 
-fn section_order_err(entries: &[TocEntry], want: &[u8]) -> PersistError {
-    let got: Vec<&str> = entries.iter().map(|e| section_name(e.id)).collect();
-    let want: Vec<&str> = want.iter().map(|&id| section_name(id)).collect();
-    PersistError::new(format!(
-        "expected sections [{}], found [{}]",
-        want.join(", "),
-        got.join(", ")
-    ))
-    .in_section("header")
-    .at_offset(12)
+/// Parse and fully validate a `CBIRDB02` header: count, header CRC, and
+/// that the table's lengths tile the rest of the file exactly.
+fn parse_import_toc(bytes: &[u8]) -> std::result::Result<Vec<TocEntry>, PersistError> {
+    let (n, header_end) = parse_header(bytes, IMPORT_TOC_ENTRY_LEN)?;
+    let mut entries = Vec::with_capacity(n);
+    let mut offset = header_end as u64;
+    for i in 0..n {
+        let at = 12 + i * IMPORT_TOC_ENTRY_LEN;
+        let id = bytes[at];
+        let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().expect("8 bytes"));
+        let crc = u32::from_le_bytes(bytes[at + 9..at + 13].try_into().expect("4 bytes"));
+        entries.push(TocEntry {
+            id,
+            len,
+            crc,
+            offset,
+        });
+        offset = offset.checked_add(len).ok_or_else(|| {
+            header_err(format!("section lengths overflow at entry {i}"), at as u64)
+        })?;
+    }
+    if offset != bytes.len() as u64 {
+        let (verb, name) = if offset > bytes.len() as u64 {
+            // Name the first section whose payload runs past EOF.
+            let short = entries
+                .iter()
+                .find(|e| e.offset + e.len > bytes.len() as u64)
+                .map(|e| section_name(e.id))
+                .unwrap_or("header");
+            ("truncated: sections need", short)
+        } else {
+            ("has trailing bytes: sections cover", "header")
+        };
+        return Err(PersistError::new(format!(
+            "file {verb} {offset} bytes but file has {}",
+            bytes.len()
+        ))
+        .in_section(name)
+        .at_offset(bytes.len().min(offset as usize) as u64));
+    }
+    Ok(entries)
 }
 
-/// A structurally validated view of one v3 segment file.
+fn has_sections(entries: &[TocEntry], want: &[u8]) -> bool {
+    entries.iter().map(|e| e.id).eq(want.iter().copied())
+}
+
+fn expect_sections(entries: &[TocEntry], want: &[u8]) -> std::result::Result<(), PersistError> {
+    if has_sections(entries, want) {
+        return Ok(());
+    }
+    let got: Vec<&str> = entries.iter().map(|e| section_name(e.id)).collect();
+    let want: Vec<&str> = want.iter().map(|&id| section_name(id)).collect();
+    Err(header_err(
+        format!(
+            "expected sections [{}], found [{}]",
+            want.join(", "),
+            got.join(", ")
+        ),
+        12,
+    ))
+}
+
+/// Validate one section's checksum, returning the payload slice (its
+/// span was validated by the table parse).
+fn section_payload<'a>(
+    bytes: &'a [u8],
+    entry: &TocEntry,
+) -> std::result::Result<&'a [u8], PersistError> {
+    let start = entry.offset as usize;
+    let payload = &bytes[start..start + entry.len as usize];
+    let actual = crc32c(payload);
+    if actual != entry.crc {
+        return Err(PersistError::new(format!(
+            "checksum mismatch (stored {:#010x}, computed {actual:#010x})",
+            entry.crc
+        ))
+        .in_section(section_name(entry.id))
+        .at_offset(entry.offset));
+    }
+    Ok(payload)
+}
+
+// ---------------------------------------------------------------------------
+// Segments, whole-database loads, the manifest.
+// ---------------------------------------------------------------------------
+
+/// A structurally validated view of one segment file.
 ///
 /// [`parse_segment`] eagerly verifies everything O(1)-ish in the data
 /// size — header CRC, `config` and `seghdr` payload CRCs and decode, and
@@ -1117,24 +881,20 @@ impl SegmentView {
     /// Verify the descriptor section's checksum (an O(data) pass —
     /// deferred off the open path by design).
     pub fn verify_descriptors(&self, bytes: &[u8]) -> Result<()> {
-        section_payload(bytes, &self.descriptors)
-            .map(|_| ())
-            .map_err(CoreError::Persist)
+        section_payload(bytes, &self.descriptors)?;
+        Ok(())
     }
 
     /// Verify and decode the metadata section.
     pub fn decode_metas(&self, bytes: &[u8]) -> Result<Vec<ImageMeta>> {
-        let payload = section_payload(bytes, &self.metas).map_err(CoreError::Persist)?;
+        let payload = section_payload(bytes, &self.metas)?;
         decode_metas(payload, self.metas.offset, self.rows)
     }
 
     /// Decode the descriptor matrix into an owned flat `Vec<f32>` (the
-    /// non-zero-copy path: heap fallback and full single-file loads).
+    /// non-zero-copy path: unaligned buffers and full single-file loads).
     pub fn decode_descriptors_owned(&self, bytes: &[u8]) -> Vec<f32> {
-        bytes[self.descriptor_range()]
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect()
+        decode_f32s(&bytes[self.descriptor_range()])
     }
 }
 
@@ -1164,68 +924,51 @@ pub fn encode_segment(
     for &v in flat {
         desc.extend_from_slice(&v.to_le_bytes());
     }
-    Ok(encode_v3(&[
+    Ok(encode_container(&[
         (SEC_CONFIG, encode_config_parts(balanced, pipeline)),
         (SEC_SEGHDR, seghdr.buf),
-        (SEC_METAS, encode_metas_slice(metas)),
+        (SEC_METAS, encode_metas(metas)),
         (SEC_DESCRIPTORS, desc),
     ]))
 }
 
-/// Open a v3 segment image: validate the header and the small sections
+/// Open a segment image: validate the header and the small sections
 /// eagerly, returning a [`SegmentView`] describing the deferred spans.
 pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
-    if bytes.get(..8) != Some(MAGIC_V3.as_slice()) {
-        return Err(CoreError::Persist(
-            PersistError::new("bad magic (not a CBIRDB03 segment)")
-                .in_section("header")
-                .at_offset(0),
-        ));
+    if !bytes.starts_with(MAGIC_V3) {
+        return Err(header_err("bad magic (not a CBIRDB03 segment)", 0).into());
     }
-    let entries = parse_toc_v3(bytes)?;
-    if entries.len() != SEGMENT_SECTION_ORDER.len()
-        || entries
-            .iter()
-            .zip(SEGMENT_SECTION_ORDER)
-            .any(|(e, want)| e.id != want)
-    {
-        return Err(CoreError::Persist(section_order_err(
-            &entries,
-            &SEGMENT_SECTION_ORDER,
-        )));
-    }
+    let entries = parse_toc(bytes)?;
+    expect_sections(&entries, &SEGMENT_SECTION_ORDER)?;
     let (balanced, pipeline) = {
-        let payload = section_payload(bytes, &entries[0]).map_err(CoreError::Persist)?;
+        let payload = section_payload(bytes, &entries[0])?;
         decode_config(payload, entries[0].offset)?
     };
     let (rows, dim) = {
-        let payload = section_payload(bytes, &entries[1]).map_err(CoreError::Persist)?;
+        let payload = section_payload(bytes, &entries[1])?;
         let mut r = Reader::for_section(payload, "seghdr", entries[1].offset);
         let rows = r.u64()? as usize;
         let dim = r.u32()? as usize;
         r.finish()?;
         (rows, dim)
     };
+    let seghdr_err = |detail: String| {
+        CoreError::Persist(
+            PersistError::new(detail)
+                .in_section("seghdr")
+                .at_offset(entries[1].offset),
+        )
+    };
     if dim != pipeline.dim() {
-        return Err(CoreError::Persist(
-            PersistError::new(format!(
-                "stored dim {dim} disagrees with pipeline dim {}",
-                pipeline.dim()
-            ))
-            .in_section("seghdr")
-            .at_offset(entries[1].offset),
-        ));
+        return Err(seghdr_err(format!(
+            "stored dim {dim} disagrees with pipeline dim {}",
+            pipeline.dim()
+        )));
     }
     let expected = (rows as u64)
         .checked_mul(dim as u64)
         .and_then(|c| c.checked_mul(4))
-        .ok_or_else(|| {
-            CoreError::Persist(
-                PersistError::new(format!("row count {rows} overflows"))
-                    .in_section("seghdr")
-                    .at_offset(entries[1].offset),
-            )
-        })?;
+        .ok_or_else(|| seghdr_err(format!("row count {rows} overflows")))?;
     if entries[3].len != expected {
         return Err(CoreError::Persist(
             PersistError::new(format!(
@@ -1246,18 +989,102 @@ pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
     })
 }
 
-/// Fully load a single v3 segment file as an in-memory database (every
-/// checksum verified — this is the non-lazy path used by `load`/`info`
-/// on a bare `.seg` file).
-fn load_v3(bytes: &[u8]) -> Result<ImageDatabase> {
+/// The last step of every whole-file load. A checksum only proves the
+/// bytes are the ones written; a NaN or infinity in them would poison
+/// every distance it meets, so it is refused here, by file offset,
+/// rather than at the first index build. (The store's lazy segment open
+/// defers this with the rest of its O(data) work.)
+fn database_from_parts(
+    pipeline: Pipeline,
+    balanced: bool,
+    flat: Vec<f32>,
+    metas: Vec<ImageMeta>,
+    matrix_at: u64,
+) -> Result<ImageDatabase> {
+    if let Some(i) = flat.iter().position(|v| !v.is_finite()) {
+        return Err(CoreError::Persist(
+            PersistError::new(format!(
+                "non-finite component {i} (row-major) in the descriptor matrix"
+            ))
+            .in_section("descriptors")
+            .at_offset(matrix_at + 4 * i as u64),
+        ));
+    }
+    ImageDatabase::from_parts(pipeline, balanced, flat, metas)
+}
+
+/// Fully load a segment image (every checksum verified, unlike the
+/// store's lazy open).
+fn load_segment(bytes: &[u8]) -> Result<ImageDatabase> {
     let seg = parse_segment(bytes)?;
     seg.verify_descriptors(bytes)?;
     let metas = seg.decode_metas(bytes)?;
     let flat = seg.decode_descriptors_owned(bytes);
-    let SegmentView {
-        balanced, pipeline, ..
-    } = seg;
-    ImageDatabase::from_parts(pipeline, balanced, flat, metas)
+    let matrix_at = seg.descriptors.offset;
+    database_from_parts(seg.pipeline, seg.balanced, flat, metas, matrix_at)
+}
+
+/// Load a `CBIRDB02` image.
+fn load_import(bytes: &[u8]) -> Result<ImageDatabase> {
+    let entries = parse_import_toc(bytes)?;
+    expect_sections(&entries, &IMPORT_SECTION_ORDER)?;
+    let (balanced, pipeline) = {
+        let payload = section_payload(bytes, &entries[0])?;
+        decode_config(payload, entries[0].offset)?
+    };
+    let payload = section_payload(bytes, &entries[1])?;
+    let mut r = Reader::for_section(payload, "descriptors", entries[1].offset);
+    let rows = r.u64()? as usize;
+    let dim = r.u32()? as usize;
+    if dim != pipeline.dim() {
+        return Err(r.err(format!(
+            "stored dim {dim} disagrees with pipeline dim {}",
+            pipeline.dim()
+        )));
+    }
+    // Validate the claimed count against the bytes actually present
+    // before allocating: a corrupt count must produce an error, not a
+    // capacity-overflow abort.
+    let matrix_bytes = rows
+        .checked_mul(dim)
+        .and_then(|c| c.checked_mul(4))
+        .ok_or_else(|| r.err(format!("image count {rows} overflows")))?;
+    if matrix_bytes != r.remaining() {
+        return Err(r.err(format!(
+            "claims {rows} descriptors ({matrix_bytes} bytes) but {} bytes follow",
+            r.remaining()
+        )));
+    }
+    let matrix_at = entries[1].offset + r.at as u64;
+    let flat = decode_f32s(r.take(matrix_bytes)?);
+    let metas = {
+        let payload = section_payload(bytes, &entries[2])?;
+        decode_metas(payload, entries[2].offset, rows)?
+    };
+    database_from_parts(pipeline, balanced, flat, metas, matrix_at)
+}
+
+/// Deserialize a database: what [`save_to_vec`] wrote, any single
+/// segment file of a store, or a `CBIRDB02` import — dispatched on the
+/// magic. Every checksum is verified and every descriptor component
+/// must be finite.
+pub fn load_from_slice(bytes: &[u8]) -> Result<ImageDatabase> {
+    match bytes.get(..8) {
+        Some(m) if m == MAGIC_V3 => load_segment(bytes),
+        Some(m) if m == MAGIC_V2 => load_import(bytes),
+        _ => Err(unsupported_magic(bytes).into()),
+    }
+}
+
+/// Serialize a database (pipeline + descriptors + metadata) as a
+/// single segment — the bytes [`save_file`] writes.
+pub fn save_to_vec(db: &ImageDatabase) -> Result<Vec<u8>> {
+    encode_segment(
+        db.is_balanced(),
+        db.pipeline(),
+        db.flat_descriptors(),
+        db.metas(),
+    )
 }
 
 /// One segment named by a [`Manifest`].
@@ -1288,7 +1115,7 @@ pub struct Manifest {
     pub segments: Vec<ManifestEntry>,
 }
 
-/// Serialize a [`Manifest`] as a v3 container.
+/// Serialize a [`Manifest`].
 pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(m.epoch);
@@ -1298,7 +1125,7 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
         w.str(&s.name);
         w.u64(s.rows);
     }
-    encode_v3(&[
+    encode_container(&[
         (SEC_CONFIG, encode_config_parts(m.balanced, &m.pipeline)),
         (SEC_MANIFEST, w.buf),
     ])
@@ -1309,30 +1136,16 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
 /// names — no path separators — so a corrupt or hostile manifest cannot
 /// direct reads outside its own directory.
 pub fn parse_manifest(bytes: &[u8]) -> Result<Manifest> {
-    if bytes.get(..8) != Some(MAGIC_V3.as_slice()) {
-        return Err(CoreError::Persist(
-            PersistError::new("bad magic (not a CBIRDB03 manifest)")
-                .in_section("header")
-                .at_offset(0),
-        ));
+    if !bytes.starts_with(MAGIC_V3) {
+        return Err(header_err("bad magic (not a CBIRDB03 manifest)", 0).into());
     }
-    let entries = parse_toc_v3(bytes)?;
-    if entries.len() != MANIFEST_SECTION_ORDER.len()
-        || entries
-            .iter()
-            .zip(MANIFEST_SECTION_ORDER)
-            .any(|(e, want)| e.id != want)
-    {
-        return Err(CoreError::Persist(section_order_err(
-            &entries,
-            &MANIFEST_SECTION_ORDER,
-        )));
-    }
+    let entries = parse_toc(bytes)?;
+    expect_sections(&entries, &MANIFEST_SECTION_ORDER)?;
     let (balanced, pipeline) = {
-        let payload = section_payload(bytes, &entries[0]).map_err(CoreError::Persist)?;
+        let payload = section_payload(bytes, &entries[0])?;
         decode_config(payload, entries[0].offset)?
     };
-    let payload = section_payload(bytes, &entries[1]).map_err(CoreError::Persist)?;
+    let payload = section_payload(bytes, &entries[1])?;
     let mut r = Reader::for_section(payload, "manifest", entries[1].offset);
     let epoch = r.u64()?;
     let next_seg = r.u64()?;
@@ -1371,7 +1184,8 @@ pub fn parse_manifest(bytes: &[u8]) -> Result<Manifest> {
 /// One section's verification outcome in an [`FsckReport`].
 #[derive(Debug)]
 pub struct SectionStatus {
-    /// Section name (`config` / `descriptors` / `metas` / `unknown`).
+    /// Section name (`config` / `seghdr` / `metas` / `descriptors` /
+    /// `manifest` / `unknown`).
     pub name: &'static str,
     /// Absolute payload offset in the file.
     pub offset: u64,
@@ -1384,11 +1198,10 @@ pub struct SectionStatus {
 /// The result of validating a database file section-by-section.
 #[derive(Debug)]
 pub struct FsckReport {
-    /// Detected format: `"CBIRDB02"`, `"CBIRDB01 (legacy)"`, or
+    /// Detected format: `"CBIRDB03"`, `"CBIRDB02 (import only)"`, or
     /// `"unknown"`.
     pub format: &'static str,
-    /// Per-section outcomes (empty for legacy/unknown formats, which
-    /// have no section table).
+    /// Per-section outcomes (empty when the header does not parse).
     pub sections: Vec<SectionStatus>,
     /// Lowest byte offset at which corruption was detected, if any.
     pub first_corrupt_offset: Option<u64>,
@@ -1408,11 +1221,13 @@ fn fsck_record(report: &mut FsckReport, offset: u64) {
     *first = (*first).min(offset);
 }
 
-/// Validate a database image section-by-section: header checksum,
-/// payload tiling, per-section checksums, then a full decode. Unlike
-/// [`load_from_slice`] this does not stop at the first failure — every
-/// section is checked so the report shows the full extent of the
-/// damage, alongside the first corrupt offset.
+/// Validate a file image section-by-section: header checksum and
+/// geometry, every section's checksum (the full O(data) passes the
+/// serving open defers), then a semantic decode — as a manifest or as a
+/// database, by magic and section set. Unlike [`load_from_slice`] this
+/// does not stop at the first bad checksum — every section is checked
+/// so the report shows the full extent of the damage, alongside the
+/// first corrupt offset.
 pub fn fsck_slice(bytes: &[u8]) -> FsckReport {
     let mut report = FsckReport {
         format: "unknown",
@@ -1420,32 +1235,22 @@ pub fn fsck_slice(bytes: &[u8]) -> FsckReport {
         first_corrupt_offset: None,
         error: None,
     };
-    match bytes.get(..8) {
-        Some(m) if m == MAGIC_V3 => return fsck_v3(bytes),
-        Some(m) if m == MAGIC_V2 => report.format = "CBIRDB02",
-        Some(m) if m == MAGIC_V1 => {
-            // Legacy stream: no sections, no checksums — all we can do
-            // is a full decode.
-            report.format = "CBIRDB01 (legacy)";
-            if let Err(e) = load_v1(bytes) {
-                let (msg, offset) = persist_parts(e);
-                report.error = Some(msg);
-                fsck_record(&mut report, offset.unwrap_or(0));
-            }
-            return report;
+    let toc = match bytes.get(..8) {
+        Some(m) if m == MAGIC_V3 => {
+            report.format = "CBIRDB03";
+            parse_toc(bytes)
         }
-        _ => {
-            report.error = Some("bad magic (not a CBIRDB01/CBIRDB02 file)".into());
-            fsck_record(&mut report, 0);
-            return report;
+        Some(m) if m == MAGIC_V2 => {
+            report.format = "CBIRDB02 (import only)";
+            parse_import_toc(bytes)
         }
-    }
-    let entries = match parse_toc(bytes) {
+        _ => Err(unsupported_magic(bytes)),
+    };
+    let entries = match toc {
         Ok(entries) => entries,
         Err(e) => {
-            let offset = e.offset;
+            fsck_record(&mut report, e.offset.unwrap_or(0));
             report.error = Some(e.to_string());
-            fsck_record(&mut report, offset.unwrap_or(0));
             return report;
         }
     };
@@ -1463,72 +1268,12 @@ pub fn fsck_slice(bytes: &[u8]) -> FsckReport {
     }
     // Structure and checksums hold — the payloads must also decode.
     if report.is_ok() {
-        if let Err(e) = load_v2(bytes) {
-            let (msg, offset) = persist_parts(e);
-            let section = report
-                .sections
-                .iter_mut()
-                .rev()
-                .find(|s| offset.is_some_and(|o| o >= s.offset));
-            match section {
-                Some(s) => s.error = Some(msg),
-                None => report.error = Some(msg),
-            }
-            fsck_record(&mut report, offset.unwrap_or(0));
-        }
-    }
-    report
-}
-
-/// [`fsck_slice`] for the v3 container: header geometry, every
-/// section's CRC (fsck runs the full O(data) passes the serving open
-/// defers), then a semantic decode as a segment or a manifest depending
-/// on the section set.
-fn fsck_v3(bytes: &[u8]) -> FsckReport {
-    let mut report = FsckReport {
-        format: "CBIRDB03",
-        sections: Vec::new(),
-        first_corrupt_offset: None,
-        error: None,
-    };
-    let entries = match parse_toc_v3(bytes) {
-        Ok(entries) => entries,
-        Err(e) => {
-            let offset = e.offset;
-            report.error = Some(e.to_string());
-            fsck_record(&mut report, offset.unwrap_or(0));
-            return report;
-        }
-    };
-    for entry in &entries {
-        let error = section_payload(bytes, entry).err().map(|e| e.detail);
-        if error.is_some() {
-            fsck_record(&mut report, entry.offset);
-        }
-        report.sections.push(SectionStatus {
-            name: section_name(entry.id),
-            offset: entry.offset,
-            len: entry.len,
-            error,
-        });
-    }
-    if report.is_ok() {
-        let ids: Vec<u8> = entries.iter().map(|e| e.id).collect();
-        let semantic = if ids == SEGMENT_SECTION_ORDER {
-            load_v3(bytes).map(|_| ())
-        } else if ids == MANIFEST_SECTION_ORDER {
-            parse_manifest(bytes).map(|_| ())
-        } else {
-            let got: Vec<&str> = entries.iter().map(|e| section_name(e.id)).collect();
-            Err(CoreError::Persist(
-                PersistError::new(format!(
-                    "section set [{}] is neither a segment nor a manifest",
-                    got.join(", ")
-                ))
-                .in_section("header")
-                .at_offset(12),
-            ))
-        };
+        let semantic =
+            if bytes.starts_with(MAGIC_V3) && has_sections(&entries, &MANIFEST_SECTION_ORDER) {
+                parse_manifest(bytes).map(drop)
+            } else {
+                load_from_slice(bytes).map(drop)
+            };
         if let Err(e) = semantic {
             let (msg, offset) = persist_parts(e);
             let section = report
@@ -1636,7 +1381,7 @@ fn persist_parts(e: CoreError) -> (String, Option<u64>) {
 // File I/O: atomic save, checked load.
 // ---------------------------------------------------------------------------
 
-/// Save a database to a file atomically.
+/// Save a database to a file — one `CBIRDB03` segment — atomically.
 ///
 /// The serialized image is written to a temp sibling, fsynced, renamed
 /// over `path`, and the directory fsynced: after a crash or I/O failure
@@ -1661,9 +1406,7 @@ pub fn save_file_with(
     path: impl AsRef<Path>,
     policy: &mut dyn FaultPolicy,
 ) -> Result<()> {
-    let path = path.as_ref();
-    let bytes = save_to_vec(db)?;
-    atomic_write(path, &bytes, policy).map_err(|e| CoreError::Persist(e.with_path(path)))
+    write_file_atomic(path, &save_to_vec(db)?, policy)
 }
 
 /// Write raw bytes to `path` atomically — temp sibling, fsync, rename,
@@ -1988,16 +1731,9 @@ mod tests {
                 rows: db.len() as u64,
             }],
         };
-        let write_all = || {
-            [
-                save_to_vec(&db).unwrap(),
-                segment_bytes(&db),
-                encode_manifest(&manifest),
-            ]
-        };
+        let write_all = || [save_to_vec(&db).unwrap(), encode_manifest(&manifest)];
         let goldens = [
-            (2073, 0x59EC_4A95_F2F1_D625u64), // .cbir
-            (2272, 0x3B23_428C_C80C_5D4B),    // segment
+            (2272, 0x3B23_428C_C80C_5D4Bu64), // saved database = one segment
             (176, 0x60B1_2673_B170_394B),     // MANIFEST
         ];
         for (path, files) in [
@@ -2010,21 +1746,32 @@ mod tests {
         }
     }
 
+    /// `cbir index` of the parent commit wrote this (4 images, `shape`
+    /// pipeline); `tests/persist_faults.rs` pins its content.
+    const IMPORT_FIXTURE: &[u8] = include_bytes!("../tests/data/cbirdb02-shape.cbir");
+
     #[test]
     fn fault_sweeps_hold_on_both_checksum_paths() {
         // The sweeps of `tests/persist_faults.rs` — every header bit
-        // flip, every truncation — on a file small enough to be
+        // flip, every truncation — on files small enough to be
         // exhaustive, once per path; a file written on one path must
         // also verify on the other.
-        let db = golden_db();
-        let sweep = |path: &str, cbir: &[u8], seg: &[u8]| {
-            load_from_slice(cbir).unwrap();
-            assert!(fsck_slice(cbir).is_ok(), "{path}");
-            parse_segment(seg).unwrap().verify_descriptors(seg).unwrap();
+        let saved = save_to_vec(&golden_db()).unwrap();
+        let sweep = |path: &str| {
             for (what, file, toc_len) in [
-                ("cbir", cbir, SECTION_ORDER.len() * TOC_ENTRY_LEN),
-                ("seg", seg, SEGMENT_SECTION_ORDER.len() * TOC3_ENTRY_LEN),
+                (
+                    "saved",
+                    &saved[..],
+                    SEGMENT_SECTION_ORDER.len() * TOC_ENTRY_LEN,
+                ),
+                (
+                    "import",
+                    IMPORT_FIXTURE,
+                    IMPORT_SECTION_ORDER.len() * IMPORT_TOC_ENTRY_LEN,
+                ),
             ] {
+                load_from_slice(file).unwrap();
+                assert!(fsck_slice(file).is_ok(), "{path}/{what}");
                 let header_len = 8 + 4 + toc_len + 4;
                 for bit in 0..header_len * 8 {
                     let mut corrupt = file.to_vec();
@@ -2044,9 +1791,8 @@ mod tests {
                 }
             }
         };
-        let (cbir, seg) = (save_to_vec(&db).unwrap(), segment_bytes(&db));
-        sweep("dispatch", &cbir, &seg);
-        with_portable_crc(|| sweep("portable", &cbir, &seg));
+        sweep("dispatch");
+        with_portable_crc(|| sweep("portable"));
     }
 
     #[test]
@@ -2067,7 +1813,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let db = populated_db();
         let bytes = save_to_vec(&db).unwrap();
-        assert_eq!(&bytes[..8], MAGIC_V2);
+        assert_eq!(&bytes[..8], MAGIC_V3);
         let loaded = load_from_slice(&bytes).unwrap();
         assert_eq!(loaded.len(), db.len());
         assert_eq!(loaded.dim(), db.dim());
@@ -2084,17 +1830,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
-        let db = populated_db();
-        let v1 = save_to_vec_v1(&db).unwrap();
-        assert_eq!(&v1[..8], MAGIC_V1);
-        let loaded = load_from_slice(&v1).unwrap();
-        assert_eq!(loaded.len(), db.len());
-        assert_eq!(loaded.pipeline().specs(), db.pipeline().specs());
-        for i in 0..db.len() {
-            assert_eq!(loaded.descriptor(i).unwrap(), db.descriptor(i).unwrap());
-            assert_eq!(loaded.meta(i).unwrap(), db.meta(i).unwrap());
-        }
+    fn a_cbirdb01_header_is_refused_by_name_not_as_bad_magic() {
+        let mut bytes = save_to_vec(&populated_db()).unwrap();
+        bytes[..8].copy_from_slice(MAGIC_V1);
+        let Err(CoreError::Persist(e)) = load_from_slice(&bytes) else {
+            panic!("a CBIRDB01 header must be a typed persist error");
+        };
+        assert_eq!(e.section, Some("header"));
+        assert!(e.detail.contains("CBIRDB01"), "{}", e.detail);
+        assert!(e.detail.contains("re-index"), "{}", e.detail);
+        assert!(!e.detail.contains("bad magic"), "{}", e.detail);
+        // fsck refuses in the same words, and any other magic is named
+        // against the same two formats by both.
+        let report = fsck_slice(&bytes);
+        assert!(report.error.as_ref().unwrap().contains(&e.detail));
+        assert_eq!(report.first_corrupt_offset, Some(0));
+        bytes[..8].copy_from_slice(b"NOTCBIR!");
+        let Err(CoreError::Persist(e)) = load_from_slice(&bytes) else {
+            panic!("bad magic must be a typed persist error");
+        };
+        assert!(e.detail.contains("CBIRDB03") && e.detail.contains("CBIRDB02"));
+        assert!(fsck_slice(&bytes).error.unwrap().contains(&e.detail));
     }
 
     #[test]
@@ -2147,32 +1903,103 @@ mod tests {
         }
     }
 
+    /// A valid file image with what a test needs to edit a payload and
+    /// reseal it.
+    #[derive(Clone)]
+    struct Image {
+        file: Vec<u8>,
+        toc: Vec<TocEntry>,
+        entry_len: usize,
+        /// Offset of the CRC within a table entry.
+        crc_at: usize,
+        /// File offset of the first descriptor component.
+        matrix_at: u64,
+    }
+
+    impl Image {
+        fn section(&self, id: u8) -> usize {
+            self.toc.iter().position(|e| e.id == id).unwrap()
+        }
+
+        /// Recompute section `i`'s checksum and the header's after a
+        /// deliberate payload edit, so only semantic validation can
+        /// object.
+        fn reseal(&mut self, i: usize) {
+            let e = &self.toc[i];
+            let crc = crc32c(&self.file[e.offset as usize..(e.offset + e.len) as usize]);
+            let at = 12 + i * self.entry_len + self.crc_at;
+            self.file[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+            let toc_end = 12 + self.toc.len() * self.entry_len;
+            let header_crc = crc32c(&self.file[..toc_end]);
+            self.file[toc_end..toc_end + 4].copy_from_slice(&header_crc.to_le_bytes());
+        }
+    }
+
+    /// A saved file and the import fixture.
+    fn both_formats() -> [Image; 2] {
+        let file = save_to_vec(&populated_db()).unwrap();
+        let toc = parse_toc(&file).unwrap();
+        let import_toc = parse_import_toc(IMPORT_FIXTURE).unwrap();
+        [
+            Image {
+                matrix_at: toc[3].offset,
+                file,
+                toc,
+                entry_len: TOC_ENTRY_LEN,
+                crc_at: 4,
+            },
+            Image {
+                matrix_at: import_toc[1].offset + 12,
+                file: IMPORT_FIXTURE.to_vec(),
+                toc: import_toc,
+                entry_len: IMPORT_TOC_ENTRY_LEN,
+                crc_at: 9,
+            },
+        ]
+    }
+
     #[test]
     fn forged_checksum_with_implausible_count_is_still_an_error() {
-        // An adversarial file: corrupt the descriptor count AND fix up
-        // the section + header checksums so only semantic validation can
-        // catch it — it must error, never abort on allocation.
-        let db = populated_db();
-        let bytes = save_to_vec(&db).unwrap();
-        let entries = parse_toc(&bytes).unwrap();
-        let desc = &entries[1];
-        let start = desc.offset as usize;
-        let mut forged = bytes.clone();
-        forged[start..start + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let new_crc = crc32c(&forged[start..start + desc.len as usize]);
-        // TOC entry 1 crc lives at 12 + TOC_ENTRY_LEN + 9.
-        let crc_at = 12 + TOC_ENTRY_LEN + 9;
-        forged[crc_at..crc_at + 4].copy_from_slice(&new_crc.to_le_bytes());
-        let toc_end = 12 + 3 * TOC_ENTRY_LEN;
-        let header_crc = crc32c(&forged[..toc_end]);
-        forged[toc_end..toc_end + 4].copy_from_slice(&header_crc.to_le_bytes());
+        // An adversarial file: corrupt the row count (it opens section 1
+        // in both layouts) AND fix up the section + header checksums —
+        // it must error, never abort on allocation.
+        for mut image in both_formats() {
+            let start = image.toc[1].offset as usize;
+            image.file[start..start + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            image.reseal(1);
+            let Err(CoreError::Persist(p)) = load_from_slice(&image.file) else {
+                panic!("forged row count must be a typed persist error");
+            };
+            assert_eq!(p.section, Some(section_name(image.toc[1].id)));
+            assert!(p.detail.contains("overflows"), "{}", p.detail);
+            assert!(!fsck_slice(&image.file).is_ok());
+        }
+    }
 
-        let err = load_from_slice(&forged).unwrap_err();
-        match err {
-            CoreError::Persist(p) => {
-                assert_eq!(p.section, Some("descriptors"));
+    #[test]
+    fn a_checksum_valid_non_finite_component_is_refused_at_its_offset_in_every_format() {
+        for clean in both_formats() {
+            let dim = load_from_slice(&clean.file).unwrap().dim();
+            let matrix_section = clean.section(SEC_DESCRIPTORS);
+            for (component, value) in [(0, f32::NAN), (dim + 2, f32::INFINITY)] {
+                let at = clean.matrix_at + 4 * component as u64;
+                let mut forged = clean.clone();
+                forged.file[at as usize..at as usize + 4].copy_from_slice(&value.to_le_bytes());
+                forged.reseal(matrix_section);
+                let Err(CoreError::Persist(p)) = load_from_slice(&forged.file) else {
+                    panic!("{value} at component {component} loaded");
+                };
+                assert_eq!((p.section, p.offset), (Some("descriptors"), Some(at)));
+                assert!(p.detail.contains("non-finite"), "{}", p.detail);
+                let report = fsck_slice(&forged.file);
+                assert_eq!(report.first_corrupt_offset, Some(at));
+                assert!(report.sections[matrix_section].error.is_some());
+                // The store's lazy open defers O(data) checks by design.
+                if forged.file.starts_with(MAGIC_V3) {
+                    let seg = parse_segment(&forged.file).unwrap();
+                    seg.verify_descriptors(&forged.file).unwrap();
+                }
             }
-            other => panic!("expected Persist, got {other:?}"),
         }
     }
 
@@ -2318,80 +2145,71 @@ mod tests {
 
     #[test]
     fn fsck_reports_clean_file_as_ok() {
-        let db = populated_db();
-        let bytes = save_to_vec(&db).unwrap();
-        let report = fsck_slice(&bytes);
-        assert!(report.is_ok(), "{report:?}");
-        assert_eq!(report.format, "CBIRDB02");
-        assert_eq!(report.sections.len(), 3);
-        assert_eq!(report.first_corrupt_offset, None);
-        let names: Vec<_> = report.sections.iter().map(|s| s.name).collect();
-        assert_eq!(names, ["config", "descriptors", "metas"]);
-
-        let v1 = save_to_vec_v1(&db).unwrap();
-        let report = fsck_slice(&v1);
-        assert!(report.is_ok(), "{report:?}");
-        assert_eq!(report.format, "CBIRDB01 (legacy)");
+        let expected = [
+            (
+                "CBIRDB03",
+                &["config", "seghdr", "metas", "descriptors"][..],
+            ),
+            (
+                "CBIRDB02 (import only)",
+                &["config", "descriptors", "metas"][..],
+            ),
+        ];
+        for (image, (format, sections)) in both_formats().iter().zip(expected) {
+            let report = fsck_slice(&image.file);
+            assert!(report.is_ok(), "{report:?}");
+            assert_eq!(report.format, format);
+            assert_eq!(report.first_corrupt_offset, None);
+            let names: Vec<_> = report.sections.iter().map(|s| s.name).collect();
+            assert_eq!(names, sections);
+        }
     }
 
     #[test]
     fn fsck_reports_first_corrupt_offset() {
-        let db = populated_db();
-        let bytes = save_to_vec(&db).unwrap();
-        let entries = parse_toc(&bytes).unwrap();
+        let bad_sections = |report: &FsckReport| -> Vec<&'static str> {
+            report
+                .sections
+                .iter()
+                .filter(|s| s.error.is_some())
+                .map(|s| s.name)
+                .collect()
+        };
+        for image in both_formats() {
+            let bytes = &image.file;
+            let entry = |id| &image.toc[image.section(id)];
 
-        // Corrupt the middle of the descriptors payload.
-        let mut corrupt = bytes.clone();
-        let flip_at = (entries[1].offset + entries[1].len / 2) as usize;
-        corrupt[flip_at] ^= 0x01;
-        let report = fsck_slice(&corrupt);
-        assert!(!report.is_ok());
-        assert_eq!(report.first_corrupt_offset, Some(entries[1].offset));
-        let bad: Vec<_> = report
-            .sections
-            .iter()
-            .filter(|s| s.error.is_some())
-            .map(|s| s.name)
-            .collect();
-        assert_eq!(bad, ["descriptors"]);
+            // Corrupt the middle of the descriptors payload.
+            let descriptors = entry(SEC_DESCRIPTORS);
+            let mut corrupt = bytes.clone();
+            corrupt[(descriptors.offset + descriptors.len / 2) as usize] ^= 0x01;
+            let report = fsck_slice(&corrupt);
+            assert!(!report.is_ok());
+            assert_eq!(report.first_corrupt_offset, Some(descriptors.offset));
+            assert_eq!(bad_sections(&report), ["descriptors"]);
 
-        // Corrupt two sections: both are reported (fsck does not stop
-        // at the first).
-        let mut corrupt = bytes.clone();
-        corrupt[entries[0].offset as usize] ^= 0x80;
-        corrupt[entries[2].offset as usize] ^= 0x80;
-        let report = fsck_slice(&corrupt);
-        let bad: Vec<_> = report
-            .sections
-            .iter()
-            .filter(|s| s.error.is_some())
-            .map(|s| s.name)
-            .collect();
-        assert_eq!(bad, ["config", "metas"]);
-        assert_eq!(report.first_corrupt_offset, Some(entries[0].offset));
+            // Corrupt two sections: both are reported (fsck does not
+            // stop at the first).
+            let mut corrupt = bytes.clone();
+            corrupt[entry(SEC_CONFIG).offset as usize] ^= 0x80;
+            corrupt[entry(SEC_METAS).offset as usize] ^= 0x80;
+            let report = fsck_slice(&corrupt);
+            assert_eq!(bad_sections(&report), ["config", "metas"]);
+            assert_eq!(report.first_corrupt_offset, Some(entry(SEC_CONFIG).offset));
 
-        // Header corruption.
-        let mut corrupt = bytes.clone();
-        corrupt[9] ^= 0x02; // section count
-        let report = fsck_slice(&corrupt);
-        assert!(!report.is_ok());
-        assert!(report.error.is_some());
-    }
-
-    fn segment_bytes(db: &ImageDatabase) -> Vec<u8> {
-        encode_segment(
-            db.is_balanced(),
-            db.pipeline(),
-            db.flat_descriptors(),
-            db.metas(),
-        )
-        .unwrap()
+            // Header corruption.
+            let mut corrupt = bytes.clone();
+            corrupt[9] ^= 0x02; // section count
+            let report = fsck_slice(&corrupt);
+            assert!(!report.is_ok());
+            assert!(report.error.is_some());
+        }
     }
 
     #[test]
-    fn v3_segment_roundtrips_with_aligned_descriptors() {
+    fn segment_roundtrips_with_aligned_descriptors() {
         let db = populated_db();
-        let bytes = segment_bytes(&db);
+        let bytes = save_to_vec(&db).unwrap();
         assert_eq!(&bytes[..8], MAGIC_V3);
 
         let seg = parse_segment(&bytes).unwrap();
@@ -2417,16 +2235,16 @@ mod tests {
         // Empty segments are legal (an empty store still has a manifest,
         // but compaction of a fully-deleted corpus writes none).
         let empty = ImageDatabase::new(full_pipeline());
-        let bytes = segment_bytes(&empty);
+        let bytes = save_to_vec(&empty).unwrap();
         let seg = parse_segment(&bytes).unwrap();
         assert_eq!(seg.rows, 0);
         assert_eq!(load_from_slice(&bytes).unwrap().len(), 0);
     }
 
     #[test]
-    fn v3_descriptor_corruption_is_deferred_but_not_missed() {
+    fn descriptor_corruption_is_deferred_but_not_missed() {
         let db = populated_db();
-        let bytes = segment_bytes(&db);
+        let bytes = save_to_vec(&db).unwrap();
         let seg = parse_segment(&bytes).unwrap();
         let mid = seg.descriptor_range().start + seg.descriptor_range().len() / 2;
 
@@ -2455,7 +2273,7 @@ mod tests {
         // Config corruption, by contrast, is caught eagerly at open:
         // the first payload sits at the first 64-byte boundary past the
         // 4-entry header.
-        let config_at = ((12 + 4 * TOC3_ENTRY_LEN + 4) as u64).next_multiple_of(SEG_ALIGN) as usize;
+        let config_at = ((12 + 4 * TOC_ENTRY_LEN + 4) as u64).next_multiple_of(SEG_ALIGN) as usize;
         let mut corrupt = bytes.clone();
         corrupt[config_at] ^= 0x01;
         let err = parse_segment(&corrupt).unwrap_err();
@@ -2466,12 +2284,12 @@ mod tests {
     }
 
     #[test]
-    fn v3_alignment_gaps_must_be_zero() {
+    fn alignment_gaps_must_be_zero() {
         let db = populated_db();
-        let mut bytes = segment_bytes(&db);
+        let mut bytes = save_to_vec(&db).unwrap();
         // The gap between header end and the first aligned payload is
         // not covered by any section CRC — the zero-fill rule covers it.
-        let header_end = 12 + 4 * TOC3_ENTRY_LEN + 4;
+        let header_end = 12 + 4 * TOC_ENTRY_LEN + 4;
         let first_payload = (header_end as u64).next_multiple_of(SEG_ALIGN) as usize;
         assert!(first_payload > header_end, "test needs a nonempty gap");
         bytes[header_end] = 0xFF;
@@ -2483,9 +2301,9 @@ mod tests {
     }
 
     #[test]
-    fn v3_truncation_and_trailing_bytes_are_rejected() {
+    fn truncation_and_trailing_bytes_are_rejected() {
         let db = populated_db();
-        let bytes = segment_bytes(&db);
+        let bytes = save_to_vec(&db).unwrap();
         assert!(parse_segment(&bytes[..bytes.len() - 1]).is_err());
         assert!(parse_segment(&bytes[..100]).is_err());
         let mut extended = bytes.clone();
@@ -2555,7 +2373,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
 
-        let seg = segment_bytes(&db);
+        let seg = save_to_vec(&db).unwrap();
         std::fs::write(dir.join(segment_file_name(0)), &seg).unwrap();
         std::fs::write(dir.join(segment_file_name(1)), &seg).unwrap();
         std::fs::write(dir.join("seg-orphaned.seg"), b"junk").unwrap();

@@ -86,10 +86,6 @@ pub struct StoreOptions {
     /// Maximum rows per segment written by compaction (larger corpora
     /// split into several segments).
     pub max_seg_rows: usize,
-    /// Map segment files (`true`, the out-of-core mode) or read them
-    /// into the heap (`false`, for filesystems where mapping is
-    /// undesirable). Both modes serve bit-identical results.
-    pub mmap: bool,
 }
 
 impl StoreOptions {
@@ -100,7 +96,6 @@ impl StoreOptions {
             measure,
             memtable_limit: 4096,
             max_seg_rows: 1 << 20,
-            mmap: true,
         }
     }
 }
@@ -179,7 +174,7 @@ impl SourceRows {
     }
 }
 
-/// One open immutable segment: the mapped (or heap-loaded) file image,
+/// One open immutable segment: the mapped file image,
 /// its parsed view, and lazily materialized metadata and search index.
 /// Laziness is load-bearing: opening a store must stay O(segments), not
 /// O(rows), so cold-open cost is independent of corpus size.
@@ -194,16 +189,18 @@ struct Segment {
 }
 
 impl Segment {
-    fn open(path: &Path, name: &str, use_mmap: bool) -> Result<Arc<Segment>> {
-        let bytes = if use_mmap {
-            Arc::new(Mmap::open(path).map_err(|e| {
-                CoreError::Persist(
-                    PersistError::new(format!("cannot open segment: {e}")).with_path(path),
-                )
-            })?)
-        } else {
-            Arc::new(Mmap::from_bytes(read_file_bytes(path)?))
-        };
+    /// Map the file (or, where mapping is unavailable, read it: see
+    /// [`Mmap::open`]) and open the image.
+    fn open(path: &Path, name: &str) -> Result<Arc<Segment>> {
+        let bytes = Mmap::open(path).map_err(|e| {
+            CoreError::Persist(
+                PersistError::new(format!("cannot open segment: {e}")).with_path(path),
+            )
+        })?;
+        Self::from_image(path, name, Arc::new(bytes))
+    }
+
+    fn from_image(path: &Path, name: &str, bytes: Arc<Mmap>) -> Result<Arc<Segment>> {
         let view = parse_segment(&bytes).map_err(|e| attach_path(e, path))?;
         let rows = view.rows;
         let data = if rows == 0 {
@@ -1096,7 +1093,7 @@ impl CorpusStore {
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for entry in &manifest.segments {
             let path = dir.join(&entry.name);
-            let seg = Segment::open(&path, &entry.name, options.mmap)?;
+            let seg = Segment::open(&path, &entry.name)?;
             if seg.rows as u64 != entry.rows {
                 return Err(CoreError::Persist(
                     PersistError::new(format!(
@@ -1418,7 +1415,7 @@ impl CorpusStore {
                 });
                 // 3. Open before committing: a commit must never point at
                 // a segment we cannot serve.
-                opened.push(Segment::open(&path, &name, self.options.mmap)?);
+                opened.push(Segment::open(&path, &name)?);
             }
             // 4. Commit.
             let manifest = Manifest {
@@ -1460,7 +1457,7 @@ impl CorpusStore {
                 // way recovery sees exactly the old or the new set.)
                 let mut reopened = Vec::new();
                 for (path, entry) in new_paths.iter().zip(&new_entries) {
-                    reopened.push(Segment::open(path, &entry.name, self.options.mmap)?);
+                    reopened.push(Segment::open(path, &entry.name)?);
                 }
                 reopened
             }
@@ -1990,9 +1987,18 @@ mod tests {
         let durable_epoch = cs.epoch;
         drop(store);
         for mmap in [true, false] {
-            let mut o = options.clone();
-            o.mmap = mmap;
-            let store = CorpusStore::open(&dir, o).unwrap();
+            let store = CorpusStore::open(&dir, options.clone()).unwrap();
+            if !mmap {
+                // The owned-buffer fallback of `Mmap::open`, forced.
+                let mut state = store.state.lock().unwrap();
+                for seg in &mut state.segments {
+                    let name = seg.path.file_name().unwrap().to_string_lossy().into_owned();
+                    let image = Mmap::from_bytes(std::fs::read(&seg.path).unwrap());
+                    assert!(!image.is_mapped());
+                    *seg = Segment::from_image(&seg.path, &name, Arc::new(image)).unwrap();
+                }
+                store.publish(&state).unwrap();
+            }
             let snap = store.snapshot();
             assert_eq!(snap.epoch(), durable_epoch);
             assert_eq!(snap.segments_len(), 4);

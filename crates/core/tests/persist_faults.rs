@@ -13,19 +13,24 @@
 //!    a typed `CoreError::Persist` naming the section (and, through
 //!    `load_file`, the path) — never a panic and never silently wrong
 //!    data.
-//! 3. **Migration** — legacy `CBIRDB01` files round-trip through the
-//!    v2 writer unchanged in content.
+//! 3. **One container** — what `save_file` writes is a store segment:
+//!    save → load → save is byte-identical and the file serves as
+//!    `seg-00000000.seg` of a store. A checked-in `CBIRDB02` image (the
+//!    format `cbir index` wrote before) still imports, content pinned.
 
 use cbir_core::faults::{CountOps, FailAtOp, FlipBitAt, NoFaults, TornWriteAt};
 use cbir_core::persist::{
-    fsck_dir, fsck_slice, load_file, load_from_slice, save_file_with, save_to_vec,
+    encode_manifest, fsck_dir, fsck_slice, load_file, load_from_slice, parse_segment, save_file,
+    save_file_with, save_to_vec, segment_file_name, Manifest, ManifestEntry, MANIFEST_FILE,
 };
 use cbir_core::{
-    CoreError, CorpusSnapshot, CorpusStore, ImageDatabase, ImageMeta, IndexKind, StoreOptions,
+    CoreError, CorpusSnapshot, CorpusStore, ImageDatabase, ImageMeta, IndexKind, QueryEngine,
+    StoreOptions,
 };
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_image::{Rgb, RgbImage};
+use cbir_index::BatchStats;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -176,10 +181,16 @@ fn torn_writes_at_every_chunk_boundary_never_corrupt_the_target() {
     let path = dir.join("db.cbir");
 
     let old_db = db_with(2, 3);
-    let new_db = db_with(4, 4);
+    let new_db = db_with(12, 4);
     save_file_with(&old_db, &path, &mut cbir_core::faults::NoFaults).unwrap();
     let old_bytes = std::fs::read(&path).unwrap();
     let new_bytes = save_to_vec(&new_db).unwrap();
+    assert_eq!(&new_bytes[..8], b"CBIRDB03");
+    assert!(
+        new_bytes.len() > 2 * 4096,
+        "the image must span several 4 KiB write chunks, has {}",
+        new_bytes.len()
+    );
 
     // Tear at a spread of absolute offsets: the first byte, a header
     // byte, section interiors, chunk boundaries, and the last byte.
@@ -244,134 +255,223 @@ fn silent_bit_flip_during_save_is_caught_at_load() {
 // 2. Corruption sweeps on a saved image.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn every_truncation_point_is_a_typed_error() {
-    let db = db_with(2, 6);
-    let bytes = save_to_vec(&db).unwrap();
-    // Exhaustive over the header and first section; sampled beyond (the
-    // tail is dominated by the f32 matrix and O(n^2) over it is slow in
-    // debug builds).
-    let mut lengths: Vec<usize> = (0..256.min(bytes.len())).collect();
-    let mut rng = XorShift(0xDEAD_BEEF);
-    for _ in 0..64 {
-        lengths.push(rng.below(bytes.len() as u64) as usize);
-    }
-    lengths.push(bytes.len() - 1);
-    for len in lengths {
-        match load_from_slice(&bytes[..len]) {
+/// Every truncation length and every single-bit flip of `bytes` must be
+/// a typed error naming a section and an offset, and must fail `fsck`
+/// with a first corrupt offset.
+fn assert_every_truncation_and_bit_flip_is_typed(bytes: &[u8], what: &str) {
+    let rejected = |corrupt: &[u8], ctx: &str| {
+        match load_from_slice(corrupt) {
             Err(CoreError::Persist(p)) => {
-                assert!(
-                    p.section.is_some(),
-                    "truncation to {len}: error names no section: {p}"
-                );
+                assert!(p.section.is_some(), "{what}, {ctx}: no section in {p}");
+                assert!(p.offset.is_some(), "{what}, {ctx}: no offset in {p}");
             }
-            Err(other) => panic!("truncation to {len}: untyped error {other:?}"),
-            Ok(_) => panic!("truncation to {len} bytes loaded successfully"),
+            Err(other) => panic!("{what}, {ctx}: untyped error {other:?}"),
+            Ok(_) => panic!("{what}, {ctx}: loaded successfully"),
         }
-        let report = fsck_slice(&bytes[..len]);
-        assert!(!report.is_ok(), "fsck passed a file truncated to {len}");
+        let report = fsck_slice(corrupt);
+        assert!(!report.is_ok(), "{what}, {ctx}: fsck passed");
         assert!(
             report.first_corrupt_offset.is_some(),
-            "fsck reported no corrupt offset for truncation to {len}"
+            "{what}, {ctx}: fsck reported no corrupt offset"
+        );
+    };
+    for len in 0..bytes.len() {
+        rejected(&bytes[..len], &format!("truncation to {len}"));
+    }
+    let mut corrupt = bytes.to_vec();
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            corrupt[byte] ^= 1 << bit;
+            rejected(&corrupt, &format!("flip {byte}.{bit}"));
+            corrupt[byte] ^= 1 << bit;
+        }
+    }
+}
+
+#[test]
+fn every_truncation_and_every_bit_flip_of_a_saved_file_is_a_typed_error() {
+    let bytes = save_to_vec(&db_with(2, 6)).unwrap();
+    assert_eq!(&bytes[..8], b"CBIRDB03");
+    // The sweep must cross bytes no checksum covers: the zero-filled
+    // alignment gaps after the header and between sections.
+    let header_len = 8 + 4 + 4 * 24 + 4;
+    let matrix = parse_segment(&bytes).unwrap().descriptor_range();
+    assert!(bytes[header_len..128].iter().all(|&b| b == 0) && header_len < 128);
+    assert_eq!((matrix.start % 64, matrix.end), (0, bytes.len()));
+    let mut gap_flip = bytes.clone();
+    gap_flip[header_len] ^= 0x10;
+    let err = load_from_slice(&gap_flip).unwrap_err();
+    assert!(err.to_string().contains("zero-filled"), "{err}");
+    assert_every_truncation_and_bit_flip_is_typed(&bytes, "saved file");
+}
+
+// ---------------------------------------------------------------------------
+// 3. One container; CBIRDB02 import.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn save_load_save_is_byte_identical() {
+    let db = db_with(4, 9);
+    let first = save_to_vec(&db).unwrap();
+    let loaded = load_from_slice(&first).unwrap();
+    assert_eq!(save_to_vec(&loaded).unwrap(), first);
+    // And the reloaded database extracts queries identically.
+    let probe = RgbImage::from_fn(20, 20, |x, y| Rgb::new((x * 9) as u8, (y * 5) as u8, 33));
+    assert_eq!(db.extract(&probe).unwrap(), loaded.extract(&probe).unwrap());
+}
+
+#[test]
+fn a_saved_file_serves_as_the_one_segment_of_a_store() {
+    let dir = temp_dir("as_segment");
+    let db = db_with(12, 11);
+    let file = dir.join("db.cbir");
+    save_file(&db, &file).unwrap();
+
+    let store_dir = dir.join("store");
+    std::fs::create_dir_all(&store_dir).unwrap();
+    std::fs::copy(&file, store_dir.join(segment_file_name(0))).unwrap();
+    let manifest = Manifest {
+        epoch: 1,
+        next_seg: 1,
+        balanced: db.is_balanced(),
+        pipeline: db.pipeline().clone(),
+        segments: vec![ManifestEntry {
+            name: segment_file_name(0),
+            rows: db.len() as u64,
+        }],
+    };
+    std::fs::write(store_dir.join(MANIFEST_FILE), encode_manifest(&manifest)).unwrap();
+    assert!(fsck_dir(&store_dir).unwrap().is_ok());
+
+    // Every reply field, distances by bit pattern.
+    let bits = |hits: Vec<Vec<cbir_core::Ranked>>| -> Vec<Vec<String>> {
+        hits.iter()
+            .map(|q| {
+                q.iter()
+                    .map(|h| {
+                        format!(
+                            "{} {} {:?} {:08x}",
+                            h.id,
+                            h.name,
+                            h.label,
+                            h.distance.to_bits()
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let queries: Vec<Vec<f32>> = (0..db.len())
+        .step_by(5)
+        .map(|i| db.descriptor(i).unwrap().to_vec())
+        .collect();
+    for kind in [IndexKind::Linear, IndexKind::VpTree] {
+        let engine =
+            QueryEngine::build(load_file(&file).unwrap(), kind.clone(), Measure::L1).unwrap();
+        let store = CorpusStore::open(&store_dir, StoreOptions::new(kind, Measure::L1)).unwrap();
+        let snap = store.snapshot();
+        assert_eq!((snap.len(), snap.segments_len()), (db.len(), 1));
+        let (mut s1, mut s2) = (BatchStats::new(), BatchStats::new());
+        assert_eq!(
+            bits(snap.knn_batch(&queries, 5, 1, &mut s1).unwrap()),
+            bits(engine.knn_batch(&queries, 5, 1, &mut s2).unwrap())
+        );
+        assert_eq!(
+            bits(snap.range_batch(&queries, 0.5, 1, &mut s1).unwrap()),
+            bits(engine.range_batch(&queries, 0.5, 1, &mut s2).unwrap())
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn every_header_bit_flip_is_a_typed_error() {
-    let db = db_with(2, 7);
-    let bytes = save_to_vec(&db).unwrap();
-    // Header = magic + count + TOC + header crc for 3 sections.
-    let header_len = 8 + 4 + 3 * 13 + 4;
-    for byte in 0..header_len {
-        for bit in 0..8u8 {
-            let mut corrupt = bytes.clone();
-            corrupt[byte] ^= 1 << bit;
-            match load_from_slice(&corrupt) {
-                Err(CoreError::Persist(_)) => {}
-                Err(other) => panic!("header flip {byte}.{bit}: untyped error {other:?}"),
-                Ok(_) => panic!("header flip at byte {byte} bit {bit} loaded successfully"),
-            }
-            assert!(
-                !fsck_slice(&corrupt).is_ok(),
-                "fsck passed header flip {byte}.{bit}"
-            );
-        }
-    }
-}
+/// Written by `cbir index corpus --pipeline shape` of the last commit
+/// whose `save_file` wrote `CBIRDB02` (corpus: `cbir generate --classes 2
+/// --per-class 2 --size 24 --seed 18`).
+const IMPORT_FIXTURE: &[u8] = include_bytes!("data/cbirdb02-shape.cbir");
+
+/// `flat_descriptors()` of the fixture as that commit's loader decoded
+/// it, as `f32` bit patterns.
+#[rustfmt::skip]
+const IMPORT_FIXTURE_BITS: [u32; 124] = [
+    0x3EB6F43D, 0x3E56345F, 0x3E70A947, 0x3E28E35F, 0x37EAC439, 0xBCCD1BC4, 0x3C0ABAF8, 0x3EC5A9D4,
+    0x3E291C59, 0x3EE5C7FF, 0x3DD1C7E9, 0x3E4AB68D, 0x3E9814F0, 0x3E1376FC, 0x3E846252, 0x3DECEC6E,
+    0x3DA131D8, 0x3D8C7D13, 0x3D512F46, 0x3D705294, 0x3D29B91D, 0x3D5F122A, 0x3D9D3310, 0x3DB82853,
+    0x3D7F8B9F, 0x3D25E85F, 0x3D0213EA, 0x3D2F2943, 0x3D21FBC4, 0x3D50AE15, 0x3DC63531, 0x3E97F4A1,
+    0x3E3B0E1C, 0x3E4F1897, 0x3E2ADB19, 0xBD16A13C, 0xBDBE7A99, 0x3CB17AD3, 0x3EFA02AA, 0x3E1ED3E0,
+    0x3EB69366, 0x3E2B5769, 0x3DDF26F0, 0x3E9CA145, 0x3E1BCA21, 0x3E88043B, 0x3D9305CF, 0x3D3173ED,
+    0x3D2536CE, 0x3D136EEF, 0x3D51A03A, 0x3D3661AA, 0x3D88DCF5, 0x3DCC1763, 0x3E1DDD22, 0x3D9C500D,
+    0x3D46A166, 0x3D2BED75, 0x3D61E59B, 0x3D45298E, 0x3D7EA114, 0x3D759C6A, 0x3EF628E6, 0x3E957067,
+    0x3DE66263, 0x3DC8E3D0, 0x36DD53B0, 0x3C894083, 0xB5FF3577, 0x3EEBD4EB, 0x3D8B6703, 0x3EF15152,
+    0x3DFA54AA, 0x3E08C703, 0x3EDD2A58, 0x3D8B3D1A, 0x3E7A1B72, 0x3BFD0D90, 0x3C2E4972, 0x3C107CF9,
+    0x3BC29B3C, 0x3C589B6D, 0x3C969FDA, 0x3E7B4932, 0x3F15D856, 0x3D82EA3D, 0x3C1426C2, 0x3BC9E196,
+    0x3BADD4F9, 0x3B7ABB81, 0x3BC9457D, 0x3BB21F0B, 0x3B9A593B, 0x3F097879, 0x3E8C4B37, 0x3CE0B978,
+    0x3E15B1F5, 0x35824476, 0x3C7BC85B, 0x36DE68F8, 0x3EC834B1, 0x3D6DB9AE, 0x3F0D0A0D, 0x3E081FF9,
+    0x3DEBE094, 0x3ED65678, 0x3D8F5FB4, 0x3E86C979, 0x3B9592F0, 0x3B99D301, 0x3B9FA2D0, 0x3B8773DD,
+    0x3C12C826, 0x3C6CB2B9, 0x3DC98C89, 0x3F375574, 0x3DD7BEB9, 0x3C2BE8BB, 0x3BD5D53E, 0x3B7DE56C,
+    0x3B4C2DAA, 0x3B869341, 0x3BB52DF8, 0x3B9CAE06,
+];
 
 #[test]
-fn seeded_random_payload_bit_flips_are_typed_errors() {
-    let db = db_with(3, 8);
-    let bytes = save_to_vec(&db).unwrap();
-    let header_len = 8 + 4 + 3 * 13 + 4;
-    let mut rng = XorShift(0xC0FF_EE00_1234_5678);
-    for _ in 0..256 {
-        let at = header_len as u64 + rng.below((bytes.len() - header_len) as u64);
-        let bit = (rng.next() % 8) as u8;
-        let mut corrupt = bytes.clone();
-        corrupt[at as usize] ^= 1 << bit;
-        match load_from_slice(&corrupt) {
-            Err(CoreError::Persist(p)) => {
-                assert!(
-                    p.section.is_some(),
-                    "payload flip at {at}: no section in {p}"
-                );
-                assert!(p.offset.is_some(), "payload flip at {at}: no offset in {p}");
-            }
-            Err(other) => panic!("payload flip at {at}: untyped error {other:?}"),
-            Ok(_) => panic!("payload flip at offset {at} bit {bit} loaded successfully"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 3. Migration: CBIRDB01 -> CBIRDB02.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v1_to_v2_migration_roundtrip_preserves_content() {
-    let db = db_with(4, 9);
-    // Write the legacy format, load it, re-save in v2, load again.
-    let v1 = cbir_core::persist::save_to_vec_v1(&db).unwrap();
-    assert_eq!(&v1[..8], b"CBIRDB01");
-    let from_v1 = load_from_slice(&v1).unwrap();
-    let v2 = save_to_vec(&from_v1).unwrap();
-    assert_eq!(&v2[..8], b"CBIRDB02");
-    let migrated = load_from_slice(&v2).unwrap();
-
-    assert_eq!(migrated.len(), db.len());
-    assert_eq!(migrated.dim(), db.dim());
-    assert_eq!(migrated.is_balanced(), db.is_balanced());
-    assert_eq!(migrated.pipeline().specs(), db.pipeline().specs());
-    for i in 0..db.len() {
-        assert_eq!(migrated.descriptor(i).unwrap(), db.descriptor(i).unwrap());
-        assert_eq!(migrated.meta(i).unwrap(), db.meta(i).unwrap());
-    }
-    // And the migrated database extracts queries identically.
-    let probe = RgbImage::from_fn(20, 20, |x, y| Rgb::new((x * 9) as u8, (y * 5) as u8, 33));
+fn the_checked_in_cbirdb02_image_imports_with_its_exact_content() {
+    assert_eq!(&IMPORT_FIXTURE[..8], b"CBIRDB02");
+    let db = load_from_slice(IMPORT_FIXTURE).unwrap();
+    assert!(db.is_balanced());
+    assert_eq!(db.pipeline().canonical_size(), 64);
     assert_eq!(
-        db.extract(&probe).unwrap(),
-        migrated.extract(&probe).unwrap()
+        db.pipeline().specs(),
+        [
+            FeatureSpec::HuMoments,
+            FeatureSpec::ShapeSummary,
+            FeatureSpec::RegionShape,
+            FeatureSpec::EdgeOrientation { bins: 16 },
+        ]
     );
+    let metas: Vec<_> = db
+        .metas()
+        .iter()
+        .map(|m| (m.name.as_str(), m.label))
+        .collect();
+    assert_eq!(
+        metas,
+        [
+            ("class-0-0000.ppm", Some(0)),
+            ("class-0-0001.ppm", Some(0)),
+            ("class-1-0002.ppm", Some(1)),
+            ("class-1-0003.ppm", Some(1)),
+        ]
+    );
+    let bits: Vec<u32> = db.flat_descriptors().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, IMPORT_FIXTURE_BITS);
+
+    let report = fsck_slice(IMPORT_FIXTURE);
+    assert!(report.is_ok(), "{report:?}");
+    assert_eq!(report.format, "CBIRDB02 (import only)");
+    let sections: Vec<_> = report
+        .sections
+        .iter()
+        .map(|s| (s.name, s.offset, s.len))
+        .collect();
+    assert_eq!(
+        sections,
+        [
+            ("config", 55, 17),
+            ("descriptors", 72, 508),
+            ("metas", 580, 108)
+        ]
+    );
+
+    // Saving the import upgrades it: the same content in the one format.
+    let upgraded = save_to_vec(&db).unwrap();
+    assert_eq!(&upgraded[..8], b"CBIRDB03");
+    let reloaded = load_from_slice(&upgraded).unwrap();
+    assert_eq!(reloaded.flat_descriptors(), db.flat_descriptors());
+    assert_eq!(reloaded.metas(), db.metas());
+    assert_eq!(reloaded.pipeline().specs(), db.pipeline().specs());
 }
 
 #[test]
-fn truncated_v1_files_are_typed_errors_too() {
-    let db = db_with(2, 10);
-    let v1 = cbir_core::persist::save_to_vec_v1(&db).unwrap();
-    let mut rng = XorShift(0xFEED_F00D);
-    let mut lengths: Vec<usize> = (0..64.min(v1.len())).collect();
-    for _ in 0..32 {
-        lengths.push(rng.below(v1.len() as u64) as usize);
-    }
-    for len in lengths {
-        match load_from_slice(&v1[..len]) {
-            Err(CoreError::Persist(_)) => {}
-            Err(other) => panic!("v1 truncation to {len}: untyped error {other:?}"),
-            Ok(_) => panic!("v1 file truncated to {len} loaded successfully"),
-        }
-    }
+fn every_truncation_and_every_bit_flip_of_the_cbirdb02_image_is_a_typed_error() {
+    assert_every_truncation_and_bit_flip_is_typed(IMPORT_FIXTURE, "CBIRDB02 fixture");
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //!
 //! The [`ApproxSearch`] trait captures only the coarse stage — "give me up
 //! to `budget` plausible row ids" — so every backend (truncated-Haar
-//! signature scan, best-bin-first kd traversal, LSH bucket probing) composes
+//! signature scan, best-bin-first kd traversal) composes
 //! with one shared rerank path, [`rerank_exact`], which scores candidates
 //! through the monomorphized [`DistanceKernel`](cbir_distance::DistanceKernel) batch entry point and orders
 //! the final top-k by the same `(distance, id)` rule every exact index uses.
@@ -698,44 +698,6 @@ impl ApproxSearch for BestBinFirst {
     }
 }
 
-impl ApproxSearch for crate::LshIndex {
-    fn len(&self) -> usize {
-        crate::LshIndex::len(self)
-    }
-
-    fn dim(&self) -> usize {
-        self.dataset().dim()
-    }
-
-    /// Candidates are the union of the query's buckets across tables,
-    /// deduplicated, truncated at `budget`. LSH has no within-bucket coarse
-    /// ranking, so truncation keeps bucket order (tables probed in build
-    /// order) — recall is controlled by the table configuration, with
-    /// `budget` as a hard cost ceiling.
-    fn coarse_candidates(
-        &self,
-        query: &[f32],
-        budget: usize,
-        stats: &mut SearchStats,
-        out: &mut Vec<u32>,
-    ) {
-        if budget == 0 {
-            return;
-        }
-        let start = out.len();
-        self.probe_buckets(query, budget, stats, out);
-        stats.coarse_candidates += (out.len() - start) as u64;
-    }
-
-    fn name(&self) -> &'static str {
-        "lsh"
-    }
-
-    fn structure_bytes(&self) -> usize {
-        crate::LshIndex::structure_bytes(self)
-    }
-}
-
 /// Exported so tests can exercise the transform directly; intentionally
 /// hidden from the public docs (the signature table is the supported API).
 #[doc(hidden)]
@@ -864,19 +826,6 @@ mod tests {
         let bbf = BestBinFirst::build(&ds).unwrap();
         let r = recall_of(&bbf, &ds, 400, 20, 10);
         assert!(r >= 0.9, "recall {r}");
-    }
-
-    #[test]
-    fn lsh_generates_candidates_via_trait() {
-        let ds = clustered(2000, 8, 5);
-        let lsh = crate::LshIndex::build(ds.clone(), 12, 4, 8.0, 99).unwrap();
-        let r = recall_of(&lsh, &ds, 600, 20, 10);
-        assert!(r >= 0.8, "recall {r}");
-        let a: &dyn ApproxSearch = &lsh;
-        assert_eq!(a.len(), 2000);
-        assert_eq!(a.dim(), 8);
-        assert_eq!(a.name(), "lsh");
-        assert!(a.structure_bytes() > 0);
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //!
 //! Exactness is the default contract; approximation is strictly opt-in.
 //! The [`ApproxSearch`] trait is the coarse half of a two-stage
-//! coarse-to-fine mode ([`CoarseHaarIndex`], [`BestBinFirst`], and
-//! [`LshIndex`] behind one interface) whose candidates are reranked
-//! *exactly* via [`rerank_exact`]; with an unbounded candidate budget it
+//! coarse-to-fine mode ([`CoarseHaarIndex`] and [`BestBinFirst`] behind
+//! one interface) whose candidates are reranked *exactly* via [`rerank_exact`]; with an unbounded candidate budget it
 //! degenerates to the exact answer.
 //!
 //! Cost accounting ([`SearchStats`]) counts distance computations — the
@@ -48,7 +47,6 @@ mod error;
 mod kdtree;
 mod knn_heap;
 mod linear;
-mod lsh;
 mod mtree;
 mod rect;
 mod rng;
@@ -68,7 +66,6 @@ pub use error::{IndexError, Result};
 pub use kdtree::KdTree;
 pub use knn_heap::KnnHeap;
 pub use linear::LinearScan;
-pub use lsh::LshIndex;
 pub use mtree::MTree;
 pub use rect::Rect;
 pub use rng::SplitMix64;

@@ -36,7 +36,7 @@ impl SplitMix64 {
     }
 
     /// Approximately standard-normal variate (Irwin-Hall sum of 12
-    /// uniforms) — adequate for LSH projection vectors.
+    /// uniforms) — adequate for synthetic cluster noise.
     pub fn next_normal(&mut self) -> f32 {
         let s: f32 = (0..12).map(|_| self.next_f32()).sum();
         s - 6.0

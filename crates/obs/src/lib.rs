@@ -59,8 +59,8 @@ use trace::TraceRing;
 
 /// Index slots tracked by the registry, in export order. Unknown index
 /// names fall into the final `"other"` slot.
-pub const INDEX_NAMES: [&str; 8] = [
-    "linear", "kd-tree", "vp-tree", "antipole", "r*-tree", "m-tree", "lsh", "other",
+pub const INDEX_NAMES: [&str; 7] = [
+    "linear", "kd-tree", "vp-tree", "antipole", "r*-tree", "m-tree", "other",
 ];
 
 /// Shared-intermediate extraction stages tracked by the registry.
@@ -377,7 +377,6 @@ static ROUTER_SLOTS: Mutex<Vec<Arc<RouterSlot>>> = Mutex::new(Vec::new());
 static REGISTRY: Registry = Registry {
     enabled: AtomicBool::new(true),
     indexes: [
-        IndexSlot::new(),
         IndexSlot::new(),
         IndexSlot::new(),
         IndexSlot::new(),

@@ -101,7 +101,7 @@ impl RetryingClient {
             stats: RetryStats::default(),
             rng,
         };
-        c.run(0, |client, _| client.ping().map(|_| ()))?;
+        c.call(0, |client, _| client.ping().map(|_| ()))?;
         Ok(c)
     }
 
@@ -141,7 +141,7 @@ impl RetryingClient {
         deadline_us: u64,
         recall_target: f32,
     ) -> ClientResult<Vec<Hit>> {
-        self.run(deadline_us, |client, remaining_us| {
+        self.call(deadline_us, |client, remaining_us| {
             client.knn(descriptor, k, remaining_us, recall_target)
         })
     }
@@ -154,7 +154,7 @@ impl RetryingClient {
         radius: f32,
         deadline_us: u64,
     ) -> ClientResult<Vec<Hit>> {
-        self.run(deadline_us, |client, remaining_us| {
+        self.call(deadline_us, |client, remaining_us| {
             client.range(descriptor, radius, remaining_us)
         })
     }
@@ -168,19 +168,19 @@ impl RetryingClient {
         deadline_us: u64,
         recall_target: f32,
     ) -> ClientResult<Vec<Hit>> {
-        self.run(deadline_us, |client, remaining_us| {
+        self.call(deadline_us, |client, remaining_us| {
             client.knn_by_id(id, k, remaining_us, recall_target)
         })
     }
 
     /// Liveness probe with reconnect/backoff.
     pub fn ping(&mut self) -> ClientResult<(u64, u32)> {
-        self.run(0, |client, _| client.ping())
+        self.call(0, |client, _| client.ping())
     }
 
     /// Server counters with reconnect/backoff.
     pub fn stats(&mut self) -> ClientResult<StatsSnapshot> {
-        self.run(0, |client, _| client.stats())
+        self.call(0, |client, _| client.stats())
     }
 
     /// Graceful server shutdown; not retried past a lost connection
@@ -201,10 +201,12 @@ impl RetryingClient {
         Ok(self.client.as_mut().expect("just connected"))
     }
 
-    /// The retry loop shared by every operation. `deadline_us == 0`
-    /// means no deadline; otherwise it is the total budget from now,
-    /// and each attempt is handed what remains of it.
-    fn run<T>(
+    /// The retry loop shared by every operation, for callers that need
+    /// more of a reply than the wrappers above return (e.g.
+    /// [`Client::knn_detailed`]). `deadline_us == 0` means no deadline;
+    /// otherwise it is the total budget from now, and each attempt is
+    /// handed what remains of it as `op`'s second argument.
+    pub fn call<T>(
         &mut self,
         deadline_us: u64,
         mut op: impl FnMut(&mut Client, u64) -> ClientResult<T>,
@@ -383,7 +385,7 @@ mod tests {
         // back: "all retries were shed by an overloaded server" and
         // "deadline too tight" call for different fixes.
         let err = c
-            .run(20_000, |_, remaining_us| -> ClientResult<()> {
+            .call(20_000, |_, remaining_us| -> ClientResult<()> {
                 std::thread::sleep(Duration::from_micros(remaining_us) + Duration::from_millis(1));
                 Err(ClientError::Rejected(Rejection::Overloaded(
                     "queue full".into(),

@@ -151,8 +151,16 @@ echo "$AFTER_OUT" | grep -q "class-" || { echo "server stopped serving after tor
 "$CBIR" rpc-ctl "$ADDR" shutdown >/dev/null
 wait "$SERVER_PID"
 
-echo "==> crash-recovery smoke (fault-injected save leaves old snapshot intact)"
-"$CBIR" fsck "$SMOKE_DIR/photos.cbir" >/dev/null
+echo "==> persistence smoke (one format; CBIRDB02 import; fault-injected save leaves old snapshot intact)"
+"$CBIR" fsck "$SMOKE_DIR/photos.cbir" | grep -q "CBIRDB03" \
+    || { echo "a freshly indexed file is not a CBIRDB03 image"; exit 1; }
+# What `cbir index` wrote before a saved file became a segment must
+# still import: the checked-in image the persistence tests pin.
+IMPORT_IMAGE=crates/core/tests/data/cbirdb02-shape.cbir
+"$CBIR" info "$IMPORT_IMAGE" | grep -q "images:   4" \
+    || { echo "cbir info rejected the checked-in CBIRDB02 image"; exit 1; }
+"$CBIR" fsck "$IMPORT_IMAGE" | grep -q "CBIRDB02" \
+    || { echo "cbir fsck rejected the checked-in CBIRDB02 image"; exit 1; }
 cp "$SMOKE_DIR/photos.cbir" "$SMOKE_DIR/before-crash.cbir"
 # Crash the save at fault point 2 (mid-write): re-indexing must fail...
 if CBIR_FAULT_SAVE_OP=2 "$CBIR" index "$SMOKE_DIR/photos" \

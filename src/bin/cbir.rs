@@ -22,7 +22,7 @@ use cbir::image::RgbImage;
 use cbir::router::{Router, RouterConfig};
 use cbir::server::protocol::{decode_response, encode_request, read_frame, write_frame};
 use cbir::server::{
-    ChaosProxy, Client, EventLoopConfig, Hit, Request, Response, RetryPolicy, RetryingClient,
+    ChaosProxy, Client, EventLoopConfig, HitsReply, Request, Response, RetryPolicy, RetryingClient,
     SchedulerConfig, Server, StatsSnapshot, WireMode,
 };
 use cbir::workload::{Corpus, CorpusSpec};
@@ -1117,9 +1117,13 @@ fn cmd_rpc_insert(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn print_hits(hits: &[Hit]) {
+/// One reply as `rpc-query` prints it: the hits, then the approximate
+/// search's candidate counts if it ran, then shard coverage if a router
+/// answered from fewer shards than its plan — exact, full-coverage
+/// replies stay byte-for-byte what a single node would print.
+fn print_reply(reply: &HitsReply) {
     println!("{:<28} {:>7} {:>9}", "name", "label", "distance");
-    for h in hits {
+    for h in &reply.hits {
         println!(
             "{:<28} {:>7} {:>9.4}",
             h.name,
@@ -1128,127 +1132,27 @@ fn print_hits(hits: &[Hit]) {
         );
     }
     println!();
-}
-
-/// Hits plus the optional `(coarse_candidates, rerank_evaluations)`
-/// counts an approximate query reports (absent on the retrying client).
-/// Hits plus optional approximate-search counts plus optional degraded
-/// shard coverage (`Some((answered, total))` only on a partial reply).
-type HitsWithCounts = (Vec<Hit>, Option<(u64, u64)>, Option<(u32, u32)>);
-
-/// Plain or retrying RPC connection, so `rpc-query` shares one code path.
-enum RpcClient {
-    Plain(Client),
-    Retrying(RetryingClient),
-}
-
-impl RpcClient {
-    fn open(addr: &str, retries: u32) -> Result<RpcClient, Box<dyn std::error::Error>> {
-        if retries == 0 {
-            Ok(RpcClient::Plain(Client::connect(addr)?))
-        } else {
-            let policy = RetryPolicy {
-                max_retries: retries,
-                ..RetryPolicy::default()
-            };
-            Ok(RpcClient::Retrying(RetryingClient::connect(addr, policy)?))
-        }
+    if reply.coarse_candidates > 0 || reply.rerank_evaluations > 0 {
+        println!(
+            "(approx: {} coarse candidates, {} rerank evaluations)",
+            reply.coarse_candidates, reply.rerank_evaluations
+        );
     }
-
-    /// k-NN by id; the plain client also reports per-query approximate
-    /// candidate counts (the retrying client's loop drops them).
-    fn knn_by_id(
-        &mut self,
-        id: usize,
-        k: usize,
-        deadline_us: u64,
-        recall_target: f32,
-    ) -> Result<HitsWithCounts, Box<dyn std::error::Error>> {
-        match self {
-            RpcClient::Plain(c) => {
-                let reply = c.knn_by_id_detailed(id, k, deadline_us, recall_target)?;
-                let coverage = reply
-                    .degraded
-                    .then_some((reply.shards_answered, reply.shards_total));
-                Ok((
-                    reply.hits,
-                    Some((reply.coarse_candidates, reply.rerank_evaluations)),
-                    coverage,
-                ))
-            }
-            RpcClient::Retrying(c) => {
-                Ok((c.knn_by_id(id, k, deadline_us, recall_target)?, None, None))
-            }
-        }
-    }
-
-    /// k-NN over a raw descriptor (counts reported as for
-    /// [`RpcClient::knn_by_id`]).
-    fn knn(
-        &mut self,
-        descriptor: &[f32],
-        k: usize,
-        deadline_us: u64,
-        recall_target: f32,
-    ) -> Result<HitsWithCounts, Box<dyn std::error::Error>> {
-        match self {
-            RpcClient::Plain(c) => {
-                let reply = c.knn_detailed(descriptor, k, deadline_us, recall_target)?;
-                let coverage = reply
-                    .degraded
-                    .then_some((reply.shards_answered, reply.shards_total));
-                Ok((
-                    reply.hits,
-                    Some((reply.coarse_candidates, reply.rerank_evaluations)),
-                    coverage,
-                ))
-            }
-            RpcClient::Retrying(c) => Ok((
-                c.knn(descriptor, k, deadline_us, recall_target)?,
-                None,
-                None,
-            )),
-        }
-    }
-
-    fn range(
-        &mut self,
-        descriptor: &[f32],
-        radius: f32,
-        deadline_us: u64,
-    ) -> Result<Vec<Hit>, Box<dyn std::error::Error>> {
-        match self {
-            RpcClient::Plain(c) => Ok(c.range(descriptor, radius, deadline_us)?),
-            RpcClient::Retrying(c) => Ok(c.range(descriptor, radius, deadline_us)?),
-        }
-    }
-
-    fn report_retries(&self) {
-        if let RpcClient::Retrying(c) = self {
-            let stats = c.retry_stats();
-            if stats.retries > 0 || stats.reconnects > 0 {
-                println!(
-                    "(recovered from transient failures: {} retries, {} reconnects)",
-                    stats.retries, stats.reconnects
-                );
-            }
-        }
+    if reply.degraded {
+        println!(
+            "(degraded: answered by {}/{} shards)",
+            reply.shards_answered, reply.shards_total
+        );
     }
 }
 
-fn print_approx_counts(counts: Option<(u64, u64)>) {
-    if let Some((coarse, rerank)) = counts {
-        if coarse > 0 || rerank > 0 {
-            println!("(approx: {coarse} coarse candidates, {rerank} rerank evaluations)");
-        }
-    }
-}
-
-/// Printed only when a routed reply was degraded — exact (full-coverage)
-/// replies stay byte-for-byte what a single node would print.
-fn print_degraded(coverage: Option<(u32, u32)>) {
-    if let Some((answered, total)) = coverage {
-        println!("(degraded: answered by {answered}/{total} shards)");
+fn report_retries(client: &RetryingClient) {
+    let stats = client.retry_stats();
+    if stats.retries > 0 || stats.reconnects > 0 {
+        println!(
+            "(recovered from transient failures: {} retries, {} reconnects)",
+            stats.retries, stats.reconnects
+        );
     }
 }
 
@@ -1256,17 +1160,21 @@ fn cmd_rpc_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let addr = args.positional.first().unwrap_or_else(|| usage());
     let k: usize = args.flag_parse("k", 10);
     let deadline_us: u64 = args.flag_parse("deadline-us", 0);
-    let retries: u32 = args.flag_parse("retries", 0);
     let recall_target: f32 = args.flag_parse("recall-target", 1.0);
-    let mut client = RpcClient::open(addr, retries)?;
+    // One client for every --retries value: 0 is a single attempt.
+    let policy = RetryPolicy {
+        max_retries: args.flag_parse("retries", 0),
+        ..RetryPolicy::default()
+    };
+    let mut client = RetryingClient::new_disconnected(addr.as_str(), policy);
 
     if let Some(id) = args.flag("id") {
         let id: usize = id.parse().map_err(|_| format!("invalid --id: {id}"))?;
-        let (hits, counts, coverage) = client.knn_by_id(id, k, deadline_us, recall_target)?;
-        print_hits(&hits);
-        print_approx_counts(counts);
-        print_degraded(coverage);
-        client.report_retries();
+        let reply = client.call(deadline_us, |c, remaining_us| {
+            c.knn_by_id_detailed(id, k, remaining_us, recall_target)
+        })?;
+        print_reply(&reply);
+        report_retries(&client);
         return Ok(());
     }
 
@@ -1286,23 +1194,21 @@ fn cmd_rpc_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     let queries = extract_descriptors(db_path, &images)?;
 
-    let radius = args.flag("radius");
+    let radius: Option<f32> = match args.flag("radius") {
+        Some(r) => Some(r.parse().map_err(|_| format!("invalid --radius: {r}"))?),
+        None => None,
+    };
     for (query, img_path) in queries.iter().zip(img_paths) {
         if img_paths.len() > 1 {
             println!("query: {img_path}");
         }
-        let (hits, counts, coverage) = match radius {
-            Some(r) => {
-                let r: f32 = r.parse().map_err(|_| format!("invalid --radius: {r}"))?;
-                (client.range(query, r, deadline_us)?, None, None)
-            }
-            None => client.knn(query, k, deadline_us, recall_target)?,
-        };
-        print_hits(&hits);
-        print_approx_counts(counts);
-        print_degraded(coverage);
+        let reply = client.call(deadline_us, |c, remaining_us| match radius {
+            Some(r) => c.range_detailed(query, r, remaining_us),
+            None => c.knn_detailed(query, k, remaining_us, recall_target),
+        })?;
+        print_reply(&reply);
     }
-    client.report_retries();
+    report_retries(&client);
     Ok(())
 }
 

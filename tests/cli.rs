@@ -792,3 +792,81 @@ fn router_stats_emit_degraded_mode_schema() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--retries` selects a retry budget, not a different client: the
+/// approximate-search counts and the degraded-coverage line a reply
+/// carries are printed at every value.
+#[test]
+fn rpc_query_prints_approx_counts_and_degraded_coverage_under_retries() {
+    let (dir, db, _img) = obs_fixture("retriesprint");
+    let shards_dir = dir.join("shards");
+    let (ok, _, stderr) = run(&[
+        "shard-plan",
+        db.to_str().unwrap(),
+        "--shards",
+        "2",
+        "--out-dir",
+        shards_dir.to_str().unwrap(),
+    ]);
+    assert!(ok, "shard-plan failed: {stderr}");
+    let backend_addr_file = dir.join("shard-0.addr");
+    let (mut backend, backend_addr) = spawn_serving(
+        &[
+            "serve",
+            shards_dir.join("shard-0.db").to_str().unwrap(),
+            "--port",
+            "0",
+            "--addr-file",
+            backend_addr_file.to_str().unwrap(),
+        ],
+        &backend_addr_file,
+    );
+    // Shard 1 points at a dead address: every reply is degraded 1/2.
+    let route_addr_file = dir.join("route.addr");
+    let (mut router, route_addr) = spawn_serving(
+        &[
+            "route",
+            shards_dir.join("PLAN.txt").to_str().unwrap(),
+            &backend_addr,
+            "127.0.0.1:1",
+            "--port",
+            "0",
+            "--addr-file",
+            route_addr_file.to_str().unwrap(),
+            "--allow-partial",
+        ],
+        &route_addr_file,
+    );
+
+    let query = |retries: &str| {
+        let (ok, stdout, stderr) = run(&[
+            "rpc-query",
+            &route_addr,
+            "--id",
+            "0",
+            "-k",
+            "3",
+            "--recall-target",
+            "0.9",
+            "--retries",
+            retries,
+        ]);
+        assert!(ok, "rpc-query --retries {retries} failed: {stderr}");
+        stdout
+    };
+    let plain = query("0");
+    assert!(plain.contains("(approx: "), "{plain}");
+    assert!(
+        plain.contains("(degraded: answered by 1/2 shards)"),
+        "{plain}"
+    );
+    assert_eq!(query("1"), plain);
+
+    let (ok, _, stderr) = run(&["rpc-ctl", &route_addr, "shutdown"]);
+    assert!(ok, "router shutdown failed: {stderr}");
+    router.wait().expect("router exit");
+    let (ok, _, stderr) = run(&["rpc-ctl", &backend_addr, "shutdown"]);
+    assert!(ok, "backend shutdown failed: {stderr}");
+    backend.wait().expect("backend exit");
+    std::fs::remove_dir_all(&dir).ok();
+}
