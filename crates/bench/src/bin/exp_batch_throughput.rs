@@ -13,12 +13,29 @@
 //! Every batched result list is checked bit-identical against the
 //! single-query loop before any timing is reported.
 //!
+//! A second leg prices the sequential scan's **exact L1 filter** (a
+//! one-byte code table whose lower bound skips rows; see
+//! `cbir_index::LinearScan`) against the plain blocked scan, written out
+//! here from `Measure::dist_to_many` and a `KnnHeap`, at batch 8 on one
+//! thread: where it pays (the benchmark's clustered corpus), and where it
+//! cannot (one column a million times wider than the rest, so the codes
+//! separate nothing and every query leaves the filter; `k` = half the
+//! rows, so the heap alone needs that many evaluations and the filter is
+//! never entered). The worst cases must stay within a quarter of the
+//! plain scan on any host (measured: within a tenth); replies are
+//! asserted bit-identical first. The table's build time and size are
+//! reported beside them.
+//!
 //! Writes `results/BENCH_query_throughput.json`.
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_batch_throughput [--quick]`
 
 use cbir_bench::{build_lineup_index, clustered_dataset, index_lineup, standard_queries, Table};
-use cbir_index::{knn_batch_parallel, BatchStats, SearchStats};
+use cbir_distance::Measure;
+use cbir_index::{
+    knn_batch_parallel, BatchStats, Dataset, KnnHeap, LinearScan, Neighbor, SearchIndex,
+    SearchStats,
+};
 use std::time::Instant;
 
 const K: usize = 10;
@@ -39,6 +56,116 @@ fn qps<F: FnMut()>(iters: usize, n_queries: usize, mut f: F) -> f64 {
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// The plain blocked scan the filter sits in front of: every query of
+/// the batch scored against each L1-sized block of rows, candidates
+/// offered in id order.
+fn plain_l1_knn_batch(dataset: &Dataset, queries: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
+    let dim = dataset.dim();
+    let block_rows = (32 * 1024 / (dim * 4)).max(1);
+    let mut heaps: Vec<KnnHeap> = queries.iter().map(|_| KnnHeap::new(k)).collect();
+    let mut dists = vec![0.0f32; block_rows];
+    for (b, block) in dataset.flat().chunks(block_rows * dim).enumerate() {
+        let dists = &mut dists[..block.len() / dim];
+        for (q, heap) in queries.iter().zip(&mut heaps) {
+            Measure::L1.dist_to_many(q, block, dists);
+            for (i, &d) in dists.iter().enumerate() {
+                if heap.len() < k || d < heap.bound() {
+                    heap.offer(b * block_rows + i, d);
+                }
+            }
+        }
+    }
+    heaps.into_iter().map(KnnHeap::into_sorted).collect()
+}
+
+/// The exact-L1-filter leg (see the module docs). Returns its JSON rows.
+fn l1_filter_leg(quick: bool) -> Vec<String> {
+    const DIM: usize = 64;
+    const BATCH: usize = 8;
+    let n: usize = if quick { 20_000 } else { 100_000 };
+    let iters = if quick { 1 } else { 5 };
+    let clustered = cbir_workload::clustered_smooth(n, DIM, n / 64, 10.0, 100.0, 8, 3);
+    let mut wide = cbir_workload::uniform(n, DIM, 1.0, 8);
+    let mut rng = cbir_workload::Pcg32::new(1);
+    for row in &mut wide {
+        row[0] = rng.range_f32(0.0, 1e6);
+    }
+    // (name, rows, k, queries, ceiling on filtered / plain)
+    let cases = [
+        ("clustered, k 10", &clustered, K, 64, None),
+        ("one wide column, k 10", &wide, K, 64, Some(1.25)),
+        ("clustered, k n/2", &clustered, n / 2, BATCH, Some(1.25)),
+    ];
+    println!("\nexact L1 filter vs the plain scan, N={n}, d={DIM}, batch {BATCH}, 1 thread\n");
+    let mut table = Table::new(&[
+        "corpus",
+        "plain us/q",
+        "filtered us/q",
+        "ratio",
+        "evaluated/q",
+        "pruned share",
+    ]);
+    let mut json = Vec::new();
+    for (name, rows, k, n_queries, ceiling) in cases {
+        let dataset = Dataset::from_vectors(rows).expect("dataset");
+        let queries = cbir_workload::queries(rows, n_queries, 5.0, 4);
+        let index = LinearScan::build(dataset.clone(), Measure::L1).expect("linear");
+        let idle_bytes = index.structure_bytes();
+        // The first scan that can use a table builds it.
+        let start = Instant::now();
+        let mut stats = BatchStats::new();
+        let first = index.knn_batch(&queries[..1], k, &mut stats);
+        let first_ms = start.elapsed().as_secs_f64() * 1e3;
+        let table_bytes_per_row = (index.structure_bytes() - idle_bytes) as f64 / n as f64;
+        assert_eq!(first, plain_l1_knn_batch(&dataset, &queries[..1], k));
+        let mut stats = BatchStats::new();
+        for chunk in queries.chunks(BATCH) {
+            assert_eq!(
+                index.knn_batch(chunk, k, &mut stats),
+                plain_l1_knn_batch(&dataset, chunk, k),
+                "{name}: filtered replies diverge from the plain scan"
+            );
+        }
+        let total = stats.total().clone();
+        let us_per_query = |rate: f64| 1e6 / rate;
+        let plain = us_per_query(qps(iters, n_queries, || {
+            for chunk in queries.chunks(BATCH) {
+                std::hint::black_box(plain_l1_knn_batch(&dataset, chunk, k));
+            }
+        }));
+        let filtered = us_per_query(qps(iters, n_queries, || {
+            for chunk in queries.chunks(BATCH) {
+                std::hint::black_box(index.knn_batch(chunk, k, &mut BatchStats::new()));
+            }
+        }));
+        let ratio = filtered / plain;
+        let evaluated = total.distance_computations as f64 / n_queries as f64;
+        let pruned = total.subtrees_pruned as f64 / (n_queries * n) as f64;
+        table.row(vec![
+            name.to_string(),
+            format!("{plain:.0}"),
+            format!("{filtered:.0}"),
+            format!("{ratio:.2}x"),
+            format!("{evaluated:.0}"),
+            format!("{pruned:.4}"),
+        ]);
+        if let (Some(ceiling), false) = (ceiling, quick) {
+            assert!(
+                ratio <= ceiling,
+                "{name}: the filter cost {ratio:.2}x the plain scan where it cannot prune"
+            );
+        }
+        json.push(format!(
+            "    {{\"corpus\": \"{name}\", \"k\": {k}, \"plain_us_per_query\": {plain:.1}, \
+             \"filtered_us_per_query\": {filtered:.1}, \"filtered_over_plain\": {ratio:.3}, \
+             \"evaluated_per_query\": {evaluated:.1}, \"pruned_share\": {pruned:.5}, \
+             \"first_query_ms\": {first_ms:.1}, \"table_bytes_per_row\": {table_bytes_per_row:.0}}}"
+        ));
+    }
+    table.print();
+    json
 }
 
 fn main() {
@@ -139,6 +266,8 @@ fn main() {
     println!("path — batching adds no overhead); at N threads the fan-out");
     println!("multiplies q/s by ~N on multi-core hosts.");
 
+    let l1_filter_rows = l1_filter_leg(quick);
+
     if quick {
         // Quick mode exists for the bit-identity assertions; don't clobber
         // committed full-mode numbers with reduced-size timings.
@@ -146,8 +275,9 @@ fn main() {
         return;
     }
     let json = format!(
-        "{{\n  \"experiment\": \"batch_query_throughput\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"queries\": {n_queries},\n  \"max_threads\": {max_threads},\n  \"exactness\": \"batched results asserted bit-identical to single-query loop\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
+        "{{\n  \"experiment\": \"batch_query_throughput\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"queries\": {n_queries},\n  \"max_threads\": {max_threads},\n  \"exactness\": \"batched results asserted bit-identical to single-query loop\",\n  \"results\": [\n{}\n  ],\n  \"l1_filter_vs_plain_scan_batch_8\": [\n{}\n  ]\n}}\n",
+        json_rows.join(",\n"),
+        l1_filter_rows.join(",\n")
     );
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/BENCH_query_throughput.json", json).expect("write results");

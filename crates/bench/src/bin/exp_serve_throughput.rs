@@ -289,6 +289,19 @@ fn main() {
         batched_rates.push(rate);
         batched_snap = Some(snap);
     }
+    // Both modes ran the exact L1 filter (the corpus is over its row
+    // threshold in quick mode too): the registry's `linear` slot must
+    // show rows excluded by their bound.
+    let linear = cbir_bench::linear_counters();
+    assert!(
+        linear.subtrees_pruned > 0,
+        "the L1 filter never engaged on the served corpus"
+    );
+    let pruned_share = linear.subtrees_pruned as f64
+        / (linear.subtrees_pruned + linear.distance_evaluations) as f64;
+    println!(
+        "exact L1 filter: {pruned_share:.4} of the rows scored were excluded by their bound\n"
+    );
     let single_qps = median(&mut single_rates);
     let batched_qps = median(&mut batched_rates);
     let single_snap = single_snap.expect("single mode ran");

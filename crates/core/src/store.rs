@@ -1652,22 +1652,36 @@ mod tests {
     /// (The one-source side is pinned to a naive scan below.)
     #[test]
     fn batched_paths_match_engine_over_every_source_kind_batch_size_and_thread_count() {
-        let dim = pipeline().dim();
-        let k = 12;
-        for (t, kind) in [
+        let kinds = [
             IndexKind::Linear,
             IndexKind::KdTree,
             IndexKind::Antipole { diameter: None },
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let dir = temp_dir(&format!("grid-{t}"));
+        ];
+        multi_source_grid("grid", 40, &kinds);
+    }
+
+    /// The same grid with both segments over the row count from which a
+    /// linear scan filters L1 exactly (the memtable chunks stay under
+    /// it): filtered segments, plain chunks and tombstones in one merge.
+    #[test]
+    fn batched_paths_match_engine_when_the_segments_are_filtered() {
+        multi_source_grid("grid-filtered", 4200, &[IndexKind::Linear]);
+    }
+
+    fn multi_source_grid(tag: &str, seg_rows: usize, kinds: &[IndexKind]) {
+        let dim = pipeline().dim();
+        let k = 12;
+        for (t, kind) in kinds.iter().cloned().enumerate() {
+            let linear = matches!(kind, IndexKind::Linear);
+            let dir = temp_dir(&format!("{tag}-{t}"));
             let mut options = StoreOptions::new(kind.clone(), Measure::L1);
-            options.max_seg_rows = 40;
+            options.max_seg_rows = seg_rows;
             options.memtable_limit = usize::MAX;
             let store = CorpusStore::create(&dir, pipeline(), true, options).unwrap();
-            store.insert_batch(synth_items(80, dim, 41)).unwrap();
+            let in_segments = 2 * seg_rows;
+            store
+                .insert_batch(synth_items(in_segments, dim, 41))
+                .unwrap();
             store.compact().unwrap();
             let tail_rows = 9;
             store
@@ -1680,8 +1694,13 @@ mod tests {
             let mut s = BatchStats::new();
             let top = store.snapshot().knn_batch(&queries[..1], 1, 1, &mut s);
             assert_eq!(top.unwrap()[0][0].id, 5);
-            let tail_base = (80 + MEM_CHUNK_ROWS) as u64;
-            let dead = [5, 47, 80 + 300, tail_base + 2];
+            let tail_base = (in_segments + MEM_CHUNK_ROWS) as u64;
+            let dead = [
+                5,
+                seg_rows as u64 + 7,
+                in_segments as u64 + 300,
+                tail_base + 2,
+            ];
             for id in dead {
                 store.delete(id).unwrap();
             }
@@ -1697,11 +1716,19 @@ mod tests {
             let live: Vec<u64> = (0..snap.total_rows() as u64)
                 .filter(|id| !dead.contains(id))
                 .collect();
-            let by_id: Vec<usize> = [0usize, 4, 5, 44, 45, 80 + 299, live.len() - 1]
-                .into_iter()
-                .cycle()
-                .take(64)
-                .collect();
+            let by_id: Vec<usize> = [
+                0usize,
+                4,
+                5,
+                seg_rows + 4,
+                seg_rows + 5,
+                in_segments + 299,
+                live.len() - 1,
+            ]
+            .into_iter()
+            .cycle()
+            .take(64)
+            .collect();
 
             // Query by example is a batch of one through the same path.
             let img = RgbImage::from_fn(16, 16, |x, y| {
@@ -1752,6 +1779,14 @@ mod tests {
                     }
                     for s in &stats {
                         assert_eq!(s.queries(), batch, "{ctx}");
+                        // Every source scored each of its rows once per
+                        // query, by its bound or in full.
+                        let total = s.total();
+                        if linear {
+                            assert_eq!(total.subtrees_pruned > 0, seg_rows >= 4096, "{ctx}");
+                            let scored = total.distance_computations + total.subtrees_pruned;
+                            assert_eq!(scored, (batch * snap.total_rows()) as u64, "{ctx}");
+                        }
                     }
                     // Per-query counters do not depend on the split.
                     let first = at_one_thread.get_or_insert_with(|| stats.clone());
@@ -1790,10 +1825,30 @@ mod tests {
     /// thread count.
     #[test]
     fn one_source_snapshot_matches_a_naive_scan_over_kind_batch_size_and_thread_count() {
+        let kinds = [
+            IndexKind::Linear,
+            IndexKind::KdTree,
+            IndexKind::Antipole { diameter: None },
+        ];
+        one_source_against_naive(300, &kinds);
+    }
+
+    /// Over the row count from which the linear scan filters L1 exactly:
+    /// the filtered one-source path against the same naive scan.
+    #[test]
+    fn filtered_one_source_snapshot_matches_a_naive_scan() {
+        one_source_against_naive(4400, &[IndexKind::Linear]);
+    }
+
+    fn one_source_against_naive(rows: usize, kinds: &[IndexKind]) {
         let (k, radius, measure) = (12, 1.6, Measure::L1);
-        let db = synth_db(300, 51);
+        let db = synth_db(rows, 51);
         let queries = synth_queries(64, db.dim(), 52);
-        let by_id: Vec<u64> = [0u64, 7, 150, 299].into_iter().cycle().take(64).collect();
+        let by_id: Vec<u64> = [0, 7, rows as u64 / 2, rows as u64 - 1]
+            .into_iter()
+            .cycle()
+            .take(64)
+            .collect();
         let scans: Vec<Vec<Ranked>> = queries
             .iter()
             .map(|q| naive_scan(&db, &measure, q))
@@ -1813,15 +1868,11 @@ mod tests {
             .collect();
         assert!(want_range.iter().any(|r| r.len() > 1));
         assert!(want_range.iter().any(|r| r.len() < db.len()));
-        for kind in [
-            IndexKind::Linear,
-            IndexKind::KdTree,
-            IndexKind::Antipole { diameter: None },
-        ] {
+        for kind in kinds {
             let snap = CorpusSnapshot::from_database(&db, kind.clone(), measure.clone()).unwrap();
             assert_eq!(
                 (snap.epoch(), snap.len(), snap.tombstone_count()),
-                (0, 300, 0)
+                (0, rows, 0)
             );
             // One copy of rows and metadata: the source is the database's.
             let source = &snap.mem_chunks[0];
@@ -1933,6 +1984,33 @@ mod tests {
                 assert_eq!(total.coarse_candidates, total.rerank_evaluations, "{ctx}");
             }
         }
+    }
+
+    /// The L1 scan's code table is built by the first *exact* scan: an
+    /// engine that only ever serves approximate requests (a `tier_approx`
+    /// backend) never pays for one.
+    #[test]
+    fn approximate_only_use_never_builds_the_l1_code_table() {
+        let rows = 4400;
+        let db = synth_db(rows, 71);
+        let dim = db.dim();
+        let engine = QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap();
+        let idle = engine.index_bytes();
+        let queries = synth_queries(6, dim, 72);
+        let mut stats = BatchStats::new();
+        engine
+            .knn_batch_approx(&queries, 10, 0.9, 2, &mut stats)
+            .unwrap();
+        engine
+            .knn_batch_by_ids_approx(&[0, 9, rows - 1], 10, 0.9, 2, &mut stats)
+            .unwrap();
+        assert!(stats.total().coarse_candidates > 0);
+        assert_eq!(stats.total().subtrees_pruned, 0);
+        assert_eq!(engine.index_bytes(), idle, "a table was built");
+        // The first exact call builds it: one byte per coordinate.
+        engine.knn_batch(&queries, 10, 2, &mut stats).unwrap();
+        assert!(stats.total().subtrees_pruned > 0);
+        assert_eq!(engine.index_bytes(), idle + rows * dim);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!   EMD), Bhattacharyya, Jeffrey divergence;
 //! - the QBIC cross-bin quadratic-form distance;
 //! - Hausdorff distances over point sets;
-//! - weighted combinations over segments of composite vectors.
+//! - weighted combinations over segments of composite vectors;
+//! - one-byte cell codes whose difference sum is an exact lower bound on
+//!   the L1 kernel's result ([`CellQuantizer`], [`cell_sad_to_many`]) —
+//!   what lets a sequential scan skip rows without changing a reply.
 //!
 //! The [`Metric`] trait is the interface the index structures consume; the
 //! [`Measure`] enum is the runtime-selectable catalogue, and
@@ -23,6 +26,7 @@
 
 #![warn(missing_docs)]
 
+mod cells;
 mod combine;
 mod hausdorff;
 mod histogram;
@@ -32,6 +36,7 @@ mod minkowski;
 mod quadratic;
 mod simd;
 
+pub use cells::{cell_sad_to_many, cell_sad_to_many_portable, CellQuantizer};
 pub use combine::{CombineError, CombinedMeasure, Component};
 pub use hausdorff::{
     directed_hausdorff, hausdorff, modified_directed_hausdorff, modified_hausdorff,

@@ -10,12 +10,14 @@
 //! everywhere else.
 //!
 //! **Bit-identity:** the AVX2 functions implement the exact accumulation
-//! recipe documented on [`lane_sum`] — four independent 8-lane accumulator
-//! groups, an 8-lane cleanup loop, a scalar tail in element order, and a
-//! fixed reduction tree — with one ymm register per group, and `|x|` is
-//! the same sign-bit clear. Every intermediate is a plain IEEE f32
-//! operation in the same order, so both paths return identical bits and
-//! the dispatch is invisible to the index layer's equivalence contracts.
+//! recipe documented on [`lane_sum`] — two independent 8-lane accumulator
+//! groups fed by a 16-wide main loop, an 8-lane cleanup loop, a scalar
+//! tail in element order, and a fixed reduction tree — with one ymm
+//! register per group, and `|x|` is the same sign-bit clear. Every
+//! intermediate is a plain IEEE f32 operation in the same order, so both
+//! paths return identical bits and the dispatch is invisible to the index
+//! layer's equivalence contracts (and to the rounding margin
+//! `CellQuantizer::min_sad` derives from that tree).
 
 use crate::minkowski::lane_sum;
 
@@ -229,8 +231,8 @@ mod tests {
 
     #[test]
     fn dispatch_matches_portable_bitwise() {
-        // Exercises the main 32-wide loop (40, 64, 129), the 8-lane
-        // cleanup loop (16, 19, 40), scalar tails (5, 19, 100, 129) and
+        // Exercises the main 16-wide loop (16, 19, 40, 64, 100, 129), the
+        // 8-lane cleanup loop (40), scalar tails (5, 19, 100, 129) and
         // empty shapes on whatever path this machine dispatches to.
         for n in [0usize, 5, 16, 19, 40, 64, 100, 129] {
             let (a, b) = vecs(n);

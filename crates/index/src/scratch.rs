@@ -55,7 +55,30 @@ pub struct QueryScratch {
     pub(crate) frontier: BinaryHeap<Reverse<(OrderedF32, u32)>>,
     /// Child-ordering buffer `(lower bound, distance, child)` (M-tree).
     pub(crate) order: Vec<(f32, f32, u32)>,
-    /// Batched distance output buffer (linear scan).
+    /// Block buffers of the linear scan.
+    pub(crate) scan: ScanBufs,
+}
+
+/// Block-sized buffers of [`LinearScan`](crate::LinearScan)'s one scan
+/// loop, grown by the first query and reused afterwards.
+#[derive(Debug, Default)]
+pub(crate) struct ScanBufs {
+    /// Distances of one block of `f32` rows.
+    pub(crate) dists: Vec<f32>,
+    /// The call's queries as cell codes, one row per query.
+    pub(crate) codes: Vec<u8>,
+    /// What one lane's pass over one block of the code table needs.
+    pub(crate) filter: FilterBufs,
+}
+
+/// Buffers of the scan's exact L1 filter, per block of its code table.
+#[derive(Debug, Default)]
+pub(crate) struct FilterBufs {
+    /// Code-difference sum of every row of the block.
+    pub(crate) sads: Vec<u32>,
+    /// Ids of the rows of one group the bound could not exclude.
+    pub(crate) survivors: Vec<usize>,
+    /// The distances of the group's survivors, or of the whole group.
     pub(crate) dists: Vec<f32>,
 }
 
@@ -68,7 +91,7 @@ impl QueryScratch {
             frames: Vec::new(),
             frontier: BinaryHeap::new(),
             order: Vec::new(),
-            dists: Vec::new(),
+            scan: ScanBufs::default(),
         }
     }
 }

@@ -1,6 +1,14 @@
 //! Query cost accounting. Distance computations are the hardware-
 //! independent cost model used throughout the evaluation; node visits track
 //! traversal overhead.
+//!
+//! The counters mean the same thing on every index, the sequential scan
+//! included: `distance_computations` counts *full* evaluations of the
+//! measure, and `subtrees_pruned` counts what a bound excluded without
+//! one. A [`LinearScan`](crate::LinearScan) whose exact L1 filter is in
+//! force therefore reports its survivors as computations and the rows
+//! its code bound skipped as pruned — each row is one or the other, so
+//! the two add up to `len()`, the rows the scan scored.
 
 /// Counters accumulated during a single query (or a batch, if reused).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -9,11 +17,14 @@ pub struct SearchStats {
     pub distance_computations: u64,
     /// Index nodes (internal or leaf) visited.
     pub nodes_visited: u64,
-    /// Subtrees (or hash buckets) excluded by a pruning bound without
-    /// being visited. Zero for linear scan, which has nothing to prune.
+    /// Subtrees excluded by a pruning bound without being visited. For
+    /// linear scan, the rows its exact L1 filter excluded by their code
+    /// bound — zero whenever the filter is not in force (another measure,
+    /// a small source, a query that left it from the first row).
     pub subtrees_pruned: u64,
     /// Candidates that survived pruning and were scored with a full
-    /// distance evaluation. For linear scan this is the database size; for
+    /// distance evaluation. For linear scan this equals
+    /// `distance_computations` (the database size without the filter); for
     /// tree indexes it counts leaf-level candidate scorings (routing-level
     /// evaluations are excluded, so it is ≤ `distance_computations`).
     pub postfilter_candidates: u64,
@@ -104,6 +115,12 @@ impl BatchStats {
                 *a += b;
             }
         }
+    }
+
+    /// The per-query `distance_computations` samples, in query order.
+    #[cfg(test)]
+    pub(crate) fn per_query_comps_for_tests(&self) -> &[u64] {
+        &self.per_query_comps
     }
 
     /// Number of queries recorded.

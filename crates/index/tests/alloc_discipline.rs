@@ -1,7 +1,8 @@
 //! Allocation discipline of the batched query path: after one warm-up
 //! pass over the query set, running steady-state searches through
 //! `knn_into` / `range_into` with a reused [`QueryScratch`] performs
-//! **zero** heap allocations. Verified with a counting global allocator.
+//! **zero** heap allocations — the linear scan's filtered L1 path
+//! included. Verified with a counting global allocator.
 //!
 //! This file holds exactly one `#[test]` so no sibling test thread can
 //! allocate inside the measured window.
@@ -57,10 +58,20 @@ fn steady_state_queries_do_not_allocate() {
     let queries = cbir_workload::queries(&vectors, 32, 0.5, 5);
     let ds = Dataset::from_vectors(&vectors).unwrap();
 
+    // Over the row threshold of the scan's exact L1 filter: its block
+    // buffers (code sums, query codes) live in the scratch too, and the
+    // table is built by the warm-up pass.
+    let large = cbir_workload::clustered(6_000, 8, 8, 1.0, 10.0, 4);
+    let filtered = LinearScan::build(Dataset::from_vectors(&large).unwrap(), Measure::L1).unwrap();
+    let mut pruned = SearchStats::new();
+    filtered.knn_search(&queries[0], 10, &mut pruned);
+    assert!(pruned.subtrees_pruned > 0, "the L1 filter is not in force");
+
     let indexes: Vec<Box<dyn SearchIndex>> = vec![
         Box::new(VpTree::build(ds.clone(), Measure::L2).unwrap()),
         Box::new(KdTree::build(ds.clone(), Measure::L2).unwrap()),
         Box::new(LinearScan::build(ds, Measure::L2).unwrap()),
+        Box::new(filtered),
     ];
     for index in &indexes {
         let mut scratch = QueryScratch::new();

@@ -146,7 +146,9 @@ pub struct QueryCounters {
     pub distance_evaluations: u64,
     /// Index nodes (internal or leaf) visited.
     pub nodes_visited: u64,
-    /// Subtrees/clusters/pages excluded by a pruning bound.
+    /// Subtrees/clusters/pages excluded by a pruning bound; under the
+    /// `linear` slot, rows the scan's exact L1 filter excluded by their
+    /// code bound (with `distance_evaluations`: the rows it scored).
     pub subtrees_pruned: u64,
     /// Dataset members surfaced as candidates for exact-distance
     /// evaluation (leaf scans, bucket hits).

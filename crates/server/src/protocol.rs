@@ -199,7 +199,9 @@ pub struct StatsSnapshot {
     pub latency_p50_us: u64,
     /// p95 of enqueue-to-reply latency, microseconds (executed requests).
     pub latency_p95_us: u64,
-    /// Total distance computations performed by the engine.
+    /// Total full distance evaluations performed by the engine. A linear
+    /// scan under its exact L1 filter evaluates only the rows its code
+    /// bound could not exclude, so this is no longer rows scanned there.
     pub distance_computations: u64,
     /// Connections reaped after a read/write timeout (idle or stuck).
     pub io_timeouts: u64,

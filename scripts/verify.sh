@@ -7,6 +7,12 @@
 # The quick-bench step runs the throughput bench binaries in quick
 # (1-iteration) mode: their bit-identity assertions (planner vs naive
 # extraction, batched vs single-query k-NN) execute on every verify.
+# The smoke corpora further down are six images, far under the row count
+# from which the sequential scan filters L1 exactly, so the quick F8, F9
+# and F15 legs are what exercises that path here: their corpora are over
+# it (20,000 / 20,000 / 6,000 rows), F8 asserts the filtered replies equal
+# a plain scan's, and F9 and F15 assert `subtrees_pruned > 0` on the
+# servers they drive.
 # Skip it with SKIP_QUICK_BENCH=1 when iterating on unrelated changes.
 #
 # The benchmark crate (e2e/, its own workspace) calls the public API from
