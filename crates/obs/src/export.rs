@@ -33,8 +33,8 @@ fn latency_json(l: &LatencySummary) -> String {
 /// Top-level keys: `enabled`, `trace_sample_n`, `queue_depth`, `indexes`
 /// (array, one object per [`crate::INDEX_NAMES`] slot), `stages` (array,
 /// one object per [`crate::Stage`]), `latency` (object with `knn` and
-/// `range` summaries), `store`, `event_loop` (epoll serving counters;
-/// all-zero on the blocking path), `router` (array, one object per
+/// `range` summaries), `store`, `event_loop` (epoll serving
+/// counters), `router` (array, one object per
 /// registered router backend replica; empty outside a router process),
 /// `router_tier` (hedging/degradation counters; all-zero outside a
 /// router), `trace_count`.

@@ -18,8 +18,6 @@
 //!   O(distance computations).
 //! * **Near-free when off**: every recording entry point first checks a
 //!   relaxed [`enabled`] flag; timers are never started when disabled.
-//!   The additive `noop` cargo feature removes even the flag load for
-//!   builds that must not observe at all.
 //!
 //! ```
 //! cbir_obs::record_query(
@@ -345,7 +343,7 @@ pub fn router_probe_failed() {
 
 /// Event-loop serving counters: how often the loop woke, how many
 /// connections it is holding, and the deepest per-connection pipeline
-/// it has observed. All zero on the blocking serving path.
+/// it has observed. All zero in a process that runs no server.
 struct EventLoopSlot {
     epoll_wakeups: AtomicU64,
     open_conns: AtomicU64,
@@ -406,18 +404,14 @@ static REGISTRY: Registry = Registry {
     traces: TraceRing::new(),
 };
 
-/// Whether recording is active. Compile-time `false` under the `noop`
-/// feature; otherwise a relaxed load of the runtime switch (default on).
+/// Whether recording is active: a relaxed load of the runtime switch
+/// (default on).
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
     REGISTRY.enabled.load(Ordering::Relaxed)
 }
 
-/// Turn runtime recording on or off. Has no effect under the `noop`
-/// feature (recording stays off).
+/// Turn runtime recording on or off.
 pub fn set_enabled(on: bool) {
     REGISTRY.enabled.store(on, Ordering::Relaxed);
 }
@@ -812,8 +806,7 @@ impl LatencySummary {
     }
 }
 
-/// Event-loop serving counters at snapshot time (all zero on the
-/// blocking path).
+/// Event-loop serving counters at snapshot time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventLoopCounters {
     /// `epoll_wait` returns in the event loop.
@@ -910,7 +903,7 @@ pub struct ObsSnapshot {
     pub range_latency: LatencySummary,
     /// Segment-store counters and gauges.
     pub store: StoreCounters,
-    /// Event-loop serving counters (all zero on the blocking path).
+    /// Event-loop serving counters.
     pub event_loop: EventLoopCounters,
     /// Per-replica router counters (empty in processes that never
     /// registered any, i.e. everything but a router).

@@ -1,6 +1,6 @@
-//! Transport-agnostic connection state for the event-driven server.
+//! Transport-agnostic connection state for the server.
 //!
-//! The epoll loop ([`crate::event_loop`]) and the deterministic test
+//! The epoll loop (`crate::event_loop`) and the deterministic test
 //! harness both drive the same [`Connection`] state machine: incremental
 //! frame reassembly in, an in-order queue of single-use reply cells out,
 //! partial writes tracked by a cursor. Nothing here touches a socket —
@@ -14,13 +14,12 @@
 //! one [`ReplyCell`] in arrival order *before* the next frame is
 //! dispatched. Compute may finish cells in any order (that is the point
 //! of pipelining), but [`Connection::pump`] only encodes the head of the
-//! queue once it is done, so responses leave in request order: the same
-//! contract the blocking path enforces with its slot queue.
+//! queue once it is done, so responses leave in request order.
 
 use crate::protocol::{
     decode_request, encode_response, write_frame, FrameDecoder, Request, Response,
 };
-use crate::scheduler::{Pending, QueryWork, ReplySink, Scheduler};
+use crate::scheduler::{Pending, QueryWork, Scheduler};
 use cbir_core::ImageMeta;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -76,8 +75,8 @@ impl Completions {
 }
 
 /// A single-use reply slot owned by one connection, completed by one
-/// compute thread. The event-loop analogue of the blocking path's
-/// rendezvous channel: filling it never blocks and never fails.
+/// compute thread. Filling it never blocks and never fails: a cell whose
+/// connection died first is simply never read.
 #[derive(Debug)]
 pub struct ReplyCell {
     token: u64,
@@ -101,7 +100,7 @@ impl ReplyCell {
         self.done.load(Ordering::Acquire)
     }
 
-    fn take(&self) -> Option<Response> {
+    pub(crate) fn take(&self) -> Option<Response> {
         if !self.is_done() {
             return None;
         }
@@ -117,8 +116,8 @@ pub enum ReadStatus {
     /// Peer closed cleanly at a frame boundary.
     Eof,
     /// The stream is corrupt (bad magic, oversized frame, or EOF inside
-    /// a frame): answer with this error — phrased exactly as the
-    /// blocking reader phrases it — then stop reading.
+    /// a frame): answer with this error — phrased exactly as
+    /// [`crate::protocol::read_frame`] phrases it — then stop reading.
     Corrupt(std::io::Error),
     /// Transport failure (reset, aborted): close silently.
     Gone,
@@ -143,13 +142,12 @@ pub struct Connection {
     frames: VecDeque<Vec<u8>>,
     inflight: VecDeque<Arc<ReplyCell>>,
     /// A dispatched-but-unfinished mutation; no later frame on this
-    /// connection may dispatch past it (the blocking path serializes
-    /// ops per connection, so the event path must too).
+    /// connection may dispatch past it, so a request sent after a
+    /// mutation on the same connection always observes it.
     barrier: Option<Arc<ReplyCell>>,
     /// Error text of a corrupt-stream reply still owed to the peer. It
-    /// queues *after* every frame reassembled before the corruption —
-    /// the blocking reader answers those frames first too, and reply
-    /// bytes must stay identical between the engines.
+    /// queues *after* every frame reassembled before the corruption:
+    /// those frames arrived intact and are answered first.
     corrupt: Option<String>,
     outbuf: Vec<u8>,
     out_at: usize,
@@ -308,9 +306,9 @@ impl Connection {
     }
 
     /// Stop reading from this connection (EOF, idle reap, or server
-    /// drain). Frames already reassembled still dispatch — the blocking
-    /// reader answers every complete frame it read before noticing EOF —
-    /// and in-flight replies still complete and flush. Callers that must
+    /// drain). Frames already reassembled still dispatch — every
+    /// complete frame received before an EOF is answered — and in-flight
+    /// replies still complete and flush. Callers that must
     /// also abandon undispatched frames (drain, reap) follow up with
     /// [`Connection::discard_frames`].
     pub fn close_read(&mut self) {
@@ -318,8 +316,8 @@ impl Connection {
     }
 
     /// Record a torn/garbled stream: reading stops now, and the error
-    /// reply — phrased exactly like the blocking reader's — is owed to
-    /// the peer *after* the frames reassembled ahead of the corruption
+    /// reply — `malformed frame:` plus the framing error's text — is owed
+    /// to the peer *after* the frames reassembled ahead of the corruption
     /// (queued by the next [`dispatch_ready`] pass).
     pub fn set_corrupt(&mut self, e: std::io::Error) {
         self.corrupt = Some(format!("malformed frame: {e}"));
@@ -370,15 +368,14 @@ pub enum Dispatched {
     /// the whole server.
     Shutdown,
     /// Malformed request: the error reply is queued and the connection
-    /// must stop reading — same isolation as the blocking path.
+    /// must stop reading — the failure closes only this connection.
     Malformed,
 }
 
 /// Dispatch every reassembled frame that is allowed to run, in arrival
 /// order, stopping at a mutation barrier, a malformed frame, or a
 /// shutdown op. Both the epoll loop and the deterministic harness call
-/// this; it is the event-path equivalent of the blocking
-/// `serve_connection` request match.
+/// this.
 pub fn dispatch_ready(
     conn: &mut Connection,
     scheduler: &Scheduler,
@@ -396,7 +393,7 @@ pub fn dispatch_ready(
         let Some(payload) = conn.next_frame() else {
             // Every frame ahead of a stream corruption has been
             // answered; now the owed error reply takes its in-order
-            // place, exactly where the blocking reader would emit it.
+            // place behind them.
             if let Some(msg) = conn.corrupt.take() {
                 conn.push_ready(Response::Error(msg));
             }
@@ -415,9 +412,8 @@ pub fn dispatch_ready(
                 return Dispatched::Shutdown;
             }
             Dispatched::Malformed => {
-                // The blocking reader stops at a malformed request and
-                // never sees later bytes; drop them (and any corruption
-                // they contained) the same way.
+                // Nothing after a malformed request is trusted: drop
+                // the later frames (and any corruption they contained).
                 conn.close_read();
                 conn.discard_frames();
                 conn.corrupt = None;
@@ -454,7 +450,7 @@ fn dispatch_frame(
                 work,
                 deadline: (deadline_us > 0).then(|| now + Duration::from_micros(deadline_us)),
                 enqueued: now,
-                reply: ReplySink::Cell(cell),
+                reply: cell,
             });
             Dispatched::Done
         }
@@ -469,9 +465,9 @@ fn dispatch_frame(
     }
 }
 
-/// Whether an op mutates the store. The blocking path runs these inline
-/// on the connection thread; the event loop offloads them to a worker
-/// behind a per-connection dispatch barrier.
+/// Whether an op mutates the store. The loop offloads these to the
+/// mutation worker behind a per-connection dispatch barrier, so a
+/// compaction never runs on the loop thread.
 pub fn is_mutation(req: &Request) -> bool {
     matches!(
         req,
@@ -518,10 +514,8 @@ pub fn query_work(req: Request) -> Result<(QueryWork, u64), Request> {
     }
 }
 
-/// Answer a control or mutation op against the scheduler's corpus.
-/// Shared verbatim between the blocking connection thread and the event
-/// path (loop thread for reads, worker pool for mutations), so the two
-/// engines cannot drift in what they reply.
+/// Answer a control or mutation op against the scheduler's corpus: on
+/// the loop thread for reads, on the mutation worker for mutations.
 pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
     let metrics = scheduler.metrics();
     match req {

@@ -1,164 +1,49 @@
-//! The nonblocking epoll serving engine.
+//! The connection event loop: one thread, every socket.
 //!
-//! One loop thread owns every socket: it accepts, reassembles frames
-//! incrementally ([`crate::protocol::FrameDecoder`]), dispatches decoded
-//! requests (inline control ops on the loop thread, queries into the
-//! existing micro-batch [`Scheduler`], mutations onto a small worker
-//! pool), and flushes each connection's in-order reply queue as sockets
-//! become writable. Compute threads never touch a socket: they fill
-//! [`crate::conn::ReplyCell`]s, which post the connection token to a
-//! [`Completions`] mailbox and wake the loop through a pipe.
+//! The loop thread accepts, reassembles frames incrementally
+//! ([`crate::protocol::FrameDecoder`]), dispatches decoded requests
+//! (inline control ops on the loop thread, queries into the micro-batch
+//! [`Scheduler`], mutations onto the mutation worker), and flushes each
+//! connection's in-order reply queue as sockets become writable. Compute
+//! threads never touch a socket: they fill [`crate::conn::ReplyCell`]s,
+//! which post the connection token to a [`crate::conn::Completions`]
+//! mailbox and wake the loop through a pipe.
 //!
-//! Every contract of the blocking engine is preserved — admission
-//! control, deadlines, overload shedding, idle reaping, write-stall
-//! bounds, panic isolation, graceful drain — and the wire bytes of
-//! query replies are asserted identical between the two engines (the
-//! `exp_epoll_serving` gate). What changes is capacity: a connection
-//! costs one registered fd and a [`crate::conn::Connection`] struct
-//! instead of two parked threads, so thousands of concurrent,
-//! pipelined connections fit in one process.
+//! A connection costs one registered fd and a
+//! [`crate::conn::Connection`] struct, so thousands of concurrent,
+//! pipelined connections fit in one process. The contracts the loop
+//! keeps — replies in request order, a mutation as a per-connection
+//! dispatch barrier, frames reassembled before an EOF or a corrupt byte
+//! still answered with the error reply queued behind them, silent idle
+//! reaping, bounded write stalls, graceful drain — are pinned over real
+//! sockets by `tests/{serve_e2e,hardening,churn}.rs` and byte-exactly by
+//! the scripted-transport harness in `tests/event_loop.rs`.
 
-use crate::conn::{control_response, ReplyCell};
-use crate::conn::{dispatch_ready, Completions, Connection, Dispatched, ReadStatus, WriteStatus};
-use crate::metrics::Metrics;
+use crate::conn::{dispatch_ready, Connection, Dispatched, ReadStatus, ReplyCell, WriteStatus};
 use crate::protocol::Request;
-use crate::scheduler::{Scheduler, SchedulerConfig};
-use crate::server::EventLoopConfig;
+use crate::scheduler::Scheduler;
+use crate::server::{EventControl, CONTROL_TOKEN};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use cbir_core::ServedCorpus;
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Loop token of the listener socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Loop token of the waker pipe's read end.
 const WAKER_TOKEN: u64 = u64::MAX - 1;
-/// Completion token used by [`EventControl::trigger`] (not a connection).
-const CONTROL_TOKEN: u64 = u64::MAX - 2;
 /// First token handed to an accepted connection.
 const FIRST_CONN_TOKEN: u64 = 0;
-
-/// External shutdown switch for a running event loop.
-pub(crate) struct EventControl {
-    stop: AtomicBool,
-    completions: Arc<Completions>,
-}
-
-impl EventControl {
-    /// Ask the loop to drain and exit. Idempotent; safe from any thread.
-    pub(crate) fn trigger(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.completions.notify(CONTROL_TOKEN);
-    }
-}
-
-/// Everything `Server::spawn_event_corpus` hands back to the
-/// [`crate::ServerHandle`].
-pub(crate) struct EventParts {
-    pub(crate) local_addr: SocketAddr,
-    pub(crate) scheduler: Arc<Scheduler>,
-    pub(crate) metrics: Arc<Metrics>,
-    pub(crate) control: Arc<EventControl>,
-    pub(crate) threads: Vec<JoinHandle<()>>,
-}
-
-/// Bind, build the shared scheduler, and start the loop thread, the
-/// dispatcher, and the mutation worker pool.
-pub(crate) fn spawn(
-    corpus: ServedCorpus,
-    addr: impl ToSocketAddrs,
-    config: SchedulerConfig,
-    event_config: EventLoopConfig,
-) -> std::io::Result<EventParts> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local_addr = listener.local_addr()?;
-    let metrics = Arc::new(Metrics::new());
-    let scheduler = Arc::new(Scheduler::new(corpus, config, Arc::clone(&metrics)));
-
-    let completions = Arc::new(Completions::new());
-    let (waker_rx, waker_tx) = std::os::unix::net::UnixStream::pair()?;
-    waker_rx.set_nonblocking(true)?;
-    waker_tx.set_nonblocking(true)?;
-    completions.set_waker(waker_tx);
-
-    let control = Arc::new(EventControl {
-        stop: AtomicBool::new(false),
-        completions: Arc::clone(&completions),
-    });
-
-    let epoll = Epoll::new()?;
-    epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
-    epoll.add(waker_rx.as_raw_fd(), EPOLLIN, WAKER_TOKEN)?;
-
-    let mut threads = Vec::new();
-    threads.push({
-        let scheduler = Arc::clone(&scheduler);
-        std::thread::Builder::new()
-            .name("cbir-dispatch".into())
-            .spawn(move || scheduler.run())?
-    });
-
-    // Mutation workers share one receiver behind a mutex: mutations are
-    // rare relative to queries, and the per-connection dispatch barrier
-    // already serializes them per connection.
-    let (mutate_tx, mutate_rx) = channel::<(Box<Request>, Arc<ReplyCell>)>();
-    let mutate_rx = Arc::new(Mutex::new(mutate_rx));
-    for i in 0..event_config.mutation_workers.max(1) {
-        let rx = Arc::clone(&mutate_rx);
-        let scheduler = Arc::clone(&scheduler);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("cbir-mutate-{i}"))
-                .spawn(move || loop {
-                    let job = rx.lock().expect("mutation queue lock").recv();
-                    let Ok((req, cell)) = job else { return };
-                    cell.fill(control_response(&scheduler, *req));
-                })?,
-        );
-    }
-
-    threads.push({
-        let scheduler = Arc::clone(&scheduler);
-        let metrics = Arc::clone(&metrics);
-        let completions = Arc::clone(&completions);
-        let control = Arc::clone(&control);
-        std::thread::Builder::new()
-            .name("cbir-eloop".into())
-            .spawn(move || {
-                let mut lp = Loop {
-                    epoll,
-                    listener,
-                    waker_rx,
-                    conns: HashMap::new(),
-                    next_token: FIRST_CONN_TOKEN,
-                    scheduler,
-                    metrics,
-                    completions,
-                    control,
-                    mutate_tx,
-                    max_conns: event_config.max_conns.max(1),
-                    draining: false,
-                };
-                lp.run();
-            })?
-    });
-
-    Ok(EventParts {
-        local_addr,
-        scheduler,
-        metrics,
-        control,
-        threads,
-    })
-}
+/// Hard cap on simultaneously open connections; sockets beyond it are
+/// accepted and immediately closed so neither the kernel backlog nor the
+/// connection table can grow unbounded.
+const MAX_CONNS: usize = 8192;
 
 /// One registered connection: its socket, state machine, and the
 /// interest mask currently programmed into epoll.
@@ -168,23 +53,55 @@ struct Entry {
     interest: u32,
 }
 
-struct Loop {
+/// The loop thread's state: the epoll instance, what is registered with
+/// it, and the handles dispatch needs.
+pub(crate) struct Loop {
     epoll: Epoll,
     listener: TcpListener,
-    waker_rx: std::os::unix::net::UnixStream,
+    waker_rx: UnixStream,
     conns: HashMap<u64, Entry>,
     next_token: u64,
     scheduler: Arc<Scheduler>,
-    metrics: Arc<Metrics>,
-    completions: Arc<Completions>,
     control: Arc<EventControl>,
     mutate_tx: Sender<(Box<Request>, Arc<ReplyCell>)>,
-    max_conns: usize,
     draining: bool,
 }
 
 impl Loop {
-    fn run(&mut self) {
+    /// Register `listener` and a fresh waker pipe (whose write end
+    /// `control`'s completion mailbox gets) with a new epoll instance.
+    /// Mutation ops go down `mutate_tx`; whoever fills their cells wakes
+    /// the loop through the mailbox.
+    pub(crate) fn new(
+        listener: TcpListener,
+        scheduler: &Arc<Scheduler>,
+        control: &Arc<EventControl>,
+        mutate_tx: Sender<(Box<Request>, Arc<ReplyCell>)>,
+    ) -> std::io::Result<Loop> {
+        listener.set_nonblocking(true)?;
+        let (waker_rx, waker_tx) = UnixStream::pair()?;
+        waker_rx.set_nonblocking(true)?;
+        waker_tx.set_nonblocking(true)?;
+        control.completions.set_waker(waker_tx);
+
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
+        epoll.add(waker_rx.as_raw_fd(), EPOLLIN, WAKER_TOKEN)?;
+        Ok(Loop {
+            epoll,
+            listener,
+            waker_rx,
+            conns: HashMap::new(),
+            next_token: FIRST_CONN_TOKEN,
+            scheduler: Arc::clone(scheduler),
+            control: Arc::clone(control),
+            mutate_tx,
+            draining: false,
+        })
+    }
+
+    /// Serve until drained after a shutdown request.
+    pub(crate) fn run(&mut self) {
         let sweep_every = self.sweep_interval();
         let mut last_sweep = Instant::now();
         let mut events = vec![EpollEvent::default(); 512];
@@ -202,7 +119,7 @@ impl Loop {
                     return;
                 }
             };
-            self.metrics.on_epoll_wakeup();
+            self.scheduler.metrics().on_epoll_wakeup();
             cbir_obs::epoll_wakeups_add(1);
             let now = Instant::now();
 
@@ -218,7 +135,7 @@ impl Loop {
             // Completions posted by compute threads since the last pass:
             // pump exactly those connections (and dispatch frames a
             // cleared mutation barrier was holding back).
-            for token in self.completions.drain() {
+            for token in self.control.completions.drain() {
                 if token == CONTROL_TOKEN {
                     continue; // handled via the stop flag below
                 }
@@ -260,7 +177,7 @@ impl Loop {
                     if self.draining {
                         continue; // refused: dropped immediately
                     }
-                    if self.conns.len() >= self.max_conns {
+                    if self.conns.len() >= MAX_CONNS {
                         // At capacity: close immediately rather than
                         // queue unbounded connection state.
                         continue;
@@ -329,8 +246,7 @@ impl Loop {
                     ReadStatus::Eof => entry.conn.close_read(),
                     // Corrupt stream: frames ahead of the corruption are
                     // answered by the dispatch below, then the error
-                    // reply — byte-for-byte the blocking reader's —
-                    // closes only this connection.
+                    // reply closes only this connection.
                     ReadStatus::Corrupt(e) => entry.conn.set_corrupt(e),
                     ReadStatus::Gone => dead = true,
                 }
@@ -339,7 +255,7 @@ impl Loop {
                 match dispatch_ready(
                     &mut entry.conn,
                     &self.scheduler,
-                    &self.completions,
+                    &self.control.completions,
                     &mut |req, cell| {
                         let _ = self.mutate_tx.send((req, cell));
                     },
@@ -348,7 +264,7 @@ impl Loop {
                     Dispatched::Done | Dispatched::Malformed | Dispatched::Mutation(..) => {}
                 }
                 let depth = entry.conn.inflight_len() as u64;
-                self.metrics.on_pipeline_depth(depth);
+                self.scheduler.metrics().on_pipeline_depth(depth);
                 cbir_obs::set_event_loop_state(self.conns.len() as u64, depth);
             }
         }
@@ -377,7 +293,7 @@ impl Loop {
         match dispatch_ready(
             &mut entry.conn,
             &self.scheduler,
-            &self.completions,
+            &self.control.completions,
             &mut |req, cell| {
                 let _ = self.mutate_tx.send((req, cell));
             },
@@ -441,7 +357,6 @@ impl Loop {
 
     /// Start the graceful drain: stop admitting and accepting, stop
     /// reading on every connection, and let in-flight replies flush.
-    /// Mirrors the blocking engine's `Controller::trigger`.
     fn begin_drain(&mut self) {
         if self.draining {
             return;
@@ -474,11 +389,12 @@ impl Loop {
             };
             if let Some(limit) = cfg.idle_timeout {
                 if !entry.conn.read_closed() && entry.conn.idle_for(now) >= limit {
-                    // Idle peer: reap silently — no courtesy error
-                    // frame — exactly like the blocking read timeout.
-                    // In-flight replies (if any) still flush before the
-                    // socket closes.
-                    self.metrics.on_io_timeout();
+                    // Idle peer: reap silently. No courtesy error frame
+                    // — an unsolicited reply would desync the client's
+                    // request/response pairing if a request did arrive
+                    // later. In-flight replies (if any) still flush
+                    // before the socket closes.
+                    self.scheduler.metrics().on_io_timeout();
                     entry.conn.close_read();
                     entry.conn.discard_frames();
                     let _ = entry.stream.shutdown(Shutdown::Read);
@@ -487,9 +403,8 @@ impl Loop {
             if let Some(limit) = cfg.write_timeout {
                 if entry.conn.stalled_for(now).is_some_and(|d| d >= limit) {
                     // A peer that stopped draining responses: counted
-                    // and closed both ways, like the blocking writer's
-                    // timeout abort.
-                    self.metrics.on_io_timeout();
+                    // and closed both ways.
+                    self.scheduler.metrics().on_io_timeout();
                     let _ = entry.stream.shutdown(Shutdown::Both);
                     self.remove(token);
                     continue;

@@ -20,6 +20,11 @@
 //! can no longer be answered in time. Shutdown is graceful — admitted
 //! work is drained and answered before the server stops.
 //!
+//! Connections are served by one epoll loop thread driving a
+//! transport-agnostic [`Connection`] state machine per socket (see
+//! [`server`]), so serving requires Linux; the client, protocol, retry,
+//! pool and chaos-proxy modules build on any Unix.
+//!
 //! ```no_run
 //! use cbir_core::{ImageDatabase, IndexKind, QueryEngine};
 //! use cbir_distance::Measure;
@@ -46,7 +51,7 @@
 pub mod chaosnet;
 pub mod client;
 pub mod conn;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[cfg(target_os = "linux")]
 pub mod event_loop;
 pub mod metrics;
 pub mod pool;
@@ -54,7 +59,7 @@ pub mod protocol;
 pub mod retry;
 pub mod scheduler;
 pub mod server;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[cfg(target_os = "linux")]
 mod sys;
 
 pub use chaosnet::{ChaosHandle, ChaosProxy, ChaosStats, WireMode};
@@ -64,5 +69,5 @@ pub use metrics::Metrics;
 pub use pool::ClientPool;
 pub use protocol::{FrameDecoder, Hit, Request, Response, StatsSnapshot, WireError};
 pub use retry::{RetryPolicy, RetryStats, RetryingClient};
-pub use scheduler::{Pending, QueryWork, ReplySink, Scheduler, SchedulerConfig};
-pub use server::{EventLoopConfig, Server, ServerHandle};
+pub use scheduler::{Pending, QueryWork, Scheduler, SchedulerConfig};
+pub use server::{Server, ServerHandle};

@@ -105,8 +105,7 @@ impl Metrics {
         self.panics_isolated.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The event loop returned from one `epoll_wait` (zero on the
-    /// blocking path).
+    /// The event loop returned from one `epoll_wait`.
     pub fn on_epoll_wakeup(&self) {
         self.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
     }

@@ -207,11 +207,10 @@ pub struct StatsSnapshot {
     pub io_timeouts: u64,
     /// Batch-execution panics caught and converted to error replies.
     pub panics_isolated: u64,
-    /// `epoll_wait` returns in the event loop (zero on the blocking path).
+    /// `epoll_wait` returns in the event loop.
     pub epoll_wakeups: u64,
     /// High-water mark of requests concurrently in flight on one
-    /// connection (pipeline depth; zero on the blocking path, which does
-    /// not track it).
+    /// connection (pipeline depth).
     pub max_pipeline_depth: u64,
     /// Batch-size histogram as `(inclusive upper bound, count)` pairs.
     pub batch_hist: Vec<(u64, u64)>,

@@ -34,6 +34,7 @@
 //! (shed), keeping queueing delay — and therefore tail latency — bounded
 //! instead of letting the backlog grow without limit.
 
+use crate::conn::ReplyCell;
 use crate::metrics::Metrics;
 use crate::protocol::{Hit, Response};
 use cbir_core::{Ranked, ServedCorpus};
@@ -42,7 +43,6 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -121,36 +121,9 @@ pub enum QueryWork {
     },
 }
 
-/// Where a scheduled request's single reply goes.
-///
-/// The blocking connection path parks a writer thread on a rendezvous
-/// channel per request; the event loop cannot park, so it hands the
-/// scheduler a completion cell that stores the response and wakes the
-/// loop. Both are single-use and infallible from the scheduler's side:
-/// a vanished receiver just means the connection died first.
-pub enum ReplySink {
-    /// Rendezvous channel a blocking connection's writer is parked on.
-    Channel(SyncSender<Response>),
-    /// Completion cell owned by an event-loop connection.
-    Cell(Arc<crate::conn::ReplyCell>),
-}
-
-impl ReplySink {
-    /// Deliver the reply. Delivery to a dead connection is silently
-    /// dropped, matching the blocking path's fire-and-forget `try_send`.
-    pub fn send(&self, resp: Response) {
-        match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.try_send(resp);
-            }
-            ReplySink::Cell(cell) => cell.fill(resp),
-        }
-    }
-}
-
-/// A queued request: the work, its deadline, and the reply slot the
-/// connection is blocked on. Every `Pending` receives exactly one
-/// [`Response`].
+/// A queued request: the work, its deadline, and the reply cell its
+/// connection holds in its in-order queue. Every `Pending` receives
+/// exactly one [`Response`].
 pub struct Pending {
     /// What to execute.
     pub work: QueryWork,
@@ -159,8 +132,10 @@ pub struct Pending {
     pub deadline: Option<Instant>,
     /// When the request was handed to the scheduler (latency origin).
     pub enqueued: Instant,
-    /// Single-use reply slot.
-    pub reply: ReplySink,
+    /// Single-use reply cell: filling it stores the response and wakes
+    /// the connection's loop, and never blocks or fails — a cell whose
+    /// connection died first is simply never read.
+    pub reply: Arc<ReplyCell>,
 }
 
 struct QueueState {
@@ -222,12 +197,6 @@ impl Scheduler {
         &self.metrics
     }
 
-    /// A shareable handle to the counter block (connection threads
-    /// outlive borrows of the scheduler).
-    pub fn shared_metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
-    }
-
     /// Requests currently admitted but not yet dispatched.
     pub fn queue_depth(&self) -> usize {
         self.queue.lock().expect("queue lock").items.len()
@@ -250,7 +219,7 @@ impl Scheduler {
         }
         if let Some(msg) = self.validate(&pending.work) {
             self.metrics.on_error();
-            pending.reply.send(Response::Error(msg));
+            pending.reply.fill(Response::Error(msg));
             return;
         }
         let mut q = self.queue.lock().expect("queue lock");
@@ -259,13 +228,13 @@ impl Scheduler {
             self.metrics.on_rejected_shutdown();
             pending
                 .reply
-                .send(Response::ShuttingDown("server is draining".into()));
+                .fill(Response::ShuttingDown("server is draining".into()));
             return;
         }
         if q.items.len() >= self.config.queue_cap {
             drop(q);
             self.metrics.on_shed();
-            pending.reply.send(Response::Overloaded(format!(
+            pending.reply.fill(Response::Overloaded(format!(
                 "request queue full ({} pending)",
                 self.config.queue_cap
             )));
@@ -359,7 +328,7 @@ impl Scheduler {
     }
 
     /// Synchronously execute everything currently queued, without
-    /// waiting for arrivals. Deterministic-test hook: the event-loop
+    /// waiting for arrivals. Deterministic-test hook: the connection
     /// harness submits through the real admission path, then drains on
     /// the test thread instead of racing a dispatcher thread.
     #[doc(hidden)]
@@ -449,7 +418,7 @@ impl Scheduler {
         for (i, p) in batch.into_iter().enumerate() {
             if p.deadline.is_some_and(|d| dispatch_time > d) {
                 expired += 1;
-                p.reply.send(Response::DeadlineExpired(
+                p.reply.fill(Response::DeadlineExpired(
                     "deadline expired while queued".into(),
                 ));
                 slots.push(None);
@@ -458,7 +427,7 @@ impl Scheduler {
             if let QueryWork::KnnById { id, .. } = &p.work {
                 if !view.contains(*id as u64) {
                     self.metrics.on_error();
-                    p.reply.send(Response::Error(format!(
+                    p.reply.fill(Response::Error(format!(
                         "image id {id} no longer in database (epoch {})",
                         view.epoch()
                     )));
@@ -560,7 +529,7 @@ impl Scheduler {
                     for &i in &members {
                         let p = slots[i].take().expect("live slot");
                         self.metrics.on_error();
-                        p.reply.send(Response::Error(format!(
+                        p.reply.fill(Response::Error(format!(
                             "internal: execution panicked (isolated): {msg}"
                         )));
                     }
@@ -581,7 +550,7 @@ impl Scheduler {
                     for (ranked, &i) in result_lists.into_iter().zip(&members) {
                         let p = slots[i].take().expect("live slot");
                         latencies.push(p.enqueued.elapsed().as_micros() as u64);
-                        p.reply.send(Response::Hits {
+                        p.reply.fill(Response::Hits {
                             hits: ranked_to_hits(ranked),
                             coarse_candidates,
                             rerank_evaluations,
@@ -596,7 +565,7 @@ impl Scheduler {
                     for &i in &members {
                         let p = slots[i].take().expect("live slot");
                         self.metrics.on_error();
-                        p.reply.send(Response::Error(msg.clone()));
+                        p.reply.fill(Response::Error(msg.clone()));
                     }
                 }
             }
@@ -636,7 +605,6 @@ mod tests {
     use cbir_core::{ImageDatabase, IndexKind, QueryEngine};
     use cbir_distance::Measure;
     use cbir_features::{FeatureSpec, Pipeline, Quantizer};
-    use std::sync::mpsc::{sync_channel, Receiver};
 
     fn tiny_engine() -> Arc<QueryEngine> {
         let pipeline = Pipeline::new(
@@ -661,17 +629,24 @@ mod tests {
         Arc::new(QueryEngine::build(db, IndexKind::VpTree, Measure::L1).unwrap())
     }
 
-    fn pending(work: QueryWork) -> (Pending, Receiver<Response>) {
-        let (tx, rx) = sync_channel(1);
+    /// A request whose reply lands in a waker-less cell (no loop to
+    /// wake: the test reads the cell itself).
+    fn pending(work: QueryWork) -> (Pending, Arc<ReplyCell>) {
+        let now = Instant::now();
+        let cell = crate::conn::Connection::new(0, now).push_cell(None);
         (
             Pending {
                 work,
                 deadline: None,
-                enqueued: Instant::now(),
-                reply: ReplySink::Channel(tx),
+                enqueued: now,
+                reply: Arc::clone(&cell),
             },
-            rx,
+            cell,
         )
+    }
+
+    fn reply(cell: &ReplyCell) -> Response {
+        cell.take().expect("request was answered")
     }
 
     fn sched(config: SchedulerConfig) -> Scheduler {
@@ -703,7 +678,7 @@ mod tests {
         s.submit(p2);
         assert_eq!(s.queue_depth(), 2);
         s.submit(p3);
-        assert!(matches!(rx3.recv().unwrap(), Response::Overloaded(_)));
+        assert!(matches!(reply(&rx3), Response::Overloaded(_)));
         assert_eq!(s.queue_depth(), 2, "shed request never entered the queue");
         let snap = s.metrics.snapshot(s.queue_depth());
         assert_eq!(snap.shed, 1);
@@ -719,20 +694,20 @@ mod tests {
             recall_target: 1.0,
         });
         s.submit(p);
-        assert!(matches!(rx.recv().unwrap(), Response::Error(_)));
+        assert!(matches!(reply(&rx), Response::Error(_)));
         let (p, rx) = pending(QueryWork::KnnById {
             id: 999,
             k: 1,
             recall_target: 1.0,
         });
         s.submit(p);
-        assert!(matches!(rx.recv().unwrap(), Response::Error(_)));
+        assert!(matches!(reply(&rx), Response::Error(_)));
         let (p, rx) = pending(QueryWork::Range {
             descriptor: vec![0.5; 8],
             radius: -1.0,
         });
         s.submit(p);
-        assert!(matches!(rx.recv().unwrap(), Response::Error(_)));
+        assert!(matches!(reply(&rx), Response::Error(_)));
         assert_eq!(s.queue_depth(), 0);
         assert_eq!(s.metrics.snapshot(0).errors, 3);
     }
@@ -752,8 +727,8 @@ mod tests {
             recall_target: 1.0,
         });
         s.execute_batch(vec![p, live]);
-        assert!(matches!(rx.recv().unwrap(), Response::DeadlineExpired(_)));
-        assert!(matches!(live_rx.recv().unwrap(), Response::Hits { .. }));
+        assert!(matches!(reply(&rx), Response::DeadlineExpired(_)));
+        assert!(matches!(reply(&live_rx), Response::Hits { .. }));
         let snap = s.metrics.snapshot(0);
         assert_eq!(snap.expired, 1);
         assert_eq!(snap.executed, 1);
@@ -777,11 +752,11 @@ mod tests {
             recall_target: 1.0,
         });
         s.execute_batch(vec![p1, p2]);
-        match rx1.recv().unwrap() {
+        match reply(&rx1) {
             Response::Error(m) => assert!(m.contains("panic"), "{m}"),
             other => panic!("expected error reply for poisoned group, got {other:?}"),
         }
-        assert!(matches!(rx2.recv().unwrap(), Response::Hits { .. }));
+        assert!(matches!(reply(&rx2), Response::Hits { .. }));
         let snap = s.metrics.snapshot(0);
         assert_eq!(snap.panics_isolated, 1);
         assert_eq!(snap.errors, 1);
@@ -793,7 +768,7 @@ mod tests {
             recall_target: 1.0,
         });
         s.execute_batch(vec![p3]);
-        assert!(matches!(rx3.recv().unwrap(), Response::Hits { .. }));
+        assert!(matches!(reply(&rx3), Response::Hits { .. }));
     }
 
     #[test]
@@ -815,7 +790,7 @@ mod tests {
         });
         s.execute_batch(vec![exact, approx]);
 
-        let (exact_hits, cc, re) = match exact_rx.recv().unwrap() {
+        let (exact_hits, cc, re) = match reply(&exact_rx) {
             Response::Hits {
                 hits,
                 coarse_candidates,
@@ -826,7 +801,7 @@ mod tests {
         assert_eq!(cc, 0, "exact path reports zero coarse candidates");
         assert_eq!(re, 0, "exact path reports zero rerank evaluations");
 
-        let (approx_hits, cc, re) = match approx_rx.recv().unwrap() {
+        let (approx_hits, cc, re) = match reply(&approx_rx) {
             Response::Hits {
                 hits,
                 coarse_candidates,
@@ -908,7 +883,7 @@ mod tests {
         s.execute_batch(pendings);
 
         for (work, rx) in receivers {
-            let got = match rx.recv().unwrap() {
+            let got = match reply(&rx) {
                 Response::Hits { hits, .. } => hits,
                 other => panic!("expected hits, got {other:?}"),
             };
@@ -961,17 +936,17 @@ mod tests {
             recall_target: 1.0,
         });
         s.submit(late);
-        assert!(matches!(late_rx.recv().unwrap(), Response::ShuttingDown(_)));
+        assert!(matches!(reply(&late_rx), Response::ShuttingDown(_)));
 
         // The dispatcher still answers everything admitted before exiting.
         let runner = {
             let s = Arc::clone(&s);
             std::thread::spawn(move || s.run())
         };
-        for rx in receivers {
-            assert!(matches!(rx.recv().unwrap(), Response::Hits { .. }));
-        }
         runner.join().unwrap();
+        for rx in receivers {
+            assert!(matches!(reply(&rx), Response::Hits { .. }));
+        }
         assert_eq!(s.queue_depth(), 0);
         let snap = s.metrics.snapshot(0);
         assert_eq!(snap.executed, 10);

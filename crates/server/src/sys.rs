@@ -1,22 +1,17 @@
-//! Raw `epoll` bindings for the event loop — zero dependencies, so the
-//! three syscalls the loop needs are issued directly via the `syscall`
-//! instruction (x86-64 Linux only; the event loop is gated on the same
-//! target). Everything else the loop touches (nonblocking sockets, the
-//! waker pipe, fd lifetimes) comes from `std`.
+//! `epoll` bindings for the event loop — zero dependencies: the three
+//! calls the loop needs are declared `extern "C"` against the libc that
+//! `std` already links, exactly as `cbir_core`'s `mmap` module declares
+//! `mmap`/`munmap`. Everything else the loop touches (nonblocking
+//! sockets, the waker pipe, fd lifetimes) comes from `std`.
 
-#![cfg(all(target_os = "linux", target_arch = "x86_64"))]
-
+use std::ffi::c_int;
 use std::io;
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
-const SYS_EPOLL_WAIT: i64 = 232;
-const SYS_EPOLL_CTL: i64 = 233;
-const SYS_EPOLL_CREATE1: i64 = 291;
-
-const EPOLL_CLOEXEC: i64 = 0o2000000;
-const EPOLL_CTL_ADD: i64 = 1;
-const EPOLL_CTL_DEL: i64 = 2;
-const EPOLL_CTL_MOD: i64 = 3;
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
 
 /// Readable (`EPOLLIN`).
 pub const EPOLLIN: u32 = 0x001;
@@ -29,9 +24,11 @@ pub const EPOLLHUP: u32 = 0x010;
 /// Peer closed its write half (`EPOLLRDHUP`).
 pub const EPOLLRDHUP: u32 = 0x2000;
 
-/// One readiness event, in the kernel's x86-64 ABI layout (packed: the
-/// 64-bit data field is *not* 8-byte aligned on this architecture).
-#[repr(C, packed)]
+/// One readiness event, in the kernel's ABI layout: packed on x86-64
+/// (the 64-bit data field is *not* 8-byte aligned there), natural
+/// `repr(C)` alignment on every other architecture.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Clone, Copy, Default)]
 pub struct EpollEvent {
     /// Readiness bits (`EPOLLIN` | …).
@@ -40,28 +37,16 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-/// Issue a raw syscall with up to four arguments, mapping the kernel's
-/// negative-errno convention onto `io::Error`.
-///
-/// # Safety
-/// The caller must uphold the specific syscall's contract (valid fds,
-/// valid pointers with correct lengths).
-unsafe fn syscall4(nr: i64, a1: i64, a2: i64, a3: i64, a4: i64) -> io::Result<i64> {
-    let ret: i64;
-    core::arch::asm!(
-        "syscall",
-        inlateout("rax") nr => ret,
-        in("rdi") a1,
-        in("rsi") a2,
-        in("rdx") a3,
-        in("r10") a4,
-        // The kernel clobbers rcx (return rip) and r11 (rflags).
-        lateout("rcx") _,
-        lateout("r11") _,
-        options(nostack),
-    );
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+}
+
+/// Map libc's `-1`-and-`errno` convention onto `io::Error`.
+fn cvt(ret: c_int) -> io::Result<c_int> {
     if ret < 0 {
-        Err(io::Error::from_raw_os_error((-ret) as i32))
+        Err(io::Error::last_os_error())
     } else {
         Ok(ret)
     }
@@ -70,32 +55,28 @@ unsafe fn syscall4(nr: i64, a1: i64, a2: i64, a3: i64, a4: i64) -> io::Result<i6
 /// An epoll instance; the fd is closed on drop.
 #[derive(Debug)]
 pub struct Epoll {
-    fd: RawFd,
+    fd: OwnedFd,
 }
 
 impl Epoll {
     /// `epoll_create1(EPOLL_CLOEXEC)`.
     pub fn new() -> io::Result<Epoll> {
         // SAFETY: epoll_create1 takes no pointers.
-        let fd = unsafe { syscall4(SYS_EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0) }?;
-        Ok(Epoll { fd: fd as RawFd })
+        let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
+        // SAFETY: the call just returned `fd` as a fresh descriptor that
+        // nothing else owns.
+        Ok(Epoll {
+            fd: unsafe { OwnedFd::from_raw_fd(fd) },
+        })
     }
 
-    fn ctl(&self, op: i64, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        let ev = EpollEvent {
+    fn ctl(&self, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = EpollEvent {
             events,
             data: token,
         };
         // SAFETY: `ev` outlives the call; DEL ignores the pointer.
-        unsafe {
-            syscall4(
-                SYS_EPOLL_CTL,
-                self.fd as i64,
-                op,
-                fd as i64,
-                &ev as *const EpollEvent as i64,
-            )
-        }?;
+        cvt(unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut ev) })?;
         Ok(())
     }
 
@@ -117,32 +98,18 @@ impl Epoll {
     /// Block for up to `timeout_ms` (-1 = forever) and fill `events`;
     /// returns how many fired. `EINTR` retries internally.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+        let max = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
         loop {
-            // SAFETY: the buffer pointer/len pair is valid for the call.
-            let r = unsafe {
-                syscall4(
-                    SYS_EPOLL_WAIT,
-                    self.fd as i64,
-                    events.as_mut_ptr() as i64,
-                    events.len() as i64,
-                    timeout_ms as i64,
-                )
-            };
-            match r {
+            // SAFETY: the pointer is valid for `max <= events.len()`
+            // entries for the duration of the call.
+            let n =
+                unsafe { epoll_wait(self.fd.as_raw_fd(), events.as_mut_ptr(), max, timeout_ms) };
+            match cvt(n) {
                 Ok(n) => return Ok(n as usize),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-    }
-}
-
-impl Drop for Epoll {
-    fn drop(&mut self) {
-        // SAFETY: closing an fd we own; close(2) takes no pointers.
-        let _ = unsafe {
-            syscall4(3 /* SYS_close */, self.fd as i64, 0, 0, 0)
-        };
     }
 }
 

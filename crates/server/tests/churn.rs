@@ -1,4 +1,4 @@
-//! Connection-churn soak against the event-loop engine.
+//! Connection-churn soak against the connection loop.
 //!
 //! Hundreds of short-lived connections — most complete a query cleanly,
 //! a seeded fraction abort mid-request (half a frame written, then the
@@ -11,13 +11,13 @@
 //! descriptors: a leaked connection fd, epoll registration, or waker
 //! pipe shows up as a rising count that never comes back down.
 
-#![cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#![cfg(target_os = "linux")]
 
 use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine, ServedCorpus};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_server::protocol::{encode_request, write_frame, Request};
-use cbir_server::{Client, EventLoopConfig, SchedulerConfig, Server};
+use cbir_server::{Client, SchedulerConfig, Server};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -63,7 +63,7 @@ fn connection_churn_leaks_no_fds_and_strands_no_work() {
         .unwrap();
     }
     let engine = QueryEngine::build(db, IndexKind::VpTree, Measure::L1).unwrap();
-    let handle = Server::spawn_event_corpus(
+    let handle = Server::spawn_corpus(
         ServedCorpus::Static(Arc::new(engine)),
         "127.0.0.1:0",
         SchedulerConfig {
@@ -72,7 +72,6 @@ fn connection_churn_leaks_no_fds_and_strands_no_work() {
             idle_timeout: Some(Duration::from_millis(200)),
             ..SchedulerConfig::default()
         },
-        EventLoopConfig::default(),
     )
     .unwrap();
     let addr = handle.local_addr();

@@ -8,7 +8,7 @@
 //! fully reclaimed), and keeps serving well-formed traffic on other
 //! connections throughout.
 
-use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine, ServedCorpus};
+use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_server::{Client, SchedulerConfig, Server, ServerHandle};
@@ -171,9 +171,12 @@ fn deliver(addr: SocketAddr, a: &Attack) {
     }
 }
 
-/// The full adversarial sweep against a running server, whichever
-/// connection engine it is using.
-fn sweep_against(handle: ServerHandle) {
+/// One loop thread owns every poisoned socket, so a single wedged or
+/// leaked connection state would show up as the bystander stalling or
+/// fresh connections failing.
+#[test]
+fn malformed_frame_sweep_never_kills_the_server() {
+    let handle = spawn_server(32);
     let addr = handle.local_addr();
     // A long-lived well-formed connection, open across the whole sweep:
     // poisoned siblings must not disturb it.
@@ -213,28 +216,6 @@ fn sweep_against(handle: ServerHandle) {
         .collect();
     assert!(fresh.iter().all(|h| h.len() == 2));
     handle.shutdown();
-}
-
-#[test]
-fn malformed_frame_sweep_never_kills_the_server() {
-    sweep_against(spawn_server(32));
-}
-
-/// The identical sweep against the epoll engine: one loop thread owns
-/// every poisoned socket, so a single wedged or leaked connection state
-/// would show up as the bystander stalling or fresh connections failing.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-#[test]
-fn malformed_frame_sweep_never_kills_the_event_loop_server() {
-    use cbir_server::EventLoopConfig;
-    let handle = Server::spawn_event_corpus(
-        ServedCorpus::Static(Arc::new(build_engine(32))),
-        "127.0.0.1:0",
-        SchedulerConfig::default(),
-        EventLoopConfig::default(),
-    )
-    .unwrap();
-    sweep_against(handle);
 }
 
 /// Seeded valid frames, replayed through the incremental decoder at

@@ -22,8 +22,8 @@ use cbir::image::RgbImage;
 use cbir::router::{Router, RouterConfig};
 use cbir::server::protocol::{decode_response, encode_request, read_frame, write_frame};
 use cbir::server::{
-    ChaosProxy, Client, EventLoopConfig, HitsReply, Request, Response, RetryPolicy, RetryingClient,
-    SchedulerConfig, Server, StatsSnapshot, WireMode,
+    ChaosProxy, Client, HitsReply, Request, Response, RetryPolicy, RetryingClient, SchedulerConfig,
+    Server, StatsSnapshot, WireMode,
 };
 use cbir::workload::{Corpus, CorpusSpec};
 use cbir::{
@@ -89,7 +89,7 @@ fn usage() -> ! {
   cbir serve <db-or-segdir> [--mmap] [--port P] [--addr-file F] [--measure M] [--index I]
                   [--max-batch N] [--max-delay-us N] [--queue-cap N] [--threads N]
                   [--idle-timeout-ms N] [--write-timeout-ms N] [--trace-sample-n N]
-                  [--recall-target R] [--event-loop] [--max-conns N] [--mutation-workers N]
+                  [--recall-target R]
       serve the database over TCP (CBIRRPC1) with dynamic micro-batching;
       a segment directory (or --mmap, which migrates a database file to
       <db>.seg/ on first use) serves mmap-backed segments with live
@@ -98,10 +98,8 @@ fn usage() -> ! {
       idle reaping / write timeouts; --trace-sample-n N samples every
       Nth query into the trace ring (see rpc-ctl explain);
       --recall-target R forces every k-NN request to recall target R,
-      overriding what clients ask for; --event-loop serves all
-      connections from one nonblocking epoll thread (linux/x86-64) with
-      replies bit-identical to the default thread-per-connection engine,
-      capped at --max-conns simultaneous sockets (default 8192)
+      overriding what clients ask for; one epoll thread serves every
+      connection (linux), up to 8192 at once
 
   cbir shard-plan <db> [--shards N] [--scheme mod|range] [--out-dir DIR]
       split a database file into N per-shard databases plus a PLAN.txt
@@ -150,9 +148,9 @@ fn usage() -> ! {
       open N connections (default 64), pipeline --requests knn-by-id
       queries on each (write every frame, then read every reply), and
       print a digest over all reply frame bytes in (connection, request)
-      order; the digest is engine-independent, so running the same storm
-      against a blocking serve and an --event-loop serve of the same
-      corpus must print the same digest
+      order; the digest depends only on the corpus and the storm shape,
+      so two builds of the server (a parent commit and a change) serving
+      one database must print the same digest
 
   cbir rpc-insert <addr> <image>... --db <file-or-segdir>
       insert example images into a live server, extracted locally with
@@ -176,7 +174,7 @@ struct Args {
 }
 
 /// Flags that are pure switches: present or absent, never taking a value.
-const BOOL_FLAGS: &[&str] = &["mmap", "allow-partial", "event-loop"];
+const BOOL_FLAGS: &[&str] = &["mmap", "allow-partial"];
 
 impl Args {
     fn parse(args: &[String]) -> Self {
@@ -208,6 +206,15 @@ impl Args {
 
     fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
+    }
+
+    /// Exit with an error naming the first flag `cmd` does not take: a
+    /// tuning flag that is silently ignored reads as one that took hold.
+    fn reject_unknown(&self, cmd: &str, known: &[&str]) {
+        if let Some(name) = self.flags.keys().find(|f| !known.contains(&f.as_str())) {
+            eprintln!("error: unknown flag --{name} for {cmd}");
+            std::process::exit(2);
+        }
     }
 
     fn flag_parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
@@ -663,6 +670,24 @@ fn print_server_stats(snap: &StatsSnapshot) {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    args.reject_unknown(
+        "serve",
+        &[
+            "mmap",
+            "port",
+            "addr-file",
+            "measure",
+            "index",
+            "max-batch",
+            "max-delay-us",
+            "queue-cap",
+            "threads",
+            "idle-timeout-ms",
+            "write-timeout-ms",
+            "trace-sample-n",
+            "recall-target",
+        ],
+    );
     let db_path = args.positional.first().unwrap_or_else(|| usage());
     let port: u16 = args.flag_parse("port", 7878);
     let measure = measure_by_name(args.flag("measure").unwrap_or("l1"));
@@ -718,25 +743,10 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     // Static or live, the server reads the corpus through one pinned view.
     let n = corpus.pin().len();
-    let (handle, engine_name) = if args.has("event-loop") {
-        let event_defaults = EventLoopConfig::default();
-        let event_config = EventLoopConfig {
-            max_conns: args.flag_parse("max-conns", event_defaults.max_conns),
-            mutation_workers: args.flag_parse("mutation-workers", event_defaults.mutation_workers),
-        };
-        (
-            Server::spawn_event_corpus(corpus, ("127.0.0.1", port), config, event_config)?,
-            "event-loop engine",
-        )
-    } else {
-        (
-            Server::spawn_corpus(corpus, ("127.0.0.1", port), config)?,
-            "blocking engine",
-        )
-    };
+    let handle = Server::spawn_corpus(corpus, ("127.0.0.1", port), config)?;
     let addr = handle.local_addr();
     println!(
-        "listening on {addr} ({n} images, {mode}, {engine_name}, opened in {:.1}ms)",
+        "listening on {addr} ({n} images, {mode}, opened in {:.1}ms)",
         open_start.elapsed().as_secs_f64() * 1e3
     );
     if let Some(addr_file) = args.flag("addr-file") {
@@ -1234,9 +1244,8 @@ fn rpc_abort(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
 /// request frames, then read every reply back. The FNV-1a digest over
 /// all reply frame bytes (folded in connection/request order) is
 /// deterministic for a given corpus and storm shape, so the same storm
-/// against the blocking and event-loop engines must print the same
-/// digest — that equality is the wire-level bit-identity check
-/// `verify.sh` runs.
+/// against two builds of the server must print the same digest — the
+/// wire-level evidence that a change left reply bytes alone.
 fn cmd_rpc_storm(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let addr = args.positional.first().unwrap_or_else(|| usage()).clone();
     let conns: usize = args.flag_parse("conns", 64);

@@ -134,6 +134,14 @@ fn errors_are_reported_not_panicked() {
     assert!(!ok);
     assert!(stderr.contains("usage"), "{stderr}");
 
+    // serve names a flag it does not take instead of ignoring it (the
+    // connection-engine flags are gone: there is one engine).
+    for flag in ["--event-loop", "--max-conns", "--mutation-workers"] {
+        let (ok, _, stderr) = run(&["serve", db.to_str().unwrap(), flag, "1"]);
+        assert!(!ok);
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+    }
+
     // Corrupt database file.
     let bad = dir.join("bad.cbir");
     std::fs::write(&bad, b"not a database").unwrap();
