@@ -23,7 +23,7 @@
 //! approximate configuration reaches >= 5x speedup over the best exact
 //! index at measured recall >= 0.9.
 
-use cbir_bench::Table;
+use cbir_bench::{rounded, write_results, Table};
 use cbir_core::plan_candidate_budget;
 use cbir_distance::Measure;
 use cbir_index::Dataset;
@@ -31,6 +31,7 @@ use cbir_index::{
     approx_knn_batch, knn_search_simple, ApproxSearch, BatchStats, BestBinFirst, CoarseHaarIndex,
     KdTree, LinearScan, SearchIndex, VpTree,
 };
+use cbir_obs::{obj, Json};
 use std::time::Instant;
 
 const K: usize = 10;
@@ -297,54 +298,33 @@ fn main() {
         }
         println!();
 
-        let row_json: Vec<String> = rows
+        let rows = rows.iter().map(|r| {
+            obj! { "method": r.method, "recall_target": rounded(r.recall_target as f64, 2),
+            "budget": r.budget, "recall": rounded(r.recall, 4),
+            "per_query_us": rounded(r.per_query_us, 1), "speedup": rounded(r.speedup, 2),
+            "coarse_candidates": rounded(r.coarse_candidates, 0),
+            "rerank_evaluations": rounded(r.rerank_evaluations, 0) }
+        });
+        let exact = exact_rows
             .iter()
-            .map(|r| {
-                format!(
-                    "{{\"method\": \"{}\", \"recall_target\": {}, \"budget\": {}, \
-                     \"recall\": {:.4}, \"per_query_us\": {:.1}, \"speedup\": {:.2}, \
-                     \"coarse_candidates\": {:.0}, \"rerank_evaluations\": {:.0}}}",
-                    r.method,
-                    r.recall_target,
-                    r.budget,
-                    r.recall,
-                    r.per_query_us,
-                    r.speedup,
-                    r.coarse_candidates,
-                    r.rerank_evaluations
-                )
-            })
-            .collect();
-        json_dims.push(format!(
-            "    {{\"dim\": {dim}, \"best_exact\": \"{}\", \"best_exact_us\": {:.1}, \
-             \"exact\": {{{}}}, \"l1\": {{\"exact_filtered_scan_us\": {l1_exact_us:.1}, \
-             \"rows_evaluated_per_query\": {l1_evaluated:.0}, \"coarse_haar_0_9_us\": {l1_haar_us:.1}, \
-             \"coarse_haar_0_9_recall\": {l1_haar_recall:.4}}}, \"rows\": [\n      {}\n    ]}}",
-            best_exact.0,
-            best_exact.1,
-            exact_rows
-                .iter()
-                .map(|(n, us)| format!("\"{n}\": {us:.1}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            row_json.join(",\n      ")
-        ));
+            .map(|(n, us)| (n.to_string(), rounded(*us, 1)));
+        json_dims.push(obj! {
+            "dim": dim, "best_exact": best_exact.0, "best_exact_us": rounded(best_exact.1, 1),
+            "exact": Json::Obj(exact.collect()),
+            "l1": obj! { "exact_filtered_scan_us": rounded(l1_exact_us, 1),
+                         "rows_evaluated_per_query": rounded(l1_evaluated, 0),
+                         "coarse_haar_0_9_us": rounded(l1_haar_us, 1),
+                         "coarse_haar_0_9_recall": rounded(l1_haar_recall, 4) },
+            "rows": Json::Arr(rows.collect()),
+        });
     }
 
-    if quick {
-        println!("quick mode: skipping results/BENCH_approx_search.json");
-        return;
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"approx_search\",\n  \"n\": {n},\n  \"k\": {K},\n  \
-         \"queries\": {n_queries},\n  \"measure\": \"l2\",\n  \
-         \"pipeline\": \"coarse candidates under the recall-target budget, exact rerank\",\n  \
-         \"dims\": [\n{}\n  ]\n}}\n",
-        json_dims.join(",\n")
-    );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_approx_search.json", json).expect("write results");
-    println!("wrote results/BENCH_approx_search.json");
+    let doc = obj! {
+        "experiment": "approx_search", "n": n, "k": K, "queries": n_queries, "measure": "l2",
+        "pipeline": "coarse candidates under the recall-target budget, exact rerank",
+        "dims": Json::Arr(json_dims),
+    };
+    write_results("approx_search", quick, &doc);
     assert!(
         acceptance_ok,
         "acceptance failed: no configuration reached 5x speedup at recall >= 0.9 \

@@ -30,12 +30,16 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_batch_throughput [--quick]`
 
-use cbir_bench::{build_lineup_index, clustered_dataset, index_lineup, standard_queries, Table};
+use cbir_bench::{
+    build_lineup_index, clustered_dataset, index_lineup, rounded, standard_queries, write_results,
+    Table,
+};
 use cbir_distance::Measure;
 use cbir_index::{
     knn_batch_parallel, BatchStats, Dataset, KnnHeap, LinearScan, Neighbor, SearchIndex,
     SearchStats,
 };
+use cbir_obs::{obj, Json};
 use std::time::Instant;
 
 const K: usize = 10;
@@ -52,10 +56,6 @@ fn qps<F: FnMut()>(iters: usize, n_queries: usize, mut f: F) -> f64 {
         .collect();
     rates.sort_by(f64::total_cmp);
     rates[rates.len() / 2]
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The plain blocked scan the filter sits in front of: every query of
@@ -81,7 +81,7 @@ fn plain_l1_knn_batch(dataset: &Dataset, queries: &[Vec<f32>], k: usize) -> Vec<
 }
 
 /// The exact-L1-filter leg (see the module docs). Returns its JSON rows.
-fn l1_filter_leg(quick: bool) -> Vec<String> {
+fn l1_filter_leg(quick: bool) -> Vec<Json> {
     const DIM: usize = 64;
     const BATCH: usize = 8;
     let n: usize = if quick { 20_000 } else { 100_000 };
@@ -157,12 +157,14 @@ fn l1_filter_leg(quick: bool) -> Vec<String> {
                 "{name}: the filter cost {ratio:.2}x the plain scan where it cannot prune"
             );
         }
-        json.push(format!(
-            "    {{\"corpus\": \"{name}\", \"k\": {k}, \"plain_us_per_query\": {plain:.1}, \
-             \"filtered_us_per_query\": {filtered:.1}, \"filtered_over_plain\": {ratio:.3}, \
-             \"evaluated_per_query\": {evaluated:.1}, \"pruned_share\": {pruned:.5}, \
-             \"first_query_ms\": {first_ms:.1}, \"table_bytes_per_row\": {table_bytes_per_row:.0}}}"
-        ));
+        json.push(obj! {
+            "corpus": name, "k": k, "plain_us_per_query": rounded(plain, 1),
+            "filtered_us_per_query": rounded(filtered, 1),
+            "filtered_over_plain": rounded(ratio, 3),
+            "evaluated_per_query": rounded(evaluated, 1), "pruned_share": rounded(pruned, 5),
+            "first_query_ms": rounded(first_ms, 1),
+            "table_bytes_per_row": rounded(table_bytes_per_row, 0),
+        });
     }
     table.print();
     json
@@ -187,7 +189,7 @@ fn main() {
 
     println!("F8: single vs batched k-NN throughput, N={n}, d={DIM}, k={K}, {n_queries} queries\n");
     let mut table = Table::new(&["index", "batch", "threads", "q/s", "vs-single-loop"]);
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Vec::new();
 
     for kind in index_lineup() {
         let index = build_lineup_index(&kind, dataset.clone());
@@ -226,7 +228,7 @@ fn main() {
             "1.00x".into(),
         ]);
 
-        let mut batch_json: Vec<String> = Vec::new();
+        let mut batch_json = Vec::new();
         for &batch in &batch_sizes {
             for &threads in &thread_counts {
                 let rate = qps(iters, n_queries, || {
@@ -248,17 +250,14 @@ fn main() {
                     format!("{rate:.0}"),
                     format!("{:.2}x", rate / single_qps),
                 ]);
-                batch_json.push(format!(
-                    "{{\"batch\": {batch}, \"threads\": {threads}, \"qps\": {rate:.1}}}"
-                ));
+                batch_json.push(obj! { "batch": batch, "threads": threads,
+                "qps": rounded(rate, 1) });
             }
         }
-        json_rows.push(format!(
-            "    {{\"index\": \"{}\", \"single_qps\": {:.1}, \"batched\": [{}]}}",
-            json_escape(kind.name()),
-            single_qps,
-            batch_json.join(", ")
-        ));
+        json_rows.push(
+            obj! { "index": kind.name(), "single_qps": rounded(single_qps, 1),
+            "batched": Json::Arr(batch_json) },
+        );
     }
     table.print();
     println!("\nExpected shape: at 1 thread, batched execution matches the");
@@ -268,18 +267,15 @@ fn main() {
 
     let l1_filter_rows = l1_filter_leg(quick);
 
-    if quick {
-        // Quick mode exists for the bit-identity assertions; don't clobber
-        // committed full-mode numbers with reduced-size timings.
-        println!("\nquick mode: skipping results/BENCH_query_throughput.json");
-        return;
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"batch_query_throughput\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"queries\": {n_queries},\n  \"max_threads\": {max_threads},\n  \"exactness\": \"batched results asserted bit-identical to single-query loop\",\n  \"results\": [\n{}\n  ],\n  \"l1_filter_vs_plain_scan_batch_8\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n"),
-        l1_filter_rows.join(",\n")
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_query_throughput.json", json).expect("write results");
-    println!("\nwrote results/BENCH_query_throughput.json");
+    // Quick mode exists for the bit-identity assertions; it never
+    // clobbers committed full-mode numbers with reduced-size timings.
+    let doc = obj! {
+        "experiment": "batch_query_throughput", "n": n, "dim": DIM, "k": K,
+        "queries": n_queries, "max_threads": max_threads,
+        "exactness": "batched results asserted bit-identical to single-query loop",
+        "results": Json::Arr(json_rows),
+        "l1_filter_vs_plain_scan_batch_8": Json::Arr(l1_filter_rows),
+    };
+    println!();
+    write_results("query_throughput", quick, &doc);
 }

@@ -32,11 +32,13 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_chaos_serving [--quick]`
 
+use cbir_bench::{rounded, write_results};
 use cbir_core::{
     split_database, ImageDatabase, ImageMeta, IndexKind, QueryEngine, ShardPlan, ShardScheme,
 };
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
+use cbir_obs::obj;
 use cbir_router::{Router, RouterConfig, RouterHandle};
 use cbir_server::chaosnet::{ChaosHandle, ChaosProxy, WireMode};
 use cbir_server::protocol::{encode_request, read_frame, write_frame, Request};
@@ -412,23 +414,16 @@ fn main() {
     single.shutdown();
     println!("  torn storm: {torn_checked} replies checked, zero corrupt\n");
 
-    if quick {
-        println!("quick mode: skipping results/BENCH_chaos_serving.json");
-        return;
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"chaos_serving\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \
-         \"k\": {K},\n  \"shards\": {SHARDS},\n  \"replicas\": 2,\n  \
-         \"queries_per_leg\": {per_leg},\n  \
-         \"hedge\": {{\"p99_us_plain\": {p99_plain}, \"p99_us_hedged\": {p99_hedged}, \
-         \"tail_cut\": {tail_cut:.2}, \"hedges_fired\": {hedges_fired}, \
-         \"hedges_won\": {hedges_won}}},\n  \
-         \"flap\": {{\"failed_queries\": {flap_failed}, \"probe_rejoins\": {rejoins}}},\n  \
-         \"shard_loss\": {{\"degraded_replies\": {degraded}, \"errors\": {loss_errors}, \
-         \"coverage\": \"1/2\"}},\n  \
-         \"torn_storm\": {{\"replies_checked\": {torn_checked}, \"corrupt_replies\": 0}}\n}}\n"
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_chaos_serving.json", json).expect("write results");
-    println!("wrote results/BENCH_chaos_serving.json");
+    let doc = obj! {
+        "experiment": "chaos_serving", "n": n, "dim": DIM, "k": K, "shards": SHARDS,
+        "replicas": 2u64, "queries_per_leg": per_leg,
+        "hedge": obj! { "p99_us_plain": p99_plain, "p99_us_hedged": p99_hedged,
+                        "tail_cut": rounded(tail_cut, 2), "hedges_fired": hedges_fired,
+                        "hedges_won": hedges_won },
+        "flap": obj! { "failed_queries": flap_failed, "probe_rejoins": rejoins },
+        "shard_loss": obj! { "degraded_replies": degraded, "errors": loss_errors,
+                             "coverage": "1/2" },
+        "torn_storm": obj! { "replies_checked": torn_checked, "corrupt_replies": 0u64 },
+    };
+    write_results("chaos_serving", quick, &doc);
 }

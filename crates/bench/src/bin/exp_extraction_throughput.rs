@@ -21,9 +21,10 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_extraction_throughput [--quick]`
 
-use cbir_bench::{fmt_ms, time_median, Table};
+use cbir_bench::{fmt_ms, rounded, time_median, write_results, Table};
 use cbir_features::{ExtractScratch, FeatureSpec, Pipeline, Quantizer};
 use cbir_image::RgbImage;
+use cbir_obs::{obj, Json};
 use cbir_workload::{Corpus, CorpusSpec};
 use std::time::Duration;
 
@@ -80,7 +81,7 @@ fn main() {
         "batch@1T ms/img",
         "batch@maxT ms/img",
     ]);
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Vec::new();
     let mut speedup_at_64 = 0.0f64;
 
     for &canonical in sizes {
@@ -174,14 +175,12 @@ fn main() {
             fmt_ms(batch_1),
             fmt_ms(batch_max),
         ]);
-        json_rows.push(format!(
-            "    {{\"canonical\": {canonical}, \"naive_ms\": {}, \"planner_ms\": {}, \
-             \"speedup\": {speedup:.2}, \"batch_1t_ms\": {}, \"batch_maxt_ms\": {}}}",
-            fmt_ms(naive),
-            fmt_ms(planner),
-            fmt_ms(batch_1),
-            fmt_ms(batch_max),
-        ));
+        let ms = |d: Duration| rounded(d.as_secs_f64() * 1e3, 3);
+        json_rows.push(obj! {
+            "canonical": canonical, "naive_ms": ms(naive), "planner_ms": ms(planner),
+            "speedup": rounded(speedup, 2), "batch_1t_ms": ms(batch_1),
+            "batch_maxt_ms": ms(batch_max),
+        });
     }
 
     table.print();
@@ -198,17 +197,15 @@ fn main() {
         println!("\nspeedup at canonical 64: {speedup_at_64:.2}x (>= 2x requirement holds)");
     }
 
-    if quick {
-        // Quick mode exists for the bit-identity assertions; don't clobber
-        // committed full-mode numbers with 1-iteration timings.
-        println!("\nquick mode: skipping results/BENCH_extraction_throughput.json");
-        return;
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"extraction_throughput\",\n  \"images_per_size\": {n_images},\n  \"iters\": {iters},\n  \"max_threads\": {max_threads},\n  \"exactness\": \"planner, reused-scratch, and batch paths asserted bit-identical to extract_naive\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_extraction_throughput.json", json).expect("write results");
-    println!("\nwrote results/BENCH_extraction_throughput.json");
+    // Quick mode exists for the bit-identity assertions; it never
+    // clobbers committed full-mode numbers with 1-iteration timings.
+    let doc = obj! {
+        "experiment": "extraction_throughput", "images_per_size": n_images, "iters": iters,
+        "max_threads": max_threads,
+        "exactness": "planner, reused-scratch, and batch paths asserted bit-identical to \
+                      extract_naive",
+        "results": Json::Arr(json_rows),
+    };
+    println!();
+    write_results("extraction_throughput", quick, &doc);
 }

@@ -28,7 +28,7 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_mmap_ingest [--quick]`
 
-use cbir_bench::Table;
+use cbir_bench::{rounded, write_results, Table};
 use cbir_core::persist::{load_file, save_file};
 use cbir_core::{
     CorpusSnapshot, CorpusStore, ImageDatabase, ImageMeta, IndexKind, QueryEngine, Ranked,
@@ -37,6 +37,7 @@ use cbir_core::{
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_index::BatchStats;
+use cbir_obs::obj;
 use cbir_server::{Client, SchedulerConfig, Server};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -381,20 +382,28 @@ fn main() {
     println!("not for correctness or full-table copies.");
 
     let _ = std::fs::remove_dir_all(&root);
-    if quick {
-        // Quick mode exists for the gates; the reduced corpus makes the
-        // open-time ratio and throughput numbers meaningless.
-        println!("\nquick mode: skipping results/BENCH_mmap_ingest.json");
-        return;
-    }
+    // Quick mode exists for the gates; the reduced corpus makes the
+    // open-time ratio and throughput numbers meaningless.
     assert!(
-        open_ratio >= 100.0,
+        quick || open_ratio >= 100.0,
         "mmap cold-open is only {open_ratio:.0}x faster than full deserialization (need >= 100x)"
     );
-    let json = format!(
-        "{{\n  \"experiment\": \"mmap_ingest\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"clients\": {CLIENTS},\n  \"per_client\": {per_client},\n  \"index\": \"linear\",\n  \"measure\": \"l1\",\n  \"exactness\": \"RAM, mmap, pinned-under-churn, and post-churn replies asserted bit-identical\",\n  \"cold_open\": {{\"open_us\": {open_us:.1}, \"open_quarter_us\": {open_small_us:.1}, \"full_load_us\": {load_us:.1}, \"open_speedup\": {open_ratio:.1}, \"size_4x_open_ratio\": {size_ratio:.2}}},\n  \"churn_compactions\": {churn_compactions},\n  \"serving\": {{\"idle_qps\": {idle_qps:.1}, \"under_ingest_qps\": {serving_qps:.1}, \"ingest_rows\": {ingest_rows}, \"ingest_rows_per_s\": {ingest_rows_s}, \"retained\": {retained:.3}}}\n}}\n"
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_mmap_ingest.json", json).expect("write results");
-    println!("\nwrote results/BENCH_mmap_ingest.json");
+    let doc = obj! {
+        "experiment": "mmap_ingest", "n": n, "dim": DIM, "k": K, "clients": CLIENTS,
+        "per_client": per_client, "index": "linear", "measure": "l1",
+        "exactness": "RAM, mmap, pinned-under-churn, and post-churn replies asserted \
+                      bit-identical",
+        "cold_open": obj! { "open_us": rounded(open_us, 1),
+                            "open_quarter_us": rounded(open_small_us, 1),
+                            "full_load_us": rounded(load_us, 1),
+                            "open_speedup": rounded(open_ratio, 1),
+                            "size_4x_open_ratio": rounded(size_ratio, 2) },
+        "churn_compactions": churn_compactions,
+        "serving": obj! { "idle_qps": rounded(idle_qps, 1),
+                          "under_ingest_qps": rounded(serving_qps, 1),
+                          "ingest_rows": ingest_rows, "ingest_rows_per_s": ingest_rows_s,
+                          "retained": rounded(retained, 3) },
+    };
+    println!();
+    write_results("mmap_ingest", quick, &doc);
 }

@@ -25,10 +25,12 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_obs_overhead [--quick]`
 
+use cbir_bench::{rounded, write_results};
 use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_index::BatchStats;
+use cbir_obs::{obj, Json};
 use cbir_workload::Pcg32;
 use std::time::Instant;
 
@@ -131,7 +133,7 @@ fn main() {
         "index", "on q/s", "off q/s", "ratio"
     );
 
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows = Vec::new();
     let mut worst_ratio = f64::INFINITY;
     for eng in &engines {
         // Bit-identity across every observability mode first; timing a
@@ -152,29 +154,24 @@ fn main() {
         worst_ratio = worst_ratio.min(ratio);
         let name = eng.index_kind().name();
         println!("{name:<10} {on:>12.0} {off:>12.0} {ratio:>8.3}");
-        json_rows.push(format!(
-            "    {{\"index\": \"{name}\", \"enabled_qps\": {on:.1}, \"disabled_qps\": {off:.1}, \"ratio\": {ratio:.4}}}"
-        ));
+        json_rows.push(obj! { "index": name, "enabled_qps": rounded(on, 1),
+        "disabled_qps": rounded(off, 1), "ratio": rounded(ratio, 4) });
     }
 
     println!("\nworst enabled/disabled ratio: {worst_ratio:.3} (gate: >= 0.95)");
-    if quick {
-        // Quick mode keeps the bit-identity assertions but neither
-        // enforces the noisy reduced-size ratio nor overwrites the
-        // committed full-mode numbers.
-        println!("quick mode: skipping ratio gate and results/BENCH_obs_overhead.json");
-        return;
-    }
+    // Quick mode keeps the bit-identity assertions but neither enforces
+    // the noisy reduced-size ratio nor overwrites the committed
+    // full-mode numbers.
     assert!(
-        worst_ratio >= 0.95,
+        quick || worst_ratio >= 0.95,
         "observability overhead gate failed: ratio {worst_ratio:.3} < 0.95"
     );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"obs_overhead\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"batch\": {BATCH},\n  \"queries\": {n_queries},\n  \"rounds\": {rounds},\n  \"bit_identity\": \"knn results asserted identical with counters on, off, and traced\",\n  \"gate\": \"enabled/disabled throughput ratio >= 0.95\",\n  \"worst_ratio\": {worst_ratio:.4},\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_obs_overhead.json", json).expect("write results");
-    println!("wrote results/BENCH_obs_overhead.json");
+    let doc = obj! {
+        "experiment": "obs_overhead", "n": n, "dim": DIM, "k": K, "batch": BATCH,
+        "queries": n_queries, "rounds": rounds,
+        "bit_identity": "knn results asserted identical with counters on, off, and traced",
+        "gate": "enabled/disabled throughput ratio >= 0.95",
+        "worst_ratio": rounded(worst_ratio, 4), "results": Json::Arr(json_rows),
+    };
+    write_results("obs_overhead", quick, &doc);
 }

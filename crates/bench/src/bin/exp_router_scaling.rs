@@ -40,11 +40,13 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_router_scaling [--quick]`
 
+use cbir_bench::{rounded, write_results};
 use cbir_core::{
     split_database, ImageDatabase, ImageMeta, IndexKind, QueryEngine, ShardPlan, ShardScheme,
 };
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
+use cbir_obs::{obj, Json};
 use cbir_router::{Router, RouterConfig, RouterHandle};
 use cbir_server::protocol::{encode_request, read_frame, write_frame, Request};
 use cbir_server::{Client, SchedulerConfig, Server, ServerHandle};
@@ -416,28 +418,26 @@ fn main() {
         );
     }
 
-    if quick {
-        // Quick mode exists for the correctness and failover gates;
-        // reduced sizes make the scaling ratios meaningless.
-        println!("\nquick mode: skipping results/BENCH_router_scaling.json");
-        return;
-    }
-
-    let shard_rows: Vec<String> = rows
-        .iter()
-        .map(|(s, qps, v, w, e)| {
-            format!(
-                "{{\"shards\": {s}, \"qps\": {qps:.1}, \"vs_single_shard\": {v:.2}, \
-                 \"rows_scored_per_query_per_node\": {w:.0}, \
-                 \"distance_computations_per_query_per_node\": {e:.0}}}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"router_scaling\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"clients\": {CLIENTS},\n  \"per_client\": {per_client},\n  \"cores\": {cores},\n  \"index\": \"linear\",\n  \"measure\": \"l1\",\n  \"scheme\": \"mod\",\n  \"exactness\": \"router replies asserted frame-level bit-identical to a single node over the union corpus, before timing and after the replica kill\",\n  \"topologies\": [\n    {}\n  ],\n  \"failover\": {{\"shards\": 2, \"replicas\": 2, \"killed\": \"shard 0 primary\", \"failed_queries\": {failed}, \"recorded_failovers\": {failovers}}},\n  \"per_node_work_reduction_4_shards\": {work_reduction4:.2},\n  \"qps_ratio_4_shards\": {speedup4:.2},\n  \"qps_ratio_gated\": {qps_gate}\n}}\n",
-        shard_rows.join(",\n    "),
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_router_scaling.json", json).expect("write results");
-    println!("\nwrote results/BENCH_router_scaling.json");
+    // Quick mode exists for the correctness and failover gates;
+    // reduced sizes make the scaling ratios meaningless.
+    let topologies = rows.iter().map(|&(shards, qps, vs_single, work, evals)| {
+        obj! { "shards": shards, "qps": rounded(qps, 1), "vs_single_shard": rounded(vs_single, 2),
+        "rows_scored_per_query_per_node": rounded(work, 0),
+        "distance_computations_per_query_per_node": rounded(evals, 0) }
+    });
+    let doc = obj! {
+        "experiment": "router_scaling", "n": n, "dim": DIM, "k": K, "clients": CLIENTS,
+        "per_client": per_client, "cores": cores, "index": "linear", "measure": "l1",
+        "scheme": "mod",
+        "exactness": "router replies asserted frame-level bit-identical to a single node over \
+                      the union corpus, before timing and after the replica kill",
+        "topologies": Json::Arr(topologies.collect()),
+        "failover": obj! { "shards": 2u64, "replicas": 2u64, "killed": "shard 0 primary",
+                           "failed_queries": failed, "recorded_failovers": failovers },
+        "per_node_work_reduction_4_shards": rounded(work_reduction4, 2),
+        "qps_ratio_4_shards": rounded(speedup4, 2),
+        "qps_ratio_gated": qps_gate,
+    };
+    println!();
+    write_results("router_scaling", quick, &doc);
 }

@@ -22,11 +22,12 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_serve_throughput [--quick]`
 
-use cbir_bench::Table;
+use cbir_bench::{rounded, write_results, Table};
 use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_index::BatchStats;
+use cbir_obs::obj;
 use cbir_server::{Client, ClientError, Rejection, SchedulerConfig, Server, StatsSnapshot};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -339,29 +340,27 @@ fn main() {
     println!("through the scan — is paid once per batch by the cache-blocked");
     println!("kernel; single-dispatch streams the corpus from memory per query.");
 
-    if quick {
-        // Quick mode exists for the correctness gates; reduced sizes make
-        // the timings (and the 2x claim) meaningless, so assert and write
-        // nothing.
-        println!("\nquick mode: skipping results/BENCH_serve_throughput.json");
-        return;
-    }
+    // Quick mode exists for the correctness gates; reduced sizes make
+    // the timings (and the 2x claim) meaningless, so assert and write
+    // nothing.
     assert!(
-        speedup >= 2.0,
+        quick || speedup >= 2.0,
         "micro-batching delivered only {speedup:.2}x over single-dispatch (need >= 2x)"
     );
-    let json = format!(
-        "{{\n  \"experiment\": \"serve_throughput\",\n  \"n\": {n},\n  \"dim\": {DIM},\n  \"k\": {K},\n  \"clients\": {CLIENTS},\n  \"per_client\": {per_client},\n  \"window\": {WINDOW},\n  \"index\": \"linear\",\n  \"measure\": \"l1\",\n  \"exactness\": \"server replies asserted bit-identical to direct engine batch calls\",\n  \"saturation_shed\": {saturation_shed},\n  \"single\": {{\"max_batch\": 1, \"max_delay_us\": 0, \"qps\": {single_qps:.1}, \"mean_batch\": {:.2}, \"latency_p50_us\": {}, \"latency_p95_us\": {}}},\n  \"batched\": {{\"max_batch\": {}, \"max_delay_us\": {}, \"qps\": {batched_qps:.1}, \"mean_batch\": {:.2}, \"latency_p50_us\": {}, \"latency_p95_us\": {}}},\n  \"speedup\": {speedup:.2}\n}}\n",
-        mean_batch(&single_snap),
-        single_snap.latency_p50_us,
-        single_snap.latency_p95_us,
-        batched_config.max_batch,
-        batched_config.max_delay.as_micros(),
-        mean_batch(&batched_snap),
-        batched_snap.latency_p50_us,
-        batched_snap.latency_p95_us,
-    );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_serve_throughput.json", json).expect("write results");
-    println!("\nwrote results/BENCH_serve_throughput.json");
+    let mode = |config: &SchedulerConfig, qps: f64, snap: &StatsSnapshot| {
+        obj! { "max_batch": config.max_batch, "max_delay_us": config.max_delay.as_micros() as u64,
+        "qps": rounded(qps, 1), "mean_batch": rounded(mean_batch(snap), 2),
+        "latency_p50_us": snap.latency_p50_us, "latency_p95_us": snap.latency_p95_us }
+    };
+    let doc = obj! {
+        "experiment": "serve_throughput", "n": n, "dim": DIM, "k": K, "clients": CLIENTS,
+        "per_client": per_client, "window": WINDOW, "index": "linear", "measure": "l1",
+        "exactness": "server replies asserted bit-identical to direct engine batch calls",
+        "saturation_shed": saturation_shed,
+        "single": mode(&single_config, single_qps, &single_snap),
+        "batched": mode(&batched_config, batched_qps, &batched_snap),
+        "speedup": rounded(speedup, 2),
+    };
+    println!();
+    write_results("serve_throughput", quick, &doc);
 }

@@ -5,6 +5,7 @@
 use cbir_core::{build_index, IndexKind};
 use cbir_distance::Measure;
 use cbir_index::{Dataset, SearchIndex};
+use cbir_obs::Json;
 use std::time::{Duration, Instant};
 
 /// Fixed-width table printer for paper-style result tables.
@@ -76,6 +77,26 @@ pub fn fmt_ms(d: Duration) -> String {
 /// Microseconds with one decimal.
 pub fn fmt_us(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1e6)
+}
+
+/// `x` rounded to `decimals` places, as a JSON number — what a results
+/// file records of a measurement.
+pub fn rounded(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Num((x * scale).round() / scale)
+}
+
+/// Write `doc` to `results/BENCH_{name}.json`, one key per line. A
+/// `--quick` run writes nothing: results come from full runs only.
+pub fn write_results(name: &str, quick: bool, doc: &Json) {
+    let path = format!("results/BENCH_{name}.json");
+    if quick {
+        println!("quick mode: skipping {path}");
+        return;
+    }
+    std::fs::create_dir_all("results").expect("create results dir");
+    std::fs::write(&path, doc.render_pretty() + "\n").expect("write results");
+    println!("wrote {path}");
 }
 
 /// The standard clustered vector dataset used by the index experiments:

@@ -1,151 +1,68 @@
-//! Text export surfaces: hand-rolled JSON and Prometheus text exposition
-//! (both dependency-free; every value the registry holds is a `u64`, a
-//! `bool`, or a static string, so no general serializer is needed).
+//! Export surfaces: the JSON documents (built as [`Json`] values) and
+//! Prometheus text exposition.
 
-use crate::trace::{QueryTrace, TraceSpan};
-use crate::{LatencySummary, ObsSnapshot};
+use crate::trace::QueryTrace;
+use crate::{obj, Json, LatencySummary, ObsSnapshot};
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn latency(l: &LatencySummary) -> Json {
+    obj! { "count": l.count, "sum_us": l.sum_us, "p50_us": l.p50_us, "p95_us": l.p95_us,
+    "p99_us": l.p99_us }
 }
 
-fn latency_json(l: &LatencySummary) -> String {
-    format!(
-        "{{\"count\": {}, \"sum_us\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}",
-        l.count, l.sum_us, l.p50_us, l.p95_us, l.p99_us
-    )
-}
-
-/// Render a registry snapshot as a JSON object.
+/// A registry snapshot as a JSON object.
 ///
 /// Top-level keys: `enabled`, `trace_sample_n`, `queue_depth`, `indexes`
 /// (array, one object per [`crate::INDEX_NAMES`] slot), `stages` (array,
 /// one object per [`crate::Stage`]), `latency` (object with `knn` and
-/// `range` summaries), `store`, `event_loop` (epoll serving
-/// counters), `router` (array, one object per
+/// `range` summaries), `store`, `event_loop` (the serving instance's
+/// epoll counters), `router` (array, one object per
 /// registered router backend replica; empty outside a router process),
 /// `router_tier` (hedging/degradation counters; all-zero outside a
 /// router), `trace_count`.
-pub fn to_json(snap: &ObsSnapshot) -> String {
-    let indexes: Vec<String> = snap
-        .indexes
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"index\": \"{}\", \"queries\": {}, \"distance_evaluations\": {}, \
-                 \"nodes_visited\": {}, \"subtrees_pruned\": {}, \"postfilter_candidates\": {}, \
-                 \"coarse_candidates\": {}, \"rerank_evaluations\": {}, \"results\": {}}}",
-                json_escape(s.index),
-                s.queries,
-                s.distance_evaluations,
-                s.nodes_visited,
-                s.subtrees_pruned,
-                s.postfilter_candidates,
-                s.coarse_candidates,
-                s.rerank_evaluations,
-                s.results
-            )
-        })
-        .collect();
-    let stages: Vec<String> = snap
-        .stages
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"stage\": \"{}\", \"hits\": {}, \"misses\": {}, \"nanos\": {}}}",
-                json_escape(s.stage),
-                s.hits,
-                s.misses,
-                s.nanos
-            )
-        })
-        .collect();
-    let router: Vec<String> = snap
-        .router
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"shard\": {}, \"replica\": \"{}\", \"requests\": {}, \
-                 \"failures\": {}, \"failovers\": {}, \"shed\": {}, \"healthy\": {}, \
-                 \"breaker_open\": {}, \"probe_rejoins\": {}, \"latency\": {}}}",
-                r.shard,
-                json_escape(&r.role),
-                r.requests,
-                r.failures,
-                r.failovers,
-                r.shed,
-                r.healthy,
-                r.breaker_open,
-                r.probe_rejoins,
-                latency_json(&r.latency)
-            )
-        })
-        .collect();
-    let router = if router.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n  ]", router.join(",\n"))
-    };
-    let tier = &snap.router_tier;
-    let router_tier = format!(
-        "{{\"hedges_fired\": {}, \"hedges_won\": {}, \"degraded_replies\": {}, \
-         \"breaker_opens\": {}, \"retry_budget_exhausted\": {}, \"probe_failures\": {}, \
-         \"probe_latency\": {}}}",
-        tier.hedges_fired,
-        tier.hedges_won,
-        tier.degraded_replies,
-        tier.breaker_opens,
-        tier.retry_budget_exhausted,
-        tier.probe_failures,
-        latency_json(&tier.probe_latency)
-    );
-    let store = format!(
-        "{{\"inserts\": {}, \"deletes\": {}, \"compactions\": {}, \"segments\": {}, \
-         \"memtable_rows\": {}, \"tombstones\": {}, \"epoch\": {}}}",
-        snap.store.inserts,
-        snap.store.deletes,
-        snap.store.compactions,
-        snap.store.segments,
-        snap.store.memtable_rows,
-        snap.store.tombstones,
-        snap.store.epoch
-    );
-    let event_loop = format!(
-        "{{\"epoll_wakeups\": {}, \"open_conns\": {}, \"max_pipeline_depth\": {}}}",
-        snap.event_loop.epoll_wakeups,
-        snap.event_loop.open_conns,
-        snap.event_loop.max_pipeline_depth
-    );
-    format!(
-        "{{\n  \"enabled\": {},\n  \"trace_sample_n\": {},\n  \"queue_depth\": {},\n  \
-         \"indexes\": [\n{}\n  ],\n  \"stages\": [\n{}\n  ],\n  \"latency\": {{\"knn\": {}, \
-         \"range\": {}}},\n  \"store\": {},\n  \"event_loop\": {},\n  \"router\": {},\n  \
-         \"router_tier\": {},\n  \"trace_count\": {}\n}}\n",
-        snap.enabled,
-        snap.trace_sample_n,
-        snap.queue_depth,
-        indexes.join(",\n"),
-        stages.join(",\n"),
-        latency_json(&snap.knn_latency),
-        latency_json(&snap.range_latency),
-        store,
-        event_loop,
-        router,
-        router_tier,
-        snap.trace_count
-    )
+pub fn to_json(snap: &ObsSnapshot) -> Json {
+    let indexes = snap.indexes.iter().map(|s| {
+        obj! { "index": s.index, "queries": s.queries,
+        "distance_evaluations": s.distance_evaluations, "nodes_visited": s.nodes_visited,
+        "subtrees_pruned": s.subtrees_pruned,
+        "postfilter_candidates": s.postfilter_candidates,
+        "coarse_candidates": s.coarse_candidates,
+        "rerank_evaluations": s.rerank_evaluations, "results": s.results }
+    });
+    let stages = snap.stages.iter().map(|s| {
+        obj! { "stage": s.stage, "hits": s.hits, "misses": s.misses, "nanos": s.nanos }
+    });
+    let router = snap.router.iter().map(|r| {
+        obj! { "shard": r.shard, "replica": r.role.as_str(), "requests": r.requests,
+        "failures": r.failures, "failovers": r.failovers, "shed": r.shed,
+        "healthy": r.healthy, "breaker_open": r.breaker_open,
+        "probe_rejoins": r.probe_rejoins, "latency": latency(&r.latency) }
+    });
+    let (store, event_loop, tier) = (&snap.store, &snap.event_loop, &snap.router_tier);
+    obj! {
+        "enabled": snap.enabled,
+        "trace_sample_n": snap.trace_sample_n,
+        "queue_depth": snap.queue_depth,
+        "indexes": Json::Arr(indexes.collect()),
+        "stages": Json::Arr(stages.collect()),
+        "latency": obj! { "knn": latency(&snap.knn_latency),
+                          "range": latency(&snap.range_latency) },
+        "store": obj! { "inserts": store.inserts, "deletes": store.deletes,
+                        "compactions": store.compactions, "segments": store.segments,
+                        "memtable_rows": store.memtable_rows, "tombstones": store.tombstones,
+                        "epoch": store.epoch },
+        "event_loop": obj! { "epoll_wakeups": event_loop.epoll_wakeups,
+                             "open_conns": event_loop.open_conns,
+                             "max_pipeline_depth": event_loop.max_pipeline_depth },
+        "router": Json::Arr(router.collect()),
+        "router_tier": obj! { "hedges_fired": tier.hedges_fired,
+                              "hedges_won": tier.hedges_won,
+                              "degraded_replies": tier.degraded_replies,
+                              "breaker_opens": tier.breaker_opens,
+                              "retry_budget_exhausted": tier.retry_budget_exhausted,
+                              "probe_failures": tier.probe_failures,
+                              "probe_latency": latency(&tier.probe_latency) },
+        "trace_count": snap.trace_count,
+    }
 }
 
 /// Escape a Prometheus label value (backslash, quote, newline).
@@ -476,55 +393,29 @@ pub fn to_prometheus(snap: &ObsSnapshot) -> String {
     out
 }
 
-fn span_json(s: &TraceSpan) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}}}",
-        json_escape(s.name),
-        s.start_ns,
-        s.dur_ns
-    )
-}
-
-/// Render one trace as a JSON object. Keys: `seq`, `op`, `index`,
+/// One trace as a JSON object. Keys: `seq`, `op`, `index`,
 /// `queries`, `total_ns`, `spans` (array of `{name, start_ns, dur_ns}`),
 /// `distance_evaluations`, `nodes_visited`, `subtrees_pruned`,
 /// `postfilter_candidates`, `coarse_candidates`, `rerank_evaluations`,
 /// `results`.
-pub fn trace_to_json(t: &QueryTrace) -> String {
-    let spans: Vec<String> = t.spans.iter().map(span_json).collect();
-    format!(
-        "{{\"seq\": {}, \"op\": \"{}\", \"index\": \"{}\", \"queries\": {}, \"total_ns\": {}, \
-         \"spans\": [{}], \"distance_evaluations\": {}, \"nodes_visited\": {}, \
-         \"subtrees_pruned\": {}, \"postfilter_candidates\": {}, \"coarse_candidates\": {}, \
-         \"rerank_evaluations\": {}, \"results\": {}}}",
-        t.seq,
-        json_escape(t.op),
-        json_escape(t.index),
-        t.queries,
-        t.total_ns,
-        spans.join(", "),
-        t.distance_evaluations,
-        t.nodes_visited,
-        t.subtrees_pruned,
-        t.postfilter_candidates,
-        t.coarse_candidates,
-        t.rerank_evaluations,
-        t.results
-    )
+pub fn trace_to_json(t: &QueryTrace) -> Json {
+    let spans = t.spans.iter().map(|s| {
+        obj! { "name": s.name, "start_ns": s.start_ns, "dur_ns": s.dur_ns }
+    });
+    obj! {
+        "seq": t.seq, "op": t.op, "index": t.index, "queries": t.queries,
+        "total_ns": t.total_ns, "spans": Json::Arr(spans.collect()),
+        "distance_evaluations": t.distance_evaluations, "nodes_visited": t.nodes_visited,
+        "subtrees_pruned": t.subtrees_pruned, "postfilter_candidates": t.postfilter_candidates,
+        "coarse_candidates": t.coarse_candidates, "rerank_evaluations": t.rerank_evaluations,
+        "results": t.results,
+    }
 }
 
-/// Render a list of traces as a JSON object `{"traces": [...]}` (the
-/// `explain` RPC payload; empty list when nothing has been sampled).
-pub fn traces_to_json(traces: &[QueryTrace]) -> String {
-    let rows: Vec<String> = traces
-        .iter()
-        .map(|t| format!("  {}", trace_to_json(t)))
-        .collect();
-    if rows.is_empty() {
-        "{\"traces\": []}\n".to_string()
-    } else {
-        format!("{{\"traces\": [\n{}\n]}}\n", rows.join(",\n"))
-    }
+/// A list of traces as a JSON object `{"traces": [...]}` (the `explain`
+/// RPC payload; empty list when nothing has been sampled).
+pub fn traces_to_json(traces: &[QueryTrace]) -> Json {
+    obj! { "traces": Json::Arr(traces.iter().map(trace_to_json).collect()) }
 }
 
 /// Render one trace as a human-readable stage timeline.
@@ -572,6 +463,7 @@ pub fn render_trace(t: &QueryTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceSpan;
     use crate::{IndexCounters, StageCounters};
 
     fn snap() -> ObsSnapshot {
@@ -669,52 +561,49 @@ mod tests {
         }
     }
 
+    /// `to_json(&snap())` as the hand-formatted writer rendered it at
+    /// the parent of the commit that made it build a `Json` value.
+    const GOLDEN_STATS: &str = r#"{
+  "enabled": true,
+  "trace_sample_n": 1,
+  "queue_depth": 2,
+  "indexes": [
+    {"index": "vp-tree", "queries": 3, "distance_evaluations": 40, "nodes_visited": 12, "subtrees_pruned": 7, "postfilter_candidates": 33, "coarse_candidates": 21, "rerank_evaluations": 20, "results": 9}
+  ],
+  "stages": [
+    {"stage": "resize", "hits": 1, "misses": 2, "nanos": 5000}
+  ],
+  "latency": {"knn": {"count": 3, "sum_us": 900, "p50_us": 255, "p95_us": 511, "p99_us": 511}, "range": {"count": 0, "sum_us": 0, "p50_us": 0, "p95_us": 0, "p99_us": 0}},
+  "store": {"inserts": 11, "deletes": 2, "compactions": 1, "segments": 3, "memtable_rows": 7, "tombstones": 1, "epoch": 14},
+  "event_loop": {"epoll_wakeups": 17, "open_conns": 4, "max_pipeline_depth": 3},
+  "router": [
+    {"shard": 0, "replica": "primary", "requests": 42, "failures": 1, "failovers": 1, "shed": 2, "healthy": true, "breaker_open": false, "probe_rejoins": 0, "latency": {"count": 42, "sum_us": 8400, "p50_us": 127, "p95_us": 255, "p99_us": 255}},
+    {"shard": 1, "replica": "backup-1", "requests": 5, "failures": 0, "failovers": 0, "shed": 0, "healthy": false, "breaker_open": true, "probe_rejoins": 3, "latency": {"count": 0, "sum_us": 0, "p50_us": 0, "p95_us": 0, "p99_us": 0}}
+  ],
+  "router_tier": {"hedges_fired": 6, "hedges_won": 4, "degraded_replies": 2, "breaker_opens": 1, "retry_budget_exhausted": 5, "probe_failures": 7, "probe_latency": {"count": 9, "sum_us": 1800, "p50_us": 127, "p95_us": 255, "p99_us": 255}},
+  "trace_count": 1
+}"#;
+
+    /// `traces_to_json(&[trace()])`, captured the same way.
+    const GOLDEN_TRACES: &str = r#"{"traces": [
+  {"seq": 4, "op": "knn", "index": "kd-tree", "queries": 1, "total_ns": 2000000, "spans": [{"name": "extract", "start_ns": 0, "dur_ns": 1500000}, {"name": "search", "start_ns": 1500000, "dur_ns": 500000}], "distance_evaluations": 20, "nodes_visited": 8, "subtrees_pruned": 3, "postfilter_candidates": 16, "coarse_candidates": 0, "rerank_evaluations": 0, "results": 10}
+]}"#;
+
     #[test]
-    fn json_has_every_section() {
-        let j = to_json(&snap());
-        for key in [
-            "\"enabled\"",
-            "\"trace_sample_n\"",
-            "\"queue_depth\"",
-            "\"indexes\"",
-            "\"stages\"",
-            "\"latency\"",
-            "\"store\"",
-            "\"memtable_rows\"",
-            "\"subtrees_pruned\"",
-            "\"postfilter_candidates\"",
-            "\"coarse_candidates\"",
-            "\"rerank_evaluations\"",
-            "\"p99_us\"",
-            "\"router\"",
-            "\"replica\"",
-            "\"failovers\"",
-            "\"healthy\"",
-            "\"breaker_open\"",
-            "\"probe_rejoins\"",
-            "\"router_tier\"",
-            "\"hedges_fired\"",
-            "\"hedges_won\"",
-            "\"degraded_replies\"",
-            "\"retry_budget_exhausted\"",
-            "\"probe_latency\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert!(j.contains("\"replica\": \"backup-1\""));
-        assert!(j.contains("\"hedges_fired\": 6"));
-        assert!(j.contains("\"degraded_replies\": 2"));
+    fn json_matches_the_hand_formatted_golden() {
+        // Same keys, same key order, same numbers.
+        assert_eq!(Json::parse(GOLDEN_STATS), Ok(to_json(&snap())));
+        assert_eq!(
+            Json::parse(GOLDEN_TRACES),
+            Ok(traces_to_json(std::slice::from_ref(&trace())))
+        );
         // router_tier is always present, even with no registered replicas.
         let mut bare = snap();
         bare.router.clear();
-        assert!(to_json(&bare).contains("\"router_tier\""));
-        // Balanced braces/brackets — cheap structural sanity.
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced braces"
-        );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let bare = to_json(&bare);
+        assert_eq!(bare.get("router"), Some(&Json::Arr(vec![])));
+        assert!(bare.get("router_tier").is_some());
+        assert_eq!(traces_to_json(&[]).render(), r#"{"traces": []}"#);
     }
 
     #[test]
@@ -807,9 +696,8 @@ mod tests {
         assert!(!to_prometheus(&bare).contains("cbir_router_"));
     }
 
-    #[test]
-    fn trace_json_and_rendering() {
-        let t = QueryTrace {
+    fn trace() -> QueryTrace {
+        QueryTrace {
             seq: 4,
             op: "knn",
             index: "kd-tree",
@@ -834,28 +722,18 @@ mod tests {
             coarse_candidates: 0,
             rerank_evaluations: 0,
             results: 10,
-        };
-        let j = trace_to_json(&t);
-        for key in [
-            "\"seq\"",
-            "\"op\"",
-            "\"spans\"",
-            "\"dur_ns\"",
-            "\"results\"",
-        ] {
-            assert!(j.contains(key), "missing {key}");
         }
-        let wrapped = traces_to_json(std::slice::from_ref(&t));
-        assert!(wrapped.starts_with("{\"traces\": ["));
-        assert_eq!(traces_to_json(&[]), "{\"traces\": []}\n");
-        let r = render_trace(&t);
+    }
+
+    #[test]
+    fn trace_rendering() {
+        let r = render_trace(&trace());
         assert!(r.contains("extract"));
         assert!(r.contains("75.0%"));
     }
 
     #[test]
     fn escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(prom_escape("r*-tree"), "r*-tree");
         assert_eq!(prom_escape("a\"b"), "a\\\"b");
     }

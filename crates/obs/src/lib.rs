@@ -37,17 +37,20 @@
 //! );
 //! let snap = cbir_obs::snapshot();
 //! let json = cbir_obs::to_json(&snap);
-//! assert!(json.contains("\"indexes\""));
+//! assert!(json.get("indexes").is_some());
+//! assert!(json.render().starts_with("{\"enabled\": true"));
 //! ```
 
 #![warn(missing_docs)]
 
 mod export;
 mod hist;
+mod json;
 mod trace;
 
 pub use export::{render_trace, to_json, to_prometheus, trace_to_json, traces_to_json};
 pub use hist::{bucket_bound, bucket_of, HistSnapshot, LogHistogram, LOG2_BUCKETS};
+pub use json::Json;
 pub use trace::{QueryTrace, TraceSpan, TRACE_RING_CAP};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -341,34 +344,13 @@ pub fn router_probe_failed() {
     ROUTER_TIER.probe_failures.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Event-loop serving counters: how often the loop woke, how many
-/// connections it is holding, and the deepest per-connection pipeline
-/// it has observed. All zero in a process that runs no server.
-struct EventLoopSlot {
-    epoll_wakeups: AtomicU64,
-    open_conns: AtomicU64,
-    max_pipeline_depth: AtomicU64,
-}
-
-impl EventLoopSlot {
-    const fn new() -> Self {
-        EventLoopSlot {
-            epoll_wakeups: AtomicU64::new(0),
-            open_conns: AtomicU64::new(0),
-            max_pipeline_depth: AtomicU64::new(0),
-        }
-    }
-}
-
 struct Registry {
     enabled: AtomicBool,
     indexes: [IndexSlot; INDEX_NAMES.len()],
     stages: [StageSlot; Stage::ALL.len()],
     knn_latency: LogHistogram,
     range_latency: LogHistogram,
-    queue_depth: AtomicU64,
     store: StoreSlot,
-    event_loop: EventLoopSlot,
     traces: TraceRing,
 }
 
@@ -398,9 +380,7 @@ static REGISTRY: Registry = Registry {
     ],
     knn_latency: LogHistogram::new(),
     range_latency: LogHistogram::new(),
-    queue_depth: AtomicU64::new(0),
     store: StoreSlot::new(),
-    event_loop: EventLoopSlot::new(),
     traces: TraceRing::new(),
 };
 
@@ -509,46 +489,6 @@ impl StageTimer {
             stage_miss(self.stage, start.elapsed().as_nanos() as u64);
         }
     }
-}
-
-/// Update the scheduler queue-depth gauge.
-#[inline]
-pub fn set_queue_depth(depth: u64) {
-    if !enabled() {
-        return;
-    }
-    REGISTRY.queue_depth.store(depth, Ordering::Relaxed);
-}
-
-/// Record `n` `epoll_wait` returns in the event loop. No-op when
-/// disabled.
-#[inline]
-pub fn epoll_wakeups_add(n: u64) {
-    if !enabled() {
-        return;
-    }
-    REGISTRY
-        .event_loop
-        .epoll_wakeups
-        .fetch_add(n, Ordering::Relaxed);
-}
-
-/// Update the event-loop connection gauge and fold `pipeline_depth`
-/// (requests concurrently in flight on one connection) into the
-/// high-water mark. No-op when disabled.
-#[inline]
-pub fn set_event_loop_state(open_conns: u64, pipeline_depth: u64) {
-    if !enabled() {
-        return;
-    }
-    REGISTRY
-        .event_loop
-        .open_conns
-        .store(open_conns, Ordering::Relaxed);
-    REGISTRY
-        .event_loop
-        .max_pipeline_depth
-        .fetch_max(pipeline_depth, Ordering::Relaxed);
 }
 
 /// Record `n` rows inserted into the live segment store. No-op when
@@ -806,7 +746,7 @@ impl LatencySummary {
     }
 }
 
-/// Event-loop serving counters at snapshot time.
+/// Event-loop serving counters of one server instance.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventLoopCounters {
     /// `epoll_wait` returns in the event loop.
@@ -891,7 +831,8 @@ pub struct ObsSnapshot {
     pub enabled: bool,
     /// Trace sampling rate at snapshot time (`0` = off).
     pub trace_sample_n: u64,
-    /// Scheduler queue-depth gauge.
+    /// Scheduler queue-depth gauge. The registry holds no queue: zero
+    /// from [`snapshot`], filled in by the server answering the request.
     pub queue_depth: u64,
     /// Per-index pruning counters, in [`INDEX_NAMES`] order.
     pub indexes: Vec<IndexCounters>,
@@ -903,7 +844,8 @@ pub struct ObsSnapshot {
     pub range_latency: LatencySummary,
     /// Segment-store counters and gauges.
     pub store: StoreCounters,
-    /// Event-loop serving counters.
+    /// Event-loop serving counters; like `queue_depth`, zero from
+    /// [`snapshot`] and filled in by the serving instance.
     pub event_loop: EventLoopCounters,
     /// Per-replica router counters (empty in processes that never
     /// registered any, i.e. everything but a router).
@@ -971,7 +913,7 @@ pub fn snapshot() -> ObsSnapshot {
     ObsSnapshot {
         enabled: enabled(),
         trace_sample_n: trace_sample_n(),
-        queue_depth: REGISTRY.queue_depth.load(Ordering::Relaxed),
+        queue_depth: 0,
         indexes,
         stages,
         router,
@@ -987,14 +929,7 @@ pub fn snapshot() -> ObsSnapshot {
             tombstones: REGISTRY.store.tombstones.load(Ordering::Relaxed),
             epoch: REGISTRY.store.epoch.load(Ordering::Relaxed),
         },
-        event_loop: EventLoopCounters {
-            epoll_wakeups: REGISTRY.event_loop.epoll_wakeups.load(Ordering::Relaxed),
-            open_conns: REGISTRY.event_loop.open_conns.load(Ordering::Relaxed),
-            max_pipeline_depth: REGISTRY
-                .event_loop
-                .max_pipeline_depth
-                .load(Ordering::Relaxed),
-        },
+        event_loop: EventLoopCounters::default(),
         trace_count: REGISTRY.traces.all().len() as u64,
     }
 }
@@ -1020,7 +955,6 @@ pub fn reset() {
     }
     REGISTRY.knn_latency.reset();
     REGISTRY.range_latency.reset();
-    REGISTRY.queue_depth.store(0, Ordering::Relaxed);
     REGISTRY.store.inserts.store(0, Ordering::Relaxed);
     REGISTRY.store.deletes.store(0, Ordering::Relaxed);
     REGISTRY.store.compactions.store(0, Ordering::Relaxed);
@@ -1028,15 +962,6 @@ pub fn reset() {
     REGISTRY.store.memtable_rows.store(0, Ordering::Relaxed);
     REGISTRY.store.tombstones.store(0, Ordering::Relaxed);
     REGISTRY.store.epoch.store(0, Ordering::Relaxed);
-    REGISTRY
-        .event_loop
-        .epoll_wakeups
-        .store(0, Ordering::Relaxed);
-    REGISTRY.event_loop.open_conns.store(0, Ordering::Relaxed);
-    REGISTRY
-        .event_loop
-        .max_pipeline_depth
-        .store(0, Ordering::Relaxed);
     // Drop router replica registrations entirely: shard topology is
     // per-router-spawn state, and a fresh harness run should not inherit
     // slots from a previous topology.

@@ -18,281 +18,10 @@
 //!   samples, e.g. traces or per-replica rows);
 //! * `null` yields to the other side; mismatched types keep the first.
 //!
-//! The parser is the minimal recursive-descent JSON reader this repo
-//! already uses in its CLI tests — no dependencies, no number-precision
-//! heroics (counters above 2⁵³ would round; nothing here gets close).
+//! The value type and its parser are [`cbir_obs::Json`], re-exported
+//! here because the benchmark crate (`e2e/`) imports it by this path.
 
-use std::fmt::Write as _;
-
-/// A parsed JSON value. Object keys keep insertion order so merged
-/// documents stay stable and diffable.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse a JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Look up a key of an object value.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Render the value back to compact JSON text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                // Counters round-trip as integers; only genuine
-                // fractional values render a decimal point.
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push_str(": ");
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.bytes.get(self.pos) {
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("bad array at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let v = self.value()?;
-                    fields.push((key, v));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("bad object at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.bytes.get(self.pos).ok_or("EOF inside string escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("EOF inside \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", *other as char)),
-                    }
-                }
-                Some(&b) if b < 0x20 => return Err("raw control byte in string".into()),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-                None => return Err("EOF inside string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
+pub use cbir_obs::Json;
 
 /// Merge two parsed documents under the rules in the module docs.
 pub fn merge(a: Json, b: Json) -> Json {
@@ -327,18 +56,13 @@ pub fn merge(a: Json, b: Json) -> Json {
     }
 }
 
-/// Parse and merge a set of JSON documents into one aggregate document
+/// Parse a set of JSON documents and merge them, in order, into `base`
 /// (errors name the failing document by position).
-pub fn merge_documents(docs: &[String]) -> Result<Json, String> {
-    let mut merged: Option<Json> = None;
-    for (i, doc) in docs.iter().enumerate() {
+pub fn merge_documents(base: Json, docs: &[String]) -> Result<Json, String> {
+    docs.iter().enumerate().try_fold(base, |merged, (i, doc)| {
         let v = Json::parse(doc).map_err(|e| format!("document {i}: {e}"))?;
-        merged = Some(match merged {
-            None => v,
-            Some(m) => merge(m, v),
-        });
-    }
-    merged.ok_or_else(|| "no documents to merge".to_string())
+        Ok(merge(merged, v))
+    })
 }
 
 #[cfg(test)]
@@ -351,7 +75,7 @@ mod tests {
         // A newer backend exposes a field the router has never heard of.
         let new = r#"{"requests": 4, "errors": 0, "latency": {"p50": 7}, "shiny_new_counter": 99}"#
             .to_string();
-        let merged = merge_documents(&[old, new]).unwrap();
+        let merged = merge_documents(Json::Null, &[old, new]).unwrap();
         assert_eq!(merged.get("requests"), Some(&Json::Num(14.0)));
         assert_eq!(merged.get("shiny_new_counter"), Some(&Json::Num(99.0)));
         assert_eq!(
@@ -364,7 +88,7 @@ mod tests {
     fn equal_length_arrays_merge_elementwise_unequal_concatenate() {
         let a = r#"{"indexes": [{"queries": 1}, {"queries": 2}], "traces": [1]}"#.to_string();
         let b = r#"{"indexes": [{"queries": 10}, {"queries": 20}], "traces": [2, 3]}"#.to_string();
-        let merged = merge_documents(&[a, b]).unwrap();
+        let merged = merge_documents(Json::Null, &[a, b]).unwrap();
         assert_eq!(
             merged.get("indexes"),
             Some(&Json::Arr(vec![
@@ -384,10 +108,13 @@ mod tests {
 
     #[test]
     fn bools_or_strings_keep_first_nulls_yield() {
-        let merged = merge_documents(&[
-            r#"{"enabled": false, "name": "a", "x": null}"#.to_string(),
-            r#"{"enabled": true, "name": "b", "x": 5}"#.to_string(),
-        ])
+        let merged = merge_documents(
+            Json::Null,
+            &[
+                r#"{"enabled": false, "name": "a", "x": null}"#.to_string(),
+                r#"{"enabled": true, "name": "b", "x": 5}"#.to_string(),
+            ],
+        )
         .unwrap();
         assert_eq!(merged.get("enabled"), Some(&Json::Bool(true)));
         assert_eq!(merged.get("name"), Some(&Json::Str("a".into())));
@@ -395,24 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_structure() {
-        let doc = r#"{"a": [1, 2.5, "x\n", true, null], "b": {"c": -3}}"#;
-        let v = Json::parse(doc).unwrap();
-        assert_eq!(Json::parse(&v.render()).unwrap(), v);
-        assert_eq!(
-            v.render(),
-            r#"{"a": [1, 2.5, "x\n", true, null], "b": {"c": -3}}"#
-        );
-    }
-
-    #[test]
-    fn malformed_documents_are_rejected_with_position() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{\"a\" 1}").is_err());
-        assert!(Json::parse("12 34").is_err());
-        let err = merge_documents(&["{}".to_string(), "{".to_string()]).unwrap_err();
+    fn malformed_documents_are_named_by_position() {
+        let err = merge_documents(Json::Null, &["{}".to_string(), "{".to_string()]).unwrap_err();
         assert!(err.contains("document 1"), "{err}");
-        assert!(merge_documents(&[]).is_err());
+        assert_eq!(merge_documents(Json::Null, &[]), Ok(Json::Null));
     }
 }

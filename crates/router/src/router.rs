@@ -26,9 +26,10 @@
 //! tests and benchmarks pins `recall_target = 1.0`.
 
 use crate::backend::{should_failover, RetryBudget, ShardClient};
-use crate::jsonmerge::{self, Json};
+use crate::jsonmerge;
 use crate::merge::kway_merge;
 use cbir_core::ShardPlan;
+use cbir_obs::Json;
 use cbir_server::protocol::{
     decode_request, encode_response, read_frame, write_frame, Request, Response, StatsSnapshot,
 };
@@ -913,10 +914,9 @@ fn obs_stats(core: &Arc<RouterCore>, pool: &ScatterPool, prometheus: bool) -> Re
     if prometheus {
         return Response::ObsText(cbir_obs::to_prometheus(&snap));
     }
-    let mut docs = vec![cbir_obs::to_json(&snap)];
     let results = scatter(core, pool, |_, shard| shard.call(|c| c.obs_stats(false)));
-    docs.extend(results.into_iter().flatten());
-    match jsonmerge::merge_documents(&docs) {
+    let docs: Vec<String> = results.into_iter().flatten().collect();
+    match jsonmerge::merge_documents(cbir_obs::to_json(&snap), &docs) {
         Ok(v) => Response::ObsText(v.render()),
         Err(e) => Response::Error(format!("obs aggregation: {e}")),
     }

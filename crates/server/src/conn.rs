@@ -528,17 +528,22 @@ pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
         }
         Request::Stats => Response::Stats(metrics.snapshot(scheduler.queue_depth())),
         Request::ObsStats { prometheus } => {
-            // Refresh the queue-depth gauge so a snapshot taken from an
-            // otherwise idle server still reads the live value.
-            cbir_obs::set_queue_depth(scheduler.queue_depth() as u64);
-            let snap = cbir_obs::snapshot();
+            // The registry is process-wide; the queue and the loop are
+            // this server's own.
+            let snap = cbir_obs::ObsSnapshot {
+                queue_depth: scheduler.queue_depth() as u64,
+                event_loop: metrics.event_loop(),
+                ..cbir_obs::snapshot()
+            };
             Response::ObsText(if prometheus {
                 cbir_obs::to_prometheus(&snap)
             } else {
-                cbir_obs::to_json(&snap)
+                cbir_obs::to_json(&snap).render()
             })
         }
-        Request::Explain => Response::ObsText(cbir_obs::traces_to_json(&cbir_obs::traces())),
+        Request::Explain => {
+            Response::ObsText(cbir_obs::traces_to_json(&cbir_obs::traces()).render())
+        }
         Request::Shutdown => Response::ShutdownAck,
         // Mutations take the store's writer lock, publish a new
         // snapshot, and ack. Queries already admitted keep executing

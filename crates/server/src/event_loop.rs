@@ -120,7 +120,6 @@ impl Loop {
                 }
             };
             self.scheduler.metrics().on_epoll_wakeup();
-            cbir_obs::epoll_wakeups_add(1);
             let now = Instant::now();
 
             let fired: Vec<(u64, u32)> = events[..n].iter().map(|e| (e.data, e.events)).collect();
@@ -151,7 +150,7 @@ impl Loop {
                 self.sweep(now);
             }
 
-            cbir_obs::set_event_loop_state(self.conns.len() as u64, 0);
+            self.scheduler.metrics().set_open_conns(self.conns.len());
             if self.draining && self.conns.is_empty() {
                 return;
             }
@@ -265,7 +264,6 @@ impl Loop {
                 }
                 let depth = entry.conn.inflight_len() as u64;
                 self.scheduler.metrics().on_pipeline_depth(depth);
-                cbir_obs::set_event_loop_state(self.conns.len() as u64, depth);
             }
         }
 

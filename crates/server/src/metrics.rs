@@ -59,6 +59,7 @@ pub struct Metrics {
     panics_isolated: AtomicU64,
     epoll_wakeups: AtomicU64,
     max_pipeline_depth: AtomicU64,
+    open_conns: AtomicU64,
     sampled: Mutex<Sampled>,
 }
 
@@ -114,6 +115,20 @@ impl Metrics {
     /// flight; the snapshot keeps the high-water mark.
     pub fn on_pipeline_depth(&self, depth: u64) {
         self.max_pipeline_depth.fetch_max(depth, Ordering::Relaxed);
+    }
+
+    /// Gauge: connections the event loop currently holds.
+    pub fn set_open_conns(&self, n: usize) {
+        self.open_conns.store(n as u64, Ordering::Relaxed);
+    }
+
+    /// This server's event-loop counters, for its `ObsStats` document.
+    pub fn event_loop(&self) -> cbir_obs::EventLoopCounters {
+        cbir_obs::EventLoopCounters {
+            epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
+            open_conns: self.open_conns.load(Ordering::Relaxed),
+            max_pipeline_depth: self.max_pipeline_depth.load(Ordering::Relaxed),
+        }
     }
 
     /// Record one dispatched micro-batch: its size, how many of its

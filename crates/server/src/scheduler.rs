@@ -241,9 +241,7 @@ impl Scheduler {
             return;
         }
         q.items.push_back(pending);
-        let depth = q.items.len();
         drop(q);
-        cbir_obs::set_queue_depth(depth as u64);
         self.metrics.on_admitted();
         self.not_empty.notify_one();
     }
@@ -392,7 +390,6 @@ impl Scheduler {
                 }
             }
         }
-        cbir_obs::set_queue_depth(guard.items.len() as u64);
         Some(batch)
     }
 

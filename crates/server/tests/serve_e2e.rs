@@ -574,3 +574,62 @@ fn recall_target_one_reply_is_byte_identical_to_exact_over_the_wire() {
     drop(stream);
     handle.shutdown();
 }
+
+#[test]
+fn each_server_reports_its_own_event_loop_and_queue_gauges() {
+    use cbir_obs::Json;
+    let engine = engine(32, IndexKind::Linear);
+    let busy = spawn(&engine, SchedulerConfig::default());
+    let quiet = spawn(&engine, SchedulerConfig::default());
+
+    // Busy: three connections, one of them pipelining a burst of 8.
+    let mut idle: Vec<Client> = (0..2)
+        .map(|_| Client::connect(busy.local_addr()).unwrap())
+        .collect();
+    for c in &mut idle {
+        c.ping().unwrap();
+    }
+    let mut client = Client::connect(busy.local_addr()).unwrap();
+    let q = engine.database().descriptor(3).unwrap().to_vec();
+    for _ in 0..8 {
+        client.send_knn(&q, 3, 0, 1.0).unwrap();
+    }
+    client.flush().unwrap();
+    for _ in 0..8 {
+        client.recv_hits().unwrap();
+    }
+    // Quiet: one connection, one ping.
+    let mut lone = Client::connect(quiet.local_addr()).unwrap();
+    lone.ping().unwrap();
+
+    let gauges = |c: &mut Client| {
+        let doc = Json::parse(&c.obs_stats(false).unwrap()).unwrap();
+        let num = |v: Option<&Json>| match v {
+            Some(Json::Num(n)) => *n as u64,
+            other => panic!("expected a number, got {other:?}"),
+        };
+        let event_loop = doc.get("event_loop").unwrap();
+        let stats = c.stats().unwrap();
+        assert_eq!(num(doc.get("queue_depth")), 0, "idle queue");
+        // The document's wakeups are this server's own: never more
+        // than its own binary counter read just after.
+        let wakeups = num(event_loop.get("epoll_wakeups"));
+        assert!(wakeups > 0 && wakeups <= stats.epoll_wakeups, "{wakeups}");
+        (
+            num(event_loop.get("open_conns")),
+            num(event_loop.get("max_pipeline_depth")),
+        )
+    };
+    let (busy_conns, busy_depth) = gauges(&mut client);
+    let (quiet_conns, quiet_depth) = gauges(&mut lone);
+    assert_eq!(busy_conns, 3);
+    assert_eq!(quiet_conns, 1);
+    assert!(busy_depth >= 2, "pipelined burst: depth {busy_depth}");
+    assert!(
+        quiet_depth <= 1,
+        "one request at a time: depth {quiet_depth}"
+    );
+
+    busy.shutdown();
+    quiet.shutdown();
+}

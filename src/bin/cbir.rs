@@ -609,7 +609,7 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let trace = cbir::obs::latest_trace()
         .ok_or("no trace captured (observability disabled in this build?)")?;
     match format {
-        "json" => println!("{}", cbir::obs::trace_to_json(&trace)),
+        "json" => println!("{}", cbir::obs::trace_to_json(&trace).render()),
         _ => print!("{}", cbir::obs::render_trace(&trace)),
     }
     Ok(())
@@ -627,7 +627,9 @@ fn cmd_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     let mut client = Client::connect(addr)?;
-    print!("{}", client.obs_stats(prometheus)?);
+    // JSON arrives compact with no newline (node or router alike);
+    // Prometheus text already ends in one.
+    println!("{}", client.obs_stats(prometheus)?.trim_end());
     Ok(())
 }
 
@@ -1346,7 +1348,7 @@ fn cmd_rpc_ctl(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             print_server_stats(&snap);
         }
         "explain" => {
-            print!("{}", client.explain()?);
+            println!("{}", client.explain()?);
         }
         "shutdown" => {
             client.shutdown()?;
