@@ -2055,6 +2055,58 @@ mod tests {
     }
 
     #[test]
+    fn a_quantizer_whose_bin_product_wraps_u32_is_refused_at_load() {
+        // An empty collection would load and then panic at its first
+        // insert: 65,536 × 65,536 × 1 wraps a u32 bin product to 0 bins.
+        for (valid, wrapped) in [
+            (
+                Quantizer::Hsv {
+                    hue: 16,
+                    sat: 16,
+                    val: 1,
+                },
+                [65536u32, 65536, 1],
+            ),
+            (Quantizer::Lab { l: 16, a: 16, b: 2 }, [65536, 65536, 2]),
+        ] {
+            let db = ImageDatabase::new(
+                Pipeline::new(16, vec![FeatureSpec::ColorHistogram(valid.clone())]).unwrap(),
+            );
+            let file = save_to_vec(&db).unwrap();
+            let toc = parse_toc(&file).unwrap();
+            let mut image = Image {
+                matrix_at: toc[3].offset,
+                file,
+                toc,
+                entry_len: TOC_ENTRY_LEN,
+                crc_at: 4,
+            };
+            let config = image.section(SEC_CONFIG);
+            let (start, len) = (image.toc[config].offset as usize, image.toc[config].len);
+            let axes =
+                |v: [u32; 3]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
+            let was = match valid {
+                Quantizer::Hsv { hue, sat, val } => axes([hue, sat, val]),
+                Quantizer::Lab { l, a, b } => axes([l, a, b]),
+                _ => unreachable!(),
+            };
+            let payload = &mut image.file[start..start + len as usize];
+            let at = payload
+                .windows(was.len())
+                .position(|w| w == was.as_slice())
+                .expect("quantizer axes in the config section");
+            payload[at..at + was.len()].copy_from_slice(&axes(wrapped));
+            image.reseal(config);
+            match load_from_slice(&image.file) {
+                Err(CoreError::Feature(e)) => {
+                    assert!(e.to_string().contains("out of range"), "{e}")
+                }
+                other => panic!("{wrapped:?}: {:?}", other.map(|d| d.len())),
+            }
+        }
+    }
+
+    #[test]
     fn load_file_missing_path_is_a_clear_persist_error() {
         let path = std::env::temp_dir().join("cbir_persist_test_no_such_file.cbir");
         std::fs::remove_file(&path).ok();

@@ -5,7 +5,7 @@
 //! [`ExtractScratch`] and exposes every feature family as a method writing
 //! into a caller-provided slice. Each shared intermediate — the canonical
 //! RGB frame, its grayscale conversion, the Sobel gradient field, the
-//! magnitude/orientation and normalized-magnitude planes, per-quantizer bin
+//! magnitude and normalized-magnitude planes, per-quantizer bin
 //! planes, the Otsu foreground mask, the grayscale integral image, and the
 //! salience distance transform — is computed the first time a family needs
 //! it and then reused, so a multi-family pipeline performs each image-wide
@@ -23,16 +23,17 @@ use crate::correlogram::{correlogram_into, CorrelogramScratch};
 use crate::distance_transform::{dt_histogram_into, sdt_from_magnitude};
 use crate::edges::{density_grid_core, orientation_histogram_core};
 use crate::error::{FeatureError, Result};
-use crate::glcm::glcm_features_into;
+use crate::glcm::{glcm_features_into, GlcmScratch};
 use crate::histogram::{color_moments_into, histogram_normalized_from_indexed};
 use crate::mask::foreground_mask_into;
 use crate::moments::{hu_into, region_shape_into, shape_summary_into};
+use crate::pipeline::FeatureSpec;
 use crate::quantize::Quantizer;
 use crate::tamura::{coarseness_core_into, contrast, directionality_core, CoarsenessScratch};
 use crate::wavelet::{wavelet_signature_into, WaveletScratch};
 use cbir_image::ops::{
-    magnitude_orientation_into, resize_bilinear_rgb_into, sobel_into, IntegralImage, Labeling,
-    SOBEL_MAGNITUDE_MAX,
+    magnitude_into, orientation_bins_into, resize_bilinear_rgb_into, sobel_into, IntegralImage,
+    Labeling, ResizeScratch, SOBEL_MAGNITUDE_MAX,
 };
 use cbir_image::{FloatImage, GrayImage, RgbImage};
 use cbir_obs::{stage_hit, Stage, StageTimer};
@@ -54,12 +55,13 @@ struct QuantPlane {
 /// further allocation. Create one per worker thread for parallel ingest.
 pub struct ExtractScratch {
     canon: RgbImage,
-    resize_taps: Vec<(u32, u32, f64)>,
+    resize: ResizeScratch,
     gray: GrayImage,
     gx: FloatImage,
     gy: FloatImage,
     mag: FloatImage,
-    ori: FloatImage,
+    /// Per-pixel orientation bins, for `ExtractContext::ori_bin_count` bins.
+    ori_bins: Vec<u8>,
     mag_norm: FloatImage,
     mask: GrayImage,
     dt: FloatImage,
@@ -71,6 +73,7 @@ pub struct ExtractScratch {
     totals_u32: Vec<u32>,
     coarse: CoarsenessScratch,
     corr: CorrelogramScratch,
+    glcm: GlcmScratch,
     cm_values: Vec<[f32; 3]>,
     wavelet: WaveletScratch,
     labeling: Labeling,
@@ -82,12 +85,12 @@ impl ExtractScratch {
     pub fn new() -> Self {
         ExtractScratch {
             canon: RgbImage::filled(0, 0, cbir_image::Rgb::default()),
-            resize_taps: Vec::new(),
+            resize: ResizeScratch::default(),
             gray: GrayImage::filled(0, 0, 0),
             gx: FloatImage::filled(0, 0, 0.0),
             gy: FloatImage::filled(0, 0, 0.0),
             mag: FloatImage::filled(0, 0, 0.0),
-            ori: FloatImage::filled(0, 0, 0.0),
+            ori_bins: Vec::new(),
             mag_norm: FloatImage::filled(0, 0, 0.0),
             mask: GrayImage::filled(0, 0, 0),
             dt: FloatImage::filled(0, 0, 0.0),
@@ -99,6 +102,7 @@ impl ExtractScratch {
             totals_u32: Vec::new(),
             coarse: CoarsenessScratch::default(),
             corr: CorrelogramScratch::default(),
+            glcm: GlcmScratch::default(),
             cm_values: Vec::new(),
             wavelet: WaveletScratch::default(),
             labeling: Labeling::empty(),
@@ -126,7 +130,9 @@ pub struct ExtractContext<'a> {
     canonical: u32,
     canon_is_input: bool,
     have_gradient: bool,
-    have_mag_ori: bool,
+    have_mag: bool,
+    /// The bin count `ExtractScratch::ori_bins` holds, once computed.
+    ori_bin_count: Option<usize>,
     have_mag_norm: bool,
     have_mask: bool,
     have_integral: bool,
@@ -148,13 +154,7 @@ impl<'a> ExtractContext<'a> {
             let s = &mut *scratch;
             if !canon_is_input {
                 let t = StageTimer::start(Stage::Resize);
-                resize_bilinear_rgb_into(
-                    img,
-                    canonical,
-                    canonical,
-                    &mut s.resize_taps,
-                    &mut s.canon,
-                )?;
+                resize_bilinear_rgb_into(img, canonical, canonical, &mut s.resize, &mut s.canon)?;
                 t.finish();
             } else {
                 // Input already canonical: the resize pass is skipped.
@@ -177,7 +177,8 @@ impl<'a> ExtractContext<'a> {
             canonical,
             canon_is_input,
             have_gradient: false,
-            have_mag_ori: false,
+            have_mag: false,
+            ori_bin_count: None,
             have_mag_norm: false,
             have_mask: false,
             have_integral: false,
@@ -197,8 +198,12 @@ impl<'a> ExtractContext<'a> {
         self.have_gradient = true;
     }
 
-    fn ensure_mag_ori(&mut self) {
-        if self.have_mag_ori {
+    /// The magnitude plane and, when `bins` is given, every pixel's
+    /// orientation bin among that many: one stage, computed on first
+    /// demand and reused while the bin count stays the same.
+    fn ensure_mag_ori(&mut self, bins: Option<usize>) {
+        let need_bins = bins.filter(|&b| self.ori_bin_count != Some(b));
+        if self.have_mag && need_bins.is_none() {
             stage_hit(Stage::MagOri);
             return;
         }
@@ -207,9 +212,15 @@ impl<'a> ExtractContext<'a> {
         // dependency accounts for itself above.
         let t = StageTimer::start(Stage::MagOri);
         let s = &mut *self.s;
-        magnitude_orientation_into(&s.gx, &s.gy, &mut s.mag, &mut s.ori);
+        if !self.have_mag {
+            magnitude_into(&s.gx, &s.gy, &mut s.mag);
+            self.have_mag = true;
+        }
+        if let Some(b) = need_bins {
+            orientation_bins_into(&s.gx, &s.gy, b, &mut s.ori_bins);
+            self.ori_bin_count = Some(b);
+        }
         t.finish();
-        self.have_mag_ori = true;
     }
 
     fn ensure_mag_norm(&mut self) {
@@ -217,7 +228,7 @@ impl<'a> ExtractContext<'a> {
             stage_hit(Stage::MagNorm);
             return;
         }
-        self.ensure_mag_ori();
+        self.ensure_mag_ori(None);
         let t = StageTimer::start(Stage::MagNorm);
         let s = &mut *self.s;
         let (w, h) = s.mag.dimensions();
@@ -294,14 +305,43 @@ impl<'a> ExtractContext<'a> {
         let QuantPlane { key, plane, ready } = &mut s.quant[idx];
         if !*ready {
             let t = StageTimer::start(Stage::Quantize);
-            plane.clear();
-            plane.extend(canon.pixels().map(|p| key.bin_of(p) as u16));
+            key.quantize_into(canon.as_slice(), plane);
             t.finish();
             *ready = true;
         } else {
             stage_hit(Stage::Quantize);
         }
         idx
+    }
+
+    /// Extract one spec into `out` (which must hold `spec.dim()` values),
+    /// dispatching to the family method below; this is the step
+    /// [`crate::Pipeline::extract_into`] runs once per spec.
+    pub fn feature(&mut self, spec: &FeatureSpec, out: &mut [f32]) -> Result<()> {
+        match spec {
+            FeatureSpec::ColorHistogram(q) => self.color_histogram(q, out),
+            FeatureSpec::ColorMoments => self.color_moments(out),
+            FeatureSpec::Correlogram {
+                quantizer,
+                distances,
+            } => self.correlogram(quantizer, distances, out),
+            FeatureSpec::Glcm { levels } => self.glcm(*levels, out),
+            FeatureSpec::Tamura => self.tamura(out),
+            FeatureSpec::Wavelet { levels } => self.wavelet(*levels, out),
+            FeatureSpec::EdgeOrientation { bins } => self.edge_orientation(*bins, out),
+            FeatureSpec::EdgeDensityGrid { grid, threshold } => {
+                self.edge_density_grid(*grid, *threshold, out)
+            }
+            FeatureSpec::HuMoments => self.hu_moments(out),
+            FeatureSpec::ShapeSummary => self.shape_summary(out),
+            FeatureSpec::RegionShape => self.region_shape(out),
+            FeatureSpec::DtHistogram { bins } => {
+                // Range: half the canonical diagonal in chamfer units
+                // keeps the histogram well-populated.
+                let max_value = 3.0 * self.canonical as f32 / 2.0;
+                self.dt_histogram(*bins, max_value, out)
+            }
+        }
     }
 
     /// Normalized color histogram; matches
@@ -366,19 +406,19 @@ impl<'a> ExtractContext<'a> {
     /// `out` must hold 5 values.
     pub fn glcm(&mut self, levels: usize, out: &mut [f32]) -> Result<()> {
         let s = &mut *self.s;
-        glcm_features_into(&s.gray, levels, &mut s.counts_u64, out)
+        glcm_features_into(&s.gray, levels, &mut s.glcm, out)
     }
 
     /// Tamura `[coarseness (log₂), contrast / 128, directionality]`;
     /// matches [`crate::tamura_features`]. `out` must hold 3 values.
     pub fn tamura(&mut self, out: &mut [f32]) -> Result<()> {
         debug_assert_eq!(out.len(), 3);
-        self.ensure_mag_ori();
+        self.ensure_mag_ori(Some(16));
         self.ensure_integral();
         let s = &mut *self.s;
         let c = coarseness_core_into(&s.integral, 5, &mut s.coarse);
         let con = contrast(&s.gray)?;
-        let d = directionality_core(&s.mag, &s.ori, 16, &mut s.hist_f64);
+        let d = directionality_core(&s.mag, &s.ori_bins, 16, &mut s.hist_f64);
         out[0] = c.log2() as f32;
         out[1] = (con / 128.0) as f32;
         out[2] = d as f32;
@@ -400,9 +440,9 @@ impl<'a> ExtractContext<'a> {
                 "orientation bins must be in 2..=256, got {bins}"
             )));
         }
-        self.ensure_mag_ori();
+        self.ensure_mag_ori(Some(bins));
         let s = &mut *self.s;
-        orientation_histogram_core(&s.mag, &s.ori, bins, &mut s.hist_f64, out);
+        orientation_histogram_core(&s.mag, &s.ori_bins, bins, &mut s.hist_f64, out);
         Ok(())
     }
 

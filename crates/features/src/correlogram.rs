@@ -18,48 +18,69 @@ pub struct AutoCorrelogram {
     n_colors: usize,
 }
 
-/// All offsets on the L∞ ring of radius `d` (the square ring with
-/// chessboard distance exactly `d`), appended to `out`.
-fn ring_offsets_into(d: i64, out: &mut Vec<(i64, i64)>) {
-    out.reserve((8 * d) as usize);
-    for x in -d..=d {
-        out.push((x, -d));
-        out.push((x, d));
-    }
-    for y in (-d + 1)..d {
-        out.push((-d, y));
-        out.push((d, y));
-    }
-}
+/// The value every pixel outside the image reads as: no bin is
+/// `u16::MAX` (quantizers have at most 4,096 bins), so an outside probe
+/// never counts as a match.
+const OUTSIDE: u16 = u16::MAX;
 
-#[cfg(test)]
-fn ring_offsets(d: i64) -> Vec<(i64, i64)> {
-    let mut out = Vec::new();
-    ring_offsets_into(d, &mut out);
-    out
-}
+/// Pixels compared per step: four 256-bit vectors of `u16` bins, so one
+/// offset load serves 64 pixels.
+const LANES: usize = 64;
 
 /// Reusable work buffers for [`correlogram_into`].
 #[derive(Default)]
 pub(crate) struct CorrelogramScratch {
-    ring: Vec<(i64, i64)>,
-    ring_lin: Vec<isize>,
-    same: Vec<u64>,
-    total: Vec<u64>,
-    hits: Vec<u16>,
+    /// The bin plane inside an [`OUTSIDE`] border wide enough for every
+    /// ring offset that can land in the image.
+    padded: Vec<u16>,
+    /// Ring offsets into `padded`, distance-major; `ends[i]` closes
+    /// distance `i`'s run.
+    offsets: Vec<isize>,
+    ends: Vec<usize>,
+    /// The current row's in-bounds ring cells, `[distance][x]`.
+    cells: Vec<u32>,
+    /// One row's match counts, `[distance][x]` over the lane-rounded width.
+    hits: Vec<u32>,
+    /// `[matches, in-bounds ring cells]` per `(color, distance)`.
+    counts: Vec<[u64; 2]>,
+}
+
+/// In-bounds length of `[i - r, i + r]` on an axis of `n` cells.
+fn span(i: u32, r: u32, n: u32) -> u32 {
+    i.saturating_add(r).min(n - 1) - i.saturating_sub(r) + 1
+}
+
+/// Per-lane count of the ring probes at `offsets` (at most 65,535 of
+/// them) that hold the same bin as the [`LANES`] pixels starting at `at`.
+fn ring_hits(padded: &[u16], at: usize, offsets: &[isize]) -> [u16; LANES] {
+    let cur: [u16; LANES] = padded[at..at + LANES].try_into().expect("LANES bins");
+    let mut acc = [0u16; LANES];
+    for &off in offsets {
+        let p = (at as isize + off) as usize;
+        let probe: [u16; LANES] = padded[p..p + LANES].try_into().expect("LANES bins");
+        for l in 0..LANES {
+            acc[l] += u16::from(cur[l] == probe[l]);
+        }
+    }
+    acc
 }
 
 /// Core auto-correlogram accumulation over a pre-quantized bin plane,
 /// writing the `[color-major][distance-minor]` probabilities into `out`.
 ///
-/// Pixels are split per distance into a border band (ring probes
-/// bounds-checked, exactly as the straightforward formulation) and the
-/// interior (every ring offset is guaranteed in bounds, probed offset-major
-/// over contiguous row slices so the equality scan vectorizes, with a
-/// single bulk `total` update). The per-color counters are plain `u64`
-/// sums, so the partition changes only the order of commutative integer
-/// increments: counts — and therefore the final `same / total` divisions —
-/// are bit-identical to the naive loop.
+/// The plane is copied inside a border of [`OUTSIDE`], so every pixel of
+/// every row — border rows included — probes its whole ring at all
+/// distances in one pass, [`LANES`] pixels per step, with no bounds test:
+/// an outside probe simply never matches. How many ring cells lie inside
+/// the image is separable: the `(2d+1)²` window's in-bounds area minus the
+/// `(2d-1)²` window's, each a product of per-axis spans. Ring offsets that
+/// could never land inside (beyond the image's own extent) are dropped,
+/// which bounds the border by the image size whatever the distance.
+///
+/// The per-color counters are exact integer sums of the same per-pixel
+/// matches and in-bounds cells the straightforward bounds-checked loop
+/// counts, so the final `same / total` divisions are bit-identical to it
+/// (a test holds the two equal).
 pub(crate) fn correlogram_into(
     plane: &[u16],
     width: u32,
@@ -69,142 +90,104 @@ pub(crate) fn correlogram_into(
     scratch: &mut CorrelogramScratch,
     out: &mut [f32],
 ) {
-    debug_assert_eq!(plane.len(), width as usize * height as usize);
-    debug_assert_eq!(out.len(), n_colors * distances.len());
+    let (w, h) = (width as usize, height as usize);
+    let nd = distances.len();
+    debug_assert_eq!(plane.len(), w * h);
+    debug_assert_eq!(out.len(), n_colors * nd);
     let CorrelogramScratch {
-        ring,
-        ring_lin,
-        same,
-        total,
+        padded,
+        offsets,
+        ends,
+        cells,
         hits,
+        counts,
     } = scratch;
-    let (wi, hi) = (width as i64, height as i64);
-    for (di, &d) in distances.iter().enumerate() {
-        let dd = d as i64;
-        ring.clear();
-        ring_offsets_into(dd, ring);
-        same.clear();
-        same.resize(n_colors, 0);
-        total.clear();
-        total.resize(n_colors, 0);
+    let max_d = distances.iter().copied().max().unwrap_or(0) as usize;
+    let (px, py) = (max_d.min(w - 1), max_d.min(h - 1));
+    let wr = w.next_multiple_of(LANES);
+    let stride = px + wr + px;
+    padded.clear();
+    padded.resize((py + h + py) * stride, OUTSIDE);
+    for (y, row) in plane.chunks_exact(w).enumerate() {
+        padded[(py + y) * stride + px..][..w].copy_from_slice(row);
+    }
 
-        // Rows/columns within `dd` of an edge need bounds checks; everything
-        // else is interior.
-        let y_lo = dd.min(hi);
-        let y_hi = (hi - dd).max(y_lo);
-        let x_lo = dd.min(wi);
-        let x_hi = (wi - dd).max(x_lo);
-        {
-            // The in-bounds part of a pixel's ring is four contiguous
-            // segments (two row spans, two column spans), so clip each
-            // segment analytically instead of bounds-checking every probe;
-            // the row spans then scan as contiguous slices.
-            let mut probe_clipped = |x: i64, y: i64| {
-                let c16 = plane[(y * wi + x) as usize];
-                let mut count = 0u64;
-                let mut matches = 0u64;
-                let dx0 = (-dd).max(-x);
-                let dx1 = dd.min(wi - 1 - x);
-                if dx0 <= dx1 {
-                    for ny in [y - dd, y + dd] {
-                        if ny >= 0 && ny < hi {
-                            let start = (ny * wi + x + dx0) as usize;
-                            let seg = &plane[start..start + (dx1 - dx0 + 1) as usize];
-                            count += seg.len() as u64;
-                            matches += seg.iter().filter(|&&v| v == c16).count() as u64;
-                        }
-                    }
-                }
-                let dy0 = (1 - dd).max(-y);
-                let dy1 = (dd - 1).min(hi - 1 - y);
-                if dy0 <= dy1 {
-                    for nx in [x - dd, x + dd] {
-                        if nx >= 0 && nx < wi {
-                            let mut idx = ((y + dy0) * wi + nx) as usize;
-                            for _ in dy0..=dy1 {
-                                count += 1;
-                                matches += u64::from(plane[idx] == c16);
-                                idx += wi as usize;
-                            }
-                        }
-                    }
-                }
-                total[c16 as usize] += count;
-                same[c16 as usize] += matches;
-            };
-            for y in 0..y_lo {
-                for x in 0..wi {
-                    probe_clipped(x, y);
-                }
-            }
-            for y in y_lo..y_hi {
-                for x in 0..x_lo {
-                    probe_clipped(x, y);
-                }
-                for x in x_hi..wi {
-                    probe_clipped(x, y);
-                }
-            }
-            for y in y_hi..hi {
-                for x in 0..wi {
-                    probe_clipped(x, y);
-                }
+    // Ring offsets per distance: the top and bottom rows (if any lies
+    // within the image's height) clipped to the image's width, then the
+    // two side columns (if within its width) clipped to its height.
+    offsets.clear();
+    ends.clear();
+    for &d in distances {
+        let d = d as usize;
+        let at = |dx: isize, dy: isize| dy * stride as isize + dx;
+        if d <= py {
+            let r = d.min(px) as isize;
+            for dy in [-(d as isize), d as isize] {
+                offsets.extend((-r..=r).map(|dx| at(dx, dy)));
             }
         }
-
-        // Interior: the whole ring is in bounds for every pixel. Probed
-        // offset-major per row — for a fixed offset the probe is a second
-        // contiguous `u16` slice compared elementwise against the row, which
-        // vectorizes at full u16 lane width into same-width hit counters —
-        // with per-pixel hit counts scattered into the per-color counters in
-        // a second pass.
-        ring_lin.clear();
-        ring_lin.extend(ring.iter().map(|&(dx, dy)| (dy * wi + dx) as isize));
-        let ring_len = ring_lin.len() as u64;
-        let row_w = (x_hi - x_lo).max(0) as usize;
-        if ring_lin.len() <= usize::from(u16::MAX) {
-            hits.clear();
-            hits.resize(row_w, 0);
-            let hrow = &mut hits[..row_w];
-            for y in y_lo..y_hi {
-                let base = (y * wi + x_lo) as usize;
-                let cur = &plane[base..base + row_w];
-                hrow.fill(0);
-                for &off in ring_lin.iter() {
-                    let shifted = &plane[(base as isize + off) as usize..][..row_w];
-                    for i in 0..row_w {
-                        hrow[i] += u16::from(cur[i] == shifted[i]);
-                    }
-                }
-                for (&c16, &h) in cur.iter().zip(hrow.iter()) {
-                    total[c16 as usize] += ring_len;
-                    same[c16 as usize] += u64::from(h);
-                }
-            }
-        } else {
-            // Ring wider than a u16 counter (needs an image > 16k pixels on
-            // a side): straightforward per-pixel probe, same exact counts.
-            for y in y_lo..y_hi {
-                for x in x_lo..x_hi {
-                    let i = (y * wi + x) as usize;
-                    let c16 = plane[i];
-                    let mut h = 0u64;
-                    for &off in ring_lin.iter() {
-                        h += u64::from(plane[(i as isize + off) as usize] == c16);
-                    }
-                    total[c16 as usize] += ring_len;
-                    same[c16 as usize] += h;
-                }
+        if d <= px {
+            let r = (d - 1).min(py) as isize;
+            for dx in [-(d as isize), d as isize] {
+                offsets.extend((-r..=r).map(|dy| at(dx, dy)));
             }
         }
+        ends.push(offsets.len());
+    }
+    hits.clear();
+    hits.resize(nd * wr, 0);
+    cells.clear();
+    cells.resize(nd * w, 0);
+    counts.clear();
+    counts.resize(n_colors * nd, [0, 0]);
 
-        for c in 0..n_colors {
-            out[c * distances.len() + di] = if total[c] > 0 {
-                same[c] as f32 / total[c] as f32
-            } else {
-                0.0
-            };
+    for y in 0..h {
+        let base = (py + y) * stride + px;
+        for x0 in (0..wr).step_by(LANES) {
+            let at = base + x0;
+            let mut begin = 0;
+            for (di, &end) in ends.iter().enumerate() {
+                let row_hits = &mut hits[di * wr + x0..][..LANES];
+                row_hits.fill(0);
+                // A u16 lane counts up to 65,535 probes; only rings wider
+                // than that (distances over 8,191) take a second run.
+                for run in offsets[begin..end].chunks(usize::from(u16::MAX)) {
+                    for (h, a) in row_hits.iter_mut().zip(ring_hits(padded, at, run)) {
+                        *h += u32::from(a);
+                    }
+                }
+                begin = end;
+            }
         }
+        // In-bounds ring cells per pixel of this row, per distance: the
+        // true count is at most 8d, so the products may wrap modulo 2^32
+        // and the difference is still exact.
+        for (di, &d) in distances.iter().enumerate() {
+            let y = y as u32;
+            let (sy, sy_inner) = (span(y, d, height), span(y, d - 1, height));
+            for (x, c) in (0..width).zip(&mut cells[di * w..][..w]) {
+                let outer = span(x, d, width).wrapping_mul(sy);
+                *c = outer.wrapping_sub(span(x, d - 1, width).wrapping_mul(sy_inner));
+            }
+        }
+        // Pixel-major, so the distances' counters of one color are
+        // independent updates rather than one store-forwarding chain.
+        // (Plain slices, not the scratch's `Vec`s: a store through a
+        // `Vec` could alias its header, which forces reloads.)
+        let counts = &mut counts[..];
+        let (hits, cells) = (&hits[..], &cells[..]);
+        for (x, &c) in plane[y * w..][..w].iter().enumerate() {
+            let c = c as usize * nd;
+            for di in 0..nd {
+                let [same, total] = &mut counts[c + di];
+                *same += u64::from(hits[di * wr + x]);
+                *total += u64::from(cells[di * w + x]);
+            }
+        }
+    }
+
+    for (o, &[s, t]) in out.iter_mut().zip(counts.iter()) {
+        *o = if t > 0 { s as f32 / t as f32 } else { 0.0 };
     }
 }
 
@@ -227,7 +210,8 @@ impl AutoCorrelogram {
         let (w, h) = img.dimensions();
 
         // Pre-quantize the image once.
-        let quantized: Vec<u16> = img.pixels().map(|p| quantizer.bin_of(p) as u16).collect();
+        let mut quantized = Vec::new();
+        quantizer.quantize_into(img.as_slice(), &mut quantized);
         let mut values = vec![0.0f32; n_colors * distances.len()];
         correlogram_into(
             &quantized,
@@ -271,27 +255,23 @@ mod tests {
     use super::*;
     use cbir_image::Rgb;
 
+    /// All offsets on the L∞ ring of radius `d` (the square ring with
+    /// chessboard distance exactly `d`).
+    fn ring_offsets(d: i64) -> Vec<(i64, i64)> {
+        let mut out = Vec::new();
+        for x in -d..=d {
+            out.push((x, -d));
+            out.push((x, d));
+        }
+        for y in (-d + 1)..d {
+            out.push((-d, y));
+            out.push((d, y));
+        }
+        out
+    }
+
     const RED: Rgb = Rgb([255, 0, 0]);
     const BLUE: Rgb = Rgb([0, 0, 255]);
-
-    #[test]
-    fn ring_offset_counts() {
-        assert_eq!(ring_offsets(1).len(), 8);
-        assert_eq!(ring_offsets(2).len(), 16);
-        assert_eq!(ring_offsets(3).len(), 24);
-        // All offsets are at exact chessboard distance d.
-        for d in 1..=4i64 {
-            for (dx, dy) in ring_offsets(d) {
-                assert_eq!(dx.abs().max(dy.abs()), d);
-            }
-        }
-        // No duplicates.
-        let mut r = ring_offsets(3);
-        r.sort_unstable();
-        let before = r.len();
-        r.dedup();
-        assert_eq!(r.len(), before);
-    }
 
     #[test]
     fn uniform_image_has_probability_one() {
@@ -376,48 +356,62 @@ mod tests {
     }
 
     #[test]
-    fn interior_fast_path_matches_bruteforce_bitwise() {
+    fn padded_lane_path_matches_bruteforce_bitwise() {
         // Reference: the straightforward all-bounds-checked formulation.
-        let img = RgbImage::from_fn(21, 13, |x, y| {
-            Rgb::new((x * 17) as u8, (y * 29) as u8, ((x * y) % 251) as u8)
-        });
         let q = Quantizer::rgb_compact();
-        let (w, h) = img.dimensions();
-        let quantized: Vec<u16> = img.pixels().map(|p| q.bin_of(p) as u16).collect();
         let n = q.n_bins();
-        // Distances straddling every regime: deep interior, thin interior,
-        // distance >= one axis, distance >= both axes.
-        for dists in [vec![1u32], vec![1, 3, 5, 7], vec![6, 12], vec![20, 50]] {
-            let mut values = vec![0.0f32; n * dists.len()];
-            for (di, &d) in dists.iter().enumerate() {
-                let ring = ring_offsets(d as i64);
-                let mut same = vec![0u64; n];
-                let mut total = vec![0u64; n];
-                for y in 0..h as i64 {
-                    for x in 0..w as i64 {
-                        let c = quantized[y as usize * w as usize + x as usize] as usize;
-                        for &(dx, dy) in &ring {
-                            let nx = x + dx;
-                            let ny = y + dy;
-                            if nx >= 0 && ny >= 0 && nx < w as i64 && ny < h as i64 {
-                                total[c] += 1;
-                                if quantized[ny as usize * w as usize + nx as usize] as usize == c {
-                                    same[c] += 1;
+        // Shapes off and over the lane width, degenerate strips, and the
+        // pipeline's 64×64; distances straddling every regime: deep
+        // interior, thin interior, distance >= one axis, >= both axes.
+        for (w, h) in [
+            (21, 13),
+            (13, 21),
+            (64, 64),
+            (70, 9),
+            (1, 17),
+            (17, 1),
+            (1, 1),
+        ] {
+            let img = RgbImage::from_fn(w, h, |x, y| {
+                Rgb::new((x * 17) as u8, (y * 29) as u8, ((x * y) % 251) as u8)
+            });
+            let quantized: Vec<u16> = img.pixels().map(|p| q.bin_of(p) as u16).collect();
+            for dists in [
+                vec![1u32],
+                vec![1, 3, 5, 7],
+                vec![6, 12],
+                vec![20, 50],
+                vec![65],
+            ] {
+                let mut values = vec![0.0f32; n * dists.len()];
+                for (di, &d) in dists.iter().enumerate() {
+                    let ring = ring_offsets(d as i64);
+                    let mut same = vec![0u64; n];
+                    let mut total = vec![0u64; n];
+                    for y in 0..h as i64 {
+                        for x in 0..w as i64 {
+                            let c = quantized[y as usize * w as usize + x as usize] as usize;
+                            for &(dx, dy) in &ring {
+                                let (nx, ny) = (x + dx, y + dy);
+                                if nx >= 0 && ny >= 0 && nx < w as i64 && ny < h as i64 {
+                                    total[c] += 1;
+                                    let at = ny as usize * w as usize + nx as usize;
+                                    same[c] += u64::from(quantized[at] as usize == c);
                                 }
                             }
                         }
                     }
-                }
-                for c in 0..n {
-                    if total[c] > 0 {
-                        values[c * dists.len() + di] = same[c] as f32 / total[c] as f32;
+                    for c in 0..n {
+                        if total[c] > 0 {
+                            values[c * dists.len() + di] = same[c] as f32 / total[c] as f32;
+                        }
                     }
                 }
+                let fast = AutoCorrelogram::compute(&img, &q, &dists).unwrap();
+                let fast_bits: Vec<u32> = fast.to_vec().iter().map(|v| v.to_bits()).collect();
+                let ref_bits: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(fast_bits, ref_bits, "{w}x{h}, distances {dists:?}");
             }
-            let fast = AutoCorrelogram::compute(&img, &q, &dists).unwrap();
-            let fast_bits: Vec<u32> = fast.to_vec().iter().map(|v| v.to_bits()).collect();
-            let ref_bits: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fast_bits, ref_bits, "distances {dists:?}");
         }
     }
 

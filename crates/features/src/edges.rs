@@ -3,7 +3,7 @@
 //! edge-density grids (coarse spatial layout of edges).
 
 use crate::error::{FeatureError, Result};
-use cbir_image::ops::sobel;
+use cbir_image::ops::{orientation_bins_into, sobel};
 use cbir_image::{FloatImage, GrayImage};
 
 /// Magnitude-weighted edge-orientation histogram over `[0, π)`.
@@ -23,20 +23,21 @@ pub fn edge_orientation_histogram(img: &GrayImage, bins: usize) -> Result<Vec<f3
         return Err(FeatureError::EmptyImage("edge orientation histogram"));
     }
     let g = sobel(img);
-    let mag = g.magnitude();
-    let ori = g.orientation();
+    let mut bin_of = Vec::new();
+    orientation_bins_into(&g.gx, &g.gy, bins, &mut bin_of);
     let mut hist = Vec::new();
     let mut out = vec![0.0f32; bins];
-    orientation_histogram_core(&mag, &ori, bins, &mut hist, &mut out);
+    orientation_histogram_core(&g.magnitude(), &bin_of, bins, &mut hist, &mut out);
     Ok(out)
 }
 
-/// [`edge_orientation_histogram`] over precomputed magnitude and
-/// orientation planes, with `hist` reused as the accumulation buffer and
-/// the normalized histogram written into `out`.
+/// [`edge_orientation_histogram`] over a precomputed magnitude plane and
+/// the per-pixel orientation bins ([`orientation_bins_into`]), with `hist`
+/// reused as the accumulation buffer and the normalized histogram written
+/// into `out`.
 pub(crate) fn orientation_histogram_core(
     mag: &FloatImage,
-    ori: &FloatImage,
+    bin_of: &[u8],
     bins: usize,
     hist: &mut Vec<f64>,
     out: &mut [f32],
@@ -44,12 +45,11 @@ pub(crate) fn orientation_histogram_core(
     debug_assert_eq!(out.len(), bins);
     hist.clear();
     hist.resize(bins, 0.0);
-    for (&m, &o) in mag.as_slice().iter().zip(ori.as_slice()) {
+    for (&m, &b) in mag.as_slice().iter().zip(bin_of) {
         if m <= 0.0 {
             continue;
         }
-        let b = ((o / std::f32::consts::PI) * bins as f32) as usize;
-        hist[b.min(bins - 1)] += m as f64;
+        hist[b as usize] += m as f64;
     }
     let total: f64 = hist.iter().sum();
     if total <= 0.0 {
@@ -131,13 +131,17 @@ pub(crate) fn density_grid_core(
     counts.resize((grid * grid) as usize, 0);
     totals.clear();
     totals.resize((grid * grid) as usize, 0);
-    for (x, y, m) in mag_norm.enumerate_pixels() {
-        let cx = (x * grid / w).min(grid - 1);
-        let cy = (y * grid / h).min(grid - 1);
-        let c = (cy * grid + cx) as usize;
-        totals[c] += 1;
-        if m > threshold {
-            counts[c] += 1;
+    // Cell `c` of an axis of `n` pixels holds the pixels `i` with
+    // `i·grid/n = c`, i.e. `ceil(c·n/grid) ≤ i < ceil((c+1)·n/grid)`: count
+    // each row's edges run by run into the row's strip of cells.
+    let (w, h, grid) = (w as usize, h as usize, grid as usize);
+    let start = |c: usize, n: usize| (c * n).div_ceil(grid);
+    for (y, row) in mag_norm.as_slice().chunks_exact(w).enumerate() {
+        let strip = (y * grid / h).min(grid - 1) * grid;
+        for cx in 0..grid {
+            let run = &row[start(cx, w)..start(cx + 1, w)];
+            totals[strip + cx] += run.len() as u32;
+            counts[strip + cx] += run.iter().filter(|&&m| m > threshold).count() as u32;
         }
     }
     for ((o, &c), &t) in out.iter_mut().zip(counts.iter()).zip(totals.iter()) {
@@ -264,5 +268,29 @@ mod tests {
         assert_eq!(g.len(), 9);
         // Diagonal ramp has edges everywhere: all cells nonzero.
         assert!(g.iter().all(|&v| v > 0.0), "{g:?}");
+    }
+
+    #[test]
+    fn run_counting_matches_per_pixel_cell_assignment() {
+        // Ragged and degenerate divisions: every pixel must land in the
+        // cell `(x·grid/w, y·grid/h)` the per-pixel formulation gives it.
+        for (w, h, grid) in [(37, 23, 5), (10, 10, 3), (8, 8, 8), (64, 64, 4), (9, 40, 1)] {
+            let mag = FloatImage::from_fn(w, h, |x, y| ((x * 7 + y * 13) % 23) as f32);
+            let mut got = vec![0.0f32; (grid * grid) as usize];
+            density_grid_core(&mag, grid, 11.0, &mut Vec::new(), &mut Vec::new(), &mut got);
+            let (mut counts, mut totals) = (vec![0u32; got.len()], vec![0u32; got.len()]);
+            for (x, y, m) in mag.enumerate_pixels() {
+                let c =
+                    ((y * grid / h).min(grid - 1) * grid + (x * grid / w).min(grid - 1)) as usize;
+                totals[c] += 1;
+                counts[c] += u32::from(m > 11.0);
+            }
+            let want: Vec<f32> = counts
+                .iter()
+                .zip(&totals)
+                .map(|(&c, &t)| if t > 0 { c as f32 / t as f32 } else { 0.0 })
+                .collect();
+            assert_eq!(got, want, "{w}x{h} grid {grid}");
+        }
     }
 }

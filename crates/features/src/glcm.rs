@@ -153,14 +153,29 @@ impl Glcm {
 /// Rotation-tolerant texture signature: the five GLCM statistics averaged
 /// over the four standard orientations, as `f32`s.
 pub fn glcm_features(img: &GrayImage, levels: usize) -> Result<Vec<f32>> {
-    let mut counts = Vec::new();
     let mut out = vec![0.0f32; 5];
-    glcm_features_into(img, levels, &mut counts, &mut out)?;
+    glcm_features_into(img, levels, &mut GlcmScratch::default(), &mut out)?;
     Ok(out)
 }
 
-/// [`glcm_features`] with `counts` reused as the co-occurrence counting
-/// buffer and the statistics written into `out`.
+/// Independent pair tables [`glcm_stats`] counts into, so consecutive
+/// pairs of one level pair do not wait on each other's increment.
+const PARTIAL_TABLES: usize = 4;
+
+/// Reusable buffers for [`glcm_features_into`].
+#[derive(Default)]
+pub(crate) struct GlcmScratch {
+    /// The gray plane quantized to `levels` once for all four offsets.
+    quant: Vec<u8>,
+    /// [`PARTIAL_TABLES`] asymmetric `levels × levels` pair counts.
+    pairs: Vec<u32>,
+    /// The symmetric counts `P(i,j) + P(j,i)`, then as probabilities.
+    counts: Vec<u32>,
+    probs: Vec<f64>,
+}
+
+/// [`glcm_features`] with `scratch` reused for the quantized plane and
+/// the co-occurrence counts, and the statistics written into `out`.
 ///
 /// The statistics are computed straight off the integer counts with the
 /// same `count / total` division [`Glcm::compute`] performs when
@@ -169,13 +184,25 @@ pub fn glcm_features(img: &GrayImage, levels: usize) -> Result<Vec<f32>> {
 pub(crate) fn glcm_features_into(
     img: &GrayImage,
     levels: usize,
-    counts: &mut Vec<u64>,
+    scratch: &mut GlcmScratch,
     out: &mut [f32],
 ) -> Result<()> {
     debug_assert_eq!(out.len(), 5);
+    if !(2..=256).contains(&levels) {
+        return Err(FeatureError::InvalidParameter(format!(
+            "GLCM levels must be in 2..=256, got {levels}"
+        )));
+    }
+    if img.is_empty() {
+        return Err(FeatureError::EmptyImage("glcm"));
+    }
+    scratch.quant.clear();
+    scratch
+        .quant
+        .extend(img.pixels().map(|v| (v as usize * levels / 256) as u8));
     let mut acc = [0.0f64; 5];
     for &(dx, dy) in &STANDARD_OFFSETS {
-        let stats = glcm_stats(img, levels, dx, dy, counts)?;
+        let stats = glcm_stats(img.width(), levels, dx, dy, scratch)?;
         for (a, f) in acc.iter_mut().zip(stats) {
             *a += f;
         }
@@ -186,104 +213,87 @@ pub(crate) fn glcm_features_into(
     Ok(())
 }
 
-/// The five statistics of one symmetric GLCM, mirroring [`Glcm::compute`]
-/// and the individual statistic methods exactly.
+/// The five statistics of one symmetric GLCM over the quantized plane in
+/// `scratch`, mirroring [`Glcm::compute`] and the individual statistic
+/// methods exactly.
+///
+/// The pairs whose displaced partner is inside the image form one
+/// rectangle, so it is walked row by row with no bounds test, counting
+/// each ordered pair once into one of [`PARTIAL_TABLES`] `u32` tables;
+/// the symmetric count is then `P(i,j) + P(j,i)` summed over the tables,
+/// and the total is twice the pair count — the same integers the
+/// per-pixel loop's two increments per pair produce.
 fn glcm_stats(
-    img: &GrayImage,
+    width: u32,
     levels: usize,
     dx: i32,
     dy: i32,
-    counts: &mut Vec<u64>,
+    scratch: &mut GlcmScratch,
 ) -> Result<[f64; 5]> {
-    if !(2..=256).contains(&levels) {
-        return Err(FeatureError::InvalidParameter(format!(
-            "GLCM levels must be in 2..=256, got {levels}"
-        )));
-    }
-    if dx == 0 && dy == 0 {
-        return Err(FeatureError::InvalidParameter(
-            "GLCM displacement must be nonzero".into(),
-        ));
-    }
-    if img.is_empty() {
-        return Err(FeatureError::EmptyImage("glcm"));
-    }
-    let (w, h) = img.dimensions();
-    let quant = |v: u8| (v as usize * levels) / 256;
-    counts.clear();
-    counts.resize(levels * levels, 0);
-    let mut total = 0u64;
-    for y in 0..h as i64 {
-        for x in 0..w as i64 {
-            let nx = x + dx as i64;
-            let ny = y + dy as i64;
-            if nx < 0 || ny < 0 || nx >= w as i64 || ny >= h as i64 {
-                continue;
-            }
-            let a = quant(img.pixel(x as u32, y as u32));
-            let b = quant(img.pixel(nx as u32, ny as u32));
-            counts[a * levels + b] += 1;
-            counts[b * levels + a] += 1;
-            total += 2;
-        }
-    }
-    if total == 0 {
+    let GlcmScratch {
+        quant,
+        pairs,
+        counts,
+        probs,
+    } = scratch;
+    let w = width as usize;
+    let h = quant.len() / w;
+    let ll = levels * levels;
+    // Pixels (x, y) whose partner (x + dx, y + dy) is inside the image.
+    let (x0, x1) = ((-dx).max(0) as usize, w.saturating_sub(dx.max(0) as usize));
+    let (y0, y1) = ((-dy).max(0) as usize, h.saturating_sub(dy.max(0) as usize));
+    if x0 >= x1 || y0 >= y1 {
         return Err(FeatureError::InvalidParameter(
             "GLCM displacement exceeds image extent; no pixel pairs".into(),
         ));
     }
-    let t = total as f64;
-    let prob = |i: usize, j: usize| counts[i * levels + j] as f64 / t;
-
-    let mut energy = 0.0;
-    for &c in counts.iter() {
-        let v = c as f64 / t;
-        energy += v * v;
+    pairs.clear();
+    pairs.resize(PARTIAL_TABLES * ll, 0);
+    let (quant, tables) = (&quant[..], &mut pairs[..]);
+    for y in y0..y1 {
+        let here = &quant[y * w + x0..y * w + x1];
+        let there_at = ((y as i64 + i64::from(dy)) * w as i64 + x0 as i64 + i64::from(dx)) as usize;
+        let there = &quant[there_at..there_at + here.len()];
+        for (i, (&a, &b)) in here.iter().zip(there).enumerate() {
+            tables[(i % PARTIAL_TABLES) * ll + a as usize * levels + b as usize] += 1;
+        }
     }
-    let mut neg_entropy = 0.0;
-    for &c in counts.iter() {
-        if c > 0 {
-            let v = c as f64 / t;
+    counts.clear();
+    counts.extend((0..ll).map(|ij| {
+        let ji = (ij % levels) * levels + ij / levels;
+        (0..PARTIAL_TABLES)
+            .map(|t| tables[t * ll + ij] + tables[t * ll + ji])
+            .sum::<u32>()
+    }));
+    let t = (2 * (x1 - x0) as u64 * (y1 - y0) as u64) as f64;
+    probs.clear();
+    probs.extend(counts.iter().map(|&c| c as f64 / t));
+
+    // Each statistic is its own running sum, taken in the same row-major
+    // order as the one-statistic-per-loop formulation; fusing the
+    // independent sums into one pass changes no operand and no order,
+    // only lets their add chains overlap.
+    let (mut energy, mut neg_entropy, mut contrast, mut homogeneity, mut mu) =
+        (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for (ij, &v) in probs.iter().enumerate() {
+        let (i, j) = ((ij / levels) as f64, (ij % levels) as f64);
+        let d = i - j;
+        energy += v * v;
+        if v > 0.0 {
             neg_entropy += v * v.ln();
         }
+        contrast += d * d * v;
+        homogeneity += v / (1.0 + d.abs());
+        mu += i * v;
     }
     let entropy = -neg_entropy;
-    let mut contrast = 0.0;
-    for i in 0..levels {
-        for j in 0..levels {
-            let d = i as f64 - j as f64;
-            contrast += d * d * prob(i, j);
-        }
+    let (mut var, mut num) = (0.0f64, 0.0f64);
+    for (ij, &v) in probs.iter().enumerate() {
+        let (i, j) = ((ij / levels) as f64, (ij % levels) as f64);
+        var += (i - mu) * (i - mu) * v;
+        num += (i - mu) * (j - mu) * v;
     }
-    let mut homogeneity = 0.0;
-    for i in 0..levels {
-        for j in 0..levels {
-            homogeneity += prob(i, j) / (1.0 + (i as f64 - j as f64).abs());
-        }
-    }
-    let mut mu = 0.0;
-    for i in 0..levels {
-        for j in 0..levels {
-            mu += i as f64 * prob(i, j);
-        }
-    }
-    let mut var = 0.0;
-    for i in 0..levels {
-        for j in 0..levels {
-            var += (i as f64 - mu) * (i as f64 - mu) * prob(i, j);
-        }
-    }
-    let correlation = if var <= 1e-12 {
-        0.0
-    } else {
-        let mut num = 0.0;
-        for i in 0..levels {
-            for j in 0..levels {
-                num += (i as f64 - mu) * (j as f64 - mu) * prob(i, j);
-            }
-        }
-        num / var
-    };
+    let correlation = if var <= 1e-12 { 0.0 } else { num / var };
     Ok([energy, entropy, contrast, homogeneity, correlation])
 }
 

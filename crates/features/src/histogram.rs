@@ -20,9 +20,11 @@ impl ColorHistogram {
         if img.is_empty() {
             return Err(FeatureError::EmptyImage("color histogram"));
         }
+        let mut plane = Vec::new();
+        quantizer.quantize_into(img.as_slice(), &mut plane);
         let mut counts = vec![0u64; quantizer.n_bins()];
-        for p in img.pixels() {
-            counts[quantizer.bin_of(p)] += 1;
+        for &b in &plane {
+            counts[b as usize] += 1;
         }
         Ok(ColorHistogram {
             total: img.len() as u64,

@@ -28,17 +28,24 @@ impl Moments {
             return Err(FeatureError::EmptyImage("moments"));
         }
         let mut m = [[0.0f64; 4]; 4];
-        for (x, y, v) in mask.enumerate_pixels() {
-            if v == 0 {
-                continue;
-            }
-            let xf = x as f64;
-            let yf = y as f64;
-            let xp = [1.0, xf, xf * xf, xf * xf * xf];
-            let yp = [1.0, yf, yf * yf, yf * yf * yf];
-            for (p, &xv) in xp.iter().enumerate() {
-                for (q, &yv) in yp.iter().enumerate() {
-                    m[p][q] += xv * yv;
+        let powers = |v: usize| {
+            let f = v as f64;
+            [1.0, f, f * f, f * f * f]
+        };
+        // Row by row (pixels in raster order, as the sums need): no
+        // coordinate is divided out of a flat index.
+        for (y, row) in mask
+            .as_slice()
+            .chunks_exact(mask.width() as usize)
+            .enumerate()
+        {
+            let yp = powers(y);
+            for (x, _) in row.iter().enumerate().filter(|&(_, &v)| v != 0) {
+                let xp = powers(x);
+                for (p, &xv) in xp.iter().enumerate() {
+                    for (q, &yv) in yp.iter().enumerate() {
+                        m[p][q] += xv * yv;
+                    }
                 }
             }
         }
@@ -169,33 +176,32 @@ pub(crate) fn shape_summary_into(mask: &GrayImage, out: &mut [f32]) -> Result<()
     let (w, h) = mask.dimensions();
 
     // Perimeter: object pixels with at least one 4-neighbour background
-    // (or border) pixel.
+    // (or border) pixel. Counted row by row: on the first and last row and
+    // column every object pixel is on the border; inside, a pixel is on
+    // the perimeter unless its four neighbours are all object.
+    let (w, h) = (w as usize, h as usize);
+    let row_at = |y: usize| &mask.as_slice()[y * w..][..w];
     let mut perimeter = 0u64;
-    let (mut min_x, mut min_y, mut max_x, mut max_y) = (u32::MAX, u32::MAX, 0u32, 0u32);
-    for (x, y, v) in mask.enumerate_pixels() {
-        if v == 0 {
+    let (mut min_x, mut min_y, mut max_x, mut max_y) = (usize::MAX, usize::MAX, 0, 0);
+    for (y, row) in mask.as_slice().chunks_exact(w).enumerate() {
+        let Some(first) = row.iter().position(|&v| v != 0) else {
+            continue;
+        };
+        let last = row.iter().rposition(|&v| v != 0).unwrap_or(first);
+        (min_x, max_x) = (min_x.min(first), max_x.max(last));
+        (min_y, max_y) = (min_y.min(y), y);
+        let objects = |r: &[u8]| r.iter().filter(|&&v| v != 0).count() as u64;
+        if y == 0 || y == h - 1 || w <= 2 {
+            perimeter += objects(row);
             continue;
         }
-        min_x = min_x.min(x);
-        min_y = min_y.min(y);
-        max_x = max_x.max(x);
-        max_y = max_y.max(y);
-        let neighbours = [
-            (x as i64 - 1, y as i64),
-            (x as i64 + 1, y as i64),
-            (x as i64, y as i64 - 1),
-            (x as i64, y as i64 + 1),
-        ];
-        let boundary = neighbours.iter().any(|&(nx, ny)| {
-            nx < 0
-                || ny < 0
-                || nx >= w as i64
-                || ny >= h as i64
-                || mask.pixel(nx as u32, ny as u32) == 0
-        });
-        if boundary {
-            perimeter += 1;
-        }
+        perimeter += objects(&row[..1]) + objects(&row[w - 1..]);
+        let (up, down) = (&row_at(y - 1)[1..w - 1], &row_at(y + 1)[1..w - 1]);
+        let inner = row[1..w - 1].iter().zip(&row[..w - 2]).zip(&row[2..]);
+        perimeter += inner
+            .zip(up.iter().zip(down))
+            .filter(|&(((&v, &l), &r), (&u, &d))| v != 0 && (l == 0 || r == 0 || u == 0 || d == 0))
+            .count() as u64;
     }
     let area = m.area();
     let compactness = if perimeter > 0 {
@@ -463,5 +469,74 @@ mod tests {
         assert_eq!(m.eccentricity(), 0.0);
         let s = shape_summary(&mask).unwrap();
         assert_eq!(s[2], 1.0); // extent: fills its 1x1 bbox
+    }
+
+    #[test]
+    fn row_perimeter_matches_the_per_pixel_neighbour_test() {
+        // The per-pixel formulation: an object pixel is on the perimeter
+        // when any 4-neighbour is background or off the image.
+        fn reference(mask: &GrayImage) -> Vec<f32> {
+            let m = Moments::compute(mask).unwrap();
+            let (w, h) = mask.dimensions();
+            let mut perimeter = 0u64;
+            let (mut min_x, mut min_y, mut max_x, mut max_y) = (u32::MAX, u32::MAX, 0u32, 0u32);
+            for (x, y, v) in mask.enumerate_pixels() {
+                if v == 0 {
+                    continue;
+                }
+                (min_x, min_y) = (min_x.min(x), min_y.min(y));
+                (max_x, max_y) = (max_x.max(x), max_y.max(y));
+                let (x, y) = (x as i64, y as i64);
+                let boundary =
+                    [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
+                        .iter()
+                        .any(|&(nx, ny)| {
+                            nx < 0
+                                || ny < 0
+                                || nx >= w as i64
+                                || ny >= h as i64
+                                || mask.pixel(nx as u32, ny as u32) == 0
+                        });
+                perimeter += u64::from(boundary);
+            }
+            let area = m.area();
+            let compactness = if perimeter > 0 {
+                (4.0 * std::f64::consts::PI * area / (perimeter as f64 * perimeter as f64)).min(1.0)
+            } else {
+                1.0
+            };
+            let extent = area / ((max_x - min_x + 1) as f64 * (max_y - min_y + 1) as f64);
+            vec![m.eccentricity() as f32, compactness as f32, extent as f32]
+        }
+        let mut masks = vec![disc(33, 16.0, 16.0, 10.0), bar(33, true), bar(20, false)];
+        for (w, h) in [
+            (1, 1),
+            (1, 7),
+            (7, 1),
+            (2, 2),
+            (3, 3),
+            (2, 9),
+            (31, 17),
+            (64, 64),
+        ] {
+            for density in [3, 5, 9] {
+                masks.push(GrayImage::from_fn(w, h, |x, y| {
+                    if (x * 7919 + y * 104_729 + x * y) % density < 2 || (x, y) == (0, 0) {
+                        255
+                    } else {
+                        0
+                    }
+                }));
+            }
+        }
+        for mask in &masks {
+            let got: Vec<u32> = shape_summary(mask)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u32> = reference(mask).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{:?}", mask.dimensions());
+        }
     }
 }

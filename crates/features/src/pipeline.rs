@@ -265,31 +265,7 @@ impl Pipeline {
         for spec in &self.specs {
             let start = out.len();
             out.resize(start + spec.dim(), 0.0);
-            let dst = &mut out[start..];
-            match spec {
-                FeatureSpec::ColorHistogram(q) => ctx.color_histogram(q, dst)?,
-                FeatureSpec::ColorMoments => ctx.color_moments(dst)?,
-                FeatureSpec::Correlogram {
-                    quantizer,
-                    distances,
-                } => ctx.correlogram(quantizer, distances, dst)?,
-                FeatureSpec::Glcm { levels } => ctx.glcm(*levels, dst)?,
-                FeatureSpec::Tamura => ctx.tamura(dst)?,
-                FeatureSpec::Wavelet { levels } => ctx.wavelet(*levels, dst)?,
-                FeatureSpec::EdgeOrientation { bins } => ctx.edge_orientation(*bins, dst)?,
-                FeatureSpec::EdgeDensityGrid { grid, threshold } => {
-                    ctx.edge_density_grid(*grid, *threshold, dst)?
-                }
-                FeatureSpec::HuMoments => ctx.hu_moments(dst)?,
-                FeatureSpec::ShapeSummary => ctx.shape_summary(dst)?,
-                FeatureSpec::RegionShape => ctx.region_shape(dst)?,
-                FeatureSpec::DtHistogram { bins } => {
-                    // Range: half the canonical diagonal in chamfer units
-                    // keeps the histogram well-populated.
-                    let max_value = 3.0 * self.canonical as f32 / 2.0;
-                    ctx.dt_histogram(*bins, max_value, dst)?
-                }
-            }
+            ctx.feature(spec, &mut out[start..])?;
         }
         Ok(())
     }
@@ -613,6 +589,13 @@ mod tests {
         )
         .is_err());
         assert!(Pipeline::new(64, vec![FeatureSpec::Glcm { levels: 1 }]).is_err());
+        // A bin product that wraps u32 to zero bins.
+        let wrapped = Quantizer::Hsv {
+            hue: 65536,
+            sat: 65536,
+            val: 1,
+        };
+        assert!(Pipeline::new(64, vec![FeatureSpec::ColorHistogram(wrapped)]).is_err());
         assert!(Pipeline::new(64, vec![FeatureSpec::EdgeOrientation { bins: 1 }]).is_err());
         assert!(Pipeline::new(
             64,

@@ -8,7 +8,7 @@
 
 use crate::error::{FeatureError, Result};
 use cbir_image::color::{hsv_to_rgb, lab_to_rgb, rgb_to_hsv, rgb_to_lab, Hsv, Lab};
-use cbir_image::Rgb;
+use cbir_image::{small_f32_to_u32, Rgb};
 
 /// A mapping from colors to bin indices, plus bin geometry for cross-bin
 /// measures.
@@ -48,6 +48,74 @@ pub enum Quantizer {
 /// a*/b* axis half-range used for quantization.
 const LAB_AB_RANGE: f32 = 110.0;
 
+/// Pixels per step of the lane-wise HSV quantizer: one 256-bit vector of
+/// `f32`.
+const HSV_LANES: usize = 8;
+
+/// [`Quantizer::UniformRgb`]'s bin: `per_channel` levels per channel.
+fn uniform_rgb_bin(p: Rgb, per_channel: u32) -> usize {
+    let q = |c: u8| (c as u32 * per_channel / 256) as usize;
+    (q(p.r()) * per_channel as usize + q(p.g())) * per_channel as usize + q(p.b())
+}
+
+/// HSV bins of [`HSV_LANES`] pixels, lane by lane, equal to
+/// [`Quantizer::bin_of`] on each (an exhaustive test over all 2²⁴ colors
+/// holds them equal).
+///
+/// Every lane evaluates the one branch of [`rgb_to_hsv`] its pixel takes —
+/// the same IEEE operations on the same operands in the same order —
+/// picked by selects instead of jumps, so the lanes share one instruction
+/// stream. The hue branch for `max == r` takes `rem_euclid(6.0)` of
+/// `(g - b) / delta`, which lies in `[-1, 1]` because `|g - b| ≤ delta`
+/// (rounding is monotone), where `rem_euclid` is `x < 0 ? x + 6 : x`.
+/// Every bin scale lies in `[0, 4096]`, inside [`small_to_u32`]'s range.
+/// Division by a zero `delta` only happens in lanes whose hue the select
+/// then discards.
+#[inline]
+fn hsv_bins(px: &[Rgb; HSV_LANES], hue: u32, sat: u32, val: u32) -> [u16; HSV_LANES] {
+    let channel = |c: usize| px.map(|p| p.0[c] as f32 / 255.0);
+    let (r, g, b) = (channel(0), channel(1), channel(2));
+    let (hue_f, sat_f, val_f) = (hue as f32, sat as f32, val as f32);
+    let mut out = [0u16; HSV_LANES];
+    for l in 0..HSV_LANES {
+        let (r, g, b) = (r[l], g[l], b[l]);
+        let max = r.max(g).max(b);
+        let min = r.min(g).min(b);
+        let delta = max - min;
+        let (num, sector) = if max == r {
+            (g - b, 0.0)
+        } else if max == g {
+            (b - r, 2.0)
+        } else {
+            (r - g, 4.0)
+        };
+        let x = num / delta;
+        let sextant = if max != r {
+            x + sector
+        } else if x < 0.0 {
+            x + 6.0
+        } else {
+            x
+        };
+        let h = if delta == 0.0 { 0.0 } else { 60.0 * sextant };
+        let s = if max == 0.0 { 0.0 } else { delta / max };
+        let hb = small_f32_to_u32(h / 360.0 * hue_f).min(hue - 1);
+        let sb = small_f32_to_u32(s * sat_f).min(sat - 1);
+        let vb = small_f32_to_u32(max * val_f).min(val - 1);
+        out[l] = ((hb * sat + sb) * val + vb) as u16;
+    }
+    out
+}
+
+/// Whether a three-axis bin product exceeds 4,096. Checked: a plain `u32`
+/// product wraps (65,536 × 65,536 × 1 is 0), which would let a zero-bin
+/// quantizer through validation and panic at the first histogram.
+fn bins_exceed_4096(x: u32, y: u32, z: u32) -> bool {
+    x.checked_mul(y)
+        .and_then(|xy| xy.checked_mul(z))
+        .is_none_or(|n| n > 4096)
+}
+
 impl Quantizer {
     /// Validate bin counts.
     pub fn validate(&self) -> Result<()> {
@@ -66,14 +134,14 @@ impl Quantizer {
                 }
             }
             Quantizer::Hsv { hue, sat, val } => {
-                if hue < 2 || sat < 1 || val < 1 || hue * sat * val > 4096 {
+                if hue < 2 || sat < 1 || val < 1 || bins_exceed_4096(hue, sat, val) {
                     return bad(format!(
                         "hsv bins ({hue}, {sat}, {val}) out of range (hue>=2, sat,val>=1, product<=4096)"
                     ));
                 }
             }
             Quantizer::Lab { l, a, b } => {
-                if l < 2 || a < 2 || b < 2 || l * a * b > 4096 {
+                if l < 2 || a < 2 || b < 2 || bins_exceed_4096(l, a, b) {
                     return bad(format!(
                         "lab bins ({l}, {a}, {b}) out of range (each >=2, product<=4096)"
                     ));
@@ -100,10 +168,7 @@ impl Quantizer {
                 let v = p.luma() as u32;
                 ((v * bins) / 256) as usize
             }
-            Quantizer::UniformRgb { per_channel } => {
-                let q = |c: u8| (c as u32 * per_channel / 256) as usize;
-                (q(p.r()) * per_channel as usize + q(p.g())) * per_channel as usize + q(p.b())
-            }
+            Quantizer::UniformRgb { per_channel } => uniform_rgb_bin(p, per_channel),
             Quantizer::Hsv { hue, sat, val } => {
                 let c = rgb_to_hsv(p);
                 let hb = ((c.h / 360.0 * hue as f32) as u32).min(hue - 1);
@@ -122,6 +187,37 @@ impl Quantizer {
                 let bb = norm(c.b, b).min(b - 1);
                 ((lb * a + ab) * b + bb) as usize
             }
+        }
+    }
+
+    /// The bin of every pixel, in order, into `out` (cleared first): the
+    /// bins [`Self::bin_of`] gives pixel by pixel, with HSV computed
+    /// eight pixels at a time. A validated quantizer has at most
+    /// 4,096 bins, so every bin fits a `u16`.
+    pub fn quantize_into(&self, pixels: &[Rgb], out: &mut Vec<u16>) {
+        out.clear();
+        let (hue, sat, val) = match *self {
+            Quantizer::Hsv { hue, sat, val } => (hue, sat, val),
+            Quantizer::UniformRgb { per_channel } => {
+                let bin = |&p: &Rgb| uniform_rgb_bin(p, per_channel) as u16;
+                return out.extend(pixels.iter().map(bin));
+            }
+            _ => return out.extend(pixels.iter().map(|&p| self.bin_of(p) as u16)),
+        };
+        let mut chunks = pixels.chunks_exact(HSV_LANES);
+        for chunk in &mut chunks {
+            out.extend(hsv_bins(
+                chunk.try_into().expect("chunks_exact"),
+                hue,
+                sat,
+                val,
+            ));
+        }
+        let tail = chunks.remainder();
+        if let Some(&last) = tail.last() {
+            let mut lanes = [last; HSV_LANES];
+            lanes[..tail.len()].copy_from_slice(tail);
+            out.extend(&hsv_bins(&lanes, hue, sat, val)[..tail.len()]);
         }
     }
 
@@ -266,6 +362,49 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_bin_products_that_wrap_u32() {
+        // 65,536 × 65,536 × 1 = 2³², which wraps a u32 product to 0 bins.
+        for q in [
+            Quantizer::Hsv {
+                hue: 65536,
+                sat: 65536,
+                val: 1,
+            },
+            Quantizer::Hsv {
+                hue: 2,
+                sat: u32::MAX,
+                val: u32::MAX,
+            },
+            Quantizer::Lab {
+                l: 65536,
+                a: 65536,
+                b: 2,
+            },
+            Quantizer::Lab {
+                l: 2,
+                a: 2,
+                b: 1 << 31,
+            },
+        ] {
+            assert!(q.validate().is_err(), "{q:?} validated");
+        }
+        assert!(Quantizer::Hsv {
+            hue: 64,
+            sat: 8,
+            val: 8
+        }
+        .validate()
+        .is_ok());
+        assert!(Quantizer::Lab {
+            l: 16,
+            a: 16,
+            b: 16
+        }
+        .validate()
+        .is_ok());
+    }
+
+    #[test]
     fn every_color_maps_to_a_valid_bin() {
         for q in [
             Quantizer::Gray { bins: 7 },
@@ -284,6 +423,46 @@ mod tests {
                         assert!(bin < n, "{q:?} produced bin {bin} >= {n}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_wise_hsv_plane_matches_bin_of() {
+        // Every eighth level per channel plus each channel's extremes and
+        // their neighbours: ties between channels, grays, black, and every
+        // hue sextant. The full 2^24 cube runs in T1b's release leg.
+        let levels: Vec<u8> = (0..=255u8)
+            .step_by(8)
+            .chain([1, 2, 127, 128, 129, 253, 254, 255])
+            .collect();
+        let mut pixels = Vec::new();
+        for &r in &levels {
+            for &g in &levels {
+                for &b in &levels {
+                    pixels.push(Rgb::new(r, g, b));
+                }
+            }
+        }
+        let mut plane = Vec::new();
+        for q in [
+            Quantizer::hsv_default(),
+            Quantizer::Hsv {
+                hue: 7,
+                sat: 3,
+                val: 5,
+            },
+            Quantizer::Hsv {
+                hue: 4096,
+                sat: 1,
+                val: 1,
+            },
+        ] {
+            // Lengths off the lane width exercise the padded tail.
+            for len in [pixels.len(), pixels.len() - 3, 5, 0] {
+                q.quantize_into(&pixels[..len], &mut plane);
+                let want: Vec<u16> = pixels[..len].iter().map(|&p| q.bin_of(p) as u16).collect();
+                assert_eq!(plane, want, "{q:?}, {len} pixels");
             }
         }
     }

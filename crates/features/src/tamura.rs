@@ -2,7 +2,7 @@
 //! triple designed to match human texture perception.
 
 use crate::error::{FeatureError, Result};
-use cbir_image::ops::{sobel, IntegralImage};
+use cbir_image::ops::{orientation_bins_into, sobel, IntegralImage};
 use cbir_image::{FloatImage, GrayImage};
 
 /// Mean over the `2^k × 2^k` window centred at `(x, y)`, or `None` if the
@@ -11,9 +11,9 @@ use cbir_image::{FloatImage, GrayImage};
 /// different mean, which would hand the arg-max spurious nonzero responses
 /// at large scales on textures whose true response there is zero.
 ///
-/// This is the reference formulation; [`coarseness_core`] computes the
-/// same responses with the bounds tests hoisted and the division factored
-/// out (a test asserts bitwise agreement).
+/// This is the reference formulation; [`coarseness_core`] compares the
+/// same responses as scaled integers with the bounds tests hoisted (a test
+/// asserts the same winning scale at every pixel).
 #[cfg_attr(not(test), allow(dead_code))]
 fn window_mean(ii: &IntegralImage, x: i64, y: i64, k: u32) -> Option<f64> {
     let half = (1i64 << k) / 2;
@@ -46,18 +46,21 @@ pub fn coarseness(img: &GrayImage, max_k: u32) -> Result<f64> {
     Ok(coarseness_core(&ii, max_k))
 }
 
-/// Reusable buffers for [`coarseness_core_into`]: the per-scale response
-/// plane, the running arg-max planes, and one row of column-prefix sums.
-/// All are sized to the image on first use and reused across images.
+/// Reusable buffers for [`coarseness_core_into`]: the running arg-max
+/// planes, one row of responses, and one row of column-prefix sums. All
+/// are sized to the image on first use and reused across images.
 #[derive(Default)]
 pub(crate) struct CoarsenessScratch {
-    /// Response `max(E_h, E_v)` at the current scale, zero where the
-    /// opposed windows do not fit.
-    e: Vec<f64>,
-    best_e: Vec<f64>,
-    best_k: Vec<u8>,
-    /// Per-row combination of summed-area-table rows (`w + 1` entries).
-    cs: Vec<i64>,
+    /// Best scaled response so far per pixel (see [`coarseness_core_into`]).
+    best_v: Vec<i32>,
+    /// Scale `k` of that response (1 where nothing beat zero).
+    best_k: Vec<i32>,
+    /// `max(E_h, E_v)` of one row at the current scale, scaled; zero where
+    /// the opposed windows do not fit.
+    row: Vec<i32>,
+    /// Per-row combination of summed-area-table rows (`w + 1` entries),
+    /// modulo 2³².
+    cs: Vec<i32>,
 }
 
 /// [`coarseness`] over a prebuilt integral image (whose dimensions are the
@@ -67,116 +70,120 @@ pub(crate) fn coarseness_core(ii: &IntegralImage, max_k: u32) -> f64 {
     coarseness_core_into(ii, max_k, &mut CoarsenessScratch::default())
 }
 
-/// Scale-major coarseness with the per-scale in-bounds tests of
-/// [`window_mean`] hoisted into rectangle bounds and each row's window
-/// sums derived from one precomputed prefix combination.
+/// Scale-major coarseness in `i32` lanes, with the per-scale in-bounds
+/// tests of [`window_mean`] hoisted into rectangle bounds and each row's
+/// window sums derived from one precomputed prefix combination.
 ///
 /// For the horizontal pair at row `y`, both opposed windows span rows
 /// `[y-half, y+half-1]`, so with `cs[c] = colprefix(c)` (the sum of those
 /// rows left of column `c`) the response numerator is
-/// `|cs[x+2^k] - 2·cs[x] + cs[x-2^k]|` — an exact integer. The vertical
-/// pair is the transpose with `cs[c] = prefix(y+2^k) - 2·prefix(y) +
-/// prefix(y-2^k)` per column. Window sums are < 2^24 (so exact in f64) and
-/// the `(2^k)^2` area divisor is a power of two (so the division is
-/// exact); the responses therefore carry the exact same f64 bits as the
-/// straightforward [`window_mean`] formulation, and scanning scales in
-/// ascending order with the same tie rule makes the winning scale per
-/// pixel identical (a test asserts bitwise agreement).
+/// `num = |cs[x+2^k] - 2·cs[x] + cs[x-2^k]|`, an exact integer. The
+/// vertical pair is the transpose with `cs[c] = prefix(y+2^k) -
+/// 2·prefix(y) + prefix(y-2^k)` per column.
+///
+/// [`window_mean`]'s response is `num / 4^k` in `f64`, and exact: window
+/// sums are < 2^24 and `4^k` is a power of two. So comparing responses
+/// across scales is comparing `num_k / 4^k`, which is comparing the
+/// integers `v_k = num_k · 4^(kmax-k)`; `num_k ≤ 255·4^k`, so `v_k ≤
+/// 255·4^kmax < 2^31` for every `kmax ≤ 8` (the API's limit) and fits an
+/// `i32` lane. The prefix combinations are taken modulo 2³² (wrapping),
+/// which is exact for `num` because its true value fits. Scanning scales
+/// in ascending order with the same tie rule then picks the same winning
+/// scale per pixel as the `f64` formulation, and the mean of `2^k` is the
+/// same exact sum (a test holds the two equal per pixel).
 pub(crate) fn coarseness_core_into(
     ii: &IntegralImage,
     max_k: u32,
     s: &mut CoarsenessScratch,
 ) -> f64 {
-    let (w, h) = (ii.width(), ii.height());
+    let (w, h) = (ii.width() as usize, ii.height() as usize);
     let kmax = max_k.min({
         // Largest window that fits.
         let mut k = 1;
-        while (1u32 << (k + 1)) <= w.min(h) {
+        while (2usize << k) <= w.min(h) {
             k += 1;
         }
         k
     });
-    let (wi, hi) = (w as i64, h as i64);
-    let (wu, n) = (w as usize, w as usize * h as usize);
-    s.e.clear();
-    s.e.resize(n, 0.0);
-    s.best_e.clear();
-    s.best_e.resize(n, 0.0);
-    s.best_k.clear();
-    s.best_k.resize(n, 1);
-    s.cs.clear();
-    s.cs.resize(wu + 1, 0);
+    assert!(kmax <= 8, "255 * 4^kmax must fit an i32");
+    let CoarsenessScratch {
+        best_v,
+        best_k,
+        row,
+        cs,
+    } = s;
+    best_v.clear();
+    best_v.resize(w * h, 0);
+    best_k.clear();
+    best_k.resize(w * h, 1);
+    row.clear();
+    row.resize(w, 0);
+    cs.clear();
+    cs.resize(w + 1, 0);
+    let (best_v, best_k, row, cs) = (&mut best_v[..], &mut best_k[..], &mut row[..], &mut cs[..]);
+    let prefix = |y: usize| ii.row_prefix(y as u32);
 
     for k in 1..=kmax {
-        let half = 1i64 << (k - 1);
+        let half = 1usize << (k - 1);
         let win = 2 * half;
-        // `(2^k)^2` divisor: a power of two, so dividing an integer
-        // window-sum difference by it is exact.
-        let area = ((1u64 << k) * (1u64 << k)) as f64;
-        s.e.fill(0.0);
-
-        // Horizontal pair: windows [x-2^k, x-1] and [x, x+2^k-1] by
-        // column, both spanning rows [y-half, y+half-1].
-        for y in half..=(hi - half) {
-            let top = ii.row_prefix((y - half) as u32);
-            let bot = ii.row_prefix((y + half) as u32);
-            for (c, cs) in s.cs.iter_mut().enumerate() {
-                *cs = (bot[c] - top[c]) as i64;
+        let shift = 2 * (kmax - k);
+        let k = k as i32;
+        // Pixels whose windows fit at this scale sit in rows and columns
+        // [half, dim - half]; everything else keeps a zero response,
+        // which never updates the arg-max.
+        for y in half..=h.saturating_sub(half) {
+            row.fill(0);
+            // Horizontal pair: windows [x-2^k, x-1] and [x, x+2^k-1] by
+            // column, both spanning rows [y-half, y+half-1].
+            let (top, bot) = (prefix(y - half), prefix(y + half));
+            for ((c, &b), &t) in cs.iter_mut().zip(bot).zip(top) {
+                *c = (b - t) as i32;
             }
-            let cs = &s.cs[..];
-            let row = &mut s.e[y as usize * wu..][..wu];
-            for x in win..=(wi - win) {
-                let x = x as usize;
-                let num = (cs[x + win as usize] - 2 * cs[x] + cs[x - win as usize]).unsigned_abs();
-                row[x] = num as f64 / area;
+            if w >= 2 * win {
+                let n = w - 2 * win + 1;
+                let lanes = row[win..][..n]
+                    .iter_mut()
+                    .zip(&cs[2 * win..])
+                    .zip(&cs[win..]);
+                for (((r, &right), &mid), &left) in lanes.zip(&cs[..n]) {
+                    let num = right.wrapping_sub(mid.wrapping_mul(2)).wrapping_add(left);
+                    *r = num.abs() << shift;
+                }
             }
-        }
-        // Vertical pair is the transpose: windows [y-2^k, y-1] and
-        // [y, y+2^k-1] by row, both spanning columns [x-half, x+half-1].
-        for y in win..=(hi - win) {
-            let up = ii.row_prefix((y - win) as u32);
-            let mid = ii.row_prefix(y as u32);
-            let down = ii.row_prefix((y + win) as u32);
-            for (c, cs) in s.cs.iter_mut().enumerate() {
-                *cs = (down[c] - mid[c]) as i64 - (mid[c] - up[c]) as i64;
+            // Vertical pair is the transpose: windows [y-2^k, y-1] and
+            // [y, y+2^k-1] by row, both spanning columns [x-half, x+half-1].
+            let n = (w + 1).saturating_sub(win);
+            if y >= win && y + win <= h {
+                let (up, mid, down) = (prefix(y - win), prefix(y), prefix(y + win));
+                for (((c, &d), &m), &u) in cs.iter_mut().zip(down).zip(mid).zip(up) {
+                    *c = (d as i32)
+                        .wrapping_sub((m as i32).wrapping_mul(2))
+                        .wrapping_add(u as i32);
+                }
+                let lanes = row[half..][..n].iter_mut().zip(&cs[win..]).zip(&cs[..n]);
+                for ((r, &after), &before) in lanes {
+                    *r = (*r).max(after.wrapping_sub(before).abs() << shift);
+                }
             }
-            let cs = &s.cs[..];
-            let row = &mut s.e[y as usize * wu..][..wu];
-            for x in half..=(wi - half) {
-                let x = x as usize;
-                let num = (cs[x + half as usize] - cs[x - half as usize]).unsigned_abs();
-                let ev = num as f64 / area;
-                // Zero where the horizontal pair did not fit, so this is
-                // max(E_h, E_v) exactly as the pixel-major loop computes.
-                row[x] = row[x].max(ev);
-            }
-        }
-        // Fold this scale into the running arg-max. Both rectangles above
-        // sit inside rows/cols [half, dim-half], and pixels outside them
-        // hold zero, which never updates. Ties between positive responses
-        // go to the coarser scale: a block of width 2^k produces identical
-        // responses at all window sizes up to 2^k, and the grain size is
-        // the largest.
-        for y in half..=(hi - half) {
-            let base = y as usize * wu;
-            for x in half..=(wi - half) {
-                let i = base + x as usize;
-                let e = s.e[i];
-                if e > s.best_e[i] || (e > 0.0 && e == s.best_e[i]) {
-                    s.best_e[i] = e;
-                    s.best_k[i] = k as u8;
+            // Fold into the running arg-max. `v > best || (v > 0 && v ==
+            // best)` with `best ≥ 0` is `v ≥ best && v > 0`: ties between
+            // positive responses go to the coarser scale (a block of width
+            // 2^k responds identically at all window sizes up to 2^k, and
+            // the grain size is the largest).
+            let at = y * w + half;
+            let lanes = row[half..][..n].iter().zip(&mut best_v[at..][..n]);
+            for ((&v, bv), bk) in lanes.zip(&mut best_k[at..][..n]) {
+                if v >= *bv && v > 0 {
+                    *bv = v;
+                    *bk = k;
                 }
             }
         }
     }
 
-    // Each term is an exact power of two and the total stays below 2^53,
-    // so this sum is exact and independent of accumulation order.
-    let mut total = 0.0f64;
-    for &bk in &s.best_k {
-        total += (1u64 << bk) as f64;
-    }
-    total / (w as f64 * h as f64)
+    // A sum of powers of two below 2^53: exact, whatever the order.
+    let total: u64 = best_k.iter().map(|&k| 1u64 << k).sum();
+    total as f64 / (w as f64 * h as f64)
 }
 
 /// Tamura contrast: `σ / κ^{1/4}` where `σ` is the intensity standard
@@ -219,31 +226,36 @@ pub fn directionality(img: &GrayImage, bins: usize) -> Result<f64> {
         return Err(FeatureError::EmptyImage("tamura directionality"));
     }
     let g = sobel::sobel(img);
-    let mag = g.magnitude();
-    let ori = g.orientation();
+    let mut bin_of = Vec::new();
+    orientation_bins_into(&g.gx, &g.gy, bins, &mut bin_of);
     let mut hist = Vec::new();
-    Ok(directionality_core(&mag, &ori, bins, &mut hist))
+    Ok(directionality_core(
+        &g.magnitude(),
+        &bin_of,
+        bins,
+        &mut hist,
+    ))
 }
 
-/// [`directionality`] over precomputed magnitude and orientation planes,
-/// with `hist` reused as the accumulation buffer. Note the running `total`:
-/// it is accumulated per pixel (not summed over bins afterwards), mirroring
-/// the original formulation exactly.
+/// [`directionality`] over a precomputed magnitude plane and the
+/// per-pixel orientation bins ([`orientation_bins_into`]), with `hist`
+/// reused as the accumulation buffer. Note the running `total`: it is
+/// accumulated per pixel (not summed over bins afterwards), mirroring the
+/// original formulation exactly.
 pub(crate) fn directionality_core(
     mag: &FloatImage,
-    ori: &FloatImage,
+    bin_of: &[u8],
     bins: usize,
     hist: &mut Vec<f64>,
 ) -> f64 {
     hist.clear();
     hist.resize(bins, 0.0);
     let mut total = 0.0f64;
-    for (&m, &o) in mag.as_slice().iter().zip(ori.as_slice()) {
+    for (&m, &b) in mag.as_slice().iter().zip(bin_of) {
         if m <= 0.0 {
             continue;
         }
-        let b = ((o / std::f32::consts::PI) * bins as f32) as usize;
-        hist[b.min(bins - 1)] += m as f64;
+        hist[b as usize] += m as f64;
         total += m as f64;
     }
     if total <= 0.0 {
@@ -380,51 +392,60 @@ mod tests {
         assert!(directionality(&empty, 8).is_err());
     }
 
+    /// The straightforward per-pixel [`window_mean`] arg-max: the winning
+    /// scale of every pixel, row-major.
+    fn reference_best_k(img: &GrayImage, max_k: u32) -> Vec<i32> {
+        let ii = IntegralImage::new(img);
+        let (w, h) = (ii.width(), ii.height());
+        let kmax = max_k.min({
+            let mut k = 1;
+            while (1u32 << (k + 1)) <= w.min(h) {
+                k += 1;
+            }
+            k
+        });
+        let mut best = Vec::with_capacity(w as usize * h as usize);
+        for y in 0..h as i64 {
+            for x in 0..w as i64 {
+                let mut best_e = 0.0f64;
+                let mut best_k = 1u32;
+                for k in 1..=kmax {
+                    let step = 1i64 << (k - 1);
+                    let eh = match (
+                        window_mean(&ii, x + step, y, k),
+                        window_mean(&ii, x - step, y, k),
+                    ) {
+                        (Some(a), Some(b)) => (a - b).abs(),
+                        _ => 0.0,
+                    };
+                    let ev = match (
+                        window_mean(&ii, x, y + step, k),
+                        window_mean(&ii, x, y - step, k),
+                    ) {
+                        (Some(a), Some(b)) => (a - b).abs(),
+                        _ => 0.0,
+                    };
+                    let e = eh.max(ev);
+                    if e > best_e || (e > 0.0 && e == best_e) {
+                        best_e = e;
+                        best_k = k;
+                    }
+                }
+                best.push(best_k as i32);
+            }
+        }
+        best
+    }
+
     #[test]
     fn coarseness_matches_window_mean_formulation_bitwise() {
-        // Reference: the straightforward per-pixel window_mean arg-max.
-        fn reference(img: &GrayImage, max_k: u32) -> f64 {
-            let ii = IntegralImage::new(img);
-            let (w, h) = (ii.width(), ii.height());
-            let kmax = max_k.min({
-                let mut k = 1;
-                while (1u32 << (k + 1)) <= w.min(h) {
-                    k += 1;
-                }
-                k
-            });
-            let mut total = 0.0f64;
-            for y in 0..h as i64 {
-                for x in 0..w as i64 {
-                    let mut best_e = 0.0f64;
-                    let mut best_k = 1u32;
-                    for k in 1..=kmax {
-                        let step = 1i64 << (k - 1);
-                        let eh = match (
-                            window_mean(&ii, x + step, y, k),
-                            window_mean(&ii, x - step, y, k),
-                        ) {
-                            (Some(a), Some(b)) => (a - b).abs(),
-                            _ => 0.0,
-                        };
-                        let ev = match (
-                            window_mean(&ii, x, y + step, k),
-                            window_mean(&ii, x, y - step, k),
-                        ) {
-                            (Some(a), Some(b)) => (a - b).abs(),
-                            _ => 0.0,
-                        };
-                        let e = eh.max(ev);
-                        if e > best_e || (e > 0.0 && e == best_e) {
-                            best_e = e;
-                            best_k = k;
-                        }
-                    }
-                    total += (1u64 << best_k) as f64;
-                }
-            }
-            total / (w as f64 * h as f64)
-        }
+        let reference = |img: &GrayImage, max_k: u32| {
+            let total: f64 = reference_best_k(img, max_k)
+                .iter()
+                .map(|&k| (1u64 << k) as f64)
+                .sum();
+            total / (img.width() as f64 * img.height() as f64)
+        };
         // Non-square shapes so one axis runs out of room before the other,
         // plus max_k values above and below what fits.
         for (img, max_k) in [
@@ -440,6 +461,9 @@ mod tests {
                 4,
             ),
             (GrayImage::filled(16, 16, 80), 3),
+            (GrayImage::filled(1, 1, 80), 5),
+            (GrayImage::filled(3, 2, 80), 5),
+            (GrayImage::from_fn(256, 256, |x, y| ((x ^ y) * 3) as u8), 8),
         ] {
             let got = coarseness(&img, max_k).unwrap();
             let want = reference(&img, max_k);
@@ -450,6 +474,33 @@ mod tests {
                 img.width(),
                 img.height()
             );
+        }
+    }
+
+    #[test]
+    fn integer_arg_max_picks_the_window_mean_scale_at_every_pixel() {
+        // The pipeline's shape: 64 pixels, kmax 5. Every pixel's winning
+        // scale — not just their mean — must match the f64 reference,
+        // over textures that put winners and exact ties at every scale.
+        let mut images = vec![noise(64), GrayImage::filled(64, 64, 7)];
+        for period in [1, 2, 3, 4, 8, 16, 32] {
+            images.push(stripes(64, period, false));
+            images.push(stripes(64, period, true));
+        }
+        images.push(GrayImage::from_fn(64, 64, |x, y| {
+            (((x / 5) * 41 + (y / 3) * 23) % 256) as u8
+        }));
+        images.push(GrayImage::from_fn(64, 64, |x, y| {
+            if (x / 16 + y / 8) % 2 == 0 {
+                255
+            } else {
+                0
+            }
+        }));
+        let mut s = CoarsenessScratch::default();
+        for (i, img) in images.iter().enumerate() {
+            coarseness_core_into(&IntegralImage::new(img), 5, &mut s);
+            assert_eq!(s.best_k, reference_best_k(img, 5), "image {i}");
         }
     }
 

@@ -39,6 +39,43 @@ fn haar_1d_inv(data: &mut [f32], n: usize, scratch: &mut Vec<f32>) {
     }
 }
 
+/// `levels` levels of the forward transform of `coeffs` in place: each
+/// level transforms the rows, then the columns, of the previous level's
+/// approximation block.
+///
+/// Each output is `(a + b)·(1/√2)` or `(a - b)·(1/√2)` of one pair, the
+/// same operations on the same operands as [`haar_1d`] over each column;
+/// the column pass just takes a whole row of columns at a time (pairs of
+/// rows, lane by lane) instead of gathering each column with stride.
+fn forward_levels(coeffs: &mut FloatImage, levels: u32, scratch: &mut Vec<f32>) {
+    let w = coeffs.width() as usize;
+    let data = coeffs.as_mut_slice();
+    let (mut cw, mut ch) = (w, data.len() / w);
+    for _ in 0..levels {
+        for row in data.chunks_exact_mut(w).take(ch) {
+            haar_1d(&mut row[..cw], cw, scratch);
+        }
+        scratch.clear();
+        for row in data.chunks_exact(w).take(ch) {
+            scratch.extend_from_slice(&row[..cw]);
+        }
+        let half = ch / 2;
+        for (i, pair) in scratch.chunks_exact(2 * cw).enumerate() {
+            let (a, b) = pair.split_at(cw);
+            let sum = &mut data[i * w..][..cw];
+            for ((s, &a), &b) in sum.iter_mut().zip(a).zip(b) {
+                *s = (a + b) * SQRT2_INV;
+            }
+            let difference = &mut data[(half + i) * w..][..cw];
+            for ((d, &a), &b) in difference.iter_mut().zip(a).zip(b) {
+                *d = (a - b) * SQRT2_INV;
+            }
+        }
+        cw /= 2;
+        ch /= 2;
+    }
+}
+
 /// A multi-level 2-D Haar decomposition (Mallat layout: each level
 /// transforms the top-left approximation quadrant of the previous one).
 #[derive(Clone, Debug)]
@@ -75,34 +112,7 @@ impl HaarDecomposition {
             )));
         }
         let mut coeffs = img.clone();
-        let mut scratch = Vec::new();
-        let (mut cw, mut ch) = (w as usize, h as usize);
-        for _ in 0..levels {
-            // Rows.
-            let mut row = vec![0.0f32; cw];
-            for y in 0..ch {
-                for (x, r) in row.iter_mut().enumerate() {
-                    *r = coeffs.pixel(x as u32, y as u32);
-                }
-                haar_1d(&mut row, cw, &mut scratch);
-                for (x, &r) in row.iter().enumerate() {
-                    coeffs.set(x as u32, y as u32, r);
-                }
-            }
-            // Columns.
-            let mut col = vec![0.0f32; ch];
-            for x in 0..cw {
-                for (y, c) in col.iter_mut().enumerate() {
-                    *c = coeffs.pixel(x as u32, y as u32);
-                }
-                haar_1d(&mut col, ch, &mut scratch);
-                for (y, &c) in col.iter().enumerate() {
-                    coeffs.set(x as u32, y as u32, c);
-                }
-            }
-            cw /= 2;
-            ch /= 2;
-        }
+        forward_levels(&mut coeffs, levels, &mut Vec::new());
         Ok(HaarDecomposition { coeffs, levels })
     }
 
@@ -200,11 +210,9 @@ pub fn wavelet_signature(img: &GrayImage, levels: u32) -> Result<Vec<f32>> {
 }
 
 /// Reusable buffers for [`wavelet_signature_into`]: the coefficient plane
-/// plus the row/column/scratch vectors of the in-place transform.
+/// plus the scratch vector of the in-place transform.
 pub(crate) struct WaveletScratch {
     coeffs: FloatImage,
-    row: Vec<f32>,
-    col: Vec<f32>,
     scratch: Vec<f32>,
 }
 
@@ -212,8 +220,6 @@ impl Default for WaveletScratch {
     fn default() -> Self {
         WaveletScratch {
             coeffs: FloatImage::filled(0, 0, 0.0),
-            row: Vec::new(),
-            col: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -247,36 +253,8 @@ pub(crate) fn wavelet_signature_into(
     for (c, &p) in ws.coeffs.as_mut_slice().iter_mut().zip(img.as_slice()) {
         *c = p as f32 / 255.0;
     }
-    let coeffs = &mut ws.coeffs;
-    let (mut cw, mut ch) = (w as usize, h as usize);
-    for _ in 0..levels {
-        // Rows.
-        ws.row.clear();
-        ws.row.resize(cw, 0.0);
-        for y in 0..ch {
-            for (x, r) in ws.row.iter_mut().enumerate() {
-                *r = coeffs.pixel(x as u32, y as u32);
-            }
-            haar_1d(&mut ws.row, cw, &mut ws.scratch);
-            for (x, &r) in ws.row.iter().enumerate() {
-                coeffs.set(x as u32, y as u32, r);
-            }
-        }
-        // Columns.
-        ws.col.clear();
-        ws.col.resize(ch, 0.0);
-        for x in 0..cw {
-            for (y, c) in ws.col.iter_mut().enumerate() {
-                *c = coeffs.pixel(x as u32, y as u32);
-            }
-            haar_1d(&mut ws.col, ch, &mut ws.scratch);
-            for (y, &c) in ws.col.iter().enumerate() {
-                coeffs.set(x as u32, y as u32, c);
-            }
-        }
-        cw /= 2;
-        ch /= 2;
-    }
+    forward_levels(&mut ws.coeffs, levels, &mut ws.scratch);
+    let coeffs = &ws.coeffs;
     let mut oi = 0;
     for level in 1..=levels {
         let bw = (w >> level) as usize;

@@ -7,7 +7,7 @@
 //! fails the matching family by name. On an intended change, rerun with
 //! `--nocapture`: the test prints the replacement table ready to paste.
 
-use cbir_features::{FeatureSpec, Pipeline, Quantizer};
+use cbir_features::{ExtractScratch, FeatureSpec, Pipeline, Quantizer};
 use cbir_workload::{Corpus, CorpusSpec};
 
 /// FNV-1a, 64-bit. Stable, dependency-free, and sensitive to every bit
@@ -134,6 +134,76 @@ fn per_family_signatures_match_committed_hashes() {
             .collect();
         panic!("feature extraction changed for: {}", list.join("; "));
     }
+}
+
+/// The benchmark's shape: `full_default` (64-pixel canonical frame,
+/// correlogram distances [1, 3, 5, 7], 16 GLCM levels, 16 orientation
+/// bins) over seeded 128×128 images, so every image takes the 2:1
+/// downscale the `image_pipeline` workload ingests through.
+fn benchmark_corpus() -> Corpus {
+    Corpus::generate(CorpusSpec {
+        classes: 6,
+        images_per_class: 2,
+        image_size: 128,
+        seed: 0x1ce5,
+        ..CorpusSpec::default()
+    })
+}
+
+/// Per-family hashes of `full_default` over [`benchmark_corpus`], taken at
+/// the parent commit of the lane-shaped extraction kernels (PR 22) and
+/// never re-pasted since: `(family, extract_balanced_into through one
+/// reused scratch, extract_naive)`.
+const GOLDEN_BENCHMARK_SHAPE: &[(&str, u64, u64)] = &[
+    ("ColorHistogram", 0x08240efb6c84ad1c, 0x08240efb6c84ad1c),
+    ("Correlogram", 0x3e392a30363a409e, 0xa8d01b816ac872d0),
+    ("Glcm", 0xd15d1c3e250b956e, 0xe46a8a61c44a9323),
+    ("Tamura", 0xb7565502d51a8ff5, 0x5fb0ad42a797e688),
+    ("Wavelet", 0x3a7edf799111fae7, 0x765621ec9731dd56),
+    ("EdgeOrientation", 0xee43822af75c87dd, 0x43a2574f5dd9ce7b),
+    ("EdgeDensityGrid", 0xbf7b2892528c1943, 0xc56b2313a4398df3),
+    ("HuMoments", 0x95a8c14eed4b62bc, 0x0fd697ac6a333c91),
+    ("ShapeSummary", 0xc5f075210c0642d4, 0x27d86b362c339512),
+    ("RegionShape", 0x2b97e18ca87e42d2, 0x7f2cfbbf759d5909),
+];
+
+#[test]
+fn benchmark_shape_signatures_match_the_parent_commit() {
+    let pipeline = Pipeline::full_default();
+    let layout = pipeline.layout();
+    let corpus = benchmark_corpus();
+    let mut balanced: Vec<Fnv1a> = layout.iter().map(|_| Fnv1a::new()).collect();
+    let mut naive: Vec<Fnv1a> = layout.iter().map(|_| Fnv1a::new()).collect();
+    let (mut scratch, mut out) = (ExtractScratch::new(), Vec::new());
+    for img in &corpus.images {
+        pipeline
+            .extract_balanced_into(img, &mut scratch, &mut out)
+            .expect("balanced extraction");
+        let reference = pipeline.extract_naive(img).expect("naive extraction");
+        for (seg, (b, n)) in layout.iter().zip(balanced.iter_mut().zip(&mut naive)) {
+            for (h, v) in [(b, &out), (n, &reference)] {
+                for x in &v[seg.start..seg.end] {
+                    h.write_u32(x.to_bits());
+                }
+            }
+        }
+    }
+    let got: Vec<(String, u64, u64)> = layout
+        .iter()
+        .zip(balanced.iter().zip(&naive))
+        .map(|(seg, (b, n))| (format!("{:?}", seg.kind), b.0, n.0))
+        .collect();
+    let want: Vec<(String, u64, u64)> = GOLDEN_BENCHMARK_SHAPE
+        .iter()
+        .map(|&(name, b, n)| (name.to_string(), b, n))
+        .collect();
+    if got != want {
+        eprintln!("benchmark-shape hashes:");
+        for (name, b, n) in &got {
+            eprintln!("    ({name:?}, {b:#018x}, {n:#018x}),");
+        }
+    }
+    assert_eq!(got, want, "full_default descriptors changed at 128 px");
 }
 
 #[test]

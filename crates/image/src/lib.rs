@@ -34,4 +34,4 @@ mod pixel;
 pub use codec::{decode, DynImage, Format};
 pub use error::{ImageError, Result};
 pub use image::{FloatImage, GrayImage, ImageBuffer, RgbImage};
-pub use pixel::{Pixel, Rgb};
+pub use pixel::{small_f32_to_u32, Pixel, Rgb};

@@ -14,24 +14,6 @@ pub enum Connectivity {
     Eight,
 }
 
-impl Connectivity {
-    fn offsets(self) -> &'static [(i64, i64)] {
-        match self {
-            Connectivity::Four => &[(1, 0), (-1, 0), (0, 1), (0, -1)],
-            Connectivity::Eight => &[
-                (1, 0),
-                (-1, 0),
-                (0, 1),
-                (0, -1),
-                (1, 1),
-                (1, -1),
-                (-1, 1),
-                (-1, -1),
-            ],
-        }
-    }
-}
-
 /// One labelled connected region.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Region {
@@ -55,21 +37,23 @@ pub struct Labeling {
     height: u32,
     /// Regions sorted by decreasing area (ties by label).
     pub regions: Vec<Region>,
-    /// Flood-fill work stack, kept so recomputes reuse its allocation.
-    stack: Vec<(u32, u32)>,
+    /// Union-find parents of the first pass's provisional labels, then
+    /// each provisional label's final one; kept so recomputes reuse its
+    /// allocation.
+    parent: Vec<u32>,
 }
 
 impl Labeling {
     /// A zero-size labelling to be filled in via [`Labeling::recompute`] —
     /// lets scratch-backed callers keep the label plane, region list, and
-    /// flood-fill stack allocations alive across images.
+    /// union-find allocations alive across images.
     pub fn empty() -> Self {
         Labeling {
             labels: Vec::new(),
             width: 0,
             height: 0,
             regions: Vec::new(),
-            stack: Vec::new(),
+            parent: Vec::new(),
         }
     }
 
@@ -122,9 +106,19 @@ impl Labeling {
     }
 
     /// Re-label the connected components of `binary` in place, reusing the
-    /// label plane, region list, and flood-fill stack allocations. The
-    /// resulting labelling is identical to a fresh
-    /// [`connected_components`] call.
+    /// label plane, region list, and union-find allocations. The resulting
+    /// labelling is identical to a fresh [`connected_components`] call.
+    ///
+    /// Two raster passes. The first gives each object pixel the smallest
+    /// provisional label among its already-scanned neighbours (left and,
+    /// for 8-connectivity, the three above; else just above), or a new one,
+    /// and unites the neighbours' sets with the smaller label as root. A
+    /// component's first pixel in raster order always opens a new label, so
+    /// a set's root is the label opened at its first pixel; numbering the
+    /// roots in increasing order numbers the components by their first
+    /// pixel — the order a flood fill seeded in raster order finds them.
+    /// The second pass writes the final labels and each region's area,
+    /// box and centroid (sums of integer coordinates, exact in any order).
     pub fn recompute(&mut self, binary: &GrayImage, conn: Connectivity) -> Result<()> {
         if binary.is_empty() {
             return Err(ImageError::InvalidParameter(
@@ -134,64 +128,111 @@ impl Labeling {
         let (w, h) = binary.dimensions();
         self.width = w;
         self.height = h;
-        self.labels.clear();
-        self.labels.resize(w as usize * h as usize, 0u32);
-        self.regions.clear();
-        self.stack.clear();
-        let labels = &mut self.labels;
-        let regions = &mut self.regions;
-        let stack = &mut self.stack;
-        let mut next_label = 1u32;
-        let at = |x: u32, y: u32| y as usize * w as usize + x as usize;
+        let (wu, pixels) = (w as usize, binary.as_slice());
+        let diagonals = conn == Connectivity::Eight;
+        let Labeling {
+            labels,
+            regions,
+            parent,
+            ..
+        } = self;
+        labels.clear();
+        labels.resize(pixels.len(), 0);
+        regions.clear();
+        parent.clear();
+        parent.push(0);
 
-        for sy in 0..h {
-            for sx in 0..w {
-                if binary.pixel(sx, sy) == 0 || labels[at(sx, sy)] != 0 {
-                    continue;
+        for y in 0..h as usize {
+            for x in (0..wu).filter(|&x| pixels[y * wu + x] != 0) {
+                let i = y * wu + x;
+                let mut scanned = [0u32; 4];
+                if x > 0 {
+                    scanned[0] = labels[i - 1];
                 }
-                // Flood-fill a new component.
-                let label = next_label;
-                next_label += 1;
-                labels[at(sx, sy)] = label;
-                stack.push((sx, sy));
-                let mut area = 0usize;
-                let (mut min_x, mut min_y, mut max_x, mut max_y) = (sx, sy, sx, sy);
-                let mut sum_x = 0.0f64;
-                let mut sum_y = 0.0f64;
-                while let Some((x, y)) = stack.pop() {
-                    area += 1;
-                    sum_x += x as f64;
-                    sum_y += y as f64;
-                    min_x = min_x.min(x);
-                    min_y = min_y.min(y);
-                    max_x = max_x.max(x);
-                    max_y = max_y.max(y);
-                    for &(dx, dy) in conn.offsets() {
-                        let nx = x as i64 + dx;
-                        let ny = y as i64 + dy;
-                        if nx < 0 || ny < 0 || nx >= w as i64 || ny >= h as i64 {
-                            continue;
+                if y > 0 {
+                    scanned[1] = labels[i - wu];
+                    if diagonals {
+                        if x > 0 {
+                            scanned[2] = labels[i - wu - 1];
                         }
-                        let (nx, ny) = (nx as u32, ny as u32);
-                        if binary.pixel(nx, ny) != 0 && labels[at(nx, ny)] == 0 {
-                            labels[at(nx, ny)] = label;
-                            stack.push((nx, ny));
+                        if x + 1 < wu {
+                            scanned[3] = labels[i - wu + 1];
                         }
                     }
                 }
-                regions.push(Region {
-                    label,
-                    area,
-                    bbox: (min_x, min_y, max_x, max_y),
-                    centroid: (sum_x / area as f64, sum_y / area as f64),
-                });
+                let mut label = 0;
+                for l in scanned.into_iter().filter(|&l| l != 0) {
+                    let root = find(parent, l);
+                    label = if label == 0 {
+                        root
+                    } else {
+                        let (lo, hi) = (label.min(root), label.max(root));
+                        parent[hi as usize] = lo;
+                        lo
+                    };
+                }
+                if label == 0 {
+                    label = parent.len() as u32;
+                    parent.push(label);
+                }
+                labels[i] = label;
             }
+        }
+
+        // Point every provisional label at its root (a root is at most its
+        // members, so the smaller labels are already flat), then number the
+        // roots in increasing order, each member taking its root's number.
+        for l in 1..parent.len() {
+            parent[l] = find(parent, l as u32);
+        }
+        for l in 1..parent.len() {
+            let root = parent[l] as usize;
+            parent[l] = if root == l {
+                regions.push(Region {
+                    label: regions.len() as u32 + 1,
+                    area: 0,
+                    bbox: (u32::MAX, u32::MAX, 0, 0),
+                    centroid: (0.0, 0.0),
+                });
+                regions.len() as u32
+            } else {
+                parent[root]
+            };
+        }
+        for (y, row) in labels.chunks_exact_mut(wu).enumerate() {
+            let y = y as u32;
+            for (x, label) in (0..w).zip(row).filter(|(_, l)| **l != 0) {
+                *label = parent[*label as usize];
+                let r = &mut regions[*label as usize - 1];
+                r.area += 1;
+                r.bbox = (
+                    r.bbox.0.min(x),
+                    r.bbox.1.min(y),
+                    r.bbox.2.max(x),
+                    r.bbox.3.max(y),
+                );
+                r.centroid = (r.centroid.0 + x as f64, r.centroid.1 + y as f64);
+            }
+        }
+        for r in regions.iter_mut() {
+            r.centroid = (r.centroid.0 / r.area as f64, r.centroid.1 / r.area as f64);
         }
         // Unstable sort allocates nothing; the (area, label) key is unique
         // per region, so the order matches the previous stable sort exactly.
         regions.sort_unstable_by(|a, b| b.area.cmp(&a.area).then(a.label.cmp(&b.label)));
         Ok(())
     }
+}
+
+/// The root of `label`'s set, halving the path on the way. Every parent
+/// is at most its child, so this walks down to the set's smallest label.
+fn find(parent: &mut [u32], mut label: u32) -> u32 {
+    while parent[label as usize] != label {
+        let grandparent = parent[parent[label as usize] as usize];
+        parent[label as usize] = grandparent;
+        label = grandparent;
+    }
+    label
 }
 
 /// Label all connected components of the nonzero pixels of `binary`.
@@ -344,5 +385,87 @@ mod tests {
         assert_eq!(l.len(), 1);
         assert_eq!(l.regions[0].area, 1);
         assert_eq!(l.regions[0].centroid, (1.0, 1.0));
+    }
+
+    #[test]
+    fn window_flood_fill_matches_offset_list_flood_fill() {
+        // The offset-list formulation: same seeds in raster order, so the
+        // same labels, areas, boxes and centroids.
+        fn reference(binary: &GrayImage, conn: Connectivity) -> (Vec<u32>, Vec<Region>) {
+            let four: &[(i64, i64)] = &[(1, 0), (-1, 0), (0, 1), (0, -1)];
+            let diagonal: &[(i64, i64)] = &[(1, 1), (1, -1), (-1, 1), (-1, -1)];
+            let (w, h) = binary.dimensions();
+            let at = |x: i64, y: i64| y as usize * w as usize + x as usize;
+            let mut labels = vec![0u32; (w * h) as usize];
+            let mut regions = Vec::new();
+            let mut next = 1;
+            for sy in 0..h as i64 {
+                for sx in 0..w as i64 {
+                    if binary.pixel(sx as u32, sy as u32) == 0 || labels[at(sx, sy)] != 0 {
+                        continue;
+                    }
+                    labels[at(sx, sy)] = next;
+                    let mut stack = vec![(sx, sy)];
+                    let (mut area, mut bbox, mut sums) = (0, (sx, sy, sx, sy), (0.0, 0.0));
+                    while let Some((x, y)) = stack.pop() {
+                        area += 1;
+                        sums = (sums.0 + x as f64, sums.1 + y as f64);
+                        bbox = (bbox.0.min(x), bbox.1.min(y), bbox.2.max(x), bbox.3.max(y));
+                        let extra = if conn == Connectivity::Eight {
+                            diagonal
+                        } else {
+                            &[]
+                        };
+                        for &(dx, dy) in four.iter().chain(extra) {
+                            let (nx, ny) = (x + dx, y + dy);
+                            if nx < 0 || ny < 0 || nx >= w as i64 || ny >= h as i64 {
+                                continue;
+                            }
+                            if binary.pixel(nx as u32, ny as u32) != 0 && labels[at(nx, ny)] == 0 {
+                                labels[at(nx, ny)] = next;
+                                stack.push((nx, ny));
+                            }
+                        }
+                    }
+                    let b = (bbox.0 as u32, bbox.1 as u32, bbox.2 as u32, bbox.3 as u32);
+                    regions.push(Region {
+                        label: next,
+                        area,
+                        bbox: b,
+                        centroid: (sums.0 / area as f64, sums.1 / area as f64),
+                    });
+                    next += 1;
+                }
+            }
+            regions.sort_by(|a, b| b.area.cmp(&a.area).then(a.label.cmp(&b.label)));
+            (labels, regions)
+        }
+        // Two stacked combs: each comb's teeth open labels that merge only
+        // at its spine, so the second comb's labels merge after the first
+        // comb's were numbered; plus hashed noise at several densities.
+        let combs = |x: u32, y: u32| {
+            let comb = if y < 9 { y == 8 } else { y == 19 };
+            u8::from(y != 9 && (x.is_multiple_of(4) || comb)) * 255
+        };
+        let mut images = vec![GrayImage::from_fn(31, 20, combs)];
+        for (w, h) in [(1, 1), (1, 9), (9, 1), (13, 7), (64, 64)] {
+            for percent in [30, 50, 70] {
+                images.push(GrayImage::from_fn(w, h, |x, y| {
+                    let hash = (x.wrapping_mul(2_654_435_761) ^ y.wrapping_mul(40_503))
+                        .wrapping_mul(2_246_822_519)
+                        >> 16;
+                    u8::from(hash % 100 < percent) * 255
+                }));
+            }
+        }
+        for img in &images {
+            let (w, h) = img.dimensions();
+            for conn in [Connectivity::Four, Connectivity::Eight] {
+                let got = connected_components(img, conn).unwrap();
+                let (labels, regions) = reference(img, conn);
+                assert_eq!(got.labels, labels, "{w}x{h} {conn:?}");
+                assert_eq!(got.regions, regions, "{w}x{h} {conn:?}");
+            }
+        }
     }
 }

@@ -21,10 +21,11 @@ pub use label::{connected_components, Connectivity, Labeling, Region};
 pub use morphology::{close, dilate, erode, open, Structuring};
 pub use resize::{
     resize_bilinear_gray, resize_bilinear_rgb, resize_bilinear_rgb_into, resize_nearest,
+    ResizeScratch,
 };
 pub use sobel::{
-    edge_density, edge_map, magnitude_orientation_into, sobel, sobel_into, sobel_magnitude,
-    GradientField, SOBEL_MAGNITUDE_MAX,
+    edge_density, edge_map, magnitude_into, orientation_bin, orientation_bins_into, sobel,
+    sobel_into, sobel_magnitude, GradientField, SOBEL_MAGNITUDE_MAX,
 };
 pub use threshold::{adaptive_mean_threshold, gray_histogram, otsu_level, threshold};
 pub use transform::{flip_horizontal, flip_vertical, rotate180, rotate270, rotate90};

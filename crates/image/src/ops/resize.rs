@@ -69,23 +69,43 @@ pub fn resize_bilinear_gray(img: &GrayImage, w: u32, h: u32) -> Result<GrayImage
 
 /// Bilinear resampling of an RGB image (per channel).
 pub fn resize_bilinear_rgb(img: &RgbImage, w: u32, h: u32) -> Result<RgbImage> {
-    let mut x_taps = Vec::new();
     let mut out = RgbImage::filled(0, 0, Rgb::default());
-    resize_bilinear_rgb_into(img, w, h, &mut x_taps, &mut out)?;
+    resize_bilinear_rgb_into(img, w, h, &mut ResizeScratch::default(), &mut out)?;
     Ok(out)
 }
 
-/// Bilinear RGB resampling into a caller-provided output buffer, with the
-/// per-column source taps precomputed once into `x_taps` instead of being
-/// re-derived for every pixel. Both buffers reuse their allocations, so
-/// repeated steady-state calls allocate nothing. Results are bit-identical
-/// to [`resize_bilinear_rgb`] (the tap expressions are the same; they were
-/// previously just evaluated redundantly per row).
+/// Reusable buffers for [`resize_bilinear_rgb_into`]: the per-column
+/// source taps and one output row's samples, channel-planar.
+#[derive(Clone, Debug, Default)]
+pub struct ResizeScratch {
+    /// Left and right source column of each output column.
+    x0: Vec<usize>,
+    x1: Vec<usize>,
+    /// Weight of the right column.
+    fx: Vec<f64>,
+    /// The four source samples of each output sample of one row:
+    /// `[p00, p10, p01, p11][channel][x]`.
+    taps: Vec<u8>,
+    /// One output row, `[channel][x]`.
+    row: Vec<u8>,
+}
+
+/// Bilinear RGB resampling into a caller-provided output buffer.
+///
+/// The per-column source taps are computed once per call, not per pixel.
+/// Each output row then gathers its four source samples per channel into
+/// planar lanes and interpolates them lane by lane: per sample, the same
+/// `f64` operations in the same order as [`resize_bilinear_gray`]'s —
+/// `top = p00 + (p10 - p00)·fx`, the same for `bot`, `top + (bot -
+/// top)·fy`, rounded half away from zero and clamped — so every channel
+/// is bit-identical to resizing that channel alone (a test holds them
+/// equal). Both buffers reuse their allocations, so repeated steady-state
+/// calls allocate nothing.
 pub fn resize_bilinear_rgb_into(
     img: &RgbImage,
     w: u32,
     h: u32,
-    x_taps: &mut Vec<(u32, u32, f64)>,
+    scratch: &mut ResizeScratch,
     out: &mut RgbImage,
 ) -> Result<()> {
     check_target(w, h)?;
@@ -96,32 +116,66 @@ pub fn resize_bilinear_rgb_into(
     }
     let sx = img.width() as f64 / w as f64;
     let sy = img.height() as f64 / h as f64;
-    x_taps.clear();
-    x_taps.extend((0..w).map(|x| bilinear_axis(x, sx, img.width())));
-    out.reset(w, h, Rgb::default());
     let wi = w as usize;
+    let ResizeScratch {
+        x0,
+        x1,
+        fx,
+        taps,
+        row,
+    } = scratch;
+    x0.clear();
+    x1.clear();
+    fx.clear();
+    for x in 0..w {
+        let (a, b, f) = bilinear_axis(x, sx, img.width());
+        x0.push(a as usize);
+        x1.push(b as usize);
+        fx.push(f);
+    }
+    taps.clear();
+    taps.resize(12 * wi, 0);
+    row.clear();
+    row.resize(3 * wi, 0);
+    let (x0, x1, fx) = (&x0[..], &x1[..], &fx[..]);
+    out.reset(w, h, Rgb::default());
     for y in 0..h {
         let (y0, y1, fy) = bilinear_axis(y, sy, img.height());
-        let row0 = img.row(y0);
-        let row1 = img.row(y1);
-        let row_start = y as usize * wi;
-        let dst = &mut out.as_mut_slice()[row_start..row_start + wi];
-        for (&(x0, x1, fx), d) in x_taps.iter().zip(dst) {
-            let p0 = row0[x0 as usize].0;
-            let p1 = row0[x1 as usize].0;
-            let q0 = row1[x0 as usize].0;
-            let q1 = row1[x1 as usize].0;
-            let mut px = [0u8; 3];
-            for (c, o) in px.iter_mut().enumerate() {
-                let p00 = p0[c] as f64;
-                let p10 = p1[c] as f64;
-                let p01 = q0[c] as f64;
-                let p11 = q1[c] as f64;
-                let top = p00 + (p10 - p00) * fx;
-                let bot = p01 + (p11 - p01) * fx;
-                *o = (top + (bot - top) * fy).round().clamp(0.0, 255.0) as u8;
+        let (src0, src1) = (img.row(y0), img.row(y1));
+        let (t00, rest) = taps.split_at_mut(3 * wi);
+        let (t10, rest) = rest.split_at_mut(3 * wi);
+        let (t01, t11) = rest.split_at_mut(3 * wi);
+        for (x, (&a, &b)) in x0.iter().zip(x1).enumerate() {
+            let (p00, p10, p01, p11) = (src0[a].0, src0[b].0, src1[a].0, src1[b].0);
+            for c in 0..3 {
+                t00[c * wi + x] = p00[c];
+                t10[c * wi + x] = p10[c];
+                t01[c * wi + x] = p01[c];
+                t11[c * wi + x] = p11[c];
             }
-            *d = Rgb(px);
+        }
+        for c in 0..3 {
+            let lanes = c * wi..(c + 1) * wi;
+            let (p00, p10) = (&t00[lanes.clone()], &t10[lanes.clone()]);
+            let (p01, p11) = (&t01[lanes.clone()], &t11[lanes]);
+            let samples = &mut row[c * wi..][..wi];
+            for x in 0..wi {
+                let (p00, p10) = (f64::from(p00[x]), f64::from(p10[x]));
+                let (p01, p11) = (f64::from(p01[x]), f64::from(p11[x]));
+                let top = p00 + (p10 - p00) * fx[x];
+                let bot = p01 + (p11 - p01) * fx[x];
+                let v = (top + (bot - top) * fy).round().clamp(0.0, 255.0);
+                // An integer in [0, 255]: adding 2^52 leaves it in the low
+                // mantissa bits, exactly (a saturating `as u8` does not
+                // vectorize).
+                samples[x] = (v + 4_503_599_627_370_496.0).to_bits() as u8;
+            }
+        }
+        let (r, rest) = row.split_at(wi);
+        let (g, b) = rest.split_at(wi);
+        let dst = &mut out.as_mut_slice()[y as usize * wi..][..wi];
+        for (((d, &r), &g), &b) in dst.iter_mut().zip(r).zip(g).zip(b) {
+            *d = Rgb([r, g, b]);
         }
     }
     Ok(())
@@ -208,11 +262,33 @@ mod tests {
         let img = RgbImage::from_fn(13, 9, |x, y| {
             Rgb::new((x * 19) as u8, (y * 27) as u8, ((x + y) * 11) as u8)
         });
-        let mut taps = Vec::new();
+        let mut scratch = ResizeScratch::default();
         let mut out = RgbImage::filled(0, 0, Rgb::default());
         for (w, h) in [(8, 8), (13, 9), (20, 3), (1, 1), (8, 8)] {
-            resize_bilinear_rgb_into(&img, w, h, &mut taps, &mut out).unwrap();
+            resize_bilinear_rgb_into(&img, w, h, &mut scratch, &mut out).unwrap();
             assert_eq!(out, resize_bilinear_rgb(&img, w, h).unwrap(), "{w}x{h}");
+        }
+    }
+
+    #[test]
+    fn rgb_resize_equals_the_gray_resize_of_each_channel() {
+        // The per-pixel scalar formulation, one channel at a time, over
+        // downscales (2:1 included), upscales and non-integer ratios.
+        let img = RgbImage::from_fn(128, 96, |x, y| {
+            Rgb::new(
+                ((x * 37 + y * 11) % 256) as u8,
+                ((x * y + 3 * y) % 256) as u8,
+                ((x ^ y) * 5 % 256) as u8,
+            )
+        });
+        let plane = |c: usize| GrayImage::from_fn(128, 96, |x, y| img.pixel(x, y).0[c]);
+        for (w, h) in [(64, 64), (64, 48), (37, 91), (200, 130), (1, 1), (128, 96)] {
+            let rgb = resize_bilinear_rgb(&img, w, h).unwrap();
+            for c in 0..3 {
+                let gray = resize_bilinear_gray(&plane(c), w, h).unwrap();
+                let channel: Vec<u8> = rgb.pixels().map(|p| p.0[c]).collect();
+                assert_eq!(channel, gray.as_slice(), "{w}x{h} channel {c}");
+            }
         }
     }
 

@@ -42,8 +42,17 @@ impl Rgb {
     #[inline]
     pub fn luma(&self) -> u8 {
         let y = 0.299 * self.0[0] as f32 + 0.587 * self.0[1] as f32 + 0.114 * self.0[2] as f32;
-        y.round().clamp(0.0, 255.0) as u8
+        small_f32_to_u32(y.round().clamp(0.0, 255.0)) as u8
     }
+}
+
+/// `x as u32` for `x` in `[0, 2^23)`, in a form loops over lanes vectorize
+/// (the saturating `as` cast does not, on x86): `trunc(x) + 2^23` is exact
+/// in that range and leaves the integer in the mantissa bits. Outside it
+/// the result is meaningless; callers discard such lanes.
+#[inline]
+pub fn small_f32_to_u32(x: f32) -> u32 {
+    (x.trunc() + 8_388_608.0).to_bits() & 0x7f_ffff
 }
 
 impl fmt::Debug for Rgb {

@@ -77,7 +77,7 @@ pub enum Stage {
     Grayscale = 1,
     /// Fused Sobel gradient pass.
     Sobel = 2,
-    /// Gradient magnitude/orientation planes.
+    /// Gradient magnitude plane and per-pixel orientation bins.
     MagOri = 3,
     /// Normalized-magnitude plane.
     MagNorm = 4,
