@@ -26,6 +26,12 @@
 //! memtable and tombstones are volatile by design, and
 //! [`CorpusStore::compact`] is the durability point.
 //!
+//! A compaction rewrites only what changed — segments holding a
+//! tombstone, and the memtable with the partial last segment it joins —
+//! and keeps every other segment's file, mapping and built index, so its
+//! work follows the change, not the corpus
+//! ([`CorpusStore::compact_with`]).
+//!
 //! ## Query semantics
 //!
 //! [`CorpusSnapshot`] is the repo's one read path. The exact side is
@@ -148,6 +154,13 @@ impl SourceRows {
         CoreError::InvalidParameter(format!("{} {what} build failed: {msg}", self.label))
     }
 
+    /// Whether a query has built the search index: the sign that the
+    /// exact path reads this source, which a compaction passes on to the
+    /// segment that replaces it.
+    fn is_warm(&self) -> bool {
+        matches!(self.index_cell.get(), Some(Ok(_)))
+    }
+
     /// The lazily built search index (the first query over the source
     /// pays the build; concurrent first queries block on one build).
     fn index(&self, kind: &IndexKind, measure: &Measure) -> Result<&dyn SearchIndex> {
@@ -180,6 +193,8 @@ impl SourceRows {
 /// O(rows), so cold-open cost is independent of corpus size.
 struct Segment {
     path: PathBuf,
+    /// The file name the manifest records.
+    name: String,
     bytes: Arc<Mmap>,
     view: SegmentView,
     rows: usize,
@@ -224,6 +239,7 @@ impl Segment {
         };
         Ok(Arc::new(Segment {
             path: path.to_path_buf(),
+            name: name.to_string(),
             bytes,
             view,
             rows,
@@ -243,6 +259,18 @@ impl Segment {
         match cached {
             Ok(m) => Ok(m),
             Err(msg) => Err(CoreError::Persist(PersistError::new(msg.clone()))),
+        }
+    }
+
+    /// Make a fresh segment ready for readers before it is published:
+    /// take the metadata its read-back already verified and decoded, and
+    /// build the index with whatever it builds lazily (the L1 code
+    /// table). A failed build is cached like any other, for the first
+    /// query to report.
+    fn warm(&self, metas: Vec<ImageMeta>, kind: &IndexKind, measure: &Measure) {
+        let _ = self.metas_cell.set(Ok(metas));
+        if let Some(Ok(index)) = self.data.as_ref().map(|d| d.index(kind, measure)) {
+            index.prepare();
         }
     }
 }
@@ -938,11 +966,13 @@ impl CorpusSnapshot {
         self.by_example(img, Exact::Knn(k), stats)
     }
 
-    /// Every live row in global id order: the flat descriptor matrix and
-    /// the metadata beside it.
-    fn live_rows(&self) -> Result<(Vec<f32>, Vec<ImageMeta>)> {
-        let mut flat = Vec::with_capacity(self.len() * self.dim());
-        let mut metas = Vec::with_capacity(self.len());
+    /// Every live row of the sources whose first global id lies in `ids`
+    /// (a range that starts and ends on source boundaries), in global id
+    /// order: the flat descriptor matrix and the metadata beside it.
+    fn live_rows(&self, ids: Range<u64>) -> Result<(Vec<f32>, Vec<ImageMeta>)> {
+        let live = (ids.end - ids.start) as usize - self.tombstones.range(ids.clone()).count();
+        let mut flat = Vec::with_capacity(live * self.dim());
+        let mut metas = Vec::with_capacity(live);
         let mut push_live = |base: u64, source_metas: &[ImageMeta], rows: &Dataset| {
             for (local, meta) in source_metas.iter().enumerate() {
                 if !self.tombstones.contains(&(base + local as u64)) {
@@ -952,13 +982,17 @@ impl CorpusSnapshot {
             }
         };
         for (seg, &base) in self.segments.iter().zip(&self.bases) {
-            if let Some(data) = &seg.data {
+            if let Some(data) = seg.data.as_ref().filter(|_| ids.contains(&base)) {
                 push_live(base, seg.metas()?, &data.dataset);
             }
         }
         for (chunk, &cb) in self.mem_chunks.iter().zip(&self.mem_bases) {
-            push_live(self.seg_rows_total + cb, &chunk.metas, &chunk.data.dataset);
+            let base = self.seg_rows_total + cb;
+            if ids.contains(&base) {
+                push_live(base, &chunk.metas, &chunk.data.dataset);
+            }
         }
+        debug_assert_eq!(metas.len(), live, "{ids:?} splits a source");
         Ok((flat, metas))
     }
 
@@ -966,7 +1000,7 @@ impl CorpusSnapshot {
     /// [`ImageDatabase`] (the bridge back to the RAM-resident engine —
     /// used by migration, tests, and the bit-identity experiment).
     pub fn materialize(&self) -> Result<ImageDatabase> {
-        let (flat, metas) = self.live_rows()?;
+        let (flat, metas) = self.live_rows(0..self.total_rows() as u64)?;
         ImageDatabase::from_parts(self.pipeline.clone(), self.balanced, flat, metas)
     }
 }
@@ -978,6 +1012,9 @@ pub struct CompactionStats {
     pub epoch: u64,
     /// Live segments after the call.
     pub segments: usize,
+    /// How many of them were carried over untouched: same file, same
+    /// mapping, same built index (all of them when skipped).
+    pub segments_kept: usize,
     /// Live rows after the call.
     pub rows: u64,
     /// Bytes written (segments + manifest); `0` when skipped.
@@ -1026,6 +1063,61 @@ impl StoreState {
             let flat: Vec<f32> = self.mem_tail_flat.drain(..MEM_CHUNK_ROWS * dim).collect();
             self.mem_frozen.push(MemChunk::new(dim, flat, metas)?);
         }
+        Ok(())
+    }
+}
+
+/// The segment list a compaction assembles, in global id order: kept
+/// segments as they are, rewritten rows as the new files it writes.
+#[derive(Default)]
+struct NextSegments {
+    segments: Vec<Arc<Segment>>,
+    /// Every new file, so that a failure before the commit removes them
+    /// and nothing else.
+    written: Vec<PathBuf>,
+    bytes: u64,
+    next_seg: u64,
+}
+
+impl NextSegments {
+    /// Write `metas` and their rows as a new segment (nothing when there
+    /// are none): the atomic temp/fsync/rename sequence, then a read-back
+    /// through the real file verified end to end, so that what a commit
+    /// names is what the disk holds and an injected bit flip is caught
+    /// before it, then an open, because a commit must never point at a
+    /// segment we cannot serve. `warm` hands the read-back's metadata to
+    /// the segment and builds its index before any reader sees it.
+    fn write(
+        &mut self,
+        store: &CorpusStore,
+        state: &StoreState,
+        (flat, metas): (&[f32], &[ImageMeta]),
+        warm: bool,
+        policy: &mut dyn FaultPolicy,
+    ) -> Result<()> {
+        if metas.is_empty() {
+            return Ok(());
+        }
+        let bytes = encode_segment(state.balanced, &state.pipeline, flat, metas)?;
+        let name = segment_file_name(self.next_seg);
+        self.next_seg += 1;
+        let path = store.dir.join(&name);
+        // Listed first: a fault after the rename leaves the file behind.
+        self.written.push(path.clone());
+        write_file_atomic(&path, &bytes, policy)?;
+        self.bytes += bytes.len() as u64;
+        let reread = read_file_bytes(&path)?;
+        let view = parse_segment(&reread).map_err(|e| attach_path(e, &path))?;
+        view.verify_descriptors(&reread)
+            .map_err(|e| attach_path(e, &path))?;
+        let metas = view
+            .decode_metas(&reread)
+            .map_err(|e| attach_path(e, &path))?;
+        let seg = Segment::open(&path, &name)?;
+        if warm {
+            seg.warm(metas, &store.options.kind, &store.options.measure);
+        }
+        self.segments.push(seg);
         Ok(())
     }
 }
@@ -1333,9 +1425,10 @@ impl CorpusStore {
     }
 
     /// Compact with the fault policy from `CBIR_FAULT_COMPACT_OP` (or no
-    /// faults): merge every live row into fresh segments, commit them
-    /// under a new manifest, clear the memtable and tombstones, and drop
-    /// the old segment files. See [`CorpusStore::compact_with`].
+    /// faults): fold the memtable into segments and drop tombstoned rows,
+    /// rewriting only the segments that change, commit the result under
+    /// a new manifest, clear the memtable and tombstones, and drop the
+    /// replaced segment files. See [`CorpusStore::compact_with`].
     pub fn compact(&self) -> Result<CompactionStats> {
         match compact_policy_from_env() {
             Some(mut policy) => self.compact_with(policy.as_mut()),
@@ -1344,22 +1437,43 @@ impl CorpusStore {
     }
 
     /// [`CorpusStore::compact`] with an explicit fault policy — the entry
-    /// point the crash-consistency sweep drives. The protocol:
+    /// point the crash-consistency sweep drives.
     ///
-    /// 1. verify every source segment's descriptor checksum (bit rot
-    ///    must not be laundered into freshly checksummed output);
+    /// Only what changed is rewritten. A segment holding a tombstone
+    /// becomes one segment of its live rows (none if nothing survives);
+    /// the memtable's live rows, joined by the last segment's when that
+    /// one is partial (under `max_seg_rows` rows), are chunked by
+    /// `max_seg_rows`; every other segment keeps its file name in the new
+    /// manifest and its `Arc<Segment>` — mapping, decoded metadata,
+    /// built index and code table — in the next snapshot. The output
+    /// keeps global id order and renumbers densely exactly as a full
+    /// rewrite would, so replies are bit-identical and only segment
+    /// boundaries move. A rewritten segment is published warm — the
+    /// metadata its read-back decoded, its index and code table built —
+    /// when a source its rows come from had built its index, so a
+    /// segment the exact path was reading is not rebuilt inside a
+    /// request, and a store nothing has queried yet (seeding,
+    /// [`CorpusStore::create_from_database`]) or that only serves the
+    /// approximate path pays nothing for it.
+    ///
+    /// The protocol:
+    ///
+    /// 1. verify the descriptor checksum of every segment about to be
+    ///    rewritten (bit rot must not be laundered into freshly
+    ///    checksummed output);
     /// 2. write each new segment via the atomic temp/fsync/rename
     ///    sequence, then read it back and verify it end to end;
     /// 3. open the new segments;
     /// 4. atomically write the new `MANIFEST` — **the only commit
     ///    point**;
     /// 5. swap in-memory state, publish the new snapshot, and
-    ///    best-effort delete the old segment files (pinned snapshots
-    ///    keep their mappings alive regardless).
+    ///    best-effort delete the replaced segment files (pinned
+    ///    snapshots keep their mappings alive regardless).
     ///
     /// A failure anywhere before step 4 leaves the old state fully
-    /// intact (new files are best-effort removed); a failure *after*
-    /// the manifest rename (e.g. the directory sync) rolls forward,
+    /// intact (the new files are best-effort removed; a kept file is
+    /// never touched); a failure *after* the manifest rename (e.g. the
+    /// directory sync) rolls forward with the segments already opened,
     /// because the commit already landed. Recovery is therefore always
     /// "old set or new set", never a mixture.
     pub fn compact_with(&self, policy: &mut dyn FaultPolicy) -> Result<CompactionStats> {
@@ -1368,123 +1482,125 @@ impl CorpusStore {
             return Ok(CompactionStats {
                 epoch: state.epoch,
                 segments: state.segments.len(),
+                segments_kept: state.segments.len(),
                 rows: state.seg_rows_total(),
                 bytes_written: 0,
                 skipped: true,
             });
         }
-        let dim = state.pipeline.dim();
-        // 1. Verify sources, then gather live rows in global id order:
-        // under the writer lock the published snapshot is this state.
-        for seg in &state.segments {
-            seg.view
-                .verify_descriptors(&seg.bytes)
-                .map_err(|e| attach_path(e, &seg.path))?;
+        // Under the writer lock the published snapshot is this state.
+        let snap = self.snapshot();
+        let max_rows = self.options.max_seg_rows.max(1);
+        let seg_ids = |i: usize| snap.bases[i]..snap.bases[i] + snap.segments[i].rows as u64;
+        let dead_in = |ids: Range<u64>| snap.tombstones.range(ids).count();
+        let total = snap.total_rows() as u64;
+        // Segments from `tail` on are rewritten together with the
+        // memtable: the last one when the memtable's live rows join it.
+        let joins = snap.mem_rows_total > dead_in(snap.seg_rows_total..total)
+            && snap.segments.last().is_some_and(|s| s.rows < max_rows);
+        let tail = snap.segments.len() - usize::from(joins);
+        let rewritten = |i: usize| i >= tail || dead_in(seg_ids(i)) > 0;
+        // 1. Verify the sources about to be rewritten.
+        for (i, seg) in snap.segments.iter().enumerate() {
+            if rewritten(i) {
+                seg.view
+                    .verify_descriptors(&seg.bytes)
+                    .map_err(|e| attach_path(e, &seg.path))?;
+            }
         }
-        let (flat, metas) = self.snapshot().live_rows()?;
-        // 2. Write the new segments, re-reading each to catch corruption
-        // (e.g. an injected bit flip) before the commit point.
-        let chunk_rows = self.options.max_seg_rows.max(1);
-        let mut new_entries: Vec<ManifestEntry> = Vec::new();
-        let mut new_paths: Vec<PathBuf> = Vec::new();
-        let mut bytes_written = 0u64;
-        let mut next_seg = state.next_seg;
-        let result = (|| -> Result<Vec<Arc<Segment>>> {
-            let mut opened = Vec::new();
-            for (i, chunk) in metas.chunks(chunk_rows).enumerate() {
-                let lo = i * chunk_rows;
-                let seg_flat = &flat[lo * dim..(lo + chunk.len()) * dim];
-                let bytes = encode_segment(state.balanced, &state.pipeline, seg_flat, chunk)?;
-                let name = segment_file_name(next_seg);
-                next_seg += 1;
-                let path = self.dir.join(&name);
-                write_file_atomic(&path, &bytes, policy)?;
-                bytes_written += bytes.len() as u64;
-                new_paths.push(path.clone());
-                // Read back through the real file so what we commit is
-                // what the disk actually holds.
-                let reread = read_file_bytes(&path)?;
-                let view = parse_segment(&reread).map_err(|e| attach_path(e, &path))?;
-                view.verify_descriptors(&reread)
-                    .map_err(|e| attach_path(e, &path))?;
-                view.decode_metas(&reread)
-                    .map_err(|e| attach_path(e, &path))?;
-                new_entries.push(ManifestEntry {
-                    name: name.clone(),
-                    rows: chunk.len() as u64,
-                });
-                // 3. Open before committing: a commit must never point at
-                // a segment we cannot serve.
-                opened.push(Segment::open(&path, &name)?);
+        // 2–3. Keep, or write and open, segment by segment in id order.
+        let mut next = NextSegments {
+            next_seg: state.next_seg,
+            ..NextSegments::default()
+        };
+        let dim = state.pipeline.dim();
+        let result = (|| -> Result<()> {
+            for (i, seg) in snap.segments[..tail].iter().enumerate() {
+                if !rewritten(i) {
+                    next.segments.push(Arc::clone(seg));
+                    continue;
+                }
+                let (flat, metas) = snap.live_rows(seg_ids(i))?;
+                let warm = seg.data.as_ref().is_some_and(SourceRows::is_warm);
+                next.write(self, &state, (&flat, &metas), warm, policy)?;
+            }
+            let tail_base = snap.bases.get(tail).copied().unwrap_or(snap.seg_rows_total);
+            let (flat, metas) = snap.live_rows(tail_base..total)?;
+            let warm = snap
+                .source_rows()
+                .any(|(rows, base, _)| base >= tail_base && rows.is_warm());
+            for (chunk, metas) in flat.chunks(max_rows * dim).zip(metas.chunks(max_rows)) {
+                next.write(self, &state, (chunk, metas), warm, policy)?;
             }
             // 4. Commit.
+            let entry = |s: &Arc<Segment>| ManifestEntry {
+                name: s.name.clone(),
+                rows: s.rows as u64,
+            };
             let manifest = Manifest {
                 epoch: state.epoch + 1,
-                next_seg,
+                next_seg: next.next_seg,
                 balanced: state.balanced,
                 pipeline: state.pipeline.clone(),
-                segments: new_entries.clone(),
+                segments: next.segments.iter().map(entry).collect(),
             };
             let mbytes = encode_manifest(&manifest);
             write_file_atomic(self.dir.join(MANIFEST_FILE), &mbytes, policy)?;
-            bytes_written += mbytes.len() as u64;
-            Ok(opened)
+            next.bytes += mbytes.len() as u64;
+            Ok(())
         })();
-        let opened = match result {
-            Ok(opened) => opened,
-            Err(e) => {
-                // A fault between the manifest rename and its directory
-                // sync reports an error even though the commit already
-                // landed; deleting the new segment files then would leave
-                // the committed manifest pointing at nothing. Check what
-                // the disk actually holds before cleaning up.
-                let landed = read_file_bytes(self.dir.join(MANIFEST_FILE))
-                    .ok()
-                    .and_then(|b| parse_manifest(&b).ok())
-                    .is_some_and(|m| m.epoch == state.epoch + 1);
-                if !landed {
-                    // Pre-commit failure: the old manifest still rules.
-                    // Remove whatever new files made it to disk; the
-                    // in-memory state is untouched.
-                    for p in &new_paths {
-                        let _ = std::fs::remove_file(p);
-                    }
-                    return Err(e);
+        if let Err(e) = result {
+            // A fault between the manifest rename and its directory sync
+            // reports an error even though the commit already landed;
+            // deleting the new segment files then would leave the
+            // committed manifest pointing at nothing. Check what the disk
+            // actually holds before cleaning up.
+            let landed = read_file_bytes(self.dir.join(MANIFEST_FILE))
+                .ok()
+                .and_then(|b| parse_manifest(&b).ok())
+                .is_some_and(|m| m.epoch == state.epoch + 1);
+            if !landed {
+                // Pre-commit failure: the old manifest still rules.
+                // Remove whatever new files made it to disk; kept files
+                // and the in-memory state are untouched.
+                for p in &next.written {
+                    let _ = std::fs::remove_file(p);
                 }
-                // Roll forward: the rename is the commit point and it
-                // completed, so serve the new state. (After a real crash
-                // the un-synced rename may or may not survive — either
-                // way recovery sees exactly the old or the new set.)
-                let mut reopened = Vec::new();
-                for (path, entry) in new_paths.iter().zip(&new_entries) {
-                    reopened.push(Segment::open(path, &entry.name)?);
-                }
-                reopened
+                return Err(e);
             }
-        };
+            // Roll forward: the rename is the commit point and it
+            // completed, and the manifest is written only once every new
+            // segment is written, verified and open, so `next` is the
+            // committed set. (After a real crash the un-synced rename may
+            // or may not survive — either way recovery sees exactly the
+            // old or the new set.)
+        }
         // 5. Swap, publish, and drop the replaced files.
-        let old_paths: Vec<PathBuf> = state.segments.iter().map(|s| s.path.clone()).collect();
-        state.segments = opened;
+        let replaced: Vec<PathBuf> = (0..snap.segments.len())
+            .filter(|&i| rewritten(i))
+            .map(|i| snap.segments[i].path.clone())
+            .collect();
+        let kept = snap.segments.len() - replaced.len();
+        state.segments = next.segments;
         state.mem_frozen.clear();
         state.mem_tail_flat.clear();
         state.mem_tail_metas.clear();
         state.tombstones = Arc::default();
         state.epoch += 1;
-        state.next_seg = next_seg;
+        state.next_seg = next.next_seg;
         self.publish(&state)?;
-        for p in old_paths {
-            if !new_paths.contains(&p) {
-                // Best-effort: pinned snapshots hold their mappings open,
-                // and fsck treats leftovers as orphans, not corruption.
-                let _ = std::fs::remove_file(&p);
-            }
+        for p in replaced {
+            // Best-effort: pinned snapshots hold their mappings open,
+            // and fsck treats leftovers as orphans, not corruption.
+            let _ = std::fs::remove_file(&p);
         }
         cbir_obs::store_compacted();
         Ok(CompactionStats {
             epoch: state.epoch,
             segments: state.segments.len(),
-            rows: metas.len() as u64,
-            bytes_written,
+            segments_kept: kept,
+            rows: state.seg_rows_total(),
+            bytes_written: next.bytes,
             skipped: false,
         })
     }
@@ -1646,9 +1762,11 @@ mod tests {
 
     /// Multi-source against one-source, over the whole grid of query
     /// surface x index kind x batch size x thread count: a snapshot
-    /// holding every kind of source (two segments, a frozen memtable
-    /// chunk, the tail), each with a tombstone in it, must answer exactly
-    /// like the single heap source an engine builds over its live rows.
+    /// holding every kind of source (three segments, a frozen memtable
+    /// chunk, the tail), all but one with a tombstone in it, must answer
+    /// exactly like the single heap source an engine builds over its live
+    /// rows — and so must the snapshot after a compaction that kept the
+    /// untouched segment, rewrote the others and folded the memtable.
     /// (The one-source side is pinned to a naive scan below.)
     #[test]
     fn batched_paths_match_engine_over_every_source_kind_batch_size_and_thread_count() {
@@ -1660,7 +1778,7 @@ mod tests {
         multi_source_grid("grid", 40, &kinds);
     }
 
-    /// The same grid with both segments over the row count from which a
+    /// The same grid with the segments over the row count from which a
     /// linear scan filters L1 exactly (the memtable chunks stay under
     /// it): filtered segments, plain chunks and tombstones in one merge.
     #[test]
@@ -1670,15 +1788,13 @@ mod tests {
 
     fn multi_source_grid(tag: &str, seg_rows: usize, kinds: &[IndexKind]) {
         let dim = pipeline().dim();
-        let k = 12;
         for (t, kind) in kinds.iter().cloned().enumerate() {
-            let linear = matches!(kind, IndexKind::Linear);
             let dir = temp_dir(&format!("{tag}-{t}"));
             let mut options = StoreOptions::new(kind.clone(), Measure::L1);
             options.max_seg_rows = seg_rows;
             options.memtable_limit = usize::MAX;
             let store = CorpusStore::create(&dir, pipeline(), true, options).unwrap();
-            let in_segments = 2 * seg_rows;
+            let in_segments = 3 * seg_rows;
             store
                 .insert_batch(synth_items(in_segments, dim, 41))
                 .unwrap();
@@ -1697,7 +1813,7 @@ mod tests {
             let tail_base = (in_segments + MEM_CHUNK_ROWS) as u64;
             let dead = [
                 5,
-                seg_rows as u64 + 7,
+                2 * seg_rows as u64 + 7,
                 in_segments as u64 + 300,
                 tail_base + 2,
             ];
@@ -1705,95 +1821,127 @@ mod tests {
                 store.delete(id).unwrap();
             }
             let snap = store.snapshot();
-            assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (2, 2));
+            assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (3, 2));
             assert_eq!(snap.mem_chunks[1].rows(), tail_rows);
-            // k exceeds what the tail can give, dead row or not.
-            assert!(k > tail_rows);
             let sources = snap.sources().unwrap();
-            assert!(sources.iter().all(|src| src.dead == 1));
-            let engine = engine_over(&snap, kind, Measure::L1);
-            // Live global ids and the dense ids `materialize` gave them.
-            let live: Vec<u64> = (0..snap.total_rows() as u64)
-                .filter(|id| !dead.contains(id))
-                .collect();
+            let dead_per_source: Vec<usize> = sources.iter().map(|src| src.dead).collect();
+            assert_eq!(dead_per_source, [1, 0, 1, 1, 1]);
+            let dead_names: Vec<String> =
+                dead.iter().map(|&id| snap.meta(id).unwrap().name).collect();
+            // Dense ids of live rows, as `materialize` numbers them.
             let by_id: Vec<usize> = [
                 0usize,
                 4,
                 5,
                 seg_rows + 4,
-                seg_rows + 5,
+                2 * seg_rows + 5,
                 in_segments + 299,
-                live.len() - 1,
+                snap.len() - 1,
             ]
             .into_iter()
             .cycle()
             .take(64)
             .collect();
-
-            // Query by example is a batch of one through the same path.
-            let img = RgbImage::from_fn(16, 16, |x, y| {
-                cbir_image::Rgb::new((x * 16) as u8, (y * 16) as u8, 90)
-            });
-            let (mut s1, mut s2) = (SearchStats::new(), SearchStats::new());
-            let got = snap.query_by_example(&img, k, &mut s1).unwrap();
-            let want = engine.query_by_example(&img, k, &mut s2).unwrap();
-            assert_eq!(keys(&[got], false), keys(&[want], false));
-            assert!(s1.distance_computations > 0);
-
-            for batch in [1, 5, 64] {
-                let queries = &queries[..batch];
-                let ids_engine = &by_id[..batch];
-                let ids_snap: Vec<u64> = ids_engine.iter().map(|&i| live[i]).collect();
-                let mut e = BatchStats::new();
-                let want_knn = engine.knn_batch(queries, k, 1, &mut e).unwrap();
-                let want_range = engine.range_batch(queries, 1.6, 1, &mut e).unwrap();
-                let want_ids = engine.knn_batch_by_ids(ids_engine, k, 1, &mut e).unwrap();
-                assert!(want_range.iter().any(|r| !r.is_empty()));
-                assert!(want_knn.iter().all(|r| r.len() == k));
-                let mut at_one_thread = None;
-                for threads in [1, 2, 3] {
-                    let ctx = format!("kind {t}, batch {batch}, threads {threads}");
-                    let mut stats = [BatchStats::new(), BatchStats::new(), BatchStats::new()];
-                    let knn = snap.knn_batch(queries, k, threads, &mut stats[0]).unwrap();
-                    let range = snap
-                        .range_batch(queries, 1.6, threads, &mut stats[1])
-                        .unwrap();
-                    let ids = snap
-                        .knn_batch_by_ids(&ids_snap, k, threads, &mut stats[2])
-                        .unwrap();
-                    // Ids shift under tombstones; names and bits do not.
-                    assert_eq!(keys(&knn, false), keys(&want_knn, false), "knn: {ctx}");
-                    assert_eq!(
-                        keys(&range, false),
-                        keys(&want_range, false),
-                        "range: {ctx}"
-                    );
-                    assert_eq!(keys(&ids, false), keys(&want_ids, false), "by ids: {ctx}");
-                    let dead_names: Vec<String> =
-                        dead.iter().map(|&id| snap.meta(id).unwrap().name).collect();
-                    for hit in knn.iter().chain(&range).chain(&ids).flatten() {
-                        assert!(!dead_names.contains(&hit.name), "dead row served: {ctx}");
-                    }
-                    for (row, id) in ids.iter().zip(&ids_snap) {
-                        assert!(row.iter().all(|h| h.id as u64 != *id), "self hit: {ctx}");
-                    }
-                    for s in &stats {
-                        assert_eq!(s.queries(), batch, "{ctx}");
-                        // Every source scored each of its rows once per
-                        // query, by its bound or in full.
-                        let total = s.total();
-                        if linear {
-                            assert_eq!(total.subtrees_pruned > 0, seg_rows >= 4096, "{ctx}");
-                            let scored = total.distance_computations + total.subtrees_pruned;
-                            assert_eq!(scored, (batch * snap.total_rows()) as u64, "{ctx}");
-                        }
-                    }
-                    // Per-query counters do not depend on the split.
-                    let first = at_one_thread.get_or_insert_with(|| stats.clone());
-                    assert_eq!(&stats, first, "stats: {ctx}");
-                }
-            }
+            let grid = |snap: &CorpusSnapshot, when: &str| {
+                let ctx = format!("kind {t}, {when}");
+                assert_grid_matches_engine(snap, &kind, &queries, &by_id, &dead_names, &ctx);
+            };
+            grid(&snap, "before compaction");
+            let cs = store.compact().unwrap();
+            let after = store.snapshot();
+            // Segment 1 had no tombstone: kept, file and index and all.
+            assert_eq!(cs.segments_kept, 1);
+            assert!(Arc::ptr_eq(&after.segments[1], &snap.segments[1]));
+            assert!(!Arc::ptr_eq(&after.segments[0], &snap.segments[0]));
+            assert_eq!(after.tombstone_count(), 0);
+            grid(&after, "after compaction");
             std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// One snapshot against an engine over its materialized live rows, at
+    /// batch sizes {1, 5, 64} and thread counts {1, 2, 3}: k-NN, range,
+    /// by-id (`by_id` holds dense engine ids) and query by example, by
+    /// name and distance bits; no row named in `dead_names` served.
+    fn assert_grid_matches_engine(
+        snap: &CorpusSnapshot,
+        kind: &IndexKind,
+        queries: &[Vec<f32>],
+        by_id: &[usize],
+        dead_names: &[String],
+        ctx: &str,
+    ) {
+        let k = 12;
+        let engine = engine_over(snap, kind.clone(), Measure::L1);
+        // k exceeds what the memtable tail can give, dead row or not.
+        assert!(snap.mem_chunks.last().is_none_or(|c| k > c.rows()));
+        // Live global ids, indexed by the dense ids `materialize` gave them.
+        let live: Vec<u64> = (0..snap.total_rows() as u64)
+            .filter(|&id| snap.contains(id))
+            .collect();
+
+        // Query by example is a batch of one through the same path.
+        let img = RgbImage::from_fn(16, 16, |x, y| {
+            cbir_image::Rgb::new((x * 16) as u8, (y * 16) as u8, 90)
+        });
+        let (mut s1, mut s2) = (SearchStats::new(), SearchStats::new());
+        let got = snap.query_by_example(&img, k, &mut s1).unwrap();
+        let want = engine.query_by_example(&img, k, &mut s2).unwrap();
+        assert_eq!(keys(&[got], false), keys(&[want], false), "{ctx}");
+        assert!(s1.distance_computations > 0);
+
+        let linear = matches!(kind, IndexKind::Linear);
+        let filtered = snap.segments.iter().any(|s| s.rows >= 4096);
+        for batch in [1, 5, 64] {
+            let queries = &queries[..batch];
+            let ids_engine = &by_id[..batch];
+            let ids_snap: Vec<u64> = ids_engine.iter().map(|&i| live[i]).collect();
+            let mut e = BatchStats::new();
+            let want_knn = engine.knn_batch(queries, k, 1, &mut e).unwrap();
+            let want_range = engine.range_batch(queries, 1.6, 1, &mut e).unwrap();
+            let want_ids = engine.knn_batch_by_ids(ids_engine, k, 1, &mut e).unwrap();
+            assert!(want_range.iter().any(|r| !r.is_empty()));
+            assert!(want_knn.iter().all(|r| r.len() == k));
+            let mut at_one_thread = None;
+            for threads in [1, 2, 3] {
+                let ctx = format!("{ctx}, batch {batch}, threads {threads}");
+                let mut stats = [BatchStats::new(), BatchStats::new(), BatchStats::new()];
+                let knn = snap.knn_batch(queries, k, threads, &mut stats[0]).unwrap();
+                let range = snap
+                    .range_batch(queries, 1.6, threads, &mut stats[1])
+                    .unwrap();
+                let ids = snap
+                    .knn_batch_by_ids(&ids_snap, k, threads, &mut stats[2])
+                    .unwrap();
+                // Ids shift under tombstones; names and bits do not.
+                assert_eq!(keys(&knn, false), keys(&want_knn, false), "knn: {ctx}");
+                assert_eq!(
+                    keys(&range, false),
+                    keys(&want_range, false),
+                    "range: {ctx}"
+                );
+                assert_eq!(keys(&ids, false), keys(&want_ids, false), "by ids: {ctx}");
+                for hit in knn.iter().chain(&range).chain(&ids).flatten() {
+                    assert!(!dead_names.contains(&hit.name), "dead row served: {ctx}");
+                }
+                for (row, id) in ids.iter().zip(&ids_snap) {
+                    assert!(row.iter().all(|h| h.id as u64 != *id), "self hit: {ctx}");
+                }
+                for s in &stats {
+                    assert_eq!(s.queries(), batch, "{ctx}");
+                    // Every source scored each of its rows once per
+                    // query, by its bound or in full.
+                    let total = s.total();
+                    if linear {
+                        assert_eq!(total.subtrees_pruned > 0, filtered, "{ctx}");
+                        let scored = total.distance_computations + total.subtrees_pruned;
+                        assert_eq!(scored, (batch * snap.total_rows()) as u64, "{ctx}");
+                    }
+                }
+                // Per-query counters do not depend on the split.
+                let first = at_one_thread.get_or_insert_with(|| stats.clone());
+                assert_eq!(&stats, first, "stats: {ctx}");
+            }
         }
     }
 
@@ -2204,6 +2352,158 @@ mod tests {
         let fresh = store.snapshot();
         assert!(fresh.epoch() > pinned_epoch);
         assert_eq!(fresh.len(), 39);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a query has left behind on a segment: metadata decoded, index
+    /// built, and the index's structure bytes (the L1 code table's).
+    fn warmth(seg: &Segment) -> (bool, bool, usize) {
+        let index = seg.data.as_ref().and_then(|d| d.index_cell.get());
+        let bytes = match index {
+            Some(Ok(index)) => index.structure_bytes(),
+            _ => 0,
+        };
+        (seg.metas_cell.get().is_some(), index.is_some(), bytes)
+    }
+
+    fn seg_names(snap: &CorpusSnapshot) -> Vec<String> {
+        snap.segments.iter().map(|s| s.name.clone()).collect()
+    }
+
+    #[test]
+    fn untouched_segments_keep_their_file_mapping_and_built_index() {
+        let dim = pipeline().dim();
+        let rows = 4200;
+        let dir = temp_dir("kept");
+        let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+        options.max_seg_rows = rows;
+        let store = CorpusStore::create(&dir, pipeline(), true, options).unwrap();
+        store.insert_batch(synth_items(3 * rows, dim, 5)).unwrap();
+        store.compact().unwrap();
+        // An exact query builds every segment's index and code table.
+        let queries = synth_queries(4, dim, 6);
+        let before = store.snapshot();
+        before
+            .knn_batch(&queries, 7, 2, &mut BatchStats::new())
+            .unwrap();
+        assert!(before.segments.iter().all(|s| warmth(s).2 >= rows * dim));
+        store.delete(3).unwrap();
+        store.insert_batch(synth_items(5, dim, 7)).unwrap();
+        let cs = store.compact().unwrap();
+        let after = store.snapshot();
+        // Segment 0 held the tombstone; segment 2 is full, so the
+        // memtable's rows start a segment of their own.
+        assert_eq!((cs.segments, cs.segments_kept), (4, 2));
+        let names = seg_names(&after);
+        assert_eq!(names[1..3], seg_names(&before)[1..3]);
+        assert!(names.iter().all(|n| dir.join(n).exists()));
+        assert!(!dir.join(&before.segments[0].name).exists());
+        for i in [1, 2] {
+            assert!(Arc::ptr_eq(&after.segments[i], &before.segments[i]));
+            let index = |snap: &CorpusSnapshot| {
+                let cell = snap.segments[i].data.as_ref().unwrap().index_cell.get();
+                let index: &dyn SearchIndex = cell.unwrap().as_ref().unwrap().as_ref();
+                index as *const dyn SearchIndex as *const u8
+            };
+            assert_eq!(index(&after), index(&before));
+        }
+        // The reopened store names the same files and answers the same.
+        let got = keys(
+            &after
+                .knn_batch(&queries, 7, 1, &mut BatchStats::new())
+                .unwrap(),
+            false,
+        );
+        drop((before, after));
+        let reopened = CorpusStore::open(&dir, store.options().clone()).unwrap();
+        assert_eq!(seg_names(&reopened.snapshot()), names);
+        let mut s = BatchStats::new();
+        let again = keys(
+            &reopened
+                .snapshot()
+                .knn_batch(&queries, 7, 3, &mut s)
+                .unwrap(),
+            false,
+        );
+        assert_eq!(again, got);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_rewritten_segment_is_warm_exactly_when_the_one_it_replaces_was() {
+        let rows = 4200;
+        let db = synth_db(2 * rows + 100, 8);
+        let dim = db.dim();
+        let dir = temp_dir("warm");
+        let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+        options.max_seg_rows = rows;
+        // Seeding queries nothing, so it warms nothing.
+        let store = CorpusStore::create_from_database(&dir, &db, options).unwrap();
+        let cold = (false, false, 0);
+        assert!(store.snapshot().segments.iter().all(|s| warmth(s) == cold));
+        let queries = synth_queries(3, dim, 9);
+        let mut tag = 10;
+        // Tombstone a row of segment 0 and add rows that join the partial
+        // last segment; compact; return segment 0 and the tail.
+        let mut churn = |query: &dyn Fn(&CorpusSnapshot)| {
+            query(&store.snapshot());
+            store.delete(3).unwrap();
+            store.insert_batch(synth_items(5, dim, tag)).unwrap();
+            tag += 1;
+            let cs = store.compact().unwrap();
+            assert_eq!((cs.segments, cs.segments_kept), (3, 1));
+            let snap = store.snapshot();
+            (warmth(&snap.segments[0]), warmth(&snap.segments[2]))
+        };
+        // Nothing read the replaced sources: the new ones stay cold.
+        assert_eq!(churn(&|_| ()), (cold, cold));
+        // The approximate path builds coarse tables, never an index.
+        let approx = |snap: &CorpusSnapshot| {
+            let mut s = BatchStats::new();
+            snap.knn_batch_approx(&queries, 5, 0.9, 1, &mut s).unwrap();
+            assert!(s.total().coarse_candidates > 0);
+        };
+        assert_eq!(churn(&approx), (cold, cold));
+        // After an exact query they are warm: metadata, index, and the
+        // code table where the segment is large enough to filter.
+        let exact = |snap: &CorpusSnapshot| {
+            snap.knn_batch(&queries, 5, 1, &mut BatchStats::new())
+                .unwrap();
+        };
+        let (seg0, tail) = churn(&exact);
+        assert!(seg0.0 && seg0.1 && seg0.2 >= (rows - 1) * dim, "{seg0:?}");
+        assert!(tail.0 && tail.1 && tail.2 < 4096 * dim, "{tail:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_inserts_only_compaction_writes_less_than_one_full_segment() {
+        let dim = pipeline().dim();
+        let dir = temp_dir("inserts-only");
+        let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+        options.max_seg_rows = 64;
+        let store = CorpusStore::create(&dir, pipeline(), true, options).unwrap();
+        store
+            .insert_batch(synth_items(2 * 64 + 10, dim, 12))
+            .unwrap();
+        store.compact().unwrap();
+        let full = std::fs::metadata(dir.join(segment_file_name(0)))
+            .unwrap()
+            .len();
+        // The partial last segment takes the new rows: it is the one file
+        // rewritten, and it is smaller than a full one.
+        store.insert_batch(synth_items(5, dim, 13)).unwrap();
+        let cs = store.compact().unwrap();
+        assert_eq!((cs.segments, cs.segments_kept, cs.rows), (3, 2, 143));
+        assert!(cs.bytes_written < full, "{} >= {full}", cs.bytes_written);
+        // Filled up, the last segment is left alone and new rows start
+        // their own.
+        store.insert_batch(synth_items(49, dim, 14)).unwrap();
+        assert_eq!(store.compact().unwrap().segments, 3);
+        store.insert_batch(synth_items(3, dim, 15)).unwrap();
+        let cs = store.compact().unwrap();
+        assert_eq!((cs.segments, cs.segments_kept, cs.rows), (4, 3, 195));
+        assert!(cs.bytes_written < full, "{} >= {full}", cs.bytes_written);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,7 +20,10 @@
 //! inside A under L1, so every legal snapshot — any epoch, mid-churn or
 //! not — must return the *same* ranked list.
 
-use cbir_core::{CorpusSnapshot, CorpusStore, ImageMeta, IndexKind, Ranked, StoreOptions};
+use cbir_core::persist::{parse_manifest, MANIFEST_FILE};
+use cbir_core::{
+    CorpusSnapshot, CorpusStore, ImageMeta, IndexKind, QueryEngine, Ranked, StoreOptions,
+};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_index::BatchStats;
@@ -260,23 +263,30 @@ fn pinned_snapshot_survives_compaction_unlinking_its_segments() {
     let baseline = knn_keys(&pinned, &queries);
     let pinned_len = pinned.len();
 
-    // Churn and compact twice so the pinned snapshot's files are gone.
+    // Churn and compact twice so the pinned snapshot's files are gone: a
+    // compaction rewrites only segments holding a tombstone, so each
+    // round tombstones the first row of every committed segment.
     let mut rng = XorShift(0xFADE);
+    let mut victims = Vec::new();
     for round in 0..2u64 {
         for tag in 0..6 {
             let (meta, desc) = cluster_b_row(dim, &mut rng, 9000 + round * 10 + tag);
             store.insert(meta, desc).unwrap();
         }
         let snap = store.snapshot();
-        let victim = (A_ROWS as u64..snap.total_rows() as u64)
-            .find(|&id| snap.contains(id))
-            .unwrap();
-        store.delete(victim).unwrap();
+        let manifest = parse_manifest(&std::fs::read(dir.join(MANIFEST_FILE)).unwrap()).unwrap();
+        let mut first = 0;
+        for entry in &manifest.segments {
+            victims.push(snap.meta(first).unwrap().name);
+            store.delete(first).unwrap();
+            first += entry.rows;
+        }
         let stats = store.compact().unwrap();
         assert!(
             stats.epoch > pinned_epoch,
             "compaction must advance the epoch"
         );
+        assert_eq!(stats.segments_kept, 0, "round {round} kept a segment");
     }
 
     let after_files = seg_files(());
@@ -290,9 +300,24 @@ fn pinned_snapshot_survives_compaction_unlinking_its_segments() {
     assert_eq!(pinned.epoch(), pinned_epoch);
     assert_eq!(pinned.len(), pinned_len);
     assert_eq!(knn_keys(&pinned, &queries), baseline);
-    // And the live store has moved on.
-    assert!(store.snapshot().epoch() > pinned_epoch);
-    assert_eq!(knn_keys(&store.snapshot(), &queries), baseline);
+    // And the live store has moved on, without the rows it tombstoned
+    // (some from the stable cluster): it answers like an engine over its
+    // own rows.
+    let live = store.snapshot();
+    assert!(live.epoch() > pinned_epoch);
+    assert_eq!(live.len(), pinned_len + 12 - victims.len());
+    let engine = QueryEngine::build(live.materialize().unwrap(), IndexKind::Linear, Measure::L1);
+    let mut stats = BatchStats::new();
+    let want = engine
+        .unwrap()
+        .knn_batch(&queries, K, 1, &mut stats)
+        .unwrap();
+    let got = knn_keys(&live, &queries);
+    assert_eq!(got, keys(&want));
+    assert!(got
+        .iter()
+        .flatten()
+        .all(|(_, name, _)| !victims.contains(name)));
 
     drop(pinned);
     std::fs::remove_dir_all(&dir).ok();

@@ -482,7 +482,12 @@ fn every_truncation_and_every_bit_flip_of_the_cbirdb02_image_is_a_typed_error() 
 // lifted to a directory: the `MANIFEST` rename is the only commit
 // point, so a compaction interrupted at *any* primitive operation must
 // leave a store that reopens to exactly the old segment set or exactly
-// the new one — never a mixture, never an unreadable directory.
+// the new one — never a mixture, never an unreadable directory. A
+// compaction rewrites only the segments that change, so the new set can
+// name files of the old one: every sweep runs once over a store whose
+// compaction replaces every segment and once over one that keeps a
+// segment, rewrites one and folds the partial last one into the tail,
+// and the kept file must come through every fault byte for byte.
 // (Memtable rows and tombstones are volatile by design; the durable
 // "old" state is whatever the last committed manifest describes.)
 
@@ -535,21 +540,72 @@ fn fingerprint(snap: &CorpusSnapshot) -> Vec<(String, Vec<u32>)> {
 
 /// Build a store with a committed 6-row / 2-segment old state plus a
 /// pending memtable (5 inserts) and tombstones (one segment row, one
-/// memtable row) — the compaction under test merges all of it.
+/// memtable row) — the compaction under test rewrites all of it.
 fn build_pending_store(dir: &Path) -> Arc<CorpusStore> {
+    build_store(dir, 6, &[1, 8])
+}
+
+/// A committed `[4, 4, 2]` store plus 5 pending inserts and tombstones
+/// in segment 0 and the memtable: the compaction under test rewrites
+/// segment 0, keeps segment 1, and folds the partial segment 2 into the
+/// memtable's rows.
+fn build_kept_store(dir: &Path) -> Arc<CorpusStore> {
+    build_store(dir, 10, &[1, 12])
+}
+
+fn build_store(dir: &Path, committed: usize, deletes: &[u64]) -> Arc<CorpusStore> {
     let _ = std::fs::remove_dir_all(dir);
     let store = CorpusStore::create(dir, store_pipeline(), false, store_options()).unwrap();
     let dim = store.snapshot().dim();
-    for (meta, desc) in synth_rows(6, dim, 11) {
+    for (meta, desc) in synth_rows(committed, dim, 11) {
         store.insert(meta, desc).unwrap();
     }
     store.compact().unwrap();
     for (meta, desc) in synth_rows(5, dim, 22) {
         store.insert(meta, desc).unwrap();
     }
-    store.delete(1).unwrap();
-    store.delete(8).unwrap();
+    for &id in deletes {
+        store.delete(id).unwrap();
+    }
     store
+}
+
+/// The two pending stores every compaction sweep runs over: a builder,
+/// and the files its compaction must keep.
+type Pending = (fn(&Path) -> Arc<CorpusStore>, &'static [u64]);
+const PENDING: [(&str, Pending); 2] = [
+    ("merge", (build_pending_store, &[])),
+    ("kept", (build_kept_store, &[1])),
+];
+
+/// The bytes of the segment files a compaction must leave alone.
+fn kept_files(dir: &Path, kept: &[u64]) -> Vec<Vec<u8>> {
+    let read = |&n: &u64| std::fs::read(dir.join(segment_file_name(n))).unwrap();
+    kept.iter().map(read).collect()
+}
+
+/// The longest and shortest segment file a clean compaction of a fresh
+/// `build` store writes (kept files excluded).
+fn written_seg_lens(root: &Path, (build, kept): Pending) -> (u64, u64) {
+    let probe_dir = root.join("probe");
+    let probe = build(&probe_dir);
+    let keep: Vec<String> = kept.iter().map(|&n| segment_file_name(n)).collect();
+    let before = probe.snapshot().segments_len();
+    let stats = probe.compact().unwrap();
+    assert_eq!(stats.segments_kept, kept.len());
+    assert!(stats.segments > before - kept.len());
+    let lens: Vec<u64> = std::fs::read_dir(&probe_dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with("seg-") && !keep.contains(&name)
+        })
+        .map(|e| e.metadata().unwrap().len())
+        .collect();
+    drop(probe);
+    std::fs::remove_dir_all(&probe_dir).ok();
+    (*lens.iter().max().unwrap(), *lens.iter().min().unwrap())
 }
 
 fn assert_dir_clean(dir: &Path, ctx: &str) {
@@ -565,173 +621,189 @@ fn assert_dir_clean(dir: &Path, ctx: &str) {
 
 #[test]
 fn interrupted_compaction_at_every_fault_point_yields_old_or_new_store() {
-    let root = temp_dir("compact_crash");
+    for (tag, (build, kept)) in PENDING {
+        let root = temp_dir(&format!("compact_crash_{tag}"));
 
-    // Learn the two legal outcomes and the number of fault points from
-    // one clean run. `build_pending_store` is deterministic, so the op
-    // count transfers to every rebuilt copy.
-    let probe = build_pending_store(&root.join("probe"));
-    let old_fp = fingerprint(
-        &CorpusStore::open(root.join("probe"), store_options())
-            .unwrap()
-            .snapshot(),
-    );
-    assert_eq!(old_fp.len(), 6, "durable old state is the committed rows");
-    let live_fp = fingerprint(&probe.snapshot());
-    assert_eq!(live_fp.len(), 9, "6 + 5 inserts - 2 deletes");
-    let mut counter = CountOps::default();
-    probe.compact_with(&mut counter).unwrap();
-    let new_fp = fingerprint(&probe.snapshot());
-    assert_eq!(
-        new_fp, live_fp,
-        "compaction must not change the logical rows"
-    );
-    assert!(
-        counter.count >= 15,
-        "expected >=15 fault points across 3 segments + manifest, got {}",
-        counter.count
-    );
+        // Learn the two legal outcomes and the number of fault points from
+        // one clean run. The builders are deterministic, so the op count
+        // transfers to every rebuilt copy.
+        let probe = build(&root.join("probe"));
+        let old_fp = fingerprint(
+            &CorpusStore::open(root.join("probe"), store_options())
+                .unwrap()
+                .snapshot(),
+        );
+        let committed = probe.snapshot().segments_len();
+        let live_fp = fingerprint(&probe.snapshot());
+        assert_eq!(
+            live_fp.len(),
+            old_fp.len() + 5 - 2,
+            "{tag}: 5 inserts - 2 deletes"
+        );
+        let mut counter = CountOps::default();
+        let stats = probe.compact_with(&mut counter).unwrap();
+        assert_eq!(stats.segments_kept, kept.len(), "{tag}");
+        let new_fp = fingerprint(&probe.snapshot());
+        assert_eq!(
+            new_fp, live_fp,
+            "{tag}: compaction must not change the logical rows"
+        );
+        assert!(
+            counter.count >= 15,
+            "{tag}: expected >=15 fault points across 3 segments + manifest, got {}",
+            counter.count
+        );
+        drop(probe);
 
-    for op in 0..counter.count {
-        let dir = root.join(format!("op{op}"));
-        let store = build_pending_store(&dir);
-        let mut policy = FailAtOp::new(op, ErrorKind::StorageFull);
-        let result = store.compact_with(&mut policy);
+        for op in 0..counter.count {
+            let ctx = format!("{tag}, op {op}");
+            let dir = root.join(format!("op{op}"));
+            let store = build(&dir);
+            assert_eq!(store.snapshot().segments_len(), committed);
+            let kept_bytes = kept_files(&dir, kept);
+            let mut policy = FailAtOp::new(op, ErrorKind::StorageFull);
+            let result = store.compact_with(&mut policy);
+            assert_eq!(
+                kept_files(&dir, kept),
+                kept_bytes,
+                "{ctx}: a kept file changed"
+            );
 
-        // Whatever happened, the directory must reopen...
-        let reopened = CorpusStore::open(&dir, store_options())
-            .unwrap_or_else(|e| panic!("op {op}: store no longer opens: {e}"));
-        let fp = fingerprint(&reopened.snapshot());
-        drop(reopened);
-        // ...to exactly one of the two legal states.
-        match &result {
-            Ok(stats) => {
-                assert!(!stats.skipped, "op {op}: compaction skipped unexpectedly");
-                assert_eq!(fp, new_fp, "op {op}: Ok compaction must commit the new set");
+            // Whatever happened, the directory must reopen...
+            let reopened = CorpusStore::open(&dir, store_options())
+                .unwrap_or_else(|e| panic!("{ctx}: store no longer opens: {e}"));
+            let fp = fingerprint(&reopened.snapshot());
+            drop(reopened);
+            // ...to exactly one of the two legal states.
+            match &result {
+                Ok(stats) => {
+                    assert!(!stats.skipped, "{ctx}: compaction skipped unexpectedly");
+                    assert_eq!(fp, new_fp, "{ctx}: Ok compaction must commit the new set");
+                }
+                Err(e) => {
+                    assert!(
+                        matches!(e, CoreError::Persist(_)),
+                        "{ctx}: expected typed persist error, got {e:?}"
+                    );
+                    let msg = e.to_string();
+                    assert!(
+                        msg.contains("seg-") || msg.contains("MANIFEST"),
+                        "{ctx}: error must name the segment file: {msg}"
+                    );
+                    assert_eq!(
+                        fp, old_fp,
+                        "{ctx}: failed compaction must leave the old set"
+                    );
+                    // The live store still serves every pre-compaction row
+                    // and the retry path works.
+                    assert_eq!(
+                        fingerprint(&store.snapshot()),
+                        new_fp,
+                        "{ctx}: failed compaction lost live rows"
+                    );
+                    store.compact().unwrap();
+                    let retried = CorpusStore::open(&dir, store_options()).unwrap();
+                    assert_eq!(
+                        fingerprint(&retried.snapshot()),
+                        new_fp,
+                        "{ctx}: retry after failure did not commit"
+                    );
+                    assert_eq!(kept_files(&dir, kept), kept_bytes, "{ctx}: retry");
+                }
             }
-            Err(e) => {
-                assert!(
-                    matches!(e, CoreError::Persist(_)),
-                    "op {op}: expected typed persist error, got {e:?}"
-                );
-                let msg = e.to_string();
-                assert!(
-                    msg.contains("seg-") || msg.contains("MANIFEST"),
-                    "op {op}: error must name the segment file: {msg}"
-                );
-                assert_eq!(
-                    fp, old_fp,
-                    "op {op}: failed compaction must leave the old set"
-                );
-                // The live store still serves every pre-compaction row
-                // and the retry path works.
-                assert_eq!(
-                    fingerprint(&store.snapshot()),
-                    new_fp,
-                    "op {op}: failed compaction lost live rows"
-                );
-                store.compact().unwrap();
-                let retried = CorpusStore::open(&dir, store_options()).unwrap();
-                assert_eq!(
-                    fingerprint(&retried.snapshot()),
-                    new_fp,
-                    "op {op}: retry after failure did not commit"
-                );
-            }
+            drop(store);
+            assert_dir_clean(&dir, &ctx);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        drop(store);
-        assert_dir_clean(&dir, &format!("op {op}"));
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&root).ok();
     }
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn torn_segment_writes_during_compaction_preserve_the_old_store() {
-    let root = temp_dir("compact_torn");
-    // Measure a new segment file's size from a clean run so the torn
-    // offsets actually land inside segment writes.
-    let probe_dir = root.join("probe");
-    let probe = build_pending_store(&probe_dir);
-    probe.compact().unwrap();
-    let seg_len = std::fs::read_dir(&probe_dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("seg-"))
-        .map(|e| e.metadata().unwrap().len())
-        .max()
-        .unwrap();
-    drop(probe);
+    for (tag, pending) in PENDING {
+        let (build, kept) = pending;
+        let root = temp_dir(&format!("compact_torn_{tag}"));
+        // Measure the largest new segment file from a clean run so the
+        // torn offsets actually land inside segment writes.
+        let (seg_len, _) = written_seg_lens(&root, pending);
 
-    let offsets = [0, 7, seg_len / 2, seg_len - 1];
-    for (i, &at) in offsets.iter().enumerate() {
-        let dir = root.join(format!("torn{i}"));
-        let store = build_pending_store(&dir);
-        let old_fp = fingerprint(&CorpusStore::open(&dir, store_options()).unwrap().snapshot());
-        let err = store
-            .compact_with(&mut TornWriteAt::new(at))
-            .expect_err("torn segment write must surface as an error");
-        assert!(
-            matches!(err, CoreError::Persist(_)),
-            "tear at {at}: {err:?}"
-        );
-        let reopened = CorpusStore::open(&dir, store_options()).unwrap();
-        assert_eq!(
-            fingerprint(&reopened.snapshot()),
-            old_fp,
-            "tear at {at} leaked a partial state"
-        );
-        drop(reopened);
-        drop(store);
-        assert_dir_clean(&dir, &format!("tear at {at}"));
+        let offsets = [0, 7, seg_len / 2, seg_len - 1];
+        for (i, &at) in offsets.iter().enumerate() {
+            let ctx = format!("{tag}, tear at {at}");
+            let dir = root.join(format!("torn{i}"));
+            let store = build(&dir);
+            let old_fp = fingerprint(&CorpusStore::open(&dir, store_options()).unwrap().snapshot());
+            let kept_bytes = kept_files(&dir, kept);
+            let err = store
+                .compact_with(&mut TornWriteAt::new(at))
+                .expect_err("torn segment write must surface as an error");
+            assert!(matches!(err, CoreError::Persist(_)), "{ctx}: {err:?}");
+            let reopened = CorpusStore::open(&dir, store_options()).unwrap();
+            assert_eq!(
+                fingerprint(&reopened.snapshot()),
+                old_fp,
+                "{ctx}: leaked a partial state"
+            );
+            assert_eq!(
+                kept_files(&dir, kept),
+                kept_bytes,
+                "{ctx}: a kept file changed"
+            );
+            drop(reopened);
+            drop(store);
+            assert_dir_clean(&dir, &ctx);
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn bit_flip_during_compaction_is_caught_before_commit() {
-    let root = temp_dir("compact_flip");
-    let probe_dir = root.join("probe");
-    let probe = build_pending_store(&probe_dir);
-    probe.compact().unwrap();
-    let seg_len = std::fs::read_dir(&probe_dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("seg-"))
-        .map(|e| e.metadata().unwrap().len())
-        .min()
-        .unwrap();
-    drop(probe);
+    for (tag, pending) in PENDING {
+        let (build, kept) = pending;
+        let root = temp_dir(&format!("compact_flip_{tag}"));
+        let (_, seg_len) = written_seg_lens(&root, pending);
 
-    // Offset 0 corrupts the magic; the tail offsets land in the raw
-    // descriptor matrix (descriptors are the final section). Both are
-    // regions the pre-commit read-back must reject.
-    let cases = [(0u64, 0u8), (seg_len - 1, 5), (seg_len - 9, 1)];
-    for (i, &(at, bit)) in cases.iter().enumerate() {
-        let dir = root.join(format!("flip{i}"));
-        let store = build_pending_store(&dir);
-        let old_fp = fingerprint(&CorpusStore::open(&dir, store_options()).unwrap().snapshot());
-        let err = store
-            .compact_with(&mut FlipBitAt { at, bit })
-            .expect_err(&format!("flip {bit} at {at} committed corrupt data"));
-        assert!(matches!(err, CoreError::Persist(_)));
-        let msg = err.to_string();
-        assert!(
-            msg.contains("seg-"),
-            "flip at {at}: error must name the segment file: {msg}"
-        );
-        let reopened = CorpusStore::open(&dir, store_options()).unwrap();
-        assert_eq!(
-            fingerprint(&reopened.snapshot()),
-            old_fp,
-            "flip at {at}: old state not preserved"
-        );
-        drop(reopened);
-        // The store detected the corruption before the commit point, so
-        // a clean retry must still succeed.
-        store.compact_with(&mut NoFaults).unwrap();
-        drop(store);
-        assert_dir_clean(&dir, &format!("flip at {at}"));
+        // Offset 0 corrupts the magic; the tail offsets land in the raw
+        // descriptor matrix (descriptors are the final section) or just
+        // before it. All are regions the pre-commit read-back must
+        // reject.
+        let cases = [(0u64, 0u8), (seg_len - 1, 5), (seg_len - 9, 1)];
+        for (i, &(at, bit)) in cases.iter().enumerate() {
+            let ctx = format!("{tag}, flip {bit} at {at}");
+            let dir = root.join(format!("flip{i}"));
+            let store = build(&dir);
+            let old_fp = fingerprint(&CorpusStore::open(&dir, store_options()).unwrap().snapshot());
+            let kept_bytes = kept_files(&dir, kept);
+            let err = store
+                .compact_with(&mut FlipBitAt { at, bit })
+                .expect_err(&format!("{ctx}: committed corrupt data"));
+            assert!(matches!(err, CoreError::Persist(_)));
+            let msg = err.to_string();
+            assert!(
+                msg.contains("seg-"),
+                "{ctx}: error must name the segment file: {msg}"
+            );
+            let reopened = CorpusStore::open(&dir, store_options()).unwrap();
+            assert_eq!(
+                fingerprint(&reopened.snapshot()),
+                old_fp,
+                "{ctx}: old state not preserved"
+            );
+            assert_eq!(
+                kept_files(&dir, kept),
+                kept_bytes,
+                "{ctx}: a kept file changed"
+            );
+            drop(reopened);
+            // The store detected the corruption before the commit point,
+            // so a clean retry must still succeed.
+            store.compact_with(&mut NoFaults).unwrap();
+            assert_eq!(kept_files(&dir, kept), kept_bytes, "{ctx}: retry");
+            drop(store);
+            assert_dir_clean(&dir, &ctx);
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
-    std::fs::remove_dir_all(&root).ok();
 }

@@ -255,6 +255,12 @@ impl LinearScan {
         (BLOCK_BYTES / (self.dataset.dim() * std::mem::size_of::<f32>())).max(1)
     }
 
+    /// Whether the scan reads a code table at all: L1 over a source of at
+    /// least [`MIN_FILTER_ROWS`] rows.
+    fn filters(&self) -> bool {
+        matches!(self.measure, Measure::L1) && self.dataset.len() >= MIN_FILTER_ROWS
+    }
+
     /// The code table, built by the first caller (concurrent first
     /// callers wait for that one build).
     fn cells(&self) -> Option<&CellTable> {
@@ -281,10 +287,7 @@ impl LinearScan {
     /// a call that could admit none.
     fn admit<'t>(&'t self, lanes: &mut [Lane<'_>], codes: &mut Vec<u8>) -> Option<&'t CellTable> {
         let (n, dim) = (self.dataset.len(), self.dataset.dim());
-        if !matches!(self.measure, Measure::L1)
-            || n < MIN_FILTER_ROWS
-            || lanes.iter().all(|lane| lane.sink.grace(n).is_none())
-        {
+        if !self.filters() || lanes.iter().all(|lane| lane.sink.grace(n).is_none()) {
             return None;
         }
         let table = self.cells()?;
@@ -575,6 +578,13 @@ impl SearchIndex for LinearScan {
     fn structure_bytes(&self) -> usize {
         let table = self.cells.get().and_then(Option::as_ref);
         std::mem::size_of::<Self>() + table.map_or(0, |t| t.codes.len())
+    }
+
+    /// Build the code table a filtered scan would build first.
+    fn prepare(&self) {
+        if self.filters() {
+            self.cells();
+        }
     }
 }
 
@@ -965,6 +975,7 @@ mod tests {
         let rows = cbir_workload::clustered_smooth(N, 16, N / 64, 10.0, 100.0, 4, 3);
         let queries = cbir_workload::queries(&rows, 8, 5.0, 2);
         let full = |idx: &LinearScan, rows: usize| {
+            idx.prepare();
             let mut stats = BatchStats::new();
             idx.knn_batch(&queries, 10, &mut stats);
             idx.range_batch(&queries, 300.0, &mut stats);
@@ -983,12 +994,20 @@ mod tests {
         }
         // Over the threshold under L1 the first scan builds it, and
         // `structure_bytes` owns up to it: one byte per coordinate.
-        let idx = LinearScan::build(ds, Measure::L1).unwrap();
+        let idx = LinearScan::build(ds.clone(), Measure::L1).unwrap();
         let before = idx.structure_bytes();
         let mut stats = BatchStats::new();
-        idx.knn_batch(&queries, 10, &mut stats);
+        let scanned = idx.knn_batch(&queries, 10, &mut stats);
         assert!(stats.total().subtrees_pruned > 0);
         assert_eq!(idx.structure_bytes() - before, N * 16);
+        // `prepare` builds that same table before any scan, and the first
+        // scan then filters with it.
+        let prepared = LinearScan::build(ds, Measure::L1).unwrap();
+        prepared.prepare();
+        assert_eq!(prepared.structure_bytes(), idx.structure_bytes());
+        let mut again = BatchStats::new();
+        assert_eq!(prepared.knn_batch(&queries, 10, &mut again), scanned);
+        assert_eq!(again, stats);
     }
 
     #[test]

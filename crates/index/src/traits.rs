@@ -149,6 +149,12 @@ pub trait SearchIndex: Send + Sync {
     /// Approximate heap footprint of the index structure itself, excluding
     /// the shared dataset.
     fn structure_bytes(&self) -> usize;
+
+    /// Build now what the first search would otherwise build on its way
+    /// (the linear scan's L1 code table), so a caller with time to spare
+    /// can take it off the request path. Searches answer the same either
+    /// way; a no-op for an index with nothing lazy.
+    fn prepare(&self) {}
 }
 
 /// Convenience: run a range search discarding stats.

@@ -1092,8 +1092,8 @@ fn cmd_compact(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     } else {
         println!(
-            "compacted: epoch {}, {} segment(s), {} rows, {} bytes written",
-            stats.epoch, stats.segments, stats.rows, stats.bytes_written
+            "compacted: epoch {}, {} segment(s), {} rows, {} bytes written, {} segment(s) kept",
+            stats.epoch, stats.segments, stats.rows, stats.bytes_written, stats.segments_kept
         );
     }
     Ok(())
