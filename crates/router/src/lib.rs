@@ -8,7 +8,9 @@
 //! each shard is served by a replica group of ordinary `cbir serve`
 //! processes; the router fans searches out, translates per-shard ids
 //! back to global ids, and k-way-merges the per-shard top-k under the
-//! same `(distance, id)` tie-break the backends sort with.
+//! same `(distance, id)` tie-break the backends sort with. Its front
+//! side is the servers' epoll connection loop, so routing, like
+//! serving, requires Linux.
 //!
 //! Two properties carry the tier:
 //!

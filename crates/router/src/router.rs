@@ -1,16 +1,20 @@
 //! The scatter-gather router: a CBIRRPC1 server whose backends are
 //! CBIRRPC1 servers.
 //!
-//! The router binds a listening socket and speaks the exact wire
-//! protocol a backend speaks, so every existing client — `rpc-query`,
-//! `rpc-bench`, `rpc-ctl`, the load generators — works against a router
-//! unchanged. Behind it, a [`ShardPlan`] names the deterministic
-//! global↔local id arithmetic, one [`ShardClient`] per shard handles
-//! replica failover, and a set of persistent per-connection scatter
-//! workers (one per shard, alive for the connection's lifetime) fans
-//! each request out — spawning OS threads per request would put the
-//! spawn/join cost, and the kernel's process-wide stack-mapping lock,
-//! on every query's critical path.
+//! The router speaks the exact wire protocol a backend speaks, so every
+//! existing client — `rpc-query`, `rpc-bench`, `rpc-ctl`, the load
+//! generators — works against a router unchanged. Its front side is the
+//! servers' own connection loop (`cbir_server::event_loop`, so routing
+//! requires Linux): one thread accepts, reassembles frames and writes
+//! replies in request order for every front connection, and hands each
+//! decoded request to a fixed set of route workers. Behind them, a
+//! [`ShardPlan`] names the deterministic global↔local id arithmetic, one
+//! [`ShardClient`] per shard handles replica failover, and each route
+//! worker's persistent scatter threads (one per shard) fan its request
+//! out — spawning OS threads per request would put the spawn/join cost,
+//! and the kernel's process-wide stack-mapping lock, on every query's
+//! critical path. Every thread is started at spawn: the router's thread
+//! count does not depend on how many connections it serves.
 //!
 //! The contract that makes the tier transparent: on the exact path
 //! (`recall_target = 1.0`), a router reply is **frame-level
@@ -30,15 +34,17 @@ use crate::jsonmerge;
 use crate::merge::kway_merge;
 use cbir_core::ShardPlan;
 use cbir_obs::Json;
-use cbir_server::protocol::{
-    decode_request, encode_response, read_frame, write_frame, Request, Response, StatsSnapshot,
+use cbir_server::conn::{is_mutation, Service};
+use cbir_server::protocol::{Request, Response, StatsSnapshot};
+use cbir_server::{
+    Client, ClientError, ClientResult, Completions, Connection, EventControl, HitsReply, Metrics,
+    Rejection, ReplyCell,
 };
-use cbir_server::{Client, ClientError, ClientResult, HitsReply, Rejection};
-use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter, ErrorKind};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,13 +54,15 @@ pub struct RouterConfig {
     /// How long a replica that failed a request sits out of the
     /// preferred rotation before being tried again.
     pub cooldown: Duration,
-    /// Read timeout on front-side connections; `None` waits forever.
+    /// Idle timeout on front-side connections: one that delivers no
+    /// bytes for this long is reaped (closed without a reply, after any
+    /// reply still in flight). `None` never reaps.
     pub read_timeout: Option<Duration>,
-    /// Warm connections kept per backend replica. Size this to the
-    /// expected number of concurrent front-side connections: every
-    /// in-flight request holds one backend connection per shard, and a
-    /// checkout beyond the warm set pays a fresh TCP dial (plus a
-    /// connection-thread spawn on the backend) on *every* request.
+    /// Warm connections kept per backend replica, and the number of
+    /// route workers (at least one). A worker routes one request at a
+    /// time and holds at most one backend connection per shard while it
+    /// does, so the workers never outgrow the warm set (a hedge's second
+    /// attempt aside); requests beyond this many wait in arrival order.
     pub pool_per_replica: usize,
     /// Interval between background health-probe rounds; `None` (the
     /// default) disables active probing and leaves the passive cooldown
@@ -100,57 +108,128 @@ impl Default for RouterConfig {
     }
 }
 
-/// Everything a request handler needs, shared across connections.
+/// The loop keeps reading a front connection's requests while its
+/// replies wait to be written, so one that stops draining them for this
+/// long is closed rather than left to grow its output buffer — the bound
+/// a node's default `SchedulerConfig` sets.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Everything a request handler needs, shared by the route workers.
 struct RouterCore {
     plan: ShardPlan,
     shards: Vec<ShardClient>,
+    /// Set when the loop starts draining; the prober stops on it.
     stopping: AtomicBool,
-    local_addr: SocketAddr,
     /// Hedge-delay floor; `None` disables hedging.
     hedge: Option<Duration>,
     /// Whether scatter queries may answer from a subset of shards.
     allow_partial: bool,
-    /// Read-half clones of live connections, closed at shutdown so
-    /// blocked readers wake up. Token-keyed so a finished connection can
-    /// drop its clone — otherwise the registry would hold every socket's
-    /// fd open for the router's whole lifetime, and peers waiting for the
-    /// router's FIN (or the OS for the fd) would see a leaked slot.
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    next_conn_token: AtomicU64,
 }
 
-impl RouterCore {
-    /// Record a live connection for shutdown severing; returns the token
-    /// to pass to [`RouterCore::deregister`] when the connection ends.
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let token = self.next_conn_token.fetch_add(1, Ordering::Relaxed);
-        self.conns
-            .lock()
-            .expect("conn registry")
-            .push((token, clone));
-        Some(token)
+/// One decoded front request on its way to a route worker.
+struct RouteJob {
+    request: Request,
+    received: Instant,
+    reply: Arc<ReplyCell>,
+}
+
+/// The route workers' shared queue of decoded requests, in arrival
+/// order. Each request wakes a parked worker directly; a channel
+/// receiver shared behind a mutex would hand a burst out one worker
+/// wake-up at a time, spreading it before it reaches the backends.
+#[derive(Default)]
+struct RouteQueue {
+    /// Requests not yet taken, and whether the loop has gone.
+    state: Mutex<(VecDeque<RouteJob>, bool)>,
+    ready: Condvar,
+}
+
+impl RouteQueue {
+    fn push(&self, job: RouteJob) {
+        self.state.lock().expect("route queue").0.push_back(job);
+        self.ready.notify_one();
     }
 
-    /// Drop the registry's clone of a finished connection so its socket
-    /// actually closes when `serve_connection` returns.
-    fn deregister(&self, token: u64) {
-        self.conns
-            .lock()
-            .expect("conn registry")
-            .retain(|(t, _)| *t != token);
+    /// No more requests: the workers drain what is queued, then exit.
+    /// Called from `Drop`, so a poisoned lock is taken over, not a panic
+    /// (no update leaves the queue half-done).
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
+        self.ready.notify_all();
     }
 
-    /// Idempotently stop the router: close every connection's read
-    /// half and unblock the accept loop. Backends are untouched.
-    fn trigger(&self) {
-        if self.stopping.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for (_, s) in self.conns.lock().expect("conn registry").iter() {
-            let _ = s.shutdown(Shutdown::Read);
-        }
-        let _ = TcpStream::connect(self.local_addr);
+    /// The next request; `None` once closed and drained.
+    fn pop(&self) -> Option<RouteJob> {
+        let state = self.state.lock().expect("route queue");
+        let waiting = |(jobs, closed): &mut (VecDeque<RouteJob>, bool)| jobs.is_empty() && !*closed;
+        let mut state = self.ready.wait_while(state, waiting).expect("route queue");
+        state.0.pop_front()
+    }
+}
+
+/// The router's side of the connection loop. Every request is routed on
+/// a worker, never on the loop thread (a scatter blocks on backend round
+/// trips); `Delete` and `Compact` are barriers, as on a node, so a
+/// request pipelined behind one observes it.
+struct RouteService {
+    core: Arc<RouterCore>,
+    queue: Arc<RouteQueue>,
+    /// The loop's own counters. `Stats` through the router sums its
+    /// backends' instead, so these stay internal.
+    metrics: Metrics,
+    idle_timeout: Option<Duration>,
+}
+
+/// The loop drops its service on exit (or `Router::spawn` on a failed
+/// start): either way the workers and the prober stop.
+impl Drop for RouteService {
+    fn drop(&mut self) {
+        self.begin_shutdown();
+        self.queue.close();
+    }
+}
+
+impl Service for RouteService {
+    fn dispatch(
+        &self,
+        conn: &mut Connection,
+        completions: &Arc<Completions>,
+        request: Request,
+    ) -> Option<Arc<ReplyCell>> {
+        let barrier = is_mutation(&request);
+        let reply = conn.push_cell(Some(Arc::clone(completions)));
+        self.queue.push(RouteJob {
+            request,
+            received: Instant::now(),
+            reply: Arc::clone(&reply),
+        });
+        barrier.then_some(reply)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn timeouts(&self) -> (Option<Duration>, Option<Duration>) {
+        (self.idle_timeout, Some(WRITE_TIMEOUT))
+    }
+
+    fn begin_shutdown(&self) {
+        self.core.stopping.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Route requests off the shared queue until the loop is gone and the
+/// queue is empty: each through this worker's own scatter threads, its
+/// reply into the request's cell.
+fn route_worker(core: &Arc<RouterCore>, pool: &ScatterPool, queue: &RouteQueue) {
+    while let Some(job) = queue.pop() {
+        // A panic answers its own request and leaves the worker serving.
+        let reply = catch_unwind(AssertUnwindSafe(|| {
+            handle(core, pool, job.request, job.received)
+        }))
+        .unwrap_or_else(|_| Response::Error("internal: routing panicked (isolated)".into()));
+        job.reply.fill(reply);
     }
 }
 
@@ -159,10 +238,8 @@ impl RouterCore {
 /// the threads.
 pub struct RouterHandle {
     local_addr: SocketAddr,
-    core: Arc<RouterCore>,
-    acceptor: JoinHandle<()>,
-    prober: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    control: Arc<EventControl>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl RouterHandle {
@@ -171,24 +248,19 @@ impl RouterHandle {
         self.local_addr
     }
 
-    /// Stop accepting and serving, then wait for every connection
+    /// Stop accepting, answer what is in flight, then wait for every
     /// thread. Backends are left running — stopping the routing tier
     /// must not take the data tier down with it.
     pub fn shutdown(self) {
-        self.core.trigger();
+        self.control.trigger();
         self.join();
     }
 
     /// Wait for the router to finish (a client `shutdown` op or a prior
     /// [`RouterHandle::shutdown`]).
     pub fn join(self) {
-        let _ = self.acceptor.join();
-        if let Some(p) = self.prober {
-            let _ = p.join();
-        }
-        let handles = std::mem::take(&mut *self.conn_threads.lock().expect("conn threads"));
-        for h in handles {
-            let _ = h.join();
+        for t in self.threads {
+            let _ = t.join();
         }
     }
 }
@@ -200,13 +272,19 @@ impl Router {
     /// Bind `addr` and route requests across `shard_addrs` under
     /// `plan`. `shard_addrs[s]` lists the replica addresses of shard
     /// `s`, primary first; the outer length must match the plan's shard
-    /// count.
+    /// count. The front side is an epoll loop, so this requires Linux;
+    /// elsewhere it returns `ErrorKind::Unsupported`.
+    #[cfg(target_os = "linux")]
     pub fn spawn(
         plan: ShardPlan,
         shard_addrs: Vec<Vec<String>>,
         addr: impl ToSocketAddrs,
         config: RouterConfig,
     ) -> std::io::Result<RouterHandle> {
+        use cbir_server::event_loop::Loop;
+        use std::io::ErrorKind;
+        use std::thread::Builder;
+
         if shard_addrs.len() != plan.shards() {
             return Err(std::io::Error::new(
                 ErrorKind::InvalidInput,
@@ -223,7 +301,7 @@ impl Router {
                 "every shard needs at least one replica address",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
+        let listener = std::net::TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let budget = Arc::new(RetryBudget::new(config.retry_budget));
         let shards = shard_addrs
@@ -244,149 +322,84 @@ impl Router {
             plan,
             shards,
             stopping: AtomicBool::new(false),
-            local_addr,
             hedge: config.hedge,
             allow_partial: config.allow_partial,
-            conns: Mutex::new(Vec::new()),
-            next_conn_token: AtomicU64::new(0),
         });
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let queue = Arc::new(RouteQueue::default());
+        let lp = Loop::new(
+            listener,
+            RouteService {
+                core: Arc::clone(&core),
+                queue: Arc::clone(&queue),
+                metrics: Metrics::new(),
+                idle_timeout: config.read_timeout,
+            },
+        )?;
+        let control = lp.control();
 
-        let acceptor = {
+        // Should a spawn below fail, dropping `lp` closes the queue and
+        // sets `stopping`: the threads already started exit.
+        let mut threads = Vec::new();
+        for w in 0..config.pool_per_replica.max(1) {
+            let pool = ScatterPool::new(core.shards.len())?;
+            let (core, queue) = (Arc::clone(&core), Arc::clone(&queue));
+            threads.push(
+                Builder::new()
+                    .name(format!("cbir-route-worker-{w}"))
+                    .spawn(move || route_worker(&core, &pool, &queue))?,
+            );
+        }
+        if let Some(interval) = config.probe_interval {
             let core = Arc::clone(&core);
-            let conn_threads = Arc::clone(&conn_threads);
-            let read_timeout = config.read_timeout;
-            std::thread::Builder::new()
-                .name("cbir-route-accept".into())
-                .spawn(move || loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if core.stopping.load(Ordering::SeqCst) {
-                                break;
+            // A probe that hangs longer than the interval would make
+            // rounds pile up; bound it at the interval (capped so a very
+            // long interval doesn't grant probes minutes).
+            let timeout = interval.min(Duration::from_millis(250));
+            threads.push(
+                Builder::new()
+                    .name("cbir-route-probe".into())
+                    .spawn(move || {
+                        while !core.stopping.load(Ordering::SeqCst) {
+                            for shard in &core.shards {
+                                shard.probe_replicas(timeout);
                             }
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(read_timeout);
-                            let Some(token) = core.register(&stream) else {
-                                continue;
-                            };
-                            let core = Arc::clone(&core);
-                            let spawned = std::thread::Builder::new()
-                                .name("cbir-route-conn".into())
-                                .spawn(move || serve_connection(stream, core, token));
-                            if let Ok(h) = spawned {
-                                conn_threads.lock().expect("conn threads").push(h);
+                            // Sleep in short slices so shutdown is never
+                            // stuck behind a long interval.
+                            let mut left = interval;
+                            while !left.is_zero() && !core.stopping.load(Ordering::SeqCst) {
+                                let slice = left.min(Duration::from_millis(25));
+                                std::thread::sleep(slice);
+                                left -= slice;
                             }
                         }
-                        Err(e) => {
-                            if core.stopping.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            eprintln!("cbir-router: accept error (continuing): {e}");
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                })?
-        };
-
-        let prober = match config.probe_interval {
-            None => None,
-            Some(interval) => {
-                let core = Arc::clone(&core);
-                // A probe that hangs longer than the interval would make
-                // rounds pile up; bound it at the interval (capped so a
-                // very long interval doesn't grant probes minutes).
-                let timeout = interval.min(Duration::from_millis(250));
-                Some(
-                    std::thread::Builder::new()
-                        .name("cbir-route-probe".into())
-                        .spawn(move || {
-                            while !core.stopping.load(Ordering::SeqCst) {
-                                for shard in &core.shards {
-                                    shard.probe_replicas(timeout);
-                                }
-                                // Sleep in short slices so shutdown is
-                                // never stuck behind a long interval.
-                                let mut left = interval;
-                                while !left.is_zero() && !core.stopping.load(Ordering::SeqCst) {
-                                    let slice = left.min(Duration::from_millis(25));
-                                    std::thread::sleep(slice);
-                                    left -= slice;
-                                }
-                            }
-                        })?,
-                )
-            }
-        };
-
+                    })?,
+            );
+        }
+        threads.push(
+            Builder::new()
+                .name("cbir-route-loop".into())
+                .spawn(move || lp.run())?,
+        );
         Ok(RouterHandle {
             local_addr,
-            core,
-            acceptor,
-            prober,
-            conn_threads,
+            control,
+            threads,
         })
     }
-}
 
-/// One front-side connection: decode a frame, scatter/gather, reply,
-/// repeat. Requests on one connection are handled sequentially (the
-/// parallelism is per-request across shards), which keeps replies in
-/// request order by construction.
-fn serve_connection(stream: TcpStream, core: Arc<RouterCore>, token: u64) {
-    serve_connection_inner(stream, &core);
-    // Whatever way the connection ended — clean EOF, malformed frame,
-    // write failure — drop the registry's clone so the socket closes.
-    core.deregister(token);
-}
-
-fn serve_connection_inner(stream: TcpStream, core: &Arc<RouterCore>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    let mut respond = |resp: &Response| -> bool {
-        write_frame(&mut writer, &encode_response(resp))
-            .and_then(|()| std::io::Write::flush(&mut writer))
-            .is_ok()
-    };
-    let pool = match ScatterPool::new(core.shards.len()) {
-        Ok(p) => p,
-        Err(e) => {
-            let _ = respond(&Response::Error(format!("router out of threads: {e}")));
-            return;
-        }
-    };
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // clean EOF (or shutdown's read-half close)
-            Err(e) if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) => return,
-            Err(e) => {
-                let _ = respond(&Response::Error(format!("malformed frame: {e}")));
-                return;
-            }
-        };
-        let request = match decode_request(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = respond(&Response::Error(format!("malformed request: {e}")));
-                return;
-            }
-        };
-        let received = Instant::now();
-        let stop = matches!(request, Request::Shutdown);
-        let response = handle(core, &pool, request, received);
-        let sent = respond(&response);
-        if stop {
-            // Stop the router only — a drained routing tier must not
-            // take the data tier down with it; backends keep serving.
-            core.trigger();
-            return;
-        }
-        if !sent {
-            return;
-        }
+    /// Routing is built on the epoll loop: no front side on this target.
+    #[cfg(not(target_os = "linux"))]
+    pub fn spawn(
+        plan: ShardPlan,
+        shard_addrs: Vec<Vec<String>>,
+        addr: impl ToSocketAddrs,
+        config: RouterConfig,
+    ) -> std::io::Result<RouterHandle> {
+        let _ = (plan, shard_addrs, addr, config);
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the router's front side is built on epoll; routing requires linux",
+        ))
     }
 }
 
@@ -481,11 +494,11 @@ fn handle(
 /// One queued unit of scatter work.
 type Job = Box<dyn FnOnce() + Send>;
 
-/// Persistent scatter workers: one thread per shard, alive for the
-/// owning connection's lifetime, fed jobs over a channel. Requests on a
-/// connection are sequential, so one worker per shard is exactly the
-/// parallelism a request can use; concurrent connections each bring
-/// their own pool, so shards still serve many requests at once.
+/// Persistent scatter threads: one per shard, owned by one route worker
+/// for the router's lifetime, fed jobs over a channel. A route worker
+/// routes one request at a time, so one thread per shard is exactly the
+/// parallelism a request can use; every route worker brings its own
+/// pool, so shards still serve many requests at once.
 struct ScatterPool {
     senders: Vec<mpsc::Sender<Job>>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -519,8 +532,8 @@ impl ScatterPool {
 
 impl Drop for ScatterPool {
     fn drop(&mut self) {
-        // Closing the channels ends the worker loops; join so a
-        // connection teardown never leaks scatter threads.
+        // Closing the channels ends the thread loops; join so a router
+        // shutdown never leaks scatter threads.
         self.senders.clear();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -528,8 +541,8 @@ impl Drop for ScatterPool {
     }
 }
 
-/// Run `op` once per shard concurrently on the connection's persistent
-/// workers, preserving shard order.
+/// Run `op` once per shard concurrently on the route worker's scatter
+/// threads, preserving shard order.
 fn scatter<T: Send + 'static>(
     core: &Arc<RouterCore>,
     pool: &ScatterPool,
@@ -784,8 +797,10 @@ fn knn_by_id(
         Ok(d) => d,
         Err(e) => return shard_error(owner, e),
     };
-    let over = k.saturating_add(1);
-    let resp = gather_query(
+    // Capped at the wire's largest k: `u32::MAX` already asks every
+    // shard for all of its rows.
+    let over = k.saturating_add(1).min(u32::MAX as usize);
+    let mut resp = gather_query(
         core,
         pool,
         deadline_us,
@@ -793,42 +808,14 @@ fn knn_by_id(
         Some(over),
         move |c, rem| c.knn_detailed(&descriptor, over, rem, recall_target),
     );
-    match resp {
-        Response::Hits {
-            mut hits,
-            coarse_candidates,
-            rerank_evaluations,
-        } => {
-            hits.retain(|h| h.id != id);
-            hits.truncate(k);
-            Response::Hits {
-                hits,
-                coarse_candidates,
-                rerank_evaluations,
-            }
-        }
-        // A degraded gather keeps its coverage accounting through the
-        // same exclusion step. (The descriptor fetch above stays strict:
-        // without the query row there is nothing to search for.)
-        Response::HitsPartial {
-            mut hits,
-            coarse_candidates,
-            rerank_evaluations,
-            shards_answered,
-            shards_total,
-        } => {
-            hits.retain(|h| h.id != id);
-            hits.truncate(k);
-            Response::HitsPartial {
-                hits,
-                coarse_candidates,
-                rerank_evaluations,
-                shards_answered,
-                shards_total,
-            }
-        }
-        other => other,
+    // A degraded gather keeps its coverage accounting through the same
+    // exclusion step. (The descriptor fetch above stays strict: without
+    // the query row there is nothing to search for.)
+    if let Response::Hits { hits, .. } | Response::HitsPartial { hits, .. } = &mut resp {
+        hits.retain(|h| h.id != id);
+        hits.truncate(k);
     }
+    resp
 }
 
 /// Union liveness: every shard must answer, report the summed row count

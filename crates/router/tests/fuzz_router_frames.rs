@@ -2,7 +2,7 @@
 //! gets the same adversarial sweep: truncated headers, wrong magic,
 //! oversized length prefixes, garbage op codes, mid-frame disconnects,
 //! and byte noise. The router must never panic, must reclaim every
-//! poisoned connection (and its per-connection scatter workers), and
+//! poisoned connection, and
 //! must keep routing well-formed traffic — including to backends that
 //! never see the malformed bytes at all, because a frame that fails to
 //! decode is rejected before any scatter happens.

@@ -1,17 +1,22 @@
 //! End-to-end bit-identity and failover tests: real backend servers,
 //! a real router, and **frame-level** comparisons — the reply payload
 //! bytes a client reads from the router must equal, byte for byte, the
-//! bytes a single node serving the union corpus would have sent.
+//! bytes a single node serving the union corpus would have sent, one
+//! request per connection, pipelined on one connection, and across a
+//! storm of concurrent connections.
 
 use cbir_core::{
-    split_database, ImageDatabase, ImageMeta, IndexKind, QueryEngine, ShardPlan, ShardScheme,
+    split_database, CorpusStore, ImageDatabase, ImageMeta, IndexKind, QueryEngine, ServedCorpus,
+    ShardPlan, ShardScheme, StoreOptions,
 };
 use cbir_distance::Measure;
 use cbir_features::Pipeline;
 use cbir_router::{Router, RouterConfig};
-use cbir_server::protocol::{encode_request, read_frame, write_frame, Hit, Request};
+use cbir_server::protocol::{
+    decode_response, encode_request, read_frame, write_frame, Hit, Request, Response,
+};
 use cbir_server::{ChaosProxy, Client, SchedulerConfig, Server, ServerHandle, WireMode};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,9 +56,30 @@ fn raw_call(addr: SocketAddr, req: &Request) -> Vec<u8> {
     read_frame(&mut BufReader::new(stream)).unwrap().unwrap()
 }
 
+fn frame_of(request: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &encode_request(request)).unwrap();
+    frame
+}
+
+/// Write every request down one fresh connection in a single burst,
+/// then read the reply payloads in order.
+fn pipelined(addr: SocketAddr, requests: &[Request]) -> Vec<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let burst: Vec<u8> = requests.iter().flat_map(frame_of).collect();
+    stream.write_all(&burst).unwrap();
+    (0..requests.len())
+        .map(|_| read_frame(&mut stream).unwrap().expect("reply frame"))
+        .collect()
+}
+
 /// The request mix every topology is checked against: searches with
 /// heavy ties, k larger than the corpus, range, knn-by-id on ids owned
-/// by different shards, point reads, and liveness.
+/// by different shards (one at the wire's largest k), point reads, and
+/// liveness.
 fn request_mix(db: &ImageDatabase) -> Vec<Request> {
     let n = db.len();
     let q_dup = db.descriptor(3).unwrap().to_vec(); // duplicated row
@@ -99,6 +125,13 @@ fn request_mix(db: &ImageDatabase) -> Vec<Request> {
             recall_target: 1.0,
             id: (n - 2) as u64,
         },
+        // Every other row: the router's k + 1 over-fetch must not wrap.
+        Request::KnnById {
+            k: u32::MAX,
+            deadline_us: 0,
+            recall_target: 1.0,
+            id: 1,
+        },
         Request::GetDescriptor { id: 7 },
         Request::Ping,
     ]
@@ -119,14 +152,23 @@ fn router_replies_are_frame_level_bit_identical_to_single_node() {
                 .collect();
             let router =
                 Router::spawn(plan, addrs, "127.0.0.1:0", RouterConfig::default()).unwrap();
-            for req in request_mix(&union) {
-                let want = raw_call(single.local_addr(), &req);
-                let got = raw_call(router.local_addr(), &req);
+            let mix = request_mix(&union);
+            let want: Vec<Vec<u8>> = mix
+                .iter()
+                .map(|req| raw_call(single.local_addr(), req))
+                .collect();
+            for (req, want) in mix.iter().zip(&want) {
+                let got = raw_call(router.local_addr(), req);
                 assert_eq!(
-                    got, want,
+                    got, *want,
                     "{scheme} x{shards}: reply bytes diverged for {req:?}"
                 );
             }
+            assert_eq!(
+                pipelined(router.local_addr(), &mix),
+                want,
+                "{scheme} x{shards}: pipelined reply bytes diverged"
+            );
             router.shutdown();
             for b in backends {
                 b.shutdown();
@@ -134,6 +176,160 @@ fn router_replies_are_frame_level_bit_identical_to_single_node() {
         }
     }
     single.shutdown();
+}
+
+/// Connections the storm may hold: two descriptors each (both ends live
+/// in this process) under the soft `RLIMIT_NOFILE`, less room for the
+/// harness, the backends and the tests running beside this one.
+fn storm_conns() -> usize {
+    let limits = std::fs::read_to_string("/proc/self/limits").unwrap();
+    let soft = limits
+        .lines()
+        .find_map(|l| l.strip_prefix("Max open files"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .map_or(usize::MAX, |v| v.parse().unwrap_or(usize::MAX));
+    let fits = soft.saturating_sub(256) / 2;
+    assert!(
+        fits >= 128,
+        "RLIMIT_NOFILE {soft} cannot hold 128 connections"
+    );
+    let conns = 1024.min(1 << fits.ilog2());
+    println!("storm: {conns} concurrent connections (RLIMIT_NOFILE {soft})");
+    conns
+}
+
+#[test]
+fn a_storm_of_concurrent_connections_gets_the_single_nodes_bytes() {
+    const THREADS: usize = 16;
+    const ROUNDS: usize = 8;
+    const ROWS: usize = 256;
+    let union = union_db(ROWS);
+    let single = spawn_backend(union.clone());
+    let plan = ShardPlan::new(ShardScheme::Mod, union.dim(), ROWS as u64, 2).unwrap();
+    let backends: Vec<ServerHandle> = split_database(&union, &plan)
+        .unwrap()
+        .into_iter()
+        .map(spawn_backend)
+        .collect();
+    let addrs = backends
+        .iter()
+        .map(|b| vec![b.local_addr().to_string()])
+        .collect();
+    let router = Router::spawn(plan, addrs, "127.0.0.1:0", RouterConfig::default()).unwrap();
+    let requests: Vec<Request> = (0..ROWS as u64)
+        .map(|id| Request::KnnById {
+            k: 8,
+            deadline_us: 0,
+            recall_target: 1.0,
+            id,
+        })
+        .collect();
+    let frames: Vec<Vec<u8>> = requests.iter().map(frame_of).collect();
+    let want = pipelined(single.local_addr(), &requests);
+
+    let per_thread = storm_conns() / THREADS;
+    let addr = router.local_addr();
+    // Every connection is open before the first request goes out.
+    let all_open = std::sync::Barrier::new(THREADS);
+    let diverging: usize = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (frames, want, all_open) = (&frames, &want, &all_open);
+                scope.spawn(move || {
+                    let mut conns: Vec<TcpStream> = (0..per_thread)
+                        .map(|_| {
+                            let s = TcpStream::connect(addr).unwrap();
+                            s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+                            s
+                        })
+                        .collect();
+                    all_open.wait();
+                    let mut bad = 0;
+                    for round in 0..ROUNDS {
+                        let pick = |c: usize| (t * per_thread + c + round * 97) % ROWS;
+                        for (c, s) in conns.iter_mut().enumerate() {
+                            s.write_all(&frames[pick(c)]).unwrap();
+                        }
+                        for (c, s) in conns.iter_mut().enumerate() {
+                            let got = read_frame(s).unwrap().expect("reply frame");
+                            bad += usize::from(got != want[pick(c)]);
+                        }
+                    }
+                    bad
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    let sent = THREADS * per_thread * ROUNDS;
+    assert_eq!(diverging, 0, "of {sent} replies");
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+    single.shutdown();
+}
+
+/// `[Delete id, Knn for that row]` pipelined through the router over
+/// live-store backends: the delete is a barrier on the router's front
+/// connection as on a node's, so the query never runs ahead of it.
+#[test]
+fn a_query_pipelined_behind_a_delete_never_sees_the_deleted_row() {
+    let union = union_db(48);
+    let plan = ShardPlan::new(ShardScheme::Mod, union.dim(), union.len() as u64, 2).unwrap();
+    let dir = std::env::temp_dir().join(format!("cbir-router-live-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+    let backends: Vec<ServerHandle> = split_database(&union, &plan)
+        .unwrap()
+        .iter()
+        .enumerate()
+        .map(|(s, part)| {
+            let shard_dir = dir.join(format!("shard-{s}"));
+            let store =
+                CorpusStore::create_from_database(shard_dir, part, options.clone()).unwrap();
+            let config = SchedulerConfig::default();
+            Server::spawn_corpus(ServedCorpus::Live(store), "127.0.0.1:0", config).unwrap()
+        })
+        .collect();
+    let addrs = backends
+        .iter()
+        .map(|b| vec![b.local_addr().to_string()])
+        .collect();
+    let router = Router::spawn(plan, addrs, "127.0.0.1:0", RouterConfig::default()).unwrap();
+
+    let deleted: Vec<u64> = (0..24).map(|i| i * 2 + 1).collect();
+    let requests: Vec<Request> = deleted
+        .iter()
+        .flat_map(|&id| {
+            [
+                Request::Delete { id },
+                Request::Knn {
+                    k: 3,
+                    deadline_us: 0,
+                    recall_target: 1.0,
+                    descriptor: union.descriptor(id as usize).unwrap().to_vec(),
+                },
+            ]
+        })
+        .collect();
+    let replies = pipelined(router.local_addr(), &requests);
+    for (pair, id) in replies.chunks(2).zip(&deleted) {
+        let ack = decode_response(&pair[0]).unwrap();
+        assert!(matches!(ack, Response::DeleteAck { .. }), "{id}: {ack:?}");
+        match decode_response(&pair[1]).unwrap() {
+            Response::Hits { hits, .. } => {
+                assert_eq!(hits.len(), 3);
+                assert!(hits.iter().all(|h| h.id != *id), "{id} ran ahead: {hits:?}");
+            }
+            other => panic!("query for {id}: {other:?}"),
+        }
+    }
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -162,6 +162,13 @@ impl HitsReply {
     }
 }
 
+/// `k` as the wire's `u32`, refused rather than wrapped when it does not
+/// fit (a wrapped `k` would ask for a different, possibly zero, count).
+fn wire_k(k: usize) -> ClientResult<u32> {
+    u32::try_from(k)
+        .map_err(|_| ClientError::Protocol(format!("k = {k} does not fit the wire's u32")))
+}
+
 /// A blocking connection to a `cbir` query server.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -339,7 +346,7 @@ impl Client {
         recall_target: f32,
     ) -> ClientResult<HitsReply> {
         self.send(&Request::KnnById {
-            k: k as u32,
+            k: wire_k(k)?,
             deadline_us,
             recall_target,
             id: id as u64,
@@ -359,7 +366,7 @@ impl Client {
         recall_target: f32,
     ) -> ClientResult<()> {
         self.send(&Request::Knn {
-            k: k as u32,
+            k: wire_k(k)?,
             deadline_us,
             recall_target,
             descriptor: descriptor.to_vec(),

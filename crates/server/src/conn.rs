@@ -1,4 +1,4 @@
-//! Transport-agnostic connection state for the server.
+//! Transport-agnostic connection state for every server in the tier.
 //!
 //! The epoll loop (`crate::event_loop`) and the deterministic test
 //! harness both drive the same [`Connection`] state machine: incremental
@@ -8,6 +8,10 @@
 //! harness replay arbitrary byte-boundary splits, partial writes, and
 //! completion interleavings without real I/O.
 //!
+//! What a decoded request *does* is a [`Service`]'s business: a node's
+//! ([`NodeService`]) or the router's. Framing, reply order, the mutation
+//! barrier and the corrupt-stream reply are the same for both.
+//!
 //! ## Reply ordering
 //!
 //! Every request — including rejections and control ops — claims exactly
@@ -16,6 +20,7 @@
 //! of pipelining), but [`Connection::pump`] only encodes the head of the
 //! queue once it is done, so responses leave in request order.
 
+use crate::metrics::Metrics;
 use crate::protocol::{
     decode_request, encode_response, write_frame, FrameDecoder, Request, Response,
 };
@@ -25,6 +30,7 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -175,11 +181,6 @@ impl Connection {
             last_progress: now,
             max_inflight: 0,
         }
-    }
-
-    /// This connection's loop token.
-    pub fn token(&self) -> u64 {
-        self.token
     }
 
     /// Read until the transport would block (or ends), feeding every
@@ -354,41 +355,51 @@ impl Connection {
     }
 }
 
-/// What dispatching one frame asked of the caller, beyond the reply
-/// cells already claimed.
-#[derive(Debug)]
-pub enum Dispatched {
-    /// Nothing: the request was answered inline or queued.
-    Done,
-    /// A mutation op: run [`control_response`] for it off the loop
-    /// thread and fill the cell (a dispatch barrier is already set, so
-    /// no later frame on this connection runs ahead of it).
-    Mutation(Box<Request>, Arc<ReplyCell>),
-    /// Client-initiated shutdown: the ack is queued; the caller drains
-    /// the whole server.
-    Shutdown,
-    /// Malformed request: the error reply is queued and the connection
-    /// must stop reading — the failure closes only this connection.
-    Malformed,
+/// The request-handling side of a connection loop: what one server does
+/// with a decoded request. Two implement it — a node ([`NodeService`])
+/// and the router — and [`dispatch_ready`] drives both the same way.
+pub trait Service {
+    /// Claim `request`'s reply cell on `conn`: [`Connection::push_ready`]
+    /// to answer inline, or [`Connection::push_cell`] with `completions`
+    /// for a cell another thread fills. Return that cell when no later
+    /// frame on this connection may dispatch until it is filled (a
+    /// mutation barrier). `Shutdown` never gets here: [`dispatch_ready`]
+    /// acknowledges it itself.
+    fn dispatch(
+        &self,
+        conn: &mut Connection,
+        completions: &Arc<Completions>,
+        request: Request,
+    ) -> Option<Arc<ReplyCell>>;
+
+    /// The counters the loop reports into: wakeups, open connections,
+    /// pipeline depth, reaped peers.
+    fn metrics(&self) -> &Metrics;
+
+    /// Idle-reap and write-stall bounds for every connection; `None`
+    /// disables either.
+    fn timeouts(&self) -> (Option<Duration>, Option<Duration>);
+
+    /// The loop started its graceful drain: stop taking new work.
+    fn begin_shutdown(&self);
 }
 
 /// Dispatch every reassembled frame that is allowed to run, in arrival
 /// order, stopping at a mutation barrier, a malformed frame, or a
-/// shutdown op. Both the epoll loop and the deterministic harness call
-/// this.
+/// shutdown op. `true` when a `Shutdown` was acknowledged and the caller
+/// drains the whole server. Both the epoll loop and the deterministic
+/// harness call this.
 pub fn dispatch_ready(
     conn: &mut Connection,
-    scheduler: &Scheduler,
+    service: &impl Service,
     completions: &Arc<Completions>,
-    mutate: &mut dyn FnMut(Box<Request>, Arc<ReplyCell>),
-) -> Dispatched {
+) -> bool {
     loop {
         if let Some(b) = &conn.barrier {
-            if b.is_done() {
-                conn.barrier = None;
-            } else {
-                return Dispatched::Done;
+            if !b.is_done() {
+                return false;
             }
+            conn.barrier = None;
         }
         let Some(payload) = conn.next_frame() else {
             // Every frame ahead of a stream corruption has been
@@ -397,121 +408,119 @@ pub fn dispatch_ready(
             if let Some(msg) = conn.corrupt.take() {
                 conn.push_ready(Response::Error(msg));
             }
-            return Dispatched::Done;
+            return false;
         };
-        match dispatch_frame(conn, &payload, scheduler, completions) {
-            Dispatched::Done => {}
-            Dispatched::Mutation(req, cell) => {
-                conn.barrier = Some(Arc::clone(&cell));
-                mutate(req, cell);
+        let (reply, shutdown) = match decode_request(&payload) {
+            Ok(Request::Shutdown) => (Response::ShutdownAck, true),
+            Ok(request) => {
+                conn.barrier = service.dispatch(conn, completions, request);
+                continue;
             }
-            Dispatched::Shutdown => {
-                conn.close_read();
-                conn.discard_frames();
-                conn.corrupt = None;
-                return Dispatched::Shutdown;
-            }
-            Dispatched::Malformed => {
-                // Nothing after a malformed request is trusted: drop
-                // the later frames (and any corruption they contained).
-                conn.close_read();
-                conn.discard_frames();
-                conn.corrupt = None;
-                return Dispatched::Malformed;
-            }
-        }
+            Err(e) => (Response::Error(format!("malformed request: {e}")), false),
+        };
+        // Nothing after a shutdown or a malformed request is trusted:
+        // drop the later frames (and any corruption they contained). A
+        // malformed request closes only this connection.
+        conn.push_ready(reply);
+        conn.close_read();
+        conn.discard_frames();
+        conn.corrupt = None;
+        return shutdown;
     }
 }
 
-/// Dispatch a single reassembled frame: decode, then answer inline,
-/// admit to the scheduler, or hand back a mutation for offload.
-fn dispatch_frame(
-    conn: &mut Connection,
-    payload: &[u8],
-    scheduler: &Scheduler,
-    completions: &Arc<Completions>,
-) -> Dispatched {
-    let request = match decode_request(payload) {
-        Ok(r) => r,
-        Err(e) => {
-            conn.push_ready(Response::Error(format!("malformed request: {e}")));
-            return Dispatched::Malformed;
-        }
-    };
-    if is_mutation(&request) {
-        let cell = conn.push_cell(Some(Arc::clone(completions)));
-        return Dispatched::Mutation(Box::new(request), cell);
-    }
-    match query_work(request) {
-        Ok((work, deadline_us)) => {
-            let now = Instant::now();
-            let cell = conn.push_cell(Some(Arc::clone(completions)));
-            scheduler.submit(Pending {
-                work,
-                deadline: (deadline_us > 0).then(|| now + Duration::from_micros(deadline_us)),
-                enqueued: now,
-                reply: cell,
-            });
-            Dispatched::Done
-        }
-        Err(Request::Shutdown) => {
-            conn.push_ready(Response::ShutdownAck);
-            Dispatched::Shutdown
-        }
-        Err(req) => {
-            conn.push_ready(control_response(scheduler, req));
-            Dispatched::Done
-        }
-    }
-}
-
-/// Whether an op mutates the store. The loop offloads these to the
-/// mutation worker behind a per-connection dispatch barrier, so a
+/// A node's request handling: queries into the micro-batch
+/// [`Scheduler`], control ops answered inline on the loop thread, and
+/// mutations handed to the mutation worker behind a barrier, so a
 /// compaction never runs on the loop thread.
+pub struct NodeService {
+    /// Admits the queries; control ops read its corpus.
+    pub scheduler: Arc<Scheduler>,
+    /// Where mutation ops go: the worker on the other end fills each
+    /// cell with [`control_response`].
+    pub mutations: Sender<(Request, Arc<ReplyCell>)>,
+}
+
+impl Service for NodeService {
+    fn dispatch(
+        &self,
+        conn: &mut Connection,
+        completions: &Arc<Completions>,
+        request: Request,
+    ) -> Option<Arc<ReplyCell>> {
+        if is_mutation(&request) {
+            let cell = conn.push_cell(Some(Arc::clone(completions)));
+            let _ = self.mutations.send((request, Arc::clone(&cell)));
+            return Some(cell);
+        }
+        let (work, deadline_us) = match request {
+            Request::Knn {
+                k,
+                deadline_us,
+                recall_target,
+                descriptor,
+            } => (
+                QueryWork::Knn {
+                    descriptor,
+                    k: k as usize,
+                    recall_target,
+                },
+                deadline_us,
+            ),
+            Request::Range {
+                radius,
+                deadline_us,
+                descriptor,
+            } => (QueryWork::Range { descriptor, radius }, deadline_us),
+            Request::KnnById {
+                k,
+                deadline_us,
+                recall_target,
+                id,
+            } => (
+                QueryWork::KnnById {
+                    id: id as usize,
+                    k: k as usize,
+                    recall_target,
+                },
+                deadline_us,
+            ),
+            control => {
+                conn.push_ready(control_response(&self.scheduler, control));
+                return None;
+            }
+        };
+        let now = Instant::now();
+        self.scheduler.submit(Pending {
+            work,
+            deadline: (deadline_us > 0).then(|| now + Duration::from_micros(deadline_us)),
+            enqueued: now,
+            reply: conn.push_cell(Some(Arc::clone(completions))),
+        });
+        None
+    }
+
+    fn metrics(&self) -> &Metrics {
+        self.scheduler.metrics()
+    }
+
+    fn timeouts(&self) -> (Option<Duration>, Option<Duration>) {
+        let cfg = self.scheduler.config();
+        (cfg.idle_timeout, cfg.write_timeout)
+    }
+
+    fn begin_shutdown(&self) {
+        self.scheduler.begin_shutdown();
+    }
+}
+
+/// Whether an op mutates the store: the ops a [`Service`] dispatches
+/// behind a per-connection barrier.
 pub fn is_mutation(req: &Request) -> bool {
     matches!(
         req,
         Request::Insert { .. } | Request::Delete { .. } | Request::Compact
     )
-}
-
-/// Split a request into schedulable query work plus its deadline, or
-/// hand the request back for inline handling.
-pub fn query_work(req: Request) -> Result<(QueryWork, u64), Request> {
-    match req {
-        Request::Knn {
-            k,
-            deadline_us,
-            recall_target,
-            descriptor,
-        } => Ok((
-            QueryWork::Knn {
-                descriptor,
-                k: k as usize,
-                recall_target,
-            },
-            deadline_us,
-        )),
-        Request::Range {
-            radius,
-            deadline_us,
-            descriptor,
-        } => Ok((QueryWork::Range { descriptor, radius }, deadline_us)),
-        Request::KnnById {
-            k,
-            deadline_us,
-            recall_target,
-            id,
-        } => Ok((
-            QueryWork::KnnById {
-                id: id as usize,
-                k: k as usize,
-                recall_target,
-            },
-            deadline_us,
-        )),
-        other => Err(other),
-    }
 }
 
 /// Answer a control or mutation op against the scheduler's corpus: on

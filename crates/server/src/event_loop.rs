@@ -1,27 +1,28 @@
-//! The connection event loop: one thread, every socket.
+//! The connection event loop: one thread, every socket — a node's or
+//! the router's.
 //!
 //! The loop thread accepts, reassembles frames incrementally
-//! ([`crate::protocol::FrameDecoder`]), dispatches decoded requests
-//! (inline control ops on the loop thread, queries into the micro-batch
-//! [`Scheduler`], mutations onto the mutation worker), and flushes each
+//! ([`crate::protocol::FrameDecoder`]), hands decoded requests to its
+//! [`Service`] (a node answers control ops inline and sends queries to
+//! the micro-batch scheduler and mutations to its mutation worker; the
+//! router hands every request to its route workers), and flushes each
 //! connection's in-order reply queue as sockets become writable. Compute
 //! threads never touch a socket: they fill [`crate::conn::ReplyCell`]s,
 //! which post the connection token to a [`crate::conn::Completions`]
 //! mailbox and wake the loop through a pipe.
 //!
-//! A connection costs one registered fd and a
-//! [`crate::conn::Connection`] struct, so thousands of concurrent,
-//! pipelined connections fit in one process. The contracts the loop
-//! keeps — replies in request order, a mutation as a per-connection
-//! dispatch barrier, frames reassembled before an EOF or a corrupt byte
-//! still answered with the error reply queued behind them, silent idle
-//! reaping, bounded write stalls, graceful drain — are pinned over real
-//! sockets by `tests/{serve_e2e,hardening,churn}.rs` and byte-exactly by
-//! the scripted-transport harness in `tests/event_loop.rs`.
+//! A connection costs one registered fd and a [`Connection`] struct, so
+//! thousands of concurrent, pipelined connections fit in one process.
+//! The contracts the loop keeps — replies in request order, a mutation
+//! as a per-connection dispatch barrier, frames reassembled before an
+//! EOF or a corrupt byte still answered with the error reply queued
+//! behind them, silent idle reaping, bounded write stalls, graceful
+//! drain — are pinned over real sockets by
+//! `tests/{serve_e2e,hardening,churn,wire}.rs` (and the router's
+//! `router_e2e` and `churn`) and byte-exactly by the scripted-transport
+//! harness in `tests/event_loop.rs`.
 
-use crate::conn::{dispatch_ready, Connection, Dispatched, ReadStatus, ReplyCell, WriteStatus};
-use crate::protocol::Request;
-use crate::scheduler::Scheduler;
+use crate::conn::{dispatch_ready, Connection, ReadStatus, Service, WriteStatus};
 use crate::server::{EventControl, CONTROL_TOKEN};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::HashMap;
@@ -30,7 +31,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,34 +54,28 @@ struct Entry {
 }
 
 /// The loop thread's state: the epoll instance, what is registered with
-/// it, and the handles dispatch needs.
-pub(crate) struct Loop {
+/// it, and the service dispatch hands requests to.
+pub struct Loop<S> {
     epoll: Epoll,
     listener: TcpListener,
     waker_rx: UnixStream,
     conns: HashMap<u64, Entry>,
     next_token: u64,
-    scheduler: Arc<Scheduler>,
+    service: S,
     control: Arc<EventControl>,
-    mutate_tx: Sender<(Box<Request>, Arc<ReplyCell>)>,
     draining: bool,
 }
 
-impl Loop {
-    /// Register `listener` and a fresh waker pipe (whose write end
-    /// `control`'s completion mailbox gets) with a new epoll instance.
-    /// Mutation ops go down `mutate_tx`; whoever fills their cells wakes
-    /// the loop through the mailbox.
-    pub(crate) fn new(
-        listener: TcpListener,
-        scheduler: &Arc<Scheduler>,
-        control: &Arc<EventControl>,
-        mutate_tx: Sender<(Box<Request>, Arc<ReplyCell>)>,
-    ) -> std::io::Result<Loop> {
+impl<S: Service> Loop<S> {
+    /// Register `listener` and a fresh waker pipe (whose write end the
+    /// loop's completion mailbox gets) with a new epoll instance. Every
+    /// thread that fills a reply cell wakes the loop through the mailbox.
+    pub fn new(listener: TcpListener, service: S) -> std::io::Result<Loop<S>> {
         listener.set_nonblocking(true)?;
         let (waker_rx, waker_tx) = UnixStream::pair()?;
         waker_rx.set_nonblocking(true)?;
         waker_tx.set_nonblocking(true)?;
+        let control = Arc::new(EventControl::default());
         control.completions.set_waker(waker_tx);
 
         let epoll = Epoll::new()?;
@@ -93,15 +87,21 @@ impl Loop {
             waker_rx,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
-            scheduler: Arc::clone(scheduler),
-            control: Arc::clone(control),
-            mutate_tx,
+            service,
+            control,
             draining: false,
         })
     }
 
-    /// Serve until drained after a shutdown request.
-    pub(crate) fn run(&mut self) {
+    /// This loop's shutdown switch.
+    pub fn control(&self) -> Arc<EventControl> {
+        Arc::clone(&self.control)
+    }
+
+    /// Serve until drained after a shutdown request, then drop the
+    /// service (which is how a node's mutation worker and the router's
+    /// route workers learn to exit).
+    pub fn run(mut self) {
         let sweep_every = self.sweep_interval();
         let mut last_sweep = Instant::now();
         let mut events = vec![EpollEvent::default(); 512];
@@ -119,7 +119,7 @@ impl Loop {
                     return;
                 }
             };
-            self.scheduler.metrics().on_epoll_wakeup();
+            self.service.metrics().on_epoll_wakeup();
             let now = Instant::now();
 
             let fired: Vec<(u64, u32)> = events[..n].iter().map(|e| (e.data, e.events)).collect();
@@ -150,7 +150,7 @@ impl Loop {
                 self.sweep(now);
             }
 
-            self.scheduler.metrics().set_open_conns(self.conns.len());
+            self.service.metrics().set_open_conns(self.conns.len());
             if self.draining && self.conns.is_empty() {
                 return;
             }
@@ -160,8 +160,8 @@ impl Loop {
     /// Reap-granularity: a quarter of the tightest configured timeout,
     /// clamped to [25ms, 1s].
     fn sweep_interval(&self) -> Duration {
-        let cfg = self.scheduler.config();
-        let tightest = [cfg.idle_timeout, cfg.write_timeout]
+        let (idle, write) = self.service.timeouts();
+        let tightest = [idle, write]
             .into_iter()
             .flatten()
             .min()
@@ -251,19 +251,10 @@ impl Loop {
                 }
             }
             if !dead {
-                match dispatch_ready(
-                    &mut entry.conn,
-                    &self.scheduler,
-                    &self.control.completions,
-                    &mut |req, cell| {
-                        let _ = self.mutate_tx.send((req, cell));
-                    },
-                ) {
-                    Dispatched::Shutdown => shutdown_requested = true,
-                    Dispatched::Done | Dispatched::Malformed | Dispatched::Mutation(..) => {}
-                }
+                shutdown_requested =
+                    dispatch_ready(&mut entry.conn, &self.service, &self.control.completions);
                 let depth = entry.conn.inflight_len() as u64;
-                self.scheduler.metrics().on_pipeline_depth(depth);
+                self.service.metrics().on_pipeline_depth(depth);
             }
         }
 
@@ -273,7 +264,6 @@ impl Loop {
             self.settle(token, now);
         }
         if shutdown_requested {
-            self.control.stop.store(true, Ordering::SeqCst);
             self.begin_drain();
         }
     }
@@ -284,24 +274,13 @@ impl Loop {
         let Some(entry) = self.conns.get_mut(&token) else {
             return;
         };
-        let mut shutdown_requested = false;
         // Even after reading stopped, a cleared mutation barrier may be
         // holding reassembled frames (or an owed corrupt-stream error)
         // that still need to dispatch.
-        match dispatch_ready(
-            &mut entry.conn,
-            &self.scheduler,
-            &self.control.completions,
-            &mut |req, cell| {
-                let _ = self.mutate_tx.send((req, cell));
-            },
-        ) {
-            Dispatched::Shutdown => shutdown_requested = true,
-            Dispatched::Done | Dispatched::Malformed | Dispatched::Mutation(..) => {}
-        }
+        let shutdown_requested =
+            dispatch_ready(&mut entry.conn, &self.service, &self.control.completions);
         self.settle(token, now);
         if shutdown_requested {
-            self.control.stop.store(true, Ordering::SeqCst);
             self.begin_drain();
         }
     }
@@ -360,7 +339,7 @@ impl Loop {
             return;
         }
         self.draining = true;
-        self.scheduler.begin_shutdown();
+        self.service.begin_shutdown();
         let _ = self.epoll.del(self.listener.as_raw_fd());
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         let now = Instant::now();
@@ -379,30 +358,30 @@ impl Loop {
     /// Periodic pass: reap idle peers, bound write stalls, and collect
     /// connections that finished while no event was pending.
     fn sweep(&mut self, now: Instant) {
-        let cfg = self.scheduler.config().clone();
+        let (idle_timeout, write_timeout) = self.service.timeouts();
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             let Some(entry) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if let Some(limit) = cfg.idle_timeout {
+            if let Some(limit) = idle_timeout {
                 if !entry.conn.read_closed() && entry.conn.idle_for(now) >= limit {
                     // Idle peer: reap silently. No courtesy error frame
                     // — an unsolicited reply would desync the client's
                     // request/response pairing if a request did arrive
                     // later. In-flight replies (if any) still flush
                     // before the socket closes.
-                    self.scheduler.metrics().on_io_timeout();
+                    self.service.metrics().on_io_timeout();
                     entry.conn.close_read();
                     entry.conn.discard_frames();
                     let _ = entry.stream.shutdown(Shutdown::Read);
                 }
             }
-            if let Some(limit) = cfg.write_timeout {
+            if let Some(limit) = write_timeout {
                 if entry.conn.stalled_for(now).is_some_and(|d| d >= limit) {
                     // A peer that stopped draining responses: counted
                     // and closed both ways.
-                    self.scheduler.metrics().on_io_timeout();
+                    self.service.metrics().on_io_timeout();
                     let _ = entry.stream.shutdown(Shutdown::Both);
                     self.remove(token);
                     continue;

@@ -23,7 +23,9 @@
 //! Connections are served by one epoll loop thread driving a
 //! transport-agnostic [`Connection`] state machine per socket (see
 //! [`server`]), so serving requires Linux; the client, protocol, retry,
-//! pool and chaos-proxy modules build on any Unix.
+//! pool and chaos-proxy modules build on any Unix. What the loop does
+//! with a decoded request is a [`Service`]: [`NodeService`] here, the
+//! router's in `cbir-router`, which runs the same loop.
 //!
 //! ```no_run
 //! use cbir_core::{ImageDatabase, IndexKind, QueryEngine};
@@ -64,10 +66,10 @@ mod sys;
 
 pub use chaosnet::{ChaosHandle, ChaosProxy, ChaosStats, WireMode};
 pub use client::{Client, ClientError, ClientResult, HitsReply, Rejection};
-pub use conn::{Completions, Connection, ReplyCell};
+pub use conn::{Completions, Connection, NodeService, ReplyCell, Service};
 pub use metrics::Metrics;
 pub use pool::ClientPool;
 pub use protocol::{FrameDecoder, Hit, Request, Response, StatsSnapshot, WireError};
 pub use retry::{RetryPolicy, RetryStats, RetryingClient};
 pub use scheduler::{Pending, QueryWork, Scheduler, SchedulerConfig};
-pub use server::{Server, ServerHandle};
+pub use server::{EventControl, Server, ServerHandle};

@@ -43,15 +43,17 @@ use std::thread::JoinHandle;
 /// Completion token [`EventControl::trigger`] posts (not a connection).
 pub(crate) const CONTROL_TOKEN: u64 = u64::MAX - 2;
 
-/// Shutdown switch for a running loop.
-pub(crate) struct EventControl {
+/// Shutdown switch for a running connection loop, a node's or the
+/// router's.
+#[derive(Default)]
+pub struct EventControl {
     pub(crate) stop: AtomicBool,
     pub(crate) completions: Arc<Completions>,
 }
 
 impl EventControl {
     /// Ask the loop to drain and exit. Idempotent; safe from any thread.
-    fn trigger(&self) {
+    pub fn trigger(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.completions.notify(CONTROL_TOKEN);
     }
@@ -133,7 +135,7 @@ impl Server {
         addr: impl ToSocketAddrs,
         config: SchedulerConfig,
     ) -> std::io::Result<ServerHandle> {
-        use crate::conn::control_response;
+        use crate::conn::{control_response, NodeService};
         use crate::event_loop::Loop;
         use std::thread::Builder;
 
@@ -141,12 +143,13 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics::new());
         let scheduler = Arc::new(Scheduler::new(corpus, config, Arc::clone(&metrics)));
-        let control = Arc::new(EventControl {
-            stop: AtomicBool::new(false),
-            completions: Arc::new(Completions::new()),
-        });
-        let (mutate_tx, mutate_rx) = std::sync::mpsc::channel();
-        let mut lp = Loop::new(listener, &scheduler, &control, mutate_tx)?;
+        let (mutations, mutate_rx) = std::sync::mpsc::channel();
+        let node = NodeService {
+            scheduler: Arc::clone(&scheduler),
+            mutations,
+        };
+        let lp = Loop::new(listener, node)?;
+        let control = lp.control();
 
         let dispatcher = Arc::clone(&scheduler);
         let mutator = Arc::clone(&scheduler);
@@ -158,7 +161,7 @@ impl Server {
             // anyway; the point is keeping them off the loop thread.
             Builder::new().name("cbir-mutate".into()).spawn(move || {
                 for (req, cell) in mutate_rx {
-                    cell.fill(control_response(&mutator, *req));
+                    cell.fill(control_response(&mutator, req));
                 }
             })?,
             Builder::new()

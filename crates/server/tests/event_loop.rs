@@ -1,28 +1,32 @@
-//! Deterministic connection-level harness for the event-driven engine.
+//! Deterministic connection-level harness for the connection loop.
 //!
 //! No sockets, no threads, no epoll: a scripted transport hands the
 //! [`Connection`] state machine exact byte chunks (with `WouldBlock`s and
-//! EOFs wherever the script says), and a scheduler driven by its
-//! `drain_queued` test hook executes admitted work synchronously. That
-//! makes every interesting interleaving — a frame split at any byte
-//! boundary, a partial write wedged mid-length-prefix, replies completing
-//! out of request order — exactly reproducible, which is what the
-//! blocking engine's thread-per-connection tests can never be.
+//! EOFs wherever the script says), and requests dispatch through the
+//! [`Service`] trait — a node's own [`NodeService`], whose scheduler runs
+//! admitted work synchronously through its `drain_queued` test hook and
+//! whose mutation worker the harness plays itself, or a scripted fake
+//! service that holds every reply until the test fills it. That makes
+//! every interesting interleaving — a frame split at any byte boundary,
+//! a partial write wedged mid-length-prefix, replies completing out of
+//! request order — exactly reproducible.
 
 use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine, ServedCorpus};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
+use cbir_server::conn::{control_response, dispatch_ready, is_mutation, ReadStatus, WriteStatus};
 use cbir_server::protocol::{
-    encode_request, encode_response, read_frame, write_frame, Request, Response,
+    decode_response, encode_request, encode_response, read_frame, write_frame, Request, Response,
 };
 use cbir_server::{
-    conn::{dispatch_ready, Dispatched, ReadStatus, WriteStatus},
-    Completions, Connection, Metrics, ReplyCell, Scheduler, SchedulerConfig,
+    Completions, Connection, Metrics, NodeService, ReplyCell, Scheduler, SchedulerConfig, Service,
 };
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One scripted readiness episode on the read side.
 enum ReadStep {
@@ -127,12 +131,42 @@ fn engine(n: usize) -> Arc<QueryEngine> {
     Arc::new(QueryEngine::build(db, IndexKind::VpTree, Measure::L1).unwrap())
 }
 
-fn scheduler(engine: &Arc<QueryEngine>) -> Arc<Scheduler> {
-    Arc::new(Scheduler::new(
+/// A node's service over `engine`, with the receiving end of its
+/// mutation queue: the harness stands in for the mutation worker.
+struct Node {
+    scheduler: Arc<Scheduler>,
+    service: NodeService,
+    mutations: Receiver<(Request, Arc<ReplyCell>)>,
+}
+
+impl Node {
+    /// Run every offloaded mutation, as the worker would; how many ran.
+    fn run_mutations(&self) -> usize {
+        let mut ran = 0;
+        while let Ok((req, cell)) = self.mutations.try_recv() {
+            cell.fill(control_response(&self.scheduler, req));
+            ran += 1;
+        }
+        ran
+    }
+}
+
+fn node(engine: &Arc<QueryEngine>) -> Node {
+    let scheduler = Arc::new(Scheduler::new(
         ServedCorpus::Static(Arc::clone(engine)),
         SchedulerConfig::default(),
         Arc::new(Metrics::new()),
-    ))
+    ));
+    let (tx, mutations) = channel();
+    let service = NodeService {
+        scheduler: Arc::clone(&scheduler),
+        mutations: tx,
+    };
+    Node {
+        scheduler,
+        service,
+        mutations,
+    }
 }
 
 /// Wire bytes of a request stream, as a client would send it.
@@ -147,7 +181,7 @@ fn stream_of(requests: &[Request]) -> Vec<u8> {
 /// Drive one connection over a scripted transport to quiescence: read,
 /// dispatch, execute everything the scheduler admitted, pump, write.
 /// Returns the reply bytes the "peer" observed.
-fn run_to_quiescence(io: &mut Scripted, scheduler: &Scheduler) -> (Connection, Vec<u8>) {
+fn run_to_quiescence(io: &mut Scripted, node: &Node) -> (Connection, Vec<u8>) {
     let now = Instant::now();
     let completions = Arc::new(Completions::new());
     let mut conn = Connection::new(0, now);
@@ -160,25 +194,16 @@ fn run_to_quiescence(io: &mut Scripted, scheduler: &Scheduler) -> (Connection, V
             ReadStatus::Gone => panic!("scripted transport never dies"),
         }
         // Dispatch until quiescent, standing in for the mutation worker
-        // pool synchronously: a completed mutation clears its barrier,
-        // so dispatch must re-run to release the frames queued behind it.
+        // synchronously: a completed mutation clears its barrier, so
+        // dispatch must re-run to release the frames queued behind it.
         loop {
-            let mut mutations: Vec<(Box<Request>, Arc<ReplyCell>)> = Vec::new();
-            match dispatch_ready(&mut conn, scheduler, &completions, &mut |req, cell| {
-                mutations.push((req, cell))
-            }) {
-                Dispatched::Done | Dispatched::Shutdown | Dispatched::Malformed => {}
-                Dispatched::Mutation(..) => unreachable!("handled via the callback"),
-            }
-            if mutations.is_empty() {
+            dispatch_ready(&mut conn, &node.service, &completions);
+            if node.run_mutations() == 0 {
                 break;
-            }
-            for (req, cell) in mutations {
-                cell.fill(cbir_server::conn::control_response(scheduler, *req));
             }
         }
         // Stand in for the dispatcher thread, synchronously.
-        scheduler.drain_queued();
+        node.scheduler.drain_queued();
         let _ = completions.drain();
         conn.pump();
         assert_eq!(conn.write_to(io, now), WriteStatus::Open);
@@ -195,13 +220,13 @@ fn run_to_quiescence(io: &mut Scripted, scheduler: &Scheduler) -> (Connection, V
 
 /// Reference reply bytes: the same requests answered one at a time, in
 /// order, with no pipelining and no split boundaries.
-fn sequential_reference(requests: &[Request], scheduler: &Scheduler) -> Vec<u8> {
+fn sequential_reference(requests: &[Request], node: &Node) -> Vec<u8> {
     let mut all = Vec::new();
     for r in requests {
         let mut io = Scripted::new()
             .script_read(ReadStep::Chunk(stream_of(std::slice::from_ref(r))))
             .script_read(ReadStep::Eof);
-        let (_, written) = run_to_quiescence(&mut io, scheduler);
+        let (_, written) = run_to_quiescence(&mut io, node);
         all.extend(written);
     }
     all
@@ -246,10 +271,10 @@ fn request_mix(engine: &QueryEngine) -> Vec<Request> {
 #[test]
 fn every_byte_boundary_split_replays_bit_identically() {
     let engine = engine(32);
-    let scheduler = scheduler(&engine);
+    let node = node(&engine);
     let requests = request_mix(&engine);
     let bytes = stream_of(&requests);
-    let want = sequential_reference(&requests, &scheduler);
+    let want = sequential_reference(&requests, &node);
 
     for split in 0..=bytes.len() {
         let mut io = Scripted::new()
@@ -257,7 +282,7 @@ fn every_byte_boundary_split_replays_bit_identically() {
             .script_read(ReadStep::Drained)
             .script_read(ReadStep::Chunk(bytes[split..].to_vec()))
             .script_read(ReadStep::Eof);
-        let (conn, written) = run_to_quiescence(&mut io, &scheduler);
+        let (conn, written) = run_to_quiescence(&mut io, &node);
         assert!(conn.finished(), "split {split}: connection not drained");
         assert_eq!(
             written,
@@ -271,10 +296,10 @@ fn every_byte_boundary_split_replays_bit_identically() {
 #[test]
 fn one_byte_drip_and_full_coalesce_replay_bit_identically() {
     let engine = engine(32);
-    let scheduler = scheduler(&engine);
+    let node = node(&engine);
     let requests = request_mix(&engine);
     let bytes = stream_of(&requests);
-    let want = sequential_reference(&requests, &scheduler);
+    let want = sequential_reference(&requests, &node);
 
     // Worst case: every read returns one byte, with a drained socket
     // between every pair.
@@ -285,14 +310,14 @@ fn one_byte_drip_and_full_coalesce_replay_bit_identically() {
             .script_read(ReadStep::Drained);
     }
     let mut drip = drip.script_read(ReadStep::Eof);
-    let (_, written) = run_to_quiescence(&mut drip, &scheduler);
+    let (_, written) = run_to_quiescence(&mut drip, &node);
     assert_eq!(written, want, "1-byte drip changed the reply bytes");
 
     // Best case: the whole pipelined burst lands in one readiness event.
     let mut coalesced = Scripted::new()
         .script_read(ReadStep::Chunk(bytes))
         .script_read(ReadStep::Eof);
-    let (_, written) = run_to_quiescence(&mut coalesced, &scheduler);
+    let (_, written) = run_to_quiescence(&mut coalesced, &node);
     assert_eq!(written, want, "coalesced burst changed the reply bytes");
 }
 
@@ -391,7 +416,7 @@ fn pipelined_burst_through_the_scheduler_matches_sequential_execution() {
     // pump out — must be bit-identical to the same requests answered one
     // at a time.
     let engine = engine(48);
-    let scheduler = scheduler(&engine);
+    let node = node(&engine);
     let requests: Vec<Request> = (0..24)
         .map(|i| Request::KnnById {
             k: 4,
@@ -400,12 +425,12 @@ fn pipelined_burst_through_the_scheduler_matches_sequential_execution() {
             id: (i * 5 % 48) as u64,
         })
         .collect();
-    let want = sequential_reference(&requests, &scheduler);
+    let want = sequential_reference(&requests, &node);
 
     let mut io = Scripted::new()
         .script_read(ReadStep::Chunk(stream_of(&requests)))
         .script_read(ReadStep::Eof);
-    let (conn, written) = run_to_quiescence(&mut io, &scheduler);
+    let (conn, written) = run_to_quiescence(&mut io, &node);
     assert_eq!(
         conn.max_inflight(),
         requests.len(),
@@ -420,7 +445,7 @@ fn torn_streams_report_the_blocking_readers_exact_errors() {
     // is a clean close; EOF anywhere else must produce exactly the error
     // reply the blocking `read_frame` path would have produced.
     let engine = engine(16);
-    let scheduler = scheduler(&engine);
+    let node = node(&engine);
     let requests = vec![
         Request::Ping,
         Request::KnnById {
@@ -441,7 +466,7 @@ fn torn_streams_report_the_blocking_readers_exact_errors() {
         let mut io = Scripted::new()
             .script_read(ReadStep::Chunk(bytes[..cut].to_vec()))
             .script_read(ReadStep::Eof);
-        let (conn, written) = run_to_quiescence(&mut io, &scheduler);
+        let (conn, written) = run_to_quiescence(&mut io, &node);
         assert!(conn.finished(), "cut {cut}: not drained");
 
         // Oracle: the blocking reader over the same truncated bytes.
@@ -480,7 +505,7 @@ fn torn_streams_report_the_blocking_readers_exact_errors() {
 #[test]
 fn mutation_barrier_holds_later_frames_until_the_worker_finishes() {
     let engine = engine(16);
-    let scheduler = scheduler(&engine);
+    let node = node(&engine);
     let completions = Arc::new(Completions::new());
     let now = Instant::now();
     let mut conn = Connection::new(0, now);
@@ -499,40 +524,135 @@ fn mutation_barrier_holds_later_frames_until_the_worker_finishes() {
         ReadStatus::Open
     ));
 
-    let mut pending = Vec::new();
-    let _ = dispatch_ready(&mut conn, &scheduler, &completions, &mut |req, cell| {
-        pending.push((req, cell))
-    });
-    assert_eq!(pending.len(), 1, "mutation not offloaded");
+    assert!(!dispatch_ready(&mut conn, &node.service, &completions));
     // The two pings must NOT have dispatched past the barrier: exactly
     // one cell (the mutation's) is in flight and nothing is writable.
     assert_eq!(conn.inflight_len(), 1);
     assert_eq!(conn.pump(), 0);
 
     // Worker finishes; the barrier clears and the pings dispatch.
-    let (req, cell) = pending.pop().unwrap();
-    cell.fill(cbir_server::conn::control_response(&scheduler, *req));
-    let _ = dispatch_ready(&mut conn, &scheduler, &completions, &mut |_, _| {
-        panic!("no further mutations")
-    });
+    assert_eq!(node.run_mutations(), 1, "mutation not offloaded");
+    assert!(!dispatch_ready(&mut conn, &node.service, &completions));
+    assert_eq!(node.run_mutations(), 0, "no further mutations");
     assert_eq!(conn.inflight_len(), 3);
     assert_eq!(conn.pump(), 3, "barrier did not release queued frames");
 
     assert_eq!(conn.write_to(&mut io, now), WriteStatus::Open);
-    let mut reader = std::io::Cursor::new(std::mem::take(&mut io.written));
-    let mut kinds = Vec::new();
-    while let Ok(Some(frame)) = read_frame(&mut reader) {
-        kinds.push(cbir_server::protocol::decode_response(&frame).unwrap());
-    }
+    let kinds = replies_in(std::mem::take(&mut io.written));
     assert!(matches!(kinds[0], Response::Error(ref m) if m.contains("static")));
     assert!(matches!(kinds[1], Response::Pong { .. }));
     assert!(matches!(kinds[2], Response::Pong { .. }));
 }
 
+/// Every reply frame in `bytes`, decoded.
+fn replies_in(bytes: Vec<u8>) -> Vec<Response> {
+    let mut reader = std::io::Cursor::new(bytes);
+    let mut replies = Vec::new();
+    while let Ok(Some(frame)) = read_frame(&mut reader) {
+        replies.push(decode_response(&frame).unwrap());
+    }
+    replies
+}
+
+/// A scripted fake service that answers nothing itself: every request
+/// claims a cell the test fills later, mutations as barriers — the shape
+/// of a service that hands all of its work to other threads.
+#[derive(Default)]
+struct Deferred {
+    held: RefCell<Vec<(Request, Arc<ReplyCell>)>>,
+    metrics: Metrics,
+}
+
+impl Service for Deferred {
+    fn dispatch(
+        &self,
+        conn: &mut Connection,
+        completions: &Arc<Completions>,
+        request: Request,
+    ) -> Option<Arc<ReplyCell>> {
+        let cell = conn.push_cell(Some(Arc::clone(completions)));
+        let barrier = is_mutation(&request).then(|| Arc::clone(&cell));
+        self.held.borrow_mut().push((request, cell));
+        barrier
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn timeouts(&self) -> (Option<Duration>, Option<Duration>) {
+        (None, None)
+    }
+
+    fn begin_shutdown(&self) {}
+}
+
+#[test]
+fn a_deferring_service_is_answered_in_request_order_behind_its_barrier() {
+    let requests = vec![
+        Request::Ping,
+        Request::GetDescriptor { id: 4 },
+        Request::Compact,
+        Request::Stats,
+        Request::Delete { id: 9 },
+        Request::Shutdown,
+        Request::Ping, // behind the shutdown: never dispatched
+    ];
+    let service = Deferred::default();
+    let completions = Arc::new(Completions::new());
+    let now = Instant::now();
+    let mut conn = Connection::new(7, now);
+    let mut io = Scripted::new().script_read(ReadStep::Chunk(stream_of(&requests)));
+    assert!(matches!(
+        conn.read_from(&mut io, &mut [0u8; 64], now),
+        ReadStatus::Open
+    ));
+    let fill = |i: usize| {
+        let held = service.held.borrow();
+        held[i].1.fill(Response::Error(format!("reply-{i}")));
+    };
+
+    // Up to and including the first barrier; completions out of order.
+    assert!(!dispatch_ready(&mut conn, &service, &completions));
+    assert_eq!(service.held.borrow().len(), 3);
+    fill(1);
+    assert_eq!(conn.pump(), 0, "reply 1 overtook reply 0");
+    fill(0);
+    assert_eq!(conn.pump(), 2);
+    assert!(!dispatch_ready(&mut conn, &service, &completions));
+    assert_eq!(
+        service.held.borrow().len(),
+        3,
+        "dispatched past the barrier"
+    );
+
+    // The barrier clears: the next barrier holds again, then the
+    // shutdown is acknowledged in its place and ends dispatch.
+    fill(2);
+    assert!(!dispatch_ready(&mut conn, &service, &completions));
+    assert_eq!(service.held.borrow().len(), 5);
+    fill(4);
+    assert!(dispatch_ready(&mut conn, &service, &completions));
+    fill(3);
+    assert_eq!(conn.pump(), 4);
+    assert_eq!(conn.write_to(&mut io, now), WriteStatus::Open);
+    assert!(conn.finished());
+
+    let held: Vec<Request> = service.held.take().into_iter().map(|(r, _)| r).collect();
+    assert_eq!(held, requests[..5], "the service saw other requests");
+    let mut want: Vec<Response> = (0..5)
+        .map(|i| Response::Error(format!("reply-{i}")))
+        .collect();
+    want.push(Response::ShutdownAck);
+    assert_eq!(replies_in(io.written), want);
+    // Every deferred fill woke the loop for this connection's token.
+    assert_eq!(completions.drain(), vec![7; 5]);
+}
+
 #[test]
 fn shutdown_frame_stops_dispatch_and_acks_after_prior_replies() {
     let engine = engine(16);
-    let scheduler = scheduler(&engine);
+    let node = node(&engine);
     let requests = vec![
         Request::KnnById {
             k: 3,
@@ -546,7 +666,7 @@ fn shutdown_frame_stops_dispatch_and_acks_after_prior_replies() {
     let mut io = Scripted::new()
         .script_read(ReadStep::Chunk(stream_of(&requests)))
         .script_read(ReadStep::Drained);
-    let (conn, written) = run_to_quiescence(&mut io, &scheduler);
+    let (conn, written) = run_to_quiescence(&mut io, &node);
     assert!(conn.read_closed(), "shutdown did not stop dispatch");
 
     let mut reader = std::io::Cursor::new(written);

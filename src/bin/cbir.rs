@@ -117,6 +117,9 @@ fn usage() -> ! {
       serving the union corpus, and a replica failing with a transient
       error fails over to a sibling (cooldown --cooldown-ms, default
       1000); any cbir client/tool works against the router unchanged.
+      Front connections share one epoll thread (linux), as on serve;
+      --read-timeout-ms N reaps a front connection idle for N ms
+      (default 0: never).
       Degraded-mode knobs: --hedge-ms N sends a hedged duplicate to a
       sibling replica when a shard reply is slower than max(N, observed
       p99); --probe-ms N health-probes every replica each N ms and
@@ -824,6 +827,20 @@ fn cmd_shard_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_route(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    args.reject_unknown(
+        "route",
+        &[
+            "port",
+            "addr-file",
+            "cooldown-ms",
+            "read-timeout-ms",
+            "hedge-ms",
+            "probe-ms",
+            "allow-partial",
+            "breaker-threshold",
+            "retry-budget",
+        ],
+    );
     if args.positional.len() < 2 {
         usage();
     }
@@ -832,14 +849,6 @@ fn cmd_route(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|g| g.split(',').map(|a| a.trim().to_string()).collect())
         .collect();
-    if groups.len() != plan.shards() {
-        return Err(format!(
-            "plan has {} shard(s) but {} replica group(s) were given",
-            plan.shards(),
-            groups.len()
-        )
-        .into());
-    }
     let port: u16 = args.flag_parse("port", 7979);
     let opt_ms = |name: &str| match args.flag_parse(name, 0u64) {
         0 => None,

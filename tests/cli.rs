@@ -142,6 +142,21 @@ fn errors_are_reported_not_panicked() {
         assert!(!ok);
         assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
     }
+    // So does route: a typo of --hedge-ms must not leave hedging off
+    // unnoticed.
+    let plan = dir.join("PLAN.txt");
+    let (ok, _, stderr) = run(&[
+        "route",
+        plan.to_str().unwrap(),
+        "127.0.0.1:1",
+        "--hedge",
+        "5",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown flag --hedge for route"),
+        "{stderr}"
+    );
 
     // Corrupt database file.
     let bad = dir.join("bad.cbir");
