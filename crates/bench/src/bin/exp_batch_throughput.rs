@@ -16,15 +16,14 @@
 //! A second leg prices the sequential scan's **exact L1 filter** (a
 //! one-byte code table whose lower bound skips rows; see
 //! `cbir_index::LinearScan`) against the plain blocked scan, written out
-//! here from `Measure::dist_to_many` and a `KnnHeap`, at batch 8 on one
-//! thread: where it pays (the benchmark's clustered corpus), and where it
-//! cannot (one column a million times wider than the rest, so the codes
-//! separate nothing and every query leaves the filter; `k` = half the
-//! rows, so the heap alone needs that many evaluations and the filter is
-//! never entered). The worst cases must stay within a quarter of the
-//! plain scan on any host (measured: within a tenth); replies are
-//! asserted bit-identical first. The table's build time and size are
-//! reported beside them.
+//! here from `Measure::dist_to_many` and a `KnnHeap`, at batches 1, 3 and
+//! 8 on two workers: where it pays (the benchmark's clustered corpus), and
+//! where it cannot (one column a million times wider than the rest, so
+//! the codes separate nothing and every query leaves the filter; `k` =
+//! half the rows, so the heap alone needs that many evaluations and the
+//! filter is never entered). The worst cases must stay within a quarter
+//! of the plain scan on any host; replies are asserted bit-identical
+//! first. The table's build time and size are reported beside them.
 //!
 //! Writes `results/BENCH_query_throughput.json`.
 //!
@@ -36,8 +35,8 @@ use cbir_bench::{
 };
 use cbir_distance::Measure;
 use cbir_index::{
-    knn_batch_parallel, BatchStats, Dataset, KnnHeap, LinearScan, Neighbor, SearchIndex,
-    SearchStats,
+    knn_batch_parallel, run_parallel, BatchStats, Dataset, KnnHeap, LinearScan, Neighbor,
+    SearchIndex, SearchStats,
 };
 use cbir_obs::{obj, Json};
 use std::time::Instant;
@@ -83,7 +82,8 @@ fn plain_l1_knn_batch(dataset: &Dataset, queries: &[Vec<f32>], k: usize) -> Vec<
 /// The exact-L1-filter leg (see the module docs). Returns its JSON rows.
 fn l1_filter_leg(quick: bool) -> Vec<Json> {
     const DIM: usize = 64;
-    const BATCH: usize = 8;
+    const BATCHES: [usize; 3] = [1, 3, 8];
+    const WORKERS: usize = 2;
     let n: usize = if quick { 20_000 } else { 100_000 };
     let iters = if quick { 1 } else { 5 };
     let clustered = cbir_workload::clustered_smooth(n, DIM, n / 64, 10.0, 100.0, 8, 3);
@@ -96,11 +96,15 @@ fn l1_filter_leg(quick: bool) -> Vec<Json> {
     let cases = [
         ("clustered, k 10", &clustered, K, 64, None),
         ("one wide column, k 10", &wide, K, 64, Some(1.25)),
-        ("clustered, k n/2", &clustered, n / 2, BATCH, Some(1.25)),
+        ("clustered, k n/2", &clustered, n / 2, 8, Some(1.25)),
     ];
-    println!("\nexact L1 filter vs the plain scan, N={n}, d={DIM}, batch {BATCH}, 1 thread\n");
+    println!(
+        "\nexact L1 filter vs the plain scan, N={n}, d={DIM}, batches {BATCHES:?}, \
+         {WORKERS} workers\n"
+    );
     let mut table = Table::new(&[
         "corpus",
+        "batch",
         "plain us/q",
         "filtered us/q",
         "ratio",
@@ -121,7 +125,7 @@ fn l1_filter_leg(quick: bool) -> Vec<Json> {
         let table_bytes_per_row = (index.structure_bytes() - idle_bytes) as f64 / n as f64;
         assert_eq!(first, plain_l1_knn_batch(&dataset, &queries[..1], k));
         let mut stats = BatchStats::new();
-        for chunk in queries.chunks(BATCH) {
+        for chunk in queries.chunks(8) {
             assert_eq!(
                 index.knn_batch(chunk, k, &mut stats),
                 plain_l1_knn_batch(&dataset, chunk, k),
@@ -129,38 +133,53 @@ fn l1_filter_leg(quick: bool) -> Vec<Json> {
             );
         }
         let total = stats.total().clone();
-        let us_per_query = |rate: f64| 1e6 / rate;
-        let plain = us_per_query(qps(iters, n_queries, || {
-            for chunk in queries.chunks(BATCH) {
-                std::hint::black_box(plain_l1_knn_batch(&dataset, chunk, k));
-            }
-        }));
-        let filtered = us_per_query(qps(iters, n_queries, || {
-            for chunk in queries.chunks(BATCH) {
-                std::hint::black_box(index.knn_batch(chunk, k, &mut BatchStats::new()));
-            }
-        }));
-        let ratio = filtered / plain;
         let evaluated = total.distance_computations as f64 / n_queries as f64;
         let pruned = total.subtrees_pruned as f64 / (n_queries * n) as f64;
-        table.row(vec![
-            name.to_string(),
-            format!("{plain:.0}"),
-            format!("{filtered:.0}"),
-            format!("{ratio:.2}x"),
-            format!("{evaluated:.0}"),
-            format!("{pruned:.4}"),
-        ]);
-        if let (Some(ceiling), false) = (ceiling, quick) {
-            assert!(
-                ratio <= ceiling,
-                "{name}: the filter cost {ratio:.2}x the plain scan where it cannot prune"
-            );
+        let mut batches = Vec::new();
+        for batch in BATCHES {
+            let us_per_query = |rate: f64| 1e6 / rate;
+            let plain = us_per_query(qps(iters, n_queries, || {
+                for chunk in queries.chunks(batch) {
+                    let mut stats = BatchStats::new();
+                    std::hint::black_box(run_parallel(
+                        chunk.len(),
+                        WORKERS,
+                        &mut stats,
+                        |part, _| plain_l1_knn_batch(&dataset, &chunk[part], k),
+                    ));
+                }
+            }));
+            let filtered = us_per_query(qps(iters, n_queries, || {
+                for chunk in queries.chunks(batch) {
+                    let mut stats = BatchStats::new();
+                    std::hint::black_box(knn_batch_parallel(&index, chunk, k, WORKERS, &mut stats));
+                }
+            }));
+            let ratio = filtered / plain;
+            table.row(vec![
+                name.to_string(),
+                batch.to_string(),
+                format!("{plain:.0}"),
+                format!("{filtered:.0}"),
+                format!("{ratio:.2}x"),
+                format!("{evaluated:.0}"),
+                format!("{pruned:.4}"),
+            ]);
+            if let (Some(ceiling), false) = (ceiling, quick) {
+                assert!(
+                    ratio <= ceiling,
+                    "{name}, batch {batch}: the filter cost {ratio:.2}x the plain scan where it \
+                     cannot prune"
+                );
+            }
+            batches.push(obj! {
+                "batch": batch, "plain_us_per_query": rounded(plain, 1),
+                "filtered_us_per_query": rounded(filtered, 1),
+                "filtered_over_plain": rounded(ratio, 3),
+            });
         }
         json.push(obj! {
-            "corpus": name, "k": k, "plain_us_per_query": rounded(plain, 1),
-            "filtered_us_per_query": rounded(filtered, 1),
-            "filtered_over_plain": rounded(ratio, 3),
+            "corpus": name, "k": k, "workers": WORKERS, "batches": Json::Arr(batches),
             "evaluated_per_query": rounded(evaluated, 1), "pruned_share": rounded(pruned, 5),
             "first_query_ms": rounded(first_ms, 1),
             "table_bytes_per_row": rounded(table_bytes_per_row, 0),
@@ -274,7 +293,7 @@ fn main() {
         "queries": n_queries, "max_threads": max_threads,
         "exactness": "batched results asserted bit-identical to single-query loop",
         "results": Json::Arr(json_rows),
-        "l1_filter_vs_plain_scan_batch_8": Json::Arr(l1_filter_rows),
+        "l1_filter_vs_plain_scan": Json::Arr(l1_filter_rows),
     };
     println!();
     write_results("query_throughput", quick, &doc);

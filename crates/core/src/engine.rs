@@ -98,6 +98,12 @@ pub fn validate_recall_target(recall_target: f32) -> Result<()> {
 /// (`recall_target >= 1.0`), which makes a 1.0 target degenerate to the
 /// bit-identical exact search by construction.
 ///
+/// The budget is spent only where the two-stage search runs: on an L1
+/// linear scan a query the exact filter serves is answered exactly and
+/// costs no candidates (see [`CorpusSnapshot::knn_batch_approx`]), so
+/// there this schedule prices only the sources the filter leaves — small
+/// memtable chunks, and corpora whose codes cannot separate the rows.
+///
 /// The map is a piecewise-linear, monotone recall → corpus-fraction
 /// schedule calibrated against the F14 sweep (`exp_approx_search`) on its
 /// image-like near-duplicate workload at serving dimensionalities
@@ -387,8 +393,9 @@ impl QueryEngine {
         })
     }
 
-    /// Two-stage approximate k-NN over a raw descriptor: a coarse Haar
-    /// signature scan proposes a candidate set sized by
+    /// Approximate k-NN over a raw descriptor: where an L1 linear scan's
+    /// exact filter serves the query it answers exactly; elsewhere a
+    /// coarse Haar signature scan proposes a candidate set sized by
     /// [`plan_candidate_budget`], then exact distances rerank it (same
     /// `(distance, id)` ordering as the exact path). `recall_target = 1.0`
     /// routes to [`QueryEngine::query_by_descriptor`] — bit-identical to
@@ -405,8 +412,8 @@ impl QueryEngine {
         })
     }
 
-    /// Approximate counterpart of [`QueryEngine::query_by_id`]: two-stage
-    /// search excluding the query image itself.
+    /// Approximate counterpart of [`QueryEngine::query_by_id`], excluding
+    /// the query image itself.
     pub fn query_by_id_approx(
         &self,
         id: usize,
@@ -419,9 +426,10 @@ impl QueryEngine {
         })
     }
 
-    /// Batched two-stage approximate k-NN; the approximate counterpart of
-    /// [`QueryEngine::knn_batch`]. `recall_target = 1.0` routes to the
-    /// exact batched path, bit-identically.
+    /// Batched approximate k-NN; the approximate counterpart of
+    /// [`QueryEngine::knn_batch`] (see
+    /// [`CorpusSnapshot::knn_batch_approx`]). `recall_target = 1.0` routes
+    /// to the exact batched path, bit-identically.
     pub fn knn_batch_approx(
         &self,
         queries: &[Vec<f32>],
@@ -434,8 +442,8 @@ impl QueryEngine {
             .knn_batch_approx(queries, k, recall_target, threads, stats)
     }
 
-    /// Batched two-stage approximate k-NN by database id, excluding each
-    /// query row from its own results; the approximate counterpart of
+    /// Batched approximate k-NN by database id, excluding each query row
+    /// from its own results; the approximate counterpart of
     /// [`QueryEngine::knn_batch_by_ids`]. `recall_target = 1.0` routes to
     /// the exact batched path, bit-identically.
     pub fn knn_batch_by_ids_approx(
@@ -698,9 +706,11 @@ mod tests {
 
     #[test]
     fn approx_path_runs_two_stages_and_stays_exact_on_tiny_corpora() {
-        // On a 5-row corpus the budget floor (4k) covers everything, so the
-        // approximate result matches the exact one while exercising the
-        // coarse + rerank machinery and its counters.
+        // On a 5-row corpus (under L2 and far under the row count from
+        // which a scan filters, so no exact filter serves it) the budget
+        // floor (4k) covers everything, so the approximate result matches
+        // the exact one while exercising the coarse + rerank machinery
+        // and its counters.
         let engine = QueryEngine::build(seeded_db(), IndexKind::Linear, Measure::L2).unwrap();
         let d: Vec<f32> = engine.database().descriptor(2).unwrap().to_vec();
         let mut s = SearchStats::new();

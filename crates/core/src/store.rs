@@ -45,6 +45,14 @@
 //! source and nothing to merge ([`CorpusSnapshot::from_database`], what a
 //! [`crate::QueryEngine`] wraps), so a multi-source snapshot is
 //! bit-identical to an engine built over [`CorpusSnapshot::materialize`].
+//! Over L1 linear scans, whose exact filter streams its whole code table
+//! once per worker, a batch takes a worker per four queries, up to the
+//! caller's thread count.
+//!
+//! The approximate side runs that filter first: a query a source's
+//! filter keeps to the end is answered there exactly, and only a query
+//! it does not serve runs the two-stage coarse-then-rerank search on
+//! that source ([`CorpusSnapshot::knn_batch_approx`]).
 
 use crate::database::{ImageDatabase, ImageMeta};
 use crate::engine::{
@@ -174,8 +182,9 @@ impl SourceRows {
     }
 
     /// The lazily built coarse signature table for the approximate path
-    /// (one per source, mirroring [`SourceRows::index`]; the exact path
-    /// never pays for it).
+    /// (one per source, mirroring [`SourceRows::index`]), built by the
+    /// first approximate query the source's exact filter does not serve;
+    /// the exact path never pays for it.
     fn coarse(&self) -> Result<&CoarseHaarIndex> {
         self.coarse_cell
             .get_or_init(|| {
@@ -325,8 +334,13 @@ struct Source<'a> {
 
 /// One non-empty source as the approximate read path sees it.
 struct ApproxSource<'a> {
-    coarse: &'a CoarseHaarIndex,
-    dataset: &'a Dataset,
+    rows: &'a SourceRows,
+    /// The source's linear scan when the snapshot serves L1 with one:
+    /// its exact filter goes first.
+    scan: Option<&'a dyn SearchIndex>,
+    /// The coarse table, resolved once some query of the batch needs the
+    /// two-stage search here.
+    coarse: Option<&'a CoarseHaarIndex>,
     /// Global id of the source's first row.
     base: u64,
     /// Tombstoned rows inside the source.
@@ -336,6 +350,19 @@ struct ApproxSource<'a> {
     /// Coarse candidates the source may surface.
     budget: usize,
 }
+
+/// Queries each worker of a batch over filtered linear scans gets before
+/// the batch spreads over one more. Every worker streams the whole code
+/// table (6.4 MB per 100,000 x 64 source) whatever its share of queries,
+/// so two workers with one or two queries each pay two passes for what
+/// one worker does in one. At 2 queries per worker `tier_approx` (batches
+/// of about 3.5) gained about half of what it gains at 4.
+const QUERIES_PER_SCAN_WORKER: usize = 4;
+
+/// One query's per-source answers from the exact filters: the source's
+/// hits where its filter served the query to the end, `None` where the
+/// two-stage search has to run.
+type Filtered = Vec<Option<Vec<Neighbor>>>;
 
 /// The two exact searches a source can run over a query chunk.
 #[derive(Clone, Copy)]
@@ -599,12 +626,29 @@ impl CorpusSnapshot {
 
     /// Lift one source's hits to global ids (`base` is the source's first)
     /// and append the live ones; `dead` is the source's tombstone count.
-    fn extend_live(&self, into: &mut Hits, base: u64, dead: usize, hits: Vec<Neighbor>) {
+    fn extend_live(&self, into: &mut Hits, base: u64, dead: usize, hits: &[Neighbor]) {
         into.extend(
-            hits.into_iter()
+            hits.iter()
                 .map(|n| (base + n.id as u64, n.distance))
                 .filter(|(g, _)| dead == 0 || !self.tombstones.contains(g)),
         );
+    }
+
+    /// Whether every source's exact search is a linear scan under L1,
+    /// the one index with an exact filter in front of it.
+    fn filters(&self) -> bool {
+        self.kind == IndexKind::Linear && matches!(self.measure, Measure::L1)
+    }
+
+    /// Workers for an exact pass over every source: `threads`, but where
+    /// the sources are filtered scans only as many as get
+    /// [`QUERIES_PER_SCAN_WORKER`] queries each (at least one).
+    fn scan_threads(&self, queries: usize, threads: usize) -> usize {
+        if self.filters() {
+            threads.min(queries / QUERIES_PER_SCAN_WORKER).max(1)
+        } else {
+            threads
+        }
     }
 
     /// Exact search of one worker's query chunk: one pass over the
@@ -646,7 +690,7 @@ impl CorpusSnapshot {
             };
             chunk_stats.add_per_query(&source_stats);
             for (all, hits) in merged.iter_mut().zip(hits) {
-                self.extend_live(all, src.base, src.dead, hits);
+                self.extend_live(all, src.base, src.dead, &hits);
             }
         }
         for all in &mut merged {
@@ -660,15 +704,16 @@ impl CorpusSnapshot {
     }
 
     /// Every non-empty source as the approximate path sees it, resolved
-    /// once per batch: the lazily built coarse table, how many neighbours
-    /// to ask for (`k + dead`, as on the exact path), and the source's
-    /// share of the candidate budget — proportional to its row count,
-    /// floored at `want` so every source can still surface a full live
-    /// top-`k`.
+    /// once per batch: its linear scan where the snapshot filters, how
+    /// many neighbours to ask for (`k + dead`, as on the exact path), and
+    /// the source's share of the candidate budget — proportional to its
+    /// row count, floored at `want` so every source can still surface a
+    /// full live top-`k`. No coarse table yet: see
+    /// [`CorpusSnapshot::approx_batch`].
     fn approx_sources(&self, k: usize, budget: usize) -> Result<Vec<ApproxSource<'_>>> {
         let total = self.total_rows().max(1) as u128;
         let mut sources = Vec::new();
-        for (data, base, _) in self.source_rows() {
+        for (data, base, kind) in self.source_rows() {
             let rows = data.dataset.len();
             let dead = self.tombstones.range(base..base + rows as u64).count();
             let want = k.saturating_add(dead).min(rows);
@@ -676,9 +721,15 @@ impl CorpusSnapshot {
                 continue;
             }
             let share = (budget as u128 * rows as u128).div_ceil(total) as usize;
+            let scan = if self.filters() {
+                Some(data.index(kind, &self.measure)?)
+            } else {
+                None
+            };
             sources.push(ApproxSource {
-                coarse: data.coarse()?,
-                dataset: &data.dataset,
+                rows: data,
+                scan,
+                coarse: None,
                 base,
                 dead,
                 want,
@@ -688,26 +739,66 @@ impl CorpusSnapshot {
         Ok(sources)
     }
 
-    /// Two-stage approximate k-NN for one query: each source surfaces its
-    /// budget share of coarse candidates from its signature table and
-    /// reranks them with exact distances, and the per-source exact
-    /// results merge tombstone-aware by `(distance, id)` exactly like the
-    /// exact path. Coarse distances never cross sources — only exact
-    /// rerank distances are merged — so each source's independent
-    /// quantization scale is sound.
+    /// The exact filters over one worker's query chunk: one pass per
+    /// source that has one, each handed the whole chunk (see
+    /// [`SearchIndex::knn_batch_filtered`]). Each query's counters are its
+    /// sum over the sources.
+    fn filter_chunk(
+        sources: &[ApproxSource<'_>],
+        queries: &[Vec<f32>],
+        stats: &mut BatchStats,
+    ) -> Vec<Filtered> {
+        let mut filtered: Vec<Filtered> = vec![Vec::with_capacity(sources.len()); queries.len()];
+        let mut chunk_stats = BatchStats::new();
+        for _ in queries {
+            chunk_stats.record(&SearchStats::new());
+        }
+        for src in sources {
+            let hits = match src.scan {
+                Some(scan) => {
+                    let mut source_stats = BatchStats::new();
+                    let hits = scan.knn_batch_filtered(queries, src.want, &mut source_stats);
+                    chunk_stats.add_per_query(&source_stats);
+                    hits
+                }
+                None => vec![None; queries.len()],
+            };
+            for (answers, hits) in filtered.iter_mut().zip(hits) {
+                answers.push(hits);
+            }
+        }
+        stats.merge(&chunk_stats);
+        filtered
+    }
+
+    /// Approximate k-NN for one query: each source either answers from
+    /// its exact filter (`filtered`) or surfaces its budget share of
+    /// coarse candidates from its signature table and reranks them with
+    /// exact distances, and the per-source exact results merge
+    /// tombstone-aware by `(distance, id)` exactly like the exact path.
+    /// Coarse distances never cross sources — only exact distances are
+    /// merged — so each source's independent quantization scale is
+    /// sound, and a query every source's filter served is answered
+    /// exactly as the exact path answers it.
     fn knn_one_approx(
         &self,
         sources: &[ApproxSource<'_>],
+        filtered: &[Option<Vec<Neighbor>>],
         query: &[f32],
         k: usize,
         scratch: &mut ApproxScratch,
         stats: &mut SearchStats,
     ) -> Hits {
         let mut merged: Hits = Vec::new();
-        for src in sources {
+        for (src, exact) in sources.iter().zip(filtered) {
+            if let Some(hits) = exact {
+                self.extend_live(&mut merged, src.base, src.dead, hits);
+                continue;
+            }
             let hits = approx_knn(
-                src.coarse,
-                src.dataset,
+                src.coarse
+                    .expect("resolved for every source a query needs it on"),
+                &src.rows.dataset,
                 &self.measure,
                 query,
                 src.want,
@@ -715,7 +806,7 @@ impl CorpusSnapshot {
                 scratch,
                 stats,
             );
-            self.extend_live(&mut merged, src.base, src.dead, hits);
+            self.extend_live(&mut merged, src.base, src.dead, &hits);
         }
         sort_hits(&mut merged);
         merged.truncate(k);
@@ -793,7 +884,9 @@ impl CorpusSnapshot {
 
     /// The batched exact path behind the three public entry points:
     /// resolve the sources once, search each worker's chunk with
-    /// [`CorpusSnapshot::exact_chunk`], and rank.
+    /// [`CorpusSnapshot::exact_chunk`], and rank. Over filtered scans the
+    /// batch spreads over no more workers than
+    /// [`CorpusSnapshot::scan_threads`] allows.
     fn exact_batch(
         &self,
         obs: ObsCapture,
@@ -812,20 +905,21 @@ impl CorpusSnapshot {
         let search = |chunk: Range<usize>, bs: &mut BatchStats| {
             self.exact_chunk(&sources, &queries[chunk], op, bs)
         };
-        self.run_batch(
-            obs,
-            obs_op,
-            queries.len(),
-            threads,
-            stats,
-            search,
-            skip_self,
-        )
+        let n = queries.len();
+        let threads = self.scan_threads(n, threads);
+        self.run_batch(obs, obs_op, n, threads, stats, search, skip_self)
     }
 
-    /// The approximate counterpart of [`CorpusSnapshot::exact_batch`]:
-    /// the two-stage search is per query (each query's coarse candidates
-    /// differ), so a worker loops its chunk over one reused scratch.
+    /// The approximate counterpart of [`CorpusSnapshot::exact_batch`], in
+    /// two passes. First the exact filters: where the snapshot serves L1
+    /// from linear scans, every source's filter takes the whole batch,
+    /// one pass per worker as on the exact path, and answers each query
+    /// it keeps to the end exactly. Then, per query, the two-stage search
+    /// on each source whose filter did not serve it (each query's coarse
+    /// candidates differ, so a worker loops its chunk over one reused
+    /// scratch) — on `threads` workers, as many as there are such
+    /// queries. A source's coarse table is built only when a query needs
+    /// it, and a query's counters are what both passes spent on it.
     fn approx_batch(
         &self,
         queries: &[Vec<f32>],
@@ -836,21 +930,45 @@ impl CorpusSnapshot {
         skip_self: SkipSelf<'_>,
     ) -> Result<Vec<Vec<Ranked>>> {
         self.check_dims(queries)?;
-        let sources = self.approx_sources(k, budget)?;
+        let obs = ObsCapture::begin();
+        obs.stage("search");
+        let n = queries.len();
+        let mut sources = self.approx_sources(k, budget)?;
+        // With no scan to run the pass only records empty answers.
+        let filter_threads = if self.filters() {
+            self.scan_threads(n, threads)
+        } else {
+            1
+        };
+        let mut first = BatchStats::new();
+        let filtered: Vec<Filtered> = run_parallel(n, filter_threads, &mut first, |chunk, bs| {
+            Self::filter_chunk(&sources, &queries[chunk], bs)
+        });
+        for (i, src) in sources.iter_mut().enumerate() {
+            if filtered.iter().any(|answers| answers[i].is_none()) {
+                src.coarse = Some(src.rows.coarse()?);
+            }
+        }
+        let two_stage = filtered
+            .iter()
+            .filter(|answers| answers.iter().any(Option::is_none))
+            .count();
         let search = |chunk: Range<usize>, bs: &mut BatchStats| {
             let mut scratch = ApproxScratch::new();
-            let mut per_query = SearchStats::new();
-            let one = |query: &Vec<f32>| {
-                per_query.reset();
-                let hits = self.knn_one_approx(&sources, query, k, &mut scratch, &mut per_query);
+            let one = |i: usize| {
+                let mut per_query = first.per_query()[i].clone();
+                let answers = &filtered[i];
+                let query = &queries[i];
+                let hits =
+                    self.knn_one_approx(&sources, answers, query, k, &mut scratch, &mut per_query);
                 bs.record(&per_query);
                 hits
             };
-            queries[chunk].iter().map(one).collect()
+            chunk.map(one).collect()
         };
-        let obs = ObsCapture::begin();
+        let threads = threads.min(two_stage).max(1);
         let op = cbir_obs::QueryOp::Knn;
-        self.run_batch(obs, op, queries.len(), threads, stats, search, skip_self)
+        self.run_batch(obs, op, n, threads, stats, search, skip_self)
     }
 
     fn descriptors(&self, ids: &[u64]) -> Result<Vec<Vec<f32>>> {
@@ -899,11 +1017,14 @@ impl CorpusSnapshot {
         self.exact_batch(obs, &queries, op, threads, stats, Some((ids, k)))
     }
 
-    /// Batched two-stage approximate k-NN over raw descriptors; the
-    /// snapshot counterpart of [`crate::QueryEngine::knn_batch_approx`].
-    /// Each source (segment or memtable chunk) runs coarse-then-rerank
-    /// independently and the exact rerank distances merge under the
-    /// documented `(distance, id)` rule. `recall_target = 1.0` routes to
+    /// Batched approximate k-NN over raw descriptors; the snapshot
+    /// counterpart of [`crate::QueryEngine::knn_batch_approx`]. Each
+    /// source (segment or memtable chunk) answers a query from its exact
+    /// L1 filter where that serves it — one pass over the batch, as on
+    /// the exact path — and by coarse-then-rerank where not, and the
+    /// exact distances merge under the documented `(distance, id)` rule:
+    /// a query every source's filter served gets its exact reply, with
+    /// zero coarse and rerank counts. `recall_target = 1.0` routes to
     /// [`CorpusSnapshot::knn_batch`], bit-identically.
     pub fn knn_batch_approx(
         &self,
@@ -920,9 +1041,10 @@ impl CorpusSnapshot {
         self.approx_batch(queries, k, budget, threads, stats, None)
     }
 
-    /// Batched two-stage approximate k-NN by global id, excluding each
-    /// query row from its own results. `recall_target = 1.0` routes to
-    /// [`CorpusSnapshot::knn_batch_by_ids`], bit-identically.
+    /// Batched approximate k-NN by global id, excluding each query row
+    /// from its own results, on the path of
+    /// [`CorpusSnapshot::knn_batch_approx`]. `recall_target = 1.0` routes
+    /// to [`CorpusSnapshot::knn_batch_by_ids`], bit-identically.
     pub fn knn_batch_by_ids_approx(
         &self,
         ids: &[u64],
@@ -1643,7 +1765,7 @@ mod tests {
     use super::*;
     use crate::QueryEngine;
     use cbir_features::{FeatureSpec, Quantizer};
-    use cbir_index::approx_knn_batch;
+    use cbir_index::{approx_knn_batch, rerank_exact, ApproxSearch};
 
     struct XorShift(u64);
 
@@ -2134,11 +2256,12 @@ mod tests {
         }
     }
 
-    /// The L1 scan's code table is built by the first *exact* scan: an
-    /// engine that only ever serves approximate requests (a `tier_approx`
-    /// backend) never pays for one.
+    /// An approximate L1 request over a linear scan runs the exact filter
+    /// first, so an engine that only ever serves approximate requests (a
+    /// `tier_approx` backend) builds the L1 code table — and, where the
+    /// filter serves every query, no coarse table.
     #[test]
-    fn approximate_only_use_never_builds_the_l1_code_table() {
+    fn approximate_only_use_builds_the_l1_code_table_and_no_coarse_table() {
         let rows = 4400;
         let db = synth_db(rows, 71);
         let dim = db.dim();
@@ -2146,19 +2269,287 @@ mod tests {
         let idle = engine.index_bytes();
         let queries = synth_queries(6, dim, 72);
         let mut stats = BatchStats::new();
-        engine
+        let approx = engine
             .knn_batch_approx(&queries, 10, 0.9, 2, &mut stats)
             .unwrap();
-        engine
+        let approx_ids = engine
             .knn_batch_by_ids_approx(&[0, 9, rows - 1], 10, 0.9, 2, &mut stats)
             .unwrap();
-        assert!(stats.total().coarse_candidates > 0);
-        assert_eq!(stats.total().subtrees_pruned, 0);
-        assert_eq!(engine.index_bytes(), idle, "a table was built");
-        // The first exact call builds it: one byte per coordinate.
-        engine.knn_batch(&queries, 10, 2, &mut stats).unwrap();
+        assert_eq!(stats.total().coarse_candidates, 0);
+        assert_eq!(stats.total().rerank_evaluations, 0);
         assert!(stats.total().subtrees_pruned > 0);
+        // The table: one byte per coordinate.
         assert_eq!(engine.index_bytes(), idle + rows * dim);
+        let source = &engine.snapshot().mem_chunks[0].data;
+        assert!(
+            source.coarse_cell.get().is_none(),
+            "a coarse table was built"
+        );
+        // Exact calls read the same table, and answer the same.
+        let mut exact = BatchStats::new();
+        assert_eq!(
+            engine.knn_batch(&queries, 10, 2, &mut exact).unwrap(),
+            approx
+        );
+        let by_ids = engine.knn_batch_by_ids(&[0, 9, rows - 1], 10, 1, &mut exact);
+        assert_eq!(by_ids.unwrap(), approx_ids);
+        assert_eq!(exact, stats);
+        assert_eq!(engine.index_bytes(), idle + rows * dim);
+    }
+
+    /// Each query's per-query coarse and rerank counts, in query order.
+    fn approx_counts(stats: &BatchStats) -> Vec<(u64, u64)> {
+        let per_query = stats.per_query().iter();
+        per_query
+            .map(|s| (s.coarse_candidates, s.rerank_evaluations))
+            .collect()
+    }
+
+    /// A database of `rows` under a pipeline of their dimension (gray
+    /// histograms, so any width from 1 up).
+    fn db_of(rows: &[Vec<f32>]) -> ImageDatabase {
+        let bins = rows[0].len() as u32;
+        let pipeline = Pipeline::new(
+            16,
+            vec![FeatureSpec::ColorHistogram(Quantizer::Gray { bins })],
+        );
+        let mut db = ImageDatabase::new(pipeline.unwrap());
+        for (i, row) in rows.iter().enumerate() {
+            let meta = ImageMeta {
+                name: format!("row-{i:05}"),
+                label: Some((i % 7) as u32),
+            };
+            db.insert_descriptor(meta, row.clone()).unwrap();
+        }
+        db
+    }
+
+    /// The two-stage oracle for one query over `snap` at candidate budget
+    /// `budget`: every source's own coarse table and budget share, exact
+    /// rerank, the sources' live hits merged by `(distance, id)` — written
+    /// out from the index layer's public pieces, with the counters it
+    /// spent.
+    fn two_stage_oracle(
+        snap: &CorpusSnapshot,
+        query: &[f32],
+        k: usize,
+        budget: usize,
+    ) -> (Hits, SearchStats) {
+        let total = snap.total_rows() as u128;
+        let (mut merged, mut stats) = (Vec::new(), SearchStats::new());
+        let mut scratch = ApproxScratch::new();
+        for (data, base, _) in snap.source_rows() {
+            let rows = data.dataset.len();
+            let dead = snap.tombstones.range(base..base + rows as u64).count();
+            let want = (k + dead).min(rows);
+            let share = ((budget as u128 * rows as u128).div_ceil(total) as usize)
+                .max(want)
+                .min(rows);
+            let coarse = CoarseHaarIndex::build(
+                &data.dataset,
+                CoarseHaarIndex::default_coefficients(data.dataset.dim()),
+            )
+            .unwrap();
+            let mut candidates = Vec::new();
+            coarse.coarse_candidates(query, share, &mut stats, &mut candidates);
+            let mut hits = Vec::new();
+            let measure = snap.measure();
+            rerank_exact(
+                &data.dataset,
+                measure,
+                query,
+                want,
+                &candidates,
+                &mut scratch,
+                &mut stats,
+                &mut hits,
+            );
+            let live = hits.iter().map(|n| (base + n.id as u64, n.distance));
+            merged.extend(live.filter(|(g, _)| !snap.tombstones.contains(g)));
+        }
+        sort_hits(&mut merged);
+        merged.truncate(k);
+        (merged, stats)
+    }
+
+    /// `(global id, distance bits)` of ranked replies.
+    fn id_bits(results: &[Vec<Ranked>]) -> Vec<Vec<(u64, u32)>> {
+        let one = |r: &Vec<Ranked>| {
+            r.iter()
+                .map(|h| (h.id as u64, h.distance.to_bits()))
+                .collect()
+        };
+        results.iter().map(one).collect()
+    }
+
+    fn hit_bits(hits: &Hits) -> Vec<(u64, u32)> {
+        hits.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+    }
+
+    /// A corpus on which the L1 filter serves some queries and not
+    /// others: clustered rows, except that rows 3,000..4,000 are all
+    /// copies of row 7. A query at row 7 meets a thousand rows at
+    /// distance 0 its bound cannot exclude and leaves the filter at the
+    /// end of its first code block (rows 0..4,096 at this dimension); a
+    /// query in another cluster never comes near them. Returns the rows
+    /// and eight queries, the odd ones at row 7.
+    fn mixed_corpus() -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        let dim = pipeline().dim();
+        let mut rows = cbir_workload::clustered_smooth(6000, dim, 40, 2.0, 100.0, 4, 17);
+        let seven = rows[7].clone();
+        for row in &mut rows[3000..4000] {
+            row.clone_from(&seven);
+        }
+        let mut near_seven = rows[7].clone();
+        near_seven[0] += 0.5;
+        let queries = (0..8)
+            .map(|i| match i % 4 {
+                1 => rows[7].clone(),
+                3 => near_seven.clone(),
+                _ => rows[100 + 13 * i].clone(),
+            })
+            .collect();
+        (rows, queries)
+    }
+
+    /// A batch mixing queries the filter serves with queries it leaves:
+    /// each reply is its query's own — exact, with zero counts, where the
+    /// filter served it; the two-stage oracle's, with its counts, where
+    /// not — and replies and per-query counters are bit-identical at
+    /// every thread count.
+    #[test]
+    fn a_mixed_approximate_batch_answers_each_query_on_its_own_path() {
+        let (rows, queries) = mixed_corpus();
+        let db = db_of(&rows);
+        let snap = CorpusSnapshot::from_database(&db, IndexKind::Linear, Measure::L1).unwrap();
+        let (k, recall_target) = (10, 0.9);
+        let mut exact_stats = BatchStats::new();
+        let exact = snap.knn_batch(&queries, k, 1, &mut exact_stats).unwrap();
+        let mut at_one_thread = None;
+        for threads in [1, 2, 3, 8] {
+            let mut stats = BatchStats::new();
+            let got = snap
+                .knn_batch_approx(&queries, k, recall_target, threads, &mut stats)
+                .unwrap();
+            for (i, query) in queries.iter().enumerate() {
+                let ctx = format!("query {i}, {threads} threads");
+                let (coarse, rerank) = approx_counts(&stats)[i];
+                if i % 2 == 0 {
+                    assert_eq!(got[i], exact[i], "{ctx}");
+                    assert_eq!(stats.per_query()[i], exact_stats.per_query()[i], "{ctx}");
+                    assert_eq!((coarse, rerank), (0, 0), "{ctx}");
+                } else {
+                    let budget = plan_candidate_budget(rows.len(), k, recall_target).unwrap();
+                    let (want, spent) = two_stage_oracle(&snap, query, k, budget);
+                    assert_eq!(id_bits(&got[i..=i])[0], hit_bits(&want), "{ctx}");
+                    assert_eq!(
+                        (coarse, rerank),
+                        (spent.coarse_candidates, spent.rerank_evaluations)
+                    );
+                    assert!(coarse > 0 && rerank > 0, "{ctx}");
+                    // It paid for the filter's first block before leaving.
+                    let filtered = stats.per_query()[i].distance_computations - rerank;
+                    assert!(filtered > 0, "{ctx}");
+                }
+            }
+            let first = at_one_thread.get_or_insert_with(|| (got.clone(), stats.clone()));
+            assert_eq!((&got, &stats), (&first.0, &first.1), "{threads} threads");
+        }
+        // A query that left the filter built the source's coarse table.
+        assert!(snap.mem_chunks[0].data.coarse_cell.get().is_some());
+    }
+
+    /// Where the filter leaves every query early (one column a million
+    /// times wider than the rest, so the codes separate nothing), every
+    /// source of a store — filtered segments, tombstones, plain memtable
+    /// chunks — answers through the two-stage search, reply for reply and
+    /// count for count the oracle's.
+    #[test]
+    fn where_the_filter_cannot_serve_the_reply_is_the_two_stage_oracles() {
+        let dim = 64;
+        let mut rows = cbir_workload::uniform(2 * 4200 + 700, dim, 1.0, 8);
+        let mut rng = cbir_workload::Pcg32::new(1);
+        for row in &mut rows {
+            row[0] = rng.range_f32(0.0, 1e6);
+        }
+        let db = db_of(&rows);
+        let dir = temp_dir("filter-leaves");
+        let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+        options.max_seg_rows = 4200;
+        options.memtable_limit = usize::MAX;
+        let store = CorpusStore::create(&dir, db.pipeline().clone(), true, options).unwrap();
+        let items = |range: Range<usize>| -> Vec<(ImageMeta, Vec<f32>)> {
+            let meta = |i: usize| db.meta(i).unwrap().clone();
+            range.map(|i| (meta(i), rows[i].clone())).collect()
+        };
+        store.insert_batch(items(0..2 * 4200)).unwrap();
+        store.compact().unwrap();
+        store.insert_batch(items(2 * 4200..rows.len())).unwrap();
+        store.delete(11).unwrap();
+        store.delete(4200 + 5).unwrap();
+        let snap = store.snapshot();
+        assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (2, 1));
+        let queries = cbir_workload::queries(&rows, 6, 0.05, 4);
+        let by_id = [3u64, 4200 + 9, 2 * 4200 + 20];
+        for recall_target in [0.5, 0.9, 0.95] {
+            for threads in [1, 2] {
+                let ctx = format!("recall {recall_target}, {threads} threads");
+                let mut stats = BatchStats::new();
+                let got = snap
+                    .knn_batch_approx(&queries, 10, recall_target, threads, &mut stats)
+                    .unwrap();
+                let mut id_stats = BatchStats::new();
+                let got_ids = snap
+                    .knn_batch_by_ids_approx(&by_id, 10, recall_target, threads, &mut id_stats)
+                    .unwrap();
+                let own = by_id.iter().map(|&id| snap.descriptor(id).unwrap());
+                let asked = queries.iter().cloned().zip([10; 6]);
+                let asked = asked.chain(own.zip([11; 3]));
+                let replies = got.iter().chain(&got_ids);
+                let counts = approx_counts(&stats)
+                    .into_iter()
+                    .chain(approx_counts(&id_stats));
+                let budget = plan_candidate_budget(snap.total_rows(), 10, recall_target).unwrap();
+                for (i, (((query, k), reply), counts)) in asked.zip(replies).zip(counts).enumerate()
+                {
+                    let (mut want, spent) = two_stage_oracle(&snap, &query, k, budget);
+                    if let Some(&id) = i.checked_sub(6).map(|j| &by_id[j]) {
+                        want.retain(|&(g, _)| g != id);
+                        want.truncate(10);
+                    }
+                    assert_eq!(
+                        id_bits(std::slice::from_ref(reply))[0],
+                        hit_bits(&want),
+                        "{ctx}, query {i}"
+                    );
+                    assert_eq!(
+                        counts,
+                        (spent.coarse_candidates, spent.rerank_evaluations),
+                        "{ctx}"
+                    );
+                    assert!(counts.0 > 0, "{ctx}, query {i}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_filtered_batch_takes_a_worker_per_four_queries() {
+        let db = synth_db(40, 3);
+        let linear = CorpusSnapshot::from_database(&db, IndexKind::Linear, Measure::L1).unwrap();
+        for (queries, threads, workers) in [(1, 2, 1), (3, 2, 1), (7, 2, 1), (8, 2, 2), (64, 3, 3)]
+        {
+            assert_eq!(
+                linear.scan_threads(queries, threads),
+                workers,
+                "{queries} queries"
+            );
+        }
+        // Another measure or index keeps the caller's split.
+        let l2 = CorpusSnapshot::from_database(&db, IndexKind::Linear, Measure::L2).unwrap();
+        let vp = CorpusSnapshot::from_database(&db, IndexKind::VpTree, Measure::L1).unwrap();
+        assert_eq!((l2.scan_threads(3, 2), vp.scan_threads(3, 2)), (2, 2));
     }
 
     #[test]
@@ -2457,22 +2848,22 @@ mod tests {
         };
         // Nothing read the replaced sources: the new ones stay cold.
         assert_eq!(churn(&|_| ()), (cold, cold));
-        // The approximate path builds coarse tables, never an index.
+        // After an approximate query (which runs the exact filter first)
+        // they are warm: metadata, index, and the code table where the
+        // segment is large enough to filter; an exact one keeps them so.
         let approx = |snap: &CorpusSnapshot| {
             let mut s = BatchStats::new();
             snap.knn_batch_approx(&queries, 5, 0.9, 1, &mut s).unwrap();
-            assert!(s.total().coarse_candidates > 0);
         };
-        assert_eq!(churn(&approx), (cold, cold));
-        // After an exact query they are warm: metadata, index, and the
-        // code table where the segment is large enough to filter.
         let exact = |snap: &CorpusSnapshot| {
             snap.knn_batch(&queries, 5, 1, &mut BatchStats::new())
                 .unwrap();
         };
-        let (seg0, tail) = churn(&exact);
-        assert!(seg0.0 && seg0.1 && seg0.2 >= (rows - 1) * dim, "{seg0:?}");
-        assert!(tail.0 && tail.1 && tail.2 < 4096 * dim, "{tail:?}");
+        for read in [&approx as &dyn Fn(&CorpusSnapshot), &exact] {
+            let (seg0, tail) = churn(read);
+            assert!(seg0.0 && seg0.1 && seg0.2 >= (rows - 1) * dim, "{seg0:?}");
+            assert!(tail.0 && tail.1 && tail.2 < 4096 * dim, "{tail:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -46,6 +46,16 @@
 //!
 //! Every other measure, and every row of a query outside the filter,
 //! goes through `dist_to_many` block by block as before.
+//!
+//! [`SearchIndex::knn_batch_filtered`] runs the same scan with the plain
+//! half switched off: a query the filter keeps to the last row gets
+//! exactly its [`SearchIndex::knn_batch`] hits, and one it never admits
+//! or that leaves is dropped where it stands — the caller (the
+//! approximate read path) searches it another way, having paid only for
+//! the rows it tried: it stops at the group of [`SURVIVOR_GROUP`] rows
+//! where its survivors pass the limit, not at the end of its block. (A
+//! query that leaves at the last group has bounded every row, so it is
+//! served.)
 
 use crate::dataset::Dataset;
 use crate::error::Result;
@@ -74,10 +84,6 @@ const CODE_BLOCK_SPAN: usize = 4;
 /// offers nothing the bound would have kept out: a skipped row's
 /// distance cannot beat it).
 const SURVIVOR_GROUP: usize = 64;
-
-/// Code-difference sums checked against the bound with one vector
-/// minimum.
-const SUM_RUN: usize = 16;
 
 /// Sources with fewer rows keep the plain scan: see the module docs.
 const MIN_FILTER_ROWS: usize = 4096;
@@ -231,6 +237,13 @@ impl<'a> Lane<'a> {
             evaluated: 0,
         }
     }
+
+    /// Whether more of the `bounded` rows it has bounded survived than
+    /// the filter pays for: more than one in [`BAIL_ONE_IN`], past its
+    /// grace.
+    fn over_limit(&self, bounded: usize) -> bool {
+        self.survivors > self.grace.max(bounded as u64 / BAIL_ONE_IN)
+    }
 }
 
 impl LinearScan {
@@ -311,9 +324,12 @@ impl LinearScan {
     /// One lane's pass over one block of the code table, `rows` rows from
     /// `base`: bound every row, then group by group score the survivors
     /// and offer them in id order (see [`SURVIVOR_GROUP`]); leave the
-    /// filter if too many survived. A survivor the bound has overtaken by
-    /// the time it is offered is rejected there, exactly as the plain
-    /// scan rejects it.
+    /// filter if too many survived — at the end of the block, where the
+    /// plain scan takes over, or with `drop_on_leave` (no plain scan
+    /// follows) at the first group past the limit. A survivor
+    /// the bound has overtaken by the time it is offered is rejected
+    /// there, exactly as the plain scan rejects it.
+    #[allow(clippy::too_many_arguments)] // one lane, one block, threaded explicitly
     fn filter_block(
         &self,
         table: &CellTable,
@@ -321,48 +337,49 @@ impl LinearScan {
         qcodes: &[u8],
         base: usize,
         rows: usize,
+        drop_on_leave: bool,
         bufs: &mut FilterBufs,
     ) {
         let dim = self.dataset.dim();
         let sums = &mut bufs.sads[..rows];
         self.code_sums(qcodes, &table.codes[base * dim..(base + rows) * dim], sums);
-        let (mut survivors, mut evaluated) = (0, 0);
         let mut min_sad = lane.sink.min_sad(&table.quant);
         for (group, sums) in sums.chunks(SURVIVOR_GROUP).enumerate() {
             let first = base + group * SURVIVOR_GROUP;
-            bufs.survivors.clear();
-            for (run, sums) in sums.chunks(SUM_RUN).enumerate() {
-                if sums.iter().fold(u32::MAX, |m, &s| m.min(s)) < min_sad {
-                    let under = sums.iter().enumerate().filter(|(_, &s)| s < min_sad);
-                    bufs.survivors
-                        .extend(under.map(|(i, _)| first + run * SUM_RUN + i));
-                }
-            }
-            if bufs.survivors.is_empty() {
+            // One vector minimum rules out most groups; the survivors of
+            // the rest are counted in a second pass, and their ids are
+            // only needed when few enough to be scored one by one.
+            if sums.iter().fold(u32::MAX, |m, &s| m.min(s)) >= min_sad {
                 continue;
             }
-            survivors += bufs.survivors.len() as u64;
+            let survivors = sums.iter().filter(|&&s| s < min_sad).count();
+            lane.survivors += survivors as u64;
             let dists = &mut bufs.dists;
             dists.clear();
-            if bufs.survivors.len() * 4 > sums.len() {
+            if survivors * 4 > sums.len() {
                 dists.resize(sums.len(), 0.0);
                 let group_rows = &self.dataset.flat()[first * dim..(first + sums.len()) * dim];
                 self.measure.dist_to_many(lane.query, group_rows, dists);
                 lane.sink.offer_run(first, dists);
             } else {
+                bufs.survivors.clear();
+                let under = sums.iter().enumerate().filter(|(_, &s)| s < min_sad);
+                bufs.survivors.extend(under.map(|(i, _)| first + i));
                 let row = |&id| self.measure.distance(lane.query, self.dataset.vector(id));
                 dists.extend(bufs.survivors.iter().map(row));
                 for (&id, d) in bufs.survivors.iter().zip(dists.iter()) {
                     lane.sink.offer_run(id, std::slice::from_ref(d));
                 }
             }
-            evaluated += dists.len() as u64;
+            lane.evaluated += dists.len() as u64;
+            let bounded = first + sums.len();
+            if drop_on_leave && lane.over_limit(bounded) {
+                lane.filter_until = bounded;
+                return;
+            }
             min_sad = lane.sink.min_sad(&table.quant);
         }
-        lane.evaluated += evaluated;
-        lane.survivors += survivors;
-        let bounded = (base + rows) as u64;
-        if lane.survivors > lane.grace.max(bounded / BAIL_ONE_IN) {
+        if lane.over_limit(base + rows) {
             lane.filter_until = base + rows;
         }
     }
@@ -370,9 +387,11 @@ impl LinearScan {
     /// The one scan behind every entry point. Per block of
     /// [`CODE_BLOCK_SPAN`] row blocks: each lane still on the filter
     /// bounds the block's rows from their codes and scores the
-    /// survivors; then each lane off it scores the block in full, row
-    /// block by row block. A lane only ever sees ids ascending.
-    fn scan(&self, lanes: &mut [Lane<'_>], bufs: &mut ScanBufs) {
+    /// survivors; then, with `finish_plain`, each lane off it scores the
+    /// block in full, row block by row block — without, a lane off the
+    /// filter is done, and so is the scan once no lane is left on it. A
+    /// lane only ever sees ids ascending.
+    fn scan(&self, lanes: &mut [Lane<'_>], bufs: &mut ScanBufs, finish_plain: bool) {
         let (n, dim) = (self.dataset.len(), self.dataset.dim());
         let flat = self.dataset.flat();
         let table = self.admit(lanes, &mut bufs.codes);
@@ -384,16 +403,23 @@ impl LinearScan {
         bufs.filter.sads.resize(code_block, 0);
         for base in (0..n).step_by(code_block) {
             let end = (base + code_block).min(n);
-            let mut plain_lanes = lanes.len();
+            let mut filtering = 0;
             if let Some(table) = table {
                 for (lane, qcodes) in lanes.iter_mut().zip(bufs.codes.chunks_exact(dim)) {
                     if base < lane.filter_until {
-                        plain_lanes -= 1;
-                        self.filter_block(table, lane, qcodes, base, end - base, &mut bufs.filter);
+                        filtering += 1;
+                        let (rows, filter) = (end - base, &mut bufs.filter);
+                        self.filter_block(table, lane, qcodes, base, rows, !finish_plain, filter);
                     }
                 }
             }
-            if plain_lanes == 0 {
+            if !finish_plain {
+                if filtering == 0 {
+                    break;
+                }
+                continue;
+            }
+            if filtering == lanes.len() {
                 continue;
             }
             for first in (base..end).step_by(row_block) {
@@ -421,17 +447,70 @@ impl LinearScan {
         cell_sad_to_many(query, rows, out);
     }
 
-    /// One query's counters after a scan: the rows scored in full, the
-    /// rows the filter's bound excluded (their sum is `len()`), and one
-    /// "node".
-    fn lane_stats(&self, evaluated: u64) -> SearchStats {
+    /// One query's counters after a scan that reached `rows` rows (all
+    /// of them, unless it was dropped off the filter): the rows scored
+    /// in full, the rows the filter's bound excluded (their sum is
+    /// `rows`), and one "node" if it scanned at all.
+    fn lane_stats(rows: usize, evaluated: u64) -> SearchStats {
         SearchStats {
             distance_computations: evaluated,
-            nodes_visited: 1,
-            subtrees_pruned: self.dataset.len() as u64 - evaluated,
+            nodes_visited: u64::from(rows > 0),
+            subtrees_pruned: rows as u64 - evaluated,
             postfilter_candidates: evaluated,
             ..SearchStats::default()
         }
+    }
+
+    /// k-NN of a batch in one scan (see [`LinearScan::scan`]): each
+    /// query's hits, or — without `finish_plain` — `None` for a query the
+    /// filter did not serve to the last row.
+    fn knn_scan(
+        &self,
+        queries: &[Vec<f32>],
+        k: usize,
+        finish_plain: bool,
+        stats: &mut BatchStats,
+    ) -> Vec<Option<Vec<Neighbor>>> {
+        if k == 0 {
+            // Match the single-query path: no scan, empty results.
+            return queries
+                .iter()
+                .map(|_| {
+                    stats.record(&SearchStats::new());
+                    Some(Vec::new())
+                })
+                .collect();
+        }
+        let n = self.dataset.len();
+        let mut heaps: Vec<KnnHeap> = queries.iter().map(|_| KnnHeap::new(k)).collect();
+        let mut lanes: Vec<Lane<'_>> = queries
+            .iter()
+            .zip(&mut heaps)
+            .map(|(q, heap)| Lane::new(q, Sink::Knn { heap, k }))
+            .collect();
+        self.scan(&mut lanes, &mut ScanBufs::default(), finish_plain);
+        // A lane dropped off the filter reached the end of the group of
+        // rows it left at; one that left at the last group reached every
+        // row.
+        let reached: Vec<usize> = lanes
+            .iter()
+            .map(|lane| if finish_plain { n } else { lane.filter_until })
+            .collect();
+        for (lane, &rows) in lanes.iter().zip(&reached) {
+            stats.record(&Self::lane_stats(rows, lane.evaluated));
+        }
+        drop(lanes);
+        heaps
+            .into_iter()
+            .zip(reached)
+            .map(|(mut heap, rows)| {
+                (rows == n).then(|| {
+                    let mut out = Vec::new();
+                    heap.drain_sorted_into(&mut out);
+                    out
+                })
+            })
+            .collect()
     }
 }
 
@@ -480,8 +559,8 @@ impl SearchIndex for LinearScan {
     ) {
         out.clear();
         let mut lane = [Lane::new(query, Sink::Range { radius, out })];
-        self.scan(&mut lane, &mut scratch.scan);
-        stats.merge(&self.lane_stats(lane[0].evaluated));
+        self.scan(&mut lane, &mut scratch.scan, true);
+        stats.merge(&Self::lane_stats(self.len(), lane[0].evaluated));
         sort_neighbors(out);
     }
 
@@ -500,8 +579,8 @@ impl SearchIndex for LinearScan {
         scratch.heap.reset(k);
         let heap = &mut scratch.heap;
         let mut lane = [Lane::new(query, Sink::Knn { heap, k })];
-        self.scan(&mut lane, &mut scratch.scan);
-        stats.merge(&self.lane_stats(lane[0].evaluated));
+        self.scan(&mut lane, &mut scratch.scan, true);
+        stats.merge(&Self::lane_stats(self.len(), lane[0].evaluated));
         scratch.heap.drain_sorted_into(out);
     }
 
@@ -515,35 +594,22 @@ impl SearchIndex for LinearScan {
         k: usize,
         stats: &mut BatchStats,
     ) -> Vec<Vec<Neighbor>> {
-        if k == 0 {
-            // Match the single-query path: no scan, empty results.
-            return queries
-                .iter()
-                .map(|_| {
-                    stats.record(&SearchStats::new());
-                    Vec::new()
-                })
-                .collect();
-        }
-        let mut heaps: Vec<KnnHeap> = queries.iter().map(|_| KnnHeap::new(k)).collect();
-        let mut lanes: Vec<Lane<'_>> = queries
-            .iter()
-            .zip(&mut heaps)
-            .map(|(q, heap)| Lane::new(q, Sink::Knn { heap, k }))
-            .collect();
-        self.scan(&mut lanes, &mut ScanBufs::default());
-        for lane in &lanes {
-            stats.record(&self.lane_stats(lane.evaluated));
-        }
-        drop(lanes);
-        heaps
-            .into_iter()
-            .map(|mut heap| {
-                let mut out = Vec::new();
-                heap.drain_sorted_into(&mut out);
-                out
-            })
+        let hits = self.knn_scan(queries, k, true, stats);
+        hits.into_iter()
+            .map(|hits| hits.expect("the plain scan finishes every query"))
             .collect()
+    }
+
+    /// The same scan without its plain half (see the module docs): a
+    /// query's hits and counters are those of [`LinearScan::knn_batch`]
+    /// exactly when the filter keeps it to the last row.
+    fn knn_batch_filtered(
+        &self,
+        queries: &[Vec<f32>],
+        k: usize,
+        stats: &mut BatchStats,
+    ) -> Vec<Option<Vec<Neighbor>>> {
+        self.knn_scan(queries, k, false, stats)
     }
 
     /// Batched range search on the same scan; hits accumulate in id
@@ -560,9 +626,9 @@ impl SearchIndex for LinearScan {
             .zip(&mut outs)
             .map(|(q, out)| Lane::new(q, Sink::Range { radius, out }))
             .collect();
-        self.scan(&mut lanes, &mut ScanBufs::default());
+        self.scan(&mut lanes, &mut ScanBufs::default(), true);
         for lane in &lanes {
-            stats.record(&self.lane_stats(lane.evaluated));
+            stats.record(&Self::lane_stats(self.len(), lane.evaluated));
         }
         drop(lanes);
         for out in &mut outs {
@@ -813,8 +879,9 @@ mod tests {
     }
 
     /// The per-query `distance_computations` samples, in query order.
-    fn comps(stats: &BatchStats) -> &[u64] {
-        stats.per_query_comps_for_tests()
+    fn comps(stats: &BatchStats) -> Vec<u64> {
+        let per_query = stats.per_query().iter();
+        per_query.map(|s| s.distance_computations).collect()
     }
 
     /// One corpus through the grid: k-NN (which covers by-id: members
@@ -1053,11 +1120,78 @@ mod tests {
             assert_eq!(keys(got), naive_knn(&wide, q, 10));
         }
         let code_block = idx.block_rows() * CODE_BLOCK_SPAN;
-        for &scored in comps(&stats) {
+        for scored in comps(&stats) {
             assert!(
                 scored >= (20_000 - 2 * code_block) as u64,
                 "{scored} of 20000 rows scored: the query stayed on the filter"
             );
+        }
+    }
+
+    /// The filter alone: a query it serves gets the full scan's hits and
+    /// counters; one it never admits costs nothing; one that leaves is
+    /// dropped after the blocks it tried.
+    #[test]
+    fn the_filter_alone_serves_what_it_keeps_and_drops_the_rest() {
+        let rows = cbir_workload::clustered_smooth(N, 16, N / 64, 10.0, 100.0, 8, 3);
+        let mut queries = cbir_workload::queries(&rows, 6, 5.0, 4);
+        queries[2][5] = f32::NAN;
+        for path in KERNEL_PATHS {
+            let idx = l1_scan(&rows, path);
+            let mut full = BatchStats::new();
+            let want = idx.knn_batch(&queries, 10, &mut full);
+            let mut alone = BatchStats::new();
+            let got = idx.knn_batch_filtered(&queries, 10, &mut alone);
+            for (i, got) in got.iter().enumerate() {
+                let ctx = format!("{path}, query {i}");
+                if i == 2 {
+                    // Never admitted: nothing scanned, nothing counted.
+                    assert_eq!(*got, None, "{ctx}");
+                    assert_eq!(alone.per_query()[i], SearchStats::new(), "{ctx}");
+                } else {
+                    assert_eq!(got.as_ref(), Some(&want[i]), "{ctx}");
+                    assert_eq!(alone.per_query()[i], full.per_query()[i], "{ctx}");
+                }
+            }
+            // k past one in BAIL_ONE_IN of the rows: never admitted.
+            let big = N / BAIL_ONE_IN as usize + 1;
+            let mut stats = BatchStats::new();
+            let got = idx.knn_batch_filtered(&queries[..2], big, &mut stats);
+            assert_eq!(got, [None, None], "{path}");
+            assert_eq!(*stats.total(), SearchStats::new(), "{path}");
+            // Under the row threshold or another measure there is no
+            // filter, and no table is built.
+            let small = l1_scan(&rows[..MIN_FILTER_ROWS - 1], path);
+            let l2 = LinearScan::build(Dataset::from_vectors(&rows).unwrap(), Measure::L2).unwrap();
+            for idx in [&small, &l2] {
+                let got = idx.knn_batch_filtered(&queries, 10, &mut BatchStats::new());
+                assert!(got.iter().all(Option::is_none), "{path}");
+                assert!(idx.cells.get().is_none(), "{path}");
+            }
+        }
+
+        // The wide column of the test above: every query leaves once its
+        // free survivors are spent, a few blocks in, and is dropped at
+        // that group of rows, having scored no more than it reached.
+        let mut wide = cbir_workload::uniform(20_000, 64, 1.0, 8);
+        let mut rng = cbir_workload::Pcg32::new(1);
+        for row in &mut wide {
+            row[0] = rng.range_f32(0.0, 1e6);
+        }
+        let queries = cbir_workload::queries(&wide, 8, 0.05, 4);
+        let idx = LinearScan::build(Dataset::from_vectors(&wide).unwrap(), Measure::L1).unwrap();
+        let mut stats = BatchStats::new();
+        let got = idx.knn_batch_filtered(&queries, 10, &mut stats);
+        assert!(got.iter().all(Option::is_none));
+        for s in stats.per_query() {
+            assert!(s.distance_computations > 10 * GRACE_PER_NEIGHBOUR, "{s:?}");
+            let reached = s.distance_computations + s.subtrees_pruned;
+            let group = SURVIVOR_GROUP as u64;
+            assert!(
+                reached.is_multiple_of(group) && reached < 20_000 / 8,
+                "{s:?}"
+            );
+            assert_eq!(s.nodes_visited, 1);
         }
     }
 }

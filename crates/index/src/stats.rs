@@ -59,14 +59,13 @@ impl SearchStats {
     }
 }
 
-/// Aggregated counters for a batch of queries: the grand totals plus the
-/// per-query samples needed for tail summaries (p50/p95), which ad-hoc
-/// summing in each experiment binary could not provide.
+/// Aggregated counters for a batch of queries: the grand totals plus
+/// every query's own counters, for tail summaries (p50/p95) and for a
+/// caller that answers each query with what it alone cost.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     total: SearchStats,
-    per_query_comps: Vec<u64>,
-    per_query_visits: Vec<u64>,
+    per_query: Vec<SearchStats>,
 }
 
 impl BatchStats {
@@ -78,18 +77,14 @@ impl BatchStats {
     /// Record one query's counters.
     pub fn record(&mut self, stats: &SearchStats) {
         self.total.merge(stats);
-        self.per_query_comps.push(stats.distance_computations);
-        self.per_query_visits.push(stats.nodes_visited);
+        self.per_query.push(stats.clone());
     }
 
     /// Append another batch's per-query samples and totals. Query order is
     /// preserved: `other`'s queries follow this batch's.
     pub fn merge(&mut self, other: &BatchStats) {
         self.total.merge(&other.total);
-        self.per_query_comps
-            .extend_from_slice(&other.per_query_comps);
-        self.per_query_visits
-            .extend_from_slice(&other.per_query_visits);
+        self.per_query.extend_from_slice(&other.per_query);
     }
 
     /// Add another batch's counters query by query. `other` must record
@@ -107,25 +102,19 @@ impl BatchStats {
             "per-query addition needs the same queries on both sides"
         );
         self.total.merge(&other.total);
-        for (mine, theirs) in [
-            (&mut self.per_query_comps, &other.per_query_comps),
-            (&mut self.per_query_visits, &other.per_query_visits),
-        ] {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += b;
-            }
+        for (mine, theirs) in self.per_query.iter_mut().zip(&other.per_query) {
+            mine.merge(theirs);
         }
     }
 
-    /// The per-query `distance_computations` samples, in query order.
-    #[cfg(test)]
-    pub(crate) fn per_query_comps_for_tests(&self) -> &[u64] {
-        &self.per_query_comps
+    /// Every recorded query's counters, in query order.
+    pub fn per_query(&self) -> &[SearchStats] {
+        &self.per_query
     }
 
     /// Number of queries recorded.
     pub fn queries(&self) -> usize {
-        self.per_query_comps.len()
+        self.per_query.len()
     }
 
     /// Grand totals over every recorded query.
@@ -135,31 +124,36 @@ impl BatchStats {
 
     /// Mean distance computations per query (0 if no queries recorded).
     pub fn mean_comps(&self) -> f64 {
-        if self.per_query_comps.is_empty() {
+        if self.per_query.is_empty() {
             0.0
         } else {
-            self.total.distance_computations as f64 / self.per_query_comps.len() as f64
+            self.total.distance_computations as f64 / self.per_query.len() as f64
         }
+    }
+
+    /// One counter of every query, in query order.
+    fn samples(&self, counter: fn(&SearchStats) -> u64) -> Vec<u64> {
+        self.per_query.iter().map(counter).collect()
     }
 
     /// Median (p50) distance computations per query.
     pub fn p50_comps(&self) -> u64 {
-        percentile(&self.per_query_comps, 50)
+        percentile(&self.samples(|s| s.distance_computations), 50)
     }
 
     /// 95th-percentile distance computations per query.
     pub fn p95_comps(&self) -> u64 {
-        percentile(&self.per_query_comps, 95)
+        percentile(&self.samples(|s| s.distance_computations), 95)
     }
 
     /// Median (p50) node visits per query.
     pub fn p50_visits(&self) -> u64 {
-        percentile(&self.per_query_visits, 50)
+        percentile(&self.samples(|s| s.nodes_visited), 50)
     }
 
     /// 95th-percentile node visits per query.
     pub fn p95_visits(&self) -> u64 {
-        percentile(&self.per_query_visits, 95)
+        percentile(&self.samples(|s| s.nodes_visited), 95)
     }
 }
 
@@ -246,6 +240,38 @@ mod tests {
         assert_eq!(twice.total().distance_computations, 12100);
         assert_eq!(twice.p50_comps(), 2 * b.p50_comps());
         assert_eq!(twice.p95_visits(), 2 * b.p95_visits());
+    }
+
+    #[test]
+    fn every_counter_is_kept_per_query() {
+        let one = |coarse| SearchStats {
+            distance_computations: coarse + 1,
+            coarse_candidates: coarse,
+            rerank_evaluations: coarse / 2,
+            ..SearchStats::default()
+        };
+        let mut a = BatchStats::new();
+        a.record(&one(0));
+        a.record(&one(8));
+        let mut b = BatchStats::new();
+        b.record(&one(4));
+        b.record(&one(2));
+        let mut sum = a.clone();
+        sum.add_per_query(&b);
+        let coarse: Vec<u64> = sum
+            .per_query()
+            .iter()
+            .map(|s| s.coarse_candidates)
+            .collect();
+        let rerank: Vec<u64> = sum
+            .per_query()
+            .iter()
+            .map(|s| s.rerank_evaluations)
+            .collect();
+        assert_eq!((coarse, rerank), (vec![4, 10], vec![2, 5]));
+        a.merge(&b);
+        assert_eq!(a.per_query()[2], one(4));
+        assert_eq!(a.total().coarse_candidates, 14);
     }
 
     #[test]

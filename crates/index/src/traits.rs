@@ -143,6 +143,28 @@ pub trait SearchIndex: Send + Sync {
             .collect()
     }
 
+    /// The [`knn_batch`](Self::knn_batch) hits of every query the index's
+    /// exact filter serves to the end, and `None` for each query it does
+    /// not — one it never admits, or one that leaves it part-way and is
+    /// then searched no further. Per-query counters record what each
+    /// query cost, served or not. Only [`LinearScan`](crate::LinearScan)
+    /// has such a filter (its L1 code table); every other index serves
+    /// nothing, at no cost.
+    fn knn_batch_filtered(
+        &self,
+        queries: &[Vec<f32>],
+        _k: usize,
+        stats: &mut BatchStats,
+    ) -> Vec<Option<Vec<Neighbor>>> {
+        queries
+            .iter()
+            .map(|_| {
+                stats.record(&SearchStats::new());
+                None
+            })
+            .collect()
+    }
+
     /// Short name for tables ("linear", "kd-tree", "vp-tree", ...).
     fn name(&self) -> &'static str;
 

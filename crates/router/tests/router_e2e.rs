@@ -270,6 +270,71 @@ fn a_storm_of_concurrent_connections_gets_the_single_nodes_bytes() {
     single.shutdown();
 }
 
+/// Over clustered L1 shards above the filter's row threshold, the exact
+/// filter serves every approximate request on every shard: the router's
+/// reply frames at targets 0.5, 0.9 and 0.95 are its recall-1.0 frames,
+/// which are the single node's, byte for byte.
+#[test]
+fn approximate_replies_the_filter_serves_are_the_single_nodes_exact_frames() {
+    const ROWS: usize = 9000;
+    let pipeline = Pipeline::color_histogram_default();
+    let dim = pipeline.dim();
+    let rows = cbir_workload::clustered_smooth(ROWS, dim, ROWS / 64, 10.0, 100.0, 8, 5);
+    let metas = (0..ROWS).map(|g| ImageMeta {
+        name: format!("img-{g}"),
+        label: Some((g % 11) as u32),
+    });
+    let union = ImageDatabase::from_parts(pipeline, false, rows.concat(), metas.collect()).unwrap();
+    let single = spawn_backend(union.clone());
+    let plan = ShardPlan::new(ShardScheme::Mod, dim, ROWS as u64, 2).unwrap();
+    let backends: Vec<ServerHandle> = split_database(&union, &plan)
+        .unwrap()
+        .into_iter()
+        .map(spawn_backend)
+        .collect();
+    let addrs = backends
+        .iter()
+        .map(|b| vec![b.local_addr().to_string()])
+        .collect();
+    let router = Router::spawn(plan, addrs, "127.0.0.1:0", RouterConfig::default()).unwrap();
+    let asked = |recall_target: f32| -> Vec<Request> {
+        let knn = cbir_workload::queries(&rows, 8, 5.0, 4).into_iter();
+        let knn = knn.map(|descriptor| Request::Knn {
+            k: 10,
+            deadline_us: 0,
+            recall_target,
+            descriptor,
+        });
+        let by_id = [0u64, 1, 4500, 8999].map(|id| Request::KnnById {
+            k: 10,
+            deadline_us: 0,
+            recall_target,
+            id,
+        });
+        knn.chain(by_id).collect()
+    };
+    let want: Vec<Vec<u8>> = asked(1.0)
+        .iter()
+        .map(|req| raw_call(single.local_addr(), req))
+        .collect();
+    for recall_target in [1.0, 0.5, 0.9, 0.95] {
+        let requests = asked(recall_target);
+        for (req, want) in requests.iter().zip(&want) {
+            assert_eq!(raw_call(router.local_addr(), req), *want, "{req:?}");
+        }
+        assert_eq!(
+            pipelined(router.local_addr(), &requests),
+            want,
+            "recall {recall_target}: pipelined"
+        );
+    }
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+    single.shutdown();
+}
+
 /// `[Delete id, Knn for that row]` pipelined through the router over
 /// live-store backends: the delete is a barrier on the router's front
 /// connection as on a node's, so the query never runs ahead of it.

@@ -58,8 +58,12 @@ pub struct SchedulerConfig {
     /// Bound on queued (admitted, not yet dispatched) requests; arrivals
     /// beyond it are shed with an explicit overload response.
     pub queue_cap: usize,
-    /// Worker threads for the engine's batched execution (1 executes on
-    /// the dispatcher thread).
+    /// Upper bound on the worker threads of one batched engine call (1
+    /// executes on the dispatcher thread). A batch over L1 linear scans
+    /// takes one worker per four queries up to this bound — each worker
+    /// streams the whole filter table, so a worker with fewer queries
+    /// pays a pass for too little — while the approximate path's
+    /// per-query two-stage search and the trees use all of it.
     pub exec_threads: usize,
     /// Per-connection read timeout: a connection with no complete frame
     /// for this long is reaped (closed without a reply, counted in
@@ -100,7 +104,8 @@ pub enum QueryWork {
         /// Neighbour count.
         k: usize,
         /// Recall target in `(0, 1]`; `1.0` executes the exact path,
-        /// below `1.0` the two-stage coarse-to-fine approximate path.
+        /// below `1.0` the approximate path (exact where the L1 filter
+        /// serves the query, two-stage coarse-to-fine where it does not).
         recall_target: f32,
     },
     /// Range search over a raw descriptor.
@@ -536,21 +541,21 @@ impl Scheduler {
             match outcome {
                 Ok(result_lists) => {
                     debug_assert_eq!(result_lists.len(), members.len());
-                    // Per-query approx counts: every member of a group
-                    // shares the same k, recall target, and pinned view,
-                    // so the coarse/rerank work is uniform across the
-                    // group and the group total divides exactly. Both are
-                    // zero for exact (and range) groups.
-                    let n = members.len().max(1) as u64;
-                    let coarse_candidates = stats.total().coarse_candidates / n;
-                    let rerank_evaluations = stats.total().rerank_evaluations / n;
-                    for (ranked, &i) in result_lists.into_iter().zip(&members) {
+                    debug_assert_eq!(stats.queries(), members.len());
+                    // Each reply carries its own query's approximate
+                    // counts: within one group a query the exact filter
+                    // served reports zero beside one that ran the
+                    // two-stage search. Both are zero for exact (and
+                    // range) groups.
+                    let per_query = stats.per_query();
+                    for (j, (ranked, &i)) in result_lists.into_iter().zip(&members).enumerate() {
                         let p = slots[i].take().expect("live slot");
                         latencies.push(p.enqueued.elapsed().as_micros() as u64);
+                        let own = per_query.get(j).cloned().unwrap_or_default();
                         p.reply.fill(Response::Hits {
                             hits: ranked_to_hits(ranked),
-                            coarse_candidates,
-                            rerank_evaluations,
+                            coarse_candidates: own.coarse_candidates,
+                            rerank_evaluations: own.rerank_evaluations,
                         });
                     }
                 }
@@ -806,6 +811,7 @@ mod tests {
             } => (hits, coarse_candidates, rerank_evaluations),
             other => panic!("expected hits, got {other:?}"),
         };
+        // A vp-tree has no exact filter: the two-stage path runs.
         assert!(cc > 0, "approx path surfaces coarse candidates");
         assert!(re > 0, "approx path reports rerank evaluations");
         // The corpus is tiny, so the candidate budget covers it in full
@@ -816,6 +822,84 @@ mod tests {
             assert_eq!(e.distance.to_bits(), a.distance.to_bits());
         }
         assert_eq!(s.metrics.snapshot(0).batches, 1);
+    }
+
+    /// One group, two paths. Over an L1 linear scan a query the exact
+    /// filter serves and one it leaves share a group (same k, same
+    /// target): each reply carries its own query's hits and counts —
+    /// those of the query executed alone — not a share of the group's.
+    #[test]
+    fn a_mixed_group_answers_each_member_with_its_own_counts() {
+        // Clustered rows, except that rows 3,000..4,000 copy row 7: a
+        // query there meets a thousand rows at distance 0 that its bound
+        // cannot exclude and leaves the filter after its first code
+        // block; a query in another cluster never comes near them.
+        let mut rows = cbir_workload::clustered_smooth(6000, 8, 40, 2.0, 100.0, 4, 17);
+        let seven = rows[7].clone();
+        for row in &mut rows[3000..4000] {
+            row.clone_from(&seven);
+        }
+        let pipeline = Pipeline::new(
+            16,
+            vec![FeatureSpec::ColorHistogram(Quantizer::Gray { bins: 8 })],
+        )
+        .unwrap();
+        let mut db = ImageDatabase::new(pipeline);
+        for (i, row) in rows.iter().enumerate() {
+            let meta = cbir_core::ImageMeta {
+                name: format!("row-{i}"),
+                label: None,
+            };
+            db.insert_descriptor(meta, row.clone()).unwrap();
+        }
+        let engine = Arc::new(QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap());
+        let s = Scheduler::new(
+            ServedCorpus::Static(Arc::clone(&engine)),
+            SchedulerConfig::default(),
+            Arc::new(Metrics::new()),
+        );
+        let queries = [
+            rows[100].clone(),
+            seven,
+            rows[126].clone(),
+            rows[3500].clone(),
+        ];
+        let (pendings, cells): (Vec<_>, Vec<_>) = queries
+            .iter()
+            .map(|q| {
+                pending(QueryWork::Knn {
+                    descriptor: q.clone(),
+                    k: 10,
+                    recall_target: 0.9,
+                })
+            })
+            .unzip();
+        s.execute_batch(pendings);
+        assert_eq!(s.metrics.snapshot(0).batches, 1);
+        let mut counts = Vec::new();
+        for (q, cell) in queries.iter().zip(&cells) {
+            let mut alone = BatchStats::new();
+            let want = engine.knn_batch_approx(std::slice::from_ref(q), 10, 0.9, 1, &mut alone);
+            let want = Response::Hits {
+                hits: ranked_to_hits(want.unwrap().remove(0)),
+                coarse_candidates: alone.total().coarse_candidates,
+                rerank_evaluations: alone.total().rerank_evaluations,
+            };
+            let got = reply(cell);
+            assert_eq!(
+                crate::protocol::encode_response(&got),
+                crate::protocol::encode_response(&want)
+            );
+            counts.push((
+                alone.total().coarse_candidates,
+                alone.total().rerank_evaluations,
+            ));
+        }
+        // Served exactly, two-stage, exactly, two-stage.
+        assert_eq!(counts[0], (0, 0));
+        assert_eq!(counts[2], (0, 0));
+        assert!(counts[1].0 > 0 && counts[1].1 > 0, "{counts:?}");
+        assert!(counts[3].0 > 0 && counts[3].1 > 0, "{counts:?}");
     }
 
     /// The scheduler's grouping against a scan written here: every row

@@ -541,7 +541,8 @@ fn recall_target_one_reply_is_byte_identical_to_exact_over_the_wire() {
         );
     }
 
-    // Sanity check the contrast: an approximate request runs the
+    // Sanity check the contrast: on a corpus the exact filter cannot
+    // serve (a vp-tree over 64 rows), an approximate request runs the
     // two-stage path (nonzero counters, coarse stage truncates the
     // candidate set below the 64-row corpus), so its bytes differ.
     let req = Request::Knn {
@@ -573,6 +574,78 @@ fn recall_target_one_reply_is_byte_identical_to_exact_over_the_wire() {
 
     drop(stream);
     handle.shutdown();
+}
+
+/// On a clustered L1 corpus over the filter's row threshold, the exact
+/// filter serves every approximate request: its reply frame — hits and
+/// zero counts — is the recall-1.0 frame, byte for byte, at every target,
+/// by descriptor and by id, one request at a time and pipelined.
+#[test]
+fn approximate_replies_the_filter_serves_are_the_exact_frames() {
+    use cbir_server::protocol::{encode_request, read_frame, write_frame, Request};
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let rows = cbir_workload::clustered_smooth(5000, 16, 78, 10.0, 100.0, 8, 3);
+    let pipeline = Pipeline::new(
+        16,
+        vec![FeatureSpec::ColorHistogram(Quantizer::Gray { bins: 16 })],
+    )
+    .unwrap();
+    let mut db = ImageDatabase::new(pipeline);
+    for (i, row) in rows.iter().enumerate() {
+        let meta = ImageMeta {
+            name: format!("row-{i:05}"),
+            label: Some((i % 7) as u32),
+        };
+        db.insert_descriptor(meta, row.clone()).unwrap();
+    }
+    let engine = Arc::new(QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap());
+    let handle = spawn(&engine, SchedulerConfig::default());
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut call = |req: &Request| {
+        write_frame(&mut stream, &encode_request(req)).unwrap();
+        read_frame(&mut stream).unwrap().expect("reply frame")
+    };
+    let asked = |recall_target: f32| -> Vec<Request> {
+        let knn = cbir_workload::queries(&rows, 8, 5.0, 4).into_iter();
+        let knn = knn.map(|descriptor| Request::Knn {
+            k: 10,
+            deadline_us: 0,
+            recall_target,
+            descriptor,
+        });
+        let by_id = [0u64, 7, 2500, 4999].map(|id| Request::KnnById {
+            k: 10,
+            deadline_us: 0,
+            recall_target,
+            id,
+        });
+        knn.chain(by_id).collect()
+    };
+    let exact: Vec<Vec<u8>> = asked(1.0).iter().map(&mut call).collect();
+    for recall_target in [0.5, 0.9, 0.95] {
+        let requests = asked(recall_target);
+        for (req, want) in requests.iter().zip(&exact) {
+            assert_eq!(call(req), *want, "{req:?}");
+        }
+        // The same requests in one burst, so they batch.
+        let mut burst = TcpStream::connect(handle.local_addr()).unwrap();
+        let frames: Vec<u8> = requests
+            .iter()
+            .flat_map(|req| {
+                let mut frame = Vec::new();
+                write_frame(&mut frame, &encode_request(req)).unwrap();
+                frame
+            })
+            .collect();
+        burst.write_all(&frames).unwrap();
+        for want in &exact {
+            assert_eq!(read_frame(&mut burst).unwrap().expect("reply"), *want);
+        }
+    }
+    let snap = handle.shutdown();
+    assert_eq!(snap.executed, 4 * 12 + 3 * 12);
 }
 
 #[test]

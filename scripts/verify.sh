@@ -97,9 +97,12 @@ DEPTH=$(echo "$LOOP_STATS" | sed 's/.*max pipeline depth \([0-9]*\).*/\1/')
 [ "$DEPTH" -ge 2 ] || { echo "storm never pipelined (max depth $DEPTH): $LOOP_STATS"; exit 1; }
 
 echo "==> approximate-search smoke (rpc-query --recall-target -> counters in stats)"
-# A sub-1.0 recall target must route through the two-stage path: the
-# reply carries per-query candidate counts, and the server's stats
-# export accumulates nonzero coarse/rerank counters.
+# A sub-1.0 recall target must route through the two-stage path here:
+# the smoke corpus has 6 images, far under the 4,096 rows from which a
+# linear scan's exact L1 filter would answer it exactly (`(answered
+# exactly)`, pinned in tests/cli.rs), so the reply carries per-query
+# candidate counts and the server's stats export accumulates nonzero
+# coarse/rerank counters.
 APPROX_OUT=$("$CBIR" rpc-query "$ADDR" "$QUERY_IMG" --db "$SMOKE_DIR/photos.cbir" \
     -k 3 --recall-target 0.9)
 echo "$APPROX_OUT" | grep -q "class-" || { echo "approx rpc-query returned no hits"; exit 1; }

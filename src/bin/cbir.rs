@@ -53,7 +53,9 @@ fn usage() -> ! {
       multiple images run as one batch; --trace-sample-n 1 prints a
       per-query stage trace to stderr (stdout stays byte-identical);
       --recall-target R in (0,1] trades recall for speed via two-stage
-      coarse-to-fine search (1.0, the default, is exact)
+      coarse-to-fine search (1.0, the default, is exact); under l1 with
+      --index linear a query the exact filter serves is answered exactly
+      and prints (answered exactly)
 
   cbir info <db>
       print database statistics
@@ -144,8 +146,9 @@ fn usage() -> ! {
       the pipeline stored in --db (a database file or segment store
       directory), or --id queries by database image id; --retries > 0
       reconnects and resends on transient failures; --recall-target R
-      in (0,1] requests two-stage approximate search (replies report
-      per-query coarse/rerank candidate counts)
+      in (0,1] requests approximate search (a reply reports its query's
+      coarse/rerank candidate counts, or (answered exactly) where the
+      server's exact l1 filter served it)
 
   cbir rpc-storm <addr> [--conns N] [--requests N] [-k N] [--seed S]
       open N connections (default 64), pipeline --requests knn-by-id
@@ -425,7 +428,7 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    for (hits, img_path) in results.iter().zip(img_paths) {
+    for ((hits, img_path), own) in results.iter().zip(img_paths).zip(stats.per_query()) {
         if img_paths.len() > 1 {
             println!("query: {img_path}");
         }
@@ -439,6 +442,9 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         println!();
+        if recall_target < 1.0 && own.coarse_candidates == 0 && own.rerank_evaluations == 0 {
+            println!("(answered exactly)");
+        }
     }
     println!(
         "{} distance computations over {n} images, {} quer{} ({} index)",
@@ -1138,11 +1144,25 @@ fn cmd_rpc_insert(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// One reply as `rpc-query` prints it: the hits, then the approximate
-/// search's candidate counts if it ran, then shard coverage if a router
-/// answered from fewer shards than its plan — exact, full-coverage
-/// replies stay byte-for-byte what a single node would print.
-fn print_reply(reply: &HitsReply) {
+/// The line after a k-NN's hits that says which path answered it: the
+/// two-stage search's candidate counts if it ran, else — if the request
+/// asked for recall below 1.0 — that the exact filter answered it.
+fn print_approx_path(coarse_candidates: u64, rerank_evaluations: u64, asked_approx: bool) {
+    if coarse_candidates > 0 || rerank_evaluations > 0 {
+        println!(
+            "(approx: {coarse_candidates} coarse candidates, {rerank_evaluations} rerank evaluations)"
+        );
+    } else if asked_approx {
+        println!("(answered exactly)");
+    }
+}
+
+/// One reply as `rpc-query` prints it: the hits, then which path answered
+/// an approximate k-NN (`asked_approx`: it asked for recall below 1.0),
+/// then shard coverage if a router answered from fewer shards than its
+/// plan — exact, full-coverage replies stay byte-for-byte what a single
+/// node would print.
+fn print_reply(reply: &HitsReply, asked_approx: bool) {
     println!("{:<28} {:>7} {:>9}", "name", "label", "distance");
     for h in &reply.hits {
         println!(
@@ -1153,12 +1173,11 @@ fn print_reply(reply: &HitsReply) {
         );
     }
     println!();
-    if reply.coarse_candidates > 0 || reply.rerank_evaluations > 0 {
-        println!(
-            "(approx: {} coarse candidates, {} rerank evaluations)",
-            reply.coarse_candidates, reply.rerank_evaluations
-        );
-    }
+    print_approx_path(
+        reply.coarse_candidates,
+        reply.rerank_evaluations,
+        asked_approx,
+    );
     if reply.degraded {
         println!(
             "(degraded: answered by {}/{} shards)",
@@ -1194,7 +1213,7 @@ fn cmd_rpc_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let reply = client.call(deadline_us, |c, remaining_us| {
             c.knn_by_id_detailed(id, k, remaining_us, recall_target)
         })?;
-        print_reply(&reply);
+        print_reply(&reply, recall_target < 1.0);
         report_retries(&client);
         return Ok(());
     }
@@ -1227,7 +1246,7 @@ fn cmd_rpc_query(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             Some(r) => c.range_detailed(query, r, remaining_us),
             None => c.knn_detailed(query, k, remaining_us, recall_target),
         })?;
-        print_reply(&reply);
+        print_reply(&reply, radius.is_none() && recall_target < 1.0);
     }
     report_retries(&client);
     Ok(())

@@ -678,6 +678,141 @@ fn router_stats_emit_degraded_mode_schema() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A database the exact L1 filter serves: 4,480 clustered rows (the
+/// benchmark's corpus shape) under the color pipeline, one cluster moved
+/// so that its centre is the returned image's descriptor.
+fn filterable_fixture(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
+    use cbir::core::{persist, ImageDatabase, ImageMeta};
+    let dir = temp_workspace(tag);
+    let corpus = dir.join("corpus");
+    let (ok, _, stderr) = run(&[
+        "generate",
+        corpus.to_str().unwrap(),
+        "--classes",
+        "1",
+        "--per-class",
+        "1",
+        "--size",
+        "32",
+    ]);
+    assert!(ok, "generate failed: {stderr}");
+    let img = std::fs::read_dir(&corpus)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let image = cbir::image::codec::decode(&std::fs::read(&img).unwrap()).unwrap();
+    let empty = ImageDatabase::new(cbir::features::Pipeline::color_histogram_default());
+    let centre = empty.extract(&image.into_rgb()).unwrap();
+    let (n, clusters, dim) = (4480, 70, empty.dim());
+    let mut rows = cbir::workload::clustered_smooth(n, dim, clusters, 10.0, 100.0, 8, 5);
+    let members = || (0..n).step_by(clusters);
+    let mut mean = vec![0.0f32; dim];
+    for i in members() {
+        for (m, x) in mean.iter_mut().zip(&rows[i]) {
+            *m += x / (n / clusters) as f32;
+        }
+    }
+    for i in members() {
+        for ((x, m), c) in rows[i].iter_mut().zip(&mean).zip(&centre) {
+            *x += c - m;
+        }
+    }
+    let metas = (0..n).map(|i| ImageMeta {
+        name: format!("row-{i}"),
+        label: None,
+    });
+    let db = ImageDatabase::from_parts(
+        empty.pipeline().clone(),
+        empty.is_balanced(),
+        rows.concat(),
+        metas.collect(),
+    )
+    .unwrap();
+    let path = dir.join("big.cbir");
+    persist::save_file(&db, &path).unwrap();
+    (dir, path, img)
+}
+
+/// Which path answered an approximate k-NN is on stdout: `(answered
+/// exactly)` where the exact L1 filter served it, the candidate counts
+/// where the two-stage search ran, and nothing for an exact request.
+#[test]
+fn approximate_queries_say_when_they_were_answered_exactly() {
+    let (dir, db, img) = filterable_fixture("exactly");
+    let (db_s, img_s) = (db.to_str().unwrap(), img.to_str().unwrap());
+    let query = |index: &str, recall: &str| {
+        let (ok, stdout, stderr) = run(&[
+            "query",
+            db_s,
+            img_s,
+            "-k",
+            "5",
+            "--index",
+            index,
+            "--measure",
+            "l1",
+            "--recall-target",
+            recall,
+        ]);
+        assert!(ok, "query failed: {stderr}");
+        stdout
+    };
+    let served = query("linear", "0.9");
+    assert!(served.contains("\n(answered exactly)\n"), "{served}");
+    assert!(!served.contains("approx"), "{served}");
+    let exact = query("linear", "1.0");
+    assert!(!exact.contains("answered exactly"), "{exact}");
+    // The same hits, and one line more.
+    assert_eq!(served.replace("(answered exactly)\n", ""), exact);
+    // A vp-tree has no exact filter: the two-stage search runs.
+    let two_stage = query("vp", "0.9");
+    assert!(
+        two_stage.contains("approx search (recall target 0.9)"),
+        "{two_stage}"
+    );
+    assert!(!two_stage.contains("answered exactly"), "{two_stage}");
+
+    let addr_file = dir.join("serve.addr");
+    let (mut server, addr) = spawn_serving(
+        &[
+            "serve",
+            db_s,
+            "--port",
+            "0",
+            "--addr-file",
+            addr_file.to_str().unwrap(),
+            "--index",
+            "linear",
+            "--measure",
+            "l1",
+        ],
+        &addr_file,
+    );
+    let rpc = |recall: &str| {
+        let (ok, stdout, stderr) = run(&[
+            "rpc-query",
+            &addr,
+            "--id",
+            "70",
+            "-k",
+            "5",
+            "--recall-target",
+            recall,
+        ]);
+        assert!(ok, "rpc-query failed: {stderr}");
+        stdout
+    };
+    let served = rpc("0.9");
+    assert!(served.ends_with("\n\n(answered exactly)\n"), "{served}");
+    assert_eq!(served.replace("(answered exactly)\n", ""), rpc("1.0"));
+    let (ok, _, stderr) = run(&["rpc-ctl", &addr, "shutdown"]);
+    assert!(ok, "shutdown failed: {stderr}");
+    server.wait().expect("server exit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--retries` selects a retry budget, not a different client: the
 /// approximate-search counts and the degraded-coverage line a reply
 /// carries are printed at every value.
