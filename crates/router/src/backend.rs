@@ -11,7 +11,11 @@
 //! put the failed one on cooldown. Because every replica of a shard
 //! answers queries identically, failover is invisible in the reply
 //! bytes: only latency and the per-replica observability counters show
-//! it happened.
+//! it happened. An exchange comes in two halves —
+//! [`ShardClient::send`] leaves an [`Attempt`] on the wire,
+//! [`ShardClient::recv`] reads its reply — so a router can put a request
+//! on every shard before it reads any reply; the failover rules run
+//! across both halves.
 //!
 //! Three mechanisms bound how much a failing replica can hurt:
 //! a per-replica **circuit breaker** (consecutive failover-worthy
@@ -24,7 +28,7 @@
 //! with probe-driven leave/rejoin decisions.
 
 use cbir_obs::{router_replica, LogHistogram, RouterReplicaHandle};
-use cbir_server::{Client, ClientError, ClientPool, ClientResult, Rejection};
+use cbir_server::{Client, ClientError, ClientPool, ClientResult, Rejection, Request, Response};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,7 +142,6 @@ impl Replica {
 
 /// The scatter side of one shard: replicas plus failover policy.
 pub struct ShardClient {
-    shard: u32,
     replicas: Vec<Replica>,
     next: AtomicUsize,
     cooldown: Duration,
@@ -181,7 +184,6 @@ impl ShardClient {
             .map(|(i, addr)| Replica::new(shard, i, addr, pool_size))
             .collect();
         ShardClient {
-            shard,
             replicas,
             next: AtomicUsize::new(0),
             cooldown,
@@ -190,11 +192,6 @@ impl ShardClient {
             latency: LogHistogram::new(),
             epoch: Instant::now(),
         }
-    }
-
-    /// The shard index this client scatters to.
-    pub fn shard(&self) -> u32 {
-        self.shard
     }
 
     /// The configured replicas, primary first.
@@ -243,7 +240,7 @@ impl ShardClient {
     }
 
     /// Record the latency of one shard request's winning attempt,
-    /// clocked from that attempt's own start (see `hedged_shard_call`
+    /// clocked from that attempt's own start (see the router's `settle`
     /// for why the requester-observed total must not be fed here).
     pub fn record_latency(&self, us: u64) {
         self.latency.record(us);
@@ -291,133 +288,174 @@ impl ShardClient {
         }
     }
 
-    /// Run `op` against this shard with replica failover.
-    ///
-    /// Candidate order is round-robin over the currently healthy
-    /// replicas; replicas on cooldown are appended as a last resort so
-    /// a shard whose every replica recently failed still gets one
-    /// attempt per replica rather than an unconditional error. Per
-    /// candidate, a `ConnectionLost` on the **first** try is retried
-    /// once on a freshly dialed connection — a pooled idle connection
-    /// may have been reaped by the backend between requests, which is
-    /// not evidence the replica is down. Any further failover-worthy
-    /// error puts the replica on cooldown and moves on; a
-    /// non-failover error (explicit server error, deadline expiry,
-    /// protocol violation) is returned as-is, since every sibling
-    /// would answer it identically.
-    pub fn call<T>(&self, mut op: impl FnMut(&mut Client) -> ClientResult<T>) -> ClientResult<T> {
+    /// Candidate replicas for one request, best first: round-robin over
+    /// the healthy ones, replicas on cooldown after them as a last resort
+    /// (so a shard whose every replica recently failed still gets one try
+    /// per replica rather than an unconditional error), breaker-open ones
+    /// at the very end. The sort is stable, so the rotation holds within
+    /// each class.
+    fn rotation(&self) -> Vec<usize> {
         let n = self.replicas.len();
         let start = self.next.fetch_add(1, Ordering::Relaxed) % n;
         let mut order: Vec<usize> = (0..n).map(|i| (start + i) % n).collect();
-        // Healthy candidates first, cooled-down ones after, breaker-open
-        // ones as the very last resort (the sort is stable, so the
-        // round-robin rotation is preserved within each class).
         order.sort_by_key(|&i| {
             let r = &self.replicas[i];
             (r.breaker_open.load(Ordering::Relaxed), !self.is_healthy(r))
         });
+        order
+    }
 
-        let mut last_err: Option<ClientError> = None;
-        for (rank, &i) in order.iter().enumerate() {
-            let replica = &self.replicas[i];
-            if rank > 0 {
-                // Failover attempts are extra backend load; they come
-                // out of the router-wide budget so a persistent outage
-                // cannot turn into a retry storm.
-                if !self.budget.try_spend() {
-                    cbir_obs::router_retry_budget_exhausted();
-                    break;
-                }
-                replica.obs.failover();
-            }
-            match self.try_replica(replica, &mut op) {
-                Ok(v) => {
+    /// The send half of a request to this shard: put it on the wire to
+    /// the first candidate that takes it, under the rules
+    /// [`ShardClient::recv`] documents; `Err` means none did. The
+    /// candidates are the replicas in rotation (round-robin, healthy
+    /// first), or `replica` alone —
+    /// healthy or not, with no failover — when one is named: the fan-out
+    /// shape of stats aggregation, where each backend's counters matter
+    /// individually.
+    pub fn send(&self, request: &Request, replica: Option<usize>) -> ClientResult<Attempt> {
+        let now = Instant::now();
+        let mut attempt = Attempt {
+            order: replica.map_or_else(|| self.rotation(), |r| vec![r]),
+            rank: 0,
+            client: None,
+            redialed: false,
+            sent: now,
+            started: now,
+        };
+        self.write(&mut attempt, request)?;
+        Ok(attempt)
+    }
+
+    /// The receive half: the reply to `request`, sent as `attempt`.
+    ///
+    /// A `ConnectionLost` on a replica's pooled connection is retried
+    /// once on a freshly dialed one — a pooled idle connection may have
+    /// been reaped by the backend between requests (it takes the write
+    /// and fails the read), which is not evidence the replica is down.
+    /// Any further failover-worthy error puts the replica on cooldown,
+    /// counts toward its breaker and sends the request on to the next
+    /// candidate the retry budget pays for; a non-failover error
+    /// (explicit server error, deadline expiry, protocol violation) is
+    /// returned as-is, since every sibling would answer it identically.
+    pub fn recv(&self, mut attempt: Attempt, request: &Request) -> ClientResult<Response> {
+        loop {
+            let client = attempt
+                .client
+                .as_mut()
+                .expect("a sent attempt holds its connection");
+            match client.recv() {
+                Ok(reply) => {
+                    let replica = &self.replicas[attempt.order[attempt.rank]];
+                    let us = attempt.sent.elapsed().as_micros() as u64;
+                    replica.obs.request_ok(us);
+                    replica.pool.put(attempt.client.take().expect("read above"));
                     self.mark_healthy(replica);
                     self.budget.earn();
-                    return Ok(v);
+                    return Ok(reply);
                 }
-                Err(e) if should_failover(&e) => {
-                    if matches!(&e, ClientError::Rejected(Rejection::Overloaded(_))) {
-                        replica.obs.shed();
-                    }
-                    replica.obs.failure();
-                    self.mark_unhealthy(replica);
-                    self.record_breaker_failure(replica);
-                    last_err = Some(e);
-                }
-                Err(e) => {
-                    replica.obs.failure();
-                    return Err(e);
-                }
+                Err(e) => self.recover(&mut attempt, e, request)?,
             }
         }
-        Err(last_err.expect("at least one replica was tried"))
     }
 
-    /// One attempt on one replica, with the single stale-connection
-    /// retry described on [`ShardClient::call`].
-    fn try_replica<T>(
-        &self,
-        replica: &Replica,
-        op: &mut impl FnMut(&mut Client) -> ClientResult<T>,
-    ) -> ClientResult<T> {
-        let mut fresh_dialed = false;
-        let mut client = match replica.pool.get() {
-            Ok(c) => c,
-            Err(e) => return Err(ClientError::from(e)),
+    /// Send, then receive: one request with every failover rule.
+    pub fn call(&self, request: &Request) -> ClientResult<Response> {
+        let attempt = self.send(request, None)?;
+        self.recv(attempt, request)
+    }
+
+    /// Put `request` on the wire to the current candidate — over a pooled
+    /// connection, or a fresh dial for the retry — moving on down the
+    /// candidates while it cannot be written.
+    fn write(&self, attempt: &mut Attempt, request: &Request) -> ClientResult<()> {
+        let replica = &self.replicas[attempt.order[attempt.rank]];
+        let dialed = if attempt.redialed {
+            Client::connect(replica.addr.as_str())
+        } else {
+            replica.pool.get()
         };
-        loop {
-            let started = Instant::now();
-            match op(&mut client) {
-                Ok(v) => {
-                    replica.obs.request_ok(started.elapsed().as_micros() as u64);
-                    replica.pool.put(client);
-                    return Ok(v);
-                }
-                Err(ClientError::Rejected(r)) => {
-                    // Explicit reply: the connection stream is still in
-                    // sync, so it can be reused.
-                    replica.pool.put(client);
-                    return Err(ClientError::Rejected(r));
-                }
-                Err(e @ ClientError::ConnectionLost(_)) if !fresh_dialed => {
-                    // Could be an idle-reaped pooled connection; one
-                    // retry on a guaranteed-fresh dial tells a stale
-                    // connection apart from a dead replica.
-                    drop(client);
-                    client = match Client::connect(replica.addr.as_str()) {
-                        Ok(c) => c,
-                        Err(_) => return Err(e),
-                    };
-                    fresh_dialed = true;
-                }
-                Err(e) => return Err(e),
+        attempt.sent = Instant::now();
+        let written = dialed
+            .map_err(ClientError::from)
+            .and_then(|mut c| c.send(request).map(|()| c));
+        match written {
+            Ok(client) => {
+                attempt.client = Some(client);
+                Ok(())
             }
+            Err(e) => self.recover(attempt, e, request),
         }
     }
 
-    /// Run `op` once on *every* replica (healthy or not), collecting
-    /// per-replica outcomes — the fan-out shape of stats aggregation,
-    /// where each backend's counters matter individually.
-    pub fn for_each_replica<T>(
+    /// Apply the rules [`ShardClient::recv`] documents to `err` from the
+    /// current candidate. `Ok` means the request is on the wire again.
+    fn recover(
         &self,
-        mut op: impl FnMut(&mut Client) -> ClientResult<T>,
-    ) -> Vec<(String, ClientResult<T>)> {
-        self.replicas
-            .iter()
-            .map(|replica| {
-                let out = self.try_replica(replica, &mut op);
-                match &out {
-                    Ok(_) => self.mark_healthy(replica),
-                    Err(e) if should_failover(e) => {
-                        replica.obs.failure();
-                        self.mark_unhealthy(replica);
-                    }
-                    Err(_) => replica.obs.failure(),
-                }
-                (replica.role.clone(), out)
-            })
-            .collect()
+        attempt: &mut Attempt,
+        err: ClientError,
+        request: &Request,
+    ) -> ClientResult<()> {
+        let replica = &self.replicas[attempt.order[attempt.rank]];
+        let client = attempt.client.take();
+        if matches!(err, ClientError::ConnectionLost(_)) && !attempt.redialed {
+            attempt.redialed = true;
+            return self.write(attempt, request);
+        }
+        if let (ClientError::Rejected(_), Some(client)) = (&err, client) {
+            // An explicit reply leaves the stream in sync: reuse it.
+            replica.pool.put(client);
+        }
+        replica.obs.failure();
+        if !should_failover(&err) {
+            return Err(err);
+        }
+        if matches!(err, ClientError::Rejected(Rejection::Overloaded(_))) {
+            replica.obs.shed();
+        }
+        self.mark_unhealthy(replica);
+        self.record_breaker_failure(replica);
+        attempt.rank += 1;
+        if attempt.rank == attempt.order.len() {
+            return Err(err);
+        }
+        // Failover attempts are extra backend load; they come out of the
+        // router-wide budget so a persistent outage cannot turn into a
+        // retry storm.
+        if !self.budget.try_spend() {
+            cbir_obs::router_retry_budget_exhausted();
+            return Err(err);
+        }
+        self.replicas[attempt.order[attempt.rank]].obs.failover();
+        attempt.redialed = false;
+        self.write(attempt, request)
+    }
+}
+
+/// A request on the wire to one replica of a shard, its reply not yet
+/// read: what [`ShardClient::recv`] needs to read it, or to send the
+/// request on to the next candidate.
+pub struct Attempt {
+    /// Candidate replicas, best first; `rank` indexes the one `client`
+    /// talks to.
+    order: Vec<usize>,
+    rank: usize,
+    /// `None` only while the request is being sent on.
+    client: Option<Client>,
+    /// Whether this replica's one fresh-dial retry is spent.
+    redialed: bool,
+    /// When the request went to the current replica.
+    sent: Instant,
+    /// When the request first went out: the attempt's own latency,
+    /// failovers included, counts from here.
+    pub started: Instant,
+}
+
+impl Attempt {
+    /// Wait up to `timeout` for the reply's first byte, consuming
+    /// nothing (see [`Client::await_reply`]); `false` if none came.
+    pub fn await_reply(&mut self, timeout: Duration) -> bool {
+        self.client.as_mut().is_none_or(|c| c.await_reply(timeout))
     }
 }
 
@@ -522,13 +560,7 @@ mod tests {
         // With replica 0's breaker open, every round-robin rotation must
         // still put replica 1 first.
         for _ in 0..4 {
-            let n = sc.replicas.len();
-            let start = sc.next.fetch_add(1, Ordering::Relaxed) % n;
-            let mut order: Vec<usize> = (0..n).map(|i| (start + i) % n).collect();
-            order.sort_by_key(|&i| {
-                let r = &sc.replicas[i];
-                (r.breaker_open.load(Ordering::Relaxed), !sc.is_healthy(r))
-            });
+            let order = sc.rotation();
             assert_eq!(order[0], 1, "breaker-open replica must sort last");
         }
     }
@@ -567,7 +599,7 @@ mod tests {
             0,
             budget,
         );
-        let err = sc.call(|c| c.ping()).unwrap_err();
+        let err = sc.call(&Request::Ping).unwrap_err();
         // The first-choice attempt ran (we got its connect error), but
         // the zero budget forbade trying the sibling.
         assert!(should_failover(&err));

@@ -8,13 +8,15 @@
 //! requires Linux): one thread accepts, reassembles frames and writes
 //! replies in request order for every front connection, and hands each
 //! decoded request to a fixed set of route workers. Behind them, a
-//! [`ShardPlan`] names the deterministic global↔local id arithmetic, one
-//! [`ShardClient`] per shard handles replica failover, and each route
-//! worker's persistent scatter threads (one per shard) fan its request
-//! out — spawning OS threads per request would put the spawn/join cost,
-//! and the kernel's process-wide stack-mapping lock, on every query's
-//! critical path. Every thread is started at spawn: the router's thread
-//! count does not depend on how many connections it serves.
+//! [`ShardPlan`] names the deterministic global↔local id arithmetic and
+//! one [`ShardClient`] per shard handles replica failover. A route
+//! worker scatters by itself: it writes every shard its request over a
+//! pooled connection, then reads the replies in shard order, so the
+//! shards work on a request at once with no thread per shard. Every
+//! thread is started at spawn — the loop, the workers and, with probing,
+//! the prober — so the router's thread count depends on neither its
+//! connections nor its shard count; only a hedge that fires starts two
+//! more, for the attempts it races.
 //!
 //! The contract that makes the tier transparent: on the exact path
 //! (`recall_target = 1.0`), a router reply is **frame-level
@@ -29,7 +31,7 @@
 //! own row count — which is why every bit-identity assertion in the
 //! tests and benchmarks pins `recall_target = 1.0`.
 
-use crate::backend::{should_failover, RetryBudget, ShardClient};
+use crate::backend::{should_failover, Attempt, RetryBudget, ShardClient};
 use crate::jsonmerge;
 use crate::merge::kway_merge;
 use cbir_core::ShardPlan;
@@ -37,7 +39,7 @@ use cbir_obs::Json;
 use cbir_server::conn::{is_mutation, Service};
 use cbir_server::protocol::{Request, Response, StatsSnapshot};
 use cbir_server::{
-    Client, ClientError, ClientResult, Completions, Connection, EventControl, HitsReply, Metrics,
+    ClientError, ClientResult, Completions, Connection, EventControl, HitsReply, Metrics,
     Rejection, ReplyCell,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -59,10 +61,12 @@ pub struct RouterConfig {
     /// reply still in flight). `None` never reaps.
     pub read_timeout: Option<Duration>,
     /// Warm connections kept per backend replica, and the number of
-    /// route workers (at least one). A worker routes one request at a
-    /// time and holds at most one backend connection per shard while it
-    /// does, so the workers never outgrow the warm set (a hedge's second
-    /// attempt aside); requests beyond this many wait in arrival order.
+    /// route workers (at least one), which with the loop thread are all
+    /// the threads a router holds besides the prober. A worker routes
+    /// one request at a time and holds at most one backend connection
+    /// per replica while it does, so the workers never outgrow the warm
+    /// set (a fired hedge's second attempt aside); requests beyond this
+    /// many wait in arrival order.
     pub pool_per_replica: usize,
     /// Interval between background health-probe rounds; `None` (the
     /// default) disables active probing and leaves the passive cooldown
@@ -220,15 +224,12 @@ impl Service for RouteService {
 }
 
 /// Route requests off the shared queue until the loop is gone and the
-/// queue is empty: each through this worker's own scatter threads, its
-/// reply into the request's cell.
-fn route_worker(core: &Arc<RouterCore>, pool: &ScatterPool, queue: &RouteQueue) {
+/// queue is empty, each reply into its request's cell.
+fn route_worker(core: &Arc<RouterCore>, queue: &RouteQueue) {
     while let Some(job) = queue.pop() {
         // A panic answers its own request and leaves the worker serving.
-        let reply = catch_unwind(AssertUnwindSafe(|| {
-            handle(core, pool, job.request, job.received)
-        }))
-        .unwrap_or_else(|_| Response::Error("internal: routing panicked (isolated)".into()));
+        let reply = catch_unwind(AssertUnwindSafe(|| handle(core, job.request, job.received)))
+            .unwrap_or_else(|_| Response::Error("internal: routing panicked (isolated)".into()));
         job.reply.fill(reply);
     }
 }
@@ -341,12 +342,11 @@ impl Router {
         // sets `stopping`: the threads already started exit.
         let mut threads = Vec::new();
         for w in 0..config.pool_per_replica.max(1) {
-            let pool = ScatterPool::new(core.shards.len())?;
             let (core, queue) = (Arc::clone(&core), Arc::clone(&queue));
             threads.push(
                 Builder::new()
                     .name(format!("cbir-route-worker-{w}"))
-                    .spawn(move || route_worker(&core, &pool, &queue))?,
+                    .spawn(move || route_worker(&core, &queue))?,
             );
         }
         if let Some(interval) = config.probe_interval {
@@ -404,196 +404,179 @@ impl Router {
 }
 
 /// Dispatch one request.
-fn handle(
-    core: &Arc<RouterCore>,
-    pool: &ScatterPool,
-    request: Request,
-    received: Instant,
-) -> Response {
+fn handle(core: &Arc<RouterCore>, request: Request, received: Instant) -> Response {
     match request {
-        Request::Ping => ping(core, pool),
-        Request::Knn {
-            k,
-            deadline_us,
-            recall_target,
-            descriptor,
-        } => gather_query(
-            core,
-            pool,
-            deadline_us,
-            received,
-            Some(k as usize),
-            move |c, rem| c.knn_detailed(&descriptor, k as usize, rem, recall_target),
-        ),
-        Request::Range {
-            radius,
-            deadline_us,
-            descriptor,
-        } => gather_query(core, pool, deadline_us, received, None, move |c, rem| {
-            c.range_detailed(&descriptor, radius, rem)
-        }),
+        Request::Knn { k, .. } => search(core, request, received, Some(k as usize)),
+        Request::Range { .. } => search(core, request, received, None),
         Request::KnnById {
             k,
             deadline_us,
             recall_target,
             id,
-        } => knn_by_id(
-            core,
-            pool,
-            k as usize,
-            deadline_us,
-            recall_target,
-            id,
-            received,
-        ),
-        Request::GetDescriptor { id } => match core.plan.to_local(id) {
-            Err(e) => Response::Error(e.to_string()),
-            Ok((owner, local)) => match core.shards[owner].call(|c| c.get_descriptor(local)) {
-                Ok(descriptor) => Response::Descriptor { descriptor },
-                Err(e) => shard_error(owner, e),
-            },
-        },
+        } => knn_by_id(core, k, deadline_us, recall_target, id, received),
+        Request::GetDescriptor { id } => point(core, id, |id| Request::GetDescriptor { id }),
+        Request::Delete { id } => point(core, id, |id| Request::Delete { id }),
+        Request::Ping => ping(core),
+        Request::Compact => compact(core),
         Request::Stats => stats(core),
-        Request::ObsStats { prometheus } => obs_stats(core, pool, prometheus),
-        Request::Explain => explain(core, pool),
+        Request::ObsStats { prometheus } => obs_stats(core, prometheus),
+        Request::Explain => explain(core),
         Request::Shutdown => Response::ShutdownAck,
         Request::Insert { .. } => Response::Error(
             "router is read-only: an insert through the router would change the shard plan; \
              ingest into the source corpus and re-run shard-plan split"
                 .into(),
         ),
-        Request::Delete { id } => match core.plan.to_local(id) {
-            Err(e) => Response::Error(e.to_string()),
-            Ok((owner, local)) => match core.shards[owner].call(|c| c.delete(local)) {
-                Ok(epoch) => Response::DeleteAck { epoch },
-                Err(e) => shard_error(owner, e),
-            },
-        },
-        Request::Compact => {
-            let results = scatter(core, pool, |_, shard| shard.call(|c| c.compact()));
-            let (mut epoch, mut segments, mut rows) = (0u64, 0u32, 0u64);
-            for (s, r) in results.into_iter().enumerate() {
-                match r {
-                    Ok((e, seg, rw)) => {
-                        epoch = epoch.max(e);
-                        segments += seg;
-                        rows += rw;
-                    }
-                    Err(e) => return shard_error(s, e),
-                }
-            }
-            Response::CompactAck {
-                epoch,
-                segments,
-                rows,
-            }
-        }
     }
 }
 
-/// One queued unit of scatter work.
-type Job = Box<dyn FnOnce() + Send>;
-
-/// Persistent scatter threads: one per shard, owned by one route worker
-/// for the router's lifetime, fed jobs over a channel. A route worker
-/// routes one request at a time, so one thread per shard is exactly the
-/// parallelism a request can use; every route worker brings its own
-/// pool, so shards still serve many requests at once.
-struct ScatterPool {
-    senders: Vec<mpsc::Sender<Job>>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+/// Every shard, each through its replica rules.
+fn shards(core: &RouterCore) -> impl Iterator<Item = (usize, Option<usize>)> {
+    (0..core.shards.len()).map(|s| (s, None))
 }
 
-impl ScatterPool {
-    fn new(shards: usize) -> std::io::Result<ScatterPool> {
-        let mut senders = Vec::with_capacity(shards);
-        let mut threads = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let (tx, rx) = mpsc::channel::<Job>();
-            let handle = std::thread::Builder::new()
-                .name(format!("cbir-route-scatter-{s}"))
-                .spawn(move || {
-                    for job in rx {
-                        job();
-                    }
-                })?;
-            senders.push(tx);
-            threads.push(handle);
-        }
-        Ok(ScatterPool { senders, threads })
-    }
-
-    /// Queue a job on shard `s`'s worker. `false` if the worker died
-    /// (a panic escaped a job), which the caller reports per shard.
-    fn submit(&self, s: usize, job: Job) -> bool {
-        self.senders[s].send(job).is_ok()
-    }
-}
-
-impl Drop for ScatterPool {
-    fn drop(&mut self) {
-        // Closing the channels ends the thread loops; join so a router
-        // shutdown never leaks scatter threads.
-        self.senders.clear();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Run `op` once per shard concurrently on the route worker's scatter
-/// threads, preserving shard order.
-fn scatter<T: Send + 'static>(
+/// The one fan-out: write `request` to every target — a shard, whose
+/// replica rules pick the replica, or one named replica of it — then
+/// read the replies in target order. Every request is on the wire
+/// before the first reply is read, so the targets work on it at once
+/// with no thread per target.
+fn gather(
     core: &Arc<RouterCore>,
-    pool: &ScatterPool,
-    op: impl Fn(usize, &ShardClient) -> ClientResult<T> + Send + Sync + 'static,
-) -> Vec<ClientResult<T>> {
-    let n = core.shards.len();
-    let op = Arc::new(op);
-    let (tx, rx) = mpsc::channel::<(usize, ClientResult<T>)>();
-    let mut out: Vec<ClientResult<T>> = Vec::with_capacity(n);
-    let mut pending = 0usize;
-    for s in 0..n {
-        out.push(Err(ClientError::Protocol(format!(
-            "scatter worker for shard {s} lost"
-        ))));
-        let (core, op, tx) = (Arc::clone(core), Arc::clone(&op), tx.clone());
-        if pool.submit(
-            s,
-            Box::new(move || {
-                let _ = tx.send((s, op(s, &core.shards[s])));
-            }),
-        ) {
-            pending += 1;
-        }
-    }
-    drop(tx);
-    // A worker that panics mid-job drops its sender without replying;
-    // the channel closing bounds the wait and leaves the placeholder
-    // error in that shard's slot.
-    for _ in 0..pending {
-        match rx.recv() {
-            Ok((s, r)) => out[s] = r,
-            Err(_) => break,
-        }
-    }
-    out
+    request: &Request,
+    targets: impl Iterator<Item = (usize, Option<usize>)>,
+) -> Vec<ClientResult<Response>> {
+    let sent: Vec<(usize, ClientResult<Attempt>)> = targets
+        .map(|(s, replica)| (s, core.shards[s].send(request, replica)))
+        .collect();
+    // Only searches hedge: a second ping, compaction or counter read
+    // shortens no tail a client waits on.
+    let search = matches!(
+        request,
+        Request::Knn { .. } | Request::Range { .. } | Request::KnnById { .. }
+    );
+    let Some(floor) = core.hedge.filter(|_| search) else {
+        return sent
+            .into_iter()
+            .map(|(s, attempt)| core.shards[s].recv(attempt?, request))
+            .collect();
+    };
+    // A fired hedge races on while the next shard is read, so each
+    // shard's hedge fires on its own delay.
+    let hedged: Vec<_> = sent
+        .into_iter()
+        .map(|(s, attempt)| (s, attempt.map(|a| hedge(core, s, a, request, floor))))
+        .collect();
+    hedged
+        .into_iter()
+        .map(|(s, answers)| settle(&core.shards[s], s, answers?))
+        .collect()
 }
 
-/// Remaining deadline budget to forward to backends: the request's
-/// relative budget minus time already spent in the router. `Err` is the
-/// ready-to-send expiry reply.
-fn remaining_budget(deadline_us: u64, received: Instant) -> Result<u64, Box<Response>> {
-    if deadline_us == 0 {
-        return Ok(0);
+/// The answers to one hedged shard request: `(rank, own latency in µs,
+/// reply)` per attempt, rank 1 being a fired hedge.
+type Answers = mpsc::Receiver<ClientResult<(usize, u64, Response)>>;
+
+/// Read shard `s`'s reply under hedging: it gets `max(floor, shard p99)`
+/// from the shard's own send to show its first byte; past that a second
+/// attempt fires on the shard (round-robin puts it on a sibling replica)
+/// and races the pending one, each read on a thread of its own — the
+/// only threads a router starts after spawn. The losing attempt is not
+/// cancelled — it completes against its backend and its reply is
+/// discarded — which is the standard hedging trade-off: bounded
+/// duplicate work for a bounded tail.
+fn hedge(
+    core: &Arc<RouterCore>,
+    s: usize,
+    mut attempt: Attempt,
+    request: &Request,
+    floor: Duration,
+) -> Answers {
+    let shard = &core.shards[s];
+    let wait = shard
+        .hedge_delay(floor)
+        .saturating_sub(attempt.started.elapsed());
+    let (tx, answers) = mpsc::channel();
+    if attempt.await_reply(wait) {
+        let _ = tx.send(own_reply(shard, attempt, request).map(|(us, r)| (0, us, r)));
+        return answers;
     }
-    let spent = received.elapsed().as_micros() as u64;
-    if spent >= deadline_us {
-        return Err(Box::new(Response::DeadlineExpired(
-            "deadline exhausted before scatter".into(),
-        )));
+    cbir_obs::router_hedge_fired();
+    for (rank, pending) in [(0, Some(attempt)), (1, None)] {
+        let (core, request, tx) = (Arc::clone(core), request.clone(), tx.clone());
+        // An attempt whose thread cannot be spawned leaves the other to
+        // answer alone.
+        let _ = std::thread::Builder::new()
+            .name(format!("cbir-route-hedge-{s}-{rank}"))
+            .spawn(move || {
+                let shard = &core.shards[s];
+                let attempt = pending.map_or_else(|| shard.send(&request, None), Ok);
+                let reply = attempt.and_then(|a| own_reply(shard, a, &request));
+                let _ = tx.send(reply.map(|(us, r)| (rank, us, r)));
+            });
     }
-    Ok(deadline_us - spent)
+    answers
+}
+
+/// The reply to an attempt with its own latency in microseconds, clocked
+/// from its first send.
+fn own_reply(
+    shard: &ShardClient,
+    attempt: Attempt,
+    request: &Request,
+) -> ClientResult<(u64, Response)> {
+    let started = attempt.started;
+    let reply = shard.recv(attempt, request)?;
+    Ok((started.elapsed().as_micros() as u64, reply))
+}
+
+/// The first reply among a hedged shard's answers; an error waits for
+/// the other attempt.
+///
+/// The hedge-delay histogram is fed the **winning attempt's own**
+/// latency, clocked from that attempt's first send — not the requester-
+/// observed total, which includes the hedge wait itself. Recording the
+/// total is a feedback loop: when every request hedges (a persistently
+/// slow first-choice replica), every sample is `delay + epsilon`, the
+/// p99 tracks the delay, and the delay ratchets itself up until it
+/// exceeds the stall and hedging silently stops. The winner's own
+/// latency is exactly the quantity the delay estimates — how long a
+/// healthy replica needs — so the delay stays pinned to the healthy
+/// floor no matter how slow the rescued replica is. (A reply read after
+/// another shard's is booked when it is read, so its sample can run long
+/// by that wait; it stays pinned to the other shard's floor.)
+fn settle(shard: &ShardClient, s: usize, answers: Answers) -> ClientResult<Response> {
+    let mut lost = None;
+    for answer in answers {
+        match answer {
+            Ok((rank, own_us, reply)) => {
+                shard.record_latency(own_us);
+                if rank == 1 {
+                    cbir_obs::router_hedge_won();
+                }
+                return Ok(reply);
+            }
+            Err(e) => lost = Some(e),
+        }
+    }
+    Err(lost.unwrap_or_else(|| ClientError::Protocol(format!("hedge attempts for shard {s} lost"))))
+}
+
+/// Cut `request`'s deadline by the time already spent in the router, to
+/// the budget a backend gets; `false` when nothing is left of it.
+fn cut_deadline(request: &mut Request, received: Instant) -> bool {
+    if let Request::Knn { deadline_us, .. }
+    | Request::Range { deadline_us, .. }
+    | Request::KnnById { deadline_us, .. } = request
+    {
+        if *deadline_us > 0 {
+            let spent = received.elapsed().as_micros() as u64;
+            if spent >= *deadline_us {
+                return false;
+            }
+            *deadline_us -= spent;
+        }
+    }
+    true
 }
 
 /// Map a shard-level client failure to the reply the front client gets.
@@ -611,83 +594,14 @@ fn shard_error(shard: usize, e: ClientError) -> Response {
     }
 }
 
-/// A shard sub-request: borrows a pooled backend connection, returns
-/// the typed reply. Shared between the direct and hedged attempt paths.
-type ShardOp<T> = Arc<dyn Fn(&mut Client) -> ClientResult<T> + Send + Sync>;
-
-/// One shard request, hedged when the router is configured for it: the
-/// first attempt gets `max(floor, shard p99)` to answer; past that a
-/// second attempt fires on the shard (round-robin puts it on a sibling
-/// replica) and the first reply wins. The losing attempt is not
-/// cancelled — it completes against its backend and its send into the
-/// closed channel is discarded — which is the standard hedging
-/// trade-off: bounded duplicate work for a bounded tail.
-///
-/// The hedge-delay histogram is fed the **winning attempt's own**
-/// latency, clocked from that attempt's start — not the requester-
-/// observed total, which includes the hedge wait itself. Recording the
-/// total is a feedback loop: when every request hedges (a persistently
-/// slow first-choice replica), every sample is `delay + epsilon`, the
-/// p99 tracks the delay, and the delay ratchets itself up until it
-/// exceeds the stall and hedging silently stops. The winner's own
-/// latency is exactly the quantity the delay estimates — how long a
-/// healthy replica needs — so the delay stays pinned to the healthy
-/// floor no matter how slow the rescued replica is.
-fn hedged_shard_call<T: Send + 'static>(
-    core: &Arc<RouterCore>,
-    s: usize,
-    op: ShardOp<T>,
-) -> ClientResult<T> {
-    let Some(floor) = core.hedge else {
-        return core.shards[s].call(|c| op(c));
-    };
-    let delay = core.shards[s].hedge_delay(floor);
-    let (tx, rx) = mpsc::channel::<(usize, u64, ClientResult<T>)>();
-    let spawn_attempt = |rank: usize| {
-        let (core, op, tx) = (Arc::clone(core), Arc::clone(&op), tx.clone());
-        std::thread::Builder::new()
-            .name(format!("cbir-route-hedge-{s}-{rank}"))
-            .spawn(move || {
-                let started = Instant::now();
-                let r = core.shards[s].call(|c| op(c));
-                let _ = tx.send((rank, started.elapsed().as_micros() as u64, r));
-            })
-            .is_ok()
-    };
-    let accept = |rank: usize, own_us: u64, v| {
-        core.shards[s].record_latency(own_us);
-        if rank == 1 {
-            cbir_obs::router_hedge_won();
-        }
-        Ok(v)
-    };
-    if !spawn_attempt(0) {
-        // Out of threads: degrade to the plain inline call.
-        return core.shards[s].call(|c| op(c));
-    }
-    match rx.recv_timeout(delay) {
-        Ok((rank, own_us, Ok(v))) => accept(rank, own_us, v),
-        Ok((_, _, Err(e))) => Err(e),
-        Err(mpsc::RecvTimeoutError::Disconnected) => ClientResult::Err(ClientError::Protocol(
-            format!("hedge attempt for shard {s} lost"),
-        )),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            cbir_obs::router_hedge_fired();
-            let hedged = spawn_attempt(1);
-            drop(tx);
-            let attempts = if hedged { 2 } else { 1 };
-            let mut last_err = None;
-            for _ in 0..attempts {
-                match rx.recv() {
-                    Ok((rank, own_us, Ok(v))) => return accept(rank, own_us, v),
-                    Ok((_, _, Err(e))) => last_err = Some(e),
-                    Err(_) => break,
-                }
-            }
-            Err(last_err.unwrap_or_else(|| {
-                ClientError::Protocol(format!("hedge attempts for shard {s} lost"))
-            }))
-        }
+/// A point op on one global id: the owning shard alone answers it, with
+/// the id made local, and its reply is forwarded as it came.
+fn point(core: &RouterCore, id: u64, request: impl FnOnce(u64) -> Request) -> Response {
+    match core.plan.to_local(id) {
+        Err(e) => Response::Error(e.to_string()),
+        Ok((owner, local)) => core.shards[owner]
+            .call(&request(local))
+            .unwrap_or_else(|e| shard_error(owner, e)),
     }
 }
 
@@ -705,29 +619,22 @@ fn hedged_shard_call<T: Send + 'static>(
 /// path. Semantic errors (a shard answering with out-of-plan ids, an
 /// explicit backend error) always fail the query: absence of data is
 /// degradable, wrong data is not.
-fn gather_query(
+fn search(
     core: &Arc<RouterCore>,
-    pool: &ScatterPool,
-    deadline_us: u64,
+    mut request: Request,
     received: Instant,
     limit: Option<usize>,
-    op: impl Fn(&mut Client, u64) -> ClientResult<HitsReply> + Send + Sync + 'static,
 ) -> Response {
-    let remaining = match remaining_budget(deadline_us, received) {
-        Ok(r) => r,
-        Err(resp) => return *resp,
-    };
-    let op: ShardOp<HitsReply> = Arc::new(move |c| op(c, remaining));
-    let hedging_core = Arc::clone(core);
-    let results = scatter(core, pool, move |s, _shard| {
-        hedged_shard_call(&hedging_core, s, Arc::clone(&op))
-    });
+    if !cut_deadline(&mut request, received) {
+        return Response::DeadlineExpired("deadline exhausted before scatter".into());
+    }
+    let results = gather(core, &request, shards(core));
     let shards_total = results.len() as u32;
     let mut lists = Vec::with_capacity(results.len());
     let (mut coarse, mut rerank) = (0u64, 0u64);
     let mut first_unavailable: Option<(usize, ClientError)> = None;
     for (s, r) in results.into_iter().enumerate() {
-        match r {
+        match r.and_then(HitsReply::try_from) {
             Ok(mut reply) => {
                 for h in &mut reply.hits {
                     match core.plan.to_global(s, h.id) {
@@ -782,8 +689,7 @@ fn gather_query(
 /// the single-node exclusion semantics, shard by shard.
 fn knn_by_id(
     core: &Arc<RouterCore>,
-    pool: &ScatterPool,
-    k: usize,
+    k: u32,
     deadline_us: u64,
     recall_target: f32,
     id: u64,
@@ -793,47 +699,50 @@ fn knn_by_id(
         Ok(x) => x,
         Err(e) => return Response::Error(e.to_string()),
     };
-    let descriptor = match core.shards[owner].call(|c| c.get_descriptor(local)) {
-        Ok(d) => d,
+    let descriptor = match core.shards[owner].call(&Request::GetDescriptor { id: local }) {
+        Ok(Response::Descriptor { descriptor }) => descriptor,
+        Ok(other) => return shard_error(owner, ClientError::unexpected("descriptor", other)),
         Err(e) => return shard_error(owner, e),
     };
-    // Capped at the wire's largest k: `u32::MAX` already asks every
+    // Saturating at the wire's largest k: `u32::MAX` already asks every
     // shard for all of its rows.
-    let over = k.saturating_add(1).min(u32::MAX as usize);
-    let mut resp = gather_query(
-        core,
-        pool,
+    let over = k.saturating_add(1);
+    let request = Request::Knn {
+        k: over,
         deadline_us,
-        received,
-        Some(over),
-        move |c, rem| c.knn_detailed(&descriptor, over, rem, recall_target),
-    );
+        recall_target,
+        descriptor,
+    };
+    let mut resp = search(core, request, received, Some(over as usize));
     // A degraded gather keeps its coverage accounting through the same
     // exclusion step. (The descriptor fetch above stays strict: without
     // the query row there is nothing to search for.)
     if let Response::Hits { hits, .. } | Response::HitsPartial { hits, .. } = &mut resp {
         hits.retain(|h| h.id != id);
-        hits.truncate(k);
+        hits.truncate(k as usize);
     }
     resp
 }
 
 /// Union liveness: every shard must answer, report the summed row count
 /// and the plan's dimensionality (cross-checked against every shard).
-fn ping(core: &Arc<RouterCore>, pool: &ScatterPool) -> Response {
-    let results = scatter(core, pool, |_, shard| shard.call(|c| c.ping()));
+fn ping(core: &Arc<RouterCore>) -> Response {
     let mut total = 0u64;
-    for (s, r) in results.into_iter().enumerate() {
+    for (s, r) in gather(core, &Request::Ping, shards(core))
+        .into_iter()
+        .enumerate()
+    {
         match r {
-            Ok((db_len, dim)) => {
-                if dim as usize != core.plan.dim() {
-                    return Response::Error(format!(
-                        "shard {s} serves dim {dim}, shard plan says {}",
-                        core.plan.dim()
-                    ));
-                }
-                total += db_len;
+            Ok(Response::Pong { db_len, dim }) if dim as usize == core.plan.dim() => {
+                total += db_len
             }
+            Ok(Response::Pong { dim, .. }) => {
+                return Response::Error(format!(
+                    "shard {s} serves dim {dim}, shard plan says {}",
+                    core.plan.dim()
+                ))
+            }
+            Ok(other) => return shard_error(s, ClientError::unexpected("pong", other)),
             Err(e) => return shard_error(s, e),
         }
     }
@@ -843,43 +752,74 @@ fn ping(core: &Arc<RouterCore>, pool: &ScatterPool) -> Response {
     }
 }
 
+/// Compact every shard: the newest epoch, the summed segments and rows.
+fn compact(core: &Arc<RouterCore>) -> Response {
+    let (mut epoch, mut segments, mut rows) = (0u64, 0u32, 0u64);
+    for (s, r) in gather(core, &Request::Compact, shards(core))
+        .into_iter()
+        .enumerate()
+    {
+        match r {
+            Ok(Response::CompactAck {
+                epoch: e,
+                segments: seg,
+                rows: rw,
+            }) => {
+                epoch = epoch.max(e);
+                segments += seg;
+                rows += rw;
+            }
+            Ok(other) => return shard_error(s, ClientError::unexpected("compact ack", other)),
+            Err(e) => return shard_error(s, e),
+        }
+    }
+    Response::CompactAck {
+        epoch,
+        segments,
+        rows,
+    }
+}
+
 /// Aggregate binary counter snapshots across **every replica of every
 /// shard** — counts live on the process that did the work, so unlike a
-/// query this fan-out is per replica, not per shard. Counters sum;
-/// latency quantiles take the worst replica (summing quantiles means
-/// nothing); the batch-size histogram merges by bound.
-fn stats(core: &RouterCore) -> Response {
+/// query this fan-out is per replica, not per shard, and reaches
+/// replicas on cooldown too. Counters sum; latency quantiles take the
+/// worst replica (summing quantiles means nothing); the batch-size
+/// histogram merges by bound.
+fn stats(core: &Arc<RouterCore>) -> Response {
+    let replicas = core
+        .shards
+        .iter()
+        .enumerate()
+        .flat_map(|(s, shard)| (0..shard.replicas().len()).map(move |r| (s, Some(r))));
     let mut agg = StatsSnapshot::default();
     let mut hist: BTreeMap<u64, u64> = BTreeMap::new();
     let mut answered = 0usize;
-    for shard in &core.shards {
-        for (_role, r) in shard.for_each_replica(|c| c.stats()) {
-            let s = match r {
-                Ok(s) => s,
-                // A dead replica has no counters to contribute; the
-                // per-replica health gauges already say it is down.
-                Err(_) => continue,
-            };
-            answered += 1;
-            agg.requests += s.requests;
-            agg.admitted += s.admitted;
-            agg.shed += s.shed;
-            agg.rejected_shutdown += s.rejected_shutdown;
-            agg.expired += s.expired;
-            agg.executed += s.executed;
-            agg.errors += s.errors;
-            agg.batches += s.batches;
-            agg.queue_depth += s.queue_depth;
-            agg.latency_p50_us = agg.latency_p50_us.max(s.latency_p50_us);
-            agg.latency_p95_us = agg.latency_p95_us.max(s.latency_p95_us);
-            agg.distance_computations += s.distance_computations;
-            agg.io_timeouts += s.io_timeouts;
-            agg.panics_isolated += s.panics_isolated;
-            agg.epoll_wakeups += s.epoll_wakeups;
-            agg.max_pipeline_depth = agg.max_pipeline_depth.max(s.max_pipeline_depth);
-            for (bound, count) in s.batch_hist {
-                *hist.entry(bound).or_insert(0) += count;
-            }
+    for r in gather(core, &Request::Stats, replicas) {
+        // A dead replica has no counters to contribute; the per-replica
+        // health gauges already say it is down.
+        let Ok(Response::Stats(s)) = r else {
+            continue;
+        };
+        answered += 1;
+        agg.requests += s.requests;
+        agg.admitted += s.admitted;
+        agg.shed += s.shed;
+        agg.rejected_shutdown += s.rejected_shutdown;
+        agg.expired += s.expired;
+        agg.executed += s.executed;
+        agg.errors += s.errors;
+        agg.batches += s.batches;
+        agg.queue_depth += s.queue_depth;
+        agg.latency_p50_us = agg.latency_p50_us.max(s.latency_p50_us);
+        agg.latency_p95_us = agg.latency_p95_us.max(s.latency_p95_us);
+        agg.distance_computations += s.distance_computations;
+        agg.io_timeouts += s.io_timeouts;
+        agg.panics_isolated += s.panics_isolated;
+        agg.epoll_wakeups += s.epoll_wakeups;
+        agg.max_pipeline_depth = agg.max_pipeline_depth.max(s.max_pipeline_depth);
+        for (bound, count) in s.batch_hist {
+            *hist.entry(bound).or_insert(0) += count;
         }
     }
     if answered == 0 {
@@ -896,13 +836,17 @@ fn stats(core: &RouterCore) -> Response {
 /// backend's document plus the router's own, merged field-by-field
 /// under the forward-compatible rules of [`jsonmerge`] — a backend
 /// field this router has never heard of still shows up in the output.
-fn obs_stats(core: &Arc<RouterCore>, pool: &ScatterPool, prometheus: bool) -> Response {
+fn obs_stats(core: &Arc<RouterCore>, prometheus: bool) -> Response {
     let snap = cbir_obs::snapshot();
     if prometheus {
         return Response::ObsText(cbir_obs::to_prometheus(&snap));
     }
-    let results = scatter(core, pool, |_, shard| shard.call(|c| c.obs_stats(false)));
-    let docs: Vec<String> = results.into_iter().flatten().collect();
+    let mut docs = Vec::new();
+    for r in gather(core, &Request::ObsStats { prometheus: false }, shards(core)) {
+        if let Ok(Response::ObsText(doc)) = r {
+            docs.push(doc);
+        }
+    }
     match jsonmerge::merge_documents(cbir_obs::to_json(&snap), &docs) {
         Ok(v) => Response::ObsText(v.render()),
         Err(e) => Response::Error(format!("obs aggregation: {e}")),
@@ -913,12 +857,15 @@ fn obs_stats(core: &Arc<RouterCore>, pool: &ScatterPool, prometheus: bool) -> Re
 /// not counters: element-wise merging would splice unrelated queries
 /// together, so this is explicitly a concatenation, owner order by
 /// shard index.
-fn explain(core: &Arc<RouterCore>, pool: &ScatterPool) -> Response {
-    let results = scatter(core, pool, |_, shard| shard.call(|c| c.explain()));
+fn explain(core: &Arc<RouterCore>) -> Response {
     let mut all = Vec::new();
-    for (s, r) in results.into_iter().enumerate() {
+    for (s, r) in gather(core, &Request::Explain, shards(core))
+        .into_iter()
+        .enumerate()
+    {
         let text = match r {
-            Ok(t) => t,
+            Ok(Response::ObsText(t)) => t,
+            Ok(other) => return shard_error(s, ClientError::unexpected("obs text", other)),
             Err(e) => return shard_error(s, e),
         };
         match Json::parse(&text) {

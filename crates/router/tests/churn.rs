@@ -5,7 +5,9 @@
 //! connections leave the process's thread count where it was), and no fd
 //! after 500 connect/abort/query cycles — most complete a query cleanly,
 //! a seeded fraction abort mid-request (half a frame written, then the
-//! socket slammed shut) or connect and leave without a byte.
+//! socket slammed shut) or connect and leave without a byte. Nor does a
+//! shard cost a thread: over 1, 2 or 4 shards a router holds its route
+//! workers and its loop thread, plus the prober when probing.
 //!
 //! Backends and router run in-process, so `/proc/self/fd` and the
 //! `Threads:` line of `/proc/self/status` count all of them. One test
@@ -50,6 +52,85 @@ impl Rng {
     }
 }
 
+/// One backend per shard of `plan` over `union`, and their addresses as
+/// one single-replica group per shard.
+fn spawn_backends(
+    union: &ImageDatabase,
+    plan: &ShardPlan,
+) -> (Vec<ServerHandle>, Vec<Vec<String>>) {
+    let backends: Vec<ServerHandle> = split_database(union, plan)
+        .unwrap()
+        .into_iter()
+        .map(|db| {
+            let engine = QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap();
+            Server::spawn_shared(Arc::new(engine), "127.0.0.1:0", SchedulerConfig::default())
+                .unwrap()
+        })
+        .collect();
+    let addrs = backends
+        .iter()
+        .map(|b| vec![b.local_addr().to_string()])
+        .collect();
+    (backends, addrs)
+}
+
+/// Wait up to 5 s for the process to hold `want` threads; the last
+/// count read. A thread joined a moment ago may still be counted.
+fn threads_settle_at(want: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let n = thread_count();
+        if n == want || Instant::now() > deadline {
+            return n;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A default router over 1, 2 or 4 shards adds `pool_per_replica + 1`
+/// threads — its route workers and its loop — and one more with
+/// probing on, while it answers a query; its shutdown gives them back.
+fn router_threads_do_not_grow_with_shards(union: &ImageDatabase) {
+    let tiers: Vec<_> = [1, 2, 4]
+        .map(|shards| ShardPlan::new(ShardScheme::Mod, 16, 64, shards).unwrap())
+        .into_iter()
+        .map(|plan| {
+            let (backends, addrs) = spawn_backends(union, &plan);
+            (plan, backends, addrs)
+        })
+        .collect();
+    let query = union.descriptor(5).unwrap();
+    let baseline = thread_count();
+    for (plan, _, addrs) in &tiers {
+        for probe_interval in [None, Some(Duration::from_millis(50))] {
+            let config = RouterConfig {
+                probe_interval,
+                ..RouterConfig::default()
+            };
+            let (shards, probing) = (plan.shards(), probe_interval.is_some());
+            let want = baseline + config.pool_per_replica + 1 + usize::from(probing);
+            let router = Router::spawn(plan.clone(), addrs.clone(), "127.0.0.1:0", config).unwrap();
+            let mut client = Client::connect(router.local_addr()).unwrap();
+            assert_eq!(client.knn(query, 3, 0, 1.0).unwrap().len(), 3);
+            assert_eq!(
+                threads_settle_at(want),
+                want,
+                "{shards} shards, probing {probing}: threads beyond workers + loop"
+            );
+            drop(client);
+            router.shutdown();
+            assert_eq!(
+                threads_settle_at(baseline),
+                baseline,
+                "{shards} shards: threads left behind"
+            );
+        }
+    }
+    for b in tiers.into_iter().flat_map(|(_, backends, _)| backends) {
+        b.shutdown();
+    }
+}
+
 #[test]
 fn router_threads_and_fds_do_not_grow_with_connections() {
     let pipeline = Pipeline::new(
@@ -68,20 +149,10 @@ fn router_threads_and_fds_do_not_grow_with_connections() {
         };
         union.insert_descriptor(meta, v).unwrap();
     }
+    router_threads_do_not_grow_with_shards(&union);
+
     let plan = ShardPlan::new(ShardScheme::Mod, 16, 64, 2).unwrap();
-    let backends: Vec<ServerHandle> = split_database(&union, &plan)
-        .unwrap()
-        .into_iter()
-        .map(|db| {
-            let engine = QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap();
-            Server::spawn_shared(Arc::new(engine), "127.0.0.1:0", SchedulerConfig::default())
-                .unwrap()
-        })
-        .collect();
-    let addrs = backends
-        .iter()
-        .map(|b| vec![b.local_addr().to_string()])
-        .collect();
+    let (backends, addrs) = spawn_backends(&union, &plan);
     let config = RouterConfig {
         // Tight idle reap so aborted half-frames are collected within the
         // test's lifetime.

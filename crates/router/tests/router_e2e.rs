@@ -797,6 +797,129 @@ fn hedged_requests_rescue_a_slow_replica() {
     fast.shutdown();
 }
 
+/// Both shards' primaries are slow, so the router comes to shard 1
+/// while shard 0's hedge is still out: shard 1's hedge, timed from its
+/// own send, must fire too. Every query starts on a primary (each hedge
+/// moves the shard's rotation on to its backup and back), so a backup
+/// answers only hedged attempts.
+#[test]
+fn two_shard_hedging_rescues_every_slow_shard() {
+    let union = union_db(40);
+    let single = spawn_backend(union.clone());
+    let plan = ShardPlan::new(ShardScheme::Mod, union.dim(), union.len() as u64, 2).unwrap();
+    let parts = split_database(&union, &plan).unwrap();
+    let tiers: Vec<(ServerHandle, ServerHandle, _)> = parts
+        .into_iter()
+        .map(|db| {
+            let slow_backend = spawn_backend(db.clone());
+            let slow = ChaosProxy::spawn(
+                slow_backend.local_addr().to_string(),
+                WireMode::Delay(Duration::from_millis(120)),
+                "127.0.0.1:0",
+            )
+            .unwrap();
+            (slow_backend, spawn_backend(db), slow)
+        })
+        .collect();
+    let addrs = tiers
+        .iter()
+        .map(|(_, fast, slow)| vec![slow.local_addr().to_string(), fast.local_addr().to_string()])
+        .collect();
+    let router = Router::spawn(
+        plan,
+        addrs,
+        "127.0.0.1:0",
+        RouterConfig {
+            hedge: Some(Duration::from_millis(10)),
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+
+    let backup_requests = |shard: u32| {
+        let snap = cbir_obs::snapshot();
+        let row = snap
+            .router
+            .iter()
+            .find(|r| r.shard == shard && r.role == "backup-1");
+        row.map_or(0, |r| r.requests)
+    };
+    let before = [backup_requests(0), backup_requests(1)];
+    let fired_before = cbir_obs::snapshot().router_tier.hedges_fired;
+    let query = union.descriptor(0).unwrap().to_vec();
+    let req = Request::Knn {
+        k: 5,
+        deadline_us: 0,
+        recall_target: 1.0,
+        descriptor: query,
+    };
+    let want = raw_call(single.local_addr(), &req);
+    for _ in 0..6 {
+        assert_eq!(
+            raw_call(router.local_addr(), &req),
+            want,
+            "hedged reply bytes"
+        );
+    }
+    for shard in [0, 1] {
+        assert!(
+            backup_requests(shard) > before[shard as usize],
+            "shard {shard}'s backup answered no hedged attempt"
+        );
+    }
+    assert!(cbir_obs::snapshot().router_tier.hedges_fired >= fired_before + 2);
+
+    router.shutdown();
+    for (slow_backend, fast, slow) in tiers {
+        slow.shutdown();
+        slow_backend.shutdown();
+        fast.shutdown();
+    }
+    single.shutdown();
+}
+
+/// A backend reaps the router's pooled connection while it sits idle.
+/// The next request's write still succeeds and its read fails, and with
+/// one replica per shard there is no sibling to fail over to: only the
+/// fresh-dial retry answers it.
+#[test]
+fn a_reaped_pooled_connection_is_redialed_not_reported() {
+    let union = union_db(40);
+    let single = spawn_backend(union.clone());
+    let plan = ShardPlan::new(ShardScheme::Mod, union.dim(), union.len() as u64, 2).unwrap();
+    let reap = Duration::from_millis(100);
+    let backends: Vec<ServerHandle> = split_database(&union, &plan)
+        .unwrap()
+        .into_iter()
+        .map(|db| {
+            let engine = Arc::new(QueryEngine::build(db, IndexKind::Linear, Measure::L1).unwrap());
+            let config = SchedulerConfig {
+                idle_timeout: Some(reap),
+                ..SchedulerConfig::default()
+            };
+            Server::spawn_shared(engine, "127.0.0.1:0", config).unwrap()
+        })
+        .collect();
+    let addrs = backends
+        .iter()
+        .map(|b| vec![b.local_addr().to_string()])
+        .collect();
+    let router = Router::spawn(plan, addrs, "127.0.0.1:0", RouterConfig::default()).unwrap();
+
+    for (i, req) in request_mix(&union).iter().enumerate() {
+        let want = raw_call(single.local_addr(), req);
+        assert_eq!(raw_call(router.local_addr(), req), want, "mix request {i}");
+        std::thread::sleep(reap * 3);
+        let after = raw_call(router.local_addr(), req);
+        assert_eq!(after, want, "mix request {i} after the reap");
+    }
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+    single.shutdown();
+}
+
 #[test]
 fn probe_driven_rejoin_brings_a_flapped_replica_back() {
     let union = union_db(30);

@@ -4,7 +4,9 @@
 //! `knn_by_id`, `ping`, `stats`, `shutdown`) plus a pipelined pair
 //! (`send_*` / `recv_hits`) used by load generators: send a window of
 //! requests before reading any reply, and the server — whose replies are
-//! always in request order — keeps its micro-batches full.
+//! always in request order — keeps its micro-batches full. Under both sit
+//! the untyped halves [`Client::send`] and [`Client::recv`], which a
+//! router uses to put a request on every shard before reading any reply.
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, Hit, Request, Response,
@@ -50,6 +52,24 @@ impl ClientError {
             _ => false,
         }
     }
+
+    /// A reply of the wrong kind for the request it answers.
+    pub fn unexpected(expected: &str, got: Response) -> ClientError {
+        ClientError::Protocol(format!("expected {expected}, got {got:?}"))
+    }
+}
+
+/// An explicit rejection reply as the error it stands for; every other
+/// reply passes through.
+fn rejection(reply: Response) -> ClientResult<Response> {
+    let rejected = match reply {
+        Response::Error(m) => Rejection::Error(m),
+        Response::Overloaded(m) => Rejection::Overloaded(m),
+        Response::ShuttingDown(m) => Rejection::ShuttingDown(m),
+        Response::DeadlineExpired(m) => Rejection::DeadlineExpired(m),
+        other => return Ok(other),
+    };
+    Err(ClientError::Rejected(rejected))
 }
 
 /// An explicit non-hit server reply, preserved so callers can tell
@@ -162,6 +182,37 @@ impl HitsReply {
     }
 }
 
+impl TryFrom<Response> for HitsReply {
+    type Error = ClientError;
+
+    /// The body of a `Hits` or `HitsPartial` reply; any other reply is a
+    /// protocol error.
+    fn try_from(reply: Response) -> ClientResult<HitsReply> {
+        match reply {
+            Response::Hits {
+                hits,
+                coarse_candidates,
+                rerank_evaluations,
+            } => Ok(HitsReply::full(hits, coarse_candidates, rerank_evaluations)),
+            Response::HitsPartial {
+                hits,
+                coarse_candidates,
+                rerank_evaluations,
+                shards_answered,
+                shards_total,
+            } => Ok(HitsReply {
+                hits,
+                coarse_candidates,
+                rerank_evaluations,
+                degraded: true,
+                shards_answered,
+                shards_total,
+            }),
+            other => Err(ClientError::unexpected("hits", other)),
+        }
+    }
+}
+
 /// `k` as the wire's `u32`, refused rather than wrapped when it does not
 /// fit (a wrapped `k` would ask for a different, possibly zero, count).
 fn wire_k(k: usize) -> ClientResult<u32> {
@@ -217,8 +268,9 @@ impl Client {
         }))
     }
 
-    fn send(&mut self, req: &Request) -> std::io::Result<()> {
-        write_frame(&mut self.writer, &encode_request(req))
+    /// Buffer a request frame without flushing it.
+    fn write(&mut self, request: &Request) -> std::io::Result<()> {
+        write_frame(&mut self.writer, &encode_request(request))
     }
 
     /// Flush buffered request frames to the socket.
@@ -226,44 +278,49 @@ impl Client {
         self.writer.flush()
     }
 
-    fn recv(&mut self) -> ClientResult<Response> {
+    /// Send half of an exchange: put `request` on the wire without
+    /// reading its reply.
+    pub fn send(&mut self, request: &Request) -> ClientResult<()> {
+        self.write(request)?;
+        Ok(self.flush()?)
+    }
+
+    /// Receive half: the next in-order reply, with an explicit rejection
+    /// (`Error`, `Overloaded`, `ShuttingDown`, `DeadlineExpired`) returned
+    /// as [`ClientError::Rejected`].
+    pub fn recv(&mut self) -> ClientResult<Response> {
         let payload = read_frame(&mut self.reader)?.ok_or_else(|| {
             ClientError::ConnectionLost("server closed the connection mid-conversation".into())
         })?;
-        Ok(decode_response(&payload)?)
+        rejection(decode_response(&payload)?)
     }
 
-    fn expect_hits(resp: Response) -> ClientResult<HitsReply> {
-        match resp {
-            Response::Hits {
-                hits,
-                coarse_candidates,
-                rerank_evaluations,
-            } => Ok(HitsReply::full(hits, coarse_candidates, rerank_evaluations)),
-            Response::HitsPartial {
-                hits,
-                coarse_candidates,
-                rerank_evaluations,
-                shards_answered,
-                shards_total,
-            } => Ok(HitsReply {
-                hits,
-                coarse_candidates,
-                rerank_evaluations,
-                degraded: true,
-                shards_answered,
-                shards_total,
-            }),
-            Response::Error(m) => Err(ClientError::Rejected(Rejection::Error(m))),
-            Response::Overloaded(m) => Err(ClientError::Rejected(Rejection::Overloaded(m))),
-            Response::ShuttingDown(m) => Err(ClientError::Rejected(Rejection::ShuttingDown(m))),
-            Response::DeadlineExpired(m) => {
-                Err(ClientError::Rejected(Rejection::DeadlineExpired(m)))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "expected hits, got {other:?}"
-            ))),
+    /// Wait up to `timeout` (rounded up to whole milliseconds) for the
+    /// next reply's first byte, consuming nothing: `false` if the wait ran
+    /// out first. A reply, an EOF and a transport error all end the wait;
+    /// [`Client::recv`] then reads whichever it was. The wait is an epoll
+    /// one: a socket read timeout would do, but the kernel rounds it to
+    /// its tick, several milliseconds. Off Linux, where nothing routes, it
+    /// ends at once.
+    pub fn await_reply(&mut self, timeout: Duration) -> bool {
+        #[cfg(target_os = "linux")]
+        if self.reader.buffer().is_empty() {
+            use crate::sys::{Epoll, EpollEvent, EPOLLIN};
+            use std::os::fd::AsRawFd;
+            let ms = i32::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(i32::MAX);
+            let fired = Epoll::new().and_then(|ep| {
+                ep.add(self.reader.get_ref().as_raw_fd(), EPOLLIN, 0)?;
+                ep.wait(&mut [EpollEvent::default()], ms)
+            });
+            return fired.map_or(true, |n| n > 0);
         }
+        let _ = timeout;
+        true
+    }
+
+    fn call(&mut self, request: &Request) -> ClientResult<Response> {
+        self.send(request)?;
+        self.recv()
     }
 
     /// k-NN over a raw descriptor. `deadline_us` is a relative budget in
@@ -314,13 +371,11 @@ impl Client {
         radius: f32,
         deadline_us: u64,
     ) -> ClientResult<HitsReply> {
-        self.send(&Request::Range {
+        HitsReply::try_from(self.call(&Request::Range {
             radius,
             deadline_us,
             descriptor: descriptor.to_vec(),
-        })?;
-        self.flush()?;
-        self.recv_hits_detailed()
+        })?)
     }
 
     /// Self-excluding k-NN by database image id.
@@ -345,14 +400,12 @@ impl Client {
         deadline_us: u64,
         recall_target: f32,
     ) -> ClientResult<HitsReply> {
-        self.send(&Request::KnnById {
+        HitsReply::try_from(self.call(&Request::KnnById {
             k: wire_k(k)?,
             deadline_us,
             recall_target,
             id: id as u64,
-        })?;
-        self.flush()?;
-        self.recv_hits_detailed()
+        })?)
     }
 
     /// Pipelined send half of [`Client::knn`]: buffers the request
@@ -365,13 +418,12 @@ impl Client {
         deadline_us: u64,
         recall_target: f32,
     ) -> ClientResult<()> {
-        self.send(&Request::Knn {
+        Ok(self.write(&Request::Knn {
             k: wire_k(k)?,
             deadline_us,
             recall_target,
             descriptor: descriptor.to_vec(),
-        })?;
-        Ok(())
+        })?)
     }
 
     /// Pipelined receive half: the next in-order hits reply.
@@ -382,56 +434,39 @@ impl Client {
     /// Pipelined receive half keeping the reply's approximate-search
     /// counters.
     pub fn recv_hits_detailed(&mut self) -> ClientResult<HitsReply> {
-        let resp = self.recv()?;
-        Self::expect_hits(resp)
+        HitsReply::try_from(self.recv()?)
     }
 
     /// Liveness probe; returns `(database length, descriptor dim)`.
     pub fn ping(&mut self) -> ClientResult<(u64, u32)> {
-        self.send(&Request::Ping)?;
-        self.flush()?;
-        match self.recv()? {
+        match self.call(&Request::Ping)? {
             Response::Pong { db_len, dim } => Ok((db_len, dim)),
-            other => Err(ClientError::Protocol(format!(
-                "expected pong, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("pong", other)),
         }
     }
 
     /// Server counter snapshot.
     pub fn stats(&mut self) -> ClientResult<StatsSnapshot> {
-        self.send(&Request::Stats)?;
-        self.flush()?;
-        match self.recv()? {
+        match self.call(&Request::Stats)? {
             Response::Stats(s) => Ok(s),
-            other => Err(ClientError::Protocol(format!(
-                "expected stats, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("stats", other)),
         }
     }
 
     /// Server-side observability snapshot, rendered as JSON (or
     /// Prometheus text exposition when `prometheus` is set).
     pub fn obs_stats(&mut self, prometheus: bool) -> ClientResult<String> {
-        self.send(&Request::ObsStats { prometheus })?;
-        self.flush()?;
-        match self.recv()? {
+        match self.call(&Request::ObsStats { prometheus })? {
             Response::ObsText(text) => Ok(text),
-            other => Err(ClientError::Protocol(format!(
-                "expected obs text, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("obs text", other)),
         }
     }
 
     /// The server's sampled query traces, rendered as JSON.
     pub fn explain(&mut self) -> ClientResult<String> {
-        self.send(&Request::Explain)?;
-        self.flush()?;
-        match self.recv()? {
+        match self.call(&Request::Explain)? {
             Response::ObsText(text) => Ok(text),
-            other => Err(ClientError::Protocol(format!(
-                "expected obs text, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("obs text", other)),
         }
     }
 
@@ -444,64 +479,44 @@ impl Client {
         label: Option<u32>,
         descriptor: &[f32],
     ) -> ClientResult<(u64, u64)> {
-        self.send(&Request::Insert {
+        match self.call(&Request::Insert {
             name: name.to_string(),
             label,
             descriptor: descriptor.to_vec(),
-        })?;
-        self.flush()?;
-        match self.recv()? {
+        })? {
             Response::InsertAck { id, epoch } => Ok((id, epoch)),
-            Response::Error(m) => Err(ClientError::Rejected(Rejection::Error(m))),
-            other => Err(ClientError::Protocol(format!(
-                "expected insert ack, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("insert ack", other)),
         }
     }
 
     /// Tombstone the row with global id `id`; returns the store epoch
     /// after the delete.
     pub fn delete(&mut self, id: u64) -> ClientResult<u64> {
-        self.send(&Request::Delete { id })?;
-        self.flush()?;
-        match self.recv()? {
+        match self.call(&Request::Delete { id })? {
             Response::DeleteAck { epoch } => Ok(epoch),
-            Response::Error(m) => Err(ClientError::Rejected(Rejection::Error(m))),
-            other => Err(ClientError::Protocol(format!(
-                "expected delete ack, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("delete ack", other)),
         }
     }
 
     /// Fold the store's memtable and tombstones into fresh immutable
     /// segments; returns `(epoch, segments, rows)` after compaction.
     pub fn compact(&mut self) -> ClientResult<(u64, u32, u64)> {
-        self.send(&Request::Compact)?;
-        self.flush()?;
-        match self.recv()? {
+        match self.call(&Request::Compact)? {
             Response::CompactAck {
                 epoch,
                 segments,
                 rows,
             } => Ok((epoch, segments, rows)),
-            Response::Error(m) => Err(ClientError::Rejected(Rejection::Error(m))),
-            other => Err(ClientError::Protocol(format!(
-                "expected compact ack, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("compact ack", other)),
         }
     }
 
     /// Fetch the stored descriptor of row `id`, bit-for-bit as the server
-    /// holds it (the lookup half of a router-side knn-by-id).
+    /// holds it.
     pub fn get_descriptor(&mut self, id: u64) -> ClientResult<Vec<f32>> {
-        self.send(&Request::GetDescriptor { id })?;
-        self.flush()?;
-        match self.recv()? {
+        match self.call(&Request::GetDescriptor { id })? {
             Response::Descriptor { descriptor } => Ok(descriptor),
-            Response::Error(m) => Err(ClientError::Rejected(Rejection::Error(m))),
-            other => Err(ClientError::Protocol(format!(
-                "expected descriptor, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("descriptor", other)),
         }
     }
 
@@ -520,8 +535,7 @@ impl Client {
     /// Pipelined send half of [`Client::shutdown`]: buffers the shutdown
     /// op behind any outstanding requests without reading a reply.
     pub fn send_shutdown(&mut self) -> ClientResult<()> {
-        self.send(&Request::Shutdown)?;
-        Ok(())
+        Ok(self.write(&Request::Shutdown)?)
     }
 
     /// Pipelined receive half of [`Client::shutdown`]: expects the next
@@ -529,9 +543,7 @@ impl Client {
     pub fn recv_shutdown_ack(&mut self) -> ClientResult<()> {
         match self.recv()? {
             Response::ShutdownAck => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected shutdown ack, got {other:?}"
-            ))),
+            other => Err(ClientError::unexpected("shutdown ack", other)),
         }
     }
 }

@@ -35,11 +35,6 @@ impl ClientPool {
         }
     }
 
-    /// The backend address this pool dials.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Check out a connection: an idle one when available, otherwise a
     /// fresh dial. Fails only when dialing fails.
     pub fn get(&self) -> std::io::Result<Client> {

@@ -415,24 +415,25 @@ impl Scheduler {
         // by (op, parameter) so each group is one engine call.
         // BTreeMap keeps group execution order deterministic.
         let mut expired = 0usize;
+        let mut replies: Vec<(Arc<ReplyCell>, Response)> = Vec::with_capacity(size);
         let mut groups: BTreeMap<(u8, u64, u64), Vec<usize>> = BTreeMap::new();
         let mut slots: Vec<Option<Pending>> = Vec::with_capacity(size);
         for (i, p) in batch.into_iter().enumerate() {
             if p.deadline.is_some_and(|d| dispatch_time > d) {
                 expired += 1;
-                p.reply.fill(Response::DeadlineExpired(
-                    "deadline expired while queued".into(),
-                ));
+                let expiry = Response::DeadlineExpired("deadline expired while queued".into());
+                replies.push((p.reply, expiry));
                 slots.push(None);
                 continue;
             }
             if let QueryWork::KnnById { id, .. } = &p.work {
                 if !view.contains(*id as u64) {
                     self.metrics.on_error();
-                    p.reply.fill(Response::Error(format!(
+                    let gone = format!(
                         "image id {id} no longer in database (epoch {})",
                         view.epoch()
-                    )));
+                    );
+                    replies.push((p.reply, Response::Error(gone)));
                     slots.push(None);
                     continue;
                 }
@@ -531,9 +532,8 @@ impl Scheduler {
                     for &i in &members {
                         let p = slots[i].take().expect("live slot");
                         self.metrics.on_error();
-                        p.reply.fill(Response::Error(format!(
-                            "internal: execution panicked (isolated): {msg}"
-                        )));
+                        let panicked = format!("internal: execution panicked (isolated): {msg}");
+                        replies.push((p.reply, Response::Error(panicked)));
                     }
                     continue;
                 }
@@ -552,11 +552,12 @@ impl Scheduler {
                         let p = slots[i].take().expect("live slot");
                         latencies.push(p.enqueued.elapsed().as_micros() as u64);
                         let own = per_query.get(j).cloned().unwrap_or_default();
-                        p.reply.fill(Response::Hits {
+                        let hits = Response::Hits {
                             hits: ranked_to_hits(ranked),
                             coarse_candidates: own.coarse_candidates,
                             rerank_evaluations: own.rerank_evaluations,
-                        });
+                        };
+                        replies.push((p.reply, hits));
                     }
                 }
                 Err(e) => {
@@ -567,12 +568,17 @@ impl Scheduler {
                     for &i in &members {
                         let p = slots[i].take().expect("live slot");
                         self.metrics.on_error();
-                        p.reply.fill(Response::Error(msg.clone()));
+                        replies.push((p.reply, Response::Error(msg.clone())));
                     }
                 }
             }
         }
+        // Counted before any reply fills: a client holding its reply sees
+        // its batch in the counters.
         self.metrics.on_batch(size, expired, &latencies, &search);
+        for (cell, reply) in replies {
+            cell.fill(reply);
+        }
     }
 }
 
@@ -1032,5 +1038,56 @@ mod tests {
         let snap = s.metrics.snapshot(0);
         assert_eq!(snap.executed, 10);
         assert_eq!(snap.rejected_shutdown, 1);
+    }
+
+    /// The counters a client reads after its reply already hold that
+    /// reply's batch. The cells post to a completion mailbox whose waker
+    /// socket is full, so the first fill blocks in its wake-up write and
+    /// the counters are read while it does.
+    #[test]
+    fn a_batch_is_counted_before_its_first_reply_fills() {
+        use crate::conn::{Completions, Connection};
+        use std::io::Write;
+        use std::os::unix::net::UnixStream;
+
+        let s = sched(SchedulerConfig::default());
+        let (waker, wakee) = UnixStream::pair().unwrap();
+        waker.set_nonblocking(true).unwrap();
+        while (&waker).write(&[0; 4096]).is_ok() {}
+        waker.set_nonblocking(false).unwrap();
+        let completions = Arc::new(Completions::new());
+        completions.set_waker(waker);
+        let mut conn = Connection::new(0, Instant::now());
+        let cells: Vec<Arc<ReplyCell>> = (0..2)
+            .map(|_| conn.push_cell(Some(Arc::clone(&completions))))
+            .collect();
+        let batch = cells
+            .iter()
+            .map(|cell| Pending {
+                work: QueryWork::Knn {
+                    descriptor: vec![0.125; 8],
+                    k: 2,
+                    recall_target: 1.0,
+                },
+                deadline: None,
+                enqueued: Instant::now(),
+                reply: Arc::clone(cell),
+            })
+            .collect();
+        let executed = std::thread::scope(|scope| {
+            scope.spawn(|| s.execute_batch(batch));
+            while !cells.iter().any(|c| c.is_done()) {
+                std::thread::yield_now();
+            }
+            let executed = s.metrics.snapshot(0).executed;
+            // Closing the far end fails the blocked wake-up write, so the
+            // fills finish.
+            drop(wakee);
+            executed
+        });
+        assert_eq!(executed, 2, "a reply filled before its batch was counted");
+        assert!(cells
+            .iter()
+            .all(|c| matches!(reply(c), Response::Hits { .. })));
     }
 }

@@ -353,7 +353,19 @@ wait "$PART_ROUTER_PID"
 "$CBIR" rpc-ctl "$(cat "$SMOKE_DIR/addr-part-s0")" shutdown >/dev/null
 wait "$PART_PID"
 
-echo "==> non-test Rust lines per crate (scripts/loc.sh; diff against the parent commit)"
-scripts/loc.sh
+echo "==> non-test Rust lines per crate (scripts/loc.sh: HEAD, working tree, delta)"
+# HEAD's table comes from HEAD's own loc.sh, run on a `git archive` copy,
+# so before a commit this prints the change's line delta per crate.
+if git rev-parse --verify -q HEAD >/dev/null 2>&1; then
+    mkdir "$SMOKE_DIR/head"
+    git archive HEAD | tar -x -C "$SMOKE_DIR/head"
+    "$SMOKE_DIR/head/scripts/loc.sh" > "$SMOKE_DIR/loc-head"
+    scripts/loc.sh | awk 'NR == FNR { head[$2] = $1; next }
+        FNR == 1 { printf "%7s %7s %7s\n", "HEAD", "tree", "delta" }
+        { printf "%7s %7d %+7d  %s\n", head[$2], $1, $1 - head[$2], $2 }' \
+        "$SMOKE_DIR/loc-head" -
+else
+    scripts/loc.sh
+fi
 
 echo "verify: all checks passed"
