@@ -4,20 +4,35 @@
 //! A [`CellQuantizer`] cuts every coordinate axis into 256 cells — a
 //! per-dimension origin, one step shared by all dimensions — and maps a
 //! vector to the cell index of each coordinate, one `u8` per `f32`. The
-//! sum of absolute code differences of two vectors ([`cell_sad_to_many`],
-//! `vpsadbw` on AVX2) counts the cells between them, and a coordinate
-//! pair whose codes differ by `Δ` is at least `Δ − 1` steps apart. A
-//! sequential scan can therefore bound every row from the code table and
-//! evaluate the `f32` kernel only on rows the bound cannot exclude:
-//! filter-and-refine with no loss, because [`CellQuantizer::min_sad`]
-//! turns the bound to beat into a code-difference sum whose rows
-//! *provably* score at least that bound under the rounded `f32`
-//! arithmetic of [`crate::l1`] itself.
+//! sum of absolute code differences of two vectors counts the cells
+//! between them, and a coordinate pair whose codes differ by `Δ` is at
+//! least `Δ − 1` steps apart. A sequential scan can therefore bound every
+//! row from a [`CellTable`] and evaluate the `f32` kernel only on rows
+//! the bound cannot exclude: filter-and-refine with no loss, because
+//! [`CellQuantizer::min_sad`] turns the bound to beat into a
+//! code-difference sum whose rows *provably* score at least that bound
+//! under the rounded `f32` arithmetic of [`crate::l1`] itself.
 //!
 //! The two end cells saturate (`0` holds everything below the origin's
 //! first step, `255` everything above the last), so they stay valid
 //! intervals whatever the data: the origin and the step are fitted to a
 //! sample and a stray row cannot stretch them.
+//!
+//! ## The table's layout
+//!
+//! A [`CellTable`] keeps its codes in tiles of [`TILE_ROWS`] rows, each
+//! row padded with zero codes to a whole number of 8-code chunks. Line
+//! `c` of a tile — 64 bytes, one cache line, 64-byte aligned — holds
+//! chunk `c` of each of the tile's rows side by side: byte `8r + j` is
+//! code `8c + j` of row `r`. `vpsadbw` sums the byte differences of each
+//! 8-byte lane of two registers into that lane, so one instruction over
+//! a line and the query's chunk `c` broadcast to every lane adds the
+//! chunk's code differences to all eight rows at once, each in its own
+//! 64-bit lane, and a tile's sums come out in row order with no
+//! horizontal reduction ([`CellTable::sums`]: one 64-byte register per
+//! line with AVX-512BW, two 32-byte halves with AVX2, a portable loop
+//! elsewhere — integer sums, so all three agree). Pad codes are zero on
+//! both sides and add nothing; so are the rows that fill the last tile.
 
 /// Rows the fit looks at, at most: a strided sample sets the origins and
 /// the step, so one wild row in a large corpus rarely gets a say.
@@ -31,6 +46,30 @@ const FIT_CELLS: f64 = 254.0;
 /// Per-coordinate slack of the cell bound, in steps: the quantizer's own
 /// `f32` rounding (see [`CellQuantizer::min_sad`]).
 const CELL_SLACK: f64 = 1.0 / 8192.0;
+
+/// Rows per tile of a [`CellTable`]: one 64-byte line holds an 8-code
+/// chunk of each. [`CellTable::sums`] starts at a multiple of it.
+pub const TILE_ROWS: usize = 8;
+
+/// Codes of one row per line of a tile.
+const CHUNK: usize = 8;
+
+/// Bytes a table asks the allocator for, at least; it touches only its
+/// own length of them, so the rest costs address space and nothing else.
+/// A table is megabytes that live as long as their source, built on
+/// whichever worker thread scans first. glibc serves such a request from
+/// that thread's arena once its sliding `mmap` threshold has risen past
+/// the size, and an arena keeps what is freed into it: a process that
+/// opened and dropped three engines over a 200,000 x 64 corpus peaked
+/// 24-44 MB higher (127 -> 151 MB with one 12.8 MB allocation, 144-157
+/// with 32 KB blocks, 171 when built on the thread that builds the
+/// index). A request above the threshold's ceiling (32 MiB on 64-bit) is
+/// always a mapping of its own, returned to the system the moment it is
+/// freed (127 -> 139 MB, the live table). Tables under
+/// [`TABLE_RESERVE_FROM`] bytes are not worth the address space and take
+/// what they need.
+const TABLE_RESERVE: usize = (32 << 20) + 1;
+const TABLE_RESERVE_FROM: usize = 1 << 20;
 
 /// Maps `f32` coordinates to one-byte cell indices: `code = clamp(⌊(x −
 /// lo_d) / step⌋, 0, 255)` with a per-dimension origin `lo_d` and one
@@ -203,121 +242,298 @@ fn encode_rows(rows: &[f32], origins: &[f32], inv: f32, codes: &mut [u8]) -> boo
     widest_bits < 0x7F80_0000
 }
 
-/// `Σ_d |query_d − row_d|` over bytes for every `query.len()`-byte row of
-/// `rows`, written into `out`: AVX2 `vpsadbw` behind
-/// `is_x86_feature_detected!` for rows of at least 32 bytes, the portable
-/// loop otherwise. Integer arithmetic, so both give the same sums.
-///
-/// # Panics
-/// Panics if `query` is empty or `rows.len() != out.len() * query.len()`.
-pub fn cell_sad_to_many(query: &[u8], rows: &[u8], out: &mut [u32]) {
+/// One line of a tile: a chunk of each of its rows (see the module
+/// docs). The alignment makes every line one cache line and one aligned
+/// 64-byte load.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([u8; TILE_ROWS * CHUNK]);
+
+const ZERO_LINE: Line = Line([0; TILE_ROWS * CHUNK]);
+
+/// Append the tile of at most [`TILE_ROWS`] rows whose row-major codes
+/// (`dim` per row) are `codes`: `dim / 8` lines, rounded up, each
+/// holding one chunk of every row and zeros where a row or a chunk is
+/// missing.
+fn push_tile(lines: &mut Vec<Line>, codes: &[u8], dim: usize) {
+    let start = lines.len();
+    lines.resize(start + dim.div_ceil(CHUNK), ZERO_LINE);
+    for (r, row) in codes.chunks_exact(dim).enumerate() {
+        for (line, chunk) in lines[start..].iter_mut().zip(row.chunks(CHUNK)) {
+            line.0[r * CHUNK..r * CHUNK + chunk.len()].copy_from_slice(chunk);
+        }
+    }
+}
+
+/// The cell codes of a matrix under its fitted [`CellQuantizer`], tiled
+/// for [`CellTable::sums`] (layout in the module docs). Built in memory
+/// from the rows, never stored.
+#[derive(Clone)]
+pub struct CellTable {
+    quant: CellQuantizer,
+    /// Tile `t` is lines `t · chunks .. (t + 1) · chunks`.
+    lines: Vec<Line>,
+    rows: usize,
+}
+
+/// Tile sums: the query's `chunks · 8` codes against whole tiles of
+/// `chunks` lines each, one sum per row of every tile into `out`, which
+/// holds [`TILE_ROWS`] slots per tile.
+type TileSums = fn(query: &[u8], lines: &[Line], chunks: usize, out: &mut [u32]);
+
+impl CellTable {
+    /// Fit a quantizer to the row-major matrix `rows` (`dim` columns) and
+    /// encode every row. `None` where [`CellQuantizer::fit`] finds no
+    /// useful table, or where a row outside its sample holds a
+    /// non-finite component.
+    ///
+    /// # Panics
+    /// Panics if `dim` is 0 or does not divide `rows.len()`.
+    pub fn build(dim: usize, rows: &[f32]) -> Option<CellTable> {
+        CellTable::encode(CellQuantizer::fit(dim, rows)?, rows)
+    }
+
+    /// Encode `rows` under `quant`, a tile at a time: row-major into a
+    /// scratch, then dealt into the tile's lines.
+    fn encode(quant: CellQuantizer, rows: &[f32]) -> Option<CellTable> {
+        let dim = quant.dim();
+        let n = rows.len() / dim;
+        let count = n.div_ceil(TILE_ROWS) * dim.div_ceil(CHUNK);
+        let reserve = if count * size_of::<Line>() < TABLE_RESERVE_FROM {
+            count
+        } else {
+            count.max(TABLE_RESERVE.div_ceil(size_of::<Line>()))
+        };
+        let mut lines = Vec::with_capacity(reserve);
+        let mut codes = vec![0u8; TILE_ROWS * dim];
+        for tile_rows in rows.chunks(TILE_ROWS * dim) {
+            let codes = &mut codes[..tile_rows.len()];
+            if !quant.encode(tile_rows, codes) {
+                return None;
+            }
+            push_tile(&mut lines, codes, dim);
+        }
+        Some(CellTable {
+            quant,
+            lines,
+            rows: n,
+        })
+    }
+
+    /// The quantizer the codes were made with: its
+    /// [`CellQuantizer::min_sad`] turns a bound into a sum.
+    pub fn quantizer(&self) -> &CellQuantizer {
+        &self.quant
+    }
+
+    /// Rows encoded.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Bytes the table holds: the rows rounded up to whole tiles, each
+    /// padded to whole 8-code chunks.
+    pub fn bytes(&self) -> usize {
+        self.lines.len() * size_of::<Line>()
+    }
+
+    /// Bytes of one query's codes as [`CellTable::sums`] takes them:
+    /// the dimension rounded up to a multiple of 8.
+    pub fn query_len(&self) -> usize {
+        self.chunks() * CHUNK
+    }
+
+    fn chunks(&self) -> usize {
+        self.quant.dim().div_ceil(CHUNK)
+    }
+
+    /// Encode `query` into `codes`, [`CellTable::query_len`] bytes padded
+    /// with zeros. Returns whether every component was finite; the codes
+    /// of a query that fails must not be used.
+    ///
+    /// # Panics
+    /// Panics if `query` is not of the table's dimension or `codes` is
+    /// not [`CellTable::query_len`] bytes.
+    pub fn encode_query(&self, query: &[f32], codes: &mut [u8]) -> bool {
+        assert_eq!(codes.len(), self.query_len(), "query codes are padded");
+        let (head, pad) = codes.split_at_mut(self.quant.dim());
+        pad.fill(0);
+        self.quant.encode(query, head)
+    }
+
+    /// `Σ_d |query_d − row_d|` over the codes of rows `first ..
+    /// first + out.len()`, written into `out`; `query` holds a query's
+    /// codes from [`CellTable::encode_query`]. Eight rows per `vpsadbw`
+    /// with AVX-512BW or AVX2, detected at run time; the portable loop
+    /// elsewhere. Integer arithmetic, so every path gives the same sums.
+    ///
+    /// # Panics
+    /// Panics if `first` is not a multiple of [`TILE_ROWS`], the rows
+    /// run past the table, or `query` is not [`CellTable::query_len`]
+    /// bytes.
+    pub fn sums(&self, query: &[u8], first: usize, out: &mut [u32]) {
+        self.sums_with(query, first, out, dispatch())
+    }
+
+    /// [`CellTable::sums`] on the portable loop, public so that tests in
+    /// the layers above can pin both paths against each other.
+    #[doc(hidden)]
+    pub fn sums_portable(&self, query: &[u8], first: usize, out: &mut [u32]) {
+        self.sums_with(query, first, out, portable_tile_sums)
+    }
+
+    fn sums_with(&self, query: &[u8], first: usize, out: &mut [u32], kernel: TileSums) {
+        let chunks = self.chunks();
+        assert_eq!(query.len(), chunks * CHUNK, "query codes are padded");
+        assert!(
+            first.is_multiple_of(TILE_ROWS) && first + out.len() <= self.rows,
+            "rows {first}..{} of a {}-row table, from a whole tile",
+            first + out.len(),
+            self.rows
+        );
+        let whole = out.len() - out.len() % TILE_ROWS;
+        let (head, tail) = out.split_at_mut(whole);
+        let lines = &self.lines[first / TILE_ROWS * chunks..];
+        let (lines, last) = lines.split_at(whole / TILE_ROWS * chunks);
+        kernel(query, lines, chunks, head);
+        if !tail.is_empty() {
+            // The last tile is whole in the table: the sums of the rows
+            // past `out` are dropped here.
+            let mut sums = [0u32; TILE_ROWS];
+            kernel(query, &last[..chunks], chunks, &mut sums);
+            tail.copy_from_slice(&sums[..tail.len()]);
+        }
+    }
+}
+
+impl std::fmt::Debug for CellTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CellTable")
+            .field("step", &self.quant.step())
+            .field("rows", &self.rows)
+            .field("bytes", &self.bytes())
+            .finish()
+    }
+}
+
+/// The widest tile kernel this host runs.
+fn dispatch() -> TileSums {
     #[cfg(target_arch = "x86_64")]
-    if query.len() >= 32 && std::arch::is_x86_feature_detected!("avx2") {
-        check_shape(query, rows, out);
-        // SAFETY: the AVX2 requirement is checked at runtime above.
-        unsafe { x86::sad_to_many_avx2(query, rows, out) };
-        return;
+    {
+        if std::arch::is_x86_feature_detected!("avx512bw") {
+            // SAFETY: the AVX-512BW requirement is checked at runtime above.
+            return |query, lines, chunks, out| unsafe {
+                x86::tile_sums_avx512(query, lines, chunks, out)
+            };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the AVX2 requirement is checked at runtime above.
+            return |query, lines, chunks, out| unsafe {
+                x86::tile_sums_avx2(query, lines, chunks, out)
+            };
+        }
     }
-    cell_sad_to_many_portable(query, rows, out);
+    portable_tile_sums
 }
 
-/// The portable path of [`cell_sad_to_many`], public so that tests in
-/// the layers above can pin both paths against each other.
-#[doc(hidden)]
-pub fn cell_sad_to_many_portable(query: &[u8], rows: &[u8], out: &mut [u32]) {
-    check_shape(query, rows, out);
-    for (row, slot) in rows.chunks_exact(query.len()).zip(out.iter_mut()) {
-        *slot = row
-            .iter()
-            .zip(query)
-            .map(|(&x, &q)| u32::from(x.abs_diff(q)))
-            .sum();
+fn portable_tile_sums(query: &[u8], lines: &[Line], chunks: usize, out: &mut [u32]) {
+    assert!(query.len() == chunks * CHUNK && lines.len() * TILE_ROWS == out.len() * chunks);
+    for (tile, sums) in lines
+        .chunks_exact(chunks)
+        .zip(out.chunks_exact_mut(TILE_ROWS))
+    {
+        sums.fill(0);
+        for (line, q) in tile.iter().zip(query.chunks_exact(CHUNK)) {
+            for (sum, row) in sums.iter_mut().zip(line.0.chunks_exact(CHUNK)) {
+                *sum += row
+                    .iter()
+                    .zip(q)
+                    .map(|(&x, &q)| u32::from(x.abs_diff(q)))
+                    .sum::<u32>();
+            }
+        }
     }
-}
-
-fn check_shape(query: &[u8], rows: &[u8], out: &[u32]) {
-    assert!(
-        !query.is_empty(),
-        "cell_sad_to_many needs a non-empty query"
-    );
-    assert_eq!(
-        rows.len(),
-        out.len() * query.len(),
-        "rows length {} is not out length {} x dim {}",
-        rows.len(),
-        out.len(),
-        query.len()
-    );
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{Line, CHUNK, TILE_ROWS};
     use std::arch::x86_64::*;
 
-    /// Rows of `dim ≥ 32` bytes, four at a time so that each 32-byte
-    /// query chunk is loaded once per four rows and the four horizontal
-    /// reductions share one shuffle tree. A row's last `dim % 32` bytes
-    /// are covered by one more 32-byte load that ends with the row, with
-    /// the bytes the full chunks already counted masked to zero on both
-    /// sides (`|0 − 0|` adds nothing). The `< 4` rows left over go
-    /// through the portable loop.
+    /// Chunk `c` of the query's codes as one 64-bit lane value.
     ///
-    /// Caller guarantees `dim ≥ 32` and `rows.len() == out.len() * dim`.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn sad_to_many_avx2(query: &[u8], rows: &[u8], out: &mut [u32]) {
-        let dim = query.len();
-        assert!(dim >= 32 && rows.len() == out.len() * dim);
-        let full = dim / 32;
-        let rem = dim % 32;
-        let mask_bytes: [u8; 32] = std::array::from_fn(|i| if i >= 32 - rem { 0xFF } else { 0 });
-        // SAFETY: both loads read 32 bytes that lie inside their arrays
-        // (`dim >= 32` bounds the query load).
-        let (mask, q_tail) = unsafe {
-            let mask = _mm256_loadu_si256(mask_bytes.as_ptr().cast());
-            let q = _mm256_loadu_si256(query.as_ptr().add(dim - 32).cast());
-            (mask, _mm256_and_si256(q, mask))
-        };
-        let mut quads = rows.chunks_exact(dim * 4);
-        let mut slots = out.chunks_exact_mut(4);
-        for (quad, slot) in quads.by_ref().zip(slots.by_ref()) {
-            let mut acc = [_mm256_setzero_si256(); 4];
-            // SAFETY: `quad` is four rows of `dim` bytes and row `r`
-            // starts at `r * dim`; within a row, `c * 32 + 32 <= full *
-            // 32 <= dim` bounds the chunk loads and the tail load ends at
-            // `dim`.
-            unsafe {
-                for c in 0..full {
-                    let q = _mm256_loadu_si256(query.as_ptr().add(c * 32).cast());
-                    for (r, a) in acc.iter_mut().enumerate() {
-                        let x = _mm256_loadu_si256(quad.as_ptr().add(r * dim + c * 32).cast());
-                        *a = _mm256_add_epi64(*a, _mm256_sad_epu8(q, x));
-                    }
-                }
-                if rem > 0 {
-                    for (r, a) in acc.iter_mut().enumerate() {
-                        let x = _mm256_loadu_si256(quad.as_ptr().add(r * dim + dim - 32).cast());
-                        let x = _mm256_and_si256(x, mask);
-                        *a = _mm256_add_epi64(*a, _mm256_sad_epu8(q_tail, x));
-                    }
+    /// # Safety
+    /// `c * 8 + 8 <= query.len()`.
+    #[inline(always)]
+    unsafe fn query_chunk(query: &[u8], c: usize) -> i64 {
+        // SAFETY: the caller keeps the 8 bytes inside `query`.
+        unsafe { query.as_ptr().add(c * CHUNK).cast::<i64>().read_unaligned() }
+    }
+
+    /// One 64-byte register per line: `vpsadbw` against the query's
+    /// chunk broadcast to all eight lanes adds the chunk to the sums of
+    /// the tile's eight rows, lane `r` holding row `r`'s.
+    ///
+    /// Caller guarantees AVX-512BW.
+    #[target_feature(enable = "avx512bw")]
+    pub(super) fn tile_sums_avx512(query: &[u8], lines: &[Line], chunks: usize, out: &mut [u32]) {
+        assert!(query.len() == chunks * CHUNK && lines.len() * TILE_ROWS == out.len() * chunks);
+        for (tile, sums) in lines
+            .chunks_exact(chunks)
+            .zip(out.chunks_exact_mut(TILE_ROWS))
+        {
+            let mut acc = _mm512_setzero_si512();
+            for (c, line) in tile.iter().enumerate() {
+                // SAFETY: `c < chunks` keeps the chunk inside `query`
+                // (asserted above), and a line is 64 bytes aligned to 64.
+                unsafe {
+                    let q = _mm512_set1_epi64(query_chunk(query, c));
+                    let x = _mm512_load_si512(line.0.as_ptr().cast());
+                    acc = _mm512_add_epi64(acc, _mm512_sad_epu8(x, q));
                 }
             }
-            // Every partial sum is below 2³² (`255 · dim` is), so two
-            // accumulators interleave as 32-bit lanes [a0 b0 a1 b1 | a2
-            // b2 a3 b3]; the unpacks then line rows up as [a b c d] per
-            // 64-bit pair and two adds finish all four.
-            let ab = _mm256_or_si256(acc[0], _mm256_slli_epi64(acc[1], 32));
-            let cd = _mm256_or_si256(acc[2], _mm256_slli_epi64(acc[3], 32));
-            let pairs =
-                _mm256_add_epi32(_mm256_unpacklo_epi64(ab, cd), _mm256_unpackhi_epi64(ab, cd));
-            let sums = _mm_add_epi32(
-                _mm256_castsi256_si128(pairs),
-                _mm256_extracti128_si256(pairs, 1),
-            );
-            // SAFETY: `slot` holds exactly four u32s.
-            unsafe { _mm_storeu_si128(slot.as_mut_ptr().cast(), sums) };
+            // Every sum is below 2³² (`255 · dim` is, see `fit`), so
+            // narrowing each lane to 32 bits keeps it.
+            let narrow = _mm512_cvtepi64_epi32(acc);
+            // SAFETY: `sums` holds exactly eight u32s.
+            unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), narrow) };
         }
-        // The last `< 4` rows are not worth a second reduction.
-        super::cell_sad_to_many_portable(query, quads.remainder(), slots.into_remainder());
+    }
+
+    /// The same tiles as two 32-byte halves a line: rows 0–3 in the low
+    /// half's four lanes, rows 4–7 in the high half's.
+    ///
+    /// Caller guarantees AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn tile_sums_avx2(query: &[u8], lines: &[Line], chunks: usize, out: &mut [u32]) {
+        assert!(query.len() == chunks * CHUNK && lines.len() * TILE_ROWS == out.len() * chunks);
+        let order = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+        for (tile, sums) in lines
+            .chunks_exact(chunks)
+            .zip(out.chunks_exact_mut(TILE_ROWS))
+        {
+            let (mut low, mut high) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+            for (c, line) in tile.iter().enumerate() {
+                // SAFETY: `c < chunks` keeps the chunk inside `query`
+                // (asserted above), and the halves of a 64-byte line
+                // aligned to 64 are 32 bytes aligned to 32.
+                unsafe {
+                    let q = _mm256_set1_epi64x(query_chunk(query, c));
+                    let x = line.0.as_ptr();
+                    let x_low = _mm256_load_si256(x.cast());
+                    let x_high = _mm256_load_si256(x.add(32).cast());
+                    low = _mm256_add_epi64(low, _mm256_sad_epu8(x_low, q));
+                    high = _mm256_add_epi64(high, _mm256_sad_epu8(x_high, q));
+                }
+            }
+            // Every sum is below 2³², so the halves interleave as 32-bit
+            // lanes [r0 r4 r1 r5 r2 r6 r3 r7], which one permute puts in
+            // row order.
+            let both = _mm256_or_si256(low, _mm256_slli_epi64(high, 32));
+            let rows = _mm256_permutevar8x32_epi32(both, order);
+            // SAFETY: `sums` holds exactly eight u32s.
+            unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), rows) };
+        }
     }
 }
 
@@ -326,43 +542,66 @@ mod tests {
     use super::*;
     use cbir_workload::Pcg32;
 
-    type Sad = fn(&[u8], &[u8], &mut [u32]);
-
-    /// Every implementation the host can run, by name; the dispatcher is
+    /// Every tile kernel the host can run, by name; the dispatcher is
     /// listed too, being what the index layer calls.
-    fn sad_impls() -> Vec<(&'static str, Sad)> {
-        let mut impls: Vec<(&'static str, Sad)> = vec![
-            ("dispatch", cell_sad_to_many),
-            ("portable", cell_sad_to_many_portable),
-        ];
+    fn kernels() -> Vec<(&'static str, TileSums)> {
+        let mut kernels: Vec<(&'static str, TileSums)> =
+            vec![("dispatch", dispatch()), ("portable", portable_tile_sums)];
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            impls.push(("avx2", |q, rows, out| {
-                if q.len() >= 32 {
+        {
+            if std::arch::is_x86_feature_detected!("avx512bw") {
+                kernels.push(("avx512", |q, lines, chunks, out| {
+                    // SAFETY: the AVX-512BW requirement is checked above.
+                    unsafe { x86::tile_sums_avx512(q, lines, chunks, out) }
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                kernels.push(("avx2", |q, lines, chunks, out| {
                     // SAFETY: the AVX2 requirement is checked above.
-                    unsafe { x86::sad_to_many_avx2(q, rows, out) }
-                } else {
-                    cell_sad_to_many_portable(q, rows, out)
-                }
-            }));
+                    unsafe { x86::tile_sums_avx2(q, lines, chunks, out) }
+                }));
+            }
         }
-        impls
+        kernels
+    }
+
+    /// A table over `codes` as they are (row-major, `dim` per row), so
+    /// that the kernels see any byte pattern, not only what a fit makes.
+    /// Its quantizer is a placeholder.
+    fn table_of_codes(dim: usize, codes: &[u8]) -> CellTable {
+        let mut lines = Vec::new();
+        for tile in codes.chunks(TILE_ROWS * dim) {
+            push_tile(&mut lines, tile, dim);
+        }
+        let quant = CellQuantizer {
+            lo: vec![0.0; dim],
+            step: 1.0,
+            inv: 1.0,
+        };
+        let rows = codes.len() / dim;
+        CellTable { quant, lines, rows }
     }
 
     fn bytes(n: usize, rng: &mut Pcg32) -> Vec<u8> {
         (0..n).map(|_| rng.next_u32() as u8).collect()
     }
 
+    fn padded(query: &[u8], table: &CellTable) -> Vec<u8> {
+        let mut q = query.to_vec();
+        q.resize(table.query_len(), 0);
+        q
+    }
+
     #[test]
-    fn every_path_matches_a_bytewise_sum_on_every_shape() {
+    fn every_kernel_matches_a_bytewise_sum_on_every_shape() {
         let mut rng = Pcg32::new(19);
-        // Below 32 (portable only), whole chunks, every kind of masked
-        // tail, and row counts around the four-row groups.
-        for dim in [1usize, 7, 31, 32, 33, 48, 63, 64, 65, 95, 96, 577] {
-            for rows_n in [0usize, 1, 3, 4, 5, 8, 13] {
+        // Partial and whole chunks, and row counts around whole tiles.
+        for dim in [1usize, 7, 8, 9, 31, 32, 33, 63, 64, 65, 577] {
+            for rows_n in [1usize, 7, 8, 9, 16, 29] {
                 let q = bytes(dim, &mut rng);
-                let rows = bytes(dim * rows_n, &mut rng);
-                let want: Vec<u32> = rows
+                let codes = bytes(dim * rows_n, &mut rng);
+                let table = table_of_codes(dim, &codes);
+                let want: Vec<u32> = codes
                     .chunks_exact(dim)
                     .map(|row| {
                         let mut s = 0u32;
@@ -372,25 +611,60 @@ mod tests {
                         s
                     })
                     .collect();
-                for (name, sad) in sad_impls() {
-                    let mut got = vec![u32::MAX; rows_n];
-                    sad(&q, &rows, &mut got);
-                    assert_eq!(got, want, "{name}: dim {dim}, {rows_n} rows");
+                let q = padded(&q, &table);
+                for (name, kernel) in kernels() {
+                    // From every whole tile, every length to the end.
+                    for first in (0..rows_n).step_by(TILE_ROWS) {
+                        for end in first..=rows_n {
+                            let mut got = vec![u32::MAX; end - first];
+                            table.sums_with(&q, first, &mut got, kernel);
+                            assert_eq!(
+                                got,
+                                want[first..end],
+                                "{name}: dim {dim}, rows {first}..{end} of {rows_n}"
+                            );
+                        }
+                    }
                 }
             }
         }
         // The extremes: every byte 255 apart.
-        for (name, sad) in sad_impls() {
-            let mut got = [0u32; 5];
-            sad(&[255u8; 577], &[0u8; 577 * 5], &mut got);
-            assert_eq!(got, [255 * 577; 5], "{name}");
+        let table = table_of_codes(577, &[0u8; 577 * 13]);
+        for (name, kernel) in kernels() {
+            let mut got = [0u32; 13];
+            table.sums_with(&padded(&[255u8; 577], &table), 0, &mut got, kernel);
+            assert_eq!(got, [255 * 577; 13], "{name}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "rows length")]
-    fn mismatched_rows_panic() {
-        cell_sad_to_many(&[0u8; 40], &[0u8; 90], &mut [0u32; 2]);
+    fn lines_are_whole_aligned_cache_lines() {
+        let table = table_of_codes(9, &[1u8; 9 * 20]);
+        assert_eq!(table.bytes(), 3 * 2 * 64);
+        for line in &table.lines {
+            assert_eq!(line.0.as_ptr().align_offset(64), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "from a whole tile")]
+    fn sums_start_at_a_whole_tile() {
+        let table = table_of_codes(8, &[0u8; 8 * 20]);
+        table.sums(&[0u8; 8], 4, &mut [0u32; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "from a whole tile")]
+    fn sums_stay_inside_the_table() {
+        let table = table_of_codes(8, &[0u8; 8 * 20]);
+        table.sums(&[0u8; 8], 16, &mut [0u32; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "query codes are padded")]
+    fn unpadded_query_codes_panic() {
+        let table = table_of_codes(9, &[0u8; 9 * 20]);
+        table.sums(&[0u8; 9], 0, &mut [0u32; 8]);
     }
 
     fn flat(rows: &[Vec<f32>]) -> Vec<f32> {
@@ -401,6 +675,37 @@ mod tests {
         let mut codes = vec![0u8; rows.len()];
         assert!(q.encode(rows, &mut codes));
         codes
+    }
+
+    #[test]
+    fn a_built_table_holds_each_rows_codes() {
+        for dim in [1usize, 7, 64, 577] {
+            let rows = flat(&cbir_workload::uniform(37, dim, 10.0, 4));
+            let table = CellTable::build(dim, &rows).unwrap();
+            assert_eq!(table.rows(), 37);
+            assert_eq!(table.bytes(), 5 * dim.div_ceil(8) * 64);
+            // Against a zero query a row sums to its code total, and
+            // against its own codes to zero.
+            let codes = codes_of(table.quantizer(), &rows);
+            let mut sums = [u32::MAX; 37];
+            table.sums(&vec![0u8; table.query_len()], 0, &mut sums);
+            for (row, &s) in codes.chunks_exact(dim).zip(&sums) {
+                assert_eq!(s, row.iter().map(|&c| u32::from(c)).sum::<u32>());
+            }
+            let mut q = vec![7u8; table.query_len()];
+            for (i, row) in rows.chunks_exact(dim).enumerate() {
+                assert!(table.encode_query(row, &mut q));
+                assert!(q[dim..].iter().all(|&c| c == 0), "pad codes are zero");
+                let first = i - i % TILE_ROWS;
+                let mut sums = vec![u32::MAX; 37 - first];
+                table.sums(&q, first, &mut sums);
+                assert_eq!(sums[i - first], 0, "dim {dim}, row {i}");
+            }
+        }
+        // A non-finite component outside the fit's sample: no table.
+        let mut rows = flat(&cbir_workload::uniform(9_000, 3, 10.0, 1));
+        rows[3 * 1001 + 1] = f32::NAN;
+        assert!(CellTable::build(3, &rows).is_none());
     }
 
     #[test]
@@ -465,8 +770,7 @@ mod tests {
             let mut rows = cbir_workload::clustered_smooth(300, dim, 12, 10.0, 100.0, 1, 5);
             rows.extend(cbir_workload::uniform(100, dim, 100.0, 6));
             // Rows exactly on cell edges, signed zeros and denormals.
-            let flat_rows = flat(&rows);
-            let quant = CellQuantizer::fit(dim, &flat_rows).unwrap();
+            let quant = CellQuantizer::fit(dim, &flat(&rows)).unwrap();
             let step = quant.step();
             for c in [0u32, 1, 2, 127, 254, 255, 256] {
                 rows.push((0..dim).map(|d| quant.lo[d] + c as f32 * step).collect());
@@ -480,13 +784,14 @@ mod tests {
             queries.push(vec![-1e6; dim]);
             queries.push(vec![1e30; dim]);
             queries.extend(rows.iter().rev().take(12).cloned());
-            let flat_rows = flat(&rows);
-            let codes = codes_of(&quant, &flat_rows);
-            let mut sads = vec![0u32; rows.len()];
+            let table = CellTable::encode(quant, &flat(&rows)).unwrap();
+            let quant = table.quantizer();
+            let mut sums = vec![0u32; rows.len()];
+            let mut qc = vec![0u8; table.query_len()];
             for q in &queries {
-                let qc = codes_of(&quant, q);
-                cell_sad_to_many(&qc, &codes, &mut sads);
-                for (row, &s) in rows.iter().zip(&sads) {
+                assert!(table.encode_query(q, &mut qc));
+                table.sums(&qc, 0, &mut sums);
+                for (row, &s) in rows.iter().zip(&sums) {
                     let d = crate::l1(q, row);
                     // The row scores d, so it must survive any bound
                     // above d: no sum may prove `l1 >= next_up(d)`.

@@ -9,8 +9,9 @@
 //! - Hausdorff distances over point sets;
 //! - weighted combinations over segments of composite vectors;
 //! - one-byte cell codes whose difference sum is an exact lower bound on
-//!   the L1 kernel's result ([`CellQuantizer`], [`cell_sad_to_many`]) —
-//!   what lets a sequential scan skip rows without changing a reply.
+//!   the L1 kernel's result ([`CellQuantizer`], [`CellTable`], summed
+//!   eight rows per `vpsadbw`) — what lets a sequential scan skip rows
+//!   without changing a reply.
 //!
 //! The [`Metric`] trait is the interface the index structures consume; the
 //! [`Measure`] enum is the runtime-selectable catalogue, and
@@ -36,7 +37,7 @@ mod minkowski;
 mod quadratic;
 mod simd;
 
-pub use cells::{cell_sad_to_many, cell_sad_to_many_portable, CellQuantizer};
+pub use cells::{CellQuantizer, CellTable, TILE_ROWS};
 pub use combine::{CombineError, CombinedMeasure, Component};
 pub use hausdorff::{
     directed_hausdorff, hausdorff, modified_directed_hausdorff, modified_hausdorff,

@@ -13,11 +13,12 @@
 //! ## The exact L1 filter
 //!
 //! Under [`Measure::L1`] a scan over a large enough source reads a table
-//! of one-byte cell codes (`cbir_distance::CellQuantizer`: per-dimension
-//! origin, one step, a quarter of the rows' bytes) in front of the rows.
-//! Per block and per query, `Σ|Δcode|` over a row's codes
-//! (`cbir_distance::cell_sad_to_many`) bounds the row's distance from
-//! below, and the row is skipped when that bound already reaches what a
+//! of one-byte cell codes (`cbir_distance::CellTable`: per-dimension
+//! origin, one step, a quarter of the rows' bytes, tiled eight rows to a
+//! cache line) in front of the rows. Per block and per query, `Σ|Δcode|`
+//! over a row's codes (`CellTable::sums`, eight rows per `vpsadbw`)
+//! bounds the row's distance from below, and the row is skipped when
+//! that bound already reaches what a
 //! candidate has to beat: the heap's bound for k-NN, which is exactly
 //! when [`offer_ascending`] would reject it, or anything above the
 //! radius for range search. Survivors are scored by the unchanged `f32`
@@ -63,7 +64,7 @@ use crate::knn_heap::KnnHeap;
 use crate::scratch::{FilterBufs, QueryScratch, ScanBufs};
 use crate::stats::{sort_neighbors, BatchStats, Neighbor, SearchStats};
 use crate::traits::SearchIndex;
-use cbir_distance::{cell_sad_to_many, CellQuantizer, Measure};
+use cbir_distance::{CellQuantizer, CellTable, Measure, TILE_ROWS};
 use std::sync::OnceLock;
 
 /// Target bytes of dataset rows per scan block: small enough to stay
@@ -71,7 +72,8 @@ use std::sync::OnceLock;
 const BLOCK_BYTES: usize = 32 * 1024;
 
 /// `f32` blocks per block of the code table: a code is a quarter of a
-/// coordinate, so the codes of four row blocks fill [`BLOCK_BYTES`].
+/// coordinate, so the codes of four row blocks fill [`BLOCK_BYTES`]
+/// (rounded up to whole tiles of the table).
 const CODE_BLOCK_SPAN: usize = 4;
 
 /// Rows of a code block bounded, scored and offered together. Their
@@ -103,40 +105,6 @@ const BAIL_ONE_IN: u64 = 16;
 /// corpus the filter cannot help.
 const GRACE_PER_NEIGHBOUR: u64 = 64;
 
-/// Bytes a code table asks the allocator for, at least; it touches only
-/// its own length of them, so the rest costs address space and nothing
-/// else. A table is megabytes that live as long as their source, built on
-/// whichever worker thread scans first. glibc serves such a request from
-/// that thread's arena once its sliding `mmap` threshold has risen past
-/// the size, and an arena keeps what is freed into it: a process that
-/// opened and dropped three engines over the benchmark's 200,000 x 64
-/// corpus peaked 24-44 MB higher (`serve_scan` `peak_rss_mb` 127 -> 151
-/// with one 12.8 MB allocation, 144-157 with 32 KB blocks, 171 when built
-/// on the thread that builds the index). A request above the threshold's
-/// ceiling (32 MiB on 64-bit) is always a mapping of its own, returned to
-/// the system the moment it is freed (127 -> 139, the live table).
-/// Tables under [`TABLE_RESERVE_FROM`] bytes are not worth the address
-/// space and take what they need.
-const TABLE_RESERVE: usize = (32 << 20) + 1;
-const TABLE_RESERVE_FROM: usize = 1 << 20;
-
-/// The lazily built code table of an L1 scan.
-#[derive(Clone)]
-struct CellTable {
-    quant: CellQuantizer,
-    /// Row-major, `dim` bytes per row, row `i` at `i * dim`.
-    codes: Vec<u8>,
-}
-
-impl std::fmt::Debug for CellTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CellTable")
-            .field("step", &self.quant.step())
-            .field("bytes", &self.codes.len())
-            .finish()
-    }
-}
-
 /// Brute-force scan over the whole dataset. Works with any measure,
 /// metric or not.
 #[derive(Clone, Debug)]
@@ -147,7 +115,7 @@ pub struct LinearScan {
     /// row, a constant corpus): such a source stays on the plain scan.
     cells: OnceLock<Option<CellTable>>,
     /// Routes the code sums to the portable kernel, so that the tests
-    /// below run both on a host that dispatches to AVX2.
+    /// below run both on a host that dispatches to a SIMD kernel.
     #[cfg(test)]
     portable_sums: bool,
 }
@@ -268,6 +236,12 @@ impl LinearScan {
         (BLOCK_BYTES / (self.dataset.dim() * std::mem::size_of::<f32>())).max(1)
     }
 
+    /// Rows per block of the code table: [`CODE_BLOCK_SPAN`] row blocks,
+    /// rounded up to whole tiles, so that every block starts on one.
+    fn code_block_rows(&self) -> usize {
+        (self.block_rows() * CODE_BLOCK_SPAN).next_multiple_of(TILE_ROWS)
+    }
+
     /// Whether the scan reads a code table at all: L1 over a source of at
     /// least [`MIN_FILTER_ROWS`] rows.
     fn filters(&self) -> bool {
@@ -278,20 +252,7 @@ impl LinearScan {
     /// callers wait for that one build).
     fn cells(&self) -> Option<&CellTable> {
         self.cells
-            .get_or_init(|| {
-                let flat = self.dataset.flat();
-                let quant = CellQuantizer::fit(self.dataset.dim(), flat)?;
-                let reserve = if flat.len() < TABLE_RESERVE_FROM {
-                    flat.len()
-                } else {
-                    flat.len().max(TABLE_RESERVE)
-                };
-                let mut codes = vec![0u8; reserve];
-                codes.truncate(flat.len());
-                quant
-                    .encode(flat, &mut codes)
-                    .then_some(CellTable { quant, codes })
-            })
+            .get_or_init(|| CellTable::build(self.dataset.dim(), self.dataset.flat()))
             .as_ref()
     }
 
@@ -299,20 +260,21 @@ impl LinearScan {
     /// returns the table if any lane was admitted. No table is built for
     /// a call that could admit none.
     fn admit<'t>(&'t self, lanes: &mut [Lane<'_>], codes: &mut Vec<u8>) -> Option<&'t CellTable> {
-        let (n, dim) = (self.dataset.len(), self.dataset.dim());
+        let n = self.dataset.len();
         if !self.filters() || lanes.iter().all(|lane| lane.sink.grace(n).is_none()) {
             return None;
         }
         let table = self.cells()?;
+        let len = table.query_len();
         codes.clear();
-        codes.resize(lanes.len() * dim, 0);
+        codes.resize(lanes.len() * len, 0);
         let mut admitted = false;
-        for (lane, qcodes) in lanes.iter_mut().zip(codes.chunks_exact_mut(dim)) {
+        for (lane, qcodes) in lanes.iter_mut().zip(codes.chunks_exact_mut(len)) {
             let Some(grace) = lane.sink.grace(n) else {
                 continue;
             };
             // A non-finite component fails the encoding: the plain scan.
-            if table.quant.encode(lane.query, qcodes) {
+            if table.encode_query(lane.query, qcodes) {
                 lane.filter_until = n;
                 lane.grace = grace;
                 admitted = true;
@@ -342,8 +304,8 @@ impl LinearScan {
     ) {
         let dim = self.dataset.dim();
         let sums = &mut bufs.sads[..rows];
-        self.code_sums(qcodes, &table.codes[base * dim..(base + rows) * dim], sums);
-        let mut min_sad = lane.sink.min_sad(&table.quant);
+        self.code_sums(table, qcodes, base, sums);
+        let mut min_sad = lane.sink.min_sad(table.quantizer());
         for (group, sums) in sums.chunks(SURVIVOR_GROUP).enumerate() {
             let first = base + group * SURVIVOR_GROUP;
             // One vector minimum rules out most groups; the survivors of
@@ -377,7 +339,7 @@ impl LinearScan {
                 lane.filter_until = bounded;
                 return;
             }
-            min_sad = lane.sink.min_sad(&table.quant);
+            min_sad = lane.sink.min_sad(table.quantizer());
         }
         if lane.over_limit(base + rows) {
             lane.filter_until = base + rows;
@@ -396,7 +358,7 @@ impl LinearScan {
         let flat = self.dataset.flat();
         let table = self.admit(lanes, &mut bufs.codes);
         let row_block = self.block_rows().min(n);
-        let code_block = (row_block * CODE_BLOCK_SPAN).min(n);
+        let code_block = self.code_block_rows().min(n);
         bufs.dists.clear();
         bufs.dists.resize(row_block, 0.0);
         bufs.filter.sads.clear();
@@ -405,7 +367,8 @@ impl LinearScan {
             let end = (base + code_block).min(n);
             let mut filtering = 0;
             if let Some(table) = table {
-                for (lane, qcodes) in lanes.iter_mut().zip(bufs.codes.chunks_exact(dim)) {
+                let queries = bufs.codes.chunks_exact(table.query_len());
+                for (lane, qcodes) in lanes.iter_mut().zip(queries) {
                     if base < lane.filter_until {
                         filtering += 1;
                         let (rows, filter) = (end - base, &mut bufs.filter);
@@ -437,14 +400,15 @@ impl LinearScan {
         }
     }
 
-    /// `Σ|Δcode|` of every row of a code block against one query's codes.
+    /// `Σ|Δcode|` of rows `first..first + out.len()` against one query's
+    /// codes.
     #[inline]
-    fn code_sums(&self, query: &[u8], rows: &[u8], out: &mut [u32]) {
+    fn code_sums(&self, table: &CellTable, query: &[u8], first: usize, out: &mut [u32]) {
         #[cfg(test)]
         if self.portable_sums {
-            return cbir_distance::cell_sad_to_many_portable(query, rows, out);
+            return table.sums_portable(query, first, out);
         }
-        cell_sad_to_many(query, rows, out);
+        table.sums(query, first, out);
     }
 
     /// One query's counters after a scan that reached `rows` rows (all
@@ -643,7 +607,7 @@ impl SearchIndex for LinearScan {
 
     fn structure_bytes(&self) -> usize {
         let table = self.cells.get().and_then(Option::as_ref);
-        std::mem::size_of::<Self>() + table.map_or(0, |t| t.codes.len())
+        std::mem::size_of::<Self>() + table.map_or(0, CellTable::bytes)
     }
 
     /// Build the code table a filtered scan would build first.
@@ -1060,13 +1024,17 @@ mod tests {
             full(&LinearScan::build(ds.clone(), measure).unwrap(), N);
         }
         // Over the threshold under L1 the first scan builds it, and
-        // `structure_bytes` owns up to it: one byte per coordinate.
+        // `structure_bytes` owns up to it: one byte per coordinate, the
+        // last tile of eight rows whole.
         let idx = LinearScan::build(ds.clone(), Measure::L1).unwrap();
         let before = idx.structure_bytes();
         let mut stats = BatchStats::new();
         let scanned = idx.knn_batch(&queries, 10, &mut stats);
         assert!(stats.total().subtrees_pruned > 0);
-        assert_eq!(idx.structure_bytes() - before, N * 16);
+        assert_eq!(
+            idx.structure_bytes() - before,
+            N.next_multiple_of(TILE_ROWS) * 16
+        );
         // `prepare` builds that same table before any scan, and the first
         // scan then filters with it.
         let prepared = LinearScan::build(ds, Measure::L1).unwrap();
@@ -1119,7 +1087,7 @@ mod tests {
         for (q, got) in queries.iter().zip(&got) {
             assert_eq!(keys(got), naive_knn(&wide, q, 10));
         }
-        let code_block = idx.block_rows() * CODE_BLOCK_SPAN;
+        let code_block = idx.code_block_rows();
         for scored in comps(&stats) {
             assert!(
                 scored >= (20_000 - 2 * code_block) as u64,

@@ -65,7 +65,8 @@ pub struct QueryScratch {
 pub(crate) struct ScanBufs {
     /// Distances of one block of `f32` rows.
     pub(crate) dists: Vec<f32>,
-    /// The call's queries as cell codes, one row per query.
+    /// The call's queries as cell codes, one padded row per query
+    /// (`CellTable::encode_query`).
     pub(crate) codes: Vec<u8>,
     /// What one lane's pass over one block of the code table needs.
     pub(crate) filter: FilterBufs,
