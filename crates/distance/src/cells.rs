@@ -326,11 +326,6 @@ impl CellTable {
         &self.quant
     }
 
-    /// Rows encoded.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Bytes the table holds: the rows rounded up to whole tiles, each
     /// padded to whole 8-code chunks.
     pub fn bytes(&self) -> usize {
@@ -682,7 +677,7 @@ mod tests {
         for dim in [1usize, 7, 64, 577] {
             let rows = flat(&cbir_workload::uniform(37, dim, 10.0, 4));
             let table = CellTable::build(dim, &rows).unwrap();
-            assert_eq!(table.rows(), 37);
+            assert_eq!(table.rows, 37);
             assert_eq!(table.bytes(), 5 * dim.div_ceil(8) * 64);
             // Against a zero query a row sums to its code total, and
             // against its own codes to zero.
