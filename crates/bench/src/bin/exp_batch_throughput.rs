@@ -25,6 +25,11 @@
 //! of the plain scan on any host; replies are asserted bit-identical
 //! first. The table's build time and size are reported beside them.
 //!
+//! A third leg runs the clustered case at dimensions 1 to 31, where a
+//! row's codes, padded to whole 8-code chunks, can outweigh its `f32`s
+//! (8 bytes against 4 at dimension 1): it reports where the filter stops
+//! paying and gates nothing.
+//!
 //! Writes `results/BENCH_query_throughput.json`.
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_batch_throughput [--quick]`
@@ -79,30 +84,106 @@ fn plain_l1_knn_batch(dataset: &Dataset, queries: &[Vec<f32>], k: usize) -> Vec<
     heaps.into_iter().map(KnnHeap::into_sorted).collect()
 }
 
-/// The exact-L1-filter leg (see the module docs). Returns its JSON rows.
-fn l1_filter_leg(quick: bool) -> Vec<Json> {
-    const DIM: usize = 64;
-    const BATCHES: [usize; 3] = [1, 3, 8];
-    const WORKERS: usize = 2;
-    let n: usize = if quick { 20_000 } else { 100_000 };
+/// Batches every filter case is timed at, split over [`FILTER_WORKERS`].
+const FILTER_BATCHES: [usize; 3] = [1, 3, 8];
+const FILTER_WORKERS: usize = 2;
+
+/// One corpus of the filter legs: the filtered scan's replies asserted
+/// equal to the plain scan's, then both timed at every batch of
+/// [`FILTER_BATCHES`] (a row each in `table`). `ceiling` bounds filtered
+/// over plain on a full run. Returns the case's JSON.
+fn filter_vs_plain(
+    name: &str,
+    rows: &[Vec<f32>],
+    (k, n_queries): (usize, usize),
+    ceiling: Option<f64>,
+    quick: bool,
+    table: &mut Table,
+) -> Json {
     let iters = if quick { 1 } else { 5 };
-    let clustered = cbir_workload::clustered_smooth(n, DIM, n / 64, 10.0, 100.0, 8, 3);
-    let mut wide = cbir_workload::uniform(n, DIM, 1.0, 8);
-    let mut rng = cbir_workload::Pcg32::new(1);
-    for row in &mut wide {
-        row[0] = rng.range_f32(0.0, 1e6);
+    let n = rows.len();
+    let dataset = Dataset::from_vectors(rows).expect("dataset");
+    let queries = cbir_workload::queries(rows, n_queries, 5.0, 4);
+    let index = LinearScan::build(dataset.clone(), Measure::L1).expect("linear");
+    let idle_bytes = index.structure_bytes();
+    // The first scan that can use a table builds it.
+    let start = Instant::now();
+    let mut stats = BatchStats::new();
+    let first = index.knn_batch(&queries[..1], k, &mut stats);
+    let first_ms = start.elapsed().as_secs_f64() * 1e3;
+    let table_bytes_per_row = (index.structure_bytes() - idle_bytes) as f64 / n as f64;
+    assert_eq!(first, plain_l1_knn_batch(&dataset, &queries[..1], k));
+    let mut stats = BatchStats::new();
+    for chunk in queries.chunks(8) {
+        assert_eq!(
+            index.knn_batch(chunk, k, &mut stats),
+            plain_l1_knn_batch(&dataset, chunk, k),
+            "{name}: filtered replies diverge from the plain scan"
+        );
     }
-    // (name, rows, k, queries, ceiling on filtered / plain)
-    let cases = [
-        ("clustered, k 10", &clustered, K, 64, None),
-        ("one wide column, k 10", &wide, K, 64, Some(1.25)),
-        ("clustered, k n/2", &clustered, n / 2, 8, Some(1.25)),
-    ];
-    println!(
-        "\nexact L1 filter vs the plain scan, N={n}, d={DIM}, batches {BATCHES:?}, \
-         {WORKERS} workers\n"
-    );
-    let mut table = Table::new(&[
+    let total = stats.total().clone();
+    let evaluated = total.distance_computations as f64 / n_queries as f64;
+    let pruned = total.subtrees_pruned as f64 / (n_queries * n) as f64;
+    let mut batches = Vec::new();
+    for batch in FILTER_BATCHES {
+        let us_per_query = |rate: f64| 1e6 / rate;
+        let plain = us_per_query(qps(iters, n_queries, || {
+            for chunk in queries.chunks(batch) {
+                let mut stats = BatchStats::new();
+                std::hint::black_box(run_parallel(
+                    chunk.len(),
+                    FILTER_WORKERS,
+                    &mut stats,
+                    |part, _| plain_l1_knn_batch(&dataset, &chunk[part], k),
+                ));
+            }
+        }));
+        let filtered = us_per_query(qps(iters, n_queries, || {
+            for chunk in queries.chunks(batch) {
+                let mut stats = BatchStats::new();
+                std::hint::black_box(knn_batch_parallel(
+                    &index,
+                    chunk,
+                    k,
+                    FILTER_WORKERS,
+                    &mut stats,
+                ));
+            }
+        }));
+        let ratio = filtered / plain;
+        table.row(vec![
+            name.to_string(),
+            batch.to_string(),
+            format!("{plain:.0}"),
+            format!("{filtered:.0}"),
+            format!("{ratio:.2}x"),
+            format!("{evaluated:.0}"),
+            format!("{pruned:.4}"),
+        ]);
+        if let (Some(ceiling), false) = (ceiling, quick) {
+            assert!(
+                ratio <= ceiling,
+                "{name}, batch {batch}: the filter cost {ratio:.2}x the plain scan where it \
+                 cannot prune"
+            );
+        }
+        batches.push(obj! {
+            "batch": batch, "plain_us_per_query": rounded(plain, 1),
+            "filtered_us_per_query": rounded(filtered, 1),
+            "filtered_over_plain": rounded(ratio, 3),
+        });
+    }
+    obj! {
+        "corpus": name, "dim": dataset.dim(), "k": k, "workers": FILTER_WORKERS,
+        "batches": Json::Arr(batches),
+        "evaluated_per_query": rounded(evaluated, 1), "pruned_share": rounded(pruned, 5),
+        "first_query_ms": rounded(first_ms, 1),
+        "table_bytes_per_row": rounded(table_bytes_per_row, 0),
+    }
+}
+
+fn filter_table() -> Table {
+    Table::new(&[
         "corpus",
         "batch",
         "plain us/q",
@@ -110,81 +191,62 @@ fn l1_filter_leg(quick: bool) -> Vec<Json> {
         "ratio",
         "evaluated/q",
         "pruned share",
-    ]);
-    let mut json = Vec::new();
-    for (name, rows, k, n_queries, ceiling) in cases {
-        let dataset = Dataset::from_vectors(rows).expect("dataset");
-        let queries = cbir_workload::queries(rows, n_queries, 5.0, 4);
-        let index = LinearScan::build(dataset.clone(), Measure::L1).expect("linear");
-        let idle_bytes = index.structure_bytes();
-        // The first scan that can use a table builds it.
-        let start = Instant::now();
-        let mut stats = BatchStats::new();
-        let first = index.knn_batch(&queries[..1], k, &mut stats);
-        let first_ms = start.elapsed().as_secs_f64() * 1e3;
-        let table_bytes_per_row = (index.structure_bytes() - idle_bytes) as f64 / n as f64;
-        assert_eq!(first, plain_l1_knn_batch(&dataset, &queries[..1], k));
-        let mut stats = BatchStats::new();
-        for chunk in queries.chunks(8) {
-            assert_eq!(
-                index.knn_batch(chunk, k, &mut stats),
-                plain_l1_knn_batch(&dataset, chunk, k),
-                "{name}: filtered replies diverge from the plain scan"
-            );
-        }
-        let total = stats.total().clone();
-        let evaluated = total.distance_computations as f64 / n_queries as f64;
-        let pruned = total.subtrees_pruned as f64 / (n_queries * n) as f64;
-        let mut batches = Vec::new();
-        for batch in BATCHES {
-            let us_per_query = |rate: f64| 1e6 / rate;
-            let plain = us_per_query(qps(iters, n_queries, || {
-                for chunk in queries.chunks(batch) {
-                    let mut stats = BatchStats::new();
-                    std::hint::black_box(run_parallel(
-                        chunk.len(),
-                        WORKERS,
-                        &mut stats,
-                        |part, _| plain_l1_knn_batch(&dataset, &chunk[part], k),
-                    ));
-                }
-            }));
-            let filtered = us_per_query(qps(iters, n_queries, || {
-                for chunk in queries.chunks(batch) {
-                    let mut stats = BatchStats::new();
-                    std::hint::black_box(knn_batch_parallel(&index, chunk, k, WORKERS, &mut stats));
-                }
-            }));
-            let ratio = filtered / plain;
-            table.row(vec![
-                name.to_string(),
-                batch.to_string(),
-                format!("{plain:.0}"),
-                format!("{filtered:.0}"),
-                format!("{ratio:.2}x"),
-                format!("{evaluated:.0}"),
-                format!("{pruned:.4}"),
-            ]);
-            if let (Some(ceiling), false) = (ceiling, quick) {
-                assert!(
-                    ratio <= ceiling,
-                    "{name}, batch {batch}: the filter cost {ratio:.2}x the plain scan where it \
-                     cannot prune"
-                );
-            }
-            batches.push(obj! {
-                "batch": batch, "plain_us_per_query": rounded(plain, 1),
-                "filtered_us_per_query": rounded(filtered, 1),
-                "filtered_over_plain": rounded(ratio, 3),
-            });
-        }
-        json.push(obj! {
-            "corpus": name, "k": k, "workers": WORKERS, "batches": Json::Arr(batches),
-            "evaluated_per_query": rounded(evaluated, 1), "pruned_share": rounded(pruned, 5),
-            "first_query_ms": rounded(first_ms, 1),
-            "table_bytes_per_row": rounded(table_bytes_per_row, 0),
-        });
+    ])
+}
+
+/// The exact-L1-filter leg (see the module docs). Returns its JSON rows.
+fn l1_filter_leg(quick: bool) -> Vec<Json> {
+    const DIM: usize = 64;
+    let n: usize = if quick { 20_000 } else { 100_000 };
+    let clustered = cbir_workload::clustered_smooth(n, DIM, n / 64, 10.0, 100.0, 8, 3);
+    let mut wide = cbir_workload::uniform(n, DIM, 1.0, 8);
+    let mut rng = cbir_workload::Pcg32::new(1);
+    for row in &mut wide {
+        row[0] = rng.range_f32(0.0, 1e6);
     }
+    // (name, rows, (k, queries), ceiling on filtered / plain)
+    let cases = [
+        ("clustered, k 10", &clustered, (K, 64), None),
+        ("one wide column, k 10", &wide, (K, 64), Some(1.25)),
+        ("clustered, k n/2", &clustered, (n / 2, 8), Some(1.25)),
+    ];
+    println!(
+        "\nexact L1 filter vs the plain scan, N={n}, d={DIM}, batches {FILTER_BATCHES:?}, \
+         {FILTER_WORKERS} workers\n"
+    );
+    let mut table = filter_table();
+    let json = cases
+        .into_iter()
+        .map(|(name, rows, shape, ceiling)| {
+            filter_vs_plain(name, rows, shape, ceiling, quick, &mut table)
+        })
+        .collect();
+    table.print();
+    json
+}
+
+/// Dimensions of the low-dimension leg: whole, partial and single code
+/// chunks, up to the last one below 32.
+const LOW_DIMS: [usize; 11] = [1, 2, 4, 7, 8, 9, 15, 16, 17, 24, 31];
+
+/// The filter below the benchmark's 64 dimensions (see the module docs):
+/// the clustered corpus at every dimension of [`LOW_DIMS`]. Not gated: it
+/// measures where the filter stops paying.
+fn low_dim_leg(quick: bool) -> Vec<Json> {
+    let n: usize = if quick { 20_000 } else { 100_000 };
+    println!(
+        "\nexact L1 filter vs the plain scan by dimension, clustered, N={n}, k={K}, \
+         batches {FILTER_BATCHES:?}, {FILTER_WORKERS} workers\n"
+    );
+    let mut table = filter_table();
+    let json = LOW_DIMS
+        .into_iter()
+        .map(|dim| {
+            let rows = cbir_workload::clustered_smooth(n, dim, n / 64, 10.0, 100.0, 8, 3);
+            let name = format!("clustered, d {dim}");
+            filter_vs_plain(&name, &rows, (K, 64), None, quick, &mut table)
+        })
+        .collect();
     table.print();
     json
 }
@@ -285,6 +347,7 @@ fn main() {
     println!("multiplies q/s by ~N on multi-core hosts.");
 
     let l1_filter_rows = l1_filter_leg(quick);
+    let low_dim_rows = low_dim_leg(quick);
 
     // Quick mode exists for the bit-identity assertions; it never
     // clobbers committed full-mode numbers with reduced-size timings.
@@ -294,6 +357,7 @@ fn main() {
         "exactness": "batched results asserted bit-identical to single-query loop",
         "results": Json::Arr(json_rows),
         "l1_filter_vs_plain_scan": Json::Arr(l1_filter_rows),
+        "l1_filter_by_dimension": Json::Arr(low_dim_rows),
     };
     println!();
     write_results("query_throughput", quick, &doc);

@@ -32,7 +32,8 @@
 //! horizontal reduction ([`CellTable::sums`]: one 64-byte register per
 //! line with AVX-512BW, two 32-byte halves with AVX2, a portable loop
 //! elsewhere — integer sums, so all three agree). Pad codes are zero on
-//! both sides and add nothing; so are the rows that fill the last tile.
+//! both sides and add nothing. The rows that fill the last tile hold
+//! whatever codes the build left there; their sums are dropped.
 
 /// Rows the fit looks at, at most: a strided sample sets the origins and
 /// the step, so one wild row in a large corpus rarely gets a say.
@@ -63,9 +64,13 @@ const CHUNK: usize = 8;
 /// opened and dropped three engines over a 200,000 x 64 corpus peaked
 /// 24-44 MB higher (127 -> 151 MB with one 12.8 MB allocation, 144-157
 /// with 32 KB blocks, 171 when built on the thread that builds the
-/// index). A request above the threshold's ceiling (32 MiB on 64-bit) is
-/// always a mapping of its own, returned to the system the moment it is
-/// freed (127 -> 139 MB, the live table). Tables under
+/// index; all with a byte allocation). A request above the threshold's
+/// ceiling (32 MiB on 64-bit) is always a mapping of its own, returned to
+/// the system the moment it is freed (127 -> 139 MB, the live table).
+/// The same holds for the 64-byte-aligned lines, which glibc serves
+/// through `posix_memalign`: five alternating `serve_scan` runs without
+/// the reservation peaked at 151.7-152.5 MB in three of five (139.4 MB in
+/// the other two), with it at 139.3-140.2 MB in all five. Tables under
 /// [`TABLE_RESERVE_FROM`] bytes are not worth the address space and take
 /// what they need.
 const TABLE_RESERVE: usize = (32 << 20) + 1;
@@ -157,7 +162,7 @@ impl CellQuantizer {
         let dim = self.dim();
         assert_eq!(rows.len(), codes.len(), "one code per coordinate");
         assert!(rows.len().is_multiple_of(dim), "rows are not whole vectors");
-        encode_rows(rows, &self.lo, self.inv, codes)
+        encode_rows(rows, &self.lo, self.inv, codes, dim)
     }
 
     /// The smallest code-difference sum that proves a pair is at least
@@ -219,19 +224,20 @@ impl CellQuantizer {
     }
 }
 
-/// The loop of [`CellQuantizer::encode`]. A function of its own, never
-/// inlined, because only as parameters are the three slices known not to
-/// overlap, which is what lets the inner loop vectorize (16 ms against
-/// 35 ms for 200,000 × 64 when it sits inside a method of the struct
-/// that owns `origins`).
+/// The loop of [`CellQuantizer::encode`], row `i`'s codes going to
+/// `codes[i * stride..]` (a [`CellTable`] tile's rows are padded). A
+/// function of its own, never inlined, because only as parameters are
+/// the three slices known not to overlap, which is what lets the inner
+/// loop vectorize (16 ms against 35 ms for 200,000 × 64 when it sits
+/// inside a method of the struct that owns `origins`).
 #[inline(never)]
-fn encode_rows(rows: &[f32], origins: &[f32], inv: f32, codes: &mut [u8]) -> bool {
+fn encode_rows(rows: &[f32], origins: &[f32], inv: f32, codes: &mut [u8], stride: usize) -> bool {
     let dim = origins.len();
     // Largest exponent-and-mantissa pattern seen: a non-finite value has
     // all exponent bits set (an integer max, which vectorizes where a
     // float test would not).
     let mut widest_bits = 0u32;
-    for (row, out) in rows.chunks_exact(dim).zip(codes.chunks_exact_mut(dim)) {
+    for (row, out) in rows.chunks_exact(dim).zip(codes.chunks_exact_mut(stride)) {
         for ((&x, &lo), c) in row.iter().zip(origins).zip(out) {
             widest_bits = widest_bits.max(x.to_bits() & 0x7FFF_FFFF);
             // Float-to-int `as` truncates toward zero and saturates:
@@ -242,26 +248,18 @@ fn encode_rows(rows: &[f32], origins: &[f32], inv: f32, codes: &mut [u8]) -> boo
     widest_bits < 0x7F80_0000
 }
 
-/// One line of a tile: a chunk of each of its rows (see the module
-/// docs). The alignment makes every line one cache line and one aligned
-/// 64-byte load.
+/// One line of a tile: a chunk of each of its rows, row `r`'s at index
+/// `r` (see the module docs). The alignment makes every line one cache
+/// line and one aligned 64-byte load.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
-struct Line([u8; TILE_ROWS * CHUNK]);
+struct Line([[u8; CHUNK]; TILE_ROWS]);
 
-const ZERO_LINE: Line = Line([0; TILE_ROWS * CHUNK]);
-
-/// Append the tile of at most [`TILE_ROWS`] rows whose row-major codes
-/// (`dim` per row) are `codes`: `dim / 8` lines, rounded up, each
-/// holding one chunk of every row and zeros where a row or a chunk is
-/// missing.
-fn push_tile(lines: &mut Vec<Line>, codes: &[u8], dim: usize) {
-    let start = lines.len();
-    lines.resize(start + dim.div_ceil(CHUNK), ZERO_LINE);
-    for (r, row) in codes.chunks_exact(dim).enumerate() {
-        for (line, chunk) in lines[start..].iter_mut().zip(row.chunks(CHUNK)) {
-            line.0[r * CHUNK..r * CHUNK + chunk.len()].copy_from_slice(chunk);
-        }
+/// Append the lines of one tile whose codes are `tile`: [`TILE_ROWS`]
+/// rows of `chunks` chunks each, row-major, padded with zero codes.
+fn push_tile(lines: &mut Vec<Line>, tile: &[[u8; CHUNK]], chunks: usize) {
+    for c in 0..chunks {
+        lines.push(Line(std::array::from_fn(|r| tile[r * chunks + c])));
     }
 }
 
@@ -293,25 +291,26 @@ impl CellTable {
         CellTable::encode(CellQuantizer::fit(dim, rows)?, rows)
     }
 
-    /// Encode `rows` under `quant`, a tile at a time: row-major into a
-    /// scratch, then dealt into the tile's lines.
+    /// Encode `rows` under `quant`, a tile at a time: into a scratch tile
+    /// of padded rows, then dealt into lines.
     fn encode(quant: CellQuantizer, rows: &[f32]) -> Option<CellTable> {
         let dim = quant.dim();
+        let chunks = dim.div_ceil(CHUNK);
         let n = rows.len() / dim;
-        let count = n.div_ceil(TILE_ROWS) * dim.div_ceil(CHUNK);
+        let count = n.div_ceil(TILE_ROWS) * chunks;
         let reserve = if count * size_of::<Line>() < TABLE_RESERVE_FROM {
             count
         } else {
             count.max(TABLE_RESERVE.div_ceil(size_of::<Line>()))
         };
         let mut lines = Vec::with_capacity(reserve);
-        let mut codes = vec![0u8; TILE_ROWS * dim];
+        let mut tile = vec![[0u8; CHUNK]; TILE_ROWS * chunks];
         for tile_rows in rows.chunks(TILE_ROWS * dim) {
-            let codes = &mut codes[..tile_rows.len()];
-            if !quant.encode(tile_rows, codes) {
+            let codes = tile.as_flattened_mut();
+            if !encode_rows(tile_rows, &quant.lo, quant.inv, codes, chunks * CHUNK) {
                 return None;
             }
-            push_tile(&mut lines, codes, dim);
+            push_tile(&mut lines, &tile, chunks);
         }
         Some(CellTable {
             quant,
@@ -439,7 +438,7 @@ fn portable_tile_sums(query: &[u8], lines: &[Line], chunks: usize, out: &mut [u3
     {
         sums.fill(0);
         for (line, q) in tile.iter().zip(query.chunks_exact(CHUNK)) {
-            for (sum, row) in sums.iter_mut().zip(line.0.chunks_exact(CHUNK)) {
+            for (sum, row) in sums.iter_mut().zip(&line.0) {
                 *sum += row
                     .iter()
                     .zip(q)
@@ -514,9 +513,8 @@ mod x86 {
                 // aligned to 64 are 32 bytes aligned to 32.
                 unsafe {
                     let q = _mm256_set1_epi64x(query_chunk(query, c));
-                    let x = line.0.as_ptr();
-                    let x_low = _mm256_load_si256(x.cast());
-                    let x_high = _mm256_load_si256(x.add(32).cast());
+                    let x_low = _mm256_load_si256(line.0.as_ptr().cast());
+                    let x_high = _mm256_load_si256(line.0[4..].as_ptr().cast());
                     low = _mm256_add_epi64(low, _mm256_sad_epu8(x_low, q));
                     high = _mm256_add_epi64(high, _mm256_sad_epu8(x_high, q));
                 }
@@ -564,9 +562,14 @@ mod tests {
     /// that the kernels see any byte pattern, not only what a fit makes.
     /// Its quantizer is a placeholder.
     fn table_of_codes(dim: usize, codes: &[u8]) -> CellTable {
+        let chunks = dim.div_ceil(CHUNK);
         let mut lines = Vec::new();
-        for tile in codes.chunks(TILE_ROWS * dim) {
-            push_tile(&mut lines, tile, dim);
+        for rows in codes.chunks(TILE_ROWS * dim) {
+            let mut tile = vec![[0u8; CHUNK]; TILE_ROWS * chunks];
+            for (row, padded) in rows.chunks_exact(dim).zip(tile.chunks_exact_mut(chunks)) {
+                padded.as_flattened_mut()[..dim].copy_from_slice(row);
+            }
+            push_tile(&mut lines, &tile, chunks);
         }
         let quant = CellQuantizer {
             lo: vec![0.0; dim],
