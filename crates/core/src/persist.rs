@@ -14,7 +14,7 @@
 //! [ 4] u32 section count
 //! per section (table of contents, 24 bytes each):
 //!   [ 1] u8  section id   (1 config, 2 descriptors, 3 metas,
-//!                          4 seghdr, 5 manifest)
+//!                          4 seghdr, 5 manifest, 6 deleted)
 //!   [ 3] zero padding
 //!   [ 4] u32 CRC32C of payload
 //!   [ 8] u64 absolute payload offset
@@ -42,7 +42,12 @@
 //! are verified by `fsck`, at compaction commit, by a full
 //! [`load_from_slice`], and (for metas) on first access, keeping the
 //! store's cold open O(1) in the corpus size. The `MANIFEST` names the
-//! live segment set and the store's epoch.
+//! live segment set and the store's epoch, and — in an optional third
+//! section, `deleted`, present only when some segment has one — each
+//! segment's deleted rows: per segment in manifest order a `u64` count,
+//! then that many `u64` physical row numbers, strictly ascending, each
+//! below the segment's rows, never all of them. A manifest with no
+//! deleted rows is the two-section file it always was.
 //!
 //! Writing a file is **atomic**: the new image is written to a temp
 //! sibling, fsynced, renamed over the target, and the directory fsynced
@@ -83,6 +88,7 @@ const SEC_DESCRIPTORS: u8 = 2;
 const SEC_METAS: u8 = 3;
 const SEC_SEGHDR: u8 = 4;
 const SEC_MANIFEST: u8 = 5;
+const SEC_DELETED: u8 = 6;
 
 /// The sections of a segment, in file order. Descriptors come last so
 /// the raw `f32` matrix ends the file.
@@ -90,6 +96,9 @@ const SEGMENT_SECTION_ORDER: [u8; 4] = [SEC_CONFIG, SEC_SEGHDR, SEC_METAS, SEC_D
 
 /// The sections of a manifest, in file order.
 const MANIFEST_SECTION_ORDER: [u8; 2] = [SEC_CONFIG, SEC_MANIFEST];
+
+/// The sections of a manifest some of whose segments have deleted rows.
+const MANIFEST_DELETED_SECTION_ORDER: [u8; 3] = [SEC_CONFIG, SEC_MANIFEST, SEC_DELETED];
 
 /// The sections of a `CBIRDB02` import, in file order.
 const IMPORT_SECTION_ORDER: [u8; 3] = [SEC_CONFIG, SEC_DESCRIPTORS, SEC_METAS];
@@ -130,6 +139,7 @@ fn section_name(id: u8) -> &'static str {
         SEC_METAS => "metas",
         SEC_SEGHDR => "seghdr",
         SEC_MANIFEST => "manifest",
+        SEC_DELETED => "deleted",
         _ => "unknown",
     }
 }
@@ -1111,8 +1121,12 @@ pub fn save_to_vec(db: &ImageDatabase) -> Result<Vec<u8>> {
 pub struct ManifestEntry {
     /// Segment file name, relative to the store directory.
     pub name: String,
-    /// Descriptor rows in the segment.
+    /// Descriptor rows in the segment, deleted ones included.
     pub rows: u64,
+    /// The segment's deleted rows: physical row numbers, strictly
+    /// ascending, each below `rows`, never all of them. Empty for most
+    /// segments.
+    pub deleted: Vec<u64>,
 }
 
 /// The decoded `MANIFEST` of a segment directory — the store's single
@@ -1134,7 +1148,8 @@ pub struct Manifest {
     pub segments: Vec<ManifestEntry>,
 }
 
-/// Serialize a [`Manifest`].
+/// Serialize a [`Manifest`]: the `deleted` section only when some
+/// segment has deleted rows.
 pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(m.epoch);
@@ -1144,10 +1159,72 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
         w.str(&s.name);
         w.u64(s.rows);
     }
-    encode_container(&[
+    let mut sections = vec![
         (SEC_CONFIG, encode_config_parts(m.balanced, &m.pipeline)),
         (SEC_MANIFEST, w.buf),
-    ])
+    ];
+    if m.segments.iter().any(|s| !s.deleted.is_empty()) {
+        let mut w = Writer::new();
+        for s in &m.segments {
+            w.u64(s.deleted.len() as u64);
+            for &row in &s.deleted {
+                w.u64(row);
+            }
+        }
+        sections.push((SEC_DELETED, w.buf));
+    }
+    encode_container(&sections)
+}
+
+/// Whether a table of contents is a manifest's, with or without the
+/// `deleted` section.
+fn is_manifest(entries: &[TocEntry]) -> bool {
+    has_sections(entries, &MANIFEST_SECTION_ORDER)
+        || has_sections(entries, &MANIFEST_DELETED_SECTION_ORDER)
+}
+
+/// Decode the `deleted` section into `segments`, checking each list
+/// against its segment's row count.
+fn decode_deleted(segments: &mut [ManifestEntry], payload: &[u8], base: u64) -> Result<()> {
+    let mut r = Reader::for_section(payload, "deleted", base);
+    for seg in segments.iter_mut() {
+        let n = r.u64()?;
+        if n > 0 && n >= seg.rows {
+            return Err(r.err(format!(
+                "segment {} lists {n} deleted rows of {}: a list never covers every row",
+                seg.name, seg.rows
+            )));
+        }
+        if n > (r.remaining() / 8) as u64 {
+            return Err(r.err(format!(
+                "segment {} lists {n} deleted rows, more than the section holds",
+                seg.name
+            )));
+        }
+        let mut deleted = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            let row = r.u64()?;
+            if row >= seg.rows {
+                return Err(r.err(format!(
+                    "segment {} deletes row {row} of {}",
+                    seg.name, seg.rows
+                )));
+            }
+            if deleted.last().is_some_and(|&prev| prev >= row) {
+                return Err(r.err(format!(
+                    "segment {} lists deleted row {row} out of order or twice",
+                    seg.name
+                )));
+            }
+            deleted.push(row);
+        }
+        seg.deleted = deleted;
+    }
+    r.finish()?;
+    if segments.iter().all(|s| s.deleted.is_empty()) {
+        return Err(r.err("a deleted section that lists no rows"));
+    }
+    Ok(())
 }
 
 /// Parse and fully validate a `MANIFEST` image (both sections are tiny,
@@ -1159,7 +1236,9 @@ pub fn parse_manifest(bytes: &[u8]) -> Result<Manifest> {
         return Err(header_err("bad magic (not a CBIRDB03 manifest)", 0).into());
     }
     let entries = parse_toc(bytes)?;
-    expect_sections(&entries, &MANIFEST_SECTION_ORDER)?;
+    if !is_manifest(&entries) {
+        expect_sections(&entries, &MANIFEST_SECTION_ORDER)?;
+    }
     let (balanced, pipeline) = {
         let payload = section_payload(bytes, &entries[0])?;
         decode_config(payload, entries[0].offset)?
@@ -1184,9 +1263,17 @@ pub fn parse_manifest(bytes: &[u8]) -> Result<Manifest> {
             return Err(r.err(format!("segment name {name:?} is not a plain file name")));
         }
         let rows = r.u64()?;
-        segments.push(ManifestEntry { name, rows });
+        segments.push(ManifestEntry {
+            name,
+            rows,
+            deleted: Vec::new(),
+        });
     }
     r.finish()?;
+    if let Some(entry) = entries.get(2) {
+        let payload = section_payload(bytes, entry)?;
+        decode_deleted(&mut segments, payload, entry.offset)?;
+    }
     Ok(Manifest {
         epoch,
         next_seg,
@@ -1287,12 +1374,11 @@ pub fn fsck_slice(bytes: &[u8]) -> FsckReport {
     }
     // Structure and checksums hold — the payloads must also decode.
     if report.is_ok() {
-        let semantic =
-            if bytes.starts_with(MAGIC_V3) && has_sections(&entries, &MANIFEST_SECTION_ORDER) {
-                parse_manifest(bytes).map(drop)
-            } else {
-                load_from_slice(bytes).map(drop)
-            };
+        let semantic = if bytes.starts_with(MAGIC_V3) && is_manifest(&entries) {
+            parse_manifest(bytes).map(drop)
+        } else {
+            load_from_slice(bytes).map(drop)
+        };
         if let Err(e) = semantic {
             let (msg, offset) = persist_parts(e);
             let section = report
@@ -1317,6 +1403,9 @@ pub struct DirFsckReport {
     pub manifest: FsckReport,
     /// Per-segment reports keyed by file name, in manifest order.
     pub segments: Vec<(String, FsckReport)>,
+    /// `(file name, deleted rows, rows)` of every segment the manifest
+    /// lists deleted rows for, in manifest order.
+    pub deleted: Vec<(String, usize, u64)>,
     /// Segment files the manifest references but which could not be
     /// read, with the I/O error text.
     pub missing: Vec<(String, String)>,
@@ -1338,8 +1427,10 @@ impl DirFsckReport {
 
 /// Validate a segment directory: the `MANIFEST`, then every referenced
 /// segment file section-by-section (full checksum passes, unlike the
-/// lazy serving open). Unreferenced `.seg` files are listed as orphans.
-/// Errors carry the offending *file* path, not just the directory.
+/// lazy serving open) and against the row count the manifest records
+/// for it — the count its deleted-row list was checked against.
+/// Unreferenced `.seg` files are listed as orphans. Errors carry the
+/// offending *file* path, not just the directory.
 pub fn fsck_dir(dir: impl AsRef<Path>) -> Result<DirFsckReport> {
     let dir = dir.as_ref();
     let manifest_path = dir.join(MANIFEST_FILE);
@@ -1351,6 +1442,7 @@ pub fn fsck_dir(dir: impl AsRef<Path>) -> Result<DirFsckReport> {
     let mut report = DirFsckReport {
         manifest: fsck_slice(&bytes),
         segments: Vec::new(),
+        deleted: Vec::new(),
         missing: Vec::new(),
         orphans: Vec::new(),
     };
@@ -1358,12 +1450,22 @@ pub fn fsck_dir(dir: impl AsRef<Path>) -> Result<DirFsckReport> {
     if let Ok(manifest) = parse_manifest(&bytes) {
         for entry in &manifest.segments {
             referenced.push(entry.name.clone());
+            if !entry.deleted.is_empty() {
+                let listed = (entry.name.clone(), entry.deleted.len(), entry.rows);
+                report.deleted.push(listed);
+            }
             let seg_path = dir.join(&entry.name);
             match std::fs::read(&seg_path) {
                 Ok(seg_bytes) => {
-                    report
-                        .segments
-                        .push((entry.name.clone(), fsck_slice(&seg_bytes)));
+                    let mut seg_report = fsck_slice(&seg_bytes);
+                    let rows = parse_segment(&seg_bytes).map_or(entry.rows, |v| v.rows as u64);
+                    if rows != entry.rows {
+                        seg_report.error = Some(format!(
+                            "segment has {rows} rows but the manifest records {}",
+                            entry.rows
+                        ));
+                    }
+                    report.segments.push((entry.name.clone(), seg_report));
                 }
                 Err(e) => report.missing.push((entry.name.clone(), e.to_string())),
             }
@@ -1748,6 +1850,7 @@ mod tests {
             segments: vec![ManifestEntry {
                 name: segment_file_name(2),
                 rows: db.len() as u64,
+                deleted: Vec::new(),
             }],
         };
         let write_all = || [save_to_vec(&db).unwrap(), encode_manifest(&manifest)];
@@ -1776,34 +1879,45 @@ mod tests {
         // exhaustive, once per path; a file written on one path must
         // also verify on the other.
         let saved = save_to_vec(&golden_db()).unwrap();
+        let listed = encode_manifest(&listed_manifest());
+        let load: fn(&[u8]) -> Result<()> = |b| load_from_slice(b).map(drop);
+        let open_manifest: fn(&[u8]) -> Result<()> = |b| parse_manifest(b).map(drop);
         let sweep = |path: &str| {
-            for (what, file, toc_len) in [
+            for (what, file, toc_len, read) in [
                 (
                     "saved",
                     &saved[..],
                     SEGMENT_SECTION_ORDER.len() * TOC_ENTRY_LEN,
+                    load,
                 ),
                 (
                     "import",
                     IMPORT_FIXTURE,
                     IMPORT_SECTION_ORDER.len() * IMPORT_TOC_ENTRY_LEN,
+                    load,
+                ),
+                (
+                    "manifest with deleted rows",
+                    &listed[..],
+                    MANIFEST_DELETED_SECTION_ORDER.len() * TOC_ENTRY_LEN,
+                    open_manifest,
                 ),
             ] {
-                load_from_slice(file).unwrap();
+                read(file).unwrap();
                 assert!(fsck_slice(file).is_ok(), "{path}/{what}");
                 let header_len = 8 + 4 + toc_len + 4;
                 for bit in 0..header_len * 8 {
                     let mut corrupt = file.to_vec();
                     corrupt[bit / 8] ^= 1 << (bit % 8);
                     assert!(
-                        matches!(load_from_slice(&corrupt), Err(CoreError::Persist(_))),
+                        matches!(read(&corrupt), Err(CoreError::Persist(_))),
                         "{path}/{what}: header flip at bit {bit} not a typed error"
                     );
                     assert!(!fsck_slice(&corrupt).is_ok(), "{path}/{what}: bit {bit}");
                 }
                 for len in 0..file.len() {
                     assert!(
-                        matches!(load_from_slice(&file[..len]), Err(CoreError::Persist(_))),
+                        matches!(read(&file[..len]), Err(CoreError::Persist(_))),
                         "{path}/{what}: truncation to {len} not a typed error"
                     );
                     assert!(!fsck_slice(&file[..len]).is_ok(), "{path}/{what}: {len}");
@@ -2394,10 +2508,12 @@ mod tests {
                 ManifestEntry {
                     name: segment_file_name(0),
                     rows: 2,
+                    deleted: Vec::new(),
                 },
                 ManifestEntry {
                     name: segment_file_name(2),
                     rows: 5,
+                    deleted: Vec::new(),
                 },
             ],
         };
@@ -2426,6 +2542,7 @@ mod tests {
                 segments: vec![ManifestEntry {
                     name: bad.into(),
                     rows: 1,
+                    deleted: Vec::new(),
                 }],
                 ..manifest.clone()
             };
@@ -2434,6 +2551,96 @@ mod tests {
                 CoreError::Persist(p) => assert_eq!(p.section, Some("manifest")),
                 other => panic!("expected Persist, got {other:?}"),
             }
+        }
+    }
+
+    /// Three segments, two of them with deleted rows.
+    fn listed_manifest() -> Manifest {
+        let entry = |n: u64, rows: u64, deleted: &[u64]| ManifestEntry {
+            name: segment_file_name(n),
+            rows,
+            deleted: deleted.to_vec(),
+        };
+        Manifest {
+            epoch: 9,
+            next_seg: 4,
+            balanced: true,
+            pipeline: golden_db().pipeline().clone(),
+            segments: vec![
+                entry(0, 10, &[0, 3, 9]),
+                entry(1, 5, &[]),
+                entry(3, 7, &[6]),
+            ],
+        }
+    }
+
+    /// Deleted rows ride in a third manifest section: a manifest with
+    /// lists round-trips through it, the same manifest without them is
+    /// the two-section file it always was, and a list that is out of
+    /// order, repeats a row, names a row past its segment or covers every
+    /// row of it is refused as a typed error in that section — by the
+    /// parse and by `fsck`. Any flip of any bit of the file is a typed
+    /// error too (the header sweep is in the test above).
+    #[test]
+    fn manifest_deleted_rows_roundtrip_and_bad_lists_are_refused() {
+        let manifest = listed_manifest();
+        let bytes = encode_manifest(&manifest);
+        let count = |b: &[u8]| u32::from_le_bytes(b[8..12].try_into().unwrap());
+        assert_eq!(count(&bytes), 3);
+        assert_eq!(parse_manifest(&bytes).unwrap().segments, manifest.segments);
+        assert!(fsck_slice(&bytes).is_ok());
+        let mut plain = manifest.clone();
+        for seg in &mut plain.segments {
+            seg.deleted.clear();
+        }
+        let plain_bytes = encode_manifest(&plain);
+        assert_eq!(count(&plain_bytes), 2);
+        assert_eq!(
+            parse_manifest(&plain_bytes).unwrap().segments,
+            plain.segments
+        );
+        let every_row: Vec<u64> = (0..10).collect();
+        for (bad, what) in [
+            (&[3u64, 0][..], "out of order"),
+            (&[0, 3, 3], "a row twice"),
+            (&[0, 10], "a row past the segment"),
+            (&every_row[..], "every row"),
+        ] {
+            let mut hostile = manifest.clone();
+            hostile.segments[0].deleted = bad.to_vec();
+            let hostile = encode_manifest(&hostile);
+            match parse_manifest(&hostile) {
+                Err(CoreError::Persist(p)) => assert_eq!(p.section, Some("deleted"), "{what}"),
+                other => panic!("{what}: {other:?}"),
+            }
+            assert!(!fsck_slice(&hostile).is_ok(), "{what}");
+        }
+        // A count the section cannot hold is refused before anything is
+        // allocated for it, however many rows its segment claims.
+        let mut huge = manifest.clone();
+        huge.segments[0].rows = u64::MAX;
+        let huge = encode_manifest(&huge);
+        let toc = parse_toc(&huge).unwrap();
+        let payload = |e: &TocEntry| huge[e.offset as usize..(e.offset + e.len) as usize].to_vec();
+        let mut w = Writer::new();
+        w.u64(1 << 60);
+        let forged = encode_container(&[
+            (SEC_CONFIG, payload(&toc[0])),
+            (SEC_MANIFEST, payload(&toc[1])),
+            (SEC_DELETED, w.buf),
+        ]);
+        match parse_manifest(&forged) {
+            Err(CoreError::Persist(p)) => assert_eq!(p.section, Some("deleted")),
+            other => panic!("a forged count: {other:?}"),
+        }
+        let mut corrupt = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            corrupt[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(parse_manifest(&corrupt), Err(CoreError::Persist(_))),
+                "flip at bit {bit} not a typed error"
+            );
+            corrupt[bit / 8] ^= 1 << (bit % 8);
         }
     }
 
@@ -2457,10 +2664,12 @@ mod tests {
                 ManifestEntry {
                     name: segment_file_name(0),
                     rows: db.len() as u64,
+                    deleted: Vec::new(),
                 },
                 ManifestEntry {
                     name: segment_file_name(1),
                     rows: db.len() as u64,
+                    deleted: Vec::new(),
                 },
             ],
         };
@@ -2470,6 +2679,24 @@ mod tests {
         assert!(report.is_ok(), "{report:?}");
         assert_eq!(report.segments.len(), 2);
         assert_eq!(report.orphans, vec!["seg-orphaned.seg".to_string()]);
+        assert!(report.deleted.is_empty());
+
+        // A deleted-row list is reported per segment, and checked against
+        // the rows the segment file really has.
+        let mut listed = manifest.clone();
+        listed.segments[1].deleted = vec![1];
+        std::fs::write(dir.join(MANIFEST_FILE), encode_manifest(&listed)).unwrap();
+        let report = fsck_dir(&dir).unwrap();
+        assert!(report.is_ok(), "{report:?}");
+        let rows = db.len() as u64;
+        assert_eq!(report.deleted, [(segment_file_name(1), 1, rows)]);
+        listed.segments[1].rows = rows + 1;
+        std::fs::write(dir.join(MANIFEST_FILE), encode_manifest(&listed)).unwrap();
+        let report = fsck_dir(&dir).unwrap();
+        assert!(!report.is_ok());
+        let error = report.segments[1].1.error.as_deref().unwrap_or_default();
+        assert!(error.contains("manifest records"), "{error}");
+        std::fs::write(dir.join(MANIFEST_FILE), encode_manifest(&manifest)).unwrap();
 
         // Corrupt one segment: the report names the file and stays
         // intact for the healthy one.

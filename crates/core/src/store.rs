@@ -6,10 +6,11 @@
 //!
 //! A [`CorpusStore`] lives in one directory. The durable state is a set
 //! of immutable `CBIRDB03` segment files named by a `MANIFEST` (see
-//! [`crate::persist`]); the volatile state is a memtable of descriptors
-//! inserted since the last compaction plus a tombstone set of deleted
-//! global ids. Every mutation bumps a per-process epoch and publishes a
-//! fresh [`CorpusSnapshot`]; readers pin a snapshot with one `Arc` clone
+//! [`crate::persist`]), which also lists each segment's deleted rows;
+//! the volatile state is a memtable of descriptors inserted since the
+//! last compaction plus a tombstone set of deleted global ids. Every
+//! mutation bumps a per-process epoch and publishes a fresh
+//! [`CorpusSnapshot`]; readers pin a snapshot with one `Arc` clone
 //! and keep querying it unperturbed while writers move on — compaction
 //! included. Segment files are deleted only after a compaction commits,
 //! and a pinned snapshot keeps its mappings alive across that deletion
@@ -19,27 +20,35 @@
 //!
 //! ## Ids and epochs
 //!
-//! Global ids are dense: segment rows in manifest order, then memtable
-//! rows. They are *epoch-relative* — compaction drops tombstoned rows
-//! and renumbers. The epoch is monotonic within a process; only
-//! compaction makes it durable (in the manifest). There is no WAL: the
-//! memtable and tombstones are volatile by design, and
-//! [`CorpusStore::compact`] is the durability point.
+//! Global ids are dense: the live rows of the segments in manifest
+//! order, then memtable rows. A row a segment's deleted-row list names
+//! has no id; the list carries the renumbering, so a snapshot maps
+//! between a segment's physical rows and ids through its own copy of
+//! the lists (kept beside each shared `Arc<Segment>`, never inside it).
+//! Ids are *epoch-relative* — compaction drops tombstoned rows and
+//! renumbers, whether it rewrites their segment or lists them. The epoch
+//! is monotonic within a process; only compaction makes it durable (in
+//! the manifest). There is no WAL: the memtable and tombstones are
+//! volatile by design, and [`CorpusStore::compact`] is the durability
+//! point.
 //!
-//! A compaction rewrites only what changed — segments holding a
-//! tombstone, and the memtable with the partial last segment it joins —
-//! and keeps every other segment's file, mapping and built index, so its
-//! work follows the change, not the corpus
-//! ([`CorpusStore::compact_with`]).
+//! A compaction writes only what changed: the memtable, with the partial
+//! last segment it joins, and every segment more than one in
+//! `REWRITE_DEAD_ONE_IN` of whose rows are dead. A segment with fewer
+//! dead rows keeps its file, mapping, built index and L1 code table, and
+//! the new manifest lists its dead rows, so a handful of deletes costs a
+//! manifest, not a segment ([`CorpusStore::compact_with`]).
 //!
 //! ## Query semantics
 //!
 //! [`CorpusSnapshot`] is the repo's one read path. The exact side is
 //! batch-first: each worker thread walks the sources (every segment's
 //! lazily built index, then every memtable chunk's) once and hands its
-//! whole chunk of queries to the source's batched search, asking for
-//! enough neighbours to absorb the source's own tombstoned rows
-//! (`k' = min(rows, k + dead_in_source)`); per query it then merges by
+//! whole chunk of queries to the source's batched search for the `k`
+//! nearest rows past its dead ones — listed or tombstoned
+//! ([`SearchIndex::knn_batch_skipping`]: a linear scan passes over them
+//! where it offers a row, any other index is asked for `k + dead` and
+//! drops them); per query it then merges by
 //! `(distance, id)` with the exact comparator the indexes use and
 //! truncates to `k`. A static database is the same thing with one heap
 //! source and nothing to merge ([`CorpusSnapshot::from_database`], what a
@@ -71,7 +80,7 @@ use cbir_features::Pipeline;
 use cbir_image::RgbImage;
 use cbir_index::{
     approx_knn, run_parallel, ApproxScratch, BatchStats, CoarseHaarIndex, Dataset, Neighbor,
-    SearchIndex, SearchStats,
+    RowSet, SearchIndex, SearchStats,
 };
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -322,14 +331,62 @@ impl MemChunk {
     }
 }
 
+/// A compaction rewrites a segment once more than one in this many of
+/// its rows are dead — deleted by its list or tombstoned. Below that the
+/// segment keeps its file, mapping, built index and L1 code table, and
+/// the manifest lists its dead rows instead. What keeping them costs: a
+/// kept segment stores and scans up to one row in fifteen more than it
+/// serves (a sixteenth of its bytes on disk and in memory; the linear
+/// scan bounds or scores a dead row and offers none). What it saves: a
+/// rewrite, when it comes, follows at least a sixteenth of the rows' worth
+/// of deletes, so a compaction writes at most sixteen rows per row
+/// deleted, where it wrote the whole segment for each one.
+const REWRITE_DEAD_ONE_IN: usize = 16;
+
+/// The physical row of a segment's `live`-th live row, given its deleted
+/// rows (strictly ascending): `deleted[j] - j` live rows precede
+/// `deleted[j]`, so the deleted rows before the answer are those with
+/// `deleted[j] - j <= live`.
+fn physical_row(deleted: &[u64], live: u64) -> u64 {
+    let (mut lo, mut hi) = (0, deleted.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if deleted[mid] - mid as u64 <= live {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    live + lo as u64
+}
+
+/// Where a source's rows stand in a snapshot's numbering: the global id
+/// of its first live row, its committed deleted rows (a segment's list;
+/// none for a memtable chunk), and every dead row — deleted or
+/// tombstoned — by physical row.
+struct Numbering<'a> {
+    base: u64,
+    deleted: &'a [u64],
+    dead: RowSet,
+}
+
+impl Numbering<'_> {
+    /// Lift one source's hits to global ids and append the live ones.
+    fn extend_live(&self, into: &mut Hits, hits: &[Neighbor]) {
+        let live = hits.iter().filter(|n| !self.dead.contains(n.id));
+        into.extend(live.map(|n| {
+            let row = n.id as u64;
+            let before = self.deleted.partition_point(|&d| d < row) as u64;
+            (self.base + row - before, n.distance)
+        }));
+    }
+}
+
 /// One non-empty source of a snapshot (a segment or a memtable chunk) as
 /// the exact read path sees it.
 struct Source<'a> {
     index: &'a dyn SearchIndex,
-    /// Global id of the source's first row.
-    base: u64,
-    /// Tombstoned rows inside the source.
-    dead: usize,
+    at: Numbering<'a>,
 }
 
 /// One non-empty source as the approximate read path sees it.
@@ -341,11 +398,9 @@ struct ApproxSource<'a> {
     /// The coarse table, resolved once some query of the batch needs the
     /// two-stage search here.
     coarse: Option<&'a CoarseHaarIndex>,
-    /// Global id of the source's first row.
-    base: u64,
-    /// Tombstoned rows inside the source.
-    dead: usize,
-    /// Neighbours asked of the source.
+    at: Numbering<'a>,
+    /// Neighbours the two-stage search asks of the source: `k` plus its
+    /// dead rows (the filter passes over those and is asked for `k`).
     want: usize,
     /// Coarse candidates the source may surface.
     budget: usize,
@@ -397,10 +452,11 @@ fn sort_hits(hits: &mut Hits) {
 type SkipSelf<'a> = Option<(&'a [u64], usize)>;
 
 /// An immutable, epoch-stamped view of the whole corpus: the open
-/// segments, a frozen copy of the memtable, and the tombstone set at
-/// publication time. Cheap to pin (`Arc` clone) and safe to query while
-/// the store mutates or compacts underneath — the snapshot keeps its
-/// segment mappings alive even after compaction unlinks the files.
+/// segments with their committed deleted rows, a frozen copy of the
+/// memtable, and the tombstone set at publication time. Cheap to pin
+/// (`Arc` clone) and safe to query while the store mutates or compacts
+/// underneath — the snapshot keeps its segment mappings alive even after
+/// compaction unlinks the files, and numbers rows by its own lists.
 pub struct CorpusSnapshot {
     epoch: u64,
     balanced: bool,
@@ -408,8 +464,13 @@ pub struct CorpusSnapshot {
     kind: IndexKind,
     measure: Measure,
     segments: Vec<Arc<Segment>>,
-    /// `bases[i]` is the global id of segment `i`'s first row.
+    /// `deleted[i]` is segment `i`'s deleted rows as the manifest this
+    /// snapshot was published under lists them: physical rows, strictly
+    /// ascending. They have no global id.
+    deleted: Vec<Arc<[u64]>>,
+    /// `bases[i]` is the global id of segment `i`'s first live row.
     bases: Vec<u64>,
+    /// Live rows over every segment: the global id of the memtable's first.
     seg_rows_total: u64,
     /// Frozen memtable chunks (shared with other snapshots) plus the
     /// snapshot-private active tail as the final chunk, if non-empty.
@@ -458,6 +519,7 @@ impl CorpusSnapshot {
             kind,
             measure,
             segments: Vec::new(),
+            deleted: Vec::new(),
             bases: Vec::new(),
             seg_rows_total: 0,
             mem_chunks: vec![Arc::new(chunk)],
@@ -485,7 +547,8 @@ impl CorpusSnapshot {
     /// Structure memory of the source indexes built so far (a source no
     /// query has needed yet has none).
     pub fn index_bytes(&self) -> usize {
-        let built = |(rows, ..): (&SourceRows, u64, &IndexKind)| match rows.index_cell.get() {
+        let built = |(rows, ..): (&SourceRows, u64, &IndexKind, &[u64])| match rows.index_cell.get()
+        {
             Some(Ok(index)) => index.structure_bytes(),
             _ => 0,
         };
@@ -502,7 +565,8 @@ impl CorpusSnapshot {
         self.len() == 0
     }
 
-    /// All physical rows, live or tombstoned.
+    /// Every global id: the live rows and the tombstoned ones (a row a
+    /// segment's list deletes has no id).
     pub fn total_rows(&self) -> usize {
         self.seg_rows_total as usize + self.mem_rows_total
     }
@@ -543,11 +607,12 @@ impl CorpusSnapshot {
         id < self.total_rows() as u64 && !self.tombstones.contains(&id)
     }
 
-    /// Which physical source holds global id `id`.
+    /// Which physical source holds global id `id`, and at which row.
     fn locate(&self, id: u64) -> Result<(Option<usize>, usize)> {
         if id < self.seg_rows_total {
             let i = self.bases.partition_point(|&b| b <= id) - 1;
-            Ok((Some(i), (id - self.bases[i]) as usize))
+            let row = physical_row(&self.deleted[i], id - self.bases[i]);
+            Ok((Some(i), row as usize))
         } else {
             let local = (id - self.seg_rows_total) as usize;
             if local >= self.mem_rows_total {
@@ -600,38 +665,46 @@ impl CorpusSnapshot {
     }
 
     /// The rows of every non-empty source in global id order, with the
-    /// global id of the first and the index kind the source is searched
-    /// with.
-    fn source_rows(&self) -> impl Iterator<Item = (&SourceRows, u64, &IndexKind)> {
-        let segments = self.segments.iter().zip(&self.bases);
+    /// global id of the first live one, the index kind the source is
+    /// searched with, and its deleted rows.
+    fn source_rows(&self) -> impl Iterator<Item = (&SourceRows, u64, &IndexKind, &[u64])> {
+        let segments = self.segments.iter().zip(&self.deleted).zip(&self.bases);
         let chunks = self.mem_chunks.iter().zip(&self.mem_bases);
-        segments
-            .filter_map(|(seg, &base)| Some((seg.data.as_ref()?, base, &self.kind)))
-            .chain(chunks.map(|(chunk, &cb)| (&chunk.data, self.seg_rows_total + cb, &chunk.kind)))
+        let segments = segments.filter_map(|((seg, deleted), &base)| {
+            Some((seg.data.as_ref()?, base, &self.kind, &deleted[..]))
+        });
+        let chunks = chunks.map(|(chunk, &cb)| {
+            let base = self.seg_rows_total + cb;
+            (&chunk.data, base, &chunk.kind, &[][..])
+        });
+        segments.chain(chunks)
+    }
+
+    /// Where a source of `rows` physical rows from `source_rows` stands:
+    /// its deleted rows, and the tombstoned ids among its live ones
+    /// mapped back to their rows.
+    fn numbering<'a>(&self, base: u64, rows: usize, deleted: &'a [u64]) -> Numbering<'a> {
+        let live = (rows - deleted.len()) as u64;
+        let tombstoned = self.tombstones.range(base..base + live);
+        let tombstoned = tombstoned.map(|&id| physical_row(deleted, id - base));
+        let dead = deleted.iter().copied().chain(tombstoned);
+        Numbering {
+            base,
+            deleted,
+            dead: dead.map(|row| row as usize).collect(),
+        }
     }
 
     /// Every non-empty source, resolved once per batch: the lazily built
-    /// index, the global id of the source's first row, and how many of
-    /// its rows are tombstoned.
+    /// index and where its rows stand.
     fn sources(&self) -> Result<Vec<Source<'_>>> {
         self.source_rows()
-            .map(|(rows, base, kind)| {
+            .map(|(rows, base, kind, deleted)| {
                 let index = rows.index(kind, &self.measure)?;
-                let ids = base..base + index.len() as u64;
-                let dead = self.tombstones.range(ids).count();
-                Ok(Source { index, base, dead })
+                let at = self.numbering(base, index.len(), deleted);
+                Ok(Source { index, at })
             })
             .collect()
-    }
-
-    /// Lift one source's hits to global ids (`base` is the source's first)
-    /// and append the live ones; `dead` is the source's tombstone count.
-    fn extend_live(&self, into: &mut Hits, base: u64, dead: usize, hits: &[Neighbor]) {
-        into.extend(
-            hits.iter()
-                .map(|n| (base + n.id as u64, n.distance))
-                .filter(|(g, _)| dead == 0 || !self.tombstones.contains(g)),
-        );
     }
 
     /// Whether every source's exact search is a linear scan under L1,
@@ -656,14 +729,16 @@ impl CorpusSnapshot {
     /// entry point (the cache-blocked scan for `Linear`, one reused
     /// scratch for the trees), then a per-query merge.
     ///
-    /// A k-NN asks each source for `min(rows, k + dead_in_source)`
-    /// neighbours — enough that discarding that source's dead rows can
-    /// never cost it a live top-`k` hit — then all candidates merge by
-    /// `(distance, id)` with [`f32::total_cmp`], the exact comparator the
-    /// indexes' own tie-break contract uses, and truncate to `k`. The
-    /// argument is per query and per source, so it does not care how many
-    /// queries share the pass. Each query's counters are its sum over the
-    /// sources.
+    /// A k-NN asks each source for its `k` nearest live rows
+    /// ([`SearchIndex::knn_batch_skipping`] over the source's dead rows:
+    /// a linear scan passes over them inside the scan, any other index is
+    /// asked for `k` more per dead row and drops them), then all
+    /// candidates merge by `(distance, id)` with [`f32::total_cmp`], the
+    /// exact comparator the indexes' own tie-break contract uses, and
+    /// truncate to `k`. Global ids rise with a source's live rows, so its
+    /// own tie-breaks are the merge's. The argument is per query and per
+    /// source, so it does not care how many queries share the pass. Each
+    /// query's counters are its sum over the sources.
     fn exact_chunk(
         &self,
         sources: &[Source<'_>],
@@ -679,18 +754,17 @@ impl CorpusSnapshot {
         for src in sources {
             let mut source_stats = BatchStats::new();
             let hits = match op {
+                Exact::Knn(0) => continue,
                 Exact::Knn(k) => {
-                    let want = k.saturating_add(src.dead).min(src.index.len());
-                    if want == 0 {
-                        continue;
-                    }
-                    src.index.knn_batch(queries, want, &mut source_stats)
+                    let dead = &src.at.dead;
+                    src.index
+                        .knn_batch_skipping(queries, k, dead, &mut source_stats)
                 }
                 Exact::Range(radius) => src.index.range_batch(queries, radius, &mut source_stats),
             };
             chunk_stats.add_per_query(&source_stats);
             for (all, hits) in merged.iter_mut().zip(hits) {
-                self.extend_live(all, src.base, src.dead, &hits);
+                src.at.extend_live(all, &hits);
             }
         }
         for all in &mut merged {
@@ -705,7 +779,7 @@ impl CorpusSnapshot {
 
     /// Every non-empty source as the approximate path sees it, resolved
     /// once per batch: its linear scan where the snapshot filters, how
-    /// many neighbours to ask for (`k + dead`, as on the exact path), and
+    /// many neighbours the two-stage search asks for (`k + dead`), and
     /// the source's share of the candidate budget — proportional to its
     /// row count, floored at `want` so every source can still surface a
     /// full live top-`k`. No coarse table yet: see
@@ -713,10 +787,10 @@ impl CorpusSnapshot {
     fn approx_sources(&self, k: usize, budget: usize) -> Result<Vec<ApproxSource<'_>>> {
         let total = self.total_rows().max(1) as u128;
         let mut sources = Vec::new();
-        for (data, base, kind) in self.source_rows() {
+        for (data, base, kind, deleted) in self.source_rows() {
             let rows = data.dataset.len();
-            let dead = self.tombstones.range(base..base + rows as u64).count();
-            let want = k.saturating_add(dead).min(rows);
+            let at = self.numbering(base, rows, deleted);
+            let want = k.saturating_add(at.dead.len()).min(rows);
             if want == 0 {
                 continue;
             }
@@ -730,8 +804,7 @@ impl CorpusSnapshot {
                 rows: data,
                 scan,
                 coarse: None,
-                base,
-                dead,
+                at,
                 want,
                 budget: share.max(want).min(rows),
             });
@@ -740,12 +813,14 @@ impl CorpusSnapshot {
     }
 
     /// The exact filters over one worker's query chunk: one pass per
-    /// source that has one, each handed the whole chunk (see
+    /// source that has one, each handed the whole chunk and asked for `k`
+    /// past the source's dead rows (see
     /// [`SearchIndex::knn_batch_filtered`]). Each query's counters are its
     /// sum over the sources.
     fn filter_chunk(
         sources: &[ApproxSource<'_>],
         queries: &[Vec<f32>],
+        k: usize,
         stats: &mut BatchStats,
     ) -> Vec<Filtered> {
         let mut filtered: Vec<Filtered> = vec![Vec::with_capacity(sources.len()); queries.len()];
@@ -757,7 +832,8 @@ impl CorpusSnapshot {
             let hits = match src.scan {
                 Some(scan) => {
                     let mut source_stats = BatchStats::new();
-                    let hits = scan.knn_batch_filtered(queries, src.want, &mut source_stats);
+                    let dead = &src.at.dead;
+                    let hits = scan.knn_batch_filtered(queries, k, dead, &mut source_stats);
                     chunk_stats.add_per_query(&source_stats);
                     hits
                 }
@@ -792,7 +868,7 @@ impl CorpusSnapshot {
         let mut merged: Hits = Vec::new();
         for (src, exact) in sources.iter().zip(filtered) {
             if let Some(hits) = exact {
-                self.extend_live(&mut merged, src.base, src.dead, hits);
+                src.at.extend_live(&mut merged, hits);
                 continue;
             }
             let hits = approx_knn(
@@ -806,7 +882,7 @@ impl CorpusSnapshot {
                 scratch,
                 stats,
             );
-            self.extend_live(&mut merged, src.base, src.dead, &hits);
+            src.at.extend_live(&mut merged, &hits);
         }
         sort_hits(&mut merged);
         merged.truncate(k);
@@ -942,7 +1018,7 @@ impl CorpusSnapshot {
         };
         let mut first = BatchStats::new();
         let filtered: Vec<Filtered> = run_parallel(n, filter_threads, &mut first, |chunk, bs| {
-            Self::filter_chunk(&sources, &queries[chunk], bs)
+            Self::filter_chunk(&sources, &queries[chunk], k, bs)
         });
         for (i, src) in sources.iter_mut().enumerate() {
             if filtered.iter().any(|answers| answers[i].is_none()) {
@@ -1095,23 +1171,31 @@ impl CorpusSnapshot {
         let live = (ids.end - ids.start) as usize - self.tombstones.range(ids.clone()).count();
         let mut flat = Vec::with_capacity(live * self.dim());
         let mut metas = Vec::with_capacity(live);
-        let mut push_live = |base: u64, source_metas: &[ImageMeta], rows: &Dataset| {
-            for (local, meta) in source_metas.iter().enumerate() {
-                if !self.tombstones.contains(&(base + local as u64)) {
-                    flat.extend_from_slice(rows.vector(local));
-                    metas.push(meta.clone());
+        let mut push_live =
+            |base: u64, deleted: &[u64], source_metas: &[ImageMeta], rows: &Dataset| {
+                let mut deleted = deleted.iter().peekable();
+                let mut id = base;
+                for (row, meta) in source_metas.iter().enumerate() {
+                    if deleted.next_if_eq(&&(row as u64)).is_some() {
+                        continue;
+                    }
+                    if !self.tombstones.contains(&id) {
+                        flat.extend_from_slice(rows.vector(row));
+                        metas.push(meta.clone());
+                    }
+                    id += 1;
                 }
-            }
-        };
-        for (seg, &base) in self.segments.iter().zip(&self.bases) {
+            };
+        let segments = self.segments.iter().zip(&self.deleted).zip(&self.bases);
+        for ((seg, deleted), &base) in segments {
             if let Some(data) = seg.data.as_ref().filter(|_| ids.contains(&base)) {
-                push_live(base, seg.metas()?, &data.dataset);
+                push_live(base, deleted, seg.metas()?, &data.dataset);
             }
         }
         for (chunk, &cb) in self.mem_chunks.iter().zip(&self.mem_bases) {
             let base = self.seg_rows_total + cb;
             if ids.contains(&base) {
-                push_live(base, &chunk.metas, &chunk.data.dataset);
+                push_live(base, &[], &chunk.metas, &chunk.data.dataset);
             }
         }
         debug_assert_eq!(metas.len(), live, "{ids:?} splits a source");
@@ -1134,8 +1218,9 @@ pub struct CompactionStats {
     pub epoch: u64,
     /// Live segments after the call.
     pub segments: usize,
-    /// How many of them were carried over untouched: same file, same
-    /// mapping, same built index (all of them when skipped).
+    /// How many of them were carried over: same file, same mapping, same
+    /// built index, and the deleted rows the new manifest lists for it
+    /// (all of them when skipped).
     pub segments_kept: usize,
     /// Live rows after the call.
     pub rows: u64,
@@ -1159,6 +1244,9 @@ struct StoreState {
     epoch: u64,
     next_seg: u64,
     segments: Vec<Arc<Segment>>,
+    /// `deleted[i]` is segment `i`'s deleted rows as the committed
+    /// manifest lists them.
+    deleted: Vec<Arc<[u64]>>,
     mem_frozen: Vec<Arc<MemChunk>>,
     mem_tail_flat: Vec<f32>,
     mem_tail_metas: Vec<ImageMeta>,
@@ -1168,8 +1256,10 @@ struct StoreState {
 }
 
 impl StoreState {
+    /// Live rows over every segment.
     fn seg_rows_total(&self) -> u64 {
-        self.segments.iter().map(|s| s.rows as u64).sum()
+        let live = self.segments.iter().zip(&self.deleted);
+        live.map(|(s, d)| (s.rows - d.len()) as u64).sum()
     }
 
     fn mem_rows(&self) -> usize {
@@ -1190,10 +1280,12 @@ impl StoreState {
 }
 
 /// The segment list a compaction assembles, in global id order: kept
-/// segments as they are, rewritten rows as the new files it writes.
+/// segments with the deleted rows the new manifest lists for them,
+/// rewritten rows as the new files it writes.
 #[derive(Default)]
 struct NextSegments {
     segments: Vec<Arc<Segment>>,
+    deleted: Vec<Arc<[u64]>>,
     /// Every new file, so that a failure before the commit removes them
     /// and nothing else.
     written: Vec<PathBuf>,
@@ -1240,6 +1332,7 @@ impl NextSegments {
             seg.warm(metas, &store.options.kind, &store.options.measure);
         }
         self.segments.push(seg);
+        self.deleted.push(Arc::new([]));
         Ok(())
     }
 }
@@ -1305,7 +1398,8 @@ impl CorpusStore {
             .map_err(|e| attach_path(e, &manifest_path))?;
         let want_config = encode_config_parts(manifest.balanced, &manifest.pipeline);
         let mut segments = Vec::with_capacity(manifest.segments.len());
-        for entry in &manifest.segments {
+        let mut deleted = Vec::with_capacity(manifest.segments.len());
+        for entry in manifest.segments {
             let path = dir.join(&entry.name);
             let seg = Segment::open(&path, &entry.name)?;
             if seg.rows as u64 != entry.rows {
@@ -1324,6 +1418,7 @@ impl CorpusStore {
                 ));
             }
             segments.push(seg);
+            deleted.push(Arc::from(entry.deleted));
         }
         let store = Arc::new(CorpusStore {
             dir: dir.to_path_buf(),
@@ -1334,6 +1429,7 @@ impl CorpusStore {
                 epoch: manifest.epoch,
                 next_seg: manifest.next_seg,
                 segments,
+                deleted,
                 mem_frozen: Vec::new(),
                 mem_tail_flat: Vec::new(),
                 mem_tail_metas: Vec::new(),
@@ -1346,6 +1442,7 @@ impl CorpusStore {
                 kind: IndexKind::Linear,
                 measure: Measure::L1,
                 segments: Vec::new(),
+                deleted: Vec::new(),
                 bases: Vec::new(),
                 seg_rows_total: 0,
                 mem_chunks: Vec::new(),
@@ -1425,9 +1522,9 @@ impl CorpusStore {
         }
         let mut bases = Vec::with_capacity(state.segments.len());
         let mut total = 0u64;
-        for seg in &state.segments {
+        for (seg, deleted) in state.segments.iter().zip(&state.deleted) {
             bases.push(total);
-            total += seg.rows as u64;
+            total += (seg.rows - deleted.len()) as u64;
         }
         let snapshot = Arc::new(CorpusSnapshot {
             epoch: state.epoch,
@@ -1436,6 +1533,7 @@ impl CorpusStore {
             kind: self.options.kind.clone(),
             measure: self.options.measure.clone(),
             segments: state.segments.clone(),
+            deleted: state.deleted.clone(),
             bases,
             seg_rows_total: total,
             mem_chunks,
@@ -1547,10 +1645,11 @@ impl CorpusStore {
     }
 
     /// Compact with the fault policy from `CBIR_FAULT_COMPACT_OP` (or no
-    /// faults): fold the memtable into segments and drop tombstoned rows,
-    /// rewriting only the segments that change, commit the result under
-    /// a new manifest, clear the memtable and tombstones, and drop the
-    /// replaced segment files. See [`CorpusStore::compact_with`].
+    /// faults): fold the memtable into segments and commit the
+    /// tombstones — as segment rewrites where they pass a segment's
+    /// rewrite fraction, as deleted-row lists where not — under a new
+    /// manifest, clear the memtable and tombstones, and drop the replaced
+    /// segment files. See [`CorpusStore::compact_with`].
     pub fn compact(&self) -> Result<CompactionStats> {
         match compact_policy_from_env() {
             Some(mut policy) => self.compact_with(policy.as_mut()),
@@ -1561,16 +1660,19 @@ impl CorpusStore {
     /// [`CorpusStore::compact`] with an explicit fault policy — the entry
     /// point the crash-consistency sweep drives.
     ///
-    /// Only what changed is rewritten. A segment holding a tombstone
-    /// becomes one segment of its live rows (none if nothing survives);
-    /// the memtable's live rows, joined by the last segment's when that
-    /// one is partial (under `max_seg_rows` rows), are chunked by
-    /// `max_seg_rows`; every other segment keeps its file name in the new
-    /// manifest and its `Arc<Segment>` — mapping, decoded metadata,
-    /// built index and code table — in the next snapshot. The output
-    /// keeps global id order and renumbers densely exactly as a full
-    /// rewrite would, so replies are bit-identical and only segment
-    /// boundaries move. A rewritten segment is published warm — the
+    /// Only what changed is written, and a delete is written small. A
+    /// segment more than one in `REWRITE_DEAD_ONE_IN` of whose rows are
+    /// dead (its listed rows plus its tombstones) becomes one segment of
+    /// its live rows (none if nothing survives); the memtable's live
+    /// rows, joined by the last segment's when that one is partial (under
+    /// `max_seg_rows` rows), are chunked by `max_seg_rows`; every other
+    /// segment keeps its file name in the new manifest and its
+    /// `Arc<Segment>` — mapping, decoded metadata, built index and code
+    /// table — in the next snapshot, and its tombstones join the deleted
+    /// rows the manifest lists for it. Global ids stay dense over live
+    /// rows in manifest order, as a full rewrite would number them (a
+    /// list carries the renumbering), so replies are bit-identical and
+    /// only segment boundaries move. A rewritten segment is published warm — the
     /// metadata its read-back decoded, its index and code table built —
     /// when a source its rows come from had built its index, so a
     /// segment the exact path was reading is not rebuilt inside a
@@ -1586,8 +1688,8 @@ impl CorpusStore {
     /// 2. write each new segment via the atomic temp/fsync/rename
     ///    sequence, then read it back and verify it end to end;
     /// 3. open the new segments;
-    /// 4. atomically write the new `MANIFEST` — **the only commit
-    ///    point**;
+    /// 4. atomically write the new `MANIFEST`, deleted rows and all —
+    ///    **the only commit point**;
     /// 5. swap in-memory state, publish the new snapshot, and
     ///    best-effort delete the replaced segment files (pinned
     ///    snapshots keep their mappings alive regardless).
@@ -1613,15 +1715,21 @@ impl CorpusStore {
         // Under the writer lock the published snapshot is this state.
         let snap = self.snapshot();
         let max_rows = self.options.max_seg_rows.max(1);
-        let seg_ids = |i: usize| snap.bases[i]..snap.bases[i] + snap.segments[i].rows as u64;
-        let dead_in = |ids: Range<u64>| snap.tombstones.range(ids).count();
+        let seg_ids = |i: usize| {
+            let live = snap.segments[i].rows - snap.deleted[i].len();
+            snap.bases[i]..snap.bases[i] + live as u64
+        };
+        let tombstoned = |ids: Range<u64>| snap.tombstones.range(ids).count();
         let total = snap.total_rows() as u64;
         // Segments from `tail` on are rewritten together with the
         // memtable: the last one when the memtable's live rows join it.
-        let joins = snap.mem_rows_total > dead_in(snap.seg_rows_total..total)
+        let joins = snap.mem_rows_total > tombstoned(snap.seg_rows_total..total)
             && snap.segments.last().is_some_and(|s| s.rows < max_rows);
         let tail = snap.segments.len() - usize::from(joins);
-        let rewritten = |i: usize| i >= tail || dead_in(seg_ids(i)) > 0;
+        let rewritten = |i: usize| {
+            let dead = snap.deleted[i].len() + tombstoned(seg_ids(i));
+            i >= tail || dead * REWRITE_DEAD_ONE_IN > snap.segments[i].rows
+        };
         // 1. Verify the sources about to be rewritten.
         for (i, seg) in snap.segments.iter().enumerate() {
             if rewritten(i) {
@@ -1640,6 +1748,12 @@ impl CorpusStore {
             for (i, seg) in snap.segments[..tail].iter().enumerate() {
                 if !rewritten(i) {
                     next.segments.push(Arc::clone(seg));
+                    let (ids, deleted) = (seg_ids(i), &snap.deleted[i]);
+                    let mut list = deleted.to_vec();
+                    let newly = snap.tombstones.range(ids.clone());
+                    list.extend(newly.map(|&id| physical_row(deleted, id - ids.start)));
+                    list.sort_unstable();
+                    next.deleted.push(Arc::from(list));
                     continue;
                 }
                 let (flat, metas) = snap.live_rows(seg_ids(i))?;
@@ -1650,21 +1764,22 @@ impl CorpusStore {
             let (flat, metas) = snap.live_rows(tail_base..total)?;
             let warm = snap
                 .source_rows()
-                .any(|(rows, base, _)| base >= tail_base && rows.is_warm());
+                .any(|(rows, base, ..)| base >= tail_base && rows.is_warm());
             for (chunk, metas) in flat.chunks(max_rows * dim).zip(metas.chunks(max_rows)) {
                 next.write(self, &state, (chunk, metas), warm, policy)?;
             }
             // 4. Commit.
-            let entry = |s: &Arc<Segment>| ManifestEntry {
+            let entry = |(s, deleted): (&Arc<Segment>, &Arc<[u64]>)| ManifestEntry {
                 name: s.name.clone(),
                 rows: s.rows as u64,
+                deleted: deleted.to_vec(),
             };
             let manifest = Manifest {
                 epoch: state.epoch + 1,
                 next_seg: next.next_seg,
                 balanced: state.balanced,
                 pipeline: state.pipeline.clone(),
-                segments: next.segments.iter().map(entry).collect(),
+                segments: next.segments.iter().zip(&next.deleted).map(entry).collect(),
             };
             let mbytes = encode_manifest(&manifest);
             write_file_atomic(self.dir.join(MANIFEST_FILE), &mbytes, policy)?;
@@ -1704,6 +1819,7 @@ impl CorpusStore {
             .collect();
         let kept = snap.segments.len() - replaced.len();
         state.segments = next.segments;
+        state.deleted = next.deleted;
         state.mem_frozen.clear();
         state.mem_tail_flat.clear();
         state.mem_tail_metas.clear();
@@ -1766,6 +1882,7 @@ mod tests {
     use crate::QueryEngine;
     use cbir_features::{FeatureSpec, Quantizer};
     use cbir_index::{approx_knn_batch, rerank_exact, ApproxSearch};
+    use std::path::Path;
 
     struct XorShift(u64);
 
@@ -1887,9 +2004,11 @@ mod tests {
     /// holding every kind of source (three segments, a frozen memtable
     /// chunk, the tail), all but one with a tombstone in it, must answer
     /// exactly like the single heap source an engine builds over its live
-    /// rows — and so must the snapshot after a compaction that kept the
-    /// untouched segment, rewrote the others and folded the memtable.
-    /// (The one-source side is pinned to a naive scan below.)
+    /// rows — and so must the snapshot after a compaction that rewrote the
+    /// segment whose dead rows passed the rewrite fraction, kept the
+    /// untouched one, kept the one with a single dead row with a one-row
+    /// list, and folded the memtable. (The one-source side is pinned to a
+    /// naive scan below.)
     #[test]
     fn batched_paths_match_engine_over_every_source_kind_batch_size_and_thread_count() {
         let kinds = [
@@ -1933,21 +2052,26 @@ mod tests {
             let top = store.snapshot().knn_batch(&queries[..1], 1, 1, &mut s);
             assert_eq!(top.unwrap()[0][0].id, 5);
             let tail_base = (in_segments + MEM_CHUNK_ROWS) as u64;
-            let dead = [
-                5,
-                2 * seg_rows as u64 + 7,
-                in_segments as u64 + 300,
-                tail_base + 2,
-            ];
-            for id in dead {
+            // Segment 0 loses a row past its rewrite fraction.
+            let crossing = (seg_rows / REWRITE_DEAD_ONE_IN) as u64;
+            let dead: Vec<u64> = [5]
+                .into_iter()
+                .chain(8..8 + crossing)
+                .chain([
+                    2 * seg_rows as u64 + 7,
+                    in_segments as u64 + 300,
+                    tail_base + 2,
+                ])
+                .collect();
+            for &id in &dead {
                 store.delete(id).unwrap();
             }
             let snap = store.snapshot();
             assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (3, 2));
             assert_eq!(snap.mem_chunks[1].rows(), tail_rows);
             let sources = snap.sources().unwrap();
-            let dead_per_source: Vec<usize> = sources.iter().map(|src| src.dead).collect();
-            assert_eq!(dead_per_source, [1, 0, 1, 1, 1]);
+            let dead_per_source: Vec<usize> = sources.iter().map(|src| src.at.dead.len()).collect();
+            assert_eq!(dead_per_source, [1 + crossing as usize, 0, 1, 1, 1]);
             let dead_names: Vec<String> =
                 dead.iter().map(|&id| snap.meta(id).unwrap().name).collect();
             // Dense ids of live rows, as `materialize` numbers them.
@@ -1971,10 +2095,14 @@ mod tests {
             grid(&snap, "before compaction");
             let cs = store.compact().unwrap();
             let after = store.snapshot();
-            // Segment 1 had no tombstone: kept, file and index and all.
-            assert_eq!(cs.segments_kept, 1);
-            assert!(Arc::ptr_eq(&after.segments[1], &snap.segments[1]));
+            // Segment 0 is rewritten; segments 1 and 2 are kept, file and
+            // index and all, segment 2 deleting its row 7 by its list.
+            assert_eq!(cs.segments_kept, 2);
             assert!(!Arc::ptr_eq(&after.segments[0], &snap.segments[0]));
+            assert!(Arc::ptr_eq(&after.segments[1], &snap.segments[1]));
+            assert!(Arc::ptr_eq(&after.segments[2], &snap.segments[2]));
+            let lists: Vec<&[u64]> = after.deleted[..3].iter().map(|d| &d[..]).collect();
+            assert_eq!(lists, [&[][..], &[], &[7]]);
             assert_eq!(after.tombstone_count(), 0);
             grid(&after, "after compaction");
             std::fs::remove_dir_all(&dir).unwrap();
@@ -2014,6 +2142,10 @@ mod tests {
 
         let linear = matches!(kind, IndexKind::Linear);
         let filtered = snap.segments.iter().any(|s| s.rows >= 4096);
+        let physical_rows: usize = snap
+            .source_rows()
+            .map(|(rows, ..)| rows.dataset.len())
+            .sum();
         for batch in [1, 5, 64] {
             let queries = &queries[..batch];
             let ids_engine = &by_id[..batch];
@@ -2052,12 +2184,13 @@ mod tests {
                 for s in &stats {
                     assert_eq!(s.queries(), batch, "{ctx}");
                     // Every source scored each of its rows once per
-                    // query, by its bound or in full.
+                    // query, by its bound or in full: a row its list
+                    // deletes as well.
                     let total = s.total();
                     if linear {
                         assert_eq!(total.subtrees_pruned > 0, filtered, "{ctx}");
                         let scored = total.distance_computations + total.subtrees_pruned;
-                        assert_eq!(scored, (batch * snap.total_rows()) as u64, "{ctx}");
+                        assert_eq!(scored, (batch * physical_rows) as u64, "{ctx}");
                     }
                 }
                 // Per-query counters do not depend on the split.
@@ -2338,7 +2471,7 @@ mod tests {
         let total = snap.total_rows() as u128;
         let (mut merged, mut stats) = (Vec::new(), SearchStats::new());
         let mut scratch = ApproxScratch::new();
-        for (data, base, _) in snap.source_rows() {
+        for (data, base, ..) in snap.source_rows() {
             let rows = data.dataset.len();
             let dead = snap.tombstones.range(base..base + rows as u64).count();
             let want = (k + dead).min(rows);
@@ -2782,14 +2915,16 @@ mod tests {
         store.insert_batch(synth_items(5, dim, 7)).unwrap();
         let cs = store.compact().unwrap();
         let after = store.snapshot();
-        // Segment 0 held the tombstone; segment 2 is full, so the
-        // memtable's rows start a segment of their own.
-        assert_eq!((cs.segments, cs.segments_kept), (4, 2));
+        // Segment 0's one tombstone is far under the rewrite fraction:
+        // the segment is kept and lists its row 3 as deleted. Segment 2
+        // is full, so the memtable's rows start a segment of their own.
+        assert_eq!((cs.segments, cs.segments_kept), (4, 3));
         let names = seg_names(&after);
-        assert_eq!(names[1..3], seg_names(&before)[1..3]);
+        assert_eq!(names[..3], seg_names(&before)[..3]);
         assert!(names.iter().all(|n| dir.join(n).exists()));
-        assert!(!dir.join(&before.segments[0].name).exists());
-        for i in [1, 2] {
+        assert_eq!(after.deleted[0][..], [3]);
+        assert!(after.deleted[1..].iter().all(|d| d.is_empty()));
+        for i in [0, 1, 2] {
             assert!(Arc::ptr_eq(&after.segments[i], &before.segments[i]));
             let index = |snap: &CorpusSnapshot| {
                 let cell = snap.segments[i].data.as_ref().unwrap().index_cell.get();
@@ -2808,6 +2943,7 @@ mod tests {
         drop((before, after));
         let reopened = CorpusStore::open(&dir, store.options().clone()).unwrap();
         assert_eq!(seg_names(&reopened.snapshot()), names);
+        assert_eq!(reopened.snapshot().deleted[0][..], [3]);
         let mut s = BatchStats::new();
         let again = keys(
             &reopened
@@ -2820,9 +2956,150 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The manifest's deleted-row lists, segment by segment.
+    fn committed_lists(dir: &Path) -> Vec<Vec<u64>> {
+        let manifest = parse_manifest(&std::fs::read(dir.join(MANIFEST_FILE)).unwrap()).unwrap();
+        manifest.segments.into_iter().map(|s| s.deleted).collect()
+    }
+
+    /// Both sides of the rewrite fraction, over three full 64-row
+    /// segments: four dead rows keep a segment (a list), a fifth — one
+    /// more tombstone on top of a kept list — rewrites it, and so does
+    /// deleting every row, which leaves no segment at all. After every
+    /// compaction the store answers like an engine over its live rows,
+    /// and a reopened store like the live one.
+    #[test]
+    fn the_rewrite_fraction_decides_between_a_list_and_a_rewrite() {
+        let dim = pipeline().dim();
+        let (rows, k) = (64, 9);
+        let dir = temp_dir("fraction");
+        let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+        options.max_seg_rows = rows;
+        options.memtable_limit = usize::MAX;
+        let store = CorpusStore::create(&dir, pipeline(), true, options.clone()).unwrap();
+        store.insert_batch(synth_items(3 * rows, dim, 91)).unwrap();
+        store.compact().unwrap();
+        let names = seg_names(&store.snapshot());
+        let queries = synth_queries(5, dim, 92);
+        let check = |store: &CorpusStore, ctx: &str| {
+            let snap = store.snapshot();
+            let engine = engine_over(&snap, IndexKind::Linear, Measure::L1);
+            let (mut s1, mut s2) = (BatchStats::new(), BatchStats::new());
+            let got = snap.knn_batch(&queries, k, 2, &mut s1).unwrap();
+            let want = engine.knn_batch(&queries, k, 1, &mut s2).unwrap();
+            assert_eq!(keys(&got, true), keys(&want, true), "{ctx}");
+            let reopened = CorpusStore::open(&dir, options.clone()).unwrap();
+            let again = reopened.snapshot().knn_batch(&queries, k, 1, &mut s1);
+            assert_eq!(
+                keys(&again.unwrap(), true),
+                keys(&got, true),
+                "{ctx}: reopened"
+            );
+        };
+        let per = (rows / REWRITE_DEAD_ONE_IN) as u64;
+        // Segment 0 at the fraction, segment 1 one past it.
+        for id in (0..per).chain(rows as u64 + 10..rows as u64 + 11 + per) {
+            store.delete(id).unwrap();
+        }
+        let cs = store.compact().unwrap();
+        assert_eq!((cs.segments, cs.segments_kept, cs.rows), (3, 2, 3 * 64 - 9));
+        let now = seg_names(&store.snapshot());
+        assert_eq!((&now[0], &now[2]), (&names[0], &names[2]));
+        assert_ne!(now[1], names[1]);
+        assert!(!dir.join(&names[1]).exists());
+        assert_eq!(committed_lists(&dir), [vec![0, 1, 2, 3], vec![], vec![]]);
+        check(&store, "at and past the fraction");
+        // One more dead row of segment 0 (its live row 0 is row 4):
+        // its list and the tombstone pass the fraction together.
+        store.delete(0).unwrap();
+        let cs = store.compact().unwrap();
+        assert_eq!((cs.segments, cs.segments_kept), (3, 2));
+        assert!(!dir.join(&names[0]).exists());
+        assert_eq!(committed_lists(&dir), [vec![], vec![], vec![]]);
+        check(&store, "a list crossing the fraction");
+        // Every row of the last segment: no file, no list, no segment.
+        let snap = store.snapshot();
+        let last = snap.bases[2];
+        for id in last..last + rows as u64 {
+            store.delete(id).unwrap();
+        }
+        let cs = store.compact().unwrap();
+        assert_eq!(
+            (cs.segments, cs.segments_kept, cs.rows),
+            (2, 2, 2 * 64 - 10)
+        );
+        assert!(!dir.join(&names[2]).exists());
+        check(&store, "a segment with every row deleted");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An L1 linear scan is asked for `k` past its source's dead rows,
+    /// never for `k` plus them: with 248 dead rows of 4,200 and `k = 20`,
+    /// `k + 248` is more than one row in sixteen, which the scan's
+    /// filter never admits, yet the filter runs — over tombstones and
+    /// over a kept segment's list alike — and the replies are the
+    /// engine's. A k-d tree over the same store is asked for `k + 248`
+    /// and answers the same.
+    #[test]
+    fn an_l1_scan_source_is_asked_for_k_past_its_dead_rows() {
+        let dim = pipeline().dim();
+        let (rows, k) = (4200, 20);
+        let victims: Vec<u64> = (0..rows as u64).step_by(17).collect();
+        assert_eq!(victims.len(), 248);
+        assert!(victims.len() * REWRITE_DEAD_ONE_IN <= rows);
+        assert!((k + victims.len()) * 16 > rows);
+        let queries = synth_queries(8, dim, 94);
+        let mut replies = Vec::new();
+        for (t, kind) in [IndexKind::Linear, IndexKind::KdTree]
+            .into_iter()
+            .enumerate()
+        {
+            let dir = temp_dir(&format!("asked-k-{t}"));
+            let mut options = StoreOptions::new(kind.clone(), Measure::L1);
+            options.max_seg_rows = rows;
+            let store = CorpusStore::create(&dir, pipeline(), true, options).unwrap();
+            store.insert_batch(synth_items(rows, dim, 93)).unwrap();
+            store.compact().unwrap();
+            for &id in &victims {
+                store.delete(id).unwrap();
+            }
+            let tombstoned = store.snapshot();
+            let cs = store.compact().unwrap();
+            assert_eq!(cs.segments_kept, 1);
+            let listed = store.snapshot();
+            assert_eq!(listed.deleted[0][..], victims[..]);
+            // Tombstones keep their ids until the compaction renumbers.
+            for (snap, renumbered) in [(&tombstoned, false), (&listed, true)] {
+                let ctx = format!("{}, renumbered {renumbered}", kind.name());
+                let mut stats = BatchStats::new();
+                let got = snap.knn_batch(&queries, k, 1, &mut stats).unwrap();
+                let engine = engine_over(snap, kind.clone(), Measure::L1);
+                let want = engine.knn_batch(&queries, k, 1, &mut BatchStats::new());
+                assert_eq!(
+                    keys(&got, renumbered),
+                    keys(&want.unwrap(), renumbered),
+                    "{ctx}"
+                );
+                if kind == IndexKind::Linear {
+                    assert!(
+                        stats.total().subtrees_pruned > 0,
+                        "{ctx}: the filter never ran"
+                    );
+                }
+                replies.push(keys(&got, true));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert_eq!(replies[0], replies[2]);
+        assert_eq!(replies[1], replies[3]);
+    }
+
     #[test]
     fn a_rewritten_segment_is_warm_exactly_when_the_one_it_replaces_was() {
-        let rows = 4200;
+        // Three churns each rewrite segment 0 and leave it over the row
+        // count from which it filters.
+        let rows = 5200;
+        let crossing = (rows / REWRITE_DEAD_ONE_IN + 1) as u64;
         let db = synth_db(2 * rows + 100, 8);
         let dim = db.dim();
         let dir = temp_dir("warm");
@@ -2834,11 +3111,14 @@ mod tests {
         assert!(store.snapshot().segments.iter().all(|s| warmth(s) == cold));
         let queries = synth_queries(3, dim, 9);
         let mut tag = 10;
-        // Tombstone a row of segment 0 and add rows that join the partial
-        // last segment; compact; return segment 0 and the tail.
+        // Tombstone rows of segment 0 past its rewrite fraction and add
+        // rows that join the partial last segment; compact; return
+        // segment 0 and the tail.
         let mut churn = |query: &dyn Fn(&CorpusSnapshot)| {
             query(&store.snapshot());
-            store.delete(3).unwrap();
+            for id in 3..3 + crossing {
+                store.delete(id).unwrap();
+            }
             store.insert_batch(synth_items(5, dim, tag)).unwrap();
             tag += 1;
             let cs = store.compact().unwrap();
@@ -2861,7 +3141,7 @@ mod tests {
         };
         for read in [&approx as &dyn Fn(&CorpusSnapshot), &exact] {
             let (seg0, tail) = churn(read);
-            assert!(seg0.0 && seg0.1 && seg0.2 >= (rows - 1) * dim, "{seg0:?}");
+            assert!(seg0.0 && seg0.1 && seg0.2 >= 4096 * dim, "{seg0:?}");
             assert!(tail.0 && tail.1 && tail.2 < 4096 * dim, "{tail:?}");
         }
         std::fs::remove_dir_all(&dir).unwrap();

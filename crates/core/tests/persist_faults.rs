@@ -338,6 +338,7 @@ fn a_saved_file_serves_as_the_one_segment_of_a_store() {
         segments: vec![ManifestEntry {
             name: segment_file_name(0),
             rows: db.len() as u64,
+            deleted: Vec::new(),
         }],
     };
     std::fs::write(store_dir.join(MANIFEST_FILE), encode_manifest(&manifest)).unwrap();
@@ -472,6 +473,87 @@ fn the_checked_in_cbirdb02_image_imports_with_its_exact_content() {
 #[test]
 fn every_truncation_and_every_bit_flip_of_the_cbirdb02_image_is_a_typed_error() {
     assert_every_truncation_and_bit_flip_is_typed(IMPORT_FIXTURE, "CBIRDB02 fixture");
+}
+
+/// A store directory as the store wrote it before a manifest could list
+/// deleted rows: 41 rows under `store_pipeline` in segments of 16, then
+/// id 20 deleted and compacted away (that compaction rewrote the middle
+/// segment). `OLD_STORE_REPLIES` is what that code answered to
+/// `knn_batch_by_ids(&[0, 7, 20, 39], 4)` over it: id, name, distance
+/// bits.
+const OLD_STORE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/data/store-before-deleted-rows"
+);
+
+#[rustfmt::skip]
+const OLD_STORE_REPLIES: [[(usize, &str, u32); 4]; 4] = [
+    [(16, "row-16", 0x3f1fc633), (23, "row-24", 0x3fa78417), (1, "row-01", 0x3fc21b04), (28, "row-29", 0x3fc5ceb2)],
+    [(14, "row-14", 0x3f89ca3c), (22, "row-23", 0x3fb96f70), (18, "row-18", 0x3fc28807), (12, "row-12", 0x3fd99b6c)],
+    [(17, "row-17", 0x3f951828), (32, "row-33", 0x3faa4c2f), (19, "row-19", 0x3fc08815), (28, "row-29", 0x3fd1f72e)],
+    [(14, "row-14", 0x3fcd5d40), (7, "row-07", 0x3fda2c98), (13, "row-13", 0x3fdbd003), (23, "row-24", 0x3fe11ba9)],
+];
+
+#[test]
+fn a_store_written_before_deleted_rows_opens_and_serves_identically() {
+    let dir = temp_dir("old_store");
+    std::fs::create_dir_all(&dir).unwrap();
+    for file in std::fs::read_dir(OLD_STORE).unwrap() {
+        let file = file.unwrap();
+        std::fs::copy(file.path(), dir.join(file.file_name())).unwrap();
+    }
+    let report = fsck_dir(&dir).unwrap();
+    assert!(report.is_ok() && report.deleted.is_empty(), "{report:?}");
+    // Its manifest is one this code writes, byte for byte.
+    let bytes = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
+    let manifest = cbir_core::persist::parse_manifest(&bytes).unwrap();
+    assert!(manifest.segments.iter().all(|s| s.deleted.is_empty()));
+    assert_eq!(encode_manifest(&manifest), bytes);
+
+    let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+    options.max_seg_rows = 16;
+    let store = CorpusStore::open(&dir, options.clone()).unwrap();
+    let snap = store.snapshot();
+    assert_eq!((snap.len(), snap.segments_len()), (40, 3));
+    let ids = [0, 7, 20, 39];
+    let replies = snap.knn_batch_by_ids(&ids, 4, 1, &mut BatchStats::new());
+    for (got, want) in replies.unwrap().iter().zip(OLD_STORE_REPLIES) {
+        let got: Vec<(usize, &str, u32)> = got
+            .iter()
+            .map(|h| (h.id, h.name.as_str(), h.distance.to_bits()))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    // From here on it keeps deleted rows like any store: one delete in
+    // its full first segment is listed, not rewritten.
+    store.delete(3).unwrap();
+    let stats = store.compact().unwrap();
+    assert_eq!((stats.segments, stats.segments_kept), (3, 3));
+    let report = fsck_dir(&dir).unwrap();
+    assert!(report.is_ok(), "{report:?}");
+    assert_eq!(report.deleted, [(segment_file_name(0), 1, 16)]);
+    let live = fingerprint(&store.snapshot());
+    let engine = QueryEngine::build(
+        store.snapshot().materialize().unwrap(),
+        IndexKind::Linear,
+        Measure::L1,
+    )
+    .unwrap();
+    drop(store);
+    let reopened = CorpusStore::open(&dir, options).unwrap();
+    assert_eq!(fingerprint(&reopened.snapshot()), live);
+    let (mut s1, mut s2) = (BatchStats::new(), BatchStats::new());
+    let ids = [0, 7, 20, 38];
+    let got = reopened
+        .snapshot()
+        .knn_batch_by_ids(&ids, 4, 1, &mut s1)
+        .unwrap();
+    let want = engine
+        .knn_batch_by_ids(&ids.map(|id| id as usize), 4, 1, &mut s2)
+        .unwrap();
+    assert_eq!(got, want);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -74,6 +74,6 @@ pub use scratch::QueryScratch;
 pub use stats::{percentile, sort_neighbors, BatchStats, Neighbor, SearchStats};
 pub use traits::{
     knn_batch_parallel, knn_search_simple, range_batch_parallel, range_search_simple, run_parallel,
-    SearchIndex,
+    RowSet, SearchIndex,
 };
 pub use vptree::VpTree;

@@ -48,6 +48,12 @@
 //! Every other measure, and every row of a query outside the filter,
 //! goes through `dist_to_many` block by block as before.
 //!
+//! [`SearchIndex::knn_batch_skipping`] passes over the rows of a
+//! [`RowSet`] (a store segment's deleted rows) where the scan offers a
+//! row — a survivor of the filter, a densely surviving group, a plain
+//! block — so the heap only ever holds rows it may return and a search
+//! asked for `k` neighbours keeps its `k`, its grace and its bound.
+//!
 //! [`SearchIndex::knn_batch_filtered`] runs the same scan with the plain
 //! half switched off: a query the filter keeps to the last row gets
 //! exactly its [`SearchIndex::knn_batch`] hits, and one it never admits
@@ -63,7 +69,7 @@ use crate::error::Result;
 use crate::knn_heap::KnnHeap;
 use crate::scratch::{FilterBufs, QueryScratch, ScanBufs};
 use crate::stats::{sort_neighbors, BatchStats, Neighbor, SearchStats};
-use crate::traits::SearchIndex;
+use crate::traits::{RowSet, SearchIndex};
 use cbir_distance::{CellQuantizer, CellTable, Measure, TILE_ROWS};
 use std::sync::OnceLock;
 
@@ -125,6 +131,8 @@ enum Sink<'a> {
     Knn {
         heap: &'a mut KnnHeap,
         k: usize,
+        /// Rows never offered to the heap.
+        skip: &'a RowSet,
     },
     Range {
         radius: f32,
@@ -137,7 +145,7 @@ impl Sink<'_> {
     /// plain scan produces them.
     fn offer_run(&mut self, base: usize, dists: &[f32]) {
         match self {
-            Sink::Knn { heap, k } => offer_ascending(heap, *k, base, dists),
+            Sink::Knn { heap, k, skip } => offer_ascending(heap, *k, skip, base, dists),
             Sink::Range { radius, out } => {
                 for (i, &d) in dists.iter().enumerate() {
                     if d <= *radius {
@@ -148,6 +156,14 @@ impl Sink<'_> {
                     }
                 }
             }
+        }
+    }
+
+    /// Whether `row` is one the search passes over.
+    fn skips(&self, row: usize) -> bool {
+        match self {
+            Sink::Knn { skip, .. } => skip.contains(row),
+            Sink::Range { .. } => false,
         }
     }
 
@@ -326,7 +342,9 @@ impl LinearScan {
             } else {
                 bufs.survivors.clear();
                 let under = sums.iter().enumerate().filter(|(_, &s)| s < min_sad);
-                bufs.survivors.extend(under.map(|(i, _)| first + i));
+                let ids = under.map(|(i, _)| first + i);
+                bufs.survivors
+                    .extend(ids.filter(|&id| !lane.sink.skips(id)));
                 let row = |&id| self.measure.distance(lane.query, self.dataset.vector(id));
                 dists.extend(bufs.survivors.iter().map(row));
                 for (&id, d) in bufs.survivors.iter().zip(dists.iter()) {
@@ -425,13 +443,15 @@ impl LinearScan {
         }
     }
 
-    /// k-NN of a batch in one scan (see [`LinearScan::scan`]): each
-    /// query's hits, or — without `finish_plain` — `None` for a query the
-    /// filter did not serve to the last row.
+    /// k-NN of a batch over the rows `skip` leaves, in one scan (see
+    /// [`LinearScan::scan`]): each query's hits, or — without
+    /// `finish_plain` — `None` for a query the filter did not serve to the
+    /// last row.
     fn knn_scan(
         &self,
         queries: &[Vec<f32>],
         k: usize,
+        skip: &RowSet,
         finish_plain: bool,
         stats: &mut BatchStats,
     ) -> Vec<Option<Vec<Neighbor>>> {
@@ -446,11 +466,14 @@ impl LinearScan {
                 .collect();
         }
         let n = self.dataset.len();
+        // A heap never holds more than the rows (a by-id search may ask
+        // for `u32::MAX + 1`).
+        let k = k.min(n);
         let mut heaps: Vec<KnnHeap> = queries.iter().map(|_| KnnHeap::new(k)).collect();
         let mut lanes: Vec<Lane<'_>> = queries
             .iter()
             .zip(&mut heaps)
-            .map(|(q, heap)| Lane::new(q, Sink::Knn { heap, k }))
+            .map(|(q, heap)| Lane::new(q, Sink::Knn { heap, k, skip }))
             .collect();
         self.scan(&mut lanes, &mut ScanBufs::default(), finish_plain);
         // A lane dropped off the filter reached the end of the group of
@@ -478,26 +501,30 @@ impl LinearScan {
     }
 }
 
-/// Offer a run of distances whose ids ascend from `base` — the access
-/// pattern of every linear-scan loop. Admission decisions are exactly
-/// those of calling [`KnnHeap::offer`] per row: once the heap is full, a
-/// candidate is admitted iff it beats the current bound (a tie can never
-/// be admitted, because the tie-break prefers smaller ids and every id in
-/// the heap is smaller than the one being offered). That makes one
-/// predictable `d < bound` compare a sound prefilter, replacing a heap
-/// probe per row with a branch that almost always falls through.
+/// Offer a run of distances whose ids ascend from `base`, except the ids
+/// in `skip` — the access pattern of every linear-scan loop. Admission
+/// decisions are exactly those of calling [`KnnHeap::offer`] per row:
+/// once the heap is full, a candidate is admitted iff it beats the
+/// current bound (a tie can never be admitted, because the tie-break
+/// prefers smaller ids and every id in the heap is smaller than the one
+/// being offered). That makes one predictable `d < bound` compare a sound
+/// prefilter, replacing a heap probe per row with a branch that almost
+/// always falls through; a row is looked up in `skip` only once it has
+/// passed it.
 #[inline]
-fn offer_ascending(heap: &mut KnnHeap, k: usize, base: usize, dists: &[f32]) {
+fn offer_ascending(heap: &mut KnnHeap, k: usize, skip: &RowSet, base: usize, dists: &[f32]) {
     let mut i = 0;
     while heap.len() < k && i < dists.len() {
-        heap.offer(base + i, dists[i]);
+        if !skip.contains(base + i) {
+            heap.offer(base + i, dists[i]);
+        }
         i += 1;
     }
     let mut bound = heap.bound();
     for (j, &d) in dists.iter().enumerate().skip(i) {
         // NaN distances fall through the compare; `offer` would reject
         // them identically once the heap is full.
-        if d < bound {
+        if d < bound && !skip.contains(base + j) {
             heap.offer(base + j, d);
             bound = heap.bound();
         }
@@ -541,8 +568,8 @@ impl SearchIndex for LinearScan {
             return;
         }
         scratch.heap.reset(k);
-        let heap = &mut scratch.heap;
-        let mut lane = [Lane::new(query, Sink::Knn { heap, k })];
+        let (heap, skip) = (&mut scratch.heap, &RowSet::default());
+        let mut lane = [Lane::new(query, Sink::Knn { heap, k, skip })];
         self.scan(&mut lane, &mut scratch.scan, true);
         stats.merge(&Self::lane_stats(self.len(), lane[0].evaluated));
         scratch.heap.drain_sorted_into(out);
@@ -558,22 +585,36 @@ impl SearchIndex for LinearScan {
         k: usize,
         stats: &mut BatchStats,
     ) -> Vec<Vec<Neighbor>> {
-        let hits = self.knn_scan(queries, k, true, stats);
+        self.knn_batch_skipping(queries, k, &RowSet::default(), stats)
+    }
+
+    /// The same scan, passing over the rows in `skip` where it offers a
+    /// row (see the module docs).
+    fn knn_batch_skipping(
+        &self,
+        queries: &[Vec<f32>],
+        k: usize,
+        skip: &RowSet,
+        stats: &mut BatchStats,
+    ) -> Vec<Vec<Neighbor>> {
+        let hits = self.knn_scan(queries, k, skip, true, stats);
         hits.into_iter()
             .map(|hits| hits.expect("the plain scan finishes every query"))
             .collect()
     }
 
     /// The same scan without its plain half (see the module docs): a
-    /// query's hits and counters are those of [`LinearScan::knn_batch`]
-    /// exactly when the filter keeps it to the last row.
+    /// query's hits and counters are those of
+    /// [`LinearScan::knn_batch_skipping`] exactly when the filter keeps it
+    /// to the last row.
     fn knn_batch_filtered(
         &self,
         queries: &[Vec<f32>],
         k: usize,
+        skip: &RowSet,
         stats: &mut BatchStats,
     ) -> Vec<Option<Vec<Neighbor>>> {
-        self.knn_scan(queries, k, false, stats)
+        self.knn_scan(queries, k, skip, false, stats)
     }
 
     /// Batched range search on the same scan; hits accumulate in id
@@ -1096,11 +1137,72 @@ mod tests {
         }
     }
 
+    /// Skipped rows never reach the heap: on every corpus, on both kernel
+    /// paths and at batch {1, 5, 64}, a k-NN over the rows a set leaves
+    /// answers what a naive scan over those rows answers, the filter alone
+    /// serves the same hits, and the trait's default (ask for a neighbour
+    /// more per skipped row, drop them; here a k-d tree's) agrees. The set
+    /// holds an eighth of the rows, the queries' own member rows among
+    /// them, so a scan asked for `k` plus the set would have had to leave
+    /// the filter: it still prunes.
+    #[test]
+    fn a_scan_skipping_rows_answers_over_the_rest_and_keeps_its_k() {
+        let k = 11;
+        for (name, rows) in corpora(7, false) {
+            let queries = grid_queries(&rows);
+            let n = rows.len();
+            let members = (0..11).map(|i| i * (n / 11)).chain([n - 1]);
+            let skip: RowSet = (0..n).step_by(13).chain(100..350).chain(members).collect();
+            assert!(skip.len() * BAIL_ONE_IN as usize > n && skip.len() < n / 4);
+            let want: Vec<Vec<Key>> = queries
+                .iter()
+                .map(|q| {
+                    let mut all = naive_order(&rows, q);
+                    all.retain(|h| !skip.contains(h.id));
+                    all.truncate(k);
+                    keys(&all)
+                })
+                .collect();
+            let kd = crate::KdTree::build(Dataset::from_vectors(&rows).unwrap(), Measure::L1);
+            let by_default =
+                kd.unwrap()
+                    .knn_batch_skipping(&queries, k, &skip, &mut BatchStats::new());
+            let by_default: Vec<Vec<Key>> = by_default.iter().map(|h| keys(h)).collect();
+            assert_eq!(by_default, want, "{name}: the trait's default");
+            for path in KERNEL_PATHS {
+                let idx = l1_scan(&rows, path);
+                for batch in [1, 5, 64] {
+                    let at = format!("{name}, {path}, batch {batch}");
+                    let mut stats = BatchStats::new();
+                    let got = idx.knn_batch_skipping(&queries[..batch], k, &skip, &mut stats);
+                    let got: Vec<Vec<Key>> = got.iter().map(|h| keys(h)).collect();
+                    assert_eq!(got, want[..batch], "{at}");
+                    let total = stats.total();
+                    assert_eq!(
+                        total.distance_computations + total.subtrees_pruned,
+                        (batch * n) as u64,
+                        "{at}"
+                    );
+                    if name == "clustered_smooth" {
+                        assert!(total.subtrees_pruned > 0, "{at}: the filter did not run");
+                    }
+                    let alone = idx.knn_batch_filtered(&queries[..batch], k, &skip, &mut stats);
+                    for (got, want) in alone.iter().zip(&want) {
+                        if let Some(got) = got {
+                            assert_eq!(&keys(got), want, "{at}: filter alone");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The filter alone: a query it serves gets the full scan's hits and
     /// counters; one it never admits costs nothing; one that leaves is
     /// dropped after the blocks it tried.
     #[test]
     fn the_filter_alone_serves_what_it_keeps_and_drops_the_rest() {
+        let none = RowSet::default();
         let rows = cbir_workload::clustered_smooth(N, 16, N / 64, 10.0, 100.0, 8, 3);
         let mut queries = cbir_workload::queries(&rows, 6, 5.0, 4);
         queries[2][5] = f32::NAN;
@@ -1109,7 +1211,7 @@ mod tests {
             let mut full = BatchStats::new();
             let want = idx.knn_batch(&queries, 10, &mut full);
             let mut alone = BatchStats::new();
-            let got = idx.knn_batch_filtered(&queries, 10, &mut alone);
+            let got = idx.knn_batch_filtered(&queries, 10, &none, &mut alone);
             for (i, got) in got.iter().enumerate() {
                 let ctx = format!("{path}, query {i}");
                 if i == 2 {
@@ -1124,7 +1226,7 @@ mod tests {
             // k past one in BAIL_ONE_IN of the rows: never admitted.
             let big = N / BAIL_ONE_IN as usize + 1;
             let mut stats = BatchStats::new();
-            let got = idx.knn_batch_filtered(&queries[..2], big, &mut stats);
+            let got = idx.knn_batch_filtered(&queries[..2], big, &none, &mut stats);
             assert_eq!(got, [None, None], "{path}");
             assert_eq!(*stats.total(), SearchStats::new(), "{path}");
             // Under the row threshold or another measure there is no
@@ -1132,7 +1234,7 @@ mod tests {
             let small = l1_scan(&rows[..MIN_FILTER_ROWS - 1], path);
             let l2 = LinearScan::build(Dataset::from_vectors(&rows).unwrap(), Measure::L2).unwrap();
             for idx in [&small, &l2] {
-                let got = idx.knn_batch_filtered(&queries, 10, &mut BatchStats::new());
+                let got = idx.knn_batch_filtered(&queries, 10, &none, &mut BatchStats::new());
                 assert!(got.iter().all(Option::is_none), "{path}");
                 assert!(idx.cells.get().is_none(), "{path}");
             }
@@ -1149,7 +1251,7 @@ mod tests {
         let queries = cbir_workload::queries(&wide, 8, 0.05, 4);
         let idx = LinearScan::build(Dataset::from_vectors(&wide).unwrap(), Measure::L1).unwrap();
         let mut stats = BatchStats::new();
-        let got = idx.knn_batch_filtered(&queries, 10, &mut stats);
+        let got = idx.knn_batch_filtered(&queries, 10, &none, &mut stats);
         assert!(got.iter().all(Option::is_none));
         for s in stats.per_query() {
             assert!(s.distance_computations > 10 * GRACE_PER_NEIGHBOUR, "{s:?}");

@@ -4,6 +4,58 @@ use crate::scratch::QueryScratch;
 use crate::stats::{BatchStats, Neighbor, SearchStats};
 use std::ops::Range;
 
+/// A set of row ids of one index, as a bitmap: the rows a k-NN search
+/// must pass over ([`SearchIndex::knn_batch_skipping`]), for instance a
+/// store segment's deleted rows. A membership test is one bit, so a scan
+/// can ask it of every row it is about to offer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RowSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl RowSet {
+    /// Add `row`; returns whether it was new.
+    pub fn insert(&mut self, row: usize) -> bool {
+        let (word, bit) = (row / 64, 1u64 << (row % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let new = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(new);
+        new
+    }
+
+    /// Whether `row` is in the set.
+    #[inline]
+    pub fn contains(&self, row: usize) -> bool {
+        self.words
+            .get(row / 64)
+            .is_some_and(|w| w & (1u64 << (row % 64)) != 0)
+    }
+
+    /// Rows in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl FromIterator<usize> for RowSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(rows: I) -> Self {
+        let mut set = RowSet::default();
+        for row in rows {
+            set.insert(row);
+        }
+        set
+    }
+}
+
 /// A similarity-search index over a fixed dataset of feature vectors.
 ///
 /// The contract, verified by the cross-implementation test suite: for any
@@ -143,17 +195,44 @@ pub trait SearchIndex: Send + Sync {
             .collect()
     }
 
-    /// The [`knn_batch`](Self::knn_batch) hits of every query the index's
-    /// exact filter serves to the end, and `None` for each query it does
-    /// not — one it never admits, or one that leaves it part-way and is
-    /// then searched no further. Per-query counters record what each
-    /// query cost, served or not. Only [`LinearScan`](crate::LinearScan)
-    /// has such a filter (its L1 code table); every other index serves
-    /// nothing, at no cost.
+    /// [`knn_batch`](Self::knn_batch) over the rows `skip` leaves: each
+    /// query's `k` nearest rows not in `skip`, with the ids, distances and
+    /// order `knn_batch` gives them. This default asks `knn_batch` for
+    /// `k + skip.len()` neighbours — enough that dropping the skipped
+    /// ones can never cost a hit — and drops them;
+    /// [`LinearScan`](crate::LinearScan) passes over skipped rows inside
+    /// its scan instead, so its heap holds only rows it may return and is
+    /// asked for `k`.
+    fn knn_batch_skipping(
+        &self,
+        queries: &[Vec<f32>],
+        k: usize,
+        skip: &RowSet,
+        stats: &mut BatchStats,
+    ) -> Vec<Vec<Neighbor>> {
+        let want = k.saturating_add(skip.len()).min(self.len());
+        let mut hits = self.knn_batch(queries, want, stats);
+        if !skip.is_empty() {
+            for hits in &mut hits {
+                hits.retain(|n| !skip.contains(n.id));
+                hits.truncate(k);
+            }
+        }
+        hits
+    }
+
+    /// The [`knn_batch_skipping`](Self::knn_batch_skipping) hits of every
+    /// query the index's exact filter serves to the end, and `None` for
+    /// each query it does not — one it never admits, or one that leaves
+    /// it part-way and is then searched no further. Per-query counters
+    /// record what each query cost, served or not. Only
+    /// [`LinearScan`](crate::LinearScan) has such a filter (its L1 code
+    /// table); every other index serves nothing, at no cost.
     fn knn_batch_filtered(
         &self,
         queries: &[Vec<f32>],
         _k: usize,
+        _skip: &RowSet,
         stats: &mut BatchStats,
     ) -> Vec<Option<Vec<Neighbor>>> {
         queries

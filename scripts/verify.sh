@@ -174,9 +174,14 @@ if "$CBIR" fsck "$SMOKE_DIR/corrupt.cbir" >/dev/null 2>&1; then
     echo "fsck passed a corrupted file"; exit 1
 fi
 
-echo "==> live-store smoke (ingest -> serve -> rpc-insert -> compact -> kill -9 -> restart -> parity)"
+echo "==> live-store smoke (ingest -> serve -> rpc-insert -> compact -> delete -> compact -> kill -9 -> fsck -> restart -> parity)"
 SEG_DIR="$SMOKE_DIR/photos.seg"
-"$CBIR" ingest "$SMOKE_DIR/photos" --store "$SEG_DIR" >/dev/null
+# Twenty images: one segment large enough that a single delete stays
+# under its rewrite fraction (one row in sixteen), so the compaction
+# lists the row in the manifest instead of rewriting the segment.
+LIVE_PHOTOS="$SMOKE_DIR/photos-live"
+"$CBIR" generate "$LIVE_PHOTOS" --classes 4 --per-class 5 --size 32 >/dev/null
+"$CBIR" ingest "$LIVE_PHOTOS" --store "$SEG_DIR" >/dev/null
 "$CBIR" fsck "$SEG_DIR" >/dev/null
 "$CBIR" serve "$SEG_DIR" --port 0 --addr-file "$SMOKE_DIR/addr-live" \
     --index linear --measure l1 >/dev/null &
@@ -187,17 +192,24 @@ for _ in $(seq 1 100); do
 done
 [ -s "$SMOKE_DIR/addr-live" ] || { echo "live server never wrote its address"; exit 1; }
 LADDR=$(cat "$SMOKE_DIR/addr-live")
-# Insert a new image over RPC, make it durable with a compaction, then
-# kill the server without ceremony: the store must come back from the
-# committed manifest alone.
+# Insert a new image over RPC and make it durable with a compaction;
+# delete the first image (global id 0: ingest goes in name order) and
+# make that durable with another; then kill the server without ceremony:
+# the store must come back from the committed manifest alone, and fsck
+# must find the one deleted row in it.
 cp "$QUERY_IMG" "$SMOKE_DIR/extra.ppm"
 "$CBIR" rpc-insert "$LADDR" "$SMOKE_DIR/extra.ppm" --db "$SEG_DIR" >/dev/null
 "$CBIR" compact "$LADDR" >/dev/null
+VICTIM=$(ls "$LIVE_PHOTOS" | head -1)
+"$CBIR" rpc-ctl "$LADDR" delete --id 0 >/dev/null
+"$CBIR" compact "$LADDR" >/dev/null
 kill -9 "$LIVE_PID"
 wait "$LIVE_PID" 2>/dev/null || true
-"$CBIR" fsck "$SEG_DIR" >/dev/null
+"$CBIR" fsck "$SEG_DIR" | grep -q "deleted 1 of 21 rows" \
+    || { echo "fsck does not report the one deleted row"; exit 1; }
 # Restart over the same directory; the serving path must agree with a
-# fresh offline build over the same set of images.
+# fresh offline build over the same set of images: the twenty, less the
+# deleted one, plus the inserted one.
 "$CBIR" serve "$SEG_DIR" --port 0 --addr-file "$SMOKE_DIR/addr-live2" \
     --index linear --measure l1 >/dev/null &
 LIVE_PID=$!
@@ -209,8 +221,10 @@ done
 LADDR=$(cat "$SMOKE_DIR/addr-live2")
 LIVE_HITS=$("$CBIR" rpc-query "$LADDR" "$QUERY_IMG" --db "$SEG_DIR" -k 3 \
     | awk '/^(class-|extra)/ {print $1}')
-cp "$SMOKE_DIR/extra.ppm" "$SMOKE_DIR/photos/extra.ppm"
-"$CBIR" index "$SMOKE_DIR/photos" --db "$SMOKE_DIR/photos-all.cbir" >/dev/null
+cp -r "$LIVE_PHOTOS" "$SMOKE_DIR/photos-fresh"
+rm "$SMOKE_DIR/photos-fresh/$VICTIM"
+cp "$SMOKE_DIR/extra.ppm" "$SMOKE_DIR/photos-fresh/extra.ppm"
+"$CBIR" index "$SMOKE_DIR/photos-fresh" --db "$SMOKE_DIR/photos-all.cbir" >/dev/null
 FRESH_HITS=$("$CBIR" query "$SMOKE_DIR/photos-all.cbir" "$QUERY_IMG" -k 3 \
     | awk '/^(class-|extra)/ {print $1}')
 [ -n "$LIVE_HITS" ] || { echo "live rpc-query returned no hits"; exit 1; }

@@ -527,6 +527,10 @@ fn fsck_dir(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     for (name, seg) in &report.segments {
         println!("{name}: format {}", seg.format);
         print_fsck_sections(seg, "  ");
+        let listed = report.deleted.iter().find(|(n, ..)| n == name);
+        if let Some((_, deleted, rows)) = listed {
+            println!("  deleted {deleted} of {rows} rows");
+        }
     }
     for (name, err) in &report.missing {
         println!("{name}: MISSING: {err}");
