@@ -14,8 +14,8 @@
 //! One more line per dimension is not gated: the same corpus under
 //! **L1**, where the sequential scan is an exact filter-and-refine
 //! (`cbir_index::LinearScan`'s code table) and where the served
-//! approximate path (`QueryEngine::knn_batch_approx` over a linear scan)
-//! therefore answers from that filter — the exact scan's time per query,
+//! approximate path (`knn_batch_approx` over a linear scan) therefore
+//! answers from that filter — the exact scan's time per query,
 //! the served path's at target 0.9 with the recall it delivers, and the
 //! coarse-Haar path's at target 0.9 with its recall.
 //!

@@ -81,7 +81,7 @@ fn main() {
         for &query in &queries {
             let mut stats = SearchStats::new();
             let hits = engine
-                .query_by_id(query, corpus.len() - 1, &mut stats)
+                .query_by_id(query as u64, corpus.len() - 1, &mut stats)
                 .expect("query");
             let ranked: Vec<usize> = hits.iter().map(|h| h.id).collect();
             let relevant: HashSet<usize> = corpus.relevant_to(query).into_iter().collect();

@@ -5,7 +5,7 @@
 //! and must cost under 5% of query throughput. This experiment measures
 //! both halves in-process, with no network in the way:
 //!
-//! - bit-identity: `QueryEngine::knn_batch` results with counters
+//! - bit-identity: `knn_batch` results with counters
 //!   enabled, disabled, and with every query trace-sampled are asserted
 //!   equal (distances compared as bit patterns);
 //! - overhead: the two modes are interleaved at engine-call granularity

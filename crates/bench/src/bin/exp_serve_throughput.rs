@@ -14,9 +14,10 @@
 //! economics that motivate batched scans in database engines.
 //!
 //! Before any timing, server responses are asserted bit-identical to
-//! direct [`QueryEngine::knn_batch`] calls, and a saturation run against
-//! a deliberately tiny admission queue checks that overload is shed with
-//! explicit replies rather than unbounded queueing.
+//! direct [`cbir_core::CorpusSnapshot::knn_batch`] calls, and a
+//! saturation run against a deliberately tiny admission queue checks
+//! that overload is shed with explicit replies rather than unbounded
+//! queueing.
 //!
 //! Writes `results/BENCH_serve_throughput.json`.
 //!

@@ -1,20 +1,19 @@
 //! The query engine: an [`ImageDatabase`] plus one index structure
 //! answering ranked query-by-example, k-NN, and range queries.
 //!
-//! [`QueryEngine`] owns no search code: it is a façade over the one-source
+//! [`QueryEngine`] owns no search code: it dereferences to the one-source
 //! snapshot [`CorpusSnapshot::from_database`] builds, the read path a live
 //! [`crate::CorpusStore`] serves from too. What lives here is what both
 //! share: index kinds, the recall-target planner, the obs capture.
 
 use crate::database::ImageDatabase;
 use crate::error::{CoreError, Result};
-use crate::store::{batch_of_one, CorpusSnapshot, Exact};
+use crate::store::CorpusSnapshot;
 use cbir_distance::Measure;
-use cbir_image::RgbImage;
 use cbir_index::{
-    AntipoleTree, BatchStats, Dataset, KdTree, LinearScan, MTree, RStarTree, SearchIndex,
-    SearchStats, VpTree,
+    AntipoleTree, Dataset, KdTree, LinearScan, MTree, RStarTree, SearchIndex, SearchStats, VpTree,
 };
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -268,15 +267,12 @@ pub struct Ranked {
 /// A built query engine: an immutable [`ImageDatabase`] and the
 /// one-source [`CorpusSnapshot`] over it that answers every query. The
 /// snapshot shares the database's rows and metadata, so the engine holds
-/// one copy of each; the single-query methods are batches of one.
+/// one copy of each. The engine dereferences to its snapshot: every query
+/// method is a [`CorpusSnapshot`] method, and an engine image id is the
+/// snapshot's global id.
 pub struct QueryEngine {
     db: ImageDatabase,
     snapshot: Arc<CorpusSnapshot>,
-}
-
-/// Engine image ids as the snapshot's global ids.
-fn global_ids(ids: &[usize]) -> Vec<u64> {
-    ids.iter().map(|&id| id as u64).collect()
 }
 
 impl QueryEngine {
@@ -296,166 +292,13 @@ impl QueryEngine {
     pub fn snapshot(&self) -> &Arc<CorpusSnapshot> {
         &self.snapshot
     }
+}
 
-    /// The similarity measure in use.
-    pub fn measure(&self) -> &Measure {
-        self.snapshot.measure()
-    }
+impl Deref for QueryEngine {
+    type Target = CorpusSnapshot;
 
-    /// Which index kind backs the engine.
-    pub fn index_kind(&self) -> &IndexKind {
-        self.snapshot.index_kind()
-    }
-
-    /// Structure memory of the underlying index.
-    pub fn index_bytes(&self) -> usize {
-        self.snapshot.index_bytes()
-    }
-
-    /// The `k` most similar database images to an external example image.
-    pub fn query_by_example(
-        &self,
-        img: &RgbImage,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Ranked>> {
-        self.snapshot.by_example(img, Exact::Knn(k), stats)
-    }
-
-    /// The `k` most similar images to database image `id`, excluding `id`
-    /// itself (the usual retrieval convention).
-    pub fn query_by_id(&self, id: usize, k: usize, stats: &mut SearchStats) -> Result<Vec<Ranked>> {
-        batch_of_one(stats, |batch| self.knn_batch_by_ids(&[id], k, 1, batch))
-    }
-
-    /// All database images within `radius` of the example image.
-    pub fn range_by_example(
-        &self,
-        img: &RgbImage,
-        radius: f32,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Ranked>> {
-        self.snapshot.by_example(img, Exact::Range(radius), stats)
-    }
-
-    /// Batched k-NN over raw descriptor vectors: one ranked result list per
-    /// query, executed on the index's batched path with `threads` worker
-    /// threads (`1` runs on the calling thread). Results are bit-identical
-    /// to a [`QueryEngine::query_by_descriptor`] loop; per-query search
-    /// costs are aggregated into `stats`.
-    pub fn knn_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        self.snapshot.knn_batch(queries, k, threads, stats)
-    }
-
-    /// Batched range search over raw descriptor vectors; the batched
-    /// counterpart of [`QueryEngine::range_by_example`]. See
-    /// [`QueryEngine::knn_batch`] for the execution contract.
-    pub fn range_batch(
-        &self,
-        queries: &[Vec<f32>],
-        radius: f32,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        self.snapshot.range_batch(queries, radius, threads, stats)
-    }
-
-    /// Batched k-NN by database image id, excluding each query image from
-    /// its own result list (the usual retrieval convention). The batched
-    /// counterpart of a [`QueryEngine::query_by_id`] loop.
-    pub fn knn_batch_by_ids(
-        &self,
-        ids: &[usize],
-        k: usize,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        self.snapshot
-            .knn_batch_by_ids(&global_ids(ids), k, threads, stats)
-    }
-
-    /// k-NN over a raw descriptor vector (for callers managing their own
-    /// extraction).
-    pub fn query_by_descriptor(
-        &self,
-        descriptor: &[f32],
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Ranked>> {
-        batch_of_one(stats, |batch| {
-            self.knn_batch(&[descriptor.to_vec()], k, 1, batch)
-        })
-    }
-
-    /// Approximate k-NN over a raw descriptor: where an L1 linear scan's
-    /// exact filter serves the query it answers exactly; elsewhere a
-    /// coarse Haar signature scan proposes a candidate set sized by
-    /// [`plan_candidate_budget`], then exact distances rerank it (same
-    /// `(distance, id)` ordering as the exact path). `recall_target = 1.0`
-    /// routes to [`QueryEngine::query_by_descriptor`] — bit-identical to
-    /// the exact path, not merely equivalent.
-    pub fn query_by_descriptor_approx(
-        &self,
-        descriptor: &[f32],
-        k: usize,
-        recall_target: f32,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Ranked>> {
-        batch_of_one(stats, |batch| {
-            self.knn_batch_approx(&[descriptor.to_vec()], k, recall_target, 1, batch)
-        })
-    }
-
-    /// Approximate counterpart of [`QueryEngine::query_by_id`], excluding
-    /// the query image itself.
-    pub fn query_by_id_approx(
-        &self,
-        id: usize,
-        k: usize,
-        recall_target: f32,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Ranked>> {
-        batch_of_one(stats, |batch| {
-            self.knn_batch_by_ids_approx(&[id], k, recall_target, 1, batch)
-        })
-    }
-
-    /// Batched approximate k-NN; the approximate counterpart of
-    /// [`QueryEngine::knn_batch`] (see
-    /// [`CorpusSnapshot::knn_batch_approx`]). `recall_target = 1.0` routes
-    /// to the exact batched path, bit-identically.
-    pub fn knn_batch_approx(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        recall_target: f32,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        self.snapshot
-            .knn_batch_approx(queries, k, recall_target, threads, stats)
-    }
-
-    /// Batched approximate k-NN by database id, excluding each query row
-    /// from its own results; the approximate counterpart of
-    /// [`QueryEngine::knn_batch_by_ids`]. `recall_target = 1.0` routes to
-    /// the exact batched path, bit-identically.
-    pub fn knn_batch_by_ids_approx(
-        &self,
-        ids: &[usize],
-        k: usize,
-        recall_target: f32,
-        threads: usize,
-        stats: &mut BatchStats,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        self.snapshot
-            .knn_batch_by_ids_approx(&global_ids(ids), k, recall_target, threads, stats)
+    fn deref(&self) -> &CorpusSnapshot {
+        &self.snapshot
     }
 }
 
@@ -463,7 +306,8 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use cbir_features::{FeatureSpec, Pipeline, Quantizer};
-    use cbir_image::Rgb;
+    use cbir_image::{Rgb, RgbImage};
+    use cbir_index::BatchStats;
 
     fn pipeline() -> Pipeline {
         Pipeline::new(
@@ -624,13 +468,13 @@ mod tests {
     #[test]
     fn batch_by_ids_excludes_self() {
         let engine = QueryEngine::build(seeded_db(), IndexKind::VpTree, Measure::L1).unwrap();
-        let ids: Vec<usize> = (0..engine.database().len()).collect();
+        let ids: Vec<u64> = (0..engine.database().len() as u64).collect();
         let mut stats = BatchStats::new();
         let results = engine.knn_batch_by_ids(&ids, 3, 2, &mut stats).unwrap();
         assert_eq!(results.len(), ids.len());
         for (hits, &id) in results.iter().zip(&ids) {
             assert_eq!(hits.len(), 3);
-            assert!(hits.iter().all(|h| h.id != id));
+            assert!(hits.iter().all(|h| h.id as u64 != id));
             let mut single = SearchStats::new();
             let expect = engine.query_by_id(id, 3, &mut single).unwrap();
             assert_eq!(*hits, expect);

@@ -165,8 +165,8 @@ pub fn evaluate_engine(engine: &QueryEngine, k: usize, threads: usize) -> Result
             "database has no class labels; nothing to evaluate against".into(),
         ));
     }
-    let query_ids: Vec<usize> = (0..n)
-        .filter(|&id| labels[id].is_some_and(|l| class_sizes[&l] > 1))
+    let query_ids: Vec<u64> = (0..n as u64)
+        .filter(|&id| labels[id as usize].is_some_and(|l| class_sizes[&l] > 1))
         .collect();
     if query_ids.is_empty() {
         return Err(CoreError::InvalidParameter(
@@ -182,6 +182,7 @@ pub fn evaluate_engine(engine: &QueryEngine, k: usize, threads: usize) -> Result
     let mut rps = Vec::with_capacity(query_ids.len());
     let mut ndcgs = Vec::with_capacity(query_ids.len());
     for (hits, &query) in rankings.iter().zip(&query_ids) {
+        let query = query as usize;
         let label = labels[query].expect("query ids are labeled");
         let relevant: HashSet<usize> = labels
             .iter()

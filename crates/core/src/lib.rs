@@ -3,14 +3,17 @@
 //! The paper's system assembled from its substrates: an [`ImageDatabase`]
 //! extracts one composite feature signature per inserted image (via a
 //! `cbir-features` pipeline); a [`QueryEngine`] builds one of the
-//! `cbir-index` structures over the signatures and answers ranked
+//! `cbir-index` structures over the signatures, and the
+//! [`CorpusSnapshot`] it dereferences to answers ranked
 //! query-by-example, k-NN, and range queries; the [`eval`] module scores
 //! rankings against ground truth; and [`persist`] stores a signature
 //! database in a compact binary format.
 //!
 //! There is one read path, [`CorpusSnapshot`]: a live [`CorpusStore`]
 //! publishes one per mutation, and a [`QueryEngine`] is the static case,
-//! a snapshot with a single heap source sharing the database's rows.
+//! a snapshot with a single heap source sharing the database's rows: the
+//! engine adds only `build`, `database` and `snapshot`, and every query
+//! method is the snapshot's.
 //!
 //! ```
 //! use cbir_core::{ImageDatabase, QueryEngine, IndexKind};

@@ -421,13 +421,13 @@ type Filtered = Vec<Option<Vec<Neighbor>>>;
 
 /// The two exact searches a source can run over a query chunk.
 #[derive(Clone, Copy)]
-pub(crate) enum Exact {
+enum Exact {
     Knn(usize),
     Range(f32),
 }
 
 /// Run a batch of one and fold its counters into the caller's.
-pub(crate) fn batch_of_one(
+fn batch_of_one(
     stats: &mut SearchStats,
     run: impl FnOnce(&mut BatchStats) -> Result<Vec<Vec<Ranked>>>,
 ) -> Result<Vec<Ranked>> {
@@ -1051,9 +1051,12 @@ impl CorpusSnapshot {
         ids.iter().map(|&id| self.descriptor(id)).collect()
     }
 
-    /// Batched k-NN over raw descriptors; the snapshot counterpart of
-    /// [`crate::QueryEngine::knn_batch`], bit-identical to an engine
-    /// built over [`CorpusSnapshot::materialize`].
+    /// Batched k-NN over raw descriptors: one ranked result list per
+    /// query, executed with `threads` worker threads (`1` runs on the
+    /// calling thread), bit-identical to a
+    /// [`CorpusSnapshot::query_by_descriptor`] loop and to an engine built
+    /// over [`CorpusSnapshot::materialize`]. Per-query search costs are
+    /// aggregated into `stats`.
     pub fn knn_batch(
         &self,
         queries: &[Vec<f32>],
@@ -1093,8 +1096,7 @@ impl CorpusSnapshot {
         self.exact_batch(obs, &queries, op, threads, stats, Some((ids, k)))
     }
 
-    /// Batched approximate k-NN over raw descriptors; the snapshot
-    /// counterpart of [`crate::QueryEngine::knn_batch_approx`]. Each
+    /// Batched approximate k-NN over raw descriptors. Each
     /// source (segment or memtable chunk) answers a query from its exact
     /// L1 filter where that serves it — one pass over the batch, as on
     /// the exact path — and by coarse-then-rerank where not, and the
@@ -1140,7 +1142,7 @@ impl CorpusSnapshot {
 
     /// One external example image through the exact path: a batch of one
     /// whose trace opens with the `extract` stage.
-    pub(crate) fn by_example(
+    fn by_example(
         &self,
         img: &RgbImage,
         op: Exact,
@@ -1162,6 +1164,64 @@ impl CorpusSnapshot {
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
         self.by_example(img, Exact::Knn(k), stats)
+    }
+
+    /// Every row within `radius` of one external example image.
+    pub fn range_by_example(
+        &self,
+        img: &RgbImage,
+        radius: f32,
+        stats: &mut SearchStats,
+    ) -> Result<Vec<Ranked>> {
+        self.by_example(img, Exact::Range(radius), stats)
+    }
+
+    /// The `k` nearest rows to global id `id`, excluding `id` itself; a
+    /// [`CorpusSnapshot::knn_batch_by_ids`] batch of one.
+    pub fn query_by_id(&self, id: u64, k: usize, stats: &mut SearchStats) -> Result<Vec<Ranked>> {
+        batch_of_one(stats, |batch| self.knn_batch_by_ids(&[id], k, 1, batch))
+    }
+
+    /// The `k` nearest rows to one raw descriptor (for callers managing
+    /// their own extraction); a [`CorpusSnapshot::knn_batch`] batch of one.
+    pub fn query_by_descriptor(
+        &self,
+        descriptor: &[f32],
+        k: usize,
+        stats: &mut SearchStats,
+    ) -> Result<Vec<Ranked>> {
+        batch_of_one(stats, |batch| {
+            self.knn_batch(&[descriptor.to_vec()], k, 1, batch)
+        })
+    }
+
+    /// Approximate counterpart of [`CorpusSnapshot::query_by_descriptor`];
+    /// a [`CorpusSnapshot::knn_batch_approx`] batch of one, so
+    /// `recall_target = 1.0` is bit-identical to the exact path.
+    pub fn query_by_descriptor_approx(
+        &self,
+        descriptor: &[f32],
+        k: usize,
+        recall_target: f32,
+        stats: &mut SearchStats,
+    ) -> Result<Vec<Ranked>> {
+        batch_of_one(stats, |batch| {
+            self.knn_batch_approx(&[descriptor.to_vec()], k, recall_target, 1, batch)
+        })
+    }
+
+    /// Approximate counterpart of [`CorpusSnapshot::query_by_id`],
+    /// excluding the query row itself.
+    pub fn query_by_id_approx(
+        &self,
+        id: u64,
+        k: usize,
+        recall_target: f32,
+        stats: &mut SearchStats,
+    ) -> Result<Vec<Ranked>> {
+        batch_of_one(stats, |batch| {
+            self.knn_batch_by_ids_approx(&[id], k, recall_target, 1, batch)
+        })
     }
 
     /// Every live row of the sources whose first global id lies in `ids`
@@ -1610,23 +1670,6 @@ impl CorpusStore {
         self.publish(&state)?;
         cbir_obs::store_inserted(ids.len() as u64);
         Ok((ids, state.mem_rows()))
-    }
-
-    /// Extract and insert one image.
-    pub fn insert_image(
-        &self,
-        name: impl Into<String>,
-        label: Option<u32>,
-        img: &RgbImage,
-    ) -> Result<u64> {
-        let desc = self.snapshot().extract(img)?;
-        self.insert(
-            ImageMeta {
-                name: name.into(),
-                label,
-            },
-            desc,
-        )
     }
 
     /// Tombstone global id `id`. The row disappears from queries at the
@@ -2148,12 +2191,12 @@ mod tests {
             .sum();
         for batch in [1, 5, 64] {
             let queries = &queries[..batch];
-            let ids_engine = &by_id[..batch];
-            let ids_snap: Vec<u64> = ids_engine.iter().map(|&i| live[i]).collect();
+            let ids_engine: Vec<u64> = by_id[..batch].iter().map(|&i| i as u64).collect();
+            let ids_snap: Vec<u64> = by_id[..batch].iter().map(|&i| live[i]).collect();
             let mut e = BatchStats::new();
             let want_knn = engine.knn_batch(queries, k, 1, &mut e).unwrap();
             let want_range = engine.range_batch(queries, 1.6, 1, &mut e).unwrap();
-            let want_ids = engine.knn_batch_by_ids(ids_engine, k, 1, &mut e).unwrap();
+            let want_ids = engine.knn_batch_by_ids(&ids_engine, k, 1, &mut e).unwrap();
             assert!(want_range.iter().any(|r| !r.is_empty()));
             assert!(want_knn.iter().all(|r| r.len() == k));
             let mut at_one_thread = None;
@@ -2406,7 +2449,7 @@ mod tests {
             .knn_batch_approx(&queries, 10, 0.9, 2, &mut stats)
             .unwrap();
         let approx_ids = engine
-            .knn_batch_by_ids_approx(&[0, 9, rows - 1], 10, 0.9, 2, &mut stats)
+            .knn_batch_by_ids_approx(&[0, 9, rows as u64 - 1], 10, 0.9, 2, &mut stats)
             .unwrap();
         assert_eq!(stats.total().coarse_candidates, 0);
         assert_eq!(stats.total().rerank_evaluations, 0);
@@ -2424,7 +2467,7 @@ mod tests {
             engine.knn_batch(&queries, 10, 2, &mut exact).unwrap(),
             approx
         );
-        let by_ids = engine.knn_batch_by_ids(&[0, 9, rows - 1], 10, 1, &mut exact);
+        let by_ids = engine.knn_batch_by_ids(&[0, 9, rows as u64 - 1], 10, 1, &mut exact);
         assert_eq!(by_ids.unwrap(), approx_ids);
         assert_eq!(exact, stats);
         assert_eq!(engine.index_bytes(), idle + rows * dim);

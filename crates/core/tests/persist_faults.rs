@@ -549,9 +549,7 @@ fn a_store_written_before_deleted_rows_opens_and_serves_identically() {
         .snapshot()
         .knn_batch_by_ids(&ids, 4, 1, &mut s1)
         .unwrap();
-    let want = engine
-        .knn_batch_by_ids(&ids.map(|id| id as usize), 4, 1, &mut s2)
-        .unwrap();
+    let want = engine.knn_batch_by_ids(&ids, 4, 1, &mut s2).unwrap();
     assert_eq!(got, want);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -44,7 +44,7 @@ fn sampled_calls_trace_each_stage_once_at_every_thread_count() {
             .knn_batch(&rows[..17], 3, threads, &mut stats)
             .unwrap();
         assert_eq!(stages(), ["search", "rank"], "{threads} threads");
-        let ids: Vec<usize> = (0..17).collect();
+        let ids: Vec<u64> = (0..17).collect();
         engine
             .knn_batch_by_ids_approx(&ids, 3, 0.5, threads, &mut stats)
             .unwrap();

@@ -164,11 +164,17 @@ impl BatchStats {
 /// needs the same tail summary; keeping one definition keeps p50/p95
 /// comparable across reports.
 pub fn percentile(samples: &[u64], p: u64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
+    percentile_of_sorted(&sorted, p)
+}
+
+/// [`percentile`] of samples already sorted ascending: no copy, no sort,
+/// so one sort serves every rank read from it.
+pub fn percentile_of_sorted(sorted: &[u64], p: u64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
     let rank = (p as usize * sorted.len()).div_ceil(100);
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }

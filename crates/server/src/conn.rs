@@ -24,7 +24,7 @@ use crate::metrics::Metrics;
 use crate::protocol::{
     decode_request, encode_response, write_frame, FrameDecoder, Request, Response,
 };
-use crate::scheduler::{Pending, QueryWork, Scheduler};
+use crate::scheduler::{Pending, Scheduler};
 use cbir_core::ImageMeta;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -453,46 +453,18 @@ impl Service for NodeService {
             let _ = self.mutations.send((request, Arc::clone(&cell)));
             return Some(cell);
         }
-        let (work, deadline_us) = match request {
-            Request::Knn {
-                k,
-                deadline_us,
-                recall_target,
-                descriptor,
-            } => (
-                QueryWork::Knn {
-                    descriptor,
-                    k: k as usize,
-                    recall_target,
-                },
-                deadline_us,
-            ),
-            Request::Range {
-                radius,
-                deadline_us,
-                descriptor,
-            } => (QueryWork::Range { descriptor, radius }, deadline_us),
-            Request::KnnById {
-                k,
-                deadline_us,
-                recall_target,
-                id,
-            } => (
-                QueryWork::KnnById {
-                    id: id as usize,
-                    k: k as usize,
-                    recall_target,
-                },
-                deadline_us,
-            ),
-            control => {
-                conn.push_ready(control_response(&self.scheduler, control));
+        let deadline_us = match &request {
+            Request::Knn { deadline_us, .. }
+            | Request::Range { deadline_us, .. }
+            | Request::KnnById { deadline_us, .. } => *deadline_us,
+            _ => {
+                conn.push_ready(control_response(&self.scheduler, request));
                 return None;
             }
         };
         let now = Instant::now();
         self.scheduler.submit(Pending {
-            work,
+            request,
             deadline: (deadline_us > 0).then(|| now + Duration::from_micros(deadline_us)),
             enqueued: now,
             reply: conn.push_cell(Some(Arc::clone(completions))),

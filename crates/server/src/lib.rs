@@ -1,14 +1,16 @@
 //! # `cbir-server` — the network query-serving layer
 //!
-//! A long-running TCP server that keeps a built [`cbir_core::QueryEngine`]
-//! hot and answers similarity queries over the `CBIRRPC1` length-prefixed
-//! binary protocol, plus the matching blocking [`Client`].
+//! A long-running TCP server that keeps a built corpus hot — a
+//! [`cbir_core::QueryEngine`] or a live [`cbir_core::CorpusStore`], read
+//! through the [`cbir_core::CorpusSnapshot`] it pins per batch — and
+//! answers similarity queries over the `CBIRRPC1` length-prefixed binary
+//! protocol, plus the matching blocking [`Client`].
 //!
-//! The serving model is **dynamic micro-batching**: concurrent requests
-//! land in a bounded admission queue; a dispatcher claims up to
-//! `max_batch` of them (waiting at most `max_delay` for stragglers) and
-//! executes the whole batch through the engine's amortized
-//! `knn_batch`/`range_batch` path. Under load, per-request dispatch
+//! The serving model is **dynamic micro-batching**: decoded query
+//! [`Request`]s land, as they are, in a bounded admission queue; a
+//! dispatcher claims up to `max_batch` of them (waiting at most
+//! `max_delay` for stragglers) and executes the whole batch through the
+//! snapshot's amortized `knn_batch`/`range_batch` path. Under load, per-request dispatch
 //! overhead — wakeups, scratch setup, allocator traffic — is paid once
 //! per batch instead of once per query; responses stay **bit-identical**
 //! to direct engine calls because the batched path itself is
@@ -71,5 +73,5 @@ pub use metrics::Metrics;
 pub use pool::ClientPool;
 pub use protocol::{FrameDecoder, Hit, Request, Response, StatsSnapshot, WireError};
 pub use retry::{RetryPolicy, RetryStats, RetryingClient};
-pub use scheduler::{Pending, QueryWork, Scheduler, SchedulerConfig};
+pub use scheduler::{Pending, Scheduler, SchedulerConfig};
 pub use server::{EventControl, Server, ServerHandle};

@@ -8,7 +8,7 @@
 //! work it measures.
 
 use crate::protocol::StatsSnapshot;
-use cbir_index::{percentile, BatchStats};
+use cbir_index::{percentile_of_sorted, BatchStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -151,8 +151,17 @@ impl Metrics {
 
     /// Snapshot every counter; `queue_depth` is supplied by the caller
     /// (the queue lives in the scheduler, not here).
+    ///
+    /// The dispatcher takes the sample lock once per batch, so only the
+    /// copy of the latency ring happens under it; the one sort both
+    /// ranks read runs after it is released.
     pub fn snapshot(&self, queue_depth: usize) -> StatsSnapshot {
-        let s = self.sampled.lock().expect("metrics lock");
+        let (mut latency_us, batch_hist, distance_computations) = {
+            let s = self.sampled.lock().expect("metrics lock");
+            let distance_computations = s.search.total().distance_computations;
+            (s.latency_us.clone(), s.batch_hist, distance_computations)
+        };
+        latency_us.sort_unstable();
         StatsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
@@ -163,16 +172,16 @@ impl Metrics {
             errors: self.errors.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             queue_depth: queue_depth as u64,
-            latency_p50_us: percentile(&s.latency_us, 50),
-            latency_p95_us: percentile(&s.latency_us, 95),
-            distance_computations: s.search.total().distance_computations,
+            latency_p50_us: percentile_of_sorted(&latency_us, 50),
+            latency_p95_us: percentile_of_sorted(&latency_us, 95),
+            distance_computations,
             io_timeouts: self.io_timeouts.load(Ordering::Relaxed),
             panics_isolated: self.panics_isolated.load(Ordering::Relaxed),
             epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
             max_pipeline_depth: self.max_pipeline_depth.load(Ordering::Relaxed),
             batch_hist: BATCH_HIST_BOUNDS
                 .iter()
-                .zip(s.batch_hist.iter())
+                .zip(batch_hist.iter())
                 .map(|(&b, &c)| (b, c))
                 .collect(),
         }

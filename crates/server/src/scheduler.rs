@@ -14,9 +14,9 @@
 //!    never extended past `max_delay`).
 //! 3. **Execute** — pin one corpus view for the whole batch, group the
 //!    collected requests by compatible engine call (same op and
-//!    parameter), run each group through the pinned view's
-//!    `{knn_batch, range_batch, knn_batch_by_ids}` with one shared
-//!    scratch per worker, and answer every member. Pinning per batch
+//!    parameters), run each group through the pinned view's
+//!    `{knn_batch_approx, range_batch, knn_batch_by_ids_approx}` with one
+//!    shared scratch per worker, and answer every member. Pinning per batch
 //!    means a batch can never straddle a store epoch boundary: every
 //!    reply in it is computed against one consistent snapshot, even
 //!    while inserts, deletes, or a compaction land concurrently.
@@ -36,7 +36,7 @@
 
 use crate::conn::ReplyCell;
 use crate::metrics::Metrics;
-use crate::protocol::{Hit, Response};
+use crate::protocol::{Hit, Request, Response};
 use cbir_core::{Ranked, ServedCorpus};
 use cbir_index::BatchStats;
 use std::collections::BTreeMap;
@@ -94,44 +94,13 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// One admissible query (control ops never enter the queue).
-#[derive(Clone, Debug)]
-pub enum QueryWork {
-    /// k-NN over a raw descriptor.
-    Knn {
-        /// Query descriptor (must match the engine's dimensionality).
-        descriptor: Vec<f32>,
-        /// Neighbour count.
-        k: usize,
-        /// Recall target in `(0, 1]`; `1.0` executes the exact path,
-        /// below `1.0` the approximate path (exact where the L1 filter
-        /// serves the query, two-stage coarse-to-fine where it does not).
-        recall_target: f32,
-    },
-    /// Range search over a raw descriptor.
-    Range {
-        /// Query descriptor (must match the engine's dimensionality).
-        descriptor: Vec<f32>,
-        /// Inclusive distance threshold.
-        radius: f32,
-    },
-    /// k-NN by database image id (self-excluding).
-    KnnById {
-        /// Database image id.
-        id: usize,
-        /// Neighbour count.
-        k: usize,
-        /// Recall target in `(0, 1]`; `1.0` executes the exact path.
-        recall_target: f32,
-    },
-}
-
-/// A queued request: the work, its deadline, and the reply cell its
-/// connection holds in its in-order queue. Every `Pending` receives
+/// A queued request: the decoded query (`Knn`, `Range` or `KnnById`;
+/// control ops never enter the queue), its deadline, and the reply cell
+/// its connection holds in its in-order queue. Every `Pending` receives
 /// exactly one [`Response`].
 pub struct Pending {
     /// What to execute.
-    pub work: QueryWork,
+    pub request: Request,
     /// Absolute expiry; a request still queued past it is answered with
     /// [`Response::DeadlineExpired`] instead of being executed.
     pub deadline: Option<Instant>,
@@ -141,6 +110,27 @@ pub struct Pending {
     /// the connection's loop, and never blocks or fails — a cell whose
     /// connection died first is simply never read.
     pub reply: Arc<ReplyCell>,
+}
+
+/// The engine call a query joins: queries with equal keys run as one
+/// batch. The recall target travels as its bits, so requests at
+/// different targets never share a call (their candidate budgets
+/// differ) while compatible approximate requests still batch together.
+/// The derived order (variant, then fields) fixes group execution order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum GroupKey {
+    Knn { k: u32, recall_bits: u32 },
+    Range { radius_bits: u32 },
+    KnnById { k: u32, recall_bits: u32 },
+}
+
+/// The members of one engine call and the queries they ask, in member
+/// order: descriptors for a `Knn` or `Range` group, ids for `KnnById`.
+#[derive(Default)]
+struct Group {
+    members: Vec<Pending>,
+    descriptors: Vec<Vec<f32>>,
+    ids: Vec<u64>,
 }
 
 struct QueueState {
@@ -215,14 +205,13 @@ impl Scheduler {
     pub fn submit(&self, mut pending: Pending) {
         self.metrics.on_request();
         if let Some(rt) = self.config.recall_target_override {
-            match &mut pending.work {
-                QueryWork::Knn { recall_target, .. } | QueryWork::KnnById { recall_target, .. } => {
-                    *recall_target = rt
-                }
-                QueryWork::Range { .. } => {}
+            if let Request::Knn { recall_target, .. } | Request::KnnById { recall_target, .. } =
+                &mut pending.request
+            {
+                *recall_target = rt;
             }
         }
-        if let Some(msg) = self.validate(&pending.work) {
+        if let Some(msg) = self.validate(&pending.request) {
             self.metrics.on_error();
             pending.reply.fill(Response::Error(msg));
             return;
@@ -251,7 +240,7 @@ impl Scheduler {
         self.not_empty.notify_one();
     }
 
-    fn validate(&self, work: &QueryWork) -> Option<String> {
+    fn validate(&self, request: &Request) -> Option<String> {
         let view = self.corpus.pin();
         let dim = view.dim();
         let check_desc = |d: &[f32]| -> Option<String> {
@@ -266,45 +255,39 @@ impl Scheduler {
             }
             None
         };
-        match work {
-            QueryWork::Knn {
+        let check_knn = |k: u32, recall_target: f32| -> Option<String> {
+            if k == 0 {
+                return Some("k must be >= 1".into());
+            }
+            cbir_core::validate_recall_target(recall_target)
+                .err()
+                .map(|e| e.to_string())
+        };
+        match request {
+            Request::Knn {
                 descriptor,
                 k,
                 recall_target,
+                ..
+            } => check_knn(*k, *recall_target).or_else(|| check_desc(descriptor)),
+            Request::Range {
+                descriptor, radius, ..
             } => {
-                if *k == 0 {
-                    return Some("k must be >= 1".into());
-                }
-                if let Err(e) = cbir_core::validate_recall_target(*recall_target) {
-                    return Some(e.to_string());
-                }
-                check_desc(descriptor)
-            }
-            QueryWork::Range { descriptor, radius } => {
                 if !radius.is_finite() || *radius < 0.0 {
                     return Some(format!("radius must be finite and >= 0, got {radius}"));
                 }
                 check_desc(descriptor)
             }
-            QueryWork::KnnById {
+            Request::KnnById {
                 id,
                 k,
                 recall_target,
-            } => {
-                if *k == 0 {
-                    return Some("k must be >= 1".into());
-                }
-                if let Err(e) = cbir_core::validate_recall_target(*recall_target) {
-                    return Some(e.to_string());
-                }
-                if !view.contains(*id as u64) {
-                    return Some(format!(
-                        "image id {id} not in database (len {})",
-                        view.len()
-                    ));
-                }
-                None
-            }
+                ..
+            } => check_knn(*k, *recall_target).or_else(|| {
+                (!view.contains(*id))
+                    .then(|| format!("image id {id} not in database (len {})", view.len()))
+            }),
+            _ => Some("only queries are scheduled".into()),
         }
     }
 
@@ -315,11 +298,6 @@ impl Scheduler {
         q.shutting_down = true;
         drop(q);
         self.not_empty.notify_all();
-    }
-
-    /// Whether shutdown has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.queue.lock().expect("queue lock").shutting_down
     }
 
     /// Dispatcher loop: collect → execute until shutdown has begun *and*
@@ -412,52 +390,75 @@ impl Scheduler {
         // requests whose row vanished between admission and dispatch
         // (deleted, or renumbered by compaction) get an individual
         // error instead of poisoning their group; the rest are grouped
-        // by (op, parameter) so each group is one engine call.
+        // by engine call, each query moved into its group's batch.
         // BTreeMap keeps group execution order deterministic.
         let mut expired = 0usize;
         let mut replies: Vec<(Arc<ReplyCell>, Response)> = Vec::with_capacity(size);
-        let mut groups: BTreeMap<(u8, u64, u64), Vec<usize>> = BTreeMap::new();
-        let mut slots: Vec<Option<Pending>> = Vec::with_capacity(size);
-        for (i, p) in batch.into_iter().enumerate() {
+        let mut groups: BTreeMap<GroupKey, Group> = BTreeMap::new();
+        for mut p in batch {
             if p.deadline.is_some_and(|d| dispatch_time > d) {
                 expired += 1;
                 let expiry = Response::DeadlineExpired("deadline expired while queued".into());
                 replies.push((p.reply, expiry));
-                slots.push(None);
                 continue;
             }
-            if let QueryWork::KnnById { id, .. } = &p.work {
-                if !view.contains(*id as u64) {
-                    self.metrics.on_error();
-                    let gone = format!(
-                        "image id {id} no longer in database (epoch {})",
-                        view.epoch()
-                    );
-                    replies.push((p.reply, Response::Error(gone)));
-                    slots.push(None);
-                    continue;
+            let group = match &mut p.request {
+                Request::Knn {
+                    k,
+                    recall_target,
+                    descriptor,
+                    ..
+                } => {
+                    let key = GroupKey::Knn {
+                        k: *k,
+                        recall_bits: recall_target.to_bits(),
+                    };
+                    let group = groups.entry(key).or_default();
+                    group.descriptors.push(std::mem::take(descriptor));
+                    group
                 }
-            }
-            // The third key slot carries the recall target's bits, so
-            // requests at different targets never share an engine call
-            // (their candidate budgets differ) while compatible approx
-            // requests still batch together.
-            let key = match &p.work {
-                QueryWork::Knn {
-                    k, recall_target, ..
-                } => (0u8, *k as u64, recall_target.to_bits() as u64),
-                QueryWork::Range { radius, .. } => (1, radius.to_bits() as u64, 0),
-                QueryWork::KnnById {
-                    k, recall_target, ..
-                } => (2, *k as u64, recall_target.to_bits() as u64),
+                Request::Range {
+                    radius, descriptor, ..
+                } => {
+                    let key = GroupKey::Range {
+                        radius_bits: radius.to_bits(),
+                    };
+                    let group = groups.entry(key).or_default();
+                    group.descriptors.push(std::mem::take(descriptor));
+                    group
+                }
+                Request::KnnById {
+                    k,
+                    recall_target,
+                    id,
+                    ..
+                } => {
+                    if !view.contains(*id) {
+                        self.metrics.on_error();
+                        let gone = format!(
+                            "image id {id} no longer in database (epoch {})",
+                            view.epoch()
+                        );
+                        replies.push((p.reply, Response::Error(gone)));
+                        continue;
+                    }
+                    let key = GroupKey::KnnById {
+                        k: *k,
+                        recall_bits: recall_target.to_bits(),
+                    };
+                    let group = groups.entry(key).or_default();
+                    group.ids.push(*id);
+                    group
+                }
+                control => unreachable!("admission refuses control ops, got {control:?}"),
             };
-            groups.entry(key).or_default().push(i);
-            slots.push(Some(p));
+            group.members.push(p);
         }
 
         let mut latencies = Vec::with_capacity(size - expired);
         let mut search = BatchStats::new();
-        for ((tag, param, extra), members) in groups {
+        let threads = self.config.exec_threads;
+        for (key, group) in groups {
             let mut stats = BatchStats::new();
             // The engine is stateless across calls (scratch is
             // per-invocation), so unwinding out of one group cannot
@@ -468,59 +469,33 @@ impl Scheduler {
                     if self.panic_trap.swap(false, Ordering::SeqCst) {
                         panic!("induced test panic");
                     }
-                    match tag {
-                        0 => {
-                            let queries: Vec<Vec<f32>> = members
-                                .iter()
-                                .map(|&i| match &slots[i].as_ref().expect("live slot").work {
-                                    QueryWork::Knn { descriptor, .. } => descriptor.clone(),
-                                    _ => unreachable!("knn group"),
-                                })
-                                .collect();
-                            // recall_target = 1.0 degenerates to the
-                            // exact batched path inside, bit-identically.
-                            view.knn_batch_approx(
-                                &queries,
-                                param as usize,
-                                f32::from_bits(extra as u32),
-                                self.config.exec_threads,
-                                &mut stats,
-                            )
-                        }
-                        1 => {
-                            let queries: Vec<Vec<f32>> = members
-                                .iter()
-                                .map(|&i| match &slots[i].as_ref().expect("live slot").work {
-                                    QueryWork::Range { descriptor, .. } => descriptor.clone(),
-                                    _ => unreachable!("range group"),
-                                })
-                                .collect();
-                            view.range_batch(
-                                &queries,
-                                f32::from_bits(param as u32),
-                                self.config.exec_threads,
-                                &mut stats,
-                            )
-                        }
-                        _ => {
-                            let ids: Vec<u64> = members
-                                .iter()
-                                .map(|&i| match &slots[i].as_ref().expect("live slot").work {
-                                    QueryWork::KnnById { id, .. } => *id as u64,
-                                    _ => unreachable!("knn-by-id group"),
-                                })
-                                .collect();
-                            view.knn_batch_by_ids_approx(
-                                &ids,
-                                param as usize,
-                                f32::from_bits(extra as u32),
-                                self.config.exec_threads,
-                                &mut stats,
-                            )
-                        }
+                    // recall_target = 1.0 degenerates to the exact
+                    // batched path inside, bit-identically.
+                    match key {
+                        GroupKey::Knn { k, recall_bits } => view.knn_batch_approx(
+                            &group.descriptors,
+                            k as usize,
+                            f32::from_bits(recall_bits),
+                            threads,
+                            &mut stats,
+                        ),
+                        GroupKey::Range { radius_bits } => view.range_batch(
+                            &group.descriptors,
+                            f32::from_bits(radius_bits),
+                            threads,
+                            &mut stats,
+                        ),
+                        GroupKey::KnnById { k, recall_bits } => view.knn_batch_by_ids_approx(
+                            &group.ids,
+                            k as usize,
+                            f32::from_bits(recall_bits),
+                            threads,
+                            &mut stats,
+                        ),
                     }
                 }));
             search.merge(&stats);
+            let members = group.members;
             let outcome = match caught {
                 Ok(o) => o,
                 Err(payload) => {
@@ -529,8 +504,7 @@ impl Scheduler {
                     // alive for everyone else.
                     self.metrics.on_panic_isolated();
                     let msg = panic_message(payload.as_ref());
-                    for &i in &members {
-                        let p = slots[i].take().expect("live slot");
+                    for p in members {
                         self.metrics.on_error();
                         let panicked = format!("internal: execution panicked (isolated): {msg}");
                         replies.push((p.reply, Response::Error(panicked)));
@@ -548,8 +522,7 @@ impl Scheduler {
                     // two-stage search. Both are zero for exact (and
                     // range) groups.
                     let per_query = stats.per_query();
-                    for (j, (ranked, &i)) in result_lists.into_iter().zip(&members).enumerate() {
-                        let p = slots[i].take().expect("live slot");
+                    for (j, (ranked, p)) in result_lists.into_iter().zip(members).enumerate() {
                         latencies.push(p.enqueued.elapsed().as_micros() as u64);
                         let own = per_query.get(j).cloned().unwrap_or_default();
                         let hits = Response::Hits {
@@ -565,8 +538,7 @@ impl Scheduler {
                     // practice; if the engine does fail, isolate the
                     // failure to this group's members.
                     let msg = e.to_string();
-                    for &i in &members {
-                        let p = slots[i].take().expect("live slot");
+                    for p in members {
                         self.metrics.on_error();
                         replies.push((p.reply, Response::Error(msg.clone())));
                     }
@@ -610,11 +582,12 @@ pub fn ranked_to_hits(ranked: Vec<Ranked>) -> Vec<Hit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbir_core::{ImageDatabase, IndexKind, QueryEngine};
+    use crate::protocol::encode_response;
+    use cbir_core::{CorpusStore, ImageDatabase, IndexKind, QueryEngine, StoreOptions};
     use cbir_distance::Measure;
     use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 
-    fn tiny_engine() -> Arc<QueryEngine> {
+    fn tiny_db() -> ImageDatabase {
         let pipeline = Pipeline::new(
             16,
             vec![FeatureSpec::ColorHistogram(Quantizer::Gray { bins: 8 })],
@@ -634,17 +607,21 @@ mod tests {
             )
             .unwrap();
         }
-        Arc::new(QueryEngine::build(db, IndexKind::VpTree, Measure::L1).unwrap())
+        db
+    }
+
+    fn tiny_engine() -> Arc<QueryEngine> {
+        Arc::new(QueryEngine::build(tiny_db(), IndexKind::VpTree, Measure::L1).unwrap())
     }
 
     /// A request whose reply lands in a waker-less cell (no loop to
     /// wake: the test reads the cell itself).
-    fn pending(work: QueryWork) -> (Pending, Arc<ReplyCell>) {
+    fn pending(request: Request) -> (Pending, Arc<ReplyCell>) {
         let now = Instant::now();
         let cell = crate::conn::Connection::new(0, now).push_cell(None);
         (
             Pending {
-                work,
+                request,
                 deadline: None,
                 enqueued: now,
                 reply: Arc::clone(&cell),
@@ -673,7 +650,8 @@ mod tests {
             ..SchedulerConfig::default()
         });
         let q = || {
-            pending(QueryWork::Knn {
+            pending(Request::Knn {
+                deadline_us: 0,
                 descriptor: vec![0.125; 8],
                 k: 3,
                 recall_target: 1.0,
@@ -696,21 +674,24 @@ mod tests {
     #[test]
     fn invalid_work_is_answered_with_error_not_queued() {
         let s = sched(SchedulerConfig::default());
-        let (p, rx) = pending(QueryWork::Knn {
+        let (p, rx) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: vec![0.5; 3], // wrong dim
             k: 1,
             recall_target: 1.0,
         });
         s.submit(p);
         assert!(matches!(reply(&rx), Response::Error(_)));
-        let (p, rx) = pending(QueryWork::KnnById {
+        let (p, rx) = pending(Request::KnnById {
+            deadline_us: 0,
             id: 999,
             k: 1,
             recall_target: 1.0,
         });
         s.submit(p);
         assert!(matches!(reply(&rx), Response::Error(_)));
-        let (p, rx) = pending(QueryWork::Range {
+        let (p, rx) = pending(Request::Range {
+            deadline_us: 0,
             descriptor: vec![0.5; 8],
             radius: -1.0,
         });
@@ -723,13 +704,15 @@ mod tests {
     #[test]
     fn expired_requests_get_explicit_deadline_reply() {
         let s = sched(SchedulerConfig::default());
-        let (mut p, rx) = pending(QueryWork::Knn {
+        let (mut p, rx) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: vec![0.125; 8],
             k: 2,
             recall_target: 1.0,
         });
         p.deadline = Some(Instant::now() - Duration::from_millis(1));
-        let (live, live_rx) = pending(QueryWork::Knn {
+        let (live, live_rx) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: vec![0.125; 8],
             k: 2,
             recall_target: 1.0,
@@ -749,12 +732,14 @@ mod tests {
         s.trip_panic_trap();
         // Two groups in one batch: k=2 executes first (BTreeMap order)
         // and trips the trap; the k=3 group must still be answered.
-        let (p1, rx1) = pending(QueryWork::Knn {
+        let (p1, rx1) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: vec![0.125; 8],
             k: 2,
             recall_target: 1.0,
         });
-        let (p2, rx2) = pending(QueryWork::Knn {
+        let (p2, rx2) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: vec![0.125; 8],
             k: 3,
             recall_target: 1.0,
@@ -770,7 +755,8 @@ mod tests {
         assert_eq!(snap.errors, 1);
 
         // The dispatcher survives: the next batch executes normally.
-        let (p3, rx3) = pending(QueryWork::Knn {
+        let (p3, rx3) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: vec![0.125; 8],
             k: 2,
             recall_target: 1.0,
@@ -786,12 +772,14 @@ mod tests {
 
         // Same k, different recall targets: must land in different
         // groups, so each reply reports its own group's counters.
-        let (exact, exact_rx) = pending(QueryWork::Knn {
+        let (exact, exact_rx) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: q.clone(),
             k: 3,
             recall_target: 1.0,
         });
-        let (approx, approx_rx) = pending(QueryWork::Knn {
+        let (approx, approx_rx) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: q.clone(),
             k: 3,
             recall_target: 0.9,
@@ -828,6 +816,70 @@ mod tests {
             assert_eq!(e.distance.to_bits(), a.distance.to_bits());
         }
         assert_eq!(s.metrics.snapshot(0).batches, 1);
+    }
+
+    /// A by-id row admitted while live but deleted before dispatch is
+    /// answered with its own error; its group-mate and the rest of the
+    /// batch are answered as if it had never been sent.
+    #[test]
+    fn a_row_deleted_between_admission_and_dispatch_fails_alone() {
+        let dir = std::env::temp_dir().join(format!("cbir-sched-gone-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = StoreOptions::new(IndexKind::VpTree, Measure::L1);
+        let store = CorpusStore::create_from_database(&dir, &tiny_db(), options).unwrap();
+        let s = Scheduler::new(
+            ServedCorpus::Live(Arc::clone(&store)),
+            SchedulerConfig::default(),
+            Arc::new(Metrics::new()),
+        );
+        let descriptor = store.snapshot().descriptor(0).unwrap();
+        let by_id = |id| {
+            pending(Request::KnnById {
+                k: 3,
+                deadline_us: 0,
+                recall_target: 1.0,
+                id,
+            })
+        };
+        let (gone, gone_rx) = by_id(3);
+        let (mate, mate_rx) = by_id(5);
+        let (knn, knn_rx) = pending(Request::Knn {
+            k: 3,
+            deadline_us: 0,
+            recall_target: 1.0,
+            descriptor: descriptor.clone(),
+        });
+        for p in [gone, mate, knn] {
+            s.submit(p);
+        }
+        assert_eq!(s.queue_depth(), 3, "all three were admitted");
+        store.delete(3).unwrap();
+        let errors = s.metrics.snapshot(0).errors;
+        s.drain_queued();
+
+        match reply(&gone_rx) {
+            Response::Error(m) => assert!(m.starts_with("image id 3 no longer in database"), "{m}"),
+            other => panic!("expected an error for the deleted row, got {other:?}"),
+        }
+        assert_eq!(s.metrics.snapshot(0).errors, errors + 1);
+        let view = store.snapshot();
+        let direct = |ranked: cbir_core::Result<Vec<Vec<Ranked>>>| {
+            encode_response(&Response::Hits {
+                hits: ranked_to_hits(ranked.unwrap().remove(0)),
+                coarse_candidates: 0,
+                rerank_evaluations: 0,
+            })
+        };
+        let mut stats = BatchStats::new();
+        assert_eq!(
+            encode_response(&reply(&mate_rx)),
+            direct(view.knn_batch_by_ids(&[5], 3, 1, &mut stats))
+        );
+        assert_eq!(
+            encode_response(&reply(&knn_rx)),
+            direct(view.knn_batch(&[descriptor], 3, 1, &mut stats))
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// One group, two paths. Over an L1 linear scan a query the exact
@@ -873,7 +925,8 @@ mod tests {
         let (pendings, cells): (Vec<_>, Vec<_>) = queries
             .iter()
             .map(|q| {
-                pending(QueryWork::Knn {
+                pending(Request::Knn {
+                    deadline_us: 0,
                     descriptor: q.clone(),
                     k: 10,
                     recall_target: 0.9,
@@ -892,10 +945,7 @@ mod tests {
                 rerank_evaluations: alone.total().rerank_evaluations,
             };
             let got = reply(cell);
-            assert_eq!(
-                crate::protocol::encode_response(&got),
-                crate::protocol::encode_response(&want)
-            );
+            assert_eq!(encode_response(&got), encode_response(&want));
             counts.push((
                 alone.total().coarse_candidates,
                 alone.total().rerank_evaluations,
@@ -943,22 +993,26 @@ mod tests {
         let mut receivers = Vec::new();
         for (i, d) in rows.iter().enumerate() {
             let work = match i % 4 {
-                0 => QueryWork::Knn {
+                0 => Request::Knn {
+                    deadline_us: 0,
                     descriptor: d.clone(),
                     k: 3,
                     recall_target: 1.0,
                 },
-                1 => QueryWork::Knn {
+                1 => Request::Knn {
+                    deadline_us: 0,
                     descriptor: d.clone(),
                     k: 5,
                     recall_target: 1.0,
                 },
-                2 => QueryWork::Range {
+                2 => Request::Range {
+                    deadline_us: 0,
                     descriptor: d.clone(),
                     radius: 0.5,
                 },
-                _ => QueryWork::KnnById {
-                    id: i,
+                _ => Request::KnnById {
+                    deadline_us: 0,
+                    id: i as u64,
                     k: 3,
                     recall_target: 1.0,
                 },
@@ -975,17 +1029,20 @@ mod tests {
                 other => panic!("expected hits, got {other:?}"),
             };
             let want: Vec<Hit> = match work {
-                QueryWork::Knn { descriptor, k, .. } => {
-                    scan(&descriptor).into_iter().take(k).collect()
+                Request::Knn { descriptor, k, .. } => {
+                    scan(&descriptor).into_iter().take(k as usize).collect()
                 }
-                QueryWork::Range { descriptor, radius } => {
+                Request::Range {
+                    descriptor, radius, ..
+                } => {
                     let all = scan(&descriptor).into_iter();
                     all.filter(|h| h.distance <= radius).collect()
                 }
-                QueryWork::KnnById { id, k, .. } => {
-                    let others = scan(&rows[id]).into_iter().filter(|h| h.id != id as u64);
-                    others.take(k).collect()
+                Request::KnnById { id, k, .. } => {
+                    let others = scan(&rows[id as usize]).into_iter().filter(|h| h.id != id);
+                    others.take(k as usize).collect()
                 }
+                other => unreachable!("only queries were sent, got {other:?}"),
             };
             assert!(!want.is_empty());
             assert_eq!(got.len(), want.len());
@@ -1007,7 +1064,8 @@ mod tests {
         }));
         let mut receivers = Vec::new();
         for _ in 0..10 {
-            let (p, rx) = pending(QueryWork::Knn {
+            let (p, rx) = pending(Request::Knn {
+                deadline_us: 0,
                 descriptor: vec![0.125; 8],
                 k: 2,
                 recall_target: 1.0,
@@ -1017,7 +1075,8 @@ mod tests {
         }
         s.begin_shutdown();
         // Admission after shutdown is refused explicitly.
-        let (late, late_rx) = pending(QueryWork::Knn {
+        let (late, late_rx) = pending(Request::Knn {
+            deadline_us: 0,
             descriptor: vec![0.125; 8],
             k: 2,
             recall_target: 1.0,
@@ -1064,7 +1123,8 @@ mod tests {
         let batch = cells
             .iter()
             .map(|cell| Pending {
-                work: QueryWork::Knn {
+                request: Request::Knn {
+                    deadline_us: 0,
                     descriptor: vec![0.125; 8],
                     k: 2,
                     recall_target: 1.0,

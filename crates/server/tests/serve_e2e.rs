@@ -84,11 +84,11 @@ fn responses_bit_identical_to_direct_engine_calls() {
         assert_hits_match(&got, want, "range");
     }
 
-    let ids: Vec<usize> = (0..8).collect();
+    let ids: Vec<u64> = (0..8).collect();
     let mut stats = BatchStats::new();
     let direct_by_id = engine.knn_batch_by_ids(&ids, 3, 1, &mut stats).unwrap();
     for (&id, want) in ids.iter().zip(&direct_by_id) {
-        let got = client.knn_by_id(id, 3, 0, 1.0).unwrap();
+        let got = client.knn_by_id(id as usize, 3, 0, 1.0).unwrap();
         assert_hits_match(&got, want, "knn_by_id");
     }
 

@@ -190,7 +190,7 @@ fn storm_of_concurrent_connections_gets_every_reply_byte_exact() {
             })
         })
         .collect();
-    let ids: Vec<usize> = (0..POOL).collect();
+    let ids: Vec<u64> = (0..POOL as u64).collect();
     let mut stats = BatchStats::new();
     let want: Vec<Vec<u8>> = engine
         .knn_batch_by_ids(&ids, K, 1, &mut stats)

@@ -104,7 +104,7 @@ fn evaluate(pipeline: Pipeline, label: &str) -> Result<f64, Box<dyn std::error::
     let mut aps = Vec::new();
     for query in 0..CLASSES * PER_CLASS {
         let mut stats = SearchStats::new();
-        let hits = engine.query_by_id(query, CLASSES * PER_CLASS - 1, &mut stats)?;
+        let hits = engine.query_by_id(query as u64, CLASSES * PER_CLASS - 1, &mut stats)?;
         let ranked: Vec<usize> = hits.iter().map(|h| h.id).collect();
         let relevant: HashSet<usize> = (0..CLASSES * PER_CLASS)
             .filter(|&i| i != query && i / PER_CLASS == query / PER_CLASS)

@@ -37,6 +37,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples (each of examples/*.rs runs to its verdict line)"
+for EXAMPLE in examples/*.rs; do
+    NAME=$(basename "$EXAMPLE" .rs)
+    OUT=$(cargo run --release -q --example "$NAME")
+    echo "$NAME: $(echo "$OUT" | tail -1)"
+done
+
 echo "==> cargo build --release (benchmark crate, e2e/)"
 cargo build --release --offline --manifest-path e2e/Cargo.toml
 

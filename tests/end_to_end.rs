@@ -40,7 +40,7 @@ fn retrieval_beats_chance_by_a_wide_margin() {
     let mut p10s = Vec::new();
     for query in (0..corpus.len()).step_by(5) {
         let mut stats = SearchStats::new();
-        let hits = engine.query_by_id(query, 10, &mut stats).unwrap();
+        let hits = engine.query_by_id(query as u64, 10, &mut stats).unwrap();
         let ranked: Vec<usize> = hits.iter().map(|h| h.id).collect();
         let relevant: HashSet<usize> = corpus.relevant_to(query).into_iter().collect();
         p10s.push(precision_at_k(&ranked, &relevant, 10));
@@ -176,7 +176,7 @@ fn multi_feature_pipeline_end_to_end() {
     for query in (0..corpus.len()).step_by(4) {
         let mut stats = SearchStats::new();
         let hits = engine
-            .query_by_id(query, corpus.len() - 1, &mut stats)
+            .query_by_id(query as u64, corpus.len() - 1, &mut stats)
             .unwrap();
         let ranked: Vec<usize> = hits.iter().map(|h| h.id).collect();
         let relevant: HashSet<usize> = corpus.relevant_to(query).into_iter().collect();
@@ -210,7 +210,7 @@ fn query_cost_scales_sublinearly_on_clustered_signatures() {
         let mut total = 0u64;
         for q in (0..corpus.len()).step_by(9) {
             let mut stats = SearchStats::new();
-            engine.query_by_id(q, 5, &mut stats).unwrap();
+            engine.query_by_id(q as u64, 5, &mut stats).unwrap();
             total += stats.distance_computations;
         }
         costs.push(total as f64 / (corpus.len() / 9 + 1) as f64);
