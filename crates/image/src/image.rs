@@ -194,11 +194,6 @@ impl<P: Copy> ImageBuffer<P> {
         &mut self.data
     }
 
-    /// Consume the image, returning the pixel vector.
-    pub fn into_vec(self) -> Vec<P> {
-        self.data
-    }
-
     /// Iterator over pixels in row-major order.
     pub fn pixels(&self) -> impl Iterator<Item = P> + '_ {
         self.data.iter().copied()

@@ -146,11 +146,6 @@ impl BatchStats {
         percentile(&self.samples(|s| s.distance_computations), 95)
     }
 
-    /// Median (p50) node visits per query.
-    pub fn p50_visits(&self) -> u64 {
-        percentile(&self.samples(|s| s.nodes_visited), 50)
-    }
-
     /// 95th-percentile node visits per query.
     pub fn p95_visits(&self) -> u64 {
         percentile(&self.samples(|s| s.nodes_visited), 95)

@@ -240,7 +240,7 @@ impl ShardClient {
     }
 
     /// Record the latency of one shard request's winning attempt,
-    /// clocked from that attempt's own start (see the router's `settle`
+    /// clocked from that attempt's own start (see the router's `Leg::read`
     /// for why the requester-observed total must not be fed here).
     pub fn record_latency(&self, us: u64) {
         self.latency.record(us);
@@ -264,8 +264,8 @@ impl ShardClient {
     /// replica returns to the preferred rotation immediately instead of
     /// waiting out a cooldown; a probe failure (re)marks the replica
     /// unhealthy so queries keep avoiding it. This is what turns the
-    /// passive cooldown into an active state machine: while the prober
-    /// runs, membership follows probe results, and the cooldown is only
+    /// passive cooldown into an active state machine: while probing is
+    /// on, membership follows probe results, and the cooldown is only
     /// the fallback granularity between probe rounds.
     pub fn probe_replicas(&self, timeout: Duration) {
         for r in &self.replicas {
@@ -327,7 +327,9 @@ impl ShardClient {
         Ok(attempt)
     }
 
-    /// The receive half: the reply to `request`, sent as `attempt`.
+    /// The receive half: one read of the reply to `request`, sent as
+    /// `attempt`. `Ok(None)` means the rules below sent the request on
+    /// instead, and `attempt` waits on its new connection: read it again.
     ///
     /// A `ConnectionLost` on a replica's pooled connection is retried
     /// once on a freshly dialed one — a pooled idle connection may have
@@ -338,31 +340,33 @@ impl ShardClient {
     /// candidate the retry budget pays for; a non-failover error
     /// (explicit server error, deadline expiry, protocol violation) is
     /// returned as-is, since every sibling would answer it identically.
-    pub fn recv(&self, mut attempt: Attempt, request: &Request) -> ClientResult<Response> {
-        loop {
-            let client = attempt
-                .client
-                .as_mut()
-                .expect("a sent attempt holds its connection");
-            match client.recv() {
-                Ok(reply) => {
-                    let replica = &self.replicas[attempt.order[attempt.rank]];
-                    let us = attempt.sent.elapsed().as_micros() as u64;
-                    replica.obs.request_ok(us);
-                    replica.pool.put(attempt.client.take().expect("read above"));
-                    self.mark_healthy(replica);
-                    self.budget.earn();
-                    return Ok(reply);
-                }
-                Err(e) => self.recover(&mut attempt, e, request)?,
+    pub fn recv(&self, attempt: &mut Attempt, request: &Request) -> ClientResult<Option<Response>> {
+        let client = attempt
+            .client
+            .as_mut()
+            .expect("a sent attempt holds its connection");
+        match client.recv() {
+            Ok(reply) => {
+                let replica = &self.replicas[attempt.order[attempt.rank]];
+                let us = attempt.sent.elapsed().as_micros() as u64;
+                replica.obs.request_ok(us);
+                replica.pool.put(attempt.client.take().expect("read above"));
+                self.mark_healthy(replica);
+                self.budget.earn();
+                Ok(Some(reply))
             }
+            Err(e) => self.recover(attempt, e, request).map(|()| None),
         }
     }
 
     /// Send, then receive: one request with every failover rule.
     pub fn call(&self, request: &Request) -> ClientResult<Response> {
-        let attempt = self.send(request, None)?;
-        self.recv(attempt, request)
+        let mut attempt = self.send(request, None)?;
+        loop {
+            if let Some(reply) = self.recv(&mut attempt, request)? {
+                return Ok(reply);
+            }
+        }
     }
 
     /// Put `request` on the wire to the current candidate — over a pooled
@@ -440,7 +444,7 @@ pub struct Attempt {
     /// talks to.
     order: Vec<usize>,
     rank: usize,
-    /// `None` only while the request is being sent on.
+    /// `None` while the request is being sent on, and once it is answered.
     client: Option<Client>,
     /// Whether this replica's one fresh-dial retry is spent.
     redialed: bool,
@@ -452,10 +456,9 @@ pub struct Attempt {
 }
 
 impl Attempt {
-    /// Wait up to `timeout` for the reply's first byte, consuming
-    /// nothing (see [`Client::await_reply`]); `false` if none came.
-    pub fn await_reply(&mut self, timeout: Duration) -> bool {
-        self.client.as_mut().is_none_or(|c| c.await_reply(timeout))
+    /// The connection the reply will come back on.
+    pub(crate) fn connection(&self) -> &Client {
+        self.client.as_ref().expect("the attempt is on the wire")
     }
 }
 

@@ -56,4 +56,4 @@ pub mod router;
 
 pub use backend::{should_failover, Replica, ShardClient};
 pub use merge::{hit_order, kway_merge, merge_topk};
-pub use router::{Router, RouterConfig, RouterHandle};
+pub use router::{Router, RouterConfig, RouterHandle, ROUTE_WORKERS};

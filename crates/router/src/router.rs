@@ -7,16 +7,15 @@
 //! servers' own connection loop (`cbir_server::event_loop`, so routing
 //! requires Linux): one thread accepts, reassembles frames and writes
 //! replies in request order for every front connection, and hands each
-//! decoded request to a fixed set of route workers. Behind them, a
+//! decoded request to [`ROUTE_WORKERS`] route workers. Behind them, a
 //! [`ShardPlan`] names the deterministic global↔local id arithmetic and
 //! one [`ShardClient`] per shard handles replica failover. A route
 //! worker scatters by itself: it writes every shard its request over a
-//! pooled connection, then reads the replies in shard order, so the
-//! shards work on a request at once with no thread per shard. Every
-//! thread is started at spawn — the loop, the workers and, with probing,
-//! the prober — so the router's thread count depends on neither its
-//! connections nor its shard count; only a hedge that fires starts two
-//! more, for the attempts it races.
+//! pooled connection, then gathers the replies, racing any hedge it
+//! fires inside the same wait (see `gather`). It runs the health-probe
+//! rounds too. Every thread is started at spawn — the loop and the
+//! workers — so the router's thread count depends on neither its
+//! connections, its shards, its hedges nor its configuration.
 //!
 //! The contract that makes the tier transparent: on the exact path
 //! (`recall_target = 1.0`), a router reply is **frame-level
@@ -39,14 +38,13 @@ use cbir_obs::Json;
 use cbir_server::conn::{is_mutation, Service};
 use cbir_server::protocol::{Request, Response, StatsSnapshot};
 use cbir_server::{
-    ClientError, ClientResult, Completions, Connection, EventControl, HitsReply, Metrics,
+    Client, ClientError, ClientResult, Completions, Connection, EventControl, HitsReply, Metrics,
     Rejection, ReplyCell,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,18 +58,11 @@ pub struct RouterConfig {
     /// bytes for this long is reaped (closed without a reply, after any
     /// reply still in flight). `None` never reaps.
     pub read_timeout: Option<Duration>,
-    /// Warm connections kept per backend replica, and the number of
-    /// route workers (at least one), which with the loop thread are all
-    /// the threads a router holds besides the prober. A worker routes
-    /// one request at a time and holds at most one backend connection
-    /// per replica while it does, so the workers never outgrow the warm
-    /// set (a fired hedge's second attempt aside); requests beyond this
-    /// many wait in arrival order.
-    pub pool_per_replica: usize,
-    /// Interval between background health-probe rounds; `None` (the
-    /// default) disables active probing and leaves the passive cooldown
-    /// in charge. With probing on, a down replica rejoins the rotation
-    /// the moment a probe succeeds instead of waiting out its cooldown.
+    /// Interval from the end of one health-probe round to the next;
+    /// `None` (the default) disables active probing and leaves the
+    /// passive cooldown in charge. With probing on, a down replica
+    /// rejoins the rotation the moment a probe succeeds instead of
+    /// waiting out its cooldown.
     pub probe_interval: Option<Duration>,
     /// Hedge-delay floor for scatter queries; `None` (the default)
     /// disables hedging. When set, a shard request still unanswered
@@ -102,7 +93,6 @@ impl Default for RouterConfig {
         RouterConfig {
             cooldown: Duration::from_secs(1),
             read_timeout: None,
-            pool_per_replica: 32,
             probe_interval: None,
             hedge: None,
             allow_partial: false,
@@ -111,6 +101,11 @@ impl Default for RouterConfig {
         }
     }
 }
+
+/// The route workers, and the warm connections kept per replica: a worker
+/// holds one per replica while it routes (a fired hedge's second attempt
+/// aside), and requests beyond this many wait in arrival order.
+pub const ROUTE_WORKERS: usize = 32;
 
 /// The loop keeps reading a front connection's requests while its
 /// replies wait to be written, so one that stops draining them for this
@@ -122,8 +117,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 struct RouterCore {
     plan: ShardPlan,
     shards: Vec<ShardClient>,
-    /// Set when the loop starts draining; the prober stops on it.
-    stopping: AtomicBool,
     /// Hedge-delay floor; `None` disables hedging.
     hedge: Option<Duration>,
     /// Whether scatter queries may answer from a subset of shards.
@@ -138,14 +131,16 @@ struct RouteJob {
 }
 
 /// The route workers' shared queue of decoded requests, in arrival
-/// order. Each request wakes a parked worker directly; a channel
-/// receiver shared behind a mutex would hand a burst out one worker
-/// wake-up at a time, spreading it before it reaches the backends.
-#[derive(Default)]
+/// order, and the probe schedule. Each request wakes a parked worker
+/// directly; a channel receiver shared behind a mutex would hand a burst
+/// out one worker wake-up at a time, spreading it before it reaches the
+/// backends.
 struct RouteQueue {
-    /// Requests not yet taken, and whether the loop has gone.
-    state: Mutex<(VecDeque<RouteJob>, bool)>,
+    /// Requests not yet taken, whether the loop has gone, and when the
+    /// next probe round is due (`None` while one runs, and unprobed).
+    state: Mutex<(VecDeque<RouteJob>, bool, Option<Instant>)>,
     ready: Condvar,
+    probe_interval: Option<Duration>,
 }
 
 impl RouteQueue {
@@ -162,12 +157,42 @@ impl RouteQueue {
         self.ready.notify_all();
     }
 
-    /// The next request; `None` once closed and drained.
-    fn pop(&self) -> Option<RouteJob> {
-        let state = self.state.lock().expect("route queue");
-        let waiting = |(jobs, closed): &mut (VecDeque<RouteJob>, bool)| jobs.is_empty() && !*closed;
-        let mut state = self.ready.wait_while(state, waiting).expect("route queue");
-        state.0.pop_front()
+    /// The next request; `None` once closed and drained. A due probe round
+    /// runs first, on the caller; the next is due one interval after it
+    /// ends. The caller comes back, so an idle router keeps one worker
+    /// asleep until then.
+    fn pop(&self, core: &RouterCore) -> Option<RouteJob> {
+        let mut state = self.state.lock().expect("route queue");
+        loop {
+            let (jobs, closed, probe_due) = &mut *state;
+            let now = Instant::now();
+            let due = !*closed && probe_due.is_some_and(|due| due <= now);
+            if let Some(interval) = self.probe_interval.filter(|_| due) {
+                *probe_due = None;
+                if !jobs.is_empty() {
+                    // Woken for a request, maybe: pass it on.
+                    self.ready.notify_one();
+                }
+                drop(state);
+                // A probe waits at most the interval, and at most 250 ms.
+                let timeout = interval.min(Duration::from_millis(250));
+                let round = || core.shards.iter().for_each(|s| s.probe_replicas(timeout));
+                let _ = catch_unwind(AssertUnwindSafe(round));
+                state = self.state.lock().expect("route queue");
+                state.2 = Some(Instant::now() + interval);
+                continue;
+            }
+            if let Some(job) = jobs.pop_front() {
+                return Some(job);
+            }
+            if *closed {
+                return None;
+            }
+            state = match probe_due.map(|due| due - now) {
+                Some(wait) => self.ready.wait_timeout(state, wait).expect("route queue").0,
+                None => self.ready.wait(state).expect("route queue"),
+            };
+        }
     }
 }
 
@@ -176,7 +201,6 @@ impl RouteQueue {
 /// trips); `Delete` and `Compact` are barriers, as on a node, so a
 /// request pipelined behind one observes it.
 struct RouteService {
-    core: Arc<RouterCore>,
     queue: Arc<RouteQueue>,
     /// The loop's own counters. `Stats` through the router sums its
     /// backends' instead, so these stay internal.
@@ -185,10 +209,9 @@ struct RouteService {
 }
 
 /// The loop drops its service on exit (or `Router::spawn` on a failed
-/// start): either way the workers and the prober stop.
+/// start): either way the workers stop, probing with them.
 impl Drop for RouteService {
     fn drop(&mut self) {
-        self.begin_shutdown();
         self.queue.close();
     }
 }
@@ -218,15 +241,14 @@ impl Service for RouteService {
         (self.idle_timeout, Some(WRITE_TIMEOUT))
     }
 
-    fn begin_shutdown(&self) {
-        self.core.stopping.store(true, Ordering::SeqCst);
-    }
+    /// Requests already read still route: the queue closes on `Drop`.
+    fn begin_shutdown(&self) {}
 }
 
-/// Route requests off the shared queue until the loop is gone and the
-/// queue is empty, each reply into its request's cell.
-fn route_worker(core: &Arc<RouterCore>, queue: &RouteQueue) {
-    while let Some(job) = queue.pop() {
+/// Route requests off the shared queue (and run its due probe rounds)
+/// until the loop is gone and the queue is empty.
+fn route_worker(core: &RouterCore, queue: &RouteQueue) {
+    while let Some(job) = queue.pop(core) {
         // A panic answers its own request and leaves the worker serving.
         let reply = catch_unwind(AssertUnwindSafe(|| handle(core, job.request, job.received)))
             .unwrap_or_else(|_| Response::Error("internal: routing panicked (isolated)".into()));
@@ -313,7 +335,7 @@ impl Router {
                     s as u32,
                     addrs,
                     config.cooldown,
-                    config.pool_per_replica,
+                    ROUTE_WORKERS,
                     config.breaker_threshold,
                     Arc::clone(&budget),
                 )
@@ -322,15 +344,21 @@ impl Router {
         let core = Arc::new(RouterCore {
             plan,
             shards,
-            stopping: AtomicBool::new(false),
             hedge: config.hedge,
             allow_partial: config.allow_partial,
         });
-        let queue = Arc::new(RouteQueue::default());
+        let queue = Arc::new(RouteQueue {
+            state: Mutex::new((
+                VecDeque::new(),
+                false,
+                config.probe_interval.map(|_| Instant::now()),
+            )),
+            ready: Condvar::new(),
+            probe_interval: config.probe_interval,
+        });
         let lp = Loop::new(
             listener,
             RouteService {
-                core: Arc::clone(&core),
                 queue: Arc::clone(&queue),
                 metrics: Metrics::new(),
                 idle_timeout: config.read_timeout,
@@ -338,41 +366,15 @@ impl Router {
         )?;
         let control = lp.control();
 
-        // Should a spawn below fail, dropping `lp` closes the queue and
-        // sets `stopping`: the threads already started exit.
+        // Should a spawn below fail, dropping `lp` closes the queue: the
+        // workers already started exit.
         let mut threads = Vec::new();
-        for w in 0..config.pool_per_replica.max(1) {
+        for w in 0..ROUTE_WORKERS {
             let (core, queue) = (Arc::clone(&core), Arc::clone(&queue));
             threads.push(
                 Builder::new()
                     .name(format!("cbir-route-worker-{w}"))
                     .spawn(move || route_worker(&core, &queue))?,
-            );
-        }
-        if let Some(interval) = config.probe_interval {
-            let core = Arc::clone(&core);
-            // A probe that hangs longer than the interval would make
-            // rounds pile up; bound it at the interval (capped so a very
-            // long interval doesn't grant probes minutes).
-            let timeout = interval.min(Duration::from_millis(250));
-            threads.push(
-                Builder::new()
-                    .name("cbir-route-probe".into())
-                    .spawn(move || {
-                        while !core.stopping.load(Ordering::SeqCst) {
-                            for shard in &core.shards {
-                                shard.probe_replicas(timeout);
-                            }
-                            // Sleep in short slices so shutdown is never
-                            // stuck behind a long interval.
-                            let mut left = interval;
-                            while !left.is_zero() && !core.stopping.load(Ordering::SeqCst) {
-                                let slice = left.min(Duration::from_millis(25));
-                                std::thread::sleep(slice);
-                                left -= slice;
-                            }
-                        }
-                    })?,
             );
         }
         threads.push(
@@ -404,7 +406,7 @@ impl Router {
 }
 
 /// Dispatch one request.
-fn handle(core: &Arc<RouterCore>, request: Request, received: Instant) -> Response {
+fn handle(core: &RouterCore, request: Request, received: Instant) -> Response {
     match request {
         Request::Knn { k, .. } => search(core, request, received, Some(k as usize)),
         Request::Range { .. } => search(core, request, received, None),
@@ -435,130 +437,128 @@ fn shards(core: &RouterCore) -> impl Iterator<Item = (usize, Option<usize>)> {
     (0..core.shards.len()).map(|s| (s, None))
 }
 
+/// One target of a fan-out: its attempts on the wire (`true`: a fired
+/// hedge), when its hedge fires until a reply shows, its settled reply.
+struct Leg {
+    shard: usize,
+    pending: Vec<(bool, Attempt)>,
+    hedge_at: Option<Instant>,
+    reply: Option<ClientResult<Response>>,
+}
+
+impl Leg {
+    /// Read pending attempt `j` (a failover leaves it pending on its new
+    /// replica). The first reply settles the leg and drops the other
+    /// attempt's connection; an error waits for the other attempt. With
+    /// `timed`, the hedge delay learns the winner's own latency: the total
+    /// includes the hedge wait, which would ratchet the delay up (F16).
+    fn read(&mut self, j: usize, core: &RouterCore, request: &Request, timed: bool) {
+        let shard = &core.shards[self.shard];
+        self.hedge_at = None;
+        let (hedged, attempt) = &mut self.pending[j];
+        match shard.recv(attempt, request) {
+            Ok(None) => {}
+            Ok(Some(reply)) => {
+                if timed {
+                    shard.record_latency(attempt.started.elapsed().as_micros() as u64);
+                }
+                if *hedged {
+                    cbir_obs::router_hedge_won();
+                }
+                self.pending.clear();
+                self.reply = Some(Ok(reply));
+            }
+            Err(e) => {
+                self.pending.remove(j);
+                if self.pending.is_empty() {
+                    self.reply = Some(Err(e));
+                }
+            }
+        }
+    }
+}
+
 /// The one fan-out: write `request` to every target — a shard, whose
 /// replica rules pick the replica, or one named replica of it — then
-/// read the replies in target order. Every request is on the wire
+/// gather the replies, in target order. Every request is on the wire
 /// before the first reply is read, so the targets work on it at once
-/// with no thread per target.
+/// with no thread per target. A hedged search gives each shard
+/// `max(floor, shard p99)` from its own send to show a reply, then races
+/// a second attempt (on a sibling replica, by round-robin). While any
+/// target races or awaits its deadline, one wait covers every pending
+/// connection and the earliest deadline, so no race holds up another
+/// shard; otherwise the next target's reply is read straight off its
+/// connection.
 fn gather(
-    core: &Arc<RouterCore>,
+    core: &RouterCore,
     request: &Request,
     targets: impl Iterator<Item = (usize, Option<usize>)>,
 ) -> Vec<ClientResult<Response>> {
-    let sent: Vec<(usize, ClientResult<Attempt>)> = targets
-        .map(|(s, replica)| (s, core.shards[s].send(request, replica)))
-        .collect();
     // Only searches hedge: a second ping, compaction or counter read
     // shortens no tail a client waits on.
     let search = matches!(
         request,
         Request::Knn { .. } | Request::Range { .. } | Request::KnnById { .. }
     );
-    let Some(floor) = core.hedge.filter(|_| search) else {
-        return sent
-            .into_iter()
-            .map(|(s, attempt)| core.shards[s].recv(attempt?, request))
-            .collect();
-    };
-    // A fired hedge races on while the next shard is read, so each
-    // shard's hedge fires on its own delay.
-    let hedged: Vec<_> = sent
-        .into_iter()
-        .map(|(s, attempt)| (s, attempt.map(|a| hedge(core, s, a, request, floor))))
-        .collect();
-    hedged
-        .into_iter()
-        .map(|(s, answers)| settle(&core.shards[s], s, answers?))
-        .collect()
-}
-
-/// The answers to one hedged shard request: `(rank, own latency in µs,
-/// reply)` per attempt, rank 1 being a fired hedge.
-type Answers = mpsc::Receiver<ClientResult<(usize, u64, Response)>>;
-
-/// Read shard `s`'s reply under hedging: it gets `max(floor, shard p99)`
-/// from the shard's own send to show its first byte; past that a second
-/// attempt fires on the shard (round-robin puts it on a sibling replica)
-/// and races the pending one, each read on a thread of its own — the
-/// only threads a router starts after spawn. The losing attempt is not
-/// cancelled — it completes against its backend and its reply is
-/// discarded — which is the standard hedging trade-off: bounded
-/// duplicate work for a bounded tail.
-fn hedge(
-    core: &Arc<RouterCore>,
-    s: usize,
-    mut attempt: Attempt,
-    request: &Request,
-    floor: Duration,
-) -> Answers {
-    let shard = &core.shards[s];
-    let wait = shard
-        .hedge_delay(floor)
-        .saturating_sub(attempt.started.elapsed());
-    let (tx, answers) = mpsc::channel();
-    if attempt.await_reply(wait) {
-        let _ = tx.send(own_reply(shard, attempt, request).map(|(us, r)| (0, us, r)));
-        return answers;
-    }
-    cbir_obs::router_hedge_fired();
-    for (rank, pending) in [(0, Some(attempt)), (1, None)] {
-        let (core, request, tx) = (Arc::clone(core), request.clone(), tx.clone());
-        // An attempt whose thread cannot be spawned leaves the other to
-        // answer alone.
-        let _ = std::thread::Builder::new()
-            .name(format!("cbir-route-hedge-{s}-{rank}"))
-            .spawn(move || {
-                let shard = &core.shards[s];
-                let attempt = pending.map_or_else(|| shard.send(&request, None), Ok);
-                let reply = attempt.and_then(|a| own_reply(shard, a, &request));
-                let _ = tx.send(reply.map(|(us, r)| (rank, us, r)));
-            });
-    }
-    answers
-}
-
-/// The reply to an attempt with its own latency in microseconds, clocked
-/// from its first send.
-fn own_reply(
-    shard: &ShardClient,
-    attempt: Attempt,
-    request: &Request,
-) -> ClientResult<(u64, Response)> {
-    let started = attempt.started;
-    let reply = shard.recv(attempt, request)?;
-    Ok((started.elapsed().as_micros() as u64, reply))
-}
-
-/// The first reply among a hedged shard's answers; an error waits for
-/// the other attempt.
-///
-/// The hedge-delay histogram is fed the **winning attempt's own**
-/// latency, clocked from that attempt's first send — not the requester-
-/// observed total, which includes the hedge wait itself. Recording the
-/// total is a feedback loop: when every request hedges (a persistently
-/// slow first-choice replica), every sample is `delay + epsilon`, the
-/// p99 tracks the delay, and the delay ratchets itself up until it
-/// exceeds the stall and hedging silently stops. The winner's own
-/// latency is exactly the quantity the delay estimates — how long a
-/// healthy replica needs — so the delay stays pinned to the healthy
-/// floor no matter how slow the rescued replica is. (A reply read after
-/// another shard's is booked when it is read, so its sample can run long
-/// by that wait; it stays pinned to the other shard's floor.)
-fn settle(shard: &ShardClient, s: usize, answers: Answers) -> ClientResult<Response> {
-    let mut lost = None;
-    for answer in answers {
-        match answer {
-            Ok((rank, own_us, reply)) => {
-                shard.record_latency(own_us);
-                if rank == 1 {
-                    cbir_obs::router_hedge_won();
-                }
-                return Ok(reply);
+    let floor = core.hedge.filter(|_| search);
+    let mut legs: Vec<Leg> = targets
+        .map(|(shard, replica)| {
+            let client = &core.shards[shard];
+            let (pending, reply) = match client.send(request, replica) {
+                Ok(attempt) => (vec![(false, attempt)], None),
+                Err(e) => (Vec::new(), Some(Err(e))),
+            };
+            let hedge_at = floor
+                .zip(pending.first())
+                .map(|(floor, (_, attempt))| attempt.started + client.hedge_delay(floor));
+            Leg {
+                shard,
+                pending,
+                hedge_at,
+                reply,
             }
-            Err(e) => lost = Some(e),
+        })
+        .collect();
+    let timed = floor.is_some();
+    let racing = |l: &Leg| l.hedge_at.is_some() || l.pending.len() > 1;
+    while let Some(next) = legs.iter().position(|l| l.reply.is_none()) {
+        if !legs.iter().any(racing) {
+            legs[next].read(0, core, request, timed);
+            continue;
+        }
+        let waiting: Vec<(usize, usize)> = legs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, l)| (0..l.pending.len()).map(move |j| (i, j)))
+            .collect();
+        let conns: Vec<&Client> = waiting
+            .iter()
+            .map(|&(i, j)| legs[i].pending[j].1.connection())
+            .collect();
+        let wake = legs.iter().filter_map(|l| l.hedge_at).min();
+        let wait = wake.map(|at| at.saturating_duration_since(Instant::now()));
+        if let Some(ready) = Client::await_reply(&conns, wait) {
+            let (i, j) = waiting[ready];
+            legs[i].read(j, core, request, timed);
+            continue;
+        }
+        // No reply came before the earliest deadline: fire every due
+        // hedge. One that cannot be sent leaves the first attempt alone.
+        let now = Instant::now();
+        for leg in legs
+            .iter_mut()
+            .filter(|l| l.hedge_at.is_some_and(|at| at <= now))
+        {
+            leg.hedge_at = None;
+            cbir_obs::router_hedge_fired();
+            if let Ok(attempt) = core.shards[leg.shard].send(request, None) {
+                leg.pending.push((true, attempt));
+            }
         }
     }
-    Err(lost.unwrap_or_else(|| ClientError::Protocol(format!("hedge attempts for shard {s} lost"))))
+    legs.into_iter()
+        .map(|l| l.reply.expect("every leg settled"))
+        .collect()
 }
 
 /// Cut `request`'s deadline by the time already spent in the router, to
@@ -620,7 +620,7 @@ fn point(core: &RouterCore, id: u64, request: impl FnOnce(u64) -> Request) -> Re
 /// explicit backend error) always fail the query: absence of data is
 /// degradable, wrong data is not.
 fn search(
-    core: &Arc<RouterCore>,
+    core: &RouterCore,
     mut request: Request,
     received: Instant,
     limit: Option<usize>,
@@ -688,7 +688,7 @@ fn search(
 /// can occupy at most one slot), then drop it and truncate — exactly
 /// the single-node exclusion semantics, shard by shard.
 fn knn_by_id(
-    core: &Arc<RouterCore>,
+    core: &RouterCore,
     k: u32,
     deadline_us: u64,
     recall_target: f32,
@@ -726,7 +726,7 @@ fn knn_by_id(
 
 /// Union liveness: every shard must answer, report the summed row count
 /// and the plan's dimensionality (cross-checked against every shard).
-fn ping(core: &Arc<RouterCore>) -> Response {
+fn ping(core: &RouterCore) -> Response {
     let mut total = 0u64;
     for (s, r) in gather(core, &Request::Ping, shards(core))
         .into_iter()
@@ -753,7 +753,7 @@ fn ping(core: &Arc<RouterCore>) -> Response {
 }
 
 /// Compact every shard: the newest epoch, the summed segments and rows.
-fn compact(core: &Arc<RouterCore>) -> Response {
+fn compact(core: &RouterCore) -> Response {
     let (mut epoch, mut segments, mut rows) = (0u64, 0u32, 0u64);
     for (s, r) in gather(core, &Request::Compact, shards(core))
         .into_iter()
@@ -786,7 +786,7 @@ fn compact(core: &Arc<RouterCore>) -> Response {
 /// replicas on cooldown too. Counters sum; latency quantiles take the
 /// worst replica (summing quantiles means nothing); the batch-size
 /// histogram merges by bound.
-fn stats(core: &Arc<RouterCore>) -> Response {
+fn stats(core: &RouterCore) -> Response {
     let replicas = core
         .shards
         .iter()
@@ -836,7 +836,7 @@ fn stats(core: &Arc<RouterCore>) -> Response {
 /// backend's document plus the router's own, merged field-by-field
 /// under the forward-compatible rules of [`jsonmerge`] — a backend
 /// field this router has never heard of still shows up in the output.
-fn obs_stats(core: &Arc<RouterCore>, prometheus: bool) -> Response {
+fn obs_stats(core: &RouterCore, prometheus: bool) -> Response {
     let snap = cbir_obs::snapshot();
     if prometheus {
         return Response::ObsText(cbir_obs::to_prometheus(&snap));
@@ -857,7 +857,7 @@ fn obs_stats(core: &Arc<RouterCore>, prometheus: bool) -> Response {
 /// not counters: element-wise merging would splice unrelated queries
 /// together, so this is explicitly a concatenation, owner order by
 /// shard index.
-fn explain(core: &Arc<RouterCore>) -> Response {
+fn explain(core: &RouterCore) -> Response {
     let mut all = Vec::new();
     for (s, r) in gather(core, &Request::Explain, shards(core))
         .into_iter()

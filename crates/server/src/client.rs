@@ -295,27 +295,35 @@ impl Client {
         rejection(decode_response(&payload)?)
     }
 
-    /// Wait up to `timeout` (rounded up to whole milliseconds) for the
-    /// next reply's first byte, consuming nothing: `false` if the wait ran
-    /// out first. A reply, an EOF and a transport error all end the wait;
-    /// [`Client::recv`] then reads whichever it was. The wait is an epoll
-    /// one: a socket read timeout would do, but the kernel rounds it to
-    /// its tick, several milliseconds. Off Linux, where nothing routes, it
-    /// ends at once.
-    pub fn await_reply(&mut self, timeout: Duration) -> bool {
+    /// Wait up to `timeout` (rounded up to whole milliseconds; `None`: for
+    /// ever) for a reply's first byte on any of `clients`, consuming
+    /// nothing: the index of one that has it, `None` if none came. A
+    /// reply, an EOF or a transport error ends the wait, for
+    /// [`Client::recv`] to read. It is one epoll wait: a socket read
+    /// timeout watches one connection, rounded to the kernel's tick. Off
+    /// Linux, where nothing routes, it names the first connection at once.
+    pub fn await_reply(clients: &[&Client], timeout: Option<Duration>) -> Option<usize> {
+        let buffered = clients.iter().position(|c| !c.reader.buffer().is_empty());
         #[cfg(target_os = "linux")]
-        if self.reader.buffer().is_empty() {
+        if buffered.is_none() {
             use crate::sys::{Epoll, EpollEvent, EPOLLIN};
             use std::os::fd::AsRawFd;
-            let ms = i32::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(i32::MAX);
-            let fired = Epoll::new().and_then(|ep| {
-                ep.add(self.reader.get_ref().as_raw_fd(), EPOLLIN, 0)?;
-                ep.wait(&mut [EpollEvent::default()], ms)
+            let ms = timeout.map_or(-1, |t| {
+                t.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
             });
-            return fired.map_or(true, |n| n > 0);
+            let mut fired = [EpollEvent::default()];
+            let waited = Epoll::new().and_then(|ep| {
+                for (i, c) in clients.iter().enumerate() {
+                    ep.add(c.reader.get_ref().as_raw_fd(), EPOLLIN, i as u64)?;
+                }
+                ep.wait(&mut fired, ms)
+            });
+            // A failed wait names the first connection, whose read then
+            // blocks as it would with no wait at all.
+            return waited.map_or(Some(0), |n| (n > 0).then(|| fired[0].data as usize));
         }
         let _ = timeout;
-        true
+        buffered.or((!clients.is_empty()).then_some(0))
     }
 
     fn call(&mut self, request: &Request) -> ClientResult<Response> {

@@ -73,11 +73,6 @@ pub struct SchedulerConfig {
     /// responses for this long has its connection closed. `None`
     /// disables the bound.
     pub write_timeout: Option<Duration>,
-    /// When set, every admitted k-NN request runs at this recall target
-    /// regardless of what the client asked for — an operator-side knob
-    /// for forcing a whole deployment onto the approximate (or exact)
-    /// path. `None` honors per-request targets.
-    pub recall_target_override: Option<f32>,
 }
 
 impl Default for SchedulerConfig {
@@ -89,7 +84,6 @@ impl Default for SchedulerConfig {
             exec_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             idle_timeout: Some(Duration::from_secs(60)),
             write_timeout: Some(Duration::from_secs(30)),
-            recall_target_override: None,
         }
     }
 }
@@ -202,15 +196,8 @@ impl Scheduler {
     /// [`Response::Overloaded`], a draining server gets
     /// [`Response::ShuttingDown`]; otherwise the request is queued and the
     /// dispatcher will answer it.
-    pub fn submit(&self, mut pending: Pending) {
+    pub fn submit(&self, pending: Pending) {
         self.metrics.on_request();
-        if let Some(rt) = self.config.recall_target_override {
-            if let Request::Knn { recall_target, .. } | Request::KnnById { recall_target, .. } =
-                &mut pending.request
-            {
-                *recall_target = rt;
-            }
-        }
         if let Some(msg) = self.validate(&pending.request) {
             self.metrics.on_error();
             pending.reply.fill(Response::Error(msg));

@@ -374,6 +374,23 @@ wait "$PART_ROUTER_PID"
 "$CBIR" rpc-ctl "$(cat "$SMOKE_DIR/addr-part-s0")" shutdown >/dev/null
 wait "$PART_PID"
 
+echo "==> public functions no other file names (printed, never failed)"
+# A `pub fn` whose name appears in no .rs file but the one defining it
+# has no caller outside that file: delete it unless its own file's code
+# or tests call it, or a reproduction experiment (T1-T7, F1-F6) needs it.
+# Name-only, so a name another item shares hides here.
+RS_FILES=$(find crates src tests examples e2e -name '*.rs' -not -path '*/target/*' | LC_ALL=C sort)
+# shellcheck disable=SC2086 # source paths hold no spaces
+PUB_FNS=$(grep -o -E 'pub fn [A-Za-z_][A-Za-z0-9_]*' $RS_FILES | sed 's/:pub fn / /')
+for NAME in $(echo "$PUB_FNS" | awk '{ print $2 }' | LC_ALL=C sort -u); do
+    # shellcheck disable=SC2086
+    USERS=$(grep -lw -- "$NAME" $RS_FILES || true)
+    DEFINERS=$(echo "$PUB_FNS" | awk -v n="$NAME" '$2 == n { print $1 }' | LC_ALL=C sort -u)
+    if [ "$USERS" = "$DEFINERS" ]; then
+        echo "  $NAME  $(echo "$DEFINERS" | paste -s -d ' ' -)"
+    fi
+done
+
 echo "==> non-test Rust lines per crate (scripts/loc.sh: HEAD, working tree, delta)"
 # HEAD's table comes from HEAD's own loc.sh, run on a `git archive` copy,
 # so before a commit this prints the change's line delta per crate.

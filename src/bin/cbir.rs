@@ -91,17 +91,14 @@ fn usage() -> ! {
   cbir serve <db-or-segdir> [--mmap] [--port P] [--addr-file F] [--measure M] [--index I]
                   [--max-batch N] [--max-delay-us N] [--queue-cap N] [--threads N]
                   [--idle-timeout-ms N] [--write-timeout-ms N] [--trace-sample-n N]
-                  [--recall-target R]
       serve the database over TCP (CBIRRPC1) with dynamic micro-batching;
       a segment directory (or --mmap, which migrates a database file to
       <db>.seg/ on first use) serves mmap-backed segments with live
       insert/delete/compact RPCs enabled; --port 0 picks an ephemeral
       port, --addr-file writes the bound address; timeout 0 disables
       idle reaping / write timeouts; --trace-sample-n N samples every
-      Nth query into the trace ring (see rpc-ctl explain);
-      --recall-target R forces every k-NN request to recall target R,
-      overriding what clients ask for; one epoll thread serves every
-      connection (linux), up to 8192 at once
+      Nth query into the trace ring (see rpc-ctl explain); one epoll
+      thread serves every connection (linux), up to 8192 at once
 
   cbir shard-plan <db> [--shards N] [--scheme mod|range] [--out-dir DIR]
       split a database file into N per-shard databases plus a PLAN.txt
@@ -700,7 +697,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             "idle-timeout-ms",
             "write-timeout-ms",
             "trace-sample-n",
-            "recall-target",
         ],
     );
     let db_path = args.positional.first().unwrap_or_else(|| usage());
@@ -725,12 +721,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         exec_threads: args.flag_parse("threads", defaults.exec_threads),
         idle_timeout: timeout_flag("idle-timeout-ms", defaults.idle_timeout),
         write_timeout: timeout_flag("write-timeout-ms", defaults.write_timeout),
-        recall_target_override: args.flag("recall-target").map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value for --recall-target: {v}");
-                std::process::exit(2);
-            })
-        }),
     };
 
     let trace_every: u64 = args.flag_parse("trace-sample-n", 0);
@@ -872,7 +862,6 @@ fn cmd_route(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         allow_partial: args.has("allow-partial"),
         breaker_threshold: args.flag_parse("breaker-threshold", 5),
         retry_budget: args.flag_parse("retry-budget", 100),
-        ..RouterConfig::default()
     };
     let degraded_knobs = [
         config.hedge.map(|d| format!("hedge {}ms", d.as_millis())),
