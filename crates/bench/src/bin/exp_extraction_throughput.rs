@@ -23,14 +23,18 @@
 //! all 2²⁴ colours, and the orientation bins
 //! ([`cbir_image::ops::orientation_bins_into`]) against `atan2` for every
 //! Sobel gradient pair in `[-1020, 1020]²`, at a spread of bin counts
-//! (`--quick`) or all of `2..=256` (full run).
+//! (`--quick`) or all of `2..=256` (full run), and the resize's integer
+//! interpolation ([`cbir_image::ops::bilinear_sample_dyadic`]) against its
+//! `f64` one ([`cbir_image::ops::bilinear_sample`]) for every byte pair
+//! and every weight `m/256`, along either axis.
 //!
 //! A second table explains where the planner's time goes at the
 //! benchmark's shape (`image_pipeline`: 128×128 sources, canonical 64):
 //! per-family wall time inside the pipeline (including any shared stage
 //! the family demanded first), the same minus those stage computes, and
-//! the obs shared-stage times. The timers live here, not in the library:
-//! a new obs `Stage` would shift `features.stage_hit_ratio`.
+//! the obs shared-stage times with their computes per image (the shape
+//! families share the mask and its `moments`; the labelling has one
+//! reader, so it is RegionShape's own time).
 //!
 //! Writes `results/BENCH_extraction_throughput.json`.
 //!
@@ -38,7 +42,9 @@
 
 use cbir_bench::{fmt_ms, rounded, time_median, write_results, Table};
 use cbir_features::{ExtractContext, ExtractScratch, FeatureSpec, Pipeline, Quantizer};
-use cbir_image::ops::{orientation_bin, orientation_bins_into};
+use cbir_image::ops::{
+    bilinear_sample, bilinear_sample_dyadic, orientation_bin, orientation_bins_into,
+};
 use cbir_image::{FloatImage, Rgb, RgbImage};
 use cbir_obs::{obj, Json};
 use cbir_workload::{Corpus, CorpusSpec};
@@ -116,16 +122,35 @@ fn exhaustive_checks(quick: bool) -> Json {
         }
     }
     let orientation_s = t.elapsed().as_secs_f64();
+
+    let t = Instant::now();
+    for (a, b) in (0..=255u8).flat_map(|a| (0..=255u8).map(move |b| (a, b))) {
+        for m in 0..256u16 {
+            let f = f64::from(m) / 256.0;
+            for (taps, wx, wy, fx, fy) in
+                [([a, b, a, b], m, 0, f, 0.0), ([a, a, b, b], 0, m, 0.0, f)]
+            {
+                assert_eq!(
+                    bilinear_sample_dyadic(taps, wx, wy),
+                    bilinear_sample(taps, fx, fy),
+                    "{a} to {b} at weight {m}/256 (wx {wx}, wy {wy})"
+                );
+            }
+        }
+    }
+    let resize_s = t.elapsed().as_secs_f64();
     println!(
         "exhaustive: HSV bins of all 2^24 colours ({hsv_s:.2} s); orientation bins of all \
-         {} Sobel gradients at {} bin counts ({orientation_s:.2} s) — all equal to the \
-         scalar references\n",
+         {} Sobel gradients at {} bin counts ({orientation_s:.2} s); integer resize \
+         interpolation of all 2^16 byte pairs at all 256 weights per axis ({resize_s:.2} s) \
+         — all equal to the scalar references\n",
         side * side,
         bin_counts.len()
     );
     obj! {
         "hsv_colours": 1u64 << 24, "sobel_gradients": side * side,
-        "orientation_bin_counts": bin_counts.len(),
+        "orientation_bin_counts": bin_counts.len(), "resize_byte_pairs": 1u32 << 16,
+        "resize_weights": 256u32,
     }
 }
 

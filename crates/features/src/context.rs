@@ -6,10 +6,11 @@
 //! into a caller-provided slice. Each shared intermediate — the canonical
 //! RGB frame, its grayscale conversion, the Sobel gradient field, the
 //! magnitude and normalized-magnitude planes, per-quantizer bin
-//! planes, the Otsu foreground mask, the grayscale integral image, and the
-//! salience distance transform — is computed the first time a family needs
-//! it and then reused, so a multi-family pipeline performs each image-wide
-//! pass exactly once instead of once per family.
+//! planes, the Otsu foreground mask and its moments, the grayscale
+//! integral image, and the salience distance transform — is computed the
+//! first time a family needs it and then reused, so a multi-family
+//! pipeline performs each image-wide pass exactly once instead of once per
+//! family.
 //!
 //! Every method is bit-identical (to the `f32` bit pattern) to the
 //! corresponding standalone family function in this crate: both routes call
@@ -26,14 +27,14 @@ use crate::error::{FeatureError, Result};
 use crate::glcm::{glcm_features_into, GlcmScratch};
 use crate::histogram::{color_moments_into, histogram_normalized_from_indexed};
 use crate::mask::foreground_mask_into;
-use crate::moments::{hu_into, region_shape_into, shape_summary_into};
+use crate::moments::{hu_into, region_shape_into, shape_summary_into, Moments};
 use crate::pipeline::FeatureSpec;
 use crate::quantize::Quantizer;
 use crate::tamura::{coarseness_core_into, contrast, directionality_core, CoarsenessScratch};
 use crate::wavelet::{wavelet_signature_into, WaveletScratch};
 use cbir_image::ops::{
-    magnitude_into, orientation_bins_into, resize_bilinear_rgb_into, sobel_into, IntegralImage,
-    Labeling, ResizeScratch, SOBEL_MAGNITUDE_MAX,
+    magnitude_into, orientation_bins_into, resize_bilinear_rgb_into, sobel_into, Connectivity,
+    IntegralImage, Labeling, ResizeScratch, SOBEL_MAGNITUDE_MAX,
 };
 use cbir_image::{FloatImage, GrayImage, RgbImage};
 use cbir_obs::{stage_hit, Stage, StageTimer};
@@ -76,8 +77,8 @@ pub struct ExtractScratch {
     glcm: GlcmScratch,
     cm_values: Vec<[f32; 3]>,
     wavelet: WaveletScratch,
+    moments: Moments,
     labeling: Labeling,
-    largest: GrayImage,
 }
 
 impl ExtractScratch {
@@ -105,8 +106,8 @@ impl ExtractScratch {
             glcm: GlcmScratch::default(),
             cm_values: Vec::new(),
             wavelet: WaveletScratch::default(),
+            moments: Moments::default(),
             labeling: Labeling::empty(),
-            largest: GrayImage::filled(0, 0, 0),
         }
     }
 }
@@ -135,6 +136,7 @@ pub struct ExtractContext<'a> {
     ori_bin_count: Option<usize>,
     have_mag_norm: bool,
     have_mask: bool,
+    have_moments: bool,
     have_integral: bool,
     /// `None` until the SDT is attempted; then whether it is defined.
     dt_state: Option<bool>,
@@ -181,6 +183,7 @@ impl<'a> ExtractContext<'a> {
             ori_bin_count: None,
             have_mag_norm: false,
             have_mask: false,
+            have_moments: false,
             have_integral: false,
             dt_state: None,
         })
@@ -250,6 +253,20 @@ impl<'a> ExtractContext<'a> {
         foreground_mask_into(&s.gray, &mut s.mask);
         t.finish();
         self.have_mask = true;
+    }
+
+    /// The mask's moments, computed at most once.
+    fn ensure_moments(&mut self) {
+        if self.have_moments {
+            stage_hit(Stage::Moments);
+            return;
+        }
+        self.ensure_mask();
+        let t = StageTimer::start(Stage::Moments);
+        let s = &mut *self.s;
+        s.moments = Moments::compute(&s.mask).expect("the foreground mask has an object pixel");
+        t.finish();
+        self.have_moments = true;
     }
 
     fn ensure_integral(&mut self) {
@@ -477,16 +494,18 @@ impl<'a> ExtractContext<'a> {
     /// [`crate::hu_feature_vector`] over [`crate::foreground_mask`]. `out`
     /// must hold 7 values.
     pub fn hu_moments(&mut self, out: &mut [f32]) -> Result<()> {
-        self.ensure_mask();
-        hu_into(&self.s.mask, out)
+        self.ensure_moments();
+        hu_into(&self.s.moments, out);
+        Ok(())
     }
 
     /// `[eccentricity, compactness, extent]` of the Otsu foreground;
     /// matches [`crate::shape_summary`] over [`crate::foreground_mask`].
     /// `out` must hold 3 values.
     pub fn shape_summary(&mut self, out: &mut [f32]) -> Result<()> {
-        self.ensure_mask();
-        shape_summary_into(&self.s.mask, out)
+        self.ensure_moments();
+        shape_summary_into(&self.s.mask, &self.s.moments, out);
+        Ok(())
     }
 
     /// Dominant-region shape signature of the Otsu foreground; matches
@@ -495,7 +514,11 @@ impl<'a> ExtractContext<'a> {
     pub fn region_shape(&mut self, out: &mut [f32]) -> Result<()> {
         self.ensure_mask();
         let s = &mut *self.s;
-        region_shape_into(&s.mask, &mut s.labeling, &mut s.largest, out)
+        s.labeling
+            .recompute(&s.mask, Connectivity::Eight)
+            .expect("the foreground mask is not empty");
+        region_shape_into(&s.mask, &s.labeling, out);
+        Ok(())
     }
 
     /// Histogram of the salience distance transform (scale 3.0, the

@@ -61,21 +61,6 @@ impl ColorHistogram {
             })
             .collect()
     }
-
-    /// Number of non-empty bins.
-    pub fn occupied_bins(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Index of the most populated bin.
-    pub fn dominant_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 /// Normalized histogram over a pre-quantized bin plane, written into `out`
@@ -164,7 +149,6 @@ mod tests {
         let h = ColorHistogram::compute(&img, &Quantizer::rgb_compact()).unwrap();
         assert_eq!(h.counts().iter().sum::<u64>(), 64);
         assert_eq!(h.total(), 64);
-        assert_eq!(h.occupied_bins(), 2);
     }
 
     #[test]
@@ -184,20 +168,6 @@ mod tests {
             assert!(w[1] >= w[0] - 1e-7);
         }
         assert!((c.last().unwrap() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn dominant_bin_finds_the_majority_color() {
-        let img = RgbImage::from_fn(10, 10, |x, _| {
-            if x == 0 {
-                Rgb::new(0, 0, 255)
-            } else {
-                Rgb::new(255, 0, 0)
-            }
-        });
-        let q = Quantizer::rgb_compact();
-        let h = ColorHistogram::compute(&img, &q).unwrap();
-        assert_eq!(h.dominant_bin(), q.bin_of(Rgb::new(255, 0, 0)));
     }
 
     #[test]

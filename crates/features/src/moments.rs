@@ -5,11 +5,17 @@
 //! with the thresholding and morphology operators.
 
 use crate::error::{FeatureError, Result};
-use cbir_image::ops::{Connectivity, Labeling};
+use cbir_image::ops::{connected_components, nonzero_bits, row_runs, Connectivity, Labeling};
 use cbir_image::GrayImage;
 
+/// `2⁵³`: every integer up to it is an `f64`, exactly.
+const EXACT_BELOW: f64 = 9_007_199_254_740_992.0;
+
+/// A run of object pixels: row, first column, one past the last column.
+type Span = (u32, u32, u32);
+
 /// Raw, central, and normalized moments of a binary region.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Moments {
     /// Raw moments `m[p][q] = Σ xᵖ yᑫ` over object pixels, for p,q ≤ 3.
     pub m: [[f64; 4]; 4],
@@ -27,28 +33,24 @@ impl Moments {
         if mask.is_empty() {
             return Err(FeatureError::EmptyImage("moments"));
         }
-        let mut m = [[0.0f64; 4]; 4];
-        let powers = |v: usize| {
-            let f = v as f64;
-            [1.0, f, f * f, f * f * f]
-        };
-        // Row by row (pixels in raster order, as the sums need): no
-        // coordinate is divided out of a flat index.
-        for (y, row) in mask
-            .as_slice()
-            .chunks_exact(mask.width() as usize)
-            .enumerate()
-        {
-            let yp = powers(y);
-            for (x, _) in row.iter().enumerate().filter(|&(_, &v)| v != 0) {
-                let xp = powers(x);
-                for (p, &xv) in xp.iter().enumerate() {
-                    for (q, &yv) in yp.iter().enumerate() {
-                        m[p][q] += xv * yv;
-                    }
-                }
-            }
-        }
+        Self::of_spans(mask_spans(mask))
+    }
+
+    /// Moments of the pixels of `spans`, given in raster order.
+    ///
+    /// The raw sums are exact integers wherever the per-pixel `f64` loop
+    /// ([`raw_per_pixel`]) was exact, and then equal to its result bit for
+    /// bit: [`raw_from_power_sums`] adds each row's power sums `Σxᵖ` over
+    /// its spans (closed forms, in integers) times `yᑫ`. When some sum
+    /// reaches 2⁵³ it gives up and the per-pixel loop runs, rounding as it
+    /// always did.
+    fn of_spans(spans: impl Iterator<Item = Span> + Clone) -> Result<Self> {
+        let m = raw_from_power_sums(spans.clone()).unwrap_or_else(|| raw_per_pixel(spans));
+        Self::from_raw(m)
+    }
+
+    /// Central and normalized moments from the raw sums `m`.
+    fn from_raw(m: [[f64; 4]; 4]) -> Result<Self> {
         if m[0][0] == 0.0 {
             return Err(FeatureError::InvalidParameter(
                 "moments of an empty region".into(),
@@ -141,23 +143,97 @@ impl Moments {
     }
 }
 
+/// `[1, v, v², v³]` as the per-pixel loop forms them.
+fn powers(v: u32) -> [f64; 4] {
+    let f = f64::from(v);
+    [1.0, f, f * f, f * f * f]
+}
+
+/// The raw moments as the per-pixel loop sums them: every object pixel in
+/// raster order, `m[p][q] += xᵖ·yᑫ` in `f64`.
+fn raw_per_pixel(spans: impl Iterator<Item = Span>) -> [[f64; 4]; 4] {
+    let mut m = [[0.0f64; 4]; 4];
+    for (y, x0, x1) in spans {
+        let yp = powers(y);
+        for x in x0..x1 {
+            let xp = powers(x);
+            for (p, &xv) in xp.iter().enumerate() {
+                for (q, &yv) in yp.iter().enumerate() {
+                    m[p][q] += xv * yv;
+                }
+            }
+        }
+    }
+    m
+}
+
+/// The raw moments from each row's power sums, or `None` when some sum
+/// reaches 2⁵³ (or a column passes 2¹⁶, where the closed forms would
+/// overflow `u64`).
+///
+/// Exactness: with `Pᵖ(n) = Σ_{x<n} xᵖ` (`n`, `n(n−1)/2`,
+/// `(n−1)n(2n−1)/6`, `(n(n−1)/2)²`, each below 2⁶³ for `n ≤ 2¹⁶`), a
+/// row's power sums `Sᵖ = Σ Pᵖ(x1) − Pᵖ(x0)` over its spans are exact
+/// integers (at most `Pᵖ(2¹⁶)`), and `m[p][q] += Sᵖ·yᑫ` adds
+/// non-negative terms. Rounding is monotone and 2⁵³ is an `f64`, so a
+/// computed term or partial sum below 2⁵³ has an exact value below 2⁵³,
+/// which is an integer `f64` holds: when every final sum is below 2⁵³
+/// nothing rounded, and each `m[p][q]` is the exact `Σ xᵖyᑫ`. The per-pixel loop's terms and partial sums are at
+/// most those totals, so it was exact too and gave the same bits.
+fn raw_from_power_sums(spans: impl Iterator<Item = Span>) -> Option<[[f64; 4]; 4]> {
+    let prefix = |n: u32| {
+        let n = u64::from(n);
+        let p1 = n * n.saturating_sub(1) / 2;
+        [
+            n,
+            p1,
+            n.saturating_sub(1) * n * (2 * n).saturating_sub(1) / 6,
+            p1 * p1,
+        ]
+    };
+    let mut m = [[0.0f64; 4]; 4];
+    let mut add_row = |y: u32, sums: [u64; 4]| {
+        let yp = powers(y);
+        for (row, s) in m.iter_mut().zip(sums) {
+            for (mq, &yv) in row.iter_mut().zip(&yp) {
+                *mq += s as f64 * yv;
+            }
+        }
+    };
+    // One row's power sums at a time: spans of a row are adjacent.
+    let (mut y, mut sums) = (0, [0u64; 4]);
+    for (sy, x0, x1) in spans {
+        if x1 > 1 << 16 {
+            return None;
+        }
+        if sy != y {
+            add_row(y, std::mem::take(&mut sums));
+            y = sy;
+        }
+        let (lo, hi) = (prefix(x0), prefix(x1));
+        for ((s, h), l) in sums.iter_mut().zip(hi).zip(lo) {
+            *s += h - l;
+        }
+    }
+    add_row(y, sums);
+    m.iter().flatten().all(|&v| v < EXACT_BELOW).then_some(m)
+}
+
 /// Log-compressed Hu invariants as an `f32` feature vector:
 /// `sign(h) * ln(1 + |h| * 1e6)` keeps the wildly different magnitudes of
 /// the seven invariants on a comparable scale.
 pub fn hu_feature_vector(mask: &GrayImage) -> Result<Vec<f32>> {
     let mut out = vec![0.0f32; 7];
-    hu_into(mask, &mut out)?;
+    hu_into(&Moments::compute(mask)?, &mut out);
     Ok(out)
 }
 
-/// [`hu_feature_vector`] into a caller-provided 7-element slice.
-pub(crate) fn hu_into(mask: &GrayImage, out: &mut [f32]) -> Result<()> {
+/// [`hu_feature_vector`] of the moments `m` into a 7-element slice.
+pub(crate) fn hu_into(m: &Moments, out: &mut [f32]) {
     debug_assert_eq!(out.len(), 7);
-    let m = Moments::compute(mask)?;
     for (o, &h) in out.iter_mut().zip(m.hu_invariants().iter()) {
         *o = (h.signum() * (1.0 + h.abs() * 1e6).ln()) as f32;
     }
-    Ok(())
 }
 
 /// Shape summary `[eccentricity, compactness, extent]`:
@@ -165,56 +241,68 @@ pub(crate) fn hu_into(mask: &GrayImage, out: &mut [f32]) -> Result<()> {
 /// the bounding box covered.
 pub fn shape_summary(mask: &GrayImage) -> Result<Vec<f32>> {
     let mut out = vec![0.0f32; 3];
-    shape_summary_into(mask, &mut out)?;
+    shape_summary_into(mask, &Moments::compute(mask)?, &mut out);
     Ok(out)
 }
 
-/// [`shape_summary`] into a caller-provided 3-element slice.
-pub(crate) fn shape_summary_into(mask: &GrayImage, out: &mut [f32]) -> Result<()> {
-    debug_assert_eq!(out.len(), 3);
-    let m = Moments::compute(mask)?;
-    let (w, h) = mask.dimensions();
-
-    // Perimeter: object pixels with at least one 4-neighbour background
-    // (or border) pixel. Counted row by row: on the first and last row and
-    // column every object pixel is on the border; inside, a pixel is on
-    // the perimeter unless its four neighbours are all object.
-    let (w, h) = (w as usize, h as usize);
-    let row_at = |y: usize| &mask.as_slice()[y * w..][..w];
+/// [`shape_summary`] of `mask`, whose moments are `m`, into a 3-element
+/// slice.
+///
+/// The perimeter counts object pixels with a 4-neighbour that is
+/// background or off the frame. The mask is read 64 columns at a time as
+/// bits ([`nonzero_bits`]): a pixel is interior when it, its left and
+/// right bits (carried in across the block's edges) and the bits above
+/// and below are all set, so each block row adds its set bits less its
+/// interior ones.
+pub(crate) fn shape_summary_into(mask: &GrayImage, m: &Moments, out: &mut [f32]) {
+    let (w, h) = (mask.width() as usize, mask.height() as usize);
+    let pixels = mask.as_slice();
     let mut perimeter = 0u64;
-    let (mut min_x, mut min_y, mut max_x, mut max_y) = (usize::MAX, usize::MAX, 0, 0);
-    for (y, row) in mask.as_slice().chunks_exact(w).enumerate() {
-        let Some(first) = row.iter().position(|&v| v != 0) else {
-            continue;
-        };
-        let last = row.iter().rposition(|&v| v != 0).unwrap_or(first);
-        (min_x, max_x) = (min_x.min(first), max_x.max(last));
-        (min_y, max_y) = (min_y.min(y), y);
-        let objects = |r: &[u8]| r.iter().filter(|&&v| v != 0).count() as u64;
-        if y == 0 || y == h - 1 || w <= 2 {
-            perimeter += objects(row);
-            continue;
+    let (mut min_x, mut max_x, mut min_y, mut max_y) = (usize::MAX, 0, usize::MAX, 0);
+    for base in (0..w).step_by(64) {
+        let block = |y: usize| nonzero_bits(&pixels[y * w + base..(y + 1) * w]);
+        // Whether pixel `x` of row `y` is set; off the frame it is not.
+        let set = |y: usize, x: usize| u64::from(x < w && pixels[y * w + x] != 0);
+        let (mut up, mut row) = (0, block(0));
+        for y in 0..h {
+            let down = if y + 1 < h { block(y + 1) } else { 0 };
+            if row != 0 {
+                let left = row << 1 | base.checked_sub(1).map_or(0, |x| set(y, x));
+                let right = row >> 1 | set(y, base + 64) << 63;
+                let interior = row & left & right & up & down;
+                perimeter += u64::from(row.count_ones() - interior.count_ones());
+                min_x = min_x.min(base + row.trailing_zeros() as usize);
+                max_x = max_x.max(base + 63 - row.leading_zeros() as usize);
+                (min_y, max_y) = (min_y.min(y), max_y.max(y));
+            }
+            (up, row) = (row, down);
         }
-        perimeter += objects(&row[..1]) + objects(&row[w - 1..]);
-        let (up, down) = (&row_at(y - 1)[1..w - 1], &row_at(y + 1)[1..w - 1]);
-        let inner = row[1..w - 1].iter().zip(&row[..w - 2]).zip(&row[2..]);
-        perimeter += inner
-            .zip(up.iter().zip(down))
-            .filter(|&(((&v, &l), &r), (&u, &d))| v != 0 && (l == 0 || r == 0 || u == 0 || d == 0))
-            .count() as u64;
     }
+    let bbox = (max_x - min_x + 1) as f64 * (max_y - min_y + 1) as f64;
+    summarize(m, perimeter, bbox, out);
+}
+
+/// Every run of object pixels of `mask`, in raster order.
+fn mask_spans(mask: &GrayImage) -> impl Iterator<Item = Span> + Clone + '_ {
+    let rows = mask.as_slice().chunks_exact(mask.width() as usize);
+    (0..)
+        .zip(rows)
+        .flat_map(|(y, row)| row_runs(row).map(move |(x0, x1)| (y, x0, x1)))
+}
+
+/// `[eccentricity, compactness, extent]` from a region's moments, its
+/// perimeter pixel count and its bounding-box area.
+fn summarize(m: &Moments, perimeter: u64, bbox: f64, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), 3);
     let area = m.area();
     let compactness = if perimeter > 0 {
         (4.0 * std::f64::consts::PI * area / (perimeter as f64 * perimeter as f64)).min(1.0)
     } else {
         1.0
     };
-    let bbox = (max_x - min_x + 1) as f64 * (max_y - min_y + 1) as f64;
-    let extent = area / bbox;
     out[0] = m.eccentricity() as f32;
     out[1] = compactness as f32;
-    out[2] = extent as f32;
-    Ok(())
+    out[2] = (area / bbox) as f32;
 }
 
 /// Region-based shape signature built on connected-component analysis of
@@ -223,46 +311,56 @@ pub(crate) fn shape_summary_into(mask: &GrayImage, out: &mut [f32]) -> Result<()
 /// whole-mask statistics this describes *the dominant object*, ignoring
 /// disconnected clutter.
 pub fn region_shape_features(mask: &GrayImage) -> Result<Vec<f32>> {
-    let mut labeling = Labeling::empty();
-    let mut largest = GrayImage::filled(0, 0, 0);
-    let mut out = vec![0.0f32; 5];
-    region_shape_into(mask, &mut labeling, &mut largest, &mut out)?;
-    Ok(out)
-}
-
-/// [`region_shape_features`] into a caller-provided 5-element slice, with
-/// the component labeling and largest-region mask buffers reused across
-/// calls. `connected_components` is just `Labeling::recompute` on a fresh
-/// labeling, so the results are identical.
-pub(crate) fn region_shape_into(
-    mask: &GrayImage,
-    labeling: &mut Labeling,
-    largest: &mut GrayImage,
-    out: &mut [f32],
-) -> Result<()> {
-    debug_assert_eq!(out.len(), 5);
     if mask.is_empty() {
         return Err(FeatureError::EmptyImage("region shape"));
     }
-    labeling
-        .recompute(mask, Connectivity::Eight)
-        .map_err(FeatureError::Image)?;
-    if !labeling.largest_mask_into(largest) {
+    let labeling = connected_components(mask, Connectivity::Eight).map_err(FeatureError::Image)?;
+    let mut out = vec![0.0f32; 5];
+    region_shape_into(mask, &labeling, &mut out);
+    Ok(out)
+}
+
+/// [`region_shape_features`] of `mask`, whose 8-connected labelling is
+/// `labeling`, into a 5-element slice.
+///
+/// The largest region's moments come from its runs, its box from its
+/// [`cbir_image::ops::Region`], and its perimeter from its runs and the
+/// label plane: the values [`shape_summary`] computes on a mask of that
+/// region alone.
+pub(crate) fn region_shape_into(mask: &GrayImage, labeling: &Labeling, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), 5);
+    let Some(largest) = labeling.regions.first() else {
         // No foreground at all: a distinctive all-zero signature.
         out.fill(0.0);
-        return Ok(());
+        return;
+    };
+    let label = largest.label;
+    let runs = labeling.runs.iter().filter(|r| r.label == label);
+    let spans = runs.map(|r| (r.y, r.x0, r.x1));
+    let m = Moments::of_spans(spans.clone()).expect("a region has a pixel");
+    // A run's end pixels border background; a pixel between them is on
+    // the perimeter when the pixel above or below has another label, or
+    // the run is on the first or last row.
+    let (w, h) = (mask.width() as usize, mask.height());
+    let mut perimeter = 0u64;
+    for (y, x0, x1) in spans {
+        let (x0, x1) = (x0 as usize, x1 as usize);
+        if y == 0 || y + 1 == h || x1 - x0 <= 2 {
+            perimeter += (x1 - x0) as u64;
+            continue;
+        }
+        let between = |y: u32| &labeling.labels[y as usize * w..][x0 + 1..x1 - 1];
+        let open = between(y - 1).iter().zip(between(y + 1));
+        perimeter += 2 + open.filter(|&(&u, &d)| u != label || d != label).count() as u64;
     }
-    let n_regions = labeling.len() as f32;
-    let largest_area = labeling.regions[0].area as f32;
-    let area_fraction = largest_area / mask.len() as f32;
+    let (min_x, min_y, max_x, max_y) = largest.bbox;
+    let bbox = f64::from(max_x - min_x + 1) * f64::from(max_y - min_y + 1);
     let mut summary = [0.0f32; 3];
-    shape_summary_into(largest, &mut summary)?;
+    summarize(&m, perimeter, bbox, &mut summary);
+    let n_regions = labeling.len() as f32;
     out[0] = ((1.0 + n_regions).log2() / 8.0).min(1.0);
-    out[1] = area_fraction;
-    out[2] = summary[0];
-    out[3] = summary[1];
-    out[4] = summary[2];
-    Ok(())
+    out[1] = largest.area as f32 / mask.len() as f32;
+    out[2..].copy_from_slice(&summary);
 }
 
 #[cfg(test)]
@@ -518,6 +616,9 @@ mod tests {
             (2, 9),
             (31, 17),
             (64, 64),
+            (65, 9),
+            (130, 5),
+            (200, 3),
         ] {
             for density in [3, 5, 9] {
                 masks.push(GrayImage::from_fn(w, h, |x, y| {
@@ -537,6 +638,101 @@ mod tests {
                 .collect();
             let want: Vec<u32> = reference(mask).iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "{:?}", mask.dimensions());
+        }
+    }
+
+    /// Seeded masks: noise at several densities and shapes, plus solid
+    /// frames and a lone pixel in a corner.
+    fn seeded_masks() -> Vec<GrayImage> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut masks = vec![
+            GrayImage::filled(64, 64, 255),
+            GrayImage::filled(1, 1, 255),
+            GrayImage::from_fn(64, 64, |x, y| u8::from((x, y) == (63, 63)) * 255),
+            disc(64, 40.0, 22.0, 17.0),
+        ];
+        for (w, h) in [(1, 50), (50, 1), (3, 3), (64, 64), (65, 63), (128, 128)] {
+            for density in [5, 30, 60, 95] {
+                let pixels = (0..w * h)
+                    .map(|_| u8::from(next() % 100 < density) * 255)
+                    .collect();
+                masks.push(GrayImage::from_vec(w, h, pixels).unwrap());
+            }
+        }
+        masks
+    }
+
+    fn raw_bits(m: &[[f64; 4]; 4]) -> Vec<u64> {
+        m.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn power_sums_equal_the_per_pixel_loop() {
+        for mask in seeded_masks() {
+            let w = mask.width() as usize;
+            let spans = mask
+                .as_slice()
+                .chunks_exact(w)
+                .enumerate()
+                .flat_map(|(y, row)| row_runs(row).map(move |(x0, x1)| (y as u32, x0, x1)));
+            let fast = raw_from_power_sums(spans.clone()).expect("every sum below 2^53");
+            let want = raw_per_pixel(spans);
+            assert_eq!(raw_bits(&fast), raw_bits(&want), "{:?}", mask.dimensions());
+            if want[0][0] > 0.0 {
+                let got = Moments::compute(&mask).unwrap();
+                assert_eq!(raw_bits(&got.m), raw_bits(&want));
+            }
+        }
+    }
+
+    #[test]
+    fn a_sum_past_2_pow_53_takes_the_per_pixel_loop() {
+        // Σ x³y³ over a full n×n frame is (n(n−1)/2)⁴: 9.5·10¹⁵, just past
+        // 2⁵³, at n = 141, and 1.1·10¹⁸ at n = 256. The per-pixel loop
+        // rounds there, and its rounding is what compute keeps.
+        for n in [141, 256] {
+            let mask = GrayImage::filled(n, n, 255);
+            let spans = (0..n).map(|y| (y, 0, n));
+            assert!(raw_from_power_sums(spans.clone()).is_none(), "{n}");
+            let want = raw_per_pixel(spans);
+            assert!(want[3][3] >= EXACT_BELOW);
+            let got = Moments::compute(&mask).unwrap();
+            assert_eq!(raw_bits(&got.m), raw_bits(&want), "{n}");
+        }
+        let exact = (255.0f64 * 256.0 / 2.0).powi(4);
+        assert_ne!(raw_per_pixel((0..256).map(|y| (y, 0, 256)))[3][3], exact);
+    }
+
+    #[test]
+    fn region_shape_equals_the_summary_of_the_largest_region_alone() {
+        // The pre-labelling formulation: a mask of the largest region,
+        // then the whole-mask summary of that mask.
+        for mask in seeded_masks() {
+            let labeling = connected_components(&mask, Connectivity::Eight).unwrap();
+            let got = region_shape_features(&mask).unwrap();
+            let Some(largest) = labeling.regions.first() else {
+                assert_eq!(got, vec![0.0; 5]);
+                continue;
+            };
+            let alone = GrayImage::from_vec(
+                mask.width(),
+                mask.height(),
+                labeling
+                    .labels
+                    .iter()
+                    .map(|&l| u8::from(l == largest.label) * 255)
+                    .collect(),
+            )
+            .unwrap();
+            let summary = shape_summary(&alone).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got[2..]), bits(&summary), "{:?}", mask.dimensions());
         }
     }
 }

@@ -187,15 +187,6 @@ pub fn lab_to_rgb(c: Lab) -> Rgb {
     Rgb::new(to8(r), to8(g), to8(b))
 }
 
-/// Euclidean distance in L\*a\*b\* space (ΔE\*76), the classical perceptual
-/// color difference.
-pub fn delta_e76(a: Lab, b: Lab) -> f32 {
-    let dl = a.l - b.l;
-    let da = a.a - b.a;
-    let db = a.b - b.b;
-    (dl * dl + da * da + db * db).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,14 +340,5 @@ mod tests {
         });
         assert_eq!(p.r(), 0);
         assert!(p.g() > 100);
-    }
-
-    #[test]
-    fn delta_e_basics() {
-        let a = rgb_to_lab(Rgb::new(10, 20, 30));
-        assert_close(delta_e76(a, a), 0.0, 1e-6);
-        let b = rgb_to_lab(Rgb::new(200, 20, 30));
-        assert!(delta_e76(a, b) > 10.0);
-        assert_close(delta_e76(a, b), delta_e76(b, a), 1e-5);
     }
 }

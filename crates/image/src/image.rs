@@ -265,6 +265,28 @@ impl RgbImage {
     pub fn to_gray(&self) -> GrayImage {
         self.map(|p| p.luma())
     }
+
+    /// The channel bytes, `[r, g, b]` per pixel in row-major order.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        // SAFETY: `Rgb` is `repr(transparent)` over `[u8; 3]`, so the pixel
+        // slice has the layout of a slice of byte triples of its length.
+        let triples = unsafe {
+            std::slice::from_raw_parts(self.data.as_ptr().cast::<[u8; 3]>(), self.data.len())
+        };
+        triples.as_flattened()
+    }
+
+    /// [`RgbImage::as_bytes`], writable.
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `as_bytes`; every byte pattern is a valid `Rgb`.
+        let triples = unsafe {
+            std::slice::from_raw_parts_mut(
+                self.data.as_mut_ptr().cast::<[u8; 3]>(),
+                self.data.len(),
+            )
+        };
+        triples.as_flattened_mut()
+    }
 }
 
 impl GrayImage {
@@ -305,18 +327,6 @@ impl FloatImage {
             }
         }
         Some((lo, hi))
-    }
-
-    /// Linearly rescale samples so the minimum maps to 0 and the maximum to
-    /// 255; a constant image maps to all zeros.
-    pub fn normalize_to_gray(&self) -> GrayImage {
-        match self.min_max() {
-            Some((lo, hi)) if hi > lo => {
-                let scale = 255.0 / (hi - lo);
-                self.map(|p| ((p - lo) * scale).round() as u8)
-            }
-            _ => self.map(|_| 0u8),
-        }
     }
 }
 
@@ -420,12 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn float_normalization() {
+    fn float_min_max() {
         let f = FloatImage::from_vec(2, 1, vec![-1.0, 3.0]).unwrap();
-        let g = f.normalize_to_gray();
-        assert_eq!(g.as_slice(), &[0, 255]);
-        let constant = FloatImage::filled(2, 2, 7.0);
-        assert!(constant.normalize_to_gray().pixels().all(|p| p == 0));
+        assert_eq!(f.min_max(), Some((-1.0, 3.0)));
         assert_eq!(FloatImage::filled(0, 0, 0.0).min_max(), None);
     }
 

@@ -53,16 +53,6 @@ impl Kernel {
     pub fn sum(&self) -> f32 {
         self.weights.iter().sum()
     }
-
-    /// The classic 3x3 box (mean) kernel.
-    pub fn box3() -> Self {
-        Kernel::new(3, 3, vec![1.0 / 9.0; 9]).expect("static kernel")
-    }
-
-    /// 3x3 Laplacian (4-connected).
-    pub fn laplacian3() -> Self {
-        Kernel::new(3, 3, vec![0.0, 1.0, 0.0, 1.0, -4.0, 1.0, 0.0, 1.0, 0.0]).expect("static")
-    }
 }
 
 /// Convolve `img` with `kernel`, replicating edge pixels outside the border.
@@ -161,6 +151,16 @@ pub fn convolve_separable(img: &FloatImage, kx: &[f32], ky: &[f32]) -> Result<Fl
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The classic 3x3 box (mean) kernel.
+    fn box3() -> Kernel {
+        Kernel::new(3, 3, vec![1.0 / 9.0; 9]).unwrap()
+    }
+
+    /// 3x3 Laplacian (4-connected).
+    fn laplacian3() -> Kernel {
+        Kernel::new(3, 3, vec![0.0, 1.0, 0.0, 1.0, -4.0, 1.0, 0.0, 1.0, 0.0]).unwrap()
+    }
     use crate::image::GrayImage;
 
     #[test]
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn box_kernel_averages() {
         let img = FloatImage::filled(4, 4, 9.0);
-        let out = convolve(&img, &Kernel::box3());
+        let out = convolve(&img, &box3());
         // Constant image stays constant under a normalized kernel.
         for p in out.pixels() {
             assert!((p - 9.0).abs() < 1e-5);
@@ -197,7 +197,7 @@ mod tests {
         // 3x3 image with a single bright centre pixel.
         let mut img = FloatImage::filled(3, 3, 0.0);
         img.set(1, 1, 9.0);
-        let out = convolve(&img, &Kernel::box3());
+        let out = convolve(&img, &box3());
         assert!((out.pixel(1, 1) - 1.0).abs() < 1e-6);
         assert!((out.pixel(0, 0) - 1.0).abs() < 1e-6);
     }
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn laplacian_of_constant_is_zero() {
         let img = FloatImage::filled(6, 6, 3.0);
-        let out = convolve(&img, &Kernel::laplacian3());
+        let out = convolve(&img, &laplacian3());
         for p in out.pixels() {
             assert!(p.abs() < 1e-5);
         }
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn laplacian_of_linear_ramp_is_zero_in_interior() {
         let img = FloatImage::from_fn(8, 8, |x, y| x as f32 + 2.0 * y as f32);
-        let out = convolve(&img, &Kernel::laplacian3());
+        let out = convolve(&img, &laplacian3());
         for y in 1..7 {
             for x in 1..7 {
                 assert!(out.pixel(x, y).abs() < 1e-4, "at ({x},{y})");

@@ -17,11 +17,13 @@ pub use convolve::{convolve, convolve_separable, Kernel};
 pub use equalize::equalize;
 pub use gaussian::{gaussian_blur, gaussian_blur_gray, gaussian_kernel_1d};
 pub use integral::IntegralImage;
-pub use label::{connected_components, Connectivity, Labeling, Region};
+pub use label::{
+    connected_components, nonzero_bits, row_runs, Connectivity, Labeling, Region, Run,
+};
 pub use morphology::{close, dilate, erode, open, Structuring};
 pub use resize::{
-    resize_bilinear_gray, resize_bilinear_rgb, resize_bilinear_rgb_into, resize_nearest,
-    ResizeScratch,
+    bilinear_sample, bilinear_sample_dyadic, resize_bilinear_gray, resize_bilinear_rgb,
+    resize_bilinear_rgb_into, resize_nearest, ResizeScratch,
 };
 pub use sobel::{
     edge_density, edge_map, magnitude_into, orientation_bin, orientation_bins_into, sobel,

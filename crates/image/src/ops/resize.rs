@@ -44,6 +44,52 @@ fn bilinear_axis(t: u32, s: f64, n: u32) -> (u32, u32, f64) {
     (i0, i1, pos - i0 as f64)
 }
 
+/// One bilinear sample from its four taps `[p00, p10, p01, p11]` (left
+/// and right column of the top row, then of the bottom row) and the weights
+/// `fx`, `fy` of the right column and bottom row, in `f64`: `top = p00 +
+/// (p10 − p00)·fx`, `bot` likewise, `top + (bot − top)·fy`, rounded half
+/// away from zero and clamped.
+#[inline]
+pub fn bilinear_sample(p: [u8; 4], fx: f64, fy: f64) -> u8 {
+    let [p00, p10, p01, p11] = p.map(f64::from);
+    let top = p00 + (p10 - p00) * fx;
+    let bot = p01 + (p11 - p01) * fx;
+    (top + (bot - top) * fy).round().clamp(0.0, 255.0) as u8
+}
+
+/// Weights of the integer path are counted in `1/ONE` steps.
+const ONE: u16 = 256;
+
+/// `fl(f · 256)` when `f` is a multiple of 1/256 (always exact: a power of
+/// two scales only the exponent), else `None`.
+fn dyadic_weight(f: f64) -> Option<u16> {
+    let w = f * f64::from(ONE);
+    (w == w.floor()).then_some(w as u16)
+}
+
+/// `a·(256 − w) + b·w`: at most 255·256, so it fits `u16`.
+#[inline]
+fn blend(a: u8, b: u8, w: u16) -> u16 {
+    u16::from(a) * (ONE - w) + u16::from(b) * w
+}
+
+/// `(a·(256 − w) + b·w) / 2¹⁶`, rounded half up, for two [`blend`]s `a`,
+/// `b`: at most 255·2¹⁶ + 2¹⁵ before the shift, so it fits `u32`.
+#[inline]
+fn blend_round(a: u16, b: u16, w: u16) -> u8 {
+    let (a, b, w) = (u32::from(a), u32::from(b), u32::from(w));
+    ((a * (u32::from(ONE) - w) + b * w + (1 << 15)) >> 16) as u8
+}
+
+/// [`bilinear_sample`] on the integer path, for weights `wx = fx·256` and
+/// `wy = fy·256` below 256: the two `blend`s of a column pair, then
+/// `blend_round` across them, as [`resize_bilinear_rgb_into`] runs them.
+/// It equals [`bilinear_sample`] for every input (see there for why).
+pub fn bilinear_sample_dyadic(p: [u8; 4], wx: u16, wy: u16) -> u8 {
+    let [p00, p10, p01, p11] = p;
+    blend_round(blend(p00, p01, wy), blend(p10, p11, wy), wx)
+}
+
 /// Bilinear resampling of a grayscale image.
 pub fn resize_bilinear_gray(img: &GrayImage, w: u32, h: u32) -> Result<GrayImage> {
     check_target(w, h)?;
@@ -57,13 +103,13 @@ pub fn resize_bilinear_gray(img: &GrayImage, w: u32, h: u32) -> Result<GrayImage
     Ok(GrayImage::from_fn(w, h, |x, y| {
         let (x0, x1, fx) = bilinear_axis(x, sx, img.width());
         let (y0, y1, fy) = bilinear_axis(y, sy, img.height());
-        let p00 = img.pixel(x0, y0) as f64;
-        let p10 = img.pixel(x1, y0) as f64;
-        let p01 = img.pixel(x0, y1) as f64;
-        let p11 = img.pixel(x1, y1) as f64;
-        let top = p00 + (p10 - p00) * fx;
-        let bot = p01 + (p11 - p01) * fx;
-        (top + (bot - top) * fy).round().clamp(0.0, 255.0) as u8
+        let p = [
+            img.pixel(x0, y0),
+            img.pixel(x1, y0),
+            img.pixel(x0, y1),
+            img.pixel(x1, y1),
+        ];
+        bilinear_sample(p, fx, fy)
     }))
 }
 
@@ -75,7 +121,7 @@ pub fn resize_bilinear_rgb(img: &RgbImage, w: u32, h: u32) -> Result<RgbImage> {
 }
 
 /// Reusable buffers for [`resize_bilinear_rgb_into`]: the per-column
-/// source taps and one output row's samples, channel-planar.
+/// source taps, and one row's intermediates of whichever path runs.
 #[derive(Clone, Debug, Default)]
 pub struct ResizeScratch {
     /// Left and right source column of each output column.
@@ -83,24 +129,55 @@ pub struct ResizeScratch {
     x1: Vec<usize>,
     /// Weight of the right column.
     fx: Vec<f64>,
-    /// The four source samples of each output sample of one row:
-    /// `[p00, p10, p01, p11][channel][x]`.
+    /// `fx` in 1/256ths, while every weight of both axes is one.
+    wx: Vec<u16>,
+    /// Integer path: the source row pair blended by the row weight, one
+    /// value per channel byte of a source row.
+    blended: Vec<u16>,
+    /// `f64` path: the four source samples of each output sample of one
+    /// row, `[p00, p10, p01, p11][channel][x]`.
     taps: Vec<u8>,
-    /// One output row, `[channel][x]`.
+    /// `f64` path: one output row, `[channel][x]`.
     row: Vec<u8>,
 }
 
-/// Bilinear RGB resampling into a caller-provided output buffer.
+/// Bilinear RGB resampling into a caller-provided output buffer, every
+/// channel bit-identical to [`resize_bilinear_gray`] of that channel alone
+/// (a test holds them equal). The per-column source taps are computed
+/// once per call, not per pixel; both buffers reuse their allocations, so
+/// repeated steady-state calls allocate nothing.
 ///
-/// The per-column source taps are computed once per call, not per pixel.
-/// Each output row then gathers its four source samples per channel into
-/// planar lanes and interpolates them lane by lane: per sample, the same
-/// `f64` operations in the same order as [`resize_bilinear_gray`]'s —
-/// `top = p00 + (p10 - p00)·fx`, the same for `bot`, `top + (bot -
-/// top)·fy`, rounded half away from zero and clamped — so every channel
-/// is bit-identical to resizing that channel alone (a test holds them
-/// equal). Both buffers reuse their allocations, so repeated steady-state
-/// calls allocate nothing.
+/// **Integer path.** When every weight `bilinear_axis` yields on both
+/// axes is a multiple of 1/256 — for every power-of-two target up to 128
+/// from any source side, since `pos = (2t + 1)·n/2w − 1/2`, and up to 256
+/// from an even one — each output row blends its two source rows once, by
+/// the row weight `wy = 256·fy`, over the whole source width (contiguous
+/// bytes, see `blend`), then each output sample takes its two columns of
+/// that row and blends them by `wx = 256·fx` with rounding
+/// (`blend_round`).
+///
+/// # Proof
+///
+/// The integer path computes `V = (p00·(256 − wy) + p01·wy)·(256 − wx) +
+/// (p10·(256 − wy) + p11·wy)·wx` and returns `⌊(V + 2¹⁵) / 2¹⁶⌋`, with no
+/// overflow (see `blend`, `blend_round`). In `f64`, [`bilinear_sample`]
+/// rounds nowhere on such weights. Every value it forms is a multiple of
+/// 2⁻¹⁶ below 2⁹ in magnitude, so it has at most 25 significant bits and
+/// is an `f64` exactly: `(p10 − p00)·fx = (p10 − p00)·wx/2⁸`, then `top =
+/// p00 + (p10 − p00)·fx = T/2⁸` with `T = p00·(256 − wx) + p10·wx`, and
+/// `bot = B/2⁸` likewise; `bot − top = (B − T)/2⁸`, `(bot − top)·fy =
+/// (B − T)·wy/2¹⁶`, and `top + (bot − top)·fy = (T·(256 − wy) +
+/// B·wy)/2¹⁶`. Expanding, `T·(256 − wy) + B·wy = V`: both are the same
+/// sum of `pᵢⱼ` times weight products. The value `V/2¹⁶` lies in
+/// `[0, 255]`, where rounding half away from zero is `⌊V/2¹⁶ + 1/2⌋ =
+/// ⌊(V + 2¹⁵)/2¹⁶⌋` and the clamp does nothing. So both paths return the
+/// same byte; `exp_extraction_throughput` checks the 1-D case of every
+/// byte pair and weight, and the unit tests every source side 1..=300.
+///
+/// **`f64` path.** Other weights: each output row gathers its four source
+/// samples per channel into planar lanes and interpolates them lane by
+/// lane: per sample, the same `f64` operations in the same order as
+/// [`bilinear_sample`].
 pub fn resize_bilinear_rgb_into(
     img: &RgbImage,
     w: u32,
@@ -116,11 +193,12 @@ pub fn resize_bilinear_rgb_into(
     }
     let sx = img.width() as f64 / w as f64;
     let sy = img.height() as f64 / h as f64;
-    let wi = w as usize;
     let ResizeScratch {
         x0,
         x1,
         fx,
+        wx,
+        blended,
         taps,
         row,
     } = scratch;
@@ -133,12 +211,38 @@ pub fn resize_bilinear_rgb_into(
         x1.push(b as usize);
         fx.push(f);
     }
+    wx.clear();
+    wx.extend(fx.iter().map_while(|&f| dyadic_weight(f)));
+    let row_weight = |y| dyadic_weight(bilinear_axis(y, sy, img.height()).2);
+    out.reset(w, h, Rgb::default());
+    if wx.len() == fx.len() && (0..h).all(|y| row_weight(y).is_some()) {
+        let (src_row, dst_row) = (3 * img.width() as usize, 3 * w as usize);
+        blended.clear();
+        blended.resize(src_row, 0);
+        let src = img.as_bytes();
+        for (y, dst) in (0..h).zip(out.as_bytes_mut().chunks_exact_mut(dst_row)) {
+            let (y0, y1, fy) = bilinear_axis(y, sy, img.height());
+            let wy = (fy * f64::from(ONE)) as u16;
+            let row = |y: u32| &src[y as usize * src_row..][..src_row];
+            for ((b, &p0), &p1) in blended.iter_mut().zip(row(y0)).zip(row(y1)) {
+                *b = blend(p0, p1, wy);
+            }
+            let taps = x0.iter().zip(&x1[..]).zip(&wx[..]);
+            for (d, ((&a, &b), &w)) in dst.chunks_exact_mut(3).zip(taps) {
+                let (l, r) = (&blended[3 * a..][..3], &blended[3 * b..][..3]);
+                for c in 0..3 {
+                    d[c] = blend_round(l[c], r[c], w);
+                }
+            }
+        }
+        return Ok(());
+    }
+    let wi = w as usize;
     taps.clear();
     taps.resize(12 * wi, 0);
     row.clear();
     row.resize(3 * wi, 0);
     let (x0, x1, fx) = (&x0[..], &x1[..], &fx[..]);
-    out.reset(w, h, Rgb::default());
     for y in 0..h {
         let (y0, y1, fy) = bilinear_axis(y, sy, img.height());
         let (src0, src1) = (img.row(y0), img.row(y1));
@@ -299,5 +403,47 @@ mod tests {
         // Should be near the image centre value, not an extreme.
         let p = one.pixel(0, 0);
         assert!((100..=140).contains(&p), "{p}");
+    }
+
+    #[test]
+    fn integer_path_equals_the_f64_samples_for_every_source_side() {
+        // Every source side 1..=300 along each axis (the other side 5,
+        // which a target side 4 takes on dyadic weights), to the
+        // power-of-two targets 32, 64, 128 and to 100, whose weights are
+        // multiples of 1/256 only for a source side divisible by 25 (or of
+        // 1, where every position clamps to the one column).
+        let pattern = |x: u32, y: u32| {
+            Rgb::new(
+                ((x * 37 + y * 11) % 256) as u8,
+                ((x * y + 3 * y) % 256) as u8,
+                ((x ^ y) * 5 % 256) as u8,
+            )
+        };
+        for side in 1..=300u32 {
+            for target in [32, 64, 128, 100] {
+                let dyadic = target != 100 || side % 25 == 0 || side == 1;
+                for (sw, sh, tw, th) in [(side, 5, target, 4), (5, side, 4, target)] {
+                    let img = RgbImage::from_fn(sw, sh, pattern);
+                    let mut scratch = ResizeScratch::default();
+                    let mut out = RgbImage::filled(0, 0, Rgb::default());
+                    resize_bilinear_rgb_into(&img, tw, th, &mut scratch, &mut out).unwrap();
+                    let (sx, sy) = (f64::from(sw) / f64::from(tw), f64::from(sh) / f64::from(th));
+                    for (x, y, got) in out.enumerate_pixels() {
+                        let (x0, x1, fx) = bilinear_axis(x, sx, sw);
+                        let (y0, y1, fy) = bilinear_axis(y, sy, sh);
+                        let taps = [(x0, y0), (x1, y0), (x0, y1), (x1, y1)];
+                        let want = [0, 1, 2].map(|c| {
+                            bilinear_sample(taps.map(|(x, y)| img.pixel(x, y).0[c]), fx, fy)
+                        });
+                        assert_eq!(got.0, want, "{sw}x{sh} -> {tw}x{th} at ({x}, {y})");
+                    }
+                    assert_eq!(
+                        scratch.blended.is_empty(),
+                        !dyadic,
+                        "{sw}x{sh} -> {tw}x{th}"
+                    );
+                }
+            }
+        }
     }
 }

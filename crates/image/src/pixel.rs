@@ -10,6 +10,7 @@ use std::fmt;
 
 /// An 8-bit-per-channel RGB pixel.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
+#[repr(transparent)]
 pub struct Rgb(pub [u8; 3]);
 
 impl Rgb {

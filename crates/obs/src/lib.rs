@@ -89,11 +89,13 @@ pub enum Stage {
     Sdt = 7,
     /// Per-quantizer bin plane.
     Quantize = 8,
+    /// Raw, central and normalized moments of the foreground mask.
+    Moments = 9,
 }
 
 impl Stage {
     /// Every stage, in export order.
-    pub const ALL: [Stage; 9] = [
+    pub const ALL: [Stage; 10] = [
         Stage::Resize,
         Stage::Grayscale,
         Stage::Sobel,
@@ -103,6 +105,7 @@ impl Stage {
         Stage::Integral,
         Stage::Sdt,
         Stage::Quantize,
+        Stage::Moments,
     ];
 
     /// Stable export name of the stage.
@@ -117,6 +120,7 @@ impl Stage {
             Stage::Integral => "integral",
             Stage::Sdt => "sdt",
             Stage::Quantize => "quantize",
+            Stage::Moments => "moments",
         }
     }
 }
@@ -368,6 +372,7 @@ static REGISTRY: Registry = Registry {
         IndexSlot::new(),
     ],
     stages: [
+        StageSlot::new(),
         StageSlot::new(),
         StageSlot::new(),
         StageSlot::new(),
