@@ -142,12 +142,6 @@ impl ShardPlan {
         self.rows[..shard].iter().sum()
     }
 
-    /// The shard owning global id `g`.
-    pub fn shard_of(&self, g: u64) -> Result<usize> {
-        let (shard, _) = self.to_local(g)?;
-        Ok(shard)
-    }
-
     /// Translate a global id into `(shard, local id)`.
     pub fn to_local(&self, g: u64) -> Result<(usize, u64)> {
         if g >= self.total_rows {
@@ -417,7 +411,6 @@ mod tests {
                     for l in 0..plan.rows_of(s) {
                         let g = plan.to_global(s, l).unwrap();
                         assert_eq!(plan.to_local(g).unwrap(), (s, l));
-                        assert_eq!(plan.shard_of(g).unwrap(), s);
                         // Monotone: local order == global order per shard.
                         assert!(prev.is_none_or(|p| p < g));
                         prev = Some(g);

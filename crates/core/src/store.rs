@@ -546,7 +546,8 @@ impl CorpusSnapshot {
 
     /// Structure memory of the source indexes built so far (a source no
     /// query has needed yet has none).
-    pub fn index_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn index_bytes(&self) -> usize {
         let built = |(rows, ..): (&SourceRows, u64, &IndexKind, &[u64])| match rows.index_cell.get()
         {
             Some(Ok(index)) => index.structure_bytes(),

@@ -151,13 +151,6 @@ impl Dataset {
     pub fn flat(&self) -> &[f32] {
         self.data.flat()
     }
-
-    /// Approximate in-memory footprint in bytes (for shared storage this
-    /// counts the mapped bytes, which may live in the page cache rather
-    /// than the heap).
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.data.flat())
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +165,6 @@ mod tests {
         assert_eq!(ds.vector(0), &[1.0, 2.0]);
         assert_eq!(ds.vector(2), &[5.0, 6.0]);
         assert!(!ds.is_empty());
-        assert_eq!(ds.memory_bytes(), 24);
     }
 
     #[test]

@@ -71,9 +71,7 @@ pub use rect::Rect;
 pub use rng::SplitMix64;
 pub use rstar::RStarTree;
 pub use scratch::QueryScratch;
-pub use stats::{
-    percentile, percentile_of_sorted, sort_neighbors, BatchStats, Neighbor, SearchStats,
-};
+pub use stats::{sort_neighbors, BatchStats, Neighbor, SearchStats};
 pub use traits::{
     knn_batch_parallel, knn_search_simple, range_batch_parallel, range_search_simple, run_parallel,
     RowSet, SearchIndex,

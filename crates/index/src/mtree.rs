@@ -330,7 +330,8 @@ impl MTree {
 
     /// Verify the covering-radius invariant: every object in a subtree lies
     /// within its routing entry's covering radius. Test-suite hook.
-    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+    #[cfg(test)]
+    fn check_invariants(&self) -> std::result::Result<(), String> {
         fn collect(nodes: &[Node], at: u32, out: &mut Vec<u32>) {
             match &nodes[at as usize] {
                 Node::Leaf(entries) => out.extend(entries.iter().map(|e| e.id)),

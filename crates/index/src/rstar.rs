@@ -456,7 +456,8 @@ impl RStarTree {
     /// Verify structural invariants: child MBR containment, level
     /// monotonicity, and that every point is present exactly once.
     /// Used by the test suite.
-    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+    #[cfg(test)]
+    fn check_invariants(&self) -> std::result::Result<(), String> {
         let mut seen = vec![false; self.dataset.len()];
         let mut stack = vec![self.root];
         while let Some(at) = stack.pop() {

@@ -145,31 +145,15 @@ impl BatchStats {
     pub fn p95_comps(&self) -> u64 {
         percentile(&self.samples(|s| s.distance_computations), 95)
     }
-
-    /// 95th-percentile node visits per query.
-    pub fn p95_visits(&self) -> u64 {
-        percentile(&self.samples(|s| s.nodes_visited), 95)
-    }
 }
 
 /// Nearest-rank percentile (`p` in 0..=100) of a sample set; 0 when empty.
-///
-/// Public because every layer that aggregates per-query samples — the
-/// [`BatchStats`] summaries here, the serving layer's latency counters —
-/// needs the same tail summary; keeping one definition keeps p50/p95
-/// comparable across reports.
-pub fn percentile(samples: &[u64], p: u64) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    percentile_of_sorted(&sorted, p)
-}
-
-/// [`percentile`] of samples already sorted ascending: no copy, no sort,
-/// so one sort serves every rank read from it.
-pub fn percentile_of_sorted(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
+fn percentile(samples: &[u64], p: u64) -> u64 {
+    if samples.is_empty() {
         return 0;
     }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
     let rank = (p as usize * sorted.len()).div_ceil(100);
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
@@ -221,7 +205,6 @@ mod tests {
         assert_eq!(b.total().distance_computations, 5050);
         assert_eq!(b.p50_comps(), 50);
         assert_eq!(b.p95_comps(), 95);
-        assert_eq!(b.p95_visits(), 190);
         assert!((b.mean_comps() - 50.5).abs() < 1e-9);
 
         let mut other = BatchStats::new();
@@ -240,7 +223,6 @@ mod tests {
         assert_eq!(twice.queries(), 101);
         assert_eq!(twice.total().distance_computations, 12100);
         assert_eq!(twice.p50_comps(), 2 * b.p50_comps());
-        assert_eq!(twice.p95_visits(), 2 * b.p95_visits());
     }
 
     #[test]

@@ -211,7 +211,7 @@ pub fn to_prometheus(snap: &ObsSnapshot) -> String {
         }
         out.push_str(
             "# HELP cbir_router_replica_latency_microseconds Per-replica request latency \
-             (log2-bucket estimate).\n\
+             (log-linear bucket bound, at most 1/16 over).\n\
              # TYPE cbir_router_replica_latency_microseconds summary\n",
         );
         for r in &snap.router {
@@ -270,7 +270,7 @@ pub fn to_prometheus(snap: &ObsSnapshot) -> String {
         }
         out.push_str(
             "# HELP cbir_router_probe_latency_microseconds Successful health-probe round-trip \
-             latency (log2-bucket estimate).\n\
+             latency (log-linear bucket bound, at most 1/16 over).\n\
              # TYPE cbir_router_probe_latency_microseconds summary\n",
         );
         let l = &tier.probe_latency;
@@ -290,7 +290,8 @@ pub fn to_prometheus(snap: &ObsSnapshot) -> String {
     }
 
     out.push_str(
-        "# HELP cbir_query_latency_microseconds Engine call latency (log2-bucket estimate).\n\
+        "# HELP cbir_query_latency_microseconds Engine call latency \
+         (log-linear bucket bound, at most 1/16 over).\n\
          # TYPE cbir_query_latency_microseconds summary\n",
     );
     for (op, l) in [("knn", &snap.knn_latency), ("range", &snap.range_latency)] {

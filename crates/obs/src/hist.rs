@@ -1,44 +1,75 @@
-//! Fixed-bucket log₂ histograms with lock-free recording.
+//! Fixed-bucket log-linear histograms with lock-free recording.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of buckets: one per possible bit length of a `u64` (0..=64).
-pub const LOG2_BUCKETS: usize = 65;
+/// Sub-buckets per octave, as a power of two: values below
+/// `1 << SUB_BITS` get a bucket each, and every octave above is split
+/// into `1 << SUB_BITS` equal sub-buckets.
+const SUB_BITS: u32 = 4;
+const SUB: usize = 1 << SUB_BITS;
 
-/// A log₂-bucketed histogram of `u64` samples (latencies in microseconds,
-/// typically). Bucket `b` holds samples whose bit length is `b`: bucket 0
-/// holds the value 0, bucket `b ≥ 1` holds values in `[2^(b-1), 2^b - 1]`.
-/// Recording is a single relaxed fetch-add, so the histogram is safe to
-/// update from any number of threads on the hot path.
+/// Number of buckets: the exact ones below [`SUB`], then [`SUB`] per
+/// octave for bit lengths `SUB_BITS + 1 ..= 64`.
+const BUCKETS: usize = SUB + SUB * (u64::BITS - SUB_BITS) as usize;
+
+/// A log-linear histogram of `u64` samples (latencies in microseconds,
+/// typically). Values below 16 have a bucket each; the octave
+/// `[2^m, 2^(m+1) - 1]` for `m ≥ 4` is split into 16 buckets of width
+/// `2^(m-4)`. Recording is three relaxed fetch-adds, so the histogram is
+/// safe to update from any number of threads on the hot path, and its
+/// memory is fixed however long it records.
 ///
 /// Quantiles are estimated by walking the cumulative counts and reporting
 /// the **inclusive upper bound** of the bucket containing the requested
-/// rank — an overestimate by at most 2×, which is the precision log₂
-/// buckets buy. Exact per-batch tails still come from
-/// `cbir_index::percentile` over raw samples; this histogram is the
-/// unbounded-lifetime process-wide summary.
+/// rank: exact below 16, and above it at most 1/16 over the sample.
 pub struct LogHistogram {
-    buckets: [AtomicU64; LOG2_BUCKETS],
+    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-/// Bucket index for a sample: its bit length (0 for the value 0).
+/// Bucket index for a sample.
 #[inline]
-pub fn bucket_of(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()) as usize
+fn bucket_of(value: u64) -> usize {
+    if value < SUB as u64 {
+        return value as usize;
+    }
+    // The bit length past SUB_BITS picks the octave, the SUB_BITS bits
+    // under the leading one pick the sub-bucket.
+    let shift = u64::BITS - SUB_BITS - 1 - value.leading_zeros();
+    let sub = (value >> shift) as usize - SUB;
+    SUB * (shift as usize + 1) + sub
 }
 
-/// Inclusive upper bound of bucket `b` (`0` for bucket 0, else `2^b - 1`).
+/// Inclusive upper bound of bucket `b`.
 #[inline]
-pub fn bucket_bound(bucket: usize) -> u64 {
-    if bucket == 0 {
-        0
-    } else if bucket >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bucket) - 1
+fn bucket_bound(bucket: usize) -> u64 {
+    if bucket < SUB {
+        return bucket as u64;
     }
+    let shift = (bucket / SUB - 1) as u32;
+    let low = ((SUB + bucket % SUB) as u64) << shift;
+    low + ((1u64 << shift) - 1)
+}
+
+/// Nearest-rank quantile over bucket counts, read twice: once for the
+/// total, once to find the rank. A count that grows in between only
+/// lets the walk stop sooner.
+fn quantile_of(counts: impl Iterator<Item = u64> + Clone, q: u64) -> u64 {
+    let total: u64 = counts.clone().sum();
+    if total == 0 {
+        return 0;
+    }
+    // Nearest rank, the convention `cbir_index::BatchStats`' p50/p95 use.
+    let rank = (q * total).div_ceil(100).max(1);
+    let mut seen = 0u64;
+    for (i, c) in counts.enumerate() {
+        seen += c;
+        if seen >= rank {
+            return bucket_bound(i);
+        }
+    }
+    bucket_bound(BUCKETS - 1)
 }
 
 impl Default for LogHistogram {
@@ -53,10 +84,16 @@ impl LogHistogram {
         // `AtomicU64` is not `Copy`; the inline-const repeat builds the
         // array element by element.
         LogHistogram {
-            buckets: [const { AtomicU64::new(0) }; LOG2_BUCKETS],
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
+    }
+
+    /// The inclusive upper bound of `value`'s bucket: what a quantile
+    /// whose rank lands on `value` reports.
+    pub fn upper_bound(value: u64) -> u64 {
+        bucket_bound(bucket_of(value))
     }
 
     /// Record one sample (relaxed atomics; never blocks).
@@ -65,6 +102,17 @@ impl LogHistogram {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Samples recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// [`HistSnapshot::quantile`] read off the live counters, without
+    /// copying them.
+    pub fn quantile(&self, q: u64) -> u64 {
+        quantile_of(self.buckets.iter().map(|b| b.load(Ordering::Relaxed)), q)
     }
 
     /// Zero every bucket and the count/sum.
@@ -78,7 +126,7 @@ impl LogHistogram {
 
     /// A point-in-time copy of the histogram's contents.
     pub fn snapshot(&self) -> HistSnapshot {
-        let mut buckets = [0u64; LOG2_BUCKETS];
+        let mut buckets = [0u64; BUCKETS];
         for (out, b) in buckets.iter_mut().zip(&self.buckets) {
             *out = b.load(Ordering::Relaxed);
         }
@@ -93,8 +141,9 @@ impl LogHistogram {
 /// Plain-data copy of a [`LogHistogram`] at one moment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
-    /// Per-bucket sample counts (see [`bucket_of`] for the bucketing rule).
-    pub buckets: [u64; LOG2_BUCKETS],
+    /// Per-bucket sample counts (see [`LogHistogram`] for the bucketing
+    /// rule).
+    pub buckets: [u64; BUCKETS],
     /// Total samples recorded.
     pub count: u64,
     /// Sum of all samples (wraps on overflow; practically unreachable for
@@ -107,19 +156,7 @@ impl HistSnapshot {
     /// bucket containing the `q`-quantile sample (`q` in 0..=100). Returns
     /// 0 when the histogram is empty.
     pub fn quantile(&self, q: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // Same nearest-rank convention as `cbir_index::percentile`.
-        let rank = (q * self.count).div_ceil(100).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_bound(i);
-            }
-        }
-        bucket_bound(LOG2_BUCKETS - 1)
+        quantile_of(self.buckets.iter().copied(), q)
     }
 }
 
@@ -127,21 +164,44 @@ impl HistSnapshot {
 mod tests {
     use super::*;
 
+    /// Every value up to 2¹⁶, and 2ᵏ − 1, 2ᵏ, 2ᵏ + 1 for every k, then
+    /// `u64::MAX`; ascending.
+    fn probe_values() -> Vec<u64> {
+        let mut v: Vec<u64> = (0..=1u64 << 16).collect();
+        for k in 0..64 {
+            let p = 1u64 << k;
+            v.extend([p - 1, p, p + 1]);
+        }
+        v.push(u64::MAX);
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
     #[test]
     fn bucketing_rule() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), 64);
-        assert_eq!(bucket_bound(0), 0);
-        assert_eq!(bucket_bound(1), 1);
-        assert_eq!(bucket_bound(2), 3);
-        assert_eq!(bucket_bound(10), 1023);
-        assert_eq!(bucket_bound(64), u64::MAX);
+        let mut prev_bucket = 0;
+        for v in probe_values() {
+            let b = bucket_of(v);
+            assert!(b < BUCKETS, "{v} -> bucket {b}");
+            let bound = bucket_bound(b);
+            assert!(v <= bound, "{v} above its bucket's bound {bound}");
+            if v < 16 {
+                assert_eq!(bound, v, "{v} is not exact");
+            } else {
+                assert!(bound - v <= v / 16, "{v} -> {bound}: more than 1/16 over");
+            }
+            assert!(b >= prev_bucket, "bucket_of not monotone at {v}");
+            prev_bucket = b;
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        for b in 1..BUCKETS {
+            // Bounds strictly increase, and each bucket starts right
+            // after the previous one ends.
+            assert!(bucket_bound(b) > bucket_bound(b - 1), "bound {b}");
+            assert_eq!(bucket_of(bucket_bound(b - 1) + 1), b);
+        }
+        assert_eq!(bucket_bound(BUCKETS - 1), u64::MAX);
     }
 
     #[test]
@@ -153,14 +213,19 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 7);
         assert_eq!(snap.sum, 1118);
-        // Rank 4 of 7 at p50 lands in the [4,7] bucket.
-        assert_eq!(snap.quantile(50), 7);
-        // The p99 rank is the largest sample's bucket.
+        for q in [0, 50, 95, 99, 100] {
+            assert_eq!(h.quantile(q), snap.quantile(q), "q{q}");
+        }
+        // Rank 4 of 7 at p50 is the second 5, exact below 16.
+        assert_eq!(snap.quantile(50), 5);
+        // The p99 rank is the largest sample's bucket, [992, 1023].
+        assert_eq!(snap.quantile(99), LogHistogram::upper_bound(1000));
         assert_eq!(snap.quantile(99), 1023);
         h.reset();
         let snap = h.snapshot();
         assert_eq!(snap.count, 0);
         assert_eq!(snap.quantile(50), 0);
+        assert_eq!(h.quantile(50), 0);
     }
 
     #[test]

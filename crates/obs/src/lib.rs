@@ -1,7 +1,7 @@
 //! # `cbir-obs` — the observability substrate
 //!
 //! A zero-dependency, process-global registry of lock-free counters,
-//! log₂ latency histograms, per-extraction-stage hit/miss accounting, and
+//! log-linear latency histograms, per-extraction-stage hit/miss accounting, and
 //! a sampled per-query trace ring — the runtime measurement surface for
 //! the quantities the offline evaluation (pruning effectiveness, per-stage
 //! extraction cost, query cost distribution) measures in batch.
@@ -49,7 +49,7 @@ mod json;
 mod trace;
 
 pub use export::{render_trace, to_json, to_prometheus, trace_to_json, traces_to_json};
-pub use hist::{bucket_bound, bucket_of, HistSnapshot, LogHistogram, LOG2_BUCKETS};
+pub use hist::{HistSnapshot, LogHistogram};
 pub use json::Json;
 pub use trace::{QueryTrace, TraceSpan, TRACE_RING_CAP};
 
@@ -731,7 +731,8 @@ pub struct LatencySummary {
     pub count: u64,
     /// Sum of recorded latencies, microseconds.
     pub sum_us: u64,
-    /// Estimated p50 (log₂-bucket upper bound), microseconds.
+    /// Estimated p50 (its bucket's upper bound, at most 1/16 over),
+    /// microseconds.
     pub p50_us: u64,
     /// Estimated p95, microseconds.
     pub p95_us: u64,

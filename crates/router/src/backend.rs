@@ -251,11 +251,10 @@ impl ShardClient {
     /// alone is used — hedging too eagerly on a cold histogram would
     /// double every request's backend load.
     pub fn hedge_delay(&self, floor: Duration) -> Duration {
-        let snap = self.latency.snapshot();
-        if snap.count < 16 {
+        if self.latency.count() < 16 {
             return floor;
         }
-        floor.max(Duration::from_micros(snap.quantile(99)))
+        floor.max(Duration::from_micros(self.latency.quantile(99)))
     }
 
     /// Probe every replica of this shard once: dial with `timeout`,

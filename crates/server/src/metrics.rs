@@ -1,48 +1,17 @@
 //! Server-side counters: admission outcomes, micro-batch shape, and
 //! enqueue-to-reply latency tails.
 //!
-//! Cheap monotonically-increasing counters are atomics updated lock-free
-//! on the request path; the batch-size histogram, latency samples, and
-//! aggregated engine [`BatchStats`] live behind one mutex taken once per
-//! *batch* (not per request), so metric upkeep amortizes exactly like the
-//! work it measures.
+//! Every field is a relaxed atomic in fixed memory, the latency tail
+//! included (one log-linear [`LogHistogram`] over the server's lifetime),
+//! so recording a batch takes no lock and allocates nothing however long
+//! the server runs, and a snapshot only reads counters.
 
 use crate::protocol::StatsSnapshot;
-use cbir_index::{percentile_of_sorted, BatchStats};
+use cbir_obs::LogHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Inclusive upper bounds of the batch-size histogram buckets.
 pub const BATCH_HIST_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, u64::MAX];
-
-/// Retained latency samples: a fixed-size ring, so the tail summary of a
-/// long-running server always reflects its most recent
-/// `LATENCY_SAMPLE_CAP` executed requests.
-const LATENCY_SAMPLE_CAP: usize = 1 << 20;
-
-#[derive(Default)]
-struct Sampled {
-    batch_hist: [u64; BATCH_HIST_BOUNDS.len()],
-    /// Grows to [`LATENCY_SAMPLE_CAP`], then `latency_oldest` walks it.
-    latency_us: Vec<u64>,
-    /// Index of the oldest sample once the ring is full: the next one
-    /// overwritten.
-    latency_oldest: usize,
-    search: BatchStats,
-}
-
-impl Sampled {
-    fn push_latencies(&mut self, latencies_us: &[u64]) {
-        for &us in latencies_us {
-            if self.latency_us.len() < LATENCY_SAMPLE_CAP {
-                self.latency_us.push(us);
-            } else {
-                self.latency_us[self.latency_oldest] = us;
-                self.latency_oldest = (self.latency_oldest + 1) % LATENCY_SAMPLE_CAP;
-            }
-        }
-    }
-}
 
 /// Shared counter block; one per server.
 #[derive(Default)]
@@ -60,7 +29,9 @@ pub struct Metrics {
     epoll_wakeups: AtomicU64,
     max_pipeline_depth: AtomicU64,
     open_conns: AtomicU64,
-    sampled: Mutex<Sampled>,
+    distance_computations: AtomicU64,
+    batch_hist: [AtomicU64; BATCH_HIST_BOUNDS.len()],
+    latency_us: LogHistogram,
 }
 
 impl Metrics {
@@ -133,35 +104,34 @@ impl Metrics {
 
     /// Record one dispatched micro-batch: its size, how many of its
     /// members had already expired, each executed member's
-    /// enqueue-to-reply latency, and the engine's per-batch search stats.
-    pub fn on_batch(&self, size: usize, expired: usize, latencies_us: &[u64], search: &BatchStats) {
+    /// enqueue-to-reply latency, and the distance computations the engine
+    /// spent on it.
+    pub fn on_batch(
+        &self,
+        size: usize,
+        expired: usize,
+        latencies_us: &[u64],
+        distance_computations: u64,
+    ) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.expired.fetch_add(expired as u64, Ordering::Relaxed);
         self.executed
             .fetch_add(latencies_us.len() as u64, Ordering::Relaxed);
+        self.distance_computations
+            .fetch_add(distance_computations, Ordering::Relaxed);
         let bucket = BATCH_HIST_BOUNDS
             .iter()
             .position(|&b| size as u64 <= b)
             .expect("last bound is u64::MAX");
-        let mut s = self.sampled.lock().expect("metrics lock");
-        s.batch_hist[bucket] += 1;
-        s.push_latencies(latencies_us);
-        s.search.merge(search);
+        self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        for &us in latencies_us {
+            self.latency_us.record(us);
+        }
     }
 
     /// Snapshot every counter; `queue_depth` is supplied by the caller
     /// (the queue lives in the scheduler, not here).
-    ///
-    /// The dispatcher takes the sample lock once per batch, so only the
-    /// copy of the latency ring happens under it; the one sort both
-    /// ranks read runs after it is released.
     pub fn snapshot(&self, queue_depth: usize) -> StatsSnapshot {
-        let (mut latency_us, batch_hist, distance_computations) = {
-            let s = self.sampled.lock().expect("metrics lock");
-            let distance_computations = s.search.total().distance_computations;
-            (s.latency_us.clone(), s.batch_hist, distance_computations)
-        };
-        latency_us.sort_unstable();
         StatsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
@@ -172,17 +142,17 @@ impl Metrics {
             errors: self.errors.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             queue_depth: queue_depth as u64,
-            latency_p50_us: percentile_of_sorted(&latency_us, 50),
-            latency_p95_us: percentile_of_sorted(&latency_us, 95),
-            distance_computations,
+            latency_p50_us: self.latency_us.quantile(50),
+            latency_p95_us: self.latency_us.quantile(95),
+            distance_computations: self.distance_computations.load(Ordering::Relaxed),
             io_timeouts: self.io_timeouts.load(Ordering::Relaxed),
             panics_isolated: self.panics_isolated.load(Ordering::Relaxed),
             epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
             max_pipeline_depth: self.max_pipeline_depth.load(Ordering::Relaxed),
             batch_hist: BATCH_HIST_BOUNDS
                 .iter()
-                .zip(batch_hist.iter())
-                .map(|(&b, &c)| (b, c))
+                .zip(&self.batch_hist)
+                .map(|(&b, c)| (b, c.load(Ordering::Relaxed)))
                 .collect(),
         }
     }
@@ -191,7 +161,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbir_index::SearchStats;
 
     #[test]
     fn batch_recording_and_snapshot() {
@@ -211,14 +180,8 @@ mod tests {
         m.on_pipeline_depth(4);
         m.on_pipeline_depth(2);
 
-        let mut search = BatchStats::new();
-        search.record(&SearchStats {
-            distance_computations: 40,
-            nodes_visited: 4,
-            ..SearchStats::default()
-        });
-        m.on_batch(5, 1, &[100, 200, 300, 400], &search);
-        m.on_batch(1, 0, &[50], &BatchStats::new());
+        m.on_batch(5, 1, &[100, 200, 300, 400], 40);
+        m.on_batch(1, 0, &[50], 0);
 
         let snap = m.snapshot(3);
         assert_eq!(snap.requests, 10);
@@ -234,8 +197,8 @@ mod tests {
         assert_eq!(snap.panics_isolated, 1);
         assert_eq!(snap.epoll_wakeups, 2);
         assert_eq!(snap.max_pipeline_depth, 4, "high-water mark, not last");
-        assert_eq!(snap.latency_p50_us, 200);
-        assert_eq!(snap.latency_p95_us, 400);
+        assert_eq!(snap.latency_p50_us, LogHistogram::upper_bound(200));
+        assert_eq!(snap.latency_p95_us, LogHistogram::upper_bound(400));
         // Size 5 lands in the `<= 8` bucket, size 1 in `<= 1`.
         let hist: std::collections::BTreeMap<u64, u64> = snap.batch_hist.into_iter().collect();
         assert_eq!(hist[&1], 1);
@@ -245,33 +208,30 @@ mod tests {
 
     #[test]
     fn latency_tail_keeps_moving_past_the_sample_cap() {
+        const CAP: usize = 1 << 20;
         let m = Metrics::new();
-        let empty = BatchStats::new();
         let feed = |us: u64, samples: usize| {
             let batch = vec![us; 4096];
             for _ in 0..samples / batch.len() {
-                m.on_batch(batch.len(), 0, &batch, &empty);
+                m.on_batch(batch.len(), 0, &batch, 0);
             }
         };
-        feed(100, LATENCY_SAMPLE_CAP);
+        let bound = LogHistogram::upper_bound;
+        feed(100, CAP);
         let full = m.snapshot(0);
-        assert_eq!((full.latency_p50_us, full.latency_p95_us), (100, 100));
-        // The server turns slow for good after the ring has filled: new
-        // samples overwrite the oldest, and the percentiles follow.
+        assert_eq!(
+            (full.latency_p50_us, full.latency_p95_us),
+            (bound(100), bound(100))
+        );
+        // The server turns slow for good: once the slow samples are the
+        // majority of its lifetime, both percentiles follow them.
         feed(900, 4096);
-        {
-            let s = m.sampled.lock().unwrap();
-            assert_eq!(s.latency_us.len(), LATENCY_SAMPLE_CAP);
-            assert_eq!(s.latency_oldest, 4096);
-            assert!(s.latency_us[..4096].iter().all(|&us| us == 900));
-            assert!(s.latency_us[4096..].iter().all(|&us| us == 100));
-        }
-        feed(900, LATENCY_SAMPLE_CAP);
+        feed(900, CAP);
         let moved = m.snapshot(0);
-        assert_eq!((moved.latency_p50_us, moved.latency_p95_us), (900, 900));
-        assert_eq!(moved.executed as usize, 2 * LATENCY_SAMPLE_CAP + 4096);
-        let s = m.sampled.lock().unwrap();
-        assert_eq!(s.latency_us.len(), LATENCY_SAMPLE_CAP);
-        assert_eq!(s.latency_oldest, 4096);
+        assert_eq!(
+            (moved.latency_p50_us, moved.latency_p95_us),
+            (bound(900), bound(900))
+        );
+        assert_eq!(moved.executed as usize, 2 * CAP + 4096);
     }
 }

@@ -54,7 +54,8 @@ impl ClientPool {
     }
 
     /// Warm connections currently parked in the pool.
-    pub fn idle_len(&self) -> usize {
+    #[cfg(test)]
+    fn idle_len(&self) -> usize {
         self.idle.lock().unwrap().len()
     }
 

@@ -195,9 +195,11 @@ pub struct StatsSnapshot {
     pub batches: u64,
     /// Queue depth at snapshot time.
     pub queue_depth: u64,
-    /// p50 of enqueue-to-reply latency, microseconds (executed requests).
+    /// p50 of enqueue-to-reply latency over the server's lifetime,
+    /// microseconds (executed requests): its histogram bucket's upper
+    /// bound, at most 1/16 above the sample.
     pub latency_p50_us: u64,
-    /// p95 of enqueue-to-reply latency, microseconds (executed requests).
+    /// p95 of enqueue-to-reply latency, read like `latency_p50_us`.
     pub latency_p95_us: u64,
     /// Total full distance evaluations performed by the engine. A linear
     /// scan under its exact L1 filter evaluates only the rows its code

@@ -443,7 +443,7 @@ impl Scheduler {
         }
 
         let mut latencies = Vec::with_capacity(size - expired);
-        let mut search = BatchStats::new();
+        let mut distance_computations = 0;
         let threads = self.config.exec_threads;
         for (key, group) in groups {
             let mut stats = BatchStats::new();
@@ -481,7 +481,7 @@ impl Scheduler {
                         ),
                     }
                 }));
-            search.merge(&stats);
+            distance_computations += stats.total().distance_computations;
             let members = group.members;
             let outcome = match caught {
                 Ok(o) => o,
@@ -534,7 +534,8 @@ impl Scheduler {
         }
         // Counted before any reply fills: a client holding its reply sees
         // its batch in the counters.
-        self.metrics.on_batch(size, expired, &latencies, &search);
+        self.metrics
+            .on_batch(size, expired, &latencies, distance_computations);
         for (cell, reply) in replies {
             cell.fill(reply);
         }

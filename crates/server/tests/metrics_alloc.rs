@@ -1,0 +1,62 @@
+//! Allocation discipline of the server's counters: after one warm-up
+//! batch, recording micro-batches through `Metrics::on_batch` performs
+//! **zero** heap allocations however many it records, and
+//! `Metrics::snapshot` allocates only the batch-size histogram vector
+//! it returns. Verified with a counting global allocator.
+//!
+//! This file holds exactly one `#[test]` so no sibling test thread can
+//! allocate inside the measured windows.
+
+use cbir_server::Metrics;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+#[test]
+fn recording_is_allocation_free_and_snapshots_allocate_only_their_histogram() {
+    let metrics = Metrics::new();
+    let latencies_us = [2000u64; 8];
+    metrics.on_batch(8, 0, &latencies_us, 8 * 250);
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..100_000 {
+        metrics.on_batch(8, 0, std::hint::black_box(&latencies_us), 8 * 250);
+    }
+    let recording = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let snap = metrics.snapshot(0);
+    let snapshot = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(
+        recording, 0,
+        "100,000 on_batch calls allocated {recording} times"
+    );
+    assert_eq!(snapshot, 1, "snapshot allocated {snapshot} times");
+    assert_eq!(snap.executed, 8 * 100_001);
+    assert_eq!(snap.batches, 100_001);
+    assert_eq!(snap.distance_computations, 2000 * 100_001);
+    assert!(snap.latency_p50_us >= 2000 && snap.latency_p95_us <= 2000 + 2000 / 16);
+}

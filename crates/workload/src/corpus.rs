@@ -135,11 +135,6 @@ impl Corpus {
         &self.spec
     }
 
-    /// Number of images sharing image `i`'s class (including `i` itself).
-    pub fn class_size(&self) -> usize {
-        self.spec.images_per_class
-    }
-
     /// Ids of all images in the same class as `query` (excluding it) — the
     /// retrieval ground truth.
     pub fn relevant_to(&self, query: usize) -> Vec<usize> {
@@ -212,7 +207,6 @@ mod tests {
         assert_eq!(c.labels[0], 0);
         assert_eq!(c.labels[5], 1);
         assert_eq!(c.labels[19], 3);
-        assert_eq!(c.class_size(), 5);
         for img in &c.images {
             assert_eq!(img.dimensions(), (32, 32));
         }

@@ -207,7 +207,8 @@ impl Shape {
     }
 
     /// Approximate area in unit coordinates (for tests).
-    pub fn approx_area(&self) -> f32 {
+    #[cfg(test)]
+    fn approx_area(&self) -> f32 {
         match *self {
             Shape::Disc { r, .. } => std::f32::consts::PI * r * r,
             Shape::Rectangle { hw, hh, .. } => 4.0 * hw * hh,

@@ -88,7 +88,13 @@ KNN_OUT=$("$CBIR" rpc-query "$ADDR" "$QUERY_IMG" --db "$SMOKE_DIR/photos.cbir" -
 echo "$KNN_OUT" | grep -q "class-" || { echo "rpc-query knn returned no hits"; exit 1; }
 BYID_OUT=$("$CBIR" rpc-query "$ADDR" --id 0 -k 2)
 echo "$BYID_OUT" | grep -q "class-" || { echo "rpc-query --id returned no hits"; exit 1; }
-"$CBIR" rpc-ctl "$ADDR" stats >/dev/null
+# The queries above went through the latency histogram: its p50 and p95
+# come back over the wire nonzero and ordered.
+LAT_STATS=$("$CBIR" rpc-ctl "$ADDR" stats | grep "latency p50")
+P50=$(echo "$LAT_STATS" | sed 's/.*latency p50 \([0-9]*\)us.*/\1/')
+P95=$(echo "$LAT_STATS" | sed 's/.*p95 \([0-9]*\)us.*/\1/')
+[ "$P50" -gt 0 ] && [ "$P95" -gt 0 ] && [ "$P50" -le "$P95" ] \
+    || { echo "stats latency not > 0 and ordered: $LAT_STATS"; exit 1; }
 
 echo "==> connection-loop smoke (64-conn x 16-request pipelined storm -> every reply, loop counters)"
 # rpc-storm fails unless every connection reads all 16 of its replies;
