@@ -3,14 +3,16 @@
 //! k-NN (k = 10) over clustered 16-d signatures as N grows: per index,
 //! mean distance computations and mean wall-clock per query, plus the
 //! speedup factor over sequential scan. The paper-shape claim: indexed
-//! search wins by a growing factor as N grows.
+//! search wins by a growing factor as N grows. Every tree's k-NN replies
+//! must equal the scan's bit for bit (ids, order and distance bits), or
+//! the run fails.
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_scaling [--quick]`
 
 use cbir_bench::{clustered_dataset, fmt_us, index_lineup, standard_queries, Table};
 use cbir_core::build_index;
 use cbir_distance::Measure;
-use cbir_index::BatchStats;
+use cbir_index::{BatchStats, Neighbor};
 use std::time::Instant;
 
 fn main() {
@@ -39,12 +41,28 @@ fn main() {
         let dataset = clustered_dataset(n, DIM, 42);
         let queries = standard_queries(&dataset, n_queries, 7);
         let mut linear_us = 0.0f64;
+        let mut scan: Vec<Vec<Neighbor>> = Vec::new();
         for kind in index_lineup() {
             let index = build_index(&kind, dataset.clone(), Measure::L2).expect("build");
             let mut stats = BatchStats::new();
             let start = Instant::now();
-            index.knn_batch(&queries, K, &mut stats);
+            let replies = index.knn_batch(&queries, K, &mut stats);
             let elapsed = start.elapsed();
+            if kind.name() == "linear" {
+                scan = replies;
+            } else {
+                let bits = |r: &[Neighbor]| -> Vec<(usize, u32)> {
+                    r.iter().map(|h| (h.id, h.distance.to_bits())).collect()
+                };
+                for (got, want) in replies.iter().zip(&scan) {
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "{} k-NN diverges from the scan at N = {n}",
+                        kind.name()
+                    );
+                }
+            }
             let per_query_us = elapsed.as_secs_f64() * 1e6 / queries.len() as f64;
             if kind.name() == "linear" {
                 linear_us = per_query_us;

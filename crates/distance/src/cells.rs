@@ -206,7 +206,8 @@ impl CellQuantizer {
     /// tail through at most 8. All terms are non-negative and
     /// round-to-nearest is monotone and exact on subnormal sums, so the
     /// returned `D ≥ R · (1 − 2⁻²⁴)^h ≥ R · (1 − h·2⁻²⁴)` with `h =
-    /// ⌊dim/16⌋ + 8` for any `dim ≥ 1` (an overflow to `+∞` only helps).
+    /// ⌊dim/16⌋ + 8` ([`crate::kernel_roundings`]) for any `dim ≥ 1` (an
+    /// overflow to `+∞` only helps).
     ///
     /// *Together.* `S ≥ T` with `T ≥ bound / (step·(1 − h·2⁻²⁴)) +
     /// dim·(1 + 2⁻¹³)` yields `D ≥ bound`. `T` is evaluated in `f64`
@@ -215,7 +216,7 @@ impl CellQuantizer {
     /// over.
     pub fn min_sad(&self, bound: f32) -> u32 {
         let dim = self.dim() as f64;
-        let kept = 1.0 - ((self.dim() / 16 + 8) as f64) / (1u64 << 24) as f64;
+        let kept = 1.0 - crate::kernel_roundings(self.dim()) as f64 / (1u64 << 24) as f64;
         let need = bound as f64 / (self.step as f64 * kept) + dim * (1.0 + CELL_SLACK);
         if need.is_nan() {
             return u32::MAX;

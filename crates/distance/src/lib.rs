@@ -11,7 +11,10 @@
 //! - one-byte cell codes whose difference sum is an exact lower bound on
 //!   the L1 kernel's result ([`CellQuantizer`], [`CellTable`], summed
 //!   eight rows per `vpsadbw`) — what lets a sequential scan skip rows
-//!   without changing a reply.
+//!   without changing a reply;
+//! - one-byte rows with a step per dimension whose weighted sum brackets
+//!   the L1 or L2 kernel's result ([`ByteRows`]) — what lets a tree
+//!   index settle most rows it visits without reading them in `f32`.
 //!
 //! The [`Metric`] trait is the interface the index structures consume; the
 //! [`Measure`] enum is the runtime-selectable catalogue, and
@@ -27,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+mod bytes;
 mod cells;
 mod combine;
 mod hausdorff;
@@ -37,6 +41,7 @@ mod minkowski;
 mod quadratic;
 mod simd;
 
+pub use bytes::{ByteQuery, ByteRows};
 pub use cells::{CellQuantizer, CellTable, TILE_ROWS};
 pub use combine::{CombineError, CombinedMeasure, Component};
 pub use hausdorff::{
@@ -51,5 +56,5 @@ pub use kernel::{
     JeffreyKernel, L1Kernel, L2Kernel, LInfKernel, MatchKernel, MinkowskiKernel, QuadraticKernel,
 };
 pub use metric::{Measure, Metric};
-pub use minkowski::{cosine, l1, l2, l2_squared, linf, minkowski};
+pub use minkowski::{cosine, kernel_roundings, l1, l2, l2_squared, linf, minkowski};
 pub use quadratic::{QuadraticForm, QuadraticFormError};

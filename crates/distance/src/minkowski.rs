@@ -82,6 +82,25 @@ pub(crate) fn lane_sum<const SQUARE: bool>(a: &[f32], b: &[f32]) -> f32 {
     ((s[0] + s[1]) + (s[2] + s[3])) + tail
 }
 
+/// `h`, the roundings one term of an [`l1`] or [`l2`] result passes
+/// through at most, as [`crate::CellQuantizer::min_sad`]'s proof counts
+/// them for `lane_sum`'s recipe: `⌊dim/16⌋ + 8`. For finite vectors whose
+/// real distance is `R`, the kernel returns `D` with `R·(1 − 2⁻²⁴)^h ≤ D ≤
+/// R·(1 + 2⁻²⁴)^h` (an overflow to `+∞` aside). The count is loose by
+/// two from dim 32 up: a term of the 16-wide main loop passes through
+/// `⌊dim/16⌋ + 6`, one of the cleanup group or the tail through at most
+/// 8. For [`l2`] the squares carry two roundings and the square root
+/// halves the sum's and adds one, `(h + 1)/2 + 1 ≤ h`.
+///
+/// Every margin that turns a bound on real distances into one on the
+/// kernel's results starts from this count: the cell codes'
+/// [`min_sad`](crate::CellQuantizer::min_sad), the one-byte rows'
+/// [`bounds`](crate::ByteRows::bounds) and the metric trees' triangle
+/// tests.
+pub fn kernel_roundings(dim: usize) -> usize {
+    dim / 16 + 8
+}
+
 /// City-block (L1) distance: `Σ |aᵢ - bᵢ|`.
 #[inline]
 pub fn l1(a: &[f32], b: &[f32]) -> f32 {

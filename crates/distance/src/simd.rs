@@ -55,7 +55,7 @@ pub(crate) fn pair_sum_to_many<const SQUARE: bool>(query: &[f32], rows: &[f32], 
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use std::arch::x86_64::*;
 
     /// `d = x - y`, then `|d|` or `d²`. Sign-bit clear is exactly
@@ -76,7 +76,7 @@ mod x86 {
     /// Fold an 8-lane accumulator to `(s0+s1) + (s2+s3)` where
     /// `s = [t0+t4, ...]` — the exact tail of `lane_sum`'s reduction.
     #[inline(always)]
-    fn reduce8(t: __m256) -> f32 {
+    pub(crate) fn reduce8(t: __m256) -> f32 {
         // SAFETY: callers are `#[target_feature(enable = "avx2")]` fns.
         unsafe {
             let s = _mm_add_ps(_mm256_castps256_ps128(t), _mm256_extractf128_ps(t, 1));

@@ -10,14 +10,54 @@
 //! subtrees with the triangle inequality against the antipole endpoints and
 //! prunes individual cluster members against the precomputed centroid
 //! distances.
+//!
+//! ## One-byte rows
+//!
+//! A search scores a few thousand rows of a large descriptor corpus,
+//! mostly antipole endpoints scattered over the whole matrix, and waits
+//! on memory for each. Under L1 and L2 the tree therefore keeps a copy
+//! of its rows at one byte per coordinate ([`ByteRows`]: an origin and a
+//! step per dimension, each row's quantization error beside it), built
+//! by the first query, laid out in the tree's preorder — an internal
+//! node's two endpoints side by side, a leaf's centroid then its members
+//! — so a traversal reads it nearly in order. Every visited row is
+//! scored by an interval that provably holds the `f32` kernel's result
+//! (see [`ByteRows::bounds`]); the lower end prunes and orders, and the
+//! `f32` kernel runs only on a row the interval cannot exclude from the
+//! heap or the radius. The traversal is the `f32` one with intervals in
+//! place of distances, the triangle tests take a lower bound for the
+//! distance they subtract from and an upper bound for the one they
+//! subtract, and a reply holds the same ids and distance bits as the
+//! `f32` path's. Other measures, rows that stay in cache or span few
+//! cache lines (under `CODED_MIN_DIM` dimensions or `CODED_MIN_BYTES`
+//! of `f32`s), and a query the bounds do not cover (a component that is
+//! not finite, or one more than 2²⁰ steps outside the rows' box) score
+//! the `f32` rows; nothing chooses between the two but the measure, the
+//! matrix's shape and the query.
 
 use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
+use crate::knn_heap::KnnHeap;
 use crate::rng::SplitMix64;
 use crate::scratch::{Frame, QueryScratch};
-use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats};
+use crate::stats::{sort_neighbors, tri_margin, tri_slack, Neighbor, SearchStats};
 use crate::traits::SearchIndex;
-use cbir_distance::Measure;
+use cbir_distance::{ByteQuery, ByteRows, Measure};
+use std::sync::OnceLock;
+
+/// The one-byte rows are kept only for rows of at least this many
+/// dimensions, in a matrix of at least `CODED_MIN_BYTES` of `f32`s.
+/// Their gain is the memory a scored row no longer waits on: a quarter of
+/// the cache lines, read in order. An `f32` row of under 128 dimensions
+/// spans eight lines or fewer and a matrix under 8 MiB stays in cache;
+/// there the bound costs more than the read it saves. Timed on the CLI's
+/// query path (k = 10, 2-vCPU host with 2 MiB L2 a core), texture (18
+/// dimensions) and shape (31) descriptors took 0.8–1.4× the `f32` rows'
+/// time on the one-byte rows, slower in 18 of 20 cells up to 100,000
+/// rows (7–12 MB); 128 to 577 dimensions took 0.9–1.6× at 2–4 MB and
+/// 0.5–0.9× from 8 MB on.
+const CODED_MIN_DIM: usize = 128;
+const CODED_MIN_BYTES: usize = 8 << 20;
 
 /// Tournament size τ. The paper fixes τ = 3, where the fast and accurate
 /// antipole variants coincide.
@@ -40,6 +80,8 @@ enum Node {
         members: Vec<(u32, f32)>,
         /// Max distance from the centroid to any member.
         radius: f32,
+        /// Slot of the centroid in the one-byte rows; the members follow.
+        slot: u32,
     },
     Internal {
         a: u32,
@@ -51,6 +93,8 @@ enum Node {
         rad_b: f32,
         left: u32,
         right: u32,
+        /// Slot of `a` in the one-byte rows; `b` follows.
+        slot: u32,
     },
 }
 
@@ -62,6 +106,121 @@ pub struct AntipoleTree {
     nodes: Vec<Node>,
     root: u32,
     diameter: f32,
+    /// [`tri_margin`] of the dimension.
+    slack: f32,
+    /// The rows at one byte per coordinate in preorder (module docs),
+    /// built by the first query; `Some(None)` under a measure other than
+    /// L1 and L2, for rows too small or too few to gain from it
+    /// (`CODED_MIN_DIM`), or where no copy could be built.
+    codes: OnceLock<Option<ByteRows>>,
+}
+
+/// What a search knows of one row's distance from the query: an interval
+/// that holds the kernel's result, collapsed to that result once the
+/// kernel has run.
+#[derive(Clone, Copy)]
+struct Score {
+    lo: f32,
+    hi: f32,
+    exact: bool,
+}
+
+/// How a search scores a row: the `f32` kernel, or the one-byte bound
+/// with the kernel for what it cannot settle.
+trait Rows {
+    /// Score row `id`, stored at `slot` of the one-byte rows, for a
+    /// search whose bound is `t`: exactly unless the row is provably
+    /// farther than `t`. Counts one row scored.
+    fn score(&self, id: u32, slot: u32, t: f32, stats: &mut SearchStats) -> Score;
+}
+
+/// Every row in `f32`.
+struct F32Rows<'a> {
+    dataset: &'a Dataset,
+    measure: &'a Measure,
+    query: &'a [f32],
+}
+
+impl Rows for F32Rows<'_> {
+    #[inline]
+    fn score(&self, id: u32, _slot: u32, _t: f32, stats: &mut SearchStats) -> Score {
+        stats.distance_computations += 1;
+        let d = self
+            .measure
+            .distance(self.query, self.dataset.vector(id as usize));
+        Score {
+            lo: d,
+            hi: d,
+            exact: true,
+        }
+    }
+}
+
+/// The one-byte rows, falling back on the `f32` rows per row.
+struct CodedRows<'a> {
+    exact: F32Rows<'a>,
+    codes: &'a ByteRows,
+    prepared: &'a ByteQuery,
+}
+
+impl Rows for CodedRows<'_> {
+    #[inline]
+    fn score(&self, id: u32, slot: u32, t: f32, stats: &mut SearchStats) -> Score {
+        let (lo, hi) = self.codes.bounds(self.prepared, slot as usize);
+        if lo > t {
+            stats.distance_computations += 1;
+            return Score {
+                lo,
+                hi,
+                exact: false,
+            };
+        }
+        stats.refined += 1;
+        self.exact.score(id, slot, t, stats)
+    }
+}
+
+/// Where a search puts the rows it settles within its bound.
+trait Sink {
+    /// The current search bound.
+    fn bound(&self) -> f32;
+    /// Offer a row the kernel scored at `d`.
+    fn offer(&mut self, id: u32, d: f32);
+}
+
+impl Sink for KnnHeap {
+    #[inline]
+    fn bound(&self) -> f32 {
+        KnnHeap::bound(self)
+    }
+
+    #[inline]
+    fn offer(&mut self, id: u32, d: f32) {
+        KnnHeap::offer(self, id as usize, d);
+    }
+}
+
+/// A range search: a fixed radius and the hits within it.
+struct Within<'a> {
+    radius: f32,
+    out: &'a mut Vec<Neighbor>,
+}
+
+impl Sink for Within<'_> {
+    #[inline]
+    fn bound(&self) -> f32 {
+        self.radius
+    }
+
+    #[inline]
+    fn offer(&mut self, id: u32, d: f32) {
+        if d <= self.radius {
+            self.out.push(Neighbor {
+                id: id as usize,
+                distance: d,
+            });
+        }
+    }
 }
 
 impl AntipoleTree {
@@ -85,14 +244,17 @@ impl AntipoleTree {
         }
         let ids: Vec<u32> = (0..dataset.len() as u32).collect();
         let mut tree = AntipoleTree {
+            slack: tri_margin(dataset.dim()),
             dataset,
             measure,
             nodes: Vec::new(),
             root: 0,
             diameter,
+            codes: OnceLock::new(),
         };
         let mut rng = SplitMix64::new(0xA271_901E);
         tree.root = tree.build_node(ids, &mut rng);
+        tree.number_slots();
         Ok(tree)
     }
 
@@ -224,6 +386,7 @@ impl AntipoleTree {
             centroid,
             members,
             radius,
+            slot: 0,
         });
         (self.nodes.len() - 1) as u32
     }
@@ -265,16 +428,17 @@ impl AntipoleTree {
             rad_b,
             left,
             right,
+            slot: 0,
         });
         (self.nodes.len() - 1) as u32
     }
 
-    /// Pop-time admission check: a child frame carries `(d(q, router),
-    /// covering radius)`; it is visited iff the router ball can still
-    /// intersect the current search ball of radius `t`.
+    /// Pop-time admission check: a child frame carries `(a lower bound
+    /// on d(q, router), covering radius)`; it is visited iff the router
+    /// ball can still intersect the current search ball of radius `t`.
     #[inline]
-    fn admits(frame: &Frame, t: f32) -> bool {
-        frame.tag == 0 || frame.a <= t + frame.b + tri_slack(frame.a, frame.b)
+    fn admits(&self, frame: &Frame, t: f32) -> bool {
+        frame.tag == 0 || frame.a <= t + frame.b + tri_slack(frame.a, frame.b, self.slack)
     }
 
     /// Number of leaf clusters (diagnostic).
@@ -296,6 +460,197 @@ impl AntipoleTree {
             })
             .fold(0.0, f32::max)
     }
+
+    /// Give every node its slots in the one-byte rows, in preorder: an
+    /// internal node's endpoints, then its left subtree, then its right;
+    /// a leaf's centroid, then its members in order.
+    fn number_slots(&mut self) {
+        let mut next = 0u32;
+        let mut stack = vec![self.root];
+        while let Some(node) = stack.pop() {
+            match &mut self.nodes[node as usize] {
+                Node::Empty => {}
+                Node::Leaf { members, slot, .. } => {
+                    *slot = next;
+                    next += 1 + members.len() as u32;
+                }
+                Node::Internal {
+                    left, right, slot, ..
+                } => {
+                    *slot = next;
+                    next += 2;
+                    stack.extend([*right, *left]);
+                }
+            }
+        }
+        debug_assert_eq!(next as usize, self.dataset.len());
+    }
+
+    /// The one-byte rows, laid out by the slots of [`Self::number_slots`];
+    /// `None` under a measure they do not serve or for rows they do not
+    /// pay on (`CODED_MIN_DIM`).
+    fn encode(&self) -> Option<ByteRows> {
+        let dim = self.dataset.dim();
+        if dim < CODED_MIN_DIM || self.dataset.flat().len() * 4 < CODED_MIN_BYTES {
+            return None;
+        }
+        let mut order = vec![0u32; self.dataset.len()];
+        for node in &self.nodes {
+            match node {
+                Node::Empty => {}
+                Node::Leaf {
+                    centroid,
+                    members,
+                    slot,
+                    ..
+                } => {
+                    let slots = &mut order[*slot as usize..][..1 + members.len()];
+                    slots[0] = *centroid;
+                    for (s, &(id, _)) in slots[1..].iter_mut().zip(members) {
+                        *s = id;
+                    }
+                }
+                Node::Internal { a, b, slot, .. } => {
+                    order[*slot as usize..][..2].copy_from_slice(&[*a, *b]);
+                }
+            }
+        }
+        ByteRows::build(&self.measure, dim, self.dataset.flat(), &order)
+    }
+
+    /// The one-byte rows with `query` prepared in `prepared`, where they
+    /// serve it; built by the first caller (concurrent first callers wait
+    /// for that one build).
+    fn codes_for(&self, query: &[f32], prepared: &mut ByteQuery) -> Option<&ByteRows> {
+        let codes = self.codes.get_or_init(|| self.encode()).as_ref()?;
+        codes.prepare(query, prepared).then_some(codes)
+    }
+
+    /// Whether a member `dcm` from a centroid scored `c` is provably
+    /// farther than `t` from the query: `|d(q,c) − d(c,m)| ≤ d(q,m)`,
+    /// with the interval's lower end where `d(q,c)` is subtracted from
+    /// and its upper end where it is subtracted.
+    #[inline]
+    fn excludes(&self, c: Score, dcm: f32, t: f32) -> bool {
+        let bar = t + tri_slack(c.hi, dcm, self.slack);
+        c.lo - dcm > bar || dcm - c.hi > bar
+    }
+
+    /// The one traversal, for k-NN (a heap) and range (a radius) alike,
+    /// over either kind of row.
+    fn search<R: Rows, S: Sink>(
+        &self,
+        rows: &R,
+        sink: &mut S,
+        frames: &mut Vec<Frame>,
+        stats: &mut SearchStats,
+    ) {
+        frames.clear();
+        frames.push(Frame::unconditional(self.root));
+        while let Some(frame) = frames.pop() {
+            // Lazy admission check against the current (possibly tightened)
+            // bound — prunes at least as much as the recursive form.
+            if !self.admits(&frame, sink.bound()) {
+                stats.subtrees_pruned += 1;
+                continue;
+            }
+            stats.nodes_visited += 1;
+            match &self.nodes[frame.node as usize] {
+                Node::Empty => {}
+                Node::Leaf {
+                    centroid,
+                    members,
+                    radius,
+                    slot,
+                } => {
+                    let c = rows.score(*centroid, *slot, sink.bound(), stats);
+                    if c.exact {
+                        sink.offer(*centroid, c.lo);
+                    }
+                    // Whole-cluster exclusion.
+                    if c.lo > sink.bound() + radius + tri_slack(c.lo, *radius, self.slack) {
+                        stats.subtrees_pruned += 1;
+                        continue;
+                    }
+                    for (&(id, dcm), member) in members.iter().zip(slot + 1..) {
+                        let t = sink.bound();
+                        if self.excludes(c, dcm, t) {
+                            continue;
+                        }
+                        stats.postfilter_candidates += 1;
+                        let m = rows.score(id, member, t, stats);
+                        if m.exact {
+                            sink.offer(id, m.lo);
+                        }
+                    }
+                }
+                Node::Internal {
+                    a,
+                    b,
+                    rad_a,
+                    rad_b,
+                    left,
+                    right,
+                    slot,
+                } => {
+                    // Both endpoints are scored before either is offered,
+                    // so their rows are fetched together.
+                    let t = sink.bound();
+                    let sa = rows.score(*a, *slot, t, stats);
+                    let sb = rows.score(*b, slot + 1, t, stats);
+                    for (id, s) in [(*a, sa), (*b, sb)] {
+                        if s.exact {
+                            sink.offer(id, s.lo);
+                        }
+                    }
+                    let (da, db) = (sa.lo, sb.lo);
+                    // The closer side is pushed last so it pops first and
+                    // tightens the bound before the farther side's check.
+                    let sides = if da - rad_a <= db - rad_b {
+                        [(db, *rad_b, *right), (da, *rad_a, *left)]
+                    } else {
+                        [(da, *rad_a, *left), (db, *rad_b, *right)]
+                    };
+                    for (d, rad, child) in sides {
+                        frames.push(Frame {
+                            node: child,
+                            tag: 1,
+                            a: d,
+                            b: rad,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`Self::search`] on the one-byte rows where they serve `query`,
+    /// on the `f32` rows otherwise.
+    fn dispatch<S: Sink>(
+        &self,
+        query: &[f32],
+        sink: &mut S,
+        frames: &mut Vec<Frame>,
+        prepared: &mut ByteQuery,
+        stats: &mut SearchStats,
+    ) {
+        let exact = F32Rows {
+            dataset: &self.dataset,
+            measure: &self.measure,
+            query,
+        };
+        match self.codes_for(query, prepared) {
+            Some(codes) => {
+                let rows = CodedRows {
+                    exact,
+                    codes,
+                    prepared,
+                };
+                self.search(&rows, sink, frames, stats);
+            }
+            None => self.search(&exact, sink, frames, stats),
+        }
+    }
 }
 
 impl SearchIndex for AntipoleTree {
@@ -316,98 +671,14 @@ impl SearchIndex for AntipoleTree {
         out: &mut Vec<Neighbor>,
     ) {
         out.clear();
-        let t = radius;
-        let frames = &mut scratch.frames;
-        frames.clear();
-        frames.push(Frame::unconditional(self.root));
-        while let Some(frame) = frames.pop() {
-            if !Self::admits(&frame, t) {
-                stats.subtrees_pruned += 1;
-                continue;
-            }
-            stats.nodes_visited += 1;
-            match &self.nodes[frame.node as usize] {
-                Node::Empty => {}
-                Node::Leaf {
-                    centroid,
-                    members,
-                    radius,
-                } => {
-                    stats.distance_computations += 1;
-                    let dc = self
-                        .measure
-                        .distance(query, self.dataset.vector(*centroid as usize));
-                    if dc <= t {
-                        out.push(Neighbor {
-                            id: *centroid as usize,
-                            distance: dc,
-                        });
-                    }
-                    // Whole-cluster exclusion.
-                    if dc > t + radius + tri_slack(dc, *radius) {
-                        stats.subtrees_pruned += 1;
-                        continue;
-                    }
-                    for &(id, dcm) in members {
-                        // Triangle exclusion: |d(q,c) - d(c,m)| ≤ d(q,m).
-                        if (dc - dcm).abs() > t + tri_slack(dc, dcm) {
-                            continue;
-                        }
-                        stats.distance_computations += 1;
-                        stats.postfilter_candidates += 1;
-                        let d = self
-                            .measure
-                            .distance(query, self.dataset.vector(id as usize));
-                        if d <= t {
-                            out.push(Neighbor {
-                                id: id as usize,
-                                distance: d,
-                            });
-                        }
-                    }
-                }
-                Node::Internal {
-                    a,
-                    b,
-                    rad_a,
-                    rad_b,
-                    left,
-                    right,
-                } => {
-                    stats.distance_computations += 2;
-                    let da = self
-                        .measure
-                        .distance(query, self.dataset.vector(*a as usize));
-                    let db = self
-                        .measure
-                        .distance(query, self.dataset.vector(*b as usize));
-                    if da <= t {
-                        out.push(Neighbor {
-                            id: *a as usize,
-                            distance: da,
-                        });
-                    }
-                    if db <= t {
-                        out.push(Neighbor {
-                            id: *b as usize,
-                            distance: db,
-                        });
-                    }
-                    frames.push(Frame {
-                        node: *right,
-                        tag: 1,
-                        a: db,
-                        b: *rad_b,
-                    });
-                    frames.push(Frame {
-                        node: *left,
-                        tag: 1,
-                        a: da,
-                        b: *rad_a,
-                    });
-                }
-            }
-        }
+        let mut within = Within { radius, out };
+        self.dispatch(
+            query,
+            &mut within,
+            &mut scratch.frames,
+            &mut scratch.bytes,
+            stats,
+        );
         sort_neighbors(out);
     }
 
@@ -423,81 +694,14 @@ impl SearchIndex for AntipoleTree {
         if k == 0 {
             return;
         }
-        let QueryScratch { heap, frames, .. } = scratch;
+        let QueryScratch {
+            heap,
+            frames,
+            bytes,
+            ..
+        } = scratch;
         heap.reset(k);
-        frames.clear();
-        frames.push(Frame::unconditional(self.root));
-        while let Some(frame) = frames.pop() {
-            // Lazy admission check against the current (possibly tightened)
-            // bound — prunes at least as much as the recursive form.
-            if !Self::admits(&frame, heap.bound()) {
-                stats.subtrees_pruned += 1;
-                continue;
-            }
-            stats.nodes_visited += 1;
-            match &self.nodes[frame.node as usize] {
-                Node::Empty => {}
-                Node::Leaf {
-                    centroid,
-                    members,
-                    radius,
-                } => {
-                    stats.distance_computations += 1;
-                    let dc = self
-                        .measure
-                        .distance(query, self.dataset.vector(*centroid as usize));
-                    heap.offer(*centroid as usize, dc);
-                    if dc > heap.bound() + radius + tri_slack(dc, *radius) {
-                        stats.subtrees_pruned += 1;
-                        continue;
-                    }
-                    for &(id, dcm) in members {
-                        if (dc - dcm).abs() > heap.bound() + tri_slack(dc, dcm) {
-                            continue;
-                        }
-                        stats.distance_computations += 1;
-                        stats.postfilter_candidates += 1;
-                        let d = self
-                            .measure
-                            .distance(query, self.dataset.vector(id as usize));
-                        heap.offer(id as usize, d);
-                    }
-                }
-                Node::Internal {
-                    a,
-                    b,
-                    rad_a,
-                    rad_b,
-                    left,
-                    right,
-                } => {
-                    stats.distance_computations += 2;
-                    let da = self
-                        .measure
-                        .distance(query, self.dataset.vector(*a as usize));
-                    let db = self
-                        .measure
-                        .distance(query, self.dataset.vector(*b as usize));
-                    heap.offer(*a as usize, da);
-                    heap.offer(*b as usize, db);
-                    // The closer side is pushed last so it pops first and
-                    // tightens the bound before the farther side's check.
-                    let sides = if da - rad_a <= db - rad_b {
-                        [(db, *rad_b, *right), (da, *rad_a, *left)]
-                    } else {
-                        [(da, *rad_a, *left), (db, *rad_b, *right)]
-                    };
-                    for (d, rad, child) in sides {
-                        frames.push(Frame {
-                            node: child,
-                            tag: 1,
-                            a: d,
-                            b: rad,
-                        });
-                    }
-                }
-            }
-        }
+        self.dispatch(query, heap, frames, bytes, stats);
         heap.drain_sorted_into(out);
     }
 
@@ -505,6 +709,8 @@ impl SearchIndex for AntipoleTree {
         "antipole"
     }
 
+    /// The nodes, the members' centroid distances and, once a query has
+    /// built it, the one-byte copy of the rows.
     fn structure_bytes(&self) -> usize {
         let mut total = std::mem::size_of::<Self>();
         for n in &self.nodes {
@@ -514,6 +720,11 @@ impl SearchIndex for AntipoleTree {
             }
         }
         total
+            + self
+                .codes
+                .get()
+                .and_then(Option::as_ref)
+                .map_or(0, ByteRows::bytes)
     }
 }
 

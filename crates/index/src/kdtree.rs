@@ -11,7 +11,7 @@
 use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
 use crate::scratch::{Frame, QueryScratch};
-use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats};
+use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats, TRI_FLOOR};
 use crate::traits::SearchIndex;
 use cbir_distance::Measure;
 
@@ -191,7 +191,7 @@ impl SearchIndex for KdTree {
         frames.clear();
         frames.push(Frame::unconditional(self.root));
         while let Some(frame) = frames.pop() {
-            if frame.tag == 1 && frame.a.abs() > radius + tri_slack(frame.a, radius) {
+            if frame.tag == 1 && frame.a.abs() > radius + tri_slack(frame.a, radius, TRI_FLOOR) {
                 stats.subtrees_pruned += 1;
                 continue;
             }
@@ -237,7 +237,7 @@ impl SearchIndex for KdTree {
             // while visiting exactly the same candidate set.
             if frame.tag == 1 {
                 let t = heap.bound();
-                if frame.a.abs() > t + tri_slack(frame.a, t) {
+                if frame.a.abs() > t + tri_slack(frame.a, t, TRI_FLOOR) {
                     stats.subtrees_pruned += 1;
                     continue;
                 }

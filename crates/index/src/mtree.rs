@@ -12,7 +12,7 @@ use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
 use crate::rng::SplitMix64;
 use crate::scratch::{Frame, QueryScratch};
-use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats};
+use crate::stats::{sort_neighbors, tri_margin, tri_slack, Neighbor, SearchStats};
 use crate::traits::SearchIndex;
 use cbir_distance::Measure;
 
@@ -51,6 +51,8 @@ pub struct MTree {
     nodes: Vec<Node>,
     root: u32,
     capacity: usize,
+    /// [`tri_margin`] of the dimension.
+    slack: f32,
 }
 
 impl MTree {
@@ -76,6 +78,7 @@ impl MTree {
             )));
         }
         let mut tree = MTree {
+            slack: tri_margin(dataset.dim()),
             dataset,
             measure,
             nodes: vec![Node::Leaf(Vec::new())],
@@ -409,7 +412,9 @@ impl SearchIndex for MTree {
                     for e in entries {
                         // Parent-distance pruning avoids the distance call.
                         if let Some(d_qp) = parent {
-                            if (d_qp - e.d_parent).abs() > t + tri_slack(d_qp, e.d_parent) {
+                            if (d_qp - e.d_parent).abs()
+                                > t + tri_slack(d_qp, e.d_parent, self.slack)
+                            {
                                 continue;
                             }
                         }
@@ -430,7 +435,7 @@ impl SearchIndex for MTree {
                     for e in entries {
                         if let Some(d_qp) = parent {
                             if (d_qp - e.d_parent).abs()
-                                > t + e.radius + tri_slack(d_qp, e.d_parent)
+                                > t + e.radius + tri_slack(d_qp, e.d_parent, self.slack)
                             {
                                 stats.subtrees_pruned += 1;
                                 continue;
@@ -440,7 +445,7 @@ impl SearchIndex for MTree {
                         let d = self
                             .measure
                             .distance(query, self.dataset.vector(e.router as usize));
-                        if d <= t + e.radius + tri_slack(d, e.radius) {
+                        if d <= t + e.radius + tri_slack(d, e.radius, self.slack) {
                             frames.push(Frame {
                                 node: e.child,
                                 tag: 1,
@@ -493,7 +498,7 @@ impl SearchIndex for MTree {
                     for e in entries {
                         if let Some(d_qp) = parent {
                             if (d_qp - e.d_parent).abs()
-                                > heap.bound() + tri_slack(d_qp, e.d_parent)
+                                > heap.bound() + tri_slack(d_qp, e.d_parent, self.slack)
                             {
                                 continue;
                             }
@@ -513,7 +518,7 @@ impl SearchIndex for MTree {
                     for e in entries {
                         if let Some(d_qp) = parent {
                             if (d_qp - e.d_parent).abs()
-                                > heap.bound() + e.radius + tri_slack(d_qp, e.d_parent)
+                                > heap.bound() + e.radius + tri_slack(d_qp, e.d_parent, self.slack)
                             {
                                 stats.subtrees_pruned += 1;
                                 continue;
@@ -523,7 +528,11 @@ impl SearchIndex for MTree {
                         let d = self
                             .measure
                             .distance(query, self.dataset.vector(e.router as usize));
-                        order.push(((d - e.radius - tri_slack(d, e.radius)).max(0.0), d, e.child));
+                        order.push((
+                            (d - e.radius - tri_slack(d, e.radius, self.slack)).max(0.0),
+                            d,
+                            e.child,
+                        ));
                     }
                     order.sort_by(|a, b| a.0.total_cmp(&b.0));
                     // Pushed in reverse so the smallest lower bound is on

@@ -10,7 +10,7 @@ use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
 use crate::rect::Rect;
 use crate::scratch::{Frame, OrderedF32, QueryScratch};
-use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats};
+use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats, TRI_FLOOR};
 use crate::traits::SearchIndex;
 use cbir_distance::l2_squared;
 use std::cmp::Reverse;
@@ -539,7 +539,7 @@ impl SearchIndex for RStarTree {
             } else {
                 for &c in &n.slots {
                     let md = self.nodes[c as usize].mbr.mindist_sq(query);
-                    if md <= radius_sq + tri_slack(md, radius_sq) {
+                    if md <= radius_sq + tri_slack(md, radius_sq, TRI_FLOOR) {
                         frames.push(Frame::unconditional(c));
                     } else {
                         stats.subtrees_pruned += 1;
@@ -573,7 +573,7 @@ impl SearchIndex for RStarTree {
         while let Some(Reverse((OrderedF32(mindist_sq), at))) = frontier.pop() {
             let bound = heap.bound();
             if bound.is_finite()
-                && mindist_sq > bound * bound + tri_slack(mindist_sq, bound * bound)
+                && mindist_sq > bound * bound + tri_slack(mindist_sq, bound * bound, TRI_FLOOR)
             {
                 // Best-first order: the popped node and everything still on
                 // the frontier are all beyond the bound.
@@ -593,7 +593,9 @@ impl SearchIndex for RStarTree {
                 for &c in &n.slots {
                     let md = self.nodes[c as usize].mbr.mindist_sq(query);
                     let bound = heap.bound();
-                    if !bound.is_finite() || md <= bound * bound + tri_slack(md, bound * bound) {
+                    if !bound.is_finite()
+                        || md <= bound * bound + tri_slack(md, bound * bound, TRI_FLOOR)
+                    {
                         frontier.push(Reverse((OrderedF32(md), c)));
                     } else {
                         stats.subtrees_pruned += 1;

@@ -14,6 +14,7 @@
 //! not `Sync` — each worker thread of a parallel batch owns its own.
 
 use crate::knn_heap::KnnHeap;
+use cbir_distance::ByteQuery;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -57,6 +58,8 @@ pub struct QueryScratch {
     pub(crate) order: Vec<(f32, f32, u32)>,
     /// Block buffers of the linear scan.
     pub(crate) scan: ScanBufs,
+    /// The query in the code units of the antipole tree's one-byte rows.
+    pub(crate) bytes: ByteQuery,
 }
 
 /// Block-sized buffers of [`LinearScan`](crate::LinearScan)'s one scan
@@ -93,6 +96,7 @@ impl QueryScratch {
             frontier: BinaryHeap::new(),
             order: Vec::new(),
             scan: ScanBufs::default(),
+            bytes: ByteQuery::default(),
         }
     }
 }

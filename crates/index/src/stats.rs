@@ -3,17 +3,25 @@
 //! traversal overhead.
 //!
 //! The counters mean the same thing on every index, the sequential scan
-//! included: `distance_computations` counts *full* evaluations of the
-//! measure, and `subtrees_pruned` counts what a bound excluded without
-//! one. A [`LinearScan`](crate::LinearScan) whose exact L1 filter is in
+//! included: `distance_computations` counts the rows a search scored,
+//! and `subtrees_pruned` counts what a bound excluded without scoring
+//! it. A [`LinearScan`](crate::LinearScan) whose exact L1 filter is in
 //! force therefore reports its survivors as computations and the rows
 //! its code bound skipped as pruned — each row is one or the other, so
-//! the two add up to `len()`, the rows the scan scored.
+//! the two add up to `len()`, the rows the scan scored. A row is scored
+//! by a full evaluation of the measure everywhere except on the
+//! [`AntipoleTree`](crate::AntipoleTree)'s one-byte rows, where a
+//! bound from the row's codes stands in for it wherever it settles the
+//! row. That tree visits the rows it would visit on `f32` rows, so it
+//! counts each once either way, and counts the full evaluations among
+//! them again in `refined`.
 
 /// Counters accumulated during a single query (or a batch, if reused).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Full distance evaluations performed.
+    /// Rows scored: full distance evaluations, and on the antipole
+    /// tree's one-byte rows the rows scored by their code bound (see the
+    /// module docs).
     pub distance_computations: u64,
     /// Index nodes (internal or leaf) visited.
     pub nodes_visited: u64,
@@ -35,6 +43,10 @@ pub struct SearchStats {
     /// on the exact path; on the approximate path these are also counted
     /// in `distance_computations` (they are full evaluations).
     pub rerank_evaluations: u64,
+    /// Rows the antipole tree scored on its one-byte rows whose bound
+    /// could not settle them, so that the `f32` kernel did. Also counted
+    /// in `distance_computations`; zero on every other search.
+    pub refined: u64,
 }
 
 impl SearchStats {
@@ -56,6 +68,7 @@ impl SearchStats {
         self.postfilter_candidates += other.postfilter_candidates;
         self.coarse_candidates += other.coarse_candidates;
         self.rerank_evaluations += other.rerank_evaluations;
+        self.refined += other.refined;
     }
 }
 
@@ -167,14 +180,45 @@ pub struct Neighbor {
     pub distance: f32,
 }
 
-/// Slack added to triangle-inequality pruning bounds to absorb f32
-/// rounding: a lower bound computed as the difference of two rounded
-/// distances can exceed the true (rounded) distance by a few ulps, which
-/// would wrongfully prune exact-tie candidates. A few-ulp relative margin
-/// restores safety at negligible extra search cost.
+/// Relative margin of a triangle test below dimension 240, and of the
+/// kd- and R*-trees' plane and rectangle tests at any dimension.
+pub(crate) const TRI_FLOOR: f32 = 4e-6;
+
+/// Relative margin of a metric tree's triangle test over
+/// `dim`-dimensional vectors: `max(4e-6, 3·h·2⁻²⁴)` with `h` =
+/// [`kernel_roundings`](cbir_distance::kernel_roundings)`(dim)`, the
+/// floor until dimension 240 and the derived term from there on.
+///
+/// A test compares values computed from two distances `a` and `b` and the
+/// search bound `t`, itself a computed distance, and prunes when one
+/// exceeds the other by more than the slack `s = max(|a|, |b|)·m`. In real
+/// arithmetic the triangle inequality makes every such pruning exact;
+/// the slack has to cover how far the three computed distances stray
+/// from the real ones, and the test's own float operations. Under L1 and
+/// L2 each distance is within a relative `e` of its real value, `e ≤ (h −
+/// 2)·2⁻²⁴` from dimension 32 up (the count `h` is loose by two there)
+/// and `e ≤ h·2⁻²⁴ ≤ 9·2⁻²⁴` below. A test can only fire when `t` is below
+/// `M = max(|a|, |b|)`, so the three distances are off by at most `3e·M`
+/// together, and the additions, the subtraction and the product `s` by
+/// at most `4·2⁻²⁴·M`: `m ≥ 3e + 4·2⁻²⁴`, which `(3h − 2)·2⁻²⁴` is from
+/// dimension 32 up and the floor's 67·2⁻²⁴ below. Any lower bound on the
+/// computed distance may stand in for `a` (and an upper bound for the
+/// subtrahend of `|a − b|`): the argument only uses that the value
+/// bounds the real distance from the right side. For the other true
+/// metrics the margin is the same few-ulp allowance without the proof.
+pub(crate) fn tri_margin(dim: usize) -> f32 {
+    let derived = (3 * cbir_distance::kernel_roundings(dim)) as f32 / (1u32 << 24) as f32;
+    derived.max(TRI_FLOOR)
+}
+
+/// Slack added to a pruning bound to absorb f32 rounding: a lower bound
+/// computed as the difference of two rounded distances can exceed the
+/// true (rounded) distance by a few ulps, which would wrongfully prune
+/// exact-tie candidates. `margin` is [`tri_margin`] for a metric tree's
+/// triangle test, [`TRI_FLOOR`] elsewhere.
 #[inline]
-pub(crate) fn tri_slack(a: f32, b: f32) -> f32 {
-    a.abs().max(b.abs()) * 4e-6
+pub(crate) fn tri_slack(a: f32, b: f32, margin: f32) -> f32 {
+    a.abs().max(b.abs()) * margin
 }
 
 /// Sort hits by ascending distance, breaking ties by id so results are
@@ -274,6 +318,7 @@ mod tests {
             postfilter_candidates: 4,
             coarse_candidates: 6,
             rerank_evaluations: 5,
+            refined: 1,
         };
         let b = SearchStats {
             distance_computations: 3,
@@ -282,6 +327,7 @@ mod tests {
             postfilter_candidates: 3,
             coarse_candidates: 1,
             rerank_evaluations: 2,
+            refined: 2,
         };
         a.merge(&b);
         assert_eq!(a.distance_computations, 8);
@@ -290,6 +336,7 @@ mod tests {
         assert_eq!(a.postfilter_candidates, 7);
         assert_eq!(a.coarse_candidates, 7);
         assert_eq!(a.rerank_evaluations, 7);
+        assert_eq!(a.refined, 3);
         a.reset();
         assert_eq!(a, SearchStats::new());
     }
@@ -349,6 +396,50 @@ mod tests {
                 "case {case}: p={p}, samples={samples:?}"
             );
         }
+    }
+
+    /// The roundings one term of `lane_sum`'s recipe passes through at
+    /// most, counted from the loop structure itself: the term's own, the
+    /// additions of its lane (the first, to zero, is exact), and the
+    /// reduction after it.
+    fn roundings_of_recipe(dim: usize) -> usize {
+        let main = if dim >= 16 { dim / 16 + 6 } else { 0 };
+        let cleanup = if dim % 16 >= 8 { 6 } else { 0 };
+        // The tail's first addition is to zero; then the final `+ tail`.
+        let tail = match dim % 8 {
+            0 => 0,
+            r => 1 + (r - 1) + 1,
+        };
+        main.max(cleanup).max(tail)
+    }
+
+    #[test]
+    fn triangle_margin_covers_the_kernel_at_every_dimension() {
+        let u = 1.0 / (1u64 << 24) as f64;
+        let mut last = 0.0f32;
+        for dim in 1..=4096usize {
+            let m = tri_margin(dim);
+            let h = cbir_distance::kernel_roundings(dim);
+            assert_eq!(h, dim / 16 + 8);
+            // Below dimension 240 the floor holds alone: nothing changes.
+            if dim < 240 {
+                assert_eq!(m, TRI_FLOOR, "dim {dim}");
+            } else {
+                assert_eq!(m as f64, 3.0 * h as f64 * u, "dim {dim}");
+            }
+            // The margin covers three distances within `e` of their real
+            // values plus four operations, with `e` from the recipe.
+            let e = roundings_of_recipe(dim);
+            assert!(e <= h, "dim {dim}: {e} > {h}");
+            if dim >= 32 {
+                assert!(e + 2 <= h, "dim {dim}: the count is loose by two");
+            }
+            let need = (3 * e + 4) as f64 * u * (1.0 + 1e-4);
+            assert!(m as f64 >= need, "dim {dim}: {m} < {need}");
+            assert!(m >= last, "monotone at dim {dim}");
+            last = m;
+        }
+        assert_eq!(tri_slack(-2.0, 1.0, 0.5), 1.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
 use crate::rng::SplitMix64;
 use crate::scratch::{Frame, QueryScratch};
-use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats};
+use crate::stats::{sort_neighbors, tri_margin, tri_slack, Neighbor, SearchStats};
 use crate::traits::SearchIndex;
 use cbir_distance::Measure;
 
@@ -43,6 +43,8 @@ pub struct VpTree {
     nodes: Vec<Node>,
     root: u32,
     leaf_size: usize,
+    /// [`tri_margin`] of the dimension.
+    slack: f32,
 }
 
 impl VpTree {
@@ -72,6 +74,7 @@ impl VpTree {
         }
         let mut ids: Vec<u32> = (0..dataset.len() as u32).collect();
         let mut tree = VpTree {
+            slack: tri_margin(dataset.dim()),
             dataset,
             measure,
             nodes: Vec::new(),
@@ -133,10 +136,10 @@ impl VpTree {
     /// Whether a child frame pushed with `(tag, d, mu)` is admitted when the
     /// current search radius (range `t` or k-NN bound) is `t`.
     #[inline]
-    fn admits(frame: &Frame, t: f32) -> bool {
+    fn admits(&self, frame: &Frame, t: f32) -> bool {
         match frame.tag {
-            TAG_INNER => frame.a - t <= frame.b + tri_slack(frame.a, frame.b),
-            TAG_OUTER => frame.a + t >= frame.b - tri_slack(frame.a, frame.b),
+            TAG_INNER => frame.a - t <= frame.b + tri_slack(frame.a, frame.b, self.slack),
+            TAG_OUTER => frame.a + t >= frame.b - tri_slack(frame.a, frame.b, self.slack),
             _ => true,
         }
     }
@@ -164,7 +167,7 @@ impl SearchIndex for VpTree {
         frames.clear();
         frames.push(Frame::unconditional(self.root));
         while let Some(frame) = frames.pop() {
-            if !Self::admits(&frame, radius) {
+            if !self.admits(&frame, radius) {
                 stats.subtrees_pruned += 1;
                 continue;
             }
@@ -205,7 +208,7 @@ impl SearchIndex for VpTree {
                     // Whole-subtree exclusion: everything is within
                     // ball_radius of vp, so if d > radius + ball_radius
                     // nothing below can qualify.
-                    if d > radius + ball_radius + tri_slack(d, *ball_radius) {
+                    if d > radius + ball_radius + tri_slack(d, *ball_radius, self.slack) {
                         // Ball exclusion skips both children at once.
                         stats.subtrees_pruned += 2;
                         continue;
@@ -247,7 +250,7 @@ impl SearchIndex for VpTree {
         while let Some(frame) = frames.pop() {
             // Lazy admission check against the current (possibly tightened)
             // bound — prunes at least as much as the recursive form.
-            if !Self::admits(&frame, heap.bound()) {
+            if !self.admits(&frame, heap.bound()) {
                 stats.subtrees_pruned += 1;
                 continue;
             }
@@ -275,7 +278,7 @@ impl SearchIndex for VpTree {
                         .measure
                         .distance(query, self.dataset.vector(*vp as usize));
                     heap.offer(*vp as usize, d);
-                    if d > heap.bound() + ball_radius + tri_slack(d, *ball_radius) {
+                    if d > heap.bound() + ball_radius + tri_slack(d, *ball_radius, self.slack) {
                         // Ball exclusion skips both children at once.
                         stats.subtrees_pruned += 2;
                         continue;

@@ -1,15 +1,17 @@
 //! Allocation discipline of the batched query path: after one warm-up
 //! pass over the query set, running steady-state searches through
 //! `knn_into` / `range_into` with a reused [`QueryScratch`] performs
-//! **zero** heap allocations — the linear scan's filtered L1 path
-//! included. Verified with a counting global allocator.
+//! **zero** heap allocations — the linear scan's filtered L1 path and
+//! the antipole tree's one-byte rows included. Verified with a counting
+//! global allocator.
 //!
 //! This file holds exactly one `#[test]` so no sibling test thread can
 //! allocate inside the measured window.
 
 use cbir_distance::Measure;
 use cbir_index::{
-    Dataset, KdTree, LinearScan, Neighbor, QueryScratch, SearchIndex, SearchStats, VpTree,
+    AntipoleTree, Dataset, KdTree, LinearScan, Neighbor, QueryScratch, SearchIndex, SearchStats,
+    VpTree,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,21 +69,46 @@ fn steady_state_queries_do_not_allocate() {
     filtered.knn_search(&queries[0], 10, &mut pruned);
     assert!(pruned.subtrees_pruned > 0, "the L1 filter is not in force");
 
+    // Under L1 and L2 the antipole tree scores its one-byte rows on wide
+    // rows out of cache (over 8 MiB of 577-dimensional rows), built by
+    // the warm-up pass; the query's code units live in the scratch.
+    let wide = cbir_workload::clustered(3_700, 577, 8, 1.0, 10.0, 6);
+    let wide_queries = cbir_workload::queries(&wide, 8, 0.5, 7);
+    let wide = Dataset::from_vectors(&wide).unwrap();
+    let coded = |measure: Measure| {
+        let diameter = AntipoleTree::suggest_diameter(&wide, &measure);
+        let tree = AntipoleTree::build(wide.clone(), measure, diameter).unwrap();
+        let mut scored = SearchStats::new();
+        tree.knn_search(&wide_queries[0], 10, &mut scored);
+        assert!(
+            0 < scored.refined && scored.refined < scored.distance_computations,
+            "the one-byte rows are not in force"
+        );
+        tree
+    };
+
     let indexes: Vec<Box<dyn SearchIndex>> = vec![
+        Box::new(coded(Measure::L1)),
+        Box::new(coded(Measure::L2)),
         Box::new(VpTree::build(ds.clone(), Measure::L2).unwrap()),
         Box::new(KdTree::build(ds.clone(), Measure::L2).unwrap()),
         Box::new(LinearScan::build(ds, Measure::L2).unwrap()),
         Box::new(filtered),
     ];
     for index in &indexes {
+        let queries = if index.dim() == 577 {
+            &wide_queries
+        } else {
+            &queries
+        };
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
         // Warm-up: scratch buffers and the output vector reach their
         // high-water capacity on the first pass over the query set.
-        run_pass(index.as_ref(), &queries, &mut scratch, &mut out);
+        run_pass(index.as_ref(), queries, &mut scratch, &mut out);
 
         let before = ALLOCATIONS.load(Ordering::SeqCst);
-        run_pass(index.as_ref(), &queries, &mut scratch, &mut out);
+        run_pass(index.as_ref(), queries, &mut scratch, &mut out);
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         assert_eq!(
             after - before,

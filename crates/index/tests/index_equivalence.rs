@@ -4,12 +4,14 @@
 //! cases): **every index returns exactly the same result set as a
 //! sequential scan** for both range and k-NN queries, on arbitrary
 //! datasets, queries, radii and k — including adversarial cases
-//! (duplicate points, collinear data, radius 0, k > n).
+//! (duplicate points, collinear data, radius 0, k > n). The antipole
+//! tree is held to the scan's distance bits, also at descriptor
+//! dimensions where it answers from its one-byte rows.
 
 use cbir_distance::Measure;
 use cbir_index::{
     knn_search_simple, range_search_simple, AntipoleTree, Dataset, KdTree, LinearScan, MTree,
-    Neighbor, RStarTree, SearchIndex, VpTree,
+    Neighbor, RStarTree, SearchIndex, SearchStats, VpTree,
 };
 use cbir_workload::Pcg32;
 
@@ -41,6 +43,24 @@ fn close_enough(a: &[Neighbor], b: &[Neighbor]) -> bool {
             .all(|(x, y)| x.id == y.id && (x.distance - y.distance).abs() <= 1e-4)
 }
 
+/// The same ids, in the same order, at the same distance bits.
+fn bit_identical(a: &[Neighbor], b: &[Neighbor]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.id == y.id && x.distance.to_bits() == y.distance.to_bits())
+}
+
+/// What `idx` must match the scan by: bits for the antipole tree, the
+/// others within 1e-4.
+fn agrees(idx: &dyn SearchIndex, got: &[Neighbor], want: &[Neighbor]) -> bool {
+    if idx.name() == "antipole" {
+        bit_identical(got, want)
+    } else {
+        close_enough(got, want)
+    }
+}
+
 #[test]
 fn all_indexes_agree_with_linear_scan() {
     let mut rng = Pcg32::new(0xB1);
@@ -66,7 +86,7 @@ fn all_indexes_agree_with_linear_scan() {
         for idx in &indexes {
             let got_range = range_search_simple(idx.as_ref(), &query, radius);
             assert!(
-                close_enough(&got_range, &expected_range),
+                agrees(idx.as_ref(), &got_range, &expected_range),
                 "{} range mismatch: got {:?} expected {:?}",
                 idx.name(),
                 got_range,
@@ -74,7 +94,7 @@ fn all_indexes_agree_with_linear_scan() {
             );
             let got_knn = knn_search_simple(idx.as_ref(), &query, k);
             assert!(
-                close_enough(&got_knn, &expected_knn),
+                agrees(idx.as_ref(), &got_knn, &expected_knn),
                 "{} knn mismatch: got {:?} expected {:?}",
                 idx.name(),
                 got_knn,
@@ -104,7 +124,7 @@ fn metric_trees_agree_under_l1_and_match() {
                 measure.name()
             );
             assert!(
-                close_enough(&knn_search_simple(&ap, &query, k), &expected),
+                bit_identical(&knn_search_simple(&ap, &query, k), &expected),
                 "antipole under {}",
                 measure.name()
             );
@@ -171,6 +191,120 @@ fn knn_results_are_sorted_and_unique() {
                         || (w[0].distance == w[1].distance && w[0].id < w[1].id),
                     "{}: unsorted or duplicate results",
                     idx.name()
+                );
+            }
+        }
+    }
+}
+
+/// The corpora the one-byte rows meet in practice and the ones that
+/// stress them, `n` rows at `dim`: clustered rows, histogram-like rows
+/// with exact duplicates, and clustered rows with every third column
+/// constant.
+fn descriptor_corpora(n: usize, dim: usize, seed: u64) -> Vec<(&'static str, Vec<Vec<f32>>)> {
+    let clustered = cbir_workload::clustered(n, dim, 6, 1.0, 10.0, seed);
+    let histograms = cbir_workload::duplicated_histograms(n, dim, 0.5, 7, seed + 1);
+    let mut constant = cbir_workload::clustered(n, dim, 6, 0.5, 4.0, seed + 2);
+    for row in &mut constant {
+        for x in row.iter_mut().step_by(3) {
+            *x = 3.5;
+        }
+    }
+    vec![
+        ("clustered", clustered),
+        ("histograms", histograms),
+        ("constant columns", constant),
+    ]
+}
+
+/// `near` queries near the rows, four of the rows themselves, and two
+/// outside the data's box: just past it in every coordinate, and far out.
+fn descriptor_queries(rows: &[Vec<f32>], near: usize, seed: u64) -> Vec<Vec<f32>> {
+    let dim = rows[0].len();
+    let mut queries = cbir_workload::queries(rows, near, 0.05, seed);
+    queries.extend(rows.iter().step_by(rows.len() / 4 + 1).cloned());
+    let (lo, hi) = rows.iter().fold(
+        (vec![f32::INFINITY; dim], vec![f32::NEG_INFINITY; dim]),
+        |(mut lo, mut hi), row| {
+            for d in 0..dim {
+                lo[d] = lo[d].min(row[d]);
+                hi[d] = hi[d].max(row[d]);
+            }
+            (lo, hi)
+        },
+    );
+    queries.push(
+        (0..dim)
+            .map(|d| if d % 2 == 0 { hi[d] + 0.5 } else { lo[d] - 0.5 })
+            .collect(),
+    );
+    queries.push((0..dim).map(|d| hi[d] * 1000.0 + 7.0).collect());
+    queries
+}
+
+/// The tree keeps its one-byte rows for 128 dimensions and more over
+/// 8 MiB of `f32`s: 3,700 rows of 577 take them, the small corpora do
+/// not. The large corpus is searched at one diameter and with fewer
+/// queries, to keep the test short in a debug build.
+#[test]
+fn antipole_is_bit_identical_to_the_scan_at_descriptor_dimensions() {
+    for (n, dim) in [(300usize, 16usize), (300, 64), (300, 577), (3_700, 577)] {
+        let coded = n * dim * 4 >= 8 << 20;
+        let (shrink, near): (&[f32], _) = if coded {
+            (&[1.0], 4)
+        } else {
+            (&[1.0, 0.25], 8)
+        };
+        for measure in [Measure::L1, Measure::L2] {
+            for (name, rows) in descriptor_corpora(n, dim, dim as u64) {
+                let ds = Dataset::from_vectors(&rows).unwrap();
+                let lin = LinearScan::build(ds.clone(), measure.clone()).unwrap();
+                // The scan's replies: k-NN at each k, then range at radii
+                // on its own distances, which put rows exactly on the
+                // boundary (a range reply is the widest one's prefix
+                // within the radius).
+                let cases: Vec<_> = descriptor_queries(&rows, near, 3)
+                    .into_iter()
+                    .map(|q| {
+                        let knn = [1usize, 10, 60].map(|k| (k, knn_search_simple(&lin, &q, k)));
+                        let far = &knn[2].1;
+                        let widest = range_search_simple(&lin, &q, far[59].distance);
+                        let within = |r: f32| -> Vec<Neighbor> {
+                            widest.iter().copied().filter(|h| h.distance <= r).collect()
+                        };
+                        let range = [0.0, far[0].distance, far[9].distance, far[59].distance]
+                            .map(|r| (r, within(r)));
+                        (q, knn, range)
+                    })
+                    .collect();
+                let suggested = AntipoleTree::suggest_diameter(&ds, &measure);
+                let mut stats = SearchStats::new();
+                for diameter in shrink.iter().map(|s| suggested * s) {
+                    let ap = AntipoleTree::build(ds.clone(), measure.clone(), diameter).unwrap();
+                    for (qi, (q, knn, range)) in cases.iter().enumerate() {
+                        let case = format!(
+                            "{} {n} x {dim} {name} diameter {diameter} query {qi}",
+                            measure.name()
+                        );
+                        for (k, want) in knn {
+                            let got = ap.knn_search(q, *k, &mut stats);
+                            assert!(bit_identical(&got, want), "{case} k {k}");
+                        }
+                        for (radius, want) in range {
+                            let got = ap.range_search(q, *radius, &mut stats);
+                            assert!(bit_identical(&got, want), "{case} radius {radius}");
+                        }
+                    }
+                }
+                // Where the one-byte rows are in force, most rows scored
+                // were settled by their bound; elsewhere none was.
+                let settled = 0 < stats.refined && 2 * stats.refined < stats.distance_computations;
+                assert!(
+                    if coded { settled } else { stats.refined == 0 },
+                    "{} {n} x {dim} {name}: {} of {} rows refined",
+                    measure.name(),
+                    stats.refined,
+                    stats.distance_computations
                 );
             }
         }

@@ -11,7 +11,10 @@
 //! - linear scan prunes nothing and post-filters everything;
 //! - counters are additive: a `knn_batch` total equals the sum of the
 //!   same queries run one at a time;
-//! - pruned searches return the same answers as the unpruned scan.
+//! - pruned searches return the same answers as the unpruned scan;
+//! - on its one-byte rows the antipole tree still counts every row it
+//!   scores in `distance_computations`, bound or exact, and the rows the
+//!   `f32` kernel scored in `refined` (pinned on a seeded corpus).
 
 use cbir_distance::Measure;
 use cbir_index::{
@@ -213,4 +216,36 @@ fn batch_counters_equal_sum_of_single_queries() {
             );
         }
     }
+}
+
+/// The antipole tree's counters on its one-byte rows, pinned on a seeded
+/// corpus at the image descriptor's dimension, large enough (over 8 MiB
+/// of `f32`s) that the tree keeps the copy. `distance_computations`
+/// counts every row the traversal scored, by bound or exactly, as on
+/// `f32` rows, and `refined` the ones the bound could not settle. On this
+/// corpus the intervals prune exactly as the `f32` distances did: the
+/// rows scored, nodes visited and subtrees pruned are the ones the tree
+/// counted when it scored `f32` rows only. The bound's bits do not depend
+/// on the host's SIMD path, so neither do the pins.
+#[test]
+fn antipole_counts_rows_scored_and_rows_refined() {
+    let rows = cbir_workload::clustered(3_700, 577, 20, 1.0, 10.0, 11);
+    let queries = cbir_workload::queries(&rows, 12, 0.1, 12);
+    let ds = Dataset::from_vectors(&rows).unwrap();
+    let mut pins = Vec::new();
+    for measure in [Measure::L1, Measure::L2] {
+        let diameter = AntipoleTree::suggest_diameter(&ds, &measure);
+        let ap = AntipoleTree::build(ds.clone(), measure, diameter).unwrap();
+        let mut knn = SearchStats::new();
+        for q in &queries {
+            ap.knn_search(q, 10, &mut knn);
+        }
+        pins.push((
+            knn.distance_computations,
+            knn.nodes_visited,
+            knn.subtrees_pruned,
+            knn.refined,
+        ));
+    }
+    assert_eq!(pins, [(15112, 1777, 1095, 909), (15219, 2164, 1330, 915)]);
 }

@@ -6,7 +6,8 @@
 #
 # The quick-bench step runs the throughput bench binaries in quick
 # (1-iteration) mode: their bit-identity assertions (planner vs naive
-# extraction, batched vs single-query k-NN) execute on every verify.
+# extraction, batched vs single-query k-NN, every tree's k-NN vs the
+# scan's in F1) execute on every verify.
 # The smoke corpora further down are six images, far under the row count
 # from which the sequential scan filters L1 exactly, so the quick F8, F9
 # and F15 legs are what exercises that path here: their corpora are over
@@ -63,6 +64,10 @@ if [ "${SKIP_QUICK_BENCH:-0}" != 1 ]; then
     cargo run --release -q -p cbir-bench --bin exp_approx_search -- --quick
     cargo run --release -q -p cbir-bench --bin exp_router_scaling -- --quick
     cargo run --release -q -p cbir-bench --bin exp_chaos_serving -- --quick
+    # F1 fails unless every tree's k-NN equals the scan's bit for bit (at
+    # d = 16 the antipole tree scores f32 rows; the one-byte rows are
+    # smoked over a wide corpus below).
+    cargo run --release -q -p cbir-bench --bin exp_scaling -- --quick
     echo "==> benchmark smoke (e2e/check.sh)"
     e2e/check.sh
 fi
@@ -147,6 +152,27 @@ grep -q "trace #" "$SMOKE_DIR/traced.err" \
     || { echo "traced query produced no trace on stderr"; exit 1; }
 "$CBIR" trace "$SMOKE_DIR/photos.cbir" "$QUERY_IMG" -k 3 --format json \
     | grep -q '"spans"' || { echo "cbir trace json missing spans"; exit 1; }
+
+echo "==> antipole one-byte rows smoke (query --index antipole = --index linear)"
+# The antipole tree keeps one-byte rows for 128 dimensions and more over
+# 8 MiB of f32s: 3,680 images of 577-dim descriptors (8.5 MB) take them
+# under L1 and L2, and its replies must be the scan's. The closing cost
+# line names the index, so it is left out of the comparison.
+"$CBIR" generate "$SMOKE_DIR/wide" --classes 8 --per-class 460 --size 32 >/dev/null
+"$CBIR" index "$SMOKE_DIR/wide" --db "$SMOKE_DIR/wide.cbir" >/dev/null
+WIDE_QUERIES=$(ls "$SMOKE_DIR"/wide/*.ppm | sed -n '1p;1500p;3000p')
+for MEASURE in l1 l2; do
+    for INDEX in antipole linear; do
+        # shellcheck disable=SC2086 # three image paths
+        "$CBIR" query "$SMOKE_DIR/wide.cbir" $WIDE_QUERIES -k 6 --index "$INDEX" \
+            --measure "$MEASURE" | grep -v "distance computations over" \
+            > "$SMOKE_DIR/$INDEX-$MEASURE.out"
+    done
+    grep -q "class-" "$SMOKE_DIR/antipole-$MEASURE.out" \
+        || { echo "antipole query under $MEASURE returned no hits"; exit 1; }
+    cmp -s "$SMOKE_DIR/antipole-$MEASURE.out" "$SMOKE_DIR/linear-$MEASURE.out" \
+        || { echo "antipole replies diverge from the scan's under $MEASURE"; exit 1; }
+done
 
 echo "==> abort-mid-request smoke (torn client, server keeps serving)"
 # A client that promises a payload, sends 3 bytes, and vanishes. The
