@@ -4,14 +4,16 @@
 //! distribution: how much of the database the metric trees avoid
 //! comparing, and how many results qualify. The paper-shape claim:
 //! triangle-inequality pruning is dramatic at selective radii and
-//! evaporates as the radius approaches the data diameter.
+//! evaporates as the radius approaches the data diameter. Every tree's
+//! range replies must equal the scan's bit for bit (ids, order and
+//! distance bits), or the run fails.
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_range_pruning [--quick]`
 
 use cbir_bench::{clustered_dataset, standard_queries, Table};
 use cbir_core::{build_index, IndexKind};
 use cbir_distance::{l2, Measure};
-use cbir_index::{BatchStats, SplitMix64};
+use cbir_index::{BatchStats, Neighbor, SplitMix64};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -53,16 +55,28 @@ fn main() {
         IndexKind::Antipole { diameter: None },
         IndexKind::KdTree,
         IndexKind::RStar,
+        IndexKind::MTree,
     ];
+    let build = |kind: &IndexKind| build_index(kind, dataset.clone(), Measure::L2).expect("build");
+    let scan = build(&IndexKind::Linear);
+    let indexes: Vec<_> = kinds.iter().map(build).collect();
+    let bits = |r: &[Neighbor]| -> Vec<(usize, u32)> {
+        r.iter().map(|h| (h.id, h.distance.to_bits())).collect()
+    };
     for (q, r) in quantiles.iter().zip(&radii) {
-        for kind in &kinds {
-            let index = build_index(kind, dataset.clone(), Measure::L2).expect("build");
+        let want = scan.range_batch(&queries, *r, &mut BatchStats::new());
+        for (kind, index) in kinds.iter().zip(&indexes) {
             let mut stats = BatchStats::new();
-            let hits: usize = index
-                .range_batch(&queries, *r, &mut stats)
-                .iter()
-                .map(Vec::len)
-                .sum();
+            let replies = index.range_batch(&queries, *r, &mut stats);
+            for (got, want) in replies.iter().zip(&want) {
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "{} range diverges from the scan at radius {r}",
+                    kind.name()
+                );
+            }
+            let hits: usize = replies.iter().map(Vec::len).sum();
             table.row(vec![
                 format!("{q}"),
                 format!("{r:.2}"),

@@ -37,10 +37,10 @@
 
 use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
-use crate::knn_heap::KnnHeap;
 use crate::rng::SplitMix64;
-use crate::scratch::{Frame, QueryScratch};
-use crate::stats::{sort_neighbors, tri_margin, tri_slack, Neighbor, SearchStats};
+use crate::scratch::{Frame, QueryScratch, TreeBufs};
+use crate::sink::{self, Sink};
+use crate::stats::{tri_margin, tri_slack, Neighbor, SearchStats};
 use crate::traits::SearchIndex;
 use cbir_distance::{ByteQuery, ByteRows, Measure};
 use std::sync::OnceLock;
@@ -177,49 +177,6 @@ impl Rows for CodedRows<'_> {
         }
         stats.refined += 1;
         self.exact.score(id, slot, t, stats)
-    }
-}
-
-/// Where a search puts the rows it settles within its bound.
-trait Sink {
-    /// The current search bound.
-    fn bound(&self) -> f32;
-    /// Offer a row the kernel scored at `d`.
-    fn offer(&mut self, id: u32, d: f32);
-}
-
-impl Sink for KnnHeap {
-    #[inline]
-    fn bound(&self) -> f32 {
-        KnnHeap::bound(self)
-    }
-
-    #[inline]
-    fn offer(&mut self, id: u32, d: f32) {
-        KnnHeap::offer(self, id as usize, d);
-    }
-}
-
-/// A range search: a fixed radius and the hits within it.
-struct Within<'a> {
-    radius: f32,
-    out: &'a mut Vec<Neighbor>,
-}
-
-impl Sink for Within<'_> {
-    #[inline]
-    fn bound(&self) -> f32 {
-        self.radius
-    }
-
-    #[inline]
-    fn offer(&mut self, id: u32, d: f32) {
-        if d <= self.radius {
-            self.out.push(Neighbor {
-                id: id as usize,
-                distance: d,
-            });
-        }
     }
 }
 
@@ -630,8 +587,7 @@ impl AntipoleTree {
         &self,
         query: &[f32],
         sink: &mut S,
-        frames: &mut Vec<Frame>,
-        prepared: &mut ByteQuery,
+        bufs: &mut TreeBufs,
         stats: &mut SearchStats,
     ) {
         let exact = F32Rows {
@@ -639,12 +595,13 @@ impl AntipoleTree {
             measure: &self.measure,
             query,
         };
-        match self.codes_for(query, prepared) {
+        let TreeBufs { frames, bytes, .. } = bufs;
+        match self.codes_for(query, bytes) {
             Some(codes) => {
                 let rows = CodedRows {
                     exact,
                     codes,
-                    prepared,
+                    prepared: bytes,
                 };
                 self.search(&rows, sink, frames, stats);
             }
@@ -670,16 +627,9 @@ impl SearchIndex for AntipoleTree {
         stats: &mut SearchStats,
         out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        let mut within = Within { radius, out };
-        self.dispatch(
-            query,
-            &mut within,
-            &mut scratch.frames,
-            &mut scratch.bytes,
-            stats,
-        );
-        sort_neighbors(out);
+        sink::range(radius, scratch, out, |within, bufs| {
+            self.dispatch(query, within, bufs, stats)
+        });
     }
 
     fn knn_into(
@@ -690,19 +640,9 @@ impl SearchIndex for AntipoleTree {
         stats: &mut SearchStats,
         out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        let QueryScratch {
-            heap,
-            frames,
-            bytes,
-            ..
-        } = scratch;
-        heap.reset(k);
-        self.dispatch(query, heap, frames, bytes, stats);
-        heap.drain_sorted_into(out);
+        sink::knn(k, scratch, out, |heap, bufs| {
+            self.dispatch(query, heap, bufs, stats)
+        });
     }
 
     fn name(&self) -> &'static str {

@@ -10,8 +10,9 @@
 
 use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
-use crate::scratch::{Frame, QueryScratch};
-use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats, TRI_FLOOR};
+use crate::scratch::{Frame, QueryScratch, TreeBufs};
+use crate::sink::{self, Sink};
+use crate::stats::{tri_slack, Neighbor, SearchStats, TRI_FLOOR};
 use crate::traits::SearchIndex;
 use cbir_distance::Measure;
 
@@ -125,34 +126,63 @@ impl KdTree {
         (self.nodes.len() - 1) as u32
     }
 
-    /// Push a split node's children: far child first (tag 1, carrying the
-    /// splitting-plane offset for the pop-time prune check), then the near
-    /// child unconditionally, so near's whole subtree is explored before
-    /// far's check runs.
-    #[inline]
-    fn push_children(&self, frames: &mut Vec<Frame>, query: &[f32], node: u32) -> Option<&[u32]> {
-        match &self.nodes[node as usize] {
-            Node::Leaf { ids } => Some(ids),
-            Node::Split {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                let diff = query[*dim as usize] - value;
-                let (near, far) = if diff < 0.0 {
-                    (*left, *right)
-                } else {
-                    (*right, *left)
-                };
-                frames.push(Frame {
-                    node: far,
-                    tag: 1,
-                    a: diff,
-                    b: 0.0,
-                });
-                frames.push(Frame::unconditional(near));
-                None
+    /// The one traversal, for k-NN (a heap) and range (a radius) alike.
+    fn search<S: Sink>(
+        &self,
+        query: &[f32],
+        sink: &mut S,
+        bufs: &mut TreeBufs,
+        stats: &mut SearchStats,
+    ) {
+        let frames = &mut bufs.frames;
+        frames.clear();
+        frames.push(Frame::unconditional(self.root));
+        while let Some(frame) = frames.pop() {
+            // Lazy prune: the bound can only have tightened since the push,
+            // so this check prunes at least as much as the recursive form
+            // while visiting exactly the same candidate set.
+            if frame.tag == 1 {
+                let t = sink.bound();
+                if frame.a.abs() > t + tri_slack(frame.a, t, TRI_FLOOR) {
+                    stats.subtrees_pruned += 1;
+                    continue;
+                }
+            }
+            stats.nodes_visited += 1;
+            match &self.nodes[frame.node as usize] {
+                Node::Leaf { ids } => {
+                    for &id in ids {
+                        stats.distance_computations += 1;
+                        stats.postfilter_candidates += 1;
+                        let d = self
+                            .measure
+                            .distance(query, self.dataset.vector(id as usize));
+                        sink.offer(id, d);
+                    }
+                }
+                Node::Split {
+                    dim,
+                    value,
+                    left,
+                    right,
+                } => {
+                    // The far child is pushed first (tag 1, carrying the
+                    // splitting-plane offset for the pop-time check), so
+                    // the near child's whole subtree is explored first.
+                    let diff = query[*dim as usize] - value;
+                    let (near, far) = if diff < 0.0 {
+                        (*left, *right)
+                    } else {
+                        (*right, *left)
+                    };
+                    frames.push(Frame {
+                        node: far,
+                        tag: 1,
+                        a: diff,
+                        b: 0.0,
+                    });
+                    frames.push(Frame::unconditional(near));
+                }
             }
         }
     }
@@ -186,33 +216,9 @@ impl SearchIndex for KdTree {
         stats: &mut SearchStats,
         out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        let frames = &mut scratch.frames;
-        frames.clear();
-        frames.push(Frame::unconditional(self.root));
-        while let Some(frame) = frames.pop() {
-            if frame.tag == 1 && frame.a.abs() > radius + tri_slack(frame.a, radius, TRI_FLOOR) {
-                stats.subtrees_pruned += 1;
-                continue;
-            }
-            stats.nodes_visited += 1;
-            if let Some(ids) = self.push_children(frames, query, frame.node) {
-                for &id in ids {
-                    stats.distance_computations += 1;
-                    stats.postfilter_candidates += 1;
-                    let d = self
-                        .measure
-                        .distance(query, self.dataset.vector(id as usize));
-                    if d <= radius {
-                        out.push(Neighbor {
-                            id: id as usize,
-                            distance: d,
-                        });
-                    }
-                }
-            }
-        }
-        sort_neighbors(out);
+        sink::range(radius, scratch, out, |within, bufs| {
+            self.search(query, within, bufs, stats)
+        });
     }
 
     fn knn_into(
@@ -223,38 +229,9 @@ impl SearchIndex for KdTree {
         stats: &mut SearchStats,
         out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        let QueryScratch { heap, frames, .. } = scratch;
-        heap.reset(k);
-        frames.clear();
-        frames.push(Frame::unconditional(self.root));
-        while let Some(frame) = frames.pop() {
-            // Lazy prune: the bound can only have tightened since the push,
-            // so this check prunes at least as much as the recursive form
-            // while visiting exactly the same candidate set.
-            if frame.tag == 1 {
-                let t = heap.bound();
-                if frame.a.abs() > t + tri_slack(frame.a, t, TRI_FLOOR) {
-                    stats.subtrees_pruned += 1;
-                    continue;
-                }
-            }
-            stats.nodes_visited += 1;
-            if let Some(ids) = self.push_children(frames, query, frame.node) {
-                for &id in ids {
-                    stats.distance_computations += 1;
-                    stats.postfilter_candidates += 1;
-                    let d = self
-                        .measure
-                        .distance(query, self.dataset.vector(id as usize));
-                    heap.offer(id as usize, d);
-                }
-            }
-        }
-        heap.drain_sorted_into(out);
+        sink::knn(k, scratch, out, |heap, bufs| {
+            self.search(query, heap, bufs, stats)
+        });
     }
 
     fn name(&self) -> &'static str {

@@ -52,6 +52,7 @@ mod rect;
 mod rng;
 mod rstar;
 mod scratch;
+mod sink;
 mod stats;
 mod traits;
 mod vptree;

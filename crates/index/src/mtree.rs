@@ -11,8 +11,9 @@
 use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
 use crate::rng::SplitMix64;
-use crate::scratch::{Frame, QueryScratch};
-use crate::stats::{sort_neighbors, tri_margin, tri_slack, Neighbor, SearchStats};
+use crate::scratch::{Frame, QueryScratch, TreeBufs};
+use crate::sink::{self, Sink};
+use crate::stats::{tri_margin, tri_slack, Neighbor, SearchStats};
 use crate::traits::SearchIndex;
 use cbir_distance::Measure;
 
@@ -307,11 +308,84 @@ impl MTree {
         }
     }
 
-    /// The parent distance `d(query, router)` a frame carries, if any.
-    /// Frames are tagged 0 at the root (no routing object) and 1 below it.
-    #[inline]
-    fn frame_parent(frame: &Frame) -> Option<f32> {
-        (frame.tag == 1).then_some(frame.a)
+    /// The one traversal, for k-NN (a heap) and range (a radius) alike.
+    fn search<S: Sink>(
+        &self,
+        query: &[f32],
+        sink: &mut S,
+        bufs: &mut TreeBufs,
+        stats: &mut SearchStats,
+    ) {
+        let TreeBufs { frames, order, .. } = bufs;
+        frames.clear();
+        frames.push(Frame::unconditional(self.root));
+        while let Some(frame) = frames.pop() {
+            // `frame.b` carries the subtree's optimistic lower bound
+            // max(0, d(q, router) - radius); re-check lazily against the
+            // bound, which tightens as siblings are visited.
+            if frame.tag == 1 && frame.b > sink.bound() {
+                stats.subtrees_pruned += 1;
+                continue;
+            }
+            stats.nodes_visited += 1;
+            // The parent distance d(q, router) a frame carries: frames are
+            // tagged 0 at the root (no routing object) and 1 below it.
+            let parent = (frame.tag == 1).then_some(frame.a);
+            match &self.nodes[frame.node as usize] {
+                Node::Leaf(entries) => {
+                    for e in entries {
+                        if let Some(d_qp) = parent {
+                            if (d_qp - e.d_parent).abs()
+                                > sink.bound() + tri_slack(d_qp, e.d_parent, self.slack)
+                            {
+                                continue;
+                            }
+                        }
+                        stats.distance_computations += 1;
+                        stats.postfilter_candidates += 1;
+                        let d = self
+                            .measure
+                            .distance(query, self.dataset.vector(e.id as usize));
+                        sink.offer(e.id, d);
+                    }
+                }
+                Node::Internal(entries) => {
+                    // Order children by optimistic distance so the nearest
+                    // pops first and tightens the bound early.
+                    order.clear();
+                    for e in entries {
+                        if let Some(d_qp) = parent {
+                            if (d_qp - e.d_parent).abs()
+                                > sink.bound() + e.radius + tri_slack(d_qp, e.d_parent, self.slack)
+                            {
+                                stats.subtrees_pruned += 1;
+                                continue;
+                            }
+                        }
+                        stats.distance_computations += 1;
+                        let d = self
+                            .measure
+                            .distance(query, self.dataset.vector(e.router as usize));
+                        order.push((
+                            (d - e.radius - tri_slack(d, e.radius, self.slack)).max(0.0),
+                            d,
+                            e.child,
+                        ));
+                    }
+                    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    // Pushed in reverse so the smallest lower bound is on
+                    // top of the stack.
+                    for &(optimistic, d, child) in order.iter().rev() {
+                        frames.push(Frame {
+                            node: child,
+                            tag: 1,
+                            a: d,
+                            b: optimistic,
+                        });
+                    }
+                }
+            }
+        }
     }
 
     /// Tree height (diagnostic).
@@ -399,67 +473,9 @@ impl SearchIndex for MTree {
         stats: &mut SearchStats,
         out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        let t = radius;
-        let frames = &mut scratch.frames;
-        frames.clear();
-        frames.push(Frame::unconditional(self.root));
-        while let Some(frame) = frames.pop() {
-            stats.nodes_visited += 1;
-            let parent = Self::frame_parent(&frame);
-            match &self.nodes[frame.node as usize] {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        // Parent-distance pruning avoids the distance call.
-                        if let Some(d_qp) = parent {
-                            if (d_qp - e.d_parent).abs()
-                                > t + tri_slack(d_qp, e.d_parent, self.slack)
-                            {
-                                continue;
-                            }
-                        }
-                        stats.distance_computations += 1;
-                        stats.postfilter_candidates += 1;
-                        let d = self
-                            .measure
-                            .distance(query, self.dataset.vector(e.id as usize));
-                        if d <= t {
-                            out.push(Neighbor {
-                                id: e.id as usize,
-                                distance: d,
-                            });
-                        }
-                    }
-                }
-                Node::Internal(entries) => {
-                    for e in entries {
-                        if let Some(d_qp) = parent {
-                            if (d_qp - e.d_parent).abs()
-                                > t + e.radius + tri_slack(d_qp, e.d_parent, self.slack)
-                            {
-                                stats.subtrees_pruned += 1;
-                                continue;
-                            }
-                        }
-                        stats.distance_computations += 1;
-                        let d = self
-                            .measure
-                            .distance(query, self.dataset.vector(e.router as usize));
-                        if d <= t + e.radius + tri_slack(d, e.radius, self.slack) {
-                            frames.push(Frame {
-                                node: e.child,
-                                tag: 1,
-                                a: d,
-                                b: 0.0,
-                            });
-                        } else {
-                            stats.subtrees_pruned += 1;
-                        }
-                    }
-                }
-            }
-        }
-        sort_neighbors(out);
+        sink::range(radius, scratch, out, |within, bufs| {
+            self.search(query, within, bufs, stats)
+        });
     }
 
     fn knn_into(
@@ -470,85 +486,9 @@ impl SearchIndex for MTree {
         stats: &mut SearchStats,
         out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        let QueryScratch {
-            heap,
-            frames,
-            order,
-            ..
-        } = scratch;
-        heap.reset(k);
-        frames.clear();
-        frames.push(Frame::unconditional(self.root));
-        while let Some(frame) = frames.pop() {
-            // `frame.b` carries the subtree's optimistic lower bound
-            // max(0, d(q, router) - radius); re-check lazily against the
-            // bound, which tightens as siblings are visited.
-            if frame.tag == 1 && frame.b > heap.bound() {
-                stats.subtrees_pruned += 1;
-                continue;
-            }
-            stats.nodes_visited += 1;
-            let parent = Self::frame_parent(&frame);
-            match &self.nodes[frame.node as usize] {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        if let Some(d_qp) = parent {
-                            if (d_qp - e.d_parent).abs()
-                                > heap.bound() + tri_slack(d_qp, e.d_parent, self.slack)
-                            {
-                                continue;
-                            }
-                        }
-                        stats.distance_computations += 1;
-                        stats.postfilter_candidates += 1;
-                        let d = self
-                            .measure
-                            .distance(query, self.dataset.vector(e.id as usize));
-                        heap.offer(e.id as usize, d);
-                    }
-                }
-                Node::Internal(entries) => {
-                    // Order children by optimistic distance so the nearest
-                    // pops first and tightens the bound early.
-                    order.clear();
-                    for e in entries {
-                        if let Some(d_qp) = parent {
-                            if (d_qp - e.d_parent).abs()
-                                > heap.bound() + e.radius + tri_slack(d_qp, e.d_parent, self.slack)
-                            {
-                                stats.subtrees_pruned += 1;
-                                continue;
-                            }
-                        }
-                        stats.distance_computations += 1;
-                        let d = self
-                            .measure
-                            .distance(query, self.dataset.vector(e.router as usize));
-                        order.push((
-                            (d - e.radius - tri_slack(d, e.radius, self.slack)).max(0.0),
-                            d,
-                            e.child,
-                        ));
-                    }
-                    order.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    // Pushed in reverse so the smallest lower bound is on
-                    // top of the stack.
-                    for &(optimistic, d, child) in order.iter().rev() {
-                        frames.push(Frame {
-                            node: child,
-                            tag: 1,
-                            a: d,
-                            b: optimistic,
-                        });
-                    }
-                }
-            }
-        }
-        heap.drain_sorted_into(out);
+        sink::knn(k, scratch, out, |heap, bufs| {
+            self.search(query, heap, bufs, stats)
+        });
     }
 
     fn name(&self) -> &'static str {

@@ -9,8 +9,9 @@
 use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
 use crate::rect::Rect;
-use crate::scratch::{Frame, OrderedF32, QueryScratch};
-use crate::stats::{sort_neighbors, tri_slack, Neighbor, SearchStats, TRI_FLOOR};
+use crate::scratch::{OrderedF32, QueryScratch, TreeBufs};
+use crate::sink::{self, Sink};
+use crate::stats::{tri_slack, Neighbor, SearchStats, TRI_FLOOR};
 use crate::traits::SearchIndex;
 use cbir_distance::l2_squared;
 use std::cmp::Reverse;
@@ -448,6 +449,56 @@ impl RStarTree {
     // Search
     // ------------------------------------------------------------------
 
+    /// The one traversal, for k-NN (a heap) and range (a radius) alike.
+    fn search<S: Sink>(
+        &self,
+        query: &[f32],
+        sink: &mut S,
+        bufs: &mut TreeBufs,
+        stats: &mut SearchStats,
+    ) {
+        // Best-first traversal over (mindist², node).
+        let frontier = &mut bufs.frontier;
+        frontier.clear();
+        frontier.push(Reverse((
+            OrderedF32(self.nodes[self.root as usize].mbr.mindist_sq(query)),
+            self.root,
+        )));
+        while let Some(Reverse((OrderedF32(mindist_sq), at))) = frontier.pop() {
+            let bound = sink.bound();
+            if bound.is_finite()
+                && mindist_sq > bound * bound + tri_slack(mindist_sq, bound * bound, TRI_FLOOR)
+            {
+                // Best-first order: the popped node and everything still on
+                // the frontier are all beyond the bound.
+                stats.subtrees_pruned += 1 + frontier.len() as u64;
+                break;
+            }
+            stats.nodes_visited += 1;
+            let n = &self.nodes[at as usize];
+            if n.level == 0 {
+                for &id in &n.slots {
+                    stats.distance_computations += 1;
+                    stats.postfilter_candidates += 1;
+                    let d2 = l2_squared(query, self.point(id));
+                    sink.offer(id, d2.sqrt());
+                }
+            } else {
+                for &c in &n.slots {
+                    let md = self.nodes[c as usize].mbr.mindist_sq(query);
+                    let bound = sink.bound();
+                    if !bound.is_finite()
+                        || md <= bound * bound + tri_slack(md, bound * bound, TRI_FLOOR)
+                    {
+                        frontier.push(Reverse((OrderedF32(md), c)));
+                    } else {
+                        stats.subtrees_pruned += 1;
+                    }
+                }
+            }
+        }
+    }
+
     /// Tree height (levels).
     pub fn height(&self) -> u32 {
         self.nodes[self.root as usize].level + 1
@@ -516,38 +567,9 @@ impl SearchIndex for RStarTree {
         stats: &mut SearchStats,
         out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        let radius_sq = radius * radius;
-        let frames = &mut scratch.frames;
-        frames.clear();
-        frames.push(Frame::unconditional(self.root));
-        while let Some(frame) = frames.pop() {
-            stats.nodes_visited += 1;
-            let n = &self.nodes[frame.node as usize];
-            if n.level == 0 {
-                for &id in &n.slots {
-                    stats.distance_computations += 1;
-                    stats.postfilter_candidates += 1;
-                    let d2 = l2_squared(query, self.point(id));
-                    if d2 <= radius_sq {
-                        out.push(Neighbor {
-                            id: id as usize,
-                            distance: d2.sqrt(),
-                        });
-                    }
-                }
-            } else {
-                for &c in &n.slots {
-                    let md = self.nodes[c as usize].mbr.mindist_sq(query);
-                    if md <= radius_sq + tri_slack(md, radius_sq, TRI_FLOOR) {
-                        frames.push(Frame::unconditional(c));
-                    } else {
-                        stats.subtrees_pruned += 1;
-                    }
-                }
-            }
-        }
-        sort_neighbors(out);
+        sink::range(radius, scratch, out, |within, bufs| {
+            self.search(query, within, bufs, stats)
+        });
     }
 
     fn knn_into(
@@ -558,52 +580,9 @@ impl SearchIndex for RStarTree {
         stats: &mut SearchStats,
         out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        let QueryScratch { heap, frontier, .. } = scratch;
-        heap.reset(k);
-        // Best-first traversal over (mindist², node).
-        frontier.clear();
-        frontier.push(Reverse((
-            OrderedF32(self.nodes[self.root as usize].mbr.mindist_sq(query)),
-            self.root,
-        )));
-        while let Some(Reverse((OrderedF32(mindist_sq), at))) = frontier.pop() {
-            let bound = heap.bound();
-            if bound.is_finite()
-                && mindist_sq > bound * bound + tri_slack(mindist_sq, bound * bound, TRI_FLOOR)
-            {
-                // Best-first order: the popped node and everything still on
-                // the frontier are all beyond the bound.
-                stats.subtrees_pruned += 1 + frontier.len() as u64;
-                break;
-            }
-            stats.nodes_visited += 1;
-            let n = &self.nodes[at as usize];
-            if n.level == 0 {
-                for &id in &n.slots {
-                    stats.distance_computations += 1;
-                    stats.postfilter_candidates += 1;
-                    let d2 = l2_squared(query, self.point(id));
-                    heap.offer(id as usize, d2.sqrt());
-                }
-            } else {
-                for &c in &n.slots {
-                    let md = self.nodes[c as usize].mbr.mindist_sq(query);
-                    let bound = heap.bound();
-                    if !bound.is_finite()
-                        || md <= bound * bound + tri_slack(md, bound * bound, TRI_FLOOR)
-                    {
-                        frontier.push(Reverse((OrderedF32(md), c)));
-                    } else {
-                        stats.subtrees_pruned += 1;
-                    }
-                }
-            }
-        }
-        heap.drain_sorted_into(out);
+        sink::knn(k, scratch, out, |heap, bufs| {
+            self.search(query, heap, bufs, stats)
+        });
     }
 
     fn name(&self) -> &'static str {

@@ -50,14 +50,21 @@ impl Frame {
 pub struct QueryScratch {
     /// k-NN candidate heap, [`KnnHeap::reset`] per query.
     pub(crate) heap: KnnHeap,
+    /// Traversal state of the trees.
+    pub(crate) tree: TreeBufs,
+    /// Block buffers of the linear scan.
+    pub(crate) scan: ScanBufs,
+}
+
+/// What a tree's one traversal needs beside its [`Sink`](crate::sink::Sink).
+#[derive(Debug, Default)]
+pub(crate) struct TreeBufs {
     /// Depth-first visit stack (kd-, vp-, antipole and M-tree).
     pub(crate) frames: Vec<Frame>,
-    /// Best-first frontier ordered by MINDIST² (R*-tree k-NN).
+    /// Best-first frontier ordered by MINDIST² (R*-tree).
     pub(crate) frontier: BinaryHeap<Reverse<(OrderedF32, u32)>>,
     /// Child-ordering buffer `(lower bound, distance, child)` (M-tree).
     pub(crate) order: Vec<(f32, f32, u32)>,
-    /// Block buffers of the linear scan.
-    pub(crate) scan: ScanBufs,
     /// The query in the code units of the antipole tree's one-byte rows.
     pub(crate) bytes: ByteQuery,
 }
@@ -92,11 +99,8 @@ impl QueryScratch {
     pub fn new() -> Self {
         QueryScratch {
             heap: KnnHeap::new(1),
-            frames: Vec::new(),
-            frontier: BinaryHeap::new(),
-            order: Vec::new(),
+            tree: TreeBufs::default(),
             scan: ScanBufs::default(),
-            bytes: ByteQuery::default(),
         }
     }
 }

@@ -70,7 +70,9 @@ impl FromIterator<usize> for RowSet {
 /// and [`knn_into`](Self::knn_into); the allocating single-query methods
 /// and the batch loops are derived from them. Reusing one
 /// [`QueryScratch`] across queries is what makes steady-state search
-/// allocation-free.
+/// allocation-free. Each tree answers both through its one traversal: a
+/// k-NN search runs it against a heap whose bound tightens as it fills,
+/// a range search runs it with the radius as a fixed bound.
 ///
 /// # Tie-breaking
 ///
@@ -100,8 +102,10 @@ pub trait SearchIndex: Send + Sync {
 
     /// All vectors within `radius` of `query` (inclusive) written into
     /// `out` (cleared first), sorted by ascending distance with ties broken
-    /// by id. `scratch` provides the traversal state; reuse it across
-    /// queries to avoid per-query allocation.
+    /// by id. A vector is within iff its distance `d` has `d <= radius`,
+    /// so a negative or NaN radius finds nothing. `scratch` provides the
+    /// traversal state; reuse it across queries to avoid per-query
+    /// allocation.
     fn range_into(
         &self,
         query: &[f32],

@@ -6,8 +6,9 @@
 use crate::dataset::Dataset;
 use crate::error::{IndexError, Result};
 use crate::rng::SplitMix64;
-use crate::scratch::{Frame, QueryScratch};
-use crate::stats::{sort_neighbors, tri_margin, tri_slack, Neighbor, SearchStats};
+use crate::scratch::{Frame, QueryScratch, TreeBufs};
+use crate::sink::{self, Sink};
+use crate::stats::{tri_margin, tri_slack, Neighbor, SearchStats};
 use crate::traits::SearchIndex;
 use cbir_distance::Measure;
 
@@ -143,114 +144,22 @@ impl VpTree {
             _ => true,
         }
     }
-}
 
-impl SearchIndex for VpTree {
-    fn len(&self) -> usize {
-        self.dataset.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.dataset.dim()
-    }
-
-    fn range_into(
+    /// The one traversal, for k-NN (a heap) and range (a radius) alike.
+    fn search<S: Sink>(
         &self,
         query: &[f32],
-        radius: f32,
-        scratch: &mut QueryScratch,
+        sink: &mut S,
+        bufs: &mut TreeBufs,
         stats: &mut SearchStats,
-        out: &mut Vec<Neighbor>,
     ) {
-        out.clear();
-        let frames = &mut scratch.frames;
-        frames.clear();
-        frames.push(Frame::unconditional(self.root));
-        while let Some(frame) = frames.pop() {
-            if !self.admits(&frame, radius) {
-                stats.subtrees_pruned += 1;
-                continue;
-            }
-            stats.nodes_visited += 1;
-            match &self.nodes[frame.node as usize] {
-                Node::Leaf { ids } => {
-                    for &id in ids {
-                        stats.distance_computations += 1;
-                        stats.postfilter_candidates += 1;
-                        let d = self
-                            .measure
-                            .distance(query, self.dataset.vector(id as usize));
-                        if d <= radius {
-                            out.push(Neighbor {
-                                id: id as usize,
-                                distance: d,
-                            });
-                        }
-                    }
-                }
-                Node::Ball {
-                    vp,
-                    mu,
-                    radius: ball_radius,
-                    inner,
-                    outer,
-                } => {
-                    stats.distance_computations += 1;
-                    let d = self
-                        .measure
-                        .distance(query, self.dataset.vector(*vp as usize));
-                    if d <= radius {
-                        out.push(Neighbor {
-                            id: *vp as usize,
-                            distance: d,
-                        });
-                    }
-                    // Whole-subtree exclusion: everything is within
-                    // ball_radius of vp, so if d > radius + ball_radius
-                    // nothing below can qualify.
-                    if d > radius + ball_radius + tri_slack(d, *ball_radius, self.slack) {
-                        // Ball exclusion skips both children at once.
-                        stats.subtrees_pruned += 2;
-                        continue;
-                    }
-                    frames.push(Frame {
-                        node: *outer,
-                        tag: TAG_OUTER,
-                        a: d,
-                        b: *mu,
-                    });
-                    frames.push(Frame {
-                        node: *inner,
-                        tag: TAG_INNER,
-                        a: d,
-                        b: *mu,
-                    });
-                }
-            }
-        }
-        sort_neighbors(out);
-    }
-
-    fn knn_into(
-        &self,
-        query: &[f32],
-        k: usize,
-        scratch: &mut QueryScratch,
-        stats: &mut SearchStats,
-        out: &mut Vec<Neighbor>,
-    ) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        let QueryScratch { heap, frames, .. } = scratch;
-        heap.reset(k);
+        let frames = &mut bufs.frames;
         frames.clear();
         frames.push(Frame::unconditional(self.root));
         while let Some(frame) = frames.pop() {
             // Lazy admission check against the current (possibly tightened)
             // bound — prunes at least as much as the recursive form.
-            if !self.admits(&frame, heap.bound()) {
+            if !self.admits(&frame, sink.bound()) {
                 stats.subtrees_pruned += 1;
                 continue;
             }
@@ -263,7 +172,7 @@ impl SearchIndex for VpTree {
                         let d = self
                             .measure
                             .distance(query, self.dataset.vector(id as usize));
-                        heap.offer(id as usize, d);
+                        sink.offer(id, d);
                     }
                 }
                 Node::Ball {
@@ -277,8 +186,8 @@ impl SearchIndex for VpTree {
                     let d = self
                         .measure
                         .distance(query, self.dataset.vector(*vp as usize));
-                    heap.offer(*vp as usize, d);
-                    if d > heap.bound() + ball_radius + tri_slack(d, *ball_radius, self.slack) {
+                    sink.offer(*vp, d);
+                    if d > sink.bound() + ball_radius + tri_slack(d, *ball_radius, self.slack) {
                         // Ball exclusion skips both children at once.
                         stats.subtrees_pruned += 2;
                         continue;
@@ -306,7 +215,42 @@ impl SearchIndex for VpTree {
                 }
             }
         }
-        heap.drain_sorted_into(out);
+    }
+}
+
+impl SearchIndex for VpTree {
+    fn len(&self) -> usize {
+        self.dataset.len()
+    }
+
+    fn dim(&self) -> usize {
+        self.dataset.dim()
+    }
+
+    fn range_into(
+        &self,
+        query: &[f32],
+        radius: f32,
+        scratch: &mut QueryScratch,
+        stats: &mut SearchStats,
+        out: &mut Vec<Neighbor>,
+    ) {
+        sink::range(radius, scratch, out, |within, bufs| {
+            self.search(query, within, bufs, stats)
+        });
+    }
+
+    fn knn_into(
+        &self,
+        query: &[f32],
+        k: usize,
+        scratch: &mut QueryScratch,
+        stats: &mut SearchStats,
+        out: &mut Vec<Neighbor>,
+    ) {
+        sink::knn(k, scratch, out, |heap, bufs| {
+            self.search(query, heap, bufs, stats)
+        });
     }
 
     fn name(&self) -> &'static str {

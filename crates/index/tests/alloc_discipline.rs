@@ -1,17 +1,17 @@
 //! Allocation discipline of the batched query path: after one warm-up
 //! pass over the query set, running steady-state searches through
 //! `knn_into` / `range_into` with a reused [`QueryScratch`] performs
-//! **zero** heap allocations — the linear scan's filtered L1 path and
-//! the antipole tree's one-byte rows included. Verified with a counting
-//! global allocator.
+//! **zero** heap allocations on every index — the linear scan's
+//! filtered L1 path and the antipole tree's one-byte rows included.
+//! Verified with a counting global allocator.
 //!
 //! This file holds exactly one `#[test]` so no sibling test thread can
 //! allocate inside the measured window.
 
 use cbir_distance::Measure;
 use cbir_index::{
-    AntipoleTree, Dataset, KdTree, LinearScan, Neighbor, QueryScratch, SearchIndex, SearchStats,
-    VpTree,
+    AntipoleTree, Dataset, KdTree, LinearScan, MTree, Neighbor, QueryScratch, RStarTree,
+    SearchIndex, SearchStats, VpTree,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,6 +92,8 @@ fn steady_state_queries_do_not_allocate() {
         Box::new(coded(Measure::L2)),
         Box::new(VpTree::build(ds.clone(), Measure::L2).unwrap()),
         Box::new(KdTree::build(ds.clone(), Measure::L2).unwrap()),
+        Box::new(MTree::build(ds.clone(), Measure::L2).unwrap()),
+        Box::new(RStarTree::bulk_load(ds.clone()).unwrap()),
         Box::new(LinearScan::build(ds, Measure::L2).unwrap()),
         Box::new(filtered),
     ];

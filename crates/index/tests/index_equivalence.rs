@@ -1,12 +1,13 @@
 //! The core correctness property of the whole indexing layer, checked on
 //! deterministic generated workloads (no external property-testing
 //! dependency, so the suite builds offline and every run checks the same
-//! cases): **every index returns exactly the same result set as a
-//! sequential scan** for both range and k-NN queries, on arbitrary
-//! datasets, queries, radii and k — including adversarial cases
-//! (duplicate points, collinear data, radius 0, k > n). The antipole
-//! tree is held to the scan's distance bits, also at descriptor
-//! dimensions where it answers from its one-byte rows.
+//! cases): **every index returns exactly the same reply as a sequential
+//! scan** for both range and k-NN queries — the same ids, in the same
+//! order, at the same distance bits — on arbitrary datasets, queries,
+//! radii and k, including adversarial cases (duplicate points, collinear
+//! data, radius 0, radii equal to the scan's own distances, negative and
+//! non-finite radii, k > n), and at descriptor dimensions, where the
+//! antipole tree answers from its one-byte rows.
 
 use cbir_distance::Measure;
 use cbir_index::{
@@ -36,13 +37,6 @@ fn gen_query(rng: &mut Pcg32, dim: usize) -> Vec<f32> {
     (0..dim).map(|_| rng.range_f32(-10.0, 10.0)).collect()
 }
 
-fn close_enough(a: &[Neighbor], b: &[Neighbor]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.id == y.id && (x.distance - y.distance).abs() <= 1e-4)
-}
-
 /// The same ids, in the same order, at the same distance bits.
 fn bit_identical(a: &[Neighbor], b: &[Neighbor]) -> bool {
     a.len() == b.len()
@@ -51,16 +45,22 @@ fn bit_identical(a: &[Neighbor], b: &[Neighbor]) -> bool {
             .all(|(x, y)| x.id == y.id && x.distance.to_bits() == y.distance.to_bits())
 }
 
-/// What `idx` must match the scan by: bits for the antipole tree, the
-/// others within 1e-4.
-fn agrees(idx: &dyn SearchIndex, got: &[Neighbor], want: &[Neighbor]) -> bool {
-    if idx.name() == "antipole" {
-        bit_identical(got, want)
-    } else {
-        close_enough(got, want)
-    }
+/// Every tree over `ds` under L2 (the R*-tree bulk-loaded and built by
+/// insertion), small pages so the trees are deep.
+fn all_l2_indexes(ds: &Dataset) -> Vec<Box<dyn SearchIndex>> {
+    vec![
+        Box::new(KdTree::with_leaf_size(ds.clone(), Measure::L2, 4).unwrap()),
+        Box::new(VpTree::with_leaf_size(ds.clone(), Measure::L2, 4).unwrap()),
+        Box::new(AntipoleTree::build(ds.clone(), Measure::L2, 2.0).unwrap()),
+        Box::new(RStarTree::bulk_load_with_capacity(ds.clone(), 4).unwrap()),
+        Box::new(RStarTree::build_incremental_with_capacity(ds.clone(), 4).unwrap()),
+        Box::new(MTree::with_capacity(ds.clone(), Measure::L2, 4).unwrap()),
+    ]
 }
 
+/// Range replies at a random radius and at the scan's own 1st- and
+/// 10th-nearest distances, which put a row exactly on the boundary; k-NN
+/// at a random k.
 #[test]
 fn all_indexes_agree_with_linear_scan() {
     let mut rng = Pcg32::new(0xB1);
@@ -72,34 +72,58 @@ fn all_indexes_agree_with_linear_scan() {
 
         let ds = Dataset::from_vectors(&vectors).unwrap();
         let lin = LinearScan::build(ds.clone(), Measure::L2).unwrap();
-        let expected_range = range_search_simple(&lin, &query, radius);
+        let nearest = knn_search_simple(&lin, &query, 10);
+        let radii = [
+            radius,
+            nearest[0].distance,
+            nearest.last().unwrap().distance,
+        ];
+        let expected_range = radii.map(|r| range_search_simple(&lin, &query, r));
         let expected_knn = knn_search_simple(&lin, &query, k);
 
-        let indexes: Vec<Box<dyn SearchIndex>> = vec![
-            Box::new(KdTree::with_leaf_size(ds.clone(), Measure::L2, 4).unwrap()),
-            Box::new(VpTree::with_leaf_size(ds.clone(), Measure::L2, 4).unwrap()),
-            Box::new(AntipoleTree::build(ds.clone(), Measure::L2, 2.0).unwrap()),
-            Box::new(RStarTree::bulk_load_with_capacity(ds.clone(), 4).unwrap()),
-            Box::new(RStarTree::build_incremental_with_capacity(ds.clone(), 4).unwrap()),
-            Box::new(MTree::with_capacity(ds.clone(), Measure::L2, 4).unwrap()),
-        ];
-        for idx in &indexes {
-            let got_range = range_search_simple(idx.as_ref(), &query, radius);
+        for idx in all_l2_indexes(&ds) {
+            for (r, want) in radii.iter().zip(&expected_range) {
+                let got = range_search_simple(idx.as_ref(), &query, *r);
+                assert!(
+                    bit_identical(&got, want),
+                    "{} range {r} mismatch: got {got:?} expected {want:?}",
+                    idx.name(),
+                );
+            }
+            let got = knn_search_simple(idx.as_ref(), &query, k);
             assert!(
-                agrees(idx.as_ref(), &got_range, &expected_range),
-                "{} range mismatch: got {:?} expected {:?}",
+                bit_identical(&got, &expected_knn),
+                "{} knn mismatch: got {got:?} expected {expected_knn:?}",
                 idx.name(),
-                got_range,
-                expected_range
             );
-            let got_knn = knn_search_simple(idx.as_ref(), &query, k);
-            assert!(
-                agrees(idx.as_ref(), &got_knn, &expected_knn),
-                "{} knn mismatch: got {:?} expected {:?}",
-                idx.name(),
-                got_knn,
-                expected_knn
-            );
+        }
+    }
+}
+
+/// A radius below zero admits no row, one of +inf every row, and NaN no
+/// row: the scan's test `d <= radius`, on every index.
+#[test]
+fn negative_and_non_finite_radii_get_the_scan_reply() {
+    let mut rng = Pcg32::new(0xB5);
+    for _ in 0..CASES / 4 {
+        let (vectors, dim) = gen_dataset(&mut rng);
+        let query = gen_query(&mut rng, dim);
+        let ds = Dataset::from_vectors(&vectors).unwrap();
+        let lin = LinearScan::build(ds.clone(), Measure::L2).unwrap();
+        for radius in [-0.3, f32::NEG_INFINITY, f32::INFINITY, f32::NAN] {
+            let want = range_search_simple(&lin, &query, radius);
+            let rows = if radius == f32::INFINITY { ds.len() } else { 0 };
+            assert_eq!(want.len(), rows, "scan at radius {radius}");
+            for idx in all_l2_indexes(&ds) {
+                let got = range_search_simple(idx.as_ref(), &query, radius);
+                assert!(
+                    bit_identical(&got, &want),
+                    "{} radius {radius}: got {} hits, the scan {}",
+                    idx.name(),
+                    got.len(),
+                    want.len()
+                );
+            }
         }
     }
 }
@@ -119,7 +143,7 @@ fn metric_trees_agree_under_l1_and_match() {
             let ap = AntipoleTree::build(ds.clone(), measure.clone(), 1.0).unwrap();
             let mt = MTree::build(ds.clone(), measure.clone()).unwrap();
             assert!(
-                close_enough(&knn_search_simple(&vp, &query, k), &expected),
+                bit_identical(&knn_search_simple(&vp, &query, k), &expected),
                 "vp-tree under {}",
                 measure.name()
             );
@@ -129,7 +153,7 @@ fn metric_trees_agree_under_l1_and_match() {
                 measure.name()
             );
             assert!(
-                close_enough(&knn_search_simple(&mt, &query, k), &expected),
+                bit_identical(&knn_search_simple(&mt, &query, k), &expected),
                 "m-tree under {}",
                 measure.name()
             );
@@ -242,10 +266,12 @@ fn descriptor_queries(rows: &[Vec<f32>], near: usize, seed: u64) -> Vec<Vec<f32>
     queries
 }
 
-/// The tree keeps its one-byte rows for 128 dimensions and more over
-/// 8 MiB of `f32`s: 3,700 rows of 577 take them, the small corpora do
-/// not. The large corpus is searched at one diameter and with fewer
-/// queries, to keep the test short in a debug build.
+/// The antipole tree keeps its one-byte rows for 128 dimensions and
+/// more over 8 MiB of `f32`s: 3,700 rows of 577 take them, the small
+/// corpora do not. The large corpus is searched at one diameter and with
+/// fewer queries, to keep the test short in a debug build. At 16 and 64
+/// dimensions the VP-, M- and kd-trees are held to the same replies
+/// under L1 and L2, and the R*-tree under L2.
 #[test]
 fn antipole_is_bit_identical_to_the_scan_at_descriptor_dimensions() {
     for (n, dim) in [(300usize, 16usize), (300, 64), (300, 577), (3_700, 577)] {
@@ -292,6 +318,36 @@ fn antipole_is_bit_identical_to_the_scan_at_descriptor_dimensions() {
                         }
                         for (radius, want) in range {
                             let got = ap.range_search(q, *radius, &mut stats);
+                            assert!(bit_identical(&got, want), "{case} radius {radius}");
+                        }
+                    }
+                }
+                let mut trees: Vec<Box<dyn SearchIndex>> = Vec::new();
+                if dim <= 64 {
+                    trees.push(Box::new(
+                        VpTree::build(ds.clone(), measure.clone()).unwrap(),
+                    ));
+                    trees.push(Box::new(MTree::build(ds.clone(), measure.clone()).unwrap()));
+                    trees.push(Box::new(
+                        KdTree::build(ds.clone(), measure.clone()).unwrap(),
+                    ));
+                    if matches!(measure, Measure::L2) {
+                        trees.push(Box::new(RStarTree::bulk_load(ds.clone()).unwrap()));
+                    }
+                }
+                for tree in &trees {
+                    for (qi, (q, knn, range)) in cases.iter().enumerate() {
+                        let case = format!(
+                            "{} {} {n} x {dim} {name} query {qi}",
+                            tree.name(),
+                            measure.name()
+                        );
+                        for (k, want) in knn {
+                            let got = knn_search_simple(tree.as_ref(), q, *k);
+                            assert!(bit_identical(&got, want), "{case} k {k}");
+                        }
+                        for (radius, want) in range {
+                            let got = range_search_simple(tree.as_ref(), q, *radius);
                             assert!(bit_identical(&got, want), "{case} radius {radius}");
                         }
                     }

@@ -14,7 +14,9 @@
 //! - pruned searches return the same answers as the unpruned scan;
 //! - on its one-byte rows the antipole tree still counts every row it
 //!   scores in `distance_computations`, bound or exact, and the rows the
-//!   `f32` kernel scored in `refined` (pinned on a seeded corpus).
+//!   `f32` kernel scored in `refined` (pinned on a seeded corpus);
+//! - what the other four trees' traversals visit, for k-NN and range
+//!   alike (pinned on a seeded corpus).
 
 use cbir_distance::Measure;
 use cbir_index::{
@@ -248,4 +250,80 @@ fn antipole_counts_rows_scored_and_rows_refined() {
         ));
     }
     assert_eq!(pins, [(15112, 1777, 1095, 909), (15219, 2164, 1330, 915)]);
+}
+
+/// What the kd-, VP-, M- and R*-trees' traversals visit, pinned on one
+/// seeded corpus under L2: k-NN at k = 10 and range at two radii, the
+/// queries midpoints of row pairs, so inside the data's box (the
+/// R*-tree's root rectangle holds every query). Each tuple is
+/// `(distance_computations, nodes_visited, subtrees_pruned,
+/// postfilter_candidates)` summed over the queries.
+#[test]
+fn tree_traversals_count_what_they_visit() {
+    let rows = cbir_workload::clustered(2_000, 8, 12, 1.0, 10.0, 21);
+    let queries: Vec<Vec<f32>> = (0..16)
+        .map(|i| {
+            let (a, b) = (&rows[i * 97], &rows[i * 113 + 5]);
+            a.iter().zip(b).map(|(x, y)| (x + y) / 2.0).collect()
+        })
+        .collect();
+    let ds = Dataset::from_vectors(&rows).unwrap();
+    let indexes: Vec<Box<dyn SearchIndex>> = vec![
+        Box::new(KdTree::build(ds.clone(), Measure::L2).unwrap()),
+        Box::new(VpTree::build(ds.clone(), Measure::L2).unwrap()),
+        Box::new(MTree::build(ds.clone(), Measure::L2).unwrap()),
+        Box::new(RStarTree::bulk_load(ds).unwrap()),
+    ];
+    let counts = |search: &dyn Fn(&[f32], &mut SearchStats)| {
+        let mut stats = SearchStats::new();
+        for q in &queries {
+            search(q, &mut stats);
+        }
+        (
+            stats.distance_computations,
+            stats.nodes_visited,
+            stats.subtrees_pruned,
+            stats.postfilter_candidates,
+        )
+    };
+    let pins: Vec<_> = indexes
+        .iter()
+        .map(|idx| {
+            (
+                idx.name(),
+                counts(&|q, stats| drop(idx.knn_search(q, 10, stats))),
+                counts(&|q, stats| drop(idx.range_search(q, 2.0, stats))),
+                counts(&|q, stats| drop(idx.range_search(q, 4.0, stats))),
+            )
+        })
+        .collect();
+    assert_eq!(
+        pins,
+        [
+            (
+                "kd-tree",
+                (21541, 2956, 216, 21541),
+                (4819, 908, 306, 4819),
+                (17886, 2561, 289, 17886)
+            ),
+            (
+                "vp-tree",
+                (15949, 2359, 395, 14580),
+                (4422, 861, 361, 3819),
+                (12059, 1886, 424, 10912)
+            ),
+            (
+                "m-tree",
+                (13529, 1918, 1751, 10348),
+                (3806, 782, 2660, 1629),
+                (8190, 1325, 2352, 5322)
+            ),
+            (
+                "r*-tree",
+                (11683, 875, 1061, 11683),
+                (1692, 188, 980, 1692),
+                (8501, 672, 1280, 8501)
+            ),
+        ]
+    );
 }

@@ -7,7 +7,7 @@
 # The quick-bench step runs the throughput bench binaries in quick
 # (1-iteration) mode: their bit-identity assertions (planner vs naive
 # extraction, batched vs single-query k-NN, every tree's k-NN vs the
-# scan's in F1) execute on every verify.
+# scan's in F1 and its range vs the scan's in F3) execute on every verify.
 # The smoke corpora further down are six images, far under the row count
 # from which the sequential scan filters L1 exactly, so the quick F8, F9
 # and F15 legs are what exercises that path here: their corpora are over
@@ -66,8 +66,9 @@ if [ "${SKIP_QUICK_BENCH:-0}" != 1 ]; then
     cargo run --release -q -p cbir-bench --bin exp_chaos_serving -- --quick
     # F1 fails unless every tree's k-NN equals the scan's bit for bit (at
     # d = 16 the antipole tree scores f32 rows; the one-byte rows are
-    # smoked over a wide corpus below).
+    # smoked over a wide corpus below); F3 the same for every tree's range.
     cargo run --release -q -p cbir-bench --bin exp_scaling -- --quick
+    cargo run --release -q -p cbir-bench --bin exp_range_pruning -- --quick
     echo "==> benchmark smoke (e2e/check.sh)"
     e2e/check.sh
 fi
