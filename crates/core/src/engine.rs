@@ -527,14 +527,14 @@ mod tests {
         let d: Vec<f32> = engine.database().descriptor(1).unwrap().to_vec();
         let mut s1 = SearchStats::new();
         let exact = engine.query_by_descriptor(&d, 3, &mut s1).unwrap();
-        let mut s2 = SearchStats::new();
+        let mut s2 = BatchStats::new();
         let approx = engine
-            .query_by_descriptor_approx(&d, 3, 1.0, &mut s2)
+            .knn_batch_approx(std::slice::from_ref(&d), 3, 1.0, 1, &mut s2)
             .unwrap();
-        assert_eq!(exact, approx);
+        assert_eq!(exact, approx[0]);
         // The exact route never touches the coarse stage.
-        assert_eq!(s2.coarse_candidates, 0);
-        assert_eq!(s2.rerank_evaluations, 0);
+        assert_eq!(s2.total().coarse_candidates, 0);
+        assert_eq!(s2.total().rerank_evaluations, 0);
 
         let queries: Vec<Vec<f32>> = (0..engine.database().len())
             .map(|id| engine.database().descriptor(id).unwrap().to_vec())
@@ -559,25 +559,23 @@ mod tests {
         let d: Vec<f32> = engine.database().descriptor(2).unwrap().to_vec();
         let mut s = SearchStats::new();
         let exact = engine.query_by_descriptor(&d, 2, &mut s).unwrap();
-        let mut sa = SearchStats::new();
-        let approx = engine
-            .query_by_descriptor_approx(&d, 2, 0.9, &mut sa)
-            .unwrap();
-        assert_eq!(exact, approx);
-        assert!(sa.coarse_candidates > 0);
-        assert!(sa.rerank_evaluations > 0);
-        assert_eq!(sa.coarse_candidates, sa.rerank_evaluations);
+        let mut sa = BatchStats::new();
+        let one = std::slice::from_ref(&d);
+        let approx = engine.knn_batch_approx(one, 2, 0.9, 1, &mut sa).unwrap();
+        assert_eq!(exact, approx[0]);
+        assert!(sa.total().coarse_candidates > 0);
+        assert!(sa.total().rerank_evaluations > 0);
+        assert_eq!(sa.total().coarse_candidates, sa.total().rerank_evaluations);
 
         // Bad targets are rejected before any work.
+        assert!(engine.knn_batch_approx(one, 2, 0.0, 1, &mut sa).is_err());
         assert!(engine
-            .query_by_descriptor_approx(&d, 2, 0.0, &mut sa)
-            .is_err());
-        assert!(engine
-            .query_by_descriptor_approx(&d, 2, f32::NAN, &mut sa)
+            .knn_batch_approx(one, 2, f32::NAN, 1, &mut sa)
             .is_err());
 
         // By-id excludes self, like the exact path.
-        let by_id = engine.query_by_id_approx(0, 3, 0.9, &mut sa).unwrap();
+        let by_id = engine.knn_batch_by_ids_approx(&[0], 3, 0.9, 1, &mut sa);
+        let by_id = by_id.unwrap().remove(0);
         assert!(by_id.iter().all(|h| h.id != 0));
         let mut se = SearchStats::new();
         assert_eq!(by_id, engine.query_by_id(0, 3, &mut se).unwrap());

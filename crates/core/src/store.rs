@@ -41,14 +41,14 @@
 //!
 //! ## Query semantics
 //!
-//! [`CorpusSnapshot`] is the repo's one read path. The exact side is
+//! [`CorpusSnapshot`] is the repo's one read path, and it is one pass,
 //! batch-first: each worker thread walks the sources (every segment's
 //! lazily built index, then every memtable chunk's) once and hands its
-//! whole chunk of queries to the source's batched search for the `k`
-//! nearest rows past its dead ones — listed or tombstoned
-//! ([`SearchIndex::knn_batch_skipping`]: a linear scan passes over them
-//! where it offers a row, any other index is asked for `k + dead` and
-//! drops them); per query it then merges by
+//! whole chunk of queries to the source's batched search. A k-NN asks
+//! each source for the `k` nearest rows past its dead ones — listed or
+//! tombstoned ([`SearchIndex::knn_batch_skipping`]: a linear scan passes
+//! over them where it offers a row, any other index is asked for
+//! `k + dead` and drops them); per query the worker then merges by
 //! `(distance, id)` with the exact comparator the indexes use and
 //! truncates to `k`. A static database is the same thing with one heap
 //! source and nothing to merge ([`CorpusSnapshot::from_database`], what a
@@ -58,10 +58,13 @@
 //! once per worker, a batch takes a worker per four queries, up to the
 //! caller's thread count.
 //!
-//! The approximate side runs that filter first: a query a source's
-//! filter keeps to the end is answered there exactly, and only a query
-//! it does not serve runs the two-stage coarse-then-rerank search on
-//! that source ([`CorpusSnapshot::knn_batch_approx`]).
+//! An approximate k-NN ([`CorpusSnapshot::knn_batch_approx`]) is the same
+//! pass with one difference per source: a source with the exact filter
+//! runs only the filter, and answers there each query the filter keeps
+//! to the end; it defers the others, and a source without the filter
+//! defers every query. Only a deferred (query, source) pair runs the
+//! two-stage coarse-then-rerank search, whose exact hits then merge with
+//! the rest by the same rule.
 
 use crate::database::{ImageDatabase, ImageMeta};
 use crate::engine::{
@@ -382,28 +385,24 @@ impl Numbering<'_> {
     }
 }
 
-/// One non-empty source of a snapshot (a segment or a memtable chunk) as
-/// the exact read path sees it.
+/// One non-empty source of a snapshot (a segment or a memtable chunk),
+/// resolved once per batch.
 struct Source<'a> {
-    index: &'a dyn SearchIndex,
+    rows: &'a SourceRows,
+    /// The lazily built index; `None` on an approximate pass over a
+    /// snapshot without an exact filter, which defers every query.
+    index: Option<&'a dyn SearchIndex>,
     at: Numbering<'a>,
 }
 
-/// One non-empty source as the approximate read path sees it.
-struct ApproxSource<'a> {
-    rows: &'a SourceRows,
-    /// The source's linear scan when the snapshot serves L1 with one:
-    /// its exact filter goes first.
-    scan: Option<&'a dyn SearchIndex>,
-    /// The coarse table, resolved once some query of the batch needs the
-    /// two-stage search here.
-    coarse: Option<&'a CoarseHaarIndex>,
-    at: Numbering<'a>,
-    /// Neighbours the two-stage search asks of the source: `k` plus its
-    /// dead rows (the filter passes over those and is asked for `k`).
-    want: usize,
-    /// Coarse candidates the source may surface.
-    budget: usize,
+impl Source<'_> {
+    /// Neighbours an approximate k-NN for `k` asks of the two-stage
+    /// search here: `k` plus the source's dead rows, at most its rows (a
+    /// filter passes over dead rows and is asked for `k`).
+    fn want(&self, k: usize) -> usize {
+        k.saturating_add(self.at.dead.len())
+            .min(self.rows.dataset.len())
+    }
 }
 
 /// Queries each worker of a batch over filtered linear scans gets before
@@ -414,16 +413,37 @@ struct ApproxSource<'a> {
 /// of about 3.5) gained about half of what it gains at 4.
 const QUERIES_PER_SCAN_WORKER: usize = 4;
 
-/// One query's per-source answers from the exact filters: the source's
-/// hits where its filter served the query to the end, `None` where the
-/// two-stage search has to run.
-type Filtered = Vec<Option<Vec<Neighbor>>>;
-
-/// The two exact searches a source can run over a query chunk.
+/// What a batch asks of every source.
 #[derive(Clone, Copy)]
-enum Exact {
+enum Op {
     Knn(usize),
     Range(f32),
+    /// Approximate k-NN for `k` at a candidate budget: a source's exact
+    /// filter answers the queries it keeps to the end and defers the
+    /// rest; a source without one defers every query.
+    Approx {
+        k: usize,
+        budget: usize,
+    },
+}
+
+impl Op {
+    /// The hits a reply keeps: `k` for a k-NN, all for a range.
+    fn keep(self) -> usize {
+        match self {
+            Op::Knn(k) | Op::Approx { k, .. } => k,
+            Op::Range(_) => usize::MAX,
+        }
+    }
+}
+
+/// One query after the pass over the sources: the live hits of every
+/// source that answered it, and the sources that deferred it to the
+/// two-stage search. Once none did, the hits are its reply.
+#[derive(Clone, Default)]
+struct Partial {
+    hits: Hits,
+    deferred: Vec<usize>,
 }
 
 /// Run a batch of one and fold its counters into the caller's.
@@ -444,6 +464,13 @@ type Hits = Vec<(u64, f32)>;
 /// comparator the indexes' own tie-break contract uses.
 fn sort_hits(hits: &mut Hits) {
     hits.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+}
+
+/// Merge one query's hits from every source into its reply: sorted by
+/// `(distance, id)`, the first `keep`.
+fn merge(hits: &mut Hits, keep: usize) {
+    sort_hits(hits);
+    hits.truncate(keep);
 }
 
 /// The self-exclusion of a by-id batch: query `i` is row `ids[i]`, so the
@@ -696,14 +723,21 @@ impl CorpusSnapshot {
         }
     }
 
-    /// Every non-empty source, resolved once per batch: the lazily built
-    /// index and where its rows stand.
-    fn sources(&self) -> Result<Vec<Source<'_>>> {
+    /// Every non-empty source, resolved once per batch: where its rows
+    /// stand and its lazily built index, which an approximate pass reads
+    /// only to filter: over a snapshot without a filter (a tree snapshot
+    /// among them) it builds none.
+    fn sources_for(&self, op: Op) -> Result<Vec<Source<'_>>> {
+        let indexed = !matches!(op, Op::Approx { .. }) || self.filters();
         self.source_rows()
             .map(|(rows, base, kind, deleted)| {
-                let index = rows.index(kind, &self.measure)?;
-                let at = self.numbering(base, index.len(), deleted);
-                Ok(Source { index, at })
+                let index = indexed.then(|| rows.index(kind, &self.measure));
+                let at = self.numbering(base, rows.dataset.len(), deleted);
+                Ok(Source {
+                    rows,
+                    index: index.transpose()?,
+                    at,
+                })
             })
             .collect()
     }
@@ -714,8 +748,8 @@ impl CorpusSnapshot {
         self.kind == IndexKind::Linear && matches!(self.measure, Measure::L1)
     }
 
-    /// Workers for an exact pass over every source: `threads`, but where
-    /// the sources are filtered scans only as many as get
+    /// Workers for a pass over every source: `threads`, but where the
+    /// sources are filtered scans only as many as get
     /// [`QUERIES_PER_SCAN_WORKER`] queries each (at least one).
     fn scan_threads(&self, queries: usize, threads: usize) -> usize {
         if self.filters() {
@@ -725,169 +759,119 @@ impl CorpusSnapshot {
         }
     }
 
-    /// Exact search of one worker's query chunk: one pass over the
-    /// sources, each handed the whole chunk through the index's batched
-    /// entry point (the cache-blocked scan for `Linear`, one reused
-    /// scratch for the trees), then a per-query merge.
+    /// One worker's query chunk through every source: each source is
+    /// handed the whole chunk through its index's batched entry point
+    /// (the cache-blocked scan for `Linear`, one reused scratch for the
+    /// trees), and its live hits join each query's. Each query's counters
+    /// are its sum over the sources.
     ///
     /// A k-NN asks each source for its `k` nearest live rows
     /// ([`SearchIndex::knn_batch_skipping`] over the source's dead rows:
     /// a linear scan passes over them inside the scan, any other index is
-    /// asked for `k` more per dead row and drops them), then all
-    /// candidates merge by `(distance, id)` with [`f32::total_cmp`], the
-    /// exact comparator the indexes' own tie-break contract uses, and
-    /// truncate to `k`. Global ids rise with a source's live rows, so its
-    /// own tie-breaks are the merge's. The argument is per query and per
-    /// source, so it does not care how many queries share the pass. Each
-    /// query's counters are its sum over the sources.
-    fn exact_chunk(
+    /// asked for `k` more per dead row and drops them). An approximate
+    /// k-NN asks the same of a source's exact filter
+    /// ([`SearchIndex::knn_batch_filtered`]) and defers to the two-stage
+    /// search each query the filter gives up on, and every query on a
+    /// source without one. A query no source deferred is merged here:
+    /// by `(distance, id)` with [`f32::total_cmp`], the exact comparator
+    /// the indexes' own tie-break contract uses, truncated to `k`. Global
+    /// ids rise with a source's live rows, so its own tie-breaks are the
+    /// merge's. The argument is per query and per source, so it does not
+    /// care how many queries share the pass.
+    fn search_chunk(
         &self,
         sources: &[Source<'_>],
         queries: &[Vec<f32>],
-        op: Exact,
+        op: Op,
         stats: &mut BatchStats,
-    ) -> Vec<Hits> {
-        let mut merged: Vec<Hits> = vec![Vec::new(); queries.len()];
+    ) -> Vec<Partial> {
+        let mut partials = vec![Partial::default(); queries.len()];
         let mut chunk_stats = BatchStats::new();
         for _ in queries {
             chunk_stats.record(&SearchStats::new());
         }
-        for src in sources {
+        for (s, src) in sources.iter().enumerate() {
+            let skip = match op {
+                Op::Knn(k) => k == 0,
+                Op::Approx { k, .. } => src.want(k) == 0,
+                Op::Range(_) => false,
+            };
+            if skip {
+                continue;
+            }
+            let Some(index) = src.index else {
+                partials.iter_mut().for_each(|p| p.deferred.push(s));
+                continue;
+            };
             let mut source_stats = BatchStats::new();
-            let hits = match op {
-                Exact::Knn(0) => continue,
-                Exact::Knn(k) => {
-                    let dead = &src.at.dead;
-                    src.index
-                        .knn_batch_skipping(queries, k, dead, &mut source_stats)
+            let dead = &src.at.dead;
+            let hits: Vec<Option<Vec<Neighbor>>> = match op {
+                Op::Knn(k) => {
+                    let hits = index.knn_batch_skipping(queries, k, dead, &mut source_stats);
+                    hits.into_iter().map(Some).collect()
                 }
-                Exact::Range(radius) => src.index.range_batch(queries, radius, &mut source_stats),
+                Op::Range(radius) => {
+                    let hits = index.range_batch(queries, radius, &mut source_stats);
+                    hits.into_iter().map(Some).collect()
+                }
+                Op::Approx { k, .. } => {
+                    index.knn_batch_filtered(queries, k, dead, &mut source_stats)
+                }
             };
             chunk_stats.add_per_query(&source_stats);
-            for (all, hits) in merged.iter_mut().zip(hits) {
-                src.at.extend_live(all, &hits);
-            }
-        }
-        for all in &mut merged {
-            sort_hits(all);
-            if let Exact::Knn(k) = op {
-                all.truncate(k);
-            }
-        }
-        stats.merge(&chunk_stats);
-        merged
-    }
-
-    /// Every non-empty source as the approximate path sees it, resolved
-    /// once per batch: its linear scan where the snapshot filters, how
-    /// many neighbours the two-stage search asks for (`k + dead`), and
-    /// the source's share of the candidate budget — proportional to its
-    /// row count, floored at `want` so every source can still surface a
-    /// full live top-`k`. No coarse table yet: see
-    /// [`CorpusSnapshot::approx_batch`].
-    fn approx_sources(&self, k: usize, budget: usize) -> Result<Vec<ApproxSource<'_>>> {
-        let total = self.total_rows().max(1) as u128;
-        let mut sources = Vec::new();
-        for (data, base, kind, deleted) in self.source_rows() {
-            let rows = data.dataset.len();
-            let at = self.numbering(base, rows, deleted);
-            let want = k.saturating_add(at.dead.len()).min(rows);
-            if want == 0 {
-                continue;
-            }
-            let share = (budget as u128 * rows as u128).div_ceil(total) as usize;
-            let scan = if self.filters() {
-                Some(data.index(kind, &self.measure)?)
-            } else {
-                None
-            };
-            sources.push(ApproxSource {
-                rows: data,
-                scan,
-                coarse: None,
-                at,
-                want,
-                budget: share.max(want).min(rows),
-            });
-        }
-        Ok(sources)
-    }
-
-    /// The exact filters over one worker's query chunk: one pass per
-    /// source that has one, each handed the whole chunk and asked for `k`
-    /// past the source's dead rows (see
-    /// [`SearchIndex::knn_batch_filtered`]). Each query's counters are its
-    /// sum over the sources.
-    fn filter_chunk(
-        sources: &[ApproxSource<'_>],
-        queries: &[Vec<f32>],
-        k: usize,
-        stats: &mut BatchStats,
-    ) -> Vec<Filtered> {
-        let mut filtered: Vec<Filtered> = vec![Vec::with_capacity(sources.len()); queries.len()];
-        let mut chunk_stats = BatchStats::new();
-        for _ in queries {
-            chunk_stats.record(&SearchStats::new());
-        }
-        for src in sources {
-            let hits = match src.scan {
-                Some(scan) => {
-                    let mut source_stats = BatchStats::new();
-                    let dead = &src.at.dead;
-                    let hits = scan.knn_batch_filtered(queries, k, dead, &mut source_stats);
-                    chunk_stats.add_per_query(&source_stats);
-                    hits
+            for (partial, hits) in partials.iter_mut().zip(hits) {
+                match hits {
+                    Some(hits) => src.at.extend_live(&mut partial.hits, &hits),
+                    None => partial.deferred.push(s),
                 }
-                None => vec![None; queries.len()],
-            };
-            for (answers, hits) in filtered.iter_mut().zip(hits) {
-                answers.push(hits);
             }
         }
+        for partial in partials.iter_mut().filter(|p| p.deferred.is_empty()) {
+            merge(&mut partial.hits, op.keep());
+        }
         stats.merge(&chunk_stats);
-        filtered
+        partials
     }
 
-    /// Approximate k-NN for one query: each source either answers from
-    /// its exact filter (`filtered`) or surfaces its budget share of
-    /// coarse candidates from its signature table and reranks them with
-    /// exact distances, and the per-source exact results merge
-    /// tombstone-aware by `(distance, id)` exactly like the exact path.
-    /// Coarse distances never cross sources — only exact distances are
-    /// merged — so each source's independent quantization scale is
-    /// sound, and a query every source's filter served is answered
-    /// exactly as the exact path answers it.
-    fn knn_one_approx(
+    /// The two-stage search of one query on the sources that deferred it,
+    /// the only (query, source) pairs that reach it: each surfaces its
+    /// share of the candidate `budget` — proportional to its row count,
+    /// floored at what it is asked for, so it can still give a full live
+    /// top-`k` — from its lazily built coarse table and reranks them with
+    /// exact distances ([`approx_knn`]). Then the query's hits merge as
+    /// every reply does. Coarse distances never cross sources — only
+    /// exact distances merge — so each source's own quantization scale is
+    /// sound.
+    #[allow(clippy::too_many_arguments)] // one query's share of a batched call
+    fn two_stage(
         &self,
-        sources: &[ApproxSource<'_>],
-        filtered: &[Option<Vec<Neighbor>>],
+        sources: &[Source<'_>],
+        partial: &Partial,
         query: &[f32],
         k: usize,
+        budget: usize,
         scratch: &mut ApproxScratch,
         stats: &mut SearchStats,
-    ) -> Hits {
-        let mut merged: Hits = Vec::new();
-        for (src, exact) in sources.iter().zip(filtered) {
-            if let Some(hits) = exact {
-                src.at.extend_live(&mut merged, hits);
-                continue;
-            }
-            let hits = approx_knn(
-                src.coarse
-                    .expect("resolved for every source a query needs it on"),
+    ) -> Result<Hits> {
+        let mut hits = partial.hits.clone();
+        let total = self.total_rows().max(1) as u128;
+        for src in partial.deferred.iter().map(|&s| &sources[s]) {
+            let (rows, want) = (src.rows.dataset.len(), src.want(k));
+            let share = (budget as u128 * rows as u128).div_ceil(total) as usize;
+            let found = approx_knn(
+                src.rows.coarse()?,
                 &src.rows.dataset,
                 &self.measure,
                 query,
-                src.want,
-                src.budget,
+                want,
+                share.max(want).min(rows),
                 scratch,
                 stats,
             );
-            src.at.extend_live(&mut merged, &hits);
+            src.at.extend_live(&mut hits, &found);
         }
-        sort_hits(&mut merged);
-        merged.truncate(k);
-        merged
+        merge(&mut hits, k);
+        Ok(hits)
     }
 
     fn rank(&self, hits: Hits) -> Result<Vec<Ranked>> {
@@ -928,7 +912,7 @@ impl CorpusSnapshot {
     fn run_batch<F>(
         &self,
         obs: ObsCapture,
-        op: cbir_obs::QueryOp,
+        op: Op,
         n: usize,
         threads: usize,
         stats: &mut BatchStats,
@@ -936,14 +920,14 @@ impl CorpusSnapshot {
         skip_self: SkipSelf<'_>,
     ) -> Result<Vec<Vec<Ranked>>>
     where
-        F: Fn(Range<usize>, &mut BatchStats) -> Vec<Hits> + Sync,
+        F: Fn(Range<usize>, &mut BatchStats) -> Vec<Result<Hits>> + Sync,
     {
         let before = stats.total().clone();
-        obs.stage("search");
         let per_chunk = |chunk: Range<usize>, bs: &mut BatchStats| {
             let hits = search(chunk.clone(), bs);
             obs.stage("rank");
-            let rank = |(i, mut hits): (usize, Hits)| {
+            let rank = |(i, hits): (usize, Result<Hits>)| {
+                let mut hits = hits?;
                 if let Some((ids, k)) = skip_self {
                     hits.retain(|&(g, _)| g != ids[i]);
                     hits.truncate(k);
@@ -955,97 +939,80 @@ impl CorpusSnapshot {
         let ranked: Vec<Result<Vec<Ranked>>> = run_parallel(n, threads, stats, per_chunk);
         let ranked: Vec<Vec<Ranked>> = ranked.into_iter().collect::<Result<_>>()?;
         let results = ranked.iter().map(|r| r.len() as u64).sum();
+        let op = match op {
+            Op::Knn(_) | Op::Approx { .. } => cbir_obs::QueryOp::Knn,
+            Op::Range(_) => cbir_obs::QueryOp::Range,
+        };
         obs.finish(&self.kind, op, n as u64, &before, stats.total(), results);
         Ok(ranked)
     }
 
-    /// The batched exact path behind the three public entry points:
-    /// resolve the sources once, search each worker's chunk with
-    /// [`CorpusSnapshot::exact_chunk`], and rank. Over filtered scans the
-    /// batch spreads over no more workers than
+    /// The one batched read pass behind every public entry point: resolve
+    /// the sources once, search each worker's chunk with
+    /// [`CorpusSnapshot::search_chunk`], and rank. Over filtered scans
+    /// the pass spreads over no more workers than
     /// [`CorpusSnapshot::scan_threads`] allows.
-    fn exact_batch(
+    ///
+    /// An exact op is one round of workers: search, merge and rank. An
+    /// approximate k-NN ranks in a second round, after each query's
+    /// deferred sources ran [`CorpusSnapshot::two_stage`] (each query's
+    /// candidates differ, so a worker loops its chunk over one reused
+    /// scratch), on `threads` workers, as many as there are deferred
+    /// queries. A query's counters are what both rounds spent on it.
+    fn read_batch(
         &self,
         obs: ObsCapture,
         queries: &[Vec<f32>],
-        op: Exact,
+        op: Op,
         threads: usize,
         stats: &mut BatchStats,
         skip_self: SkipSelf<'_>,
     ) -> Result<Vec<Vec<Ranked>>> {
         self.check_dims(queries)?;
-        let sources = self.sources()?;
-        let obs_op = match op {
-            Exact::Knn(_) => cbir_obs::QueryOp::Knn,
-            Exact::Range(_) => cbir_obs::QueryOp::Range,
-        };
-        let search = |chunk: Range<usize>, bs: &mut BatchStats| {
-            self.exact_chunk(&sources, &queries[chunk], op, bs)
-        };
-        let n = queries.len();
-        let threads = self.scan_threads(n, threads);
-        self.run_batch(obs, obs_op, n, threads, stats, search, skip_self)
-    }
-
-    /// The approximate counterpart of [`CorpusSnapshot::exact_batch`], in
-    /// two passes. First the exact filters: where the snapshot serves L1
-    /// from linear scans, every source's filter takes the whole batch,
-    /// one pass per worker as on the exact path, and answers each query
-    /// it keeps to the end exactly. Then, per query, the two-stage search
-    /// on each source whose filter did not serve it (each query's coarse
-    /// candidates differ, so a worker loops its chunk over one reused
-    /// scratch) — on `threads` workers, as many as there are such
-    /// queries. A source's coarse table is built only when a query needs
-    /// it, and a query's counters are what both passes spent on it.
-    fn approx_batch(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        budget: usize,
-        threads: usize,
-        stats: &mut BatchStats,
-        skip_self: SkipSelf<'_>,
-    ) -> Result<Vec<Vec<Ranked>>> {
-        self.check_dims(queries)?;
-        let obs = ObsCapture::begin();
         obs.stage("search");
+        let sources = self.sources_for(op)?;
         let n = queries.len();
-        let mut sources = self.approx_sources(k, budget)?;
-        // With no scan to run the pass only records empty answers.
-        let filter_threads = if self.filters() {
+        let pass = |chunk: Range<usize>, bs: &mut BatchStats| {
+            self.search_chunk(&sources, &queries[chunk], op, bs)
+        };
+        let Op::Approx { k, budget } = op else {
+            let answered = |chunk, bs: &mut BatchStats| {
+                let partials = pass(chunk, bs).into_iter();
+                partials.map(|partial| Ok(partial.hits)).collect()
+            };
+            let threads = self.scan_threads(n, threads);
+            return self.run_batch(obs, op, n, threads, stats, answered, skip_self);
+        };
+        // With no filter to run the first round only defers.
+        let first_threads = if self.filters() {
             self.scan_threads(n, threads)
         } else {
             1
         };
         let mut first = BatchStats::new();
-        let filtered: Vec<Filtered> = run_parallel(n, filter_threads, &mut first, |chunk, bs| {
-            Self::filter_chunk(&sources, &queries[chunk], k, bs)
-        });
-        for (i, src) in sources.iter_mut().enumerate() {
-            if filtered.iter().any(|answers| answers[i].is_none()) {
-                src.coarse = Some(src.rows.coarse()?);
-            }
-        }
-        let two_stage = filtered
-            .iter()
-            .filter(|answers| answers.iter().any(Option::is_none))
-            .count();
-        let search = |chunk: Range<usize>, bs: &mut BatchStats| {
+        let partials = run_parallel(n, first_threads, &mut first, pass);
+        let deferred = partials.iter().filter(|p| !p.deferred.is_empty()).count();
+        let second = |chunk: Range<usize>, bs: &mut BatchStats| {
             let mut scratch = ApproxScratch::new();
             let one = |i: usize| {
                 let mut per_query = first.per_query()[i].clone();
-                let answers = &filtered[i];
-                let query = &queries[i];
-                let hits =
-                    self.knn_one_approx(&sources, answers, query, k, &mut scratch, &mut per_query);
+                let (partial, query) = (&partials[i], &queries[i]);
+                let hits = self.two_stage(
+                    &sources,
+                    partial,
+                    query,
+                    k,
+                    budget,
+                    &mut scratch,
+                    &mut per_query,
+                );
                 bs.record(&per_query);
                 hits
             };
             chunk.map(one).collect()
         };
-        let threads = threads.min(two_stage).max(1);
-        let op = cbir_obs::QueryOp::Knn;
-        self.run_batch(obs, op, n, threads, stats, search, skip_self)
+        let threads = threads.min(deferred).max(1);
+        self.run_batch(obs, op, n, threads, stats, second, skip_self)
     }
 
     fn descriptors(&self, ids: &[u64]) -> Result<Vec<Vec<f32>>> {
@@ -1066,7 +1033,7 @@ impl CorpusSnapshot {
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
         let obs = ObsCapture::begin();
-        self.exact_batch(obs, queries, Exact::Knn(k), threads, stats, None)
+        self.read_batch(obs, queries, Op::Knn(k), threads, stats, None)
     }
 
     /// Batched range search over raw descriptors (results sorted by
@@ -1079,7 +1046,7 @@ impl CorpusSnapshot {
         stats: &mut BatchStats,
     ) -> Result<Vec<Vec<Ranked>>> {
         let obs = ObsCapture::begin();
-        self.exact_batch(obs, queries, Exact::Range(radius), threads, stats, None)
+        self.read_batch(obs, queries, Op::Range(radius), threads, stats, None)
     }
 
     /// Batched k-NN by global id, excluding each query row from its own
@@ -1093,8 +1060,8 @@ impl CorpusSnapshot {
     ) -> Result<Vec<Vec<Ranked>>> {
         let queries = self.descriptors(ids)?;
         let obs = ObsCapture::begin();
-        let op = Exact::Knn(k.saturating_add(1));
-        self.exact_batch(obs, &queries, op, threads, stats, Some((ids, k)))
+        let op = Op::Knn(k.saturating_add(1));
+        self.read_batch(obs, &queries, op, threads, stats, Some((ids, k)))
     }
 
     /// Batched approximate k-NN over raw descriptors. Each
@@ -1117,7 +1084,8 @@ impl CorpusSnapshot {
         let Some(budget) = plan_candidate_budget(self.total_rows(), k, recall_target) else {
             return self.knn_batch(queries, k, threads, stats);
         };
-        self.approx_batch(queries, k, budget, threads, stats, None)
+        let op = Op::Approx { k, budget };
+        self.read_batch(ObsCapture::begin(), queries, op, threads, stats, None)
     }
 
     /// Batched approximate k-NN by global id, excluding each query row
@@ -1137,23 +1105,22 @@ impl CorpusSnapshot {
             return self.knn_batch_by_ids(ids, k, threads, stats);
         };
         let queries = self.descriptors(ids)?;
-        let k1 = k.saturating_add(1);
-        self.approx_batch(&queries, k1, budget, threads, stats, Some((ids, k)))
+        let op = Op::Approx {
+            k: k.saturating_add(1),
+            budget,
+        };
+        let obs = ObsCapture::begin();
+        self.read_batch(obs, &queries, op, threads, stats, Some((ids, k)))
     }
 
     /// One external example image through the exact path: a batch of one
     /// whose trace opens with the `extract` stage.
-    fn by_example(
-        &self,
-        img: &RgbImage,
-        op: Exact,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Ranked>> {
+    fn by_example(&self, img: &RgbImage, op: Op, stats: &mut SearchStats) -> Result<Vec<Ranked>> {
         let obs = ObsCapture::begin();
         obs.stage("extract");
         let desc = self.extract(img)?;
         batch_of_one(stats, |batch| {
-            self.exact_batch(obs, &[desc], op, 1, batch, None)
+            self.read_batch(obs, &[desc], op, 1, batch, None)
         })
     }
 
@@ -1164,7 +1131,7 @@ impl CorpusSnapshot {
         k: usize,
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
-        self.by_example(img, Exact::Knn(k), stats)
+        self.by_example(img, Op::Knn(k), stats)
     }
 
     /// Every row within `radius` of one external example image.
@@ -1174,7 +1141,7 @@ impl CorpusSnapshot {
         radius: f32,
         stats: &mut SearchStats,
     ) -> Result<Vec<Ranked>> {
-        self.by_example(img, Exact::Range(radius), stats)
+        self.by_example(img, Op::Range(radius), stats)
     }
 
     /// The `k` nearest rows to global id `id`, excluding `id` itself; a
@@ -1193,35 +1160,6 @@ impl CorpusSnapshot {
     ) -> Result<Vec<Ranked>> {
         batch_of_one(stats, |batch| {
             self.knn_batch(&[descriptor.to_vec()], k, 1, batch)
-        })
-    }
-
-    /// Approximate counterpart of [`CorpusSnapshot::query_by_descriptor`];
-    /// a [`CorpusSnapshot::knn_batch_approx`] batch of one, so
-    /// `recall_target = 1.0` is bit-identical to the exact path.
-    pub fn query_by_descriptor_approx(
-        &self,
-        descriptor: &[f32],
-        k: usize,
-        recall_target: f32,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Ranked>> {
-        batch_of_one(stats, |batch| {
-            self.knn_batch_approx(&[descriptor.to_vec()], k, recall_target, 1, batch)
-        })
-    }
-
-    /// Approximate counterpart of [`CorpusSnapshot::query_by_id`],
-    /// excluding the query row itself.
-    pub fn query_by_id_approx(
-        &self,
-        id: u64,
-        k: usize,
-        recall_target: f32,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Ranked>> {
-        batch_of_one(stats, |batch| {
-            self.knn_batch_by_ids_approx(&[id], k, recall_target, 1, batch)
         })
     }
 
@@ -2000,6 +1938,13 @@ mod tests {
             .collect()
     }
 
+    impl CorpusSnapshot {
+        /// Every source as an exact pass resolves it.
+        fn sources(&self) -> Result<Vec<Source<'_>>> {
+            self.sources_for(Op::Knn(1))
+        }
+    }
+
     fn engine_over(snap: &CorpusSnapshot, kind: IndexKind, measure: Measure) -> QueryEngine {
         QueryEngine::build(snap.materialize().unwrap(), kind, measure).unwrap()
     }
@@ -2571,15 +2516,20 @@ mod tests {
     /// query in another cluster never comes near them. Returns the rows
     /// and eight queries, the odd ones at row 7.
     fn mixed_corpus() -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+        mixed_corpus_of(6000, 8)
+    }
+
+    /// [`mixed_corpus`] at `n` rows and `count` queries.
+    fn mixed_corpus_of(n: usize, count: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
         let dim = pipeline().dim();
-        let mut rows = cbir_workload::clustered_smooth(6000, dim, 40, 2.0, 100.0, 4, 17);
+        let mut rows = cbir_workload::clustered_smooth(n, dim, 40, 2.0, 100.0, 4, 17);
         let seven = rows[7].clone();
         for row in &mut rows[3000..4000] {
             row.clone_from(&seven);
         }
         let mut near_seven = rows[7].clone();
         near_seven[0] += 0.5;
-        let queries = (0..8)
+        let queries = (0..count)
             .map(|i| match i % 4 {
                 1 => rows[7].clone(),
                 3 => near_seven.clone(),
@@ -2634,6 +2584,95 @@ mod tests {
         }
         // A query that left the filter built the source's coarse table.
         assert!(snap.mem_chunks[0].data.coarse_cell.get().is_some());
+    }
+
+    /// The approximate pair over every kind of source, at batch sizes
+    /// {1, 5, 64} and thread counts {1, 2, 3}: two filtered segments with
+    /// listed and tombstoned rows, then a frozen memtable chunk and the
+    /// tail, which are under the row count from which a scan filters and
+    /// so defer every query. The segments' filters serve the even queries
+    /// and leave the odd ones (at row 7, whose thousand copies sit in
+    /// segment 0). Replies, to the bit, and per-query counters are the
+    /// one-thread run's.
+    #[test]
+    fn approximate_batches_match_the_one_thread_run_over_every_source_kind() {
+        let seg_rows = 4200;
+        let (rows, queries) = mixed_corpus_of(2 * seg_rows + MEM_CHUNK_ROWS + 9, 64);
+        let db = db_of(&rows);
+        let dir = temp_dir("approx-grid");
+        let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+        options.max_seg_rows = seg_rows;
+        options.memtable_limit = usize::MAX;
+        let store = CorpusStore::create(&dir, db.pipeline().clone(), true, options).unwrap();
+        let items = |range: Range<usize>| -> Vec<(ImageMeta, Vec<f32>)> {
+            let meta = |i: usize| db.meta(i).unwrap().clone();
+            range.map(|i| (meta(i), rows[i].clone())).collect()
+        };
+        store.insert_batch(items(0..2 * seg_rows)).unwrap();
+        store.compact().unwrap();
+        // Listed: a row of segment 0, one of row 7's copies, a row of
+        // segment 1.
+        for id in [11, 3001, seg_rows as u64 + 5] {
+            store.delete(id).unwrap();
+        }
+        store.compact().unwrap();
+        store.insert_batch(items(2 * seg_rows..rows.len())).unwrap();
+        // Tombstoned: one row in each segment (a copy of row 7 in
+        // segment 0) and one in the frozen memtable chunk.
+        let in_segments = 2 * seg_rows as u64 - 3;
+        for id in [20, 2998, seg_rows as u64 + 30, in_segments + 3] {
+            store.delete(id).unwrap();
+        }
+        let snap = store.snapshot();
+        assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (2, 2));
+        let lists: Vec<&[u64]> = snap.deleted.iter().map(|d| &d[..]).collect();
+        assert_eq!(lists, [&[11, 3001][..], &[5]]);
+        assert_eq!(snap.tombstone_count(), 4);
+        let by_id: Vec<u64> = [0, 7, 3500, in_segments - 1, in_segments + 1000]
+            .into_iter()
+            .chain([snap.total_rows() as u64 - 1])
+            .cycle()
+            .take(64)
+            .collect();
+        assert!(by_id.iter().all(|&id| snap.contains(id)));
+        let (k, recall_target) = (10, 0.9);
+        for batch in [1, 5, 64] {
+            let mut at_one_thread = None;
+            for threads in [1, 2, 3] {
+                let ctx = format!("batch {batch}, threads {threads}");
+                let mut stats = [BatchStats::new(), BatchStats::new()];
+                let knn = snap
+                    .knn_batch_approx(&queries[..batch], k, recall_target, threads, &mut stats[0])
+                    .unwrap();
+                let ids = snap
+                    .knn_batch_by_ids_approx(
+                        &by_id[..batch],
+                        k,
+                        recall_target,
+                        threads,
+                        &mut stats[1],
+                    )
+                    .unwrap();
+                assert!(knn.iter().chain(&ids).all(|r| r.len() == k), "{ctx}");
+                let counts = approx_counts(&stats[0]);
+                // The memtable chunks defer every query.
+                assert!(counts.iter().all(|&(c, r)| c > 0 && r > 0), "{ctx}");
+                if batch > 1 {
+                    // Query 1 also left segment 0's filter; query 0 did not.
+                    assert!(counts[0].0 < counts[1].0, "{ctx}");
+                }
+                let got = (
+                    id_bits(&knn),
+                    id_bits(&ids),
+                    counts,
+                    approx_counts(&stats[1]),
+                );
+                let first = at_one_thread.get_or_insert_with(|| (got.clone(), stats.clone()));
+                assert_eq!(got, first.0, "{ctx}");
+                assert_eq!(stats, first.1, "stats: {ctx}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Where the filter leaves every query early (one column a million
@@ -3363,6 +3402,29 @@ mod tests {
         let snap3 = store.snapshot();
         assert_eq!(snap3.memtable_rows(), 0);
         assert_eq!(snap3.len(), n - 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An approximate pass reads a source's index only to filter, so
+    /// over a tree snapshot it builds no index at all; the exact pass
+    /// after it does.
+    #[test]
+    fn an_approximate_query_over_a_tree_snapshot_builds_no_tree() {
+        let dim = pipeline().dim();
+        let dir = temp_dir("approx-no-tree");
+        let options = StoreOptions::new(IndexKind::VpTree, Measure::L1);
+        let store = CorpusStore::create(&dir, pipeline(), true, options).unwrap();
+        store.insert_batch(synth_items(12, dim, 31)).unwrap();
+        store.compact().unwrap();
+        store.insert_batch(synth_items(6, dim, 32)).unwrap();
+        let snap = store.snapshot();
+        let queries = synth_queries(3, dim, 33);
+        let mut s = BatchStats::new();
+        snap.knn_batch_approx(&queries, 5, 0.9, 2, &mut s).unwrap();
+        assert!(s.total().coarse_candidates > 0);
+        assert_eq!(snap.index_bytes(), 0);
+        snap.knn_batch(&queries, 5, 2, &mut s).unwrap();
+        assert!(snap.index_bytes() > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

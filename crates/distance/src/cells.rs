@@ -214,6 +214,15 @@ impl CellQuantizer {
     /// (relative error `2⁻⁵¹` on a value below `2³²`) and rounded up to
     /// the next integer plus one, which absorbs that error many times
     /// over.
+    ///
+    /// *Margins.* Each of the two margins covers the other's job, so
+    /// dropping either one alone changes no exclusion here. The
+    /// per-coordinate term is `(c' + c + 1)·2⁻²² ≤ 510·2⁻²²`, `2⁻²¹`
+    /// under `CELL_SLACK`, and only `T ≤ 255·dim` can be met by a sum,
+    /// where the `f64` error is below `dim·2⁻⁴²`: without the final `+ 1`
+    /// every exclusion still holds, at any `dim`. With `CELL_SLACK = 0`
+    /// the `+ 1` has to carry `dim·510·2⁻²²`, which it does up to `dim =
+    /// 8,224`, far above any pipeline's width (577 at most).
     pub fn min_sad(&self, bound: f32) -> u32 {
         let dim = self.dim() as f64;
         let kept = 1.0 - crate::kernel_roundings(self.dim()) as f64 / (1u64 << 24) as f64;
@@ -762,17 +771,29 @@ mod tests {
     /// whenever the code-difference sum reaches `min_sad(bound)` the
     /// kernel's distance reaches `bound`. Checked at the tightest bound a
     /// pair allows: `min_sad(d + one ulp)` must exceed the pair's sum, or
-    /// the scan would skip a row that scores `d < bound`.
+    /// the scan would skip a row that scores `d < bound`, and a row whose
+    /// distance lands exactly on a range bound must stay in.
     #[test]
     fn no_code_bound_exceeds_the_kernel_distance() {
         for dim in [1usize, 7, 16, 64, 577] {
             let mut rows = cbir_workload::clustered_smooth(300, dim, 12, 10.0, 100.0, 1, 5);
             rows.extend(cbir_workload::uniform(100, dim, 100.0, 6));
-            // Rows exactly on cell edges, signed zeros and denormals.
+            // Rows on cell edges and one ulp either side of them, where a
+            // pair's codes differ by the most the quantizer allows for its
+            // distance; signed zeros and denormals.
             let quant = CellQuantizer::fit(dim, &flat(&rows)).unwrap();
             let step = quant.step();
             for c in [0u32, 1, 2, 127, 254, 255, 256] {
-                rows.push((0..dim).map(|d| quant.lo[d] + c as f32 * step).collect());
+                for nudge in [-1i32, 0, 1] {
+                    let at = |d: usize| {
+                        let x = quant.lo[d] + c as f32 * step;
+                        if x == 0.0 {
+                            return x;
+                        }
+                        f32::from_bits((x.to_bits() as i32 + nudge) as u32)
+                    };
+                    rows.push((0..dim).map(at).collect());
+                }
             }
             rows.push(vec![0.0; dim]);
             rows.push(vec![-0.0; dim]);
@@ -782,7 +803,7 @@ mod tests {
             // Far outside the box, and huge.
             queries.push(vec![-1e6; dim]);
             queries.push(vec![1e30; dim]);
-            queries.extend(rows.iter().rev().take(12).cloned());
+            queries.extend(rows.iter().rev().take(25).cloned());
             let table = CellTable::encode(quant, &flat(&rows)).unwrap();
             let quant = table.quantizer();
             let mut sums = vec![0u32; rows.len()];

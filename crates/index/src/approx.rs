@@ -698,10 +698,9 @@ impl ApproxSearch for BestBinFirst {
     }
 }
 
-/// Exported so tests can exercise the transform directly; intentionally
-/// hidden from the public docs (the signature table is the supported API).
-#[doc(hidden)]
-pub fn haar_coarse_to_fine_for_tests(v: &[f32]) -> Vec<f32> {
+/// The transform on its own, for the tests below.
+#[cfg(test)]
+fn haar_coarse_to_fine_for_tests(v: &[f32]) -> Vec<f32> {
     let mut out = Vec::new();
     let mut work = Vec::new();
     haar_coarse_to_fine(v, &mut out, &mut work);

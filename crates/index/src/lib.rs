@@ -59,8 +59,8 @@ mod vptree;
 
 pub use antipole::AntipoleTree;
 pub use approx::{
-    approx_knn, approx_knn_batch, haar_coarse_to_fine_for_tests, rerank_exact, ApproxScratch,
-    ApproxSearch, BestBinFirst, CoarseHaarIndex,
+    approx_knn, approx_knn_batch, rerank_exact, ApproxScratch, ApproxSearch, BestBinFirst,
+    CoarseHaarIndex,
 };
 pub use dataset::Dataset;
 pub use error::{IndexError, Result};

@@ -132,6 +132,15 @@ struct QueueState {
     shutting_down: bool,
 }
 
+impl QueueState {
+    /// Move queued requests, oldest first, onto `batch` until it holds
+    /// `max_batch` or the queue is empty.
+    fn drain_into(&mut self, batch: &mut Vec<Pending>, max_batch: usize) {
+        let take = self.items.len().min(max_batch.saturating_sub(batch.len()));
+        batch.extend(self.items.drain(..take));
+    }
+}
+
 /// The shared scheduler: admission queue + dispatcher logic. The server
 /// runs [`Scheduler::run`] on a dedicated thread; connection handlers call
 /// [`Scheduler::submit`].
@@ -302,11 +311,10 @@ impl Scheduler {
     #[doc(hidden)]
     pub fn drain_queued(&self) {
         loop {
-            let batch: Vec<Pending> = {
-                let mut guard = self.queue.lock().expect("queue lock");
-                let take = guard.items.len().min(self.config.max_batch);
-                guard.items.drain(..take).collect()
-            };
+            let mut batch = Vec::new();
+            let mut guard = self.queue.lock().expect("queue lock");
+            guard.drain_into(&mut batch, self.config.max_batch);
+            drop(guard);
             if batch.is_empty() {
                 return;
             }
@@ -325,13 +333,8 @@ impl Scheduler {
             }
             guard = self.not_empty.wait(guard).expect("queue lock");
         }
-        let mut batch = Vec::with_capacity(guard.items.len().min(max_batch));
-        while batch.len() < max_batch {
-            match guard.items.pop_front() {
-                Some(p) => batch.push(p),
-                None => break,
-            }
-        }
+        let mut batch = Vec::new();
+        guard.drain_into(&mut batch, max_batch);
         // Dynamic part: hold the dispatch briefly to let concurrent
         // arrivals coalesce, but never once shutdown has begun.
         if batch.len() < max_batch && !self.config.max_delay.is_zero() && !guard.shutting_down {
@@ -349,12 +352,7 @@ impl Scheduler {
                     .wait_timeout(guard, deadline - now)
                     .expect("queue lock");
                 guard = g;
-                while batch.len() < max_batch {
-                    match guard.items.pop_front() {
-                        Some(p) => batch.push(p),
-                        None => break,
-                    }
-                }
+                guard.drain_into(&mut batch, max_batch);
                 if timeout.timed_out() {
                     break;
                 }

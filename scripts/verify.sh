@@ -411,13 +411,21 @@ echo "==> public functions no other file names (printed, never failed)"
 # A `pub fn` whose name appears in no .rs file but the one defining it
 # has no caller outside that file: delete it unless its own file's code
 # or tests call it, or a reproduction experiment (T1-T7, F1-F6) needs it.
-# Name-only, so a name another item shares hides here.
+# Name-only, so a name another item shares hides here. A `pub use`
+# re-export names a function without calling it, so the sweep reads a
+# copy of each file without its `pub use` statements.
 RS_FILES=$(find crates src tests examples e2e -name '*.rs' -not -path '*/target/*' | LC_ALL=C sort)
+SWEEP_DIR="$SMOKE_DIR/sweep"
+for F in $RS_FILES; do
+    mkdir -p "$SWEEP_DIR/$(dirname "$F")"
+    awk '/^[[:space:]]*pub use / { skip = 1 } !skip { print } skip && /;/ { skip = 0 }' \
+        "$F" > "$SWEEP_DIR/$F"
+done
 # shellcheck disable=SC2086 # source paths hold no spaces
 PUB_FNS=$(grep -o -E 'pub fn [A-Za-z_][A-Za-z0-9_]*' $RS_FILES | sed 's/:pub fn / /')
 for NAME in $(echo "$PUB_FNS" | awk '{ print $2 }' | LC_ALL=C sort -u); do
     # shellcheck disable=SC2086
-    USERS=$(grep -lw -- "$NAME" $RS_FILES || true)
+    USERS=$(cd "$SWEEP_DIR" && grep -lw -- "$NAME" $RS_FILES || true)
     DEFINERS=$(echo "$PUB_FNS" | awk -v n="$NAME" '$2 == n { print $1 }' | LC_ALL=C sort -u)
     if [ "$USERS" = "$DEFINERS" ]; then
         echo "  $NAME  $(echo "$DEFINERS" | paste -s -d ' ' -)"
