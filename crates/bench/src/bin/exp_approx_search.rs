@@ -37,7 +37,7 @@
 //! approximate configuration reaches >= 5x speedup over the best exact
 //! index at measured recall >= 0.9.
 
-use cbir_bench::{rounded, write_results, Table};
+use cbir_bench::{median, median_us, rounded, write_results, Table};
 use cbir_core::{plan_candidate_budget, ImageDatabase, ImageMeta, IndexKind, QueryEngine};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
@@ -47,7 +47,6 @@ use cbir_index::{
     CoarseHaarIndex, KdTree, LinearScan, SearchIndex, VpTree,
 };
 use cbir_obs::{obj, Json};
-use std::time::Instant;
 
 const K: usize = 10;
 
@@ -263,19 +262,6 @@ fn worst_case_corpus(
     });
 }
 
-/// Median wall time of `iters` runs of `f`, in microseconds.
-fn median_us(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
-
 /// Median wall times of `iters` runs each of `a` and `b`, in
 /// microseconds, the two run alternately so that a host whose load
 /// drifts weighs on both alike.
@@ -285,11 +271,7 @@ fn alternating_medians_us(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()
         times_a.push(median_us(1, &mut a));
         times_b.push(median_us(1, &mut b));
     }
-    let median = |mut times: Vec<f64>| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    (median(times_a), median(times_b))
+    (median(&mut times_a), median(&mut times_b))
 }
 
 /// Fraction of the true top-k ids the approximate result recovered,

@@ -35,8 +35,8 @@
 //! Run: `cargo run --release -p cbir-bench --bin exp_batch_throughput [--quick]`
 
 use cbir_bench::{
-    build_lineup_index, clustered_dataset, index_lineup, rounded, standard_queries, write_results,
-    Table,
+    build_lineup_index, clustered_dataset, index_lineup, median, rounded, standard_queries,
+    write_results, Table,
 };
 use cbir_distance::Measure;
 use cbir_index::{
@@ -58,8 +58,7 @@ fn qps<F: FnMut()>(iters: usize, n_queries: usize, mut f: F) -> f64 {
             n_queries as f64 / start.elapsed().as_secs_f64()
         })
         .collect();
-    rates.sort_by(f64::total_cmp);
-    rates[rates.len() / 2]
+    median(&mut rates)
 }
 
 /// The plain blocked scan the filter sits in front of: every query of

@@ -32,61 +32,18 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_chaos_serving [--quick]`
 
-use cbir_bench::{rounded, write_results};
-use cbir_core::{
-    split_database, ImageDatabase, ImageMeta, IndexKind, QueryEngine, ShardPlan, ShardScheme,
-};
-use cbir_distance::Measure;
-use cbir_features::{FeatureSpec, Pipeline, Quantizer};
+use cbir_bench::{raw_call, rounded, spawn_backend, union_db, write_results, UNION_DIM as DIM};
+use cbir_core::{split_database, ImageDatabase, ShardPlan, ShardScheme};
 use cbir_obs::obj;
 use cbir_router::{Router, RouterConfig, RouterHandle};
 use cbir_server::chaosnet::{ChaosHandle, ChaosProxy, WireMode};
-use cbir_server::protocol::{encode_request, read_frame, write_frame, Request};
-use cbir_server::{Client, SchedulerConfig, Server, ServerHandle};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use cbir_server::protocol::Request;
+use cbir_server::{Client, ServerHandle};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-const DIM: usize = 64;
 const K: usize = 10;
 const SHARDS: usize = 2;
-
-/// Union corpus with bit-exact duplicate rows so merge tie-breaks stay
-/// load-bearing even while shards disappear.
-fn union_db(n: usize) -> ImageDatabase {
-    let pipeline = Pipeline::new(
-        DIM as u32,
-        vec![FeatureSpec::ColorHistogram(Quantizer::Gray {
-            bins: DIM as u32,
-        })],
-    )
-    .expect("static pipeline");
-    let mut db = ImageDatabase::new(pipeline);
-    for (i, v) in cbir_workload::duplicated_histograms(n, DIM, 1.0, 3, 0xF16)
-        .into_iter()
-        .enumerate()
-    {
-        db.insert_descriptor(
-            ImageMeta {
-                name: format!("img-{i:06}"),
-                label: Some((i % 7) as u32),
-            },
-            v,
-        )
-        .expect("insert descriptor");
-    }
-    db
-}
-
-fn spawn_backend(db: ImageDatabase) -> ServerHandle {
-    let engine = QueryEngine::build(db, IndexKind::Linear, Measure::L1).expect("build engine");
-    let config = SchedulerConfig {
-        exec_threads: 1,
-        ..SchedulerConfig::default()
-    };
-    Server::spawn_shared(Arc::new(engine), "127.0.0.1:0", config).expect("spawn backend")
-}
 
 /// The drill topology: 2 shards x 2 replicas, every shard's **primary**
 /// reached through its own [`ChaosProxy`] (initially `Pass`), the backup
@@ -142,18 +99,6 @@ fn shutdown_tier(
             b.shutdown();
         }
     }
-}
-
-/// Send one encoded request frame on a fresh connection, return the raw
-/// reply payload bytes.
-fn raw_call(addr: SocketAddr, req: &Request) -> Vec<u8> {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut writer = stream.try_clone().expect("clone");
-    write_frame(&mut writer, &encode_request(req)).expect("write frame");
-    read_frame(&mut BufReader::new(stream))
-        .expect("read frame")
-        .expect("reply payload")
 }
 
 /// Client-observed p99 (microseconds) over `queries` k-NN calls.
@@ -370,7 +315,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let n: usize = if quick { 2_000 } else { 20_000 };
     let per_leg: usize = if quick { 36 } else { 120 };
-    let union = union_db(n);
+    let union = union_db(n, 0xF16);
     let queries: Vec<Vec<f32>> = cbir_workload::duplicated_histograms(n, DIM, 1.0, 3, 0x5EED)
         .into_iter()
         .take(per_leg)

@@ -28,7 +28,7 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_mmap_ingest [--quick]`
 
-use cbir_bench::{rounded, write_results, Table};
+use cbir_bench::{median_us, rounded, write_results, Table};
 use cbir_core::persist::{load_file, save_file};
 use cbir_core::{
     CorpusSnapshot, CorpusStore, ImageDatabase, ImageMeta, IndexKind, QueryEngine, Ranked,
@@ -111,19 +111,6 @@ fn keys(results: &[Vec<Ranked>]) -> Vec<Vec<(usize, String, u32)>> {
 fn snap_keys(snap: &CorpusSnapshot, queries: &[Vec<f32>]) -> Vec<Vec<(usize, String, u32)>> {
     let mut stats = BatchStats::new();
     keys(&snap.knn_batch(queries, K, 1, &mut stats).expect("snap knn"))
-}
-
-/// Median time over `iters` runs of `f`, in microseconds.
-fn median_us(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 /// Pipelined k-NN load: `CLIENTS` connections, `per_client` queries

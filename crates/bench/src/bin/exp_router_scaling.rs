@@ -40,65 +40,21 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_router_scaling [--quick]`
 
-use cbir_bench::{rounded, write_results};
-use cbir_core::{
-    split_database, ImageDatabase, ImageMeta, IndexKind, QueryEngine, ShardPlan, ShardScheme,
+use cbir_bench::{
+    median, raw_call, rounded, spawn_backend, union_db, write_results, UNION_DIM as DIM,
 };
-use cbir_distance::Measure;
-use cbir_features::{FeatureSpec, Pipeline, Quantizer};
+use cbir_core::{split_database, ImageDatabase, ShardPlan, ShardScheme};
 use cbir_obs::{obj, Json};
 use cbir_router::{Router, RouterConfig, RouterHandle};
-use cbir_server::protocol::{encode_request, read_frame, write_frame, Request};
-use cbir_server::{Client, SchedulerConfig, Server, ServerHandle};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
+use cbir_server::protocol::Request;
+use cbir_server::{Client, ServerHandle};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-const DIM: usize = 64;
 const K: usize = 10;
 const CLIENTS: usize = 8;
-
-/// The union corpus: normalized histograms where every third row is a
-/// bit-exact duplicate of an earlier row, so top-k boundaries land on
-/// distance ties and the merge tie-break is load-bearing.
-fn union_db(n: usize) -> ImageDatabase {
-    let pipeline = Pipeline::new(
-        DIM as u32,
-        vec![FeatureSpec::ColorHistogram(Quantizer::Gray {
-            bins: DIM as u32,
-        })],
-    )
-    .expect("static pipeline");
-    let mut db = ImageDatabase::new(pipeline);
-    for (i, v) in cbir_workload::duplicated_histograms(n, DIM, 1.0, 3, 0xF15)
-        .into_iter()
-        .enumerate()
-    {
-        db.insert_descriptor(
-            ImageMeta {
-                name: format!("img-{i:06}"),
-                label: Some((i % 7) as u32),
-            },
-            v,
-        )
-        .expect("insert descriptor");
-    }
-    db
-}
-
-/// One shard backend: single exec thread, linear scan — per-query cost
-/// is proportional to the shard's row count, which is exactly the cost
-/// model sharding divides.
-fn spawn_backend(db: ImageDatabase) -> ServerHandle {
-    let engine = QueryEngine::build(db, IndexKind::Linear, Measure::L1).expect("build engine");
-    let config = SchedulerConfig {
-        exec_threads: 1,
-        ..SchedulerConfig::default()
-    };
-    Server::spawn_shared(Arc::new(engine), "127.0.0.1:0", config).expect("spawn backend")
-}
 
 /// Split the union into `shards` parts with `replicas` backends each and
 /// put a router in front. Returns the backend handles (outer index =
@@ -130,17 +86,6 @@ fn spawn_tier(
     )
     .expect("spawn router");
     (backends, router)
-}
-
-/// Send one encoded request frame, return the raw reply payload bytes.
-fn raw_call(addr: SocketAddr, req: &Request) -> Vec<u8> {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut writer = stream.try_clone().expect("clone");
-    write_frame(&mut writer, &encode_request(req)).expect("write frame");
-    read_frame(&mut BufReader::new(stream))
-        .expect("read frame")
-        .expect("reply payload")
 }
 
 /// The bit-identity gate: the raw reply bytes from `router_addr` must
@@ -269,11 +214,6 @@ fn run_failover_leg(
     (failed.load(Ordering::Relaxed), failovers)
 }
 
-fn median(rates: &mut [f64]) -> f64 {
-    rates.sort_by(f64::total_cmp);
-    rates[rates.len() / 2]
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let n: usize = if quick { 6_000 } else { 120_000 };
@@ -281,7 +221,7 @@ fn main() {
     let iters = if quick { 1 } else { 3 };
     let cores = std::thread::available_parallelism().map_or(1, |t| t.get());
 
-    let union = union_db(n);
+    let union = union_db(n, 0xF15);
     let streams = cbir_workload::query_streams(
         &cbir_workload::duplicated_histograms(n, DIM, 1.0, 3, 0xF15),
         CLIENTS,

@@ -23,7 +23,7 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_serve_throughput [--quick]`
 
-use cbir_bench::{rounded, write_results, Table};
+use cbir_bench::{median, rounded, write_results, Table};
 use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
@@ -191,11 +191,6 @@ fn assert_saturation_sheds(engine: &Arc<QueryEngine>, queries: &[Vec<f32>]) -> u
     );
     assert_eq!(snap.executed, answered, "executed != answered");
     shed
-}
-
-fn median(rates: &mut [f64]) -> f64 {
-    rates.sort_by(f64::total_cmp);
-    rates[rates.len() / 2]
 }
 
 /// Transport floor: ping round-trips per second with `clients` concurrent

@@ -1,11 +1,18 @@
 //! Shared harness code for the experiment binaries (`exp_*`) and Criterion
-//! benches: aligned table printing, median timing, and the standard
-//! dataset / index / corpus setups every experiment draws from.
+//! benches: aligned table printing, median timing, the standard
+//! dataset / index / corpus setups every experiment draws from, and the
+//! serving experiments' union corpus, backend and raw-frame call.
 
-use cbir_core::{build_index, IndexKind};
+use cbir_core::{build_index, ImageDatabase, ImageMeta, IndexKind, QueryEngine};
 use cbir_distance::Measure;
+use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_index::{Dataset, SearchIndex};
 use cbir_obs::Json;
+use cbir_server::protocol::{encode_request, read_frame, write_frame, Request};
+use cbir_server::{SchedulerConfig, Server, ServerHandle};
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fixed-width table printer for paper-style result tables.
@@ -67,6 +74,74 @@ pub fn time_median<F: FnMut()>(iters: usize, mut f: F) -> Duration {
         .collect();
     times.sort_unstable();
     times[times.len() / 2]
+}
+
+/// [`time_median`] in microseconds.
+pub fn median_us(iters: usize, f: impl FnMut()) -> f64 {
+    time_median(iters, f).as_secs_f64() * 1e6
+}
+
+/// The middle of `xs` once sorted (the upper middle for an even count).
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Descriptor dimension of [`union_db`]'s rows.
+pub const UNION_DIM: usize = 64;
+
+/// The serving experiments' union corpus: `n` normalized histograms of
+/// [`UNION_DIM`] bins where every third row is a bit-exact duplicate of
+/// an earlier row, so top-k boundaries land on distance ties and the
+/// router's merge tie-break is load-bearing even while shards come and
+/// go.
+pub fn union_db(n: usize, seed: u64) -> ImageDatabase {
+    let pipeline = Pipeline::new(
+        UNION_DIM as u32,
+        vec![FeatureSpec::ColorHistogram(Quantizer::Gray {
+            bins: UNION_DIM as u32,
+        })],
+    )
+    .expect("static pipeline");
+    let mut db = ImageDatabase::new(pipeline);
+    for (i, v) in cbir_workload::duplicated_histograms(n, UNION_DIM, 1.0, 3, seed)
+        .into_iter()
+        .enumerate()
+    {
+        db.insert_descriptor(
+            ImageMeta {
+                name: format!("img-{i:06}"),
+                label: Some((i % 7) as u32),
+            },
+            v,
+        )
+        .expect("insert descriptor");
+    }
+    db
+}
+
+/// One shard backend: single exec thread, linear scan — per-query cost
+/// is proportional to the shard's row count, which is exactly the cost
+/// model sharding divides.
+pub fn spawn_backend(db: ImageDatabase) -> ServerHandle {
+    let engine = QueryEngine::build(db, IndexKind::Linear, Measure::L1).expect("build engine");
+    let config = SchedulerConfig {
+        exec_threads: 1,
+        ..SchedulerConfig::default()
+    };
+    Server::spawn_shared(Arc::new(engine), "127.0.0.1:0", config).expect("spawn backend")
+}
+
+/// Send one encoded request frame on a fresh connection, return the raw
+/// reply payload bytes.
+pub fn raw_call(addr: SocketAddr, req: &Request) -> Vec<u8> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut writer = stream.try_clone().expect("clone");
+    write_frame(&mut writer, &encode_request(req)).expect("write frame");
+    read_frame(&mut BufReader::new(stream))
+        .expect("read frame")
+        .expect("reply payload")
 }
 
 /// Milliseconds with three decimals.

@@ -1607,7 +1607,7 @@ impl CorpusStore {
         state.freeze_full_chunks(dim)?;
         state.epoch += 1;
         self.publish(&state)?;
-        cbir_obs::store_inserted(ids.len() as u64);
+        cbir_obs::store_count(cbir_obs::StoreCounter::Inserts, ids.len() as u64);
         Ok((ids, state.mem_rows()))
     }
 
@@ -1622,7 +1622,7 @@ impl CorpusStore {
         Arc::make_mut(&mut state.tombstones).insert(id);
         state.epoch += 1;
         self.publish(&state)?;
-        cbir_obs::store_deleted(1);
+        cbir_obs::store_count(cbir_obs::StoreCounter::Deletes, 1);
         Ok(())
     }
 
@@ -1814,7 +1814,7 @@ impl CorpusStore {
             // and fsck treats leftovers as orphans, not corruption.
             let _ = std::fs::remove_file(&p);
         }
-        cbir_obs::store_compacted();
+        cbir_obs::store_count(cbir_obs::StoreCounter::Compactions, 1);
         Ok(CompactionStats {
             epoch: state.epoch,
             segments: state.segments.len(),

@@ -2,11 +2,33 @@
 //! Prometheus text exposition.
 
 use crate::trace::QueryTrace;
-use crate::{obj, Json, LatencySummary, ObsSnapshot};
+use crate::{obj, Counters, Json, Kind, LatencySummary, ObsSnapshot};
+use std::fmt::Write as _;
 
 fn latency(l: &LatencySummary) -> Json {
     obj! { "count": l.count, "sum_us": l.sum_us, "p50_us": l.p50_us, "p95_us": l.p95_us,
     "p99_us": l.p99_us }
+}
+
+/// A JSON object of `head`'s members, then `c`'s counters in table
+/// order (a flag as a boolean), then `tail`'s members.
+fn counters_obj<C: Counters>(head: Json, c: &C, tail: Json) -> Json {
+    let counters = C::TABLE.iter().zip(c.values()).map(|(f, v)| {
+        let v = if f.kind == Kind::Flag {
+            Json::Bool(v != 0)
+        } else {
+            Json::from(v)
+        };
+        (f.key.to_string(), v)
+    });
+    let members = |part: Json| match part {
+        Json::Obj(members) => members,
+        _ => Vec::new(),
+    };
+    let mut out = members(head);
+    out.extend(counters);
+    out.extend(members(tail));
+    Json::Obj(out)
 }
 
 /// A registry snapshot as a JSON object.
@@ -18,26 +40,25 @@ fn latency(l: &LatencySummary) -> Json {
 /// epoll counters), `router` (array, one object per
 /// registered router backend replica; empty outside a router process),
 /// `router_tier` (hedging/degradation counters; all-zero outside a
-/// router), `trace_count`.
+/// router), `trace_count`. Counter members are named and ordered by
+/// their family's table.
 pub fn to_json(snap: &ObsSnapshot) -> Json {
-    let indexes = snap.indexes.iter().map(|s| {
-        obj! { "index": s.index, "queries": s.queries,
-        "distance_evaluations": s.distance_evaluations, "nodes_visited": s.nodes_visited,
-        "subtrees_pruned": s.subtrees_pruned,
-        "postfilter_candidates": s.postfilter_candidates,
-        "coarse_candidates": s.coarse_candidates,
-        "rerank_evaluations": s.rerank_evaluations, "results": s.results }
-    });
-    let stages = snap.stages.iter().map(|s| {
-        obj! { "stage": s.stage, "hits": s.hits, "misses": s.misses, "nanos": s.nanos }
-    });
+    let indexes = snap
+        .indexes
+        .iter()
+        .map(|s| counters_obj(obj! { "index": s.index }, s, obj! {}));
+    let stages = snap
+        .stages
+        .iter()
+        .map(|s| counters_obj(obj! { "stage": s.stage }, s, obj! {}));
     let router = snap.router.iter().map(|r| {
-        obj! { "shard": r.shard, "replica": r.role.as_str(), "requests": r.requests,
-        "failures": r.failures, "failovers": r.failovers, "shed": r.shed,
-        "healthy": r.healthy, "breaker_open": r.breaker_open,
-        "probe_rejoins": r.probe_rejoins, "latency": latency(&r.latency) }
+        counters_obj(
+            obj! { "shard": r.shard, "replica": r.role.as_str() },
+            r,
+            obj! { "latency": latency(&r.latency) },
+        )
     });
-    let (store, event_loop, tier) = (&snap.store, &snap.event_loop, &snap.router_tier);
+    let tier = &snap.router_tier;
     obj! {
         "enabled": snap.enabled,
         "trace_sample_n": snap.trace_sample_n,
@@ -46,21 +67,11 @@ pub fn to_json(snap: &ObsSnapshot) -> Json {
         "stages": Json::Arr(stages.collect()),
         "latency": obj! { "knn": latency(&snap.knn_latency),
                           "range": latency(&snap.range_latency) },
-        "store": obj! { "inserts": store.inserts, "deletes": store.deletes,
-                        "compactions": store.compactions, "segments": store.segments,
-                        "memtable_rows": store.memtable_rows, "tombstones": store.tombstones,
-                        "epoch": store.epoch },
-        "event_loop": obj! { "epoll_wakeups": event_loop.epoll_wakeups,
-                             "open_conns": event_loop.open_conns,
-                             "max_pipeline_depth": event_loop.max_pipeline_depth },
+        "store": counters_obj(obj! {}, &snap.store, obj! {}),
+        "event_loop": counters_obj(obj! {}, &snap.event_loop, obj! {}),
         "router": Json::Arr(router.collect()),
-        "router_tier": obj! { "hedges_fired": tier.hedges_fired,
-                              "hedges_won": tier.hedges_won,
-                              "degraded_replies": tier.degraded_replies,
-                              "breaker_opens": tier.breaker_opens,
-                              "retry_budget_exhausted": tier.retry_budget_exhausted,
-                              "probe_failures": tier.probe_failures,
-                              "probe_latency": latency(&tier.probe_latency) },
+        "router_tier": counters_obj(obj! {}, tier,
+                                    obj! { "probe_latency": latency(&tier.probe_latency) }),
         "trace_count": snap.trace_count,
     }
 }
@@ -72,325 +83,137 @@ fn prom_escape(s: &str) -> String {
         .replace('\n', "\\n")
 }
 
+/// One sample line; `labels` is the inside of the braces, if any.
+fn sample(out: &mut String, name: &str, labels: &str, value: u64) {
+    if labels.is_empty() {
+        let _ = writeln!(out, "{name} {value}");
+    } else {
+        let _ = writeln!(out, "{name}{{{labels}}} {value}");
+    }
+}
+
+fn header(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// A counter family: its counters, then its gauges, each in table
+/// order, one sample per labelled member.
+fn family<C: Counters>(out: &mut String, members: &[(String, &C)]) {
+    let values: Vec<Vec<u64>> = members.iter().map(|(_, c)| c.values()).collect();
+    for counters in [true, false] {
+        for (i, f) in C::TABLE.iter().enumerate() {
+            if (f.kind == Kind::Counter) != counters {
+                continue;
+            }
+            header(
+                out,
+                f.prom,
+                f.help,
+                if counters { "counter" } else { "gauge" },
+            );
+            for ((labels, _), v) in members.iter().zip(&values) {
+                sample(out, f.prom, labels, v[i]);
+            }
+        }
+    }
+}
+
+/// A latency summary family: p50/p95/p99, sum and count per member.
+fn summary(out: &mut String, name: &str, help: &str, members: &[(&str, &LatencySummary)]) {
+    header(
+        out,
+        name,
+        &format!("{help} (log-linear bucket bound, at most 1/16 over)."),
+        "summary",
+    );
+    for &(labels, l) in members {
+        let sep = if labels.is_empty() { "" } else { "," };
+        for (q, v) in [("0.5", l.p50_us), ("0.95", l.p95_us), ("0.99", l.p99_us)] {
+            sample(out, name, &format!("{labels}{sep}quantile=\"{q}\""), v);
+        }
+        sample(out, &format!("{name}_sum"), labels, l.sum_us);
+        sample(out, &format!("{name}_count"), labels, l.count);
+    }
+}
+
 /// Render a registry snapshot in the Prometheus text exposition format
 /// (version 0.0.4): `# HELP`/`# TYPE` comment pairs followed by
 /// `name{labels} value` sample lines, ending with a trailing newline.
+/// Counter names and help texts come from the families' tables.
 pub fn to_prometheus(snap: &ObsSnapshot) -> String {
     let mut out = String::new();
-    let mut counter = |name: &str, help: &str, rows: &[(String, u64)]| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-        for (labels, value) in rows {
-            out.push_str(&format!("{name}{labels} {value}\n"));
-        }
-    };
-
-    let idx_rows = |f: &dyn Fn(&crate::IndexCounters) -> u64| -> Vec<(String, u64)> {
-        snap.indexes
-            .iter()
-            .map(|s| (format!("{{index=\"{}\"}}", prom_escape(s.index)), f(s)))
-            .collect()
-    };
-    counter(
-        "cbir_index_queries_total",
-        "Queries flushed per index kind.",
-        &idx_rows(&|s| s.queries),
-    );
-    counter(
-        "cbir_index_distance_evaluations_total",
-        "Full distance evaluations per index kind.",
-        &idx_rows(&|s| s.distance_evaluations),
-    );
-    counter(
-        "cbir_index_nodes_visited_total",
-        "Index nodes visited per index kind.",
-        &idx_rows(&|s| s.nodes_visited),
-    );
-    counter(
-        "cbir_index_subtrees_pruned_total",
-        "Subtrees excluded by a pruning bound per index kind.",
-        &idx_rows(&|s| s.subtrees_pruned),
-    );
-    counter(
-        "cbir_index_postfilter_candidates_total",
-        "Candidates surfaced for exact-distance evaluation per index kind.",
-        &idx_rows(&|s| s.postfilter_candidates),
-    );
-    counter(
-        "cbir_index_coarse_candidates_total",
-        "Coarse-stage candidates from two-stage approximate queries per index kind.",
-        &idx_rows(&|s| s.coarse_candidates),
-    );
-    counter(
-        "cbir_index_rerank_evaluations_total",
-        "Exact rerank evaluations from two-stage approximate queries per index kind.",
-        &idx_rows(&|s| s.rerank_evaluations),
-    );
-    counter(
-        "cbir_index_results_total",
-        "Result rows returned per index kind.",
-        &idx_rows(&|s| s.results),
-    );
-
-    let stage_rows = |f: &dyn Fn(&crate::StageCounters) -> u64| -> Vec<(String, u64)> {
-        snap.stages
-            .iter()
-            .map(|s| (format!("{{stage=\"{}\"}}", prom_escape(s.stage)), f(s)))
-            .collect()
-    };
-    counter(
-        "cbir_stage_hits_total",
-        "Extraction-planner requests answered from cached intermediates.",
-        &stage_rows(&|s| s.hits),
-    );
-    counter(
-        "cbir_stage_misses_total",
-        "Extraction-planner stage computes.",
-        &stage_rows(&|s| s.misses),
-    );
-    counter(
-        "cbir_stage_nanoseconds_total",
-        "Nanoseconds spent computing each extraction stage.",
-        &stage_rows(&|s| s.nanos),
-    );
+    let labelled = |key: &str, value: &str| format!("{key}=\"{}\"", prom_escape(value));
+    let indexes: Vec<_> = snap
+        .indexes
+        .iter()
+        .map(|s| (labelled("index", s.index), s))
+        .collect();
+    family(&mut out, &indexes);
+    let stages: Vec<_> = snap
+        .stages
+        .iter()
+        .map(|s| (labelled("stage", s.stage), s))
+        .collect();
+    family(&mut out, &stages);
 
     if !snap.router.is_empty() {
-        let replica_rows =
-            |f: &dyn Fn(&crate::RouterReplicaCounters) -> u64| -> Vec<(String, u64)> {
-                snap.router
-                    .iter()
-                    .map(|r| {
-                        (
-                            format!(
-                                "{{shard=\"{}\",replica=\"{}\"}}",
-                                r.shard,
-                                prom_escape(&r.role)
-                            ),
-                            f(r),
-                        )
-                    })
-                    .collect()
-            };
-        counter(
-            "cbir_router_requests_total",
-            "Requests answered per router backend replica.",
-            &replica_rows(&|r| r.requests),
+        let replicas: Vec<_> = snap
+            .router
+            .iter()
+            .map(|r| {
+                (
+                    format!("shard=\"{}\",{}", r.shard, labelled("replica", &r.role)),
+                    r,
+                )
+            })
+            .collect();
+        family(&mut out, &replicas);
+        let latencies: Vec<_> = replicas
+            .iter()
+            .map(|(l, r)| (l.as_str(), &r.latency))
+            .collect();
+        summary(
+            &mut out,
+            "cbir_router_replica_latency_microseconds",
+            "Per-replica request latency",
+            &latencies,
         );
-        counter(
-            "cbir_router_failures_total",
-            "Failed attempts per router backend replica.",
-            &replica_rows(&|r| r.failures),
+        family(&mut out, &[(String::new(), &snap.router_tier)]);
+        summary(
+            &mut out,
+            "cbir_router_probe_latency_microseconds",
+            "Successful health-probe round-trip latency",
+            &[("", &snap.router_tier.probe_latency)],
         );
-        counter(
-            "cbir_router_failovers_total",
-            "Failovers away from each router backend replica onto a sibling.",
-            &replica_rows(&|r| r.failovers),
-        );
-        counter(
-            "cbir_router_shed_total",
-            "Overloaded sheds observed per router backend replica.",
-            &replica_rows(&|r| r.shed),
-        );
-        counter(
-            "cbir_router_replica_probe_rejoins_total",
-            "Probe-driven rejoins per router backend replica.",
-            &replica_rows(&|r| r.probe_rejoins),
-        );
-        out.push_str(
-            "# HELP cbir_router_replica_healthy Whether the router currently considers the \
-             replica healthy.\n# TYPE cbir_router_replica_healthy gauge\n",
-        );
-        for (labels, v) in replica_rows(&|r| r.healthy as u64) {
-            out.push_str(&format!("cbir_router_replica_healthy{labels} {v}\n"));
-        }
-        out.push_str(
-            "# HELP cbir_router_replica_breaker_open Whether the replica's circuit breaker \
-             is currently open.\n# TYPE cbir_router_replica_breaker_open gauge\n",
-        );
-        for (labels, v) in replica_rows(&|r| r.breaker_open as u64) {
-            out.push_str(&format!("cbir_router_replica_breaker_open{labels} {v}\n"));
-        }
-        out.push_str(
-            "# HELP cbir_router_replica_latency_microseconds Per-replica request latency \
-             (log-linear bucket bound, at most 1/16 over).\n\
-             # TYPE cbir_router_replica_latency_microseconds summary\n",
-        );
-        for r in &snap.router {
-            let labels = format!("shard=\"{}\",replica=\"{}\"", r.shard, prom_escape(&r.role));
-            let l = &r.latency;
-            for (q, v) in [("0.5", l.p50_us), ("0.95", l.p95_us), ("0.99", l.p99_us)] {
-                out.push_str(&format!(
-                    "cbir_router_replica_latency_microseconds{{{labels},quantile=\"{q}\"}} {v}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "cbir_router_replica_latency_microseconds_sum{{{labels}}} {}\n",
-                l.sum_us
-            ));
-            out.push_str(&format!(
-                "cbir_router_replica_latency_microseconds_count{{{labels}}} {}\n",
-                l.count
-            ));
-        }
-
-        let tier = &snap.router_tier;
-        for (name, help, value) in [
-            (
-                "cbir_router_hedges_fired_total",
-                "Hedged requests fired (second replica raced after the hedge delay).",
-                tier.hedges_fired,
-            ),
-            (
-                "cbir_router_hedges_won_total",
-                "Hedged requests won by the hedge (second attempt answered first).",
-                tier.hedges_won,
-            ),
-            (
-                "cbir_router_degraded_replies_total",
-                "Degraded (partial shard coverage) replies sent to front clients.",
-                tier.degraded_replies,
-            ),
-            (
-                "cbir_router_breaker_opens_total",
-                "Circuit-breaker open transitions across all replicas.",
-                tier.breaker_opens,
-            ),
-            (
-                "cbir_router_retry_budget_exhausted_total",
-                "Failover attempts suppressed by an exhausted global retry budget.",
-                tier.retry_budget_exhausted,
-            ),
-            (
-                "cbir_router_probe_failures_total",
-                "Health probes that timed out or errored.",
-                tier.probe_failures,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
-        out.push_str(
-            "# HELP cbir_router_probe_latency_microseconds Successful health-probe round-trip \
-             latency (log-linear bucket bound, at most 1/16 over).\n\
-             # TYPE cbir_router_probe_latency_microseconds summary\n",
-        );
-        let l = &tier.probe_latency;
-        for (q, v) in [("0.5", l.p50_us), ("0.95", l.p95_us), ("0.99", l.p99_us)] {
-            out.push_str(&format!(
-                "cbir_router_probe_latency_microseconds{{quantile=\"{q}\"}} {v}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "cbir_router_probe_latency_microseconds_sum {}\n",
-            l.sum_us
-        ));
-        out.push_str(&format!(
-            "cbir_router_probe_latency_microseconds_count {}\n",
-            l.count
-        ));
     }
 
-    out.push_str(
-        "# HELP cbir_query_latency_microseconds Engine call latency \
-         (log-linear bucket bound, at most 1/16 over).\n\
-         # TYPE cbir_query_latency_microseconds summary\n",
+    summary(
+        &mut out,
+        "cbir_query_latency_microseconds",
+        "Engine call latency",
+        &[
+            ("op=\"knn\"", &snap.knn_latency),
+            ("op=\"range\"", &snap.range_latency),
+        ],
     );
-    for (op, l) in [("knn", &snap.knn_latency), ("range", &snap.range_latency)] {
-        for (q, v) in [("0.5", l.p50_us), ("0.95", l.p95_us), ("0.99", l.p99_us)] {
-            out.push_str(&format!(
-                "cbir_query_latency_microseconds{{op=\"{op}\",quantile=\"{q}\"}} {v}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "cbir_query_latency_microseconds_sum{{op=\"{op}\"}} {}\n",
-            l.sum_us
-        ));
-        out.push_str(&format!(
-            "cbir_query_latency_microseconds_count{{op=\"{op}\"}} {}\n",
-            l.count
-        ));
-    }
-
-    for (name, help, value) in [
-        (
-            "cbir_store_inserts_total",
-            "Rows inserted through the live segment store.",
-            snap.store.inserts,
-        ),
-        (
-            "cbir_store_deletes_total",
-            "Rows tombstoned through the live segment store.",
-            snap.store.deletes,
-        ),
-        (
-            "cbir_store_compactions_total",
-            "Compactions committed by the live segment store.",
-            snap.store.compactions,
-        ),
-    ] {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-        out.push_str(&format!("{name} {value}\n"));
-    }
-    for (name, help, value) in [
-        (
-            "cbir_store_segments",
-            "Live immutable segments.",
-            snap.store.segments,
-        ),
-        (
-            "cbir_store_memtable_rows",
-            "Rows currently in the store memtable.",
-            snap.store.memtable_rows,
-        ),
-        (
-            "cbir_store_tombstones",
-            "Tombstoned rows awaiting compaction.",
-            snap.store.tombstones,
-        ),
-        (
-            "cbir_store_epoch",
-            "Store epoch at the last published snapshot.",
-            snap.store.epoch,
-        ),
-    ] {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-        out.push_str(&format!("{name} {value}\n"));
-    }
-
-    out.push_str(
-        "# HELP cbir_queue_depth Requests admitted but not yet dispatched.\n\
-         # TYPE cbir_queue_depth gauge\n",
+    family(&mut out, &[(String::new(), &snap.store)]);
+    let gauge = |out: &mut String, name: &str, help: &str, value: u64| {
+        header(out, name, help, "gauge");
+        sample(out, name, "", value);
+    };
+    gauge(
+        &mut out,
+        "cbir_queue_depth",
+        "Requests admitted but not yet dispatched.",
+        snap.queue_depth,
     );
-    out.push_str(&format!("cbir_queue_depth {}\n", snap.queue_depth));
-    out.push_str(
-        "# HELP cbir_epoll_wakeups_total epoll_wait returns in the event loop.\n\
-         # TYPE cbir_epoll_wakeups_total counter\n",
+    family(&mut out, &[(String::new(), &snap.event_loop)]);
+    gauge(
+        &mut out,
+        "cbir_traces_held",
+        "Traces currently in the sampling ring.",
+        snap.trace_count,
     );
-    out.push_str(&format!(
-        "cbir_epoll_wakeups_total {}\n",
-        snap.event_loop.epoll_wakeups
-    ));
-    out.push_str(
-        "# HELP cbir_event_loop_conns Connections currently held by the event loop.\n\
-         # TYPE cbir_event_loop_conns gauge\n",
-    );
-    out.push_str(&format!(
-        "cbir_event_loop_conns {}\n",
-        snap.event_loop.open_conns
-    ));
-    out.push_str(
-        "# HELP cbir_pipeline_depth_max High-water mark of requests in flight on one \
-         connection.\n\
-         # TYPE cbir_pipeline_depth_max gauge\n",
-    );
-    out.push_str(&format!(
-        "cbir_pipeline_depth_max {}\n",
-        snap.event_loop.max_pipeline_depth
-    ));
-    out.push_str(
-        "# HELP cbir_traces_held Traces currently in the sampling ring.\n\
-         # TYPE cbir_traces_held gauge\n",
-    );
-    out.push_str(&format!("cbir_traces_held {}\n", snap.trace_count));
     out
 }
 
@@ -642,6 +465,17 @@ mod tests {
         assert!(p.contains("cbir_store_inserts_total 11"));
         assert!(p.contains("cbir_store_segments 3"));
         assert!(p.contains("cbir_store_epoch 14"));
+    }
+
+    /// `to_prometheus(&snap())` byte for byte, as the hand-written
+    /// exporter rendered it: family order, HELP/TYPE pairs, label order
+    /// and the trailing newline.
+    #[test]
+    fn prometheus_matches_the_golden_text() {
+        assert_eq!(
+            to_prometheus(&snap()),
+            include_str!("../tests/data/snap.prom")
+        );
     }
 
     // Schema test for the router metric family: every metric name the

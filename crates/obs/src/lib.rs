@@ -19,6 +19,19 @@
 //! * **Near-free when off**: every recording entry point first checks a
 //!   relaxed [`enabled`] flag; timers are never started when disabled.
 //!
+//! ## Counter blocks and tables
+//!
+//! Each counter family — per index, per extraction stage, the segment
+//! store, each router replica, the router tier, an event loop, and the
+//! server's `Stats` frame in `cbir-server` — is declared once, as the
+//! rows of a [`counter_table!`]: snapshot field (= JSON key), Prometheus
+//! name and help text, and [`Kind`]. Its live counters are a [`Block`]
+//! of relaxed atomics indexed by the family's enum, and snapshot, reset,
+//! JSON, Prometheus and merging walk the table. The registry holds the
+//! process-wide blocks; an event loop's counters belong to the serving
+//! instance (a node or a router), which fills them into the snapshot it
+//! answers with.
+//!
 //! ```
 //! cbir_obs::record_query(
 //!     "vp-tree",
@@ -43,17 +56,19 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 mod export;
 mod hist;
 mod json;
 mod trace;
 
+pub use counters::{Block, CounterValue, Counters, Field, Kind};
 pub use export::{render_trace, to_json, to_prometheus, trace_to_json, traces_to_json};
 pub use hist::{HistSnapshot, LogHistogram};
 pub use json::Json;
 pub use trace::{QueryTrace, TraceSpan, TRACE_RING_CAP};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use trace::TraceRing;
@@ -166,195 +181,156 @@ pub struct QueryCounters {
     pub rerank_evaluations: u64,
 }
 
-struct IndexSlot {
-    queries: AtomicU64,
-    distance_evaluations: AtomicU64,
-    nodes_visited: AtomicU64,
-    subtrees_pruned: AtomicU64,
-    postfilter_candidates: AtomicU64,
-    coarse_candidates: AtomicU64,
-    rerank_evaluations: AtomicU64,
-    results: AtomicU64,
-}
-
-impl IndexSlot {
-    const fn new() -> Self {
-        IndexSlot {
-            queries: AtomicU64::new(0),
-            distance_evaluations: AtomicU64::new(0),
-            nodes_visited: AtomicU64::new(0),
-            subtrees_pruned: AtomicU64::new(0),
-            postfilter_candidates: AtomicU64::new(0),
-            coarse_candidates: AtomicU64::new(0),
-            rerank_evaluations: AtomicU64::new(0),
-            results: AtomicU64::new(0),
-        }
+crate::counter_table! {
+    /// Counters of one index slot at snapshot time.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct IndexCounters / IndexCounter {
+        /// Index kind name (one of [`INDEX_NAMES`]).
+        pub index: &'static str,
     }
+    Queries => queries: u64 = Counter "cbir_index_queries_total"
+        "Queries flushed per index kind.";
+    DistanceEvaluations => distance_evaluations: u64 = Counter "cbir_index_distance_evaluations_total"
+        "Full distance evaluations per index kind.";
+    NodesVisited => nodes_visited: u64 = Counter "cbir_index_nodes_visited_total"
+        "Index nodes visited per index kind.";
+    SubtreesPruned => subtrees_pruned: u64 = Counter "cbir_index_subtrees_pruned_total"
+        "Subtrees excluded by a pruning bound per index kind.";
+    PostfilterCandidates => postfilter_candidates: u64 = Counter "cbir_index_postfilter_candidates_total"
+        "Candidates surfaced for exact-distance evaluation per index kind.";
+    CoarseCandidates => coarse_candidates: u64 = Counter "cbir_index_coarse_candidates_total"
+        "Coarse-stage candidates from two-stage approximate queries per index kind.";
+    RerankEvaluations => rerank_evaluations: u64 = Counter "cbir_index_rerank_evaluations_total"
+        "Exact rerank evaluations from two-stage approximate queries per index kind.";
+    Results => results: u64 = Counter "cbir_index_results_total"
+        "Result rows returned per index kind.";
 }
 
-struct StageSlot {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    nanos: AtomicU64,
-}
-
-impl StageSlot {
-    const fn new() -> Self {
-        StageSlot {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            nanos: AtomicU64::new(0),
-        }
+crate::counter_table! {
+    /// Counters of one extraction stage at snapshot time.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct StageCounters / StageCounter {
+        /// Stage name (see [`Stage::name`]).
+        pub stage: &'static str,
     }
+    Hits => hits: u64 = Counter "cbir_stage_hits_total"
+        "Extraction-planner requests answered from cached intermediates.";
+    Misses => misses: u64 = Counter "cbir_stage_misses_total"
+        "Extraction-planner stage computes.";
+    Nanos => nanos: u64 = Counter "cbir_stage_nanoseconds_total"
+        "Nanoseconds spent computing each extraction stage.";
 }
 
-struct StoreSlot {
-    inserts: AtomicU64,
-    deletes: AtomicU64,
-    compactions: AtomicU64,
-    segments: AtomicU64,
-    memtable_rows: AtomicU64,
-    tombstones: AtomicU64,
-    epoch: AtomicU64,
+crate::counter_table! {
+    /// Segment-store counters and shape gauges at snapshot time.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct StoreCounters / StoreCounter {}
+    Inserts => inserts: u64 = Counter "cbir_store_inserts_total"
+        "Rows inserted through the live segment store.";
+    Deletes => deletes: u64 = Counter "cbir_store_deletes_total"
+        "Rows tombstoned through the live segment store.";
+    Compactions => compactions: u64 = Counter "cbir_store_compactions_total"
+        "Compactions committed by the live segment store.";
+    Segments => segments: u64 = Gauge "cbir_store_segments"
+        "Live immutable segments.";
+    MemtableRows => memtable_rows: u64 = Gauge "cbir_store_memtable_rows"
+        "Rows currently in the store memtable.";
+    Tombstones => tombstones: u64 = Gauge "cbir_store_tombstones"
+        "Tombstoned rows awaiting compaction.";
+    Epoch => epoch: u64 = Gauge "cbir_store_epoch"
+        "Store epoch at the last published snapshot.";
 }
 
-impl StoreSlot {
-    const fn new() -> Self {
-        StoreSlot {
-            inserts: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            segments: AtomicU64::new(0),
-            memtable_rows: AtomicU64::new(0),
-            tombstones: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-        }
+crate::counter_table! {
+    /// Event-loop counters of one serving instance, node or router.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct EventLoopCounters / LoopCounter {}
+    EpollWakeups => epoll_wakeups: u64 = Counter "cbir_epoll_wakeups_total"
+        "epoll_wait returns in the event loop.";
+    OpenConns => open_conns: u64 = Gauge "cbir_event_loop_conns"
+        "Connections currently held by the event loop.";
+    MaxPipelineDepth => max_pipeline_depth: u64 = Peak "cbir_pipeline_depth_max"
+        "High-water mark of requests in flight on one connection.";
+}
+
+crate::counter_table! {
+    /// Counters of one router backend replica at snapshot time, in
+    /// registration order (shard-major for a router spawned normally).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct RouterReplicaCounters / ReplicaCounter {
+        /// Shard this replica serves.
+        pub shard: u32,
+        /// Replica role within the shard (`"primary"`, `"backup-1"`, …).
+        pub role: String,
+        /// Per-replica request latency summary.
+        pub latency: LatencySummary,
     }
+    Requests => requests: u64 = Counter "cbir_router_requests_total"
+        "Requests answered per router backend replica.";
+    Failures => failures: u64 = Counter "cbir_router_failures_total"
+        "Failed attempts per router backend replica.";
+    Failovers => failovers: u64 = Counter "cbir_router_failovers_total"
+        "Failovers away from each router backend replica onto a sibling.";
+    Shed => shed: u64 = Counter "cbir_router_shed_total"
+        "Overloaded sheds observed per router backend replica.";
+    Healthy => healthy: bool = Flag "cbir_router_replica_healthy"
+        "Whether the router currently considers the replica healthy.";
+    BreakerOpen => breaker_open: bool = Flag "cbir_router_replica_breaker_open"
+        "Whether the replica's circuit breaker is currently open.";
+    ProbeRejoins => probe_rejoins: u64 = Counter "cbir_router_replica_probe_rejoins_total"
+        "Probe-driven rejoins per router backend replica.";
 }
 
-/// One router backend replica's counters. Unlike the fixed index/stage
-/// slots, router slots are registered dynamically (shard count and replica
-/// fan-out are deployment choices, not compile-time constants); the
-/// registry holds them behind a mutex that is only taken at registration
-/// and snapshot time — recording itself is relaxed atomics on an `Arc`'d
-/// slot held by the router, so the query hot path never locks.
+crate::counter_table! {
+    /// Router-tier counters that no single replica owns: a hedge races
+    /// two replicas, a degraded reply belongs to a whole scatter, and
+    /// the retry budget is shared across shards. All-zero in processes
+    /// that never routed anything.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct RouterTierCounters / TierCounter {
+        /// Latency summary of successful health probes.
+        pub probe_latency: LatencySummary,
+    }
+    HedgesFired => hedges_fired: u64 = Counter "cbir_router_hedges_fired_total"
+        "Hedged requests fired (second replica raced after the hedge delay).";
+    HedgesWon => hedges_won: u64 = Counter "cbir_router_hedges_won_total"
+        "Hedged requests won by the hedge (second attempt answered first).";
+    DegradedReplies => degraded_replies: u64 = Counter "cbir_router_degraded_replies_total"
+        "Degraded (partial shard coverage) replies sent to front clients.";
+    BreakerOpens => breaker_opens: u64 = Counter "cbir_router_breaker_opens_total"
+        "Circuit-breaker open transitions across all replicas.";
+    RetryBudgetExhausted => retry_budget_exhausted: u64 = Counter "cbir_router_retry_budget_exhausted_total"
+        "Failover attempts suppressed by an exhausted global retry budget.";
+    ProbeFailures => probe_failures: u64 = Counter "cbir_router_probe_failures_total"
+        "Health probes that timed out or errored.";
+}
+
+/// One router backend replica's live counters. Unlike the fixed index
+/// and stage slots, router slots are registered dynamically (shard count
+/// and replica fan-out are deployment choices, not compile-time
+/// constants); the registry holds them behind a mutex that is only taken
+/// at registration and snapshot time — recording itself is relaxed
+/// atomics on an `Arc`'d slot held by the router, so the query hot path
+/// never locks.
 struct RouterSlot {
     shard: u32,
     role: String,
-    requests: AtomicU64,
-    failures: AtomicU64,
-    failovers: AtomicU64,
-    shed: AtomicU64,
-    healthy: AtomicU64,
-    breaker_open: AtomicU64,
-    probe_rejoins: AtomicU64,
+    counters: Block<{ ReplicaCounter::COUNT }>,
     latency: LogHistogram,
 }
 
-/// Router-tier counters that are not attributable to a single replica:
-/// hedged requests race two replicas, a degraded reply is the property
-/// of a whole scatter, and the retry budget is shared across shards.
-/// One static slot per process — a process hosts at most one routing
-/// tier, and benchmarks that spawn several routers in sequence reset
-/// between scenarios.
-struct RouterTierSlot {
-    hedges_fired: AtomicU64,
-    hedges_won: AtomicU64,
-    degraded_replies: AtomicU64,
-    breaker_opens: AtomicU64,
-    retry_budget_exhausted: AtomicU64,
-    probe_failures: AtomicU64,
-    probe_latency: LogHistogram,
-}
-
-static ROUTER_TIER: RouterTierSlot = RouterTierSlot {
-    hedges_fired: AtomicU64::new(0),
-    hedges_won: AtomicU64::new(0),
-    degraded_replies: AtomicU64::new(0),
-    breaker_opens: AtomicU64::new(0),
-    retry_budget_exhausted: AtomicU64::new(0),
-    probe_failures: AtomicU64::new(0),
-    probe_latency: LogHistogram::new(),
-};
-
-/// Record one hedge fired: the primary attempt outlived the hedge delay
-/// and a second replica was raced against it. No-op when disabled.
-#[inline]
-pub fn router_hedge_fired() {
-    if !enabled() {
-        return;
-    }
-    ROUTER_TIER.hedges_fired.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record one hedge won: the *hedged* (second) attempt answered first.
-/// No-op when disabled.
-#[inline]
-pub fn router_hedge_won() {
-    if !enabled() {
-        return;
-    }
-    ROUTER_TIER.hedges_won.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record one degraded (partial-coverage) reply sent to a front client.
-/// No-op when disabled.
-#[inline]
-pub fn router_degraded_reply() {
-    if !enabled() {
-        return;
-    }
-    ROUTER_TIER.degraded_replies.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record one circuit-breaker open transition (any replica). No-op when
-/// disabled.
-#[inline]
-pub fn router_breaker_opened() {
-    if !enabled() {
-        return;
-    }
-    ROUTER_TIER.breaker_opens.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record one failover attempt suppressed because the global retry
-/// budget was exhausted. No-op when disabled.
-#[inline]
-pub fn router_retry_budget_exhausted() {
-    if !enabled() {
-        return;
-    }
-    ROUTER_TIER
-        .retry_budget_exhausted
-        .fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record one successful health probe with its round-trip latency.
-/// No-op when disabled.
-#[inline]
-pub fn router_probe_ok(latency_us: u64) {
-    if !enabled() {
-        return;
-    }
-    ROUTER_TIER.probe_latency.record(latency_us);
-}
-
-/// Record one failed health probe. No-op when disabled.
-#[inline]
-pub fn router_probe_failed() {
-    if !enabled() {
-        return;
-    }
-    ROUTER_TIER.probe_failures.fetch_add(1, Ordering::Relaxed);
-}
-
+/// The process-global registry. The router-tier block is a single slot:
+/// a process hosts at most one routing tier, and benchmarks that spawn
+/// several routers in sequence reset between scenarios.
 struct Registry {
     enabled: AtomicBool,
-    indexes: [IndexSlot; INDEX_NAMES.len()],
-    stages: [StageSlot; Stage::ALL.len()],
+    indexes: [Block<{ IndexCounter::COUNT }>; INDEX_NAMES.len()],
+    stages: [Block<{ StageCounter::COUNT }>; Stage::ALL.len()],
     knn_latency: LogHistogram,
     range_latency: LogHistogram,
-    store: StoreSlot,
+    store: Block<{ StoreCounter::COUNT }>,
+    router_tier: Block<{ TierCounter::COUNT }>,
+    probe_latency: LogHistogram,
     traces: TraceRing,
 }
 
@@ -362,30 +338,13 @@ static ROUTER_SLOTS: Mutex<Vec<Arc<RouterSlot>>> = Mutex::new(Vec::new());
 
 static REGISTRY: Registry = Registry {
     enabled: AtomicBool::new(true),
-    indexes: [
-        IndexSlot::new(),
-        IndexSlot::new(),
-        IndexSlot::new(),
-        IndexSlot::new(),
-        IndexSlot::new(),
-        IndexSlot::new(),
-        IndexSlot::new(),
-    ],
-    stages: [
-        StageSlot::new(),
-        StageSlot::new(),
-        StageSlot::new(),
-        StageSlot::new(),
-        StageSlot::new(),
-        StageSlot::new(),
-        StageSlot::new(),
-        StageSlot::new(),
-        StageSlot::new(),
-        StageSlot::new(),
-    ],
+    indexes: [const { Block::new() }; INDEX_NAMES.len()],
+    stages: [const { Block::new() }; Stage::ALL.len()],
     knn_latency: LogHistogram::new(),
     range_latency: LogHistogram::new(),
-    store: StoreSlot::new(),
+    store: Block::new(),
+    router_tier: Block::new(),
+    probe_latency: LogHistogram::new(),
     traces: TraceRing::new(),
 };
 
@@ -423,21 +382,16 @@ pub fn record_query(
     if !enabled() {
         return;
     }
+    use IndexCounter as I;
     let slot = &REGISTRY.indexes[slot_of(index)];
-    slot.queries.fetch_add(queries, Ordering::Relaxed);
-    slot.distance_evaluations
-        .fetch_add(counters.distance_evaluations, Ordering::Relaxed);
-    slot.nodes_visited
-        .fetch_add(counters.nodes_visited, Ordering::Relaxed);
-    slot.subtrees_pruned
-        .fetch_add(counters.subtrees_pruned, Ordering::Relaxed);
-    slot.postfilter_candidates
-        .fetch_add(counters.postfilter_candidates, Ordering::Relaxed);
-    slot.coarse_candidates
-        .fetch_add(counters.coarse_candidates, Ordering::Relaxed);
-    slot.rerank_evaluations
-        .fetch_add(counters.rerank_evaluations, Ordering::Relaxed);
-    slot.results.fetch_add(results, Ordering::Relaxed);
+    slot.add(I::Queries, queries);
+    slot.add(I::DistanceEvaluations, counters.distance_evaluations);
+    slot.add(I::NodesVisited, counters.nodes_visited);
+    slot.add(I::SubtreesPruned, counters.subtrees_pruned);
+    slot.add(I::PostfilterCandidates, counters.postfilter_candidates);
+    slot.add(I::CoarseCandidates, counters.coarse_candidates);
+    slot.add(I::RerankEvaluations, counters.rerank_evaluations);
+    slot.add(I::Results, results);
     match op {
         QueryOp::Knn => REGISTRY.knn_latency.record(latency_us),
         QueryOp::Range => REGISTRY.range_latency.record(latency_us),
@@ -448,24 +402,20 @@ pub fn record_query(
 /// available. No-op when disabled.
 #[inline]
 pub fn stage_hit(stage: Stage) {
-    if !enabled() {
-        return;
+    if enabled() {
+        REGISTRY.stages[stage as usize].add(StageCounter::Hits, 1);
     }
-    REGISTRY.stages[stage as usize]
-        .hits
-        .fetch_add(1, Ordering::Relaxed);
 }
 
 /// Record a planner stage miss: the intermediate was computed, taking
 /// `nanos`. No-op when disabled.
 #[inline]
 pub fn stage_miss(stage: Stage, nanos: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        let s = &REGISTRY.stages[stage as usize];
+        s.add(StageCounter::Misses, 1);
+        s.add(StageCounter::Nanos, nanos);
     }
-    let s = &REGISTRY.stages[stage as usize];
-    s.misses.fetch_add(1, Ordering::Relaxed);
-    s.nanos.fetch_add(nanos, Ordering::Relaxed);
 }
 
 /// A stage-compute timer: started before the work, finished after.
@@ -496,33 +446,13 @@ impl StageTimer {
     }
 }
 
-/// Record `n` rows inserted into the live segment store. No-op when
-/// disabled.
+/// Add `n` to a segment-store counter (`Inserts`, `Deletes`,
+/// `Compactions`). No-op when disabled.
 #[inline]
-pub fn store_inserted(n: u64) {
-    if !enabled() {
-        return;
+pub fn store_count(counter: StoreCounter, n: u64) {
+    if enabled() {
+        REGISTRY.store.add(counter, n);
     }
-    REGISTRY.store.inserts.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Record `n` rows tombstoned in the live segment store. No-op when
-/// disabled.
-#[inline]
-pub fn store_deleted(n: u64) {
-    if !enabled() {
-        return;
-    }
-    REGISTRY.store.deletes.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Record one committed compaction. No-op when disabled.
-#[inline]
-pub fn store_compacted() {
-    if !enabled() {
-        return;
-    }
-    REGISTRY.store.compactions.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Update the segment-store shape gauges (published with every store
@@ -532,16 +462,34 @@ pub fn set_store_state(segments: u64, memtable_rows: u64, tombstones: u64, epoch
     if !enabled() {
         return;
     }
-    REGISTRY.store.segments.store(segments, Ordering::Relaxed);
-    REGISTRY
-        .store
-        .memtable_rows
-        .store(memtable_rows, Ordering::Relaxed);
-    REGISTRY
-        .store
-        .tombstones
-        .store(tombstones, Ordering::Relaxed);
-    REGISTRY.store.epoch.store(epoch, Ordering::Relaxed);
+    use StoreCounter as S;
+    for (gauge, v) in [
+        (S::Segments, segments),
+        (S::MemtableRows, memtable_rows),
+        (S::Tombstones, tombstones),
+        (S::Epoch, epoch),
+    ] {
+        REGISTRY.store.set(gauge, v);
+    }
+}
+
+/// Count one router-tier event: a hedge fired or won, a degraded reply,
+/// a breaker opening, a failover the retry budget suppressed, a failed
+/// health probe. No-op when disabled.
+#[inline]
+pub fn router_tier_count(event: TierCounter) {
+    if enabled() {
+        REGISTRY.router_tier.add(event, 1);
+    }
+}
+
+/// Record one successful health probe with its round-trip latency.
+/// No-op when disabled.
+#[inline]
+pub fn router_probe_ok(latency_us: u64) {
+    if enabled() {
+        REGISTRY.probe_latency.record(latency_us);
+    }
 }
 
 /// Set trace sampling: `0` disables tracing, `1` traces every query,
@@ -586,67 +534,29 @@ impl RouterReplicaHandle {
     /// latency in microseconds. No-op when disabled.
     #[inline]
     pub fn request_ok(&self, latency_us: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            self.slot.counters.add(ReplicaCounter::Requests, 1);
+            self.slot.latency.record(latency_us);
         }
-        self.slot.requests.fetch_add(1, Ordering::Relaxed);
-        self.slot.latency.record(latency_us);
     }
 
-    /// Record one failed attempt against this replica (transport error or
-    /// terminal rejection). No-op when disabled.
+    /// Count one event against this replica: a failed attempt
+    /// (`Failures`), a failover away from it onto a sibling
+    /// (`Failovers`), an `Overloaded` shed (`Shed`), a probe-driven
+    /// rejoin (`ProbeRejoins`). No-op when disabled.
     #[inline]
-    pub fn failure(&self) {
-        if !enabled() {
-            return;
+    pub fn count(&self, event: ReplicaCounter) {
+        if enabled() {
+            self.slot.counters.add(event, 1);
         }
-        self.slot.failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one failover *away* from this replica onto a sibling.
-    /// No-op when disabled.
+    /// Set a flag gauge (`Healthy`, `BreakerOpen`). Recorded even when
+    /// disabled: health and breaker position are routing state, not
+    /// samples.
     #[inline]
-    pub fn failover(&self) {
-        if !enabled() {
-            return;
-        }
-        self.slot.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one `Overloaded` shed observed from this replica. No-op
-    /// when disabled.
-    #[inline]
-    pub fn shed(&self) {
-        if !enabled() {
-            return;
-        }
-        self.slot.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Update the health gauge (`true` = considered healthy). Recorded
-    /// even when disabled: health is routing state, not a sample.
-    #[inline]
-    pub fn set_healthy(&self, healthy: bool) {
-        self.slot.healthy.store(healthy as u64, Ordering::Relaxed);
-    }
-
-    /// Update the circuit-breaker gauge (`true` = breaker open, replica
-    /// excluded from routing). Recorded even when disabled: breaker
-    /// position is routing state, not a sample.
-    #[inline]
-    pub fn set_breaker_open(&self, open: bool) {
-        self.slot.breaker_open.store(open as u64, Ordering::Relaxed);
-    }
-
-    /// Record one probe-driven rejoin: a background health probe found
-    /// this previously-down replica answering and returned it to the
-    /// rotation. No-op when disabled.
-    #[inline]
-    pub fn probe_rejoin(&self) {
-        if !enabled() {
-            return;
-        }
-        self.slot.probe_rejoins.fetch_add(1, Ordering::Relaxed);
+    pub fn set_flag(&self, flag: ReplicaCounter, on: bool) {
+        self.slot.counters.set(flag, on as u64);
     }
 }
 
@@ -665,15 +575,10 @@ pub fn router_replica(shard: u32, role: &str) -> RouterReplicaHandle {
     let slot = Arc::new(RouterSlot {
         shard,
         role: role.to_string(),
-        requests: AtomicU64::new(0),
-        failures: AtomicU64::new(0),
-        failovers: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        healthy: AtomicU64::new(1),
-        breaker_open: AtomicU64::new(0),
-        probe_rejoins: AtomicU64::new(0),
+        counters: Block::new(),
         latency: LogHistogram::new(),
     });
+    slot.counters.set(ReplicaCounter::Healthy, 1);
     slots.push(Arc::clone(&slot));
     RouterReplicaHandle { slot }
 }
@@ -686,42 +591,6 @@ pub fn latest_trace() -> Option<QueryTrace> {
 /// Every trace currently in the ring, oldest first.
 pub fn traces() -> Vec<QueryTrace> {
     REGISTRY.traces.all()
-}
-
-/// Counters of one index slot at snapshot time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IndexCounters {
-    /// Index kind name (one of [`INDEX_NAMES`]).
-    pub index: &'static str,
-    /// Queries flushed under this index.
-    pub queries: u64,
-    /// Total full distance evaluations.
-    pub distance_evaluations: u64,
-    /// Total index nodes visited.
-    pub nodes_visited: u64,
-    /// Total subtrees excluded by a pruning bound.
-    pub subtrees_pruned: u64,
-    /// Total candidates surfaced for exact-distance evaluation.
-    pub postfilter_candidates: u64,
-    /// Total coarse-stage candidates from two-stage approximate queries.
-    pub coarse_candidates: u64,
-    /// Total exact rerank evaluations from two-stage approximate queries.
-    pub rerank_evaluations: u64,
-    /// Total result rows returned.
-    pub results: u64,
-}
-
-/// Counters of one extraction stage at snapshot time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StageCounters {
-    /// Stage name (see [`Stage::name`]).
-    pub stage: &'static str,
-    /// Requests answered from the planner cache.
-    pub hits: u64,
-    /// Actual computes.
-    pub misses: u64,
-    /// Total nanoseconds spent computing.
-    pub nanos: u64,
 }
 
 /// Latency tail summary of one op's histogram.
@@ -741,7 +610,8 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    fn from_hist(h: &HistSnapshot) -> Self {
+    fn of(h: &LogHistogram) -> Self {
+        let h = h.snapshot();
         LatencySummary {
             count: h.count,
             sum_us: h.sum,
@@ -750,84 +620,6 @@ impl LatencySummary {
             p99_us: h.quantile(99),
         }
     }
-}
-
-/// Event-loop serving counters of one server instance.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EventLoopCounters {
-    /// `epoll_wait` returns in the event loop.
-    pub epoll_wakeups: u64,
-    /// Gauge: connections the loop currently holds.
-    pub open_conns: u64,
-    /// High-water mark of requests concurrently in flight on one
-    /// connection (pipeline depth).
-    pub max_pipeline_depth: u64,
-}
-
-/// Segment-store counters and shape gauges at snapshot time.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StoreCounters {
-    /// Rows inserted through the live store.
-    pub inserts: u64,
-    /// Rows tombstoned through the live store.
-    pub deletes: u64,
-    /// Compactions committed.
-    pub compactions: u64,
-    /// Gauge: live immutable segments.
-    pub segments: u64,
-    /// Gauge: rows currently in the memtable.
-    pub memtable_rows: u64,
-    /// Gauge: tombstoned rows awaiting compaction.
-    pub tombstones: u64,
-    /// Gauge: store epoch at the last published snapshot.
-    pub epoch: u64,
-}
-
-/// Counters of one router backend replica at snapshot time, in
-/// registration order (shard-major for a router spawned normally).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RouterReplicaCounters {
-    /// Shard this replica serves.
-    pub shard: u32,
-    /// Replica role within the shard (`"primary"`, `"backup-1"`, …).
-    pub role: String,
-    /// Requests this replica answered successfully.
-    pub requests: u64,
-    /// Failed attempts against this replica.
-    pub failures: u64,
-    /// Failovers away from this replica onto a sibling.
-    pub failovers: u64,
-    /// `Overloaded` sheds observed from this replica.
-    pub shed: u64,
-    /// Gauge: whether the router currently considers the replica healthy.
-    pub healthy: bool,
-    /// Gauge: whether this replica's circuit breaker is currently open.
-    pub breaker_open: bool,
-    /// Probe-driven rejoins: times a background health probe returned
-    /// this replica to the rotation.
-    pub probe_rejoins: u64,
-    /// Per-replica request latency summary.
-    pub latency: LatencySummary,
-}
-
-/// Router-tier (cross-replica) counters at snapshot time. All-zero in
-/// processes that never routed anything.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RouterTierCounters {
-    /// Hedged requests fired (second replica raced after the hedge delay).
-    pub hedges_fired: u64,
-    /// Hedged requests won by the hedge (second attempt answered first).
-    pub hedges_won: u64,
-    /// Degraded (partial shard coverage) replies sent to front clients.
-    pub degraded_replies: u64,
-    /// Circuit-breaker open transitions across all replicas.
-    pub breaker_opens: u64,
-    /// Failover attempts suppressed by an exhausted global retry budget.
-    pub retry_budget_exhausted: u64,
-    /// Health probes that failed (timed out or errored).
-    pub probe_failures: u64,
-    /// Latency summary of successful health probes.
-    pub probe_latency: LatencySummary,
 }
 
 /// A point-in-time copy of every registry counter.
@@ -851,7 +643,8 @@ pub struct ObsSnapshot {
     /// Segment-store counters and gauges.
     pub store: StoreCounters,
     /// Event-loop serving counters; like `queue_depth`, zero from
-    /// [`snapshot`] and filled in by the serving instance.
+    /// [`snapshot`] and filled in by the serving instance (a node or a
+    /// router) from its own loop.
     pub event_loop: EventLoopCounters,
     /// Per-replica router counters (empty in processes that never
     /// registered any, i.e. everything but a router).
@@ -868,75 +661,56 @@ pub fn snapshot() -> ObsSnapshot {
     let indexes = INDEX_NAMES
         .iter()
         .zip(&REGISTRY.indexes)
-        .map(|(&name, s)| IndexCounters {
-            index: name,
-            queries: s.queries.load(Ordering::Relaxed),
-            distance_evaluations: s.distance_evaluations.load(Ordering::Relaxed),
-            nodes_visited: s.nodes_visited.load(Ordering::Relaxed),
-            subtrees_pruned: s.subtrees_pruned.load(Ordering::Relaxed),
-            postfilter_candidates: s.postfilter_candidates.load(Ordering::Relaxed),
-            coarse_candidates: s.coarse_candidates.load(Ordering::Relaxed),
-            rerank_evaluations: s.rerank_evaluations.load(Ordering::Relaxed),
-            results: s.results.load(Ordering::Relaxed),
+        .map(|(&index, b)| {
+            IndexCounters {
+                index,
+                ..Default::default()
+            }
+            .with_values(&b.load())
         })
         .collect();
     let stages = Stage::ALL
         .iter()
         .zip(&REGISTRY.stages)
-        .map(|(&stage, s)| StageCounters {
-            stage: stage.name(),
-            hits: s.hits.load(Ordering::Relaxed),
-            misses: s.misses.load(Ordering::Relaxed),
-            nanos: s.nanos.load(Ordering::Relaxed),
+        .map(|(&stage, b)| {
+            StageCounters {
+                stage: stage.name(),
+                ..Default::default()
+            }
+            .with_values(&b.load())
         })
         .collect();
     let router = ROUTER_SLOTS
         .lock()
         .unwrap()
         .iter()
-        .map(|s| RouterReplicaCounters {
-            shard: s.shard,
-            role: s.role.clone(),
-            requests: s.requests.load(Ordering::Relaxed),
-            failures: s.failures.load(Ordering::Relaxed),
-            failovers: s.failovers.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            healthy: s.healthy.load(Ordering::Relaxed) != 0,
-            breaker_open: s.breaker_open.load(Ordering::Relaxed) != 0,
-            probe_rejoins: s.probe_rejoins.load(Ordering::Relaxed),
-            latency: LatencySummary::from_hist(&s.latency.snapshot()),
+        .map(|s| {
+            RouterReplicaCounters {
+                shard: s.shard,
+                role: s.role.clone(),
+                latency: LatencySummary::of(&s.latency),
+                ..Default::default()
+            }
+            .with_values(&s.counters.load())
         })
         .collect();
-    let router_tier = RouterTierCounters {
-        hedges_fired: ROUTER_TIER.hedges_fired.load(Ordering::Relaxed),
-        hedges_won: ROUTER_TIER.hedges_won.load(Ordering::Relaxed),
-        degraded_replies: ROUTER_TIER.degraded_replies.load(Ordering::Relaxed),
-        breaker_opens: ROUTER_TIER.breaker_opens.load(Ordering::Relaxed),
-        retry_budget_exhausted: ROUTER_TIER.retry_budget_exhausted.load(Ordering::Relaxed),
-        probe_failures: ROUTER_TIER.probe_failures.load(Ordering::Relaxed),
-        probe_latency: LatencySummary::from_hist(&ROUTER_TIER.probe_latency.snapshot()),
-    };
     ObsSnapshot {
         enabled: enabled(),
         trace_sample_n: trace_sample_n(),
         queue_depth: 0,
         indexes,
         stages,
-        router,
-        router_tier,
-        knn_latency: LatencySummary::from_hist(&REGISTRY.knn_latency.snapshot()),
-        range_latency: LatencySummary::from_hist(&REGISTRY.range_latency.snapshot()),
-        store: StoreCounters {
-            inserts: REGISTRY.store.inserts.load(Ordering::Relaxed),
-            deletes: REGISTRY.store.deletes.load(Ordering::Relaxed),
-            compactions: REGISTRY.store.compactions.load(Ordering::Relaxed),
-            segments: REGISTRY.store.segments.load(Ordering::Relaxed),
-            memtable_rows: REGISTRY.store.memtable_rows.load(Ordering::Relaxed),
-            tombstones: REGISTRY.store.tombstones.load(Ordering::Relaxed),
-            epoch: REGISTRY.store.epoch.load(Ordering::Relaxed),
-        },
+        knn_latency: LatencySummary::of(&REGISTRY.knn_latency),
+        range_latency: LatencySummary::of(&REGISTRY.range_latency),
+        store: StoreCounters::default().with_values(&REGISTRY.store.load()),
         event_loop: EventLoopCounters::default(),
-        trace_count: REGISTRY.traces.all().len() as u64,
+        router,
+        router_tier: RouterTierCounters {
+            probe_latency: LatencySummary::of(&REGISTRY.probe_latency),
+            ..Default::default()
+        }
+        .with_values(&REGISTRY.router_tier.load()),
+        trace_count: REGISTRY.traces.len() as u64,
     }
 }
 
@@ -944,43 +718,17 @@ pub fn snapshot() -> ObsSnapshot {
 /// flag and sampling rate are left as set. Intended for process startup
 /// and benchmark harnesses, not for concurrent use with recording.
 pub fn reset() {
-    for s in &REGISTRY.indexes {
-        s.queries.store(0, Ordering::Relaxed);
-        s.distance_evaluations.store(0, Ordering::Relaxed);
-        s.nodes_visited.store(0, Ordering::Relaxed);
-        s.subtrees_pruned.store(0, Ordering::Relaxed);
-        s.postfilter_candidates.store(0, Ordering::Relaxed);
-        s.coarse_candidates.store(0, Ordering::Relaxed);
-        s.rerank_evaluations.store(0, Ordering::Relaxed);
-        s.results.store(0, Ordering::Relaxed);
-    }
-    for s in &REGISTRY.stages {
-        s.hits.store(0, Ordering::Relaxed);
-        s.misses.store(0, Ordering::Relaxed);
-        s.nanos.store(0, Ordering::Relaxed);
-    }
+    REGISTRY.indexes.iter().for_each(Block::reset);
+    REGISTRY.stages.iter().for_each(Block::reset);
     REGISTRY.knn_latency.reset();
     REGISTRY.range_latency.reset();
-    REGISTRY.store.inserts.store(0, Ordering::Relaxed);
-    REGISTRY.store.deletes.store(0, Ordering::Relaxed);
-    REGISTRY.store.compactions.store(0, Ordering::Relaxed);
-    REGISTRY.store.segments.store(0, Ordering::Relaxed);
-    REGISTRY.store.memtable_rows.store(0, Ordering::Relaxed);
-    REGISTRY.store.tombstones.store(0, Ordering::Relaxed);
-    REGISTRY.store.epoch.store(0, Ordering::Relaxed);
+    REGISTRY.store.reset();
     // Drop router replica registrations entirely: shard topology is
     // per-router-spawn state, and a fresh harness run should not inherit
     // slots from a previous topology.
     ROUTER_SLOTS.lock().unwrap().clear();
-    ROUTER_TIER.hedges_fired.store(0, Ordering::Relaxed);
-    ROUTER_TIER.hedges_won.store(0, Ordering::Relaxed);
-    ROUTER_TIER.degraded_replies.store(0, Ordering::Relaxed);
-    ROUTER_TIER.breaker_opens.store(0, Ordering::Relaxed);
-    ROUTER_TIER
-        .retry_budget_exhausted
-        .store(0, Ordering::Relaxed);
-    ROUTER_TIER.probe_failures.store(0, Ordering::Relaxed);
-    ROUTER_TIER.probe_latency.reset();
+    REGISTRY.router_tier.reset();
+    REGISTRY.probe_latency.reset();
     REGISTRY.traces.reset();
 }
 
@@ -1065,9 +813,9 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap();
         set_enabled(true);
         let before = snapshot().store;
-        store_inserted(5);
-        store_deleted(2);
-        store_compacted();
+        store_count(StoreCounter::Inserts, 5);
+        store_count(StoreCounter::Deletes, 2);
+        store_count(StoreCounter::Compactions, 1);
         set_store_state(3, 17, 2, 9);
         let after = snapshot().store;
         assert_eq!(after.inserts - before.inserts, 5);
@@ -1092,10 +840,10 @@ mod tests {
             .expect("slot registered");
         assert!(before.healthy);
         h.request_ok(120);
-        h.failure();
-        h.failover();
-        h.shed();
-        h.set_healthy(false);
+        h.count(ReplicaCounter::Failures);
+        h.count(ReplicaCounter::Failovers);
+        h.count(ReplicaCounter::Shed);
+        h.set_flag(ReplicaCounter::Healthy, false);
         // Same (shard, role) resolves to the same slot.
         let h2 = router_replica(7, "primary");
         h2.request_ok(80);
@@ -1110,7 +858,7 @@ mod tests {
         assert_eq!(after.shed - before.shed, 1);
         assert!(!after.healthy);
         assert!(after.latency.count >= before.latency.count + 2);
-        h.set_healthy(true);
+        h.set_flag(ReplicaCounter::Healthy, true);
     }
 
     #[test]
@@ -1118,14 +866,14 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap();
         set_enabled(true);
         let before = snapshot().router_tier;
-        router_hedge_fired();
-        router_hedge_fired();
-        router_hedge_won();
-        router_degraded_reply();
-        router_breaker_opened();
-        router_retry_budget_exhausted();
+        router_tier_count(TierCounter::HedgesFired);
+        router_tier_count(TierCounter::HedgesFired);
+        router_tier_count(TierCounter::HedgesWon);
+        router_tier_count(TierCounter::DegradedReplies);
+        router_tier_count(TierCounter::BreakerOpens);
+        router_tier_count(TierCounter::RetryBudgetExhausted);
         router_probe_ok(250);
-        router_probe_failed();
+        router_tier_count(TierCounter::ProbeFailures);
         let after = snapshot().router_tier;
         assert_eq!(after.hedges_fired - before.hedges_fired, 2);
         assert_eq!(after.hedges_won - before.hedges_won, 1);
@@ -1154,14 +902,14 @@ mod tests {
         };
         let before = find(snapshot());
         assert!(!before.breaker_open);
-        h.set_breaker_open(true);
-        h.probe_rejoin();
+        h.set_flag(ReplicaCounter::BreakerOpen, true);
+        h.count(ReplicaCounter::ProbeRejoins);
         let after = find(snapshot());
         assert!(after.breaker_open);
         assert_eq!(after.probe_rejoins - before.probe_rejoins, 1);
         // Breaker position is routing state: recorded even when disabled.
         set_enabled(false);
-        h.set_breaker_open(false);
+        h.set_flag(ReplicaCounter::BreakerOpen, false);
         assert!(!find(snapshot()).breaker_open);
         set_enabled(true);
     }

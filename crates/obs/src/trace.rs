@@ -113,6 +113,11 @@ impl TraceRing {
             .collect()
     }
 
+    /// Traces held, counted under the lock (no clone).
+    pub(crate) fn len(&self) -> usize {
+        self.ring.lock().expect("trace ring lock").len()
+    }
+
     pub(crate) fn reset(&self) {
         self.seq.store(0, Ordering::Relaxed);
         self.ring.lock().expect("trace ring lock").clear();
@@ -166,6 +171,7 @@ mod tests {
         }
         let all = ring.all();
         assert_eq!(all.len(), TRACE_RING_CAP);
+        assert_eq!(ring.len(), TRACE_RING_CAP);
         assert_eq!(all.first().unwrap().seq, 5);
         assert_eq!(ring.latest().unwrap().seq, TRACE_RING_CAP as u64 + 4);
         ring.reset();

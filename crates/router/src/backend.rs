@@ -27,7 +27,7 @@
 //! ([`ShardClient::probe_replicas`]) that replaces the passive cooldown
 //! with probe-driven leave/rejoin decisions.
 
-use cbir_obs::{router_replica, LogHistogram, RouterReplicaHandle};
+use cbir_obs::{router_replica, LogHistogram, ReplicaCounter, RouterReplicaHandle, TierCounter};
 use cbir_server::{Client, ClientError, ClientPool, ClientResult, Rejection, Request, Response};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -213,16 +213,16 @@ impl ShardClient {
         r.unhealthy_until_us.store(until.max(1), Ordering::Relaxed);
         // A replica that just failed may hold more broken connections.
         r.pool.clear();
-        r.obs.set_healthy(false);
+        r.obs.set_flag(ReplicaCounter::Healthy, false);
     }
 
     fn mark_healthy(&self, r: &Replica) {
         r.consecutive_failures.store(0, Ordering::Relaxed);
         if r.breaker_open.swap(false, Ordering::Relaxed) {
-            r.obs.set_breaker_open(false);
+            r.obs.set_flag(ReplicaCounter::BreakerOpen, false);
         }
         if r.unhealthy_until_us.swap(0, Ordering::Relaxed) != 0 {
-            r.obs.set_healthy(true);
+            r.obs.set_flag(ReplicaCounter::Healthy, true);
         }
     }
 
@@ -234,8 +234,8 @@ impl ShardClient {
         }
         let failures = r.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         if failures >= self.breaker_threshold && !r.breaker_open.swap(true, Ordering::Relaxed) {
-            r.obs.set_breaker_open(true);
-            cbir_obs::router_breaker_opened();
+            r.obs.set_flag(ReplicaCounter::BreakerOpen, true);
+            cbir_obs::router_tier_count(TierCounter::BreakerOpens);
         }
     }
 
@@ -278,10 +278,10 @@ impl ShardClient {
                 let was_down = !self.is_healthy(r) || r.breaker_open.load(Ordering::Relaxed);
                 self.mark_healthy(r);
                 if was_down {
-                    r.obs.probe_rejoin();
+                    r.obs.count(ReplicaCounter::ProbeRejoins);
                 }
             } else {
-                cbir_obs::router_probe_failed();
+                cbir_obs::router_tier_count(TierCounter::ProbeFailures);
                 self.mark_unhealthy(r);
             }
         }
@@ -409,12 +409,12 @@ impl ShardClient {
             // An explicit reply leaves the stream in sync: reuse it.
             replica.pool.put(client);
         }
-        replica.obs.failure();
+        replica.obs.count(ReplicaCounter::Failures);
         if !should_failover(&err) {
             return Err(err);
         }
         if matches!(err, ClientError::Rejected(Rejection::Overloaded(_))) {
-            replica.obs.shed();
+            replica.obs.count(ReplicaCounter::Shed);
         }
         self.mark_unhealthy(replica);
         self.record_breaker_failure(replica);
@@ -426,10 +426,12 @@ impl ShardClient {
         // router-wide budget so a persistent outage cannot turn into a
         // retry storm.
         if !self.budget.try_spend() {
-            cbir_obs::router_retry_budget_exhausted();
+            cbir_obs::router_tier_count(TierCounter::RetryBudgetExhausted);
             return Err(err);
         }
-        self.replicas[attempt.order[attempt.rank]].obs.failover();
+        self.replicas[attempt.order[attempt.rank]]
+            .obs
+            .count(ReplicaCounter::Failovers);
         attempt.redialed = false;
         self.write(attempt, request)
     }

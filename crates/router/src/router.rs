@@ -34,7 +34,7 @@ use crate::backend::{should_failover, Attempt, RetryBudget, ShardClient};
 use crate::jsonmerge;
 use crate::merge::kway_merge;
 use cbir_core::ShardPlan;
-use cbir_obs::Json;
+use cbir_obs::{Counters, Json, TierCounter};
 use cbir_server::conn::{is_mutation, Service};
 use cbir_server::protocol::{Request, Response, StatsSnapshot};
 use cbir_server::{
@@ -121,6 +121,10 @@ struct RouterCore {
     hedge: Option<Duration>,
     /// Whether scatter queries may answer from a subset of shards.
     allow_partial: bool,
+    /// The front loop's own counters, which fill the `event_loop`
+    /// section of the router's `ObsStats` (`Stats` through the router
+    /// sums its backends' instead).
+    metrics: Metrics,
 }
 
 /// One decoded front request on its way to a route worker.
@@ -202,9 +206,7 @@ impl RouteQueue {
 /// request pipelined behind one observes it.
 struct RouteService {
     queue: Arc<RouteQueue>,
-    /// The loop's own counters. `Stats` through the router sums its
-    /// backends' instead, so these stay internal.
-    metrics: Metrics,
+    core: Arc<RouterCore>,
     idle_timeout: Option<Duration>,
 }
 
@@ -234,7 +236,7 @@ impl Service for RouteService {
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     fn timeouts(&self) -> (Option<Duration>, Option<Duration>) {
@@ -346,6 +348,7 @@ impl Router {
             shards,
             hedge: config.hedge,
             allow_partial: config.allow_partial,
+            metrics: Metrics::new(),
         });
         let queue = Arc::new(RouteQueue {
             state: Mutex::new((
@@ -360,7 +363,7 @@ impl Router {
             listener,
             RouteService {
                 queue: Arc::clone(&queue),
-                metrics: Metrics::new(),
+                core: Arc::clone(&core),
                 idle_timeout: config.read_timeout,
             },
         )?;
@@ -463,7 +466,7 @@ impl Leg {
                     shard.record_latency(attempt.started.elapsed().as_micros() as u64);
                 }
                 if *hedged {
-                    cbir_obs::router_hedge_won();
+                    cbir_obs::router_tier_count(TierCounter::HedgesWon);
                 }
                 self.pending.clear();
                 self.reply = Some(Ok(reply));
@@ -550,7 +553,7 @@ fn gather(
             .filter(|l| l.hedge_at.is_some_and(|at| at <= now))
         {
             leg.hedge_at = None;
-            cbir_obs::router_hedge_fired();
+            cbir_obs::router_tier_count(TierCounter::HedgesFired);
             if let Ok(attempt) = core.shards[leg.shard].send(request, None) {
                 leg.pending.push((true, attempt));
             }
@@ -667,7 +670,7 @@ fn search(
         return shard_error(s, e);
     }
     if shards_answered < shards_total {
-        cbir_obs::router_degraded_reply();
+        cbir_obs::router_tier_count(TierCounter::DegradedReplies);
         return Response::HitsPartial {
             hits: kway_merge(&lists, limit),
             coarse_candidates: coarse,
@@ -783,9 +786,10 @@ fn compact(core: &RouterCore) -> Response {
 /// Aggregate binary counter snapshots across **every replica of every
 /// shard** — counts live on the process that did the work, so unlike a
 /// query this fan-out is per replica, not per shard, and reaches
-/// replicas on cooldown too. Counters sum; latency quantiles take the
-/// worst replica (summing quantiles means nothing); the batch-size
-/// histogram merges by bound.
+/// replicas on cooldown too. Each counter merges by its table row's
+/// kind (counts sum; latency quantiles and the pipeline high-water mark
+/// take the worst replica, as summing them means nothing); the
+/// batch-size histogram merges by bound.
 fn stats(core: &RouterCore) -> Response {
     let replicas = core
         .shards
@@ -802,22 +806,7 @@ fn stats(core: &RouterCore) -> Response {
             continue;
         };
         answered += 1;
-        agg.requests += s.requests;
-        agg.admitted += s.admitted;
-        agg.shed += s.shed;
-        agg.rejected_shutdown += s.rejected_shutdown;
-        agg.expired += s.expired;
-        agg.executed += s.executed;
-        agg.errors += s.errors;
-        agg.batches += s.batches;
-        agg.queue_depth += s.queue_depth;
-        agg.latency_p50_us = agg.latency_p50_us.max(s.latency_p50_us);
-        agg.latency_p95_us = agg.latency_p95_us.max(s.latency_p95_us);
-        agg.distance_computations += s.distance_computations;
-        agg.io_timeouts += s.io_timeouts;
-        agg.panics_isolated += s.panics_isolated;
-        agg.epoll_wakeups += s.epoll_wakeups;
-        agg.max_pipeline_depth = agg.max_pipeline_depth.max(s.max_pipeline_depth);
+        agg.merge(&s);
         for (bound, count) in s.batch_hist {
             *hist.entry(bound).or_insert(0) += count;
         }
@@ -832,12 +821,17 @@ fn stats(core: &RouterCore) -> Response {
 /// Observability snapshot. Prometheus exposition is the **router's
 /// own** registry (that is where the per-shard replica health, failover
 /// and latency series live; backends export their own endpoints for
-/// scraping individually). The JSON form aggregates: every reachable
-/// backend's document plus the router's own, merged field-by-field
-/// under the forward-compatible rules of [`jsonmerge`] — a backend
-/// field this router has never heard of still shows up in the output.
+/// scraping individually), with its own front loop's `event_loop`
+/// counters, as a node reports its loop. The JSON form aggregates:
+/// every reachable backend's document plus the router's own, merged
+/// field-by-field under the forward-compatible rules of [`jsonmerge`] —
+/// a backend field this router has never heard of still shows up in
+/// the output.
 fn obs_stats(core: &RouterCore, prometheus: bool) -> Response {
-    let snap = cbir_obs::snapshot();
+    let snap = cbir_obs::ObsSnapshot {
+        event_loop: core.metrics.event_loop(),
+        ..cbir_obs::snapshot()
+    };
     if prometheus {
         return Response::ObsText(cbir_obs::to_prometheus(&snap));
     }

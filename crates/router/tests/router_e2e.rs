@@ -13,11 +13,12 @@ use cbir_distance::Measure;
 use cbir_features::Pipeline;
 use cbir_router::{Router, RouterConfig};
 use cbir_server::protocol::{
-    decode_response, encode_request, read_frame, write_frame, Hit, Request, Response,
+    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame, Hit,
+    Request, Response, StatsSnapshot,
 };
 use cbir_server::{ChaosProxy, Client, SchedulerConfig, Server, ServerHandle, WireMode};
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -551,6 +552,134 @@ fn stats_through_router_aggregate_every_replica() {
     for b in backends {
         b.shutdown();
     }
+}
+
+/// A stand-in backend that takes one connection and answers every
+/// `Stats` request on it with `snap` (anything else with an error)
+/// until the peer closes it.
+fn canned_stats_backend(snap: StatsSnapshot) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let serve = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        while let Ok(Some(payload)) = read_frame(&mut reader) {
+            let reply = match decode_request(&payload) {
+                Ok(Request::Stats) => Response::Stats(snap.clone()),
+                _ => Response::Error("stats only".into()),
+            };
+            write_frame(&mut writer, &encode_response(&reply)).unwrap();
+        }
+    });
+    (addr, serve)
+}
+
+#[test]
+fn stats_merge_sums_counters_takes_worst_tails_and_merges_histograms_by_bound() {
+    let a = StatsSnapshot {
+        requests: 10,
+        admitted: 9,
+        shed: 1,
+        rejected_shutdown: 2,
+        expired: 3,
+        executed: 6,
+        errors: 4,
+        batches: 5,
+        queue_depth: 7,
+        latency_p50_us: 300,
+        latency_p95_us: 900,
+        distance_computations: 1_000,
+        io_timeouts: 8,
+        panics_isolated: 11,
+        epoll_wakeups: 12,
+        max_pipeline_depth: 13,
+        batch_hist: vec![(1, 4), (8, 2), (u64::MAX, 1)],
+    };
+    let b = StatsSnapshot {
+        requests: 100,
+        admitted: 90,
+        shed: 10,
+        rejected_shutdown: 20,
+        expired: 30,
+        executed: 60,
+        errors: 40,
+        batches: 50,
+        queue_depth: 70,
+        latency_p50_us: 200,
+        latency_p95_us: 1_500,
+        distance_computations: 10_000,
+        io_timeouts: 80,
+        panics_isolated: 110,
+        epoll_wakeups: 120,
+        max_pipeline_depth: 9,
+        batch_hist: vec![(1, 40), (2, 3), (u64::MAX, 10)],
+    };
+    let plan = ShardPlan::new(ShardScheme::Mod, 4, 10, 2).unwrap();
+    let (addrs, backends): (Vec<_>, Vec<_>) = [a, b]
+        .into_iter()
+        .map(|s| {
+            let (addr, serve) = canned_stats_backend(s);
+            (vec![addr.to_string()], serve)
+        })
+        .unzip();
+    let router = Router::spawn(plan, addrs, "127.0.0.1:0", RouterConfig::default()).unwrap();
+    let merged = Client::connect(router.local_addr())
+        .unwrap()
+        .stats()
+        .unwrap();
+    let want = StatsSnapshot {
+        requests: 110,
+        admitted: 99,
+        shed: 11,
+        rejected_shutdown: 22,
+        expired: 33,
+        executed: 66,
+        errors: 44,
+        batches: 55,
+        queue_depth: 77,
+        latency_p50_us: 300,
+        latency_p95_us: 1_500,
+        distance_computations: 11_000,
+        io_timeouts: 88,
+        panics_isolated: 121,
+        epoll_wakeups: 132,
+        max_pipeline_depth: 13,
+        batch_hist: vec![(1, 44), (2, 3), (8, 2), (u64::MAX, 11)],
+    };
+    assert_eq!(merged, want);
+    router.shutdown();
+    for serve in backends {
+        serve.join().unwrap();
+    }
+}
+
+/// The router's Prometheus export carries its own front loop's
+/// counters, not the all-zero `event_loop` of a process that serves
+/// no node.
+#[test]
+fn router_prometheus_reports_its_own_event_loop() {
+    let union = union_db(12);
+    let plan = ShardPlan::new(ShardScheme::Mod, union.dim(), union.len() as u64, 1).unwrap();
+    let backend = spawn_backend(union.clone());
+    let addrs = vec![vec![backend.local_addr().to_string()]];
+    let router = Router::spawn(plan, addrs, "127.0.0.1:0", RouterConfig::default()).unwrap();
+    let mut client = Client::connect(router.local_addr()).unwrap();
+    for id in 0..3 {
+        let q = union.descriptor(id).unwrap();
+        assert_eq!(client.knn(q, 2, 0, 1.0).unwrap().len(), 2);
+    }
+    let prom = client.obs_stats(true).unwrap();
+    let value = |name: &str| -> u64 {
+        prom.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} sample in:\n{prom}"))
+    };
+    assert!(value("cbir_epoll_wakeups_total") > 0, "{prom}");
+    assert!(value("cbir_event_loop_conns") >= 1, "{prom}");
+    drop(client);
+    router.shutdown();
+    backend.shutdown();
 }
 
 #[test]

@@ -22,7 +22,7 @@
 
 use crate::metrics::Metrics;
 use crate::protocol::{
-    decode_request, encode_response, write_frame, FrameDecoder, Request, Response,
+    decode_request, encode_response, write_frame, FrameDecoder, Request, Response, Stat,
 };
 use crate::scheduler::{Pending, Scheduler};
 use cbir_core::ImageMeta;
@@ -541,7 +541,7 @@ pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
                     epoch: store.snapshot().epoch(),
                 },
                 Err(e) => {
-                    metrics.on_error();
+                    metrics.count(Stat::Errors);
                     Response::Error(e.to_string())
                 }
             },
@@ -553,7 +553,7 @@ pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
                     epoch: store.snapshot().epoch(),
                 },
                 Err(e) => {
-                    metrics.on_error();
+                    metrics.count(Stat::Errors);
                     Response::Error(e.to_string())
                 }
             },
@@ -567,7 +567,7 @@ pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
                     rows: stats.rows,
                 },
                 Err(e) => {
-                    metrics.on_error();
+                    metrics.count(Stat::Errors);
                     Response::Error(e.to_string())
                 }
             },
@@ -576,7 +576,7 @@ pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
         Request::GetDescriptor { id } => match scheduler.corpus().pin().descriptor(id) {
             Ok(descriptor) => Response::Descriptor { descriptor },
             Err(e) => {
-                metrics.on_error();
+                metrics.count(Stat::Errors);
                 Response::Error(e.to_string())
             }
         },

@@ -23,6 +23,7 @@
 //! harness in `tests/event_loop.rs`.
 
 use crate::conn::{dispatch_ready, Connection, ReadStatus, Service, WriteStatus};
+use crate::protocol::Stat;
 use crate::server::{EventControl, CONTROL_TOKEN};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::HashMap;
@@ -119,7 +120,7 @@ impl<S: Service> Loop<S> {
                     return;
                 }
             };
-            self.service.metrics().on_epoll_wakeup();
+            self.service.metrics().count(Stat::EpollWakeups);
             let now = Instant::now();
 
             let fired: Vec<(u64, u32)> = events[..n].iter().map(|e| (e.data, e.events)).collect();
@@ -371,7 +372,7 @@ impl<S: Service> Loop<S> {
                     // request/response pairing if a request did arrive
                     // later. In-flight replies (if any) still flush
                     // before the socket closes.
-                    self.service.metrics().on_io_timeout();
+                    self.service.metrics().count(Stat::IoTimeouts);
                     entry.conn.close_read();
                     entry.conn.discard_frames();
                     let _ = entry.stream.shutdown(Shutdown::Read);
@@ -381,7 +382,7 @@ impl<S: Service> Loop<S> {
                 if entry.conn.stalled_for(now).is_some_and(|d| d >= limit) {
                     // A peer that stopped draining responses: counted
                     // and closed both ways.
-                    self.service.metrics().on_io_timeout();
+                    self.service.metrics().count(Stat::IoTimeouts);
                     let _ = entry.stream.shutdown(Shutdown::Both);
                     self.remove(token);
                     continue;

@@ -6,31 +6,23 @@
 //! so recording a batch takes no lock and allocates nothing however long
 //! the server runs, and a snapshot only reads counters.
 
-use crate::protocol::StatsSnapshot;
-use cbir_obs::LogHistogram;
+use crate::protocol::{Stat, StatsSnapshot};
+use cbir_obs::{Block, Counters, EventLoopCounters, LogHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Inclusive upper bounds of the batch-size histogram buckets.
 pub const BATCH_HIST_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, u64::MAX];
 
-/// Shared counter block; one per server.
+/// Shared counter block; one per server (and one per router, for its
+/// own connection loop).
 #[derive(Default)]
 pub struct Metrics {
-    requests: AtomicU64,
-    admitted: AtomicU64,
-    shed: AtomicU64,
-    rejected_shutdown: AtomicU64,
-    expired: AtomicU64,
-    executed: AtomicU64,
-    errors: AtomicU64,
-    batches: AtomicU64,
-    io_timeouts: AtomicU64,
-    panics_isolated: AtomicU64,
-    epoll_wakeups: AtomicU64,
-    max_pipeline_depth: AtomicU64,
+    /// One slot per [`StatsSnapshot`] row. `QueueDepth` and the latency
+    /// quantiles are never recorded here: [`Metrics::snapshot`] fills
+    /// them in.
+    counters: Block<{ Stat::COUNT }>,
     open_conns: AtomicU64,
-    distance_computations: AtomicU64,
-    batch_hist: [AtomicU64; BATCH_HIST_BOUNDS.len()],
+    batch_hist: Block<{ BATCH_HIST_BOUNDS.len() }>,
     latency_us: LogHistogram,
 }
 
@@ -40,52 +32,20 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// A query request was decoded (before admission).
-    pub fn on_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request entered the bounded queue.
-    pub fn on_admitted(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request was shed because the queue was full.
-    pub fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request was refused because the server is shutting down.
-    pub fn on_rejected_shutdown(&self) {
-        self.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request was answered with a per-request error.
-    pub fn on_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was reaped after a read/write timeout (idle peer or
-    /// stuck transfer).
-    pub fn on_io_timeout(&self) {
-        self.io_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A panic during batch execution was caught and converted into
-    /// error replies for the affected group.
-    pub fn on_panic_isolated(&self) {
-        self.panics_isolated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The event loop returned from one `epoll_wait`.
-    pub fn on_epoll_wakeup(&self) {
-        self.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
+    /// Count one `stat` event: a request decoded, admitted, shed,
+    /// refused at shutdown or answered with an error; a connection
+    /// reaped after an I/O timeout; a batch panic isolated; an
+    /// `epoll_wait` return.
+    #[inline]
+    pub fn count(&self, stat: Stat) {
+        self.counters.add(stat, 1);
     }
 
     /// A connection was observed with `depth` requests concurrently in
     /// flight; the snapshot keeps the high-water mark.
+    #[inline]
     pub fn on_pipeline_depth(&self, depth: u64) {
-        self.max_pipeline_depth.fetch_max(depth, Ordering::Relaxed);
+        self.counters.max(Stat::MaxPipelineDepth, depth);
     }
 
     /// Gauge: connections the event loop currently holds.
@@ -93,12 +53,12 @@ impl Metrics {
         self.open_conns.store(n as u64, Ordering::Relaxed);
     }
 
-    /// This server's event-loop counters, for its `ObsStats` document.
-    pub fn event_loop(&self) -> cbir_obs::EventLoopCounters {
-        cbir_obs::EventLoopCounters {
-            epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
+    /// This instance's event-loop counters, for its `ObsStats` document.
+    pub fn event_loop(&self) -> EventLoopCounters {
+        EventLoopCounters {
+            epoll_wakeups: self.counters.get(Stat::EpollWakeups),
             open_conns: self.open_conns.load(Ordering::Relaxed),
-            max_pipeline_depth: self.max_pipeline_depth.load(Ordering::Relaxed),
+            max_pipeline_depth: self.counters.get(Stat::MaxPipelineDepth),
         }
     }
 
@@ -113,17 +73,16 @@ impl Metrics {
         latencies_us: &[u64],
         distance_computations: u64,
     ) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.expired.fetch_add(expired as u64, Ordering::Relaxed);
-        self.executed
-            .fetch_add(latencies_us.len() as u64, Ordering::Relaxed);
-        self.distance_computations
-            .fetch_add(distance_computations, Ordering::Relaxed);
+        let c = &self.counters;
+        c.add(Stat::Batches, 1);
+        c.add(Stat::Expired, expired as u64);
+        c.add(Stat::Executed, latencies_us.len() as u64);
+        c.add(Stat::DistanceComputations, distance_computations);
         let bucket = BATCH_HIST_BOUNDS
             .iter()
             .position(|&b| size as u64 <= b)
             .expect("last bound is u64::MAX");
-        self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.batch_hist.add(bucket, 1);
         for &us in latencies_us {
             self.latency_us.record(us);
         }
@@ -132,29 +91,18 @@ impl Metrics {
     /// Snapshot every counter; `queue_depth` is supplied by the caller
     /// (the queue lives in the scheduler, not here).
     pub fn snapshot(&self, queue_depth: usize) -> StatsSnapshot {
+        let mut values = self.counters.load();
+        values[Stat::QueueDepth as usize] = queue_depth as u64;
+        values[Stat::LatencyP50Us as usize] = self.latency_us.quantile(50);
+        values[Stat::LatencyP95Us as usize] = self.latency_us.quantile(95);
         StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            queue_depth: queue_depth as u64,
-            latency_p50_us: self.latency_us.quantile(50),
-            latency_p95_us: self.latency_us.quantile(95),
-            distance_computations: self.distance_computations.load(Ordering::Relaxed),
-            io_timeouts: self.io_timeouts.load(Ordering::Relaxed),
-            panics_isolated: self.panics_isolated.load(Ordering::Relaxed),
-            epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
-            max_pipeline_depth: self.max_pipeline_depth.load(Ordering::Relaxed),
             batch_hist: BATCH_HIST_BOUNDS
-                .iter()
-                .zip(&self.batch_hist)
-                .map(|(&b, c)| (b, c.load(Ordering::Relaxed)))
+                .into_iter()
+                .zip(self.batch_hist.load())
                 .collect(),
+            ..Default::default()
         }
+        .with_values(&values)
     }
 }
 
@@ -166,17 +114,17 @@ mod tests {
     fn batch_recording_and_snapshot() {
         let m = Metrics::new();
         for _ in 0..10 {
-            m.on_request();
+            m.count(Stat::Requests);
         }
         for _ in 0..8 {
-            m.on_admitted();
+            m.count(Stat::Admitted);
         }
-        m.on_shed();
-        m.on_rejected_shutdown();
-        m.on_io_timeout();
-        m.on_panic_isolated();
-        m.on_epoll_wakeup();
-        m.on_epoll_wakeup();
+        m.count(Stat::Shed);
+        m.count(Stat::RejectedShutdown);
+        m.count(Stat::IoTimeouts);
+        m.count(Stat::PanicsIsolated);
+        m.count(Stat::EpollWakeups);
+        m.count(Stat::EpollWakeups);
         m.on_pipeline_depth(4);
         m.on_pipeline_depth(2);
 

@@ -18,6 +18,7 @@
 //! answers with [`Response::Error`] before closing that connection,
 //! leaving every other connection untouched.
 
+use cbir_obs::Counters;
 use std::io::{Read, Write};
 
 /// Frame magic; doubles as a protocol version stamp.
@@ -173,49 +174,46 @@ pub struct Hit {
     pub distance: f32,
 }
 
-/// Snapshot of the server-side counters (see `metrics` module for the
-/// semantics of each field).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StatsSnapshot {
-    /// Query requests decoded (knn/range/knn-by-id; control ops excluded).
-    pub requests: u64,
-    /// Requests admitted to the queue.
-    pub admitted: u64,
-    /// Requests shed with [`Response::Overloaded`] (queue full).
-    pub shed: u64,
-    /// Requests refused because the server was shutting down.
-    pub rejected_shutdown: u64,
-    /// Admitted requests whose deadline expired before execution.
-    pub expired: u64,
-    /// Requests executed through the engine.
-    pub executed: u64,
-    /// Requests answered with [`Response::Error`] (validation or engine).
-    pub errors: u64,
-    /// Micro-batches dispatched.
-    pub batches: u64,
-    /// Queue depth at snapshot time.
-    pub queue_depth: u64,
-    /// p50 of enqueue-to-reply latency over the server's lifetime,
-    /// microseconds (executed requests): its histogram bucket's upper
+cbir_obs::counter_table! {
+    /// Snapshot of the server-side counters (see `metrics` module for the
+    /// semantics of each field). The table's rows are the `Stats` frame's
+    /// fields in wire order, and each row's kind is how the router
+    /// combines replicas: counters and gauges sum, peaks take the worst.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct StatsSnapshot / Stat {
+        /// Batch-size histogram as `(inclusive upper bound, count)` pairs.
+        pub batch_hist: Vec<(u64, u64)>,
+    }
+    Requests => requests: u64 = Counter ""
+        "Query requests decoded (knn/range/knn-by-id; control ops excluded).";
+    Admitted => admitted: u64 = Counter "" "Requests admitted to the queue.";
+    Shed => shed: u64 = Counter "" "Requests shed with `Response::Overloaded` (queue full).";
+    RejectedShutdown => rejected_shutdown: u64 = Counter ""
+        "Requests refused because the server was shutting down.";
+    Expired => expired: u64 = Counter ""
+        "Admitted requests whose deadline expired before execution.";
+    Executed => executed: u64 = Counter "" "Requests executed through the engine.";
+    Errors => errors: u64 = Counter ""
+        "Requests answered with `Response::Error` (validation or engine).";
+    Batches => batches: u64 = Counter "" "Micro-batches dispatched.";
+    QueueDepth => queue_depth: u64 = Gauge "" "Queue depth at snapshot time.";
+    /// Over executed requests; the value is its histogram bucket's upper
     /// bound, at most 1/16 above the sample.
-    pub latency_p50_us: u64,
-    /// p95 of enqueue-to-reply latency, read like `latency_p50_us`.
-    pub latency_p95_us: u64,
-    /// Total full distance evaluations performed by the engine. A linear
-    /// scan under its exact L1 filter evaluates only the rows its code
-    /// bound could not exclude, so this is no longer rows scanned there.
-    pub distance_computations: u64,
-    /// Connections reaped after a read/write timeout (idle or stuck).
-    pub io_timeouts: u64,
-    /// Batch-execution panics caught and converted to error replies.
-    pub panics_isolated: u64,
-    /// `epoll_wait` returns in the event loop.
-    pub epoll_wakeups: u64,
-    /// High-water mark of requests concurrently in flight on one
-    /// connection (pipeline depth).
-    pub max_pipeline_depth: u64,
-    /// Batch-size histogram as `(inclusive upper bound, count)` pairs.
-    pub batch_hist: Vec<(u64, u64)>,
+    LatencyP50Us => latency_p50_us: u64 = Peak ""
+        "p50 of enqueue-to-reply latency over the server's lifetime, microseconds.";
+    LatencyP95Us => latency_p95_us: u64 = Peak ""
+        "p95 of enqueue-to-reply latency, read like `latency_p50_us`.";
+    /// A linear scan under its exact L1 filter evaluates only the rows
+    /// its code bound could not exclude, so this is not rows scanned there.
+    DistanceComputations => distance_computations: u64 = Counter ""
+        "Total full distance evaluations performed by the engine.";
+    IoTimeouts => io_timeouts: u64 = Counter ""
+        "Connections reaped after a read/write timeout (idle or stuck).";
+    PanicsIsolated => panics_isolated: u64 = Counter ""
+        "Batch-execution panics caught and converted to error replies.";
+    EpollWakeups => epoll_wakeups: u64 = Counter "" "`epoll_wait` returns in the event loop.";
+    MaxPipelineDepth => max_pipeline_depth: u64 = Peak ""
+        "High-water mark of requests concurrently in flight on one connection.";
 }
 
 /// A server-to-client reply.
@@ -641,22 +639,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::Stats(s) => {
             w.u8(ST_STATS);
-            w.u64(s.requests);
-            w.u64(s.admitted);
-            w.u64(s.shed);
-            w.u64(s.rejected_shutdown);
-            w.u64(s.expired);
-            w.u64(s.executed);
-            w.u64(s.errors);
-            w.u64(s.batches);
-            w.u64(s.queue_depth);
-            w.u64(s.latency_p50_us);
-            w.u64(s.latency_p95_us);
-            w.u64(s.distance_computations);
-            w.u64(s.io_timeouts);
-            w.u64(s.panics_isolated);
-            w.u64(s.epoll_wakeups);
-            w.u64(s.max_pipeline_depth);
+            for v in s.values() {
+                w.u64(v);
+            }
             w.u32(s.batch_hist.len() as u32);
             for &(bound, count) in &s.batch_hist {
                 w.u64(bound);
@@ -738,35 +723,24 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             dim: r.u32()?,
         },
         ST_STATS => {
-            let mut s = StatsSnapshot {
-                requests: r.u64()?,
-                admitted: r.u64()?,
-                shed: r.u64()?,
-                rejected_shutdown: r.u64()?,
-                expired: r.u64()?,
-                executed: r.u64()?,
-                errors: r.u64()?,
-                batches: r.u64()?,
-                queue_depth: r.u64()?,
-                latency_p50_us: r.u64()?,
-                latency_p95_us: r.u64()?,
-                distance_computations: r.u64()?,
-                io_timeouts: r.u64()?,
-                panics_isolated: r.u64()?,
-                epoll_wakeups: r.u64()?,
-                max_pipeline_depth: r.u64()?,
-                batch_hist: Vec::new(),
-            };
+            let values = StatsSnapshot::TABLE
+                .iter()
+                .map(|_| r.u64())
+                .collect::<Result<Vec<_>, _>>()?;
             let n = r.u32()? as usize;
             if n > 1024 {
                 return Err(wire_err(format!("histogram bucket count {n} implausible")));
             }
-            for _ in 0..n {
-                let bound = r.u64()?;
-                let count = r.u64()?;
-                s.batch_hist.push((bound, count));
-            }
-            Response::Stats(s)
+            let batch_hist = (0..n)
+                .map(|_| Ok((r.u64()?, r.u64()?)))
+                .collect::<Result<_, WireError>>()?;
+            Response::Stats(
+                StatsSnapshot {
+                    batch_hist,
+                    ..Default::default()
+                }
+                .with_values(&values),
+            )
         }
         ST_SHUTDOWN_ACK => Response::ShutdownAck,
         ST_ERROR => Response::Error(r.str()?),
@@ -1099,6 +1073,52 @@ mod tests {
             max_pipeline_depth: 32,
             batch_hist: vec![(1, 4), (2, 3), (u64::MAX, 5)],
         }));
+    }
+
+    /// The `Stats` frame's bytes: the status byte, the sixteen scalar
+    /// counters as little-endian `u64`s in wire order (each field holds
+    /// its wire position plus 100, so a swapped pair shows), then the
+    /// batch-size histogram as a `u32` count and `(bound, count)` pairs.
+    #[test]
+    fn stats_frame_bytes_are_pinned() {
+        let snap = StatsSnapshot {
+            requests: 101,
+            admitted: 102,
+            shed: 103,
+            rejected_shutdown: 104,
+            expired: 105,
+            executed: 106,
+            errors: 107,
+            batches: 108,
+            queue_depth: 109,
+            latency_p50_us: 110,
+            latency_p95_us: 111,
+            distance_computations: 112,
+            io_timeouts: 113,
+            panics_isolated: 114,
+            epoll_wakeups: 115,
+            max_pipeline_depth: 116,
+            batch_hist: crate::metrics::BATCH_HIST_BOUNDS
+                .iter()
+                .enumerate()
+                .map(|(i, &bound)| (bound, 201 + i as u64))
+                .collect(),
+        };
+        let mut want = vec![2u8];
+        for v in 101..=116u64 {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        want.extend_from_slice(&9u32.to_le_bytes());
+        for (i, bound) in [1u64, 2, 4, 8, 16, 32, 64, 128, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            want.extend_from_slice(&bound.to_le_bytes());
+            want.extend_from_slice(&(201 + i as u64).to_le_bytes());
+        }
+        let resp = Response::Stats(snap);
+        assert_eq!(encode_response(&resp), want);
+        assert_eq!(decode_response(&want).unwrap(), resp);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::conn::ReplyCell;
 use crate::metrics::Metrics;
-use crate::protocol::{Hit, Request, Response};
+use crate::protocol::{Hit, Request, Response, Stat};
 use cbir_core::{Ranked, ServedCorpus};
 use cbir_index::BatchStats;
 use std::collections::BTreeMap;
@@ -206,16 +206,16 @@ impl Scheduler {
     /// [`Response::ShuttingDown`]; otherwise the request is queued and the
     /// dispatcher will answer it.
     pub fn submit(&self, pending: Pending) {
-        self.metrics.on_request();
+        self.metrics.count(Stat::Requests);
         if let Some(msg) = self.validate(&pending.request) {
-            self.metrics.on_error();
+            self.metrics.count(Stat::Errors);
             pending.reply.fill(Response::Error(msg));
             return;
         }
         let mut q = self.queue.lock().expect("queue lock");
         if q.shutting_down {
             drop(q);
-            self.metrics.on_rejected_shutdown();
+            self.metrics.count(Stat::RejectedShutdown);
             pending
                 .reply
                 .fill(Response::ShuttingDown("server is draining".into()));
@@ -223,7 +223,7 @@ impl Scheduler {
         }
         if q.items.len() >= self.config.queue_cap {
             drop(q);
-            self.metrics.on_shed();
+            self.metrics.count(Stat::Shed);
             pending.reply.fill(Response::Overloaded(format!(
                 "request queue full ({} pending)",
                 self.config.queue_cap
@@ -232,7 +232,7 @@ impl Scheduler {
         }
         q.items.push_back(pending);
         drop(q);
-        self.metrics.on_admitted();
+        self.metrics.count(Stat::Admitted);
         self.not_empty.notify_one();
     }
 
@@ -419,7 +419,7 @@ impl Scheduler {
                     ..
                 } => {
                     if !view.contains(*id) {
-                        self.metrics.on_error();
+                        self.metrics.count(Stat::Errors);
                         let gone = format!(
                             "image id {id} no longer in database (epoch {})",
                             view.epoch()
@@ -487,10 +487,10 @@ impl Scheduler {
                     // A poisoned request: convert the panic into error
                     // replies for this group and keep the dispatcher
                     // alive for everyone else.
-                    self.metrics.on_panic_isolated();
+                    self.metrics.count(Stat::PanicsIsolated);
                     let msg = panic_message(payload.as_ref());
                     for p in members {
-                        self.metrics.on_error();
+                        self.metrics.count(Stat::Errors);
                         let panicked = format!("internal: execution panicked (isolated): {msg}");
                         replies.push((p.reply, Response::Error(panicked)));
                     }
@@ -524,7 +524,7 @@ impl Scheduler {
                     // failure to this group's members.
                     let msg = e.to_string();
                     for p in members {
-                        self.metrics.on_error();
+                        self.metrics.count(Stat::Errors);
                         replies.push((p.reply, Response::Error(msg.clone())));
                     }
                 }

@@ -2,11 +2,15 @@
 //! batch, recording micro-batches through `Metrics::on_batch` performs
 //! **zero** heap allocations however many it records, and
 //! `Metrics::snapshot` allocates only the batch-size histogram vector
-//! it returns. Verified with a counting global allocator.
+//! it returns. The `cbir-obs` registry's recorders (engine calls,
+//! extraction stages, router replicas once registered, the router
+//! tier) allocate nothing either. Verified with a counting global
+//! allocator.
 //!
 //! This file holds exactly one `#[test]` so no sibling test thread can
 //! allocate inside the measured windows.
 
+use cbir_obs::{QueryCounters, QueryOp, ReplicaCounter, Stage, TierCounter};
 use cbir_server::Metrics;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,4 +63,40 @@ fn recording_is_allocation_free_and_snapshots_allocate_only_their_histogram() {
     assert_eq!(snap.batches, 100_001);
     assert_eq!(snap.distance_computations, 2000 * 100_001);
     assert!(snap.latency_p50_us >= 2000 && snap.latency_p95_us <= 2000 + 2000 / 16);
+
+    cbir_obs::set_enabled(true);
+    let replica = cbir_obs::router_replica(0, "primary");
+    let counters = QueryCounters {
+        distance_evaluations: 40,
+        nodes_visited: 12,
+        subtrees_pruned: 7,
+        postfilter_candidates: 35,
+        coarse_candidates: 3,
+        rerank_evaluations: 2,
+    };
+    let record = || {
+        cbir_obs::record_query("vp-tree", QueryOp::Knn, 1, 250, &counters, 10);
+        cbir_obs::stage_hit(Stage::Sobel);
+        cbir_obs::stage_miss(Stage::Sobel, 900);
+        replica.request_ok(120);
+        replica.count(ReplicaCounter::Failovers);
+        replica.set_flag(ReplicaCounter::Healthy, true);
+        cbir_obs::router_tier_count(TierCounter::HedgesFired);
+        cbir_obs::router_probe_ok(80);
+    };
+    record();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..10_000 {
+        record();
+    }
+    let obs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        obs, 0,
+        "10,000 rounds of obs recording allocated {obs} times"
+    );
+    let after = cbir_obs::snapshot();
+    assert_eq!(after.indexes[2].queries, 10_001);
+    assert_eq!(after.stages[Stage::Sobel as usize].misses, 10_001);
+    assert_eq!(after.router[0].failovers, 10_001);
+    assert_eq!(after.router_tier.hedges_fired, 10_001);
 }

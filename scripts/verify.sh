@@ -335,6 +335,9 @@ cmp -s "$SMOKE_DIR/router-knn2.out" "$SMOKE_DIR/union-knn.out" \
     || { echo "routed stats show no aggregated backend requests"; exit 1; }
 "$CBIR" stats "$RADDR" --format prometheus | grep -q '^cbir_router_replica_' \
     || { echo "router prometheus export missing cbir_router_replica_ series"; exit 1; }
+# ... and the router's own connection loop, not a zero placeholder.
+"$CBIR" stats "$RADDR" --format prometheus | grep -q '^cbir_epoll_wakeups_total [1-9]' \
+    || { echo "router prometheus export shows no epoll wakeups of its own loop"; exit 1; }
 "$CBIR" rpc-ctl "$RADDR" shutdown >/dev/null
 wait "$ROUTER_PID"
 for PID in $BACKEND_PIDS; do

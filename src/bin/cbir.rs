@@ -19,6 +19,7 @@
 use cbir::core::persist;
 use cbir::image::codec::{decode, encode_ppm, PnmEncoding};
 use cbir::image::RgbImage;
+use cbir::obs::Counters;
 use cbir::router::{Router, RouterConfig};
 use cbir::server::protocol::{decode_response, encode_request, read_frame, write_frame};
 use cbir::server::{
@@ -643,42 +644,39 @@ fn cmd_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn print_server_stats(snap: &StatsSnapshot) {
-    println!(
-        "requests {} (admitted {}, shed {}, refused-shutdown {}), executed {} in {} batches, \
-         expired {}, errors {}",
-        snap.requests,
-        snap.admitted,
-        snap.shed,
-        snap.rejected_shutdown,
-        snap.executed,
-        snap.batches,
-        snap.expired,
-        snap.errors,
-    );
-    println!(
-        "latency p50 {}us p95 {}us, {} distance computations, queue depth {}",
-        snap.latency_p50_us, snap.latency_p95_us, snap.distance_computations, snap.queue_depth,
-    );
-    println!(
-        "io timeouts {}, panics isolated {}, epoll wakeups {}, max pipeline depth {}",
-        snap.io_timeouts, snap.panics_isolated, snap.epoll_wakeups, snap.max_pipeline_depth,
-    );
+/// The `rpc-ctl stats` text, a `{key}` for each counter of
+/// [`StatsSnapshot`]'s table.
+const SERVER_STATS_TEXT: &str = "\
+requests {requests} (admitted {admitted}, shed {shed}, refused-shutdown {rejected_shutdown}), \
+executed {executed} in {batches} batches, expired {expired}, errors {errors}
+latency p50 {latency_p50_us}us p95 {latency_p95_us}us, {distance_computations} distance \
+computations, queue depth {queue_depth}
+io timeouts {io_timeouts}, panics isolated {panics_isolated}, epoll wakeups {epoll_wakeups}, \
+max pipeline depth {max_pipeline_depth}
+";
+
+/// [`SERVER_STATS_TEXT`] filled from a server (or router) counter
+/// snapshot, then the nonzero batch-size buckets.
+fn server_stats_text(snap: &StatsSnapshot) -> String {
+    let mut out = StatsSnapshot::TABLE
+        .iter()
+        .zip(snap.values())
+        .fold(SERVER_STATS_TEXT.to_string(), |text, (f, v)| {
+            text.replace(&format!("{{{}}}", f.key), &v.to_string())
+        });
     let hist: Vec<String> = snap
         .batch_hist
         .iter()
-        .filter(|(_, count)| *count > 0)
-        .map(|(bound, count)| {
-            if *bound == u64::MAX {
-                format!("larger: {count}")
-            } else {
-                format!("<={bound}: {count}")
-            }
+        .filter(|&&(_, count)| count > 0)
+        .map(|&(bound, count)| match bound {
+            u64::MAX => format!("larger: {count}"),
+            _ => format!("<={bound}: {count}"),
         })
         .collect();
     if !hist.is_empty() {
-        println!("batch sizes: {}", hist.join(", "));
+        out += &format!("batch sizes: {}\n", hist.join(", "));
     }
+    out
 }
 
 fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
@@ -760,7 +758,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // Blocks until a client sends the shutdown op.
     let snap = handle.join();
     println!("server stopped; final counters:");
-    print_server_stats(&snap);
+    print!("{}", server_stats_text(&snap));
     Ok(())
 }
 
@@ -1366,7 +1364,7 @@ fn cmd_rpc_ctl(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         "stats" => {
             let snap = client.stats()?;
-            print_server_stats(&snap);
+            print!("{}", server_stats_text(&snap));
         }
         "explain" => {
             println!("{}", client.explain()?);
@@ -1423,5 +1421,45 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn server_stats_text_is_pinned() {
+        let snap = StatsSnapshot {
+            requests: 101,
+            admitted: 102,
+            shed: 103,
+            rejected_shutdown: 104,
+            expired: 105,
+            executed: 106,
+            errors: 107,
+            batches: 108,
+            queue_depth: 109,
+            latency_p50_us: 110,
+            latency_p95_us: 111,
+            distance_computations: 112,
+            io_timeouts: 113,
+            panics_isolated: 114,
+            epoll_wakeups: 115,
+            max_pipeline_depth: 116,
+            batch_hist: vec![(1, 7), (2, 0), (8, 3), (u64::MAX, 2)],
+        };
+        assert_eq!(
+            server_stats_text(&snap),
+            "requests 101 (admitted 102, shed 103, refused-shutdown 104), executed 106 in 108 \
+             batches, expired 105, errors 107\n\
+             latency p50 110us p95 111us, 112 distance computations, queue depth 109\n\
+             io timeouts 113, panics isolated 114, epoll wakeups 115, max pipeline depth 116\n\
+             batch sizes: <=1: 7, <=8: 3, larger: 2\n"
+        );
+        // With no batches recorded the histogram line is left out.
+        let idle = StatsSnapshot::default();
+        assert!(!server_stats_text(&idle).contains("batch sizes"));
+        assert_eq!(server_stats_text(&idle).lines().count(), 3);
     }
 }
