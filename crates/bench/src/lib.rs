@@ -208,7 +208,7 @@ pub fn build_lineup_index(kind: &IndexKind, dataset: Dataset) -> Box<dyn SearchI
     build_index(kind, dataset, Measure::L2).expect("lineup indexes support L2")
 }
 
-/// The `linear` slot of the process-wide `cbir_obs` registry: what every
+/// The `linear` slot of the process's `cbir_obs` snapshot: what every
 /// sequential-scan engine running in this process has flushed so far.
 /// The serving experiments read it to see the scan's exact L1 filter at
 /// work (`subtrees_pruned`) on servers they drive in-process.

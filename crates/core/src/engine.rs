@@ -138,7 +138,7 @@ pub fn plan_candidate_budget(n: usize, k: usize, recall_target: f32) -> Option<u
 
 /// Per-call observability capture for one read-path entry point. Created
 /// before the work starts and consumed after it completes, flushing the
-/// search-counter delta and call latency to the process-wide registry —
+/// search-counter delta and call latency to the calling thread's registry —
 /// one flush per call, so the index hot loops stay untouched. When the
 /// call is trace-sampled it additionally records a stage timeline.
 ///

@@ -629,6 +629,18 @@ impl CorpusSnapshot {
         self.tombstones.len()
     }
 
+    /// Set the `cbir-obs` store gauges of the calling thread's registry
+    /// to this snapshot's shape: what a store does at every publish, and
+    /// what a server does for the store it starts serving.
+    pub fn record_state(&self) {
+        cbir_obs::set_store_state(
+            self.segments_len() as u64,
+            self.memtable_rows() as u64,
+            self.tombstone_count() as u64,
+            self.epoch,
+        );
+    }
+
     /// Whether global id `id` addresses a live (non-tombstoned) row in
     /// this snapshot.
     pub fn contains(&self, id: u64) -> bool {
@@ -1540,12 +1552,7 @@ impl CorpusStore {
             mem_rows_total,
             tombstones: Arc::clone(&state.tombstones),
         });
-        cbir_obs::set_store_state(
-            snapshot.segments_len() as u64,
-            snapshot.memtable_rows() as u64,
-            snapshot.tombstone_count() as u64,
-            snapshot.epoch,
-        );
+        snapshot.record_state();
         *self.published.lock().expect("store lock poisoned") = snapshot;
         Ok(())
     }

@@ -5,8 +5,8 @@
 //! (which is also its JSON key), its Prometheus name and help text, and
 //! its [`Kind`]. From those rows the macro writes the snapshot struct,
 //! the [`Counters::TABLE`] every surface walks (snapshot, reset, JSON,
-//! Prometheus, the server's `Stats` frame, the router's merge, the CLI
-//! text), and an enum whose variants index the table and the family's
+//! Prometheus, the server's `Stats` frame, every merge, the CLI text),
+//! and an enum whose variants index the table and the family's
 //! live [`Block`]. Adding a counter is adding a row.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,9 +28,16 @@ pub enum Kind {
 }
 
 impl Kind {
-    /// Whether two instances combine by their maximum rather than a sum.
-    fn merges_by_max(self) -> bool {
-        matches!(self, Kind::Peak | Kind::Flag)
+    /// Two instances' values combined: a sum for a `Counter` or a
+    /// `Gauge`, the maximum for a `Peak`, OR (the maximum of 0 and 1)
+    /// for a `Flag`. The one rule every merge applies: snapshots of a
+    /// process's registries, a router's `Stats` frames and its `ObsStats`
+    /// documents.
+    pub fn merge(self, a: u64, b: u64) -> u64 {
+        match self {
+            Kind::Counter | Kind::Gauge => a + b,
+            Kind::Peak | Kind::Flag => a.max(b),
+        }
     }
 }
 
@@ -127,13 +134,7 @@ pub trait Counters {
         let merged: Vec<u64> = Self::TABLE
             .iter()
             .zip(self.values().into_iter().zip(other.values()))
-            .map(|(f, (a, b))| {
-                if f.kind.merges_by_max() {
-                    a.max(b)
-                } else {
-                    a + b
-                }
-            })
+            .map(|(f, (a, b))| f.kind.merge(a, b))
             .collect();
         self.set_values(&merged);
     }

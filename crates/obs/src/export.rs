@@ -2,12 +2,115 @@
 //! Prometheus text exposition.
 
 use crate::trace::QueryTrace;
-use crate::{obj, Counters, Json, Kind, LatencySummary, ObsSnapshot};
+use crate::{obj, Counters, Json, Kind, LatencySummary, ObsSnapshot, SnapshotCounter};
+use crate::{EventLoopCounters, IndexCounters, StageCounters, StoreCounters};
+use crate::{RouterReplicaCounters, RouterTierCounters};
 use std::fmt::Write as _;
 
 fn latency(l: &LatencySummary) -> Json {
+    let pair = |&(b, c): &(u64, u64)| Json::Arr(vec![b.into(), c.into()]);
     obj! { "count": l.count, "sum_us": l.sum_us, "p50_us": l.p50_us, "p95_us": l.p95_us,
-    "p99_us": l.p99_us }
+    "p99_us": l.p99_us, "buckets": Json::Arr(l.buckets.iter().map(pair).collect()) }
+}
+
+/// The summary a [`latency`] object holds, read back from its buckets;
+/// `None` for anything else.
+fn latency_of(members: &[(String, Json)]) -> Option<LatencySummary> {
+    let get = |key: &str| members.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let num = |v: &Json| match v {
+        Json::Num(n) => Some(*n as u64),
+        _ => None,
+    };
+    let Some(Json::Arr(pairs)) = get("buckets") else {
+        return None;
+    };
+    let buckets = pairs.iter().map(|p| match p {
+        Json::Arr(p) if p.len() == 2 => Some((num(&p[0])?, num(&p[1])?)),
+        _ => None,
+    });
+    Some(LatencySummary::of_buckets(
+        buckets.collect::<Option<_>>()?,
+        num(get("sum_us")?)?,
+    ))
+}
+
+/// The [`Kind`] of the counter `key` names in a snapshot's tables.
+fn kind_of(key: &str) -> Option<Kind> {
+    [
+        ObsSnapshot::TABLE,
+        IndexCounters::TABLE,
+        StageCounters::TABLE,
+        StoreCounters::TABLE,
+        EventLoopCounters::TABLE,
+        RouterReplicaCounters::TABLE,
+        RouterTierCounters::TABLE,
+    ]
+    .into_iter()
+    .flatten()
+    .find(|f| f.key == key)
+    .map(|f| f.kind)
+}
+
+/// Merge two [`to_json`] documents (a router's fan-in of its own and its
+/// backends') by [`ObsSnapshot::merge`]'s rules: a number under a key
+/// some counter table names merges by its [`Kind`], and a latency
+/// summary's buckets add by bound, its quantiles read off the sum. What
+/// no table knows merges structurally, so a field this build has never
+/// heard of still shows: objects union their keys (first document's
+/// order, new keys appended), equal-length arrays merge element-wise
+/// (the fixed per-index and per-stage rows), unequal ones — and the
+/// per-replica `router` rows always — concatenate, booleans OR, `null`
+/// yields, and anything else (a string, a number no table names,
+/// mismatched types) keeps the first document's value.
+pub fn merge_json(a: Json, b: Json) -> Json {
+    match (a, b) {
+        (Json::Null, b) => b,
+        (a, Json::Null) => a,
+        (Json::Bool(x), Json::Bool(y)) => Json::Bool(x || y),
+        (Json::Obj(mut out), Json::Obj(bf)) => {
+            let summary = latency_of(&out).zip(latency_of(&bf)).map(|(mut x, y)| {
+                x.merge(&y);
+                latency(&x)
+            });
+            let slot = |out: &[(String, Json)], k: &str| out.iter().position(|(ok, _)| ok == k);
+            for (k, bv) in bf {
+                let Some(i) = slot(&out, &k) else {
+                    out.push((k, bv));
+                    continue;
+                };
+                out[i].1 = match (kind_of(&k), std::mem::take(&mut out[i].1), bv) {
+                    (Some(kind), Json::Num(x), Json::Num(y)) => {
+                        Json::from(kind.merge(x as u64, y as u64))
+                    }
+                    // A replica row belongs to one router, however many
+                    // rows the other document has.
+                    (_, Json::Arr(mut x), Json::Arr(y)) if k == "router" => {
+                        x.extend(y);
+                        Json::Arr(x)
+                    }
+                    (_, av, bv) => merge_json(av, bv),
+                };
+            }
+            if let Some(Json::Obj(known)) = summary {
+                for (k, v) in known {
+                    let i = slot(&out, &k).expect("a merged summary keeps its keys");
+                    out[i].1 = v;
+                }
+            }
+            Json::Obj(out)
+        }
+        (Json::Arr(ai), Json::Arr(bi)) if ai.len() == bi.len() => Json::Arr(
+            ai.into_iter()
+                .zip(bi)
+                .map(|(x, y)| merge_json(x, y))
+                .collect(),
+        ),
+        (Json::Arr(mut ai), Json::Arr(bi)) => {
+            ai.extend(bi);
+            Json::Arr(ai)
+        }
+        (a, _) => a,
+    }
 }
 
 /// A JSON object of `head`'s members, then `c`'s counters in table
@@ -38,10 +141,12 @@ fn counters_obj<C: Counters>(head: Json, c: &C, tail: Json) -> Json {
 /// one object per [`crate::Stage`]), `latency` (object with `knn` and
 /// `range` summaries), `store`, `event_loop` (the serving instance's
 /// epoll counters), `router` (array, one object per
-/// registered router backend replica; empty outside a router process),
+/// registered router backend replica; empty outside a router),
 /// `router_tier` (hedging/degradation counters; all-zero outside a
 /// router), `trace_count`. Counter members are named and ordered by
-/// their family's table.
+/// their family's table. A latency summary carries its histogram as
+/// `buckets`, `[inclusive upper bound, count]` pairs, so documents merge
+/// exactly ([`merge_json`]).
 pub fn to_json(snap: &ObsSnapshot) -> Json {
     let indexes = snap
         .indexes
@@ -197,23 +302,14 @@ pub fn to_prometheus(snap: &ObsSnapshot) -> String {
         ],
     );
     family(&mut out, &[(String::new(), &snap.store)]);
-    let gauge = |out: &mut String, name: &str, help: &str, value: u64| {
-        header(out, name, help, "gauge");
-        sample(out, name, "", value);
+    let gauge = |out: &mut String, row: SnapshotCounter| {
+        let f = &ObsSnapshot::TABLE[row as usize];
+        header(out, f.prom, f.help, "gauge");
+        sample(out, f.prom, "", snap.values()[row as usize]);
     };
-    gauge(
-        &mut out,
-        "cbir_queue_depth",
-        "Requests admitted but not yet dispatched.",
-        snap.queue_depth,
-    );
+    gauge(&mut out, SnapshotCounter::QueueDepth);
     family(&mut out, &[(String::new(), &snap.event_loop)]);
-    gauge(
-        &mut out,
-        "cbir_traces_held",
-        "Traces currently in the sampling ring.",
-        snap.trace_count,
-    );
+    gauge(&mut out, SnapshotCounter::TraceCount);
     out
 }
 
@@ -318,6 +414,7 @@ mod tests {
                 p50_us: 255,
                 p95_us: 511,
                 p99_us: 511,
+                buckets: vec![(255, 2), (511, 1)],
             },
             range_latency: LatencySummary::default(),
             store: crate::StoreCounters {
@@ -351,6 +448,7 @@ mod tests {
                         p50_us: 127,
                         p95_us: 255,
                         p99_us: 255,
+                        buckets: vec![(127, 21), (255, 21)],
                     },
                 },
                 crate::RouterReplicaCounters {
@@ -379,6 +477,7 @@ mod tests {
                     p50_us: 127,
                     p95_us: 255,
                     p99_us: 255,
+                    buckets: vec![(127, 5), (255, 4)],
                 },
             },
             trace_count: 1,
@@ -386,7 +485,8 @@ mod tests {
     }
 
     /// `to_json(&snap())` as the hand-formatted writer rendered it at
-    /// the parent of the commit that made it build a `Json` value.
+    /// the parent of the commit that made it build a `Json` value, plus
+    /// the `buckets` member every latency summary has carried since.
     const GOLDEN_STATS: &str = r#"{
   "enabled": true,
   "trace_sample_n": 1,
@@ -397,14 +497,14 @@ mod tests {
   "stages": [
     {"stage": "resize", "hits": 1, "misses": 2, "nanos": 5000}
   ],
-  "latency": {"knn": {"count": 3, "sum_us": 900, "p50_us": 255, "p95_us": 511, "p99_us": 511}, "range": {"count": 0, "sum_us": 0, "p50_us": 0, "p95_us": 0, "p99_us": 0}},
+  "latency": {"knn": {"count": 3, "sum_us": 900, "p50_us": 255, "p95_us": 511, "p99_us": 511, "buckets": [[255, 2], [511, 1]]}, "range": {"count": 0, "sum_us": 0, "p50_us": 0, "p95_us": 0, "p99_us": 0, "buckets": []}},
   "store": {"inserts": 11, "deletes": 2, "compactions": 1, "segments": 3, "memtable_rows": 7, "tombstones": 1, "epoch": 14},
   "event_loop": {"epoll_wakeups": 17, "open_conns": 4, "max_pipeline_depth": 3},
   "router": [
-    {"shard": 0, "replica": "primary", "requests": 42, "failures": 1, "failovers": 1, "shed": 2, "healthy": true, "breaker_open": false, "probe_rejoins": 0, "latency": {"count": 42, "sum_us": 8400, "p50_us": 127, "p95_us": 255, "p99_us": 255}},
-    {"shard": 1, "replica": "backup-1", "requests": 5, "failures": 0, "failovers": 0, "shed": 0, "healthy": false, "breaker_open": true, "probe_rejoins": 3, "latency": {"count": 0, "sum_us": 0, "p50_us": 0, "p95_us": 0, "p99_us": 0}}
+    {"shard": 0, "replica": "primary", "requests": 42, "failures": 1, "failovers": 1, "shed": 2, "healthy": true, "breaker_open": false, "probe_rejoins": 0, "latency": {"count": 42, "sum_us": 8400, "p50_us": 127, "p95_us": 255, "p99_us": 255, "buckets": [[127, 21], [255, 21]]}},
+    {"shard": 1, "replica": "backup-1", "requests": 5, "failures": 0, "failovers": 0, "shed": 0, "healthy": false, "breaker_open": true, "probe_rejoins": 3, "latency": {"count": 0, "sum_us": 0, "p50_us": 0, "p95_us": 0, "p99_us": 0, "buckets": []}}
   ],
-  "router_tier": {"hedges_fired": 6, "hedges_won": 4, "degraded_replies": 2, "breaker_opens": 1, "retry_budget_exhausted": 5, "probe_failures": 7, "probe_latency": {"count": 9, "sum_us": 1800, "p50_us": 127, "p95_us": 255, "p99_us": 255}},
+  "router_tier": {"hedges_fired": 6, "hedges_won": 4, "degraded_replies": 2, "breaker_opens": 1, "retry_budget_exhausted": 5, "probe_failures": 7, "probe_latency": {"count": 9, "sum_us": 1800, "p50_us": 127, "p95_us": 255, "p99_us": 255, "buckets": [[127, 5], [255, 4]]}},
   "trace_count": 1
 }"#;
 
@@ -428,6 +528,45 @@ mod tests {
         assert_eq!(bare.get("router"), Some(&Json::Arr(vec![])));
         assert!(bare.get("router_tier").is_some());
         assert_eq!(traces_to_json(&[]).render(), r#"{"traces": []}"#);
+    }
+
+    #[test]
+    fn merge_json_agrees_with_the_snapshot_merge() {
+        let a = snap();
+        let mut b = snap();
+        b.event_loop.max_pipeline_depth = 9;
+        b.knn_latency = LatencySummary::of_buckets(vec![(7, 4), (511, 1)], 541);
+        b.router[0].healthy = false;
+        b.trace_sample_n = 4;
+        let mut merged = a.clone();
+        merged.merge(&b);
+        assert_eq!(merge_json(to_json(&a), to_json(&b)), to_json(&merged));
+        // Counters sum, peaks take the larger, flags OR, replica rows
+        // append, and quantiles come from the summed buckets.
+        assert_eq!(merged.indexes[0].queries, 6);
+        assert_eq!(merged.event_loop.max_pipeline_depth, 9);
+        assert_eq!(merged.trace_sample_n, 4);
+        assert_eq!(merged.router.len(), 4);
+        assert!(merged.router[0].healthy && !merged.router[2].healthy);
+        let knn = &merged.knn_latency;
+        assert_eq!(knn.buckets, vec![(7, 4), (255, 2), (511, 2)]);
+        assert_eq!(
+            (knn.count, knn.sum_us, knn.p50_us, knn.p95_us),
+            (8, 1441, 7, 511)
+        );
+        // A key no table names keeps the first document's value, and a
+        // key only one side has still shows.
+        let with = |key: &str, v: u64| match to_json(&a) {
+            Json::Obj(mut m) => {
+                m.push((key.to_string(), Json::from(v)));
+                Json::Obj(m)
+            }
+            _ => unreachable!(),
+        };
+        let m = merge_json(with("shiny", 1), with("shiny", 2));
+        assert_eq!(m.get("shiny"), Some(&Json::Num(1.0)));
+        let m = merge_json(to_json(&a), with("newer", 5));
+        assert_eq!(m.get("newer"), Some(&Json::Num(5.0)));
     }
 
     #[test]

@@ -52,24 +52,29 @@ fn bucket_bound(bucket: usize) -> u64 {
     low + ((1u64 << shift) - 1)
 }
 
-/// Nearest-rank quantile over bucket counts, read twice: once for the
-/// total, once to find the rank. A count that grows in between only
-/// lets the walk stop sooner.
-fn quantile_of(counts: impl Iterator<Item = u64> + Clone, q: u64) -> u64 {
-    let total: u64 = counts.clone().sum();
+/// Nearest-rank quantile over `(inclusive upper bound, count)` buckets
+/// in bound order, read twice: once for the total, once to find the
+/// rank. A count that grows in between only lets the walk stop sooner.
+pub(crate) fn quantile_of(buckets: impl Iterator<Item = (u64, u64)> + Clone, q: u64) -> u64 {
+    let total: u64 = buckets.clone().map(|(_, c)| c).sum();
     if total == 0 {
         return 0;
     }
     // Nearest rank, the convention `cbir_index::BatchStats`' p50/p95 use.
     let rank = (q * total).div_ceil(100).max(1);
     let mut seen = 0u64;
-    for (i, c) in counts.enumerate() {
+    for (bound, c) in buckets {
         seen += c;
         if seen >= rank {
-            return bucket_bound(i);
+            return bound;
         }
     }
-    bucket_bound(BUCKETS - 1)
+    u64::MAX
+}
+
+/// Every bucket as `(inclusive upper bound, count)`, in bound order.
+fn bounded(counts: impl Iterator<Item = u64> + Clone) -> impl Iterator<Item = (u64, u64)> + Clone {
+    counts.enumerate().map(|(i, c)| (bucket_bound(i), c))
 }
 
 impl Default for LogHistogram {
@@ -109,10 +114,27 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// [`HistSnapshot::quantile`] read off the live counters, without
-    /// copying them.
+    /// Nearest-rank quantile estimate: the inclusive upper bound of the
+    /// bucket containing the `q`-quantile sample (`q` in 0..=100). Returns
+    /// 0 when the histogram is empty.
     pub fn quantile(&self, q: u64) -> u64 {
-        quantile_of(self.buckets.iter().map(|b| b.load(Ordering::Relaxed)), q)
+        quantile_of(bounded(self.loads()), q)
+    }
+
+    /// Sum of all samples (wraps on overflow; practically unreachable for
+    /// microsecond latencies).
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Every bucket that holds a sample, as `(inclusive upper bound,
+    /// count)` pairs in bound order: the histogram as plain data.
+    pub fn buckets(&self) -> Vec<(u64, u64)> {
+        bounded(self.loads()).filter(|&(_, c)| c > 0).collect()
+    }
+
+    fn loads(&self) -> impl Iterator<Item = u64> + Clone + '_ {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed))
     }
 
     /// Zero every bucket and the count/sum.
@@ -122,41 +144,6 @@ impl LogHistogram {
         }
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the histogram's contents.
-    pub fn snapshot(&self) -> HistSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        HistSnapshot {
-            buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of a [`LogHistogram`] at one moment.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Per-bucket sample counts (see [`LogHistogram`] for the bucketing
-    /// rule).
-    pub buckets: [u64; BUCKETS],
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all samples (wraps on overflow; practically unreachable for
-    /// microsecond latencies).
-    pub sum: u64,
-}
-
-impl HistSnapshot {
-    /// Nearest-rank quantile estimate: the inclusive upper bound of the
-    /// bucket containing the `q`-quantile sample (`q` in 0..=100). Returns
-    /// 0 when the histogram is empty.
-    pub fn quantile(&self, q: u64) -> u64 {
-        quantile_of(self.buckets.iter().copied(), q)
     }
 }
 
@@ -210,30 +197,32 @@ mod tests {
         for v in [0u64, 1, 5, 5, 7, 100, 1000] {
             h.record(v);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 7);
-        assert_eq!(snap.sum, 1118);
+        assert_eq!((h.count(), h.sum()), (7, 1118));
+        let pairs = h.buckets();
+        let bound = LogHistogram::upper_bound;
+        assert_eq!(
+            pairs,
+            [(0, 1), (1, 1), (5, 2), (7, 1), (bound(100), 1), (1023, 1)]
+        );
+        // The plain-data buckets give the live histogram's quantiles.
         for q in [0, 50, 95, 99, 100] {
-            assert_eq!(h.quantile(q), snap.quantile(q), "q{q}");
+            assert_eq!(h.quantile(q), quantile_of(pairs.iter().copied(), q), "q{q}");
         }
         // Rank 4 of 7 at p50 is the second 5, exact below 16.
-        assert_eq!(snap.quantile(50), 5);
+        assert_eq!(h.quantile(50), 5);
         // The p99 rank is the largest sample's bucket, [992, 1023].
-        assert_eq!(snap.quantile(99), LogHistogram::upper_bound(1000));
-        assert_eq!(snap.quantile(99), 1023);
+        assert_eq!(h.quantile(99), bound(1000));
+        assert_eq!(h.quantile(99), 1023);
         h.reset();
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 0);
-        assert_eq!(snap.quantile(50), 0);
+        assert_eq!((h.count(), h.sum(), h.buckets()), (0, 0, vec![]));
         assert_eq!(h.quantile(50), 0);
     }
 
     #[test]
     fn empty_histogram_is_zero() {
         let h = LogHistogram::new();
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 0);
-        assert_eq!(snap.sum, 0);
-        assert_eq!(snap.quantile(95), 0);
+        assert_eq!((h.count(), h.sum()), (0, 0));
+        assert!(h.buckets().is_empty());
+        assert_eq!(h.quantile(95), 0);
     }
 }

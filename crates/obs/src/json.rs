@@ -18,9 +18,10 @@ const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Object keys keep insertion order so rendered and
 /// merged documents stay stable and diffable.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum Json {
     /// `null`.
+    #[default]
     Null,
     /// `true` / `false`.
     Bool(bool),

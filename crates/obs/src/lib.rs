@@ -1,8 +1,8 @@
 //! # `cbir-obs` — the observability substrate
 //!
-//! A zero-dependency, process-global registry of lock-free counters,
-//! log-linear latency histograms, per-extraction-stage hit/miss accounting, and
-//! a sampled per-query trace ring — the runtime measurement surface for
+//! A zero-dependency set of registries of lock-free counters, log-linear
+//! latency histograms, per-extraction-stage hit/miss accounting, and a
+//! sampled per-query trace ring — the runtime measurement surface for
 //! the quantities the offline evaluation (pruning effectiveness, per-stage
 //! extraction cost, query cost distribution) measures in batch.
 //!
@@ -19,18 +19,28 @@
 //! * **Near-free when off**: every recording entry point first checks a
 //!   relaxed [`enabled`] flag; timers are never started when disabled.
 //!
+//! ## Registries
+//!
+//! Each serving instance (a node or a router) owns a [`Registry`] that
+//! its threads [`Registry::enter`]: what they record is the instance's
+//! alone, and its `ObsStats` answers from it. Other threads record into
+//! the process's default registry. [`snapshot`] and [`reset`] cover the
+//! default and every registry made since the last reset.
+//!
 //! ## Counter blocks and tables
 //!
 //! Each counter family — per index, per extraction stage, the segment
-//! store, each router replica, the router tier, an event loop, and the
-//! server's `Stats` frame in `cbir-server` — is declared once, as the
-//! rows of a [`counter_table!`]: snapshot field (= JSON key), Prometheus
-//! name and help text, and [`Kind`]. Its live counters are a [`Block`]
-//! of relaxed atomics indexed by the family's enum, and snapshot, reset,
-//! JSON, Prometheus and merging walk the table. The registry holds the
-//! process-wide blocks; an event loop's counters belong to the serving
-//! instance (a node or a router), which fills them into the snapshot it
-//! answers with.
+//! store, each router replica, the router tier, an event loop, the
+//! snapshot's own scalars, and the server's `Stats` frame in
+//! `cbir-server` — is declared once, as the rows of a
+//! [`counter_table!`]: snapshot field (= JSON key), Prometheus name and
+//! help text, and [`Kind`]. Its live counters are a [`Block`] of relaxed
+//! atomics indexed by the family's enum, and snapshot, reset, JSON,
+//! Prometheus and merging walk the table: every merge (a process's
+//! registries, a router's `Stats` frames and JSON documents) combines a
+//! counter by [`Kind::merge`] and a latency by its buckets. An event
+//! loop's counters belong to the serving instance, which fills them
+//! into the snapshot it answers with.
 //!
 //! ```
 //! cbir_obs::record_query(
@@ -63,12 +73,14 @@ mod json;
 mod trace;
 
 pub use counters::{Block, CounterValue, Counters, Field, Kind};
-pub use export::{render_trace, to_json, to_prometheus, trace_to_json, traces_to_json};
-pub use hist::{HistSnapshot, LogHistogram};
+pub use export::{merge_json, render_trace, to_json, to_prometheus, trace_to_json, traces_to_json};
+pub use hist::LogHistogram;
 pub use json::Json;
 pub use trace::{QueryTrace, TraceSpan, TRACE_RING_CAP};
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use trace::TraceRing;
@@ -308,7 +320,7 @@ crate::counter_table! {
 /// One router backend replica's live counters. Unlike the fixed index
 /// and stage slots, router slots are registered dynamically (shard count
 /// and replica fan-out are deployment choices, not compile-time
-/// constants); the registry holds them behind a mutex that is only taken
+/// constants); a registry holds them behind a mutex that is only taken
 /// at registration and snapshot time — recording itself is relaxed
 /// atomics on an `Arc`'d slot held by the router, so the query hot path
 /// never locks.
@@ -319,45 +331,91 @@ struct RouterSlot {
     latency: LogHistogram,
 }
 
-/// The process-global registry. The router-tier block is a single slot:
-/// a process hosts at most one routing tier, and benchmarks that spawn
-/// several routers in sequence reset between scenarios.
-struct Registry {
-    enabled: AtomicBool,
+/// The live counters of one registry: every family's blocks, the
+/// latency histograms and the trace ring.
+struct Blocks {
     indexes: [Block<{ IndexCounter::COUNT }>; INDEX_NAMES.len()],
     stages: [Block<{ StageCounter::COUNT }>; Stage::ALL.len()],
     knn_latency: LogHistogram,
     range_latency: LogHistogram,
     store: Block<{ StoreCounter::COUNT }>,
+    router: Mutex<Vec<Arc<RouterSlot>>>,
     router_tier: Block<{ TierCounter::COUNT }>,
     probe_latency: LogHistogram,
     traces: TraceRing,
 }
 
-static ROUTER_SLOTS: Mutex<Vec<Arc<RouterSlot>>> = Mutex::new(Vec::new());
+/// A registry of counters, histograms and traces: one per serving
+/// instance (see the crate docs), plus the process's default one.
+/// Cloning is cheap (`Arc`) and yields the same registry.
+#[derive(Clone)]
+pub struct Registry(Arc<Blocks>);
 
-static REGISTRY: Registry = Registry {
-    enabled: AtomicBool::new(true),
-    indexes: [const { Block::new() }; INDEX_NAMES.len()],
-    stages: [const { Block::new() }; Stage::ALL.len()],
-    knn_latency: LogHistogram::new(),
-    range_latency: LogHistogram::new(),
-    store: Block::new(),
-    router_tier: Block::new(),
-    probe_latency: LogHistogram::new(),
-    traces: TraceRing::new(),
-};
+static ENABLED: AtomicBool = AtomicBool::new(true);
+static SAMPLE_N: AtomicU64 = AtomicU64::new(0);
+/// Where code outside every instance records.
+static DEFAULT: Blocks = Blocks::new();
+/// Every registry made since the last [`reset`].
+static MADE: Mutex<Vec<Registry>> = Mutex::new(Vec::new());
+
+thread_local! {
+    /// The registry this thread entered; `None` records into [`DEFAULT`].
+    static CURRENT: RefCell<Option<Registry>> = const { RefCell::new(None) };
+}
+
+/// Run `f` on the calling thread's registry.
+#[inline]
+fn current<R>(f: impl FnOnce(&Blocks) -> R) -> R {
+    CURRENT.with_borrow(|r| f(r.as_ref().map_or(&DEFAULT, |r| &r.0)))
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Registry {
+    /// A new, zeroed registry; [`snapshot`] counts it from now on.
+    pub fn new() -> Self {
+        let registry = Registry(Arc::new(Blocks::new()));
+        MADE.lock()
+            .expect("registry list lock")
+            .push(registry.clone());
+        registry
+    }
+
+    /// Run `f` with this registry as the one the calling thread records
+    /// into; the thread's previous registry is restored afterwards, on
+    /// unwinding too.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Registry>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                CURRENT.set(self.0.take());
+            }
+        }
+        let _restore = Restore(CURRENT.replace(Some(self.clone())));
+        f()
+    }
+
+    /// This registry's counters alone. `queue_depth` and `event_loop` are
+    /// zero: the instance that owns the registry fills them in.
+    pub fn snapshot(&self) -> ObsSnapshot {
+        self.0.snapshot()
+    }
+}
 
 /// Whether recording is active: a relaxed load of the runtime switch
 /// (default on).
 #[inline]
 pub fn enabled() -> bool {
-    REGISTRY.enabled.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn runtime recording on or off.
+/// Turn runtime recording on or off, in every registry.
 pub fn set_enabled(on: bool) {
-    REGISTRY.enabled.store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Slot index for an index-kind name; unknown names map to `"other"`.
@@ -369,8 +427,9 @@ fn slot_of(index: &str) -> usize {
 }
 
 /// Flush one finished query (or one batched engine call covering
-/// `queries` queries) into the registry: pruning counters under the index
-/// slot, the call latency into the op's histogram. No-op when disabled.
+/// `queries` queries) into the calling thread's registry: pruning
+/// counters under the index slot, the call latency into the op's
+/// histogram. No-op when disabled.
 pub fn record_query(
     index: &str,
     op: QueryOp,
@@ -383,19 +442,21 @@ pub fn record_query(
         return;
     }
     use IndexCounter as I;
-    let slot = &REGISTRY.indexes[slot_of(index)];
-    slot.add(I::Queries, queries);
-    slot.add(I::DistanceEvaluations, counters.distance_evaluations);
-    slot.add(I::NodesVisited, counters.nodes_visited);
-    slot.add(I::SubtreesPruned, counters.subtrees_pruned);
-    slot.add(I::PostfilterCandidates, counters.postfilter_candidates);
-    slot.add(I::CoarseCandidates, counters.coarse_candidates);
-    slot.add(I::RerankEvaluations, counters.rerank_evaluations);
-    slot.add(I::Results, results);
-    match op {
-        QueryOp::Knn => REGISTRY.knn_latency.record(latency_us),
-        QueryOp::Range => REGISTRY.range_latency.record(latency_us),
-    }
+    current(|r| {
+        let slot = &r.indexes[slot_of(index)];
+        slot.add(I::Queries, queries);
+        slot.add(I::DistanceEvaluations, counters.distance_evaluations);
+        slot.add(I::NodesVisited, counters.nodes_visited);
+        slot.add(I::SubtreesPruned, counters.subtrees_pruned);
+        slot.add(I::PostfilterCandidates, counters.postfilter_candidates);
+        slot.add(I::CoarseCandidates, counters.coarse_candidates);
+        slot.add(I::RerankEvaluations, counters.rerank_evaluations);
+        slot.add(I::Results, results);
+        match op {
+            QueryOp::Knn => r.knn_latency.record(latency_us),
+            QueryOp::Range => r.range_latency.record(latency_us),
+        }
+    })
 }
 
 /// Record a planner stage hit: the intermediate was requested and already
@@ -403,7 +464,7 @@ pub fn record_query(
 #[inline]
 pub fn stage_hit(stage: Stage) {
     if enabled() {
-        REGISTRY.stages[stage as usize].add(StageCounter::Hits, 1);
+        current(|r| r.stages[stage as usize].add(StageCounter::Hits, 1));
     }
 }
 
@@ -412,9 +473,11 @@ pub fn stage_hit(stage: Stage) {
 #[inline]
 pub fn stage_miss(stage: Stage, nanos: u64) {
     if enabled() {
-        let s = &REGISTRY.stages[stage as usize];
-        s.add(StageCounter::Misses, 1);
-        s.add(StageCounter::Nanos, nanos);
+        current(|r| {
+            let s = &r.stages[stage as usize];
+            s.add(StageCounter::Misses, 1);
+            s.add(StageCounter::Nanos, nanos);
+        });
     }
 }
 
@@ -451,7 +514,7 @@ impl StageTimer {
 #[inline]
 pub fn store_count(counter: StoreCounter, n: u64) {
     if enabled() {
-        REGISTRY.store.add(counter, n);
+        current(|r| r.store.add(counter, n));
     }
 }
 
@@ -463,14 +526,16 @@ pub fn set_store_state(segments: u64, memtable_rows: u64, tombstones: u64, epoch
         return;
     }
     use StoreCounter as S;
-    for (gauge, v) in [
-        (S::Segments, segments),
-        (S::MemtableRows, memtable_rows),
-        (S::Tombstones, tombstones),
-        (S::Epoch, epoch),
-    ] {
-        REGISTRY.store.set(gauge, v);
-    }
+    current(|r| {
+        for (gauge, v) in [
+            (S::Segments, segments),
+            (S::MemtableRows, memtable_rows),
+            (S::Tombstones, tombstones),
+            (S::Epoch, epoch),
+        ] {
+            r.store.set(gauge, v);
+        }
+    })
 }
 
 /// Count one router-tier event: a hedge fired or won, a degraded reply,
@@ -479,7 +544,7 @@ pub fn set_store_state(segments: u64, memtable_rows: u64, tombstones: u64, epoch
 #[inline]
 pub fn router_tier_count(event: TierCounter) {
     if enabled() {
-        REGISTRY.router_tier.add(event, 1);
+        current(|r| r.router_tier.add(event, 1));
     }
 }
 
@@ -488,37 +553,38 @@ pub fn router_tier_count(event: TierCounter) {
 #[inline]
 pub fn router_probe_ok(latency_us: u64) {
     if enabled() {
-        REGISTRY.probe_latency.record(latency_us);
+        current(|r| r.probe_latency.record(latency_us));
     }
 }
 
-/// Set trace sampling: `0` disables tracing, `1` traces every query,
-/// `n > 1` traces every n-th query.
+/// Set the process's trace sampling: `0` disables tracing, `1` traces
+/// every query, `n > 1` traces every n-th query of each registry.
 pub fn set_trace_sample_n(n: u64) {
-    REGISTRY.traces.set_sample_n(n);
+    SAMPLE_N.store(n, Ordering::Relaxed);
 }
 
 /// The current trace sampling rate (`0` = off).
 pub fn trace_sample_n() -> u64 {
-    REGISTRY.traces.sample_n()
+    SAMPLE_N.load(Ordering::Relaxed)
 }
 
-/// Advance the query sequence and decide whether the caller should
-/// capture a trace for this query; returns the sequence number when it
-/// should. Always `None` when recording is disabled or sampling is off.
+/// Advance the calling thread's registry's query sequence and decide
+/// whether the caller should capture a trace for this query; returns the
+/// sequence number when it should. Always `None` when recording is
+/// disabled or sampling is off.
 pub fn trace_should_sample() -> Option<u64> {
     if !enabled() {
         return None;
     }
-    REGISTRY.traces.should_sample()
+    current(|r| r.traces.should_sample(trace_sample_n()))
 }
 
-/// Store a captured trace in the ring (oldest dropped when full).
+/// Store a captured trace in the calling thread's registry's ring
+/// (oldest dropped when full).
 pub fn push_trace(trace: QueryTrace) {
-    if !enabled() {
-        return;
+    if enabled() {
+        current(|r| r.traces.push(trace));
     }
-    REGISTRY.traces.push(trace);
 }
 
 /// A recording handle for one router backend replica, obtained from
@@ -560,18 +626,11 @@ impl RouterReplicaHandle {
     }
 }
 
-/// Register (or look up) the counter slot for router backend replica
-/// `role` of shard `shard` and return a recording handle. Re-registering
-/// the same `(shard, role)` pair returns the existing slot, so repeated
-/// router spawns in one process (tests, benches) do not grow the
-/// registry. New replicas start healthy.
+/// Register a counter slot for router backend replica `role` of shard
+/// `shard` in the calling thread's registry and return a recording
+/// handle. Each call is a new row: a router registers each of its
+/// replicas once. New replicas start healthy.
 pub fn router_replica(shard: u32, role: &str) -> RouterReplicaHandle {
-    let mut slots = ROUTER_SLOTS.lock().unwrap();
-    if let Some(s) = slots.iter().find(|s| s.shard == shard && s.role == role) {
-        return RouterReplicaHandle {
-            slot: Arc::clone(s),
-        };
-    }
     let slot = Arc::new(RouterSlot {
         shard,
         role: role.to_string(),
@@ -579,18 +638,24 @@ pub fn router_replica(shard: u32, role: &str) -> RouterReplicaHandle {
         latency: LogHistogram::new(),
     });
     slot.counters.set(ReplicaCounter::Healthy, 1);
-    slots.push(Arc::clone(&slot));
+    current(|r| {
+        r.router
+            .lock()
+            .expect("router rows lock")
+            .push(Arc::clone(&slot))
+    });
     RouterReplicaHandle { slot }
 }
 
-/// The most recently captured trace, if any.
+/// The most recently captured trace of the calling thread's registry,
+/// if any.
 pub fn latest_trace() -> Option<QueryTrace> {
-    REGISTRY.traces.latest()
+    current(|r| r.traces.latest())
 }
 
-/// Every trace currently in the ring, oldest first.
+/// Every trace in the calling thread's registry's ring, oldest first.
 pub fn traces() -> Vec<QueryTrace> {
-    REGISTRY.traces.all()
+    current(|r| r.traces.all())
 }
 
 /// Latency tail summary of one op's histogram.
@@ -607,138 +672,216 @@ pub struct LatencySummary {
     pub p95_us: u64,
     /// Estimated p99, microseconds.
     pub p99_us: u64,
+    /// The histogram the quantiles are read from: every
+    /// [`LogHistogram`] bucket that holds a call, as `(inclusive upper
+    /// bound, count)` pairs in bound order.
+    pub buckets: Vec<(u64, u64)>,
 }
 
 impl LatencySummary {
-    fn of(h: &LogHistogram) -> Self {
-        let h = h.snapshot();
+    /// The summary of `buckets` (pairs in bound order, as in
+    /// [`LatencySummary::buckets`]) whose calls took `sum_us` in all.
+    pub(crate) fn of_buckets(buckets: Vec<(u64, u64)>, sum_us: u64) -> Self {
+        let q = |q| hist::quantile_of(buckets.iter().copied(), q);
         LatencySummary {
-            count: h.count,
-            sum_us: h.sum,
-            p50_us: h.quantile(50),
-            p95_us: h.quantile(95),
-            p99_us: h.quantile(99),
+            count: buckets.iter().map(|&(_, c)| c).sum(),
+            sum_us,
+            p50_us: q(50),
+            p95_us: q(95),
+            p99_us: q(99),
+            buckets,
         }
+    }
+
+    fn of(h: &LogHistogram) -> Self {
+        Self::of_buckets(h.buckets(), h.sum())
+    }
+
+    /// Fold `other` in: buckets add by bound, and the quantiles are read
+    /// from the sum (summing or maxing quantiles means nothing).
+    pub(crate) fn merge(&mut self, other: &Self) {
+        let mut buckets: BTreeMap<u64, u64> = self.buckets.iter().copied().collect();
+        for &(bound, c) in &other.buckets {
+            *buckets.entry(bound).or_insert(0) += c;
+        }
+        *self = Self::of_buckets(buckets.into_iter().collect(), self.sum_us + other.sum_us);
     }
 }
 
-/// A point-in-time copy of every registry counter.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ObsSnapshot {
-    /// Whether recording was enabled at snapshot time.
-    pub enabled: bool,
-    /// Trace sampling rate at snapshot time (`0` = off).
-    pub trace_sample_n: u64,
-    /// Scheduler queue-depth gauge. The registry holds no queue: zero
-    /// from [`snapshot`], filled in by the server answering the request.
-    pub queue_depth: u64,
-    /// Per-index pruning counters, in [`INDEX_NAMES`] order.
-    pub indexes: Vec<IndexCounters>,
-    /// Per-stage planner counters, in [`Stage::ALL`] order.
-    pub stages: Vec<StageCounters>,
-    /// k-NN call latency summary.
-    pub knn_latency: LatencySummary,
-    /// Range call latency summary.
-    pub range_latency: LatencySummary,
-    /// Segment-store counters and gauges.
-    pub store: StoreCounters,
-    /// Event-loop serving counters; like `queue_depth`, zero from
-    /// [`snapshot`] and filled in by the serving instance (a node or a
-    /// router) from its own loop.
-    pub event_loop: EventLoopCounters,
-    /// Per-replica router counters (empty in processes that never
-    /// registered any, i.e. everything but a router).
-    pub router: Vec<RouterReplicaCounters>,
-    /// Router-tier hedging/degradation counters (all-zero outside a
-    /// router).
-    pub router_tier: RouterTierCounters,
-    /// Traces currently held in the ring.
-    pub trace_count: u64,
+crate::counter_table! {
+    /// A point-in-time copy of a registry's counters, or a merge of
+    /// several ([`ObsSnapshot::merge`]).
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ObsSnapshot / SnapshotCounter {
+        /// Per-index pruning counters, in [`INDEX_NAMES`] order.
+        pub indexes: Vec<IndexCounters>,
+        /// Per-stage planner counters, in [`Stage::ALL`] order.
+        pub stages: Vec<StageCounters>,
+        /// k-NN call latency summary.
+        pub knn_latency: LatencySummary,
+        /// Range call latency summary.
+        pub range_latency: LatencySummary,
+        /// Segment-store counters and gauges.
+        pub store: StoreCounters,
+        /// Event-loop serving counters; like `queue_depth`, zero from a
+        /// registry and filled in by the serving instance (a node or a
+        /// router) from its own loop.
+        pub event_loop: EventLoopCounters,
+        /// Per-replica router counters, one row per registered replica
+        /// (empty in registries no router recorded into).
+        pub router: Vec<RouterReplicaCounters>,
+        /// Router-tier hedging/degradation counters (all-zero outside a
+        /// router).
+        pub router_tier: RouterTierCounters,
+    }
+    Enabled => enabled: bool = Flag "" "Whether recording was enabled at snapshot time.";
+    TraceSampleN => trace_sample_n: u64 = Peak "" "Trace sampling rate at snapshot time (`0` = off).";
+    /// A registry holds no queue: zero from one, filled in by the
+    /// instance answering the request.
+    QueueDepth => queue_depth: u64 = Gauge "cbir_queue_depth" "Requests admitted but not yet dispatched.";
+    TraceCount => trace_count: u64 = Gauge "cbir_traces_held" "Traces currently in the sampling ring.";
 }
 
-/// Snapshot every counter in the registry.
-pub fn snapshot() -> ObsSnapshot {
-    let indexes = INDEX_NAMES
-        .iter()
-        .zip(&REGISTRY.indexes)
-        .map(|(&index, b)| {
-            IndexCounters {
-                index,
+impl ObsSnapshot {
+    /// Fold `other` in, each counter by its table row's [`Kind`] and
+    /// each latency summary by its buckets; `other`'s router rows are
+    /// appended (a replica row belongs to one router).
+    pub fn merge(&mut self, other: &ObsSnapshot) {
+        Counters::merge(self, other);
+        for (a, b) in self.indexes.iter_mut().zip(&other.indexes) {
+            a.merge(b);
+        }
+        for (a, b) in self.stages.iter_mut().zip(&other.stages) {
+            a.merge(b);
+        }
+        self.knn_latency.merge(&other.knn_latency);
+        self.range_latency.merge(&other.range_latency);
+        self.store.merge(&other.store);
+        self.event_loop.merge(&other.event_loop);
+        self.router.extend(other.router.iter().cloned());
+        self.router_tier.merge(&other.router_tier);
+        let probes = &other.router_tier.probe_latency;
+        self.router_tier.probe_latency.merge(probes);
+    }
+}
+
+impl Blocks {
+    const fn new() -> Self {
+        Blocks {
+            indexes: [const { Block::new() }; INDEX_NAMES.len()],
+            stages: [const { Block::new() }; Stage::ALL.len()],
+            knn_latency: LogHistogram::new(),
+            range_latency: LogHistogram::new(),
+            store: Block::new(),
+            router: Mutex::new(Vec::new()),
+            router_tier: Block::new(),
+            probe_latency: LogHistogram::new(),
+            traces: TraceRing::new(),
+        }
+    }
+
+    fn snapshot(&self) -> ObsSnapshot {
+        let indexes = INDEX_NAMES
+            .iter()
+            .zip(&self.indexes)
+            .map(|(&index, b)| {
+                IndexCounters {
+                    index,
+                    ..Default::default()
+                }
+                .with_values(&b.load())
+            })
+            .collect();
+        let stages = Stage::ALL
+            .iter()
+            .zip(&self.stages)
+            .map(|(&stage, b)| {
+                StageCounters {
+                    stage: stage.name(),
+                    ..Default::default()
+                }
+                .with_values(&b.load())
+            })
+            .collect();
+        let router = self
+            .router
+            .lock()
+            .expect("router rows lock")
+            .iter()
+            .map(|s| {
+                RouterReplicaCounters {
+                    shard: s.shard,
+                    role: s.role.clone(),
+                    latency: LatencySummary::of(&s.latency),
+                    ..Default::default()
+                }
+                .with_values(&s.counters.load())
+            })
+            .collect();
+        ObsSnapshot {
+            enabled: enabled(),
+            trace_sample_n: trace_sample_n(),
+            indexes,
+            stages,
+            knn_latency: LatencySummary::of(&self.knn_latency),
+            range_latency: LatencySummary::of(&self.range_latency),
+            store: StoreCounters::default().with_values(&self.store.load()),
+            router,
+            router_tier: RouterTierCounters {
+                probe_latency: LatencySummary::of(&self.probe_latency),
                 ..Default::default()
             }
-            .with_values(&b.load())
-        })
-        .collect();
-    let stages = Stage::ALL
-        .iter()
-        .zip(&REGISTRY.stages)
-        .map(|(&stage, b)| {
-            StageCounters {
-                stage: stage.name(),
-                ..Default::default()
-            }
-            .with_values(&b.load())
-        })
-        .collect();
-    let router = ROUTER_SLOTS
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|s| {
-            RouterReplicaCounters {
-                shard: s.shard,
-                role: s.role.clone(),
-                latency: LatencySummary::of(&s.latency),
-                ..Default::default()
-            }
-            .with_values(&s.counters.load())
-        })
-        .collect();
-    ObsSnapshot {
-        enabled: enabled(),
-        trace_sample_n: trace_sample_n(),
-        queue_depth: 0,
-        indexes,
-        stages,
-        knn_latency: LatencySummary::of(&REGISTRY.knn_latency),
-        range_latency: LatencySummary::of(&REGISTRY.range_latency),
-        store: StoreCounters::default().with_values(&REGISTRY.store.load()),
-        event_loop: EventLoopCounters::default(),
-        router,
-        router_tier: RouterTierCounters {
-            probe_latency: LatencySummary::of(&REGISTRY.probe_latency),
+            .with_values(&self.router_tier.load()),
+            trace_count: self.traces.len() as u64,
             ..Default::default()
         }
-        .with_values(&REGISTRY.router_tier.load()),
-        trace_count: REGISTRY.traces.len() as u64,
+    }
+
+    fn reset(&self) {
+        self.indexes.iter().for_each(Block::reset);
+        self.stages.iter().for_each(Block::reset);
+        self.knn_latency.reset();
+        self.range_latency.reset();
+        self.store.reset();
+        // Drop router replica registrations entirely: a live router's
+        // handles record into slots no snapshot reads any more, as a
+        // fresh harness run should not inherit a previous topology.
+        self.router.lock().expect("router rows lock").clear();
+        self.router_tier.reset();
+        self.probe_latency.reset();
+        self.traces.reset();
     }
 }
 
-/// Zero every counter, histogram, gauge, and the trace ring. The enabled
+/// The process's counters: the default registry merged with every
+/// registry made since the last [`reset`] ([`ObsSnapshot::merge`]), so a
+/// query is counted once, by the instance that ran it.
+pub fn snapshot() -> ObsSnapshot {
+    let mut snap = DEFAULT.snapshot();
+    for r in MADE.lock().expect("registry list lock").iter() {
+        snap.merge(&r.snapshot());
+    }
+    snap
+}
+
+/// Zero every counter, histogram, gauge, and trace ring of the process,
+/// and forget the registries of instances that are gone. The enabled
 /// flag and sampling rate are left as set. Intended for process startup
 /// and benchmark harnesses, not for concurrent use with recording.
 pub fn reset() {
-    REGISTRY.indexes.iter().for_each(Block::reset);
-    REGISTRY.stages.iter().for_each(Block::reset);
-    REGISTRY.knn_latency.reset();
-    REGISTRY.range_latency.reset();
-    REGISTRY.store.reset();
-    // Drop router replica registrations entirely: shard topology is
-    // per-router-spawn state, and a fresh harness run should not inherit
-    // slots from a previous topology.
-    ROUTER_SLOTS.lock().unwrap().clear();
-    REGISTRY.router_tier.reset();
-    REGISTRY.probe_latency.reset();
-    REGISTRY.traces.reset();
+    let mut made = MADE.lock().expect("registry list lock");
+    made.retain(|r| Arc::strong_count(&r.0) > 1);
+    DEFAULT.reset();
+    made.iter().for_each(|r| r.0.reset());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The registry is process-global and `cargo test` runs tests on
-    // threads; serialize the tests that flip the enabled flag or assert
-    // counter deltas.
+    // The enabled flag and the default registry are the process's, and
+    // `cargo test` runs tests on threads; serialize the tests that flip
+    // the flag or assert counter deltas.
     static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
@@ -829,36 +972,70 @@ mod tests {
     }
 
     #[test]
-    fn router_replica_slots_register_once_and_accumulate() {
+    fn router_replica_slots_are_rows_of_the_registering_registry() {
         let _g = TEST_LOCK.lock().unwrap();
         set_enabled(true);
-        let h = router_replica(7, "primary");
-        let before = snapshot()
-            .router
-            .into_iter()
-            .find(|r| r.shard == 7 && r.role == "primary")
-            .expect("slot registered");
-        assert!(before.healthy);
+        let registry = Registry::new();
+        let h = registry.enter(|| router_replica(7, "primary"));
+        let rows = || registry.snapshot().router;
+        assert!(rows()[0].healthy);
         h.request_ok(120);
         h.count(ReplicaCounter::Failures);
         h.count(ReplicaCounter::Failovers);
         h.count(ReplicaCounter::Shed);
         h.set_flag(ReplicaCounter::Healthy, false);
-        // Same (shard, role) resolves to the same slot.
-        let h2 = router_replica(7, "primary");
+        // Registering the same (shard, role) again is a second row: two
+        // routers in one process keep their replicas apart.
+        let h2 = registry.enter(|| router_replica(7, "primary"));
         h2.request_ok(80);
-        let after = snapshot()
-            .router
-            .into_iter()
-            .find(|r| r.shard == 7 && r.role == "primary")
-            .unwrap();
-        assert_eq!(after.requests - before.requests, 2);
-        assert_eq!(after.failures - before.failures, 1);
-        assert_eq!(after.failovers - before.failovers, 1);
-        assert_eq!(after.shed - before.shed, 1);
-        assert!(!after.healthy);
-        assert!(after.latency.count >= before.latency.count + 2);
-        h.set_flag(ReplicaCounter::Healthy, true);
+        let after = rows();
+        assert_eq!(after.len(), 2);
+        let (a, b) = (&after[0], &after[1]);
+        assert_eq!((a.shard, a.role.as_str()), (7, "primary"));
+        assert_eq!((a.requests, a.failures, a.failovers, a.shed), (1, 1, 1, 1));
+        assert!(!a.healthy);
+        assert_eq!(a.latency.count, 1);
+        assert_eq!((b.requests, b.failures), (1, 0));
+        assert!(b.healthy);
+        // The default registry holds none of them.
+        assert!(!DEFAULT.snapshot().router.iter().any(|r| r.shard == 7));
+    }
+
+    #[test]
+    fn instance_registries_record_apart_and_the_process_view_merges_them() {
+        let _g = TEST_LOCK.lock().unwrap();
+        set_enabled(true);
+        let (a, b) = (Registry::new(), Registry::new());
+        let before = snapshot();
+        let knn = |us| record_query("m-tree", QueryOp::Knn, 1, us, &QueryCounters::default(), 1);
+        a.enter(|| {
+            knn(10);
+            knn(10);
+            store_count(StoreCounter::Inserts, 3);
+            // Entering nests: the outer registry comes back afterwards.
+            b.enter(|| knn(1000));
+            knn(10);
+        });
+        let (sa, sb) = (a.snapshot(), b.snapshot());
+        let m_tree = slot_of("m-tree");
+        assert_eq!(sa.indexes[m_tree].queries, 3);
+        assert_eq!(sb.indexes[m_tree].queries, 1);
+        assert_eq!((sa.store.inserts, sb.store.inserts), (3, 0));
+        assert_eq!(sa.knn_latency.buckets, vec![(10, 3)]);
+        // The process view counts each query once, and reads its
+        // quantiles off the merged buckets, not the parts' quantiles.
+        let after = snapshot();
+        assert_eq!(
+            after.indexes[m_tree].queries - before.indexes[m_tree].queries,
+            4
+        );
+        let mut merged = sa.knn_latency.clone();
+        merged.merge(&sb.knn_latency);
+        assert_eq!((merged.count, merged.sum_us), (4, 1030));
+        assert_eq!(
+            (merged.p50_us, merged.p99_us),
+            (10, LogHistogram::upper_bound(1000))
+        );
     }
 
     #[test]
@@ -893,24 +1070,19 @@ mod tests {
     fn breaker_gauge_and_probe_rejoins_record_per_replica() {
         let _g = TEST_LOCK.lock().unwrap();
         set_enabled(true);
-        let h = router_replica(9, "backup-1");
-        let find = |snap: ObsSnapshot| {
-            snap.router
-                .into_iter()
-                .find(|r| r.shard == 9 && r.role == "backup-1")
-                .unwrap()
-        };
-        let before = find(snapshot());
-        assert!(!before.breaker_open);
+        let registry = Registry::new();
+        let h = registry.enter(|| router_replica(9, "backup-1"));
+        let row = || registry.snapshot().router.remove(0);
+        assert!(!row().breaker_open);
         h.set_flag(ReplicaCounter::BreakerOpen, true);
         h.count(ReplicaCounter::ProbeRejoins);
-        let after = find(snapshot());
+        let after = row();
         assert!(after.breaker_open);
-        assert_eq!(after.probe_rejoins - before.probe_rejoins, 1);
+        assert_eq!(after.probe_rejoins, 1);
         // Breaker position is routing state: recorded even when disabled.
         set_enabled(false);
         h.set_flag(ReplicaCounter::BreakerOpen, false);
-        assert!(!find(snapshot()).breaker_open);
+        assert!(!row().breaker_open);
         set_enabled(true);
     }
 

@@ -2,9 +2,11 @@
 //!
 //! Tracing is **bit-invisible**: a trace only observes the timings and
 //! counters of a query that executes exactly as it would untraced. It is
-//! also off by default — [`set_trace_sample_n`] with `n = 0` (the initial
-//! state) disables sampling entirely, `n = 1` traces every query, and
-//! `n > 1` traces every n-th query (by a process-wide sequence number).
+//! also off by default — [`set_trace_sample_n`](crate::set_trace_sample_n)
+//! with `n = 0` (the initial state) disables sampling entirely, `n = 1`
+//! traces every query, and `n > 1` traces every n-th query (by its
+//! registry's sequence number). The rate is the process's; each
+//! registry keeps its own sequence and ring.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +30,7 @@ pub struct TraceSpan {
 /// batched engine call, for the batch entry points).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryTrace {
-    /// Process-wide query sequence number at capture time.
+    /// Its registry's query sequence number at capture time.
     pub seq: u64,
     /// Operation (`"knn"`, `"range"`, `"knn_batch"`, ...).
     pub op: &'static str,
@@ -59,7 +61,6 @@ pub struct QueryTrace {
 }
 
 pub(crate) struct TraceRing {
-    sample_n: AtomicU64,
     seq: AtomicU64,
     ring: Mutex<VecDeque<QueryTrace>>,
 }
@@ -67,24 +68,14 @@ pub(crate) struct TraceRing {
 impl TraceRing {
     pub(crate) const fn new() -> Self {
         TraceRing {
-            sample_n: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::new()),
         }
     }
 
-    pub(crate) fn set_sample_n(&self, n: u64) {
-        self.sample_n.store(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn sample_n(&self) -> u64 {
-        self.sample_n.load(Ordering::Relaxed)
-    }
-
     /// Advance the query sequence number and decide whether this query is
-    /// sampled. Returns the sequence number when it is.
-    pub(crate) fn should_sample(&self) -> Option<u64> {
-        let n = self.sample_n.load(Ordering::Relaxed);
+    /// sampled at one in `n`. Returns the sequence number when it is.
+    pub(crate) fn should_sample(&self, n: u64) -> Option<u64> {
         if n == 0 {
             return None;
         }
@@ -153,14 +144,12 @@ mod tests {
     #[test]
     fn sampling_off_by_default() {
         let ring = TraceRing::new();
-        assert_eq!(ring.should_sample(), None);
-        ring.set_sample_n(1);
-        assert_eq!(ring.should_sample(), Some(0));
-        assert_eq!(ring.should_sample(), Some(1));
-        ring.set_sample_n(3);
+        assert_eq!(ring.should_sample(0), None);
+        assert_eq!(ring.should_sample(1), Some(0));
+        assert_eq!(ring.should_sample(1), Some(1));
         // seq is at 2 now: 2 % 3 != 0, 3 % 3 == 0.
-        assert_eq!(ring.should_sample(), None);
-        assert_eq!(ring.should_sample(), Some(3));
+        assert_eq!(ring.should_sample(3), None);
+        assert_eq!(ring.should_sample(3), Some(3));
     }
 
     #[test]

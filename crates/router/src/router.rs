@@ -34,7 +34,7 @@ use crate::backend::{should_failover, Attempt, RetryBudget, ShardClient};
 use crate::jsonmerge;
 use crate::merge::kway_merge;
 use cbir_core::ShardPlan;
-use cbir_obs::{Counters, Json, TierCounter};
+use cbir_obs::{Counters, Json, ObsSnapshot, TierCounter};
 use cbir_server::conn::{is_mutation, Service};
 use cbir_server::protocol::{Request, Response, StatsSnapshot};
 use cbir_server::{
@@ -123,8 +123,10 @@ struct RouterCore {
     allow_partial: bool,
     /// The front loop's own counters, which fill the `event_loop`
     /// section of the router's `ObsStats` (`Stats` through the router
-    /// sums its backends' instead).
+    /// sums its backends' instead), and the router's registry.
     metrics: Metrics,
+    /// Decoded requests waiting for a route worker.
+    queue: RouteQueue,
 }
 
 /// One decoded front request on its way to a route worker.
@@ -148,6 +150,11 @@ struct RouteQueue {
 }
 
 impl RouteQueue {
+    /// Requests waiting for a worker.
+    fn len(&self) -> usize {
+        self.state.lock().expect("route queue").0.len()
+    }
+
     fn push(&self, job: RouteJob) {
         self.state.lock().expect("route queue").0.push_back(job);
         self.ready.notify_one();
@@ -205,7 +212,6 @@ impl RouteQueue {
 /// trips); `Delete` and `Compact` are barriers, as on a node, so a
 /// request pipelined behind one observes it.
 struct RouteService {
-    queue: Arc<RouteQueue>,
     core: Arc<RouterCore>,
     idle_timeout: Option<Duration>,
 }
@@ -214,7 +220,7 @@ struct RouteService {
 /// start): either way the workers stop, probing with them.
 impl Drop for RouteService {
     fn drop(&mut self) {
-        self.queue.close();
+        self.core.queue.close();
     }
 }
 
@@ -227,7 +233,7 @@ impl Service for RouteService {
     ) -> Option<Arc<ReplyCell>> {
         let barrier = is_mutation(&request);
         let reply = conn.push_cell(Some(Arc::clone(completions)));
-        self.queue.push(RouteJob {
+        self.core.queue.push(RouteJob {
             request,
             received: Instant::now(),
             reply: Arc::clone(&reply),
@@ -249,8 +255,8 @@ impl Service for RouteService {
 
 /// Route requests off the shared queue (and run its due probe rounds)
 /// until the loop is gone and the queue is empty.
-fn route_worker(core: &RouterCore, queue: &RouteQueue) {
-    while let Some(job) = queue.pop(core) {
+fn route_worker(core: &RouterCore) {
+    while let Some(job) = core.queue.pop(core) {
         // A panic answers its own request and leaves the worker serving.
         let reply = catch_unwind(AssertUnwindSafe(|| handle(core, job.request, job.received)))
             .unwrap_or_else(|_| Response::Error("internal: routing panicked (isolated)".into()));
@@ -265,12 +271,19 @@ pub struct RouterHandle {
     local_addr: SocketAddr,
     control: Arc<EventControl>,
     threads: Vec<JoinHandle<()>>,
+    core: Arc<RouterCore>,
 }
 
 impl RouterHandle {
     /// The address the router is listening on (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
+    }
+
+    /// The router's own counters, as its Prometheus export reports them:
+    /// its replica rows and tier counters, its loop, its route queue.
+    pub fn snapshot(&self) -> ObsSnapshot {
+        own_snapshot(&self.core)
     }
 
     /// Stop accepting, answer what is in flight, then wait for every
@@ -329,40 +342,45 @@ impl Router {
         let listener = std::net::TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let budget = Arc::new(RetryBudget::new(config.retry_budget));
-        let shards = shard_addrs
-            .into_iter()
-            .enumerate()
-            .map(|(s, addrs)| {
-                ShardClient::new(
-                    s as u32,
-                    addrs,
-                    config.cooldown,
-                    ROUTE_WORKERS,
-                    config.breaker_threshold,
-                    Arc::clone(&budget),
-                )
-            })
-            .collect();
+        let metrics = Metrics::new();
+        // The replicas' rows go to the router's registry, as does every
+        // count its threads record below.
+        let registry = metrics.registry().clone();
+        let shards = registry.enter(|| {
+            shard_addrs
+                .into_iter()
+                .enumerate()
+                .map(|(s, addrs)| {
+                    ShardClient::new(
+                        s as u32,
+                        addrs,
+                        config.cooldown,
+                        ROUTE_WORKERS,
+                        config.breaker_threshold,
+                        Arc::clone(&budget),
+                    )
+                })
+                .collect()
+        });
         let core = Arc::new(RouterCore {
             plan,
             shards,
             hedge: config.hedge,
             allow_partial: config.allow_partial,
-            metrics: Metrics::new(),
-        });
-        let queue = Arc::new(RouteQueue {
-            state: Mutex::new((
-                VecDeque::new(),
-                false,
-                config.probe_interval.map(|_| Instant::now()),
-            )),
-            ready: Condvar::new(),
-            probe_interval: config.probe_interval,
+            metrics,
+            queue: RouteQueue {
+                state: Mutex::new((
+                    VecDeque::new(),
+                    false,
+                    config.probe_interval.map(|_| Instant::now()),
+                )),
+                ready: Condvar::new(),
+                probe_interval: config.probe_interval,
+            },
         });
         let lp = Loop::new(
             listener,
             RouteService {
-                queue: Arc::clone(&queue),
                 core: Arc::clone(&core),
                 idle_timeout: config.read_timeout,
             },
@@ -373,22 +391,23 @@ impl Router {
         // workers already started exit.
         let mut threads = Vec::new();
         for w in 0..ROUTE_WORKERS {
-            let (core, queue) = (Arc::clone(&core), Arc::clone(&queue));
+            let (core, registry) = (Arc::clone(&core), registry.clone());
             threads.push(
                 Builder::new()
                     .name(format!("cbir-route-worker-{w}"))
-                    .spawn(move || route_worker(&core, &queue))?,
+                    .spawn(move || registry.enter(|| route_worker(&core)))?,
             );
         }
         threads.push(
             Builder::new()
                 .name("cbir-route-loop".into())
-                .spawn(move || lp.run())?,
+                .spawn(move || registry.enter(|| lp.run()))?,
         );
         Ok(RouterHandle {
             local_addr,
             control,
             threads,
+            core,
         })
     }
 
@@ -438,6 +457,20 @@ fn handle(core: &RouterCore, request: Request, received: Instant) -> Response {
 /// Every shard, each through its replica rules.
 fn shards(core: &RouterCore) -> impl Iterator<Item = (usize, Option<usize>)> {
     (0..core.shards.len()).map(|s| (s, None))
+}
+
+/// `request`'s replies from every replica of every shard that answers
+/// it, those on cooldown too: counters and traces live on the process
+/// that did the work, and a dead replica has none to contribute (the
+/// per-replica health gauges already say it is down).
+fn every_replica(core: &RouterCore, request: &Request) -> Vec<Response> {
+    let targets = core
+        .shards
+        .iter()
+        .enumerate()
+        .flat_map(|(s, shard)| (0..shard.replicas().len()).map(move |r| (s, Some(r))));
+    let replies = gather(core, request, targets).into_iter();
+    replies.filter_map(Result::ok).collect()
 }
 
 /// One target of a fan-out: its attempts on the wire (`true`: a fired
@@ -784,25 +817,17 @@ fn compact(core: &RouterCore) -> Response {
 }
 
 /// Aggregate binary counter snapshots across **every replica of every
-/// shard** — counts live on the process that did the work, so unlike a
-/// query this fan-out is per replica, not per shard, and reaches
-/// replicas on cooldown too. Each counter merges by its table row's
+/// shard** — unlike a query, this fan-out is per replica, not per shard.
+/// Each counter merges by its table row's
 /// kind (counts sum; latency quantiles and the pipeline high-water mark
 /// take the worst replica, as summing them means nothing); the
 /// batch-size histogram merges by bound.
 fn stats(core: &RouterCore) -> Response {
-    let replicas = core
-        .shards
-        .iter()
-        .enumerate()
-        .flat_map(|(s, shard)| (0..shard.replicas().len()).map(move |r| (s, Some(r))));
     let mut agg = StatsSnapshot::default();
     let mut hist: BTreeMap<u64, u64> = BTreeMap::new();
     let mut answered = 0usize;
-    for r in gather(core, &Request::Stats, replicas) {
-        // A dead replica has no counters to contribute; the per-replica
-        // health gauges already say it is down.
-        let Ok(Response::Stats(s)) = r else {
+    for r in every_replica(core, &Request::Stats) {
+        let Response::Stats(s) = r else {
             continue;
         };
         answered += 1;
@@ -818,26 +843,27 @@ fn stats(core: &RouterCore) -> Response {
     Response::Stats(agg)
 }
 
+/// The router's own `ObsStats` snapshot: its registry, its front loop
+/// and its route queue.
+fn own_snapshot(core: &RouterCore) -> ObsSnapshot {
+    core.metrics.obs_snapshot(core.queue.len())
+}
+
 /// Observability snapshot. Prometheus exposition is the **router's
-/// own** registry (that is where the per-shard replica health, failover
+/// own** snapshot (that is where the per-shard replica health, failover
 /// and latency series live; backends export their own endpoints for
-/// scraping individually), with its own front loop's `event_loop`
-/// counters, as a node reports its loop. The JSON form aggregates:
-/// every reachable backend's document plus the router's own, merged
-/// field-by-field under the forward-compatible rules of [`jsonmerge`] —
-/// a backend field this router has never heard of still shows up in
-/// the output.
+/// scraping individually). The JSON form aggregates it with every
+/// answering replica's document by [`cbir_obs::merge_json`]: each
+/// counter by its table kind, latencies by their buckets, and a backend
+/// field this router has never heard of still shows up in the output.
 fn obs_stats(core: &RouterCore, prometheus: bool) -> Response {
-    let snap = cbir_obs::ObsSnapshot {
-        event_loop: core.metrics.event_loop(),
-        ..cbir_obs::snapshot()
-    };
+    let snap = own_snapshot(core);
     if prometheus {
         return Response::ObsText(cbir_obs::to_prometheus(&snap));
     }
     let mut docs = Vec::new();
-    for r in gather(core, &Request::ObsStats { prometheus: false }, shards(core)) {
-        if let Ok(Response::ObsText(doc)) = r {
+    for r in every_replica(core, &Request::ObsStats { prometheus: false }) {
+        if let Response::ObsText(doc) = r {
             docs.push(doc);
         }
     }
@@ -847,27 +873,20 @@ fn obs_stats(core: &RouterCore, prometheus: bool) -> Response {
     }
 }
 
-/// Concatenate every shard's sampled query traces. Traces are samples,
-/// not counters: element-wise merging would splice unrelated queries
-/// together, so this is explicitly a concatenation, owner order by
-/// shard index.
+/// Concatenate every answering replica's sampled query traces, in shard
+/// then replica order. Traces are samples, not counters: element-wise
+/// merging would splice unrelated queries together.
 fn explain(core: &RouterCore) -> Response {
     let mut all = Vec::new();
-    for (s, r) in gather(core, &Request::Explain, shards(core))
-        .into_iter()
-        .enumerate()
-    {
-        let text = match r {
-            Ok(Response::ObsText(t)) => t,
-            Ok(other) => return shard_error(s, ClientError::unexpected("obs text", other)),
-            Err(e) => return shard_error(s, e),
+    for r in every_replica(core, &Request::Explain) {
+        let doc = match r {
+            Response::ObsText(text) => Json::parse(&text),
+            other => Err(format!("unexpected {other:?}")),
         };
-        match Json::parse(&text) {
-            Ok(doc) => match doc.get("traces") {
-                Some(Json::Arr(items)) => all.extend(items.clone()),
-                _ => return Response::Error(format!("shard {s} explain reply has no traces")),
-            },
-            Err(e) => return Response::Error(format!("shard {s} explain reply: {e}")),
+        match doc.as_ref().map(|d| d.get("traces")) {
+            Ok(Some(Json::Arr(items))) => all.extend(items.iter().cloned()),
+            Ok(_) => return Response::Error("a replica's explain reply has no traces".into()),
+            Err(e) => return Response::Error(format!("a replica's explain reply: {e}")),
         }
     }
     Response::ObsText(Json::Obj(vec![("traces".into(), Json::Arr(all))]).render())

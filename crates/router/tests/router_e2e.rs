@@ -462,10 +462,11 @@ fn replica_failure_mid_run_is_invisible_in_reply_bytes() {
         }
     }
 
-    // The failover is visible where it should be: the per-replica
-    // observability slots (shard 0 primary marked unhealthy and/or
-    // failed, with failovers recorded on the replicas that covered).
-    let snap = cbir_obs::snapshot();
+    // The failover is visible where it should be: the router's
+    // per-replica observability rows (shard 0 primary marked unhealthy
+    // and/or failed, with failovers recorded on the replicas that
+    // covered).
+    let snap = router.snapshot();
     let s0p = snap
         .router
         .iter()
@@ -966,7 +967,7 @@ fn two_shard_hedging_rescues_every_slow_shard() {
     .unwrap();
 
     let backup_requests = |shard: u32| {
-        let snap = cbir_obs::snapshot();
+        let snap = router.snapshot();
         let row = snap
             .router
             .iter()
@@ -1085,7 +1086,7 @@ fn probe_driven_rejoin_brings_a_flapped_replica_back() {
             .map(|r| r.probe_rejoins)
             .sum::<u64>()
     };
-    let before = rejoins(&cbir_obs::snapshot());
+    let before = rejoins(&router.snapshot());
 
     let mut client = Client::connect(router.local_addr()).unwrap();
     let query = union.descriptor(0).unwrap().to_vec();
@@ -1104,7 +1105,7 @@ fn probe_driven_rejoin_brings_a_flapped_replica_back() {
     proxy.set_mode(WireMode::Pass);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        if rejoins(&cbir_obs::snapshot()) > before {
+        if rejoins(&router.snapshot()) > before {
             break;
         }
         assert!(

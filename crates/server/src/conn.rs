@@ -509,13 +509,7 @@ pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
         }
         Request::Stats => Response::Stats(metrics.snapshot(scheduler.queue_depth())),
         Request::ObsStats { prometheus } => {
-            // The registry is process-wide; the queue and the loop are
-            // this server's own.
-            let snap = cbir_obs::ObsSnapshot {
-                queue_depth: scheduler.queue_depth() as u64,
-                event_loop: metrics.event_loop(),
-                ..cbir_obs::snapshot()
-            };
+            let snap = metrics.obs_snapshot(scheduler.queue_depth());
             Response::ObsText(if prometheus {
                 cbir_obs::to_prometheus(&snap)
             } else {
@@ -523,7 +517,8 @@ pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
             })
         }
         Request::Explain => {
-            Response::ObsText(cbir_obs::traces_to_json(&cbir_obs::traces()).render())
+            let traces = metrics.registry().enter(cbir_obs::traces);
+            Response::ObsText(cbir_obs::traces_to_json(&traces).render())
         }
         Request::Shutdown => Response::ShutdownAck,
         // Mutations take the store's writer lock, publish a new

@@ -4,10 +4,11 @@
 //! Every field is a relaxed atomic in fixed memory, the latency tail
 //! included (one log-linear [`LogHistogram`] over the server's lifetime),
 //! so recording a batch takes no lock and allocates nothing however long
-//! the server runs, and a snapshot only reads counters.
+//! the server runs, and a snapshot only reads counters. Beside them sits
+//! the instance's `cbir-obs` [`Registry`], which its threads enter.
 
 use crate::protocol::{Stat, StatsSnapshot};
-use cbir_obs::{Block, Counters, EventLoopCounters, LogHistogram};
+use cbir_obs::{Block, Counters, EventLoopCounters, LogHistogram, ObsSnapshot, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Inclusive upper bounds of the batch-size histogram buckets.
@@ -24,6 +25,7 @@ pub struct Metrics {
     open_conns: AtomicU64,
     batch_hist: Block<{ BATCH_HIST_BOUNDS.len() }>,
     latency_us: LogHistogram,
+    registry: Registry,
 }
 
 impl Metrics {
@@ -53,12 +55,23 @@ impl Metrics {
         self.open_conns.store(n as u64, Ordering::Relaxed);
     }
 
-    /// This instance's event-loop counters, for its `ObsStats` document.
-    pub fn event_loop(&self) -> EventLoopCounters {
-        EventLoopCounters {
-            epoll_wakeups: self.counters.get(Stat::EpollWakeups),
-            open_conns: self.open_conns.load(Ordering::Relaxed),
-            max_pipeline_depth: self.counters.get(Stat::MaxPipelineDepth),
+    /// The instance's registry: what its threads record into once they
+    /// [`Registry::enter`] it.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// The instance's `ObsStats` snapshot: its registry's counters, its
+    /// event loop's, and the `queue_depth` requests waiting.
+    pub fn obs_snapshot(&self, queue_depth: usize) -> ObsSnapshot {
+        ObsSnapshot {
+            queue_depth: queue_depth as u64,
+            event_loop: EventLoopCounters {
+                epoll_wakeups: self.counters.get(Stat::EpollWakeups),
+                open_conns: self.open_conns.load(Ordering::Relaxed),
+                max_pipeline_depth: self.counters.get(Stat::MaxPipelineDepth),
+            },
+            ..self.registry.snapshot()
         }
     }
 

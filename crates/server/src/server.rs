@@ -142,6 +142,11 @@ impl Server {
         let listener = std::net::TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = Arc::new(Metrics::new());
+        let registry = metrics.registry().clone();
+        if let Some(store) = corpus.store() {
+            // The gauges it set when opened went to the opener's registry.
+            registry.enter(|| store.snapshot().record_state());
+        }
         let scheduler = Arc::new(Scheduler::new(corpus, config, Arc::clone(&metrics)));
         let (mutations, mutate_rx) = std::sync::mpsc::channel();
         let node = NodeService {
@@ -153,20 +158,23 @@ impl Server {
 
         let dispatcher = Arc::clone(&scheduler);
         let mutator = Arc::clone(&scheduler);
+        // Every thread records into the instance's registry.
         let threads = vec![
             Builder::new()
                 .name("cbir-dispatch".into())
-                .spawn(move || dispatcher.run())?,
+                .spawn(move || dispatcher.metrics().registry().enter(|| dispatcher.run()))?,
             // One worker: mutations serialize on the store's writer lock
             // anyway; the point is keeping them off the loop thread.
             Builder::new().name("cbir-mutate".into()).spawn(move || {
-                for (req, cell) in mutate_rx {
-                    cell.fill(control_response(&mutator, req));
-                }
+                mutator.metrics().registry().enter(|| {
+                    for (req, cell) in mutate_rx {
+                        cell.fill(control_response(&mutator, req));
+                    }
+                })
             })?,
             Builder::new()
                 .name("cbir-eloop".into())
-                .spawn(move || lp.run())?,
+                .spawn(move || registry.enter(|| lp.run()))?,
         ];
 
         Ok(ServerHandle {

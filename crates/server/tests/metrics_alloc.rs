@@ -2,15 +2,15 @@
 //! batch, recording micro-batches through `Metrics::on_batch` performs
 //! **zero** heap allocations however many it records, and
 //! `Metrics::snapshot` allocates only the batch-size histogram vector
-//! it returns. The `cbir-obs` registry's recorders (engine calls,
-//! extraction stages, router replicas once registered, the router
-//! tier) allocate nothing either. Verified with a counting global
-//! allocator.
+//! it returns. The `cbir-obs` recorders (engine calls, extraction
+//! stages, router replicas once registered, the router tier) allocate
+//! nothing either, into the process's default registry or into an
+//! instance's. Verified with a counting global allocator.
 //!
 //! This file holds exactly one `#[test]` so no sibling test thread can
 //! allocate inside the measured windows.
 
-use cbir_obs::{QueryCounters, QueryOp, ReplicaCounter, Stage, TierCounter};
+use cbir_obs::{QueryCounters, QueryOp, ReplicaCounter, RouterReplicaHandle, Stage, TierCounter};
 use cbir_server::Metrics;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +74,7 @@ fn recording_is_allocation_free_and_snapshots_allocate_only_their_histogram() {
         coarse_candidates: 3,
         rerank_evaluations: 2,
     };
-    let record = || {
+    let record = |replica: &RouterReplicaHandle| {
         cbir_obs::record_query("vp-tree", QueryOp::Knn, 1, 250, &counters, 10);
         cbir_obs::stage_hit(Stage::Sobel);
         cbir_obs::stage_miss(Stage::Sobel, 900);
@@ -84,10 +84,10 @@ fn recording_is_allocation_free_and_snapshots_allocate_only_their_histogram() {
         cbir_obs::router_tier_count(TierCounter::HedgesFired);
         cbir_obs::router_probe_ok(80);
     };
-    record();
+    record(&replica);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..10_000 {
-        record();
+        record(&replica);
     }
     let obs = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
@@ -99,4 +99,31 @@ fn recording_is_allocation_free_and_snapshots_allocate_only_their_histogram() {
     assert_eq!(after.stages[Stage::Sobel as usize].misses, 10_001);
     assert_eq!(after.router[0].failovers, 10_001);
     assert_eq!(after.router_tier.hedges_fired, 10_001);
+
+    // A serving instance's threads enter its registry and record there,
+    // as allocation-free.
+    let instance = metrics.registry();
+    let replica = instance.enter(|| cbir_obs::router_replica(0, "primary"));
+    let inside = instance.enter(|| {
+        record(&replica);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..10_000 {
+            record(&replica);
+        }
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    });
+    assert_eq!(
+        inside, 0,
+        "10,000 rounds of instance recording allocated {inside} times"
+    );
+    let own = instance.snapshot();
+    assert_eq!(own.indexes[2].queries, 10_001);
+    assert_eq!(own.stages[Stage::Sobel as usize].misses, 10_001);
+    assert_eq!(own.router.len(), 1);
+    assert_eq!(own.router[0].failovers, 10_001);
+    assert_eq!(own.router_tier.hedges_fired, 10_001);
+    // The process view counts both registries once each.
+    let process = cbir_obs::snapshot();
+    assert_eq!(process.indexes[2].queries, 20_002);
+    assert_eq!(process.router_tier.hedges_fired, 20_002);
 }

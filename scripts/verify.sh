@@ -338,6 +338,19 @@ cmp -s "$SMOKE_DIR/router-knn2.out" "$SMOKE_DIR/union-knn.out" \
 # ... and the router's own connection loop, not a zero placeholder.
 "$CBIR" stats "$RADDR" --format prometheus | grep -q '^cbir_epoll_wakeups_total [1-9]' \
     || { echo "router prometheus export shows no epoll wakeups of its own loop"; exit 1; }
+# The routed JSON adds up: its `linear` queries are the three live
+# backends' own documents' sum, each query counted once.
+linear_queries() {
+    "$CBIR" stats "$1" --format json \
+        | grep -o '"index": "linear", "queries": [0-9]*' | grep -o '[0-9]*$'
+}
+LIVE_QUERIES=0
+for F in addr-s0-r1 addr-s1-r0 addr-s1-r1; do
+    LIVE_QUERIES=$((LIVE_QUERIES + $(linear_queries "$(cat "$SMOKE_DIR/$F")")))
+done
+ROUTED_QUERIES=$(linear_queries "$RADDR")
+[ "$LIVE_QUERIES" -gt 0 ] && [ "$ROUTED_QUERIES" = "$LIVE_QUERIES" ] \
+    || { echo "routed linear queries $ROUTED_QUERIES, live backends' sum $LIVE_QUERIES"; exit 1; }
 "$CBIR" rpc-ctl "$RADDR" shutdown >/dev/null
 wait "$ROUTER_PID"
 for PID in $BACKEND_PIDS; do

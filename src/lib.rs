@@ -29,7 +29,7 @@
 //!   `CBIRRPC1` front-end that splits a corpus across replica groups of
 //!   backend servers and merges per-shard results bit-identically
 //!   (`cbir shard-plan` / `cbir route`);
-//! - [`obs`] — observability: process-wide pruning/stage counters,
+//! - [`obs`] — observability: per-instance pruning/stage counters,
 //!   latency histograms, sampled per-query traces, and JSON/Prometheus
 //!   export (`cbir stats` / `cbir trace`).
 //!
