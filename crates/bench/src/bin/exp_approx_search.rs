@@ -19,23 +19,24 @@
 //! the served path's at target 0.9 with the recall it delivers, and the
 //! coarse-Haar path's at target 0.9 with its recall.
 //!
-//! A last leg is the served path's worst case, and a gate: two L1
-//! corpora whose codes cannot separate the rows (F9's Dirichlet
-//! histograms; F8's one column a million times wider than the rest), at
-//! the sweep's N and at a `tier_approx` shard's 100,000 rows, on which
-//! (nearly) every query leaves the filter and runs the two-stage search,
-//! having paid for the blocks it tried. Replies are asserted equal to a
-//! coarse-Haar + rerank oracle, counts included (or, for a query the
-//! filter kept, to the exact reply), and the rows the filter scored per
-//! query are bounded, before any timing (`--quick` included); then, in
-//! full mode, the served path at target 0.9 must cost no more than
-//! [`WORST_CASE_CEILING`] times the two-stage search per query at
-//! batches 1, 3 and 8 on two workers.
+//! A last leg is the served path's worst case: two L1 corpora whose
+//! codes cannot separate the rows (F9's Dirichlet histograms; F8's one
+//! column a million times wider than the rest), at the sweep's N and at
+//! a `tier_approx` shard's 100,000 rows, on which (nearly) every query
+//! leaves the filter and runs the two-stage search, having paid for the
+//! blocks it tried. It reports how many queries left the filter and the
+//! rows the filter scored per query, then the served path's time at
+//! target 0.9 over the two-stage search's per query at batches 1, 3 and
+//! 8 on two workers.
 //!
-//! Writes `results/BENCH_approx_search.json` (full mode only) and, in
-//! full mode, asserts the paper-level claim: at dim 64 and 256 some
-//! approximate configuration reaches >= 5x speedup over the best exact
-//! index at measured recall >= 0.9.
+//! Writes `results/BENCH_approx_search.json` (full mode only). Each
+//! ratio is reported, not gated: the counts that explain them are gated
+//! in `cargo test` (`cbir-core`'s `approx_counts.rs`). There, at 4,000
+//! rows, the configuration reaching recall 0.9 at dims 64 and 256 reads
+//! at most a fifth of the rows the best exact index does (the claim
+//! this sweep prints as speedup ≥ 5x), and at 8,000 rows the worst
+//! case's replies and counts equal the two-stage oracle's, ≥ ¾ of the
+//! queries leave the filter, and it scores ≤ 4 · 64 · k rows per query.
 
 use cbir_bench::{median, median_us, rounded, write_results, Table};
 use cbir_core::{plan_candidate_budget, ImageDatabase, ImageMeta, IndexKind, QueryEngine};
@@ -52,18 +53,6 @@ const K: usize = 10;
 
 /// The workers the worst-case leg runs on, as `e2e/`'s servers do.
 const WORKERS: usize = 2;
-
-/// The most the served path may cost per query on a corpus the filter
-/// cannot serve, as a multiple of the two-stage search's time. Measured
-/// at 1.1-1.7x on a loaded 2-vCPU host (the filter's attempt reads rows
-/// and codes the two-stage search then has to read back into cache); a
-/// query that finished its attempt on the plain scan would cost 3-5x.
-const WORST_CASE_CEILING: f64 = 2.0;
-
-/// The most rows the filter may score per query there: a query leaves
-/// once 64 survivors per neighbour asked for are spent, and a group of
-/// survivors is scored whole at no more than four rows per survivor.
-const WORST_CASE_EVALUATIONS: f64 = (4 * 64 * K) as f64;
 
 /// The worst-case leg's descriptor width, recall target and query count.
 const WORST_DIM: usize = 64;
@@ -94,7 +83,7 @@ fn l1_engine(rows: &[Vec<f32>]) -> QueryEngine {
 
 /// The worst-case leg (see the module docs) at each corpus size in
 /// `sizes`. Returns its JSON rows.
-fn worst_case_leg(sizes: &[usize], iters: usize, quick: bool) -> Vec<Json> {
+fn worst_case_leg(sizes: &[usize], iters: usize) -> Vec<Json> {
     println!(
         "served approximate L1 at target {WORST_TARGET} where the filter cannot serve, \
          d={WORST_DIM}, {WORST_QUERIES} queries, {WORKERS} workers\n"
@@ -109,7 +98,7 @@ fn worst_case_leg(sizes: &[usize], iters: usize, quick: bool) -> Vec<Json> {
         "left filter",
         "filter evals/q",
     ]);
-    let (mut json, mut over) = (Vec::new(), Vec::new());
+    let mut json = Vec::new();
     for &n in sizes {
         let histograms = cbir_workload::histograms(n, WORST_DIM, 1.0, 42);
         let mut wide = cbir_workload::uniform(n, WORST_DIM, 1.0, 8);
@@ -121,28 +110,17 @@ fn worst_case_leg(sizes: &[usize], iters: usize, quick: bool) -> Vec<Json> {
             ("dirichlet histograms", &histograms),
             ("one wide column", &wide),
         ] {
-            worst_case_corpus(name, rows, iters, &mut table, &mut json, &mut over);
+            json.push(worst_case_corpus(name, rows, iters, &mut table));
         }
     }
     table.print();
     println!();
-    assert!(
-        quick || over.is_empty(),
-        "the served path cost more than {WORST_CASE_CEILING}x the two-stage search: {over:?}"
-    );
     json
 }
 
-/// One corpus of the worst-case leg: replies checked, then the served
-/// path timed against the two-stage search at batches 1, 3 and 8.
-fn worst_case_corpus(
-    name: &str,
-    rows: &[Vec<f32>],
-    iters: usize,
-    table: &mut Table,
-    json: &mut Vec<Json>,
-    over: &mut Vec<String>,
-) {
+/// One corpus of the worst-case leg: the served path counted, then timed
+/// against the two-stage search at batches 1, 3 and 8. Returns its JSON.
+fn worst_case_corpus(name: &str, rows: &[Vec<f32>], iters: usize, table: &mut Table) -> Json {
     let (n, n_queries) = (rows.len(), WORST_QUERIES);
     let engine = l1_engine(rows);
     let dataset = Dataset::from_vectors(rows).expect("dataset");
@@ -150,64 +128,21 @@ fn worst_case_corpus(
         .expect("haar");
     let budget = plan_candidate_budget(n, K, WORST_TARGET).expect("a budget below 1.0");
     let queries = cbir_workload::queries(rows, n_queries, 0.01, 23);
-    // Replies and counts first. A query that left the filter got the
-    // two-stage search's answer, counts included; one the filter
-    // kept (a point far from every row can be) got the exact one,
-    // with zero counts.
+    // The counts first (a query that left the filter has coarse
+    // candidates; one the filter kept has none), untimed, which also
+    // builds what the served path builds on first use.
     let mut served_stats = BatchStats::new();
-    let served = engine
+    engine
         .knn_batch_approx(&queries, K, WORST_TARGET, WORKERS, &mut served_stats)
         .expect("served");
-    let mut oracle_stats = BatchStats::new();
-    let oracle = approx_knn_batch(
-        &haar,
-        &dataset,
-        &Measure::L1,
-        &queries,
-        K,
-        budget,
-        &mut oracle_stats,
-    );
-    let exact = engine
-        .knn_batch(&queries, K, WORKERS, &mut BatchStats::new())
-        .expect("exact");
-    let mut left = 0;
-    for (i, got) in served.iter().enumerate() {
-        let (s, o) = (&served_stats.per_query()[i], &oracle_stats.per_query()[i]);
-        if s.coarse_candidates == 0 {
-            assert_eq!(
-                *got, exact[i],
-                "{name}: query {i} differs from the exact reply"
-            );
-            continue;
-        }
-        left += 1;
-        let got: Vec<(usize, u32)> = got.iter().map(|h| (h.id, h.distance.to_bits())).collect();
-        let want: Vec<(usize, u32)> = oracle[i]
-            .iter()
-            .map(|h| (h.id, h.distance.to_bits()))
-            .collect();
-        assert_eq!(
-            got, want,
-            "{name}: query {i} differs from the two-stage oracle"
-        );
-        assert_eq!(
-            (s.coarse_candidates, s.rerank_evaluations),
-            (o.coarse_candidates, o.rerank_evaluations),
-            "{name}: query {i} counts"
-        );
-    }
-    assert!(
-        left * 4 >= n_queries * 3,
-        "{name}: only {left} queries left the filter"
-    );
-    let filter_evals = (served_stats.total().distance_computations
-        - served_stats.total().rerank_evaluations) as f64
-        / n_queries as f64;
-    assert!(
-        filter_evals <= WORST_CASE_EVALUATIONS,
-        "{name}: the filter scored {filter_evals:.0} rows per query before leaving"
-    );
+    let left = served_stats
+        .per_query()
+        .iter()
+        .filter(|s| s.coarse_candidates > 0)
+        .count();
+    let total = served_stats.total();
+    let filter_evals =
+        (total.distance_computations - total.rerank_evaluations) as f64 / n_queries as f64;
     let mut rows_json = Vec::new();
     for batch in [1usize, 3, 8] {
         let per_query = |total_us: f64| total_us / n_queries as f64;
@@ -244,22 +179,19 @@ fn worst_case_corpus(
             format!("{left}/{n_queries}"),
             format!("{filter_evals:.0}"),
         ]);
-        if ratio > WORST_CASE_CEILING {
-            over.push(format!("{name}, N {n}, batch {batch}: {ratio:.2}x"));
-        }
         rows_json.push(obj! {
             "batch": batch, "two_stage_us_per_query": rounded(two_stage, 1),
             "served_us_per_query": rounded(served, 1), "served_over_two_stage": rounded(ratio, 3),
         });
     }
-    json.push(obj! {
+    obj! {
         "corpus": name, "n": n, "budget": budget, "queries": n_queries,
         "queries_that_left_the_filter": left,
         "coarse_candidates_per_query": rounded(
-            served_stats.total().coarse_candidates as f64 / n_queries as f64, 1),
+            total.coarse_candidates as f64 / n_queries as f64, 1),
         "filter_evaluations_per_query": rounded(filter_evals, 1),
         "batches": Json::Arr(rows_json),
-    });
+    }
 }
 
 /// Median wall times of `iters` runs each of `a` and `b`, in
@@ -309,7 +241,6 @@ fn main() {
     );
 
     let mut json_dims = Vec::new();
-    let mut acceptance_ok = true;
     for &dim in dims {
         // Image-like near-duplicate retrieval: many small groups (~64
         // members — one "scene" and its variants), white high-dimensional
@@ -521,27 +452,16 @@ fn main() {
              (recall {l1_haar_recall:.3})"
         );
 
-        // The paper-level acceptance claim, checked at full scale: some
-        // configuration reaches >= 5x at measured recall >= 0.9.
+        // The paper-level claim at dims 64 and 256, reported: the best
+        // speedup at measured recall >= 0.9 (its count is gated in
+        // `approx_counts.rs`).
         if dim >= 64 {
             let best = rows
                 .iter()
                 .filter(|r| r.recall >= 0.9)
                 .map(|r| r.speedup)
                 .fold(0.0f64, f64::max);
-            let pass = best >= 5.0;
-            println!(
-                "dim {dim} acceptance (>=5x at recall >=0.9): best {best:.1}x -> {}{}",
-                if pass { "PASS" } else { "FAIL" },
-                if quick {
-                    " (informational — gated at full scale only)"
-                } else {
-                    ""
-                }
-            );
-            if !quick {
-                acceptance_ok &= pass;
-            }
+            println!("dim {dim}: best speedup at recall >= 0.9: {best:.1}x");
         }
         println!();
 
@@ -570,7 +490,7 @@ fn main() {
     }
 
     let sizes: &[usize] = if quick { &[8_000] } else { &[n, 100_000] };
-    let worst_case = worst_case_leg(sizes, if quick { 1 } else { 9 }, quick);
+    let worst_case = worst_case_leg(sizes, if quick { 1 } else { 9 });
 
     let doc = obj! {
         "experiment": "approx_search", "n": n, "k": K, "queries": n_queries, "measure": "l2",
@@ -579,9 +499,4 @@ fn main() {
         "l1_served_where_the_filter_leaves": Json::Arr(worst_case),
     };
     write_results("approx_search", quick, &doc);
-    assert!(
-        acceptance_ok,
-        "acceptance failed: no configuration reached 5x speedup at recall >= 0.9 \
-         for some dim in {{64, 256}}"
-    );
 }

@@ -13,9 +13,11 @@
 //!
 //! Before any timing, every path — naive, planner (fresh and reused
 //! scratch), and batch at both thread counts — is asserted bit-identical
-//! on every source image. At canonical 64 (the paper's operating point)
-//! the full run asserts the planner is at least **2×** faster than the
-//! naive path.
+//! on every source image. The planner-over-naive ratio is reported, not
+//! gated: what buys it, each shared stage computed once per image and
+//! reused by every other family that demands it, is counted in
+//! `cargo test` (`cbir-features`' `extraction_equivalence.rs`,
+//! `every_shared_stage_computes_once_per_image`).
 //!
 //! Before that, the lane-shaped kernels whose input domain is finite are
 //! held to their scalar references over the whole domain: the HSV bin
@@ -272,7 +274,6 @@ fn main() {
         "batch@maxT ms/img",
     ]);
     let mut json_rows = Vec::new();
-    let mut speedup_at_64 = 0.0f64;
 
     for &canonical in sizes {
         let pipeline = full_pipeline(canonical);
@@ -354,9 +355,6 @@ fn main() {
         );
 
         let speedup = naive.as_secs_f64() / planner.as_secs_f64();
-        if canonical == 64 {
-            speedup_at_64 = speedup;
-        }
         table.row(vec![
             canonical.to_string(),
             fmt_ms(naive),
@@ -387,14 +385,6 @@ fn main() {
     println!("resize, grayscale, Sobel field, quantizer plane, mask, and DT");
     println!("across families instead of recomputing them per family; batch at");
     println!("max threads divides per-image latency by ~core count on top.");
-
-    if !quick {
-        assert!(
-            speedup_at_64 >= 2.0,
-            "planner speedup at canonical 64 is {speedup_at_64:.2}x, expected >= 2x"
-        );
-        println!("\nspeedup at canonical 64: {speedup_at_64:.2}x (>= 2x requirement holds)");
-    }
 
     // Quick mode exists for the bit-identity assertions; it never
     // clobbers committed full-mode numbers with 1-iteration timings.

@@ -305,6 +305,48 @@ fn every_truncation_and_every_bit_flip_of_a_saved_file_is_a_typed_error() {
     assert_every_truncation_and_bit_flip_is_typed(&bytes, "saved file");
 }
 
+/// A store's open reads headers only: one flipped byte in a segment's
+/// descriptor matrix and one in its metas still open, and `fsck` names
+/// both sections; the first meta read reports its own flip. This is the
+/// mechanism behind F13's cold-open-over-full-load ratio
+/// (`exp_mmap_ingest`), which is reported, not gated. The store-level
+/// twin of `persist.rs`'s `descriptor_corruption_is_deferred_but_not_missed`.
+#[test]
+fn a_store_opens_past_corrupt_payloads_that_fsck_and_first_reads_report() {
+    let dir = temp_dir("deferred");
+    let options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+    drop(CorpusStore::create_from_database(&dir, &db_with(12, 4), options.clone()).unwrap());
+    let report = fsck_dir(&dir).unwrap();
+    assert!(report.is_ok(), "{report:?}");
+    let [(name, _)] = &report.segments[..] else {
+        panic!("one segment expected: {report:?}");
+    };
+    let path = dir.join(name);
+    let mut bytes = std::fs::read(&path).unwrap();
+    for section in fsck_slice(&bytes).sections {
+        if matches!(section.name, "metas" | "descriptors") {
+            bytes[(section.offset + section.len / 2) as usize] ^= 0x08;
+        }
+    }
+    std::fs::write(&path, &bytes).unwrap();
+
+    let store = CorpusStore::open(&dir, options).unwrap();
+    let report = fsck_dir(&dir).unwrap();
+    let bad: Vec<&str> = report.segments[0]
+        .1
+        .sections
+        .iter()
+        .filter(|s| s.error.is_some())
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(bad, ["metas", "descriptors"]);
+    match store.snapshot().meta(0).unwrap_err() {
+        CoreError::Persist(p) => assert!(p.to_string().contains("metas"), "{p}"),
+        other => panic!("expected Persist, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // 3. One container; CBIRDB02 import.
 // ---------------------------------------------------------------------------

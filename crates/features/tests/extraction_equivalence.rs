@@ -186,3 +186,57 @@ fn batch_error_handling() {
     assert_eq!(out.len(), 1);
     assert_eq!(bits(&out[0]), bits(&p.extract(&good).unwrap()));
 }
+
+/// What the planner shares, counted: over `full_default` on seeded
+/// 128-px images (so the resize runs), every shared stage computes once
+/// per image (per quantizer for the bin planes) and answers each further
+/// family that demands it from the cache. This is the mechanism behind
+/// T1b's planner-over-naive ratio (`exp_extraction_throughput`), which
+/// is reported, not gated.
+#[test]
+fn every_shared_stage_computes_once_per_image() {
+    use cbir_obs::Stage;
+    let corpus = cbir_workload::Corpus::generate(cbir_workload::CorpusSpec {
+        classes: 6,
+        images_per_class: 1,
+        image_size: 128,
+        ..Default::default()
+    });
+    let pipeline = Pipeline::full_default();
+    let registry = cbir_obs::Registry::new();
+    registry.enter(|| {
+        for img in &corpus.images {
+            pipeline.extract(img).unwrap();
+        }
+    });
+    let n = corpus.images.len() as u64;
+    // (stage, computes per image, demands per image): the frame (resize,
+    // grayscale); two quantizers (colour histogram, correlogram); the
+    // Sobel field for Tamura; its magnitude/orientation plane for Tamura,
+    // the orientation histogram and, through the normalized magnitude,
+    // the edge-density grid; the mask for the Hu moments (through their
+    // moments) and the region labelling; the moments for Hu and the
+    // shape summary; the integral image for Tamura.
+    let demands = [
+        (Stage::Resize, 1, 1),
+        (Stage::Grayscale, 1, 1),
+        (Stage::Quantize, 2, 2),
+        (Stage::Sobel, 1, 1),
+        (Stage::MagOri, 1, 3),
+        (Stage::MagNorm, 1, 1),
+        (Stage::Mask, 1, 2),
+        (Stage::Moments, 1, 2),
+        (Stage::Integral, 1, 1),
+        (Stage::Sdt, 0, 0),
+    ];
+    let stages = registry.snapshot().stages;
+    for (stage, computes, demanded) in demands {
+        let s = &stages[stage as usize];
+        assert_eq!(
+            (s.misses, s.hits),
+            (n * computes, n * (demanded - computes)),
+            "{}: (computes, cache hits) over {n} images",
+            stage.name()
+        );
+    }
+}

@@ -1041,6 +1041,53 @@ mod tests {
         }
     }
 
+    /// What micro-batching shares, counted: a fixed script of requests
+    /// admitted through `submit` and drained at `max_batch` 64 runs as
+    /// ⌈N/64⌉ engine calls, and every reply is the bytes a one-request-
+    /// per-dispatch run sends. This is the mechanism behind F9's batched-
+    /// over-single ratio (`exp_serve_throughput`), which is reported, not
+    /// gated.
+    #[test]
+    fn a_drained_queue_runs_in_full_batches_with_unbatched_replies() {
+        const N: usize = 200;
+        let script: Vec<Request> = (0..N)
+            .map(|i| Request::Knn {
+                deadline_us: 0,
+                descriptor: (0..8)
+                    .map(|j| ((i * 7 + j * 3) % 11) as f32 / 40.0)
+                    .collect(),
+                k: 1 + (i % 4) as u32,
+                recall_target: 1.0,
+            })
+            .collect();
+        let run = |max_batch: usize| {
+            let s = sched(SchedulerConfig {
+                max_batch,
+                ..SchedulerConfig::default()
+            });
+            let cells: Vec<Arc<ReplyCell>> = script
+                .iter()
+                .map(|request| {
+                    let (p, cell) = pending(request.clone());
+                    s.submit(p);
+                    cell
+                })
+                .collect();
+            s.drain_queued();
+            let replies: Vec<Vec<u8>> = cells.iter().map(|c| encode_response(&reply(c))).collect();
+            (s.metrics.snapshot(0), replies)
+        };
+        let (batched, batched_replies) = run(64);
+        let (single, single_replies) = run(1);
+        assert_eq!(
+            (batched.batches, batched.executed),
+            (N.div_ceil(64) as u64, N as u64),
+            "(engine calls, executed) at max_batch 64"
+        );
+        assert_eq!((single.batches, single.executed), (N as u64, N as u64));
+        assert!(batched_replies == single_replies, "batched replies differ");
+    }
+
     #[test]
     fn run_drains_admitted_work_before_exiting_on_shutdown() {
         let s = Arc::new(sched(SchedulerConfig {

@@ -8,6 +8,11 @@
 # (1-iteration) mode: their bit-identity assertions (planner vs naive
 # extraction, batched vs single-query k-NN, every tree's k-NN vs the
 # scan's in F1 and its range vs the scan's in F3) execute on every verify.
+# Their timed ratios are printed, not asserted: the mechanisms behind
+# T1b, F9, F13 and F14's are count gates in the test step (see
+# EXPERIMENTS.md), and F8, F12 and F15 assert theirs in full runs only.
+# F16's quick leg (exp_chaos_serving's hedged p99 cut) is the only one
+# that still asserts a clock.
 # The smoke corpora further down are six images, far under the row count
 # from which the sequential scan filters L1 exactly, so the quick F8, F9
 # and F15 legs are what exercises that path here: their corpora are over
@@ -75,7 +80,11 @@ fi
 
 echo "==> server smoke test (generate -> index -> serve -> rpc-query -> shutdown)"
 SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR"' EXIT
+# On every exit, a failed check's too: stop the servers, routers and
+# chaos proxies this script left in the background (each a child of this
+# shell), so none keeps holding the script's output open, then remove
+# the scratch directory.
+trap 'pkill -P $$ 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
 CBIR=target/release/cbir
 "$CBIR" generate "$SMOKE_DIR/photos" --classes 2 --per-class 3 --size 32 >/dev/null
 "$CBIR" index "$SMOKE_DIR/photos" --db "$SMOKE_DIR/photos.cbir" >/dev/null

@@ -680,23 +680,6 @@ fn server_stats_text(snap: &StatsSnapshot) -> String {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    args.reject_unknown(
-        "serve",
-        &[
-            "mmap",
-            "port",
-            "addr-file",
-            "measure",
-            "index",
-            "max-batch",
-            "max-delay-us",
-            "queue-cap",
-            "threads",
-            "idle-timeout-ms",
-            "write-timeout-ms",
-            "trace-sample-n",
-        ],
-    );
     let db_path = args.positional.first().unwrap_or_else(|| usage());
     let port: u16 = args.flag_parse("port", 7878);
     let measure = measure_by_name(args.flag("measure").unwrap_or("l1"));
@@ -765,14 +748,10 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 fn cmd_shard_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let db_path = args.positional.first().unwrap_or_else(|| usage());
     let shards: usize = args.flag_parse("shards", 2);
-    let scheme = match args.flag("scheme").unwrap_or("mod") {
-        "mod" => ShardScheme::Mod,
-        "range" => ShardScheme::Range,
-        other => {
-            eprintln!("error: unknown scheme {other:?} (mod|range)");
-            std::process::exit(2);
-        }
-    };
+    let scheme = ShardScheme::parse(args.flag("scheme").unwrap_or("mod")).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let out_dir = args
         .flag("out-dir")
         .map(PathBuf::from)
@@ -798,11 +777,7 @@ fn cmd_shard_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all(&out_dir)?;
     plan.save(out_dir.join("PLAN.txt"))?;
     println!(
-        "plan: {} scheme, {} rows x {} dim -> {} shard(s), saved {}",
-        match scheme {
-            ShardScheme::Mod => "mod",
-            ShardScheme::Range => "range",
-        },
+        "plan: {scheme} scheme, {} rows x {} dim -> {} shard(s), saved {}",
         plan.total_rows(),
         plan.dim(),
         plan.shards(),
@@ -825,20 +800,6 @@ fn cmd_shard_plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_route(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    args.reject_unknown(
-        "route",
-        &[
-            "port",
-            "addr-file",
-            "cooldown-ms",
-            "read-timeout-ms",
-            "hedge-ms",
-            "probe-ms",
-            "allow-partial",
-            "breaker-threshold",
-            "retry-budget",
-        ],
-    );
     if args.positional.len() < 2 {
         usage();
     }
@@ -1387,6 +1348,110 @@ fn cmd_rpc_ctl(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), Box<dyn std::error::Error>>;
+
+/// Every subcommand: its name, the flags it takes (`-k` is `k`), and its
+/// entry point. Any other flag is an error before the command runs.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    (
+        "generate",
+        &["classes", "per-class", "size", "seed"],
+        cmd_generate,
+    ),
+    ("index", &["db", "pipeline", "threads"], cmd_index),
+    (
+        "query",
+        &[
+            "k",
+            "measure",
+            "index",
+            "threads",
+            "recall-target",
+            "trace-sample-n",
+        ],
+        cmd_query,
+    ),
+    ("info", &[], cmd_info),
+    (
+        "evaluate",
+        &["k", "measure", "index", "threads"],
+        cmd_evaluate,
+    ),
+    ("trace", &["k", "measure", "index", "format"], cmd_trace),
+    ("stats", &["format"], cmd_stats),
+    ("fsck", &[], cmd_fsck),
+    (
+        "ingest",
+        &["store", "pipeline", "threads", "memtable-limit"],
+        cmd_ingest,
+    ),
+    ("compact", &[], cmd_compact),
+    (
+        "serve",
+        &[
+            "mmap",
+            "port",
+            "addr-file",
+            "measure",
+            "index",
+            "max-batch",
+            "max-delay-us",
+            "queue-cap",
+            "threads",
+            "idle-timeout-ms",
+            "write-timeout-ms",
+            "trace-sample-n",
+        ],
+        cmd_serve,
+    ),
+    (
+        "shard-plan",
+        &["shards", "scheme", "out-dir"],
+        cmd_shard_plan,
+    ),
+    (
+        "route",
+        &[
+            "port",
+            "addr-file",
+            "cooldown-ms",
+            "read-timeout-ms",
+            "hedge-ms",
+            "probe-ms",
+            "allow-partial",
+            "breaker-threshold",
+            "retry-budget",
+        ],
+        cmd_route,
+    ),
+    (
+        "chaos-proxy",
+        &["port", "addr-file", "mode"],
+        cmd_chaos_proxy,
+    ),
+    (
+        "rpc-query",
+        &[
+            "db",
+            "id",
+            "k",
+            "radius",
+            "deadline-us",
+            "retries",
+            "recall-target",
+        ],
+        cmd_rpc_query,
+    ),
+    (
+        "rpc-storm",
+        &["conns", "requests", "k", "seed"],
+        cmd_rpc_storm,
+    ),
+    ("rpc-insert", &["db"], cmd_rpc_insert),
+    ("rpc-ctl", &["id"], cmd_rpc_ctl),
+];
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() {
@@ -1394,28 +1459,11 @@ fn main() -> ExitCode {
     }
     let cmd = raw[0].as_str();
     let args = Args::parse(&raw[1..]);
-    let result = match cmd {
-        "generate" => cmd_generate(&args),
-        "index" => cmd_index(&args),
-        "query" => cmd_query(&args),
-        "info" => cmd_info(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "trace" => cmd_trace(&args),
-        "stats" => cmd_stats(&args),
-        "fsck" => cmd_fsck(&args),
-        "ingest" => cmd_ingest(&args),
-        "compact" => cmd_compact(&args),
-        "serve" => cmd_serve(&args),
-        "shard-plan" => cmd_shard_plan(&args),
-        "route" => cmd_route(&args),
-        "chaos-proxy" => cmd_chaos_proxy(&args),
-        "rpc-query" => cmd_rpc_query(&args),
-        "rpc-storm" => cmd_rpc_storm(&args),
-        "rpc-insert" => cmd_rpc_insert(&args),
-        "rpc-ctl" => cmd_rpc_ctl(&args),
-        _ => usage(),
+    let Some((_, flags, run)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+        usage()
     };
-    match result {
+    args.reject_unknown(cmd, flags);
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -135,29 +135,6 @@ fn errors_are_reported_not_panicked() {
     assert!(!ok);
     assert!(stderr.contains("usage"), "{stderr}");
 
-    // serve names a flag it does not take instead of ignoring it (the
-    // connection-engine flags are gone: there is one engine).
-    for flag in ["--event-loop", "--max-conns", "--mutation-workers"] {
-        let (ok, _, stderr) = run(&["serve", db.to_str().unwrap(), flag, "1"]);
-        assert!(!ok);
-        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
-    }
-    // So does route: a typo of --hedge-ms must not leave hedging off
-    // unnoticed.
-    let plan = dir.join("PLAN.txt");
-    let (ok, _, stderr) = run(&[
-        "route",
-        plan.to_str().unwrap(),
-        "127.0.0.1:1",
-        "--hedge",
-        "5",
-    ]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("unknown flag --hedge for route"),
-        "{stderr}"
-    );
-
     // Corrupt database file.
     let bad = dir.join("bad.cbir");
     std::fs::write(&bad, b"not a database").unwrap();
@@ -165,6 +142,106 @@ fn errors_are_reported_not_panicked() {
     assert!(!ok);
     assert!(stderr.contains("error"), "{stderr}");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Exit status, stdout and stderr of one `cbir` run in `cwd`.
+fn run_status(cwd: &std::path::Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(bin())
+        .current_dir(cwd)
+        .args(args)
+        .output()
+        .expect("spawn cbir binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Every subcommand names a flag it does not take, with status 2, before
+/// it does anything: a mistyped flag must not read as one that took hold
+/// (`route --hedge 5` must not leave hedging off unnoticed), and the
+/// connection-engine flags `serve` once took are gone with the second
+/// engine.
+#[test]
+fn every_subcommand_rejects_a_flag_it_does_not_take() {
+    // Run in an empty directory, where nothing the commands name exists.
+    let dir = temp_workspace("flags");
+    let cases: &[&[&str]] = &[
+        &["generate", "out", "--class", "3"],
+        &["index", "imgs", "--db", "x.cbir", "--thread", "2"],
+        &["query", "x.cbir", "q.ppm", "--recall", "0.9"],
+        &["info", "x.cbir", "--verbose", "1"],
+        &["evaluate", "x.cbir", "--measures", "l2"],
+        &["trace", "x.cbir", "q.ppm", "--fmt", "json"],
+        &["stats", "127.0.0.1:1", "--formats", "json"],
+        &["fsck", "x.cbir", "--repair", "1"],
+        &["ingest", "imgs", "--store", "s.seg", "--memtable", "8"],
+        &["compact", "s.seg", "--force", "1"],
+        &["serve", "x.cbir", "--max-batches", "8"],
+        &["serve", "x.cbir", "--event-loop", "1"],
+        &["serve", "x.cbir", "--max-conns", "1"],
+        &["serve", "x.cbir", "--mutation-workers", "1"],
+        &["shard-plan", "x.cbir", "--shard", "3"],
+        &["route", "PLAN.txt", "127.0.0.1:1", "--hedge", "5"],
+        // An invalid port stops the proxy if the mistyped flag is ignored.
+        &[
+            "chaos-proxy",
+            "127.0.0.1:1",
+            "--port",
+            "99999",
+            "--modes",
+            "pass",
+        ],
+        &["rpc-query", "127.0.0.1:1", "--id", "0", "--recall", "0.9"],
+        &["rpc-storm", "127.0.0.1:1", "--connections", "4"],
+        &["rpc-insert", "127.0.0.1:1", "q.ppm", "--database", "x.cbir"],
+        &["rpc-ctl", "127.0.0.1:1", "delete", "--ids", "0"],
+    ];
+    for &args in cases {
+        let (cmd, flag) = (args[0], args[args.len() - 2]);
+        let (status, stdout, stderr) = run_status(&dir, args);
+        assert_eq!(status, Some(2), "{args:?}: {stdout}{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for {cmd}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "a command wrote files"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `shard-plan` names the scheme it planned, and an unknown scheme exits
+/// with status 2 before any file is written.
+#[test]
+fn shard_plan_names_its_scheme_and_rejects_an_unknown_one() {
+    let dir = temp_workspace("scheme");
+    let (corpus, db) = (dir.join("corpus"), dir.join("db.cbir"));
+    let (corpus_s, db_s) = (corpus.to_str().unwrap(), db.to_str().unwrap());
+    let (ok, _, stderr) = run(&["generate", corpus_s, "--classes", "2", "--per-class", "2"]);
+    assert!(ok, "generate failed: {stderr}");
+    let (ok, _, stderr) = run(&["index", corpus_s, "--db", db_s, "--pipeline", "color"]);
+    assert!(ok, "index failed: {stderr}");
+    let out_dir = dir.join("shards");
+    let out_s = out_dir.to_str().unwrap();
+    let (ok, stdout, stderr) = run(&["shard-plan", db_s, "--scheme", "range", "--out-dir", out_s]);
+    assert!(ok, "shard-plan failed: {stderr}");
+    assert!(stdout.starts_with("plan: range scheme, 4 rows"), "{stdout}");
+
+    let other = dir.join("other");
+    let other_s = other.to_str().unwrap();
+    let (status, _, stderr) = run_status(
+        &dir,
+        &["shard-plan", db_s, "--scheme", "hash", "--out-dir", other_s],
+    );
+    assert_eq!(status, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown shard scheme \"hash\""), "{stderr}");
+    assert!(!other.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
