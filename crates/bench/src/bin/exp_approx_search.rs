@@ -336,10 +336,22 @@ fn main() {
             "rerank",
         ]);
         let mut rows = Vec::new();
+        // A target whose budget equals the previous target's (at small N
+        // every target plans the floor of 4·k) would time the same
+        // configuration again: it is skipped, and said so.
+        let mut skipped = Vec::new();
         for (method, coarse) in &methods {
+            let mut previous = None;
             for &rt in recall_targets {
                 let budget = plan_candidate_budget(n, K, rt)
                     .expect("targets below 1.0 always plan a budget");
+                if let Some((prev_rt, prev_budget)) = previous.filter(|&(_, b)| b == budget) {
+                    skipped.push(format!(
+                        "{method} target {rt}: skipped, budget {prev_budget} as at target {prev_rt}"
+                    ));
+                    continue;
+                }
+                previous = Some((rt, budget));
                 let mut results = Vec::new();
                 let mut stats = BatchStats::new();
                 let total_us = median_us(timing_iters, || {
@@ -386,6 +398,7 @@ fn main() {
             }
         }
         table.print();
+        skipped.iter().for_each(|line| println!("{line}"));
         println!();
 
         // The same rows under L1: the filtered exact scan against the

@@ -113,9 +113,6 @@ fn measure_p99(addr: SocketAddr, queries: &[Vec<f32>]) -> u64 {
             start.elapsed().as_micros() as u64
         })
         .collect();
-    if std::env::var("CHAOS_DEBUG").is_ok() {
-        eprintln!("latencies: {lat_us:?}");
-    }
     lat_us.sort_unstable();
     lat_us[(lat_us.len() * 99) / 100]
 }

@@ -29,7 +29,7 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_mmap_ingest [--quick]`
 
-use cbir_bench::{median_us, rounded, write_results, Table};
+use cbir_bench::{closed_loop, median_us, rounded, write_results, Table};
 use cbir_core::persist::{load_file, save_file};
 use cbir_core::{
     CorpusSnapshot, CorpusStore, ImageDatabase, ImageMeta, IndexKind, QueryEngine, Ranked,
@@ -42,7 +42,7 @@ use cbir_obs::obj;
 use cbir_server::{Client, SchedulerConfig, Server};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Instant;
 
 const DIM: usize = 64;
@@ -114,38 +114,12 @@ fn snap_keys(snap: &CorpusSnapshot, queries: &[Vec<f32>]) -> Vec<Vec<(usize, Str
     keys(&snap.knn_batch(queries, K, 1, &mut stats).expect("snap knn"))
 }
 
-/// Pipelined k-NN load: `CLIENTS` connections, `per_client` queries
-/// each; returns queries/second. Every reply must carry exactly k hits.
+/// Pipelined k-NN load, one connection per stream; returns
+/// queries/second. Every reply must carry exactly k hits.
 fn query_load(addr: std::net::SocketAddr, streams: &[Vec<Vec<f32>>]) -> f64 {
-    let total: usize = streams.iter().map(|s| s.len()).sum();
-    let barrier = Arc::new(Barrier::new(streams.len() + 1));
-    let elapsed = std::thread::scope(|scope| {
-        for stream in streams {
-            let barrier = Arc::clone(&barrier);
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                barrier.wait();
-                let (mut sent, mut recvd) = (0usize, 0usize);
-                while recvd < stream.len() {
-                    while sent < stream.len() && sent - recvd < WINDOW {
-                        client.send_knn(&stream[sent], K, 0, 1.0).expect("send");
-                        sent += 1;
-                    }
-                    client.flush().expect("flush");
-                    let drain_to = recvd + ((sent - recvd) / 2).max(1);
-                    while recvd < drain_to {
-                        let hits = client.recv_hits().expect("recv");
-                        assert_eq!(hits.len(), K, "short reply under ingest load");
-                        recvd += 1;
-                    }
-                }
-            });
-        }
-        barrier.wait();
-        Instant::now()
+    closed_loop(addr, streams, K, WINDOW, |hits| {
+        assert_eq!(hits.len(), K, "short reply under ingest load");
     })
-    .elapsed();
-    total as f64 / elapsed.as_secs_f64()
 }
 
 /// Claim 2: every view answers the same bits. Returns the number of

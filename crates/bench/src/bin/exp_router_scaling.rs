@@ -41,7 +41,8 @@
 //! Run: `cargo run --release -p cbir-bench --bin exp_router_scaling [--quick]`
 
 use cbir_bench::{
-    median, raw_call, rounded, spawn_backend, union_db, write_results, UNION_DIM as DIM,
+    closed_loop, median, raw_call, rounded, spawn_backend, union_db, write_results,
+    UNION_DIM as DIM,
 };
 use cbir_core::{split_database, ImageDatabase, ShardPlan, ShardScheme};
 use cbir_obs::{obj, Json};
@@ -51,7 +52,7 @@ use cbir_server::{Client, ServerHandle};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const K: usize = 10;
 const CLIENTS: usize = 8;
@@ -135,25 +136,9 @@ fn assert_bit_identity(router_addr: SocketAddr, single_addr: SocketAddr, union: 
 /// connection) because the router scatters each request across every
 /// shard — concurrency comes from the client count.
 fn run_load(addr: SocketAddr, streams: &[Vec<Vec<f32>>]) -> f64 {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let barrier = Arc::new(Barrier::new(streams.len() + 1));
-    let elapsed = std::thread::scope(|scope| {
-        for stream in streams {
-            let barrier = Arc::clone(&barrier);
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                barrier.wait();
-                for q in stream {
-                    let hits = client.knn(q, K, 0, 1.0).expect("knn");
-                    std::hint::black_box(&hits);
-                }
-            });
-        }
-        barrier.wait();
-        Instant::now()
+    closed_loop(addr, streams, K, 1, |hits| {
+        std::hint::black_box(hits);
     })
-    .elapsed();
-    total as f64 / elapsed.as_secs_f64()
 }
 
 /// The failover leg: 2 shards x 2 replicas, kill shard 0's primary

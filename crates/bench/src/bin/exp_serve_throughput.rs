@@ -26,7 +26,7 @@
 //!
 //! Run: `cargo run --release -p cbir-bench --bin exp_serve_throughput [--quick]`
 
-use cbir_bench::{median, rounded, write_results, Table};
+use cbir_bench::{closed_loop, median, rounded, write_results, Table};
 use cbir_core::{ImageDatabase, ImageMeta, IndexKind, QueryEngine};
 use cbir_distance::Measure;
 use cbir_features::{FeatureSpec, Pipeline, Quantizer};
@@ -77,47 +77,13 @@ fn run_mode(
 ) -> (f64, StatsSnapshot) {
     let handle =
         Server::spawn_shared(Arc::clone(engine), "127.0.0.1:0", config).expect("spawn server");
-    let addr = handle.local_addr();
     let total: usize = streams.iter().map(|s| s.len()).sum();
-    let barrier = Arc::new(Barrier::new(streams.len() + 1));
-
-    let elapsed = std::thread::scope(|scope| {
-        for stream in streams {
-            let barrier = Arc::clone(&barrier);
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                barrier.wait();
-                // Burst pipelining: fill the window with one flush, then
-                // drain half of it before refilling — the socket always
-                // holds several in-flight requests, and client syscalls
-                // are amortized across the burst instead of paid per
-                // query (which would bottleneck both server modes alike).
-                let (mut sent, mut recvd) = (0usize, 0usize);
-                while recvd < stream.len() {
-                    while sent < stream.len() && sent - recvd < WINDOW {
-                        client.send_knn(&stream[sent], K, 0, 1.0).expect("send");
-                        sent += 1;
-                    }
-                    client.flush().expect("flush");
-                    let drain_to = recvd + ((sent - recvd) / 2).max(1);
-                    while recvd < drain_to {
-                        let hits = client.recv_hits().expect("recv");
-                        std::hint::black_box(&hits);
-                        recvd += 1;
-                    }
-                }
-            });
-        }
-        barrier.wait();
-        let start = Instant::now();
-        // Scope joins every client before returning.
-        start
-    })
-    .elapsed();
-
+    let qps = closed_loop(handle.local_addr(), streams, K, WINDOW, |hits| {
+        std::hint::black_box(hits);
+    });
     let snap = handle.shutdown();
     assert_eq!(snap.executed, total as u64, "server dropped admitted work");
-    (total as f64 / elapsed.as_secs_f64(), snap)
+    (qps, snap)
 }
 
 /// Bit-identity gate: every server reply must match the direct engine

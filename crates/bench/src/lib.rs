@@ -1,7 +1,8 @@
 //! Shared harness code for the experiment binaries (`exp_*`) and Criterion
 //! benches: aligned table printing, median timing, the standard
 //! dataset / index / corpus setups every experiment draws from, and the
-//! serving experiments' union corpus, backend and raw-frame call.
+//! serving experiments' union corpus, backend, raw-frame call and
+//! closed-loop client load.
 
 use cbir_core::{build_index, ImageDatabase, ImageMeta, IndexKind, QueryEngine};
 use cbir_distance::Measure;
@@ -9,10 +10,10 @@ use cbir_features::{FeatureSpec, Pipeline, Quantizer};
 use cbir_index::{Dataset, SearchIndex};
 use cbir_obs::Json;
 use cbir_server::protocol::{encode_request, read_frame, write_frame, Request};
-use cbir_server::{SchedulerConfig, Server, ServerHandle};
+use cbir_server::{Client, Hit, SchedulerConfig, Server, ServerHandle};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Fixed-width table printer for paper-style result tables.
@@ -142,6 +143,50 @@ pub fn raw_call(addr: SocketAddr, req: &Request) -> Vec<u8> {
     read_frame(&mut BufReader::new(stream))
         .expect("read frame")
         .expect("reply payload")
+}
+
+/// Closed-loop k-NN load for `k` neighbours against `addr`: one
+/// connection per stream, all released at once, each keeping at most
+/// `window` requests in flight — fill the window with one flush, then
+/// drain half of it before refilling, so client syscalls are amortized
+/// across the burst (a window of 1 is one request at a time). Every reply
+/// goes through `check`. Returns queries per second over the whole load.
+pub fn closed_loop(
+    addr: SocketAddr,
+    streams: &[Vec<Vec<f32>>],
+    k: usize,
+    window: usize,
+    check: impl Fn(&[Hit]) + Sync,
+) -> f64 {
+    let total: usize = streams.iter().map(Vec::len).sum();
+    let barrier = Barrier::new(streams.len() + 1);
+    let elapsed = std::thread::scope(|scope| {
+        for stream in streams {
+            let (barrier, check) = (&barrier, &check);
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                barrier.wait();
+                let (mut sent, mut recvd) = (0usize, 0usize);
+                while recvd < stream.len() {
+                    while sent < stream.len() && sent - recvd < window {
+                        client.send_knn(&stream[sent], k, 0, 1.0).expect("send");
+                        sent += 1;
+                    }
+                    client.flush().expect("flush");
+                    let drain_to = recvd + ((sent - recvd) / 2).max(1);
+                    while recvd < drain_to {
+                        check(&client.recv_hits().expect("recv"));
+                        recvd += 1;
+                    }
+                }
+            });
+        }
+        barrier.wait();
+        // The scope joins every client before returning.
+        Instant::now()
+    })
+    .elapsed();
+    total as f64 / elapsed.as_secs_f64()
 }
 
 /// Milliseconds with three decimals.

@@ -214,21 +214,6 @@ pub fn policy_from_env() -> Option<Box<dyn FaultPolicy>> {
     Some(Box::new(FailAtOp::new(op, io::ErrorKind::StorageFull)))
 }
 
-/// Read the compaction fault policy from the environment, if one is set.
-///
-/// `CBIR_FAULT_COMPACT_OP=<n>` makes the `n`-th primitive operation of
-/// the next [`crate::store::CorpusStore::compact`] fail with
-/// `ENOSPC`-style storage exhaustion. One counter spans the *whole*
-/// compaction — every segment write and the manifest commit — so a
-/// sweep over `n` interrupts the merge at every possible point, and the
-/// crash-recovery smoke asserts the directory reopens as exactly the
-/// old or the new segment set.
-pub fn compact_policy_from_env() -> Option<Box<dyn FaultPolicy>> {
-    let raw = std::env::var("CBIR_FAULT_COMPACT_OP").ok()?;
-    let op: u64 = raw.parse().ok()?;
-    Some(Box::new(FailAtOp::new(op, io::ErrorKind::StorageFull)))
-}
-
 // ---------------------------------------------------------------------------
 // FaultFile: a faulty byte stream.
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-//! The out-of-core corpus store: immutable mmap-backed segments plus a
-//! mutable in-memory memtable, unified behind epoch-stamped immutable
-//! snapshots.
+//! The out-of-core corpus store: immutable segments — mmap-backed
+//! files, and the memtable's chunks, which are segments without a file
+//! — unified behind epoch-stamped immutable snapshots.
 //!
 //! ## Architecture
 //!
@@ -8,15 +8,20 @@
 //! of immutable `CBIRDB03` segment files named by a `MANIFEST` (see
 //! [`crate::persist`]), which also lists each segment's deleted rows;
 //! the volatile state is a memtable of descriptors inserted since the
-//! last compaction plus a tombstone set of deleted global ids. Every
+//! last compaction plus a tombstone set of deleted global ids. There is
+//! one source type, `Segment`: its rows are mapped from its file or held
+//! on the heap, its metadata is decoded lazily from the file or given at
+//! construction, and its index kind is fixed when it is created (the
+//! store's for a file, a linear scan for a memtable chunk). Every
 //! mutation bumps a per-process epoch and publishes a fresh
-//! [`CorpusSnapshot`]; readers pin a snapshot with one `Arc` clone
-//! and keep querying it unperturbed while writers move on — compaction
-//! included. Segment files are deleted only after a compaction commits,
-//! and a pinned snapshot keeps its mappings alive across that deletion
-//! (the mapping outlives the directory entry), so an in-flight
-//! `knn_batch` can never observe a torn view: it sees exactly the epoch
-//! it pinned.
+//! [`CorpusSnapshot`] — one list of sources, the files first, each with
+//! its first global id and deleted rows; readers pin a snapshot with one
+//! `Arc` clone and keep querying it unperturbed while writers move on —
+//! compaction included. Segment files are deleted only after a
+//! compaction commits, and a pinned snapshot keeps its mappings alive
+//! across that deletion (the mapping outlives the directory entry), so
+//! an in-flight `knn_batch` can never observe a torn view: it sees
+//! exactly the epoch it pinned.
 //!
 //! ## Ids and epochs
 //!
@@ -43,15 +48,16 @@
 //!
 //! [`CorpusSnapshot`] is the repo's one read path, and it is one pass,
 //! batch-first: each worker thread walks the sources (every segment's
-//! lazily built index, then every memtable chunk's) once and hands its
+//! lazily built index, files first) once and hands its
 //! whole chunk of queries to the source's batched search. A k-NN asks
 //! each source for the `k` nearest rows past its dead ones — listed or
 //! tombstoned ([`SearchIndex::knn_batch_skipping`]: a linear scan passes
 //! over them where it offers a row, any other index is asked for
 //! `k + dead` and drops them); per query the worker then merges by
 //! `(distance, id)` with the exact comparator the indexes use and
-//! truncates to `k`. A static database is the same thing with one heap
-//! source and nothing to merge ([`CorpusSnapshot::from_database`], what a
+//! truncates to `k`. A static database is the same thing with one
+//! segment without a file and nothing to merge
+//! ([`CorpusSnapshot::from_database`], what a
 //! [`crate::QueryEngine`] wraps), so a multi-source snapshot is
 //! bit-identical to an engine built over [`CorpusSnapshot::materialize`].
 //! Over L1 linear scans, whose exact filter streams its whole code table
@@ -71,7 +77,7 @@ use crate::engine::{
     build_index, plan_candidate_budget, validate_recall_target, IndexKind, ObsCapture, Ranked,
 };
 use crate::error::{CoreError, PersistError, Result};
-use crate::faults::{compact_policy_from_env, FaultPolicy, NoFaults};
+use crate::faults::{FaultPolicy, NoFaults};
 use crate::mmap::Mmap;
 use crate::persist::{
     encode_config_parts, encode_manifest, encode_segment, parse_manifest, parse_segment,
@@ -149,22 +155,24 @@ impl AsRef<[f32]> for SegmentRows {
     }
 }
 
-/// The searchable part of a source — a non-empty segment or a memtable
-/// chunk: its rows, and the structures built over them on first use (a
-/// failed build is cached too).
+/// The searchable part of a non-empty segment: its rows, the index kind
+/// it is searched with, and the structures built over them on first use
+/// (a failed build is cached too).
 struct SourceRows {
     /// Names the source in build errors.
     label: String,
     dataset: Dataset,
+    kind: IndexKind,
     index_cell: OnceLock<std::result::Result<Box<dyn SearchIndex>, String>>,
     coarse_cell: OnceLock<std::result::Result<CoarseHaarIndex, String>>,
 }
 
 impl SourceRows {
-    fn new(label: String, dataset: Dataset) -> Self {
+    fn new(label: String, dataset: Dataset, kind: &IndexKind) -> Self {
         SourceRows {
             label,
             dataset,
+            kind: kind.clone(),
             index_cell: OnceLock::new(),
             coarse_cell: OnceLock::new(),
         }
@@ -183,10 +191,11 @@ impl SourceRows {
 
     /// The lazily built search index (the first query over the source
     /// pays the build; concurrent first queries block on one build).
-    fn index(&self, kind: &IndexKind, measure: &Measure) -> Result<&dyn SearchIndex> {
+    fn index(&self, measure: &Measure) -> Result<&dyn SearchIndex> {
         self.index_cell
             .get_or_init(|| {
-                build_index(kind, self.dataset.clone(), measure.clone()).map_err(|e| e.to_string())
+                build_index(&self.kind, self.dataset.clone(), measure.clone())
+                    .map_err(|e| e.to_string())
             })
             .as_ref()
             .map(|ix| ix.as_ref())
@@ -208,35 +217,51 @@ impl SourceRows {
     }
 }
 
-/// One open immutable segment: the mapped file image,
-/// its parsed view, and lazily materialized metadata and search index.
-/// Laziness is load-bearing: opening a store must stay O(segments), not
-/// O(rows), so cold-open cost is independent of corpus size.
-struct Segment {
+/// A segment's file: its path, the name the manifest records, the mapped
+/// image and its parsed view.
+struct SegmentFile {
     path: PathBuf,
-    /// The file name the manifest records.
     name: String,
     bytes: Arc<Mmap>,
     view: SegmentView,
+}
+
+/// One immutable source of a snapshot. A file-backed segment maps its
+/// rows and decodes its metadata lazily from the file; laziness is
+/// load-bearing: opening a store must stay O(segments), not O(rows), so
+/// cold-open cost is independent of corpus size. A segment without a
+/// file holds its rows on the heap and is given its metadata: a slice of
+/// the memtable, whose frozen chunks every publish shares by `Arc` with
+/// their index and coarse table built once — this chunking is what makes
+/// both incremental under live ingest — or a static database's rows,
+/// shared with it ([`CorpusSnapshot::from_database`]).
+struct Segment {
+    /// `None` for heap rows.
+    file: Option<SegmentFile>,
     rows: usize,
     /// `None` iff the segment is empty.
     data: Option<SourceRows>,
-    metas_cell: OnceLock<std::result::Result<Vec<ImageMeta>, String>>,
+    metas_cell: OnceLock<std::result::Result<Arc<Vec<ImageMeta>>, String>>,
 }
 
 impl Segment {
     /// Map the file (or, where mapping is unavailable, read it: see
-    /// [`Mmap::open`]) and open the image.
-    fn open(path: &Path, name: &str) -> Result<Arc<Segment>> {
+    /// [`Mmap::open`]) and open the image, to be searched with `kind`.
+    fn open(path: &Path, name: &str, kind: &IndexKind) -> Result<Arc<Segment>> {
         let bytes = Mmap::open(path).map_err(|e| {
             CoreError::Persist(
                 PersistError::new(format!("cannot open segment: {e}")).with_path(path),
             )
         })?;
-        Self::from_image(path, name, Arc::new(bytes))
+        Self::from_image(path, name, Arc::new(bytes), kind)
     }
 
-    fn from_image(path: &Path, name: &str, bytes: Arc<Mmap>) -> Result<Arc<Segment>> {
+    fn from_image(
+        path: &Path,
+        name: &str,
+        bytes: Arc<Mmap>,
+        kind: &IndexKind,
+    ) -> Result<Arc<Segment>> {
         let view = parse_segment(&bytes).map_err(|e| attach_path(e, path))?;
         let rows = view.rows;
         let data = if rows == 0 {
@@ -256,26 +281,64 @@ impl Segment {
                 Arc::new(view.decode_descriptors_owned(&bytes))
             };
             let dataset = Dataset::from_shared(view.dim, rows_arc)?;
-            Some(SourceRows::new(format!("segment '{name}'"), dataset))
+            Some(SourceRows::new(format!("segment '{name}'"), dataset, kind))
         };
-        Ok(Arc::new(Segment {
+        let file = SegmentFile {
             path: path.to_path_buf(),
             name: name.to_string(),
             bytes,
             view,
+        };
+        Ok(Arc::new(Segment {
+            file: Some(file),
             rows,
             data,
             metas_cell: OnceLock::new(),
         }))
     }
 
-    /// Verified, decoded metadata (first access pays the checksum pass;
-    /// the result — or the failure — is cached).
+    /// A segment without a file over `dataset` (non-empty) and the
+    /// metadata beside it.
+    fn on_heap(
+        label: &str,
+        dataset: Dataset,
+        metas: Arc<Vec<ImageMeta>>,
+        kind: &IndexKind,
+    ) -> Self {
+        debug_assert_eq!(dataset.len(), metas.len());
+        Segment {
+            file: None,
+            rows: metas.len(),
+            data: Some(SourceRows::new(label.into(), dataset, kind)),
+            metas_cell: OnceLock::from(Ok(metas)),
+        }
+    }
+
+    /// A memtable chunk: `flat` holds the rows of `metas`, searched with
+    /// a linear scan (O(1) build, and the cross-index bit-identity
+    /// contract makes mixing it with tree-indexed segments safe).
+    fn memtable(dim: usize, flat: Vec<f32>, metas: Vec<ImageMeta>) -> Result<Arc<Segment>> {
+        let dataset = Dataset::from_shared(dim, Arc::new(flat) as _)?;
+        let metas = Arc::new(metas);
+        let chunk = Self::on_heap("memtable chunk", dataset, metas, &IndexKind::Linear);
+        Ok(Arc::new(chunk))
+    }
+
+    /// The file of a file-backed segment.
+    fn file(&self) -> &SegmentFile {
+        self.file.as_ref().expect("a file-backed segment")
+    }
+
+    /// The metadata: given, or verified and decoded from the file on
+    /// first access (which pays the checksum pass; the result — or the
+    /// failure — is cached).
     fn metas(&self) -> Result<&[ImageMeta]> {
         let cached = self.metas_cell.get_or_init(|| {
-            self.view
-                .decode_metas(&self.bytes)
-                .map_err(|e| attach_path(e, &self.path).to_string())
+            let file = self.file();
+            let metas = file.view.decode_metas(&file.bytes);
+            metas
+                .map(Arc::new)
+                .map_err(|e| attach_path(e, &file.path).to_string())
         });
         match cached {
             Ok(m) => Ok(m),
@@ -283,14 +346,19 @@ impl Segment {
         }
     }
 
+    /// Whether a query has built its index ([`SourceRows::is_warm`]).
+    fn is_warm(&self) -> bool {
+        self.data.as_ref().is_some_and(SourceRows::is_warm)
+    }
+
     /// Make a fresh segment ready for readers before it is published:
     /// take the metadata its read-back already verified and decoded, and
     /// build the index with whatever it builds lazily (the L1 code
     /// table). A failed build is cached like any other, for the first
     /// query to report.
-    fn warm(&self, metas: Vec<ImageMeta>, kind: &IndexKind, measure: &Measure) {
-        let _ = self.metas_cell.set(Ok(metas));
-        if let Some(Ok(index)) = self.data.as_ref().map(|d| d.index(kind, measure)) {
+    fn warm(&self, metas: Vec<ImageMeta>, measure: &Measure) {
+        let _ = self.metas_cell.set(Ok(Arc::new(metas)));
+        if let Some(Ok(index)) = self.data.as_ref().map(|d| d.index(measure)) {
             index.prepare();
         }
     }
@@ -301,38 +369,6 @@ impl Segment {
 /// `Arc`-shares the frozen chunks, instead of re-copying the entire
 /// memtable (which made sustained ingest O(n²) in memtable size).
 const MEM_CHUNK_ROWS: usize = 1024;
-
-/// One immutable heap-resident source. In a store it is a slice of the
-/// memtable: frozen rows shared across snapshots by `Arc`, with their
-/// linear index and coarse signature table built once per chunk and
-/// reused by every subsequent publish — this chunking is what makes both
-/// incremental under live ingest. A static database is a single chunk
-/// holding all of its rows (see [`CorpusSnapshot::from_database`]).
-struct MemChunk {
-    metas: Arc<Vec<ImageMeta>>,
-    data: SourceRows,
-    /// The index the chunk is searched with. A memtable chunk always uses
-    /// a linear scan: O(1) build, and the cross-index bit-identity
-    /// contract makes mixing it with tree-indexed segments safe.
-    kind: IndexKind,
-}
-
-impl MemChunk {
-    fn new(dim: usize, flat: Vec<f32>, metas: Vec<ImageMeta>) -> Result<Arc<MemChunk>> {
-        debug_assert!(!metas.is_empty());
-        debug_assert_eq!(flat.len(), metas.len() * dim);
-        let dataset = Dataset::from_shared(dim, Arc::new(flat) as _)?;
-        Ok(Arc::new(MemChunk {
-            metas: Arc::new(metas),
-            data: SourceRows::new("memtable chunk".into(), dataset),
-            kind: IndexKind::Linear,
-        }))
-    }
-
-    fn rows(&self) -> usize {
-        self.metas.len()
-    }
-}
 
 /// A compaction rewrites a segment once more than one in this many of
 /// its rows are dead — deleted by its list or tombstoned. Below that the
@@ -363,36 +399,33 @@ fn physical_row(deleted: &[u64], live: u64) -> u64 {
     live + lo as u64
 }
 
-/// Where a source's rows stand in a snapshot's numbering: the global id
-/// of its first live row, its committed deleted rows (a segment's list;
-/// none for a memtable chunk), and every dead row — deleted or
-/// tombstoned — by physical row.
-struct Numbering<'a> {
+/// A source as a snapshot numbers it: the segment, the global id of its
+/// first live row, and its deleted rows as the manifest the snapshot was
+/// published under lists them — physical rows, strictly ascending, with
+/// no global id (none for a segment without a file).
+struct Listed {
+    segment: Arc<Segment>,
     base: u64,
-    deleted: &'a [u64],
-    dead: RowSet,
+    deleted: Arc<[u64]>,
 }
 
-impl Numbering<'_> {
-    /// Lift one source's hits to global ids and append the live ones.
-    fn extend_live(&self, into: &mut Hits, hits: &[Neighbor]) {
-        let live = hits.iter().filter(|n| !self.dead.contains(n.id));
-        into.extend(live.map(|n| {
-            let row = n.id as u64;
-            let before = self.deleted.partition_point(|&d| d < row) as u64;
-            (self.base + row - before, n.distance)
-        }));
+impl Listed {
+    /// The global ids of its live rows.
+    fn ids(&self) -> Range<u64> {
+        self.base..self.base + (self.segment.rows - self.deleted.len()) as u64
     }
 }
 
-/// One non-empty source of a snapshot (a segment or a memtable chunk),
-/// resolved once per batch.
+/// One non-empty source of a snapshot, resolved once per batch: its
+/// rows, where they stand, and every dead row — deleted or tombstoned —
+/// by physical row.
 struct Source<'a> {
     rows: &'a SourceRows,
     /// The lazily built index; `None` on an approximate pass over a
     /// snapshot without an exact filter, which defers every query.
     index: Option<&'a dyn SearchIndex>,
-    at: Numbering<'a>,
+    at: &'a Listed,
+    dead: RowSet,
 }
 
 impl Source<'_> {
@@ -400,8 +433,18 @@ impl Source<'_> {
     /// search here: `k` plus the source's dead rows, at most its rows (a
     /// filter passes over dead rows and is asked for `k`).
     fn want(&self, k: usize) -> usize {
-        k.saturating_add(self.at.dead.len())
+        k.saturating_add(self.dead.len())
             .min(self.rows.dataset.len())
+    }
+
+    /// Lift the source's hits to global ids and append the live ones.
+    fn extend_live(&self, into: &mut Hits, hits: &[Neighbor]) {
+        let live = hits.iter().filter(|n| !self.dead.contains(n.id));
+        into.extend(live.map(|n| {
+            let row = n.id as u64;
+            let before = self.at.deleted.partition_point(|&d| d < row) as u64;
+            (self.at.base + row - before, n.distance)
+        }));
     }
 }
 
@@ -490,21 +533,14 @@ pub struct CorpusSnapshot {
     pipeline: Pipeline,
     kind: IndexKind,
     measure: Measure,
-    segments: Vec<Arc<Segment>>,
-    /// `deleted[i]` is segment `i`'s deleted rows as the manifest this
-    /// snapshot was published under lists them: physical rows, strictly
-    /// ascending. They have no global id.
-    deleted: Vec<Arc<[u64]>>,
-    /// `bases[i]` is the global id of segment `i`'s first live row.
-    bases: Vec<u64>,
-    /// Live rows over every segment: the global id of the memtable's first.
-    seg_rows_total: u64,
-    /// Frozen memtable chunks (shared with other snapshots) plus the
-    /// snapshot-private active tail as the final chunk, if non-empty.
-    mem_chunks: Vec<Arc<MemChunk>>,
-    /// `mem_bases[i]` is the memtable-local row offset of chunk `i`.
-    mem_bases: Vec<u64>,
-    mem_rows_total: usize,
+    /// Every source in global id order: the segments with a file, then
+    /// those without — the memtable's frozen chunks (shared with other
+    /// snapshots) and the snapshot-private tail, or a static database.
+    sources: Vec<Listed>,
+    /// How many leading sources have a file.
+    files: usize,
+    /// Every global id: the live rows and the tombstoned ones.
+    total: u64,
     tombstones: Arc<BTreeSet<u64>>,
 }
 
@@ -512,17 +548,56 @@ impl std::fmt::Debug for CorpusSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CorpusSnapshot")
             .field("epoch", &self.epoch)
-            .field("segments", &self.segments.len())
-            .field("segment_rows", &self.seg_rows_total)
-            .field("memtable_rows", &self.mem_rows_total)
+            .field("segments", &self.files)
+            .field("segment_rows", &self.heap_base())
+            .field("memtable_rows", &self.memtable_rows())
             .field("tombstones", &self.tombstones.len())
             .finish()
     }
 }
 
 impl CorpusSnapshot {
-    /// A static database as a snapshot: no segments, no tombstones, epoch
-    /// 0 forever, and one heap source that shares `db`'s rows and
+    /// A snapshot of `segments` — each with its deleted rows, in global
+    /// id order, those with a file first — numbered densely over their
+    /// live rows.
+    fn new(
+        epoch: u64,
+        balanced: bool,
+        pipeline: Pipeline,
+        kind: IndexKind,
+        measure: Measure,
+        segments: impl IntoIterator<Item = (Arc<Segment>, Arc<[u64]>)>,
+        tombstones: Arc<BTreeSet<u64>>,
+    ) -> Self {
+        let mut total = 0;
+        let sources: Vec<Listed> = segments
+            .into_iter()
+            .map(|(segment, deleted)| {
+                let at = Listed {
+                    segment,
+                    base: total,
+                    deleted,
+                };
+                total = at.ids().end;
+                at
+            })
+            .collect();
+        let files = sources.iter().take_while(|s| s.segment.file.is_some());
+        CorpusSnapshot {
+            epoch,
+            balanced,
+            pipeline,
+            kind,
+            measure,
+            files: files.count(),
+            sources,
+            total,
+            tombstones,
+        }
+    }
+
+    /// A static database as a snapshot: no files, no tombstones, epoch 0
+    /// forever, and one segment on the heap that shares `db`'s rows and
     /// metadata and is searched with `kind`. The index is built here, not
     /// on first use, so an unservable configuration (an empty database,
     /// an R\*-tree without L2, a non-metric under a metric tree) fails
@@ -533,27 +608,20 @@ impl CorpusSnapshot {
                 "cannot build an engine over an empty database".into(),
             ));
         }
-        let chunk = MemChunk {
-            metas: db.shared_metas(),
-            data: SourceRows::new("database".into(), db.to_dataset()?),
-            kind: kind.clone(),
-        };
-        chunk.data.index(&kind, &measure)?;
-        Ok(CorpusSnapshot {
-            epoch: 0,
-            balanced: db.is_balanced(),
-            pipeline: db.pipeline().clone(),
+        let segment = Segment::on_heap("database", db.to_dataset()?, db.shared_metas(), &kind);
+        let (balanced, pipeline) = (db.is_balanced(), db.pipeline().clone());
+        let source = (Arc::new(segment), Arc::default());
+        let snapshot = Self::new(
+            0,
+            balanced,
+            pipeline,
             kind,
             measure,
-            segments: Vec::new(),
-            deleted: Vec::new(),
-            bases: Vec::new(),
-            seg_rows_total: 0,
-            mem_chunks: vec![Arc::new(chunk)],
-            mem_bases: vec![0],
-            mem_rows_total: db.len(),
-            tombstones: Arc::default(),
-        })
+            [source],
+            Arc::default(),
+        );
+        snapshot.sources_for(Op::Knn(0))?;
+        Ok(snapshot)
     }
 
     /// The store epoch this snapshot was published at.
@@ -575,8 +643,7 @@ impl CorpusSnapshot {
     /// query has needed yet has none).
     #[cfg(test)]
     fn index_bytes(&self) -> usize {
-        let built = |(rows, ..): (&SourceRows, u64, &IndexKind, &[u64])| match rows.index_cell.get()
-        {
+        let built = |(rows, _): (&SourceRows, _)| match rows.index_cell.get() {
             Some(Ok(index)) => index.structure_bytes(),
             _ => 0,
         };
@@ -596,7 +663,7 @@ impl CorpusSnapshot {
     /// Every global id: the live rows and the tombstoned ones (a row a
     /// segment's list deletes has no id).
     pub fn total_rows(&self) -> usize {
-        self.seg_rows_total as usize + self.mem_rows_total
+        self.total as usize
     }
 
     /// Descriptor dimensionality.
@@ -616,12 +683,18 @@ impl CorpusSnapshot {
 
     /// Number of immutable segments.
     pub fn segments_len(&self) -> usize {
-        self.segments.len()
+        self.files
+    }
+
+    /// The global id of the first row without a file: the live rows over
+    /// every segment file.
+    fn heap_base(&self) -> u64 {
+        self.sources.get(self.files).map_or(self.total, |s| s.base)
     }
 
     /// Rows in the frozen memtable portion.
     pub fn memtable_rows(&self) -> usize {
-        self.mem_rows_total
+        (self.total - self.heap_base()) as usize
     }
 
     /// Tombstoned (deleted but not yet compacted) rows.
@@ -644,55 +717,34 @@ impl CorpusSnapshot {
     /// Whether global id `id` addresses a live (non-tombstoned) row in
     /// this snapshot.
     pub fn contains(&self, id: u64) -> bool {
-        id < self.total_rows() as u64 && !self.tombstones.contains(&id)
+        id < self.total && !self.tombstones.contains(&id)
     }
 
-    /// Which physical source holds global id `id`, and at which row.
-    fn locate(&self, id: u64) -> Result<(Option<usize>, usize)> {
-        if id < self.seg_rows_total {
-            let i = self.bases.partition_point(|&b| b <= id) - 1;
-            let row = physical_row(&self.deleted[i], id - self.bases[i]);
-            Ok((Some(i), row as usize))
-        } else {
-            let local = (id - self.seg_rows_total) as usize;
-            if local >= self.mem_rows_total {
-                return Err(CoreError::NotFound(id as usize));
-            }
-            Ok((None, local))
+    /// Which segment holds global id `id`, and at which physical row.
+    fn locate(&self, id: u64) -> Result<(&Segment, usize)> {
+        if id >= self.total {
+            return Err(CoreError::NotFound(id as usize));
         }
-    }
-
-    /// Which memtable chunk holds memtable-local row `local`.
-    fn mem_chunk_at(&self, local: usize) -> (&MemChunk, usize) {
-        let i = self.mem_bases.partition_point(|&b| b <= local as u64) - 1;
-        (&self.mem_chunks[i], local - self.mem_bases[i] as usize)
+        let at = &self.sources[self.sources.partition_point(|s| s.base <= id) - 1];
+        Ok((
+            &at.segment,
+            physical_row(&at.deleted, id - at.base) as usize,
+        ))
     }
 
     /// Metadata of global id `id` (tombstoned rows are still addressable
     /// until compaction renumbers).
     pub fn meta(&self, id: u64) -> Result<ImageMeta> {
-        match self.locate(id)? {
-            (Some(seg), local) => Ok(self.segments[seg].metas()?[local].clone()),
-            (None, local) => {
-                let (chunk, off) = self.mem_chunk_at(local);
-                Ok(chunk.metas[off].clone())
-            }
-        }
+        let (segment, row) = self.locate(id)?;
+        Ok(segment.metas()?[row].clone())
     }
 
     /// Descriptor of global id `id`.
     pub fn descriptor(&self, id: u64) -> Result<Vec<f32>> {
-        match self.locate(id)? {
-            (Some(seg), local) => {
-                let data = self.segments[seg].data.as_ref();
-                let data = data.expect("located row implies non-empty segment");
-                Ok(data.dataset.vector(local).to_vec())
-            }
-            (None, local) => {
-                let (chunk, off) = self.mem_chunk_at(local);
-                Ok(chunk.data.dataset.vector(off).to_vec())
-            }
-        }
+        let (segment, row) = self.locate(id)?;
+        let data = segment.data.as_ref();
+        let data = data.expect("located row implies non-empty segment");
+        Ok(data.dataset.vector(row).to_vec())
     }
 
     /// Extract a query descriptor exactly as the corpus was built.
@@ -704,51 +756,36 @@ impl CorpusSnapshot {
         })
     }
 
-    /// The rows of every non-empty source in global id order, with the
-    /// global id of the first live one, the index kind the source is
-    /// searched with, and its deleted rows.
-    fn source_rows(&self) -> impl Iterator<Item = (&SourceRows, u64, &IndexKind, &[u64])> {
-        let segments = self.segments.iter().zip(&self.deleted).zip(&self.bases);
-        let chunks = self.mem_chunks.iter().zip(&self.mem_bases);
-        let segments = segments.filter_map(|((seg, deleted), &base)| {
-            Some((seg.data.as_ref()?, base, &self.kind, &deleted[..]))
-        });
-        let chunks = chunks.map(|(chunk, &cb)| {
-            let base = self.seg_rows_total + cb;
-            (&chunk.data, base, &chunk.kind, &[][..])
-        });
-        segments.chain(chunks)
+    /// Every non-empty source's rows, in global id order, with where it
+    /// stands.
+    fn source_rows(&self) -> impl Iterator<Item = (&SourceRows, &Listed)> {
+        let sources = self.sources.iter();
+        sources.filter_map(|at| Some((at.segment.data.as_ref()?, at)))
     }
 
-    /// Where a source of `rows` physical rows from `source_rows` stands:
-    /// its deleted rows, and the tombstoned ids among its live ones
-    /// mapped back to their rows.
-    fn numbering<'a>(&self, base: u64, rows: usize, deleted: &'a [u64]) -> Numbering<'a> {
-        let live = (rows - deleted.len()) as u64;
-        let tombstoned = self.tombstones.range(base..base + live);
-        let tombstoned = tombstoned.map(|&id| physical_row(deleted, id - base));
-        let dead = deleted.iter().copied().chain(tombstoned);
-        Numbering {
-            base,
-            deleted,
-            dead: dead.map(|row| row as usize).collect(),
-        }
+    /// A source's dead rows by physical row: its deleted rows, then the
+    /// tombstoned ids among its live ones mapped back to their rows.
+    fn dead_rows<'a>(&'a self, at: &'a Listed) -> impl Iterator<Item = u64> + 'a {
+        let tombstoned = self.tombstones.range(at.ids());
+        let tombstoned = tombstoned.map(|&id| physical_row(&at.deleted, id - at.base));
+        at.deleted.iter().copied().chain(tombstoned)
     }
 
     /// Every non-empty source, resolved once per batch: where its rows
-    /// stand and its lazily built index, which an approximate pass reads
-    /// only to filter: over a snapshot without a filter (a tree snapshot
-    /// among them) it builds none.
+    /// stand, its dead rows ([`CorpusSnapshot::dead_rows`]), and its
+    /// lazily built index, which an approximate pass reads only to
+    /// filter: over a snapshot without a filter (a tree snapshot among
+    /// them) it builds none.
     fn sources_for(&self, op: Op) -> Result<Vec<Source<'_>>> {
         let indexed = !matches!(op, Op::Approx { .. }) || self.filters();
         self.source_rows()
-            .map(|(rows, base, kind, deleted)| {
-                let index = indexed.then(|| rows.index(kind, &self.measure));
-                let at = self.numbering(base, rows.dataset.len(), deleted);
+            .map(|(rows, at)| {
+                let index = indexed.then(|| rows.index(&self.measure));
                 Ok(Source {
                     rows,
                     index: index.transpose()?,
                     at,
+                    dead: self.dead_rows(at).map(|row| row as usize).collect(),
                 })
             })
             .collect()
@@ -816,7 +853,7 @@ impl CorpusSnapshot {
                 continue;
             };
             let mut source_stats = BatchStats::new();
-            let dead = &src.at.dead;
+            let dead = &src.dead;
             let hits: Vec<Option<Vec<Neighbor>>> = match op {
                 Op::Knn(k) => {
                     let hits = index.knn_batch_skipping(queries, k, dead, &mut source_stats);
@@ -833,7 +870,7 @@ impl CorpusSnapshot {
             chunk_stats.add_per_query(&source_stats);
             for (partial, hits) in partials.iter_mut().zip(hits) {
                 match hits {
-                    Some(hits) => src.at.extend_live(&mut partial.hits, &hits),
+                    Some(hits) => src.extend_live(&mut partial.hits, &hits),
                     None => partial.deferred.push(s),
                 }
             }
@@ -880,7 +917,7 @@ impl CorpusSnapshot {
                 scratch,
                 stats,
             );
-            src.at.extend_live(&mut hits, &found);
+            src.extend_live(&mut hits, &found);
         }
         merge(&mut hits, k);
         Ok(hits)
@@ -1182,31 +1219,18 @@ impl CorpusSnapshot {
         let live = (ids.end - ids.start) as usize - self.tombstones.range(ids.clone()).count();
         let mut flat = Vec::with_capacity(live * self.dim());
         let mut metas = Vec::with_capacity(live);
-        let mut push_live =
-            |base: u64, deleted: &[u64], source_metas: &[ImageMeta], rows: &Dataset| {
-                let mut deleted = deleted.iter().peekable();
-                let mut id = base;
-                for (row, meta) in source_metas.iter().enumerate() {
-                    if deleted.next_if_eq(&&(row as u64)).is_some() {
-                        continue;
-                    }
-                    if !self.tombstones.contains(&id) {
-                        flat.extend_from_slice(rows.vector(row));
-                        metas.push(meta.clone());
-                    }
-                    id += 1;
+        for (rows, at) in self.source_rows().filter(|(_, at)| ids.contains(&at.base)) {
+            let mut deleted = at.deleted.iter().peekable();
+            let mut id = at.base;
+            for (row, meta) in at.segment.metas()?.iter().enumerate() {
+                if deleted.next_if_eq(&&(row as u64)).is_some() {
+                    continue;
                 }
-            };
-        let segments = self.segments.iter().zip(&self.deleted).zip(&self.bases);
-        for ((seg, deleted), &base) in segments {
-            if let Some(data) = seg.data.as_ref().filter(|_| ids.contains(&base)) {
-                push_live(base, deleted, seg.metas()?, &data.dataset);
-            }
-        }
-        for (chunk, &cb) in self.mem_chunks.iter().zip(&self.mem_bases) {
-            let base = self.seg_rows_total + cb;
-            if ids.contains(&base) {
-                push_live(base, &[], &chunk.metas, &chunk.data.dataset);
+                if !self.tombstones.contains(&id) {
+                    flat.extend_from_slice(rows.dataset.vector(row));
+                    metas.push(meta.clone());
+                }
+                id += 1;
             }
         }
         debug_assert_eq!(metas.len(), live, "{ids:?} splits a source");
@@ -1245,20 +1269,20 @@ pub struct CompactionStats {
 /// Mutable state under the store's writer lock.
 ///
 /// The memtable is chunked: full [`MEM_CHUNK_ROWS`]-row prefixes live in
-/// immutable `Arc`'d [`MemChunk`]s that every published snapshot shares,
-/// and only the bounded tail (`< MEM_CHUNK_ROWS` rows) is mutable. A
-/// publish therefore clones O(tail) rows, not O(memtable) — the fix for
-/// the quadratic republish cost of a per-insert full-memtable copy.
+/// immutable `Arc`'d segments without a file that every published
+/// snapshot shares, and only the bounded tail (`< MEM_CHUNK_ROWS` rows)
+/// is mutable. A publish therefore clones O(tail) rows, not O(memtable)
+/// — the fix for the quadratic republish cost of a per-insert
+/// full-memtable copy.
 struct StoreState {
     balanced: bool,
     pipeline: Pipeline,
     epoch: u64,
     next_seg: u64,
-    segments: Vec<Arc<Segment>>,
-    /// `deleted[i]` is segment `i`'s deleted rows as the committed
+    /// The segment files, each with its deleted rows as the committed
     /// manifest lists them.
-    deleted: Vec<Arc<[u64]>>,
-    mem_frozen: Vec<Arc<MemChunk>>,
+    files: Vec<(Arc<Segment>, Arc<[u64]>)>,
+    mem_frozen: Vec<Arc<Segment>>,
     mem_tail_flat: Vec<f32>,
     mem_tail_metas: Vec<ImageMeta>,
     /// Shared with every published snapshot; cloned only when a delete
@@ -1267,16 +1291,6 @@ struct StoreState {
 }
 
 impl StoreState {
-    /// Live rows over every segment.
-    fn seg_rows_total(&self) -> u64 {
-        let live = self.segments.iter().zip(&self.deleted);
-        live.map(|(s, d)| (s.rows - d.len()) as u64).sum()
-    }
-
-    fn mem_rows(&self) -> usize {
-        self.mem_frozen.iter().map(|c| c.rows()).sum::<usize>() + self.mem_tail_metas.len()
-    }
-
     /// Move every full [`MEM_CHUNK_ROWS`]-row prefix of the tail into a
     /// frozen chunk, leaving `< MEM_CHUNK_ROWS` rows behind. Amortized
     /// O(1) per inserted row: each row is moved out of the tail once.
@@ -1284,9 +1298,31 @@ impl StoreState {
         while self.mem_tail_metas.len() >= MEM_CHUNK_ROWS {
             let metas: Vec<ImageMeta> = self.mem_tail_metas.drain(..MEM_CHUNK_ROWS).collect();
             let flat: Vec<f32> = self.mem_tail_flat.drain(..MEM_CHUNK_ROWS * dim).collect();
-            self.mem_frozen.push(MemChunk::new(dim, flat, metas)?);
+            self.mem_frozen.push(Segment::memtable(dim, flat, metas)?);
         }
         Ok(())
+    }
+
+    /// A snapshot of this state. Frozen memtable chunks are shared by
+    /// `Arc` clone — the cost is O(tail), bounded by [`MEM_CHUNK_ROWS`]
+    /// rows, regardless of memtable size. Chunk and segment indexes (and
+    /// coarse tables) stay lazy.
+    fn snapshot(&self, options: &StoreOptions) -> Result<Arc<CorpusSnapshot>> {
+        let mut heap = self.mem_frozen.clone();
+        if !self.mem_tail_metas.is_empty() {
+            let (flat, metas) = (self.mem_tail_flat.clone(), self.mem_tail_metas.clone());
+            heap.push(Segment::memtable(self.pipeline.dim(), flat, metas)?);
+        }
+        let heap = heap.into_iter().map(|chunk| (chunk, Arc::default()));
+        Ok(Arc::new(CorpusSnapshot::new(
+            self.epoch,
+            self.balanced,
+            self.pipeline.clone(),
+            options.kind.clone(),
+            options.measure.clone(),
+            self.files.iter().cloned().chain(heap),
+            Arc::clone(&self.tombstones),
+        )))
     }
 }
 
@@ -1295,8 +1331,7 @@ impl StoreState {
 /// rewritten rows as the new files it writes.
 #[derive(Default)]
 struct NextSegments {
-    segments: Vec<Arc<Segment>>,
-    deleted: Vec<Arc<[u64]>>,
+    files: Vec<(Arc<Segment>, Arc<[u64]>)>,
     /// Every new file, so that a failure before the commit removes them
     /// and nothing else.
     written: Vec<PathBuf>,
@@ -1338,12 +1373,11 @@ impl NextSegments {
         let metas = view
             .decode_metas(&reread)
             .map_err(|e| attach_path(e, &path))?;
-        let seg = Segment::open(&path, &name)?;
+        let seg = Segment::open(&path, &name, &store.options.kind)?;
         if warm {
-            seg.warm(metas, &store.options.kind, &store.options.measure);
+            seg.warm(metas, &store.options.measure);
         }
-        self.segments.push(seg);
-        self.deleted.push(Arc::new([]));
+        self.files.push((seg, Arc::default()));
         Ok(())
     }
 }
@@ -1408,11 +1442,10 @@ impl CorpusStore {
         let manifest = parse_manifest(&read_file_bytes(&manifest_path)?)
             .map_err(|e| attach_path(e, &manifest_path))?;
         let want_config = encode_config_parts(manifest.balanced, &manifest.pipeline);
-        let mut segments = Vec::with_capacity(manifest.segments.len());
-        let mut deleted = Vec::with_capacity(manifest.segments.len());
+        let mut files = Vec::with_capacity(manifest.segments.len());
         for entry in manifest.segments {
             let path = dir.join(&entry.name);
-            let seg = Segment::open(&path, &entry.name)?;
+            let seg = Segment::open(&path, &entry.name, &options.kind)?;
             if seg.rows as u64 != entry.rows {
                 return Err(CoreError::Persist(
                     PersistError::new(format!(
@@ -1422,51 +1455,34 @@ impl CorpusStore {
                     .with_path(&path),
                 ));
             }
-            if encode_config_parts(seg.view.balanced, &seg.view.pipeline) != want_config {
+            let view = &seg.file().view;
+            if encode_config_parts(view.balanced, &view.pipeline) != want_config {
                 return Err(CoreError::Persist(
                     PersistError::new("segment pipeline configuration disagrees with the manifest")
                         .with_path(&path),
                 ));
             }
-            segments.push(seg);
-            deleted.push(Arc::from(entry.deleted));
+            files.push((seg, Arc::from(entry.deleted)));
         }
-        let store = Arc::new(CorpusStore {
+        let state = StoreState {
+            balanced: manifest.balanced,
+            pipeline: manifest.pipeline,
+            epoch: manifest.epoch,
+            next_seg: manifest.next_seg,
+            files,
+            mem_frozen: Vec::new(),
+            mem_tail_flat: Vec::new(),
+            mem_tail_metas: Vec::new(),
+            tombstones: Arc::default(),
+        };
+        let snapshot = state.snapshot(&options)?;
+        snapshot.record_state();
+        Ok(Arc::new(CorpusStore {
             dir: dir.to_path_buf(),
             options,
-            state: Mutex::new(StoreState {
-                balanced: manifest.balanced,
-                pipeline: manifest.pipeline,
-                epoch: manifest.epoch,
-                next_seg: manifest.next_seg,
-                segments,
-                deleted,
-                mem_frozen: Vec::new(),
-                mem_tail_flat: Vec::new(),
-                mem_tail_metas: Vec::new(),
-                tombstones: Arc::default(),
-            }),
-            published: Mutex::new(Arc::new(CorpusSnapshot {
-                epoch: 0,
-                balanced: false,
-                pipeline: Pipeline::color_histogram_default(),
-                kind: IndexKind::Linear,
-                measure: Measure::L1,
-                segments: Vec::new(),
-                deleted: Vec::new(),
-                bases: Vec::new(),
-                seg_rows_total: 0,
-                mem_chunks: Vec::new(),
-                mem_bases: Vec::new(),
-                mem_rows_total: 0,
-                tombstones: Arc::new(BTreeSet::new()),
-            })),
-        });
-        {
-            let state = store.state.lock().expect("store lock poisoned");
-            store.publish(&state)?;
-        }
-        Ok(store)
+            state: Mutex::new(state),
+            published: Mutex::new(snapshot),
+        }))
     }
 
     /// Migrate a RAM-resident [`ImageDatabase`] into a fresh store at
@@ -1512,49 +1528,13 @@ impl CorpusStore {
         Arc::clone(&self.published.lock().expect("store lock poisoned"))
     }
 
-    /// Build and publish a snapshot of `state`. Frozen memtable chunks
-    /// are shared by `Arc` clone — the publish cost is O(tail), bounded
-    /// by [`MEM_CHUNK_ROWS`] rows, regardless of memtable size. Chunk
-    /// and segment indexes (and coarse tables) stay lazy.
-    fn publish(&self, state: &StoreState) -> Result<()> {
-        let mut mem_chunks: Vec<Arc<MemChunk>> = state.mem_frozen.clone();
-        if !state.mem_tail_metas.is_empty() {
-            mem_chunks.push(MemChunk::new(
-                state.pipeline.dim(),
-                state.mem_tail_flat.clone(),
-                state.mem_tail_metas.clone(),
-            )?);
-        }
-        let mut mem_bases = Vec::with_capacity(mem_chunks.len());
-        let mut mem_rows_total = 0usize;
-        for chunk in &mem_chunks {
-            mem_bases.push(mem_rows_total as u64);
-            mem_rows_total += chunk.rows();
-        }
-        let mut bases = Vec::with_capacity(state.segments.len());
-        let mut total = 0u64;
-        for (seg, deleted) in state.segments.iter().zip(&state.deleted) {
-            bases.push(total);
-            total += (seg.rows - deleted.len()) as u64;
-        }
-        let snapshot = Arc::new(CorpusSnapshot {
-            epoch: state.epoch,
-            balanced: state.balanced,
-            pipeline: state.pipeline.clone(),
-            kind: self.options.kind.clone(),
-            measure: self.options.measure.clone(),
-            segments: state.segments.clone(),
-            deleted: state.deleted.clone(),
-            bases,
-            seg_rows_total: total,
-            mem_chunks,
-            mem_bases,
-            mem_rows_total,
-            tombstones: Arc::clone(&state.tombstones),
-        });
+    /// Publish a snapshot of `state` ([`StoreState::snapshot`]) and
+    /// return it.
+    fn publish(&self, state: &StoreState) -> Result<Arc<CorpusSnapshot>> {
+        let snapshot = state.snapshot(&self.options)?;
         snapshot.record_state();
-        *self.published.lock().expect("store lock poisoned") = snapshot;
-        Ok(())
+        *self.published.lock().expect("store lock poisoned") = Arc::clone(&snapshot);
+        Ok(snapshot)
     }
 
     fn validate_descriptor(dim: usize, desc: &[f32]) -> Result<()> {
@@ -1604,7 +1584,7 @@ impl CorpusStore {
         for (_, desc) in &items {
             Self::validate_descriptor(dim, desc)?;
         }
-        let base = state.seg_rows_total() + state.mem_rows() as u64;
+        let base = self.snapshot().total_rows() as u64;
         let mut ids = Vec::with_capacity(items.len());
         for (i, (meta, desc)) in items.into_iter().enumerate() {
             state.mem_tail_flat.extend_from_slice(&desc);
@@ -1613,17 +1593,16 @@ impl CorpusStore {
         }
         state.freeze_full_chunks(dim)?;
         state.epoch += 1;
-        self.publish(&state)?;
+        let snapshot = self.publish(&state)?;
         cbir_obs::store_count(cbir_obs::StoreCounter::Inserts, ids.len() as u64);
-        Ok((ids, state.mem_rows()))
+        Ok((ids, snapshot.memtable_rows()))
     }
 
     /// Tombstone global id `id`. The row disappears from queries at the
     /// next epoch and is physically dropped by the next compaction.
     pub fn delete(&self, id: u64) -> Result<()> {
         let mut state = self.state.lock().expect("store lock poisoned");
-        let total = state.seg_rows_total() + state.mem_rows() as u64;
-        if id >= total || state.tombstones.contains(&id) {
+        if !self.snapshot().contains(id) {
             return Err(CoreError::NotFound(id as usize));
         }
         Arc::make_mut(&mut state.tombstones).insert(id);
@@ -1633,17 +1612,13 @@ impl CorpusStore {
         Ok(())
     }
 
-    /// Compact with the fault policy from `CBIR_FAULT_COMPACT_OP` (or no
-    /// faults): fold the memtable into segments and commit the
-    /// tombstones — as segment rewrites where they pass a segment's
-    /// rewrite fraction, as deleted-row lists where not — under a new
-    /// manifest, clear the memtable and tombstones, and drop the replaced
-    /// segment files. See [`CorpusStore::compact_with`].
+    /// Fold the memtable into segments and commit the tombstones — as
+    /// segment rewrites where they pass a segment's rewrite fraction, as
+    /// deleted-row lists where not — under a new manifest, clear the
+    /// memtable and tombstones, and drop the replaced segment files. See
+    /// [`CorpusStore::compact_with`].
     pub fn compact(&self) -> Result<CompactionStats> {
-        match compact_policy_from_env() {
-            Some(mut policy) => self.compact_with(policy.as_mut()),
-            None => self.compact_with(&mut NoFaults),
-        }
+        self.compact_with(&mut NoFaults)
     }
 
     /// [`CorpusStore::compact`] with an explicit fault policy — the entry
@@ -1691,40 +1666,38 @@ impl CorpusStore {
     /// "old set or new set", never a mixture.
     pub fn compact_with(&self, policy: &mut dyn FaultPolicy) -> Result<CompactionStats> {
         let mut state = self.state.lock().expect("store lock poisoned");
-        if state.mem_rows() == 0 && state.tombstones.is_empty() {
+        // Under the writer lock the published snapshot is this state.
+        let snap = self.snapshot();
+        if snap.memtable_rows() == 0 && snap.tombstone_count() == 0 {
             return Ok(CompactionStats {
                 epoch: state.epoch,
-                segments: state.segments.len(),
-                segments_kept: state.segments.len(),
-                rows: state.seg_rows_total(),
+                segments: snap.segments_len(),
+                segments_kept: snap.segments_len(),
+                rows: snap.total,
                 bytes_written: 0,
                 skipped: true,
             });
         }
-        // Under the writer lock the published snapshot is this state.
-        let snap = self.snapshot();
         let max_rows = self.options.max_seg_rows.max(1);
-        let seg_ids = |i: usize| {
-            let live = snap.segments[i].rows - snap.deleted[i].len();
-            snap.bases[i]..snap.bases[i] + live as u64
-        };
+        let files = &snap.sources[..snap.files];
         let tombstoned = |ids: Range<u64>| snap.tombstones.range(ids).count();
-        let total = snap.total_rows() as u64;
         // Segments from `tail` on are rewritten together with the
         // memtable: the last one when the memtable's live rows join it.
-        let joins = snap.mem_rows_total > tombstoned(snap.seg_rows_total..total)
-            && snap.segments.last().is_some_and(|s| s.rows < max_rows);
-        let tail = snap.segments.len() - usize::from(joins);
+        let joins = snap.memtable_rows() > tombstoned(snap.heap_base()..snap.total)
+            && files.last().is_some_and(|at| at.segment.rows < max_rows);
+        let tail = files.len() - usize::from(joins);
         let rewritten = |i: usize| {
-            let dead = snap.deleted[i].len() + tombstoned(seg_ids(i));
-            i >= tail || dead * REWRITE_DEAD_ONE_IN > snap.segments[i].rows
+            let at = &files[i];
+            let dead = at.deleted.len() + tombstoned(at.ids());
+            i >= tail || dead * REWRITE_DEAD_ONE_IN > at.segment.rows
         };
         // 1. Verify the sources about to be rewritten.
-        for (i, seg) in snap.segments.iter().enumerate() {
+        for (i, at) in files.iter().enumerate() {
             if rewritten(i) {
-                seg.view
-                    .verify_descriptors(&seg.bytes)
-                    .map_err(|e| attach_path(e, &seg.path))?;
+                let file = at.segment.file();
+                file.view
+                    .verify_descriptors(&file.bytes)
+                    .map_err(|e| attach_path(e, &file.path))?;
             }
         }
         // 2–3. Keep, or write and open, segment by segment in id order.
@@ -1734,32 +1707,25 @@ impl CorpusStore {
         };
         let dim = state.pipeline.dim();
         let result = (|| -> Result<()> {
-            for (i, seg) in snap.segments[..tail].iter().enumerate() {
+            for (i, at) in files[..tail].iter().enumerate() {
                 if !rewritten(i) {
-                    next.segments.push(Arc::clone(seg));
-                    let (ids, deleted) = (seg_ids(i), &snap.deleted[i]);
-                    let mut list = deleted.to_vec();
-                    let newly = snap.tombstones.range(ids.clone());
-                    list.extend(newly.map(|&id| physical_row(deleted, id - ids.start)));
+                    let mut list: Vec<u64> = snap.dead_rows(at).collect();
                     list.sort_unstable();
-                    next.deleted.push(Arc::from(list));
+                    next.files.push((Arc::clone(&at.segment), Arc::from(list)));
                     continue;
                 }
-                let (flat, metas) = snap.live_rows(seg_ids(i))?;
-                let warm = seg.data.as_ref().is_some_and(SourceRows::is_warm);
-                next.write(self, &state, (&flat, &metas), warm, policy)?;
+                let (flat, metas) = snap.live_rows(at.ids())?;
+                next.write(self, &state, (&flat, &metas), at.segment.is_warm(), policy)?;
             }
-            let tail_base = snap.bases.get(tail).copied().unwrap_or(snap.seg_rows_total);
-            let (flat, metas) = snap.live_rows(tail_base..total)?;
-            let warm = snap
-                .source_rows()
-                .any(|(rows, base, ..)| base >= tail_base && rows.is_warm());
+            let tail_base = snap.sources.get(tail).map_or(snap.total, |at| at.base);
+            let (flat, metas) = snap.live_rows(tail_base..snap.total)?;
+            let warm = snap.sources[tail..].iter().any(|at| at.segment.is_warm());
             for (chunk, metas) in flat.chunks(max_rows * dim).zip(metas.chunks(max_rows)) {
                 next.write(self, &state, (chunk, metas), warm, policy)?;
             }
             // 4. Commit.
-            let entry = |(s, deleted): (&Arc<Segment>, &Arc<[u64]>)| ManifestEntry {
-                name: s.name.clone(),
+            let entry = |(s, deleted): &(Arc<Segment>, Arc<[u64]>)| ManifestEntry {
+                name: s.file().name.clone(),
                 rows: s.rows as u64,
                 deleted: deleted.to_vec(),
             };
@@ -1768,7 +1734,7 @@ impl CorpusStore {
                 next_seg: next.next_seg,
                 balanced: state.balanced,
                 pipeline: state.pipeline.clone(),
-                segments: next.segments.iter().zip(&next.deleted).map(entry).collect(),
+                segments: next.files.iter().map(entry).collect(),
             };
             let mbytes = encode_manifest(&manifest);
             write_file_atomic(self.dir.join(MANIFEST_FILE), &mbytes, policy)?;
@@ -1802,20 +1768,19 @@ impl CorpusStore {
             // old or the new set.)
         }
         // 5. Swap, publish, and drop the replaced files.
-        let replaced: Vec<PathBuf> = (0..snap.segments.len())
+        let replaced: Vec<PathBuf> = (0..files.len())
             .filter(|&i| rewritten(i))
-            .map(|i| snap.segments[i].path.clone())
+            .map(|i| files[i].segment.file().path.clone())
             .collect();
-        let kept = snap.segments.len() - replaced.len();
-        state.segments = next.segments;
-        state.deleted = next.deleted;
+        let kept = files.len() - replaced.len();
+        state.files = next.files;
         state.mem_frozen.clear();
         state.mem_tail_flat.clear();
         state.mem_tail_metas.clear();
         state.tombstones = Arc::default();
         state.epoch += 1;
         state.next_seg = next.next_seg;
-        self.publish(&state)?;
+        let after = self.publish(&state)?;
         for p in replaced {
             // Best-effort: pinned snapshots hold their mappings open,
             // and fsck treats leftovers as orphans, not corruption.
@@ -1824,9 +1789,9 @@ impl CorpusStore {
         cbir_obs::store_count(cbir_obs::StoreCounter::Compactions, 1);
         Ok(CompactionStats {
             epoch: state.epoch,
-            segments: state.segments.len(),
+            segments: after.segments_len(),
             segments_kept: kept,
-            rows: state.seg_rows_total(),
+            rows: after.total,
             bytes_written: next.bytes,
             skipped: false,
         })
@@ -1950,6 +1915,25 @@ mod tests {
         fn sources(&self) -> Result<Vec<Source<'_>>> {
             self.sources_for(Op::Knn(1))
         }
+
+        /// The segments with a file, in global id order.
+        fn segments(&self) -> Vec<&Arc<Segment>> {
+            let files = self.sources[..self.files].iter();
+            files.map(|at| &at.segment).collect()
+        }
+
+        /// Each segment file's deleted rows.
+        fn deleted(&self) -> Vec<&[u64]> {
+            let files = self.sources[..self.files].iter();
+            files.map(|at| &at.deleted[..]).collect()
+        }
+
+        /// The segments without a file: the memtable's chunks, or a
+        /// static database.
+        fn heap_segments(&self) -> Vec<&Segment> {
+            let heap = self.sources[self.files..].iter();
+            heap.map(|at| &*at.segment).collect()
+        }
     }
 
     fn engine_over(snap: &CorpusSnapshot, kind: IndexKind, measure: Measure) -> QueryEngine {
@@ -2063,10 +2047,10 @@ mod tests {
                 store.delete(id).unwrap();
             }
             let snap = store.snapshot();
-            assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (3, 2));
-            assert_eq!(snap.mem_chunks[1].rows(), tail_rows);
+            assert_eq!((snap.segments_len(), snap.heap_segments().len()), (3, 2));
+            assert_eq!(snap.heap_segments()[1].rows, tail_rows);
             let sources = snap.sources().unwrap();
-            let dead_per_source: Vec<usize> = sources.iter().map(|src| src.at.dead.len()).collect();
+            let dead_per_source: Vec<usize> = sources.iter().map(|src| src.dead.len()).collect();
             assert_eq!(dead_per_source, [1 + crossing as usize, 0, 1, 1, 1]);
             let dead_names: Vec<String> =
                 dead.iter().map(|&id| snap.meta(id).unwrap().name).collect();
@@ -2094,10 +2078,10 @@ mod tests {
             // Segment 0 is rewritten; segments 1 and 2 are kept, file and
             // index and all, segment 2 deleting its row 7 by its list.
             assert_eq!(cs.segments_kept, 2);
-            assert!(!Arc::ptr_eq(&after.segments[0], &snap.segments[0]));
-            assert!(Arc::ptr_eq(&after.segments[1], &snap.segments[1]));
-            assert!(Arc::ptr_eq(&after.segments[2], &snap.segments[2]));
-            let lists: Vec<&[u64]> = after.deleted[..3].iter().map(|d| &d[..]).collect();
+            assert!(!Arc::ptr_eq(after.segments()[0], snap.segments()[0]));
+            assert!(Arc::ptr_eq(after.segments()[1], snap.segments()[1]));
+            assert!(Arc::ptr_eq(after.segments()[2], snap.segments()[2]));
+            let lists: Vec<&[u64]> = after.deleted()[..3].to_vec();
             assert_eq!(lists, [&[][..], &[], &[7]]);
             assert_eq!(after.tombstone_count(), 0);
             grid(&after, "after compaction");
@@ -2120,7 +2104,7 @@ mod tests {
         let k = 12;
         let engine = engine_over(snap, kind.clone(), Measure::L1);
         // k exceeds what the memtable tail can give, dead row or not.
-        assert!(snap.mem_chunks.last().is_none_or(|c| k > c.rows()));
+        assert!(snap.heap_segments().last().is_none_or(|c| k > c.rows));
         // Live global ids, indexed by the dense ids `materialize` gave them.
         let live: Vec<u64> = (0..snap.total_rows() as u64)
             .filter(|&id| snap.contains(id))
@@ -2137,7 +2121,7 @@ mod tests {
         assert!(s1.distance_computations > 0);
 
         let linear = matches!(kind, IndexKind::Linear);
-        let filtered = snap.segments.iter().any(|s| s.rows >= 4096);
+        let filtered = snap.segments().iter().any(|s| s.rows >= 4096);
         let physical_rows: usize = snap
             .source_rows()
             .map(|(rows, ..)| rows.dataset.len())
@@ -2274,12 +2258,12 @@ mod tests {
                 (0, rows, 0)
             );
             // One copy of rows and metadata: the source is the database's.
-            let source = &snap.mem_chunks[0];
+            let source = snap.heap_segments()[0];
             assert!(std::ptr::eq(
-                source.data.dataset.flat(),
+                source.data.as_ref().unwrap().dataset.flat(),
                 db.flat_descriptors()
             ));
-            assert!(std::ptr::eq(source.metas.as_slice(), db.metas()));
+            assert!(std::ptr::eq(source.metas().unwrap(), db.metas()));
             for batch in [1, 5, 64] {
                 let mut at_one_thread = None;
                 for threads in [1, 2, 3] {
@@ -2409,7 +2393,7 @@ mod tests {
         assert!(stats.total().subtrees_pruned > 0);
         // The table: one byte per coordinate.
         assert_eq!(engine.index_bytes(), idle + rows * dim);
-        let source = &engine.snapshot().mem_chunks[0].data;
+        let source = engine.snapshot().heap_segments()[0].data.as_ref().unwrap();
         assert!(
             source.coarse_cell.get().is_none(),
             "a coarse table was built"
@@ -2467,8 +2451,8 @@ mod tests {
         let total = snap.total_rows() as u128;
         let (mut merged, mut stats) = (Vec::new(), SearchStats::new());
         let mut scratch = ApproxScratch::new();
-        for (data, base, ..) in snap.source_rows() {
-            let rows = data.dataset.len();
+        for (data, at) in snap.source_rows() {
+            let (base, rows) = (at.base, data.dataset.len());
             let dead = snap.tombstones.range(base..base + rows as u64).count();
             let want = (k + dead).min(rows);
             let share = ((budget as u128 * rows as u128).div_ceil(total) as usize)
@@ -2590,7 +2574,13 @@ mod tests {
             assert_eq!((&got, &stats), (&first.0, &first.1), "{threads} threads");
         }
         // A query that left the filter built the source's coarse table.
-        assert!(snap.mem_chunks[0].data.coarse_cell.get().is_some());
+        assert!(snap.heap_segments()[0]
+            .data
+            .as_ref()
+            .unwrap()
+            .coarse_cell
+            .get()
+            .is_some());
     }
 
     /// The approximate pair over every kind of source, at batch sizes
@@ -2631,8 +2621,8 @@ mod tests {
             store.delete(id).unwrap();
         }
         let snap = store.snapshot();
-        assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (2, 2));
-        let lists: Vec<&[u64]> = snap.deleted.iter().map(|d| &d[..]).collect();
+        assert_eq!((snap.segments_len(), snap.heap_segments().len()), (2, 2));
+        let lists: Vec<&[u64]> = snap.deleted();
         assert_eq!(lists, [&[11, 3001][..], &[5]]);
         assert_eq!(snap.tombstone_count(), 4);
         let by_id: Vec<u64> = [0, 7, 3500, in_segments - 1, in_segments + 1000]
@@ -2711,7 +2701,7 @@ mod tests {
         store.delete(11).unwrap();
         store.delete(4200 + 5).unwrap();
         let snap = store.snapshot();
-        assert_eq!((snap.segments_len(), snap.mem_chunks.len()), (2, 1));
+        assert_eq!((snap.segments_len(), snap.heap_segments().len()), (2, 1));
         let queries = cbir_workload::queries(&rows, 6, 0.05, 4);
         let by_id = [3u64, 4200 + 9, 2 * 4200 + 20];
         for recall_target in [0.5, 0.9, 0.95] {
@@ -2831,11 +2821,13 @@ mod tests {
             if !mmap {
                 // The owned-buffer fallback of `Mmap::open`, forced.
                 let mut state = store.state.lock().unwrap();
-                for seg in &mut state.segments {
-                    let name = seg.path.file_name().unwrap().to_string_lossy().into_owned();
-                    let image = Mmap::from_bytes(std::fs::read(&seg.path).unwrap());
+                for (seg, _) in &mut state.files {
+                    let path = &seg.file().path;
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    let image = Mmap::from_bytes(std::fs::read(path).unwrap());
                     assert!(!image.is_mapped());
-                    *seg = Segment::from_image(&seg.path, &name, Arc::new(image)).unwrap();
+                    *seg =
+                        Segment::from_image(path, &name, Arc::new(image), &options.kind).unwrap();
                 }
                 store.publish(&state).unwrap();
             }
@@ -2981,7 +2973,10 @@ mod tests {
     }
 
     fn seg_names(snap: &CorpusSnapshot) -> Vec<String> {
-        snap.segments.iter().map(|s| s.name.clone()).collect()
+        snap.segments()
+            .iter()
+            .map(|s| s.file().name.clone())
+            .collect()
     }
 
     #[test]
@@ -3000,7 +2995,7 @@ mod tests {
         before
             .knn_batch(&queries, 7, 2, &mut BatchStats::new())
             .unwrap();
-        assert!(before.segments.iter().all(|s| warmth(s).2 >= rows * dim));
+        assert!(before.segments().iter().all(|s| warmth(s).2 >= rows * dim));
         store.delete(3).unwrap();
         store.insert_batch(synth_items(5, dim, 7)).unwrap();
         let cs = store.compact().unwrap();
@@ -3012,12 +3007,12 @@ mod tests {
         let names = seg_names(&after);
         assert_eq!(names[..3], seg_names(&before)[..3]);
         assert!(names.iter().all(|n| dir.join(n).exists()));
-        assert_eq!(after.deleted[0][..], [3]);
-        assert!(after.deleted[1..].iter().all(|d| d.is_empty()));
+        assert_eq!(after.deleted()[0][..], [3]);
+        assert!(after.deleted()[1..].iter().all(|d| d.is_empty()));
         for i in [0, 1, 2] {
-            assert!(Arc::ptr_eq(&after.segments[i], &before.segments[i]));
+            assert!(Arc::ptr_eq(after.segments()[i], before.segments()[i]));
             let index = |snap: &CorpusSnapshot| {
-                let cell = snap.segments[i].data.as_ref().unwrap().index_cell.get();
+                let cell = snap.segments()[i].data.as_ref().unwrap().index_cell.get();
                 let index: &dyn SearchIndex = cell.unwrap().as_ref().unwrap().as_ref();
                 index as *const dyn SearchIndex as *const u8
             };
@@ -3033,7 +3028,7 @@ mod tests {
         drop((before, after));
         let reopened = CorpusStore::open(&dir, store.options().clone()).unwrap();
         assert_eq!(seg_names(&reopened.snapshot()), names);
-        assert_eq!(reopened.snapshot().deleted[0][..], [3]);
+        assert_eq!(reopened.snapshot().deleted()[0][..], [3]);
         let mut s = BatchStats::new();
         let again = keys(
             &reopened
@@ -3109,7 +3104,7 @@ mod tests {
         check(&store, "a list crossing the fraction");
         // Every row of the last segment: no file, no list, no segment.
         let snap = store.snapshot();
-        let last = snap.bases[2];
+        let last = snap.sources[2].base;
         for id in last..last + rows as u64 {
             store.delete(id).unwrap();
         }
@@ -3157,7 +3152,7 @@ mod tests {
             let cs = store.compact().unwrap();
             assert_eq!(cs.segments_kept, 1);
             let listed = store.snapshot();
-            assert_eq!(listed.deleted[0][..], victims[..]);
+            assert_eq!(listed.deleted()[0][..], victims[..]);
             // Tombstones keep their ids until the compaction renumbers.
             for (snap, renumbered) in [(&tombstoned, false), (&listed, true)] {
                 let ctx = format!("{}, renumbered {renumbered}", kind.name());
@@ -3198,7 +3193,11 @@ mod tests {
         // Seeding queries nothing, so it warms nothing.
         let store = CorpusStore::create_from_database(&dir, &db, options).unwrap();
         let cold = (false, false, 0);
-        assert!(store.snapshot().segments.iter().all(|s| warmth(s) == cold));
+        assert!(store
+            .snapshot()
+            .segments()
+            .iter()
+            .all(|s| warmth(s) == cold));
         let queries = synth_queries(3, dim, 9);
         let mut tag = 10;
         // Tombstone rows of segment 0 past its rewrite fraction and add
@@ -3214,7 +3213,7 @@ mod tests {
             let cs = store.compact().unwrap();
             assert_eq!((cs.segments, cs.segments_kept), (3, 1));
             let snap = store.snapshot();
-            (warmth(&snap.segments[0]), warmth(&snap.segments[2]))
+            (warmth(snap.segments()[0]), warmth(snap.segments()[2]))
         };
         // Nothing read the replaced sources: the new ones stay cold.
         assert_eq!(churn(&|_| ()), (cold, cold));
@@ -3384,9 +3383,9 @@ mod tests {
         store.insert_batch(synth_items(n, dim, 21)).unwrap();
         let snap = store.snapshot();
         assert_eq!(snap.memtable_rows(), n);
-        assert_eq!(snap.mem_chunks.len(), 3);
-        assert_eq!(snap.mem_chunks[0].rows(), MEM_CHUNK_ROWS);
-        assert_eq!(snap.mem_chunks[2].rows(), 37);
+        assert_eq!(snap.heap_segments().len(), 3);
+        assert_eq!(snap.heap_segments()[0].rows, MEM_CHUNK_ROWS);
+        assert_eq!(snap.heap_segments()[2].rows, 37);
         // Queries crossing chunk boundaries match a materialized engine.
         let queries = synth_queries(4, dim, 22);
         let engine = engine_over(&snap, IndexKind::Linear, Measure::L1);
@@ -3400,6 +3399,10 @@ mod tests {
         let victim_name = snap.meta(victim).unwrap().name;
         store.delete(victim).unwrap();
         let snap2 = store.snapshot();
+        // Its publish shares the frozen chunks and copies only the tail.
+        let (chunks, chunks2) = (snap.heap_segments(), snap2.heap_segments());
+        assert!(std::ptr::eq(chunks[0], chunks2[0]) && std::ptr::eq(chunks[1], chunks2[1]));
+        assert!(!std::ptr::eq(chunks[2], chunks2[2]));
         let mut s3 = BatchStats::new();
         let got2 = snap2.knn_batch(&queries, n, 1, &mut s3).unwrap();
         assert!(got2.iter().flatten().all(|h| h.name != victim_name));

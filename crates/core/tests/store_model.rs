@@ -13,7 +13,10 @@
 //! Segments hold 64 rows, so a compaction meets segments on both sides
 //! of the rewrite fraction: kept with a deleted-row list, and rewritten
 //! once their dead rows pass it. Some steps delete every row of a
-//! segment. A faulty compaction fails at each of its fault points in
+//! segment. Some insert a burst of more than a memtable chunk's rows
+//! (the store freezes the memtable in chunks of 1,024), so deletes, pins
+//! and compactions also meet a memtable of frozen chunks and a tail
+//! after the segments. A faulty compaction fails at each of its fault points in
 //! turn (`core::faults`) until it gets through: every failure must leave
 //! the live store and the directory exactly as they were, and the one
 //! that gets through must commit the new state.
@@ -30,6 +33,8 @@ use std::sync::Arc;
 
 const SEG_ROWS: usize = 64;
 const STEPS: usize = 160;
+/// Rows per frozen memtable chunk in the store.
+const MEM_CHUNK_ROWS: usize = 1024;
 
 struct XorShift(u64);
 
@@ -232,6 +237,8 @@ struct Seen {
     segment_emptied: usize,
     pinned_across_compaction: usize,
     faults_injected: usize,
+    /// Steps whose store had a memtable of more than one chunk.
+    multi_chunk_memtable: usize,
 }
 
 /// A compaction, checked: the model follows, and the manifest tells
@@ -272,8 +279,12 @@ fn run(seed: u64, seen: &mut Seen) {
             rng.below(100)
         };
         match op {
-            0..=24 => {
-                let n = 1 + rng.below(40);
+            0..=24 | 85..=86 => {
+                let n = if op < 25 {
+                    1 + rng.below(40)
+                } else {
+                    MEM_CHUNK_ROWS + 1 + rng.below(MEM_CHUNK_ROWS / 2)
+                };
                 let rows: Vec<Row> = (0..n)
                     .map(|i| Row {
                         name: format!("s{seed}-r{:05}", inserted + i),
@@ -387,6 +398,7 @@ fn run(seed: u64, seen: &mut Seen) {
         if model.live_len() > 0 {
             check(&store.snapshot(), &model, &queries, k, &ctx);
         }
+        seen.multi_chunk_memtable += usize::from(store.snapshot().memtable_rows() > MEM_CHUNK_ROWS);
         if let Some((snap, pinned_model, at)) = &pinned {
             if pinned_model.live_len() > 0 {
                 check(snap, pinned_model, &queries, k, &format!("{ctx}, pinned"));
@@ -410,4 +422,5 @@ fn the_store_answers_like_its_model_through_random_sequences() {
     assert!(seen.segment_emptied > 0, "{seen:?}");
     assert!(seen.pinned_across_compaction > 0, "{seen:?}");
     assert!(seen.faults_injected > 0, "{seen:?}");
+    assert!(seen.multi_chunk_memtable > 0, "{seen:?}");
 }
