@@ -21,9 +21,11 @@
 //! where it cannot (one column a million times wider than the rest, so
 //! the codes separate nothing and every query leaves the filter; `k` =
 //! half the rows, so the heap alone needs that many evaluations and the
-//! filter is never entered). The worst cases must stay within a quarter
-//! of the plain scan on any host; replies are asserted bit-identical
-//! first. The table's build time and size are reported beside them.
+//! filter is never entered). The ratios are reported, not asserted: that
+//! the worst cases leave the filter, and that a `k` past one row in
+//! sixteen never enters it, is pinned by counts in `cbir-index`'s
+//! `linear.rs` tests. Replies are asserted bit-identical first. The
+//! table's build time and size are reported beside them.
 //!
 //! A third leg runs the clustered case at dimensions 1 to 31, where a
 //! row's codes, padded to whole 8-code chunks, can outweigh its `f32`s
@@ -89,13 +91,11 @@ const FILTER_WORKERS: usize = 2;
 
 /// One corpus of the filter legs: the filtered scan's replies asserted
 /// equal to the plain scan's, then both timed at every batch of
-/// [`FILTER_BATCHES`] (a row each in `table`). `ceiling` bounds filtered
-/// over plain on a full run. Returns the case's JSON.
+/// [`FILTER_BATCHES`] (a row each in `table`). Returns the case's JSON.
 fn filter_vs_plain(
     name: &str,
     rows: &[Vec<f32>],
     (k, n_queries): (usize, usize),
-    ceiling: Option<f64>,
     quick: bool,
     table: &mut Table,
 ) -> Json {
@@ -159,13 +159,6 @@ fn filter_vs_plain(
             format!("{evaluated:.0}"),
             format!("{pruned:.4}"),
         ]);
-        if let (Some(ceiling), false) = (ceiling, quick) {
-            assert!(
-                ratio <= ceiling,
-                "{name}, batch {batch}: the filter cost {ratio:.2}x the plain scan where it \
-                 cannot prune"
-            );
-        }
         batches.push(obj! {
             "batch": batch, "plain_us_per_query": rounded(plain, 1),
             "filtered_us_per_query": rounded(filtered, 1),
@@ -203,11 +196,11 @@ fn l1_filter_leg(quick: bool) -> Vec<Json> {
     for row in &mut wide {
         row[0] = rng.range_f32(0.0, 1e6);
     }
-    // (name, rows, (k, queries), ceiling on filtered / plain)
+    // (name, rows, (k, queries))
     let cases = [
-        ("clustered, k 10", &clustered, (K, 64), None),
-        ("one wide column, k 10", &wide, (K, 64), Some(1.25)),
-        ("clustered, k n/2", &clustered, (n / 2, 8), Some(1.25)),
+        ("clustered, k 10", &clustered, (K, 64)),
+        ("one wide column, k 10", &wide, (K, 64)),
+        ("clustered, k n/2", &clustered, (n / 2, 8)),
     ];
     println!(
         "\nexact L1 filter vs the plain scan, N={n}, d={DIM}, batches {FILTER_BATCHES:?}, \
@@ -216,9 +209,7 @@ fn l1_filter_leg(quick: bool) -> Vec<Json> {
     let mut table = filter_table();
     let json = cases
         .into_iter()
-        .map(|(name, rows, shape, ceiling)| {
-            filter_vs_plain(name, rows, shape, ceiling, quick, &mut table)
-        })
+        .map(|(name, rows, shape)| filter_vs_plain(name, rows, shape, quick, &mut table))
         .collect();
     table.print();
     json
@@ -243,7 +234,7 @@ fn low_dim_leg(quick: bool) -> Vec<Json> {
         .map(|dim| {
             let rows = cbir_workload::clustered_smooth(n, dim, n / 64, 10.0, 100.0, 8, 3);
             let name = format!("clustered, d {dim}");
-            filter_vs_plain(&name, &rows, (K, 64), None, quick, &mut table)
+            filter_vs_plain(&name, &rows, (K, 64), quick, &mut table)
         })
         .collect();
     table.print();

@@ -12,11 +12,13 @@
 //! one source type, `Segment`: its rows are mapped from its file or held
 //! on the heap, its metadata is decoded lazily from the file or given at
 //! construction, and its index kind is fixed when it is created (the
-//! store's for a file, a linear scan for a memtable chunk). Every
-//! mutation bumps a per-process epoch and publishes a fresh
-//! [`CorpusSnapshot`] — one list of sources, the files first, each with
-//! its first global id and deleted rows; readers pin a snapshot with one
-//! `Arc` clone and keep querying it unperturbed while writers move on —
+//! store's for a file, a linear scan for a memtable chunk). The
+//! published [`CorpusSnapshot`] — one list of sources, the files first,
+//! each with its first global id and deleted rows, and the tombstones —
+//! is the store's whole state: every mutation derives the next one from
+//! it under the writer lock, one epoch on, sharing every source it does
+//! not change. Readers pin a snapshot with one `Arc` clone and keep
+//! querying it unperturbed while writers move on —
 //! compaction included. Segment files are deleted only after a
 //! compaction commits, and a pinned snapshot keeps its mappings alive
 //! across that deletion (the mapping outlives the directory entry), so
@@ -230,11 +232,11 @@ struct SegmentFile {
 /// rows and decodes its metadata lazily from the file; laziness is
 /// load-bearing: opening a store must stay O(segments), not O(rows), so
 /// cold-open cost is independent of corpus size. A segment without a
-/// file holds its rows on the heap and is given its metadata: a slice of
-/// the memtable, whose frozen chunks every publish shares by `Arc` with
-/// their index and coarse table built once — this chunking is what makes
-/// both incremental under live ingest — or a static database's rows,
-/// shared with it ([`CorpusSnapshot::from_database`]).
+/// file holds its rows on the heap and is given its metadata: a chunk of
+/// the memtable, which every snapshot that does not append to it shares
+/// by `Arc` with its index and coarse table built once — this chunking
+/// is what makes both incremental under live ingest — or a static
+/// database's rows, shared with it ([`CorpusSnapshot::from_database`]).
 struct Segment {
     /// `None` for heap rows.
     file: Option<SegmentFile>,
@@ -324,6 +326,11 @@ impl Segment {
         Ok(Arc::new(chunk))
     }
 
+    /// Its rows, row-major.
+    fn flat(&self) -> &[f32] {
+        self.data.as_ref().map_or(&[], |d| d.dataset.flat())
+    }
+
     /// The file of a file-backed segment.
     fn file(&self) -> &SegmentFile {
         self.file.as_ref().expect("a file-backed segment")
@@ -364,9 +371,9 @@ impl Segment {
     }
 }
 
-/// Rows per frozen memtable chunk. This bounds the per-publish copy:
-/// every insert clones at most one chunk's worth of active-tail rows and
-/// `Arc`-shares the frozen chunks, instead of re-copying the entire
+/// Rows per memtable chunk. This bounds an insert's copy: it rebuilds
+/// only the tail chunk (fewer rows than this) with its own rows and
+/// `Arc`-shares the full chunks, instead of re-copying the entire
 /// memtable (which made sustained ingest O(n²) in memtable size).
 const MEM_CHUNK_ROWS: usize = 1024;
 
@@ -413,6 +420,11 @@ impl Listed {
     /// The global ids of its live rows.
     fn ids(&self) -> Range<u64> {
         self.base..self.base + (self.segment.rows - self.deleted.len()) as u64
+    }
+
+    /// The segment and its deleted rows, shared with another snapshot.
+    fn share(&self) -> (Arc<Segment>, Arc<[u64]>) {
+        (Arc::clone(&self.segment), Arc::clone(&self.deleted))
     }
 }
 
@@ -522,8 +534,9 @@ fn merge(hits: &mut Hits, keep: usize) {
 type SkipSelf<'a> = Option<(&'a [u64], usize)>;
 
 /// An immutable, epoch-stamped view of the whole corpus: the open
-/// segments with their committed deleted rows, a frozen copy of the
-/// memtable, and the tombstone set at publication time. Cheap to pin
+/// segments with their committed deleted rows, the memtable's chunks,
+/// and the tombstone set at publication time — a store's whole state,
+/// from which its next mutation derives the next snapshot. Cheap to pin
 /// (`Arc` clone) and safe to query while the store mutates or compacts
 /// underneath — the snapshot keeps its segment mappings alive even after
 /// compaction unlinks the files, and numbers rows by its own lists.
@@ -534,8 +547,9 @@ pub struct CorpusSnapshot {
     kind: IndexKind,
     measure: Measure,
     /// Every source in global id order: the segments with a file, then
-    /// those without — the memtable's frozen chunks (shared with other
-    /// snapshots) and the snapshot-private tail, or a static database.
+    /// those without — the memtable's chunks, the last of them the tail
+    /// while it holds fewer than [`MEM_CHUNK_ROWS`] rows, or a static
+    /// database.
     sources: Vec<Listed>,
     /// How many leading sources have a file.
     files: usize,
@@ -594,6 +608,24 @@ impl CorpusSnapshot {
             total,
             tombstones,
         }
+    }
+
+    /// The store snapshot after this one: one epoch on, with the same
+    /// pipeline, index kind and measure, over `segments` and `tombstones`.
+    fn next(
+        &self,
+        segments: impl IntoIterator<Item = (Arc<Segment>, Arc<[u64]>)>,
+        tombstones: Arc<BTreeSet<u64>>,
+    ) -> Self {
+        Self::new(
+            self.epoch + 1,
+            self.balanced,
+            self.pipeline.clone(),
+            self.kind.clone(),
+            self.measure.clone(),
+            segments,
+            tombstones,
+        )
     }
 
     /// A static database as a snapshot: no files, no tombstones, epoch 0
@@ -692,7 +724,7 @@ impl CorpusSnapshot {
         self.sources.get(self.files).map_or(self.total, |s| s.base)
     }
 
-    /// Rows in the frozen memtable portion.
+    /// Rows in the memtable: every row without a file.
     pub fn memtable_rows(&self) -> usize {
         (self.total - self.heap_base()) as usize
     }
@@ -1266,66 +1298,6 @@ pub struct CompactionStats {
     pub skipped: bool,
 }
 
-/// Mutable state under the store's writer lock.
-///
-/// The memtable is chunked: full [`MEM_CHUNK_ROWS`]-row prefixes live in
-/// immutable `Arc`'d segments without a file that every published
-/// snapshot shares, and only the bounded tail (`< MEM_CHUNK_ROWS` rows)
-/// is mutable. A publish therefore clones O(tail) rows, not O(memtable)
-/// — the fix for the quadratic republish cost of a per-insert
-/// full-memtable copy.
-struct StoreState {
-    balanced: bool,
-    pipeline: Pipeline,
-    epoch: u64,
-    next_seg: u64,
-    /// The segment files, each with its deleted rows as the committed
-    /// manifest lists them.
-    files: Vec<(Arc<Segment>, Arc<[u64]>)>,
-    mem_frozen: Vec<Arc<Segment>>,
-    mem_tail_flat: Vec<f32>,
-    mem_tail_metas: Vec<ImageMeta>,
-    /// Shared with every published snapshot; cloned only when a delete
-    /// has to change it.
-    tombstones: Arc<BTreeSet<u64>>,
-}
-
-impl StoreState {
-    /// Move every full [`MEM_CHUNK_ROWS`]-row prefix of the tail into a
-    /// frozen chunk, leaving `< MEM_CHUNK_ROWS` rows behind. Amortized
-    /// O(1) per inserted row: each row is moved out of the tail once.
-    fn freeze_full_chunks(&mut self, dim: usize) -> Result<()> {
-        while self.mem_tail_metas.len() >= MEM_CHUNK_ROWS {
-            let metas: Vec<ImageMeta> = self.mem_tail_metas.drain(..MEM_CHUNK_ROWS).collect();
-            let flat: Vec<f32> = self.mem_tail_flat.drain(..MEM_CHUNK_ROWS * dim).collect();
-            self.mem_frozen.push(Segment::memtable(dim, flat, metas)?);
-        }
-        Ok(())
-    }
-
-    /// A snapshot of this state. Frozen memtable chunks are shared by
-    /// `Arc` clone — the cost is O(tail), bounded by [`MEM_CHUNK_ROWS`]
-    /// rows, regardless of memtable size. Chunk and segment indexes (and
-    /// coarse tables) stay lazy.
-    fn snapshot(&self, options: &StoreOptions) -> Result<Arc<CorpusSnapshot>> {
-        let mut heap = self.mem_frozen.clone();
-        if !self.mem_tail_metas.is_empty() {
-            let (flat, metas) = (self.mem_tail_flat.clone(), self.mem_tail_metas.clone());
-            heap.push(Segment::memtable(self.pipeline.dim(), flat, metas)?);
-        }
-        let heap = heap.into_iter().map(|chunk| (chunk, Arc::default()));
-        Ok(Arc::new(CorpusSnapshot::new(
-            self.epoch,
-            self.balanced,
-            self.pipeline.clone(),
-            options.kind.clone(),
-            options.measure.clone(),
-            self.files.iter().cloned().chain(heap),
-            Arc::clone(&self.tombstones),
-        )))
-    }
-}
-
 /// The segment list a compaction assembles, in global id order: kept
 /// segments with the deleted rows the new manifest lists for them,
 /// rewritten rows as the new files it writes.
@@ -1350,7 +1322,7 @@ impl NextSegments {
     fn write(
         &mut self,
         store: &CorpusStore,
-        state: &StoreState,
+        snap: &CorpusSnapshot,
         (flat, metas): (&[f32], &[ImageMeta]),
         warm: bool,
         policy: &mut dyn FaultPolicy,
@@ -1358,7 +1330,7 @@ impl NextSegments {
         if metas.is_empty() {
             return Ok(());
         }
-        let bytes = encode_segment(state.balanced, &state.pipeline, flat, metas)?;
+        let bytes = encode_segment(snap.balanced, &snap.pipeline, flat, metas)?;
         let name = segment_file_name(self.next_seg);
         self.next_seg += 1;
         let path = store.dir.join(&name);
@@ -1384,22 +1356,17 @@ impl NextSegments {
 
 /// The live, mutable corpus store: a segment directory plus memtable,
 /// accepting online inserts and deletes while serving queries from
-/// published [`CorpusSnapshot`]s. All mutation goes through an internal
-/// writer lock; readers never take it — they pin the published snapshot.
+/// published [`CorpusSnapshot`]s, the last of which is its whole state.
+/// Writers derive the next snapshot from it under the writer lock;
+/// readers never take that lock — they pin the published snapshot.
+#[derive(Debug)]
 pub struct CorpusStore {
     dir: PathBuf,
     options: StoreOptions,
-    state: Mutex<StoreState>,
+    /// Serialises writers, and holds the one thing a snapshot does not:
+    /// the number of the next segment file (the manifest's `next_seg`).
+    writer: Mutex<u64>,
     published: Mutex<Arc<CorpusSnapshot>>,
-}
-
-impl std::fmt::Debug for CorpusStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CorpusStore")
-            .field("dir", &self.dir)
-            .field("options", &self.options)
-            .finish()
-    }
 }
 
 impl CorpusStore {
@@ -1435,7 +1402,7 @@ impl CorpusStore {
     /// Open an existing store directory: read and validate the manifest,
     /// open every live segment (O(segments), not O(rows) — metadata
     /// decoding, descriptor checksums, and index builds are deferred),
-    /// and publish the initial snapshot.
+    /// and publish the snapshot the manifest describes.
     pub fn open(dir: impl AsRef<Path>, options: StoreOptions) -> Result<Arc<CorpusStore>> {
         let dir = dir.as_ref();
         let manifest_path = dir.join(MANIFEST_FILE);
@@ -1464,30 +1431,28 @@ impl CorpusStore {
             }
             files.push((seg, Arc::from(entry.deleted)));
         }
-        let state = StoreState {
-            balanced: manifest.balanced,
-            pipeline: manifest.pipeline,
-            epoch: manifest.epoch,
-            next_seg: manifest.next_seg,
+        let snapshot = Arc::new(CorpusSnapshot::new(
+            manifest.epoch,
+            manifest.balanced,
+            manifest.pipeline,
+            options.kind.clone(),
+            options.measure.clone(),
             files,
-            mem_frozen: Vec::new(),
-            mem_tail_flat: Vec::new(),
-            mem_tail_metas: Vec::new(),
-            tombstones: Arc::default(),
-        };
-        let snapshot = state.snapshot(&options)?;
+            Arc::default(),
+        ));
         snapshot.record_state();
         Ok(Arc::new(CorpusStore {
             dir: dir.to_path_buf(),
             options,
-            state: Mutex::new(state),
+            writer: Mutex::new(manifest.next_seg),
             published: Mutex::new(snapshot),
         }))
     }
 
     /// Migrate a RAM-resident [`ImageDatabase`] into a fresh store at
-    /// `dir`: its rows are written as immutable segments (chunked by
-    /// `options.max_seg_rows`) and committed under a manifest.
+    /// `dir`: its rows are appended to the memtable in one pass, then
+    /// written as immutable segments (chunked by `options.max_seg_rows`)
+    /// and committed under a manifest.
     pub fn create_from_database(
         dir: impl AsRef<Path>,
         db: &ImageDatabase,
@@ -1495,18 +1460,10 @@ impl CorpusStore {
     ) -> Result<Arc<CorpusStore>> {
         let store = Self::create(dir, db.pipeline().clone(), db.is_balanced(), options)?;
         if !db.is_empty() {
-            let dim = db.dim();
-            let flat = db.flat_descriptors();
-            {
-                let mut state = store.state.lock().expect("store lock poisoned");
-                state.mem_tail_flat.extend_from_slice(flat);
-                state.mem_tail_metas.extend_from_slice(db.metas());
-                debug_assert_eq!(state.mem_tail_flat.len(), state.mem_tail_metas.len() * dim);
-                state.freeze_full_chunks(dim)?;
-                state.epoch += 1;
-                store.publish(&state)?;
-            }
-            store.compact()?;
+            let mut next_seg = store.writer.lock().expect("store lock poisoned");
+            let metas = db.metas().iter().cloned();
+            store.append(&store.snapshot(), db.flat_descriptors(), metas)?;
+            store.compact_locked(&mut next_seg, &mut NoFaults)?;
         }
         Ok(store)
     }
@@ -1528,42 +1485,43 @@ impl CorpusStore {
         Arc::clone(&self.published.lock().expect("store lock poisoned"))
     }
 
-    /// Publish a snapshot of `state` ([`StoreState::snapshot`]) and
-    /// return it.
-    fn publish(&self, state: &StoreState) -> Result<Arc<CorpusSnapshot>> {
-        let snapshot = state.snapshot(&self.options)?;
+    /// Publish `snapshot`, derived from the published one under the
+    /// writer lock, as the store's state.
+    fn publish(&self, snapshot: CorpusSnapshot) -> Arc<CorpusSnapshot> {
+        let snapshot = Arc::new(snapshot);
         snapshot.record_state();
         *self.published.lock().expect("store lock poisoned") = Arc::clone(&snapshot);
-        Ok(snapshot)
+        snapshot
     }
 
     fn validate_descriptor(dim: usize, desc: &[f32]) -> Result<()> {
-        if desc.len() != dim {
-            return Err(CoreError::InvalidParameter(format!(
-                "descriptor has dim {}, store expects {dim}",
-                desc.len()
-            )));
-        }
-        if desc.iter().any(|x| !x.is_finite()) {
-            return Err(CoreError::InvalidParameter(
-                "descriptor contains a non-finite component".into(),
-            ));
-        }
-        Ok(())
+        let fault = if desc.len() != dim {
+            format!("descriptor has dim {}, store expects {dim}", desc.len())
+        } else if desc.iter().any(|x| !x.is_finite()) {
+            "descriptor contains a non-finite component".into()
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::InvalidParameter(fault))
     }
 
-    /// Insert one precomputed descriptor; returns its global id at the
-    /// published epoch. Triggers a best-effort background-free compaction
-    /// when the memtable reaches `memtable_limit` (compaction failure is
+    /// Insert one precomputed descriptor; returns its global id in the
+    /// last snapshot the call published. At `memtable_limit` memtable rows
+    /// the call compacts too, under the same writer-lock hold, and returns
+    /// the id the compaction gave the row (a failed compaction is
     /// swallowed — the insert itself has already been published).
     pub fn insert(&self, meta: ImageMeta, descriptor: Vec<f32>) -> Result<u64> {
-        let (ids, mem_rows) = self.insert_locked(vec![(meta, descriptor)])?;
-        if mem_rows >= self.options.memtable_limit {
-            // Soft limit: the memtable keeps absorbing inserts even if
-            // compaction cannot run (e.g. a read-only filesystem).
-            let _ = self.compact();
+        let mut next_seg = self.writer.lock().expect("store lock poisoned");
+        let (id, snap) = self.insert_locked(vec![(meta, descriptor)])?;
+        // Soft limit: the memtable keeps absorbing inserts even if
+        // compaction cannot run (e.g. a read-only filesystem).
+        if snap.memtable_rows() >= self.options.memtable_limit
+            && self.compact_locked(&mut next_seg, &mut NoFaults).is_ok()
+        {
+            // Compaction renumbered the rows past each tombstone.
+            return Ok(id - snap.tombstones.range(..id).count() as u64);
         }
-        Ok(ids[0])
+        Ok(id)
     }
 
     /// Insert many precomputed descriptors under one epoch bump; returns
@@ -1573,41 +1531,78 @@ impl CorpusStore {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        Ok(self.insert_locked(items)?.0)
+        let n = items.len() as u64;
+        let _writer = self.writer.lock().expect("store lock poisoned");
+        let (first, _) = self.insert_locked(items)?;
+        Ok((first..first + n).collect())
     }
 
-    /// One critical section: validate, append, publish. Returns the new
-    /// ids and the memtable's row count as the insert left it.
-    fn insert_locked(&self, items: Vec<(ImageMeta, Vec<f32>)>) -> Result<(Vec<u64>, usize)> {
-        let mut state = self.state.lock().expect("store lock poisoned");
-        let dim = state.pipeline.dim();
+    /// Validate `items` (non-empty) and [`CorpusStore::append`] them;
+    /// returns the first new id and the published snapshot.
+    fn insert_locked(
+        &self,
+        items: Vec<(ImageMeta, Vec<f32>)>,
+    ) -> Result<(u64, Arc<CorpusSnapshot>)> {
+        let last = self.snapshot();
+        let dim = last.dim();
+        let mut flat = Vec::with_capacity(items.len() * dim);
         for (_, desc) in &items {
             Self::validate_descriptor(dim, desc)?;
+            flat.extend_from_slice(desc);
         }
-        let base = self.snapshot().total_rows() as u64;
-        let mut ids = Vec::with_capacity(items.len());
-        for (i, (meta, desc)) in items.into_iter().enumerate() {
-            state.mem_tail_flat.extend_from_slice(&desc);
-            state.mem_tail_metas.push(meta);
-            ids.push(base + i as u64);
+        let n = items.len() as u64;
+        let next = self.append(&last, &flat, items.into_iter().map(|(meta, _)| meta))?;
+        cbir_obs::store_count(cbir_obs::StoreCounter::Inserts, n);
+        Ok((last.total, next))
+    }
+
+    /// Publish the snapshot after `last`, the published one, with `metas`
+    /// and their rows (`flat`, at least one) appended: every source but
+    /// the tail — the last chunk without a file, while it holds fewer
+    /// than [`MEM_CHUNK_ROWS`] rows — is shared by `Arc`, and the tail's
+    /// rows and the new ones are cut into fresh chunks. The caller holds
+    /// the writer lock.
+    fn append(
+        &self,
+        last: &CorpusSnapshot,
+        flat: &[f32],
+        metas: impl IntoIterator<Item = ImageMeta>,
+    ) -> Result<Arc<CorpusSnapshot>> {
+        let dim = last.dim();
+        let heap = &last.sources[last.files..];
+        let tail = heap.last().filter(|at| at.segment.rows < MEM_CHUNK_ROWS);
+        let shared = &last.sources[..last.sources.len() - usize::from(tail.is_some())];
+        let (mut head, mut head_metas): (&[f32], &[ImageMeta]) = match tail {
+            Some(at) => (at.segment.flat(), at.segment.metas()?),
+            None => (&[], &[]),
+        };
+        let (mut metas, mut new) = (metas.into_iter(), flat);
+        let mut chunks = Vec::new();
+        while !head_metas.is_empty() || !new.is_empty() {
+            let take = (MEM_CHUNK_ROWS - head_metas.len()).min(new.len() / dim);
+            let (now, rest) = new.split_at(take * dim);
+            let chunk_metas = head_metas.iter().cloned().chain(metas.by_ref().take(take));
+            let chunk = Segment::memtable(dim, [head, now].concat(), chunk_metas.collect())?;
+            chunks.push((chunk, Arc::default()));
+            (head, head_metas, new) = (&[], &[], rest);
         }
-        state.freeze_full_chunks(dim)?;
-        state.epoch += 1;
-        let snapshot = self.publish(&state)?;
-        cbir_obs::store_count(cbir_obs::StoreCounter::Inserts, ids.len() as u64);
-        Ok((ids, snapshot.memtable_rows()))
+        let sources = shared.iter().map(Listed::share).chain(chunks);
+        Ok(self.publish(last.next(sources, Arc::clone(&last.tombstones))))
     }
 
     /// Tombstone global id `id`. The row disappears from queries at the
-    /// next epoch and is physically dropped by the next compaction.
+    /// next epoch, whose snapshot shares every source with the last, and
+    /// is physically dropped by the next compaction.
     pub fn delete(&self, id: u64) -> Result<()> {
-        let mut state = self.state.lock().expect("store lock poisoned");
-        if !self.snapshot().contains(id) {
+        let _writer = self.writer.lock().expect("store lock poisoned");
+        let last = self.snapshot();
+        if !last.contains(id) {
             return Err(CoreError::NotFound(id as usize));
         }
-        Arc::make_mut(&mut state.tombstones).insert(id);
-        state.epoch += 1;
-        self.publish(&state)?;
+        let mut tombstones = BTreeSet::clone(&last.tombstones);
+        tombstones.insert(id);
+        let sources = last.sources.iter().map(Listed::share);
+        self.publish(last.next(sources, Arc::new(tombstones)));
         cbir_obs::store_count(cbir_obs::StoreCounter::Deletes, 1);
         Ok(())
     }
@@ -1654,9 +1649,9 @@ impl CorpusStore {
     /// 3. open the new segments;
     /// 4. atomically write the new `MANIFEST`, deleted rows and all —
     ///    **the only commit point**;
-    /// 5. swap in-memory state, publish the new snapshot, and
-    ///    best-effort delete the replaced segment files (pinned
-    ///    snapshots keep their mappings alive regardless).
+    /// 5. publish the snapshot of the new segments, with no memtable and
+    ///    no tombstones, and best-effort delete the replaced segment
+    ///    files (pinned snapshots keep their mappings alive regardless).
     ///
     /// A failure anywhere before step 4 leaves the old state fully
     /// intact (the new files are best-effort removed; a kept file is
@@ -1665,12 +1660,21 @@ impl CorpusStore {
     /// because the commit already landed. Recovery is therefore always
     /// "old set or new set", never a mixture.
     pub fn compact_with(&self, policy: &mut dyn FaultPolicy) -> Result<CompactionStats> {
-        let mut state = self.state.lock().expect("store lock poisoned");
-        // Under the writer lock the published snapshot is this state.
+        let mut next_seg = self.writer.lock().expect("store lock poisoned");
+        self.compact_locked(&mut next_seg, policy)
+    }
+
+    /// [`CorpusStore::compact_with`] of the published snapshot; the
+    /// caller holds the writer lock, whose segment number is `next_seg`.
+    fn compact_locked(
+        &self,
+        next_seg: &mut u64,
+        policy: &mut dyn FaultPolicy,
+    ) -> Result<CompactionStats> {
         let snap = self.snapshot();
         if snap.memtable_rows() == 0 && snap.tombstone_count() == 0 {
             return Ok(CompactionStats {
-                epoch: state.epoch,
+                epoch: snap.epoch,
                 segments: snap.segments_len(),
                 segments_kept: snap.segments_len(),
                 rows: snap.total,
@@ -1702,10 +1706,10 @@ impl CorpusStore {
         }
         // 2–3. Keep, or write and open, segment by segment in id order.
         let mut next = NextSegments {
-            next_seg: state.next_seg,
+            next_seg: *next_seg,
             ..NextSegments::default()
         };
-        let dim = state.pipeline.dim();
+        let dim = snap.dim();
         let result = (|| -> Result<()> {
             for (i, at) in files[..tail].iter().enumerate() {
                 if !rewritten(i) {
@@ -1715,13 +1719,13 @@ impl CorpusStore {
                     continue;
                 }
                 let (flat, metas) = snap.live_rows(at.ids())?;
-                next.write(self, &state, (&flat, &metas), at.segment.is_warm(), policy)?;
+                next.write(self, &snap, (&flat, &metas), at.segment.is_warm(), policy)?;
             }
             let tail_base = snap.sources.get(tail).map_or(snap.total, |at| at.base);
             let (flat, metas) = snap.live_rows(tail_base..snap.total)?;
             let warm = snap.sources[tail..].iter().any(|at| at.segment.is_warm());
             for (chunk, metas) in flat.chunks(max_rows * dim).zip(metas.chunks(max_rows)) {
-                next.write(self, &state, (chunk, metas), warm, policy)?;
+                next.write(self, &snap, (chunk, metas), warm, policy)?;
             }
             // 4. Commit.
             let entry = |(s, deleted): &(Arc<Segment>, Arc<[u64]>)| ManifestEntry {
@@ -1730,10 +1734,10 @@ impl CorpusStore {
                 deleted: deleted.to_vec(),
             };
             let manifest = Manifest {
-                epoch: state.epoch + 1,
+                epoch: snap.epoch + 1,
                 next_seg: next.next_seg,
-                balanced: state.balanced,
-                pipeline: state.pipeline.clone(),
+                balanced: snap.balanced,
+                pipeline: snap.pipeline.clone(),
                 segments: next.files.iter().map(entry).collect(),
             };
             let mbytes = encode_manifest(&manifest);
@@ -1750,11 +1754,11 @@ impl CorpusStore {
             let landed = read_file_bytes(self.dir.join(MANIFEST_FILE))
                 .ok()
                 .and_then(|b| parse_manifest(&b).ok())
-                .is_some_and(|m| m.epoch == state.epoch + 1);
+                .is_some_and(|m| m.epoch == snap.epoch + 1);
             if !landed {
                 // Pre-commit failure: the old manifest still rules.
                 // Remove whatever new files made it to disk; kept files
-                // and the in-memory state are untouched.
+                // and the published snapshot are untouched.
                 for p in &next.written {
                     let _ = std::fs::remove_file(p);
                 }
@@ -1767,20 +1771,14 @@ impl CorpusStore {
             // or may not survive — either way recovery sees exactly the
             // old or the new set.)
         }
-        // 5. Swap, publish, and drop the replaced files.
+        // 5. Publish, and drop the replaced files.
         let replaced: Vec<PathBuf> = (0..files.len())
             .filter(|&i| rewritten(i))
             .map(|i| files[i].segment.file().path.clone())
             .collect();
         let kept = files.len() - replaced.len();
-        state.files = next.files;
-        state.mem_frozen.clear();
-        state.mem_tail_flat.clear();
-        state.mem_tail_metas.clear();
-        state.tombstones = Arc::default();
-        state.epoch += 1;
-        state.next_seg = next.next_seg;
-        let after = self.publish(&state)?;
+        *next_seg = next.next_seg;
+        let after = self.publish(snap.next(next.files, Arc::default()));
         for p in replaced {
             // Best-effort: pinned snapshots hold their mappings open,
             // and fsck treats leftovers as orphans, not corruption.
@@ -1788,7 +1786,7 @@ impl CorpusStore {
         }
         cbir_obs::store_count(cbir_obs::StoreCounter::Compactions, 1);
         Ok(CompactionStats {
-            epoch: state.epoch,
+            epoch: after.epoch,
             segments: after.segments_len(),
             segments_kept: kept,
             rows: after.total,
@@ -2820,16 +2818,25 @@ mod tests {
             let store = CorpusStore::open(&dir, options.clone()).unwrap();
             if !mmap {
                 // The owned-buffer fallback of `Mmap::open`, forced.
-                let mut state = store.state.lock().unwrap();
-                for (seg, _) in &mut state.files {
-                    let path = &seg.file().path;
+                let _writer = store.writer.lock().unwrap();
+                let snap = store.snapshot();
+                let files = snap.sources.iter().map(|at| {
+                    let path = &at.segment.file().path;
                     let name = path.file_name().unwrap().to_string_lossy().into_owned();
                     let image = Mmap::from_bytes(std::fs::read(path).unwrap());
                     assert!(!image.is_mapped());
-                    *seg =
-                        Segment::from_image(path, &name, Arc::new(image), &options.kind).unwrap();
-                }
-                store.publish(&state).unwrap();
+                    let seg = Segment::from_image(path, &name, Arc::new(image), &options.kind);
+                    (seg.unwrap(), Arc::clone(&at.deleted))
+                });
+                store.publish(CorpusSnapshot::new(
+                    snap.epoch,
+                    snap.balanced,
+                    snap.pipeline.clone(),
+                    snap.kind.clone(),
+                    snap.measure.clone(),
+                    files,
+                    Arc::default(),
+                ));
             }
             let snap = store.snapshot();
             assert_eq!(snap.epoch(), durable_epoch);
@@ -3288,6 +3295,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The id an insert returns names its row in the snapshot the call
+    /// left, also when the insert's own compaction renumbered the row.
+    #[test]
+    fn an_auto_compacting_insert_returns_the_id_its_compaction_gave_the_row() {
+        let dim = pipeline().dim();
+        let dir = temp_dir("autocompact-id");
+        let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
+        options.memtable_limit = 4;
+        let store = CorpusStore::create(&dir, pipeline(), true, options).unwrap();
+        let mut items = synth_items(4, dim, 62).into_iter();
+        for (meta, desc) in items.by_ref().take(3) {
+            store.insert(meta, desc).unwrap();
+        }
+        store.delete(0).unwrap();
+        let (meta, desc) = items.next().unwrap();
+        let id = store.insert(meta.clone(), desc).unwrap();
+        let snap = store.snapshot();
+        assert_eq!((snap.memtable_rows(), snap.len()), (0, 3), "compacted");
+        assert_eq!(id, 2);
+        assert_eq!(snap.meta(id).unwrap(), meta);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn empty_store_and_validation() {
         let dim = pipeline().dim();
@@ -3399,19 +3429,32 @@ mod tests {
         let victim_name = snap.meta(victim).unwrap().name;
         store.delete(victim).unwrap();
         let snap2 = store.snapshot();
-        // Its publish shares the frozen chunks and copies only the tail.
+        // Its publish shares every chunk, the tail included, and the
+        // tail's index stays built.
         let (chunks, chunks2) = (snap.heap_segments(), snap2.heap_segments());
-        assert!(std::ptr::eq(chunks[0], chunks2[0]) && std::ptr::eq(chunks[1], chunks2[1]));
-        assert!(!std::ptr::eq(chunks[2], chunks2[2]));
+        assert_eq!(chunks2.len(), 3);
+        assert!(chunks
+            .iter()
+            .zip(&chunks2)
+            .all(|(a, b)| std::ptr::eq(*a, *b)));
+        assert!(chunks2[2].is_warm());
         let mut s3 = BatchStats::new();
         let got2 = snap2.knn_batch(&queries, n, 1, &mut s3).unwrap();
         assert!(got2.iter().flatten().all(|h| h.name != victim_name));
         assert_eq!(got2[0].len(), n - 1);
+        // An insert shares the frozen chunks and rebuilds only the tail.
+        store.insert_batch(synth_items(1, dim, 23)).unwrap();
+        let snap4 = store.snapshot();
+        let chunks4 = snap4.heap_segments();
+        assert!(std::ptr::eq(chunks[0], chunks4[0]) && std::ptr::eq(chunks[1], chunks4[1]));
+        assert!(!std::ptr::eq(chunks[2], chunks4[2]) && !chunks4[2].is_warm());
+        assert_eq!((chunks4.len(), chunks4[2].rows), (3, 38));
+        assert_eq!(snap4.memtable_rows(), n + 1);
         // Compaction folds every chunk into segments.
         store.compact().unwrap();
         let snap3 = store.snapshot();
         assert_eq!(snap3.memtable_rows(), 0);
-        assert_eq!(snap3.len(), n - 1);
+        assert_eq!(snap3.len(), n);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,7 +16,10 @@
 //! segment. Some insert a burst of more than a memtable chunk's rows
 //! (the store freezes the memtable in chunks of 1,024), so deletes, pins
 //! and compactions also meet a memtable of frozen chunks and a tail
-//! after the segments. A faulty compaction fails at each of its fault points in
+//! after the segments. Some insert a single row through
+//! `CorpusStore::insert`, which compacts once the memtable reaches
+//! `MEMTABLE_LIMIT` rows, and the id it returns must name the row after
+//! that compaction. A faulty compaction fails at each of its fault points in
 //! turn (`core::faults`) until it gets through: every failure must leave
 //! the live store and the directory exactly as they were, and the one
 //! that gets through must commit the new state.
@@ -35,6 +38,8 @@ const SEG_ROWS: usize = 64;
 const STEPS: usize = 160;
 /// Rows per frozen memtable chunk in the store.
 const MEM_CHUNK_ROWS: usize = 1024;
+/// The memtable rows at which a single-row insert compacts.
+const MEMTABLE_LIMIT: usize = 32;
 
 struct XorShift(u64);
 
@@ -65,7 +70,7 @@ fn pipeline() -> Pipeline {
 fn options() -> StoreOptions {
     let mut options = StoreOptions::new(IndexKind::Linear, Measure::L1);
     options.max_seg_rows = SEG_ROWS;
-    options.memtable_limit = usize::MAX;
+    options.memtable_limit = MEMTABLE_LIMIT;
     options
 }
 
@@ -239,6 +244,8 @@ struct Seen {
     faults_injected: usize,
     /// Steps whose store had a memtable of more than one chunk.
     multi_chunk_memtable: usize,
+    /// Single-row inserts that compacted, per seed.
+    auto_compactions: Vec<usize>,
 }
 
 /// A compaction, checked: the model follows, and the manifest tells
@@ -377,6 +384,29 @@ fn run(seed: u64, seen: &mut Seen) {
                     }
                 }
             }
+            87..=94 => {
+                // One row through `insert`, compacting at the limit.
+                let row = Row {
+                    name: format!("s{seed}-r{inserted:05}"),
+                    desc: random_row(&mut rng),
+                    dead: false,
+                };
+                inserted += 1;
+                let before = committed_segments(&dir);
+                let meta = ImageMeta {
+                    name: row.name.clone(),
+                    label: None,
+                };
+                let id = store.insert(meta, row.desc.clone()).unwrap();
+                model.rows.push(row);
+                if model.rows.len() - model.committed.len() >= MEMTABLE_LIMIT {
+                    compacted(&dir, &mut model, &before, seen);
+                    *seen.auto_compactions.last_mut().unwrap() += 1;
+                }
+                assert_eq!(id as usize, model.rows.len() - 1, "{ctx}: insert id");
+                let name = store.snapshot().meta(id).unwrap().name;
+                assert_eq!(name, model.rows[id as usize].name, "{ctx}: insert id");
+            }
             75..=79 => {
                 drop(store);
                 store = CorpusStore::open(&dir, options()).unwrap();
@@ -415,8 +445,10 @@ fn run(seed: u64, seen: &mut Seen) {
 fn the_store_answers_like_its_model_through_random_sequences() {
     let mut seen = Seen::default();
     for seed in 1..=3 {
+        seen.auto_compactions.push(0);
         run(seed, &mut seen);
     }
+    assert!(seen.auto_compactions.iter().all(|&n| n > 0), "{seen:?}");
     assert!(seen.kept_with_list > 0, "{seen:?}");
     assert!(seen.list_rewritten > 0, "{seen:?}");
     assert!(seen.segment_emptied > 0, "{seen:?}");

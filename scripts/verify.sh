@@ -9,8 +9,8 @@
 # extraction, batched vs single-query k-NN, every tree's k-NN vs the
 # scan's in F1 and its range vs the scan's in F3) execute on every verify.
 # Their timed ratios are printed, not asserted: the mechanisms behind
-# T1b, F9, F13 and F14's are count gates in the test step (see
-# EXPERIMENTS.md), and F8, F12 and F15 assert theirs in full runs only.
+# T1b, F8, F9, F13 and F14's are count gates in the test step (see
+# EXPERIMENTS.md), and F12 and F15 assert theirs in full runs only.
 # F16's quick leg (exp_chaos_serving's hedged p99 cut) is the only one
 # that still asserts a clock.
 # The smoke corpora further down are six images, far under the row count
