@@ -1274,6 +1274,297 @@ mod tests {
         assert!(decode_response(&w.buf).is_err());
     }
 
+    /// Bytes from a hex string; spaces are ignored.
+    fn hex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|p| u8::from_str_radix(std::str::from_utf8(p).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    fn cat(parts: &[&[u8]]) -> Vec<u8> {
+        parts.concat()
+    }
+
+    /// One request per op with its payload bytes, written out by hand
+    /// so the codec is checked against bytes it did not produce. Each
+    /// field's value differs from its neighbours', so two swapped
+    /// fields change the bytes.
+    fn request_goldens() -> Vec<(Request, Vec<u8>)> {
+        vec![
+            (Request::Ping, hex("00")),
+            (
+                Request::Knn {
+                    k: 10,
+                    deadline_us: 5_000,
+                    recall_target: 0.5,
+                    descriptor: vec![1.0, -2.0],
+                },
+                hex("01 0a000000 8813000000000000 0000003f 02000000 0000803f 000000c0"),
+            ),
+            (
+                Request::Range {
+                    radius: 0.75,
+                    deadline_us: 7,
+                    descriptor: vec![0.25],
+                },
+                hex("02 0000403f 0700000000000000 01000000 0000803e"),
+            ),
+            (
+                Request::KnnById {
+                    k: 3,
+                    deadline_us: 42,
+                    recall_target: 0.25,
+                    id: 9,
+                },
+                hex("03 03000000 2a00000000000000 0000803e 0900000000000000"),
+            ),
+            (Request::Stats, hex("04")),
+            (Request::Shutdown, hex("05")),
+            (Request::ObsStats { prometheus: true }, hex("06 01")),
+            (Request::ObsStats { prometheus: false }, hex("06 00")),
+            (Request::Explain, hex("07")),
+            (
+                Request::Insert {
+                    name: "a.ppm".into(),
+                    label: Some(3),
+                    descriptor: vec![0.5],
+                },
+                hex("08 05000000 612e70706d 01 03000000 01000000 0000003f"),
+            ),
+            (
+                Request::Insert {
+                    name: String::new(),
+                    label: None,
+                    descriptor: vec![2.0],
+                },
+                hex("08 00000000 00 01000000 00000040"),
+            ),
+            (Request::Delete { id: 12 }, hex("09 0c00000000000000")),
+            (Request::Compact, hex("0a")),
+            (
+                Request::GetDescriptor { id: 31 },
+                hex("0b 1f00000000000000"),
+            ),
+        ]
+    }
+
+    /// One reply per status with its payload bytes, as
+    /// [`request_goldens`] writes them.
+    fn response_goldens() -> Vec<(Response, Vec<u8>)> {
+        let hit = |id, name: &str, label, distance| Hit {
+            id,
+            name: name.into(),
+            label,
+            distance,
+        };
+        let stats = StatsSnapshot {
+            batch_hist: vec![(2, 17), (u64::MAX, 18)],
+            ..Default::default()
+        }
+        .with_values(&(1..=16).collect::<Vec<u64>>());
+        let mut stats_bytes = vec![2u8];
+        for v in 1..=16u64 {
+            stats_bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        stats_bytes.extend(hex(
+            "02000000 0200000000000000 1100000000000000 ffffffffffffffff 1200000000000000",
+        ));
+        vec![
+            (
+                Response::Hits {
+                    hits: vec![hit(3, "x", Some(1), 0.125), hit(9, "", None, 2.5)],
+                    coarse_candidates: 128,
+                    rerank_evaluations: 120,
+                },
+                hex("00 02000000 \
+                     0300000000000000 01000000 78 01 01000000 0000003e \
+                     0900000000000000 00000000 00 00002040 \
+                     8000000000000000 7800000000000000"),
+            ),
+            (
+                Response::Pong { db_len: 12, dim: 4 },
+                hex("01 0c00000000000000 04000000"),
+            ),
+            (Response::Stats(stats), stats_bytes),
+            (Response::ShutdownAck, hex("03")),
+            (Response::Error("bad".into()), hex("04 03000000 626164")),
+            (
+                Response::Overloaded("full".into()),
+                hex("05 04000000 66756c6c"),
+            ),
+            (
+                Response::ShuttingDown("bye".into()),
+                hex("06 03000000 627965"),
+            ),
+            (
+                Response::DeadlineExpired("late".into()),
+                hex("07 04000000 6c617465"),
+            ),
+            (Response::ObsText("{}".into()), hex("08 02000000 7b7d")),
+            (
+                Response::InsertAck { id: 41, epoch: 7 },
+                hex("09 2900000000000000 0700000000000000"),
+            ),
+            (Response::DeleteAck { epoch: 8 }, hex("0a 0800000000000000")),
+            (
+                Response::CompactAck {
+                    epoch: 9,
+                    segments: 2,
+                    rows: 40,
+                },
+                hex("0b 0900000000000000 02000000 2800000000000000"),
+            ),
+            (
+                Response::Descriptor {
+                    descriptor: vec![0.0, -1.5],
+                },
+                hex("0c 02000000 00000000 0000c0bf"),
+            ),
+            (
+                Response::HitsPartial {
+                    hits: vec![hit(5, "y", Some(2), 0.5)],
+                    coarse_candidates: 7,
+                    rerank_evaluations: 6,
+                    shards_answered: 1,
+                    shards_total: 3,
+                },
+                hex("0d 01000000 \
+                     0500000000000000 01000000 79 01 02000000 0000003f \
+                     0700000000000000 0600000000000000 01000000 03000000"),
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_frame_encodes_to_and_decodes_from_its_golden_bytes() {
+        let requests = request_goldens();
+        let mut ops: Vec<u8> = requests.iter().map(|(_, b)| b[0]).collect();
+        ops.dedup();
+        assert_eq!(ops, (0..12).collect::<Vec<u8>>(), "one golden per op");
+        for (req, bytes) in requests {
+            assert_eq!(encode_request(&req), bytes, "{req:?}");
+            assert_eq!(decode_request(&bytes).unwrap(), req);
+        }
+        let responses = response_goldens();
+        let statuses: Vec<u8> = responses.iter().map(|(_, b)| b[0]).collect();
+        assert_eq!(
+            statuses,
+            (0..14).collect::<Vec<u8>>(),
+            "one golden per status"
+        );
+        for (resp, bytes) in responses {
+            assert_eq!(encode_response(&resp), bytes, "{resp:?}");
+            assert_eq!(decode_response(&bytes).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn malformed_payloads_fail_with_their_exact_messages() {
+        let request_err = |b: &[u8]| decode_request(b).unwrap_err().0;
+        let response_err = |b: &[u8]| decode_response(b).unwrap_err().0;
+        // Every proper prefix of every golden ends early, and one byte
+        // past any of them is left over.
+        for (_, bytes) in request_goldens() {
+            for cut in 0..bytes.len() {
+                assert_eq!(request_err(&bytes[..cut]), "unexpected end of payload");
+            }
+            let long = cat(&[&bytes, &[0]]);
+            assert_eq!(request_err(&long), "1 trailing bytes after payload");
+        }
+        for (_, bytes) in response_goldens() {
+            for cut in 0..bytes.len() {
+                assert_eq!(response_err(&bytes[..cut]), "unexpected end of payload");
+            }
+            let long = cat(&[&bytes, &[0]]);
+            assert_eq!(response_err(&long), "1 trailing bytes after payload");
+        }
+
+        let le32 = |v: usize| (v as u32).to_le_bytes();
+        let knn_head = hex("01 0a000000 0000000000000000 0000803f");
+        let string_reply = |n: usize, body: &[u8]| cat(&[&[4], &le32(n), body]);
+        let hits_reply = |n: usize| cat(&[&[0], &le32(n)]);
+        let stats_reply = |n: usize| cat(&[&[2], &[0; 16 * 8], &le32(n)]);
+        let cases: Vec<(Vec<u8>, bool, String)> = vec![
+            (
+                cat(&[&knn_head, &le32(0)]),
+                true,
+                "descriptor dim 0 out of range".into(),
+            ),
+            (
+                cat(&[&knn_head, &le32(MAX_WIRE_DIM + 1)]),
+                true,
+                format!("descriptor dim {} out of range", MAX_WIRE_DIM + 1),
+            ),
+            // The largest dim passes the check and runs out of bytes.
+            (
+                cat(&[&knn_head, &le32(MAX_WIRE_DIM)]),
+                true,
+                "unexpected end of payload".into(),
+            ),
+            (
+                cat(&[&[12], &le32(0)]),
+                false,
+                "descriptor dim 0 out of range".into(),
+            ),
+            (
+                cat(&[&[8], &le32(1), b"n", &[0], &le32(MAX_WIRE_DIM + 1)]),
+                true,
+                format!("descriptor dim {} out of range", MAX_WIRE_DIM + 1),
+            ),
+            (
+                string_reply(MAX_FRAME_LEN + 1, &[]),
+                false,
+                format!("string length {} implausible", MAX_FRAME_LEN + 1),
+            ),
+            (
+                string_reply(MAX_FRAME_LEN, &[]),
+                false,
+                "unexpected end of payload".into(),
+            ),
+            (
+                string_reply(2, &[0xc3, 0x28]),
+                false,
+                "invalid UTF-8 in string field".into(),
+            ),
+            (
+                cat(&[&[8], &le32(1), &[0xff], &[0], &le32(1), &[0; 4]]),
+                true,
+                "invalid UTF-8 in string field".into(),
+            ),
+            (
+                hits_reply(MAX_FRAME_LEN / 17 + 1),
+                false,
+                format!("hit count {} implausible", MAX_FRAME_LEN / 17 + 1),
+            ),
+            (
+                hits_reply(MAX_FRAME_LEN / 17),
+                false,
+                "unexpected end of payload".into(),
+            ),
+            (
+                stats_reply(1025),
+                false,
+                "histogram bucket count 1025 implausible".into(),
+            ),
+            (stats_reply(1024), false, "unexpected end of payload".into()),
+            (hex("06 02"), true, "unknown obs-stats format 2".into()),
+            (hex("0c"), true, "unknown request op 12".into()),
+            (hex("ff"), true, "unknown request op 255".into()),
+            (hex("0e"), false, "unknown response status 14".into()),
+            (hex("ff"), false, "unknown response status 255".into()),
+        ];
+        for (bytes, request, want) in cases {
+            let got = if request {
+                request_err(&bytes)
+            } else {
+                response_err(&bytes)
+            };
+            assert_eq!(got, want, "{bytes:02x?}");
+        }
+    }
+
     #[test]
     fn frame_io_roundtrips_and_rejects_garbage() {
         let payload = encode_request(&Request::Knn {
