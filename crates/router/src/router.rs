@@ -532,10 +532,7 @@ fn gather(
 ) -> Vec<ClientResult<Response>> {
     // Only searches hedge: a second ping, compaction or counter read
     // shortens no tail a client waits on.
-    let search = matches!(
-        request,
-        Request::Knn { .. } | Request::Range { .. } | Request::KnnById { .. }
-    );
+    let search = request.deadline_us().is_some();
     let floor = core.hedge.filter(|_| search);
     let mut legs: Vec<Leg> = targets
         .map(|(shard, replica)| {
@@ -600,10 +597,7 @@ fn gather(
 /// Cut `request`'s deadline by the time already spent in the router, to
 /// the budget a backend gets; `false` when nothing is left of it.
 fn cut_deadline(request: &mut Request, received: Instant) -> bool {
-    if let Request::Knn { deadline_us, .. }
-    | Request::Range { deadline_us, .. }
-    | Request::KnnById { deadline_us, .. } = request
-    {
+    if let Some(deadline_us) = request.deadline_us_mut() {
         if *deadline_us > 0 {
             let spent = received.elapsed().as_micros() as u64;
             if spent >= *deadline_us {

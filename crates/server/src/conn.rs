@@ -21,8 +21,10 @@
 //! queue once it is done, so responses leave in request order.
 
 use crate::metrics::Metrics;
+pub use crate::protocol::is_mutation;
 use crate::protocol::{
     decode_request, encode_response, write_frame, FrameDecoder, Request, Response, Stat,
+    MAX_FRAME_LEN,
 };
 use crate::scheduler::{Pending, Scheduler};
 use cbir_core::ImageMeta;
@@ -256,14 +258,24 @@ impl Connection {
     }
 
     /// Encode every completed head-of-line reply into the output buffer,
-    /// preserving request order. Returns how many replies were encoded.
+    /// preserving request order; a reply over [`MAX_FRAME_LEN`] goes out
+    /// as a [`Response::Error`] naming its size. Returns how many replies
+    /// were encoded.
     pub fn pump(&mut self) -> usize {
         let mut encoded = 0;
         while let Some(head) = self.inflight.front() {
             let Some(resp) = head.take() else { break };
             self.inflight.pop_front();
-            write_frame(&mut self.outbuf, &encode_response(&resp))
-                .expect("Vec<u8> writes are infallible");
+            let mut payload = encode_response(&resp);
+            // A reply the peer's reader would refuse as a corrupt stream
+            // is answered with this request's error instead.
+            if payload.len() > MAX_FRAME_LEN {
+                payload = encode_response(&Response::Error(format!(
+                    "reply of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit",
+                    payload.len()
+                )));
+            }
+            write_frame(&mut self.outbuf, &payload).expect("Vec<u8> writes are infallible");
             encoded += 1;
         }
         encoded
@@ -453,14 +465,9 @@ impl Service for NodeService {
             let _ = self.mutations.send((request, Arc::clone(&cell)));
             return Some(cell);
         }
-        let deadline_us = match &request {
-            Request::Knn { deadline_us, .. }
-            | Request::Range { deadline_us, .. }
-            | Request::KnnById { deadline_us, .. } => *deadline_us,
-            _ => {
-                conn.push_ready(control_response(&self.scheduler, request));
-                return None;
-            }
+        let Some(deadline_us) = request.deadline_us() else {
+            conn.push_ready(control_response(&self.scheduler, request));
+            return None;
         };
         let now = Instant::now();
         self.scheduler.submit(Pending {
@@ -484,15 +491,6 @@ impl Service for NodeService {
     fn begin_shutdown(&self) {
         self.scheduler.begin_shutdown();
     }
-}
-
-/// Whether an op mutates the store: the ops a [`Service`] dispatches
-/// behind a per-connection barrier.
-pub fn is_mutation(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Insert { .. } | Request::Delete { .. } | Request::Compact
-    )
 }
 
 /// Answer a control or mutation op against the scheduler's corpus: on
@@ -575,9 +573,7 @@ pub fn control_response(scheduler: &Scheduler, req: Request) -> Response {
                 Response::Error(e.to_string())
             }
         },
-        query @ (Request::Knn { .. } | Request::Range { .. } | Request::KnnById { .. }) => {
-            unreachable!("queries go through the scheduler, got {query:?}")
-        }
+        query => unreachable!("queries go through the scheduler, got {query:?}"),
     }
 }
 
@@ -589,4 +585,40 @@ pub(crate) fn static_corpus_error() -> Response {
          (serve --mmap)"
             .into(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{decode_response, read_frame, Hit};
+
+    #[test]
+    fn a_reply_over_the_frame_cap_goes_out_as_its_requests_error() {
+        let now = Instant::now();
+        let mut conn = Connection::new(0, now);
+        let hit = Hit {
+            id: 0,
+            name: String::new(),
+            label: None,
+            distance: 0.0,
+        };
+        // 1 + 4 + 17 × 1,000,000 + 16 bytes: over the 16 MiB cap.
+        conn.push_ready(Response::Hits {
+            hits: vec![hit; 1_000_000],
+            coarse_candidates: 0,
+            rerank_evaluations: 0,
+        });
+        conn.push_ready(Response::Pong { db_len: 1, dim: 2 });
+        assert_eq!(conn.pump(), 2);
+        let mut wire = Vec::new();
+        assert_eq!(conn.write_to(&mut wire, now), WriteStatus::Open);
+        let mut stream = std::io::Cursor::new(wire);
+        let mut next = || decode_response(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
+        assert_eq!(
+            next(),
+            Response::Error("reply of 17000021 bytes exceeds the 16777216-byte frame limit".into())
+        );
+        // The stream stays in sync: the next reply reads as itself.
+        assert_eq!(next(), Response::Pong { db_len: 1, dim: 2 });
+    }
 }

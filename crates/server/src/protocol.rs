@@ -7,11 +7,27 @@
 //! [8 bytes magic "CBIRRPC1"] [u32 LE payload length] [payload bytes]
 //! ```
 //!
-//! A request payload is an op tag followed by an op-specific body; a
-//! response payload is a status tag followed by a status-specific body.
-//! All multi-byte integers and floats are little-endian. Strings are a
-//! `u32` byte length followed by UTF-8 bytes. See [`Request`] and
-//! [`Response`] for the exact bodies.
+//! A request payload is an op tag followed by that op's fields; a
+//! response payload is a status tag followed by that status's fields.
+//! The two `frame_table!`s below are the frame list. A row gives one
+//! frame its tag, its variant and its fields in wire order; the
+//! [`Request`] and [`Response`] enums, each variant's "On the wire" doc
+//! line, and [`encode_request`], [`decode_request`], [`encode_response`]
+//! and [`decode_response`] are generated from the rows. Each field type
+//! has one codec:
+//!
+//! - `u8`, `u32`, `u64`, `f32`: little-endian;
+//! - `String`: a `u32` byte length (at most [`MAX_FRAME_LEN`]), then UTF-8;
+//! - `Option<u32>`: `u8` `1` then the `u32`, or `u8` `0`;
+//! - `bool`: the `ObsStats` format byte, `0` (JSON) or `1` (Prometheus);
+//! - `Vec<f32>`: a descriptor, a `u32` dim in `1..=`[`MAX_WIRE_DIM`],
+//!   then `dim` `f32`s;
+//! - `Vec<Hit>`: a `u32` count (at most `MAX_FRAME_LEN / 17`), then per
+//!   hit its `u64 id`, `String name`, `Option<u32> label`,
+//!   `f32 distance`;
+//! - `StatsSnapshot`: its counter table's values as `u64`s in table
+//!   order, then a `u32` bucket count (at most 1,024) and that many
+//!   `u64` bound, `u64` count pairs.
 //!
 //! The format is self-describing enough for per-connection error
 //! isolation: a malformed frame produces a [`WireError`] which the server
@@ -47,121 +63,363 @@ fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
-/// A client-to-server operation.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Liveness probe; answered inline with [`Response::Pong`].
-    Ping,
-    /// k-nearest-neighbour search over a raw descriptor.
-    ///
-    /// Body: `u32 k`, `u64 deadline_us` (0 = no deadline; a relative
-    /// budget measured from server receipt), `f32 recall_target`
-    /// (`1.0` = exact search; below `1.0` opts into the two-stage
-    /// approximate path), `u32 dim`, `dim × f32`.
-    Knn {
-        /// Number of neighbours requested.
-        k: u32,
-        /// Relative deadline in microseconds (0 = none).
-        deadline_us: u64,
-        /// Recall target in `(0, 1]`; `1.0` requests the exact path.
-        recall_target: f32,
-        /// Query descriptor.
-        descriptor: Vec<f32>,
-    },
-    /// Range search over a raw descriptor.
-    ///
-    /// Body: `f32 radius`, `u64 deadline_us`, `u32 dim`, `dim × f32`.
-    Range {
-        /// Inclusive distance threshold.
-        radius: f32,
-        /// Relative deadline in microseconds (0 = none).
-        deadline_us: u64,
-        /// Query descriptor.
-        descriptor: Vec<f32>,
-    },
-    /// k-NN by database image id, excluding the query image itself.
-    ///
-    /// Body: `u32 k`, `u64 deadline_us`, `f32 recall_target`, `u64 id`.
-    KnnById {
-        /// Number of neighbours requested.
-        k: u32,
-        /// Relative deadline in microseconds (0 = none).
-        deadline_us: u64,
-        /// Recall target in `(0, 1]`; `1.0` requests the exact path.
-        recall_target: f32,
-        /// Database image id.
-        id: u64,
-    },
-    /// Server counter snapshot; answered inline with [`Response::Stats`].
-    Stats,
-    /// Graceful shutdown: drain admitted requests, answer them, then stop.
-    Shutdown,
-    /// Observability registry snapshot, rendered server-side; answered
-    /// inline with [`Response::ObsText`].
-    ///
-    /// Body: `u8 format` (`0` = JSON, `1` = Prometheus text exposition).
-    ObsStats {
-        /// `true` renders Prometheus text exposition instead of JSON.
-        prometheus: bool,
-    },
-    /// Sampled query traces (JSON), for `cbir rpc-ctl explain`; answered
-    /// inline with [`Response::ObsText`].
-    Explain,
-    /// Insert one precomputed descriptor into a live store; answered
-    /// inline with [`Response::InsertAck`] (or [`Response::Error`] when
-    /// the server is serving a static database).
-    ///
-    /// Body: string name, `u8 has_label` (`1` followed by `u32 label`,
-    /// or `0`), `u32 dim`, `dim × f32`.
-    Insert {
-        /// External name of the image.
-        name: String,
-        /// Optional class label.
-        label: Option<u32>,
-        /// The precomputed descriptor.
-        descriptor: Vec<f32>,
-    },
-    /// Tombstone one row of a live store by global id; answered inline
-    /// with [`Response::DeleteAck`].
-    ///
-    /// Body: `u64 id`.
-    Delete {
-        /// Global id at the server's current epoch.
-        id: u64,
-    },
-    /// Merge the live store's memtable and segments into fresh segments
-    /// (the durability point); answered inline with
-    /// [`Response::CompactAck`].
-    Compact,
-    /// Fetch the stored descriptor of one row by id; answered inline with
-    /// [`Response::Descriptor`]. A scatter-gather router uses this to
-    /// resolve a knn-by-id against the shard that owns the query row
-    /// before fanning the search out to every shard.
-    ///
-    /// Body: `u64 id`.
-    GetDescriptor {
-        /// Row id at the server's current epoch.
-        id: u64,
-    },
+/// The unread rest of a payload.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self
+            .0
+            .split_at_checked(n)
+            .ok_or_else(|| wire_err("unexpected end of payload"))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
+    fn finish(self) -> Result<(), WireError> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(wire_err(format!("{n} trailing bytes after payload"))),
+        }
+    }
 }
 
-const OP_PING: u8 = 0;
-const OP_KNN: u8 = 1;
-const OP_RANGE: u8 = 2;
-const OP_KNN_BY_ID: u8 = 3;
-const OP_STATS: u8 = 4;
-const OP_SHUTDOWN: u8 = 5;
-const OP_OBS_STATS: u8 = 6;
-const OP_EXPLAIN: u8 = 7;
-const OP_INSERT: u8 = 8;
-const OP_DELETE: u8 = 9;
-const OP_COMPACT: u8 = 10;
-const OP_GET_DESCRIPTOR: u8 = 11;
+/// A field type's codec (the list is in the module docs).
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+
+wire_le!(u8, u32, u64, f32);
+
+/// A count or length, as a `u32`.
+fn put_len(n: usize, out: &mut Vec<u8>) {
+    (n as u32).put(out);
+}
+
+/// A count or length; one over `cap` is refused as implausible.
+fn get_len(r: &mut Reader<'_>, cap: usize, what: &str) -> Result<usize, WireError> {
+    let n = u32::get(r)? as usize;
+    if n > cap {
+        return Err(wire_err(format!("{what} {n} implausible")));
+    }
+    Ok(n)
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = get_len(r, MAX_FRAME_LEN, "string length")?;
+        String::from_utf8(r.take(n)?.to_vec())
+            .map_err(|_| wire_err("invalid UTF-8 in string field"))
+    }
+}
+
+impl Wire for Option<u32> {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(self.is_some()).put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(if u8::get(r)? != 0 {
+            Some(u32::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        u8::from(*self).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            f => Err(wire_err(format!("unknown obs-stats format {f}"))),
+        }
+    }
+}
+
+impl Wire for Vec<f32> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let dim = u32::get(r)? as usize;
+        if dim == 0 || dim > MAX_WIRE_DIM {
+            return Err(wire_err(format!("descriptor dim {dim} out of range")));
+        }
+        let bytes = r.take(dim * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .collect())
+    }
+}
+
+impl Wire for Vec<Hit> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_len(self.len(), out);
+        for h in self {
+            h.id.put(out);
+            h.name.put(out);
+            h.label.put(out);
+            h.distance.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = get_len(r, MAX_FRAME_LEN / 17, "hit count")?;
+        let mut hits = Vec::with_capacity(n);
+        for _ in 0..n {
+            hits.push(Hit {
+                id: Wire::get(r)?,
+                name: Wire::get(r)?,
+                label: Wire::get(r)?,
+                distance: Wire::get(r)?,
+            });
+        }
+        Ok(hits)
+    }
+}
+
+impl Wire for StatsSnapshot {
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in self.values() {
+            v.put(out);
+        }
+        put_len(self.batch_hist.len(), out);
+        for (bound, count) in &self.batch_hist {
+            bound.put(out);
+            count.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let values = Self::TABLE
+            .iter()
+            .map(|_| u64::get(r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let n = get_len(r, 1024, "histogram bucket count")?;
+        let batch_hist = (0..n)
+            .map(|_| Ok((u64::get(r)?, u64::get(r)?)))
+            .collect::<Result<_, WireError>>()?;
+        Ok(StatsSnapshot {
+            batch_hist,
+            ..Default::default()
+        }
+        .with_values(&values))
+    }
+}
+
+/// Declares one direction's frames: the enum with one variant per row,
+/// and its encoder and decoder. A row is `tag => Variant`,
+/// `tag => Variant(Type)` or `tag => Variant { field: Type, .. }` with
+/// the fields in wire order. A payload is the tag byte, then each field
+/// by its type's codec; decoding an unknown tag fails with
+/// `unknown <what> <tag>`.
+macro_rules! frame_table {
+    (@bind $b:ident $t:ty) => { $b };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident: $what:literal, $encode:ident, $decode:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident
+                    $( ($ty:ty) )?
+                    $( { $( $(#[$fmeta:meta])* $field:ident: $fty:ty ),* $(,)? } )?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {$(
+            $(#[$vmeta])*
+            #[doc = ""]
+            #[doc = concat!(
+                "On the wire: tag `", $tag, "`"
+                $(, ", `", stringify!($ty), "`")?
+                $($(, ", `", stringify!($field), ": ", stringify!($fty), "`")*)?
+                , "."
+            )]
+            $variant $( ($ty) )? $( { $( $(#[$fmeta])* $field: $fty ),* } )?,
+        )*}
+
+        #[doc = concat!(
+            "Serialize a [`", stringify!($name), "`] into a frame payload (no magic / length prefix)."
+        )]
+        pub fn $encode(frame: &$name) -> Vec<u8> {
+            let mut out = Vec::new();
+            match frame {$(
+                $name::$variant
+                    $( (frame_table!(@bind value $ty)) )?
+                    $( { $($field),* } )? => {
+                    out.push($tag);
+                    $( <$ty as Wire>::put(value, &mut out); )?
+                    $( $( <$fty as Wire>::put($field, &mut out); )* )?
+                }
+            )*}
+            out
+        }
+
+        #[doc = concat!("Parse a frame payload as a [`", stringify!($name), "`].")]
+        pub fn $decode(payload: &[u8]) -> Result<$name, WireError> {
+            let mut r = Reader(payload);
+            let frame = match u8::get(&mut r)? {
+                $(
+                    $tag => $name::$variant
+                        $( (<$ty as Wire>::get(&mut r)?) )?
+                        $( { $( $field: <$fty as Wire>::get(&mut r)? ),* } )?,
+                )*
+                t => return Err(wire_err(format!("unknown {} {t}", $what))),
+            };
+            r.finish()?;
+            Ok(frame)
+        }
+    };
+}
+
+frame_table! {
+    /// A client-to-server operation.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request: "request op", encode_request, decode_request {
+        /// Liveness probe; answered inline with [`Response::Pong`].
+        0 => Ping,
+        /// k-nearest-neighbour search over a raw descriptor.
+        1 => Knn {
+            /// Number of neighbours requested.
+            k: u32,
+            /// Relative deadline in microseconds, measured from server
+            /// receipt (0 = none).
+            deadline_us: u64,
+            /// Recall target in `(0, 1]`; `1.0` requests the exact path,
+            /// below it opts into the two-stage approximate path.
+            recall_target: f32,
+            /// Query descriptor.
+            descriptor: Vec<f32>,
+        },
+        /// Range search over a raw descriptor.
+        2 => Range {
+            /// Inclusive distance threshold.
+            radius: f32,
+            /// Relative deadline in microseconds (0 = none).
+            deadline_us: u64,
+            /// Query descriptor.
+            descriptor: Vec<f32>,
+        },
+        /// k-NN by database image id, excluding the query image itself.
+        3 => KnnById {
+            /// Number of neighbours requested.
+            k: u32,
+            /// Relative deadline in microseconds (0 = none).
+            deadline_us: u64,
+            /// Recall target in `(0, 1]`; `1.0` requests the exact path.
+            recall_target: f32,
+            /// Database image id.
+            id: u64,
+        },
+        /// Server counter snapshot; answered inline with [`Response::Stats`].
+        4 => Stats,
+        /// Graceful shutdown: drain admitted requests, answer them, then stop.
+        5 => Shutdown,
+        /// Observability registry snapshot, rendered server-side; answered
+        /// inline with [`Response::ObsText`].
+        6 => ObsStats {
+            /// `true` renders Prometheus text exposition instead of JSON.
+            prometheus: bool,
+        },
+        /// Sampled query traces (JSON), for `cbir rpc-ctl explain`; answered
+        /// inline with [`Response::ObsText`].
+        7 => Explain,
+        /// Insert one precomputed descriptor into a live store; answered
+        /// inline with [`Response::InsertAck`] (or [`Response::Error`] when
+        /// the server is serving a static database).
+        8 => Insert {
+            /// External name of the image.
+            name: String,
+            /// Optional class label.
+            label: Option<u32>,
+            /// The precomputed descriptor.
+            descriptor: Vec<f32>,
+        },
+        /// Tombstone one row of a live store by global id; answered inline
+        /// with [`Response::DeleteAck`].
+        9 => Delete {
+            /// Global id at the server's current epoch.
+            id: u64,
+        },
+        /// Merge the live store's memtable and segments into fresh segments
+        /// (the durability point); answered inline with
+        /// [`Response::CompactAck`].
+        10 => Compact,
+        /// Fetch the stored descriptor of one row by id; answered inline with
+        /// [`Response::Descriptor`]. A scatter-gather router uses this to
+        /// resolve a knn-by-id against the shard that owns the query row
+        /// before fanning the search out to every shard.
+        11 => GetDescriptor {
+            /// Row id at the server's current epoch.
+            id: u64,
+        },
+    }
+}
+
+impl Request {
+    /// A search's deadline (`Knn`, `Range` and `KnnById`, the ops the
+    /// scheduler batches and the router hedges); `None` for every other op.
+    pub fn deadline_us(&self) -> Option<u64> {
+        match *self {
+            Request::Knn { deadline_us, .. }
+            | Request::Range { deadline_us, .. }
+            | Request::KnnById { deadline_us, .. } => Some(deadline_us),
+            _ => None,
+        }
+    }
+
+    /// [`Request::deadline_us`], to cut it; `Some` for the same ops.
+    pub fn deadline_us_mut(&mut self) -> Option<&mut u64> {
+        match self {
+            Request::Knn { deadline_us, .. }
+            | Request::Range { deadline_us, .. }
+            | Request::KnnById { deadline_us, .. } => Some(deadline_us),
+            _ => None,
+        }
+    }
+}
+
+/// Whether an op mutates the store: the ops a `Service` dispatches
+/// behind a per-connection barrier.
+pub fn is_mutation(req: &Request) -> bool {
+    matches!(
+        req,
+        Request::Insert { .. } | Request::Delete { .. } | Request::Compact
+    )
+}
 
 /// One retrieval hit on the wire; mirrors `cbir_core::Ranked`.
-///
-/// Body: `u64 id`, string name, `u8 has_label` (`1` followed by
-/// `u32 label`, or `0`), `f32 distance`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Hit {
     /// Image id in the server's database.
@@ -216,555 +474,96 @@ cbir_obs::counter_table! {
         "High-water mark of requests concurrently in flight on one connection.";
 }
 
-/// A server-to-client reply.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// Ranked hits for a knn/range/knn-by-id request.
-    ///
-    /// Body: `u32 n`, `n` hit bodies, `u64 coarse_candidates`,
-    /// `u64 rerank_evaluations`. Both counters are zero when the request
-    /// executed on the exact path — so a `recall_target = 1.0` reply is
-    /// byte-identical to an exact reply, not merely equivalent.
-    Hits {
-        /// The ranked hits.
-        hits: Vec<Hit>,
-        /// Coarse-stage candidates this query surfaced (zero on the
-        /// exact path).
-        coarse_candidates: u64,
-        /// Exact rerank evaluations this query performed (zero on the
-        /// exact path).
-        rerank_evaluations: u64,
-    },
-    /// Answer to [`Request::Ping`]: database size and descriptor dim.
-    Pong {
-        /// Number of images in the served database.
-        db_len: u64,
-        /// Descriptor dimensionality the server expects.
-        dim: u32,
-    },
-    /// Answer to [`Request::Stats`].
-    Stats(StatsSnapshot),
-    /// Acknowledges [`Request::Shutdown`]; sent before the server drains.
-    ShutdownAck,
-    /// Per-request failure (bad dimension, unknown id, engine error). The
-    /// connection stays usable.
-    Error(String),
-    /// Admission control shed this request: the bounded queue was full.
-    Overloaded(String),
-    /// The server is shutting down and no longer admits requests.
-    ShuttingDown(String),
-    /// The request's deadline expired while it waited in the queue.
-    DeadlineExpired(String),
-    /// Rendered observability text (JSON or Prometheus exposition),
-    /// answering [`Request::ObsStats`] and [`Request::Explain`].
-    ObsText(String),
-    /// Answer to [`Request::Insert`].
-    InsertAck {
-        /// Global id assigned to the inserted row.
-        id: u64,
-        /// Store epoch after the insert.
-        epoch: u64,
-    },
-    /// Answer to [`Request::Delete`].
-    DeleteAck {
-        /// Store epoch after the delete.
-        epoch: u64,
-    },
-    /// Answer to [`Request::Compact`].
-    CompactAck {
-        /// Store epoch after the compaction.
-        epoch: u64,
-        /// Live segments after the compaction.
-        segments: u32,
-        /// Live rows after the compaction.
-        rows: u64,
-    },
-    /// Answer to [`Request::GetDescriptor`].
-    ///
-    /// Body: `u32 dim`, `dim × f32`.
-    Descriptor {
-        /// The stored descriptor, bit-for-bit as the server holds it.
-        descriptor: Vec<f32>,
-    },
-    /// Ranked hits from a **degraded** scatter-gather reply: one or more
-    /// shards were unreachable (every replica down or circuit-open) and
-    /// the router, running with partial results enabled, merged what the
-    /// live shards returned instead of failing the query.
-    ///
-    /// Body: the full [`Response::Hits`] body, then `u32 shards_answered`,
-    /// `u32 shards_total`. A router only ever emits this status when
-    /// `shards_answered < shards_total`; full-coverage replies keep the
-    /// plain `Hits` status so the healthy exact path stays frame-level
-    /// byte-identical to a single union node.
-    HitsPartial {
-        /// The ranked hits merged over the shards that answered.
-        hits: Vec<Hit>,
-        /// Coarse-stage candidates summed over answering shards.
-        coarse_candidates: u64,
-        /// Exact rerank evaluations summed over answering shards.
-        rerank_evaluations: u64,
-        /// Shards that contributed hits to this reply.
-        shards_answered: u32,
-        /// Shards the plan declares; `shards_answered < shards_total`.
-        shards_total: u32,
-    },
-}
-
-const ST_HITS: u8 = 0;
-const ST_PONG: u8 = 1;
-const ST_STATS: u8 = 2;
-const ST_SHUTDOWN_ACK: u8 = 3;
-const ST_ERROR: u8 = 4;
-const ST_OVERLOADED: u8 = 5;
-const ST_SHUTTING_DOWN: u8 = 6;
-const ST_DEADLINE_EXPIRED: u8 = 7;
-const ST_OBS_TEXT: u8 = 8;
-const ST_INSERT_ACK: u8 = 9;
-const ST_DELETE_ACK: u8 = 10;
-const ST_COMPACT_ACK: u8 = 11;
-const ST_DESCRIPTOR: u8 = 12;
-const ST_HITS_PARTIAL: u8 = 13;
-
-// ---------------------------------------------------------------------------
-// Payload writer/reader (little-endian, length-prefixed strings).
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct PayloadWriter {
-    buf: Vec<u8>,
-}
-
-impl PayloadWriter {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct PayloadReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        PayloadReader { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let slice = self
-            .bytes
-            .get(self.at..self.at.saturating_add(n))
-            .ok_or_else(|| wire_err("unexpected end of payload"))?;
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME_LEN {
-            return Err(wire_err(format!("string length {n} implausible")));
-        }
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| wire_err("invalid UTF-8 in string field"))
-    }
-
-    fn descriptor(&mut self) -> Result<Vec<f32>, WireError> {
-        let dim = self.u32()? as usize;
-        if dim == 0 || dim > MAX_WIRE_DIM {
-            return Err(wire_err(format!("descriptor dim {dim} out of range")));
-        }
-        let mut v = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            v.push(self.f32()?);
-        }
-        Ok(v)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(wire_err(format!(
-                "{} trailing bytes after payload",
-                self.bytes.len() - self.at
-            )))
-        }
-    }
-}
-
-fn write_descriptor(w: &mut PayloadWriter, d: &[f32]) {
-    w.u32(d.len() as u32);
-    for &v in d {
-        w.f32(v);
-    }
-}
-
-/// The shared body of [`Response::Hits`] and [`Response::HitsPartial`]:
-/// `u32 n`, `n` hit bodies, `u64 coarse_candidates`,
-/// `u64 rerank_evaluations`. Factored so the two statuses can never
-/// drift apart byte-wise.
-fn write_hits_body(w: &mut PayloadWriter, hits: &[Hit], coarse: u64, rerank: u64) {
-    w.u32(hits.len() as u32);
-    for h in hits {
-        w.u64(h.id);
-        w.str(&h.name);
-        match h.label {
-            Some(l) => {
-                w.u8(1);
-                w.u32(l);
-            }
-            None => w.u8(0),
-        }
-        w.f32(h.distance);
-    }
-    w.u64(coarse);
-    w.u64(rerank);
-}
-
-/// Inverse of [`write_hits_body`].
-fn read_hits_body(r: &mut PayloadReader<'_>) -> Result<(Vec<Hit>, u64, u64), WireError> {
-    let n = r.u32()? as usize;
-    if n > MAX_FRAME_LEN / 17 {
-        return Err(wire_err(format!("hit count {n} implausible")));
-    }
-    let mut hits = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = r.u64()?;
-        let name = r.str()?;
-        let label = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-        let distance = r.f32()?;
-        hits.push(Hit {
-            id,
-            name,
-            label,
-            distance,
-        });
-    }
-    let coarse = r.u64()?;
-    let rerank = r.u64()?;
-    Ok((hits, coarse, rerank))
-}
-
-// ---------------------------------------------------------------------------
-// Request encode/decode.
-// ---------------------------------------------------------------------------
-
-/// Serialize a request into a frame payload (no magic / length prefix).
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut w = PayloadWriter::default();
-    match req {
-        Request::Ping => w.u8(OP_PING),
-        Request::Knn {
-            k,
-            deadline_us,
-            recall_target,
-            descriptor,
-        } => {
-            w.u8(OP_KNN);
-            w.u32(*k);
-            w.u64(*deadline_us);
-            w.f32(*recall_target);
-            write_descriptor(&mut w, descriptor);
-        }
-        Request::Range {
-            radius,
-            deadline_us,
-            descriptor,
-        } => {
-            w.u8(OP_RANGE);
-            w.f32(*radius);
-            w.u64(*deadline_us);
-            write_descriptor(&mut w, descriptor);
-        }
-        Request::KnnById {
-            k,
-            deadline_us,
-            recall_target,
-            id,
-        } => {
-            w.u8(OP_KNN_BY_ID);
-            w.u32(*k);
-            w.u64(*deadline_us);
-            w.f32(*recall_target);
-            w.u64(*id);
-        }
-        Request::Stats => w.u8(OP_STATS),
-        Request::Shutdown => w.u8(OP_SHUTDOWN),
-        Request::ObsStats { prometheus } => {
-            w.u8(OP_OBS_STATS);
-            w.u8(u8::from(*prometheus));
-        }
-        Request::Explain => w.u8(OP_EXPLAIN),
-        Request::Insert {
-            name,
-            label,
-            descriptor,
-        } => {
-            w.u8(OP_INSERT);
-            w.str(name);
-            match label {
-                Some(l) => {
-                    w.u8(1);
-                    w.u32(*l);
-                }
-                None => w.u8(0),
-            }
-            write_descriptor(&mut w, descriptor);
-        }
-        Request::Delete { id } => {
-            w.u8(OP_DELETE);
-            w.u64(*id);
-        }
-        Request::Compact => w.u8(OP_COMPACT),
-        Request::GetDescriptor { id } => {
-            w.u8(OP_GET_DESCRIPTOR);
-            w.u64(*id);
-        }
-    }
-    w.buf
-}
-
-/// Parse a frame payload as a request.
-pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut r = PayloadReader::new(payload);
-    let req = match r.u8()? {
-        OP_PING => Request::Ping,
-        OP_KNN => Request::Knn {
-            k: r.u32()?,
-            deadline_us: r.u64()?,
-            recall_target: r.f32()?,
-            descriptor: r.descriptor()?,
+frame_table! {
+    /// A server-to-client reply.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response: "response status", encode_response, decode_response {
+        /// Ranked hits for a knn/range/knn-by-id request. Both counters
+        /// are zero when the request executed on the exact path — so a
+        /// `recall_target = 1.0` reply is byte-identical to an exact
+        /// reply, not merely equivalent.
+        0 => Hits {
+            /// The ranked hits.
+            hits: Vec<Hit>,
+            /// Coarse-stage candidates this query surfaced (zero on the
+            /// exact path).
+            coarse_candidates: u64,
+            /// Exact rerank evaluations this query performed (zero on the
+            /// exact path).
+            rerank_evaluations: u64,
         },
-        OP_RANGE => Request::Range {
-            radius: r.f32()?,
-            deadline_us: r.u64()?,
-            descriptor: r.descriptor()?,
+        /// Answer to [`Request::Ping`]: database size and descriptor dim.
+        1 => Pong {
+            /// Number of images in the served database.
+            db_len: u64,
+            /// Descriptor dimensionality the server expects.
+            dim: u32,
         },
-        OP_KNN_BY_ID => Request::KnnById {
-            k: r.u32()?,
-            deadline_us: r.u64()?,
-            recall_target: r.f32()?,
-            id: r.u64()?,
+        /// Answer to [`Request::Stats`].
+        2 => Stats(StatsSnapshot),
+        /// Acknowledges [`Request::Shutdown`]; sent before the server drains.
+        3 => ShutdownAck,
+        /// Per-request failure (bad dimension, unknown id, engine error, a
+        /// reply over [`MAX_FRAME_LEN`]). The connection stays usable.
+        4 => Error(String),
+        /// Admission control shed this request: the bounded queue was full.
+        5 => Overloaded(String),
+        /// The server is shutting down and no longer admits requests.
+        6 => ShuttingDown(String),
+        /// The request's deadline expired while it waited in the queue.
+        7 => DeadlineExpired(String),
+        /// Rendered observability text (JSON or Prometheus exposition),
+        /// answering [`Request::ObsStats`] and [`Request::Explain`].
+        8 => ObsText(String),
+        /// Answer to [`Request::Insert`].
+        9 => InsertAck {
+            /// Global id assigned to the inserted row.
+            id: u64,
+            /// Store epoch after the insert.
+            epoch: u64,
         },
-        OP_STATS => Request::Stats,
-        OP_SHUTDOWN => Request::Shutdown,
-        OP_OBS_STATS => match r.u8()? {
-            0 => Request::ObsStats { prometheus: false },
-            1 => Request::ObsStats { prometheus: true },
-            f => return Err(wire_err(format!("unknown obs-stats format {f}"))),
+        /// Answer to [`Request::Delete`].
+        10 => DeleteAck {
+            /// Store epoch after the delete.
+            epoch: u64,
         },
-        OP_EXPLAIN => Request::Explain,
-        OP_INSERT => {
-            let name = r.str()?;
-            let label = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-            Request::Insert {
-                name,
-                label,
-                descriptor: r.descriptor()?,
-            }
-        }
-        OP_DELETE => Request::Delete { id: r.u64()? },
-        OP_COMPACT => Request::Compact,
-        OP_GET_DESCRIPTOR => Request::GetDescriptor { id: r.u64()? },
-        t => return Err(wire_err(format!("unknown request op {t}"))),
-    };
-    r.finish()?;
-    Ok(req)
-}
-
-// ---------------------------------------------------------------------------
-// Response encode/decode.
-// ---------------------------------------------------------------------------
-
-/// Serialize a response into a frame payload (no magic / length prefix).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut w = PayloadWriter::default();
-    match resp {
-        Response::Hits {
-            hits,
-            coarse_candidates,
-            rerank_evaluations,
-        } => {
-            w.u8(ST_HITS);
-            write_hits_body(&mut w, hits, *coarse_candidates, *rerank_evaluations);
-        }
-        Response::HitsPartial {
-            hits,
-            coarse_candidates,
-            rerank_evaluations,
-            shards_answered,
-            shards_total,
-        } => {
-            w.u8(ST_HITS_PARTIAL);
-            write_hits_body(&mut w, hits, *coarse_candidates, *rerank_evaluations);
-            w.u32(*shards_answered);
-            w.u32(*shards_total);
-        }
-        Response::Pong { db_len, dim } => {
-            w.u8(ST_PONG);
-            w.u64(*db_len);
-            w.u32(*dim);
-        }
-        Response::Stats(s) => {
-            w.u8(ST_STATS);
-            for v in s.values() {
-                w.u64(v);
-            }
-            w.u32(s.batch_hist.len() as u32);
-            for &(bound, count) in &s.batch_hist {
-                w.u64(bound);
-                w.u64(count);
-            }
-        }
-        Response::ShutdownAck => w.u8(ST_SHUTDOWN_ACK),
-        Response::Error(msg) => {
-            w.u8(ST_ERROR);
-            w.str(msg);
-        }
-        Response::Overloaded(msg) => {
-            w.u8(ST_OVERLOADED);
-            w.str(msg);
-        }
-        Response::ShuttingDown(msg) => {
-            w.u8(ST_SHUTTING_DOWN);
-            w.str(msg);
-        }
-        Response::DeadlineExpired(msg) => {
-            w.u8(ST_DEADLINE_EXPIRED);
-            w.str(msg);
-        }
-        Response::ObsText(text) => {
-            w.u8(ST_OBS_TEXT);
-            w.str(text);
-        }
-        Response::InsertAck { id, epoch } => {
-            w.u8(ST_INSERT_ACK);
-            w.u64(*id);
-            w.u64(*epoch);
-        }
-        Response::DeleteAck { epoch } => {
-            w.u8(ST_DELETE_ACK);
-            w.u64(*epoch);
-        }
-        Response::CompactAck {
-            epoch,
-            segments,
-            rows,
-        } => {
-            w.u8(ST_COMPACT_ACK);
-            w.u64(*epoch);
-            w.u32(*segments);
-            w.u64(*rows);
-        }
-        Response::Descriptor { descriptor } => {
-            w.u8(ST_DESCRIPTOR);
-            write_descriptor(&mut w, descriptor);
-        }
+        /// Answer to [`Request::Compact`].
+        11 => CompactAck {
+            /// Store epoch after the compaction.
+            epoch: u64,
+            /// Live segments after the compaction.
+            segments: u32,
+            /// Live rows after the compaction.
+            rows: u64,
+        },
+        /// Answer to [`Request::GetDescriptor`].
+        12 => Descriptor {
+            /// The stored descriptor, bit-for-bit as the server holds it.
+            descriptor: Vec<f32>,
+        },
+        /// Ranked hits from a **degraded** scatter-gather reply: one or more
+        /// shards were unreachable (every replica down or circuit-open) and
+        /// the router, running with partial results enabled, merged what the
+        /// live shards returned instead of failing the query.
+        ///
+        /// Its fields start with [`Response::Hits`]' fields, so past the tag
+        /// its payload is a `Hits` payload plus the coverage pair. A router
+        /// only ever emits this status when `shards_answered < shards_total`;
+        /// full-coverage replies keep the plain `Hits` status so the healthy
+        /// exact path stays frame-level byte-identical to a single union node.
+        13 => HitsPartial {
+            /// The ranked hits merged over the shards that answered.
+            hits: Vec<Hit>,
+            /// Coarse-stage candidates summed over answering shards.
+            coarse_candidates: u64,
+            /// Exact rerank evaluations summed over answering shards.
+            rerank_evaluations: u64,
+            /// Shards that contributed hits to this reply.
+            shards_answered: u32,
+            /// Shards the plan declares; `shards_answered < shards_total`.
+            shards_total: u32,
+        },
     }
-    w.buf
-}
-
-/// Parse a frame payload as a response.
-pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut r = PayloadReader::new(payload);
-    let resp = match r.u8()? {
-        ST_HITS => {
-            let (hits, coarse_candidates, rerank_evaluations) = read_hits_body(&mut r)?;
-            Response::Hits {
-                hits,
-                coarse_candidates,
-                rerank_evaluations,
-            }
-        }
-        ST_HITS_PARTIAL => {
-            let (hits, coarse_candidates, rerank_evaluations) = read_hits_body(&mut r)?;
-            Response::HitsPartial {
-                hits,
-                coarse_candidates,
-                rerank_evaluations,
-                shards_answered: r.u32()?,
-                shards_total: r.u32()?,
-            }
-        }
-        ST_PONG => Response::Pong {
-            db_len: r.u64()?,
-            dim: r.u32()?,
-        },
-        ST_STATS => {
-            let values = StatsSnapshot::TABLE
-                .iter()
-                .map(|_| r.u64())
-                .collect::<Result<Vec<_>, _>>()?;
-            let n = r.u32()? as usize;
-            if n > 1024 {
-                return Err(wire_err(format!("histogram bucket count {n} implausible")));
-            }
-            let batch_hist = (0..n)
-                .map(|_| Ok((r.u64()?, r.u64()?)))
-                .collect::<Result<_, WireError>>()?;
-            Response::Stats(
-                StatsSnapshot {
-                    batch_hist,
-                    ..Default::default()
-                }
-                .with_values(&values),
-            )
-        }
-        ST_SHUTDOWN_ACK => Response::ShutdownAck,
-        ST_ERROR => Response::Error(r.str()?),
-        ST_OVERLOADED => Response::Overloaded(r.str()?),
-        ST_SHUTTING_DOWN => Response::ShuttingDown(r.str()?),
-        ST_DEADLINE_EXPIRED => Response::DeadlineExpired(r.str()?),
-        ST_OBS_TEXT => Response::ObsText(r.str()?),
-        ST_INSERT_ACK => Response::InsertAck {
-            id: r.u64()?,
-            epoch: r.u64()?,
-        },
-        ST_DELETE_ACK => Response::DeleteAck { epoch: r.u64()? },
-        ST_COMPACT_ACK => Response::CompactAck {
-            epoch: r.u64()?,
-            segments: r.u32()?,
-            rows: r.u64()?,
-        },
-        ST_DESCRIPTOR => Response::Descriptor {
-            descriptor: r.descriptor()?,
-        },
-        t => return Err(wire_err(format!("unknown response status {t}"))),
-    };
-    r.finish()?;
-    Ok(resp)
 }
 
 // ---------------------------------------------------------------------------
@@ -1006,10 +805,7 @@ mod tests {
 
     #[test]
     fn obs_stats_rejects_unknown_format() {
-        let mut w = PayloadWriter::default();
-        w.u8(OP_OBS_STATS);
-        w.u8(7);
-        assert!(decode_request(&w.buf).is_err());
+        assert!(decode_request(&hex("06 07")).is_err());
     }
 
     #[test]
@@ -1259,19 +1055,11 @@ mod tests {
         let mut payload = encode_request(&Request::Ping);
         payload.push(0);
         assert!(decode_request(&payload).is_err());
-        // Zero-dim descriptor.
-        let mut w = PayloadWriter::default();
-        w.u8(OP_KNN);
-        w.u32(1);
-        w.u64(0);
-        w.f32(1.0); // recall target
-        w.u32(0); // dim = 0
-        assert!(decode_request(&w.buf).is_err());
+        // Zero-dim descriptor: k 1, no deadline, recall target 1.0, dim 0.
+        let knn = hex("01 01000000 0000000000000000 0000803f 00000000");
+        assert!(decode_request(&knn).is_err());
         // Zero-dim get-descriptor reply.
-        let mut w = PayloadWriter::default();
-        w.u8(ST_DESCRIPTOR);
-        w.u32(0);
-        assert!(decode_response(&w.buf).is_err());
+        assert!(decode_response(&hex("0c 00000000")).is_err());
     }
 
     /// Bytes from a hex string; spaces are ignored.
@@ -1457,6 +1245,18 @@ mod tests {
         for (resp, bytes) in responses {
             assert_eq!(encode_response(&resp), bytes, "{resp:?}");
             assert_eq!(decode_response(&bytes).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn exactly_the_searches_carry_a_deadline() {
+        for (mut req, _) in request_goldens() {
+            let search = matches!(
+                req,
+                Request::Knn { .. } | Request::Range { .. } | Request::KnnById { .. }
+            );
+            assert_eq!(req.deadline_us().is_some(), search, "{req:?}");
+            assert_eq!(req.deadline_us_mut().is_some(), search, "{req:?}");
         }
     }
 
