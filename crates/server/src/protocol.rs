@@ -32,7 +32,9 @@
 //! The format is self-describing enough for per-connection error
 //! isolation: a malformed frame produces a [`WireError`] which the server
 //! answers with [`Response::Error`] before closing that connection,
-//! leaving every other connection untouched.
+//! leaving every other connection untouched. A reply whose payload would
+//! exceed [`MAX_FRAME_LEN`] goes out as that request's [`Response::Error`]
+//! instead (`conn::Connection::pump`), so the peer's reader stays in sync.
 
 use cbir_obs::Counters;
 use std::io::{Read, Write};
